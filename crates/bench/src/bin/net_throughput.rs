@@ -323,7 +323,7 @@ fn rebalance_smoke(shards: usize, volume_size: u32, image: u32) -> RebalanceSmok
     let frames_before: Vec<u64> = pool
         .node_stats()
         .iter()
-        .map(|s| s.as_ref().map(|s| s.merged.frames_completed).unwrap_or(0))
+        .map(|s| s.as_ref().map(|s| s.merged().frames_completed).unwrap_or(0))
         .collect();
 
     let outcome = rebalance_once(
@@ -356,7 +356,7 @@ fn rebalance_smoke(shards: usize, volume_size: u32, image: u32) -> RebalanceSmok
     let frames_after: Vec<u64> = pool
         .node_stats()
         .iter()
-        .map(|s| s.as_ref().map(|s| s.merged.frames_completed).unwrap_or(0))
+        .map(|s| s.as_ref().map(|s| s.merged().frames_completed).unwrap_or(0))
         .collect();
     let migrated_frames = frames_after[owner_after].saturating_sub(frames_before[owner_after]);
     assert!(

@@ -1,7 +1,7 @@
 //! `obs_top` — a live dashboard over the observability pipeline: starts a
 //! local [`RenderServer`], drives a pipelined render workload against it,
 //! and redraws per-stage latency quantiles, cache hit rates, wire traffic
-//! and the most recent request traces from the server's **STATS v2**
+//! and the most recent request traces from the server's **STATS** node
 //! snapshot and **TRACES** ring each tick — the same data any remote
 //! `obs_top` would see, fetched through the same wire requests.
 //!
@@ -59,7 +59,14 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
         c(names::SERVE_FRAMES_RENDERED),
         c(names::SERVE_FRAMES_COMPLETED),
         c(names::SERVE_FRAMES_FAILED),
-        snap.gauge(names::SERVE_QUEUE_DEPTH).unwrap_or(0),
+        [
+            names::SERVE_QUEUE_DEPTH_BATCH,
+            names::SERVE_QUEUE_DEPTH_NORMAL,
+            names::SERVE_QUEUE_DEPTH_INTERACTIVE,
+        ]
+        .iter()
+        .map(|class| snap.gauge(class).unwrap_or(0))
+        .sum::<i64>(),
     );
     println!(
         "caches: frame {:.1}% hit, plan {:.1}% hit   batches {} ({} frames)   stagings {} / reuses {}",
@@ -176,7 +183,7 @@ fn main() {
         })
         .collect();
 
-    // The dashboard: a separate observer connection polling STATS v2 and
+    // The dashboard: a separate observer connection polling STATS and
     // TRACES — exactly what a remote operator console would do.
     let observer = RenderClient::connect(addr).expect("connect observer");
     for tick in 1..=ticks {

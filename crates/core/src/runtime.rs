@@ -209,7 +209,6 @@ where
     // Assemble record, stats and merged output.
     let mut record = JobRecord::default();
     let mut stats = JobStats::default();
-    let wire = pair_wire_bytes::<M::Value>() as u64;
 
     for mr in &mapper_records {
         for c in &mr.chunks {
@@ -238,7 +237,6 @@ where
             }
         }
     }
-    let _ = wire;
 
     record.mappers = mapper_records;
     let mut parts: Vec<(Vec<Key>, std::vec::IntoIter<R::Out>)> =

@@ -2,7 +2,7 @@
 //!
 //! Every instrument the stack registers (`counter(..)`, `gauge(..)`,
 //! `histogram(..)`) shares one flat name space that the `obs_top`
-//! dashboard, STATS v2 consumers and the bench JSON all read by string.
+//! dashboard, STATS consumers and the bench JSON all read by string.
 //! This lint keeps that namespace honest:
 //!
 //! 1. names follow the `crate.` prefix + lowercase-dot convention

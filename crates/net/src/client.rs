@@ -36,7 +36,7 @@ use std::time::Duration;
 use mgpu_obs::CompletedTrace;
 use mgpu_serve::{AdmissionError, FrameError};
 
-use crate::heat::{decode_stats, NetStats};
+use crate::heat::NetStats;
 use crate::wire::{
     decode_drain_state, decode_epoch, decode_frame, decode_message, decode_pong, decode_prewarmed,
     decode_rejected, decode_throttled, decode_ticket, decode_tickets_full, decode_traces,
@@ -365,14 +365,14 @@ impl RenderClient {
         frame_response(op, &payload)
     }
 
-    /// Fetch the merged service report, per-shard heat metrics and the
-    /// server's obs snapshot (STATS v2).
+    /// Fetch the server's per-shard and node snapshots ([`NetStats`] derives
+    /// the merged service report and per-shard heat from them).
     pub fn stats(&self) -> Result<NetStats, ClientError> {
         let id = self.fresh_id();
         self.send(opcode::STATS, id, &[])?;
         let (op, payload) = self.await_reply(id)?;
         match op {
-            opcode::STATS_REPORT => Ok(decode_stats(&payload)?),
+            opcode::STATS_REPORT => Ok(NetStats::decode(&payload)?),
             other => Err(unexpected(other, &payload)),
         }
     }

@@ -1,19 +1,19 @@
-//! Shard heat over the wire: the `STATS` request's payload — the merged
-//! [`ServiceReport`] plus one [`ShardHeat`] per shard — and a client-side
-//! view with the imbalance arithmetic a rebalancer (or an operator reading
-//! a dashboard) starts from.
+//! Stats over the wire: the `STATS` request's payload (v3) is the node's
+//! directory epoch, its uptime, one [`mgpu_obs::Snapshot`] per shard and
+//! the node's own snapshot — nothing else. The merged
+//! [`ServiceReport`], the per-shard [`ShardHeat`] and the imbalance
+//! arithmetic a rebalancer (or an operator reading a dashboard) starts
+//! from are views the client computes over those snapshots.
 
 use std::time::Duration;
 
 use mgpu_obs::{Snapshot, HIST_BUCKETS};
-use mgpu_serve::{CacheSnapshot, ServiceReport, ShardHeat, WAIT_BUCKETS};
+use mgpu_serve::{ServiceReport, ShardHeat};
 
 use crate::wire::{Reader, WireError, Writer};
 
-/// What `STATS` returns: cluster-wide accounting plus per-shard heat —
-/// and, since STATS v2, the node's full [`mgpu_obs`] registry snapshot
-/// (per-stage histograms, cache counters, event-loop wakeups, …), which
-/// merges exactly across nodes via [`Snapshot::merge`].
+/// What `STATS` returns. Snapshots merge exactly ([`Snapshot::merge`]), so
+/// shard, node and pool totals are all the same fold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetStats {
     /// The directory epoch this node last heard about (wire v4). Every
@@ -23,37 +23,62 @@ pub struct NetStats {
     /// directory epoch lags the value echoed here is routing on a stale
     /// placement.
     pub epoch: u64,
-    /// All shards folded together (see [`ServiceReport::merged`]).
-    pub merged: ServiceReport,
-    /// Per-shard heat, indexed by shard.
-    pub shards: Vec<ShardHeat>,
-    /// The node's observability snapshot (STATS v2): every registered
-    /// counter, gauge and histogram under its stable name.
+    /// Real elapsed time since the node's render service started.
+    pub uptime: Duration,
+    /// Each shard's own `serve.*` snapshot, indexed by shard: per-service,
+    /// so they sum to exactly this node's service totals.
+    pub shard_snapshots: Vec<Snapshot>,
+    /// The node's snapshot: the server's `net.*` metrics plus the
+    /// *process-wide* `serve.*`/`volren.*` registry. Process-wide means two
+    /// servers in one process each report both servers' `serve.*` here —
+    /// only the per-shard snapshots are per-server.
     pub obs: Snapshot,
 }
 
 impl NetStats {
+    /// All shard snapshots folded together: this node's `serve.*` totals.
+    pub fn service_snapshot(&self) -> Snapshot {
+        let mut merged = Snapshot::new();
+        for snap in &self.shard_snapshots {
+            merged.merge(snap);
+        }
+        merged
+    }
+
+    /// The node-wide service report: the view over the merged shard
+    /// snapshots.
+    pub fn merged(&self) -> ServiceReport {
+        ServiceReport::from_snapshot(&self.service_snapshot(), self.uptime)
+    }
+
+    /// Per-shard heat, indexed by shard. Derived from the same snapshots as
+    /// [`NetStats::merged`], so shard counters sum to the merged counters
+    /// even when the reply was taken under live traffic.
+    pub fn shards(&self) -> Vec<ShardHeat> {
+        self.shard_snapshots
+            .iter()
+            .enumerate()
+            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, self.uptime))
+            .collect()
+    }
+
     /// The busiest shard by completed frames (`None` with zero shards —
     /// never the case for a live server).
-    pub fn hottest(&self) -> Option<&ShardHeat> {
-        self.shards.iter().max_by_key(|h| h.frames_completed)
+    pub fn hottest(&self) -> Option<ShardHeat> {
+        self.shards().into_iter().max_by_key(|h| h.frames_completed)
     }
 
     /// Max-over-mean completed frames across shards: 1.0 is a perfectly
     /// even spread; large values say rendezvous routing is fighting a
     /// skewed key distribution and a rebalancer would help.
     pub fn imbalance(&self) -> f64 {
-        let max = self
-            .shards
-            .iter()
-            .map(|h| h.frames_completed)
-            .max()
-            .unwrap_or(0);
-        let total: u64 = self.shards.iter().map(|h| h.frames_completed).sum();
-        if total == 0 || self.shards.is_empty() {
+        let frames: Vec<u64> = self.shards().iter().map(|h| h.frames_completed).collect();
+        let total: u64 = frames.iter().sum();
+        if total == 0 {
             return 1.0;
         }
-        let mean = total as f64 / self.shards.len() as f64;
+        let max = frames.iter().copied().max().unwrap_or(0);
+        let mean = total as f64 / frames.len() as f64;
         max as f64 / mean
     }
 }
@@ -61,13 +86,13 @@ impl NetStats {
 impl std::fmt::Display for NetStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "epoch {}", self.epoch)?;
-        writeln!(f, "{}", self.merged)?;
+        writeln!(f, "{}", self.merged())?;
         writeln!(
             f,
             "{:>5} {:>7} {:>9} {:>9} {:>11} {:>11} {:>9}",
             "shard", "queued", "frames", "frames/s", "cache", "plans", "p90 wait"
         )?;
-        for h in &self.shards {
+        for h in self.shards() {
             writeln!(
                 f,
                 "{:>5} {:>7} {:>9} {:>9.2} {:>6}/{:<4} {:>6}/{:<4} {:>7.2}ms",
@@ -86,131 +111,8 @@ impl std::fmt::Display for NetStats {
     }
 }
 
-fn put_cache(w: &mut Writer, snap: &CacheSnapshot) {
-    w.u64(snap.entries as u64);
-    w.u64(snap.capacity as u64);
-    w.u64(snap.hits);
-    w.u64(snap.misses);
-    w.u64(snap.evictions);
-}
-
-fn get_cache(r: &mut Reader) -> Result<CacheSnapshot, WireError> {
-    Ok(CacheSnapshot {
-        entries: r.u64()? as usize,
-        capacity: r.u64()? as usize,
-        hits: r.u64()?,
-        misses: r.u64()?,
-        evictions: r.u64()?,
-    })
-}
-
-fn put_duration(w: &mut Writer, d: Duration) {
-    w.u64(d.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn get_duration(r: &mut Reader) -> Result<Duration, WireError> {
-    Ok(Duration::from_nanos(r.u64()?))
-}
-
-fn put_report(w: &mut Writer, r: &ServiceReport) {
-    w.u64(r.frames_submitted);
-    w.u64(r.frames_completed);
-    w.u64(r.frames_rendered);
-    w.u64(r.frames_failed);
-    w.u64(r.cache_hits);
-    w.u64(r.admission_rejected);
-    w.u64(r.batches);
-    w.u64(r.batched_frames);
-    w.u64(r.jobs_popped);
-    w.u64(r.brick_stagings);
-    w.u64(r.brick_reuses);
-    put_cache(w, &r.plan_cache);
-    put_cache(w, &r.frame_cache);
-    put_duration(w, r.mean_queue_wait);
-    for bucket in r.queue_wait_hist {
-        w.u64(bucket);
-    }
-    put_duration(w, r.wall_elapsed);
-    put_duration(w, r.sim_frame_total);
-}
-
-fn get_report(r: &mut Reader) -> Result<ServiceReport, WireError> {
-    let frames_submitted = r.u64()?;
-    let frames_completed = r.u64()?;
-    let frames_rendered = r.u64()?;
-    let frames_failed = r.u64()?;
-    let cache_hits = r.u64()?;
-    let admission_rejected = r.u64()?;
-    let batches = r.u64()?;
-    let batched_frames = r.u64()?;
-    let jobs_popped = r.u64()?;
-    let brick_stagings = r.u64()?;
-    let brick_reuses = r.u64()?;
-    let plan_cache = get_cache(r)?;
-    let frame_cache = get_cache(r)?;
-    let mean_queue_wait = get_duration(r)?;
-    let mut queue_wait_hist = [0u64; WAIT_BUCKETS];
-    for bucket in &mut queue_wait_hist {
-        *bucket = r.u64()?;
-    }
-    let wall_elapsed = get_duration(r)?;
-    let sim_frame_total = get_duration(r)?;
-    Ok(ServiceReport {
-        frames_submitted,
-        frames_completed,
-        frames_rendered,
-        frames_failed,
-        cache_hits,
-        admission_rejected,
-        batches,
-        batched_frames,
-        jobs_popped,
-        brick_stagings,
-        brick_reuses,
-        plan_cache,
-        frame_cache,
-        mean_queue_wait,
-        queue_wait_hist,
-        wall_elapsed,
-        sim_frame_total,
-    })
-}
-
-fn put_heat(w: &mut Writer, h: &ShardHeat) {
-    w.u32(h.shard as u32);
-    for d in h.queue_depths {
-        w.u64(d as u64);
-    }
-    w.u64(h.frames_completed);
-    w.f64(h.frames_per_sec);
-    put_cache(w, &h.frame_cache);
-    put_cache(w, &h.plan_cache);
-    put_duration(w, h.mean_queue_wait);
-    put_duration(w, h.queue_wait_p90);
-}
-
-fn get_heat(r: &mut Reader) -> Result<ShardHeat, WireError> {
-    Ok(ShardHeat {
-        shard: r.u32()? as usize,
-        queue_depths: [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize],
-        frames_completed: r.u64()?,
-        frames_per_sec: r.f64()?,
-        frame_cache: get_cache(r)?,
-        plan_cache: get_cache(r)?,
-        mean_queue_wait: get_duration(r)?,
-        queue_wait_p90: get_duration(r)?,
-    })
-}
-
-/// Encode an [`mgpu_obs::Snapshot`] — name-keyed counters, gauges and
-/// histograms. Names are written in the snapshot's stable sorted order, so
-/// equal snapshots encode to equal bytes.
-pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_snapshot(&mut w, snap);
-    w.into_bytes()
-}
-
+/// Name-keyed counters, gauges and histograms, written in the snapshot's
+/// stable sorted order, so equal snapshots encode to equal bytes.
 fn put_snapshot(w: &mut Writer, snap: &Snapshot) {
     let counters = snap.counters();
     w.u32(counters.len() as u32);
@@ -232,14 +134,6 @@ fn put_snapshot(w: &mut Writer, snap: &Snapshot) {
             w.u64(*bucket);
         }
     }
-}
-
-/// Decode an [`mgpu_obs::Snapshot`] payload; consumes the whole payload.
-pub fn decode_snapshot(payload: &[u8]) -> Result<Snapshot, WireError> {
-    let mut r = Reader::new(payload);
-    let snap = get_snapshot(&mut r)?;
-    r.finish()?;
-    Ok(snap)
 }
 
 fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
@@ -269,124 +163,186 @@ fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
     Ok(snap)
 }
 
-/// Encode a `STATS_REPORT` payload (STATS v2: report + shard heat + the
-/// node's observability snapshot).
-pub fn encode_stats(stats: &NetStats) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(stats.epoch);
-    put_report(&mut w, &stats.merged);
-    w.u32(stats.shards.len() as u32);
-    for h in &stats.shards {
-        put_heat(&mut w, h);
+impl NetStats {
+    /// Encode a `STATS_REPORT` payload (STATS v3: epoch, uptime, per-shard
+    /// snapshots, node snapshot).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(self.epoch);
+        w.u64(u64::try_from(self.uptime.as_nanos()).unwrap_or(u64::MAX));
+        w.u32(self.shard_snapshots.len() as u32);
+        for snap in &self.shard_snapshots {
+            put_snapshot(&mut w, snap);
+        }
+        put_snapshot(&mut w, &self.obs);
+        w.into_bytes()
     }
-    put_snapshot(&mut w, &stats.obs);
-    w.into_bytes()
-}
 
-/// Decode a `STATS_REPORT` payload; consumes the whole payload.
-pub fn decode_stats(payload: &[u8]) -> Result<NetStats, WireError> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    let merged = get_report(&mut r)?;
-    let n = r.count(1)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(get_heat(&mut r)?);
+    /// Decode a `STATS_REPORT` payload; consumes the whole payload.
+    pub fn decode(payload: &[u8]) -> Result<NetStats, WireError> {
+        let mut r = Reader::new(payload);
+        let epoch = r.u64()?;
+        let uptime = Duration::from_nanos(r.u64()?);
+        // An empty snapshot is still three u32 section counts.
+        let n = r.count(3 * 4)?;
+        let mut shard_snapshots = Vec::with_capacity(n);
+        for _ in 0..n {
+            shard_snapshots.push(get_snapshot(&mut r)?);
+        }
+        let obs = get_snapshot(&mut r)?;
+        r.finish()?;
+        Ok(NetStats {
+            epoch,
+            uptime,
+            shard_snapshots,
+            obs,
+        })
     }
-    let obs = get_snapshot(&mut r)?;
-    r.finish()?;
-    Ok(NetStats {
-        epoch,
-        merged,
-        shards,
-        obs,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_obs::names;
+    use crate::wire::{frame_bytes, opcode, read_frame, DEFAULT_MAX_PAYLOAD, VERSION};
+    use mgpu_obs::{names, Histogram};
+    use mgpu_serve::CacheSnapshot;
 
-    fn sample_heat(shard: usize, frames: u64) -> ShardHeat {
-        ShardHeat {
-            shard,
-            queue_depths: [1, 2, 0],
-            frames_completed: frames,
-            frames_per_sec: frames as f64 * 1.5,
-            frame_cache: CacheSnapshot {
-                entries: 3,
-                capacity: 64,
-                hits: 5,
-                misses: 9,
-                evictions: 0,
-            },
-            plan_cache: CacheSnapshot {
-                entries: 1,
-                capacity: 8,
-                hits: 2,
-                misses: 1,
-                evictions: 0,
-            },
-            mean_queue_wait: Duration::from_micros(840),
-            queue_wait_p90: Duration::from_millis(3),
+    /// One shard's recorded `serve.*` snapshot: `rendered` frames plus
+    /// `hits` cache replays, every popped job having waited `wait_ns`.
+    fn shard_snapshot(rendered: u64, hits: u64, popped: u64, wait_ns: u64) -> Snapshot {
+        let mut snap = Snapshot::new();
+        snap.add_counter(names::SERVE_FRAMES_SUBMITTED, rendered + hits);
+        snap.add_counter(names::SERVE_FRAMES_COMPLETED, rendered + hits);
+        snap.add_counter(names::SERVE_FRAMES_RENDERED, rendered);
+        snap.add_counter(names::SERVE_BATCHED_FRAMES, rendered);
+        snap.add_counter(names::SERVE_BATCHES, rendered / 2);
+        snap.add_counter(names::SERVE_FRAME_CACHE_HITS, hits);
+        snap.add_counter(names::SERVE_FRAME_CACHE_MISSES, rendered);
+        snap.add_counter(names::SERVE_PLAN_CACHE_HITS, rendered / 2 - 1);
+        snap.add_counter(names::SERVE_PLAN_CACHE_MISSES, 1);
+        snap.add_counter(names::SERVE_BRICK_STAGINGS, 8);
+        snap.add_counter(names::SERVE_BRICK_REUSES, 8 * (rendered - 1));
+        snap.add_counter(names::SERVE_SIM_FRAME_TOTAL_NS, rendered * 2_500_000);
+        snap.add_counter(names::SERVE_QUEUE_WAIT_TOTAL_NS, popped * wait_ns);
+        let waits = Histogram::new();
+        for _ in 0..popped {
+            waits.record(wait_ns);
         }
+        snap.add_histogram(names::SERVE_QUEUE_WAIT_NS, &waits.load());
+        snap.add_gauge(names::SERVE_FRAME_CACHE_ENTRIES, rendered as i64);
+        snap.add_gauge(names::SERVE_FRAME_CACHE_CAPACITY, 64);
+        snap.add_gauge(names::SERVE_PLAN_CACHE_ENTRIES, 1);
+        snap.add_gauge(names::SERVE_PLAN_CACHE_CAPACITY, 8);
+        snap.add_gauge(names::SERVE_QUEUE_DEPTH_BATCH, 1);
+        snap.add_gauge(names::SERVE_QUEUE_DEPTH_NORMAL, 2);
+        snap
     }
 
     fn sample_stats() -> NetStats {
-        let mut merged = ServiceReport::merged([]);
-        merged.frames_submitted = 24;
-        merged.frames_completed = 24;
-        merged.frames_rendered = 20;
-        merged.cache_hits = 4;
-        merged.jobs_popped = 20;
-        merged.queue_wait_hist[12] = 20;
-        merged.mean_queue_wait = Duration::from_micros(900);
-        merged.wall_elapsed = Duration::from_secs(2);
         let mut obs = Snapshot::new();
         obs.add_counter(names::NET_FRAMES_IN, 24);
         obs.add_counter(names::SERVE_FRAMES_RENDERED, 20);
-        obs.add_gauge(names::SERVE_QUEUE_DEPTH, -1); // negative survives the cast
+        obs.add_gauge(names::NET_CONNECTIONS, -1); // negative survives the cast
         let mut buckets = [0u64; HIST_BUCKETS];
         buckets[12] = 20;
         buckets[HIST_BUCKETS - 1] = 1;
         obs.add_histogram(names::SERVE_QUEUE_WAIT_NS, &buckets);
         NetStats {
             epoch: 7,
-            merged,
-            shards: vec![sample_heat(0, 18), sample_heat(1, 6)],
+            uptime: Duration::from_secs(2),
+            shard_snapshots: vec![
+                shard_snapshot(14, 4, 16, 2_000_000),
+                shard_snapshot(6, 0, 8, 5_000_000),
+            ],
             obs,
         }
     }
 
     #[test]
-    fn stats_roundtrip_bit_exact() {
+    fn stats_roundtrip_bit_exact_and_reencode_byte_equal() {
         let stats = sample_stats();
-        let decoded = decode_stats(&encode_stats(&stats)).unwrap();
+        let bytes = stats.encode();
+        let decoded = NetStats::decode(&bytes).unwrap();
         assert_eq!(decoded, stats);
+        // Stable sorted keys: the decoded value re-encodes to the exact
+        // bytes, so replies can be compared bit-for-bit.
+        assert_eq!(decoded.encode(), bytes);
     }
 
     #[test]
-    fn snapshot_roundtrips_and_reencodes_byte_equal() {
+    fn every_truncation_is_a_typed_error() {
+        let bytes = sample_stats().encode();
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    NetStats::decode(&bytes[..cut]),
+                    Err(WireError::Truncated { .. } | WireError::Malformed(_))
+                ),
+                "prefix {cut}"
+            );
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(matches!(
+            NetStats::decode(&longer),
+            Err(WireError::TrailingBytes { extra: 1 })
+        ));
+    }
+
+    /// The recorded two-shard fixture, against the totals the old
+    /// field-by-field `ServiceReport` merge produced for it: counters and
+    /// cache occupancy add, the queue-wait mean re-weights by popped jobs,
+    /// wall time is the (shared) uptime.
+    #[test]
+    fn views_over_merged_snapshots_match_the_recorded_merge() {
         let stats = sample_stats();
-        let bytes = encode_snapshot(&stats.obs);
-        let decoded = decode_snapshot(&bytes).unwrap();
-        assert_eq!(decoded, stats.obs);
-        // Stable sorted keys: re-encoding the decoded snapshot reproduces
-        // the exact bytes, which is what lets merged pool snapshots be
-        // compared bit-for-bit.
-        assert_eq!(encode_snapshot(&decoded), bytes);
-        for cut in 0..bytes.len() {
-            assert!(decode_snapshot(&bytes[..cut]).is_err(), "prefix {cut}");
-        }
-    }
+        let mut queue_wait_hist = [0u64; HIST_BUCKETS];
+        queue_wait_hist[20] = 16; // 2 ms ∈ [2^20, 2^21) ns
+        queue_wait_hist[22] = 8; // 5 ms ∈ [2^22, 2^23) ns
+        let expected = ServiceReport {
+            frames_submitted: 24,
+            frames_completed: 24,
+            frames_rendered: 20,
+            frames_failed: 0,
+            cache_hits: 4,
+            admission_rejected: 0,
+            batches: 10,
+            batched_frames: 20,
+            jobs_popped: 24,
+            brick_stagings: 16,
+            brick_reuses: 144,
+            plan_cache: CacheSnapshot {
+                entries: 2,
+                capacity: 16,
+                hits: 8,
+                misses: 2,
+                evictions: 0,
+            },
+            frame_cache: CacheSnapshot {
+                entries: 20,
+                capacity: 128,
+                hits: 4,
+                misses: 20,
+                evictions: 0,
+            },
+            // (16 · 2 ms + 8 · 5 ms) / 24 = 3 ms
+            mean_queue_wait: Duration::from_millis(3),
+            queue_wait_hist,
+            wall_elapsed: Duration::from_secs(2),
+            sim_frame_total: Duration::from_millis(50),
+        };
+        assert_eq!(stats.merged(), expected);
 
-    #[test]
-    fn truncations_never_panic() {
-        let bytes = encode_stats(&sample_stats());
-        for cut in 0..bytes.len() {
-            assert!(decode_stats(&bytes[..cut]).is_err(), "prefix {cut} decoded");
-        }
+        let shards = stats.shards();
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[1].shard, 1);
+        assert_eq!(shards[0].queue_depths, [1, 2, 0]);
+        assert_eq!(shards[0].frames_completed, 18);
+        assert_eq!(shards[0].frames_per_sec, 9.0);
+        assert_eq!(shards[0].mean_queue_wait, Duration::from_millis(2));
+        assert_eq!(shards[1].frame_cache.entries, 6);
+        let per_shard: u64 = shards.iter().map(|h| h.frames_completed).sum();
+        assert_eq!(per_shard, expected.frames_completed);
     }
 
     #[test]
@@ -397,13 +353,28 @@ mod tests {
         assert!((stats.imbalance() - 1.5).abs() < 1e-12);
         let empty = NetStats {
             epoch: 0,
-            merged: ServiceReport::merged([]),
-            shards: vec![],
+            uptime: Duration::ZERO,
+            shard_snapshots: vec![],
             obs: Snapshot::new(),
         };
         assert_eq!(empty.imbalance(), 1.0);
         assert!(empty.hottest().is_none());
+        assert_eq!(empty.merged(), ServiceReport::default());
         // The display table renders without panicking.
         assert!(format!("{stats}").contains("imbalance"));
+    }
+
+    /// STATS v3 changed the `STATS_REPORT` payload incompatibly, so the
+    /// wire version moved to 5: a v4 peer's frame is refused by version,
+    /// never mis-decoded.
+    #[test]
+    fn a_v4_frame_is_refused_with_a_typed_version_error() {
+        assert_eq!(VERSION, 5);
+        let mut frame = frame_bytes(opcode::STATS, 9, &[]);
+        frame[4..6].copy_from_slice(&4u16.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnsupportedVersion { got: 4, want: 5 })
+        ));
     }
 }

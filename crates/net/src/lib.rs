@@ -45,11 +45,13 @@
 //! * **Rate limiting** — [`ratelimit`]: a per-session token bucket at the
 //!   server door, ahead of admission control; throttled requests carry an
 //!   exact retry-after.
-//! * **Heat + observability** — [`heat`]: the `STATS` request (v2)
-//!   returns the merged [`mgpu_serve::ServiceReport`], per-shard
+//! * **Heat + observability** — [`heat`]: the `STATS` reply carries only
+//!   [`mgpu_obs::Snapshot`]s — one per shard (that shard's own `serve.*`)
+//!   and the node's (`net.*` wire metrics merged with the process-wide
+//!   `serve.*`/`volren.*` registry) — plus the epoch and uptime; the
+//!   merged [`mgpu_serve::ServiceReport`] and per-shard
 //!   [`mgpu_serve::ShardHeat`] (queue depth, frames/sec, cache occupancy)
-//!   *and* the server's [`mgpu_obs::Snapshot`] — `net.*` wire metrics
-//!   merged with the global `serve.*`/`volren.*` registry, in a canonical
+//!   are views [`NetStats`] computes over them, in a canonical
 //!   sorted-key wire form that re-encodes bit-exactly. The `TRACES`
 //!   request returns the newest completed request traces (stage spans
 //!   `admit → queue → plan → stage → kernel → composite → render →

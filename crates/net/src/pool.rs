@@ -847,8 +847,8 @@ impl NodePool {
 
     // --- observability ----------------------------------------------------
 
-    /// Per-node stats (merged report + per-shard heat + obs snapshot +
-    /// echoed epoch), indexed like the directory; unreachable nodes
+    /// Per-node stats (per-shard snapshots + node snapshot + echoed
+    /// epoch), indexed like the directory; unreachable nodes
     /// report a [`NodeError`] that names the node and address, so a dead
     /// node is distinguishable from a hot one.
     pub fn node_stats(&self) -> Vec<Result<NetStats, NodeError>> {
@@ -876,19 +876,19 @@ impl NodePool {
             .collect()
     }
 
-    /// One pool-wide obs snapshot: every reachable node's STATS v2
-    /// snapshot folded together. Counters, gauges and histogram buckets
-    /// add *exactly* (no sketch error), so pool-level quantiles are as
-    /// trustworthy as a single node's. Fails only when no node answers —
-    /// and then names the last node that refused.
-    pub fn obs_snapshot(&self) -> Result<mgpu_obs::Snapshot, BackendError> {
-        let mut merged = mgpu_obs::Snapshot::new();
+    /// Fold every reachable node's stats into `acc`. Fails only when no
+    /// node answers — and then names the last node that refused.
+    fn fold_stats<T>(
+        &self,
+        mut acc: T,
+        fold: impl Fn(&mut T, &NetStats),
+    ) -> Result<T, BackendError> {
         let mut reached = false;
         let mut last_err = None;
         for stats in self.node_stats() {
             match stats {
                 Ok(stats) => {
-                    merged.merge(&stats.obs);
+                    fold(&mut acc, &stats);
                     reached = true;
                 }
                 Err(err) => last_err = Some(err),
@@ -896,8 +896,21 @@ impl NodePool {
         }
         match (reached, last_err) {
             (false, Some(err)) => Err(BackendError::Transport(err.to_string())),
-            _ => Ok(merged),
+            _ => Ok(acc),
         }
+    }
+
+    /// One pool-wide obs snapshot: every reachable node's node snapshot
+    /// folded together. Counters, gauges and histogram buckets add
+    /// *exactly* (no sketch error), so pool-level quantiles are as
+    /// trustworthy as a single node's. A node snapshot's `serve.*` is
+    /// process-wide, so two servers sharing one process are each counted
+    /// twice here; [`RenderBackend::report`] folds the per-shard snapshots
+    /// and is exact regardless.
+    pub fn obs_snapshot(&self) -> Result<mgpu_obs::Snapshot, BackendError> {
+        self.fold_stats(mgpu_obs::Snapshot::new(), |merged, stats| {
+            merged.merge(&stats.obs)
+        })
     }
 
     /// Each node's most recent completed request traces (newest first, at
@@ -1025,27 +1038,23 @@ impl RenderBackend for NodePool {
         Ok(frame)
     }
 
-    /// Pool-level merged accounting: every reachable node's merged report
-    /// folded together. Fails only when *no* node answers.
+    /// Pool-level accounting: the report over every reachable node's
+    /// shard snapshots merged together. Fails only when *no* node answers.
     fn report(&self) -> Result<ServiceReport, BackendError> {
-        let mut reports = Vec::new();
-        let mut last_err = None;
-        for stats in self.node_stats() {
-            match stats {
-                Ok(stats) => reports.push(stats.merged),
-                Err(err) => last_err = Some(err),
-            }
-        }
-        match (reports.is_empty(), last_err) {
-            (true, Some(err)) => Err(BackendError::Transport(err.to_string())),
-            _ => Ok(ServiceReport::merged(&reports)),
-        }
+        let (merged, uptime) = self.fold_stats(
+            (mgpu_obs::Snapshot::new(), Duration::ZERO),
+            |(merged, uptime), stats| {
+                merged.merge(&stats.service_snapshot());
+                *uptime = (*uptime).max(stats.uptime);
+            },
+        )?;
+        Ok(ServiceReport::from_snapshot(&merged, uptime))
     }
 
     /// Disconnect from every node, returning the best-effort merged report
     /// (the servers keep running — a pool is a client-side object).
     fn shutdown(self) -> ServiceReport {
-        RenderBackend::report(&self).unwrap_or_else(|_| ServiceReport::merged([]))
+        RenderBackend::report(&self).unwrap_or_default()
     }
 }
 

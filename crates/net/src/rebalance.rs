@@ -106,7 +106,7 @@ pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOut
     let frames: Vec<Option<u64>> = pool
         .node_stats()
         .into_iter()
-        .map(|stats| stats.ok().map(|s| s.merged.frames_completed))
+        .map(|stats| stats.ok().map(|s| s.merged().frames_completed))
         .collect();
     let reachable: Vec<(usize, u64)> = frames
         .iter()

@@ -99,8 +99,8 @@ impl RemoteBackend {
         self.client.shards()
     }
 
-    /// The server's obs snapshot (STATS v2): merged `net.*` / `serve.*` /
-    /// `volren.*` metrics, mergeable across nodes.
+    /// The server's node snapshot: its `net.*` metrics plus its process's
+    /// `serve.*` / `volren.*`, mergeable across nodes.
     pub fn obs_snapshot(&self) -> Result<mgpu_obs::Snapshot, ClientError> {
         self.client.stats().map(|stats| stats.obs)
     }
@@ -164,7 +164,7 @@ impl RenderBackend for RemoteBackend {
     fn report(&self) -> Result<ServiceReport, BackendError> {
         self.client
             .stats()
-            .map(|stats| stats.merged)
+            .map(|stats| stats.merged())
             .map_err(backend_error)
     }
 
@@ -172,9 +172,6 @@ impl RenderBackend for RemoteBackend {
     /// (best-effort: an unreachable server yields an empty report). The
     /// server itself keeps running for its other clients.
     fn shutdown(self) -> ServiceReport {
-        self.client
-            .stats()
-            .map(|stats| stats.merged)
-            .unwrap_or_else(|_| ServiceReport::merged([]))
+        self.report().unwrap_or_default()
     }
 }

@@ -42,7 +42,7 @@ use mgpu_obs::names;
 use mgpu_obs::{Counter, Gauge, Registry, Trace};
 use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, ShardedService};
 
-use crate::heat::{encode_stats, NetStats};
+use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
     self, decode_epoch, decode_ping, decode_prewarm, decode_request, decode_ticket,
@@ -745,13 +745,12 @@ impl Drop for RenderServer {
     }
 }
 
-/// One coherent stats snapshot (heat and merged report derive from the
-/// same per-shard reports, so shard counters sum to the merged counters
-/// even under live traffic). The obs snapshot is the server's private
+/// The `STATS` reply: each shard's own snapshot (every client-side view
+/// derives from these, so shard counters sum to the merged counters even
+/// under live traffic) and the node snapshot — the server's private
 /// `net.*` registry merged with the process-global one (`serve.*`,
-/// `volren.*`) — STATS v2 carries the union.
+/// `volren.*`).
 fn net_stats(shared: &Shared) -> NetStats {
-    let (shards, merged) = shared.sharded.heat_and_merged();
     let mut obs = shared.obs.snapshot();
     obs.merge(&mgpu_obs::global().snapshot());
     NetStats {
@@ -759,8 +758,8 @@ fn net_stats(shared: &Shared) -> NetStats {
         // drain/resume transition the same observer already saw — epoch
         // and the draining flag share one total order.
         epoch: shared.epoch.load(Ordering::SeqCst),
-        merged,
-        shards,
+        uptime: shared.sharded.uptime(),
+        shard_snapshots: shared.sharded.shard_snapshots(),
         obs,
     }
 }
@@ -1079,7 +1078,7 @@ impl EventLoop {
                 conn.send(frame_bytes(
                     opcode::STATS_REPORT,
                     request_id,
-                    &encode_stats(&stats),
+                    &stats.encode(),
                 ));
             }
             opcode::TRACES => match wire::decode_traces_request(payload) {

@@ -69,8 +69,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"MGPU");
 /// multiplexes many in-flight renders over one connection; v4 added the
 /// elastic-pool control opcodes ([`opcode::DRAIN`] / [`opcode::RESUME`] /
 /// [`opcode::PREWARM`] and their replies) and the directory epoch carried
-/// by the `STATS` payload.
-pub const VERSION: u16 = 4;
+/// by the `STATS` payload; v5 replaced the `STATS_REPORT` payload with
+/// STATS v3 (epoch, uptime, per-shard and node snapshots — see
+/// [`crate::heat`]).
+pub const VERSION: u16 = 5;
 /// Frame header bytes: magic + version + opcode + length.
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 /// Fixed-size frame prelude: the header plus the 8-byte request id. A

@@ -1,5 +1,5 @@
 //! Elastic-pool acceptance: zero-loss graceful drain under pipelined
-//! traffic, epoch-versioned placement observable through STATS v2,
+//! traffic, epoch-versioned placement observable through STATS,
 //! idempotent drain/resume, the GOODBYE protocol, and heat-driven
 //! rebalancing with pre-warm-before-cutover.
 
@@ -57,7 +57,7 @@ fn wait_drained(pool: &NodePool, node: usize) {
 /// over every node), one node drained mid-run. Every ticket redeems
 /// bit-identically to a direct render — the draining node answers what it
 /// owes, and nothing is lost. The epoch bump is observable in the drained
-/// node's STATS v2 echo, and new work for its keys routes to survivors.
+/// node's STATS echo, and new work for its keys routes to survivors.
 #[test]
 fn draining_a_node_mid_pipeline_loses_zero_frames() {
     let servers = [node(), node(), node()];
@@ -93,7 +93,7 @@ fn draining_a_node_mid_pipeline_loses_zero_frames() {
     assert!(state.draining);
     assert_eq!(pool.epoch(), 1, "a drain is a placement change");
 
-    // The epoch bump is observable through STATS v2 while the node still
+    // The epoch bump is observable through STATS while the node still
     // owes work (it keeps answering reads throughout its drain).
     let stats = pool.node_stats();
     let echoed = stats[target].as_ref().expect("draining node answers STATS");
@@ -124,7 +124,7 @@ fn draining_a_node_mid_pipeline_loses_zero_frames() {
         .enumerate()
         .filter(|(n, _)| *n != target)
         .filter_map(|(_, s)| s.as_ref().ok())
-        .map(|s| s.merged.frames_completed)
+        .map(|s| s.merged().frames_completed)
         .sum();
     assert!(survivors >= 1, "survivors carry the rerouted work");
 
@@ -322,14 +322,18 @@ fn rebalance_migrates_a_hot_key_with_a_prewarmed_destination() {
     let stats = pool.node_stats();
     let dest_stats = stats[dest].as_ref().expect("destination reachable");
     assert!(
-        dest_stats.obs.counter("serve.plan_prewarms").unwrap_or(0) >= 1,
+        dest_stats
+            .service_snapshot()
+            .counter("serve.plan_prewarms")
+            .unwrap_or(0)
+            >= 1,
         "destination must count the pre-warm"
     );
     let post = request(Dataset::Skull, 400.0);
     let frame = pool.render(post.clone()).expect("post-cutover render");
     assert_eq!(*frame.image, direct(&post));
     let after = pool.node_stats();
-    let dest_frames = after[dest].as_ref().unwrap().merged.frames_completed;
+    let dest_frames = after[dest].as_ref().unwrap().merged().frames_completed;
     assert!(
         dest_frames >= 1,
         "post-cutover frames land on the destination"

@@ -1,11 +1,12 @@
 //! End-to-end observability through a two-node [`NodePool`]: a pipelined
 //! render must leave a retrievable trace whose stage spans cover the whole
 //! pipeline (queue → plan → stage → render → reply) with monotone
-//! timestamps, and the pool-wide STATS v2 snapshot must survive the wire
+//! timestamps, and the pool-wide STATS snapshot must survive the wire
 //! bit-exactly (sorted keys make re-encoding canonical).
 
-use mgpu_net::heat::{decode_snapshot, encode_snapshot};
-use mgpu_net::{Directory, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig};
+use mgpu_net::{
+    Directory, NetStats, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig,
+};
 use mgpu_obs::CompletedTrace;
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::Dataset;
@@ -116,7 +117,7 @@ fn pool_render_leaves_a_full_pipeline_trace_on_some_node() {
     b.shutdown();
 }
 
-/// STATS v2 is bit-exact on the wire: the pool-merged registry snapshot
+/// STATS is bit-exact on the wire: the pool-merged registry snapshot
 /// re-encodes to the same bytes after a decode round trip (sorted keys
 /// make the encoding canonical), and the decode reproduces the snapshot.
 #[test]
@@ -147,11 +148,19 @@ fn pool_merged_snapshot_roundtrips_bit_exactly() {
         "stage histograms cross the wire"
     );
 
-    let bytes = encode_snapshot(&merged);
-    let decoded = decode_snapshot(&bytes).expect("canonical bytes decode");
-    assert_eq!(decoded, merged, "decode reproduces the snapshot");
+    // The snapshot codec is the STATS payload's: carry the merged
+    // snapshot the way a node would.
+    let stats = NetStats {
+        epoch: 0,
+        uptime: std::time::Duration::ZERO,
+        shard_snapshots: Vec::new(),
+        obs: merged,
+    };
+    let bytes = stats.encode();
+    let decoded = NetStats::decode(&bytes).expect("canonical bytes decode");
+    assert_eq!(decoded, stats, "decode reproduces the snapshot");
     assert_eq!(
-        encode_snapshot(&decoded),
+        decoded.encode(),
         bytes,
         "re-encoding is bit-exact (canonical sorted-key form)"
     );

@@ -11,12 +11,12 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use mgpu_net::heat::decode_stats;
 use mgpu_net::ratelimit::{RateLimitConfig, TokenBucket};
 use mgpu_net::wire::{
     decode_frame, decode_request, encode_request, frame_bytes, opcode, parse_header, read_frame,
     NetSceneRequest, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
 };
+use mgpu_net::NetStats;
 use mgpu_net::{RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::Priority;
 use mgpu_voldata::Dataset;
@@ -60,7 +60,7 @@ proptest! {
         }
         // Frame and stats decoders share the never-panic property.
         let _ = decode_frame(&bytes);
-        let _ = decode_stats(&bytes);
+        let _ = NetStats::decode(&bytes);
     }
 
     /// Every prefix and every single-byte corruption of a valid encoding

@@ -17,9 +17,11 @@
 //!   `Arc` and the hot path touches only the atomic. [`Registry::snapshot`]
 //!   freezes every registered metric into a [`Snapshot`]: stable-sorted
 //!   keys, exact cross-node [`Snapshot::merge`] (counters and buckets
-//!   add), and [`Snapshot::to_json`] for the bench artifacts. The
-//!   process-wide [`global()`] registry is what the `STATS` v2 wire
-//!   payload ships.
+//!   add), and [`Snapshot::to_json`] for the bench artifacts. A
+//!   [`Registry::scoped`] child gives one component (a render service)
+//!   its own snapshot while the process-wide [`global()`] registry still
+//!   reports the same events under the same names — each event is
+//!   written once.
 //! * **Tracing** — a [`trace::Trace`] is one request's span list:
 //!   [`trace::SpanGuard`]s (or explicit [`trace::Trace::record`] calls)
 //!   stamp named stages — admit, queue, plan, stage, kernel, composite,

@@ -1,10 +1,10 @@
 //! The metrics half: atomic counter/gauge/histogram primitives, the
 //! name → metric [`Registry`], and the mergeable [`Snapshot`] every export
-//! surface (STATS v2, `BENCH_obs.json`, the `obs_top` dashboard) is built
+//! surface (`STATS`, `BENCH_obs.json`, the `obs_top` dashboard) is built
 //! from.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
 /// Number of log₂ buckets in a [`Histogram`]: bucket `i` counts samples in
@@ -161,6 +161,13 @@ fn upsert<T>(entries: &mut Vec<(String, T)>, name: &str, v: T, add: impl FnOnce(
     }
 }
 
+fn find<'a, T>(entries: &'a [(String, T)], name: &str) -> Option<&'a T> {
+    entries
+        .binary_search_by(|(n, _)| n.as_str().cmp(name))
+        .ok()
+        .map(|i| &entries[i].1)
+}
+
 impl Snapshot {
     pub fn new() -> Snapshot {
         Snapshot::default()
@@ -199,24 +206,15 @@ impl Snapshot {
     }
 
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.counters[i].1)
+        find(&self.counters, name).copied()
     }
 
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.gauges[i].1)
+        find(&self.gauges, name).copied()
     }
 
     pub fn histogram(&self, name: &str) -> Option<&[u64; HIST_BUCKETS]> {
-        self.histograms
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| &self.histograms[i].1)
+        find(&self.histograms, name)
     }
 
     /// Quantile of a named histogram (`None` if absent; zero if empty).
@@ -288,6 +286,11 @@ struct RegistryInner {
     counters: Vec<(&'static str, Arc<Counter>)>,
     gauges: Vec<(&'static str, Arc<Gauge>)>,
     histograms: Vec<(&'static str, Arc<Histogram>)>,
+    /// Live [`Registry::scoped`] children, summed into every snapshot.
+    children: Vec<Weak<Mutex<RegistryInner>>>,
+    /// Final counter and histogram totals of dropped children, so a
+    /// child's events outlive it (its gauges — levels — leave with it).
+    retired: Snapshot,
 }
 
 fn get_or_insert<T: Default>(
@@ -304,50 +307,19 @@ fn get_or_insert<T: Default>(
     }
 }
 
-/// A name → metric table. Registration (`counter`/`gauge`/`histogram`) is
-/// get-or-create under a short mutex — done once per call site, which then
-/// caches the `Arc` and records lock-free. The same name always returns
-/// the same metric, so independent call sites share one counter by naming
-/// it identically.
-///
-/// Registries are values: the process-wide [`global()`] one feeds STATS
-/// v2, while a server can own a private registry for metrics that must
-/// not mix across instances (per-server wakeups under test).
-#[derive(Debug, Default)]
-pub struct Registry {
-    inner: Mutex<RegistryInner>,
+fn lock(inner: &Mutex<RegistryInner>) -> std::sync::MutexGuard<'_, RegistryInner> {
+    // A poisoned registry mutex would mean a panic mid-Vec-insert;
+    // the data is still sound for reading and re-inserting.
+    inner.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Get-or-register the named counter.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        get_or_insert(&mut self.lock().counters, name)
-    }
-
-    /// Get-or-register the named gauge.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        get_or_insert(&mut self.lock().gauges, name)
-    }
-
-    /// Get-or-register the named histogram.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        get_or_insert(&mut self.lock().histograms, name)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        // A poisoned registry mutex would mean a panic mid-Vec-insert;
-        // the data is still sound for reading and re-inserting.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Freeze every registered metric into a [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        let inner = self.lock();
-        let mut snap = Snapshot::new();
+/// Own instruments plus retired totals, then every live child. The child
+/// list and `retired` are read under one lock, so a child dropping
+/// concurrently is counted exactly once — live or retired.
+fn snapshot_of(inner: &Mutex<RegistryInner>) -> Snapshot {
+    let (mut snap, children) = {
+        let inner = lock(inner);
+        let mut snap = inner.retired.clone();
         for (name, c) in &inner.counters {
             snap.add_counter(name, c.get());
         }
@@ -357,13 +329,93 @@ impl Registry {
         for (name, h) in &inner.histograms {
             snap.add_histogram(name, &h.load());
         }
-        snap
+        let children: Vec<_> = inner.children.iter().filter_map(Weak::upgrade).collect();
+        (snap, children)
+    };
+    for child in children {
+        snap.merge(&snapshot_of(&child));
+    }
+    snap
+}
+
+/// A name → metric table. Registration (`counter`/`gauge`/`histogram`) is
+/// get-or-create under a short mutex — done once per call site, which then
+/// caches the `Arc` and records lock-free. The same name always returns
+/// the same metric, so independent call sites share one counter by naming
+/// it identically.
+///
+/// Registries are values: a server owns a private one for metrics that
+/// must not mix across instances, and a [`Registry::scoped`] child keeps
+/// one component's events apart while its parent still reports them.
+#[derive(Debug, Default)]
+pub struct Registry {
+    inner: Arc<Mutex<RegistryInner>>,
+    parent: Option<Arc<Mutex<RegistryInner>>>,
+}
+
+impl Registry {
+    pub fn new() -> Registry {
+        Registry::default()
+    }
+
+    /// A child registry: its own [`Registry::snapshot`] holds only what was
+    /// recorded through it, while every snapshot of `parent` also sums it
+    /// in under the same names — one write per event serves both views.
+    /// Dropping the child folds its counter and histogram totals into the
+    /// parent, so the parent never moves backwards; an instrument written
+    /// after its registry dropped is no longer seen by the parent.
+    pub fn scoped(parent: &Registry) -> Registry {
+        let child = Registry {
+            inner: Arc::default(),
+            parent: Some(Arc::clone(&parent.inner)),
+        };
+        lock(&parent.inner)
+            .children
+            .push(Arc::downgrade(&child.inner));
+        child
+    }
+
+    /// Get-or-register the named counter.
+    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
+        get_or_insert(&mut lock(&self.inner).counters, name)
+    }
+
+    /// Get-or-register the named gauge.
+    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
+        get_or_insert(&mut lock(&self.inner).gauges, name)
+    }
+
+    /// Get-or-register the named histogram.
+    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+        get_or_insert(&mut lock(&self.inner).histograms, name)
+    }
+
+    /// Freeze every registered metric, scoped children included, into a
+    /// [`Snapshot`].
+    pub fn snapshot(&self) -> Snapshot {
+        snapshot_of(&self.inner)
     }
 }
 
-/// The process-wide registry: what serve and volren record into, and what
-/// the STATS v2 payload snapshots. Metrics here aggregate across every
-/// service instance in the process — exactly what a per-node export wants.
+impl Drop for Registry {
+    fn drop(&mut self) {
+        let Some(parent) = &self.parent else { return };
+        // Retire under the parent's lock: a concurrent parent snapshot
+        // sees this child either still listed or already folded in.
+        let mut parent = lock(parent);
+        parent
+            .children
+            .retain(|child| !std::ptr::eq(child.as_ptr(), Arc::as_ptr(&self.inner)));
+        let mut last = snapshot_of(&self.inner);
+        last.gauges.clear();
+        parent.retired.merge(&last);
+    }
+}
+
+/// The process-wide registry: what volren records into directly and what
+/// every service's scoped registry reports up to. Metrics here aggregate
+/// across every service instance in the process — exactly what a per-node
+/// export wants.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -430,6 +482,25 @@ mod tests {
         assert_eq!(snap.gauge("x.depth"), Some(2));
         assert_eq!(snap.histogram("x.wait_ns").unwrap().iter().sum::<u64>(), 1);
         assert_eq!(snap.counter("absent"), None);
+    }
+
+    #[test]
+    fn scoped_child_reports_to_its_parent_and_retires_on_drop() {
+        let parent = Registry::new();
+        parent.counter("x.hits").add(1);
+        let child = Registry::scoped(&parent);
+        child.counter("x.hits").add(4);
+        child.gauge("x.depth").set(3);
+        child.histogram("x.wait_ns").record(100);
+        assert_eq!(child.snapshot().counter("x.hits"), Some(4), "own events");
+        let live = parent.snapshot();
+        assert_eq!(live.counter("x.hits"), Some(5));
+        assert_eq!(live.gauge("x.depth"), Some(3));
+        drop(child);
+        let retired = parent.snapshot();
+        assert_eq!(retired.counter("x.hits"), Some(5), "events outlive it");
+        assert_eq!(retired.histogram("x.wait_ns"), live.histogram("x.wait_ns"));
+        assert_eq!(retired.gauge("x.depth"), None, "levels leave with it");
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub const POOL_REBALANCE_MIGRATIONS: &str = "pool.rebalance.migrations";
 /// PREWARMs issued ahead of a migration cutover.
 pub const POOL_REBALANCE_PREWARMS: &str = "pool.rebalance.prewarms";
 
-// --- serve.* — the render service (process-global) ----------------------
+// --- serve.* — the render service (one scoped registry per service, ------
+// --- summed under the same names by the process-global one) -------------
 
 /// Frames accepted into the queue (submit or render).
 pub const SERVE_FRAMES_SUBMITTED: &str = "serve.frames_submitted";
@@ -68,34 +69,53 @@ pub const SERVE_FRAMES_COMPLETED: &str = "serve.frames_completed";
 pub const SERVE_FRAMES_RENDERED: &str = "serve.frames_rendered";
 /// Frames that returned a `FrameError` ticket.
 pub const SERVE_FRAMES_FAILED: &str = "serve.frames_failed";
-/// Frame-cache hits (bit-identical replays).
+/// Frame-cache hits (bit-identical replays) — every frame answered from
+/// the cache, at submit or at a worker's coalescing re-check.
 pub const SERVE_FRAME_CACHE_HITS: &str = "serve.frame_cache_hits";
-/// Frame-cache misses.
+/// Frame-cache misses (submit-time lookups; a disabled cache counts none).
 pub const SERVE_FRAME_CACHE_MISSES: &str = "serve.frame_cache_misses";
+/// Frames evicted from the frame cache.
+pub const SERVE_FRAME_CACHE_EVICTIONS: &str = "serve.frame_cache_evictions";
+/// Frames cached right now (gauge).
+pub const SERVE_FRAME_CACHE_ENTRIES: &str = "serve.frame_cache_entries";
+/// Configured frame-cache bound in frames (gauge; 0 = disabled).
+pub const SERVE_FRAME_CACHE_CAPACITY: &str = "serve.frame_cache_capacity";
 /// Cross-batch plan-cache hits (bricking + warm store reused).
 pub const SERVE_PLAN_CACHE_HITS: &str = "serve.plan_cache_hits";
 /// Plan-cache misses (plan prepared from scratch).
 pub const SERVE_PLAN_CACHE_MISSES: &str = "serve.plan_cache_misses";
+/// Plans evicted from the plan cache.
+pub const SERVE_PLAN_CACHE_EVICTIONS: &str = "serve.plan_cache_evictions";
+/// Plans cached right now (gauge).
+pub const SERVE_PLAN_CACHE_ENTRIES: &str = "serve.plan_cache_entries";
+/// Configured plan-cache bound in plans (gauge; 0 = disabled).
+pub const SERVE_PLAN_CACHE_CAPACITY: &str = "serve.plan_cache_capacity";
 /// Submissions shed by admission control (queue bounds).
 pub const SERVE_ADMISSION_REJECTED: &str = "serve.admission_rejected";
 /// Same-key batches executed.
 pub const SERVE_BATCHES: &str = "serve.batches";
 /// Frames coalesced into those batches.
 pub const SERVE_BATCHED_FRAMES: &str = "serve.batched_frames";
-/// Queue pops by workers (batch leaders + coalesced jobs).
-pub const SERVE_JOBS_POPPED: &str = "serve.jobs_popped";
 /// Bricks staged into a brick store (cold).
 pub const SERVE_BRICK_STAGINGS: &str = "serve.brick_stagings";
 /// Brick stagings avoided by the shared store (warm).
 pub const SERVE_BRICK_REUSES: &str = "serve.brick_reuses";
 /// Plans built by the PREWARM worker off the hot path.
 pub const SERVE_PLAN_PREWARMS: &str = "serve.plan_prewarms";
-/// Queue depth right now (gauge).
-pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Submit → worker-pop wait per frame (histogram, ns).
+/// Queued `Batch` jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_BATCH: &str = "serve.queue_depth_batch";
+/// Queued `Normal` jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_NORMAL: &str = "serve.queue_depth_normal";
+/// Queued `Interactive` jobs right now (gauge).
+pub const SERVE_QUEUE_DEPTH_INTERACTIVE: &str = "serve.queue_depth_interactive";
+/// Submit → worker-pop wait per popped job, batch leaders and coalesced
+/// jobs alike (histogram, ns); its sample count is the jobs-popped total.
 pub const SERVE_QUEUE_WAIT_NS: &str = "serve.queue_wait_ns";
-/// FramePlan::prepare wall time (histogram, ns).
-pub const SERVE_PLAN_PREPARE_NS: &str = "serve.plan_prepare_ns";
+/// Sum of those waits, for the exact mean (counter, ns).
+pub const SERVE_QUEUE_WAIT_TOTAL_NS: &str = "serve.queue_wait_total_ns";
+/// Sum of simulated per-frame runtimes (DES makespans) over rendered
+/// frames (counter, ns).
+pub const SERVE_SIM_FRAME_TOTAL_NS: &str = "serve.sim_frame_total_ns";
 /// Full render call wall time (histogram, ns).
 pub const SERVE_RENDER_NS: &str = "serve.render_ns";
 

@@ -1,5 +1,5 @@
 //! Properties of the metrics snapshot algebra and the histogram
-//! quantiles — the guarantees every export surface (STATS v2, pool-wide
+//! quantiles — the guarantees every export surface (STATS, pool-wide
 //! merges, `BENCH_obs.json`) silently relies on:
 //!
 //! * snapshot merge is **associative** and **commutative** with **no count
@@ -8,11 +8,14 @@
 //! * histogram quantiles are **monotone** in `q` and **conservative**
 //!   (never under-report a recorded sample);
 //! * `bucket_of` and `quantile` agree: every sample's bucket upper edge
-//!   bounds the sample.
+//!   bounds the sample;
+//! * a parent registry's movement is **exactly** the sum of its scoped
+//!   children's snapshots under concurrent writers, and dropping a child
+//!   never moves the parent backwards.
 
 use proptest::prelude::*;
 
-use mgpu_obs::{bucket_of, quantile, Histogram, Snapshot, HIST_BUCKETS};
+use mgpu_obs::{bucket_of, quantile, Histogram, Registry, Snapshot, HIST_BUCKETS};
 
 /// Names drawn from a small pool so merges actually collide.
 const NAMES: [&str; 5] = ["a.hits", "b.depth", "c.wait", "d.frames", "e.misses"];
@@ -55,8 +58,106 @@ fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
     out
 }
 
+/// One write through a scoped child: `(child, name, kind, value)`.
+type ScopedOp = (usize, usize, u8, u64);
+
+/// Apply `ops` to `children` (indices taken modulo the slice length),
+/// registering each instrument by name at the write — so concurrent
+/// writers also race the get-or-create path.
+fn apply(children: &[Registry], ops: &[ScopedOp]) {
+    for &(child, name, kind, value) in ops {
+        let reg = &children[child % children.len()];
+        let name = NAMES[name % NAMES.len()];
+        match kind % 3 {
+            0 => reg.counter(name).add(value),
+            1 => reg.gauge(name).add(value as i64 % 1_000 - 500),
+            _ => reg.histogram(name).record(value),
+        }
+    }
+}
+
+/// Run one round: all eight writers released together by a barrier, each
+/// applying its own op list to the shared children, while `meanwhile` runs
+/// on the calling thread from the same barrier.
+fn write_concurrently(children: &[Registry], writers: &[Vec<ScopedOp>], meanwhile: impl FnOnce()) {
+    let start = std::sync::Barrier::new(writers.len() + 1);
+    std::thread::scope(|scope| {
+        for ops in writers {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                apply(children, ops);
+            });
+        }
+        start.wait();
+        meanwhile();
+    });
+}
+
+/// Every counter and histogram bucket of `later` is at least `earlier`'s.
+fn never_backwards(earlier: &Snapshot, later: &Snapshot) -> bool {
+    earlier
+        .counters()
+        .iter()
+        .all(|(name, v)| later.counter(name).is_some_and(|l| l >= *v))
+        && earlier.histograms().iter().all(|(name, buckets)| {
+            later
+                .histogram(name)
+                .is_some_and(|l| l.iter().zip(buckets).all(|(l, e)| l >= e))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eight concurrent writers over N scoped children: the parent's
+    /// movement is exactly the sum of the child snapshots, while some
+    /// children are being dropped under the other children's writers —
+    /// their events stay (the parent never moves backwards), only their
+    /// gauge levels leave.
+    #[test]
+    fn scoped_children_sum_to_the_parents_movement(
+        n in 2usize..6,
+        first in prop::collection::vec(
+            prop::collection::vec((0usize..8, 0usize..8, 0u8..3, 0u64..1u64 << 32), 0..24), 8..9),
+        second in prop::collection::vec(
+            prop::collection::vec((0usize..8, 0usize..8, 0u8..3, 0u64..1u64 << 32), 0..24), 8..9),
+    ) {
+        let parent = Registry::new();
+        parent.counter(NAMES[0]).add(7); // the parent's own, pre-existing events
+        let baseline = parent.snapshot();
+        let mut children: Vec<Registry> = (0..n).map(|_| Registry::scoped(&parent)).collect();
+
+        write_concurrently(&children, &first, || {});
+
+        // Round two writes only to the survivors while the rest are
+        // dropped one by one on this thread.
+        let survivors = children.split_off(n / 2);
+        let mut expected = baseline.clone();
+        let mut watched = parent.snapshot();
+        let mut monotone = true;
+        write_concurrently(&survivors, &second, || {
+            for child in children.drain(..) {
+                let last = child.snapshot();
+                for (name, v) in last.counters() {
+                    expected.add_counter(name, *v);
+                }
+                for (name, buckets) in last.histograms() {
+                    expected.add_histogram(name, buckets);
+                }
+                drop(child);
+                let now = parent.snapshot();
+                monotone &= never_backwards(&watched, &now);
+                watched = now;
+            }
+        });
+        prop_assert!(monotone, "a dropped child moved the parent backwards");
+
+        for child in &survivors {
+            expected.merge(&child.snapshot());
+        }
+        prop_assert_eq!(parent.snapshot(), expected);
+    }
 
     /// (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c): shard snapshots can fold in any
     /// grouping — a pool merging per-node merges equals one flat merge.

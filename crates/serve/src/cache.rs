@@ -15,7 +15,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
+use mgpu_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 
 use mgpu_cluster::ClusterSpec;
@@ -35,14 +37,15 @@ use mgpu_volren::config::RenderConfig;
 /// seed)` but different voxels get different keys and never alias in the
 /// cache.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FrameKey(String);
+pub(crate) struct FrameKey(String);
 
 impl FrameKey {
     pub fn new(spec: &ClusterSpec, volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> FrameKey {
         FrameKey(format!("{spec:?}|{:?}|{scene:?}|{cfg:?}", volume.meta))
     }
 
-    /// An opaque key for tests and tools.
+    /// An opaque key for tests.
+    #[cfg(test)]
     pub fn synthetic(tag: impl std::fmt::Display) -> FrameKey {
         FrameKey(format!("synthetic-{tag}"))
     }
@@ -55,9 +58,17 @@ struct CacheInner<K, V> {
     /// always the LRU victim. Kept in lockstep with `entries`.
     recency: BTreeSet<(u64, K)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+}
+
+/// The instruments a cache counts into — its only tallies. A service hands
+/// in handles from its own registry; the default is detached ones.
+#[derive(Debug, Default)]
+pub(crate) struct CacheMeters {
+    pub hits: Arc<Counter>,
+    pub misses: Arc<Counter>,
+    pub evictions: Arc<Counter>,
+    pub entries: Arc<Gauge>,
+    pub capacity: Arc<Gauge>,
 }
 
 /// Point-in-time cache counters. `entries`/`capacity` give the occupancy
@@ -96,46 +107,32 @@ impl CacheSnapshot {
 /// A bounded LRU cache from `K` to `V`. `capacity` is in entries; zero
 /// disables caching entirely (every `get` misses, `insert` is a no-op).
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     capacity: usize,
+    meters: CacheMeters,
     inner: Mutex<CacheInner<K, V>>,
 }
 
 /// The service's cache of rendered frames (stores [`crate::RenderedFrame`]).
-pub type FrameCache<V> = LruCache<FrameKey, V>;
+pub(crate) type FrameCache<V> = LruCache<FrameKey, V>;
 
 impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
-    pub fn new(capacity: usize) -> LruCache<K, V> {
+    pub fn new(capacity: usize, meters: CacheMeters) -> LruCache<K, V> {
+        meters.capacity.set(capacity as i64);
         LruCache {
             capacity,
+            meters,
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
                 recency: BTreeSet::new(),
                 tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
             }),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently cached. Cheap (one lock, no scan): the heat
-    /// metrics poll this per shard on every stats request.
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Monotonic hit counter (lookups answered from the cache).
-    pub fn hits(&self) -> u64 {
-        self.inner.lock().hits
     }
 
     /// Look up an entry, refreshing its recency on hit.
@@ -164,12 +161,12 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
                 inner.recency.remove(&(*last, key.clone()));
                 inner.recency.insert((tick, key.clone()));
                 *last = tick;
-                inner.hits += 1;
+                self.meters.hits.inc();
                 Some(value.clone())
             }
             None => {
                 if count_miss {
-                    inner.misses += 1;
+                    self.meters.misses.inc();
                 }
                 None
             }
@@ -194,21 +191,21 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
             match inner.recency.pop_first() {
                 Some((_, victim)) => {
                     inner.entries.remove(&victim);
-                    inner.evictions += 1;
+                    self.meters.evictions.inc();
                 }
                 None => break,
             }
         }
+        self.meters.entries.set(inner.entries.len() as i64);
     }
 
     pub fn snapshot(&self) -> CacheSnapshot {
-        let inner = self.inner.lock();
         CacheSnapshot {
-            entries: inner.entries.len(),
+            entries: self.len(),
             capacity: self.capacity,
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
+            hits: self.meters.hits.get(),
+            misses: self.meters.misses.get(),
+            evictions: self.meters.evictions.get(),
         }
     }
 
@@ -241,7 +238,7 @@ mod tests {
 
     #[test]
     fn hit_refreshes_and_counts() {
-        let c: FrameCache<u32> = FrameCache::new(4);
+        let c: FrameCache<u32> = FrameCache::new(4, CacheMeters::default());
         c.insert(key(1), 11);
         assert!(c.get(&key(2)).is_none());
         assert_eq!(c.get(&key(1)), Some(11));
@@ -251,7 +248,7 @@ mod tests {
 
     #[test]
     fn eviction_is_strict_lru_order() {
-        let c: FrameCache<u32> = FrameCache::new(2);
+        let c: FrameCache<u32> = FrameCache::new(2, CacheMeters::default());
         c.insert(key(1), 1);
         c.insert(key(2), 2);
         // Touch 1 so 2 becomes the LRU victim.
@@ -270,7 +267,7 @@ mod tests {
 
     #[test]
     fn recheck_counts_hits_but_not_misses() {
-        let c: FrameCache<u32> = FrameCache::new(2);
+        let c: FrameCache<u32> = FrameCache::new(2, CacheMeters::default());
         assert!(c.recheck(&key(1)).is_none());
         c.insert(key(1), 1);
         assert_eq!(c.recheck(&key(1)), Some(1));
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_recency() {
-        let c: FrameCache<u32> = FrameCache::new(2);
+        let c: FrameCache<u32> = FrameCache::new(2, CacheMeters::default());
         c.insert(key(1), 1);
         c.insert(key(2), 2);
         c.insert(key(1), 10); // refresh, no eviction: len stays 2
@@ -291,7 +288,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let c: FrameCache<u32> = FrameCache::new(0);
+        let c: FrameCache<u32> = FrameCache::new(0, CacheMeters::default());
         c.insert(key(1), 1);
         assert!(c.get(&key(1)).is_none());
         // A disabled cache records no statistics at all.
@@ -303,7 +300,7 @@ mod tests {
     /// lockstep, and evicts in exact LRU order throughout.
     #[test]
     fn recency_index_survives_churn() {
-        let c: LruCache<u32, u32> = LruCache::new(16);
+        let c: LruCache<u32, u32> = LruCache::new(16, CacheMeters::default());
         for i in 0..2_000u32 {
             c.insert(i, i);
             // Touch a sliding window of survivors in a scrambled order.
@@ -327,23 +324,20 @@ mod tests {
         }
     }
 
-    /// The cheap accessors the heat metrics poll: `len`, `capacity` and the
-    /// hit counter must track the cache without needing a full snapshot.
+    /// `len` and the snapshot's occupancy and hit counters track the cache.
     #[test]
-    fn occupancy_accessors_track_the_cache() {
-        let c: FrameCache<u32> = FrameCache::new(2);
-        assert_eq!((c.len(), c.capacity(), c.hits()), (0, 2, 0));
-        assert!(c.is_empty());
+    fn occupancy_tracks_the_cache() {
+        let c: FrameCache<u32> = FrameCache::new(2, CacheMeters::default());
+        assert_eq!(c.len(), 0);
         c.insert(key(1), 1);
         c.insert(key(2), 2);
         assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
         c.insert(key(3), 3); // evicts: len stays at capacity
         assert_eq!(c.len(), 2);
         c.get(&key(3)).unwrap();
         c.recheck(&key(3)).unwrap();
-        assert_eq!(c.hits(), 2, "get and recheck both count hits");
         let snap = c.snapshot();
+        assert_eq!(snap.hits, 2, "get and recheck both count hits");
         assert_eq!((snap.entries, snap.capacity), (2, 2));
         assert_eq!(snap.occupancy(), 1.0);
         assert_eq!(snap.hit_rate(), 1.0, "recheck misses are not counted");

@@ -33,10 +33,10 @@
 //! * **Batching** — [`batch::BatchKey`]: frames that agree on (cluster,
 //!   volume, config) share one [`mgpu_volren::FramePlan`], so the volume is
 //!   bricked and staged once per batch instead of once per frame.
-//! * **Plan cache** — [`plancache::PlanCache`]: plans survive *across*
+//! * **Plan cache** — `plancache::PlanCache`: plans survive *across*
 //!   batches, so sustained same-volume traffic keeps its brick store warm
 //!   instead of re-staging every batch.
-//! * **Cache** — [`cache::FrameCache`]: bounded LRU over rendered frames;
+//! * **Cache** — `cache::FrameCache`: bounded LRU over rendered frames;
 //!   repeated views skip the renderer entirely.
 //! * **Sharding** — [`shard::ShardedService`]: rendezvous-hashes batch keys
 //!   over N independent services so distinct volumes stop contending on one
@@ -61,11 +61,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver};
 use mgpu_obs::names;
-use mgpu_obs::Trace;
+use mgpu_obs::{Registry, Snapshot, Trace};
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
@@ -75,8 +75,8 @@ use mgpu_volren::{Image, RenderReport};
 
 pub mod backend;
 pub mod batch;
-pub mod cache;
-pub mod plancache;
+mod cache;
+mod plancache;
 pub mod queue;
 pub mod report;
 pub mod session;
@@ -85,13 +85,14 @@ mod worker;
 
 pub use backend::{BackendError, BackendFrame, RenderBackend};
 pub use batch::BatchKey;
-pub use cache::{CacheSnapshot, FrameCache, FrameKey};
-pub use plancache::PlanCache;
+pub use cache::CacheSnapshot;
 pub use queue::{AdmissionError, Priority, QueueBounds, Reply};
-pub use report::{ServiceReport, WAIT_BUCKETS};
+pub use report::ServiceReport;
 pub use session::{SceneSession, SessionTicket};
 pub use shard::{ShardHeat, ShardedService};
 
+use cache::{CacheMeters, FrameCache, FrameKey};
+use plancache::PlanCache;
 use report::ServiceStats;
 
 /// A fresh trace for a request submitted through the local API (no wire
@@ -255,15 +256,18 @@ pub(crate) struct ServiceInner {
     pub(crate) queue: queue::JobQueue,
     pub(crate) cache: FrameCache<RenderedFrame>,
     pub(crate) plans: PlanCache,
+    /// This service's `serve.*` instruments: scoped, so its own snapshot
+    /// holds only its events while `mgpu_obs::global()` still sums them in.
+    registry: Registry,
     pub(crate) stats: ServiceStats,
-    pub(crate) started: Instant,
+    started: Instant,
 }
 
 impl ServiceInner {
-    /// Fast path: a cached frame resolves the ticket immediately, without
+    /// Fast path: a cached frame resolves the request immediately, without
     /// queueing. (Workers re-check the cache, so duplicates in flight still
-    /// coalesce once the first render lands.)
-    fn cached_ticket(&self, request: &SceneRequest) -> Option<FrameTicket> {
+    /// coalesce once the first render lands.) The cache counts the hit.
+    fn cached_hit(&self, request: &SceneRequest) -> Option<RenderedFrame> {
         let key = FrameKey::new(
             &request.spec,
             &request.volume,
@@ -272,30 +276,10 @@ impl ServiceInner {
         );
         self.cache.get(&key).map(|mut frame| {
             frame.from_cache = true;
-            self.bump_cache_hit();
-            let (tx, rx) = bounded(1);
-            tx.send(Ok(frame)).expect("fresh ticket channel");
-            FrameTicket { rx, seq: None }
+            self.stats.frames_submitted.inc();
+            self.stats.frames_completed.inc();
+            frame
         })
-    }
-
-    /// Counter bumps shared by both cache fast paths: the per-instance
-    /// stats and their process-global obs mirrors move in lockstep.
-    fn bump_cache_hit(&self) {
-        ServiceStats::bump(&self.stats.frames_submitted);
-        ServiceStats::bump(&self.stats.cache_hits);
-        ServiceStats::bump(&self.stats.frames_completed);
-        self.stats.obs.frames_submitted.inc();
-        self.stats.obs.frame_cache_hits.inc();
-        self.stats.obs.frames_completed.inc();
-    }
-
-    /// Counter bumps for a request the frame cache could not answer and the
-    /// queue accepted.
-    fn bump_queued_submit(&self) {
-        ServiceStats::bump(&self.stats.frames_submitted);
-        self.stats.obs.frames_submitted.inc();
-        self.stats.obs.frame_cache_misses.inc();
     }
 
     fn assert_open(&self) {
@@ -308,34 +292,18 @@ impl ServiceInner {
         );
     }
 
-    /// Cache fast path for the hook-based submit: serve the hit through the
-    /// hook on the caller's thread, bumping the same counters as
-    /// [`ServiceInner::cached_ticket`].
-    fn cached_hit(&self, request: &SceneRequest) -> Option<RenderedFrame> {
-        let key = FrameKey::new(
-            &request.spec,
-            &request.volume,
-            &request.scene,
-            &request.config,
-        );
-        self.cache.get(&key).map(|mut frame| {
-            frame.from_cache = true;
-            self.bump_cache_hit();
-            frame
-        })
-    }
-
     pub(crate) fn submit(self: &Arc<Self>, request: SceneRequest) -> FrameTicket {
         self.assert_open();
-        if let Some(ticket) = self.cached_ticket(&request) {
-            return ticket;
+        let (tx, rx) = bounded(1);
+        if let Some(frame) = self.cached_hit(&request) {
+            tx.send(Ok(frame)).expect("fresh ticket channel");
+            return FrameTicket { rx, seq: None };
         }
         let batch_key = BatchKey::of(&request);
-        let (tx, rx) = bounded(1);
         let seq = self
             .queue
-            .push(request, batch_key, queue::Reply::channel(tx), local_trace());
-        self.bump_queued_submit();
+            .push(request, batch_key, Reply::channel(tx), local_trace());
+        self.stats.frames_submitted.inc();
         FrameTicket { rx, seq: Some(seq) }
     }
 
@@ -343,73 +311,40 @@ impl ServiceInner {
         self: &Arc<Self>,
         request: SceneRequest,
     ) -> Result<FrameTicket, AdmissionError> {
-        self.assert_open();
-        if let Some(ticket) = self.cached_ticket(&request) {
-            return Ok(ticket);
-        }
-        let batch_key = BatchKey::of(&request);
         let (tx, rx) = bounded(1);
-        match self
-            .queue
-            .try_push(request, batch_key, queue::Reply::channel(tx), local_trace())
-        {
-            Ok(seq) => {
-                self.bump_queued_submit();
-                Ok(FrameTicket { rx, seq: Some(seq) })
-            }
-            Err((err, reply)) => {
-                reply.cancel();
-                ServiceStats::bump(&self.stats.admission_rejected);
-                self.stats.obs.admission_rejected.inc();
-                Err(err)
-            }
-        }
+        let seq = self.try_admit(request, Reply::channel(tx), local_trace())?;
+        Ok(FrameTicket { rx, seq })
     }
 
-    pub(crate) fn try_submit_with(
+    /// The non-blocking admission path behind every `try_submit*`: answer
+    /// from the frame cache, else enqueue or shed. Returns the queue
+    /// sequence number (`None` = answered from the cache). A network
+    /// front-end passes the trace it seeded from the wire `request_id`, so
+    /// the spans the worker and the renderer record land on the request's
+    /// own end-to-end trace.
+    pub(crate) fn try_admit(
         self: &Arc<Self>,
         request: SceneRequest,
-        reply: queue::Reply,
-    ) -> Result<(), AdmissionError> {
-        self.try_submit_traced(request, reply, local_trace())
-    }
-
-    /// The traced admission path: a network front-end passes the trace it
-    /// seeded from the wire `request_id`, so the spans the worker and the
-    /// renderer record land on the request's own end-to-end trace.
-    pub(crate) fn try_submit_traced(
-        self: &Arc<Self>,
-        request: SceneRequest,
-        reply: queue::Reply,
+        reply: Reply,
         trace: Arc<Trace>,
-    ) -> Result<(), AdmissionError> {
+    ) -> Result<Option<u64>, AdmissionError> {
         self.assert_open();
         if let Some(frame) = self.cached_hit(&request) {
             reply.deliver(Ok(frame));
-            return Ok(());
+            return Ok(None);
         }
         let batch_key = BatchKey::of(&request);
         match self.queue.try_push(request, batch_key, reply, trace) {
-            Ok(_) => {
-                self.bump_queued_submit();
-                Ok(())
+            Ok(seq) => {
+                self.stats.frames_submitted.inc();
+                Ok(Some(seq))
             }
             Err((err, reply)) => {
                 reply.cancel();
-                ServiceStats::bump(&self.stats.admission_rejected);
-                self.stats.obs.admission_rejected.inc();
+                self.stats.admission_rejected.inc();
                 Err(err)
             }
         }
-    }
-
-    pub(crate) fn report(&self) -> ServiceReport {
-        ServiceReport::from_stats(
-            &self.stats,
-            self.plans.snapshot(),
-            self.cache.snapshot(),
-            self.started.elapsed(),
-        )
     }
 }
 
@@ -427,11 +362,39 @@ impl RenderService {
         assert!(config.workers >= 1, "service needs at least one worker");
         assert!(config.max_batch >= 1, "max_batch of 0 would render nothing");
         config.queue_bounds.validate();
+        let registry = Registry::scoped(mgpu_obs::global());
         let inner = Arc::new(ServiceInner {
-            queue: queue::JobQueue::new(config.start_paused, config.queue_bounds),
-            cache: FrameCache::new(config.cache_frames),
-            plans: PlanCache::new(config.plan_cache_plans),
-            stats: ServiceStats::default(),
+            queue: queue::JobQueue::metered(
+                config.start_paused,
+                config.queue_bounds,
+                [
+                    registry.gauge(names::SERVE_QUEUE_DEPTH_BATCH),
+                    registry.gauge(names::SERVE_QUEUE_DEPTH_NORMAL),
+                    registry.gauge(names::SERVE_QUEUE_DEPTH_INTERACTIVE),
+                ],
+            ),
+            cache: FrameCache::new(
+                config.cache_frames,
+                CacheMeters {
+                    hits: registry.counter(names::SERVE_FRAME_CACHE_HITS),
+                    misses: registry.counter(names::SERVE_FRAME_CACHE_MISSES),
+                    evictions: registry.counter(names::SERVE_FRAME_CACHE_EVICTIONS),
+                    entries: registry.gauge(names::SERVE_FRAME_CACHE_ENTRIES),
+                    capacity: registry.gauge(names::SERVE_FRAME_CACHE_CAPACITY),
+                },
+            ),
+            plans: PlanCache::new(
+                config.plan_cache_plans,
+                CacheMeters {
+                    hits: registry.counter(names::SERVE_PLAN_CACHE_HITS),
+                    misses: registry.counter(names::SERVE_PLAN_CACHE_MISSES),
+                    evictions: registry.counter(names::SERVE_PLAN_CACHE_EVICTIONS),
+                    entries: registry.gauge(names::SERVE_PLAN_CACHE_ENTRIES),
+                    capacity: registry.gauge(names::SERVE_PLAN_CACHE_CAPACITY),
+                },
+            ),
+            stats: ServiceStats::register(&registry),
+            registry,
             started: Instant::now(),
             config,
         });
@@ -473,7 +436,7 @@ impl RenderService {
         request: SceneRequest,
         on_done: impl FnOnce(FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
-        self.inner.try_submit_with(request, Reply::hook(on_done))
+        self.try_submit_traced(request, local_trace(), on_done)
     }
 
     /// [`RenderService::try_submit_with`] with a caller-provided
@@ -488,7 +451,8 @@ impl RenderService {
         on_done: impl FnOnce(FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
         self.inner
-            .try_submit_traced(request, Reply::hook(on_done), trace)
+            .try_admit(request, Reply::hook(on_done), trace)
+            .map(|_| ())
     }
 
     /// Stop popping jobs (submissions still accepted and queued).
@@ -511,9 +475,21 @@ impl RenderService {
         self.inner.queue.depths()
     }
 
-    /// Point-in-time service accounting.
+    /// Point-in-time service accounting: the [`ServiceReport`] view over
+    /// [`RenderService::snapshot`] and [`RenderService::uptime`].
     pub fn report(&self) -> ServiceReport {
-        self.inner.report()
+        ServiceReport::from_snapshot(&self.snapshot(), self.uptime())
+    }
+
+    /// This service's own `serve.*` instruments (the process-global
+    /// registry reports the same names summed over every service).
+    pub fn snapshot(&self) -> Snapshot {
+        self.inner.registry.snapshot()
+    }
+
+    /// Real elapsed time since the service started.
+    pub fn uptime(&self) -> Duration {
+        self.inner.started.elapsed()
     }
 
     /// Frame-cache counters.
@@ -542,7 +518,7 @@ impl RenderService {
             &request.config,
         ));
         self.inner.plans.insert(key, plan);
-        mgpu_obs::global().counter(names::SERVE_PLAN_PREWARMS).inc();
+        self.inner.stats.plan_prewarms.inc();
         true
     }
 
@@ -550,7 +526,7 @@ impl RenderService {
     /// ticket submitted before the call still resolves.
     pub fn shutdown(mut self) -> ServiceReport {
         self.teardown();
-        self.inner.report()
+        self.report()
     }
 
     fn teardown(&mut self) {

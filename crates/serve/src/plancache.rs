@@ -24,15 +24,15 @@ use std::sync::Arc;
 use mgpu_volren::renderer::FramePlan;
 
 use crate::batch::BatchKey;
-use crate::cache::{CacheSnapshot, LruCache};
+use crate::cache::LruCache;
 
 /// Bounded LRU over shared frame plans. `capacity` is in plans; zero
 /// disables cross-batch reuse (every batch builds its own plan, PR 2
 /// behaviour). Eviction drops the `Arc`, so plans still in use by an
-/// in-flight batch stay alive until that batch finishes.
-pub struct PlanCache {
-    lru: LruCache<BatchKey, Arc<FramePlan>>,
-}
+/// in-flight batch stay alive until that batch finishes. Racing workers
+/// may both prepare and insert a plan; last one wins, both render
+/// correctly (plans for equal keys are interchangeable).
+pub(crate) type PlanCache = LruCache<BatchKey, Arc<FramePlan>>;
 
 // A cached plan is handed to whichever worker thread renders the next batch:
 // it must be shareable across threads. `const` so a regression to interior
@@ -42,37 +42,10 @@ const _: fn() = || {
     assert_send_sync::<FramePlan>();
 };
 
-impl PlanCache {
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            lru: LruCache::new(capacity),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.lru.capacity()
-    }
-
-    /// Look up the shared plan for a batch key (counts a hit or miss).
-    pub fn get(&self, key: &BatchKey) -> Option<Arc<FramePlan>> {
-        self.lru.get(key)
-    }
-
-    /// Publish a freshly prepared plan for reuse by later batches. Racing
-    /// workers may both prepare and insert; last one wins, both render
-    /// correctly (plans for equal keys are interchangeable).
-    pub fn insert(&self, key: BatchKey, plan: Arc<FramePlan>) {
-        self.lru.insert(key, plan);
-    }
-
-    pub fn snapshot(&self) -> CacheSnapshot {
-        self.lru.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheMeters, CacheSnapshot};
     use mgpu_cluster::ClusterSpec;
     use mgpu_voldata::Dataset;
     use mgpu_volren::RenderConfig;
@@ -88,7 +61,7 @@ mod tests {
 
     #[test]
     fn caches_and_evicts_plans() {
-        let cache = PlanCache::new(1);
+        let cache = PlanCache::new(1, CacheMeters::default());
         let (k1, p1) = plan_for(1);
         let (k2, p2) = plan_for(2);
         assert!(cache.get(&k1).is_none());
@@ -107,7 +80,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_reuse() {
-        let cache = PlanCache::new(0);
+        let cache = PlanCache::new(0, CacheMeters::default());
         let (k, p) = plan_for(1);
         cache.insert(k.clone(), p);
         assert!(cache.get(&k).is_none());

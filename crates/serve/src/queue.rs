@@ -24,7 +24,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
-use mgpu_obs::names;
 use mgpu_obs::{Gauge, Trace};
 
 use crate::batch::BatchKey;
@@ -219,8 +218,6 @@ struct QueueState {
     /// Always in ascending `seq` (= submission) order: pops and drains use
     /// order-preserving removal, so FIFO scans never need sorting.
     jobs: Vec<QueuedJob>,
-    /// Queued jobs per priority class (indexed by [`Priority::index`]).
-    depths: [usize; 3],
     next_seq: u64,
     closed: bool,
     paused: bool,
@@ -241,12 +238,6 @@ impl QueueState {
         }
         best.map(|(_, i)| i)
     }
-
-    fn remove(&mut self, index: usize) -> QueuedJob {
-        let job = self.jobs.remove(index); // preserves seq order
-        self.depths[job.priority.index()] -= 1;
-        job
-    }
 }
 
 /// A blocking, prioritized, bounded MPMC queue (mutex + condvars; workers
@@ -260,14 +251,18 @@ pub struct JobQueue {
     /// Signalled when capacity frees up (pop/drain) or the queue closes.
     space: Condvar,
     bounds: QueueBounds,
-    /// Process-global `serve.queue_depth` gauge: incremented on enqueue,
-    /// decremented on pop/drain, so `obs_top` sees the live backlog across
-    /// every queue in the process.
-    depth_gauge: Arc<Gauge>,
+    /// Queued jobs per priority class (indexed by [`Priority::index`]),
+    /// moved under the state lock on enqueue and pop/drain. A service hands
+    /// in its `serve.queue_depth_*` gauges ([`JobQueue::metered`]).
+    depths: [Arc<Gauge>; 3],
 }
 
 impl JobQueue {
     pub fn new(paused: bool, bounds: QueueBounds) -> JobQueue {
+        JobQueue::metered(paused, bounds, Default::default())
+    }
+
+    pub(crate) fn metered(paused: bool, bounds: QueueBounds, depths: [Arc<Gauge>; 3]) -> JobQueue {
         bounds.validate();
         JobQueue {
             state: Mutex::new(QueueState {
@@ -277,7 +272,7 @@ impl JobQueue {
             ready: Condvar::new(),
             space: Condvar::new(),
             bounds,
-            depth_gauge: mgpu_obs::global().gauge(names::SERVE_QUEUE_DEPTH),
+            depths,
         }
     }
 
@@ -348,7 +343,7 @@ impl JobQueue {
     ) -> u64 {
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.depths[request.priority.index()] += 1;
+        self.depths[request.priority.index()].inc();
         state.jobs.push(QueuedJob {
             seq,
             priority: request.priority,
@@ -358,7 +353,6 @@ impl JobQueue {
             reply,
             trace,
         });
-        self.depth_gauge.inc();
         self.ready.notify_one();
         seq
     }
@@ -374,8 +368,8 @@ impl JobQueue {
             let runnable = !state.paused || state.closed;
             if runnable {
                 if let Some(i) = state.best() {
-                    let job = state.remove(i);
-                    self.depth_gauge.dec();
+                    let job = state.jobs.remove(i); // preserves seq order
+                    self.depths[job.priority.index()].dec();
                     self.space.notify_all();
                     return Some(job);
                 }
@@ -406,10 +400,9 @@ impl JobQueue {
         }
         state.jobs = kept;
         for job in &picked {
-            state.depths[job.priority.index()] -= 1;
+            self.depths[job.priority.index()].dec();
         }
         if !picked.is_empty() {
-            self.depth_gauge.add(-(picked.len() as i64));
             self.space.notify_all();
         }
         picked
@@ -441,7 +434,8 @@ impl JobQueue {
 
     /// Queued jobs per class, `[batch, normal, interactive]`.
     pub fn depths(&self) -> [usize; 3] {
-        self.state.lock().unwrap().depths
+        let _state = self.state.lock().unwrap(); // gauges move under it
+        std::array::from_fn(|class| self.depths[class].get() as usize)
     }
 
     pub fn is_empty(&self) -> bool {

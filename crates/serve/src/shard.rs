@@ -17,6 +17,7 @@
 
 use std::time::Duration;
 
+use mgpu_obs::{names, Snapshot};
 use mgpu_voldata::volume::{fnv1a, FNV_OFFSET};
 
 use crate::batch::BatchKey;
@@ -46,17 +47,19 @@ pub struct ShardHeat {
 }
 
 impl ShardHeat {
-    /// Build from a shard's already-taken report, so one snapshot can feed
-    /// both the heat view and [`ServiceReport::merged`] — see
-    /// [`ShardedService::heat_and_merged`].
-    pub fn from_report(
-        shard: usize,
-        queue_depths: [usize; 3],
-        report: &ServiceReport,
-    ) -> ShardHeat {
+    /// The heat view over one shard's snapshot and uptime — the same
+    /// snapshot that, merged with its siblings', feeds the node-wide
+    /// [`ServiceReport`], so shard counters always sum to the merged ones.
+    pub fn from_snapshot(shard: usize, snap: &Snapshot, uptime: Duration) -> ShardHeat {
+        let report = ServiceReport::from_snapshot(snap, uptime);
+        let depth = |name: &str| usize::try_from(snap.gauge(name).unwrap_or(0)).unwrap_or(0);
         ShardHeat {
             shard,
-            queue_depths,
+            queue_depths: [
+                depth(names::SERVE_QUEUE_DEPTH_BATCH),
+                depth(names::SERVE_QUEUE_DEPTH_NORMAL),
+                depth(names::SERVE_QUEUE_DEPTH_INTERACTIVE),
+            ],
             frames_completed: report.frames_completed,
             frames_per_sec: report.frames_per_sec(),
             frame_cache: report.frame_cache,
@@ -201,10 +204,26 @@ impl ShardedService {
         self.shards.iter().map(RenderService::queue_len).sum()
     }
 
-    /// Merged accounting across shards (see [`ServiceReport::merged`]).
+    /// Each shard's own `serve.*` snapshot, indexed like
+    /// [`ShardedService::shard`] — what a network front-end's `STATS`
+    /// reply ships; every other view here is derived from these.
+    pub fn shard_snapshots(&self) -> Vec<Snapshot> {
+        self.shards.iter().map(RenderService::snapshot).collect()
+    }
+
+    /// Real elapsed time since the shards started (shard 0 starts first,
+    /// so its uptime is the longest).
+    pub fn uptime(&self) -> Duration {
+        self.shards[0].uptime()
+    }
+
+    /// Accounting across shards: the report over their merged snapshots.
     pub fn report(&self) -> ServiceReport {
-        let reports: Vec<ServiceReport> = self.shards.iter().map(RenderService::report).collect();
-        ServiceReport::merged(&reports)
+        let mut merged = Snapshot::new();
+        for snap in self.shard_snapshots() {
+            merged.merge(&snap);
+        }
+        ServiceReport::from_snapshot(&merged, self.uptime())
     }
 
     /// Per-shard accounting, indexed like [`ShardedService::shard`].
@@ -213,36 +232,24 @@ impl ShardedService {
     }
 
     /// Per-shard heat metrics (queue depth, throughput, cache occupancy),
-    /// indexed like [`ShardedService::shard`] — the data a rebalancer or a
-    /// network front-end's `STATS` request reports.
+    /// indexed like [`ShardedService::shard`] — the data a rebalancer
+    /// watches.
     pub fn heat(&self) -> Vec<ShardHeat> {
-        self.heat_and_merged().0
-    }
-
-    /// One coherent stats snapshot: the per-shard heat and the merged
-    /// report are derived from the *same* per-shard reports, so the shard
-    /// counters always sum to the merged counters even while frames are
-    /// completing concurrently.
-    pub fn heat_and_merged(&self) -> (Vec<ShardHeat>, ServiceReport) {
-        let reports: Vec<ServiceReport> = self.shards.iter().map(RenderService::report).collect();
-        let merged = ServiceReport::merged(&reports);
-        let heat = reports
+        let uptime = self.uptime();
+        self.shard_snapshots()
             .iter()
             .enumerate()
-            .map(|(i, r)| ShardHeat::from_report(i, self.shards[i].queue_depths(), r))
-            .collect();
-        (heat, merged)
+            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, uptime))
+            .collect()
     }
 
-    /// Shut every shard down (draining their queues) and merge the final
-    /// reports. Every ticket submitted before the call still resolves.
-    pub fn shutdown(self) -> ServiceReport {
-        let reports: Vec<ServiceReport> = self
-            .shards
-            .into_iter()
-            .map(RenderService::shutdown)
-            .collect();
-        ServiceReport::merged(&reports)
+    /// Shut every shard down (draining their queues) and report the final
+    /// totals. Every ticket submitted before the call still resolves.
+    pub fn shutdown(mut self) -> ServiceReport {
+        for shard in &mut self.shards {
+            shard.teardown();
+        }
+        self.report()
     }
 }
 

@@ -25,7 +25,6 @@ use mgpu_volren::renderer::{render_planned, FramePlan};
 
 use crate::cache::FrameKey;
 use crate::queue::QueuedJob;
-use crate::report::ServiceStats;
 use crate::{FrameError, RenderedFrame, ServiceInner};
 
 pub(crate) fn worker_loop(inner: Arc<ServiceInner>) {
@@ -40,11 +39,9 @@ pub(crate) fn worker_loop(inner: Arc<ServiceInner>) {
         // accrues, so `mean_queue_wait` measures time queued, not time
         // waiting behind earlier frames of the same batch.
         for job in &jobs {
-            inner
-                .stats
-                .record_wait(job.enqueued.elapsed().as_nanos() as u64);
-            ServiceStats::bump(&inner.stats.jobs_popped);
-            inner.stats.obs.jobs_popped.inc();
+            let waited = job.enqueued.elapsed().as_nanos() as u64;
+            inner.stats.queue_wait_ns.record(waited);
+            inner.stats.queue_wait_total_ns.add(waited);
             job.trace.record_since("queue", job.enqueued);
         }
         render_batch(&inner, jobs);
@@ -64,13 +61,10 @@ fn render_batch(inner: &ServiceInner, jobs: Vec<QueuedJob>) {
         let key = FrameKey::new(&req.spec, &req.volume, &req.scene, &req.config);
         // Coalescing re-check: an identical request may have rendered since
         // this one was queued (recheck: the submit path already counted the
-        // miss).
+        // miss; the cache counts the hit).
         if let Some(mut frame) = inner.cache.recheck(&key) {
             frame.from_cache = true;
-            ServiceStats::bump(&stats.cache_hits);
-            ServiceStats::bump(&stats.frames_completed);
-            stats.obs.frame_cache_hits.inc();
-            stats.obs.frames_completed.inc();
+            stats.frames_completed.inc();
             job.reply.deliver(Ok(frame));
             continue;
         }
@@ -84,21 +78,13 @@ fn render_batch(inner: &ServiceInner, jobs: Vec<QueuedJob>) {
                 let plan_start = Instant::now();
                 let got =
                     catch_unwind(AssertUnwindSafe(|| match inner.plans.get(&job.batch_key) {
-                        Some(shared) => {
-                            stats.obs.plan_cache_hits.inc();
-                            shared
-                        }
+                        Some(shared) => shared,
                         None => {
-                            stats.obs.plan_cache_misses.inc();
                             // The scope lets the renderer stamp its staging
                             // span onto this request's trace.
                             let fresh = Arc::new(trace::scope(&job.trace, || {
                                 FramePlan::prepare(&req.spec, &req.volume, &req.config)
                             }));
-                            stats
-                                .obs
-                                .plan_prepare_ns
-                                .record_duration(plan_start.elapsed());
                             inner
                                 .plans
                                 .insert(job.batch_key.clone(), Arc::clone(&fresh));
@@ -119,7 +105,7 @@ fn render_batch(inner: &ServiceInner, jobs: Vec<QueuedJob>) {
             }));
             if result.is_ok() {
                 job.trace.record_since("render", render_start);
-                stats.obs.render_ns.record_duration(render_start.elapsed());
+                stats.render_ns.record_duration(render_start.elapsed());
             }
             result
         });
@@ -128,29 +114,24 @@ fn render_batch(inner: &ServiceInner, jobs: Vec<QueuedJob>) {
             Err(payload) => {
                 // Contain the panic: fail this job explicitly, keep the
                 // worker (and the rest of the batch) alive.
-                ServiceStats::bump(&stats.frames_failed);
-                stats.obs.frames_failed.inc();
+                stats.frames_failed.inc();
                 job.reply
                     .deliver(Err(FrameError::from_panic(payload.as_ref())));
                 continue;
             }
         };
         if !batch_counted {
-            ServiceStats::bump(&stats.batches);
-            stats.obs.batches.inc();
+            stats.batches.inc();
             batch_counted = true;
         }
-        ServiceStats::add(&stats.brick_stagings, outcome.report.store.misses);
-        ServiceStats::add(&stats.brick_reuses, outcome.report.store.hits);
-        ServiceStats::add(&stats.sim_frame_nanos, outcome.report.runtime().nanos());
-        ServiceStats::bump(&stats.batched_frames);
-        ServiceStats::bump(&stats.frames_rendered);
-        ServiceStats::bump(&stats.frames_completed);
-        stats.obs.brick_stagings.add(outcome.report.store.misses);
-        stats.obs.brick_reuses.add(outcome.report.store.hits);
-        stats.obs.batched_frames.inc();
-        stats.obs.frames_rendered.inc();
-        stats.obs.frames_completed.inc();
+        stats.brick_stagings.add(outcome.report.store.misses);
+        stats.brick_reuses.add(outcome.report.store.hits);
+        stats
+            .sim_frame_total_ns
+            .add(outcome.report.runtime().nanos());
+        stats.batched_frames.inc();
+        stats.frames_rendered.inc();
+        stats.frames_completed.inc();
 
         let frame = RenderedFrame {
             image: Arc::new(outcome.image),

@@ -17,7 +17,7 @@ use crate::math::vec3;
 /// Kernel-level observability: how many blocks each launch dispatched and
 /// the per-ray sample-count distribution (the quantity the paper's cost
 /// model charges for). Registered once in the global registry so `obs_top`
-/// and STATS v2 surface them alongside the renderer stage timings.
+/// and STATS surface them alongside the renderer stage timings.
 struct MapperObs {
     kernel_blocks: Arc<Counter>,
     samples_per_ray: Arc<Histogram>,

@@ -28,7 +28,7 @@ const HOST_BYTES_PER_NODE: u64 = 8 << 30;
 /// stage timings, resolved once so the per-frame cost is a clock read and an
 /// atomic increment. Wall-clock here, not DES time: these measure what the
 /// host actually spends bricking, ray-casting and compositing, feeding the
-/// `STATS` v2 snapshot and the `obs_top` dashboard. (The *modeled* cluster
+/// `STATS` snapshot and the `obs_top` dashboard. (The *modeled* cluster
 /// times stay in [`RenderReport::accounting`].)
 struct RendererObs {
     staging_ns: Arc<Histogram>,

@@ -106,7 +106,7 @@ fn main() {
     let stats = stats_client.stats().expect("stats over the socket");
     println!("server stats as seen over the wire:\n{stats}\n");
     assert!(
-        stats.shards.iter().all(|h| h.frames_completed > 0),
+        stats.shards().iter().all(|h| h.frames_completed > 0),
         "both shards served traffic"
     );
 

@@ -99,8 +99,8 @@ fn main() {
         let stats = stats.expect("node reachable");
         println!(
             "  node {node}: {} frames, {} shards",
-            stats.merged.frames_completed,
-            stats.shards.len()
+            stats.merged().frames_completed,
+            stats.shards().len()
         );
     }
 

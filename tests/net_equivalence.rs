@@ -69,17 +69,17 @@ fn socket_frames_are_bit_identical_to_direct_renders() {
 
     // STATS round-trips and accounts for everything the client sent.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.shards.len(), 2);
-    assert_eq!(stats.merged.frames_completed, cases.len() as u64);
-    let per_shard: u64 = stats.shards.iter().map(|h| h.frames_completed).sum();
-    assert_eq!(per_shard, stats.merged.frames_completed);
+    assert_eq!(stats.shards().len(), 2);
+    assert_eq!(stats.merged().frames_completed, cases.len() as u64);
+    let per_shard: u64 = stats.shards().iter().map(|h| h.frames_completed).sum();
+    assert_eq!(per_shard, stats.merged().frames_completed);
     // Distinct (volume, cluster) keys must actually use both shards.
     assert!(
-        stats.shards.iter().all(|h| h.frames_completed > 0),
+        stats.shards().iter().all(|h| h.frames_completed > 0),
         "rendezvous routing left a shard idle: {stats}"
     );
     // The local view agrees with what crossed the socket.
-    assert_eq!(server.stats().merged.frames_completed, cases.len() as u64);
+    assert_eq!(server.stats().merged().frames_completed, cases.len() as u64);
 
     let report = server.shutdown();
     assert_eq!(report.frames_completed, cases.len() as u64);
