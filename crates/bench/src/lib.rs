@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -230,31 +229,20 @@ fn bake_to_file(volume: &Volume) -> Volume {
         );
         // Stream slabs to disk to bound memory.
         let tmp = path.with_extension("vol.partial");
-        {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp).unwrap());
-            f.write_all(volio::MAGIC).unwrap();
-            for d in dims {
-                f.write_all(&d.to_le_bytes()).unwrap();
-            }
-            let slab_z = (((64 << 20) / (dims[0] as usize * dims[1] as usize * 4)) as u32).max(1);
-            let mut z = 0u32;
-            let mut slab = Vec::new();
-            while z < dims[2] {
-                let dz = slab_z.min(dims[2] - z) as usize;
-                slab.resize(dims[0] as usize * dims[1] as usize * dz, 0f32);
-                volume.read_region(
-                    [0, 0, z],
-                    [dims[0] as usize, dims[1] as usize, dz],
-                    &mut slab,
-                );
-                let mut bytes = Vec::with_capacity(slab.len() * 4);
-                for v in &slab {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-                f.write_all(&bytes).unwrap();
-                z += dz as u32;
-            }
+        let mut w = volio::VolumeWriter::create(&tmp, dims).unwrap();
+        let slab_z = (((64 << 20) / (dims[0] as usize * dims[1] as usize * 4)) as u32).max(1);
+        let mut slab = Vec::new();
+        for z in (0..dims[2]).step_by(slab_z as usize) {
+            let dz = slab_z.min(dims[2] - z) as usize;
+            slab.resize(dims[0] as usize * dims[1] as usize * dz, 0f32);
+            volume.read_region(
+                [0, 0, z],
+                [dims[0] as usize, dims[1] as usize, dz],
+                &mut slab,
+            );
+            w.append(&slab).unwrap();
         }
+        w.finish();
         std::fs::rename(&tmp, &path).unwrap();
     }
     Volume {

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::brick::{BrickGrid, BrickInfo};
 use crate::volume::Volume;
@@ -27,7 +27,7 @@ pub struct BrickData {
     /// Dimensions of the stored array (= size + 2·ghost).
     pub store_dims: [usize; 3],
     /// Shared so a device texture can reference the same allocation.
-    pub voxels: std::sync::Arc<Vec<f32>>,
+    pub voxels: Arc<Vec<f32>>,
 }
 
 impl BrickData {
@@ -71,7 +71,10 @@ impl StoreSnapshot {
 
 struct CacheInner {
     entries: HashMap<usize, (Arc<BrickData>, u64)>,
+    /// Bytes of resident entries.
     bytes: u64,
+    /// Bytes reserved by misses that are still materializing.
+    in_flight: u64,
     tick: u64,
 }
 
@@ -102,6 +105,7 @@ impl BrickStore {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
                 bytes: 0,
+                in_flight: 0,
                 tick: 0,
             }),
             stats: StoreStats::default(),
@@ -123,55 +127,75 @@ impl BrickStore {
     /// Fetch brick `id`, materializing if absent. The returned `Arc` stays
     /// valid even if the entry is evicted afterwards.
     pub fn get(&self, id: usize) -> Arc<BrickData> {
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some((data, last)) = inner.entries.get_mut(&id) {
-                *last = tick;
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(data);
-            }
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some((data, last)) = inner.entries.get_mut(&id) {
+            *last = tick;
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(data);
         }
+        self.stage(id, inner)
+    }
+
+    /// The miss path. Reserve, then read: LRU victims go until resident +
+    /// in-flight + this brick fits the budget, so the budget also holds
+    /// *while* bricks are being read, not only between accesses. It never
+    /// waits for room — with nothing left to evict the brick is served anyway.
+    fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
+        let info = self.grid.brick(id);
+        let g = self.ghost;
+        let store_origin = info.origin.map(|o| o as i64 - g as i64);
+        let store_dims = info.size.map(|s| (s + 2 * g) as usize);
+        let bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
+        self.evict_to_fit(&mut inner, bytes, id);
+        inner.in_flight += bytes;
+        drop(inner);
+
         // Materialize outside the lock: concurrent misses may duplicate work
-        // but never block each other on voxel synthesis.
+        // but never block each other on voxel synthesis. (A panic in here
+        // leaks the reservation, which only makes later misses evict more.)
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let data = Arc::new(self.materialize(id));
+        let data = Arc::new(BrickData {
+            info,
+            ghost: g,
+            store_origin,
+            store_dims,
+            voxels: Arc::new(self.volume.materialize_clamped(store_origin, store_dims)),
+        });
         self.stats
             .bytes_materialized
-            .fetch_add(data.bytes(), Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
 
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let bytes = data.bytes();
-        let evicted = inner
-            .entries
-            .insert(id, (Arc::clone(&data), tick))
-            .map(|(old, _)| old.bytes());
+        inner.in_flight -= bytes;
         inner.bytes += bytes;
-        if let Some(old) = evicted {
-            inner.bytes -= old; // racing miss: replaced a twin entry
+        if let Some((twin, _)) = inner.entries.insert(id, (Arc::clone(&data), tick)) {
+            inner.bytes -= twin.bytes(); // racing miss: replaced a twin entry
         }
-        // Evict least-recently-used entries until within budget (never the
-        // entry just inserted).
-        while inner.bytes > self.budget_bytes && inner.entries.len() > 1 {
+        // Only misses that could not reserve (more in flight than the budget
+        // holds) still have something to trim here.
+        self.evict_to_fit(&mut inner, 0, id);
+        data
+    }
+
+    /// Evict least-recently-used entries (never `keep`) until resident +
+    /// in-flight + `incoming` bytes fit the budget or nothing else is left.
+    fn evict_to_fit(&self, inner: &mut CacheInner, incoming: u64, keep: usize) {
+        while inner.bytes + inner.in_flight + incoming > self.budget_bytes {
             let victim = inner
                 .entries
                 .iter()
-                .filter(|(k, _)| **k != id)
+                .filter(|(k, _)| **k != keep)
                 .min_by_key(|(_, (_, last))| *last)
                 .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    let (old, _) = inner.entries.remove(&k).unwrap();
-                    inner.bytes -= old.bytes();
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
+            let Some(k) = victim else { break };
+            let (old, _) = inner.entries.remove(&k).expect("victim is resident");
+            inner.bytes -= old.bytes();
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        data
     }
 
     /// Drop all cached bricks (keeps statistics).
@@ -193,40 +217,22 @@ impl BrickStore {
             bytes_materialized: self.stats.bytes_materialized.load(Ordering::Relaxed),
         }
     }
-
-    fn materialize(&self, id: usize) -> BrickData {
-        let info = self.grid.brick(id);
-        let g = self.ghost as i64;
-        let store_origin = [
-            info.origin[0] as i64 - g,
-            info.origin[1] as i64 - g,
-            info.origin[2] as i64 - g,
-        ];
-        let store_dims = [
-            info.size[0] as usize + 2 * self.ghost as usize,
-            info.size[1] as usize + 2 * self.ghost as usize,
-            info.size[2] as usize + 2 * self.ghost as usize,
-        ];
-        let voxels = std::sync::Arc::new(self.volume.materialize_clamped(store_origin, store_dims));
-        BrickData {
-            info,
-            ghost: self.ghost,
-            store_origin,
-            store_dims,
-            voxels,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brick::BrickPolicy;
-    use crate::field::AxisRamp;
+    use crate::field::{AxisRamp, ScalarField};
     use std::sync::Arc as StdArc;
 
     fn store(budget: u64) -> BrickStore {
-        let v = Volume::procedural("ramp", [16, 16, 16], 0, StdArc::new(AxisRamp { axis: 0 }));
+        store_over(StdArc::new(AxisRamp { axis: 0 }), budget)
+    }
+
+    /// 16³ of `field` in eight 8³ bricks with one ghost layer: 4000 B each.
+    fn store_over(field: StdArc<dyn ScalarField>, budget: u64) -> BrickStore {
+        let v = Volume::procedural("ramp", [16, 16, 16], 0, field);
         let grid = BrickGrid::subdivide(
             [16, 16, 16],
             &BrickPolicy {
@@ -318,6 +324,59 @@ mod tests {
         assert!(inner_has(0));
         assert!(inner_has(2));
         assert!(!inner_has(1));
+    }
+
+    #[test]
+    fn budget_holds_while_two_misses_are_in_flight() {
+        use std::cell::Cell;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        thread_local!(static MET: Cell<bool> = const { Cell::new(false) });
+
+        // Once armed, each thread's first sample meets the main thread at the
+        // barrier and waits there to be released: both misses are then
+        // provably mid-read at the same time.
+        let armed = StdArc::new(AtomicBool::new(false));
+        let barrier = StdArc::new(Barrier::new(3));
+        let field = {
+            let (armed, barrier) = (StdArc::clone(&armed), StdArc::clone(&barrier));
+            move |x: f32, _y: f32, _z: f32| {
+                if armed.load(Ordering::Relaxed) && !MET.with(|m| m.replace(true)) {
+                    barrier.wait();
+                    barrier.wait();
+                }
+                x
+            }
+        };
+        let budget = 2 * 4000; // exactly two ghosted bricks
+        let s = store_over(StdArc::new(field), budget);
+        s.get(0);
+        s.get(1);
+        assert_eq!(s.cached_bytes(), budget);
+
+        armed.store(true, Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            for id in [2, 3] {
+                let s = &s;
+                scope.spawn(move || {
+                    assert_eq!(s.get(id).info.id, id);
+                    assert!(s.cached_bytes() <= budget);
+                });
+            }
+            barrier.wait();
+            {
+                // Both reservations were made before either read began, and
+                // made room first: nothing is resident, nothing is over.
+                let inner = s.inner.lock();
+                assert_eq!(inner.in_flight, budget);
+                assert_eq!(inner.bytes, 0);
+            }
+            barrier.wait();
+        });
+        assert_eq!(s.cached_bytes(), budget);
+        assert_eq!(s.inner.lock().in_flight, 0);
+        let snap = s.snapshot();
+        assert_eq!((snap.misses, snap.evictions), (4, 2));
     }
 
     #[test]

@@ -4,97 +4,202 @@
 //! then `x·y·z` little-endian `f32` samples, x varying fastest. Dead simple on
 //! purpose — the paper treats volume files as pre-bricked raw data and is
 //! explicit that its library is "hard-disk agnostic".
+//!
+//! Reading a region is the out-of-core brick-load path. It costs one
+//! positioned read per *file-contiguous run* — the whole region if it spans
+//! full x and y of the volume, a z-slab if it spans full x, else a row —
+//! fetched through one bounded staging buffer and bulk-decoded straight into
+//! a possibly larger destination array, so a ghosted brick is filled in
+//! place. [`VolumeWriter`] is the way back: header, then slabs appended
+//! through one reused encode buffer.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 pub const MAGIC: &[u8; 8] = b"MGVOL001";
-const HEADER_BYTES: u64 = 8 + 12;
+const HEADER_BYTES: usize = 8 + 12;
+/// Voxels per staging-buffer fill (256 KiB): large enough that a brick is
+/// a handful of syscalls, small enough to stay cache-resident while decoded.
+const STAGE_VOXELS: usize = 64 << 10;
+
+/// Streaming volume writer: the header on `create`, then x-fastest voxels
+/// `append`ed in any slab sizes, checked against the header on `finish`.
+pub struct VolumeWriter {
+    file: File,
+    remaining: u64,
+    buf: Vec<u8>,
+}
+
+impl VolumeWriter {
+    pub fn create(path: &Path, dims: [u32; 3]) -> io::Result<VolumeWriter> {
+        let mut file = File::create(path)?;
+        file.write_all(MAGIC)?;
+        for d in dims {
+            file.write_all(&d.to_le_bytes())?;
+        }
+        Ok(VolumeWriter {
+            file,
+            remaining: dims.iter().map(|&d| d as u64).product(),
+            buf: Vec::new(),
+        })
+    }
+
+    pub fn append(&mut self, voxels: &[f32]) -> io::Result<()> {
+        let left = self.remaining.checked_sub(voxels.len() as u64);
+        self.remaining = left.expect("more voxels appended than the header's dims hold");
+        self.buf.resize(voxels.len().min(STAGE_VOXELS) * 4, 0);
+        for chunk in voxels.chunks(STAGE_VOXELS) {
+            let bytes = &mut self.buf[..chunk.len() * 4];
+            for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            self.file.write_all(bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Check that exactly the header's voxel count was appended.
+    pub fn finish(self) {
+        assert_eq!(self.remaining, 0, "data length does not match dims");
+    }
+}
 
 /// Write a full volume to `path`.
 pub fn write_volume(path: &Path, dims: [u32; 3], data: &[f32]) -> io::Result<()> {
-    assert_eq!(
-        data.len() as u64,
-        dims[0] as u64 * dims[1] as u64 * dims[2] as u64,
-        "data length does not match dims"
-    );
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    for d in dims {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    // Write in slabs to bound the temporary byte buffer.
-    for chunk in data.chunks(1 << 20) {
-        let mut buf = Vec::with_capacity(chunk.len() * 4);
-        for v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    w.flush()
+    let mut w = VolumeWriter::create(path, dims)?;
+    w.append(data)?;
+    w.finish();
+    Ok(())
 }
 
-/// Read and validate the header, returning the dimensions.
-pub fn read_header(path: &Path) -> io::Result<[u32; 3]> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// Attach the path to an I/O error, keeping its kind.
+fn with_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Open a volume file and validate its header, returning the dimensions.
+fn open(path: &Path) -> io::Result<(File, [u32; 3])> {
+    let file = File::open(path)?;
+    let mut header = [0u8; HEADER_BYTES];
+    read_exact_at(&file, &mut header, 0).map_err(|e| with_path(path, e))?;
+    if &header[..8] != MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("bad magic in {path:?}"),
         ));
     }
     let mut dims = [0u32; 3];
-    for d in &mut dims {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        *d = u32::from_le_bytes(b);
+    for (d, b) in dims.iter_mut().zip(header[8..].chunks_exact(4)) {
+        *d = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     }
-    Ok(dims)
+    Ok((file, dims))
+}
+
+/// Read and validate the header, returning the dimensions.
+pub fn read_header(path: &Path) -> io::Result<[u32; 3]> {
+    open(path).map(|(_, dims)| dims)
 }
 
 /// Read the full volume.
 pub fn read_volume(path: &Path) -> io::Result<([u32; 3], Vec<f32>)> {
     let dims = read_header(path)?;
-    let n = dims[0] as usize * dims[1] as usize * dims[2] as usize;
-    let mut out = vec![0f32; n];
-    read_region(
-        path,
-        dims,
-        [0, 0, 0],
-        [dims[0] as usize, dims[1] as usize, dims[2] as usize],
-        &mut out,
-    )?;
+    let size = dims.map(|d| d as usize);
+    let mut out = vec![0f32; size[0] * size[1] * size[2]];
+    read_region(path, dims, [0, 0, 0], size, &mut out, size)?;
     Ok((dims, out))
 }
 
-/// Read an in-bounds region with strided row reads (this is the actual
-/// out-of-core brick-load path — each (y,z) row of the region is one
-/// positioned read; no seeks, no buffer churn).
+/// One positioned read: `len` voxels contiguous in the file from voxel
+/// `src`, which are the region's voxels from dense (x-fastest) index `at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    src: u64,
+    at: usize,
+    len: usize,
+}
+
+/// The reads that fetch an in-bounds, non-empty region, in file order: one
+/// per file-contiguous run — the whole region if it spans full x and y, a
+/// z-slab if it spans full x, else a row — split so none exceeds `cap`.
+fn plan_runs(
+    dims: [u32; 3],
+    origin: [u32; 3],
+    size: [usize; 3],
+    cap: usize,
+) -> impl Iterator<Item = Run> {
+    let (dx, dy) = (dims[0] as u64, dims[1] as u64);
+    let total = size[0] * size[1] * size[2];
+    let run = if size[0] as u64 != dx {
+        size[0]
+    } else if size[1] as u64 != dy {
+        size[0] * size[1]
+    } else {
+        total
+    };
+    (0..total).step_by(run).flat_map(move |at| {
+        let row = at / size[0];
+        let (y, z) = ((row % size[1]) as u64, (row / size[1]) as u64);
+        let src = ((origin[2] as u64 + z) * dy + origin[1] as u64 + y) * dx + origin[0] as u64;
+        (0..run).step_by(cap).map(move |o| Run {
+            src: src + o as u64,
+            at: at + o,
+            len: cap.min(run - o),
+        })
+    })
+}
+
+/// Read an in-bounds region into the corner of an x-fastest array of
+/// `out_dims` (`= size` for a dense read): `out[0]` receives the region's
+/// first voxel, rows are `out_dims[0]` apart, z-slabs `out_dims[0] *
+/// out_dims[1]`. The file's header must carry `dims` — every offset would
+/// be wrong otherwise — and a file shorter than its header claims is
+/// `UnexpectedEof`; both errors name the path.
 pub fn read_region(
     path: &Path,
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
     out: &mut [f32],
+    out_dims: [usize; 3],
 ) -> io::Result<()> {
-    assert_eq!(out.len(), size[0] * size[1] * size[2]);
-    let f = File::open(path)?;
-    let (dx, dy) = (dims[0] as u64, dims[1] as u64);
-    let row_bytes = size[0] * 4;
-    let mut buf = vec![0u8; row_bytes];
-    for z in 0..size[2] {
-        for y in 0..size[1] {
-            let voxel_off = (origin[2] as u64 + z as u64) * dx * dy
-                + (origin[1] as u64 + y as u64) * dx
-                + origin[0] as u64;
-            read_exact_at(&f, &mut buf, HEADER_BYTES + voxel_off * 4)?;
-            let row = (z * size[1] + y) * size[0];
-            for x in 0..size[0] {
-                out[row + x] = f32::from_le_bytes(buf[x * 4..x * 4 + 4].try_into().unwrap());
+    let (file, file_dims) = open(path)?;
+    if file_dims != dims {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{path:?} holds {file_dims:?} voxels, expected {dims:?}"),
+        ));
+    }
+    assert!(
+        (0..3).all(|a| origin[a] as usize + size[a] <= dims[a] as usize),
+        "region out of bounds: origin {origin:?} size {size:?} dims {dims:?}"
+    );
+    if size.contains(&0) {
+        return Ok(());
+    }
+    assert!(
+        size[0] <= out_dims[0] && size[1] <= out_dims[1],
+        "a {size:?} region does not fit a {out_dims:?} array"
+    );
+    let row_start = |row: usize| (row / size[1] * out_dims[1] + row % size[1]) * out_dims[0];
+
+    let mut stage = vec![0u8; STAGE_VOXELS.min(size[0] * size[1] * size[2]) * 4];
+    for run in plan_runs(dims, origin, size, STAGE_VOXELS) {
+        let bytes = &mut stage[..run.len * 4];
+        read_exact_at(&file, bytes, HEADER_BYTES as u64 + run.src * 4)
+            .map_err(|e| with_path(path, e))?;
+        // Decode row piece by row piece: a run may span many destination
+        // rows and start or stop in the middle of one.
+        let (mut bytes, mut at) = (&*bytes, run.at);
+        while !bytes.is_empty() {
+            let x = at % size[0];
+            let n = (size[0] - x).min(bytes.len() / 4);
+            let (piece, rest) = bytes.split_at(n * 4);
+            let dst = row_start(at / size[0]) + x;
+            for (v, b) in out[dst..dst + n].iter_mut().zip(piece.chunks_exact(4)) {
+                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
             }
+            (bytes, at) = (rest, at + n);
         }
     }
     Ok(())
@@ -144,7 +249,7 @@ mod tests {
         write_volume(&path, dims, &data).unwrap();
 
         let mut out = vec![0f32; 3 * 2 * 4];
-        read_region(&path, dims, [2, 5, 1], [3, 2, 4], &mut out).unwrap();
+        read_region(&path, dims, [2, 5, 1], [3, 2, 4], &mut out, [3, 2, 4]).unwrap();
         for z in 0..4usize {
             for y in 0..2usize {
                 for x in 0..3usize {
@@ -153,6 +258,122 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn strided_read_lands_inside_a_larger_array() {
+        let path = tmp("strided.vol");
+        let dims = [4u32, 3, 3];
+        let data: Vec<f32> = (0..36).map(|i| i as f32).collect();
+        write_volume(&path, dims, &data).unwrap();
+        // Full-x 4x2x2 region placed at (1,1,1) of a 6x4x4 array.
+        let out_dims = [6usize, 4, 4];
+        let mut out = vec![-1f32; 6 * 4 * 4];
+        let base = (4 + 1) * 6 + 1;
+        read_region(
+            &path,
+            dims,
+            [0, 1, 1],
+            [4, 2, 2],
+            &mut out[base..],
+            out_dims,
+        )
+        .unwrap();
+        for (i, v) in out.iter().enumerate() {
+            let (x, y, z) = (i % 6, i / 6 % 4, i / 24);
+            let inside = (1..5).contains(&x) && (1..3).contains(&y) && (1..3).contains(&z);
+            let expect = if inside {
+                data[(x - 1) + 4 * (y + 3 * z)]
+            } else {
+                -1.0
+            };
+            assert_eq!(*v, expect, "at ({x},{y},{z})");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn runs(dims: [u32; 3], origin: [u32; 3], size: [usize; 3], cap: usize) -> Vec<Run> {
+        plan_runs(dims, origin, size, cap).collect()
+    }
+
+    fn run(src: u64, at: usize, len: usize) -> Run {
+        Run { src, at, len }
+    }
+
+    #[test]
+    fn planner_yields_one_run_per_contiguous_span() {
+        let dims = [8u32, 6, 5];
+        // Full x and y: the whole region is one run.
+        let r = runs(dims, [0, 0, 1], [8, 6, 3], usize::MAX);
+        assert_eq!(r, [run(48, 0, 144)]);
+        // Full x only: one run per z-slab.
+        let r = runs(dims, [0, 2, 1], [8, 3, 4], usize::MAX);
+        assert_eq!(r.len(), 4);
+        assert_eq!(r[1], run(2 * 48 + 2 * 8, 24, 24));
+        // Partial x: one run per row.
+        let r = runs(dims, [3, 2, 1], [4, 3, 2], usize::MAX);
+        assert_eq!(r.len(), 3 * 2);
+        assert_eq!(r[4], run(2 * 48 + 3 * 8 + 3, 16, 4));
+    }
+
+    #[test]
+    fn planner_splits_runs_at_the_staging_cap() {
+        let r = runs([8, 6, 5], [0, 0, 0], [8, 6, 5], 100);
+        assert_eq!(r, [run(0, 0, 100), run(100, 100, 100), run(200, 200, 40)]);
+        // Each run splits on its own: 2 slabs of 24 under a cap of 16.
+        let r = runs([8, 6, 5], [0, 1, 2], [8, 3, 2], 16);
+        let spans: Vec<(usize, usize)> = r.iter().map(|r| (r.at, r.len)).collect();
+        assert_eq!(spans, [(0, 16), (16, 8), (24, 16), (40, 8)]);
+    }
+
+    #[test]
+    fn region_read_rejects_a_file_with_other_dims() {
+        let path = tmp("dims.vol");
+        write_volume(&path, [4, 4, 2], &[0.0; 32]).unwrap();
+        let mut out = vec![0f32; 4];
+        let e =
+            read_region(&path, [4, 2, 4], [0, 0, 0], [4, 1, 1], &mut out, [4, 1, 1]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("dims.vol"), "{e}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncated_file_is_unexpected_eof_naming_the_path() {
+        let path = tmp("short.vol");
+        write_volume(&path, [4, 4, 2], &[1.0; 32]).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 6)
+            .unwrap();
+        let mut out = vec![0f32; 32];
+        let e =
+            read_region(&path, [4, 4, 2], [0, 0, 0], [4, 4, 2], &mut out, [4, 4, 2]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(e.to_string().contains("short.vol"), "{e}");
+        // So is a file too short to hold a header.
+        std::fs::write(&path, b"MGVOL001").unwrap();
+        let e = read_header(&path).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(e.to_string().contains("short.vol"), "{e}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn writer_streams_slabs_of_any_size() {
+        let path = tmp("stream.vol");
+        let dims = [5u32, 3, 4];
+        let data: Vec<f32> = (0..60).map(|i| i as f32 * -1.5).collect();
+        let mut w = VolumeWriter::create(&path, dims).unwrap();
+        for slab in data.chunks(17) {
+            w.append(slab).unwrap();
+        }
+        w.finish();
+        assert_eq!(read_volume(&path).unwrap(), (dims, data));
         std::fs::remove_file(&path).ok();
     }
 

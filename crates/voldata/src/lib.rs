@@ -9,7 +9,8 @@
 //!   Plume volumes at the paper's resolutions (128³…1024³, 512×512×2048);
 //! * [`volume`] — volume metadata + sources (procedural / raw file /
 //!   in-memory) with clamped region materialization;
-//! * [`io`] — the raw `MGVOL001` on-disk format with strided region reads;
+//! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous run
+//!   into a strided destination, and a streaming writer;
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
 //!   layers (the out-of-core path);

@@ -163,21 +163,30 @@ impl Volume {
 
     /// Read an **in-bounds** region into `out` (x-fastest layout).
     pub fn read_region(&self, origin: [u32; 3], size: [usize; 3], out: &mut [f32]) {
+        assert_eq!(out.len(), size[0] * size[1] * size[2]);
+        self.read_region_strided(origin, size, out, size);
+    }
+
+    /// [`Volume::read_region`] into the corner of an `out_dims` array, strided
+    /// as for [`io::read_region`].
+    fn read_region_strided(
+        &self,
+        origin: [u32; 3],
+        size: [usize; 3],
+        out: &mut [f32],
+        out_dims: [usize; 3],
+    ) {
         let d = self.meta.dims;
         assert!(
-            origin[0] as usize + size[0] <= d[0] as usize
-                && origin[1] as usize + size[1] <= d[1] as usize
-                && origin[2] as usize + size[2] <= d[2] as usize,
+            (0..3).all(|a| origin[a] as usize + size[a] <= d[a] as usize),
             "region out of bounds: origin {origin:?} size {size:?} dims {d:?}"
         );
-        assert_eq!(out.len(), size[0] * size[1] * size[2]);
-
         match &self.source {
             VolumeSource::Procedural(field) => {
-                materialize_procedural(field.as_ref(), d, origin, size, out);
+                materialize_procedural(field.as_ref(), d, origin, size, out, out_dims);
             }
             VolumeSource::File(path) => {
-                io::read_region(path, d, origin, size, out)
+                io::read_region(path, d, origin, size, out, out_dims)
                     .unwrap_or_else(|e| panic!("reading region from {path:?}: {e}"));
             }
             VolumeSource::InMemory(data) => {
@@ -187,7 +196,7 @@ impl Volume {
                         let src_row = (origin[2] as usize + z) * dx * dy
                             + (origin[1] as usize + y) * dx
                             + origin[0] as usize;
-                        let dst_row = (z * size[1] + y) * size[0];
+                        let dst_row = (z * out_dims[1] + y) * out_dims[0];
                         out[dst_row..dst_row + size[0]]
                             .copy_from_slice(&data[src_row..src_row + size[0]]);
                     }
@@ -200,37 +209,47 @@ impl Volume {
     /// too-large coordinates), replicating edge voxels — the same clamping a
     /// CUDA 3-D texture in clamp-address mode performs. This is what gives
     /// bricks their ghost layers.
+    ///
+    /// The in-bounds core is read straight into its place in the output and
+    /// the shell around it replicated in place; clamp addressing is
+    /// separable, so x edges, then y rows, then z slabs reproduce it exactly.
     pub fn materialize_clamped(&self, origin: [i64; 3], size: [usize; 3]) -> Vec<f32> {
-        let d = self.meta.dims;
-        // In-bounds core that actually needs reading.
-        let lo = [0usize, 1, 2].map(|a| origin[a].clamp(0, d[a] as i64 - 1) as u32);
-        let hi = [0usize, 1, 2].map(|a| (origin[a] + size[a] as i64).clamp(1, d[a] as i64) as u32);
-        let core_size = [0usize, 1, 2].map(|a| (hi[a].max(lo[a] + 1) - lo[a]) as usize);
-        let mut core = vec![0f32; core_size[0] * core_size[1] * core_size[2]];
-        self.read_region(lo, core_size, &mut core);
-
-        // Map every output voxel to its clamped coordinate inside the core.
-        let mut idx = [Vec::new(), Vec::new(), Vec::new()];
-        for a in 0..3 {
-            idx[a] = (0..size[a])
-                .map(|i| {
-                    let g = (origin[a] + i as i64).clamp(0, d[a] as i64 - 1) as u32;
-                    (g - lo[a]) as usize
-                })
-                .collect();
-        }
-
         let mut out = vec![0f32; size[0] * size[1] * size[2]];
-        let (cx, cy) = (core_size[0], core_size[1]);
-        for z in 0..size[2] {
-            let zc = idx[2][z] * cx * cy;
-            for y in 0..size[1] {
-                let yc = zc + idx[1][y] * cx;
-                let row = (z * size[1] + y) * size[0];
-                for x in 0..size[0] {
-                    out[row + x] = core[yc + idx[0][x]];
-                }
+        if out.is_empty() {
+            return out;
+        }
+        let d = self.meta.dims.map(|d| d as i64);
+        // In-bounds core `lo..lo + n` — a region wholly outside the volume
+        // clamps to the nearest face voxel — and its place `at` in the output.
+        let lo = [0, 1, 2].map(|a| origin[a].clamp(0, d[a] - 1));
+        let n = [0, 1, 2]
+            .map(|a| ((origin[a] + size[a] as i64).clamp(lo[a] + 1, d[a]) - lo[a]) as usize);
+        let at = [0, 1, 2].map(|a| (lo[a] - origin[a]).clamp(0, size[a] as i64 - 1) as usize);
+        let (row, slab) = (size[0], size[0] * size[1]);
+        self.read_region_strided(
+            lo.map(|v| v as u32),
+            n,
+            &mut out[at[2] * slab + at[1] * row + at[0]..],
+            size,
+        );
+
+        let (x_end, y_end, z_end) = (at[0] + n[0], at[1] + n[1], at[2] + n[2]);
+        for z in at[2]..z_end {
+            let z0 = z * slab;
+            for y in at[1]..y_end {
+                let r = &mut out[z0 + y * row..][..row];
+                let (first, last) = (r[at[0]], r[x_end - 1]);
+                r[..at[0]].fill(first);
+                r[x_end..].fill(last);
             }
+            for y in (0..at[1]).chain(y_end..size[1]) {
+                let src = z0 + y.clamp(at[1], y_end - 1) * row;
+                out.copy_within(src..src + row, z0 + y * row);
+            }
+        }
+        for z in (0..at[2]).chain(z_end..size[2]) {
+            let src = z.clamp(at[2], z_end - 1) * slab;
+            out.copy_within(src..src + slab, z * slab);
         }
         out
     }
@@ -252,13 +271,14 @@ impl Volume {
 }
 
 /// Sample a field at voxel centers over a region, splitting z-slabs across
-/// threads for large regions.
+/// threads for large regions. `out` is strided as for [`io::read_region`].
 fn materialize_procedural(
     field: &dyn ScalarField,
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
     out: &mut [f32],
+    out_dims: [usize; 3],
 ) {
     let inv = [
         1.0 / dims[0] as f32,
@@ -270,7 +290,7 @@ fn materialize_procedural(
             let wz = (origin[2] as f32 + z as f32 + 0.5) * inv[2];
             for y in 0..size[1] {
                 let wy = (origin[1] as f32 + y as f32 + 0.5) * inv[1];
-                let row = (zi * size[1] + y) * size[0];
+                let row = (zi * out_dims[1] + y) * out_dims[0];
                 for x in 0..size[0] {
                     let wx = (origin[0] as f32 + x as f32 + 0.5) * inv[0];
                     slab[row + x] = field.sample(wx, wy, wz);
@@ -288,13 +308,15 @@ fn materialize_procedural(
         return;
     }
 
-    let slab_voxels = size[0] * size[1];
+    let slab_voxels = out_dims[0] * out_dims[1];
     let chunk_z = size[2].div_ceil(threads);
     std::thread::scope(|scope| {
         for (ti, chunk) in out.chunks_mut(chunk_z * slab_voxels).enumerate() {
             let z_lo = ti * chunk_z;
-            let z_hi = (z_lo + chunk.len() / slab_voxels).min(size[2]);
-            scope.spawn(move || fill_slab(z_lo, z_hi, chunk));
+            let z_hi = (z_lo + chunk_z).min(size[2]);
+            if z_lo < z_hi {
+                scope.spawn(move || fill_slab(z_lo, z_hi, chunk));
+            }
         }
     });
 }

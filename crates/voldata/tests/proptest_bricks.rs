@@ -4,10 +4,64 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Volume};
+use mgpu_voldata::{io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource};
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
     (2u32..40, 2u32..40, 2u32..40).prop_map(|(x, y, z)| [x, y, z])
+}
+
+/// One axis of a clamped region over a `dim`-voxel axis, `(origin, size)`,
+/// drawn so every shape of the read path comes up often: the full axis with
+/// 0–2 ghost voxels (what makes a region a full-x row or a full x-y slab),
+/// a 1-voxel probe inside or outside, a span wholly outside the volume on
+/// either side, and an arbitrary partial span.
+fn arb_axis(dim: u32) -> impl Strategy<Value = (i64, usize)> {
+    let d = dim as i64;
+    (0u32..6, -3i64..d + 3, 1usize..6, 0i64..3).prop_map(move |(shape, o, n, ghost)| match shape {
+        0 | 1 => (-ghost, (d + 2 * ghost) as usize),
+        2 => (o, 1),
+        3 => (-(n as i64) - ghost, n),
+        4 => (d + ghost, n),
+        _ => (o, n),
+    })
+}
+
+/// A volume and a clamped region of it: `(dims, origin, size)`.
+fn arb_region() -> impl Strategy<Value = ([u32; 3], [i64; 3], [usize; 3])> {
+    (2u32..8, 2u32..8, 2u32..8).prop_flat_map(|(x, y, z)| {
+        (arb_axis(x), arb_axis(y), arb_axis(z))
+            .prop_map(move |(ax, ay, az)| ([x, y, z], [ax.0, ay.0, az.0], [ax.1, ay.1, az.1]))
+    })
+}
+
+/// `volume`'s voxels baked to a raw file and wrapped as a file-backed volume
+/// (removed on drop). Each proptest gets its own file via `tag`.
+struct Baked {
+    volume: Volume,
+    path: std::path::PathBuf,
+}
+
+impl Baked {
+    fn new(volume: &Volume, tag: &str) -> Baked {
+        let path =
+            std::env::temp_dir().join(format!("mgpu_proptest_{}_{tag}.vol", std::process::id()));
+        io::write_volume(&path, volume.dims(), &volume.materialize_full()).unwrap();
+        let volume = Volume {
+            meta: volume.meta.clone(),
+            source: VolumeSource::File(path.clone()),
+        };
+        Baked { volume, path }
+    }
+}
+
+impl Drop for Baked {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
 }
 
 proptest! {
@@ -51,15 +105,16 @@ proptest! {
 
     #[test]
     fn clamped_materialization_matches_pointwise_clamp(
-        dims in (2u32..8, 2u32..8, 2u32..8).prop_map(|(x, y, z)| [x, y, z]),
-        origin in (-3i64..8, -3i64..8, -3i64..8).prop_map(|(x, y, z)| [x, y, z]),
-        size in (1usize..6, 1usize..6, 1usize..6).prop_map(|(x, y, z)| [x, y, z]),
+        (dims, origin, size) in arb_region(),
         seed in 0u64..1000,
     ) {
         let n = (dims[0] * dims[1] * dims[2]) as usize;
         let data: Vec<f32> = (0..n).map(|i| ((i as u64 * 37 + seed) % 101) as f32).collect();
         let vol = Volume::in_memory("p", dims, data.clone());
+        let baked = Baked::new(&vol, "pointwise");
         let out = vol.materialize_clamped(origin, size);
+        let from_file = baked.volume.materialize_clamped(origin, size);
+        prop_assert_eq!(out.len(), size[0] * size[1] * size[2]);
         for z in 0..size[2] {
             for y in 0..size[1] {
                 for x in 0..size[0] {
@@ -67,11 +122,26 @@ proptest! {
                     let cy = (origin[1] + y as i64).clamp(0, dims[1] as i64 - 1) as usize;
                     let cz = (origin[2] + z as i64).clamp(0, dims[2] as i64 - 1) as usize;
                     let expect = data[cx + dims[0] as usize * (cy + dims[1] as usize * cz)];
-                    let got = out[x + size[0] * (y + size[1] * z)];
-                    prop_assert_eq!(got, expect, "at ({},{},{})", x, y, z);
+                    let at = x + size[0] * (y + size[1] * z);
+                    prop_assert_eq!(out[at], expect, "in memory at ({},{},{})", x, y, z);
+                    prop_assert_eq!(from_file[at], expect, "from file at ({},{},{})", x, y, z);
                 }
             }
         }
+    }
+
+    #[test]
+    fn procedural_baked_and_resident_sources_agree_bit_for_bit(
+        (dims, origin, size) in arb_region(),
+        dataset in 0usize..3,
+    ) {
+        let field = [Dataset::Skull, Dataset::Supernova, Dataset::Plume][dataset].field();
+        let procedural = Volume::procedural("p", dims, 0, field);
+        let baked = Baked::new(&procedural, "sources");
+        let resident = Volume::in_memory("p", dims, procedural.materialize_full());
+        let expect = bits(&procedural.materialize_clamped(origin, size));
+        prop_assert_eq!(&bits(&baked.volume.materialize_clamped(origin, size)), &expect);
+        prop_assert_eq!(&bits(&resident.materialize_clamped(origin, size)), &expect);
     }
 
     #[test]
