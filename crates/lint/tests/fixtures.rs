@@ -303,12 +303,89 @@ fn decode_red_direct_indexing_fires() {
 
 #[test]
 fn decode_non_decode_fns_are_out_of_scope() {
-    // `encode_*` may index freely — lengths are under our control there.
+    // `encode_*` and `Wire::put` may index freely — lengths are under our
+    // control there.
     let findings = run(
         decode::check,
         vec![(
             "crates/net/src/wire.rs",
-            "fn encode_ping(out: &mut [u8]) { out[0] = 1; }\n",
+            "fn encode_ping(out: &mut [u8]) { out[0] = 1; }\n\
+             impl Wire for Ping {\n\
+                 fn put(&self, w: &mut Writer) { w.u8(self.bytes[0]); }\n\
+                 fn get(r: &mut Reader) -> Result<Self, WireError> { Ok(Ping { bytes: r.array()? }) }\n\
+             }\n",
+        )],
+    );
+    assert_quiet(&findings);
+}
+
+#[test]
+fn decode_red_panicking_wire_get_fires_in_any_net_file() {
+    // `heat.rs`-style: the impl lives outside wire.rs, and the trait's own
+    // bodyless `fn get(..);` declaration must not hide what follows it.
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/heat.rs",
+            "pub trait Wire: Sized {\n\
+                 fn put(&self, w: &mut Writer);\n\
+                 fn get(r: &mut Reader) -> Result<[u8; 4], WireError>;\n\
+             }\n\
+             impl Wire for Snapshot {\n\
+                 fn put(&self, w: &mut Writer) {}\n\
+                 fn get(r: &mut Reader) -> Result<Self, WireError> {\n\
+                     Ok(Snapshot { n: r.u64().unwrap() })\n\
+                 }\n\
+             }\n",
+        )],
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`unwrap` in decode path `Wire::get`",
+    );
+    assert_eq!(findings.len(), 1, "only the get: {findings:?}");
+}
+
+#[test]
+fn decode_red_reader_methods_and_macro_generated_gets_fire() {
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/wire.rs",
+            "impl<'a> Reader<'a> {\n\
+                 fn take(&mut self, n: usize) -> &'a [u8] { &self.buf[self.pos..self.pos + n] }\n\
+             }\n\
+             macro_rules! wire_struct {\n\
+                 ($ty:path { $($field:ident),+ }) => {\n\
+                     impl Wire for $ty {\n\
+                         fn get(r: &mut Reader) -> Result<Self, WireError> {\n\
+                             Ok(Self { $($field: Wire::get(r).expect(\"short\")),+ })\n\
+                         }\n\
+                     }\n\
+                 };\n\
+             }\n",
+        )],
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "direct slice indexing in decode path `Reader::take`",
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`expect` in decode path `Wire::get`",
+    );
+}
+
+#[test]
+fn decode_other_crates_are_out_of_scope() {
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/serve/src/queue.rs",
+            "fn decode_job(p: &[u8]) -> u8 { p[0] }\n",
         )],
     );
     assert_quiet(&findings);

@@ -38,11 +38,9 @@ use mgpu_serve::{AdmissionError, FrameError};
 
 use crate::heat::NetStats;
 use crate::wire::{
-    decode_drain_state, decode_epoch, decode_frame, decode_message, decode_pong, decode_prewarmed,
-    decode_rejected, decode_throttled, decode_ticket, decode_tickets_full, decode_traces,
-    decode_unsupported_version, encode_epoch, encode_ping, encode_prewarm, encode_request,
-    encode_ticket, encode_traces_request, opcode, read_frame, write_frame, DrainState, NetFrame,
-    NetSceneRequest, WireError, DEFAULT_MAX_PAYLOAD,
+    decode, decode_frame, encode, opcode, read_frame, write_frame, DrainState, NetFrame,
+    NetSceneRequest, Pong, Prewarmed, TicketsFull, UnsupportedVersion, Wire, WireError, Writer,
+    DEFAULT_MAX_PAYLOAD,
 };
 
 /// Why a client call failed, with the server-side error types restored.
@@ -281,22 +279,15 @@ impl RenderClient {
 
     /// Round-trip a `PING`; returns the server's shard count.
     pub fn ping(&self) -> Result<u32, ClientError> {
-        let token = 0x6D67_7075; // arbitrary echo payload
-        let id = self.fresh_id();
-        self.send(opcode::PING, id, &encode_ping(token))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::PONG => {
-                let (echoed, shards) = decode_pong(&payload)?;
-                if echoed != token {
-                    return Err(ClientError::Protocol(format!(
-                        "pong echoed {echoed:#x}, expected {token:#x}"
-                    )));
-                }
-                Ok(shards)
-            }
-            other => Err(unexpected(other, &payload)),
+        let token: u64 = 0x6D67_7075; // arbitrary echo payload
+        let pong: Pong = self.call(opcode::PING, &encode(&token), opcode::PONG)?;
+        if pong.token != token {
+            return Err(ClientError::Protocol(format!(
+                "pong echoed {:#x}, expected {token:#x}",
+                pong.token
+            )));
         }
+        Ok(pong.shards)
     }
 
     /// Render one frame, blocking until it is delivered. Unlike the old
@@ -316,7 +307,7 @@ impl RenderClient {
     /// then collect them in any order with [`RenderClient::finish_render`].
     pub fn begin_render(&self, request: &NetSceneRequest) -> Result<PendingRender, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::RENDER, id, &encode_request(request))?;
+        self.send(opcode::RENDER, id, &encode(request))?;
         Ok(PendingRender { id })
     }
 
@@ -335,32 +326,14 @@ impl RenderClient {
     /// with [`RenderClient::redeem`], or drop the ticket (the frame still
     /// lands in the server's cache).
     pub fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::SUBMIT, id, &encode_request(request))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::SUBMITTED => Ok(NetTicket {
-                id: decode_ticket(&payload)?,
-            }),
-            opcode::REJECTED => Err(ClientError::Admission(decode_rejected(&payload)?)),
-            opcode::THROTTLED => Err(ClientError::Throttled {
-                retry_after: decode_throttled(&payload)?,
-            }),
-            opcode::TICKETS_FULL => {
-                let (outstanding, limit) = decode_tickets_full(&payload)?;
-                Err(ClientError::TicketsFull { outstanding, limit })
-            }
-            opcode::DRAINING => Err(ClientError::Draining {
-                epoch: decode_epoch(&payload)?,
-            }),
-            other => Err(unexpected(other, &payload)),
-        }
+        let id = self.call(opcode::SUBMIT, &encode(request), opcode::SUBMITTED)?;
+        Ok(NetTicket { id })
     }
 
     /// Block until a submitted frame is ready. A ticket redeems once.
     pub fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::REDEEM, id, &encode_ticket(ticket.id))?;
+        self.send(opcode::REDEEM, id, &encode(&ticket.id))?;
         let (op, payload) = self.await_reply(id)?;
         frame_response(op, &payload)
     }
@@ -368,26 +341,14 @@ impl RenderClient {
     /// Fetch the server's per-shard and node snapshots ([`NetStats`] derives
     /// the merged service report and per-shard heat from them).
     pub fn stats(&self) -> Result<NetStats, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::STATS, id, &[])?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::STATS_REPORT => Ok(NetStats::decode(&payload)?),
-            other => Err(unexpected(other, &payload)),
-        }
+        self.call(opcode::STATS, &[], opcode::STATS_REPORT)
     }
 
     /// Fetch the server's most recently completed request traces, newest
     /// first, at most `max`. Trace ids are the `request_id`s the requests
     /// were submitted under, so a client can find its own.
     pub fn traces(&self, max: u32) -> Result<Vec<CompletedTrace>, ClientError> {
-        let id = self.fresh_id();
-        self.send(opcode::TRACES, id, &encode_traces_request(max))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::TRACES_REPLY => Ok(decode_traces(&payload)?),
-            other => Err(unexpected(other, &payload)),
-        }
+        self.call(opcode::TRACES, &encode(&max), opcode::TRACES_REPLY)
     }
 
     /// Ask the node to drain (wire v4): stop accepting new RENDER/SUBMIT,
@@ -397,23 +358,13 @@ impl RenderClient {
     /// an already-draining node is idempotent. Returns the node's drain
     /// state (including how much work is still outstanding).
     pub fn drain(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.drain_control(opcode::DRAIN, epoch)
+        self.call(opcode::DRAIN, &encode(&epoch), opcode::DRAIN_STATE)
     }
 
     /// Undo a drain: the node accepts new work again. Resuming a node that
     /// is not draining is idempotent.
     pub fn resume(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.drain_control(opcode::RESUME, epoch)
-    }
-
-    fn drain_control(&self, op: u8, epoch: u64) -> Result<DrainState, ClientError> {
-        let id = self.fresh_id();
-        self.send(op, id, &encode_epoch(epoch))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::DRAIN_STATE => Ok(decode_drain_state(&payload)?),
-            other => Err(unexpected(other, &payload)),
-        }
+        self.call(opcode::RESUME, &encode(&epoch), opcode::DRAIN_STATE)
     }
 
     /// Hint the node to populate its plan cache for `request`'s batch key
@@ -425,15 +376,27 @@ impl RenderClient {
         epoch: u64,
         request: &NetSceneRequest,
     ) -> Result<(u32, bool), ClientError> {
+        // The bytes of `(u64, NetSceneRequest)`, written without cloning
+        // the request into a tuple.
+        let mut w = Writer::new();
+        epoch.put(&mut w);
+        request.put(&mut w);
+        let Prewarmed { shard, built } =
+            self.call(opcode::PREWARM, &w.into_bytes(), opcode::PREWARMED)?;
+        Ok((shard, built))
+    }
+
+    /// One request/reply exchange: send `payload` under `op`, wait for the
+    /// reply tagged with the same id, and decode it as `R` if it carries
+    /// the `want`ed opcode — anything else is a [`refusal`].
+    fn call<R: Wire>(&self, op: u8, payload: &[u8], want: u8) -> Result<R, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::PREWARM, id, &encode_prewarm(epoch, request))?;
-        let (op, payload) = self.await_reply(id)?;
-        match op {
-            opcode::PREWARMED => Ok(decode_prewarmed(&payload)?),
-            opcode::DRAINING => Err(ClientError::Draining {
-                epoch: decode_epoch(&payload)?,
-            }),
-            other => Err(unexpected(other, &payload)),
+        self.send(op, id, payload)?;
+        let (got, reply) = self.await_reply(id)?;
+        if got == want {
+            Ok(decode(&reply)?)
+        } else {
+            Err(refusal(got, &reply))
         }
     }
 
@@ -511,16 +474,7 @@ impl RenderClient {
             return; // the first verdict wins
         }
         mail.dead = Some(match op {
-            opcode::UNSUPPORTED_VERSION => match decode_unsupported_version(&payload) {
-                Ok((got, want)) => ClientError::Protocol(format!(
-                    "server speaks wire protocol v{want}, this client sent v{got}"
-                )),
-                Err(err) => ClientError::Wire(err),
-            },
-            opcode::BAD_REQUEST => match decode_message(&payload) {
-                Ok(echo) => ClientError::Protocol(format!("server rejected request: {echo}")),
-                Err(err) => ClientError::Wire(err),
-            },
+            opcode::UNSUPPORTED_VERSION | opcode::BAD_REQUEST => refusal(op, &payload),
             // The drained node answered everything and is closing; every
             // later call on this connection gets the typed goodbye rather
             // than a confusing EOF.
@@ -535,33 +489,40 @@ impl RenderClient {
 fn frame_response(op: u8, payload: &[u8]) -> Result<NetFrame, ClientError> {
     match op {
         opcode::FRAME => Ok(decode_frame(payload)?),
-        opcode::FAILED => Err(ClientError::Render(FrameError::new(decode_message(
-            payload,
-        )?))),
-        opcode::THROTTLED => Err(ClientError::Throttled {
-            retry_after: decode_throttled(payload)?,
-        }),
-        opcode::REJECTED => Err(ClientError::Admission(decode_rejected(payload)?)),
-        opcode::TICKETS_FULL => {
-            let (outstanding, limit) = decode_tickets_full(payload)?;
-            Err(ClientError::TicketsFull { outstanding, limit })
-        }
-        opcode::DRAINING => Err(ClientError::Draining {
-            epoch: decode_epoch(payload)?,
-        }),
-        other => Err(unexpected(other, payload)),
+        other => Err(refusal(other, payload)),
     }
 }
 
-/// Interpret an out-of-protocol reply: `BAD_REQUEST` echoes the typed
-/// error the server saw; anything else is a protocol violation.
-fn unexpected(op: u8, payload: &[u8]) -> ClientError {
-    if op == opcode::BAD_REQUEST {
-        match decode_message(payload) {
-            Ok(echo) => ClientError::Protocol(format!("server rejected request: {echo}")),
-            Err(err) => ClientError::Wire(err),
+/// Interpret any reply other than the success the caller asked for — the
+/// one place a refusal opcode becomes a [`ClientError`]. The server's
+/// typed refusals carry their in-process error types; `BAD_REQUEST` echoes
+/// the [`WireError`] the server saw; anything else is a protocol violation.
+fn refusal(op: u8, payload: &[u8]) -> ClientError {
+    let typed = match op {
+        opcode::FAILED => decode(payload).map(|m: String| ClientError::Render(FrameError::new(m))),
+        opcode::THROTTLED => {
+            decode(payload).map(|retry_after| ClientError::Throttled { retry_after })
         }
-    } else {
-        ClientError::Protocol(format!("unexpected response opcode {op:#04x}"))
-    }
+        opcode::REJECTED => decode(payload).map(ClientError::Admission),
+        opcode::TICKETS_FULL => {
+            decode(payload).map(
+                |TicketsFull { outstanding, limit }| ClientError::TicketsFull {
+                    outstanding,
+                    limit,
+                },
+            )
+        }
+        opcode::DRAINING => decode(payload).map(|epoch| ClientError::Draining { epoch }),
+        opcode::BAD_REQUEST => decode(payload)
+            .map(|echo: String| ClientError::Protocol(format!("server rejected request: {echo}"))),
+        opcode::UNSUPPORTED_VERSION => decode(payload).map(|UnsupportedVersion { got, want }| {
+            ClientError::Protocol(format!(
+                "server speaks wire protocol v{want}, this client sent v{got}"
+            ))
+        }),
+        other => Ok(ClientError::Protocol(format!(
+            "unexpected response opcode {other:#04x}"
+        ))),
+    };
+    typed.unwrap_or_else(ClientError::Wire)
 }

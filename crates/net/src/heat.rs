@@ -10,29 +10,32 @@ use std::time::Duration;
 use mgpu_obs::{Snapshot, HIST_BUCKETS};
 use mgpu_serve::{ServiceReport, ShardHeat};
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{wire_struct, Reader, Wire, WireError, Writer};
 
-/// What `STATS` returns. Snapshots merge exactly ([`Snapshot::merge`]), so
-/// shard, node and pool totals are all the same fold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetStats {
-    /// The directory epoch this node last heard about (wire v4). Every
-    /// placement change — a node joining or leaving the pool, a
-    /// `BatchKey` migration, a drain — bumps the pool's epoch, and the
-    /// pool announces it with `DRAIN`/`RESUME`/`PREWARM`. A client whose
-    /// directory epoch lags the value echoed here is routing on a stale
-    /// placement.
-    pub epoch: u64,
-    /// Real elapsed time since the node's render service started.
-    pub uptime: Duration,
-    /// Each shard's own `serve.*` snapshot, indexed by shard: per-service,
-    /// so they sum to exactly this node's service totals.
-    pub shard_snapshots: Vec<Snapshot>,
-    /// The node's snapshot: the server's `net.*` metrics plus the
-    /// *process-wide* `serve.*`/`volren.*` registry. Process-wide means two
-    /// servers in one process each report both servers' `serve.*` here —
-    /// only the per-shard snapshots are per-server.
-    pub obs: Snapshot,
+wire_struct! {
+    /// What `STATS` returns (`STATS_REPORT`, STATS v3), in wire order.
+    /// Snapshots merge exactly ([`Snapshot::merge`]), so shard, node and
+    /// pool totals are all the same fold.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NetStats {
+        /// The directory epoch this node last heard about (wire v4). Every
+        /// placement change — a node joining or leaving the pool, a
+        /// `BatchKey` migration, a drain — bumps the pool's epoch, and the
+        /// pool announces it with `DRAIN`/`RESUME`/`PREWARM`. A client whose
+        /// directory epoch lags the value echoed here is routing on a stale
+        /// placement.
+        pub epoch: u64,
+        /// Real elapsed time since the node's render service started.
+        pub uptime: Duration,
+        /// Each shard's own `serve.*` snapshot, indexed by shard: per-service,
+        /// so they sum to exactly this node's service totals.
+        pub shard_snapshots: Vec<Snapshot>,
+        /// The node's snapshot: the server's `net.*` metrics plus the
+        /// *process-wide* `serve.*`/`volren.*` registry. Process-wide means two
+        /// servers in one process each report both servers' `serve.*` here —
+        /// only the per-shard snapshots are per-server.
+        pub obs: Snapshot,
+    }
 }
 
 impl NetStats {
@@ -111,99 +114,58 @@ impl std::fmt::Display for NetStats {
     }
 }
 
-/// Name-keyed counters, gauges and histograms, written in the snapshot's
-/// stable sorted order, so equal snapshots encode to equal bytes.
-fn put_snapshot(w: &mut Writer, snap: &Snapshot) {
-    let counters = snap.counters();
-    w.u32(counters.len() as u32);
-    for (name, value) in counters {
-        w.str(name);
-        w.u64(*value);
+/// Three name-keyed sections — counters, gauges (`i64` by bit pattern),
+/// histograms — each in the snapshot's sorted name order, so equal
+/// snapshots encode to equal bytes. Decode holds the sender to that order:
+/// names must strictly ascend, which refuses both a shuffled section and a
+/// name given twice, and means every `add_*` below inserts and none sums.
+impl Wire for Snapshot {
+    const MIN_BYTES: usize = 3 * 4;
+    fn put(&self, w: &mut Writer) {
+        w.seq(self.counters());
+        w.seq(self.gauges());
+        w.seq(self.histograms());
     }
-    let gauges = snap.gauges();
-    w.u32(gauges.len() as u32);
-    for (name, value) in gauges {
-        w.str(name);
-        w.u64(*value as u64); // i64 by bit pattern
-    }
-    let histograms = snap.histograms();
-    w.u32(histograms.len() as u32);
-    for (name, buckets) in histograms {
-        w.str(name);
-        for bucket in buckets {
-            w.u64(*bucket);
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let counters: Vec<(String, u64)> = r.seq()?;
+        let gauges: Vec<(String, i64)> = r.seq()?;
+        let histograms: Vec<(String, [u64; HIST_BUCKETS])> = r.seq()?;
+        strictly_ascending("counter", &counters)?;
+        strictly_ascending("gauge", &gauges)?;
+        strictly_ascending("histogram", &histograms)?;
+        let mut snap = Snapshot::new();
+        for (name, value) in counters {
+            snap.add_counter(&name, value);
         }
+        for (name, value) in gauges {
+            snap.add_gauge(&name, value);
+        }
+        for (name, buckets) in histograms {
+            snap.add_histogram(&name, &buckets);
+        }
+        Ok(snap)
     }
 }
 
-fn get_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
-    let mut snap = Snapshot::new();
-    // Each entry is at least a name length prefix plus one u64.
-    let counters = r.count(4 + 8)?;
-    for _ in 0..counters {
-        let name = r.str()?;
-        let value = r.u64()?;
-        snap.add_counter(&name, value);
-    }
-    let gauges = r.count(4 + 8)?;
-    for _ in 0..gauges {
-        let name = r.str()?;
-        let value = r.u64()? as i64; // i64 by bit pattern
-        snap.add_gauge(&name, value);
-    }
-    let histograms = r.count(4 + 8 * HIST_BUCKETS)?;
-    for _ in 0..histograms {
-        let name = r.str()?;
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for bucket in &mut buckets {
-            *bucket = r.u64()?;
-        }
-        snap.add_histogram(&name, &buckets);
-    }
-    Ok(snap)
-}
-
-impl NetStats {
-    /// Encode a `STATS_REPORT` payload (STATS v3: epoch, uptime, per-shard
-    /// snapshots, node snapshot).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.epoch);
-        w.u64(u64::try_from(self.uptime.as_nanos()).unwrap_or(u64::MAX));
-        w.u32(self.shard_snapshots.len() as u32);
-        for snap in &self.shard_snapshots {
-            put_snapshot(&mut w, snap);
-        }
-        put_snapshot(&mut w, &self.obs);
-        w.into_bytes()
-    }
-
-    /// Decode a `STATS_REPORT` payload; consumes the whole payload.
-    pub fn decode(payload: &[u8]) -> Result<NetStats, WireError> {
-        let mut r = Reader::new(payload);
-        let epoch = r.u64()?;
-        let uptime = Duration::from_nanos(r.u64()?);
-        // An empty snapshot is still three u32 section counts.
-        let n = r.count(3 * 4)?;
-        let mut shard_snapshots = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_snapshots.push(get_snapshot(&mut r)?);
-        }
-        let obs = get_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(NetStats {
-            epoch,
-            uptime,
-            shard_snapshots,
-            obs,
-        })
+fn strictly_ascending<T>(section: &str, entries: &[(String, T)]) -> Result<(), WireError> {
+    match entries
+        .iter()
+        .zip(entries.iter().skip(1))
+        .find(|(a, b)| a.0 >= b.0)
+    {
+        None => Ok(()),
+        Some((a, b)) => Err(WireError::Malformed(format!(
+            "{section} {:?} follows {:?}: names must strictly ascend",
+            b.0, a.0
+        ))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{frame_bytes, opcode, read_frame, DEFAULT_MAX_PAYLOAD, VERSION};
+    use crate::wire::tests::{pin, wire_contract};
+    use crate::wire::{decode, frame_bytes, opcode, read_frame, DEFAULT_MAX_PAYLOAD, VERSION};
     use mgpu_obs::{names, Histogram};
     use mgpu_serve::CacheSnapshot;
 
@@ -258,35 +220,61 @@ mod tests {
         }
     }
 
+    /// Golden bytes for a small two-shard reply, then the contract over it
+    /// and over the full-size fixture. Stable sorted keys are what make a
+    /// decoded reply re-encode byte-equal, so replies compare bit-for-bit.
     #[test]
     fn stats_roundtrip_bit_exact_and_reencode_byte_equal() {
-        let stats = sample_stats();
-        let bytes = stats.encode();
-        let decoded = NetStats::decode(&bytes).unwrap();
-        assert_eq!(decoded, stats);
-        // Stable sorted keys: the decoded value re-encodes to the exact
-        // bytes, so replies can be compared bit-for-bit.
-        assert_eq!(decoded.encode(), bytes);
+        let mut shard0 = Snapshot::new();
+        shard0.add_counter("serve.frames_completed", 18);
+        shard0.add_counter("serve.frames_rendered", 14);
+        shard0.add_gauge("serve.queue_depth.normal", 2);
+        let mut shard1 = Snapshot::new();
+        shard1.add_counter("serve.frames_completed", 6);
+        let mut buckets = [0u64; HIST_BUCKETS];
+        buckets[20] = 16;
+        buckets[HIST_BUCKETS - 1] = 1;
+        shard1.add_histogram("serve.queue_wait_ns", &buckets);
+        let mut obs = Snapshot::new();
+        obs.add_counter("net.frames_in", 24);
+        obs.add_gauge("net.connections", -1); // negative survives the cast
+        let stats = NetStats {
+            epoch: 7,
+            uptime: Duration::from_millis(2500),
+            shard_snapshots: vec![shard0, shard1],
+            obs,
+        };
+        pin("stats", stats);
+        wire_contract(&sample_stats());
     }
 
+    /// Regression: a reply naming one counter twice used to be summed into
+    /// the snapshot with `+=` — an overflow panic in debug builds, a silent
+    /// wrap in release. Names must strictly ascend, so it is refused.
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        let bytes = sample_stats().encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(
-                    NetStats::decode(&bytes[..cut]),
-                    Err(WireError::Truncated { .. } | WireError::Malformed(_))
-                ),
-                "prefix {cut}"
-            );
-        }
-        let mut longer = bytes;
-        longer.push(0);
-        assert!(matches!(
-            NetStats::decode(&longer),
-            Err(WireError::TrailingBytes { extra: 1 })
-        ));
+    fn a_counter_named_twice_is_malformed_not_summed() {
+        let mut twice = Writer::new();
+        (7u64, Duration::ZERO).put(&mut twice); // epoch, uptime
+        twice.seq::<Snapshot>(&[]); // no shards; then the node snapshot:
+        let max = ("serve.frames_completed".to_string(), u64::MAX);
+        twice.seq(&[max.clone(), max]);
+        twice.seq::<(String, i64)>(&[]);
+        twice.seq::<(String, [u64; HIST_BUCKETS])>(&[]);
+        let summed = decode::<NetStats>(&twice.into_bytes());
+        assert!(
+            matches!(&summed, Err(WireError::Malformed(why)) if why.contains("ascend")),
+            "{summed:?}"
+        );
+        // Out of order is refused the same way.
+        let mut shuffled = Writer::new();
+        shuffled.seq(&[("b".to_string(), 1u64), ("a".to_string(), 2)]);
+        shuffled.seq::<(String, i64)>(&[]);
+        shuffled.seq::<(String, [u64; HIST_BUCKETS])>(&[]);
+        let unsorted = decode::<Snapshot>(&shuffled.into_bytes());
+        assert!(
+            matches!(unsorted, Err(WireError::Malformed(_))),
+            "{unsorted:?}"
+        );
     }
 
     /// The recorded two-shard fixture, against the totals the old

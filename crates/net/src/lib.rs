@@ -19,15 +19,17 @@
 //! ```
 //!
 //! * **Wire format** — [`wire`]: versioned, length-prefixed frames over
-//!   `std::net` TCP; hand-rolled little-endian encoding (no external
-//!   dependencies); every decode failure is a typed [`WireError`], never a
-//!   panic. Since **v3** every request carries a client-chosen 8-byte
-//!   `request_id` echoed by its reply, so one connection multiplexes many
-//!   in-flight renders that complete out of order; a v2 peer gets a typed
-//!   `UNSUPPORTED_VERSION` reply instead of a silent close. Floats travel
-//!   by bit pattern, so a frame fetched through the socket is
-//!   **bit-identical** to a direct `mgpu_volren::render` call — the
-//!   service's determinism guarantee survives the network hop.
+//!   `std::net` TCP; one little-endian codec — every payload type
+//!   implements [`wire::Wire`], its field order written once for both
+//!   directions — with no external dependencies; every decode failure is a
+//!   typed [`WireError`], never a panic. Since **v3** every request
+//!   carries a client-chosen 8-byte `request_id` echoed by its reply, so
+//!   one connection multiplexes many in-flight renders that complete out
+//!   of order; a v2 peer gets a typed `UNSUPPORTED_VERSION` reply instead
+//!   of a silent close. Floats travel by bit pattern, so a frame fetched
+//!   through the socket is **bit-identical** to a direct
+//!   `mgpu_volren::render` call — the service's determinism guarantee
+//!   survives the network hop.
 //! * **Server** — [`server`]: a [`RenderServer`] owning a
 //!   [`mgpu_serve::ShardedService`] behind one event-driven readiness
 //!   loop: non-blocking sockets, per-connection partial-frame state

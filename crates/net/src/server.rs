@@ -45,10 +45,8 @@ use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, Sharde
 use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
-    self, decode_epoch, decode_ping, decode_prewarm, decode_request, decode_ticket,
-    encode_drain_state, encode_epoch, encode_frame, encode_message, encode_pong, encode_prewarmed,
-    encode_rejected, encode_throttled, encode_ticket, frame_bytes, opcode, DrainState, WireError,
-    DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
+    self, decode, encode, encode_frame, frame_bytes, opcode, DrainState, NetSceneRequest, Pong,
+    Prewarmed, TicketsFull, UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
 };
 
 /// Server tuning knobs.
@@ -660,7 +658,10 @@ impl RenderServer {
                             frame_bytes(
                                 opcode::PREWARMED,
                                 job.request_id,
-                                &encode_prewarmed(shard as u32, built),
+                                &encode(&Prewarmed {
+                                    shard: shard as u32,
+                                    built,
+                                }),
                             ),
                         );
                     }
@@ -1005,11 +1006,9 @@ impl EventLoop {
                         WireError::UnsupportedVersion { got, want } => frame_bytes(
                             opcode::UNSUPPORTED_VERSION,
                             0,
-                            &wire::encode_unsupported_version(got, want),
+                            &encode(&UnsupportedVersion { got, want }),
                         ),
-                        other => {
-                            frame_bytes(opcode::BAD_REQUEST, 0, &encode_message(&other.to_string()))
-                        }
+                        other => frame_bytes(opcode::BAD_REQUEST, 0, &encode(&other.to_string())),
                     };
                     conn.send(reply);
                     conn.closing = true;
@@ -1030,7 +1029,9 @@ impl EventLoop {
     }
 
     /// Serve one complete request frame: every reply is queued to the
-    /// connection's write buffer, tagged with the request's id.
+    /// connection's write buffer, tagged with the request's id. A payload
+    /// that does not decode or validate is echoed as a typed `BAD_REQUEST`
+    /// and poisons nothing but its own request.
     fn dispatch(&mut self, token: u64, op: u8, request_id: u64, payload: &[u8]) {
         let shared = Arc::clone(&self.shared);
         // Drain-state replies report what the whole node still owes, which
@@ -1043,234 +1044,21 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // A draining node refuses *new* work — typed, per-request, and the
-        // connection survives (in-flight replies and parked redeems still
-        // flow). The epoch tells the refused client how stale it is.
-        // SeqCst (flag and epoch): a DRAINING refusal must carry an epoch
-        // at least as new as the DRAIN that set the flag — both sides of
-        // the refusal read one total order.
-        if (op == opcode::RENDER || op == opcode::SUBMIT) && shared.draining.load(Ordering::SeqCst)
-        {
-            shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
+        let served = serve(
+            &shared,
+            conn,
+            token,
+            total_outstanding,
+            op,
+            request_id,
+            payload,
+        );
+        if let Err(err) = served {
             conn.send(frame_bytes(
-                opcode::DRAINING,
+                opcode::BAD_REQUEST,
                 request_id,
-                // SeqCst: ordered after the draining flag read above.
-                &encode_epoch(shared.epoch.load(Ordering::SeqCst)),
+                &encode(&err.to_string()),
             ));
-            self.flush_conn(token);
-            return;
-        }
-        match op {
-            opcode::PING => match decode_ping(payload) {
-                Ok(echo) => {
-                    let shards = shared.sharded.shard_count() as u32;
-                    conn.send(frame_bytes(
-                        opcode::PONG,
-                        request_id,
-                        &encode_pong(echo, shards),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::STATS => {
-                let stats = net_stats(&shared);
-                conn.send(frame_bytes(
-                    opcode::STATS_REPORT,
-                    request_id,
-                    &stats.encode(),
-                ));
-            }
-            opcode::TRACES => match wire::decode_traces_request(payload) {
-                Ok(max) => {
-                    let traces = mgpu_obs::ring().recent(max as usize);
-                    conn.send(frame_bytes(
-                        opcode::TRACES_REPLY,
-                        request_id,
-                        &wire::encode_traces(&traces),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::RENDER => {
-                let admit_start = Instant::now();
-                if let Some(request) = admit(&shared, conn, token, request_id, payload) {
-                    // The trace id IS the wire request id: a client can
-                    // correlate a TRACES row with its own request.
-                    let trace = Trace::start(request_id);
-                    trace.record_since("admit", admit_start);
-                    let notifier = Arc::clone(&shared.notifier);
-                    let reply_trace = Arc::clone(&trace);
-                    let submitted =
-                        shared
-                            .sharded
-                            .try_submit_traced(request, trace, move |result| {
-                                notifier.complete(Completion {
-                                    conn: token,
-                                    request_id,
-                                    mode: Done::Render,
-                                    result,
-                                    trace: reply_trace,
-                                })
-                            });
-                    match submitted {
-                        Ok(()) => {
-                            conn.in_flight.insert(request_id);
-                            conn.carried_work = true;
-                        }
-                        Err(admission) => conn.send(frame_bytes(
-                            opcode::REJECTED,
-                            request_id,
-                            &encode_rejected(&admission),
-                        )),
-                    }
-                }
-            }
-            opcode::SUBMIT => {
-                let admit_start = Instant::now();
-                if let Some(request) = admit(&shared, conn, token, request_id, payload) {
-                    let trace = Trace::start(request_id);
-                    trace.record_since("admit", admit_start);
-                    let notifier = Arc::clone(&shared.notifier);
-                    let reply_trace = Arc::clone(&trace);
-                    let submitted =
-                        shared
-                            .sharded
-                            .try_submit_traced(request, trace, move |result| {
-                                notifier.complete(Completion {
-                                    conn: token,
-                                    request_id,
-                                    mode: Done::Ticket,
-                                    result,
-                                    trace: reply_trace,
-                                })
-                            });
-                    match submitted {
-                        Ok(()) => {
-                            conn.tickets.insert(request_id, TicketState::Pending);
-                            conn.carried_work = true;
-                            conn.send(frame_bytes(
-                                opcode::SUBMITTED,
-                                request_id,
-                                &encode_ticket(request_id),
-                            ));
-                        }
-                        Err(admission) => conn.send(frame_bytes(
-                            opcode::REJECTED,
-                            request_id,
-                            &encode_rejected(&admission),
-                        )),
-                    }
-                }
-            }
-            opcode::REDEEM => match decode_ticket(payload) {
-                Ok(ticket_id) => match conn.tickets.get_mut(&ticket_id) {
-                    Some(TicketState::Ready(_)) => {
-                        let Some(TicketState::Ready(result)) = conn.tickets.remove(&ticket_id)
-                        else {
-                            unreachable!("checked Ready above");
-                        };
-                        conn.send(frame_reply(request_id, &result));
-                    }
-                    Some(TicketState::Pending) => match conn.redeems.entry(ticket_id) {
-                        // Park the redeem: the completion answers it.
-                        Entry::Vacant(slot) => {
-                            slot.insert(request_id);
-                        }
-                        Entry::Occupied(_) => {
-                            let err = WireError::Malformed(format!(
-                                "ticket {ticket_id} is already being redeemed"
-                            ));
-                            bad_request(conn, request_id, &err);
-                        }
-                    },
-                    None => {
-                        let err = WireError::Malformed(format!("unknown ticket {ticket_id}"));
-                        bad_request(conn, request_id, &err);
-                    }
-                },
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::DRAIN | opcode::RESUME => match decode_epoch(payload) {
-                Ok(epoch) => {
-                    // SeqCst: the epoch bump must be ordered *before* the
-                    // draining-flag flip in the one total order every
-                    // reader (STATS, refusals, the event loop) uses — a
-                    // refusal observed after this swap always carries at
-                    // least this epoch.
-                    shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-                    let draining = op == opcode::DRAIN;
-                    // SeqCst: see the fetch_max above — flag and epoch
-                    // share one order.
-                    let was = shared.draining.swap(draining, Ordering::SeqCst);
-                    // Idempotent: repeating the current state is a no-op
-                    // (and not a counted transition).
-                    if draining && !was {
-                        shared.obs.counter(names::NET_DRAINS).inc();
-                    } else if !draining && was {
-                        shared.obs.counter(names::NET_RESUMES).inc();
-                    }
-                    conn.send(frame_bytes(
-                        opcode::DRAIN_STATE,
-                        request_id,
-                        &encode_drain_state(DrainState {
-                            draining,
-                            outstanding: total_outstanding,
-                            // SeqCst: the reply must echo an epoch no older
-                            // than the bump this same request applied.
-                            epoch: shared.epoch.load(Ordering::SeqCst),
-                        }),
-                    ));
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            opcode::PREWARM => match decode_prewarm(payload) {
-                Ok((epoch, request)) => {
-                    // SeqCst: prewarms carry the controller's epoch; the
-                    // bump joins the same total order as drain/resume so a
-                    // later STATS echo can never regress.
-                    shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-                    match request.to_parts() {
-                        Ok((spec, volume, scene, config, priority)) => {
-                            let job = PrewarmJob {
-                                conn: token,
-                                request_id,
-                                request: SceneRequest {
-                                    spec,
-                                    volume,
-                                    scene,
-                                    config,
-                                    priority,
-                                },
-                            };
-                            let tx = shared
-                                .prewarm_tx
-                                .lock()
-                                .expect("prewarm sender poisoned")
-                                .clone();
-                            // The worker answers PREWARMED when the plan is
-                            // built; with the worker gone (shutdown racing
-                            // in) answer built=false so the peer never
-                            // hangs.
-                            if tx.map(|tx| tx.send(job).is_ok()) != Some(true) {
-                                conn.send(frame_bytes(
-                                    opcode::PREWARMED,
-                                    request_id,
-                                    &encode_prewarmed(0, false),
-                                ));
-                            }
-                        }
-                        Err(err) => bad_request(conn, request_id, &err),
-                    }
-                }
-                Err(err) => bad_request(conn, request_id, &err),
-            },
-            other => {
-                // A peer dispatching unknown requests is not speaking this
-                // protocol: reply typed, then close.
-                bad_request(conn, request_id, &WireError::UnknownOpcode(other));
-                conn.closing = true;
-            }
         }
         // Opportunistic flush: most replies fit the socket buffer and go
         // out without waiting for the next poll round.
@@ -1278,72 +1066,256 @@ impl EventLoop {
     }
 }
 
-/// The server door for `RENDER`/`SUBMIT`: decode, validate, bound the
-/// session's outstanding requests, reject duplicate request ids, then
-/// rate-limit — each refusal answered inline, tagged with the request id.
-/// Returns the request only once it is clear to submit.
+/// Answer one request on its connection. `Err` is a payload-level error:
+/// the caller echoes it as `BAD_REQUEST` and the connection survives.
+fn serve(
+    shared: &Shared,
+    conn: &mut Conn,
+    token: u64,
+    total_outstanding: u64,
+    op: u8,
+    request_id: u64,
+    payload: &[u8],
+) -> Result<(), WireError> {
+    match op {
+        opcode::PING => {
+            let pong = Pong {
+                token: decode(payload)?,
+                shards: shared.sharded.shard_count() as u32,
+            };
+            conn.send(frame_bytes(opcode::PONG, request_id, &encode(&pong)));
+        }
+        opcode::STATS => {
+            let stats = net_stats(shared);
+            conn.send(frame_bytes(
+                opcode::STATS_REPORT,
+                request_id,
+                &encode(&stats),
+            ));
+        }
+        opcode::TRACES => {
+            let traces = mgpu_obs::ring().recent(decode::<u32>(payload)? as usize);
+            conn.send(frame_bytes(
+                opcode::TRACES_REPLY,
+                request_id,
+                &encode(&traces),
+            ));
+        }
+        // A draining node refuses *new* work — typed, per-request, and the
+        // connection survives (in-flight replies and parked redeems still
+        // flow). The epoch tells the refused client how stale it is.
+        // SeqCst (flag and epoch): a DRAINING refusal must carry an epoch
+        // at least as new as the DRAIN that set the flag — both sides of
+        // the refusal read one total order.
+        opcode::RENDER | opcode::SUBMIT if shared.draining.load(Ordering::SeqCst) => {
+            shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
+            // SeqCst: ordered after the draining flag read above.
+            let epoch = shared.epoch.load(Ordering::SeqCst);
+            conn.send(frame_bytes(opcode::DRAINING, request_id, &encode(&epoch)));
+        }
+        opcode::RENDER | opcode::SUBMIT => {
+            let mode = if op == opcode::RENDER {
+                Done::Render
+            } else {
+                Done::Ticket
+            };
+            let admit_start = Instant::now();
+            let Some(scene) = admit(shared, conn, request_id, payload)? else {
+                return Ok(());
+            };
+            // The trace id IS the wire request id: a client can correlate
+            // a TRACES row with its own request.
+            let trace = Trace::start(request_id);
+            trace.record_since("admit", admit_start);
+            let notifier = Arc::clone(&shared.notifier);
+            let reply_trace = Arc::clone(&trace);
+            let submitted = shared
+                .sharded
+                .try_submit_traced(scene, trace, move |result| {
+                    notifier.complete(Completion {
+                        conn: token,
+                        request_id,
+                        mode,
+                        result,
+                        trace: reply_trace,
+                    })
+                });
+            match (submitted, mode) {
+                (Err(admission), _) => {
+                    conn.send(frame_bytes(
+                        opcode::REJECTED,
+                        request_id,
+                        &encode(&admission),
+                    ));
+                }
+                (Ok(()), Done::Render) => {
+                    conn.carried_work = true;
+                    conn.in_flight.insert(request_id);
+                }
+                // The ticket id IS the SUBMIT's request id.
+                (Ok(()), Done::Ticket) => {
+                    conn.carried_work = true;
+                    conn.tickets.insert(request_id, TicketState::Pending);
+                    conn.send(frame_bytes(
+                        opcode::SUBMITTED,
+                        request_id,
+                        &encode(&request_id),
+                    ));
+                }
+            }
+        }
+        opcode::REDEEM => {
+            let ticket_id: u64 = decode(payload)?;
+            match conn.tickets.get(&ticket_id) {
+                Some(TicketState::Ready(result)) => {
+                    let reply = frame_reply(request_id, result);
+                    conn.tickets.remove(&ticket_id);
+                    conn.send(reply);
+                }
+                Some(TicketState::Pending) => match conn.redeems.entry(ticket_id) {
+                    // Park the redeem: the completion answers it.
+                    Entry::Vacant(slot) => {
+                        slot.insert(request_id);
+                    }
+                    Entry::Occupied(_) => {
+                        return Err(WireError::Malformed(format!(
+                            "ticket {ticket_id} is already being redeemed"
+                        )));
+                    }
+                },
+                None => {
+                    return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
+                }
+            }
+        }
+        opcode::DRAIN | opcode::RESUME => {
+            // SeqCst: the epoch bump must be ordered *before* the
+            // draining-flag flip in the one total order every reader
+            // (STATS, refusals, the event loop) uses — a refusal observed
+            // after this swap always carries at least this epoch.
+            shared.epoch.fetch_max(decode(payload)?, Ordering::SeqCst);
+            let draining = op == opcode::DRAIN;
+            // SeqCst: see the fetch_max above — flag and epoch share one
+            // order.
+            let was = shared.draining.swap(draining, Ordering::SeqCst);
+            // Idempotent: repeating the current state is a no-op (and not
+            // a counted transition).
+            if draining && !was {
+                shared.obs.counter(names::NET_DRAINS).inc();
+            } else if !draining && was {
+                shared.obs.counter(names::NET_RESUMES).inc();
+            }
+            let state = DrainState {
+                draining,
+                outstanding: total_outstanding,
+                // SeqCst: the reply must echo an epoch no older than the
+                // bump this same request applied.
+                epoch: shared.epoch.load(Ordering::SeqCst),
+            };
+            conn.send(frame_bytes(
+                opcode::DRAIN_STATE,
+                request_id,
+                &encode(&state),
+            ));
+        }
+        opcode::PREWARM => {
+            let (epoch, request): (u64, NetSceneRequest) = decode(payload)?;
+            // SeqCst: prewarms carry the controller's epoch; the bump
+            // joins the same total order as drain/resume so a later STATS
+            // echo can never regress.
+            shared.epoch.fetch_max(epoch, Ordering::SeqCst);
+            let (spec, volume, scene, config, priority) = request.to_parts()?;
+            let job = PrewarmJob {
+                conn: token,
+                request_id,
+                request: SceneRequest {
+                    spec,
+                    volume,
+                    scene,
+                    config,
+                    priority,
+                },
+            };
+            let tx = shared
+                .prewarm_tx
+                .lock()
+                .expect("prewarm sender poisoned")
+                .clone();
+            // The worker answers PREWARMED when the plan is built; with
+            // the worker gone (shutdown racing in) answer built=false so
+            // the peer never hangs.
+            if tx.map(|tx| tx.send(job).is_ok()) != Some(true) {
+                let cold = Prewarmed {
+                    shard: 0,
+                    built: false,
+                };
+                conn.send(frame_bytes(opcode::PREWARMED, request_id, &encode(&cold)));
+            }
+        }
+        other => {
+            // A peer dispatching unknown requests is not speaking this
+            // protocol: reply typed, then close.
+            conn.closing = true;
+            return Err(WireError::UnknownOpcode(other));
+        }
+    }
+    Ok(())
+}
+
+/// The server door for `RENDER`/`SUBMIT`: reject duplicate request ids,
+/// bound the session's outstanding requests, decode, validate, then
+/// rate-limit. `Err` is the caller's `BAD_REQUEST`; `Ok(None)` means a
+/// typed refusal (`TICKETS_FULL`, `THROTTLED`) is already queued; the
+/// request comes back only once it is clear to submit.
 fn admit(
     shared: &Shared,
     conn: &mut Conn,
-    _token: u64,
     request_id: u64,
     payload: &[u8],
-) -> Option<SceneRequest> {
+) -> Result<Option<SceneRequest>, WireError> {
     // Multiplexing invariant first: an id may name only one outstanding
     // request at a time, or replies would be unattributable.
     if conn.id_in_use(request_id) {
-        let err = WireError::Malformed(format!("duplicate request id {request_id}"));
-        bad_request(conn, request_id, &err);
-        return None;
+        return Err(WireError::Malformed(format!(
+            "duplicate request id {request_id}"
+        )));
     }
     // Bound outstanding state BEFORE admitting: every in-flight render or
     // parked ticket eventually pins a rendered frame, so a client that
     // never consumes replies must not grow server memory without limit.
     if conn.outstanding() >= shared.config.max_tickets_per_session {
+        let full = TicketsFull {
+            outstanding: conn.outstanding() as u64,
+            limit: shared.config.max_tickets_per_session as u64,
+        };
         conn.send(frame_bytes(
             opcode::TICKETS_FULL,
             request_id,
-            &wire::encode_tickets_full(
-                conn.outstanding() as u64,
-                shared.config.max_tickets_per_session as u64,
-            ),
+            &encode(&full),
         ));
-        return None;
+        return Ok(None);
     }
-    let request = match decode_request(payload) {
-        Ok(request) => request,
-        Err(err) => {
-            bad_request(conn, request_id, &err);
-            return None;
-        }
-    };
     // Validate fully BEFORE spending a rate-limit token: a malformed
     // request never renders, so it must not burn the session's budget.
-    let (spec, volume, scene, config, priority) = match request.to_parts() {
-        Ok(parts) => parts,
-        Err(err) => {
-            bad_request(conn, request_id, &err);
-            return None;
-        }
-    };
+    let (spec, volume, scene, config, priority) = decode::<NetSceneRequest>(payload)?.to_parts()?;
     if let Some(bucket) = &mut conn.bucket {
         if let Err(retry_after) = bucket.try_take() {
             shared.throttled.inc();
             conn.send(frame_bytes(
                 opcode::THROTTLED,
                 request_id,
-                &encode_throttled(retry_after),
+                &encode(&retry_after),
             ));
-            return None;
+            return Ok(None);
         }
     }
-    Some(SceneRequest {
+    Ok(Some(SceneRequest {
         spec,
         volume,
         scene,
         config,
         priority,
-    })
+    }))
 }
 
 /// Redeem a completed render into a `FRAME` or `FAILED` reply frame.
@@ -1364,17 +1336,12 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> Vec<u8> {
                 &encode_frame(&frame.image, frame.from_cache, sim_nanos),
             )
         }
-        Err(err) => frame_bytes(opcode::FAILED, request_id, &encode_message(err.message())),
+        Err(err) => frame_bytes(
+            opcode::FAILED,
+            request_id,
+            &encode(&err.message().to_string()),
+        ),
     }
-}
-
-/// Echo a payload-level error; the connection survives.
-fn bad_request(conn: &mut Conn, request_id: u64, err: &WireError) {
-    conn.send(frame_bytes(
-        opcode::BAD_REQUEST,
-        request_id,
-        &encode_message(&err.to_string()),
-    ));
 }
 
 #[cfg(test)]

@@ -1,8 +1,33 @@
-//! The wire format: a versioned, length-prefixed binary framing plus the
-//! encode/decode of every request and response payload. Hand-rolled over
-//! `std` only — the build environment has no registry access, and the
-//! format is small enough that explicit little-endian field writes are
-//! clearer than a serializer anyway.
+//! The wire format: a versioned, length-prefixed binary framing plus one
+//! codec for every request and response payload, over `std` only.
+//!
+//! ## The codec
+//!
+//! Every type that crosses the socket implements [`Wire`]: `put` appends
+//! its bytes to a [`Writer`], `get` reads them back off a [`Reader`], and
+//! `MIN_BYTES` bounds any encoding's size from below. [`encode`] and
+//! [`decode`] are the only entry points — `decode` is `get` followed by
+//! [`Reader::finish`]. A plain struct's field list is written once
+//! (`wire_struct!`) and serves both directions, so the two ends of a
+//! connection cannot drift apart field by field. Every implementation
+//! keeps the same four-clause contract, which one generic test
+//! (`wire_contract`) checks over a sample of every type and as a proptest:
+//!
+//! 1. **Round trip.** `decode(encode(v))` succeeds and re-encodes to the
+//!    same bytes (compared as bytes, so NaN payloads count).
+//! 2. **Truncation.** Every strict prefix of an encoding is a typed
+//!    [`WireError::Truncated`]; a length prefix is checked against the
+//!    bytes that remain ([`Reader::count`]) *before* anything is allocated.
+//! 3. **No trailing bytes.** An encoding with one byte appended is
+//!    [`WireError::TrailingBytes`].
+//! 4. **Canonical.** Bytes that decode at all re-encode to exactly
+//!    themselves: tags, bools, pads, UTF-8 and name order are all checked,
+//!    so a corrupted payload either fails typed or *is* the one encoding
+//!    of the value it decodes to.
+//!
+//! The bulk pixel path ([`encode_frame`] / [`decode_frame`]) is the one
+//! payload outside the trait: its size is implied by the image dimensions,
+//! and it verifies those against the payload before allocating.
 //!
 //! ## Framing (v3)
 //!
@@ -31,8 +56,9 @@
 //! the socket.
 //!
 //! Every decode error is a typed [`WireError`]; malformed and truncated
-//! input can never panic the peer (a property test drives arbitrary
-//! corruption through [`decode_request`]/[`read_frame`]).
+//! input can never panic the peer (`mgpu-lint`'s `panic-free-decode` scans
+//! every `Wire::get`, every [`Reader`] method, [`parse_header`] and
+//! [`read_frame`] for anything that could).
 //!
 //! ### Migration from v2
 //!
@@ -41,9 +67,8 @@
 //! with a typed [`WireError::UnsupportedVersion`]. The server goes one step
 //! further: a request frame carrying any version other than [`VERSION`] is
 //! answered with a typed [`opcode::UNSUPPORTED_VERSION`] reply (payload:
-//! `got`, `want` as u16s, see [`encode_unsupported_version`]) before the
-//! connection closes cleanly — a v2 client sees an orderly refusal instead
-//! of a silent disconnect.
+//! [`UnsupportedVersion`]) before the connection closes cleanly — a v2
+//! client sees an orderly refusal instead of a silent disconnect.
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -124,8 +149,8 @@ pub mod opcode {
     /// speak; payload is `(got, want)` and the connection closes after the
     /// reply flushes. New in v3 — the migration path for v2 clients.
     pub const UNSUPPORTED_VERSION: u8 = 0x89;
-    /// Reply to [`TRACES`]: the newest completed traces, newest first (see
-    /// [`crate::wire::encode_traces`]).
+    /// Reply to [`TRACES`]: the newest completed traces, newest first (a
+    /// `Vec` of [`mgpu_obs::CompletedTrace`]).
     pub const TRACES_REPLY: u8 = 0x8A;
     /// Reply to [`DRAIN`] / [`RESUME`]: whether the server is draining,
     /// how many requests it still owes (in-flight renders + un-redeemed
@@ -275,33 +300,51 @@ impl Writer {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// A `u32` count, then each item.
+    pub fn seq<T: Wire>(&mut self, items: &[T]) {
+        self.u32(items.len() as u32);
+        for item in items {
+            item.put(self);
+        }
+    }
 }
 
 /// Cursor over a received payload; every read is bounds-checked into a
 /// typed [`WireError`].
 #[derive(Debug)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let have = self.buf.len() - self.pos;
-        if have < n {
-            return Err(WireError::Truncated { needed: n, have });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        let have = self.rest.len();
+        let (head, tail) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(WireError::Truncated { needed: n, have })?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let have = self.rest.len();
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated { needed: N, have })?;
+        self.rest = tail;
+        Ok(*head)
     }
 
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     pub fn bool(&mut self) -> Result<bool, WireError> {
@@ -313,15 +356,15 @@ impl<'a> Reader<'a> {
     }
 
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn f32(&mut self) -> Result<f32, WireError> {
@@ -338,7 +381,7 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self, bytes_per_item: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         let needed = n.saturating_mul(bytes_per_item.max(1));
-        let have = self.buf.len() - self.pos;
+        let have = self.rest.len();
         if needed > have {
             return Err(WireError::Truncated { needed, have });
         }
@@ -352,23 +395,230 @@ impl<'a> Reader<'a> {
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
     }
 
-    /// Everything not yet consumed — for envelope decoders that hand the
-    /// tail to an inner decoder (`decode_prewarm` → `decode_request`).
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
+    /// A `u32` count, then that many items; the count is checked against
+    /// the remaining bytes ([`Reader::count`]) before the vector is sized.
+    pub fn seq<T: Wire>(&mut self) -> Result<Vec<T>, WireError> {
+        let n = self.count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(self)?);
+        }
+        Ok(items)
     }
 
-    /// Assert the payload is fully consumed (decoders call this last, so a
-    /// frame with junk glued on fails instead of silently parsing).
+    /// Assert the payload is fully consumed ([`decode`] calls this last, so
+    /// a frame with junk glued on fails instead of silently parsing).
     pub fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes {
-                extra: self.buf.len() - self.pos,
-            })
+        match self.rest.len() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------------
+
+/// One type's wire form, written once for both directions. See the module
+/// docs for the four-clause contract every implementation keeps.
+pub trait Wire: Sized {
+    /// A lower bound on the bytes any encoding of `Self` occupies: what
+    /// [`Reader::count`] multiplies a received length prefix by, so a
+    /// hostile count is refused before `Vec<Self>` is sized for it.
+    const MIN_BYTES: usize;
+
+    fn put(&self, w: &mut Writer);
+
+    fn get(r: &mut Reader) -> Result<Self, WireError>;
+}
+
+/// Encode one payload.
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decode one payload; consumes the whole payload.
+pub fn decode<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader::new(payload);
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// `impl Wire` for the types [`Writer`] and [`Reader`] have a method for.
+/// (`#[inline]` here and in the two macros below: these bodies are not
+/// generic, so without the hint a request's field-by-field calls are not
+/// flattened across codegen units the way one hand-written function was.)
+macro_rules! wire_primitive {
+    ($($ty:ty = $method:ident, $bytes:expr;)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = $bytes;
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                w.$method(*self)
+            }
+            #[inline]
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                r.$method()
+            }
+        }
+    )+};
+}
+
+wire_primitive! {
+    u8 = u8, 1;
+    bool = bool, 1;
+    u16 = u16, 2;
+    u32 = u32, 4;
+    u64 = u64, 8;
+    f32 = f32, 4;
+    f64 = f64, 8;
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.str(self)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+/// By bit pattern, as a `u64`.
+impl Wire for i64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok(r.u64()? as i64)
+    }
+}
+
+/// As a `u64`, so `usize::MAX` (the "unbounded" sentinel) survives between
+/// 64-bit hosts.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok(r.u64()? as usize)
+    }
+}
+
+/// Whole nanoseconds as a `u64`, saturating (584 years).
+impl Wire for Duration {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(u64::try_from(self.as_nanos()).unwrap_or(u64::MAX))
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok(Duration::from_nanos(r.u64()?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, w: &mut Writer) {
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.seq(self)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        r.seq()
+    }
+}
+
+/// `impl Wire` for a plain struct from one field list: the order written
+/// here *is* the wire order, in both directions. Given a whole `pub struct`
+/// it defines the struct too, so a payload type's fields are listed once.
+/// An optional `where` closure refuses decoded values that break an
+/// invariant.
+macro_rules! wire_struct {
+    ($ty:path { $($field:ident: $fty:ty),+ $(,)? } $(where $check:expr)?) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::wire::Wire>::MIN_BYTES)+;
+            #[inline]
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                $($crate::wire::Wire::put(&self.$field, w);)+
+            }
+            #[inline]
+            fn get(r: &mut $crate::wire::Reader) -> Result<Self, $crate::wire::WireError> {
+                let value = Self { $($field: $crate::wire::Wire::get(r)?),+ };
+                $(($check)(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+    ($(#[$meta:meta])* pub struct $ty:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $fty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$fmeta])* pub $field: $fty),+
+        }
+        $crate::wire::wire_struct!($ty { $($field: $fty),+ });
+    };
+}
+pub(crate) use wire_struct;
+
+/// `impl Wire` for an enum that travels as a one-byte tag followed by the
+/// chosen variant's fields, in the order listed. `MIN_BYTES` is the tag's
+/// alone: a lower bound is all [`Reader::count`] needs.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),+ })?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                match self {$(
+                    $ty::$variant $({ $($field),+ })? => {
+                        w.u8($tag);
+                        $($($field.put(w);)+)?
+                    }
+                )+}
+            }
+            #[inline]
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                match r.u8()? {
+                    $($tag => Ok($ty::$variant $({ $($field: Wire::get(r)?),+ })?),)+
+                    other => Err(WireError::Malformed(format!(concat!($what, " tag {}"), other))),
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -405,19 +655,20 @@ pub fn parse_header(
     header: &[u8; HEADER_BYTES],
     max_payload: u64,
 ) -> Result<(u8, usize), WireError> {
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let mut r = Reader::new(header);
+    let magic = r.u32()?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = r.u16()?;
     if version != VERSION {
         return Err(WireError::UnsupportedVersion {
             got: version,
             want: VERSION,
         });
     }
-    let opcode = header[6];
-    let len = u32::from_le_bytes(header[7..11].try_into().unwrap()) as u64;
+    let opcode = r.u8()?;
+    let len = r.u32()? as u64;
     if len > max_payload {
         return Err(WireError::TooLarge {
             len,
@@ -464,6 +715,11 @@ pub enum VolumeSpec {
 /// `f32`) stays comfortably under [`DEFAULT_MAX_PAYLOAD`] with the rest of
 /// the request around it.
 pub const MAX_SHIPPED_VOXELS: u64 = 8 << 20;
+
+/// Finest ray-march step a request may ask for, in voxels. Samples per ray
+/// grow as `1 / step`, so without a floor one well-formed request could pin
+/// a render worker for hours; the repo itself only ever marches at 1.0.
+pub const MIN_STEP_VOXELS: f32 = 1.0 / 16.0;
 
 impl VolumeSpec {
     /// Describe an in-process [`Volume`] for the wire: a named procedural
@@ -609,21 +865,23 @@ impl CameraSpec {
     }
 }
 
-/// A self-contained frame request as it travels over the wire: enough to
-/// reconstruct the exact `(ClusterSpec, Volume, Scene, RenderConfig)` of a
-/// direct [`mgpu_volren::renderer::render`] call on the server — by
-/// construction, the served pixels are bit-identical to a local render.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetSceneRequest {
-    /// GPUs of the modeled accelerator cluster.
-    pub gpus: u32,
-    pub gpus_per_node: u32,
-    pub volume: VolumeSpec,
-    pub camera: CameraSpec,
-    pub transfer: TransferSpec,
-    pub background: [f32; 4],
-    pub config: RenderConfig,
-    pub priority: Priority,
+wire_struct! {
+    /// A self-contained frame request as it travels over the wire: enough to
+    /// reconstruct the exact `(ClusterSpec, Volume, Scene, RenderConfig)` of a
+    /// direct [`mgpu_volren::renderer::render`] call on the server — by
+    /// construction, the served pixels are bit-identical to a local render.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NetSceneRequest {
+        /// GPUs of the modeled accelerator cluster.
+        pub gpus: u32,
+        pub gpus_per_node: u32,
+        pub volume: VolumeSpec,
+        pub camera: CameraSpec,
+        pub transfer: TransferSpec,
+        pub background: [f32; 4],
+        pub config: RenderConfig,
+        pub priority: Priority,
+    }
 }
 
 impl NetSceneRequest {
@@ -719,6 +977,12 @@ impl NetSceneRequest {
                 self.gpus, self.gpus_per_node
             )));
         }
+        let step = self.config.step_voxels;
+        if !step.is_finite() || step < MIN_STEP_VOXELS {
+            return Err(WireError::Malformed(format!(
+                "ray-march step of {step} voxels (must be finite and at least {MIN_STEP_VOXELS})"
+            )));
+        }
         let spec =
             ClusterSpec::accelerator_cluster(self.gpus).with_gpus_per_node(self.gpus_per_node);
         let volume = self.volume.to_volume()?;
@@ -733,480 +997,232 @@ impl NetSceneRequest {
 }
 
 // ---------------------------------------------------------------------------
-// Payload encodings
+// The request's parts on the wire
 // ---------------------------------------------------------------------------
 
-fn put_priority(w: &mut Writer, p: Priority) {
-    w.u8(p.index() as u8);
-}
+wire_enum!(Priority, "priority" { 0 => Batch, 1 => Normal, 2 => Interactive });
+wire_enum!(Residency, "residency" { 0 => Auto, 1 => HostResident, 2 => Disk });
+wire_enum!(Compositor, "compositor" { 0 => DirectSend, 1 => BinarySwap });
 
-fn get_priority(r: &mut Reader) -> Result<Priority, WireError> {
-    match r.u8()? {
-        0 => Ok(Priority::Batch),
-        1 => Ok(Priority::Normal),
-        2 => Ok(Priority::Interactive),
-        other => Err(WireError::Malformed(format!("priority tag {other}"))),
+/// A tag and one `u32` parameter. `RoundRobin` has no parameter and carries
+/// a zero pad; any other pad is refused, so the encoding stays canonical.
+impl Wire for PartitionStrategy {
+    const MIN_BYTES: usize = 1 + 4;
+    fn put(&self, w: &mut Writer) {
+        let (tag, param): (u8, u32) = match *self {
+            PartitionStrategy::RoundRobin => (0, 0),
+            PartitionStrategy::Striped { rows_per_stripe } => (1, rows_per_stripe),
+            PartitionStrategy::Tiled { tile } => (2, tile),
+            PartitionStrategy::Checkerboard { cell } => (3, cell),
+        };
+        (tag, param).put(w)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        match <(u8, u32)>::get(r)? {
+            (0, 0) => Ok(PartitionStrategy::RoundRobin),
+            (0, pad) => Err(WireError::Malformed(format!("partition pad {pad}"))),
+            (1, rows_per_stripe) => Ok(PartitionStrategy::Striped { rows_per_stripe }),
+            (2, tile) => Ok(PartitionStrategy::Tiled { tile }),
+            (3, cell) => Ok(PartitionStrategy::Checkerboard { cell }),
+            (other, _) => Err(WireError::Malformed(format!("partition tag {other}"))),
+        }
     }
 }
 
-fn put_config(w: &mut Writer, cfg: &RenderConfig) {
-    w.u32(cfg.image.0);
-    w.u32(cfg.image.1);
-    w.f32(cfg.step_voxels);
-    w.f32(cfg.early_term);
-    w.u32(cfg.bricks_per_gpu);
-    w.u64(cfg.max_brick_voxels);
-    w.u8(match cfg.residency {
-        Residency::Auto => 0,
-        Residency::HostResident => 1,
-        Residency::Disk => 2,
-    });
-    w.u64(cfg.host_cache_bytes);
-    w.u64(cfg.batch_bytes as u64);
-    match cfg.partition {
-        PartitionStrategy::RoundRobin => {
-            w.u8(0);
-            w.u32(0);
-        }
-        PartitionStrategy::Striped { rows_per_stripe } => {
-            w.u8(1);
-            w.u32(rows_per_stripe);
-        }
-        PartitionStrategy::Tiled { tile } => {
-            w.u8(2);
-            w.u32(tile);
-        }
-        PartitionStrategy::Checkerboard { cell } => {
-            w.u8(3);
-            w.u32(cell);
+/// Same shape as [`PartitionStrategy`]: tag, then a `u32` that only
+/// `Strided` uses and that must be zero otherwise.
+impl Wire for Assignment {
+    const MIN_BYTES: usize = 1 + 4;
+    fn put(&self, w: &mut Writer) {
+        let (tag, param): (u8, u32) = match *self {
+            Assignment::RoundRobin => (0, 0),
+            Assignment::Blocked => (1, 0),
+            Assignment::Strided { stride } => (2, stride),
+        };
+        (tag, param).put(w)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        match <(u8, u32)>::get(r)? {
+            (0, 0) => Ok(Assignment::RoundRobin),
+            (1, 0) => Ok(Assignment::Blocked),
+            (0 | 1, pad) => Err(WireError::Malformed(format!("assignment pad {pad}"))),
+            (2, stride) => Ok(Assignment::Strided { stride }),
+            (other, _) => Err(WireError::Malformed(format!("assignment tag {other}"))),
         }
     }
-    w.u8(match cfg.compositor {
-        Compositor::DirectSend => 0,
-        Compositor::BinarySwap => 1,
-    });
-    match cfg.assignment {
-        Assignment::RoundRobin => {
-            w.u8(0);
-            w.u32(0);
-        }
-        Assignment::Blocked => {
-            w.u8(1);
-            w.u32(0);
-        }
-        Assignment::Strided { stride } => {
-            w.u8(2);
-            w.u32(stride);
-        }
-    }
-    w.bool(cfg.combiner);
-    w.bool(cfg.trace.async_upload);
-    w.bool(cfg.trace.reduce_on_gpu);
-    w.u64(cfg.kernel_parallelism as u64);
 }
 
-fn get_config(r: &mut Reader) -> Result<RenderConfig, WireError> {
-    let image = (r.u32()?, r.u32()?);
-    let step_voxels = r.f32()?;
-    let early_term = r.f32()?;
-    let bricks_per_gpu = r.u32()?;
-    let max_brick_voxels = r.u64()?;
-    let residency = match r.u8()? {
-        0 => Residency::Auto,
-        1 => Residency::HostResident,
-        2 => Residency::Disk,
-        other => return Err(WireError::Malformed(format!("residency tag {other}"))),
-    };
-    let host_cache_bytes = r.u64()?;
-    let batch_bytes = r.u64()? as usize;
-    let (ptag, pparam) = (r.u8()?, r.u32()?);
-    let partition = match ptag {
-        0 => PartitionStrategy::RoundRobin,
-        1 => PartitionStrategy::Striped {
-            rows_per_stripe: pparam,
-        },
-        2 => PartitionStrategy::Tiled { tile: pparam },
-        3 => PartitionStrategy::Checkerboard { cell: pparam },
-        other => return Err(WireError::Malformed(format!("partition tag {other}"))),
-    };
-    let compositor = match r.u8()? {
-        0 => Compositor::DirectSend,
-        1 => Compositor::BinarySwap,
-        other => return Err(WireError::Malformed(format!("compositor tag {other}"))),
-    };
-    let (atag, aparam) = (r.u8()?, r.u32()?);
-    let assignment = match atag {
-        0 => Assignment::RoundRobin,
-        1 => Assignment::Blocked,
-        2 => Assignment::Strided { stride: aparam },
-        other => return Err(WireError::Malformed(format!("assignment tag {other}"))),
-    };
-    let combiner = r.bool()?;
-    let trace = TraceOptions {
-        async_upload: r.bool()?,
-        reduce_on_gpu: r.bool()?,
-    };
-    let kernel_parallelism = r.u64()? as usize;
-    Ok(RenderConfig {
-        image,
-        step_voxels,
-        early_term,
-        bricks_per_gpu,
-        max_brick_voxels,
-        residency,
-        host_cache_bytes,
-        batch_bytes,
-        partition,
-        compositor,
-        assignment,
-        combiner,
-        trace,
-        kernel_parallelism,
-    })
+wire_struct!(TraceOptions {
+    async_upload: bool,
+    reduce_on_gpu: bool
+});
+
+wire_struct!(RenderConfig {
+    image: (u32, u32),
+    step_voxels: f32,
+    early_term: f32,
+    bricks_per_gpu: u32,
+    max_brick_voxels: u64,
+    residency: Residency,
+    host_cache_bytes: u64,
+    batch_bytes: usize,
+    partition: PartitionStrategy,
+    compositor: Compositor,
+    assignment: Assignment,
+    combiner: bool,
+    trace: TraceOptions,
+    kernel_parallelism: usize,
+});
+
+/// By name; the receiver must know the dataset.
+impl Wire for Dataset {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.str(self.name())
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let name = r.str()?;
+        Dataset::from_name(&name)
+            .ok_or_else(|| WireError::Malformed(format!("unknown dataset {name:?}")))
+    }
+}
+
+wire_enum!(VolumeSpec, "volume" {
+    0 => Dataset { dataset, base },
+    1 => InMemory { name, dims, voxels },
+});
+
+wire_enum!(CameraSpec, "camera" {
+    0 => Orbit { azimuth_deg, elevation_deg },
+    1 => Look { eye, forward, right, up, tan_half_fov },
+});
+
+wire_struct!(ControlPoint {
+    value: f32,
+    rgba: [f32; 4]
+});
+
+impl Wire for TransferSpec {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        match self {
+            TransferSpec::Preset(name) => {
+                w.u8(0);
+                w.str(name);
+            }
+            TransferSpec::Points(points) => {
+                w.u8(1);
+                w.seq(points);
+            }
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(TransferSpec::Preset(r.str()?)),
+            1 => Ok(TransferSpec::Points(r.seq()?)),
+            other => Err(WireError::Malformed(format!("transfer tag {other}"))),
+        }
+    }
 }
 
 /// Encode a render request payload (`RENDER` and `SUBMIT` share it).
 pub fn encode_request(req: &NetSceneRequest) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(req.gpus);
-    w.u32(req.gpus_per_node);
-    match &req.volume {
-        VolumeSpec::Dataset { dataset, base } => {
-            w.u8(0);
-            w.str(dataset.name());
-            w.u32(*base);
-        }
-        VolumeSpec::InMemory { name, dims, voxels } => {
-            w.u8(1);
-            w.str(name);
-            for d in dims {
-                w.u32(*d);
-            }
-            w.u32(voxels.len() as u32);
-            for v in voxels {
-                w.f32(*v);
-            }
-        }
-    }
-    match &req.camera {
-        CameraSpec::Orbit {
-            azimuth_deg,
-            elevation_deg,
-        } => {
-            w.u8(0);
-            w.f32(*azimuth_deg);
-            w.f32(*elevation_deg);
-        }
-        CameraSpec::Look {
-            eye,
-            forward,
-            right,
-            up,
-            tan_half_fov,
-        } => {
-            w.u8(1);
-            for axis in [eye, forward, right, up] {
-                for c in axis {
-                    w.f32(*c);
-                }
-            }
-            w.f32(*tan_half_fov);
-        }
-    }
-    match &req.transfer {
-        TransferSpec::Preset(name) => {
-            w.u8(0);
-            w.str(name);
-        }
-        TransferSpec::Points(points) => {
-            w.u8(1);
-            w.u32(points.len() as u32);
-            for p in points {
-                w.f32(p.value);
-                for c in p.rgba {
-                    w.f32(c);
-                }
-            }
-        }
-    }
-    for c in req.background {
-        w.f32(c);
-    }
-    put_config(&mut w, &req.config);
-    put_priority(&mut w, req.priority);
-    w.into_bytes()
+    encode(req)
 }
 
 /// Decode a render request payload; consumes the whole payload.
 pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
-    let mut r = Reader::new(payload);
-    let gpus = r.u32()?;
-    let gpus_per_node = r.u32()?;
-    let volume = match r.u8()? {
-        0 => {
-            let name = r.str()?;
-            let base = r.u32()?;
-            let dataset = Dataset::from_name(&name)
-                .ok_or_else(|| WireError::Malformed(format!("unknown dataset {name:?}")))?;
-            VolumeSpec::Dataset { dataset, base }
-        }
-        1 => {
-            let name = r.str()?;
-            let dims = [r.u32()?, r.u32()?, r.u32()?];
-            let n = r.count(4)?;
-            let mut voxels = Vec::with_capacity(n);
-            for _ in 0..n {
-                voxels.push(r.f32()?);
-            }
-            VolumeSpec::InMemory { name, dims, voxels }
-        }
-        other => return Err(WireError::Malformed(format!("volume tag {other}"))),
-    };
-    let camera = match r.u8()? {
-        0 => CameraSpec::Orbit {
-            azimuth_deg: r.f32()?,
-            elevation_deg: r.f32()?,
-        },
-        1 => {
-            let mut vec3 = || -> Result<[f32; 3], WireError> { Ok([r.f32()?, r.f32()?, r.f32()?]) };
-            CameraSpec::Look {
-                eye: vec3()?,
-                forward: vec3()?,
-                right: vec3()?,
-                up: vec3()?,
-                tan_half_fov: r.f32()?,
-            }
-        }
-        other => return Err(WireError::Malformed(format!("camera tag {other}"))),
-    };
-    let transfer = match r.u8()? {
-        0 => TransferSpec::Preset(r.str()?),
-        1 => {
-            let n = r.count(20)?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                let value = r.f32()?;
-                let rgba = [r.f32()?, r.f32()?, r.f32()?, r.f32()?];
-                points.push(ControlPoint { value, rgba });
-            }
-            TransferSpec::Points(points)
-        }
-        other => return Err(WireError::Malformed(format!("transfer tag {other}"))),
-    };
-    let background = [r.f32()?, r.f32()?, r.f32()?, r.f32()?];
-    let config = get_config(&mut r)?;
-    let priority = get_priority(&mut r)?;
-    r.finish()?;
-    Ok(NetSceneRequest {
-        gpus,
-        gpus_per_node,
-        volume,
-        camera,
-        transfer,
-        background,
-        config,
-        priority,
-    })
+    decode(payload)
 }
 
 // ---------------------------------------------------------------------------
-// Simple response payloads (frame/stats encodings live in `crate::heat`)
+// Reply payloads. A payload that is a single value travels as that value:
+// `u64` tokens, tickets and epochs, the `THROTTLED` `Duration`, `String`
+// messages, the `TRACES` `u32`. (`STATS_REPORT` lives in `crate::heat`.)
 // ---------------------------------------------------------------------------
 
-pub fn encode_ping(token: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(token);
-    w.into_bytes()
+wire_struct! {
+    /// `PONG`: the `PING`'s token echoed, and the server's shard count.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Pong {
+        pub token: u64,
+        pub shards: u32,
+    }
 }
 
-pub fn decode_ping(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let token = r.u64()?;
-    r.finish()?;
-    Ok(token)
+// `REJECTED`: the server's `AdmissionError`, intact.
+wire_struct!(AdmissionError {
+    priority: Priority,
+    queued: usize,
+    limit: usize
+});
+
+wire_struct! {
+    /// `TICKETS_FULL`: the session's outstanding-request count and its bound.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TicketsFull {
+        pub outstanding: u64,
+        pub limit: u64,
+    }
 }
 
-pub fn encode_pong(token: u64, shards: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(token);
-    w.u32(shards);
-    w.into_bytes()
+wire_struct! {
+    /// `UNSUPPORTED_VERSION`: the version the peer sent and the version
+    /// this build speaks — the typed refusal a v2 client receives before
+    /// the server closes the connection.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct UnsupportedVersion {
+        pub got: u16,
+        pub want: u16,
+    }
 }
 
-pub fn decode_pong(payload: &[u8]) -> Result<(u64, u32), WireError> {
-    let mut r = Reader::new(payload);
-    let token = r.u64()?;
-    let shards = r.u32()?;
-    r.finish()?;
-    Ok((token, shards))
+wire_struct! {
+    /// A draining server's answer to `DRAIN`/`RESUME`: its current mode,
+    /// how much it still owes, and the newest directory epoch it has been
+    /// told — what a drain controller polls until `outstanding` reaches
+    /// zero.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DrainState {
+        /// New `RENDER`/`SUBMIT`/`PREWARM` are being refused with `DRAINING`.
+        pub draining: bool,
+        /// In-flight renders + un-redeemed tickets + parked redeems, across
+        /// every session on the server. Zero while draining means the
+        /// server is about to say `GOODBYE`.
+        pub outstanding: u64,
+        /// Highest directory epoch any controller has announced to this
+        /// server (echoed in STATS too): a client whose directory is older
+        /// is stale.
+        pub epoch: u64,
+    }
 }
 
-pub fn encode_ticket(ticket: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(ticket);
-    w.into_bytes()
+wire_struct! {
+    /// `PREWARMED`: the owning shard, and whether a plan was newly built
+    /// (`false` = the cache was already warm). The `PREWARM` request itself
+    /// is `(u64, NetSceneRequest)`: the announcing controller's epoch, then
+    /// a full render request — a `BatchKey` alone cannot rebuild a plan.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Prewarmed {
+        pub shard: u32,
+        pub built: bool,
+    }
 }
 
-pub fn decode_ticket(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let ticket = r.u64()?;
-    r.finish()?;
-    Ok(ticket)
-}
-
-/// `REJECTED`: an [`AdmissionError`] crossing the socket intact.
-pub fn encode_rejected(err: &AdmissionError) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_priority(&mut w, err.priority);
-    w.u64(err.queued as u64);
-    w.u64(err.limit as u64);
-    w.into_bytes()
-}
-
-pub fn decode_rejected(payload: &[u8]) -> Result<AdmissionError, WireError> {
-    let mut r = Reader::new(payload);
-    let priority = get_priority(&mut r)?;
-    let queued = r.u64()? as usize;
-    let limit = r.u64()? as usize;
-    r.finish()?;
-    Ok(AdmissionError {
-        priority,
-        queued,
-        limit,
-    })
-}
-
-/// `TICKETS_FULL`: the session's un-redeemed ticket count and its bound.
-pub fn encode_tickets_full(outstanding: u64, limit: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(outstanding);
-    w.u64(limit);
-    w.into_bytes()
-}
-
-pub fn decode_tickets_full(payload: &[u8]) -> Result<(u64, u64), WireError> {
-    let mut r = Reader::new(payload);
-    let outstanding = r.u64()?;
-    let limit = r.u64()?;
-    r.finish()?;
-    Ok((outstanding, limit))
-}
-
-/// `UNSUPPORTED_VERSION`: the version the peer sent and the version this
-/// build speaks — the typed refusal a v2 client receives before the server
-/// closes the connection.
-pub fn encode_unsupported_version(got: u16, want: u16) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u16(got);
-    w.u16(want);
-    w.into_bytes()
-}
-
-pub fn decode_unsupported_version(payload: &[u8]) -> Result<(u16, u16), WireError> {
-    let mut r = Reader::new(payload);
-    let got = r.u16()?;
-    let want = r.u16()?;
-    r.finish()?;
-    Ok((got, want))
-}
-
-pub fn encode_throttled(retry_after: Duration) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(retry_after.as_nanos().min(u64::MAX as u128) as u64);
-    w.into_bytes()
-}
-
-pub fn decode_throttled(payload: &[u8]) -> Result<Duration, WireError> {
-    let mut r = Reader::new(payload);
-    let nanos = r.u64()?;
-    r.finish()?;
-    Ok(Duration::from_nanos(nanos))
-}
-
-/// A draining server's answer to `DRAIN`/`RESUME`: its current mode, how
-/// much it still owes, and the newest directory epoch it has been told —
-/// what a drain controller polls until `outstanding` reaches zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainState {
-    /// New `RENDER`/`SUBMIT`/`PREWARM` are being refused with `DRAINING`.
-    pub draining: bool,
-    /// In-flight renders + un-redeemed tickets + parked redeems, across
-    /// every session on the server. Zero while draining means the server
-    /// is about to say `GOODBYE`.
-    pub outstanding: u64,
-    /// Highest directory epoch any controller has announced to this
-    /// server (echoed in STATS too): a client whose directory is older is
-    /// stale.
-    pub epoch: u64,
-}
-
-/// `DRAIN` / `RESUME` / `DRAINING`: a bare directory epoch.
-pub fn encode_epoch(epoch: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(epoch);
-    w.into_bytes()
-}
-
-pub fn decode_epoch(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    r.finish()?;
-    Ok(epoch)
-}
-
-/// `DRAIN_STATE`: draining flag + outstanding count + epoch.
-pub fn encode_drain_state(state: DrainState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bool(state.draining);
-    w.u64(state.outstanding);
-    w.u64(state.epoch);
-    w.into_bytes()
-}
-
-pub fn decode_drain_state(payload: &[u8]) -> Result<DrainState, WireError> {
-    let mut r = Reader::new(payload);
-    let draining = r.bool()?;
-    let outstanding = r.u64()?;
-    let epoch = r.u64()?;
-    r.finish()?;
-    Ok(DrainState {
-        draining,
-        outstanding,
-        epoch,
-    })
-}
-
-/// `PREWARM`: the announcing controller's epoch, then a full render
-/// request (a `BatchKey` alone cannot rebuild a plan — the destination
-/// needs the spec, volume and config the key was derived from).
-pub fn encode_prewarm(epoch: u64, request: &NetSceneRequest) -> Vec<u8> {
-    let mut bytes = encode_epoch(epoch);
-    bytes.extend_from_slice(&encode_request(request));
-    bytes
-}
-
-pub fn decode_prewarm(payload: &[u8]) -> Result<(u64, NetSceneRequest), WireError> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    let request = decode_request(r.rest())?;
-    Ok((epoch, request))
-}
-
-/// `PREWARMED`: owning shard index + whether a plan was newly built.
-pub fn encode_prewarmed(shard: u32, built: bool) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(shard);
-    w.bool(built);
-    w.into_bytes()
-}
-
-pub fn decode_prewarmed(payload: &[u8]) -> Result<(u32, bool), WireError> {
-    let mut r = Reader::new(payload);
-    let shard = r.u32()?;
-    let built = r.bool()?;
-    r.finish()?;
-    Ok((shard, built))
-}
+// `TRACES_REPLY` is a `Vec<CompletedTrace>`, newest first: each trace is its
+// wire `request_id`-seeded id plus the named stage spans as nanosecond
+// offsets from the trace's start.
+wire_struct!(mgpu_obs::SpanRecord { name: String, start_ns: u64, end_ns: u64 }
+where |span: &mgpu_obs::SpanRecord| {
+    if span.end_ns < span.start_ns {
+        return Err(WireError::Malformed(format!(
+            "span {:?} ends ({}) before it starts ({})",
+            span.name, span.end_ns, span.start_ns
+        )));
+    }
+    Ok(())
+});
+wire_struct!(mgpu_obs::CompletedTrace { id: u64, spans: Vec<mgpu_obs::SpanRecord> });
 
 /// A rendered frame as delivered across the socket: the exact image a
 /// direct render would produce (floats travel by bit pattern), plus the
@@ -1270,103 +1286,83 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
     })
 }
 
-pub fn encode_message(message: &str) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.str(message);
-    w.into_bytes()
-}
-
-pub fn decode_message(payload: &[u8]) -> Result<String, WireError> {
-    let mut r = Reader::new(payload);
-    let message = r.str()?;
-    r.finish()?;
-    Ok(message)
-}
-
-// ---------------------------------------------------------------------------
-// Trace payloads (`TRACES` / `TRACES_REPLY`)
-// ---------------------------------------------------------------------------
-
-/// `TRACES`: ask for the server's newest `max` completed request traces.
-pub fn encode_traces_request(max: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(max);
-    w.into_bytes()
-}
-
-pub fn decode_traces_request(payload: &[u8]) -> Result<u32, WireError> {
-    let mut r = Reader::new(payload);
-    let max = r.u32()?;
-    r.finish()?;
-    Ok(max)
-}
-
-/// `TRACES_REPLY`: the completed traces, newest first. Each trace is its
-/// wire `request_id`-seeded trace id plus the named stage spans as
-/// nanosecond offsets from the trace's start.
-pub fn encode_traces(traces: &[mgpu_obs::CompletedTrace]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(traces.len() as u32);
-    for trace in traces {
-        w.u64(trace.id);
-        w.u32(trace.spans.len() as u32);
-        for span in &trace.spans {
-            w.str(&span.name);
-            w.u64(span.start_ns);
-            w.u64(span.end_ns);
-        }
-    }
-    w.into_bytes()
-}
-
-pub fn decode_traces(payload: &[u8]) -> Result<Vec<mgpu_obs::CompletedTrace>, WireError> {
-    let mut r = Reader::new(payload);
-    // A trace is at least an id and a span count; a span at least a name
-    // length and two offsets.
-    let count = r.count(8 + 4)?;
-    let mut traces = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = r.u64()?;
-        let spans_len = r.count(4 + 8 + 8)?;
-        let mut spans = Vec::with_capacity(spans_len);
-        for _ in 0..spans_len {
-            let name = r.str()?;
-            let start_ns = r.u64()?;
-            let end_ns = r.u64()?;
-            if end_ns < start_ns {
-                return Err(WireError::Malformed(format!(
-                    "span {name:?} ends ({end_ns}) before it starts ({start_ns})"
-                )));
-            }
-            spans.push(mgpu_obs::SpanRecord {
-                name,
-                start_ns,
-                end_ns,
-            });
-        }
-        traces.push(mgpu_obs::CompletedTrace { id, spans });
-    }
-    r.finish()?;
-    Ok(traces)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::heat::NetStats;
+    use mgpu_obs::{CompletedTrace, Snapshot, SpanRecord, HIST_BUCKETS};
+    use proptest::prelude::*;
 
-    fn roundtrip_request(req: &NetSceneRequest) -> NetSceneRequest {
-        decode_request(&encode_request(req)).expect("round-trip")
+    /// `bytes` as hex, against the named line of `tests/golden_v5.txt`: what
+    /// the hand-paired encoders this codec replaced produced for the same
+    /// value at the parent commit. This is what holds [`VERSION`] at 5.
+    pub(crate) fn assert_golden(name: &str, bytes: &[u8]) {
+        let golden = include_str!("../tests/golden_v5.txt")
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no golden bytes named {name}"));
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "{name} left its golden bytes");
+    }
+
+    /// The four-clause [`Wire`] contract of the module docs, for one value.
+    pub(crate) fn wire_contract<T: Wire + std::fmt::Debug>(value: &T) {
+        let bytes = encode(value);
+        // 1. Round trip, compared by bytes so NaN payloads count.
+        let back = decode::<T>(&bytes).unwrap_or_else(|e| panic!("{value:?}: {e}"));
+        assert_eq!(encode(&back), bytes, "{value:?} came back as {back:?}");
+        // 2. Every strict prefix is a typed truncation.
+        for cut in 0..bytes.len() {
+            let short = decode::<T>(&bytes[..cut]);
+            assert!(
+                matches!(short, Err(WireError::Truncated { .. })),
+                "{cut}-byte prefix of {value:?}: {short:?}"
+            );
+        }
+        // 3. One appended byte is refused.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        let extra = decode::<T>(&longer).err();
+        assert_eq!(
+            extra,
+            Some(WireError::TrailingBytes { extra: 1 }),
+            "{value:?}"
+        );
+        // 4. Canonical: a flipped bit fails typed, or decodes to the value
+        //    whose one encoding is exactly the flipped bytes.
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bent = bytes.clone();
+                bent[at] ^= 1 << bit;
+                if let Ok(other) = decode::<T>(&bent) {
+                    let again = encode(&other);
+                    assert_eq!(
+                        again, bent,
+                        "byte {at} bit {bit} of {value:?} gave {other:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pin `value` to its golden bytes, then hold it to the contract
+    /// (which also decodes those bytes back).
+    pub(crate) fn pin<T: Wire + std::fmt::Debug>(name: &str, value: T) {
+        assert_golden(name, &encode(&value));
+        wire_contract(&value);
     }
 
     fn sample_request() -> NetSceneRequest {
         NetSceneRequest::orbit_dataset(Dataset::Skull, 16, 2, 33.0, 20.0, &TransferFunction::bone())
             .with_config(RenderConfig::test_size(24))
+            .with_priority(Priority::Batch)
     }
 
     #[test]
     fn request_roundtrips_field_for_field() {
         let req = sample_request();
-        let back = roundtrip_request(&req);
+        pin("request_plain", req.clone());
+        let back = decode_request(&encode_request(&req)).expect("round-trip");
         assert_eq!(back, req);
         // The canonical identity the service uses is the Debug encoding of
         // the reconstructed parts — they must match exactly.
@@ -1379,13 +1375,22 @@ mod tests {
         assert_eq!(priority, priority2);
     }
 
+    /// With [`sample_request`], every arm of every enum a request carries.
     #[test]
     fn request_roundtrips_every_enum_arm() {
         let mut req = sample_request();
+        req.gpus_per_node = 2;
         req.volume = VolumeSpec::InMemory {
             name: "twin".into(),
-            dims: [2, 2, 2],
-            voxels: vec![0.25; 8],
+            dims: [2, 1, 1],
+            voxels: vec![0.25, f32::NAN],
+        };
+        req.camera = CameraSpec::Look {
+            eye: [9.0, -3.0, 4.5],
+            forward: [0.0, 0.6, -0.8],
+            right: [1.0, 0.0, 0.0],
+            up: [0.0, 0.8, 0.6],
+            tan_half_fov: 0.3,
         };
         req.transfer = TransferSpec::Points(vec![
             ControlPoint {
@@ -1397,20 +1402,51 @@ mod tests {
                 rgba: [1.0, 0.5, 0.25, 1.0],
             },
         ]);
-        req.priority = Priority::Interactive;
         req.background = [0.1, 0.2, 0.3, 0.4];
-        req.config.residency = Residency::Disk;
-        req.config.partition = PartitionStrategy::Tiled { tile: 32 };
+        req.priority = Priority::Normal;
+        req.config.residency = Residency::HostResident;
+        req.config.partition = PartitionStrategy::Striped { rows_per_stripe: 3 };
         req.config.compositor = Compositor::BinarySwap;
         req.config.assignment = Assignment::Blocked;
         req.config.combiner = true;
         req.config.trace.async_upload = true;
-        assert_eq!(roundtrip_request(&req), req);
+        req.config.kernel_parallelism = 3;
+        pin("request_shipped", req);
 
+        let mut req = sample_request();
+        req.priority = Priority::Interactive;
+        req.config.residency = Residency::Disk;
+        req.config.partition = PartitionStrategy::Tiled { tile: 32 };
+        req.config.assignment = Assignment::Strided { stride: 5 };
+        req.config.trace.reduce_on_gpu = true;
+        pin("request_tiled", req);
+
+        let mut req = sample_request();
         req.config.partition = PartitionStrategy::Checkerboard { cell: 8 };
-        req.config.residency = Residency::HostResident;
-        req.priority = Priority::Batch;
-        assert_eq!(roundtrip_request(&req), req);
+        pin("request_checkerboard", req);
+    }
+
+    /// Regression: the `u32` after a parameterless `RoundRobin` partition
+    /// (offset 102 of the sample) or `RoundRobin`/`Blocked` assignment
+    /// (offset 108) is a pad, and used to decode whatever it held — so two
+    /// byte strings named one request.
+    #[test]
+    fn a_set_bit_in_an_unused_pad_is_malformed() {
+        let mut blocked = sample_request();
+        blocked.config.assignment = Assignment::Blocked;
+        for (req, at) in [
+            (sample_request(), 102),
+            (sample_request(), 108),
+            (blocked, 108),
+        ] {
+            let mut bytes = encode_request(&req);
+            bytes[at] ^= 1;
+            let bent = decode_request(&bytes);
+            assert!(
+                matches!(bent, Err(WireError::Malformed(_))),
+                "{at}: {bent:?}"
+            );
+        }
     }
 
     #[test]
@@ -1433,36 +1469,14 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_of_a_valid_payload_is_a_typed_error() {
-        let bytes = encode_request(&sample_request());
-        for cut in 0..bytes.len() {
-            match decode_request(&bytes[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
-                Ok(_) => panic!("prefix of {cut} bytes decoded successfully"),
-                Err(other) => panic!("prefix of {cut} bytes: unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_request(&sample_request());
-        bytes.push(0xAB);
-        assert_eq!(
-            decode_request(&bytes),
-            Err(WireError::TrailingBytes { extra: 1 })
-        );
-    }
-
-    #[test]
     fn header_validation() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::PING, 42, &encode_ping(7)).unwrap();
-        assert_eq!(buf, frame_bytes(opcode::PING, 42, &encode_ping(7)));
+        write_frame(&mut buf, opcode::PING, 42, &encode(&7u64)).unwrap();
+        assert_eq!(buf, frame_bytes(opcode::PING, 42, &encode(&7u64)));
         let (op, id, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
         assert_eq!(op, opcode::PING);
         assert_eq!(id, 42);
-        assert_eq!(decode_ping(&payload), Ok(7));
+        assert_eq!(decode::<u64>(&payload), Ok(7));
 
         let mut bad = buf.clone();
         bad[0] ^= 0xFF;
@@ -1515,137 +1529,109 @@ mod tests {
 
     #[test]
     fn unsupported_version_payload_roundtrips() {
-        assert_eq!(
-            decode_unsupported_version(&encode_unsupported_version(2, VERSION)),
-            Ok((2, VERSION))
+        pin(
+            "unsupported_version",
+            UnsupportedVersion { got: 2, want: 5 },
         );
-        assert_eq!(
-            decode_unsupported_version(&encode_unsupported_version(0xEEEE, VERSION)),
-            Ok((0xEEEE, VERSION))
-        );
-        // Truncated and oversized payloads are typed errors.
-        assert!(matches!(
-            decode_unsupported_version(&[1]),
-            Err(WireError::Truncated { .. })
-        ));
-        assert!(matches!(
-            decode_unsupported_version(&[0, 0, 0, 0, 9]),
-            Err(WireError::TrailingBytes { extra: 1 })
-        ));
+        wire_contract(&UnsupportedVersion {
+            got: 0xEEEE,
+            want: VERSION,
+        });
     }
 
     #[test]
     fn error_payloads_roundtrip() {
-        let admission = AdmissionError {
-            priority: Priority::Batch,
-            queued: 9,
-            limit: 8,
-        };
-        assert_eq!(decode_rejected(&encode_rejected(&admission)), Ok(admission));
-        assert_eq!(
-            decode_throttled(&encode_throttled(Duration::from_millis(125))),
-            Ok(Duration::from_millis(125))
-        );
-        assert_eq!(
-            decode_message(&encode_message("render panicked: poison")),
-            Ok("render panicked: poison".to_string())
-        );
         // usize::MAX (the unbounded sentinel) survives the u64 crossing on
         // 64-bit hosts.
         let unbounded = AdmissionError {
             priority: Priority::Interactive,
-            queued: 3,
+            queued: 9,
             limit: usize::MAX,
         };
-        assert_eq!(decode_rejected(&encode_rejected(&unbounded)), Ok(unbounded));
+        pin("rejected", unbounded);
+        pin("throttled", Duration::from_millis(125));
+        wire_contract(&Duration::MAX); // saturates, and still round-trips
+        pin("message", "render panicked: poison".to_string());
+        let full = TicketsFull {
+            outstanding: 64,
+            limit: 64,
+        };
+        pin("tickets_full", full);
     }
 
     #[test]
     fn drain_control_payloads_roundtrip() {
-        for epoch in [0u64, 1, 7, u64::MAX] {
-            assert_eq!(decode_epoch(&encode_epoch(epoch)), Ok(epoch));
+        pin("u64", 0x0123_4567_89AB_CDEFu64); // token, ticket, epoch
+        for epoch in [0u64, 1, u64::MAX] {
+            wire_contract(&epoch);
         }
         let state = DrainState {
             draining: true,
             outstanding: 9,
             epoch: 41,
         };
-        assert_eq!(decode_drain_state(&encode_drain_state(state)), Ok(state));
-        let idle = DrainState {
-            draining: false,
-            outstanding: 0,
-            epoch: u64::MAX,
+        pin("drain_state", state);
+        let built = Prewarmed {
+            shard: 3,
+            built: true,
         };
-        assert_eq!(decode_drain_state(&encode_drain_state(idle)), Ok(idle));
-        assert_eq!(decode_prewarmed(&encode_prewarmed(3, true)), Ok((3, true)));
-        assert_eq!(
-            decode_prewarmed(&encode_prewarmed(0, false)),
-            Ok((0, false))
-        );
+        pin("prewarmed", built);
+        let pong = Pong {
+            token: 7,
+            shards: 3,
+        };
+        pin("pong", pong);
     }
 
     #[test]
     fn prewarm_carries_the_epoch_and_the_full_request() {
-        let req = sample_request();
-        let bytes = encode_prewarm(17, &req);
-        let (epoch, back) = decode_prewarm(&bytes).expect("round-trip");
-        assert_eq!(epoch, 17);
-        assert_eq!(back, req);
-        // Every truncation of the combined payload is a typed error — both
-        // inside the epoch prefix and inside the embedded request.
-        for cut in 0..bytes.len() {
-            match decode_prewarm(&bytes[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
-                Ok(_) => panic!("prefix of {cut} bytes decoded successfully"),
-                Err(other) => panic!("prefix of {cut} bytes: unexpected {other:?}"),
-            }
-        }
+        pin("prewarm", (17u64, sample_request()));
     }
 
+    /// The types no payload uses bare, and the two `f64`/`u8`-shaped
+    /// primitives none uses at all.
     #[test]
-    fn drain_control_truncations_are_typed_errors() {
-        let payloads = [
-            encode_epoch(99),
-            encode_drain_state(DrainState {
-                draining: true,
-                outstanding: 2,
-                epoch: 5,
-            }),
-            encode_prewarmed(1, true),
-        ];
-        for bytes in &payloads {
-            for cut in 0..bytes.len() {
-                let slice = &bytes[..cut];
-                let results = [
-                    decode_epoch(slice).map(|_| ()),
-                    decode_drain_state(slice).map(|_| ()),
-                    decode_prewarmed(slice).map(|_| ()),
-                ];
-                for r in results {
-                    if let Err(e) = r {
-                        assert!(
-                            matches!(
-                                e,
-                                WireError::Truncated { .. }
-                                    | WireError::Malformed(_)
-                                    | WireError::TrailingBytes { .. }
-                            ),
-                            "unexpected {e:?}"
-                        );
-                    }
-                }
-            }
+    fn primitives_and_request_parts_honour_the_contract() {
+        pin("u32", 32u32); // the `TRACES` request
+        wire_contract(&(0xA5u8, 0xBEEFu16));
+        wire_contract(&(true, -1i64));
+        wire_contract(&(f32::NAN, f64::NEG_INFINITY));
+        wire_contract(&(usize::MAX, [7u32, 8, 9]));
+        wire_contract(&vec![String::new(), "é".to_string()]);
+        wire_contract(&Dataset::Plume);
+        for partition in [
+            PartitionStrategy::RoundRobin,
+            PartitionStrategy::Tiled { tile: 0 },
+        ] {
+            wire_contract(&(partition, Residency::Disk));
         }
+        wire_contract(&(Assignment::Strided { stride: 0 }, Compositor::BinarySwap));
+        wire_contract(&TraceOptions {
+            async_upload: false,
+            reduce_on_gpu: true,
+        });
+        wire_contract(&RenderConfig::default());
+        wire_contract(&TransferSpec::Preset("fire".into()));
+        let orbit = CameraSpec::Orbit {
+            azimuth_deg: -0.0,
+            elevation_deg: 90.0,
+        };
+        wire_contract(&orbit);
     }
 
     #[test]
     fn frame_roundtrips_bit_exact() {
-        let mut image = mgpu_volren::Image::new(3, 2);
-        for (i, px) in (0..6).zip([0.1f32, 0.5, 0.999, 0.0, 1.0, 0.25]) {
-            image.set_linear(i, [px, px * 0.5, 1.0 - px, 1.0]);
-        }
-        let frame = decode_frame(&encode_frame(&image, true, 123_456)).unwrap();
-        assert_eq!(frame.image, image);
+        let pixels = vec![
+            [0.1, 0.05, 0.9, 1.0],
+            [0.5, 0.25, 0.5, 1.0],
+            [f32::NAN, 0.0, 1.0, 0.25],
+            [0.0; 4],
+        ];
+        let image = mgpu_volren::Image::from_pixels(2, 2, pixels);
+        let bytes = encode_frame(&image, true, 123_456);
+        assert_golden("frame", &bytes);
+        let frame = decode_frame(&bytes).unwrap();
+        assert_eq!(encode_frame(&frame.image, true, 123_456), bytes);
         assert!(frame.from_cache);
         assert_eq!(frame.sim_frame, Duration::from_nanos(123_456));
 
@@ -1666,12 +1652,11 @@ mod tests {
             33.0,
         );
         req.camera = CameraSpec::of(&camera);
-        let back = roundtrip_request(&req);
+        let back = decode_request(&encode_request(&req)).expect("round-trip");
         assert_eq!(back, req);
-        let (_, volume, scene, _, _) = back.to_parts().unwrap();
+        let (_, _, scene, _, _) = back.to_parts().unwrap();
         assert_eq!(scene.camera, camera);
         // And the reconstructed camera is bit-identical, not just PartialEq.
-        let _ = volume;
         let (e1, f1, r1, u1, t1) = camera.raw_parts();
         let (e2, f2, r2, u2, t2) = scene.camera.raw_parts();
         for (a, b) in [(e1, e2), (f1, f2), (r1, r2), (u1, u2)] {
@@ -1709,7 +1694,8 @@ mod tests {
             },
             "a named dataset travels by name, not by voxels"
         );
-        let (spec2, volume2, scene2, cfg2, priority2) = roundtrip_request(&net).to_parts().unwrap();
+        let back = decode_request(&encode_request(&net)).expect("round-trip");
+        let (spec2, volume2, scene2, cfg2, priority2) = back.to_parts().unwrap();
         assert_eq!(spec2, spec);
         assert_eq!(volume2.meta, volume.meta);
         assert_eq!(scene2.camera, scene.camera);
@@ -1741,45 +1727,26 @@ mod tests {
 
     #[test]
     fn traces_roundtrip_and_truncations_are_typed() {
-        let traces = vec![
-            mgpu_obs::CompletedTrace {
+        let span = |name: &str, start_ns, end_ns| SpanRecord {
+            name: name.into(),
+            start_ns,
+            end_ns,
+        };
+        let mut traces = vec![
+            CompletedTrace {
                 id: 7,
-                spans: vec![
-                    mgpu_obs::SpanRecord {
-                        name: "queue".into(),
-                        start_ns: 10,
-                        end_ns: 20,
-                    },
-                    mgpu_obs::SpanRecord {
-                        name: "render".into(),
-                        start_ns: 20,
-                        end_ns: 90,
-                    },
-                ],
+                spans: vec![span("queue", 10, 20), span("render", 20, 90)],
             },
-            mgpu_obs::CompletedTrace {
+            CompletedTrace {
                 id: u64::MAX,
                 spans: vec![],
             },
         ];
-        let bytes = encode_traces(&traces);
-        assert_eq!(decode_traces(&bytes).unwrap(), traces);
-        assert_eq!(decode_traces_request(&encode_traces_request(32)), Ok(32));
-        for cut in 0..bytes.len() {
-            match decode_traces(&bytes[..cut]) {
-                Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_)) => {}
-                Ok(_) => panic!("prefix of {cut} bytes decoded successfully"),
-                Err(other) => panic!("prefix of {cut} bytes: unexpected {other:?}"),
-            }
-        }
+        pin("traces", traces.clone());
         // A span that ends before it starts is malformed, not accepted.
-        let mut backwards = traces.clone();
-        backwards[0].spans[0].start_ns = 50;
-        backwards[0].spans[0].end_ns = 40;
-        assert!(matches!(
-            decode_traces(&encode_traces(&backwards)),
-            Err(WireError::Malformed(_))
-        ));
+        traces[0].spans[0] = span("queue", 50, 40);
+        let backwards = decode::<Vec<CompletedTrace>>(&encode(&traces));
+        assert!(matches!(backwards, Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -1798,5 +1765,47 @@ mod tests {
             base: 0,
         };
         assert!(matches!(zero.to_volume(), Err(WireError::Malformed(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The contract over arbitrary requests and arbitrary `STATS`
+        /// replies — the two payloads whose shape a peer chooses.
+        #[test]
+        fn arbitrary_requests_and_stats_honour_the_contract(
+            dataset_idx in 0usize..3,
+            gpus in 1u32..5,
+            azimuth in 0f32..360.0,
+            image in 1u32..64,
+            priority in 0usize..3,
+            epoch in 0u64..u64::MAX,
+            counters in prop::collection::vec((0u32..6, 0u64..1 << 40), 0..6),
+            gauge in 0u64..u64::MAX,
+            bucket in 0usize..HIST_BUCKETS,
+        ) {
+            let dataset = Dataset::ALL[dataset_idx];
+            let transfer = TransferFunction::for_dataset(dataset.name());
+            let request = NetSceneRequest::orbit_dataset(dataset, 8, gpus, azimuth, 15.0, &transfer)
+                .with_config(RenderConfig::test_size(image))
+                .with_priority([Priority::Batch, Priority::Normal, Priority::Interactive][priority]);
+            wire_contract(&request);
+
+            let mut shard = Snapshot::new();
+            for (name, value) in counters {
+                shard.add_counter(&format!("serve.c{name}"), value);
+            }
+            let mut obs = shard.clone();
+            obs.add_gauge("net.connections", gauge as i64);
+            let mut buckets = [0u64; HIST_BUCKETS];
+            buckets[bucket] = gauge;
+            obs.add_histogram("serve.queue_wait_ns", &buckets);
+            wire_contract(&NetStats {
+                epoch,
+                uptime: Duration::from_nanos(epoch / 3),
+                shard_snapshots: vec![shard, Snapshot::new()],
+                obs,
+            });
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! bit-exactly (sorted keys make re-encoding canonical).
 
 use mgpu_net::{
-    Directory, NetStats, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig,
+    wire, Directory, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig,
 };
-use mgpu_obs::CompletedTrace;
+use mgpu_obs::{CompletedTrace, Snapshot};
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
@@ -148,19 +148,12 @@ fn pool_merged_snapshot_roundtrips_bit_exactly() {
         "stage histograms cross the wire"
     );
 
-    // The snapshot codec is the STATS payload's: carry the merged
-    // snapshot the way a node would.
-    let stats = NetStats {
-        epoch: 0,
-        uptime: std::time::Duration::ZERO,
-        shard_snapshots: Vec::new(),
-        obs: merged,
-    };
-    let bytes = stats.encode();
-    let decoded = NetStats::decode(&bytes).expect("canonical bytes decode");
-    assert_eq!(decoded, stats, "decode reproduces the snapshot");
+    // The merged snapshot survives the STATS payload's snapshot codec.
+    let bytes = wire::encode(&merged);
+    let decoded: Snapshot = wire::decode(&bytes).expect("canonical bytes decode");
+    assert_eq!(decoded, merged, "decode reproduces the snapshot");
     assert_eq!(
-        decoded.encode(),
+        wire::encode(&decoded),
         bytes,
         "re-encoding is bit-exact (canonical sorted-key form)"
     );

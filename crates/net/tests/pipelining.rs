@@ -149,18 +149,18 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     // The first use of id 9 acks normally…
     let (op, id, ack) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("ack");
     assert_eq!((op, id), (opcode::SUBMITTED, 9));
-    assert_eq!(wire::decode_ticket(&ack).expect("ticket"), 9);
+    assert_eq!(wire::decode::<u64>(&ack).expect("ticket"), 9);
     // …the duplicate is refused, typed and tagged with the id.
     let (op, id, echo) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
     assert_eq!((op, id), (opcode::BAD_REQUEST, 9));
-    let message = wire::decode_message(&echo).expect("echo decodes");
+    let message: String = wire::decode(&echo).expect("echo decodes");
     assert!(
         message.contains("duplicate request id 9"),
         "unexpected echo: {message}"
     );
 
     // The connection still works: redeem the original ticket on it.
-    write_frame(&mut raw, opcode::REDEEM, 10, &wire::encode_ticket(9)).expect("redeem");
+    write_frame(&mut raw, opcode::REDEEM, 10, &wire::encode(&9u64)).expect("redeem");
     let (op, id, _frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
     assert_eq!((op, id), (opcode::FRAME, 10));
     raw.flush().unwrap();

@@ -64,7 +64,7 @@ fn garbage_bytes_get_a_typed_error_and_the_connection_closed() {
     let (op, id, payload) =
         read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD).expect("typed reply to garbage");
     assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    let message = wire::decode_message(&payload).expect("error echo decodes");
+    let message: String = wire::decode(&payload).expect("error echo decodes");
     assert!(message.contains("magic"), "unexpected echo: {message}");
     // …then closes the poisoned connection.
     match read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD) {
@@ -188,8 +188,8 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     old.write_all(&frame).unwrap();
     let (op, id, payload) = read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD).expect("version reply");
     assert_eq!((op, id), (opcode::UNSUPPORTED_VERSION, 0));
-    let (got, want) = wire::decode_unsupported_version(&payload).expect("typed payload");
-    assert_eq!((got, want), (999, wire::VERSION));
+    let refusal: wire::UnsupportedVersion = wire::decode(&payload).expect("typed payload");
+    assert_eq!((refusal.got, refusal.want), (999, wire::VERSION));
     match read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD) {
         Err(wire::WireError::ConnectionClosed) | Err(wire::WireError::Io(_)) => {}
         other => panic!("wrong-version connection should be closed, got {other:?}"),
@@ -201,10 +201,10 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     write_frame(&mut junk, opcode::RENDER, 7, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
     let (op, id, _) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("junk echo");
     assert_eq!((op, id), (opcode::BAD_REQUEST, 7), "echoes the request id");
-    write_frame(&mut junk, opcode::PING, 8, &wire::encode_ping(9)).unwrap();
+    write_frame(&mut junk, opcode::PING, 8, &wire::encode(&9u64)).unwrap();
     let (op, id, payload) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("ping reply");
     assert_eq!((op, id), (opcode::PONG, 8));
-    assert_eq!(wire::decode_pong(&payload).unwrap().0, 9);
+    assert_eq!(wire::decode::<wire::Pong>(&payload).unwrap().token, 9);
 
     // An oversized declared length: typed TooLarge echo, then close.
     let mut huge = TcpStream::connect(server.addr()).expect("connect");
@@ -216,8 +216,58 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     huge.write_all(&frame).unwrap();
     let (op, id, payload) = read_frame(&mut huge, wire::DEFAULT_MAX_PAYLOAD).expect("size echo");
     assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    assert!(wire::decode_message(&payload).unwrap().contains("exceeds"));
+    assert!(wire::decode::<String>(&payload)
+        .unwrap()
+        .contains("exceeds"));
 
     assert_service_healthy(&server, 50.0);
+    server.shutdown();
+}
+
+/// A well-formed request can still ask for unbounded work: samples per ray
+/// grow as `1 / step_voxels`, and a step of `1e-12` would pin a render
+/// worker for hours. The server door refuses it typed — before a
+/// rate-limit token is spent — and both the offending connection and a
+/// session opened beforehand carry on.
+#[test]
+fn an_unbounded_march_is_refused_at_the_door() {
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        // One token, no refill to speak of: a refusal that spent it would
+        // leave the valid request below throttled.
+        rate_limit: Some(mgpu_net::RateLimitConfig::new(0.001, 1)),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let survivor = RenderClient::connect(server.addr()).expect("survivor connect");
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    for (id, step) in [(1, 1e-12), (2, 0.0), (3, f32::NAN)] {
+        let mut request = tiny_request(0.0);
+        request.config.step_voxels = step;
+        write_frame(&mut raw, opcode::RENDER, id, &wire::encode(&request)).unwrap();
+        let (op, echoed, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
+        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "step {step}");
+        let message: String = wire::decode(&payload).expect("error echo decodes");
+        assert!(
+            message.contains("ray-march step"),
+            "unexpected echo: {message}"
+        );
+    }
+    // Same connection, same bucket: the one token is still there.
+    write_frame(
+        &mut raw,
+        opcode::RENDER,
+        4,
+        &wire::encode(&tiny_request(0.0)),
+    )
+    .unwrap();
+    let (op, id, _) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
+    assert_eq!((op, id), (opcode::FRAME, 4));
+
+    let frame = survivor
+        .render(&tiny_request(60.0))
+        .expect("survivor render");
+    assert_eq!(frame.image.width(), 8);
     server.shutdown();
 }
