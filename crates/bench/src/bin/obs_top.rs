@@ -5,16 +5,11 @@
 //! snapshot and **TRACES** ring each tick — the same data any remote
 //! `obs_top` would see, fetched through the same wire requests.
 //!
-//!     cargo run --release -p mgpu-bench --bin obs_top [-- --smoke] [--json] [--ticks N]
-//!
-//! `--smoke` (or `--json`) also dumps `BENCH_obs.json` with per-stage
-//! p50/p99 for queue wait, brick staging, kernel and composite — the
-//! bench-trend artifact CI tracks.
+//!     cargo run --release -p mgpu-bench --bin obs_top [-- --ticks N]
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mgpu_bench::JsonObject;
 use mgpu_cluster::ClusterSpec;
 use mgpu_net::{
     rebalance_once, NetSceneRequest, NodePool, NodePoolConfig, RebalanceConfig, RenderClient,
@@ -26,8 +21,8 @@ use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::{RenderConfig, TransferFunction};
 
-/// The stage histograms the dashboard (and the JSON artifact) report,
-/// as `(label, snapshot key)` in pipeline order.
+/// The stage histograms the dashboard reports, as `(label, snapshot key)`
+/// in pipeline order.
 const STAGES: [(&str, &str); 6] = [
     ("queue wait", names::SERVE_QUEUE_WAIT_NS),
     ("plan prepare", names::VOLREN_PLAN_PREPARE_NS),
@@ -121,19 +116,14 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json = smoke || args.iter().any(|a| a == "--json");
     let ticks = args
         .iter()
         .position(|a| a == "--ticks")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(if smoke { 3 } else { 8 });
-    let (volume_size, image, clients, frames_each, tick_wait) = if smoke {
-        (16u32, 64u32, 2usize, 8usize, Duration::from_millis(150))
-    } else {
-        (32, 128, 4, 24, Duration::from_millis(400))
-    };
+        .unwrap_or(8);
+    let (volume_size, image, clients, frames_each) = (32u32, 128u32, 4usize, 24usize);
+    let tick_wait = Duration::from_millis(400);
 
     let server = RenderServer::start(ServerConfig {
         shards: 2,
@@ -309,8 +299,6 @@ fn main() {
         rebalance_trace.id,
         line.join(" → ")
     );
-    let pool_migrations = oc(names::POOL_REBALANCE_MIGRATIONS);
-    let pool_handoffs = oc(names::POOL_DRAIN_HANDOFFS);
     drop(pool);
     for node in nodes.into_iter().flatten() {
         node.shutdown();
@@ -325,42 +313,5 @@ fn main() {
         ring.dropped()
     );
 
-    if json {
-        let mut out = JsonObject::new();
-        out = out
-            .str("bench", "obs_top")
-            .int("frames", completed)
-            .num(
-                "frame_cache_hit_rate",
-                rate(
-                    snap.counter(names::SERVE_FRAME_CACHE_HITS).unwrap_or(0),
-                    snap.counter(names::SERVE_FRAME_CACHE_MISSES).unwrap_or(0),
-                ),
-            )
-            .int(
-                "loop_wakeups",
-                snap.counter(names::NET_LOOP_WAKEUPS).unwrap_or(0),
-            )
-            .int("traces_pushed", ring.pushed())
-            .int("traces_dropped", ring.dropped())
-            .int("pool_migrations", pool_migrations)
-            .int("pool_drain_handoffs", pool_handoffs);
-        for (key, name) in [
-            (names::SERVE_QUEUE_WAIT_NS, "queue_wait"),
-            (names::VOLREN_STAGING_NS, "staging"),
-            (names::VOLREN_KERNEL_NS, "kernel"),
-            (names::VOLREN_COMPOSITE_NS, "composite"),
-        ] {
-            let q = |q: f64| {
-                snap.hist_quantile(key, q)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0)
-            };
-            out = out
-                .int(&format!("{name}_p50_ns"), q(0.5))
-                .int(&format!("{name}_p99_ns"), q(0.99));
-        }
-        out.write("BENCH_obs.json").expect("write BENCH_obs.json");
-    }
     server.shutdown();
 }

@@ -1,5 +1,5 @@
-//! Entry points shared by the `cargo bench` targets and the standalone
-//! binaries: each regenerates one of the paper's figures / analyses.
+//! The reports behind `paper`'s figure and analysis subcommands: each
+//! regenerates one of the paper's figures / analyses.
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Dataset;
@@ -75,16 +75,17 @@ pub fn fig3_report(rows: &[FigRow]) {
         );
     }
 
+    println!("\nwrote {}", write_rows_csv("fig3.csv", rows).display());
+}
+
+/// Write the sweep to `name` under the results dir; returns the path.
+fn write_rows_csv(name: &str, rows: &[FigRow]) -> std::path::PathBuf {
     let dir = crate::results_dir();
     std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("fig3.csv");
-    write_csv(
-        &path,
-        &FigRow::CSV_HEADERS,
-        rows.iter().map(|r| r.csv_cells()),
-    )
-    .expect("writing fig3.csv");
-    println!("\nwrote {}", path.display());
+    let path = dir.join(name);
+    let cells = rows.iter().map(|r| r.csv_cells());
+    write_csv(&path, &FigRow::CSV_HEADERS, cells).expect("writing the sweep CSV");
+    path
 }
 
 /// Figure 4: FPS and VPS tables + the abstract's headline check.
@@ -127,16 +128,7 @@ pub fn fig4_report(rows: &[FigRow], scale: &BenchScale) {
         );
     }
 
-    let dir = crate::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("fig4.csv");
-    write_csv(
-        &path,
-        &FigRow::CSV_HEADERS,
-        rows.iter().map(|r| r.csv_cells()),
-    )
-    .expect("writing fig4.csv");
-    println!("wrote {}", path.display());
+    println!("wrote {}", write_rows_csv("fig4.csv", rows).display());
 }
 
 /// §6.3: the communication-vs-computation table for the largest volume.

@@ -1,15 +1,24 @@
 //! # mgpu-bench — the experiment harness
 //!
-//! Regenerates every figure and inline result of the paper's evaluation:
+//! Regenerates every figure and inline result of the paper's evaluation,
+//! one `paper` subcommand each
+//! (`cargo run --release -p mgpu-bench --bin paper -- <subcommand>`):
 //!
-//! | target | reproduces |
+//! | subcommand | reproduces |
 //! |---|---|
-//! | `fig3` / bench `fig3_breakdown` | Figure 3: phase breakdown over volumes × GPUs |
-//! | `fig4` / bench `fig4_throughput` | Figure 4: FPS and VPS curves |
-//! | `micro` / bench `micro_transfers` | §3 disk / H2D / D2H anchors |
-//! | `bottlenecks` / bench `bottleneck_analysis` | §6.3 comm-vs-compute split |
-//! | `compare_paraview` | footnote 1 (ParaView 346 M VPS) |
-//! | `ablate_*`, `oocore` | §3.1/§6 design-decision ablations |
+//! | `fig3` | Figure 3: phase breakdown over volumes × GPUs |
+//! | `fig4` | Figure 4: FPS and VPS curves |
+//! | `micro` | §3 disk / H2D / D2H anchors |
+//! | `bottlenecks`, `speed-of-light` | §6.3 comm-vs-compute split, hardware bounds |
+//! | `paraview` | footnote 1 (ParaView 346 M VPS) |
+//! | `timeline [size] [gpus]` | the overlap of communication and computation, as a Gantt chart |
+//! | `ablate <combiner\|compositing\|partition\|reduce-device\|warp>`, `oocore` | §3.1/§6 design-decision ablations |
+//! | `all` | every row above |
+//!
+//! The other two targets: the `obs_top` bin is the live dashboard over
+//! STATS/TRACES, and `cargo bench -p mgpu-bench` runs `micro_ops`, where
+//! the §3.1.2 counting-sort-vs-comparison-sort claim is measured.
+//! Wall-clock throughput is measured by `perf/` (`mgpu-perf`), not here.
 //!
 //! Scale: set `MGPU_BENCH_SCALE` (default `1.0` = paper scale: volumes up to
 //! 1024³, 512² images). `0.25` gives a laptop-quick pass with the same
@@ -33,7 +42,7 @@ use mgpu_volren::{RenderConfig, TransferFunction};
 pub mod figures;
 pub mod report;
 
-pub use report::{ascii_bar, print_table, write_csv, JsonObject, Table};
+pub use report::{ascii_bar, print_table, write_csv, Table};
 
 /// Global bench scale, read from `MGPU_BENCH_SCALE`.
 #[derive(Debug, Clone, Copy)]
@@ -127,9 +136,7 @@ impl FigRow {
             wire_mb: r.job.wire_bytes_sent as f64 / (1 << 20) as f64,
         }
     }
-}
 
-impl FigRow {
     pub const CSV_HEADERS: [&'static str; 16] = [
         "dataset",
         "size",
@@ -179,7 +186,7 @@ fn cache_dir() -> PathBuf {
         .unwrap_or_else(|_| workspace_target().join("mgpu-bench-cache"))
 }
 
-/// Anchor artifact paths at the workspace target dir so `cargo bench`
+/// Anchor artifact paths at the workspace target dir so `cargo test`
 /// (CWD = crates/bench) and `cargo run` (CWD = workspace root) share caches.
 pub fn workspace_target() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

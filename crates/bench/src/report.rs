@@ -1,4 +1,4 @@
-//! Table, CSV and ASCII-chart output for the bench binaries.
+//! Table, CSV and ASCII-chart output for the `paper` subcommands.
 
 use std::fmt::Display;
 use std::io;
@@ -75,74 +75,6 @@ pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// A flat JSON object builder for the machine-readable bench summaries the
-/// CI pipeline uploads as artifacts (`BENCH_*.json`). Hand-rolled — the
-/// build has no serde_json — and deliberately flat: one object, scalar
-/// fields, so trend tooling can diff runs with `jq` one-liners.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    pub fn new() -> JsonObject {
-        JsonObject::default()
-    }
-
-    /// A float field, serialized with enough precision for trend diffing.
-    pub fn num(mut self, key: &str, value: f64) -> JsonObject {
-        let rendered = if value.is_finite() {
-            format!("{value:.6}")
-        } else {
-            // JSON has no NaN/Infinity; null keeps the document valid.
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    pub fn int(mut self, key: &str, value: u64) -> JsonObject {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    pub fn str(mut self, key: &str, value: &str) -> JsonObject {
-        let escaped: String = value
-            .chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                '\n' => vec!['\\', 'n'],
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect();
-        self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
-        self
-    }
-
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            out.push_str(&format!("  \"{key}\": {value}"));
-            out.push_str(if i + 1 < self.fields.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push('}');
-        out
-    }
-
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(&path, self.render() + "\n")?;
-        println!("wrote {}", path.as_ref().display());
-        Ok(())
-    }
-}
-
 /// Write rows as CSV.
 pub fn write_csv(
     path: impl AsRef<Path>,
@@ -173,24 +105,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[3].ends_with("123"));
-    }
-
-    #[test]
-    fn json_object_renders_valid_flat_json() {
-        let json = JsonObject::new()
-            .str("bench", "net_throughput")
-            .int("frames", 24)
-            .num("frames_per_sec", 12.5)
-            .num("nan_guard", f64::NAN)
-            .str("note", "quote\" and \\ and\nnewline")
-            .render();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"frames\": 24"));
-        assert!(json.contains("\"frames_per_sec\": 12.500000"));
-        assert!(json.contains("\"nan_guard\": null"));
-        assert!(json.contains("quote\\\" and \\\\ and\\nnewline"));
-        // No trailing comma before the closing brace.
-        assert!(!json.contains(",\n}"));
     }
 
     #[test]

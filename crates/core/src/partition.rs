@@ -4,7 +4,7 @@
 //! empirically, the highest-performing method... A modulo is sufficient to
 //! determine the reducer" (§3.1.1). The alternatives it weighed —
 //! checkerboard, tiled, striped distributions (§6, direct-send options) —
-//! are implemented too, so the `ablate_partition` bench can reproduce that
+//! are implemented too, so `paper ablate partition` can reproduce that
 //! empirical claim: round-robin gives near-perfect per-reducer balance for
 //! any screen-space-coherent fragment distribution, while coarser schemes
 //! skew under partial screen coverage.

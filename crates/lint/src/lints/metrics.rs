@@ -2,7 +2,7 @@
 //!
 //! Every instrument the stack registers (`counter(..)`, `gauge(..)`,
 //! `histogram(..)`) shares one flat name space that the `obs_top`
-//! dashboard, STATS consumers and the bench JSON all read by string.
+//! dashboard, STATS consumers and the `perf/` benchmark all read by string.
 //! This lint keeps that namespace honest:
 //!
 //! 1. names follow the `crate.` prefix + lowercase-dot convention
@@ -325,7 +325,7 @@ fn convention_violation(name: &str) -> Option<&'static str> {
 }
 
 /// Is this string literal shaped like a metric name in a known
-/// namespace? (`serve.frames_rendered` yes, `BENCH_obs.json` no.)
+/// namespace? (`serve.frames_rendered` yes, `fig3.csv` no.)
 fn looks_like_metric(s: &str) -> bool {
     let Some((first, rest)) = s.split_once('.') else {
         return false;

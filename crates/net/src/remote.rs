@@ -89,11 +89,6 @@ impl RemoteBackend {
         })
     }
 
-    /// Wrap an already-connected client.
-    pub fn from_client(client: RenderClient) -> RemoteBackend {
-        RemoteBackend { client }
-    }
-
     /// Shards behind the server (learned during the handshake).
     pub fn shards(&self) -> u32 {
         self.client.shards()

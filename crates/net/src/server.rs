@@ -1347,33 +1347,62 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::RenderClient;
+    use mgpu_cluster::ClusterSpec;
+    use mgpu_serve::Priority;
+    use mgpu_voldata::Dataset;
+    use mgpu_volren::camera::Scene;
+    use mgpu_volren::{RenderConfig, TransferFunction};
     use std::time::Duration;
 
-    /// THE sleep-polling regression test: an idle server (one connected,
-    /// silent client) must cost ~zero event-loop wakeups per second. The
-    /// old accept loop woke 500×/sec on its 2 ms reap timer; the readiness
-    /// loop blocks in poll with no timeout at all.
+    /// THE sleep-polling regression test: an idle server must cost ~zero
+    /// event-loop wakeups per second, however many silent sessions sit in
+    /// its poll set. The old accept loop woke 500×/sec on its 2 ms reap
+    /// timer; the readiness loop blocks in poll with no timeout at all.
+    /// Two inputs: one raw connected-but-silent socket, and the connection
+    /// knee — 64 handshaken sessions that stay idle while a hot one renders.
     #[test]
     fn idle_server_does_not_wake() {
-        let server = RenderServer::start(ServerConfig {
-            shards: 1,
-            service: ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        })
-        .expect("bind");
-        // A connected-but-silent session: the fd sits in the poll set.
-        let _idle = TcpStream::connect(server.addr()).expect("connect");
-        // Let the accept + registration churn settle.
-        std::thread::sleep(Duration::from_millis(100));
-        let before = server.loop_wakeups();
-        std::thread::sleep(Duration::from_millis(500));
-        let woke = server.loop_wakeups() - before;
-        // 500 ms of idle: the 2 ms sleep-poll design would log ~250 here.
-        // Allow a little slack for stray loopback events.
-        assert!(woke <= 5, "idle event loop woke {woke} times in 500 ms");
-        server.shutdown();
+        for idle_sessions in [0, 64] {
+            let server = RenderServer::start(ServerConfig {
+                shards: 1,
+                service: ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+                ..ServerConfig::default()
+            })
+            .expect("bind");
+            // Connected-but-silent: the fds sit in the poll set.
+            let _raw = TcpStream::connect(server.addr()).expect("connect");
+            let _idle: Vec<RenderClient> = (0..idle_sessions)
+                .map(|_| RenderClient::connect(server.addr()).expect("idle connect"))
+                .collect();
+            if idle_sessions > 0 {
+                let volume = Dataset::Skull.volume(16);
+                let request = SceneRequest {
+                    spec: ClusterSpec::accelerator_cluster(1),
+                    scene: Scene::orbit(&volume, 30.0, 20.0, TransferFunction::bone()),
+                    volume,
+                    config: RenderConfig::test_size(16),
+                    priority: Priority::Normal,
+                };
+                let hot = RenderClient::connect(server.addr()).expect("hot connect");
+                hot.render(&NetSceneRequest::from_request(&request).expect("portable"))
+                    .expect("the idle population must not starve a hot session");
+            }
+            // Let the accept + registration churn settle.
+            std::thread::sleep(Duration::from_millis(100));
+            let before = server.loop_wakeups();
+            std::thread::sleep(Duration::from_millis(500));
+            let woke = server.loop_wakeups() - before;
+            // 500 ms of idle: the 2 ms sleep-poll design would log ~250 here.
+            // Allow a little slack for stray loopback events.
+            assert!(
+                woke <= 5,
+                "idle event loop woke {woke} times in 500 ms ({idle_sessions} idle sessions)"
+            );
+            server.shutdown();
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! The metrics half: atomic counter/gauge/histogram primitives, the
 //! name → metric [`Registry`], and the mergeable [`Snapshot`] every export
-//! surface (`STATS`, `BENCH_obs.json`, the `obs_top` dashboard) is built
-//! from.
+//! surface (`STATS`, the `obs_top` dashboard) is built from.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};

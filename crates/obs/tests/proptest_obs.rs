@@ -1,6 +1,6 @@
 //! Properties of the metrics snapshot algebra and the histogram
 //! quantiles — the guarantees every export surface (STATS, pool-wide
-//! merges, `BENCH_obs.json`) silently relies on:
+//! merges, the `obs_top` dashboard) silently relies on:
 //!
 //! * snapshot merge is **associative** and **commutative** with **no count
 //!   loss** — shard and node snapshots can fold in any grouping or order

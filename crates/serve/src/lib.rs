@@ -492,11 +492,6 @@ impl RenderService {
         self.inner.started.elapsed()
     }
 
-    /// Frame-cache counters.
-    pub fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache.snapshot()
-    }
-
     /// Cross-batch plan-cache counters.
     pub fn plan_snapshot(&self) -> CacheSnapshot {
         self.inner.plans.snapshot()

@@ -10,9 +10,9 @@
 //! application of *over*'s associativity and bit-safe up to f32 rounding.
 //!
 //! Why it barely helps (the paper's finding, reproduced by
-//! `ablate_combiner`): fragments of one pixel that abut are only produced by
-//! the *same* mapper when it happens to own neighbouring bricks along the
-//! ray — with round-robin brick assignment that is rare.
+//! `paper ablate combiner`): fragments of one pixel that abut are only
+//! produced by the *same* mapper when it happens to own neighbouring bricks
+//! along the ray — with round-robin brick assignment that is rare.
 
 use mgpu_mapreduce::{Combiner, Key};
 

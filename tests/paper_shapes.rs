@@ -1,5 +1,5 @@
 //! Shape assertions against the paper's claims, at test-friendly scale.
-//! (The full-scale figures come from `cargo bench -p mgpu-bench`; these
+//! (The full-scale figures come from `mgpu-bench`'s `paper` CLI; these
 //! tests pin the qualitative structure so a regression cannot slip in.)
 //!
 //! The sweep is computed **once** for the whole binary (the tests only read
