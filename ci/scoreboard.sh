@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Size scoreboard: per crate, the non-test lines under src/ by one fixed
+# rule — every line of each .rs file before its first `#[cfg(test)]` at the
+# start of a line — plus the workspace total and the public-API item count.
+# Informational (never fails): a simplicity change reads its line-count
+# criteria off this instead of counting by hand.
+#
+#   ci/scoreboard.sh [root]      root defaults to this checkout
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+non_test_lines() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        counting { n++ }
+        END { print n + 0 }'
+}
+
+total=0
+for src in crates/*/src src; do
+    crate=$(basename "$(dirname "$src")")
+    lines=$(non_test_lines "$src")
+    printf '%-12s %6d\n' "${crate/#./gpumr}" "$lines"
+    total=$((total + lines))
+done
+printf '%-12s %6d\n' workspace "$total"
+printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

@@ -11,7 +11,6 @@
 //! routes intra-node traffic through shared memory instead of the NIC.
 
 use mgpu_sim::{LinkModel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{ClusterSpec, GpuId};
 
@@ -27,7 +26,7 @@ pub enum Route {
 }
 
 /// Interconnect cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Software cost paid by the sender per message (MPI send path, staging).
     pub send_overhead_s: f64,

@@ -8,16 +8,15 @@
 
 use mgpu_gpu::DeviceProps;
 use mgpu_sim::{LinkModel, ResourceId, Trace};
-use serde::{Deserialize, Serialize};
 
 use crate::network::NetworkModel;
 
 /// Index of a GPU (= of a MapReduce process) in the cluster, 0-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuId(pub u32);
 
 /// Index of a node in the cluster, 0-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// A modeled cluster.

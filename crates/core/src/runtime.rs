@@ -33,8 +33,6 @@ pub struct JobConfig {
     /// this many wire bytes (the paper's "once enough pairs have been
     /// generated").
     pub batch_bytes: usize,
-    /// Bounded channel capacity (batches in flight per reducer).
-    pub channel_capacity: usize,
     /// Chunk→mapper assignment policy.
     pub assignment: Assignment,
 }
@@ -45,7 +43,6 @@ impl JobConfig {
             gpus,
             key_space,
             batch_bytes: 16 << 10,
-            channel_capacity: 1024,
             assignment: Assignment::default(),
         }
     }
@@ -63,14 +60,6 @@ impl JobConfig {
             return Err(
                 "batch_bytes must be > 0: a zero flush threshold would send \
                  one degenerate batch per emitted pair"
-                    .into(),
-            );
-        }
-        if self.channel_capacity == 0 {
-            return Err(
-                "channel_capacity must be > 0: zero-capacity (rendezvous) channels \
-                 stall every send until a reducer rendezvous, defeating the \
-                 streaming pipeline"
                     .into(),
             );
         }
@@ -122,6 +111,11 @@ struct Batch<V> {
 /// One reducer's accounting record with its emitted keys and outputs (SoA).
 type ReducerResult<Out> = (ReducerRecord, Vec<Key>, Vec<Out>);
 
+/// Batches in flight per reducer channel. Reducers drain their channel as
+/// batches arrive, so this bound never fills; it must only be non-zero (a
+/// rendezvous channel would stall every send until a reducer took it).
+const CHANNEL_CAPACITY: usize = 1024;
+
 /// Run a MapReduce job over `chunks`.
 ///
 /// `spec` is used only to classify batch routes for the statistics (the
@@ -155,7 +149,7 @@ where
     let mut senders: Vec<Sender<Batch<M::Value>>> = Vec::with_capacity(r_count);
     let mut receivers: Vec<Receiver<Batch<M::Value>>> = Vec::with_capacity(r_count);
     for _ in 0..r_count {
-        let (tx, rx) = bounded(config.channel_capacity);
+        let (tx, rx) = bounded(CHANNEL_CAPACITY);
         senders.push(tx);
         receivers.push(rx);
     }
@@ -457,13 +451,5 @@ mod tests {
         cfg.batch_bytes = 0;
         let why = cfg.validate().unwrap_err();
         assert!(why.contains("batch_bytes must be > 0"), "{why}");
-    }
-
-    #[test]
-    fn validate_rejects_zero_channel_capacity() {
-        let mut cfg = JobConfig::new(2, 1024);
-        cfg.channel_capacity = 0;
-        let why = cfg.validate().unwrap_err();
-        assert!(why.contains("channel_capacity must be > 0"), "{why}");
     }
 }

@@ -277,24 +277,6 @@ fn run_job_rejects_zero_batch_bytes_at_entry() {
 }
 
 #[test]
-#[should_panic(expected = "invalid JobConfig: channel_capacity must be > 0")]
-fn run_job_rejects_zero_channel_capacity_at_entry() {
-    let chunks = make_chunks(2, 10);
-    let spec = ClusterSpec::accelerator_cluster(2);
-    let mut config = JobConfig::new(2, 64);
-    config.channel_capacity = 0;
-    run_job(
-        &chunks,
-        &HistMapper,
-        &CountReducer,
-        &RoundRobin,
-        None,
-        &spec,
-        &config,
-    );
-}
-
-#[test]
 #[should_panic(expected = "invalid JobConfig: gpus must be >= 1")]
 fn run_job_rejects_zero_gpus_at_entry() {
     let chunks = make_chunks(2, 10);

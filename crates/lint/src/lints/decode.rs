@@ -7,7 +7,7 @@
 //!
 //! * a `fn get` inside an `impl Wire for …` (any file — `wire.rs`,
 //!   `heat.rs`, and the `macro_rules!` bodies that generate such impls);
-//! * a method of `Reader`;
+//! * a method of `Reader` (payload bytes) or `FrameReader` (socket bytes);
 //! * `decode`, the pinned `decode_*` wrappers, `parse_header` and
 //!   `read_frame`.
 //!
@@ -37,10 +37,14 @@ const BANNED_CALLS: &[&str] = &[
 enum Impl {
     /// `impl Wire for T`: its `get` decodes.
     Wire,
-    /// `impl Reader`: every method reads received bytes.
-    Reader,
+    /// An inherent impl of one of [`READERS`]: every method reads received
+    /// bytes.
+    Reader(&'static str),
     Other,
 }
+
+/// `Reader` walks a payload, `FrameReader` the socket's byte stream.
+const READERS: &[&str] = &["Reader", "FrameReader"];
 
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
     for file in ws.files.iter().filter(|f| f.krate == "net") {
@@ -69,7 +73,7 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
             };
             let in_scope = match enclosing {
                 Some((_, Impl::Wire)) => fn_name == "get",
-                Some((_, Impl::Reader)) => true,
+                Some((_, Impl::Reader(_))) => true,
                 _ => {
                     fn_name == "decode"
                         || fn_name.starts_with("decode_")
@@ -81,7 +85,7 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
             if in_scope {
                 let label = match enclosing {
                     Some((_, Impl::Wire)) => "Wire::get".to_string(),
-                    Some((_, Impl::Reader)) => format!("Reader::{fn_name}"),
+                    Some((_, Impl::Reader(ty))) => format!("{ty}::{fn_name}"),
                     _ => fn_name.to_string(),
                 };
                 for k in open..close {
@@ -130,8 +134,8 @@ fn impl_kind(header: &[Token]) -> Impl {
     let has = |name: &str| (0..header.len()).any(|k| is_ident(header, k, name));
     if (0..header.len()).any(|k| is_ident(header, k, "Wire") && is_ident(header, k + 1, "for")) {
         Impl::Wire
-    } else if has("Reader") && !has("for") {
-        Impl::Reader
+    } else if let Some(ty) = READERS.iter().find(|ty| has(ty) && !has("for")) {
+        Impl::Reader(ty)
     } else {
         Impl::Other
     }

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `wire-conformance` | opcode discipline across wire.rs / server / client / README |
 //! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
-//! | `panic-free-decode` | no panics or direct indexing in any `Wire::get`, `Reader` method or frame parser |
+//! | `panic-free-decode` | no panics or direct indexing in any `Wire::get`, `Reader`/`FrameReader` method or frame parser |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |
 //! | `atomic-ordering` | every non-`Relaxed` ordering carries a justification comment |
 //! | `unsafe-hygiene` | `// SAFETY:` on unsafe blocks; `#![forbid(unsafe_code)]` elsewhere |

@@ -380,6 +380,49 @@ fn decode_red_reader_methods_and_macro_generated_gets_fire() {
 }
 
 #[test]
+fn decode_red_frame_reader_methods_fire() {
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/wire.rs",
+            "impl FrameReader {\n\
+                 fn read(&mut self, r: &mut impl Read) -> usize { r.read(&mut self.prelude[self.have..]).unwrap() }\n\
+             }\n",
+        )],
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "direct slice indexing in decode path `FrameReader::read`",
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`unwrap` in decode path `FrameReader::read`",
+    );
+}
+
+#[test]
+fn decode_green_frame_reader_with_checked_slices_is_quiet() {
+    // A `Read` adapter *for* some other type is not the frame parser.
+    let findings = run(
+        decode::check,
+        vec![(
+            "crates/net/src/wire.rs",
+            "impl FrameReader {\n\
+                 fn read(&mut self, r: &mut impl Read) -> Result<usize, WireError> {\n\
+                     Ok(r.read(self.prelude.get_mut(self.have..).unwrap_or_default())?)\n\
+                 }\n\
+             }\n\
+             impl Read for CountedRead<'_> {\n\
+                 fn read(&mut self, buf: &mut [u8]) -> usize { self.stream.read(&mut buf[..]).unwrap() }\n\
+             }\n",
+        )],
+    );
+    assert_quiet(&findings);
+}
+
+#[test]
 fn decode_other_crates_are_out_of_scope() {
     let findings = run(
         decode::check,

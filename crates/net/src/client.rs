@@ -165,8 +165,11 @@ pub struct ClientConfig {
     /// (plus queue wait) the workload can produce — a timeout is
     /// indistinguishable from a dead node and poisons the connection.
     pub read_timeout: Option<Duration>,
-    /// Cap this client accepts on one response frame (see
-    /// [`RenderClient::set_max_payload`]).
+    /// Cap this client accepts on one response frame. A 1024² float-RGBA
+    /// frame is 16 MiB; request images larger than ~2048² exceed the
+    /// 64 MiB default and need a higher bound here — once an oversized
+    /// response header is rejected, the unread payload poisons the
+    /// connection for further requests.
     pub max_payload: u64,
 }
 
@@ -200,7 +203,7 @@ pub struct RenderClient {
     mail: Mutex<Mailbox>,
     delivered: Condvar,
     next_id: AtomicU64,
-    max_payload: AtomicU64,
+    max_payload: u64,
     shards: u32,
 }
 
@@ -256,7 +259,7 @@ impl RenderClient {
             }),
             delivered: Condvar::new(),
             next_id: AtomicU64::new(1),
-            max_payload: AtomicU64::new(config.max_payload),
+            max_payload: config.max_payload,
             shards: 0,
         };
         client.shards = client.ping()?;
@@ -266,15 +269,6 @@ impl RenderClient {
     /// Shards behind the server (learned during the handshake).
     pub fn shards(&self) -> u32 {
         self.shards
-    }
-
-    /// Raise (or lower) the cap this client accepts on one response frame.
-    /// A 1024² float-RGBA frame is 16 MiB; request images larger than
-    /// ~2048² exceed the 64 MiB default and need a higher bound *before*
-    /// the render call — once an oversized response header is rejected,
-    /// the unread payload poisons the connection for further requests.
-    pub fn set_max_payload(&self, max_payload: u64) {
-        self.max_payload.store(max_payload, Ordering::Relaxed);
     }
 
     /// Round-trip a `PING`; returns the server's shard count.
@@ -295,7 +289,7 @@ impl RenderClient {
     /// threads sharing this client) all proceed at once; replies are
     /// matched by `request_id`. Admission shedding surfaces as a typed
     /// [`ClientError::Admission`] — the server answers inline instead of
-    /// parking the request (retry loops live in `RemoteBackend`).
+    /// parking the request (the one retry loop is `NodePool`'s).
     pub fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
         let pending = self.begin_render(request)?;
         self.finish_render(pending)
@@ -443,7 +437,7 @@ impl RenderClient {
             drop(mail);
             let result = {
                 let mut stream = self.read.lock().expect("client read half poisoned");
-                read_frame(&mut *stream, self.max_payload.load(Ordering::Relaxed))
+                read_frame(&mut *stream, self.max_payload)
             };
             mail = self.mail.lock().expect("client mailbox poisoned");
             mail.reading = false;

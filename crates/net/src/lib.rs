@@ -32,8 +32,9 @@
 //!   survives the network hop.
 //! * **Server** — [`server`]: a [`RenderServer`] owning a
 //!   [`mgpu_serve::ShardedService`] behind one event-driven readiness
-//!   loop: non-blocking sockets, per-connection partial-frame state
-//!   machines and write queues, completions delivered by render workers
+//!   loop: non-blocking sockets, per-connection write queues and the same
+//!   incremental frame reader the client blocks on (one parser for both
+//!   ends of the socket), completions delivered by render workers
 //!   through a queue + loopback waker, zero wakeups while idle, graceful
 //!   drain on shutdown; poisoned connections contained per session.
 //! * **Client** — [`client`]: a pipelined [`RenderClient`] —
@@ -59,14 +60,16 @@
 //!   `admit → queue → plan → stage → kernel → composite → render →
 //!   reply`, seeded from the wire `request_id`); `NodePool::obs_snapshot`
 //!   fetches and exactly merges every reachable node's snapshot.
-//! * **Backends** — [`remote::RemoteBackend`] puts one server behind the
-//!   [`mgpu_serve::RenderBackend`] trait; [`pool::NodePool`] puts N servers
-//!   behind it with a rendezvous [`pool::Directory`] (the same placement
-//!   policy `ShardedService` uses in-process), one pipelined connection
-//!   per node carrying all of that node's in-flight work, a typed
-//!   [`pool::RetryBudget`] that honors server `retry_after`, and failover
-//!   to the next-ranked node on connection loss that re-issues only the
-//!   lost request ids.
+//! * **Backends** — [`pool::NodePool`] puts N servers behind the
+//!   [`mgpu_serve::RenderBackend`] trait with a rendezvous
+//!   [`pool::Directory`] (the same placement policy `ShardedService` uses
+//!   in-process), one pipelined connection per node carrying all of that
+//!   node's in-flight work, a typed [`pool::RetryBudget`] that honors
+//!   server `retry_after`, and failover to the next-ranked node on
+//!   connection loss that re-issues only the lost request ids. One server
+//!   is the N = 1 case, not a second implementation:
+//!   [`remote::RemoteBackend`] is a `NodePool` of one
+//!   ([`NodePool::connect`]) whose blocking calls wait without a budget.
 //! * **Elastic membership** — since **v4** the directory is *live*:
 //!   nodes join ([`NodePool::add_node`]), drain
 //!   ([`NodePool::drain_node`]: the node answers everything it owes,

@@ -38,7 +38,7 @@
 
 use mgpu_obs::names;
 use std::collections::{BTreeMap, HashMap};
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +53,7 @@ use mgpu_serve::{
 use crate::client::{ClientConfig, ClientError, NetTicket, RenderClient};
 use crate::heat::NetStats;
 use crate::remote::{backend_error, backend_frame, portable};
-use crate::wire::{DrainState, NetSceneRequest};
+use crate::wire::{DrainState, NetSceneRequest, WireError};
 
 /// Why a [`Directory`] could not be built or changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,6 +344,17 @@ impl std::fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// A failure on one node's connection, naming the node. A node that has
+/// left the directory has no address to name and reports the unspecified
+/// one.
+fn node_error(node: usize, addr: Option<SocketAddr>, error: ClientError) -> NodeError {
+    NodeError {
+        node,
+        addr: addr.unwrap_or(SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0))),
+        error: backend_error(error),
+    }
+}
+
 /// One pooled connection slot. `generation` counts (re)connects, so a
 /// ticket issued on a connection that later died can never redeem against
 /// the replacement connection's unrelated ticket table. The client is held
@@ -387,7 +398,7 @@ impl PoolTicket {
 /// to re-render elsewhere when the issuing connection is gone.
 struct PendingEntry {
     key: BatchKey,
-    net: NetSceneRequest,
+    net: Arc<NetSceneRequest>,
     slot: Arc<Mutex<NodeSlot>>,
     generation: u64,
     ticket: NetTicket,
@@ -397,7 +408,7 @@ struct PendingEntry {
 /// find hot keys, and the request it replays to pre-warm a destination.
 struct KeyTraffic {
     frames: u64,
-    last: NetSceneRequest,
+    last: Arc<NetSceneRequest>,
 }
 
 /// Bound on distinct keys tracked for rebalancing; the coldest entry is
@@ -426,8 +437,9 @@ fn fresh_slot() -> Arc<Mutex<NodeSlot>> {
     }))
 }
 
-/// N render servers behind one [`RenderBackend`]. Connections are opened
-/// lazily and reused per node; requests route by batch key through the
+/// N render servers behind one [`RenderBackend`] — N = 1 included
+/// ([`NodePool::connect`]). Connections are opened lazily (eagerly by
+/// `connect`) and reused per node; requests route by batch key through the
 /// [`Directory`]; throttling and node loss are absorbed within the
 /// [`RetryBudget`]. The directory is *live*: [`NodePool::add_node`],
 /// [`NodePool::remove_node`], [`NodePool::migrate`] and
@@ -471,6 +483,43 @@ impl NodePool {
             return Err(PoolConfigError::ZeroAttempts);
         }
         Ok(NodePool::new(Directory::new(addrs)?, config))
+    }
+
+    /// One server as a pool of one, with default transport settings (no
+    /// timeouts) — see [`NodePool::connect_with`].
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<NodePool, ClientError> {
+        NodePool::connect_with(addr, ClientConfig::default())
+    }
+
+    /// One server as a pool of one — what [`crate::RemoteBackend`] names.
+    /// The blocking calls keep the in-process contract: they wait out
+    /// admission sheds and throttling for as long as it takes (an
+    /// unbounded wait budget), and with a single attempt a transport
+    /// failure is the caller's at once. The connection is dialed here, so
+    /// an unreachable server is an error now rather than at first use;
+    /// every resolution of `addr` is tried in turn.
+    pub fn connect_with(
+        addr: impl ToSocketAddrs,
+        client: ClientConfig,
+    ) -> Result<NodePool, ClientError> {
+        let config = NodePoolConfig {
+            retry: RetryBudget {
+                attempts: 1,
+                max_throttle_wait: Duration::MAX,
+                total_wait: Duration::MAX,
+            },
+            client,
+        };
+        let mut last = WireError::Io(std::io::ErrorKind::AddrNotAvailable).into();
+        for candidate in addr.to_socket_addrs().map_err(WireError::from)? {
+            let directory = Directory::new(vec![candidate]).expect("one address, no duplicate");
+            let pool = NodePool::new(directory, config);
+            match pool.on_node(0, |_| Ok(())) {
+                Ok(_) => return Ok(pool),
+                Err(err) => last = err,
+            }
+        }
+        Err(last)
     }
 
     /// A point-in-time copy of the placement directory (membership, pins,
@@ -628,11 +677,11 @@ impl NodePool {
     }
 
     /// Note one frame of traffic for `key` (rebalancer fuel).
-    fn record_heat(&self, key: &BatchKey, net: &NetSceneRequest) {
+    fn record_heat(&self, key: &BatchKey, net: &Arc<NetSceneRequest>) {
         let mut heat = self.key_heat.lock();
         if let Some(traffic) = heat.get_mut(key) {
             traffic.frames += 1;
-            traffic.last = net.clone();
+            traffic.last = Arc::clone(net);
             return;
         }
         if heat.len() >= KEY_HEAT_CAP {
@@ -648,7 +697,7 @@ impl NodePool {
             key.clone(),
             KeyTraffic {
                 frames: 1,
-                last: net.clone(),
+                last: Arc::clone(net),
             },
         );
     }
@@ -667,9 +716,10 @@ impl NodePool {
 
     /// The most recent request observed for `key` — what a rebalancer
     /// replays as a `PREWARM` so the migration destination builds its
-    /// plan before the cutover.
-    pub fn last_request(&self, key: &BatchKey) -> Option<NetSceneRequest> {
-        self.key_heat.lock().get(key).map(|t| t.last.clone())
+    /// plan before the cutover. Shared with the pool's own records, never
+    /// copied: a shipped volume's voxels ride in the request.
+    pub fn last_request(&self, key: &BatchKey) -> Option<Arc<NetSceneRequest>> {
+        self.key_heat.lock().get(key).map(|t| Arc::clone(&t.last))
     }
 
     // --- elastic membership -----------------------------------------------
@@ -728,63 +778,46 @@ impl NodePool {
     /// answering everything it still owes. Idempotent. Returns the node's
     /// drain state (with its outstanding-work count).
     pub fn drain_node(&self, node: usize) -> Result<DrainState, NodeError> {
-        let (addr, epoch) = {
-            let mut state = self.state.write();
-            let Some(&addr) = state.directory.addrs().get(node) else {
-                let nodes = state.directory.len();
-                return Err(NodeError {
-                    node,
-                    addr: "0.0.0.0:0".parse().expect("literal addr"),
-                    error: BackendError::Transport(
-                        DirectoryError::UnknownNode { node, nodes }.to_string(),
-                    ),
-                });
-            };
-            if !state.draining[node] {
-                state.draining[node] = true;
-                state.directory.bump_epoch();
-                mgpu_obs::global()
-                    .counter(names::POOL_DRAIN_INITIATED)
-                    .inc();
-            }
-            (addr, state.directory.epoch())
-        };
-        self.control(node, |client| client.drain(epoch))
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+        self.set_draining(node, true)
     }
 
     /// Undo a drain: the node re-enters the routing tables (epoch bump)
     /// and accepts new work again. Idempotent.
     pub fn resume_node(&self, node: usize) -> Result<DrainState, NodeError> {
+        self.set_draining(node, false)
+    }
+
+    /// Flip `node`'s place in the routing tables (bumping the epoch only
+    /// on a real change), then tell the node itself.
+    fn set_draining(&self, node: usize, draining: bool) -> Result<DrainState, NodeError> {
         let (addr, epoch) = {
             let mut state = self.state.write();
             let Some(&addr) = state.directory.addrs().get(node) else {
                 let nodes = state.directory.len();
-                return Err(NodeError {
-                    node,
-                    addr: "0.0.0.0:0".parse().expect("literal addr"),
-                    error: BackendError::Transport(
-                        DirectoryError::UnknownNode { node, nodes }.to_string(),
-                    ),
-                });
+                let unknown = DirectoryError::UnknownNode { node, nodes }.to_string();
+                return Err(node_error(node, None, ClientError::Protocol(unknown)));
             };
-            if state.draining[node] {
-                state.draining[node] = false;
+            if state.draining[node] != draining {
+                state.draining[node] = draining;
                 state.directory.bump_epoch();
-                mgpu_obs::global().counter(names::POOL_DRAIN_RESUMED).inc();
+                if draining {
+                    mgpu_obs::global()
+                        .counter(names::POOL_DRAIN_INITIATED)
+                        .inc();
+                } else {
+                    mgpu_obs::global().counter(names::POOL_DRAIN_RESUMED).inc();
+                }
             }
             (addr, state.directory.epoch())
         };
-        self.control(node, |client| client.resume(epoch))
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+        self.control(node, |client| {
+            if draining {
+                client.drain(epoch)
+            } else {
+                client.resume(epoch)
+            }
+        })
+        .map_err(|err| node_error(node, Some(addr), err))
     }
 
     /// Has a draining node finished? True once it owes nothing (or has
@@ -827,10 +860,7 @@ impl NodePool {
     /// reply says which shard was warmed and whether a plan was actually
     /// built (`false` = already warm).
     pub fn prewarm(&self, node: usize, net: &NetSceneRequest) -> Result<(u32, bool), NodeError> {
-        let addr = self
-            .slot_for(node)
-            .map(|(addr, _)| addr)
-            .unwrap_or_else(|| "0.0.0.0:0".parse().expect("literal addr"));
+        let addr = self.slot_for(node).map(|(addr, _)| addr);
         let epoch = self.epoch();
         self.control(node, |client| client.prewarm(epoch, net))
             .inspect(|_| {
@@ -838,42 +868,35 @@ impl NodePool {
                     .counter(names::POOL_REBALANCE_PREWARMS)
                     .inc();
             })
-            .map_err(|error| NodeError {
-                node,
-                addr,
-                error: backend_error(error),
-            })
+            .map_err(|err| node_error(node, addr, err))
     }
 
     // --- observability ----------------------------------------------------
+
+    /// Run `op` on every node's pooled connection, indexed like the
+    /// directory; a failure names its node.
+    fn each_node<T>(
+        &self,
+        op: impl Fn(&RenderClient) -> Result<T, ClientError>,
+    ) -> Vec<Result<T, NodeError>> {
+        let addrs = self.state.read().directory.addrs().to_vec();
+        addrs
+            .into_iter()
+            .enumerate()
+            .map(|(node, addr)| {
+                self.on_node(node, &op)
+                    .map(|(_, _, value)| value)
+                    .map_err(|err| node_error(node, Some(addr), err))
+            })
+            .collect()
+    }
 
     /// Per-node stats (per-shard snapshots + node snapshot + echoed
     /// epoch), indexed like the directory; unreachable nodes
     /// report a [`NodeError`] that names the node and address, so a dead
     /// node is distinguishable from a hot one.
     pub fn node_stats(&self) -> Vec<Result<NetStats, NodeError>> {
-        let nodes: Vec<(usize, SocketAddr)> = {
-            let state = self.state.read();
-            state
-                .directory
-                .addrs()
-                .iter()
-                .copied()
-                .enumerate()
-                .collect()
-        };
-        nodes
-            .into_iter()
-            .map(|(node, addr)| {
-                self.on_node(node, |client| client.stats())
-                    .map(|(_, _, stats)| stats)
-                    .map_err(|error| NodeError {
-                        node,
-                        addr,
-                        error: backend_error(error),
-                    })
-            })
-            .collect()
+        self.each_node(|client| client.stats())
     }
 
     /// Fold every reachable node's stats into `acc`. Fails only when no
@@ -916,28 +939,7 @@ impl NodePool {
     /// Each node's most recent completed request traces (newest first, at
     /// most `max` per node), indexed like the directory.
     pub fn node_traces(&self, max: u32) -> Vec<Result<Vec<mgpu_obs::CompletedTrace>, NodeError>> {
-        let nodes: Vec<(usize, SocketAddr)> = {
-            let state = self.state.read();
-            state
-                .directory
-                .addrs()
-                .iter()
-                .copied()
-                .enumerate()
-                .collect()
-        };
-        nodes
-            .into_iter()
-            .map(|(node, addr)| {
-                self.on_node(node, |client| client.traces(max))
-                    .map(|(_, _, traces)| traces)
-                    .map_err(|error| NodeError {
-                        node,
-                        addr,
-                        error: backend_error(error),
-                    })
-            })
-            .collect()
+        self.each_node(|client| client.traces(max))
     }
 
     /// Submit through `drive` and park a pending entry so the ticket can
@@ -947,7 +949,7 @@ impl NodePool {
         request: &SceneRequest,
         blocking: bool,
     ) -> Result<PoolTicket, BackendError> {
-        let net = portable(request)?;
+        let net = Arc::new(portable(request)?);
         let key = BatchKey::of(request);
         let (node, slot, generation, ticket) =
             self.drive(&key, blocking, |client| client.submit(&net))?;
@@ -1029,7 +1031,7 @@ impl RenderBackend for NodePool {
     }
 
     fn render(&self, request: SceneRequest) -> Result<BackendFrame, BackendError> {
-        let net = portable(&request)?;
+        let net = Arc::new(portable(&request)?);
         let key = BatchKey::of(&request);
         let frame = self
             .drive(&key, true, |client| client.render(&net))

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //!                        poll(2) readiness loop (one thread)
-//!   TcpListener ──accept──► connection registry: per-conn read/write
-//!                           buffers + partial-frame state machines
-//!        frame complete ──► rate limiter ──► admission ──► try_submit_with
+//!   TcpListener ──accept──► connection registry: per-conn frame reader
+//!                           (`wire::FrameReader`) + write queue
+//!        frame complete ──► rate limiter ──► admission ──► try_submit_traced
 //!             │ THROTTLED/REJECTED answered inline, tagged request_id      │
 //!             ▼                                                            ▼
 //!        write buffer ◄── completion queue ◄── hook fires on a render worker
@@ -45,8 +45,8 @@ use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, Sharde
 use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
-    self, decode, encode, encode_frame, frame_bytes, opcode, DrainState, NetSceneRequest, Pong,
-    Prewarmed, TicketsFull, UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
+    decode, encode, encode_frame, frame_bytes, opcode, DrainState, FrameReader, NetSceneRequest,
+    Pong, Prewarmed, TicketsFull, UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Server tuning knobs.
@@ -62,7 +62,7 @@ pub struct ServerConfig {
     pub rate_limit: Option<RateLimitConfig>,
     /// Upper bound on one *request* frame's payload. Response frames are as
     /// large as the requested image; clients reading bigger responses raise
-    /// their own bound with [`crate::RenderClient::set_max_payload`].
+    /// their own bound, [`crate::ClientConfig::max_payload`].
     pub max_payload: u64,
     /// Outstanding requests one session may hold: in-flight `RENDER`s plus
     /// submitted-but-unredeemed tickets. Each one eventually pins a
@@ -294,48 +294,6 @@ struct PrewarmJob {
 // Per-connection state
 // ---------------------------------------------------------------------------
 
-/// Incremental frame reader: consumes whatever bytes the socket has,
-/// yielding a complete `(opcode, request_id, payload)` at a time.
-enum ReadPhase {
-    Header {
-        buf: [u8; HEADER_BYTES],
-        have: usize,
-    },
-    RequestId {
-        op: u8,
-        len: usize,
-        buf: [u8; 8],
-        have: usize,
-    },
-    Payload {
-        op: u8,
-        request_id: u64,
-        buf: Vec<u8>,
-        have: usize,
-    },
-}
-
-impl ReadPhase {
-    fn start() -> ReadPhase {
-        ReadPhase::Header {
-            buf: [0u8; HEADER_BYTES],
-            have: 0,
-        }
-    }
-}
-
-/// Outcome of one read pass over a connection.
-enum ReadStep {
-    /// A complete frame arrived.
-    Frame(u8, u64, Vec<u8>),
-    /// No full frame yet (socket drained).
-    NotYet,
-    /// Peer closed / errored; nothing to answer.
-    Gone,
-    /// The byte stream is unframable; echo the typed error and close.
-    Poisoned(WireError),
-}
-
 /// Fate of a submitted ticket in the session table.
 enum TicketState {
     Pending,
@@ -370,7 +328,7 @@ impl ConnObs {
 /// parked tickets) that used to live on a dedicated thread.
 struct Conn {
     stream: TcpStream,
-    read: ReadPhase,
+    reader: FrameReader,
     /// Outgoing frames, front partially written up to `out_pos`.
     out: VecDeque<Vec<u8>>,
     out_pos: usize,
@@ -397,7 +355,7 @@ impl Conn {
         obs.connections.inc();
         Conn {
             stream,
-            read: ReadPhase::start(),
+            reader: FrameReader::new(),
             out: VecDeque::new(),
             out_pos: 0,
             bucket: rate.map(|cfg| TokenBucket::new(cfg, Instant::now())),
@@ -431,84 +389,18 @@ impl Conn {
         self.in_flight.is_empty() && self.redeems.is_empty() && self.out.is_empty()
     }
 
-    /// Pull bytes until a full frame lands or the socket runs dry.
-    fn read_step(&mut self, max_payload: u64) -> ReadStep {
-        loop {
-            match &mut self.read {
-                ReadPhase::Header { buf, have } => {
-                    let n = *have;
-                    match read_some(&mut self.stream, &mut buf[n..]) {
-                        Fill::Bytes(got) => {
-                            *have += got;
-                            self.obs.bytes_read.add(got as u64);
-                        }
-                        Fill::WouldBlock => return ReadStep::NotYet,
-                        Fill::Closed => return ReadStep::Gone,
-                    }
-                    if *have < HEADER_BYTES {
-                        continue;
-                    }
-                    match wire::parse_header(buf, max_payload) {
-                        Ok((op, len)) => {
-                            self.read = ReadPhase::RequestId {
-                                op,
-                                len,
-                                buf: [0u8; 8],
-                                have: 0,
-                            };
-                        }
-                        Err(err) => return ReadStep::Poisoned(err),
-                    }
-                }
-                ReadPhase::RequestId { op, len, buf, have } => {
-                    let n = *have;
-                    match read_some(&mut self.stream, &mut buf[n..]) {
-                        Fill::Bytes(got) => {
-                            *have += got;
-                            self.obs.bytes_read.add(got as u64);
-                        }
-                        Fill::WouldBlock => return ReadStep::NotYet,
-                        Fill::Closed => return ReadStep::Gone,
-                    }
-                    if *have < 8 {
-                        continue;
-                    }
-                    let request_id = u64::from_le_bytes(*buf);
-                    self.read = ReadPhase::Payload {
-                        op: *op,
-                        request_id,
-                        buf: vec![0u8; *len],
-                        have: 0,
-                    };
-                }
-                ReadPhase::Payload {
-                    op,
-                    request_id,
-                    buf,
-                    have,
-                } => {
-                    if *have < buf.len() {
-                        let n = *have;
-                        match read_some(&mut self.stream, &mut buf[n..]) {
-                            Fill::Bytes(got) => {
-                                *have += got;
-                                self.obs.bytes_read.add(got as u64);
-                            }
-                            Fill::WouldBlock => return ReadStep::NotYet,
-                            Fill::Closed => return ReadStep::Gone,
-                        }
-                        if *have < buf.len() {
-                            continue;
-                        }
-                    }
-                    let (op, request_id) = (*op, *request_id);
-                    let payload = std::mem::take(buf);
-                    self.read = ReadPhase::start();
-                    self.obs.frames_in.inc();
-                    return ReadStep::Frame(op, request_id, payload);
-                }
-            }
+    /// Pull bytes until a full frame lands (`Ok(Some)`) or the socket runs
+    /// dry (`Ok(None)`).
+    fn read_frame(&mut self, max_payload: u64) -> Result<Option<(u8, u64, Vec<u8>)>, WireError> {
+        let mut socket = CountedRead {
+            stream: &self.stream,
+            bytes_read: &self.obs.bytes_read,
+        };
+        let frame = self.reader.read(&mut socket, max_payload)?;
+        if frame.is_some() {
+            self.obs.frames_in.inc();
         }
+        Ok(frame)
     }
 
     /// Write as much of the out-queue as the socket accepts. `Err(())`
@@ -541,19 +433,18 @@ impl Drop for Conn {
     }
 }
 
-enum Fill {
-    Bytes(usize),
-    WouldBlock,
-    Closed,
+/// A connection's socket as a `Read` that counts every byte that arrives
+/// into `net.bytes_read`.
+struct CountedRead<'a> {
+    stream: &'a TcpStream,
+    bytes_read: &'a Counter,
 }
 
-fn read_some(stream: &mut TcpStream, buf: &mut [u8]) -> Fill {
-    match stream.read(buf) {
-        Ok(0) => Fill::Closed,
-        Ok(n) => Fill::Bytes(n),
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Fill::WouldBlock,
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Fill::Bytes(0),
-        Err(_) => Fill::Closed,
+impl Read for CountedRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.bytes_read.add(n as u64);
+        Ok(n)
     }
 }
 
@@ -696,6 +587,14 @@ impl RenderServer {
     pub fn loop_wakeups(&self) -> u64 {
         let shared = self.shared.as_ref().expect("server is running");
         shared.wakeups.get()
+    }
+
+    /// Start popping jobs on a service that was started paused
+    /// (`ServiceConfig::start_paused`) — the wire twin of
+    /// [`ShardedService::resume`]. Shutdown resumes on its own way out.
+    pub fn resume(&self) {
+        let shared = self.shared.as_ref().expect("server is running");
+        shared.sharded.resume();
     }
 
     fn stop_event_loop(&mut self) {
@@ -985,18 +884,18 @@ impl EventLoop {
             if conn.closing {
                 return;
             }
-            match conn.read_step(self.shared.config.max_payload) {
-                ReadStep::Frame(op, request_id, payload) => {
+            match conn.read_frame(self.shared.config.max_payload) {
+                Ok(Some((op, request_id, payload))) => {
                     self.dispatch(token, op, request_id, &payload);
                 }
-                ReadStep::NotYet => return,
-                ReadStep::Gone => {
+                Ok(None) => return,
+                Err(WireError::ConnectionClosed | WireError::Io(_)) => {
                     // Peer vanished (cleanly or mid-frame): nothing to
                     // answer, in-flight completions get dropped on arrival.
                     self.conns.remove(&token);
                     return;
                 }
-                ReadStep::Poisoned(err) => {
+                Err(err) => {
                     // Framing is lost — resyncing an unframed byte stream
                     // is guesswork. Answer typed, flush, close. A version
                     // mismatch gets the dedicated UNSUPPORTED_VERSION

@@ -50,6 +50,10 @@
 //! ([`opcode::UNSUPPORTED_VERSION`], [`opcode::BAD_REQUEST`] for unframable
 //! input) carry request id 0.
 //!
+//! Both ends of the socket parse frames with one incremental reader
+//! (`FrameReader`; [`read_frame`] is its blocking form) that runs over any
+//! `Read`, so a torn or hostile byte stream can be replayed from a slice.
+//!
 //! Integers and float bit patterns are little-endian. Floats travel as
 //! [`f32::to_bits`]/[`f64::to_bits`], so decoding reconstructs the exact
 //! input — the bit-identity guarantee of the render service extends across
@@ -57,8 +61,8 @@
 //!
 //! Every decode error is a typed [`WireError`]; malformed and truncated
 //! input can never panic the peer (`mgpu-lint`'s `panic-free-decode` scans
-//! every `Wire::get`, every [`Reader`] method, [`parse_header`] and
-//! [`read_frame`] for anything that could).
+//! every `Wire::get`, every [`Reader`] and `FrameReader` method,
+//! [`parse_header`] and [`read_frame`] for anything that could).
 //!
 //! ### Migration from v2
 //!
@@ -180,7 +184,8 @@ pub mod opcode {
 /// `TrailingBytes`) poison only the offending request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Underlying socket error (kind only: portable and comparable).
+    /// Underlying socket error (kind only: portable and comparable). A
+    /// peer that closes inside a frame is `UnexpectedEof` here.
     Io(std::io::ErrorKind),
     /// The peer closed the connection at a frame boundary.
     ConnectionClosed,
@@ -242,10 +247,7 @@ impl std::error::Error for WireError {}
 
 impl From<std::io::Error> for WireError {
     fn from(err: std::io::Error) -> WireError {
-        match err.kind() {
-            std::io::ErrorKind::UnexpectedEof => WireError::ConnectionClosed,
-            kind => WireError::Io(kind),
-        }
+        WireError::Io(err.kind())
     }
 }
 
@@ -678,17 +680,79 @@ pub fn parse_header(
     Ok((opcode, len as usize))
 }
 
-/// Read one frame: `(opcode, request_id, payload)`. A clean EOF before the
-/// first header byte is [`WireError::ConnectionClosed`].
+/// The one frame parser, for both ends of the socket: pulls a frame's bytes
+/// from any `Read` — blocking or not, a socket or a byte slice — and keeps
+/// its place between calls, so a frame may arrive split at any boundary.
+pub(crate) struct FrameReader {
+    prelude: [u8; PRELUDE_BYTES],
+    /// Bytes of the current frame received so far: prelude, then payload.
+    have: usize,
+    /// Opcode and exact-size payload buffer, once the header has validated.
+    body: Option<(u8, Vec<u8>)>,
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> FrameReader {
+        FrameReader {
+            prelude: [0u8; PRELUDE_BYTES],
+            have: 0,
+            body: None,
+        }
+    }
+
+    /// Read until one frame is complete (`Ok(Some((opcode, request_id,
+    /// payload)))`) or `r` would block (`Ok(None)`: call again once it is
+    /// readable). The header is validated as soon as `HEADER_BYTES` are in
+    /// — a v2 peer's frame has no request id and may never reach
+    /// `PRELUDE_BYTES` — and nothing is allocated before it passes. EOF
+    /// before a frame's first byte is [`WireError::ConnectionClosed`];
+    /// inside a frame it is an `UnexpectedEof` I/O error. After any `Err`
+    /// the stream position is lost and the reader must not be used again.
+    pub(crate) fn read(
+        &mut self,
+        r: &mut impl Read,
+        max_payload: u64,
+    ) -> Result<Option<(u8, u64, Vec<u8>)>, WireError> {
+        loop {
+            let have = self.have;
+            if self.body.is_none() && have >= HEADER_BYTES {
+                if let Some(header) = self.prelude.first_chunk() {
+                    let (opcode, len) = parse_header(header, max_payload)?;
+                    self.body = Some((opcode, vec![0u8; len]));
+                }
+            }
+            let complete = self
+                .body
+                .take_if(|(_, payload)| have == PRELUDE_BYTES + payload.len());
+            if let Some((opcode, payload)) = complete {
+                self.have = 0;
+                let id = self.prelude.last_chunk().copied().unwrap_or_default();
+                return Ok(Some((opcode, u64::from_le_bytes(id), payload)));
+            }
+            // The next bytes go to the rest of the prelude, then to the
+            // rest of the payload.
+            let rest = match (&mut self.body, have.checked_sub(PRELUDE_BYTES)) {
+                (Some((_, payload)), Some(got)) => payload.get_mut(got..),
+                _ => self.prelude.get_mut(have..),
+            };
+            match r.read(rest.unwrap_or_default()) {
+                Ok(0) if self.have == 0 => return Err(WireError::ConnectionClosed),
+                Ok(0) => return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof)),
+                Ok(n) => self.have += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// Read one frame from a blocking reader: `(opcode, request_id, payload)`.
+/// `WouldBlock` here means the reader's own timeout expired mid-wait.
 pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<(u8, u64, Vec<u8>), WireError> {
-    let mut header = [0u8; HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    let (opcode, len) = parse_header(&header, max_payload)?;
-    let mut id = [0u8; 8];
-    r.read_exact(&mut id)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok((opcode, u64::from_le_bytes(id), payload))
+    FrameReader::new()
+        .read(r, max_payload)?
+        .ok_or(WireError::Io(std::io::ErrorKind::WouldBlock))
 }
 
 // ---------------------------------------------------------------------------
@@ -1297,12 +1361,25 @@ pub(crate) mod tests {
     /// the hand-paired encoders this codec replaced produced for the same
     /// value at the parent commit. This is what holds [`VERSION`] at 5.
     pub(crate) fn assert_golden(name: &str, bytes: &[u8]) {
-        let golden = include_str!("../tests/golden_v5.txt")
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden_hex(name), "{name} left its golden bytes");
+    }
+
+    fn golden_hex(name: &str) -> &'static str {
+        include_str!("../tests/golden_v5.txt")
             .lines()
             .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
-            .unwrap_or_else(|| panic!("no golden bytes named {name}"));
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, golden, "{name} left its golden bytes");
+            .unwrap_or_else(|| panic!("no golden bytes named {name}"))
+    }
+
+    /// The named golden payload, framed under `opcode` and `request_id`.
+    fn golden_frame(name: &str, opcode: u8, request_id: u64) -> Vec<u8> {
+        let hex = golden_hex(name).as_bytes();
+        let payload: Vec<u8> = hex
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        frame_bytes(opcode, request_id, &payload)
     }
 
     /// The four-clause [`Wire`] contract of the module docs, for one value.
@@ -1500,17 +1577,169 @@ pub(crate) mod tests {
             other => panic!("{other:?}"),
         }
 
-        // Empty stream = clean close; torn header = closed too.
+        // Empty stream = clean close at a frame boundary.
         match read_frame(&mut (&[] as &[u8]), 1024) {
             Err(WireError::ConnectionClosed) => {}
             other => panic!("{other:?}"),
         }
 
-        // A frame torn inside the request id is a close, not a panic.
+        // A frame torn inside the request id is an EOF error, not a panic.
         match read_frame(&mut (&buf[..HEADER_BYTES + 3]), 1024) {
-            Err(WireError::ConnectionClosed) => {}
+            Err(WireError::Io(std::io::ErrorKind::UnexpectedEof)) => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A non-blocking source for [`FrameReader`]: hands out its pieces in
+    /// order, never more than one piece per `read`, with one `WouldBlock`
+    /// between pieces and EOF after the last.
+    struct Pieces<'a> {
+        pieces: std::collections::VecDeque<&'a [u8]>,
+        stalled: bool,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn new(pieces: impl IntoIterator<Item = &'a [u8]>) -> Pieces<'a> {
+            Pieces {
+                pieces: pieces.into_iter().filter(|p| !p.is_empty()).collect(),
+                stalled: false,
+            }
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.stalled) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let Some(piece) = self.pieces.front_mut() else {
+                return Ok(0);
+            };
+            let n = piece.read(buf)?;
+            if piece.is_empty() {
+                self.pieces.pop_front();
+                self.stalled = !self.pieces.is_empty();
+            }
+            Ok(n)
+        }
+    }
+
+    /// Call `reader` until it has a frame or an error, as an event loop
+    /// would on every readiness event.
+    fn pump(
+        reader: &mut FrameReader,
+        src: &mut impl Read,
+    ) -> Result<(u8, u64, Vec<u8>), WireError> {
+        loop {
+            if let Some(frame) = reader.read(src, DEFAULT_MAX_PAYLOAD)? {
+                return Ok(frame);
+            }
+        }
+    }
+
+    /// A sample of frames: payloads from the golden file (small, with a
+    /// shipped volume, the bulk pixel path) and the empty payload.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        vec![
+            golden_frame("pong", opcode::PONG, 1),
+            golden_frame("request_shipped", opcode::RENDER, u64::MAX),
+            golden_frame("frame", opcode::FRAME, 0x0102_0304_0506_0708),
+            frame_bytes(opcode::STATS, 7, &[]),
+        ]
+    }
+
+    #[test]
+    fn frame_reader_agrees_with_read_frame_however_the_bytes_arrive() {
+        for bytes in sample_frames() {
+            let whole = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
+            // One byte at a time, a `WouldBlock` between any two.
+            let mut trickle = Pieces::new(bytes.chunks(1));
+            assert_eq!(
+                pump(&mut FrameReader::new(), &mut trickle),
+                Ok(whole.clone())
+            );
+            // Split in two at every byte boundary.
+            for cut in 0..=bytes.len() {
+                let (a, b) = bytes.split_at(cut);
+                let mut split = Pieces::new([a, b]);
+                let got = pump(&mut FrameReader::new(), &mut split);
+                assert_eq!(got, Ok(whole.clone()), "split at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_tells_a_clean_close_from_a_torn_frame() {
+        for bytes in sample_frames() {
+            for cut in 0..bytes.len() {
+                let want = match cut {
+                    0 => WireError::ConnectionClosed,
+                    _ => WireError::Io(std::io::ErrorKind::UnexpectedEof),
+                };
+                let torn = read_frame(&mut &bytes[..cut], DEFAULT_MAX_PAYLOAD);
+                assert_eq!(torn, Err(want.clone()), "EOF after {cut} bytes");
+                let mut trickle = Pieces::new(bytes[..cut].chunks(1));
+                let torn = pump(&mut FrameReader::new(), &mut trickle);
+                assert_eq!(torn, Err(want), "EOF after {cut} trickled bytes");
+            }
+        }
+    }
+
+    /// A bad header is refused the moment its last byte is in — a v2 peer's
+    /// frame has no request id, so waiting for `PRELUDE_BYTES` could wait
+    /// forever — and not a byte earlier.
+    #[test]
+    fn frame_reader_judges_the_header_after_exactly_header_bytes() {
+        let good = frame_bytes(opcode::PING, 3, &encode(&7u64));
+        let bent = |at: usize, with: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            bad
+        };
+        let cases = [
+            (
+                bent(0, b"HTTP"),
+                WireError::BadMagic(u32::from_le_bytes(*b"HTTP")),
+            ),
+            (
+                bent(4, &2u16.to_le_bytes()),
+                WireError::UnsupportedVersion {
+                    got: 2,
+                    want: VERSION,
+                },
+            ),
+            (
+                bent(7, &u32::MAX.to_le_bytes()),
+                WireError::TooLarge {
+                    len: u32::MAX as u64,
+                    max: 1024,
+                },
+            ),
+        ];
+        for (bad, want) in cases {
+            let (head, rest) = bad.split_at(HEADER_BYTES);
+            let (early, last) = head.split_at(HEADER_BYTES - 1);
+            let mut src = Pieces::new([early, last, rest]);
+            let mut reader = FrameReader::new();
+            assert_eq!(reader.read(&mut src, 1024), Ok(None), "no verdict yet");
+            assert_eq!(reader.read(&mut src, 1024), Err(want));
+            assert_eq!(src.pieces, [rest], "nothing past the header was read");
+        }
+    }
+
+    #[test]
+    fn frame_reader_takes_back_to_back_frames_one_at_a_time() {
+        let first = golden_frame("pong", opcode::PONG, 1);
+        let second = golden_frame("prewarmed", opcode::PREWARMED, 2);
+        let both = [first.clone(), second.clone()].concat();
+        let mut src = both.as_slice();
+        let mut reader = FrameReader::new();
+        for frame in [first, second] {
+            let want = read_frame(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
+            assert_eq!(reader.read(&mut src, DEFAULT_MAX_PAYLOAD), Ok(Some(want)));
+        }
+        let end = reader.read(&mut src, DEFAULT_MAX_PAYLOAD);
+        assert_eq!(end, Err(WireError::ConnectionClosed));
     }
 
     /// Every request id value round-trips verbatim through the prelude —

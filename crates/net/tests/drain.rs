@@ -3,14 +3,15 @@
 //! idempotent drain/resume, the GOODBYE protocol, and heat-driven
 //! rebalancing with pre-warm-before-cutover.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mgpu_net::{
     rebalance_once, Directory, NodePool, NodePoolConfig, RebalanceConfig, RenderClient,
     RenderServer, ServerConfig,
 };
-use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
-use mgpu_voldata::Dataset;
+use mgpu_serve::{BatchKey, Priority, RenderBackend, SceneRequest, ServiceConfig};
+use mgpu_voldata::{Dataset, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::{RenderConfig, TransferFunction};
 
@@ -393,4 +394,47 @@ fn membership_changes_keep_parked_tickets_redeemable() {
         server.shutdown();
     }
     third.shutdown();
+}
+
+/// The pool remembers each key's last request (for `PREWARM`) and each
+/// un-redeemed ticket's (for hand-off). A shipped volume's voxels ride in
+/// that request, so every record of it shares one allocation.
+#[test]
+fn a_remembered_request_is_shared_not_copied() {
+    let server = node();
+    let pool =
+        NodePool::try_new(vec![server.addr()], NodePoolConfig::default()).expect("one-node pool");
+    let voxels = (0..64).map(|i| i as f32 / 63.0).collect();
+    let volume = Volume::in_memory("shipped", [4, 4, 4], voxels);
+    let request_at = |az: f32| SceneRequest {
+        spec: mgpu_cluster::ClusterSpec::accelerator_cluster(1),
+        scene: Scene::orbit(&volume, az, 10.0, TransferFunction::bone()),
+        volume: volume.clone(),
+        config: RenderConfig::test_size(8),
+        priority: Priority::Normal,
+    };
+    let key = BatchKey::of(&request_at(0.0));
+
+    pool.render(request_at(0.0)).expect("first render");
+    pool.render(request_at(30.0)).expect("second render");
+    let held = pool.last_request(&key).expect("key has traffic");
+    let again = pool.last_request(&key).expect("key has traffic");
+    assert!(Arc::ptr_eq(&held, &again), "last_request hands out copies");
+    drop(again);
+    assert_eq!(Arc::strong_count(&held), 2, "the heat table and `held`");
+
+    // One ticket outstanding: its pending entry holds the same allocation
+    // the heat table now remembers.
+    let ticket = pool.submit(request_at(60.0)).expect("submit");
+    let held = pool.last_request(&key).expect("key has traffic");
+    assert_eq!(
+        Arc::strong_count(&held),
+        3,
+        "the heat table, the pending entry and `held`"
+    );
+    pool.redeem(ticket).expect("redeem");
+    assert_eq!(Arc::strong_count(&held), 2, "redemption drops the entry");
+
+    drop(pool);
+    server.shutdown();
 }

@@ -20,8 +20,8 @@
 //! |------------------------------|-------------|--------------------------------|
 //! | [`RenderService`]            | `mgpu-serve`| one process, one queue         |
 //! | [`ShardedService`]           | `mgpu-serve`| N in-process shards            |
-//! | `RemoteBackend`              | `mgpu-net`  | one server over TCP            |
 //! | `NodePool`                   | `mgpu-net`  | N servers behind a directory   |
+//! | `RemoteBackend`              | `mgpu-net`  | one server: a `NodePool` of one|
 
 use std::sync::Arc;
 use std::time::Duration;

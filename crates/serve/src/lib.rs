@@ -430,20 +430,11 @@ impl RenderService {
     /// cache hit. This is the admission path for event-driven front-ends: no
     /// waiter thread parks per frame; completions land wherever the hook
     /// puts them (a completion queue, typically). On [`AdmissionError`] the
-    /// hook never runs — the caller reports the shed itself.
-    pub fn try_submit_with(
-        &self,
-        request: SceneRequest,
-        on_done: impl FnOnce(FrameResult) + Send + 'static,
-    ) -> Result<(), AdmissionError> {
-        self.try_submit_traced(request, local_trace(), on_done)
-    }
-
-    /// [`RenderService::try_submit_with`] with a caller-provided
-    /// [`mgpu_obs::Trace`]: the queue/plan/render (and, inside the renderer,
-    /// stage/kernel/composite) spans are recorded onto `trace` instead of a
-    /// fresh one. A network front-end seeds the trace from the wire
-    /// `request_id` so one request is followable end to end.
+    /// hook never runs — the caller reports the shed itself. The
+    /// queue/plan/render (and, inside the renderer, stage/kernel/composite)
+    /// spans are recorded onto the caller's [`mgpu_obs::Trace`]: a network
+    /// front-end seeds it from the wire `request_id` so one request is
+    /// followable end to end.
     pub fn try_submit_traced(
         &self,
         request: SceneRequest,

@@ -34,7 +34,7 @@ use crate::{FrameError, FrameResult, SceneRequest};
 /// an arbitrary `FnOnce` invoked on the worker thread. Hooks are what an
 /// event-driven front-end hands in so render completions land in *its*
 /// completion queue instead of parking a waiter thread per frame (see
-/// [`crate::RenderService::try_submit_with`]).
+/// [`crate::RenderService::try_submit_traced`]).
 pub struct Reply(ReplyKind);
 
 enum ReplyKind {

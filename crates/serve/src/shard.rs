@@ -162,21 +162,11 @@ impl ShardedService {
         self.shards[self.shard_for(&key)].try_submit(request)
     }
 
-    /// [`RenderService::try_submit_with`] routed to the owning shard: the
-    /// completion hook runs on that shard's worker (or inline on a cache
-    /// hit). On [`AdmissionError`] the hook never runs.
-    pub fn try_submit_with(
-        &self,
-        request: SceneRequest,
-        on_done: impl FnOnce(crate::FrameResult) + Send + 'static,
-    ) -> Result<(), AdmissionError> {
-        let key = BatchKey::of(&request);
-        self.shards[self.shard_for(&key)].try_submit_with(request, on_done)
-    }
-
     /// [`RenderService::try_submit_traced`] routed to the owning shard: the
-    /// caller-provided trace travels with the job, so the shard's worker and
-    /// renderer record their spans onto the request's end-to-end trace.
+    /// completion hook runs on that shard's worker (or inline on a cache
+    /// hit; never on [`AdmissionError`]), and the caller-provided trace
+    /// travels with the job, so the shard's worker and renderer record
+    /// their spans onto the request's end-to-end trace.
     pub fn try_submit_traced(
         &self,
         request: SceneRequest,

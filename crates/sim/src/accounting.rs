@@ -4,8 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::activity::{Activity, Fig3Bucket};
 use crate::engine::Schedule;
 use crate::time::{SimDuration, SimTime};
@@ -21,7 +19,7 @@ use crate::trace::Trace;
 ///   which is exactly the overlap argument of §3/§6);
 /// * `sort` — … → all reducers finish sorting;
 /// * `reduce` — … → all reducers finish compositing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     pub map: SimDuration,
     pub partition_io: SimDuration,
@@ -45,7 +43,7 @@ impl PhaseBreakdown {
 }
 
 /// Aggregate busy time and bytes for one activity across all resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivityTotals {
     pub busy: SimDuration,
     pub bytes: u64,

@@ -1,11 +1,9 @@
 //! Activity taxonomy for traced work, and the mapping onto the phase buckets
 //! reported in the paper's Figure 3 (Map / Partition + I/O / Sort / Reduce).
 
-use serde::{Deserialize, Serialize};
-
 /// What a traced task is doing. Every task in a [`crate::trace::Trace`] is
 /// tagged with one activity; phase accounting aggregates over these tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Reading a brick (or any blob) from a node-local disk.
     DiskRead,
@@ -40,7 +38,7 @@ pub enum Activity {
 }
 
 /// The four stacked buckets of the paper's Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Fig3Bucket {
     /// Brick upload + ray-cast kernel + fragment readback.
     Map,

@@ -5,14 +5,12 @@
 //! the device, `mgpu-cluster` for disks and the interconnect); this module
 //! only provides the shapes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// A latency + bandwidth pipe: `time(bytes) = latency + bytes / bandwidth`.
 ///
 /// Used for PCIe links, disks, NICs and shared-memory copies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Fixed per-operation latency, seconds.
     pub latency_s: f64,
@@ -48,7 +46,7 @@ impl LinkModel {
 /// A rate server: `time(units) = overhead + units / rate`.
 ///
 /// Used for kernels (units = samples), sorts and reductions (units = pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateModel {
     /// Fixed per-invocation overhead, seconds (e.g. kernel launch).
     pub overhead_s: f64,

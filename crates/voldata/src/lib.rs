@@ -14,7 +14,6 @@
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
 //!   layers (the out-of-core path);
-//! * [`mipmap`] — 2× downsampling and mip pyramids (multiresolution LOD);
 //! * [`stats`] — streaming volume statistics.
 
 #![forbid(unsafe_code)]
@@ -24,7 +23,6 @@ pub mod brickstore;
 pub mod datasets;
 pub mod field;
 pub mod io;
-pub mod mipmap;
 pub mod noise;
 pub mod stats;
 pub mod volume;
@@ -33,6 +31,5 @@ pub use brick::{BrickGrid, BrickInfo, BrickPolicy};
 pub use brickstore::{BrickData, BrickStore, StoreSnapshot};
 pub use datasets::Dataset;
 pub use field::ScalarField;
-pub use mipmap::{downsample, MipPyramid};
 pub use stats::VolumeStats;
 pub use volume::{Volume, VolumeMeta, VolumeSource};

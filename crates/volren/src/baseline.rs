@@ -2,7 +2,7 @@
 //! ParaView-class CPU-cluster model (the paper's footnote-1 comparison).
 
 use mgpu_cluster::ClusterSpec;
-use mgpu_gpu::{launch, LaunchConfig, LaunchStats, Texture3D};
+use mgpu_gpu::{launch, LaunchConfig, Texture3D};
 use mgpu_sim::SimDuration;
 use mgpu_voldata::Volume;
 
@@ -53,36 +53,6 @@ pub fn reference_render(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> I
         img.set_linear(key, color);
     }
     img
-}
-
-/// Kernel statistics of a reference render (for calibration reporting).
-pub fn reference_stats(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> LaunchStats {
-    let d = volume.dims();
-    let store_dims = [d[0] as usize + 2, d[1] as usize + 2, d[2] as usize + 2];
-    let voxels = volume.materialize_clamped([-1, -1, -1], store_dims);
-    let texture = Texture3D::new(store_dims, voxels);
-    let lut = scene.transfer.bake();
-    let kernel = RayCastKernel {
-        camera: &scene.camera,
-        lut: &lut,
-        texture: &texture,
-        store_origin: vec3(-1.0, -1.0, -1.0),
-        core_lo: vec3(0.0, 0.0, 0.0),
-        core_hi: vec3(d[0] as f32, d[1] as f32, d[2] as f32),
-        image: cfg.image,
-        offset: (0, 0),
-        step: cfg.step_voxels,
-        early_term: cfg.early_term,
-    };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    launch(
-        &kernel,
-        LaunchConfig::cover(cfg.image.0, cfg.image.1),
-        parallelism,
-    )
-    .stats
 }
 
 /// The paper's footnote-1 comparator: "Moreland et al. show that ParaView

@@ -30,10 +30,10 @@ fn main() {
     let cfg = RenderConfig::test_size(64);
     let frames_per_client = 8;
 
-    // Two backends = two connections (sessions); the SAME session code
-    // would run over a local RenderService — that is the point of the
-    // trait. Explicit timeouts: a dead node fails the call instead of
-    // hanging it.
+    // Two backends = two connections (sessions), each a one-node NodePool;
+    // the SAME session code would run over a local RenderService — that is
+    // the point of the trait. Explicit timeouts: a dead node fails the call
+    // instead of hanging it.
     let client_cfg = ClientConfig {
         connect_timeout: Some(std::time::Duration::from_secs(5)),
         read_timeout: Some(std::time::Duration::from_secs(120)),
@@ -43,9 +43,11 @@ fn main() {
         RemoteBackend::connect_with(server.addr(), client_cfg).expect("connect skull client");
     let nova_backend =
         RemoteBackend::connect_with(server.addr(), client_cfg).expect("connect nova client");
+    // A one-node pool's only node is node 0.
+    let node = &skull_backend.node_stats()[0];
     println!(
         "clients connected (server reports {} shards)\n",
-        skull_backend.shards()
+        node.as_ref().expect("stats over the socket").shards().len()
     );
 
     let skull = Dataset::Skull.volume(32);

@@ -16,11 +16,11 @@
 //!   trait every front-end implements;
 //! * [`net`] — the service on the wire: protocol,
 //!   [`net::RenderServer`]/[`net::RenderClient`], per-session rate
-//!   limiting, per-shard heat stats, plus the remote backends —
-//!   [`net::RemoteBackend`] (one server) and [`net::NodePool`] (N servers
-//!   behind a live, epoch-versioned placement [`net::Directory`] with
-//!   retry budgets, failover, zero-loss graceful drains and heat-driven
-//!   [`net::rebalance`]) — behind the same trait;
+//!   limiting, per-shard heat stats, plus the remote backend —
+//!   [`net::NodePool`] (N servers behind a live, epoch-versioned placement
+//!   [`net::Directory`] with retry budgets, failover, zero-loss graceful
+//!   drains and heat-driven [`net::rebalance`]; [`net::RemoteBackend`] is
+//!   the same pool with one server) — behind the same trait;
 //! * [`obs`] — the observability layer: the unified metrics
 //!   [`obs::Registry`] (counters, gauges, log₂ histograms) with exactly
 //!   mergeable [`obs::Snapshot`]s, and per-request [`obs::Trace`]s whose

@@ -251,7 +251,8 @@ fn remote_backend_frames_are_bit_identical() {
         },
     )
     .expect("connect");
-    assert_eq!(backend.shards(), 2);
+    let node = &backend.node_stats()[0];
+    assert_eq!(node.as_ref().expect("node stats").shards().len(), 2);
     let completed = prove_frames_bit_identical(&backend, "RemoteBackend");
     // The remote shutdown is a disconnect: the server survives and its
     // final report agrees with what the client saw.
@@ -368,9 +369,10 @@ fn node_pool_fails_over_within_its_retry_budget_when_a_node_dies() {
 /// Satellite: ticket-redemption edge cases through the trait.
 #[test]
 fn ticket_redemption_edge_cases() {
-    // Remote: a ticket redeems exactly once; the second attempt and a
-    // never-issued ticket are typed transport errors, and the connection
-    // survives both.
+    // Remote (a one-node pool): a ticket redeems exactly once, the second
+    // attempt is the pool's typed error, and the connection survives it. A
+    // never-issued wire ticket is the server's own typed refusal — only
+    // the raw client can name one now that a remote ticket is a PoolTicket.
     let server = start_node(1);
     let backend = RemoteBackend::connect(server.addr()).expect("connect");
     let skull = Dataset::Skull.volume(8);
@@ -385,16 +387,18 @@ fn ticket_redemption_edge_cases() {
     backend.redeem(ticket).expect("first redemption");
     match backend.redeem(ticket) {
         Err(BackendError::Transport(msg)) => {
-            assert!(msg.contains("unknown ticket"), "{msg}")
+            assert!(msg.contains("unknown or already redeemed"), "{msg}")
         }
         other => panic!("double redemption must fail typed, got {other:?}"),
     }
-    match backend.redeem(NetTicket::from_id(0xDEAD)) {
-        Err(BackendError::Transport(msg)) => {
+    let raw = RenderClient::connect(server.addr()).expect("raw connect");
+    match raw.redeem(NetTicket::from_id(0xDEAD)) {
+        Err(ClientError::Protocol(msg)) => {
             assert!(msg.contains("unknown ticket"), "{msg}")
         }
         other => panic!("unknown ticket must fail typed, got {other:?}"),
     }
+    drop(raw);
     // The session (and server) survive the bad redemptions.
     backend
         .render(request)
@@ -459,6 +463,74 @@ fn ticket_redemption_edge_cases() {
         other => panic!("double redemption must fail typed, got {other:?}"),
     }
     nodes[1 - owner].take().unwrap().shutdown();
+}
+
+/// `NodePool::connect` keeps the one-server contract `RemoteBackend` always
+/// had: an unreachable server is an error at construction, `try_submit`
+/// sheds at once with the queue's own error, and the blocking `submit`
+/// waits the shed out for as long as it lasts.
+#[test]
+fn connect_dials_eagerly_and_blocking_submit_waits_out_admission() {
+    // Bind-then-drop: the port is closed by the time `connect` dials it.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("ephemeral port");
+    match NodePool::connect(dead) {
+        Err(ClientError::Wire(_)) => {}
+        Err(other) => panic!("expected a wire error at construction, got {other:?}"),
+        Ok(_) => panic!("connected to a closed port"),
+    }
+
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        service: ServiceConfig {
+            workers: 1,
+            start_paused: true,
+            queue_bounds: QueueBounds::uniform(1),
+            ..ServiceConfig::default()
+        },
+        rate_limit: None,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let backend = RemoteBackend::connect(server.addr()).expect("connect");
+    let skull = Dataset::Skull.volume(8);
+    let request_at = |az: f32| SceneRequest {
+        spec: ClusterSpec::accelerator_cluster(1),
+        scene: Scene::orbit(&skull, az, 0.0, TransferFunction::bone()),
+        volume: skull.clone(),
+        config: RenderConfig::test_size(8),
+        priority: Priority::Normal,
+    };
+    let first = backend
+        .try_submit(request_at(0.0))
+        .expect("first fills the queue");
+    match backend.try_submit(request_at(40.0)) {
+        Err(BackendError::Admission(err)) => assert_eq!((err.queued, err.limit), (1, 1)),
+        other => panic!("expected admission shedding, got {other:?}"),
+    }
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _ = done_tx.send(backend.submit(request_at(80.0)));
+        });
+        // While the service is paused the queue stays full, so the
+        // blocking submit is still polling the shed out…
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "blocking submit returned while the queue was still full"
+        );
+        // …and it is admitted once a worker frees the slot.
+        server.resume();
+        let second = done_rx
+            .recv()
+            .expect("submitter finished")
+            .expect("blocking submit outlasts the shed");
+        backend.redeem(first).expect("first frame renders");
+        backend.redeem(second).expect("second frame renders");
+    });
+    assert_eq!(server.shutdown().frames_completed, 2);
 }
 
 /// Wire v3 pipelined submission: the same bit-identity contract holds when
