@@ -1,17 +1,23 @@
 //! Criterion micro-benchmarks of the hot primitives: the counting sort
 //! against the comparison sort it replaces (the §3.1.2 θ(n) claim), the
 //! partition strategies, trilinear texture sampling, fragment compositing,
-//! value noise and the DES replay itself.
+//! value noise, the DES replay itself, and one ray-march launch with and
+//! without macrocells.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use mgpu_gpu::Texture3D;
+use std::sync::Arc;
+
+use mgpu_gpu::{launch_blocks, LaunchConfig, Texture3D};
 use mgpu_mapreduce::{counting_sort_groups, Partitioner, RoundRobin, Striped, Tiled};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
 use mgpu_voldata::noise::{fbm, value_noise};
+use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset};
 use mgpu_volren::composite::{composite_unsorted, over};
-use mgpu_volren::Fragment;
+use mgpu_volren::kernel::RayCastKernel;
+use mgpu_volren::math::vec3;
+use mgpu_volren::{Fragment, RenderBrick, Scene, Staging, TransferFunction};
 
 fn pairs(n: usize, key_space: u32) -> (Vec<u32>, Vec<u64>) {
     let keys = (0..n as u64)
@@ -183,6 +189,84 @@ fn bench_des(c: &mut Criterion) {
     g.finish();
 }
 
+/// One launch of the batched ray caster over one brick of `orbit_incore`'s
+/// volume (Skull 128³ in two bricks, `bone`, 256², serial), three ways:
+/// without macrocells (the march the parent commit ran), with the brick's
+/// own cells (empty-space skipping at work), and with a *bypass* table —
+/// every cell widened to the brick's whole value range except one all-air
+/// corner cell. The bypass table is conservative, so the frame is the same;
+/// it keeps a grid alive (one cell is empty) while leaving the rays nothing
+/// to skip, so `bypass − no_cells` is what the per-sample cell test and the
+/// per-launch classification cost when they buy nothing.
+fn bench_march(c: &mut Criterion) {
+    let mut g = c.benchmark_group("march");
+    g.sample_size(10);
+    let volume = Dataset::Skull.volume(128);
+    let scene = Scene::orbit(&volume, 30.0, 20.0, TransferFunction::bone());
+    let grid = BrickGrid::subdivide(
+        volume.dims(),
+        &BrickPolicy {
+            min_bricks: 2,
+            max_brick_voxels: u64::MAX,
+        },
+    );
+    let store = Arc::new(BrickStore::new(volume, grid, 1, u64::MAX));
+    let brick = RenderBrick::new(Arc::clone(&store), 0, Staging::HostResident);
+    let data = brick.voxels();
+    let lut = scene.transfer.bake();
+    let image = (256, 256);
+    let (x0, y0, x1, y1) = brick
+        .footprint(&scene.camera, image.0, image.1)
+        .expect("the orbit frames the volume");
+    let (core_lo, core_hi) = brick.core_box();
+
+    let no_cells = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels));
+    let cells = no_cells
+        .clone()
+        .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+    let whole = data
+        .cells
+        .ranges
+        .iter()
+        .fold([f32::INFINITY, f32::NEG_INFINITY], |[lo, hi], r| {
+            [lo.min(r[0]), hi.max(r[1])]
+        });
+    let mut widened = vec![whole; data.cells.ranges.len()];
+    assert_eq!(data.cells.ranges[0], [0.0, 0.0], "corner cell is air");
+    widened[0] = [0.0, 0.0];
+    let bypass = no_cells
+        .clone()
+        .with_cells(data.cells.edge, Arc::new(widened));
+
+    for (name, texture) in [
+        ("no_cells", &no_cells),
+        ("cells", &cells),
+        ("bypass", &bypass),
+    ] {
+        let kernel = RayCastKernel {
+            camera: &scene.camera,
+            lut: &lut,
+            texture,
+            store_origin: vec3(
+                data.store_origin[0] as f32,
+                data.store_origin[1] as f32,
+                data.store_origin[2] as f32,
+            ),
+            core_lo,
+            core_hi,
+            image,
+            offset: (x0, y0),
+            step: 1.0,
+            early_term: 0.98,
+        };
+        let config = LaunchConfig::cover(x1 - x0, y1 - y0);
+        g.bench_function(format!("skull128_brick_{name}"), |b| {
+            b.iter(|| launch_blocks(black_box(&kernel), config, 1).stats)
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -190,6 +274,7 @@ criterion_group!(
     bench_texture,
     bench_composite,
     bench_noise,
-    bench_des
+    bench_des,
+    bench_march
 );
 criterion_main!(benches);

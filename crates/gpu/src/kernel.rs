@@ -17,7 +17,11 @@
 //!   writing keys, values and per-thread sample tallies into caller-provided
 //!   structure-of-arrays slices ([`BlockOut`]). This lets a kernel hoist
 //!   per-block/per-row invariants out of the pixel loop and is the fast path
-//!   for the ray caster. Any scalar kernel emitting `(K, V)` runs unchanged
+//!   for the ray caster. Whatever depends on the launch alone — resolved
+//!   samplers, tables classified against the bound textures — is built
+//!   *once*, before the first block ([`BlockKernel::prepare`]), and shared
+//!   read-only by every block: the software analogue of constant memory.
+//!   Any scalar kernel emitting `(K, V)` runs unchanged
 //!   under the batched API via the [`Scalar`] compat adapter, with
 //!   bit-identical outputs and statistics.
 //!
@@ -292,8 +296,19 @@ pub struct BlockOut<'a, K, V> {
 pub trait BlockKernel: Sync {
     type Key: Send + Copy + Default;
     type Value: Send + Copy + Default;
+    /// Per-launch state: whatever every block needs and none changes.
+    type Launch: Sync;
 
-    fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, Self::Key, Self::Value>);
+    /// Build the per-launch state. [`launch_blocks`] calls this exactly once
+    /// per launch, before the first block, and hands every block the result.
+    fn prepare(&self) -> Self::Launch;
+
+    fn run_block(
+        &self,
+        launch: &Self::Launch,
+        ctx: &BlockCtx,
+        out: BlockOut<'_, Self::Key, Self::Value>,
+    );
 }
 
 /// Result of [`launch_blocks`]: structure-of-arrays outputs in block-major
@@ -325,6 +340,7 @@ pub fn launch_blocks<B: BlockKernel>(
     let mut keys = vec![B::Key::default(); total];
     let mut values = vec![B::Value::default(); total];
     let mut samples = vec![0u64; total];
+    let state = kernel.prepare();
 
     let run_block = |block_id: usize,
                      keys: &mut [B::Key],
@@ -339,6 +355,7 @@ pub fn launch_blocks<B: BlockKernel>(
             dim: config.block,
         };
         kernel.run_block(
+            &state,
             &ctx,
             BlockOut {
                 keys,
@@ -434,8 +451,11 @@ where
 {
     type Key = K;
     type Value = V;
+    type Launch = ();
 
-    fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, K, V>) {
+    fn prepare(&self) {}
+
+    fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, K, V>) {
         for ty in 0..ctx.dim.1 {
             for tx in 0..ctx.dim.0 {
                 let mut tctx = ThreadCtx {
@@ -626,17 +646,25 @@ mod tests {
 
     #[test]
     fn direct_block_kernel_matches_scalar_equivalent() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static PREPARED: AtomicU32 = AtomicU32::new(0);
         /// Block-wise rewrite of `ProbeKernel`: same emissions, written SoA.
         struct BlockProbe;
         impl BlockKernel for BlockProbe {
             type Key = u32;
             type Value = u32;
-            fn run_block(&self, ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+            /// Counts `prepare` calls; every block reads the bias from it.
+            type Launch = u32;
+            fn prepare(&self) -> u32 {
+                PREPARED.fetch_add(1, Ordering::Relaxed);
+                7
+            }
+            fn run_block(&self, bias: &u32, ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
                 for ty in 0..ctx.dim.1 {
                     for tx in 0..ctx.dim.0 {
                         let g = ctx.global(tx, ty);
                         let i = ctx.index(tx, ty);
-                        out.keys[i] = g.0;
+                        out.keys[i] = g.0 + bias - 7;
                         out.values[i] = g.1;
                         out.samples[i] = g.0 as u64;
                     }
@@ -652,6 +680,8 @@ mod tests {
             }
             assert_eq!(got.stats, reference.stats);
         }
+        // Per-launch state is built once per launch, not per block or worker.
+        assert_eq!(PREPARED.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! index semantics, in one of two execution models: scalar per-thread
 //! dispatch ([`kernel::Kernel`] + [`kernel::launch`]) or batched per-block
 //! execution into structure-of-arrays buffers ([`kernel::BlockKernel`] +
-//! [`kernel::launch_blocks`], the hot path — scalar kernels ride along via
-//! the [`kernel::Scalar`] adapter). [`texture::Texture3D`] reproduces `tex3D`
+//! [`kernel::launch_blocks`], the hot path, with per-launch state built once
+//! before the first block — scalar kernels ride along via the
+//! [`kernel::Scalar`] adapter). [`texture::Texture3D`] reproduces `tex3D`
 //! trilinear filtering with clamp addressing (with [`texture::Sampler3D`] as
-//! the resolved inner-loop view); [`vram::VramAllocator`] enforces the
+//! the resolved inner-loop view) and can carry a min/max macrocell table for
+//! empty-space skipping, which [`texture::Texture1D::zero_alpha`] answers
+//! from the transfer-function side; [`vram::VramAllocator`] enforces the
 //! paper's "map task must fit in GPU memory" restriction; and
 //! [`device::KernelCostModel`] converts launch statistics (including SIMT
 //! warp divergence) into simulated time on a Tesla C1060-class part.
@@ -23,5 +26,5 @@ pub use kernel::{
     launch, launch_blocks, BlockCtx, BlockKernel, BlockOut, BlockOutput, Kernel, LaunchConfig,
     LaunchOutput, LaunchStats, Scalar, ThreadCtx, WARP_SIZE,
 };
-pub use texture::{Sampler1D, Sampler3D, Texture1D, Texture3D};
+pub use texture::{MacroCells, Sampler1D, Sampler3D, Site, Texture1D, Texture3D};
 pub use vram::{AllocId, OutOfMemory, VramAllocator};

@@ -5,8 +5,63 @@
 //! the sampling semantics exactly: unnormalized coordinates, voxel centers at
 //! `i + 0.5`, trilinear filtering, clamp-to-edge addressing. [`Texture1D`]
 //! plays the transfer-function LUT role.
+//!
+//! Both textures also answer the two questions empty-space skipping asks
+//! (the ray caster in `mgpu-volren` combines them): a [`Texture3D`] may
+//! carry a **min/max macrocell table** ([`Texture3D::with_cells`]) bounding
+//! every value a trilinear sample based in a cell can tap, and a
+//! [`Texture1D`] knows its runs of exactly-zero alpha
+//! ([`Texture1D::zero_alpha`]). Neither changes what a sample returns.
 
 use std::sync::Arc;
+
+/// `floor` by truncation, for the two hot samplers. `f32::floor` is an
+/// out-of-line `floorf` call on baseline x86-64 (no `roundss` before
+/// SSE4.1), spilling every live register around it four times per sample.
+/// Exact for every finite input; returns `x` itself for `|x| ≥ 2²³` (already
+/// integral), NaN and ±∞, like `f32::floor`. The second value is the same
+/// floor as an integer (saturated past the `i32` range, 0 for NaN), which
+/// the truncation has in hand anyway. The one difference is
+/// `-0.0 → +0.0`, which no caller can feed it: both pass `a − 0.5`, which
+/// is a zero only for `a = 0.5`, and that zero is `+0.0`.
+#[inline(always)]
+fn floor_trunc(x: f32) -> (f32, i32) {
+    if x.abs() < 8_388_608.0 {
+        // SAFETY: |x| < 2²³ (a comparison NaN and ±∞ fail), so the truncated
+        // value is representable as an i32.
+        let i = unsafe { x.to_int_unchecked::<i32>() };
+        let t = i as f32;
+        if t > x {
+            (t - 1.0, i - 1)
+        } else {
+            (t, i)
+        }
+    } else {
+        (x, x as i32)
+    }
+}
+
+/// Macrocells per axis for a texture of `dims` at `edge` base indices per
+/// cell. A trilinear sample's *base index* along an axis is
+/// `floor(p − ½)` clamped into `[0, max(dim − 2, 0)]` — clamping changes no
+/// tap, it only names the border taps `(0, 0)` and `(dim−1, dim−1)` by the
+/// base whose taps contain them — so there are `max(dim − 1, 1)` bases.
+fn cell_dims(dims: [usize; 3], edge: usize) -> [usize; 3] {
+    dims.map(|d| d.saturating_sub(1).max(1).div_ceil(edge))
+}
+
+/// A texture's macrocell table, as [`Texture3D::cells`] lends it out.
+#[derive(Debug, Clone, Copy)]
+pub struct MacroCells<'a> {
+    /// Base indices per cell along each axis (a power of two).
+    pub edge: usize,
+    /// Cells per axis.
+    pub dims: [usize; 3],
+    /// `[min, max]` per cell, x fastest. NaN voxels are left out (a sample
+    /// that taps one is NaN whatever the others hold); a cell of nothing
+    /// but NaN keeps the empty range `[+∞, −∞]`.
+    pub ranges: &'a [[f32; 2]],
+}
 
 /// A 3-D single-channel float texture (a volume brick on the device).
 /// Voxel data is shared (`Arc`), so "uploading" a brick never copies it —
@@ -15,6 +70,8 @@ use std::sync::Arc;
 pub struct Texture3D {
     dims: [usize; 3],
     data: Arc<Vec<f32>>,
+    /// `(edge, ranges)` of the macrocell table, when one was attached.
+    cells: Option<(usize, Arc<Vec<[f32; 2]>>)>,
 }
 
 impl Texture3D {
@@ -29,13 +86,49 @@ impl Texture3D {
             "texture data does not match dims"
         );
         assert!(dims.iter().all(|&d| d > 0), "degenerate texture dims");
-        Texture3D { dims, data }
+        assert!(
+            dims.iter().all(|&d| d <= i32::MAX as usize),
+            "texture too large for i32 texel indices"
+        );
+        Texture3D {
+            dims,
+            data,
+            cells: None,
+        }
+    }
+
+    /// Attach a min/max macrocell table (shared, like the voxels): cell
+    /// `(cx, cy, cz)` — x fastest, `edge` base indices per axis — holds the
+    /// `[min, max]` of every voxel a trilinear sample whose base index falls
+    /// in it can tap, i.e. voxels `c·edge ..= min((c+1)·edge, dim−1)` per
+    /// axis (neighbouring cells share one voxel layer). Sampling is
+    /// unaffected; the table only lets a kernel prove a region empty.
+    pub fn with_cells(mut self, edge: usize, ranges: Arc<Vec<[f32; 2]>>) -> Texture3D {
+        assert!(
+            edge.is_power_of_two(),
+            "macrocell edge must be a power of two"
+        );
+        let n: usize = cell_dims(self.dims, edge).iter().product();
+        assert_eq!(ranges.len(), n, "macrocell table does not match dims");
+        self.cells = Some((edge, ranges));
+        self
+    }
+
+    /// The attached macrocell table, if any.
+    pub fn cells(&self) -> Option<MacroCells<'_>> {
+        self.cells.as_ref().map(|(edge, ranges)| MacroCells {
+            edge: *edge,
+            dims: cell_dims(self.dims, *edge),
+            ranges,
+        })
     }
 
     pub fn dims(&self) -> [usize; 3] {
         self.dims
     }
 
+    /// Device bytes of the voxel data (the modelled 2010 GPU holds no
+    /// macrocells, so they are not counted).
     pub fn bytes(&self) -> u64 {
         (self.data.len() * 4) as u64
     }
@@ -90,13 +183,9 @@ impl Texture3D {
         Sampler3D {
             data: &self.data,
             dims: self.dims,
-            // Interior-test upper bounds (`dims − 1` as f32) and row/slice
-            // strides, resolved once so the per-sample test is 6 compares.
-            hi: [
-                self.dims[0] as f32 - 1.0,
-                self.dims[1] as f32 - 1.0,
-                self.dims[2] as f32 - 1.0,
-            ],
+            // Interior-test upper bounds (`dims − 1`) and row/slice strides,
+            // resolved once so the per-sample test is 3 unsigned compares.
+            hi: self.dims.map(|d| d as u32 - 1),
             sx: self.dims[0],
             sy: self.dims[1] * self.dims[0],
         }
@@ -115,8 +204,8 @@ impl Texture3D {
 pub struct Sampler3D<'a> {
     data: &'a [f32],
     dims: [usize; 3],
-    /// `dims − 1` per axis as f32: the interior fast-path upper bounds.
-    hi: [f32; 3],
+    /// `dims − 1` per axis: the interior fast-path upper bounds.
+    hi: [u32; 3],
     /// Row stride (`dims[0]`).
     sx: usize,
     /// Slice stride (`dims[1] · dims[0]`).
@@ -137,35 +226,44 @@ impl Sampler3D<'_> {
     /// Trilinear sample, bit-identical to [`Texture3D::sample`].
     #[inline(always)]
     pub fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
+        self.sample_at(&self.locate(x, y, z))
+    }
+
+    /// The first half of [`Sampler3D::sample`]: where a sample at
+    /// `(x, y, z)` falls on the texel lattice. A kernel that may decide not
+    /// to fetch (empty-space skipping) looks at [`Site::base_index`] first
+    /// and only then pays for [`Sampler3D::sample_at`].
+    #[inline(always)]
+    pub fn locate(&self, x: f32, y: f32, z: f32) -> Site {
         let fx = x - 0.5;
         let fy = y - 0.5;
         let fz = z - 0.5;
-        let x0 = fx.floor();
-        let y0 = fy.floor();
-        let z0 = fz.floor();
-        let tx = fx - x0;
-        let ty = fy - y0;
-        let tz = fz - z0;
+        let (x0, ix) = floor_trunc(fx);
+        let (y0, iy) = floor_trunc(fy);
+        let (z0, iz) = floor_trunc(fz);
+        Site {
+            index: [ix, iy, iz],
+            frac: [fx - x0, fy - y0, fz - z0],
+        }
+    }
+
+    /// The second half of [`Sampler3D::sample`]: fetch the eight taps around
+    /// `site` and blend them.
+    #[inline(always)]
+    pub fn sample_at(&self, site: &Site) -> f32 {
+        let [ix, iy, iz] = site.index;
+        let [tx, ty, tz] = site.frac;
 
         let (c000, c100, c010, c110, c001, c101, c011, c111);
-        // Interior fast path: all 8 taps in-bounds from one base index. The
-        // float comparisons reject NaN and the ±2³¹ fringe, so the `as usize`
-        // casts below are exact.
-        if x0 >= 0.0
-            && y0 >= 0.0
-            && z0 >= 0.0
-            && x0 < self.hi[0]
-            && y0 < self.hi[1]
-            && z0 < self.hi[2]
-        {
-            let ix = x0 as usize;
-            let iy = y0 as usize;
-            let iz = z0 as usize;
+        // Interior fast path: all 8 taps in-bounds from one base index. As
+        // unsigned, a negative index is a huge one, so each compare checks
+        // both ends.
+        if (ix as u32) < self.hi[0] && (iy as u32) < self.hi[1] && (iz as u32) < self.hi[2] {
             let sx = self.sx;
             let sy = self.sy;
-            let base = iz * sy + iy * sx + ix;
-            // SAFETY: ix ≤ dims[0]−2, iy ≤ dims[1]−2, iz ≤ dims[2]−2 (from
-            // the comparisons above), so base + sy + sx + 1 < data.len().
+            let base = iz as usize * sy + iy as usize * sx + ix as usize;
+            // SAFETY: 0 ≤ ix ≤ dims[0]−2, 0 ≤ iy ≤ dims[1]−2, 0 ≤ iz ≤ dims[2]−2
+            // (from the comparisons above), so base + sy + sx + 1 < data.len().
             unsafe {
                 c000 = *self.data.get_unchecked(base);
                 c100 = *self.data.get_unchecked(base + 1);
@@ -177,7 +275,7 @@ impl Sampler3D<'_> {
                 c111 = *self.data.get_unchecked(base + sy + sx + 1);
             }
         } else {
-            let (ix, iy, iz) = (x0 as i64, y0 as i64, z0 as i64);
+            let (ix, iy, iz) = (ix as i64, iy as i64, iz as i64);
             c000 = self.fetch(ix, iy, iz);
             c100 = self.fetch(ix + 1, iy, iz);
             c010 = self.fetch(ix, iy + 1, iz);
@@ -198,16 +296,72 @@ impl Sampler3D<'_> {
     }
 }
 
+/// Where a trilinear sample falls on the texel lattice
+/// ([`Sampler3D::locate`]): the unclamped base texel `floor(p − ½)` per axis
+/// and the interpolation fractions.
+#[derive(Debug, Clone, Copy)]
+pub struct Site {
+    index: [i32; 3],
+    frac: [f32; 3],
+}
+
+impl Site {
+    /// `floor(p − ½)` per axis as integers, saturated at the `i32` range and
+    /// 0 for a NaN position. Clamped into `[0, max(dim − 2, 0)]` this is the
+    /// base index macrocells are keyed by (see [`Texture3D::with_cells`]).
+    #[inline(always)]
+    pub fn base_index(&self) -> [i32; 3] {
+        self.index
+    }
+}
+
 /// A 1-D RGBA texture: the transfer-function lookup table.
 #[derive(Debug, Clone)]
 pub struct Texture1D {
     texels: Vec<[f32; 4]>,
+    /// `next_opaque[i]`: the first texel at or after `i` whose alpha is not
+    /// exactly `0.0` (`len` if there is none).
+    next_opaque: Vec<u32>,
 }
 
 impl Texture1D {
     pub fn new(texels: Vec<[f32; 4]>) -> Texture1D {
         assert!(!texels.is_empty(), "empty 1-D texture");
-        Texture1D { texels }
+        assert!(texels.len() <= i32::MAX as usize, "1-D texture too large");
+        let mut next = texels.len() as u32;
+        let mut next_opaque = vec![0; texels.len()];
+        for (i, texel) in texels.iter().enumerate().rev() {
+            if texel[3] != 0.0 {
+                next = i as u32; // NaN alpha lands here too: not provably zero
+            }
+            next_opaque[i] = next;
+        }
+        Texture1D {
+            texels,
+            next_opaque,
+        }
+    }
+
+    /// Does every filtered lookup with `u ∈ [lo, hi]` blend two texels whose
+    /// alpha is exactly `0.0` (so its alpha is exactly `0.0` too)? O(1) and
+    /// conservative: the texel index [`Sampler1D::taps`] computes is a
+    /// monotone function of `u` — clamp, multiply by a positive constant,
+    /// subtract a constant, floor, each monotone under f32 rounding — so
+    /// every lookup in the interval reads texels between the first tap of
+    /// `lo` and the second tap of `hi`, found here with that same
+    /// expression. An inverted interval holds no lookups (true); a NaN
+    /// bound proves nothing (false).
+    pub fn zero_alpha(&self, lo: f32, hi: f32) -> bool {
+        if lo > hi {
+            return true;
+        }
+        if lo.is_nan() || hi.is_nan() {
+            return false;
+        }
+        let sampler = self.sampler();
+        let (first, _, _) = sampler.indices(lo);
+        let (_, last, _) = sampler.indices(hi);
+        self.next_opaque[first] as usize > last
     }
 
     pub fn len(&self) -> usize {
@@ -242,26 +396,26 @@ impl Texture1D {
         ]
     }
 
-    /// A resolved sampling view for hot loops — bit-identical lookups with an
-    /// interior fast path that skips the clamps.
+    /// A resolved sampling view for hot loops — bit-identical lookups without
+    /// the out-of-line `floorf` or the checked indexing.
     pub fn sampler(&self) -> Sampler1D<'_> {
         Sampler1D {
             texels: &self.texels,
             nf: self.texels.len() as f32,
-            hi: self.texels.len() as f32 - 1.0,
+            last: self.texels.len() as i32 - 1,
         }
     }
 }
 
 /// A borrowed, resolved view over a [`Texture1D`] for per-sample inner loops
 /// (the transfer-function LUT lookup). Bit-identical to
-/// [`Texture1D::sample`]; interior lookups skip the index clamps.
+/// [`Texture1D::sample`]; the texel indices are clamped as integers.
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler1D<'a> {
     texels: &'a [[f32; 4]],
     nf: f32,
-    /// `nf − 1`: the interior fast-path upper bound, resolved once.
-    hi: f32,
+    /// Index of the last texel.
+    last: i32,
 }
 
 impl Sampler1D<'_> {
@@ -272,23 +426,24 @@ impl Sampler1D<'_> {
     /// bit-identical to [`Texture1D::sample`].
     #[inline(always)]
     pub fn taps(&self, u: f32) -> (&[f32; 4], &[f32; 4], f32) {
-        let x = u.clamp(0.0, 1.0) * self.nf - 0.5;
-        let x0 = x.floor();
-        let t = x - x0;
-        let (i0, i1);
-        // Interior fast path; the comparisons reject the end texels where the
-        // clamps actually bite.
-        if x0 >= 0.0 && x0 < self.hi {
-            i0 = x0 as usize;
-            i1 = i0 + 1;
-        } else {
-            let n = self.texels.len() as i64;
-            i0 = (x0 as i64).clamp(0, n - 1) as usize;
-            i1 = (x0 as i64 + 1).clamp(0, n - 1) as usize;
-        }
-        // SAFETY: both branches produce i0, i1 < texels.len().
+        let (i0, i1, t) = self.indices(u);
+        // SAFETY: `indices` clamps i0 and i1 into 0..texels.len().
         let (a, b) = unsafe { (self.texels.get_unchecked(i0), self.texels.get_unchecked(i1)) };
         (a, b, t)
+    }
+
+    /// The two texel indices (both `< len`, nondecreasing in `u`) and the
+    /// fraction a lookup at `u` blends with.
+    #[inline(always)]
+    fn indices(&self, u: f32) -> (usize, usize, f32) {
+        let x = u.clamp(0.0, 1.0) * self.nf - 0.5;
+        let (x0, i) = floor_trunc(x);
+        let t = x - x0;
+        // The clamps only bite at the end texels (and for a NaN `u`, whose
+        // integer floor is 0).
+        let i0 = i.clamp(0, self.last) as usize;
+        let i1 = i.saturating_add(1).clamp(0, self.last) as usize;
+        (i0, i1, t)
     }
 
     /// Linearly filtered lookup, bit-identical to [`Texture1D::sample`].
@@ -402,6 +557,8 @@ mod tests {
         let s = t.sampler();
         // Sweep interior, borders, outside, and sub-texel positions.
         let mut coords = vec![-2.0f32, -0.49, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5];
+        // Past the truncating floor's range, past the i32 range, not a number.
+        coords.extend([9e6, -9e6, 3e9, -3e9, f32::NAN]);
         for i in 0..20 {
             coords.push(i as f32 * 0.3);
         }
@@ -419,6 +576,127 @@ mod tests {
         for f in [-3i64, 0, 2, 7] {
             assert_eq!(t.fetch(f, f, f).to_bits(), s.fetch(f, f, f).to_bits());
         }
+    }
+
+    #[test]
+    fn floor_trunc_is_floor_except_at_negative_zero() {
+        let mut inputs = vec![
+            0.0f32,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1e-9,
+            1e-9,
+            -1e-45,
+            0.999_999_94,
+            -0.999_999_94,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_608.0,
+            1e10,
+            -1e10,
+            3e9,
+            -3e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for i in -2000..2000 {
+            inputs.push(i as f32 * 0.137);
+            inputs.push(i as f32 * 0.5);
+            inputs.push(i as f32 * 4099.3);
+        }
+        for x in inputs {
+            let (f, i) = floor_trunc(x);
+            assert_eq!(f.to_bits(), x.floor().to_bits(), "floor of {x}");
+            assert_eq!(i, x.floor() as i32, "integer floor of {x}");
+        }
+        // The one difference, which `a − 0.5` cannot produce.
+        assert_eq!(floor_trunc(-0.0).0.to_bits(), 0.0f32.to_bits());
+        assert_eq!((-0.0f32).floor().to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn zero_alpha_agrees_with_an_exhaustive_sweep_of_taps() {
+        // Zero runs at the start, in the middle and at the end, one
+        // single-texel run, a NaN and a negative-zero alpha.
+        let alpha = |i: usize| match i {
+            0..=9 | 20..=29 | 40 | 57..=63 => 0.0,
+            33 => f32::NAN,
+            50 => -0.0,
+            _ => 0.25,
+        };
+        let lut = Texture1D::new((0..64).map(|i| [1.0, 1.0, 1.0, alpha(i)]).collect());
+        let smp = lut.sampler();
+        let grid: Vec<f32> = (-40..=680).map(|i| i as f32 / 640.0).collect();
+        let (mut proven, mut refuted) = (0, 0);
+        for (a, &lo) in grid.iter().enumerate() {
+            for &hi in grid[a..].iter().step_by(7) {
+                // Every lookup the sweep can make inside [lo, hi] …
+                let all_zero = (0..=200)
+                    .map(|s| lo + (hi - lo) * (s as f32 / 200.0))
+                    .chain([lo, hi])
+                    .all(|u| {
+                        let (c0, c1, t) = smp.taps(u);
+                        let blended = c0[3] + (c1[3] - c0[3]) * t;
+                        c0[3] == 0.0 && c1[3] == 0.0 && blended == 0.0
+                    });
+                // … is zero whenever the O(1) query says so (conservative).
+                if lut.zero_alpha(lo, hi) {
+                    assert!(all_zero, "[{lo}, {hi}] claimed transparent");
+                    proven += 1;
+                } else {
+                    refuted += 1;
+                }
+            }
+        }
+        assert!(proven > 1000 && refuted > 1000, "{proven} / {refuted}");
+        // And it is exact at the ends of a run: texel 10 is the first opaque
+        // one, and the last lookup that does not blend it has x0 = 8.
+        assert!(lut.zero_alpha(-5.0, 9.49 / 64.0));
+        assert!(!lut.zero_alpha(-5.0, 9.51 / 64.0));
+        assert!(lut.zero_alpha(57.5 / 64.0, f32::INFINITY));
+        assert!(!lut.zero_alpha(56.4 / 64.0, 2.0));
+        // Inverted intervals hold no lookups; NaN bounds prove nothing.
+        assert!(lut.zero_alpha(0.7, 0.2));
+        assert!(!lut.zero_alpha(f32::NAN, 0.1));
+        assert!(!lut.zero_alpha(0.0, f32::NAN));
+        // A single-texel table is all clamp path.
+        assert!(Texture1D::new(vec![[1.0, 1.0, 1.0, 0.0]]).zero_alpha(-1.0, 2.0));
+        assert!(!Texture1D::new(vec![[0.0, 0.0, 0.0, 0.5]]).zero_alpha(0.3, 0.3));
+    }
+
+    #[test]
+    fn cells_attach_without_changing_samples() {
+        let dims = [20usize, 9, 2];
+        let data: Vec<f32> = (0..360).map(|i| (i % 7) as f32).collect();
+        let plain = Texture3D::new(dims, data);
+        assert!(plain.cells().is_none());
+        // 19, 8 and 1 bases: 3 × 1 × 1 cells of edge 8.
+        let with = plain.clone().with_cells(8, Arc::new(vec![[0.0, 6.0]; 3]));
+        let cells = with.cells().expect("attached");
+        assert_eq!((cells.edge, cells.dims), (8, [3, 1, 1]));
+        assert_eq!(cells.ranges.len(), 3);
+        assert_eq!(with.bytes(), plain.bytes());
+        for p in [[0.3f32, 0.3, 0.3], [7.7, 4.2, 1.1], [25.0, -3.0, 0.5]] {
+            let site = with.sampler().locate(p[0], p[1], p[2]);
+            assert_eq!(
+                with.sampler().sample_at(&site).to_bits(),
+                plain.sample(p[0], p[1], p[2]).to_bits()
+            );
+            let want = p.map(|c| (c - 0.5).floor() as i32);
+            assert_eq!(site.base_index(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "macrocell table does not match dims")]
+    fn rejects_mismatched_cells() {
+        Texture3D::new([20, 9, 2], vec![0.0; 360]).with_cells(8, Arc::new(vec![[0.0, 0.0]; 4]));
     }
 
     #[test]

@@ -131,5 +131,9 @@ pub const VOLREN_KERNEL_NS: &str = "volren.kernel_ns";
 pub const VOLREN_COMPOSITE_NS: &str = "volren.composite_ns";
 /// 16×16 blocks launched through the batched kernel API.
 pub const VOLREN_KERNEL_BLOCKS: &str = "volren.kernel.blocks";
-/// Samples taken per ray (histogram; early termination shifts it left).
+/// Samples charged per ray, as the modelled GPU takes them (histogram;
+/// early termination shifts it left, empty-space skipping does not).
 pub const VOLREN_SAMPLES_PER_RAY: &str = "volren.samples_per_ray";
+/// Texture samples the kernel actually fetched: the charged total minus
+/// what empty-space skipping jumped over.
+pub const VOLREN_SAMPLES_FETCHED: &str = "volren.samples_fetched";

@@ -1,5 +1,7 @@
 //! The out-of-core brick store: materializes bricks (with ghost layers) on
 //! demand and caches them under a host-memory budget with LRU eviction.
+//! The same miss that materializes a brick's voxels builds its min/max
+//! [`MacroCells`], and both count against the budget.
 //!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
@@ -12,6 +14,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::brick::{BrickGrid, BrickInfo};
+use crate::macrocell::MacroCells;
 use crate::volume::Volume;
 
 /// A materialized brick: voxels including `ghost` extra layers on every side
@@ -28,11 +31,14 @@ pub struct BrickData {
     pub store_dims: [usize; 3],
     /// Shared so a device texture can reference the same allocation.
     pub voxels: Arc<Vec<f32>>,
+    /// Min/max macrocells over `voxels`, shared the same way.
+    pub cells: MacroCells,
 }
 
 impl BrickData {
+    /// Host bytes this brick holds: voxels plus macrocells.
     pub fn bytes(&self) -> u64 {
-        (self.voxels.len() * 4) as u64
+        (self.voxels.len() * 4) as u64 + self.cells.bytes()
     }
 }
 
@@ -89,8 +95,9 @@ pub struct BrickStore {
 }
 
 impl BrickStore {
-    /// `budget_bytes` bounds cached voxel data; a single brick larger than the
-    /// budget is still materialized (and evicted as soon as another arrives).
+    /// `budget_bytes` bounds cached brick data (voxels and macrocells); a
+    /// single brick larger than the budget is still materialized (and evicted
+    /// as soon as another arrives).
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),
@@ -147,7 +154,8 @@ impl BrickStore {
         let g = self.ghost;
         let store_origin = info.origin.map(|o| o as i64 - g as i64);
         let store_dims = info.size.map(|s| (s + 2 * g) as usize);
-        let bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
+        let voxel_bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
+        let bytes = voxel_bytes + MacroCells::bytes_for(store_dims);
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;
         drop(inner);
@@ -156,16 +164,22 @@ impl BrickStore {
         // but never block each other on voxel synthesis. (A panic in here
         // leaks the reservation, which only makes later misses evict more.)
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let voxels = self.volume.materialize_clamped(store_origin, store_dims);
+        let cells = MacroCells::build(&voxels, store_dims);
         let data = Arc::new(BrickData {
             info,
             ghost: g,
             store_origin,
             store_dims,
-            voxels: Arc::new(self.volume.materialize_clamped(store_origin, store_dims)),
+            voxels: Arc::new(voxels),
+            cells,
         });
+        debug_assert_eq!(data.bytes(), bytes);
+        // Voxel bytes only: this counter is the volume data read or
+        // synthesized, which the cells are derived from, not part of.
         self.stats
             .bytes_materialized
-            .fetch_add(bytes, Ordering::Relaxed);
+            .fetch_add(voxel_bytes, Ordering::Relaxed);
 
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -230,7 +244,12 @@ mod tests {
         store_over(StdArc::new(AxisRamp { axis: 0 }), budget)
     }
 
-    /// 16³ of `field` in eight 8³ bricks with one ghost layer: 4000 B each.
+    /// One staged brick of [`store`]: (8+2)³ voxels × 4 B, plus its 2³
+    /// macrocells × 8 B.
+    const VOXEL_BYTES: u64 = 4000;
+    const BRICK_BYTES: u64 = VOXEL_BYTES + 64;
+
+    /// 16³ of `field` in eight 8³ bricks with one ghost layer.
     fn store_over(field: StdArc<dyn ScalarField>, budget: u64) -> BrickStore {
         let v = Volume::procedural("ramp", [16, 16, 16], 0, field);
         let grid = BrickGrid::subdivide(
@@ -291,7 +310,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_budget() {
-        // Each brick: (8+2)³ voxels × 4 B = 4000 B. Budget of 2.5 bricks.
+        // Budget of ~2.5 bricks.
         let s = store(10_000);
         s.get(0);
         s.get(1);
@@ -302,6 +321,26 @@ mod tests {
         // Brick 0 must re-materialize.
         s.get(0);
         assert_eq!(s.snapshot().misses, before.misses + 1);
+    }
+
+    #[test]
+    fn macrocells_count_against_the_budget() {
+        // Room for exactly two bricks' voxels: before cells were budgeted
+        // both stayed resident; now the second evicts the first.
+        let s = store(2 * VOXEL_BYTES);
+        assert_eq!(s.get(0).bytes(), BRICK_BYTES);
+        s.get(1);
+        assert_eq!(s.cached_bytes(), BRICK_BYTES);
+        let snap = s.snapshot();
+        assert_eq!((snap.misses, snap.evictions), (2, 1));
+        // The materialization counter keeps counting volume data only.
+        assert_eq!(snap.bytes_materialized, 2 * VOXEL_BYTES);
+        // With the cells paid for, both fit.
+        let s = store(2 * BRICK_BYTES);
+        s.get(0);
+        s.get(1);
+        assert_eq!(s.cached_bytes(), 2 * BRICK_BYTES);
+        assert_eq!(s.snapshot().evictions, 0);
     }
 
     #[test]
@@ -348,7 +387,7 @@ mod tests {
                 x
             }
         };
-        let budget = 2 * 4000; // exactly two ghosted bricks
+        let budget = 2 * BRICK_BYTES; // exactly two ghosted bricks
         let s = store_over(StdArc::new(field), budget);
         s.get(0);
         s.get(1);

@@ -14,6 +14,8 @@
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
 //!   layers (the out-of-core path);
+//! * [`macrocell`] — the min/max table a miss builds beside the voxels, so
+//!   the renderer can skip space the transfer function makes empty;
 //! * [`stats`] — streaming volume statistics.
 
 #![forbid(unsafe_code)]
@@ -23,6 +25,7 @@ pub mod brickstore;
 pub mod datasets;
 pub mod field;
 pub mod io;
+pub mod macrocell;
 pub mod noise;
 pub mod stats;
 pub mod volume;
@@ -31,5 +34,6 @@ pub use brick::{BrickGrid, BrickInfo, BrickPolicy};
 pub use brickstore::{BrickData, BrickStore, StoreSnapshot};
 pub use datasets::Dataset;
 pub use field::ScalarField;
+pub use macrocell::MacroCells;
 pub use stats::VolumeStats;
 pub use volume::{Volume, VolumeMeta, VolumeSource};

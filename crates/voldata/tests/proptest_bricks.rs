@@ -171,12 +171,13 @@ proptest! {
         let dims = [8u32, 8, 8];
         let vol = Volume::in_memory("p", dims, vec![0.5; 512]);
         let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks: 8, max_brick_voxels: u64::MAX });
-        // Brick with ghost = 6³ × 4 B = 864 B.
-        let store = BrickStore::new(vol, grid, 1, budget_bricks * 864);
+        // Brick with ghost = 6³ × 4 B of voxels + one 8 B macrocell.
+        let brick_bytes = 864 + 8;
+        let store = BrickStore::new(vol, grid, 1, budget_bricks * brick_bytes);
         for &id in &accesses {
             let _ = store.get(id);
             prop_assert!(
-                store.cached_bytes() <= budget_bricks.max(1) * 864,
+                store.cached_bytes() <= budget_bricks.max(1) * brick_bytes,
                 "cache over budget: {}",
                 store.cached_bytes()
             );

@@ -7,7 +7,9 @@
 //! * Map — [`kernel::RayCastKernel`] per [`brick::RenderBrick`] (§3.2: 16×16
 //!   blocks over the brick's screen footprint, ray–box intersection,
 //!   fixed-step trilinear sampling, 1-D transfer function, early
-//!   termination, front-to-back compositing);
+//!   termination, front-to-back compositing — plus bit-exact macrocell
+//!   empty-space skipping on the host, which the modelled GPU is not
+//!   credited with);
 //! * Partition — pixel-index keys, per-pixel round-robin
 //!   ([`config::PartitionStrategy`] offers the alternatives);
 //! * Sort — θ(n) counting sort in the substrate;
@@ -36,6 +38,7 @@ pub mod math;
 pub mod ray;
 pub mod reduce;
 pub mod renderer;
+mod skip;
 pub mod stitch;
 pub mod transfer;
 

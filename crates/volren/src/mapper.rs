@@ -6,7 +6,7 @@ use mgpu_cluster::GpuId;
 use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture1D, Texture3D};
 use mgpu_mapreduce::{GpuMapper, MapOutput};
 use mgpu_obs::names;
-use mgpu_obs::{Counter, Histogram};
+use mgpu_obs::{bucket_of, Counter, Histogram, HIST_BUCKETS};
 
 use crate::brick::RenderBrick;
 use crate::camera::Scene;
@@ -95,7 +95,8 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
         };
 
         let data = brick.voxels();
-        let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels));
+        let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels))
+            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {
             camera: &self.scene.camera,
@@ -119,13 +120,18 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
             self.kernel_parallelism,
         );
 
+        // Tallied locally, merged once per launch: a record per ray would be
+        // ~100 K atomic writes a frame into one cache line every mapper
+        // thread shares.
         let o = obs();
         o.kernel_blocks.add(out.stats.blocks);
+        let mut tally = [0u64; HIST_BUCKETS];
         for &n in &out.samples {
             if n > 0 {
-                o.samples_per_ray.record(n);
+                tally[bucket_of(n)] += 1;
             }
         }
+        o.samples_per_ray.record_tally(&tally);
 
         // SoA columns move straight into the MapReduce pipeline — no tuple
         // re-materialization between kernel and partitioner.
