@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot primitives: the counting sort
 //! against the comparison sort it replaces (the §3.1.2 θ(n) claim), the
 //! partition strategies, trilinear texture sampling, fragment compositing,
-//! value noise, the DES replay itself, and one ray-march launch with and
-//! without macrocells.
+//! value noise, the DES replay itself, one ray-march launch with and
+//! without macrocells, and a 256² frame through the wire codec.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -11,13 +11,14 @@ use std::sync::Arc;
 
 use mgpu_gpu::{launch_blocks, LaunchConfig, Texture3D};
 use mgpu_mapreduce::{counting_sort_groups, Partitioner, RoundRobin, Striped, Tiled};
+use mgpu_net::wire::{decode_frame, encode_frame, opcode, write_frame_view};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
 use mgpu_voldata::noise::{fbm, value_noise};
 use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset};
 use mgpu_volren::composite::{composite_unsorted, over};
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
-use mgpu_volren::{Fragment, RenderBrick, Scene, Staging, TransferFunction};
+use mgpu_volren::{Fragment, Image, RenderBrick, Scene, Staging, TransferFunction};
 
 fn pairs(n: usize, key_space: u32) -> (Vec<u32>, Vec<u64>) {
     let keys = (0..n as u64)
@@ -267,6 +268,38 @@ fn bench_march(c: &mut Criterion) {
     g.finish();
 }
 
+/// `replay_cached`'s frame (256², 1 MiB of pixels) through the codec with no
+/// socket: `encode_256` and `decode_256` are the named wrappers (one exact
+/// allocation and one bulk copy each); `reply_view_256` is what the server
+/// does instead of encoding — a 36-byte head, then the pixels written from
+/// where they lie — into a sink that stands in for the socket's copy.
+fn bench_frame(c: &mut Criterion) {
+    let mut g = c.benchmark_group("frame");
+    g.sample_size(50);
+    let mut image = Image::new(256, 256);
+    for (i, px) in image.pixels_mut().iter_mut().enumerate() {
+        *px = [i as f32, 0.5, -0.0, 1.0];
+    }
+    let image = Arc::new(image);
+    let payload = encode_frame(&image, true, 0);
+    g.bench_function("encode_256", |b| {
+        b.iter(|| encode_frame(black_box(&image), true, 0))
+    });
+    g.bench_function("decode_256", |b| {
+        b.iter(|| decode_frame(black_box(&payload)).expect("a valid frame"))
+    });
+    let mut sink = Vec::with_capacity(payload.len() + 64);
+    g.bench_function("reply_view_256", |b| {
+        b.iter(|| {
+            sink.clear();
+            write_frame_view(&mut sink, opcode::FRAME, 7, black_box(&image), true, 0)
+                .expect("a Vec takes every byte");
+            sink.len()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -275,6 +308,7 @@ criterion_group!(
     bench_composite,
     bench_noise,
     bench_des,
-    bench_march
+    bench_march,
+    bench_frame
 );
 criterion_main!(benches);

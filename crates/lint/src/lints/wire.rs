@@ -10,7 +10,8 @@
 //! 1. every opcode value is unique;
 //! 2. every opcode the server *dispatches on* (match arm or `op ==`
 //!    comparison) is a request (`< 0x80`) and every opcode it *sends*
-//!    (first argument of `frame_bytes(..)` / `write_frame(..)`) is a
+//!    (first argument of `frame_bytes(..)` / `frame_view(..)` /
+//!    `write_frame(..)`) is a
 //!    reply (`>= 0x80`) — and every opcode does exactly one of the two;
 //! 3. every opcode appears in the client (handled) or is knowingly
 //!    ignored via a `// lint: wire-ignore(NAME)` comment there;
@@ -199,10 +200,13 @@ pub fn parse_opcode_module(wire: &SourceFile) -> Vec<Opcode> {
     opcodes
 }
 
+/// The `wire` functions that build or write a frame under the opcode given
+/// as their first argument.
+const SENDERS: &[&str] = &["frame_bytes", "frame_view", "write_frame"];
+
 /// Classify opcode uses in server.rs: `dispatched` names appear in match
 /// arms (`opcode::X =>`, `opcode::X |`) or comparisons (`== opcode::X`);
-/// `sent` names are the first argument of `frame_bytes(` /
-/// `write_frame(`.
+/// `sent` names are the first argument of one of [`SENDERS`].
 fn server_roles(server: &SourceFile) -> (BTreeSet<String>, BTreeSet<String>) {
     let tokens = &server.tokens;
     let mut dispatched = BTreeSet::new();
@@ -217,7 +221,7 @@ fn server_roles(server: &SourceFile) -> (BTreeSet<String>, BTreeSet<String>) {
         let cmp = i >= 2 && is_punct(tokens, i - 1, '=') && is_punct(tokens, i - 2, '=');
         let call = i >= 2
             && is_punct(tokens, i - 1, '(')
-            && (is_ident(tokens, i - 2, "frame_bytes") || is_ident(tokens, i - 2, "write_frame"));
+            && SENDERS.iter().any(|f| is_ident(tokens, i - 2, f));
         if call {
             sent.insert(name.to_string());
         } else if arm || cmp {

@@ -38,9 +38,8 @@ use mgpu_serve::{AdmissionError, FrameError};
 
 use crate::heat::NetStats;
 use crate::wire::{
-    decode, decode_frame, encode, opcode, read_frame, write_frame, DrainState, NetFrame,
-    NetSceneRequest, Pong, Prewarmed, TicketsFull, UnsupportedVersion, Wire, WireError, Writer,
-    DEFAULT_MAX_PAYLOAD,
+    decode, encode, opcode, write_frame, Body, DrainState, FrameReader, NetFrame, NetSceneRequest,
+    Pong, Prewarmed, TicketsFull, UnsupportedVersion, Wire, WireError, Writer, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Why a client call failed, with the server-side error types restored.
@@ -185,7 +184,8 @@ impl Default for ClientConfig {
 
 /// Replies filed by `request_id`, plus the shared connection state.
 struct Mailbox {
-    inbox: HashMap<u64, (u8, Vec<u8>)>,
+    /// A `FRAME` is filed already decoded; everything else as its bytes.
+    inbox: HashMap<u64, (u8, Body)>,
     /// Someone currently holds the read half pulling the next frame.
     reading: bool,
     /// A transport-level failure poisons the whole connection: everyone
@@ -309,8 +309,8 @@ impl RenderClient {
     /// regardless of how many other requests are in flight or in what
     /// order the server finishes them.
     pub fn finish_render(&self, pending: PendingRender) -> Result<NetFrame, ClientError> {
-        let (op, payload) = self.await_reply(pending.id)?;
-        frame_response(op, &payload)
+        let (op, body) = self.await_reply(pending.id)?;
+        frame_response(op, body)
     }
 
     /// Fire-and-forget submit — the wire analogue of `try_submit`: waits
@@ -328,8 +328,8 @@ impl RenderClient {
     pub fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
         self.send(opcode::REDEEM, id, &encode(&ticket.id))?;
-        let (op, payload) = self.await_reply(id)?;
-        frame_response(op, &payload)
+        let (op, body) = self.await_reply(id)?;
+        frame_response(op, body)
     }
 
     /// Fetch the server's per-shard and node snapshots ([`NetStats`] derives
@@ -386,11 +386,9 @@ impl RenderClient {
     fn call<R: Wire>(&self, op: u8, payload: &[u8], want: u8) -> Result<R, ClientError> {
         let id = self.fresh_id();
         self.send(op, id, payload)?;
-        let (got, reply) = self.await_reply(id)?;
-        if got == want {
-            Ok(decode(&reply)?)
-        } else {
-            Err(refusal(got, &reply))
+        match self.await_reply(id)? {
+            (got, Body::Bytes(reply)) if got == want => Ok(decode(&reply)?),
+            (got, body) => Err(refusal(got, &body)),
         }
     }
 
@@ -417,7 +415,7 @@ impl RenderClient {
     /// pulls exactly one frame, files it, and wakes everyone; followers
     /// wait on the condvar and re-check. Each frame is read by *somebody*,
     /// so no reply can starve even if its requester arrives late.
-    fn await_reply(&self, id: u64) -> Result<(u8, Vec<u8>), ClientError> {
+    fn await_reply(&self, id: u64) -> Result<(u8, Body), ClientError> {
         let mut mail = self.mail.lock().expect("client mailbox poisoned");
         loop {
             if let Some(reply) = mail.inbox.remove(&id) {
@@ -437,12 +435,15 @@ impl RenderClient {
             drop(mail);
             let result = {
                 let mut stream = self.read.lock().expect("client read half poisoned");
-                read_frame(&mut *stream, self.max_payload)
+                // Blocking: `None` means the read timeout expired mid-wait.
+                FrameReader::new()
+                    .read_reply(&mut *stream, self.max_payload)
+                    .and_then(|frame| frame.ok_or(WireError::Io(std::io::ErrorKind::WouldBlock)))
             };
             mail = self.mail.lock().expect("client mailbox poisoned");
             mail.reading = false;
             match result {
-                Ok((op, reply_id, payload)) => self.file(&mut mail, op, reply_id, payload),
+                Ok((op, reply_id, body)) => self.file(&mut mail, op, reply_id, body),
                 // The first verdict wins: a read error after a GOODBYE is
                 // just the drained node closing, not a new failure.
                 Err(err) => {
@@ -459,16 +460,16 @@ impl RenderClient {
     /// connection verdicts, not replies: a version mismatch or an
     /// unframable-input echo poisons the connection with a typed error for
     /// every waiter.
-    fn file(&self, mail: &mut Mailbox, op: u8, reply_id: u64, payload: Vec<u8>) {
+    fn file(&self, mail: &mut Mailbox, op: u8, reply_id: u64, body: Body) {
         if reply_id != 0 {
-            mail.inbox.insert(reply_id, (op, payload));
+            mail.inbox.insert(reply_id, (op, body));
             return;
         }
         if mail.dead.is_some() {
             return; // the first verdict wins
         }
         mail.dead = Some(match op {
-            opcode::UNSUPPORTED_VERSION | opcode::BAD_REQUEST => refusal(op, &payload),
+            opcode::UNSUPPORTED_VERSION | opcode::BAD_REQUEST => refusal(op, &body),
             // The drained node answered everything and is closing; every
             // later call on this connection gets the typed goodbye rather
             // than a confusing EOF.
@@ -480,10 +481,10 @@ impl RenderClient {
     }
 }
 
-fn frame_response(op: u8, payload: &[u8]) -> Result<NetFrame, ClientError> {
-    match op {
-        opcode::FRAME => Ok(decode_frame(payload)?),
-        other => Err(refusal(other, payload)),
+fn frame_response(op: u8, body: Body) -> Result<NetFrame, ClientError> {
+    match (op, body) {
+        (opcode::FRAME, Body::Frame(frame)) => Ok(frame),
+        (other, refused) => Err(refusal(other, &refused)),
     }
 }
 
@@ -491,7 +492,11 @@ fn frame_response(op: u8, payload: &[u8]) -> Result<NetFrame, ClientError> {
 /// one place a refusal opcode becomes a [`ClientError`]. The server's
 /// typed refusals carry their in-process error types; `BAD_REQUEST` echoes
 /// the [`WireError`] the server saw; anything else is a protocol violation.
-fn refusal(op: u8, payload: &[u8]) -> ClientError {
+fn refusal(op: u8, body: &Body) -> ClientError {
+    let payload = match body {
+        Body::Bytes(payload) => payload.as_slice(),
+        Body::Frame(_) => &[],
+    };
     let typed = match op {
         opcode::FAILED => decode(payload).map(|m: String| ClientError::Render(FrameError::new(m))),
         opcode::THROTTLED => {

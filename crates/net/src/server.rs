@@ -34,8 +34,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::Instant;
 
 use mgpu_obs::names;
@@ -45,8 +45,9 @@ use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, Sharde
 use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
-    decode, encode, encode_frame, frame_bytes, opcode, DrainState, FrameReader, NetSceneRequest,
-    Pong, Prewarmed, TicketsFull, UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD,
+    decode, encode, frame_bytes, frame_payload_bytes, frame_view, opcode, DrainState, FrameReader,
+    NetSceneRequest, OutFrame, Pong, Prewarmed, TicketsFull, UnsupportedVersion, WireError,
+    DEFAULT_MAX_PAYLOAD,
 };
 
 /// Server tuning knobs.
@@ -60,9 +61,11 @@ pub struct ServerConfig {
     /// Per-session (= per-connection) rate limiting at the server door;
     /// `None` disables throttling.
     pub rate_limit: Option<RateLimitConfig>,
-    /// Upper bound on one *request* frame's payload. Response frames are as
-    /// large as the requested image; clients reading bigger responses raise
-    /// their own bound, [`crate::ClientConfig::max_payload`].
+    /// Upper bound on one frame's payload, either way: a longer request is
+    /// refused unread, and so is a `RENDER`/`SUBMIT` whose image would not
+    /// fit one `FRAME` reply this size (typed `BAD_REQUEST`, nothing is
+    /// rendered). Clients reading replies near it raise their own bound,
+    /// [`crate::ClientConfig::max_payload`], to match.
     pub max_payload: u64,
     /// Outstanding requests one session may hold: in-flight `RENDER`s plus
     /// submitted-but-unredeemed tickets. Each one eventually pins a
@@ -254,6 +257,8 @@ struct Notifier {
     /// `apply_completions` pass.
     replies: Mutex<Vec<(u64, Vec<u8>)>>,
     waker: Waker,
+    /// The event loop's thread, set as it starts.
+    loop_thread: OnceLock<ThreadId>,
 }
 
 impl Notifier {
@@ -262,7 +267,12 @@ impl Notifier {
             .lock()
             .expect("completion queue poisoned")
             .push(completion);
-        self.waker.wake();
+        // A frame-cache hit completes inside `try_submit_traced`, on the
+        // event loop itself, mid-dispatch: the loop applies completions
+        // before it next polls, so waking it would only buy an empty round.
+        if self.loop_thread.get() != Some(&std::thread::current().id()) {
+            self.waker.wake();
+        }
     }
 
     fn drain(&self) -> Vec<Completion> {
@@ -330,7 +340,7 @@ struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     /// Outgoing frames, front partially written up to `out_pos`.
-    out: VecDeque<Vec<u8>>,
+    out: VecDeque<OutFrame>,
     out_pos: usize,
     bucket: Option<TokenBucket>,
     /// `RENDER` request ids admitted but not yet answered.
@@ -368,8 +378,8 @@ impl Conn {
         }
     }
 
-    fn send(&mut self, frame: Vec<u8>) {
-        self.out.push_back(frame);
+    fn send(&mut self, frame: impl Into<OutFrame>) {
+        self.out.push_back(frame.into());
     }
 
     /// Requests currently holding server-side state for this session.
@@ -407,7 +417,7 @@ impl Conn {
     /// means the connection is dead.
     fn flush(&mut self) -> Result<(), ()> {
         while let Some(front) = self.out.front() {
-            match (&self.stream).write(&front[self.out_pos..]) {
+            match front.write_from(self.out_pos, &mut &self.stream) {
                 Ok(0) => return Err(()),
                 Ok(n) => {
                     self.out_pos += n;
@@ -520,6 +530,7 @@ impl RenderServer {
                 completions: Mutex::new(Vec::new()),
                 replies: Mutex::new(Vec::new()),
                 waker: Waker { tx: waker_tx },
+                loop_thread: OnceLock::new(),
             }),
             obs,
             wakeups,
@@ -692,6 +703,8 @@ impl EventLoop {
     }
 
     fn run(mut self) {
+        let loop_thread = &self.shared.notifier.loop_thread;
+        let _ = loop_thread.set(std::thread::current().id());
         loop {
             self.apply_completions();
 
@@ -1196,7 +1209,21 @@ fn admit(
     }
     // Validate fully BEFORE spending a rate-limit token: a malformed
     // request never renders, so it must not burn the session's budget.
-    let (spec, volume, scene, config, priority) = decode::<NetSceneRequest>(payload)?.to_parts()?;
+    let request: NetSceneRequest = decode(payload)?;
+    // The image is sized by the client and allocated by a worker: refuse
+    // here what could not leave as one `FRAME` anyway.
+    let (width, height) = request.config.image;
+    if width == 0 || height == 0 {
+        return Err(WireError::Malformed(format!(
+            "degenerate {width}x{height} image"
+        )));
+    }
+    let len = frame_payload_bytes(width, height);
+    let max = shared.config.max_payload.min(u32::MAX as u64);
+    if len > max {
+        return Err(WireError::TooLarge { len, max });
+    }
+    let (spec, volume, scene, config, priority) = request.to_parts()?;
     if let Some(bucket) = &mut conn.bucket {
         if let Err(retry_after) = bucket.try_take() {
             shared.throttled.inc();
@@ -1217,8 +1244,11 @@ fn admit(
     }))
 }
 
-/// Redeem a completed render into a `FRAME` or `FAILED` reply frame.
-fn frame_reply(request_id: u64, result: &FrameResult) -> Vec<u8> {
+/// Redeem a completed render into a `FRAME` or `FAILED` reply frame. A
+/// `FRAME` is a head plus a share of the image the frame cache holds:
+/// nothing is encoded and no pixel is copied before the socket write.
+fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
+    let failed = |message: String| frame_bytes(opcode::FAILED, request_id, &encode(&message));
     match result {
         Ok(frame) => {
             // Cache hits re-deliver a previously rendered frame: their
@@ -1229,17 +1259,17 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> Vec<u8> {
             } else {
                 frame.report.runtime().nanos()
             };
-            frame_bytes(
+            let image = Arc::clone(&frame.image);
+            frame_view(
                 opcode::FRAME,
                 request_id,
-                &encode_frame(&frame.image, frame.from_cache, sim_nanos),
+                image,
+                frame.from_cache,
+                sim_nanos,
             )
+            .unwrap_or_else(|err| failed(err.to_string()).into())
         }
-        Err(err) => frame_bytes(
-            opcode::FAILED,
-            request_id,
-            &encode(&err.message().to_string()),
-        ),
+        Err(err) => failed(err.message().to_string()).into(),
     }
 }
 

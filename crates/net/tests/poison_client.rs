@@ -271,3 +271,54 @@ fn an_unbounded_march_is_refused_at_the_door() {
     assert_eq!(frame.image.width(), 8);
     server.shutdown();
 }
+
+/// The image is the other thing a well-formed request sizes: 30000² would
+/// have a worker allocate ~14 GiB (an abort, not a caught panic), `0×N` is
+/// no image at all, and nothing past the payload bound could leave as one
+/// `FRAME` anyway. All refused typed at the door, token unspent, and the
+/// connection renders its next request.
+#[test]
+fn an_unservable_image_is_refused_at_the_door() {
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        rate_limit: Some(mgpu_net::RateLimitConfig::new(0.001, 1)),
+        // Room for exactly an 8×8 reply.
+        max_payload: 17 + 8 * 8 * 16,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let cases = [
+        ((30_000, 30_000), "exceeds"),
+        ((u32::MAX, u32::MAX), "exceeds"),
+        ((9, 8), "exceeds"),
+        ((0, 8), "degenerate"),
+        ((8, 0), "degenerate"),
+    ];
+    for (id, (image, why)) in (1u64..).zip(cases) {
+        let mut request = tiny_request(0.0);
+        request.config.image = image;
+        let op = [opcode::RENDER, opcode::SUBMIT][id as usize % 2];
+        write_frame(&mut raw, op, id, &wire::encode(&request)).unwrap();
+        let (op, echoed, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
+        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "image {image:?}");
+        let message: String = wire::decode(&payload).expect("error echo decodes");
+        assert!(message.contains(why), "image {image:?}: {message}");
+    }
+    // Same connection, same bucket: the one token is still there, and an
+    // image that exactly fills the bound is served.
+    write_frame(
+        &mut raw,
+        opcode::RENDER,
+        9,
+        &wire::encode(&tiny_request(0.0)),
+    )
+    .unwrap();
+    let (op, id, frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
+    assert_eq!((op, id), (opcode::FRAME, 9));
+    assert_eq!(frame.len() as u64, 17 + 8 * 8 * 16);
+
+    // Nothing was rendered for the refused ones.
+    assert_eq!(server.shutdown().frames_completed, 1);
+}

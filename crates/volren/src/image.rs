@@ -76,6 +76,11 @@ impl Image {
         &self.pixels
     }
 
+    /// The same rows, writable in place (the pixel count is fixed).
+    pub fn pixels_mut(&mut self) -> &mut [[f32; 4]] {
+        &mut self.pixels
+    }
+
     /// Largest absolute channel difference against another image.
     pub fn max_abs_diff(&self, other: &Image) -> f32 {
         assert_eq!(self.width, other.width);

@@ -237,12 +237,13 @@ fn typed_errors_round_trip() {
     // Shutdown drains the paused queue; the un-redeemed ticket still renders.
     assert_eq!(server.shutdown().frames_completed, 1);
 
-    // Render failure: a 0×0 image makes the render panic server-side; the
-    // worker catches it and the message crosses the wire as a FrameError.
+    // Render failure: a zero-pixel tile makes the partitioner divide by
+    // zero server-side; the worker catches the panic and the message
+    // crosses the wire as a FrameError.
     let server = test_server(1, None);
     let client = RenderClient::connect(server.addr()).expect("connect");
     let poison = ok.clone().with_config(RenderConfig {
-        image: (0, 0),
+        partition: gpumr::volren::PartitionStrategy::Tiled { tile: 0 },
         ..RenderConfig::test_size(8)
     });
     match client.render(&poison) {
