@@ -2,15 +2,20 @@
 //! against the comparison sort it replaces (the §3.1.2 θ(n) claim), the
 //! partition strategies, trilinear texture sampling, fragment compositing,
 //! value noise, the DES replay itself, one ray-march launch with and
-//! without macrocells, and a 256² frame through the wire codec.
+//! without macrocells, a 256² frame through the wire codec, and the fixed
+//! cost of a `run_job` that maps nothing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use std::sync::Arc;
 
-use mgpu_gpu::{launch_blocks, LaunchConfig, Texture3D};
-use mgpu_mapreduce::{counting_sort_groups, Partitioner, RoundRobin, Striped, Tiled};
+use mgpu_cluster::{ClusterSpec, GpuId};
+use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture3D};
+use mgpu_mapreduce::{
+    counting_sort_groups, run_job, Chunk, GpuMapper, JobConfig, MapOutput, Partitioner, Reducer,
+    RoundRobin, Striped, Tiled,
+};
 use mgpu_net::wire::{decode_frame, encode_frame, opcode, write_frame_view};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
 use mgpu_voldata::noise::{fbm, value_noise};
@@ -300,6 +305,73 @@ fn bench_frame(c: &mut Criterion) {
     g.finish();
 }
 
+struct NoChunk(usize);
+
+impl Chunk for NoChunk {
+    fn id(&self) -> usize {
+        self.0
+    }
+    fn device_bytes(&self) -> u64 {
+        0
+    }
+    fn disk_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// One thread per chunk, emitting its chunk id: no kernel to speak of.
+struct NoMapper;
+
+impl GpuMapper<NoChunk> for NoMapper {
+    type Value = u32;
+
+    fn map_chunk(&self, _gpu: GpuId, chunk: &NoChunk) -> MapOutput<u32> {
+        MapOutput::from_pairs(vec![(chunk.0 as u32, 1)], LaunchStats::default())
+    }
+}
+
+struct NoReducer;
+
+impl Reducer for NoReducer {
+    type Value = u32;
+    type Out = u32;
+
+    fn reduce(&self, _key: u32, values: &mut Vec<u32>) -> u32 {
+        values.len() as u32
+    }
+}
+
+/// The per-frame floor: `run_job` over 4 no-op chunks on 2 GPUs — two
+/// mappers and two reducers handed their threads, four one-pair batches
+/// through the channels, sort, reduce and merge of four keys. What is left
+/// is what a frame pays before its first ray (`pool_preview`'s fixed cost),
+/// visible here without a server. One iteration is 1000 jobs, so the line
+/// reads in µs per job with "ms" as its unit.
+fn bench_job(c: &mut Criterion) {
+    let mut g = c.benchmark_group("job");
+    g.sample_size(20);
+    let chunks: Vec<NoChunk> = (0..4).map(NoChunk).collect();
+    let spec = ClusterSpec::accelerator_cluster(2);
+    let config = JobConfig::new(2, 4);
+    g.bench_function("run_job_4_noop_chunks_2_gpus_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                let out = run_job(
+                    black_box(&chunks),
+                    &NoMapper,
+                    &NoReducer,
+                    &RoundRobin,
+                    None,
+                    &spec,
+                    &config,
+                );
+                assert_eq!(out.keys, [0, 1, 2, 3]);
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -309,6 +381,7 @@ criterion_group!(
     bench_noise,
     bench_des,
     bench_march,
-    bench_frame
+    bench_frame,
+    bench_job
 );
 criterion_main!(benches);

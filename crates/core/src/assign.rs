@@ -40,10 +40,14 @@ impl Assignment {
     }
 
     /// The chunk indices owned by `mapper`, in processing order.
-    pub fn chunks_for(&self, mapper: u32, total: usize, mappers: u32) -> Vec<usize> {
-        (0..total)
-            .filter(|&i| self.mapper_of(i, total, mappers) == mapper)
-            .collect()
+    pub fn chunks_for(
+        &self,
+        mapper: u32,
+        total: usize,
+        mappers: u32,
+    ) -> impl Iterator<Item = usize> {
+        let policy = *self;
+        (0..total).filter(move |&i| policy.mapper_of(i, total, mappers) == mapper)
     }
 
     pub fn label(&self) -> &'static str {
@@ -86,24 +90,22 @@ mod tests {
     #[test]
     fn round_robin_balances_within_one() {
         let a = Assignment::RoundRobin;
-        let counts: Vec<usize> = (0..4).map(|m| a.chunks_for(m, 10, 4).len()).collect();
+        let counts: Vec<usize> = (0..4).map(|m| a.chunks_for(m, 10, 4).count()).collect();
         assert_eq!(counts, vec![3, 3, 2, 2]);
     }
 
     #[test]
     fn blocked_keeps_contiguity() {
         let a = Assignment::Blocked;
-        let chunks = a.chunks_for(0, 16, 4);
-        assert_eq!(chunks, vec![0, 1, 2, 3]);
-        let last = a.chunks_for(3, 16, 4);
-        assert_eq!(last, vec![12, 13, 14, 15]);
+        assert!(a.chunks_for(0, 16, 4).eq([0, 1, 2, 3]));
+        assert!(a.chunks_for(3, 16, 4).eq([12, 13, 14, 15]));
     }
 
     #[test]
     fn blocked_handles_remainders() {
         // 10 chunks over 4 mappers: per = 3 → 3,3,3,1.
         let a = Assignment::Blocked;
-        let counts: Vec<usize> = (0..4).map(|m| a.chunks_for(m, 10, 4).len()).collect();
+        let counts: Vec<usize> = (0..4).map(|m| a.chunks_for(m, 10, 4).count()).collect();
         assert_eq!(counts.iter().sum::<usize>(), 10);
         assert_eq!(counts[0], 3);
         assert_eq!(counts[3], 1);

@@ -5,7 +5,10 @@
 //! streaming interface": partitioned batches flow to reducers while mapping
 //! is still in progress, exactly as in the paper ("Once enough pairs have
 //! been generated by a Mapper, they are sent asynchronously to the
-//! Reducer").
+//! Reducer"). As in the paper's library the threads outlive the job: the
+//! roles run on [`mgpu_gpu::exec`]'s parked threads, reused from one job to
+//! the next, and the caller itself is mapper 0 — a job spawns nothing once
+//! the process has run one of its size.
 //!
 //! Determinism: chunks are assigned round-robin (chunk `i` → mapper
 //! `i mod M`) and each reducer re-orders received batches by
@@ -111,9 +114,10 @@ struct Batch<V> {
 /// One reducer's accounting record with its emitted keys and outputs (SoA).
 type ReducerResult<Out> = (ReducerRecord, Vec<Key>, Vec<Out>);
 
-/// Batches in flight per reducer channel. Reducers drain their channel as
-/// batches arrive, so this bound never fills; it must only be non-zero (a
-/// rendezvous channel would stall every send until a reducer took it).
+/// Batches in flight per reducer channel. A reducer has its thread before
+/// any mapper starts and takes batches as they arrive, so a send blocks only
+/// if a mapper gets this far ahead of it; the bound must be non-zero (a
+/// rendezvous channel would stall every send until it was taken).
 const CHANNEL_CAPACITY: usize = 1024;
 
 /// Run a MapReduce job over `chunks`.
@@ -154,50 +158,38 @@ where
         receivers.push(rx);
     }
 
-    let (mapper_records, reducer_results) = std::thread::scope(|scope| {
-        // Mapper threads.
-        let mut mapper_handles = Vec::with_capacity(m_count);
-        for m in 0..m_count {
+    let mut mapper_records = vec![MapperRecord::default(); m_count];
+    let mut reducer_results: Vec<ReducerResult<R::Out>> = Vec::new();
+    reducer_results.resize_with(r_count, Default::default);
+    mgpu_gpu::exec::scope(|scope| {
+        let run = |m: usize, senders| {
+            run_mapper(
+                m as u32,
+                chunks,
+                mapper,
+                partitioner,
+                combiner,
+                config,
+                senders,
+            )
+        };
+        let (own, others) = mapper_records
+            .split_first_mut()
+            .expect("validated: gpus >= 1");
+        // Mappers are woken first: the slowest of them ends the map phase,
+        // and a parked thread is tens of microseconds from running. Reducers
+        // next, so they are draining before the first batch is flushed.
+        for (m, record) in others.iter_mut().enumerate() {
             let senders = senders.clone();
-            let chunk_refs: Vec<&C> = config
-                .assignment
-                .chunks_for(m as u32, chunks.len(), m_count as u32)
-                .into_iter()
-                .map(|i| &chunks[i])
-                .collect();
-            mapper_handles.push(scope.spawn(move || {
-                run_mapper(
-                    m as u32,
-                    &chunk_refs,
-                    mapper,
-                    partitioner,
-                    combiner,
-                    r_count as u32,
-                    config,
-                    senders,
-                )
-            }));
+            scope.spawn(move || *record = run(m + 1, senders));
         }
-        // The scope's own sender clones must drop so channels close when the
-        // mappers finish.
-        drop(senders);
-
-        // Reducer threads.
-        let mut reducer_handles = Vec::with_capacity(r_count);
-        for (r, rx) in receivers.into_iter().enumerate() {
-            reducer_handles
-                .push(scope.spawn(move || run_reducer(r as u32, rx, reducer, config.key_space)));
+        for (rx, result) in receivers.into_iter().zip(&mut reducer_results) {
+            scope.spawn(move || *result = run_reducer(rx, reducer, config.key_space));
         }
-
-        let mapper_records: Vec<MapperRecord> = mapper_handles
-            .into_iter()
-            .map(|h| h.join().expect("mapper thread panicked"))
-            .collect();
-        let reducer_results: Vec<ReducerResult<R::Out>> = reducer_handles
-            .into_iter()
-            .map(|h| h.join().expect("reducer thread panicked"))
-            .collect();
-        (mapper_records, reducer_results)
+        // The caller is mapper 0 and sends on the original senders, so every
+        // channel closes when the last mapper is done with it — also when
+        // one of them unwinds.
+        *own = run(0, senders);
     });
 
     // Assemble record, stats and merged output.
@@ -271,14 +263,12 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_mapper<C, M, P>(
     m: u32,
-    chunks: &[&C],
+    chunks: &[C],
     mapper: &M,
     partitioner: &P,
     combiner: Option<&dyn Combiner<M::Value>>,
-    reducers: u32,
     config: &JobConfig,
     senders: Vec<Sender<Batch<M::Value>>>,
 ) -> MapperRecord
@@ -288,6 +278,7 @@ where
     P: crate::partition::Partitioner + ?Sized,
 {
     let gpu = GpuId(m);
+    let reducers = config.gpus;
     let wire = pair_wire_bytes::<M::Value>();
     let mut rec = MapperRecord {
         init_bytes: mapper.init(gpu),
@@ -297,6 +288,7 @@ where
     // Per-reducer SoA buffers: parallel key and value columns.
     let mut buffers: Vec<(Vec<Key>, Vec<M::Value>)> =
         vec![(Vec::new(), Vec::new()); reducers as usize];
+    let mut counts = vec![0usize; reducers as usize];
     let mut flush_seq = 0u32;
 
     let mut flush = |r: usize,
@@ -328,19 +320,31 @@ where
         flush_seq += 1;
     };
 
-    for (ci, chunk) in chunks.iter().enumerate() {
+    let mine = config
+        .assignment
+        .chunks_for(m, chunks.len(), config.gpus)
+        .map(|i| &chunks[i]);
+    let mut last = 0;
+    for (ci, chunk) in mine.enumerate() {
+        last = ci;
         let out = mapper.map_chunk(gpu, chunk);
         let emitted = out.len() as u64;
-        let mut kept = 0u64;
-        for (k, v) in out.keys.into_iter().zip(out.values) {
-            if k == SENTINEL_KEY {
-                continue;
-            }
+        // Two passes, so each buffer grows once per chunk, to what it needs.
+        counts.fill(0);
+        for &k in out.keys.iter().filter(|&&k| k != SENTINEL_KEY) {
             debug_assert!(k < config.key_space, "emitted key outside key space");
-            kept += 1;
-            let r = partitioner.reducer_of(k, reducers) as usize;
-            buffers[r].0.push(k);
-            buffers[r].1.push(v);
+            counts[partitioner.reducer_of(k, reducers) as usize] += 1;
+        }
+        for ((keys, values), &n) in buffers.iter_mut().zip(&counts) {
+            keys.reserve(n);
+            values.reserve(n);
+        }
+        for (k, v) in out.keys.into_iter().zip(out.values) {
+            if k != SENTINEL_KEY {
+                let r = partitioner.reducer_of(k, reducers) as usize;
+                buffers[r].0.push(k);
+                buffers[r].1.push(v);
+            }
         }
         rec.chunks.push(ChunkRecord {
             chunk_id: chunk.id(),
@@ -348,7 +352,7 @@ where
             device_bytes: chunk.device_bytes(),
             launch: out.stats,
             emitted,
-            kept,
+            kept: counts.iter().sum::<usize>() as u64,
             emission_bytes: emitted * wire as u64,
         });
         // Flush buffers that crossed the threshold.
@@ -360,7 +364,6 @@ where
     }
 
     // Final drain after the last chunk.
-    let last = chunks.len().saturating_sub(1);
     for r in 0..reducers as usize {
         flush(r, last, &mut buffers, &mut rec);
     }
@@ -389,7 +392,6 @@ fn apply_combiner<V: WireValue>(
 }
 
 fn run_reducer<R: Reducer>(
-    _r: u32,
     rx: Receiver<Batch<R::Value>>,
     reducer: &R,
     key_space: u32,
@@ -399,9 +401,16 @@ fn run_reducer<R: Reducer>(
     batches.sort_by_key(|b| (b.mapper, b.seq));
 
     let wire = pair_wire_bytes::<R::Value>() as u64;
-    let mut keys: Vec<Key> = Vec::new();
-    let mut values: Vec<R::Value> = Vec::new();
-    for b in &batches {
+    // The first batch's columns become the sort input; the rest append.
+    let mut batches = batches.into_iter();
+    let (mut keys, mut values) = batches
+        .next()
+        .map(|b| (b.keys, b.values))
+        .unwrap_or_default();
+    let rest: usize = batches.as_slice().iter().map(|b| b.keys.len()).sum();
+    keys.reserve(rest);
+    values.reserve(rest);
+    for b in batches {
         keys.extend_from_slice(&b.keys);
         values.extend_from_slice(&b.values);
     }

@@ -1,0 +1,180 @@
+//! `run_job` on reused threads: a panic in any role comes out of `run_job`
+//! (promptly, with its own message) and leaves the executor fit for the next
+//! job; jobs of different sizes running at once, each with a kernel launch
+//! nested in its mappers, equal their serial runs.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::Duration;
+
+use mgpu_cluster::{ClusterSpec, GpuId};
+use mgpu_gpu::{launch_blocks, Kernel, LaunchConfig, Scalar, ThreadCtx};
+use mgpu_mapreduce::{
+    run_job, Chunk, GpuMapper, JobConfig, JobOutput, MapOutput, Reducer, RoundRobin, SENTINEL_KEY,
+};
+
+const KEY_SPACE: u32 = 96;
+
+struct Tile(usize);
+
+impl Chunk for Tile {
+    fn id(&self) -> usize {
+        self.0
+    }
+    fn device_bytes(&self) -> u64 {
+        64
+    }
+    fn disk_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// Every third thread sits out; the others emit a key that depends on the
+/// tile and a value that depends on the thread.
+struct TileKernel(u32);
+
+impl Kernel for TileKernel {
+    type Out = (u32, u32);
+
+    fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u32) {
+        let (x, y) = ctx.global;
+        let lane = y * 12 + x;
+        ctx.tally((lane % 5) as u64);
+        if lane % 3 == 0 {
+            (SENTINEL_KEY, 0)
+        } else {
+            ((lane * 7 + self.0 * 11) % KEY_SPACE, lane ^ self.0)
+        }
+    }
+}
+
+/// Which role, if any, is to blow up.
+#[derive(Clone, Copy, PartialEq)]
+enum Fault {
+    None,
+    Mapper(u32),
+    Reducer,
+}
+
+/// Launches [`TileKernel`] over six blocks on three host threads, so every
+/// `map_chunk` opens an executor scope inside the job's own.
+struct TileMapper(Fault);
+
+impl GpuMapper<Tile> for TileMapper {
+    type Value = u32;
+
+    fn map_chunk(&self, gpu: GpuId, chunk: &Tile) -> MapOutput<u32> {
+        if self.0 == Fault::Mapper(gpu.0) {
+            panic!("mapper {} blew up", gpu.0);
+        }
+        let config = LaunchConfig {
+            grid: (3, 2),
+            block: (4, 4),
+        };
+        let out = launch_blocks(&Scalar(TileKernel(chunk.0 as u32)), config, 3);
+        MapOutput {
+            keys: out.keys,
+            values: out.values,
+            stats: out.stats,
+        }
+    }
+}
+
+/// Order-sensitive fold: equal outputs mean equal `(mapper, seq)` order.
+struct FoldReducer(Fault);
+
+impl Reducer for FoldReducer {
+    type Value = u32;
+    type Out = u64;
+
+    fn reduce(&self, key: u32, values: &mut Vec<u32>) -> u64 {
+        if self.0 == Fault::Reducer && key == 1 {
+            panic!("reducer blew up");
+        }
+        values
+            .iter()
+            .fold(key as u64, |acc, &v| acc * 31 + v as u64)
+    }
+}
+
+fn job(gpus: u32, fault: Fault) -> JobOutput<u64> {
+    let tiles: Vec<Tile> = (0..9).map(Tile).collect();
+    let mut config = JobConfig::new(gpus, KEY_SPACE);
+    config.batch_bytes = 256; // several batches per mapper and reducer
+    run_job(
+        &tiles,
+        &TileMapper(fault),
+        &FoldReducer(fault),
+        &RoundRobin,
+        None,
+        &ClusterSpec::accelerator_cluster(gpus),
+        &config,
+    )
+}
+
+fn assert_same(a: &JobOutput<u64>, b: &JobOutput<u64>) {
+    assert_eq!(a.keys, b.keys);
+    assert_eq!(a.outs, b.outs);
+    assert_eq!(a.record, b.record);
+    assert_eq!(a.stats, b.stats);
+}
+
+/// The panic message `job(3, fault)` dies with; fails if it returns, or if
+/// it is still running (a role left blocked) after 30 s.
+fn panic_of(fault: Fault) -> String {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(3, fault)));
+        let _ = tx.send(outcome.map(|_| ()));
+    });
+    let panic = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run_job hung after a role panicked")
+        .expect_err("run_job returned although a role panicked");
+    match panic.downcast::<String>() {
+        Ok(message) => *message,
+        Err(other) => other
+            .downcast_ref::<&str>()
+            .expect("a message payload")
+            .to_string(),
+    }
+}
+
+#[test]
+fn a_panic_in_any_role_leaves_run_job_and_the_next_job_is_whole() {
+    let whole = job(3, Fault::None);
+    assert!(whole.stats.batches > 6, "the job must stream");
+    for (fault, message) in [
+        (Fault::Mapper(0), "mapper 0 blew up"), // the caller's own role
+        (Fault::Mapper(2), "mapper 2 blew up"), // a role on a cached thread
+        (Fault::Reducer, "reducer blew up"),
+    ] {
+        assert_eq!(panic_of(fault), message);
+        assert_same(&job(3, Fault::None), &whole);
+    }
+}
+
+#[test]
+fn concurrent_jobs_with_nested_launches_equal_their_serial_runs() {
+    let sizes = [1u32, 3, 8];
+    let serial: Arc<Vec<JobOutput<u64>>> =
+        Arc::new(sizes.iter().map(|&g| job(g, Fault::None)).collect());
+    let start = Arc::new(Barrier::new(8));
+    let threads: Vec<_> = (0..8)
+        .map(|t| {
+            let (serial, start) = (Arc::clone(&serial), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                for round in 0..6 {
+                    let which = (t + round) % sizes.len();
+                    assert_same(&job(sizes[which], Fault::None), &serial[which]);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("a concurrent job diverged");
+    }
+}

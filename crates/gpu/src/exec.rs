@@ -1,0 +1,254 @@
+//! The host-thread executor: parked, reused threads behind a
+//! [`std::thread::scope`]-shaped API.
+//!
+//! A frame is a handful of sub-millisecond roles (mappers, reducers, block
+//! workers); creating and joining an OS thread for each costs more than the
+//! roles do. [`scope`] runs them on threads that outlive the frame instead:
+//!
+//! * **Same contract as `thread::scope`.** Spawned closures may borrow from
+//!   the caller; `scope` returns only after every one of them has finished,
+//!   also when the body or a job panics, and then re-raises the first panic
+//!   (the body's, else the first job's) with its original payload.
+//! * **Same concurrency as `thread::scope`.** Every `spawn` checks out a
+//!   thread of its own — the most recently parked one, or a new one when
+//!   none is parked — so a job never queues behind another. Jobs may block
+//!   on each other, scopes may nest and run concurrently; none can deadlock
+//!   waiting for a worker.
+//! * **No size.** A worker parks itself again when its job is done, so the
+//!   cache holds the peak number of jobs ever in flight at once and never
+//!   shrinks; parked threads are detached and end with the process.
+
+use std::any::Any;
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
+
+type Job = Box<dyn FnOnce() + Send>;
+type Panic = Box<dyn Any + Send>;
+
+/// Nothing panics while holding one of this module's locks.
+const POISON: &str = "executor lock poisoned";
+
+/// Parked workers, most recently parked last.
+static PARKED: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
+
+/// One cached thread and the one-deep mailbox it sleeps on.
+struct Worker {
+    mailbox: Mutex<Option<(Job, Arc<Pending>)>>,
+    wake: Condvar,
+}
+
+impl Worker {
+    fn start() -> Arc<Worker> {
+        let worker = Arc::new(Worker {
+            mailbox: Mutex::new(None),
+            wake: Condvar::new(),
+        });
+        let this = Arc::clone(&worker);
+        std::thread::Builder::new()
+            .name("mgpu-exec".into())
+            .spawn(move || this.run())
+            .expect("failed to start an executor thread");
+        worker
+    }
+
+    fn run(self: Arc<Worker>) -> ! {
+        loop {
+            let (job, pending) = {
+                let mut mailbox = self.mailbox.lock().expect(POISON);
+                loop {
+                    match mailbox.take() {
+                        Some(task) => break task,
+                        None => mailbox = self.wake.wait(mailbox).expect(POISON),
+                    }
+                }
+            };
+            let panic = catch_unwind(AssertUnwindSafe(job)).err();
+            // Park before reporting: once a scope has returned, every worker
+            // it used is already back in the cache for the next one.
+            PARKED.lock().expect(POISON).push(Arc::clone(&self));
+            pending.finished(panic);
+        }
+    }
+}
+
+/// What one scope is still waiting for.
+#[derive(Default)]
+struct Pending {
+    /// Jobs handed out and not yet finished; the first job panic.
+    state: Mutex<(usize, Option<Panic>)>,
+    idle: Condvar,
+}
+
+impl Pending {
+    fn finished(&self, panic: Option<Panic>) {
+        let mut state = self.state.lock().expect(POISON);
+        state.0 -= 1;
+        if state.1.is_none() {
+            state.1 = panic;
+        }
+        if state.0 == 0 {
+            self.idle.notify_one();
+        }
+    }
+
+    /// Block until every job has finished; the first job panic, if any.
+    fn wait(&self) -> Option<Panic> {
+        let mut state = self.state.lock().expect(POISON);
+        while state.0 > 0 {
+            state = self.idle.wait(state).expect(POISON);
+        }
+        state.1.take()
+    }
+}
+
+/// Handle for spawning borrowed jobs; see [`scope`].
+pub struct Scope<'scope, 'env: 'scope> {
+    pending: Arc<Pending>,
+    // Invariant over both lifetimes, as `std::thread::Scope` is.
+    scope: PhantomData<&'scope mut &'scope ()>,
+    env: PhantomData<&'env mut &'env ()>,
+}
+
+impl<'scope> Scope<'scope, '_> {
+    /// Run `job` on a cached thread, concurrently with the caller. There is
+    /// no join handle: a job hands its result back through what it borrows.
+    pub fn spawn<F>(&'scope self, job: F)
+    where
+        F: FnOnce() + Send + 'scope,
+    {
+        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(job);
+        // SAFETY: only the lifetime bound changes. `'scope` outlives the
+        // call to `scope`, which does not return or unwind before
+        // `Pending::wait` has seen this job counted back in, and a worker
+        // counts it back in only after the closure has been consumed or
+        // dropped — so nothing it borrows is touched after `'scope` ends.
+        let job: Job = unsafe { std::mem::transmute(job) };
+        let parked = PARKED.lock().expect(POISON).pop();
+        let worker = parked.unwrap_or_else(Worker::start);
+        self.pending.state.lock().expect(POISON).0 += 1;
+        *worker.mailbox.lock().expect(POISON) = Some((job, Arc::clone(&self.pending)));
+        worker.wake.notify_one();
+    }
+}
+
+/// Run `body`, which may [`Scope::spawn`] jobs borrowing from the caller,
+/// and return its value once the body and every job have finished. If any
+/// of them panicked, the first panic is re-raised here instead.
+pub fn scope<'env, F, T>(body: F) -> T
+where
+    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
+{
+    let scope = Scope {
+        pending: Arc::default(),
+        scope: PhantomData,
+        env: PhantomData,
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| body(&scope)));
+    // The wait-guard `Scope::spawn` relies on: reached on every path out of
+    // the body, left only when no job is running.
+    let job_panic = scope.pending.wait();
+    match (result, job_panic) {
+        (Err(panic), _) | (Ok(_), Some(panic)) => resume_unwind(panic),
+        (Ok(value), None) => value,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    #[test]
+    fn jobs_borrow_and_finish_before_scope_returns() {
+        let mut slots = [0usize; 5];
+        let base = 10;
+        scope(|s| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                s.spawn(move || *slot = base + i);
+            }
+        });
+        assert_eq!(slots, [10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn every_job_gets_its_own_thread() {
+        // Each job waits for all the others (and the body): this only
+        // returns if all four are running at once.
+        let barrier = Barrier::new(4);
+        scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    barrier.wait();
+                });
+            }
+            barrier.wait();
+        });
+    }
+
+    #[test]
+    fn nested_scopes_complete() {
+        let total = AtomicUsize::new(0);
+        scope(|outer| {
+            for _ in 0..3 {
+                outer.spawn(|| {
+                    scope(|inner| {
+                        for _ in 0..3 {
+                            inner.spawn(|| {
+                                total.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    })
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 9);
+    }
+
+    #[test]
+    fn job_panic_is_reraised_after_the_others_finish() {
+        let finished = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                s.spawn(|| panic!("job went wrong"));
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        finished.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            })
+        }));
+        let panic = caught.expect_err("scope must re-raise the job's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"job went wrong"));
+        assert_eq!(finished.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn body_panic_still_waits_for_jobs() {
+        let finished = AtomicUsize::new(0);
+        let barrier = Barrier::new(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                s.spawn(|| {
+                    barrier.wait();
+                    finished.fetch_add(1, Ordering::Relaxed);
+                });
+                // The job cannot finish before the body is already unwinding.
+                let _release = Release(&barrier);
+                panic!("body went wrong");
+            })
+        }));
+        let panic = caught.expect_err("scope must re-raise the body's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"body went wrong"));
+        assert_eq!(finished.load(Ordering::Relaxed), 1);
+    }
+
+    struct Release<'a>(&'a Barrier);
+
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.wait();
+        }
+    }
+}

@@ -324,7 +324,8 @@ pub struct BlockOutput<K, V> {
 }
 
 /// Execute a [`BlockKernel`] over `config`, using up to `parallelism` host
-/// threads (block-level parallelism, matching how blocks map to SMs).
+/// threads (block-level parallelism, matching how blocks map to SMs): the
+/// caller plus `parallelism - 1` cached threads from [`crate::exec`].
 ///
 /// Identical chunking, output order and SIMT accounting as [`launch`]: for
 /// any scalar kernel `k`, `launch_blocks(&Scalar(k), ..)` produces the same
@@ -400,27 +401,31 @@ pub fn launch_blocks<B: BlockKernel>(
     let blocks_per_worker = blocks.div_ceil(workers);
     let per_worker = blocks_per_worker * tpb;
     let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
-    std::thread::scope(|scope| {
-        for ((((wi, kc), vc), sc), wstats) in keys
+    crate::exec::scope(|scope| {
+        let run_block = &run_block;
+        let mut shares = keys
             .chunks_mut(per_worker)
-            .enumerate()
             .zip(values.chunks_mut(per_worker))
             .zip(samples.chunks_mut(per_worker))
             .zip(worker_stats.iter_mut())
-        {
-            let run_block = &run_block;
-            scope.spawn(move || {
-                let first_block = wi * blocks_per_worker;
-                for (i, ((kb, vb), sb)) in kc
-                    .chunks_mut(tpb)
-                    .zip(vc.chunks_mut(tpb))
-                    .zip(sc.chunks_mut(tpb))
-                    .enumerate()
-                {
-                    wstats.merge(&run_block(first_block + i, kb, vb, sb));
+            .enumerate()
+            .map(|(wi, (((kc, vc), sc), wstats))| {
+                move || {
+                    let first_block = wi * blocks_per_worker;
+                    for (i, ((kb, vb), sb)) in kc
+                        .chunks_mut(tpb)
+                        .zip(vc.chunks_mut(tpb))
+                        .zip(sc.chunks_mut(tpb))
+                        .enumerate()
+                    {
+                        wstats.merge(&run_block(first_block + i, kb, vb, sb));
+                    }
                 }
             });
-        }
+        // The caller works the first share itself instead of parking.
+        let mut own = shares.next().expect("a parallel launch has blocks");
+        shares.for_each(|share| scope.spawn(share));
+        own();
     });
 
     let mut stats = LaunchStats::default();

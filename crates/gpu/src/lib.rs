@@ -15,8 +15,18 @@
 //! paper's "map task must fit in GPU memory" restriction; and
 //! [`device::KernelCostModel`] converts launch statistics (including SIMT
 //! warp divergence) into simulated time on a Tesla C1060-class part.
+//!
+//! The host threads that stand for device processors come from [`exec`]: a
+//! process-wide cache of parked threads behind a `std::thread::scope`-shaped
+//! [`exec::scope`]. A scope returns only when every job it spawned has
+//! finished — also on a panic, which it then re-raises — and every spawn
+//! gets a thread of its own, so the cache grows to the peak number of jobs
+//! ever in flight and never shrinks. Its one `unsafe` is the lifetime
+//! erasure of a boxed job in `Scope::spawn`; `mgpu-mapreduce` runs its
+//! mappers and reducers on it and so stays `#![forbid(unsafe_code)]`.
 
 pub mod device;
+pub mod exec;
 pub mod kernel;
 pub mod texture;
 pub mod vram;

@@ -33,12 +33,63 @@ pub struct BrickData {
     pub voxels: Arc<Vec<f32>>,
     /// Min/max macrocells over `voxels`, shared the same way.
     pub cells: MacroCells,
+    /// Where the voxel allocation goes when the brick dies.
+    spares: Arc<Spares>,
 }
 
 impl BrickData {
     /// Host bytes this brick holds: voxels plus macrocells.
     pub fn bytes(&self) -> u64 {
         (self.voxels.len() * 4) as u64 + self.cells.bytes()
+    }
+}
+
+impl Drop for BrickData {
+    fn drop(&mut self) {
+        // Whoever holds the voxels last — the store evicting, or a mapper
+        // done with an evicted brick — hands the allocation back.
+        if let Some(voxels) = Arc::get_mut(&mut self.voxels) {
+            self.spares.put(std::mem::take(voxels));
+        }
+    }
+}
+
+/// Voxel allocations of dead bricks, kept for the next miss. An out-of-core
+/// frame frees and allocates every brick it touches; handed to `malloc`,
+/// multi-megabyte buffers alternate between trimmed and re-faulted, at a
+/// page fault per 4 KiB. Holds at most one budget's worth of bytes.
+#[derive(Debug)]
+struct Spares {
+    budget_bytes: u64,
+    buffers: Mutex<Vec<Vec<f32>>>,
+}
+
+impl Spares {
+    fn put(&self, voxels: Vec<f32>) {
+        let mut buffers = self.buffers.lock();
+        let held: usize = buffers.iter().map(Vec::len).sum();
+        if ((held + voxels.len()) * 4) as u64 <= self.budget_bytes {
+            buffers.push(voxels);
+        }
+    }
+
+    /// A buffer of exactly `len` voxels: a spare with arbitrary contents, or
+    /// a zeroed new one — and then a spare of another size goes, so a pool of
+    /// the wrong sizes drains instead of staying full.
+    fn take(&self, len: usize) -> Vec<f32> {
+        let spare = {
+            let mut buffers = self.buffers.lock();
+            match buffers.iter().position(|b| b.len() == len) {
+                Some(i) => buffers.swap_remove(i),
+                None => buffers.pop().unwrap_or_default(),
+            }
+        };
+        // Allocating, and freeing the misfit, happen outside the lock.
+        if spare.len() == len {
+            spare
+        } else {
+            vec![0f32; len]
+        }
     }
 }
 
@@ -91,13 +142,15 @@ pub struct BrickStore {
     ghost: u32,
     budget_bytes: u64,
     inner: Mutex<CacheInner>,
+    spares: Arc<Spares>,
     stats: StoreStats,
 }
 
 impl BrickStore {
     /// `budget_bytes` bounds cached brick data (voxels and macrocells); a
     /// single brick larger than the budget is still materialized (and evicted
-    /// as soon as another arrives).
+    /// as soon as another arrives). Voxel buffers of dead bricks are kept for
+    /// reuse, up to the same number of bytes again.
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),
@@ -114,6 +167,10 @@ impl BrickStore {
                 bytes: 0,
                 in_flight: 0,
                 tick: 0,
+            }),
+            spares: Arc::new(Spares {
+                budget_bytes,
+                buffers: Mutex::new(Vec::new()),
             }),
             stats: StoreStats::default(),
         }
@@ -164,7 +221,9 @@ impl BrickStore {
         // but never block each other on voxel synthesis. (A panic in here
         // leaks the reservation, which only makes later misses evict more.)
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let voxels = self.volume.materialize_clamped(store_origin, store_dims);
+        let mut voxels = self.spares.take(store_dims.iter().product());
+        self.volume
+            .materialize_clamped_into(store_origin, store_dims, &mut voxels);
         let cells = MacroCells::build(&voxels, store_dims);
         let data = Arc::new(BrickData {
             info,
@@ -173,6 +232,7 @@ impl BrickStore {
             store_dims,
             voxels: Arc::new(voxels),
             cells,
+            spares: Arc::clone(&self.spares),
         });
         debug_assert_eq!(data.bytes(), bytes);
         // Voxel bytes only: this counter is the volume data read or
@@ -212,11 +272,13 @@ impl BrickStore {
         }
     }
 
-    /// Drop all cached bricks (keeps statistics).
+    /// Drop all cached bricks and spare buffers (keeps statistics).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.bytes = 0;
+        drop(inner);
+        self.spares.buffers.lock().clear();
     }
 
     pub fn cached_bytes(&self) -> u64 {
@@ -350,6 +412,29 @@ mod tests {
         let _b1 = s.get(1); // evicts brick 0 from cache
         assert_eq!(b0.info.id, 0);
         assert!(!b0.voxels.is_empty()); // still readable
+    }
+
+    #[test]
+    fn a_dead_bricks_allocation_serves_the_next_miss() {
+        let s = store(5_000); // barely one brick
+        let held = s.get(0);
+        let first = held.voxels.as_ptr();
+        s.get(1); // evicts brick 0, which `held` keeps alive: nothing spare
+        assert!(s.spares.buffers.lock().is_empty());
+        drop(held); // the last holder retires the allocation…
+        assert_eq!(s.spares.buffers.lock().len(), 1);
+        let again = s.get(2); // …and the next miss is staged into it,
+        assert_eq!(again.voxels.as_ptr(), first);
+        // with every stale voxel overwritten.
+        assert_eq!(again.voxels, store(u64::MAX).get(2).voxels);
+        // Spares hold at most the budget (one brick here), and `clear`
+        // releases them with the entries.
+        let (a, b) = (s.get(3), s.get(4));
+        drop((a, b, again));
+        assert_eq!(s.spares.buffers.lock().len(), 1);
+        s.clear();
+        assert!(s.spares.buffers.lock().is_empty());
+        assert_eq!(s.cached_bytes(), 0);
     }
 
     #[test]

@@ -215,8 +215,16 @@ impl Volume {
     /// separable, so x edges, then y rows, then z slabs reproduce it exactly.
     pub fn materialize_clamped(&self, origin: [i64; 3], size: [usize; 3]) -> Vec<f32> {
         let mut out = vec![0f32; size[0] * size[1] * size[2]];
+        self.materialize_clamped_into(origin, size, &mut out);
+        out
+    }
+
+    /// [`Volume::materialize_clamped`] into memory the caller already has:
+    /// `out` holds one element per voxel of the region; each is overwritten.
+    pub fn materialize_clamped_into(&self, origin: [i64; 3], size: [usize; 3], out: &mut [f32]) {
+        assert_eq!(out.len(), size[0] * size[1] * size[2]);
         if out.is_empty() {
-            return out;
+            return;
         }
         let d = self.meta.dims.map(|d| d as i64);
         // In-bounds core `lo..lo + n` — a region wholly outside the volume
@@ -251,7 +259,6 @@ impl Volume {
             let src = z.clamp(at[2], z_end - 1) * slab;
             out.copy_within(src..src + slab, z * slab);
         }
-        out
     }
 
     /// Materialize the entire volume (small volumes and tests only).

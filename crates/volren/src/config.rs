@@ -1,6 +1,8 @@
 //! Renderer configuration: every §3 design decision is a knob here, so the
 //! ablation benches can flip them one at a time.
 
+use std::sync::OnceLock;
+
 use mgpu_mapreduce::{
     Assignment, Checkerboard, Partitioner, RoundRobin, Striped, Tiled, TraceOptions,
 };
@@ -133,9 +135,14 @@ impl RenderConfig {
         if self.kernel_parallelism > 0 {
             return self.kernel_parallelism;
         }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        // Asked once per process: on Linux the answer is an affinity syscall
+        // plus cgroup file reads, and this runs on every frame.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         (cores / (gpus as usize).min(cores)).max(1)
     }
 }
