@@ -23,11 +23,13 @@ use mgpu_volren::{RenderConfig, TransferFunction};
 
 /// The stage histograms the dashboard reports, as `(label, snapshot key)`
 /// in pipeline order.
-const STAGES: [(&str, &str); 6] = [
+const STAGES: [(&str, &str); 7] = [
     ("queue wait", names::SERVE_QUEUE_WAIT_NS),
     ("plan prepare", names::VOLREN_PLAN_PREPARE_NS),
     ("brick staging", names::VOLREN_STAGING_NS),
     ("kernel", names::VOLREN_KERNEL_NS),
+    // Inside `kernel`: one record per brick launch, not per frame.
+    ("brick march", names::VOLREN_MARCH_NS),
     ("composite", names::VOLREN_COMPOSITE_NS),
     ("render total", names::SERVE_RENDER_NS),
 ];
@@ -81,6 +83,21 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
         snap.gauge(names::NET_CONNECTIONS).unwrap_or(0),
         c(names::NET_LOOP_WAKEUPS),
         c(names::NET_THROTTLED),
+    );
+    let (fetched, slots) = (
+        c(names::VOLREN_SAMPLES_FETCHED),
+        c(names::VOLREN_LANE_SLOTS),
+    );
+    println!(
+        "march:  {fetched} samples fetched in {slots} lane slots ({})",
+        if slots == 0 {
+            "scalar march".to_string()
+        } else {
+            format!(
+                "eight-wide, {:.2} of a slot used",
+                fetched as f64 / slots as f64
+            )
+        }
     );
     println!(
         "\n{:>14} {:>8} {:>10} {:>10} {:>10}",

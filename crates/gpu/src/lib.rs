@@ -11,7 +11,11 @@
 //! trilinear filtering with clamp addressing (with [`texture::Sampler3D`] as
 //! the resolved inner-loop view) and can carry a min/max macrocell table for
 //! empty-space skipping, which [`texture::Texture1D::zero_alpha`] answers
-//! from the transfer-function side; [`vram::VramAllocator`] enforces the
+//! from the transfer-function side; on `x86_64` both samplers also filter
+//! for eight samples at once (`locate_x8` / `sample_at_x8` / `taps_x8`:
+//! AVX2 gathers behind safe `#[target_feature]` functions, bit-identical
+//! per lane to the scalar ones — the `unsafe` is the gathers, justified by
+//! the clamps beside them; see [`texture`]); [`vram::VramAllocator`] enforces the
 //! paper's "map task must fit in GPU memory" restriction; and
 //! [`device::KernelCostModel`] converts launch statistics (including SIMT
 //! warp divergence) into simulated time on a Tesla C1060-class part.

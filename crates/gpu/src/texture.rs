@@ -12,8 +12,30 @@
 //! every value a trilinear sample based in a cell can tap, and a
 //! [`Texture1D`] knows its runs of exactly-zero alpha
 //! ([`Texture1D::zero_alpha`]). Neither changes what a sample returns.
+//!
+//! # Lane samplers
+//!
+//! On `x86_64` the two resolved views also filter for **eight samples at
+//! once** in AVX2 registers — the software analogue of a texture unit
+//! serving a whole warp: [`Sampler3D::locate_x8`] / [`Sampler3D::sample_at_x8`]
+//! and [`Sampler1D::taps_x8`] are the lane forms of `locate` / `sample_at` /
+//! `taps`. Per lane they perform the scalar methods' float operations in the
+//! scalar methods' order (a multiply and an add, never a fused one), so for
+//! every finite coordinate of magnitude below 2³⁰ a lane's result has the
+//! scalar result's bits. They are safe `#[target_feature(enable = "avx2")]`
+//! functions: a caller must itself be compiled for AVX2 (or assert, in an
+//! `unsafe` block, that it detected it). Their own `unsafe` is the gathers,
+//! beside the scalar paths' `get_unchecked` loads, and rests on the same
+//! thing: every coordinate is clamped into the texture before it becomes an
+//! address — with clamp addressing the clamped taps *are* the interior fast
+//! path's taps when the sample is interior, so one code path serves both —
+//! and a view whose indices would not fit an `i32` lane refuses
+//! (`fits_lanes`).
 
 use std::sync::Arc;
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 /// `floor` by truncation, for the two hot samplers. `f32::floor` is an
 /// out-of-line `floorf` call on baseline x86-64 (no `roundss` before
@@ -296,6 +318,137 @@ impl Sampler3D<'_> {
     }
 }
 
+/// `v` clamped into `[0, hi]`, per lane.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn clamp_epi32(v: __m256i, hi: __m256i) -> __m256i {
+    _mm256_min_epi32(_mm256_max_epi32(v, _mm256_setzero_si256()), hi)
+}
+
+/// `a + (b − a)·t` per lane: the scalar samplers' lerp, unfused.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lerp_ps(a: __m256, b: __m256, t: __m256) -> __m256 {
+    _mm256_add_ps(a, _mm256_mul_ps(_mm256_sub_ps(b, a), t))
+}
+
+/// The lane forms of [`Sampler3D::locate`] and [`Sampler3D::sample_at`]:
+/// eight samples per call, one per 32-bit lane.
+#[cfg(target_arch = "x86_64")]
+impl Sampler3D<'_> {
+    /// Whether [`Sampler3D::sample_at_x8`] serves this texture: fewer than
+    /// 2³⁰ texels, so a flat texel index, and every product it is built
+    /// from, fits an `i32` lane.
+    pub fn fits_lanes(&self) -> bool {
+        self.data.len() < 1 << 30
+    }
+
+    /// [`Sampler3D::locate`] for eight positions. `_mm256_floor_ps` is
+    /// `floor_trunc`'s float (they differ at `−0.0` only, which `a − 0.5`
+    /// cannot produce); the integer is a truncating convert, which equals
+    /// `floor_trunc`'s saturating one for finite coordinates of magnitude
+    /// below 2³¹ and is `i32::MIN` for anything else.
+    ///
+    /// # Safety
+    ///
+    /// A safe call from code compiled for AVX2. From anywhere else the call
+    /// is `unsafe`, and sound once the caller has detected AVX2 on this CPU
+    /// (`is_x86_feature_detected!("avx2")`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn locate_x8(&self, x: __m256, y: __m256, z: __m256) -> SiteX8 {
+        let half = _mm256_set1_ps(0.5);
+        let (fx, fy, fz) = (
+            _mm256_sub_ps(x, half),
+            _mm256_sub_ps(y, half),
+            _mm256_sub_ps(z, half),
+        );
+        let (x0, y0, z0) = (
+            _mm256_floor_ps(fx),
+            _mm256_floor_ps(fy),
+            _mm256_floor_ps(fz),
+        );
+        SiteX8 {
+            index: [
+                _mm256_cvttps_epi32(x0),
+                _mm256_cvttps_epi32(y0),
+                _mm256_cvttps_epi32(z0),
+            ],
+            frac: [
+                _mm256_sub_ps(fx, x0),
+                _mm256_sub_ps(fy, y0),
+                _mm256_sub_ps(fz, z0),
+            ],
+        }
+    }
+
+    /// [`Sampler3D::sample_at`] for eight sites: gather the eight taps of
+    /// each with clamp addressing, blend them with the same seven lerps.
+    /// Bit-identical per lane to the scalar method for every base index
+    /// below `i32::MAX`. Lanes a caller has masked off may hold anything —
+    /// their taps are clamped like any other's.
+    ///
+    /// # Panics
+    ///
+    /// If the texture does not fit ([`Sampler3D::fits_lanes`]).
+    ///
+    /// # Safety
+    ///
+    /// A safe call from code compiled for AVX2. From anywhere else the call
+    /// is `unsafe`, and sound once the caller has detected AVX2 on this CPU
+    /// (`is_x86_feature_detected!("avx2")`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn sample_at_x8(&self, site: &SiteX8) -> __m256 {
+        assert!(self.fits_lanes(), "texture too large for i32 lane indices");
+        let one = _mm256_set1_epi32(1);
+        let [ix, iy, iz] = site.index;
+        let [tx, ty, tz] = site.frac;
+        // Fewer than 2³⁰ texels: `hi`, both strides and every sum below fit.
+        let [hx, hy, hz] = self.hi.map(|h| _mm256_set1_epi32(h as i32));
+        let (sx, sy) = (self.sx as i32, self.sy as i32);
+
+        // The two clamped taps per axis, the y and z ones as row and slice
+        // offsets. The second offset is the first plus one stride unless the
+        // clamp folded both taps onto one texel.
+        let x0 = clamp_epi32(ix, hx);
+        let x1 = clamp_epi32(_mm256_add_epi32(ix, one), hx);
+        let second = |i: __m256i, hi: __m256i, stride: i32| {
+            let c0 = clamp_epi32(i, hi);
+            let c1 = clamp_epi32(_mm256_add_epi32(i, one), hi);
+            let o0 = _mm256_mullo_epi32(c0, _mm256_set1_epi32(stride));
+            let step = _mm256_and_si256(_mm256_cmpgt_epi32(c1, c0), _mm256_set1_epi32(stride));
+            (o0, _mm256_add_epi32(o0, step))
+        };
+        let (y0, y1) = second(iy, hy, sx);
+        let (z0, z1) = second(iz, hz, sy);
+        let (r00, r10, r01, r11) = (
+            _mm256_add_epi32(z0, y0),
+            _mm256_add_epi32(z0, y1),
+            _mm256_add_epi32(z1, y0),
+            _mm256_add_epi32(z1, y1),
+        );
+
+        let texels = self.data.as_ptr();
+        let tap = |row: __m256i, x: __m256i| {
+            // SAFETY: per lane, `row + x = (cz·dims[1] + cy)·dims[0] + cx`
+            // with each coordinate clamped into `0..dims[axis]` just above,
+            // computed without overflow (`fits_lanes`, asserted on entry):
+            // an index below `data.len()`.
+            unsafe { _mm256_i32gather_ps::<4>(texels, _mm256_add_epi32(row, x)) }
+        };
+        let x00 = lerp_ps(tap(r00, x0), tap(r00, x1), tx);
+        let x10 = lerp_ps(tap(r10, x0), tap(r10, x1), tx);
+        let x01 = lerp_ps(tap(r01, x0), tap(r01, x1), tx);
+        let x11 = lerp_ps(tap(r11, x0), tap(r11, x1), tx);
+        let y0v = lerp_ps(x00, x10, ty);
+        let y1v = lerp_ps(x01, x11, ty);
+        lerp_ps(y0v, y1v, tz)
+    }
+}
+
 /// Where a trilinear sample falls on the texel lattice
 /// ([`Sampler3D::locate`]): the unclamped base texel `floor(p − ½)` per axis
 /// and the interpolation fractions.
@@ -311,6 +464,23 @@ impl Site {
     /// base index macrocells are keyed by (see [`Texture3D::with_cells`]).
     #[inline(always)]
     pub fn base_index(&self) -> [i32; 3] {
+        self.index
+    }
+}
+
+/// Eight [`Site`]s, one per lane ([`Sampler3D::locate_x8`]).
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct SiteX8 {
+    index: [__m256i; 3],
+    frac: [__m256; 3],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl SiteX8 {
+    /// [`Site::base_index`] per lane: x, y and z as three registers.
+    #[inline(always)]
+    pub fn base_index(&self) -> [__m256i; 3] {
         self.index
     }
 }
@@ -456,6 +626,102 @@ impl Sampler1D<'_> {
             a[2] + (b[2] - a[2]) * t,
             a[3] + (b[3] - a[3]) * t,
         ]
+    }
+}
+
+/// The lane form of [`Sampler1D::taps`].
+#[cfg(target_arch = "x86_64")]
+impl<'a> Sampler1D<'a> {
+    /// Whether [`Sampler1D::taps_x8`] serves this table: fewer than 2²⁸
+    /// texels, so the index of any channel in the flat `f32` view fits an
+    /// `i32` lane.
+    pub fn fits_lanes(&self) -> bool {
+        self.last < (1 << 28)
+    }
+
+    /// [`Sampler1D::taps`] for eight lookups: which two texels each blends,
+    /// and with what fraction. `min(1, max(0, u))` in this operand order is
+    /// `f32::clamp` bit for bit — a NaN `u` stays NaN, `−0.0` stays `−0.0` —
+    /// and the texel indices are the scalar ones except for a NaN `u`, whose
+    /// second tap is texel 0 instead of texel 1: its fraction is NaN, so
+    /// whatever is blended with it is NaN either way.
+    ///
+    /// # Panics
+    ///
+    /// If the table does not fit ([`Sampler1D::fits_lanes`]).
+    ///
+    /// # Safety
+    ///
+    /// A safe call from code compiled for AVX2. From anywhere else the call
+    /// is `unsafe`, and sound once the caller has detected AVX2 on this CPU
+    /// (`is_x86_feature_detected!("avx2")`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn taps_x8(&self, u: __m256) -> TapsX8<'a> {
+        assert!(self.fits_lanes(), "1-D texture too large for i32 lanes");
+        let unit = _mm256_min_ps(_mm256_set1_ps(1.0), _mm256_max_ps(_mm256_set1_ps(0.0), u));
+        let x = _mm256_sub_ps(
+            _mm256_mul_ps(unit, _mm256_set1_ps(self.nf)),
+            _mm256_set1_ps(0.5),
+        );
+        let x0 = _mm256_floor_ps(x);
+        let i = _mm256_cvttps_epi32(x0);
+        let last = _mm256_set1_epi32(self.last);
+        let i1 = _mm256_add_epi32(i, _mm256_set1_epi32(1));
+        TapsX8 {
+            texels: self.texels,
+            // Four floats a texel; `last < 2²⁸` keeps the shift in range.
+            first: _mm256_slli_epi32::<2>(clamp_epi32(i, last)),
+            second: _mm256_slli_epi32::<2>(clamp_epi32(i1, last)),
+            frac: _mm256_sub_ps(x, x0),
+        }
+    }
+}
+
+/// Eight transfer-function lookups located but not yet fetched
+/// ([`Sampler1D::taps_x8`]): a kernel gathers alpha first and the colour
+/// channels only if some lane turns out to contribute.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct TapsX8<'a> {
+    texels: &'a [[f32; 4]],
+    /// Per lane, the flat `f32` index of the first tap's channel 0 …
+    first: __m256i,
+    /// … and of the second tap's: both `4·i` with `i < texels.len()`.
+    second: __m256i,
+    frac: __m256,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl TapsX8<'_> {
+    /// The interpolation fraction, per lane.
+    #[inline(always)]
+    pub fn frac(&self) -> __m256 {
+        self.frac
+    }
+
+    /// Channel `C` (0–2 colour, 3 alpha) of every lane's two taps.
+    ///
+    /// # Safety
+    ///
+    /// A safe call from code compiled for AVX2. From anywhere else the call
+    /// is `unsafe`, and sound once the caller has detected AVX2 on this CPU
+    /// (`is_x86_feature_detected!("avx2")`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn channel<const C: usize>(&self) -> (__m256, __m256) {
+        const { assert!(C < 4, "an RGBA texel has four channels") };
+        let base = self.texels.as_ptr().cast::<f32>();
+        // SAFETY: `first` and `second` are private and only built by
+        // `taps_x8`, from indices clamped into `0..texels.len()` of this
+        // very slice and scaled by a texel's four floats, so with `C < 4`
+        // every lane reads a float inside the slice.
+        unsafe {
+            (
+                _mm256_i32gather_ps::<4>(base.add(C), self.first),
+                _mm256_i32gather_ps::<4>(base.add(C), self.second),
+            )
+        }
     }
 }
 
@@ -722,5 +988,166 @@ mod tests {
             let u = i as f32 / 9.0;
             assert_eq!(one.sample(u), os.sample(u));
         }
+    }
+
+    /// Run `check` if this CPU has AVX2 (every x86-64 CI runner does; a
+    /// machine without it has nothing to check the lane samplers on).
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: not an unsafe operation, a type — the only pointer type a safe
+    // `#[target_feature]` function coerces to.
+    fn with_avx2(check: unsafe fn()) {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: every `check` handed in is a safe function compiled
+            // for AVX2 alone, which was detected on the line above.
+            unsafe { check() }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_f32(v: __m256) -> [f32; 8] {
+        // SAFETY: both are 32 bytes of plain floats.
+        unsafe { std::mem::transmute(v) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_i32(v: __m256i) -> [i32; 8] {
+        // SAFETY: both are 32 bytes of plain integers.
+        unsafe { std::mem::transmute(v) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn splat8(a: [f32; 8]) -> __m256 {
+        // SAFETY: both are 32 bytes of plain floats.
+        unsafe { std::mem::transmute(a) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_sampler3d_bit_identical_to_scalar_sampler() {
+        #[target_feature(enable = "avx2")]
+        fn check() {
+            // Interior, borders, outside, past the truncating floor's 2²³,
+            // sub-texel positions; textures one voxel thick along each axis
+            // (both taps of that axis clamp onto one texel everywhere).
+            let mut coords = vec![-2.0f32, -0.49, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 4.5];
+            coords.extend([9e6, -9e6, 5e8, -5e8, 8_388_608.5, -1e-9]);
+            coords.extend((0..20).map(|i| i as f32 * 0.3));
+            let mut lanes_seen = 0;
+            for dims in [[5usize, 4, 3], [1, 6, 2], [7, 1, 1], [2, 2, 1]] {
+                let data: Vec<f32> = (0..dims[0] * dims[1] * dims[2])
+                    .map(|i| ((i * 2654435761) % 1000) as f32 / 999.0)
+                    .collect();
+                let t = Texture3D::new(dims, data);
+                let s = t.sampler();
+                assert!(s.fits_lanes());
+                for &y in &coords {
+                    for &z in &coords {
+                        for xs in coords.chunks(8) {
+                            let mut x = [xs[0]; 8];
+                            x[..xs.len()].copy_from_slice(xs);
+                            // y and z vary across lanes too.
+                            let ys: [f32; 8] = std::array::from_fn(|l| y + l as f32 * 0.37);
+                            let zs: [f32; 8] = std::array::from_fn(|l| z - l as f32 * 0.21);
+                            let site = s.locate_x8(splat8(x), splat8(ys), splat8(zs));
+                            let got = lanes_f32(s.sample_at_x8(&site));
+                            let base = site.base_index().map(lanes_i32);
+                            for l in 0..8 {
+                                let want = s.locate(x[l], ys[l], zs[l]);
+                                assert_eq!(
+                                    [base[0][l], base[1][l], base[2][l]],
+                                    want.base_index(),
+                                    "base of ({}, {}, {})",
+                                    x[l],
+                                    ys[l],
+                                    zs[l]
+                                );
+                                assert_eq!(
+                                    got[l].to_bits(),
+                                    t.sample(x[l], ys[l], zs[l]).to_bits(),
+                                    "sample at ({}, {}, {}) of {dims:?}",
+                                    x[l],
+                                    ys[l],
+                                    zs[l]
+                                );
+                                lanes_seen += 1;
+                            }
+                        }
+                    }
+                }
+                // Outside the contract (no bit-equality promised) the clamps
+                // still keep every tap inside the texture, and a NaN
+                // coordinate still yields a NaN sample.
+                let wild = [
+                    3e9,
+                    -3e9,
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    1e30,
+                    0.5,
+                    1.0,
+                ];
+                let site = s.locate_x8(splat8(wild), splat8([0.5; 8]), splat8(wild));
+                let got = lanes_f32(s.sample_at_x8(&site));
+                assert!(got[2].is_nan());
+                assert_eq!(got[6].to_bits(), t.sample(0.5, 0.5, 0.5).to_bits());
+            }
+            assert!(lanes_seen > 100_000);
+        }
+        with_avx2(check);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_sampler1d_bit_identical_to_scalar_taps() {
+        #[target_feature(enable = "avx2")]
+        fn check() {
+            let texels: Vec<[f32; 4]> = (0..256)
+                .map(|i| {
+                    let v = i as f32 / 255.0;
+                    [v, v * v, 1.0 - v, (v * 7.3).sin().abs()]
+                })
+                .collect();
+            let mut us: Vec<f32> = (-50..1050).map(|i| i as f32 / 1000.0).collect();
+            us.extend([-0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, f32::NAN]);
+            us.extend([0.5 / 256.0, 1.5 / 256.0, 255.5 / 256.0, 254.5 / 256.0]);
+            for lut in [
+                Texture1D::new(texels),
+                // All clamp path.
+                Texture1D::new(vec![[0.5, 0.25, 0.125, 1.0]]),
+                Texture1D::new(vec![[0.0; 4], [1.0, 2.0, 3.0, 4.0]]),
+            ] {
+                let s = lut.sampler();
+                assert!(s.fits_lanes());
+                for chunk in us.chunks(8) {
+                    let mut u = [chunk[0]; 8];
+                    u[..chunk.len()].copy_from_slice(chunk);
+                    let taps = s.taps_x8(splat8(u));
+                    let frac = lanes_f32(taps.frac());
+                    let channels = [
+                        taps.channel::<0>(),
+                        taps.channel::<1>(),
+                        taps.channel::<2>(),
+                        taps.channel::<3>(),
+                    ]
+                    .map(|(a, b)| (lanes_f32(a), lanes_f32(b)));
+                    for l in 0..8 {
+                        let (c0, c1, t) = s.taps(u[l]);
+                        if u[l].is_nan() {
+                            // The one documented difference: which texel a
+                            // NaN lookup's NaN fraction multiplies.
+                            assert!(t.is_nan() && frac[l].is_nan());
+                            continue;
+                        }
+                        assert_eq!(frac[l].to_bits(), t.to_bits(), "fraction at {}", u[l]);
+                        for (c, (first, second)) in channels.iter().enumerate() {
+                            assert_eq!(first[l].to_bits(), c0[c].to_bits(), "tap 0 at {}", u[l]);
+                            assert_eq!(second[l].to_bits(), c1[c].to_bits(), "tap 1 at {}", u[l]);
+                        }
+                    }
+                }
+            }
+        }
+        with_avx2(check);
     }
 }

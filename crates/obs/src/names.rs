@@ -137,3 +137,11 @@ pub const VOLREN_SAMPLES_PER_RAY: &str = "volren.samples_per_ray";
 /// Texture samples the kernel actually fetched: the charged total minus
 /// what empty-space skipping jumped over.
 pub const VOLREN_SAMPLES_FETCHED: &str = "volren.samples_fetched";
+/// Wall time of one brick's kernel launch — ray set-up and march, nothing
+/// of the shuffle, sort or reduce `volren.kernel_ns` also spans (histogram,
+/// ns; one record per launch).
+pub const VOLREN_MARCH_NS: &str = "volren.march_ns";
+/// Lane slots the eight-wide march offered to texture fetches: 8 per
+/// iteration in which any lane fetched. Zero on a node running the scalar
+/// march; `volren.samples_fetched` over this is the fetch occupancy.
+pub const VOLREN_LANE_SLOTS: &str = "volren.lane_slots";

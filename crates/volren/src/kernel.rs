@@ -18,15 +18,53 @@
 //! [`Kernel`] is the retained scalar reference path (one virtual call per
 //! pixel, used by the equivalence oracles), and [`BlockKernel`] is the
 //! production path — per *launch* it resolves the texture/LUT samplers, the
-//! camera-eye slab invariants ([`SlabTest`]) and the classified macrocell
-//! grid once ([`Launch`]); per row it hoists the image-plane coordinate; it
-//! marches with the interior fast-path samplers, classifies alpha before
-//! color, tallies once per ray, and interleaves each row's rays two at a
-//! time to hide the sample chain's latency. Every value a ray computes is
-//! produced by the same float operations in the same order as the scalar
-//! path, so the `(Key, Fragment)` output and launch statistics are
-//! bit-identical (pinned by `tests/batched_equivalence.rs` and
-//! `tests/skip_equivalence.rs`).
+//! camera-eye slab invariants ([`SlabTest`]), the classified macrocell grid
+//! and which march to run, once ([`Launch`]); per row it hoists the
+//! image-plane coordinate; per block it queues every surviving ray and
+//! hands the queue to one of two marches, both of which use the borrowing
+//! samplers, classify alpha before color and tally once per ray.
+//!
+//! # Two marches
+//!
+//! * **Lanes** (`march_lanes`; `x86_64` with AVX2, detected at run time):
+//!   the paper's kernel is SIMT — a warp marches in lockstep, masks the
+//!   lanes that are done, and the texture units filter for all of it at
+//!   once. Here eight rays advance per iteration in 256-bit registers: all
+//!   lanes compute `t`, position, `floor`, base index and cell distance;
+//!   lanes in an empty cell jump under a mask; the rest gather their taps
+//!   (`mgpu_gpu::Sampler3D::sample_at_x8`), classify, and blend under a
+//!   mask. **A lane is refilled from the block's queue in the iteration its
+//!   ray ends** — early termination and skipping make ray lengths uneven,
+//!   and a lane left idle until its seven neighbours finish would waste most
+//!   of the width.
+//! * **Pairs** (`march_pair` / `march_solo` over `sample_step`): scalar
+//!   code, two rays interleaved to hide the sample chain's latency. The path
+//!   for every other CPU, for launches the guards below turn away, and the
+//!   in-crate reference the lane march is tested against.
+//!
+//! **Guards.** Lanes keep lattice, cell and texel indices as `i32` and find
+//! a base index with a truncating convert, which is Rust's saturating cast
+//! only in range. So a launch takes the pair march unless `reach` — the sum
+//! of every `|coordinate|` of eye, array origin and box corners, which
+//! bounds every position any ray computes — is below 2²⁸ (a comparison a
+//! non-finite camera fails), `step ≥ 2⁻¹⁰` (jump counts stay far inside
+//! `i32`; the wire admits ≥ 1/16), and texture, LUT and grid are small
+//! enough to index (< 2³⁰ texels); within a lane launch, a single ray whose
+//! lattice reaches index 2³⁰ is marched by `march_solo`. All of it is read
+//! off the launch's inputs; there is no switch.
+//!
+//! **Why lane order cannot change a ray's result.** A ray's state is its
+//! own: `k`, `end`, the accumulated color, its direction. No operation in
+//! either march reads another ray's state, every value a ray computes is
+//! produced by the float operations of the scalar [`Kernel`] path in that
+//! path's order (a multiply then an add, never a fused one; `powf` stays a
+//! scalar call per lane), and what a masked-off lane computes is discarded.
+//! So which rays share an iteration, which lane one sits in and when it
+//! entered decide only *when* a value is computed, never what it is: the
+//! `(Key, Fragment)` output, `out.samples` and the launch statistics are
+//! bit-identical across both marches and the scalar path (pinned by
+//! `tests/batched_equivalence.rs`, `tests/skip_equivalence.rs` and this
+//! module's three-way proptest).
 //!
 //! # Empty-space skipping
 //!
@@ -78,6 +116,8 @@
 //! *charged* count) does not drop. What the kernel really fetched is the
 //! `volren.samples_fetched` counter.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::sync::{Arc, OnceLock};
 
 use mgpu_gpu::{BlockCtx, BlockKernel, BlockOut, Kernel, Texture1D, Texture3D, ThreadCtx};
@@ -88,7 +128,7 @@ use crate::camera::Camera;
 use crate::composite::accumulate;
 use crate::fragment::Fragment;
 use crate::math::Vec3;
-use crate::ray::{Ray, SlabTest};
+use crate::ray::SlabTest;
 use crate::skip::SkipGrid;
 
 /// Alpha below which a fragment is considered empty and discarded.
@@ -191,13 +231,11 @@ impl Kernel for RayCastKernel<'_> {
 /// The batched production path: same rays, same lattice, same float ops per
 /// fetched sample as the scalar impl above — restructured so per-launch
 /// state ([`Launch`]) is resolved once per launch and the per-row image-plane
-/// coordinate once per row. Rays are marched **two at a time**: a single
-/// march is one serial dependency chain (position → fetch → classify →
-/// blend), so interleaving two independent chains hides most of each other's
-/// latency — the one-core analog of the warp-level latency hiding the paper
-/// gets from the hardware scheduler. Interleaving reorders nothing within a
-/// ray, so output stays bit-identical. Emits straight into the launch's SoA
-/// buffers; sample counts are tallied once per ray.
+/// coordinate once per row. A block sets its rays up, queues the survivors,
+/// and marches the whole queue eight rays wide or two (see the module
+/// docs); neither reorders anything within a ray, so output stays
+/// bit-identical. Emits straight into the launch's SoA buffers; sample
+/// counts are tallied once per ray.
 impl<'a> BlockKernel for RayCastKernel<'a> {
     type Key = Key;
     type Value = Fragment;
@@ -218,10 +256,11 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
         .map(|v| v.x.abs() + v.y.abs() + v.z.abs())
         .sum();
         let longest_clear = grid.as_ref().map_or(0.0, SkipGrid::longest_clear);
-        Launch {
+        let mut launch = Launch {
             smp: self.texture.sampler(),
             lut: self.lut.sampler(),
             slabs: SlabTest::new(self.camera.eye, self.core_lo, self.core_hi),
+            eye: self.camera.eye,
             step: self.step,
             correct: self.needs_correction(),
             early_term: self.early_term,
@@ -230,15 +269,37 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
             oz: self.store_origin.z,
             grid,
             margin: SKIP_MARGIN * (reach + longest_clear),
-        }
+            lanes: false,
+        };
+        launch.lanes = launch.fits_lanes(reach);
+        launch
     }
 
     fn run_block(&self, launch: &Launch<'a>, ctx: &BlockCtx, out: BlockOut<'_, Key, Fragment>) {
+        let (fetched, lane_slots) = self.march_block(launch, ctx, out);
+        if fetched > 0 {
+            obs().samples_fetched.add(fetched);
+        }
+        if lane_slots > 0 {
+            obs().lane_slots.add(lane_slots);
+        }
+    }
+}
+
+impl RayCastKernel<'_> {
+    /// [`BlockKernel::run_block`] short of its telemetry: returns what the
+    /// block adds to `volren.samples_fetched` and `volren.lane_slots`.
+    fn march_block(
+        &self,
+        launch: &Launch<'_>,
+        ctx: &BlockCtx,
+        out: BlockOut<'_, Key, Fragment>,
+    ) -> (u64, u64) {
         let (w, h) = self.image;
         let step = self.step;
-        let mut rowq: Vec<March> = Vec::with_capacity(ctx.dim.0 as usize);
-        let mut fetched = 0u64;
+        let mut queue: Vec<March> = Vec::with_capacity((ctx.dim.0 * ctx.dim.1) as usize);
 
+        // Pass 1: intersect the block's rays, queue the survivors.
         for ty in 0..ctx.dim.1 {
             let row = ctx.index(0, ty);
             let py = self.offset.1 + ctx.block.1 * ctx.dim.1 + ty;
@@ -250,9 +311,6 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
                 continue;
             }
             let v = self.camera.ndc_v(py, h);
-
-            // Pass 1: intersect the row's rays, queue the survivors.
-            rowq.clear();
             for tx in 0..ctx.dim.0 {
                 let i = row + tx as usize;
                 out.keys[i] = SENTINEL_KEY;
@@ -264,43 +322,50 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
                 let Some((t0, t1)) = launch.slabs.intersect(ray.dir) else {
                     continue;
                 };
-                rowq.push(March::new(i, py * w + px, ray, (t0, t1), step));
-            }
-
-            // Pass 2: march the survivors, paired for latency hiding.
-            let mut pairs = rowq.chunks_exact_mut(2);
-            for pair in &mut pairs {
-                let (a, b) = pair.split_at_mut(1);
-                launch.march_pair(&mut a[0], &mut b[0]);
-            }
-            if let [last] = pairs.into_remainder() {
-                launch.march_solo(last);
-            }
-
-            for m in &rowq {
-                out.samples[m.lane] = m.samples;
-                fetched += m.fetched;
-                if m.acc[3] > EMPTY_ALPHA {
-                    out.keys[m.lane] = m.key;
-                    out.values[m.lane] = Fragment {
-                        color: m.acc,
-                        depth: m.t0,
-                        exit: m.t1,
-                    };
-                }
+                queue.push(March::new(i, py * w + px, ray.dir, (t0, t1), step));
             }
         }
-        if fetched > 0 {
-            samples_fetched().add(fetched);
+
+        // Pass 2: march the survivors.
+        let lane_slots = launch.march(&mut queue);
+
+        let mut fetched = 0u64;
+        for m in &queue {
+            out.samples[m.thread] = m.samples;
+            fetched += m.fetched;
+            if m.acc[3] > EMPTY_ALPHA {
+                out.keys[m.thread] = m.key;
+                out.values[m.thread] = Fragment {
+                    color: m.acc,
+                    depth: m.t0,
+                    exit: m.t1,
+                };
+            }
         }
+        (fetched, lane_slots)
     }
 }
 
 /// What the kernel really did, as opposed to what the modelled GPU is
-/// charged: texture samples fetched, one add per block.
-fn samples_fetched() -> &'static Counter {
-    static FETCHED: OnceLock<Arc<Counter>> = OnceLock::new();
-    FETCHED.get_or_init(|| mgpu_obs::global().counter(names::VOLREN_SAMPLES_FETCHED))
+/// charged — one add per block each.
+struct KernelObs {
+    /// Texture samples fetched.
+    samples_fetched: Arc<Counter>,
+    /// Lane slots offered to fetches: 8 × the lane march's fetch iterations
+    /// (zero from the pair march). `samples_fetched ÷ lane_slots` is the
+    /// fetch occupancy.
+    lane_slots: Arc<Counter>,
+}
+
+fn obs() -> &'static KernelObs {
+    static OBS: OnceLock<KernelObs> = OnceLock::new();
+    OBS.get_or_init(|| {
+        let reg = mgpu_obs::global();
+        KernelObs {
+            samples_fetched: reg.counter(names::VOLREN_SAMPLES_FETCHED),
+            lane_slots: reg.counter(names::VOLREN_LANE_SLOTS),
+        }
+    })
 }
 
 /// First lattice index `k ≥ k0` whose sample is at or past `t1`, decided by
@@ -321,11 +386,13 @@ fn lattice_end(k0: u64, t1: f32, step: f32) -> u64 {
     k
 }
 
-/// One ray in flight through the batched march (`run_block` pass 2).
+/// One ray of a block's queue (`run_block` pass 2). Every ray of a launch
+/// starts at the camera eye, which the [`Launch`] holds once.
 struct March {
-    lane: usize,
+    /// The block thread this ray belongs to: its index into [`BlockOut`].
+    thread: usize,
     key: Key,
-    ray: Ray,
+    dir: Vec3,
     t0: f32,
     t1: f32,
     /// Next global sample index.
@@ -346,19 +413,18 @@ struct March {
 
 impl March {
     /// A ray about to take its first sample in `[t0, t1)`.
-    fn new(lane: usize, key: Key, ray: Ray, (t0, t1): (f32, f32), step: f32) -> March {
+    fn new(thread: usize, key: Key, dir: Vec3, (t0, t1): (f32, f32), step: f32) -> March {
         // First global sample index with t_k = (k + 0.5)·step ≥ t0.
         let k = (t0 / step - 0.5).ceil().max(0.0) as u64;
-        let d = ray.dir;
         March {
-            lane,
+            thread,
             key,
-            ray,
+            dir,
             t0,
             t1,
             k,
             end: lattice_end(k, t1, step),
-            samples_per_voxel: 1.0 / (step * d.x.abs().max(d.y.abs()).max(d.z.abs())),
+            samples_per_voxel: 1.0 / (step * dir.x.abs().max(dir.y.abs()).max(dir.z.abs())),
             acc: [0.0; 4],
             samples: 0,
             fetched: 0,
@@ -387,12 +453,15 @@ const SKIP_MARGIN: f32 = 1.0 / (1 << 18) as f32;
 
 /// Per-launch march state — the software analogue of constant memory: the
 /// resolved samplers, the slab invariants, the scalar config the inner loop
-/// reads every sample, and the classified macrocell grid. Built once per
-/// launch by [`BlockKernel::prepare`], shared read-only by every block.
+/// reads every sample, the classified macrocell grid, and which march the
+/// launch's blocks run. Built once per launch by [`BlockKernel::prepare`],
+/// shared read-only by every block.
 pub struct Launch<'a> {
     smp: mgpu_gpu::Sampler3D<'a>,
     lut: mgpu_gpu::Sampler1D<'a>,
     slabs: SlabTest,
+    /// Every ray's origin.
+    eye: Vec3,
     step: f32,
     correct: bool,
     early_term: f32,
@@ -403,9 +472,70 @@ pub struct Launch<'a> {
     grid: Option<SkipGrid>,
     /// See [`SKIP_MARGIN`].
     margin: f32,
+    /// Whether blocks run the lane march: AVX2 was detected and the
+    /// launch's inputs pass the guards (module docs).
+    lanes: bool,
 }
 
+/// Rays the lane march keeps in flight: the 32-bit lanes of a 256-bit
+/// register.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 8;
+
+/// A ray enters a lane only if its whole lattice span indexes below this,
+/// so `k`, `end`, `end − k` and a clipped jump all fit an `i32` lane with
+/// room to add.
+#[cfg(target_arch = "x86_64")]
+const LANE_END_MAX: u64 = 1 << 30;
+
 impl Launch<'_> {
+    /// The march decision (module docs, *Guards*). `reach` as `prepare`
+    /// computes it; every comparison is written so that a NaN fails it.
+    #[cfg(target_arch = "x86_64")]
+    fn fits_lanes(&self, reach: f32) -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+            && reach < (1u32 << 28) as f32
+            && self.step >= 1.0 / (1u32 << 10) as f32
+            && self.smp.fits_lanes()
+            && self.lut.fits_lanes()
+            && self.grid.as_ref().is_none_or(SkipGrid::fits_lanes)
+    }
+
+    /// No lane march on this architecture.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn fits_lanes(&self, _reach: f32) -> bool {
+        false
+    }
+
+    /// March every ray of a block's queue to its exit (or early
+    /// termination), by the march this launch decided on. Returns the lane
+    /// slots offered to fetches (0 from the pair march).
+    fn march(&self, queue: &mut [March]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if self.lanes {
+            #[allow(unsafe_code)] // the crate's one exception, see lib.rs
+            // SAFETY: `lanes` is private and only ever set by `prepare`,
+            // from `fits_lanes`, which is false unless
+            // `is_x86_feature_detected!("avx2")` said this CPU runs AVX2 —
+            // the one feature `march_lanes` is compiled for.
+            return unsafe { self.march_lanes(queue) };
+        }
+        self.march_pairs(queue);
+        0
+    }
+
+    /// The scalar march: the queue's rays two at a time.
+    fn march_pairs(&self, queue: &mut [March]) {
+        let mut pairs = queue.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let (a, b) = pair.split_at_mut(1);
+            self.march_pair(&mut a[0], &mut b[0]);
+        }
+        if let [last] = pairs.into_remainder() {
+            self.march_solo(last);
+        }
+    }
+
     /// Visit lattice point `m.k` (caller has checked `m.k < m.end`). If its
     /// macrocell is empty, charge it — and as many following points as
     /// provably lie in empty cells too — without fetching. Otherwise take
@@ -415,7 +545,7 @@ impl Launch<'_> {
     #[inline(always)]
     fn sample_step(&self, m: &mut March) {
         let t = (m.k as f32 + 0.5) * self.step;
-        let p = m.ray.at(t);
+        let p = self.eye + m.dir * t;
         let site = self.smp.locate(p.x - self.ox, p.y - self.oy, p.z - self.oz);
         if let Some(grid) = &self.grid {
             let distance = grid.distance(site.base_index());
@@ -479,6 +609,261 @@ impl Launch<'_> {
     }
 }
 
+/// The lanes' state while it is out of registers: the lane march spills
+/// here when a ray ends, [`Launch::refill`] swaps rays in and out, and the
+/// march loads it back.
+#[cfg(target_arch = "x86_64")]
+struct LaneFile {
+    /// Per lane, its ray's index in the queue; [`VACANT`] for none.
+    ray: [usize; LANES],
+    dir: [[f32; LANES]; 3],
+    samples_per_voxel: [f32; LANES],
+    /// `k` and `end` of a vacant lane are both 0: never live.
+    k: [i32; LANES],
+    end: [i32; LANES],
+    acc: [[f32; LANES]; 4],
+    fetched: [i32; LANES],
+}
+
+/// [`LaneFile::ray`] of a lane without a ray.
+#[cfg(target_arch = "x86_64")]
+const VACANT: usize = usize::MAX;
+
+/// A register's lanes as an array, lane 0 first (a vector store, once
+/// optimised).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(crate) fn i32s(v: __m256i) -> [i32; LANES] {
+    [
+        _mm256_extract_epi32::<0>(v),
+        _mm256_extract_epi32::<1>(v),
+        _mm256_extract_epi32::<2>(v),
+        _mm256_extract_epi32::<3>(v),
+        _mm256_extract_epi32::<4>(v),
+        _mm256_extract_epi32::<5>(v),
+        _mm256_extract_epi32::<6>(v),
+        _mm256_extract_epi32::<7>(v),
+    ]
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn f32s(v: __m256) -> [f32; LANES] {
+    i32s(_mm256_castps_si256(v)).map(|bits| f32::from_bits(bits as u32))
+}
+
+/// An array as a register's lanes (a vector load, once optimised).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(crate) fn epi32(a: &[i32; LANES]) -> __m256i {
+    _mm256_setr_epi32(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7])
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn ps(a: &[f32; LANES]) -> __m256 {
+    _mm256_setr_ps(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7])
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Launch<'_> {
+    /// March the queue's rays eight at a time (module docs, *Two marches*).
+    /// Each iteration is `sample_step` for every live lane at once — the
+    /// same expressions in the same order, a branch of it taken under a mask
+    /// where the scalar code takes it with a jump — followed, when a lane's
+    /// ray has ended, by a refill from the queue. Returns the lane slots
+    /// offered to fetches: 8 per iteration in which some lane fetched.
+    #[target_feature(enable = "avx2")]
+    fn march_lanes(&self, queue: &mut [March]) -> u64 {
+        let (zero, half, one) = (
+            _mm256_setzero_ps(),
+            _mm256_set1_ps(0.5),
+            _mm256_set1_ps(1.0),
+        );
+        let (zero_i, one_i) = (_mm256_setzero_si256(), _mm256_set1_epi32(1));
+        let step = _mm256_set1_ps(self.step);
+        let early_term = _mm256_set1_ps(self.early_term);
+        let margin = _mm256_set1_ps(self.margin);
+        let eye = [self.eye.x, self.eye.y, self.eye.z].map(|c| _mm256_set1_ps(c));
+        let origin = [self.ox, self.oy, self.oz].map(|c| _mm256_set1_ps(c));
+        let bits = |mask: __m256i| _mm256_movemask_ps(_mm256_castsi256_ps(mask)) as u32;
+
+        let mut file = LaneFile {
+            ray: [VACANT; LANES],
+            dir: [[0.0; LANES]; 3],
+            samples_per_voxel: [0.0; LANES],
+            k: [0; LANES],
+            end: [0; LANES],
+            acc: [[0.0; LANES]; 4],
+            fetched: [0; LANES],
+        };
+        // Queue cursor, and which lanes hold a ray.
+        let (mut next, mut occupied) = (0usize, 0u32);
+        let mut slots = 0u64;
+
+        let mut dir = [zero; 3];
+        let mut samples_per_voxel = zero;
+        let (mut k, mut end) = (zero_i, zero_i);
+        let mut acc = [zero; 4];
+        let mut fetched = zero_i;
+        loop {
+            // Half-open ownership: a lane is live while `k < end`.
+            let mut live = _mm256_cmpgt_epi32(end, k);
+            let idle = !bits(live) & 0xff;
+            if idle & occupied != 0 || (idle != 0 && next < queue.len()) {
+                file.k = i32s(k);
+                file.end = i32s(end);
+                file.acc = [f32s(acc[0]), f32s(acc[1]), f32s(acc[2]), f32s(acc[3])];
+                file.fetched = i32s(fetched);
+                for lane in (0..LANES).filter(|lane| idle >> lane & 1 == 1) {
+                    self.refill(&mut file, lane, queue, &mut next);
+                }
+                occupied = (0..LANES).fold(0, |m, l| m | u32::from(file.ray[l] != VACANT) << l);
+                dir = [ps(&file.dir[0]), ps(&file.dir[1]), ps(&file.dir[2])];
+                samples_per_voxel = ps(&file.samples_per_voxel);
+                k = epi32(&file.k);
+                end = epi32(&file.end);
+                acc = [
+                    ps(&file.acc[0]),
+                    ps(&file.acc[1]),
+                    ps(&file.acc[2]),
+                    ps(&file.acc[3]),
+                ];
+                fetched = epi32(&file.fetched);
+                live = _mm256_cmpgt_epi32(end, k);
+            }
+            if occupied == 0 {
+                return slots;
+            }
+
+            let t = _mm256_mul_ps(_mm256_add_ps(_mm256_cvtepi32_ps(k), half), step);
+            let stored = |axis: usize| {
+                let world = _mm256_add_ps(eye[axis], _mm256_mul_ps(dir[axis], t));
+                _mm256_sub_ps(world, origin[axis])
+            };
+            let site = self.smp.locate_x8(stored(0), stored(1), stored(2));
+
+            // Lanes in an empty cell jump; the others fetch.
+            let mut fetch = live;
+            if let Some(grid) = &self.grid {
+                let distance = grid.distance_x8(site.base_index());
+                let empty = _mm256_and_si256(live, _mm256_cmpgt_epi32(distance, zero_i));
+                if bits(empty) != 0 {
+                    let clear = _mm256_sub_ps(
+                        _mm256_mul_ps(
+                            _mm256_cvtepi32_ps(_mm256_sub_epi32(distance, one_i)),
+                            _mm256_set1_ps(grid.edge),
+                        ),
+                        margin,
+                    );
+                    let more = _mm256_mul_ps(clear, samples_per_voxel);
+                    // `if more > 0.0 { more as u64 } else { 0 }`: `max`
+                    // returns its second operand for a NaN or a negative
+                    // first, and saturating at 2³⁰ is as good as at 2⁶⁴ — no
+                    // lane has that many samples left.
+                    let more = _mm256_max_ps(more, zero);
+                    let more = _mm256_min_ps(more, _mm256_set1_ps(LANE_END_MAX as f32));
+                    let n = _mm256_add_epi32(_mm256_cvttps_epi32(more), one_i);
+                    let n = _mm256_min_epi32(n, _mm256_sub_epi32(end, k));
+                    k = _mm256_add_epi32(k, _mm256_and_si256(n, empty));
+                    fetch = _mm256_andnot_si256(empty, live);
+                }
+            }
+            if bits(fetch) == 0 {
+                continue;
+            }
+            slots += LANES as u64;
+
+            let val = self.smp.sample_at_x8(&site);
+            fetched = _mm256_sub_epi32(fetched, fetch);
+            let taps = self.lut.taps_x8(val);
+            let f = taps.frac();
+            let lerp = |(c0, c1): (__m256, __m256)| {
+                _mm256_add_ps(c0, _mm256_mul_ps(_mm256_sub_ps(c1, c0), f))
+            };
+            let mut a = lerp(taps.channel::<3>());
+            // Lanes whose sample contributes: fetched, and `a > 0.0`.
+            let visible = |a: __m256| {
+                _mm256_and_ps(
+                    _mm256_castsi256_ps(fetch),
+                    _mm256_cmp_ps::<_CMP_GT_OQ>(a, zero),
+                )
+            };
+            let mut hit = visible(a);
+            if self.correct && _mm256_movemask_ps(hit) != 0 {
+                let mut corrected = f32s(a);
+                let hits = _mm256_movemask_ps(hit);
+                for lane in (0..LANES).filter(|lane| hits >> lane & 1 == 1) {
+                    corrected[lane] = 1.0 - (1.0 - corrected[lane]).powf(self.step);
+                }
+                a = ps(&corrected);
+                hit = visible(a);
+            }
+
+            // Lanes whose ray this sample terminates.
+            let mut done = zero_i;
+            if _mm256_movemask_ps(hit) != 0 {
+                let rgb = [
+                    lerp(taps.channel::<0>()),
+                    lerp(taps.channel::<1>()),
+                    lerp(taps.channel::<2>()),
+                ];
+                // `accumulate`, under the mask.
+                let w = _mm256_mul_ps(_mm256_sub_ps(one, acc[3]), a);
+                for c in 0..3 {
+                    let blended = _mm256_add_ps(acc[c], _mm256_mul_ps(rgb[c], w));
+                    acc[c] = _mm256_blendv_ps(acc[c], blended, hit);
+                }
+                acc[3] = _mm256_blendv_ps(acc[3], _mm256_add_ps(acc[3], w), hit);
+                let opaque = _mm256_cmp_ps::<_CMP_GE_OQ>(acc[3], early_term);
+                done = _mm256_castps_si256(_mm256_and_ps(hit, opaque));
+            }
+            // Terminated: this sample was the ray's last. Otherwise step on.
+            end = _mm256_blendv_epi8(end, k, done);
+            k = _mm256_sub_epi32(k, _mm256_andnot_si256(done, fetch));
+        }
+    }
+
+    /// `lane`'s ray has ended (or it never had one): write the ray's result
+    /// back to the queue, then give the lane the queue's next ray that has
+    /// anything to sample, or leave it vacant.
+    fn refill(&self, file: &mut LaneFile, lane: usize, queue: &mut [March], next: &mut usize) {
+        if let Some(m) = queue.get_mut(file.ray[lane]) {
+            let (k, end) = (file.k[lane] as u64, file.end[lane] as u64);
+            // Every visit but a terminating fetch moved `k`, by what it
+            // charged; termination pulled `end` in.
+            m.samples = k - m.k + u64::from(end < m.end);
+            m.fetched = file.fetched[lane] as u64;
+            m.acc = [0, 1, 2, 3].map(|c| file.acc[c][lane]);
+            (m.k, m.end) = (k, end);
+        }
+        file.ray[lane] = VACANT;
+        (file.k[lane], file.end[lane]) = (0, 0);
+        while let Some(m) = queue.get_mut(*next) {
+            *next += 1;
+            if m.end >= LANE_END_MAX {
+                self.march_solo(m);
+            } else if m.k < m.end {
+                file.ray[lane] = *next - 1;
+                for axis in 0..3 {
+                    file.dir[axis][lane] = m.dir.get(axis);
+                }
+                file.samples_per_voxel[lane] = m.samples_per_voxel;
+                (file.k[lane], file.end[lane]) = (m.k as i32, m.end as i32);
+                for c in 0..4 {
+                    file.acc[c][lane] = 0.0;
+                }
+                file.fetched[lane] = 0;
+                return;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +872,7 @@ mod tests {
     use crate::transfer::TransferFunction;
     use mgpu_gpu::{launch, LaunchConfig};
     use mgpu_voldata::Dataset;
+    use proptest::prelude::*;
 
     /// A uniform 8³ texture (with ghost padding) of constant density.
     fn flat_texture(value: f32) -> Texture3D {
@@ -700,7 +1086,7 @@ mod tests {
                         let Some((t0, t1)) = launch.slabs.intersect(ray.dir) else {
                             continue;
                         };
-                        let mut m = March::new(0, 0, ray, (t0, t1), step);
+                        let mut m = March::new(0, 0, ray.dir, (t0, t1), step);
                         let k = m.k;
                         let end = m.end;
                         assert!(k == end || ((end - 1) as f32 + 0.5) * step < t1);
@@ -716,7 +1102,7 @@ mod tests {
                             skipped += m.k - from;
                             longest = longest.max(m.k - from);
                             for j in from..m.k {
-                                let p = m.ray.at((j as f32 + 0.5) * step);
+                                let p = ray.at((j as f32 + 0.5) * step);
                                 let site = launch.smp.locate(
                                     p.x - launch.ox,
                                     p.y - launch.oy,
@@ -782,5 +1168,517 @@ mod tests {
             };
             assert_eq!(kernel.prepare().grid.is_some(), expect);
         }
+    }
+
+    /// What one run of a launch's blocks produced: the SoA columns, and what
+    /// the blocks would add to `volren.samples_fetched` / `.lane_slots`.
+    struct Columns {
+        keys: Vec<Key>,
+        values: Vec<Fragment>,
+        samples: Vec<u64>,
+        fetched: u64,
+        lane_slots: u64,
+    }
+
+    /// `launch_blocks`' serial loop, with the march `launch` says.
+    fn run_blocks(kernel: &RayCastKernel<'_>, launch: &Launch<'_>, cfg: LaunchConfig) -> Columns {
+        let tpb = cfg.threads_per_block();
+        let mut c = Columns {
+            keys: vec![Key::default(); cfg.total_threads()],
+            values: vec![Fragment::default(); cfg.total_threads()],
+            samples: vec![0; cfg.total_threads()],
+            fetched: 0,
+            lane_slots: 0,
+        };
+        for block in 0..cfg.blocks() {
+            let span = block * tpb..(block + 1) * tpb;
+            let ctx = BlockCtx {
+                block: (block as u32 % cfg.grid.0, block as u32 / cfg.grid.0),
+                dim: cfg.block,
+            };
+            let out = BlockOut {
+                keys: &mut c.keys[span.clone()],
+                values: &mut c.values[span.clone()],
+                samples: &mut c.samples[span],
+            };
+            let (fetched, lane_slots) = kernel.march_block(launch, &ctx, out);
+            c.fetched += fetched;
+            c.lane_slots += lane_slots;
+        }
+        c
+    }
+
+    fn bits(f: &Fragment) -> [u32; 6] {
+        let [r, g, b, a] = f.color.map(f32::to_bits);
+        [r, g, b, a, f.depth.to_bits(), f.exit.to_bits()]
+    }
+
+    /// One launch three ways — the march `prepare` decides on (lanes, on an
+    /// AVX2 host), the pair march, the scalar `launch` oracle — agreeing on
+    /// keys, fragment *bits* (−0.0 is not +0.0, NaN payloads count), the
+    /// samples charged per thread and the samples fetched. Returns the
+    /// decided march's columns.
+    fn three_way(kernel: &RayCastKernel<'_>, cfg: LaunchConfig) -> Result<Columns, String> {
+        let decided = kernel.prepare();
+        let mut pairs = kernel.prepare();
+        pairs.lanes = false;
+        let wide = run_blocks(kernel, &decided, cfg);
+        let narrow = run_blocks(kernel, &pairs, cfg);
+        let oracle = launch(kernel, cfg, 1);
+
+        for (i, (key, frag)) in oracle.outputs.iter().enumerate() {
+            if wide.keys[i] != *key || narrow.keys[i] != *key {
+                return Err(format!(
+                    "key at thread {i}: oracle {key}, pairs {}, decided {}",
+                    narrow.keys[i], wide.keys[i]
+                ));
+            }
+            // All three leave a sentinel's value at its default.
+            if bits(&wide.values[i]) != bits(frag) || bits(&narrow.values[i]) != bits(frag) {
+                return Err(format!(
+                    "fragment at thread {i}: oracle {frag:?}, pairs {:?}, decided {:?}",
+                    narrow.values[i], wide.values[i]
+                ));
+            }
+            if wide.samples[i] != narrow.samples[i] {
+                return Err(format!(
+                    "samples at thread {i}: pairs {}, decided {}",
+                    narrow.samples[i], wide.samples[i]
+                ));
+            }
+        }
+        let charged: u64 = wide.samples.iter().sum();
+        if charged != oracle.stats.total_samples {
+            return Err(format!(
+                "charged {charged}, oracle {}",
+                oracle.stats.total_samples
+            ));
+        }
+        if wide.fetched != narrow.fetched {
+            return Err(format!(
+                "fetched: pairs {}, decided {}",
+                narrow.fetched, wide.fetched
+            ));
+        }
+        // Slots are offered by the lane march only, eight at a time.
+        if narrow.lane_slots != 0
+            || (wide.lane_slots > 0 && !(decided.lanes && wide.fetched > 0))
+            || !wide.lane_slots.is_multiple_of(8)
+        {
+            return Err(format!(
+                "lane slots {} / {} for {} fetches",
+                wide.lane_slots, narrow.lane_slots, wide.fetched
+            ));
+        }
+        Ok(wide)
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed | 1;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    fn with_built_cells(dims: [usize; 3], voxels: Vec<f32>) -> Texture3D {
+        let cells = mgpu_voldata::MacroCells::build(&voxels, dims);
+        Texture3D::new(dims, voxels).with_cells(cells.edge, cells.ranges)
+    }
+
+    /// The textures the lane march has to agree on, each with the transfer
+    /// function that makes it what it is and its core box's far corner (the
+    /// stored array starts at −1, one ghost voxel, except along a
+    /// one-voxel-thick axis, which starts at 0).
+    fn subject(kind: usize, seed: u64) -> (Texture3D, TransferFunction, Vec3, Vec3) {
+        let ghost = vec3(-1.0, -1.0, -1.0);
+        let noise = |dims: [usize; 3]| {
+            let mut next = lcg(seed);
+            (0..dims[0] * dims[1] * dims[2])
+                .map(|_| next())
+                .collect::<Vec<f32>>()
+        };
+        match kind {
+            // No cells at all: every lattice sample fetched.
+            0 => (
+                Texture3D::new([14, 14, 14], noise([14, 14, 14])),
+                TransferFunction::grayscale(),
+                ghost,
+                vec3(12.0, 12.0, 12.0),
+            ),
+            // A staged brick: air around bone, long jumps and single steps.
+            1 => {
+                let (texture, hi) = celled_skull();
+                (texture, TransferFunction::bone(), ghost, hi)
+            }
+            // Cells, none of them empty: the grid is dropped per launch.
+            2 => (
+                with_built_cells([20, 14, 11], noise([20, 14, 11])),
+                TransferFunction::grayscale(),
+                ghost,
+                vec3(18.0, 12.0, 9.0),
+            ),
+            // Nothing but air: every sample skipped, every sample charged.
+            3 => (
+                with_built_cells([26, 26, 26], vec![0.0; 26 * 26 * 26]),
+                TransferFunction::bone(),
+                ghost,
+                vec3(24.0, 24.0, 24.0),
+            ),
+            // NaN, ±∞ and −1e6 next to just-transparent voxels (bone is
+            // transparent below ≈ 0.0762): cells that are empty only thanks
+            // to NaN being left out, cells the infinities keep occupied, and
+            // the lerp that overshoots above both its taps.
+            4 => {
+                let dims = [28usize, 28, 28];
+                let at = |x: usize, y: usize, z: usize| (z * dims[1] + y) * dims[0] + x;
+                let mut data = vec![0.076f32; 28 * 28 * 28];
+                let mut next = lcg(seed);
+                for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1e6, -1e6, 0.9] {
+                    let mut c = || 1 + (next() * 26.0) as usize;
+                    data[at(c(), c(), c())] = special;
+                }
+                for z in 10..14 {
+                    for y in 10..14 {
+                        data[at(11, y, z)] = f32::NAN;
+                        data[at(12, y, z)] = 0.8;
+                    }
+                }
+                (
+                    with_built_cells(dims, data),
+                    TransferFunction::bone(),
+                    ghost,
+                    vec3(26.0, 26.0, 26.0),
+                )
+            }
+            // Alpha exactly 0.5 whatever the sample: at `step = 1` a ray's
+            // opacity runs 0.5, 0.75, … in exact arithmetic, so it *equals*
+            // an `early_term` of 0.5 after one sample — `≥`, not `>`.
+            6 => (
+                Texture3D::new([14, 14, 14], noise([14, 14, 14])),
+                TransferFunction::from_points(
+                    "half",
+                    [0.0, 1.0]
+                        .map(|value| crate::transfer::ControlPoint {
+                            value,
+                            rgba: [0.9, 0.6, 0.3, 0.5],
+                        })
+                        .to_vec(),
+                ),
+                ghost,
+                vec3(12.0, 12.0, 12.0),
+            ),
+            // A box that overhangs its stored array by 6 voxels below and 8
+            // above: samples in the clamp fringe, base indices past both
+            // ends of the grid. The low corner is air, the rest is not.
+            7 => {
+                let mut next = lcg(seed);
+                let voxel = |i: usize| {
+                    let (x, y, z) = (i % 12, i / 12 % 12, i / 144);
+                    let v = next();
+                    if x.max(y).max(z) < 9 {
+                        0.0
+                    } else {
+                        v
+                    }
+                };
+                (
+                    with_built_cells([12, 12, 12], (0..12 * 12 * 12).map(voxel).collect()),
+                    TransferFunction::bone(),
+                    vec3(6.0, 6.0, 6.0),
+                    vec3(26.0, 26.0, 26.0),
+                )
+            }
+            // One voxel thick along y, no ghost there: both y taps clamp
+            // onto the one texel for every sample. Air in the low-x half.
+            _ => (
+                with_built_cells(
+                    [18, 1, 12],
+                    (noise([18, 1, 12]).iter().enumerate())
+                        .map(|(i, v)| if i % 18 < 9 { 0.0 } else { *v })
+                        .collect(),
+                ),
+                TransferFunction::bone(),
+                vec3(-1.0, 0.0, -1.0),
+                vec3(16.0, 1.0, 10.0),
+            ),
+        }
+    }
+
+    const STEPS: [f32; 4] = [1.0, 0.37, 1.0 / 16.0, 2.3];
+    /// The default, never, early, and at once — on the first sample with
+    /// `a > 0`, not the first sample.
+    const EARLY_TERMS: [f32; 4] = [0.98, 1.1, 0.5, 0.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lanes_pairs_and_oracle_agree_bit_for_bit(
+            kind in 0usize..9,
+            seed in 0u64..1_000_000_000_000,
+            az in 0f32..360.0,
+            el in -89f32..89.0,
+            // Half the eyes orbit the box, half sit inside it (`t0 = 0`).
+            inside in 0u32..2,
+            step in 0usize..4,
+            early_term in 0usize..4,
+            image_w in 8u32..72,
+            image_h in 8u32..72,
+            off_x in 0u32..40,
+            off_y in 0u32..40,
+            // Windows that overhang the image exercise padding threads.
+            launch_w in 1u32..60,
+            launch_h in 1u32..60,
+        ) {
+            let (texture, transfer, origin, hi) = subject(kind, seed);
+            let lut = transfer.bake();
+            let centre = hi * 0.5;
+            let mut next = lcg(seed ^ 0x9e37);
+            let eye = if inside == 1 {
+                vec3(hi.x * next(), hi.y * next(), hi.z * next())
+            } else {
+                let (az, el) = (az.to_radians(), el.to_radians());
+                let radius = 2.2 * hi.x.max(hi.y).max(hi.z);
+                centre + vec3(el.cos() * az.cos(), el.cos() * az.sin(), el.sin()) * radius
+            };
+            let target = if inside == 1 { centre + vec3(0.3, 0.2, 0.1) } else { centre };
+            let camera = Camera::look_at(eye, target, vec3(0.1, 0.2, 0.95), 40.0);
+            let kernel = RayCastKernel {
+                camera: &camera,
+                lut: &lut,
+                texture: &texture,
+                store_origin: origin,
+                core_lo: Vec3::ZERO,
+                core_hi: hi,
+                image: (image_w, image_h),
+                offset: (off_x.min(image_w - 1), off_y.min(image_h - 1)),
+                step: STEPS[step],
+                early_term: EARLY_TERMS[early_term],
+            };
+            let result = three_way(&kernel, LaunchConfig::cover(launch_w, launch_h));
+            prop_assert!(result.is_ok(), "{}", result.err().unwrap());
+        }
+    }
+
+    /// Every subject under every march setting from fixed views — the sweep
+    /// the proptest samples from, so a regression does not wait for its seed
+    /// — and proof that the sweep is not all sentinels or all skips.
+    #[test]
+    fn every_subject_and_march_setting_agrees_three_ways() {
+        for kind in 0..9 {
+            let (texture, transfer, origin, hi) = subject(kind, 7 + kind as u64);
+            let lut = transfer.bake();
+            let centre = hi * 0.5;
+            let eyes = [
+                centre + vec3(1.9, 0.4, 0.7) * hi.x.max(hi.z),
+                centre + vec3(-0.2, -0.3, 2.1) * hi.x.max(hi.z),
+                vec3(hi.x * 0.3, hi.y * 0.5, hi.z * 0.6), // inside: t0 = 0
+            ];
+            let (mut kept, mut fetched, mut charged, mut slots) = (0usize, 0u64, 0u64, 0u64);
+            for eye in eyes {
+                let camera = Camera::look_at(eye, centre, vec3(0.1, 0.2, 0.95), 45.0);
+                for step in STEPS {
+                    for early_term in EARLY_TERMS {
+                        let kernel = RayCastKernel {
+                            camera: &camera,
+                            lut: &lut,
+                            texture: &texture,
+                            store_origin: origin,
+                            core_lo: Vec3::ZERO,
+                            core_hi: hi,
+                            image: (40, 36),
+                            offset: (0, 0),
+                            step,
+                            early_term,
+                        };
+                        let c =
+                            three_way(&kernel, LaunchConfig::cover(40, 36)).unwrap_or_else(|e| {
+                                panic!("kind {kind}, eye {eye:?}, step {step}, {early_term}: {e}")
+                            });
+                        kept += c.keys.iter().filter(|&&k| k != SENTINEL_KEY).count();
+                        fetched += c.fetched;
+                        slots += c.lane_slots;
+                        charged += c.samples.iter().sum::<u64>();
+                    }
+                }
+            }
+            assert!(charged > 10_000, "kind {kind}: {charged} samples charged");
+            if kernel_has_lanes() {
+                // Every one of these launches fits the lanes, and every fetch
+                // took one of the slots an iteration offered.
+                assert!(slots >= fetched && (slots > 0) == (fetched > 0));
+            }
+            match kind {
+                3 => assert_eq!((kept, fetched), (0, 0), "air: nothing to fetch or keep"),
+                0 | 2 | 6 => assert_eq!(fetched, charged, "kind {kind}: nothing to skip"),
+                _ => assert!(kept > 500 && fetched < charged, "kind {kind}: {kept} kept"),
+            }
+        }
+    }
+
+    /// Blocks whose queue holds 0, 1, 7, 8, 9 and 256 rays: fewer rays than
+    /// lanes, exactly a register, one refill, and sixteen rows' worth. The
+    /// eye sits inside the box, so every thread inside the image is a ray.
+    #[test]
+    fn queues_shorter_than_equal_to_and_longer_than_the_lanes() {
+        let (texture, hi) = celled_skull();
+        let lut = TransferFunction::bone().bake();
+        let inside = Camera::look_at(
+            vec3(14.0, 22.0, 9.0),
+            vec3(21.0, 19.0, 22.0),
+            vec3(0.0, 0.2, 0.9),
+            35.0,
+        );
+        let away = Camera::look_at(
+            vec3(-50.0, 20.0, 20.0),
+            vec3(-90.0, 20.0, 20.0),
+            vec3(0.0, 0.0, 1.0),
+            35.0,
+        );
+        for (camera, image, rays) in [
+            (&away, (16, 16), 0),
+            (&inside, (1, 1), 1),
+            (&inside, (7, 1), 7),
+            (&inside, (8, 1), 8),
+            (&inside, (3, 3), 9),
+            (&inside, (16, 16), 256),
+        ] {
+            for (step, early_term) in [(1.0, 0.98), (0.37, 1.1), (2.3, 0.5)] {
+                let kernel = RayCastKernel {
+                    camera,
+                    lut: &lut,
+                    texture: &texture,
+                    store_origin: vec3(-1.0, -1.0, -1.0),
+                    core_lo: Vec3::ZERO,
+                    core_hi: hi,
+                    image,
+                    offset: (0, 0),
+                    step,
+                    early_term,
+                };
+                // One block, padded out to 16×16 threads.
+                let c = three_way(&kernel, LaunchConfig::cover(image.0, image.1))
+                    .unwrap_or_else(|e| panic!("{rays} rays, step {step}: {e}"));
+                assert_eq!(c.keys.len(), 256);
+                assert_eq!(c.samples.iter().filter(|&&n| n > 0).count(), rays);
+            }
+        }
+    }
+
+    /// A launch whose inputs do not fit `i32` lanes takes the pair march, and
+    /// a ray that does not is marched alone — each still bit-identical to the
+    /// oracle, each saying which march it took.
+    #[test]
+    fn guards_turn_away_what_lanes_cannot_index() {
+        let (texture, hi) = celled_skull();
+        let lut = TransferFunction::bone().bake();
+        let base = |camera, core_hi, image, step| RayCastKernel {
+            camera,
+            lut: &lut,
+            texture: &texture,
+            store_origin: vec3(-1.0, -1.0, -1.0),
+            core_lo: Vec3::ZERO,
+            core_hi,
+            image,
+            offset: (0, 0),
+            step,
+            early_term: 0.98,
+        };
+        let avx2 = kernel_has_lanes();
+
+        // Reach: an eye 10⁹ voxels out (≥ 2²⁸). Its positions lose all
+        // precision, so the frame is nothing to look at — but the same
+        // nothing three ways.
+        let far = Camera::look_at(vec3(1e9, 3e8, 2e8), hi * 0.5, vec3(0.0, 0.0, 1.0), 1e-6);
+        let kernel = base(&far, hi, (24, 24), 1.0);
+        assert!(!kernel.prepare().lanes);
+        three_way(&kernel, LaunchConfig::cover(24, 24)).unwrap();
+
+        // Step: 2⁻¹¹ (below 2⁻¹⁰), on an image small enough to march.
+        let near = Camera::look_at(vec3(60.0, -35.0, 50.0), hi * 0.5, vec3(0.0, 0.0, 1.0), 4.0);
+        let kernel = base(&near, hi, (3, 3), 1.0 / 2048.0);
+        assert!(!kernel.prepare().lanes);
+        let c = three_way(&kernel, LaunchConfig::cover(3, 3)).unwrap();
+        assert!(c.samples.iter().sum::<u64>() > 100_000);
+
+        // A ray whose lattice reaches index 2³⁰ without being long: the box
+        // is 2.5·10⁶ voxels from the eye and the step the smallest lanes
+        // take, so every ray's first sample is past index 2³¹. The launch
+        // stays wide (where the CPU is); each ray is turned away at the lane
+        // and marched by `march_solo`, offering no slots.
+        let eye = vec3(-2.5e6, 20.0, 20.0);
+        let distant = Camera::look_at(eye, hi * 0.5, vec3(0.0, 0.0, 1.0), 4e-4);
+        let kernel = base(&distant, hi, (2, 2), 1.0 / 1024.0);
+        let launch = kernel.prepare();
+        assert_eq!(launch.lanes, avx2);
+        let ray = distant.ray(0, 0, 2, 2);
+        let span = launch
+            .slabs
+            .intersect(ray.dir)
+            .expect("the box fills the view");
+        assert!(March::new(0, 0, ray.dir, span, kernel.step).end >= 1 << 31);
+        let c = three_way(&kernel, LaunchConfig::cover(2, 2)).unwrap();
+        assert!(
+            c.fetched > 1000 && c.lane_slots == 0,
+            "{} fetched",
+            c.fetched
+        );
+    }
+
+    /// Whether this CPU runs the lane march at all.
+    fn kernel_has_lanes() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// A typo in a guard must fail a test, not quietly return the frame rate
+    /// to the pair march's: `micro_ops`' Skull-128 brick at 256² — the
+    /// benchmark's kernel-bound launch — goes wide wherever AVX2 is.
+    #[test]
+    fn ordinary_launch_takes_the_lane_path() {
+        use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore};
+        let volume = Dataset::Skull.volume(128);
+        let scene = Scene::orbit(&volume, 30.0, 20.0, TransferFunction::bone());
+        let grid = BrickGrid::subdivide(
+            volume.dims(),
+            &BrickPolicy {
+                min_bricks: 2,
+                max_brick_voxels: u64::MAX,
+            },
+        );
+        let store = Arc::new(BrickStore::new(volume, grid, 1, u64::MAX));
+        let brick = crate::RenderBrick::new(Arc::clone(&store), 0, crate::Staging::HostResident);
+        let data = brick.voxels();
+        let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels))
+            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+        let lut = scene.transfer.bake();
+        let (core_lo, core_hi) = brick.core_box();
+        let origin = data.store_origin.map(|c| c as f32);
+        let kernel = RayCastKernel {
+            camera: &scene.camera,
+            lut: &lut,
+            texture: &texture,
+            store_origin: vec3(origin[0], origin[1], origin[2]),
+            core_lo,
+            core_hi,
+            image: (256, 256),
+            offset: (0, 0),
+            step: 1.0,
+            early_term: 0.98,
+        };
+        assert_eq!(kernel.prepare().lanes, kernel_has_lanes());
+        // And the smallest step the wire admits, without cells.
+        let bare = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels));
+        let kernel = RayCastKernel {
+            texture: &bare,
+            step: 1.0 / 16.0,
+            ..kernel
+        };
+        assert_eq!(kernel.prepare().lanes, kernel_has_lanes());
     }
 }

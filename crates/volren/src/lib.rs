@@ -21,7 +21,9 @@
 //! comparator from the paper's footnote 1; [`binary_swap`] models the
 //! alternative compositor of §6.1.
 
-#![forbid(unsafe_code)]
+// One exception, allowed at its site: `kernel`'s call of its AVX2 march
+// after detecting AVX2.
+#![deny(unsafe_code)]
 
 pub mod baseline;
 pub mod binary_swap;

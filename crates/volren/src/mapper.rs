@@ -1,6 +1,7 @@
 //! The rendering Mapper: wires [`RenderBrick`]s through the ray-cast kernel.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use mgpu_cluster::GpuId;
 use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture1D, Texture3D};
@@ -21,6 +22,7 @@ use crate::math::vec3;
 struct MapperObs {
     kernel_blocks: Arc<Counter>,
     samples_per_ray: Arc<Histogram>,
+    march_ns: Arc<Histogram>,
 }
 
 fn obs() -> &'static MapperObs {
@@ -30,6 +32,7 @@ fn obs() -> &'static MapperObs {
         MapperObs {
             kernel_blocks: reg.counter(names::VOLREN_KERNEL_BLOCKS),
             samples_per_ray: reg.histogram(names::VOLREN_SAMPLES_PER_RAY),
+            march_ns: reg.histogram(names::VOLREN_MARCH_NS),
         }
     })
 }
@@ -114,16 +117,18 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
             step: self.step,
             early_term: self.early_term,
         };
+        let o = obs();
+        let march_start = Instant::now();
         let out = launch_blocks(
             &kernel,
             LaunchConfig::cover(x1 - x0, y1 - y0),
             self.kernel_parallelism,
         );
+        o.march_ns.record_duration(march_start.elapsed());
 
         // Tallied locally, merged once per launch: a record per ray would be
         // ~100 K atomic writes a frame into one cache line every mapper
         // thread shares.
-        let o = obs();
         o.kernel_blocks.add(out.stats.blocks);
         let mut tally = [0u64; HIST_BUCKETS];
         for &n in &out.samples {
