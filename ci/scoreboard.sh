@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Size scoreboard: per crate, the non-test lines under src/ by one fixed
 # rule — every line of each .rs file before its first `#[cfg(test)]` at the
-# start of a line — plus the workspace total and the public-API item count.
+# start of a line — plus the workspace total, the same count over the
+# offline shims, the workspace's member count and the public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -10,7 +11,7 @@ set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 non_test_lines() {
-    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1 }
         /^#\[cfg\(test\)\]/ { counting = 0 }
         counting { n++ }
@@ -25,4 +26,12 @@ for src in crates/*/src src; do
     total=$((total + lines))
 done
 printf '%-12s %6d\n' workspace "$total"
+printf '%-12s %6d\n' shims "$(non_test_lines shims/*/src)"
+# Entries of the root manifest's `members = [ … ]` array, one per line.
+members=$(awk '
+    /^members = \[/ { on = 1; next }
+    on && /^\]/ { exit }
+    on && /"/ { n++ }
+    END { print n + 0 }' Cargo.toml)
+printf '%-12s %6d\n' members "$members"
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

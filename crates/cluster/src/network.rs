@@ -57,18 +57,6 @@ impl NetworkModel {
         }
     }
 
-    /// An idealized zero-software-overhead QDR fabric (ablation: how much of
-    /// the paper's communication wall is software, not wire).
-    pub fn ideal_qdr() -> NetworkModel {
-        NetworkModel {
-            send_overhead_s: 2e-6,
-            recv_overhead_s: 2e-6,
-            bytes_per_s: 4.0e9,
-            wire_latency_s: 2e-6,
-            intra_node: LinkModel::new(5e-6, 8.0e9),
-        }
-    }
-
     /// Sender-side NIC occupancy for one message.
     pub fn send_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(self.send_overhead_s + bytes as f64 / self.bytes_per_s)
@@ -135,14 +123,5 @@ mod tests {
         let n = NetworkModel::qdr_infiniband_2010();
         let bytes = 256 * 1024;
         assert!(n.intra_node_time(bytes).nanos() * 10 < n.send_time(bytes).nanos());
-    }
-
-    #[test]
-    fn ideal_fabric_is_faster() {
-        let real = NetworkModel::qdr_infiniband_2010();
-        let ideal = NetworkModel::ideal_qdr();
-        for bytes in [1u64 << 10, 1 << 20, 1 << 26] {
-            assert!(ideal.send_time(bytes) < real.send_time(bytes));
-        }
     }
 }

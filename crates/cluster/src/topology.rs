@@ -65,10 +65,6 @@ impl ClusterSpec {
         self.node_of(a) == self.node_of(b)
     }
 
-    pub fn gpu_ids(&self) -> impl Iterator<Item = GpuId> {
-        (0..self.gpus).map(GpuId)
-    }
-
     /// Aggregate VRAM across the cluster — decides in-core vs out-of-core.
     pub fn total_vram_bytes(&self) -> u64 {
         self.gpus as u64 * self.device.vram_bytes

@@ -13,8 +13,9 @@
 //! here: 4-byte dense keys ([`types::Key`]), homogeneous POD values
 //! ([`types::WireValue`]), mandatory per-thread emission with sentinel
 //! placeholders ([`types::SENTINEL_KEY`]), per-pixel round-robin partitioning
-//! ([`partition::RoundRobin`]), and in-GPU-memory map tasks (enforced by
-//! `mgpu-gpu`'s VRAM allocator).
+//! ([`partition::RoundRobin`]), and in-GPU-memory map tasks (enforced where
+//! bricks are sized: `mgpu-volren`'s `FramePlan::prepare` refuses a brick
+//! larger than the device's VRAM).
 //!
 //! Deliberate omissions, as in the paper: no fault tolerance, no advanced
 //! scheduling, no distributed file system. Combining is supported but off by

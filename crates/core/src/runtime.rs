@@ -15,8 +15,8 @@
 //! `(mapper, sequence)` before sorting, so results and the recorded
 //! [`JobRecord`] are bit-identical across runs regardless of thread timing.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use mgpu_cluster::{route, ClusterSpec, GpuId, Route};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use crate::assign::Assignment;
 
@@ -150,10 +150,10 @@ where
         "cluster spec GPU count must match job config"
     );
 
-    let mut senders: Vec<Sender<Batch<M::Value>>> = Vec::with_capacity(r_count);
+    let mut senders: Vec<SyncSender<Batch<M::Value>>> = Vec::with_capacity(r_count);
     let mut receivers: Vec<Receiver<Batch<M::Value>>> = Vec::with_capacity(r_count);
     for _ in 0..r_count {
-        let (tx, rx) = bounded(CHANNEL_CAPACITY);
+        let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
         senders.push(tx);
         receivers.push(rx);
     }
@@ -270,7 +270,7 @@ fn run_mapper<C, M, P>(
     partitioner: &P,
     combiner: Option<&dyn Combiner<M::Value>>,
     config: &JobConfig,
-    senders: Vec<Sender<Batch<M::Value>>>,
+    senders: Vec<SyncSender<Batch<M::Value>>>,
 ) -> MapperRecord
 where
     C: Chunk,

@@ -31,10 +31,6 @@ impl<V> SortedGroups<V> {
     pub fn iter(&self) -> impl Iterator<Item = (Key, &[V])> {
         (0..self.num_groups()).map(move |i| self.group(i))
     }
-
-    pub fn total_values(&self) -> usize {
-        self.values.len()
-    }
 }
 
 /// Stable counting sort + group over structure-of-arrays emissions
@@ -112,14 +108,14 @@ mod tests {
         // Stability: 'b' before 'e', 'a' before 'c'.
         assert_eq!(g.group(1), (1, &['b', 'e'][..]));
         assert_eq!(g.group(2), (3, &['a', 'c'][..]));
-        assert_eq!(g.total_values(), 5);
+        assert_eq!(g.values.len(), 5);
     }
 
     #[test]
     fn empty_input() {
         let g = counting_sort_groups::<u32>(&[], &[], 100);
         assert_eq!(g.num_groups(), 0);
-        assert_eq!(g.total_values(), 0);
+        assert!(g.values.is_empty());
     }
 
     #[test]

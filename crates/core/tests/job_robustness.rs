@@ -10,7 +10,7 @@ use std::thread;
 use std::time::Duration;
 
 use mgpu_cluster::{ClusterSpec, GpuId};
-use mgpu_gpu::{launch_blocks, Kernel, LaunchConfig, Scalar, ThreadCtx};
+use mgpu_gpu::{launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig};
 use mgpu_mapreduce::{
     run_job, Chunk, GpuMapper, JobConfig, JobOutput, MapOutput, Reducer, RoundRobin, SENTINEL_KEY,
 };
@@ -35,17 +35,26 @@ impl Chunk for Tile {
 /// tile and a value that depends on the thread.
 struct TileKernel(u32);
 
-impl Kernel for TileKernel {
-    type Out = (u32, u32);
+impl BlockKernel for TileKernel {
+    type Key = u32;
+    type Value = u32;
+    type Launch = ();
 
-    fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u32) {
-        let (x, y) = ctx.global;
-        let lane = y * 12 + x;
-        ctx.tally((lane % 5) as u64);
-        if lane % 3 == 0 {
-            (SENTINEL_KEY, 0)
-        } else {
-            ((lane * 7 + self.0 * 11) % KEY_SPACE, lane ^ self.0)
+    fn prepare(&self) {}
+
+    fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+        for ty in 0..ctx.dim.1 {
+            for tx in 0..ctx.dim.0 {
+                let (x, y) = ctx.global(tx, ty);
+                let lane = y * 12 + x;
+                let i = ctx.index(tx, ty);
+                out.samples[i] = (lane % 5) as u64;
+                (out.keys[i], out.values[i]) = if lane % 3 == 0 {
+                    (SENTINEL_KEY, 0)
+                } else {
+                    ((lane * 7 + self.0 * 11) % KEY_SPACE, lane ^ self.0)
+                };
+            }
         }
     }
 }
@@ -73,7 +82,7 @@ impl GpuMapper<Tile> for TileMapper {
             grid: (3, 2),
             block: (4, 4),
         };
-        let out = launch_blocks(&Scalar(TileKernel(chunk.0 as u32)), config, 3);
+        let out = launch_blocks(&TileKernel(chunk.0 as u32), config, 3);
         MapOutput {
             keys: out.keys,
             values: out.values,

@@ -6,10 +6,8 @@
 //! PCIe gen-2 link, CUDA 3.0 era.
 
 use mgpu_sim::{LinkModel, SimDuration};
-use parking_lot::Mutex;
 
 use crate::kernel::LaunchStats;
-use crate::vram::{AllocId, OutOfMemory, VramAllocator};
 
 /// How kernel time is charged from launch statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,44 +87,6 @@ impl DeviceProps {
     }
 }
 
-/// A simulated device: properties plus live VRAM accounting.
-#[derive(Debug)]
-pub struct Device {
-    props: DeviceProps,
-    vram: Mutex<VramAllocator>,
-}
-
-impl Device {
-    pub fn new(props: DeviceProps) -> Device {
-        let vram = Mutex::new(VramAllocator::new(props.vram_bytes));
-        Device { props, vram }
-    }
-
-    pub fn props(&self) -> &DeviceProps {
-        &self.props
-    }
-
-    pub fn alloc(&self, bytes: u64) -> Result<AllocId, OutOfMemory> {
-        self.vram.lock().alloc(bytes)
-    }
-
-    pub fn free(&self, id: AllocId) {
-        self.vram.lock().free(id)
-    }
-
-    pub fn vram_used(&self) -> u64 {
-        self.vram.lock().used()
-    }
-
-    pub fn vram_free(&self) -> u64 {
-        self.vram.lock().free_bytes()
-    }
-
-    pub fn vram_peak(&self) -> u64 {
-        self.vram.lock().peak()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,17 +126,5 @@ mod tests {
             ..m
         };
         assert!((warp.time(&stats).as_secs_f64() - 3.0001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn device_tracks_vram() {
-        let d = Device::new(DeviceProps::tesla_c1060());
-        let id = d.alloc(1 << 30).unwrap();
-        assert_eq!(d.vram_used(), 1 << 30);
-        d.free(id);
-        assert_eq!(d.vram_used(), 0);
-        assert_eq!(d.vram_peak(), 1 << 30);
-        // A 5 GiB brick cannot fit — the paper's restriction #1.
-        assert!(d.alloc(5 << 30).is_err());
     }
 }

@@ -8,11 +8,12 @@
 //! the device cost model can charge either flat throughput or
 //! divergence-aware (warp-max) time.
 //!
-//! Two execution models share one launch machinery:
+//! Two execution models, one SIMT accounting:
 //!
 //! - **Scalar** ([`Kernel`] + [`launch`]): one virtual call per thread,
-//!   returning one `Out` per thread. Simple to write, pays per-thread
-//!   dispatch and tuple materialization on the hot path.
+//!   returning one `Out` per thread, blocks walked in order on the calling
+//!   thread. Simple to write and to read — it is the oracle the batched
+//!   path is tested against, and deliberately shares no grid walker with it.
 //! - **Batched** ([`BlockKernel`] + [`launch_blocks`]): one call per *block*,
 //!   writing keys, values and per-thread sample tallies into caller-provided
 //!   structure-of-arrays slices ([`BlockOut`]). This lets a kernel hoist
@@ -21,9 +22,6 @@
 //!   samplers, tables classified against the bound textures — is built
 //!   *once*, before the first block ([`BlockKernel::prepare`]), and shared
 //!   read-only by every block: the software analogue of constant memory.
-//!   Any scalar kernel emitting `(K, V)` runs unchanged
-//!   under the batched API via the [`Scalar`] compat adapter, with
-//!   bit-identical outputs and statistics.
 //!
 //! Both paths charge SIMT warp statistics through the same internal
 //! accumulator (`WarpAccum`), so the cost model cannot tell them apart.
@@ -167,29 +165,23 @@ pub struct LaunchOutput<Out> {
     pub stats: LaunchStats,
 }
 
-/// Execute `kernel` over `config`, using up to `parallelism` host threads
-/// (block-level parallelism, matching how blocks map to SMs).
-pub fn launch<K: Kernel>(
-    kernel: &K,
-    config: LaunchConfig,
-    parallelism: usize,
-) -> LaunchOutput<K::Out>
+/// Execute `kernel` over `config`: every block in grid order, every thread
+/// row-major within its block, all on the calling thread. This is the
+/// reference engine; [`launch_blocks`] is the one that runs blocks in
+/// parallel.
+pub fn launch<K: Kernel>(kernel: &K, config: LaunchConfig) -> LaunchOutput<K::Out>
 where
     K::Out: Default + Clone,
 {
     let tpb = config.threads_per_block();
-    let blocks = config.blocks();
-    let mut outputs: Vec<K::Out> = vec![K::Out::default(); blocks * tpb];
-
-    let run_block = |block_id: usize, out_slice: &mut [K::Out]| -> LaunchStats {
+    let mut outputs: Vec<K::Out> = vec![K::Out::default(); config.blocks() * tpb];
+    let mut stats = LaunchStats::default();
+    for (block_id, out_slice) in outputs.chunks_mut(tpb).enumerate() {
         let bx = (block_id as u32) % config.grid.0;
         let by = (block_id as u32) / config.grid.0;
         let mut acc = WarpAccum::default();
-        let mut stats = LaunchStats {
-            threads: tpb as u64,
-            blocks: 1,
-            ..LaunchStats::default()
-        };
+        stats.threads += tpb as u64;
+        stats.blocks += 1;
         for ty in 0..config.block.1 {
             for tx in 0..config.block.0 {
                 let mut ctx = ThreadCtx {
@@ -205,39 +197,6 @@ where
             }
         }
         acc.finish(&mut stats);
-        stats
-    };
-
-    let workers = parallelism.max(1).min(blocks.max(1));
-    if workers <= 1 || blocks <= 1 {
-        let mut stats = LaunchStats::default();
-        for (block_id, chunk) in outputs.chunks_mut(tpb).enumerate() {
-            stats.merge(&run_block(block_id, chunk));
-        }
-        return LaunchOutput { outputs, stats };
-    }
-
-    let blocks_per_worker = blocks.div_ceil(workers);
-    let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
-    std::thread::scope(|scope| {
-        for ((wi, chunk), wstats) in outputs
-            .chunks_mut(blocks_per_worker * tpb)
-            .enumerate()
-            .zip(worker_stats.iter_mut())
-        {
-            let run_block = &run_block;
-            scope.spawn(move || {
-                let first_block = wi * blocks_per_worker;
-                for (i, block_out) in chunk.chunks_mut(tpb).enumerate() {
-                    wstats.merge(&run_block(first_block + i, block_out));
-                }
-            });
-        }
-    });
-
-    let mut stats = LaunchStats::default();
-    for w in &worker_stats {
-        stats.merge(w);
     }
     LaunchOutput { outputs, stats }
 }
@@ -290,9 +249,6 @@ pub struct BlockOut<'a, K, V> {
 /// invariants out of the inner loop and keep reusable scratch across the
 /// block. The homogeneous-emission restriction still holds: every thread
 /// owns exactly one `(key, value, samples)` lane in [`BlockOut`].
-///
-/// Scalar [`Kernel`]s emitting `(K, V)` run unchanged under this API via the
-/// [`Scalar`] adapter.
 pub trait BlockKernel: Sync {
     type Key: Send + Copy + Default;
     type Value: Send + Copy + Default;
@@ -327,9 +283,9 @@ pub struct BlockOutput<K, V> {
 /// threads (block-level parallelism, matching how blocks map to SMs): the
 /// caller plus `parallelism - 1` cached threads from [`crate::exec`].
 ///
-/// Identical chunking, output order and SIMT accounting as [`launch`]: for
-/// any scalar kernel `k`, `launch_blocks(&Scalar(k), ..)` produces the same
-/// outputs and the same [`LaunchStats`] as `launch(&k, ..)`.
+/// Same output order and SIMT accounting as [`launch`]: a block kernel that
+/// emits what a scalar kernel emits thread by thread produces the same
+/// outputs and the same [`LaunchStats`], whatever `parallelism` is.
 pub fn launch_blocks<B: BlockKernel>(
     kernel: &B,
     config: LaunchConfig,
@@ -342,6 +298,15 @@ pub fn launch_blocks<B: BlockKernel>(
     let mut values = vec![B::Value::default(); total];
     let mut samples = vec![0u64; total];
     let state = kernel.prepare();
+    // An empty grid has no share to hand out (`chunks_mut(0)` would panic).
+    if blocks == 0 {
+        return BlockOutput {
+            keys,
+            values,
+            samples,
+            stats: LaunchStats::default(),
+        };
+    }
 
     let run_block = |block_id: usize,
                      keys: &mut [B::Key],
@@ -378,26 +343,7 @@ pub fn launch_blocks<B: BlockKernel>(
         stats
     };
 
-    let workers = parallelism.max(1).min(blocks.max(1));
-    if workers <= 1 || blocks <= 1 {
-        let mut stats = LaunchStats::default();
-        for block_id in 0..blocks {
-            let lo = block_id * tpb;
-            stats.merge(&run_block(
-                block_id,
-                &mut keys[lo..lo + tpb],
-                &mut values[lo..lo + tpb],
-                &mut samples[lo..lo + tpb],
-            ));
-        }
-        return BlockOutput {
-            keys,
-            values,
-            samples,
-            stats,
-        };
-    }
-
+    let workers = parallelism.clamp(1, blocks);
     let blocks_per_worker = blocks.div_ceil(workers);
     let per_worker = blocks_per_worker * tpb;
     let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
@@ -422,8 +368,9 @@ pub fn launch_blocks<B: BlockKernel>(
                     }
                 }
             });
-        // The caller works the first share itself instead of parking.
-        let mut own = shares.next().expect("a parallel launch has blocks");
+        // The caller works the first share itself instead of parking; with
+        // one worker that is the only share and nothing is spawned.
+        let mut own = shares.next().expect("a launch with blocks has a share");
         shares.for_each(|share| scope.spawn(share));
         own();
     });
@@ -440,48 +387,10 @@ pub fn launch_blocks<B: BlockKernel>(
     }
 }
 
-/// Compatibility adapter: runs a scalar [`Kernel`] emitting `(K, V)` pairs
-/// under the batched [`BlockKernel`] API, thread by thread.
-///
-/// `launch_blocks(&Scalar(k), config, p)` is bit-identical (outputs and
-/// statistics) to `launch(&k, config, p)` — this is the migration path for
-/// kernels that have not been rewritten for block execution.
-pub struct Scalar<T>(pub T);
-
-impl<T, K, V> BlockKernel for Scalar<T>
-where
-    T: Kernel<Out = (K, V)>,
-    K: Send + Copy + Default,
-    V: Send + Copy + Default,
-{
-    type Key = K;
-    type Value = V;
-    type Launch = ();
-
-    fn prepare(&self) {}
-
-    fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, K, V>) {
-        for ty in 0..ctx.dim.1 {
-            for tx in 0..ctx.dim.0 {
-                let mut tctx = ThreadCtx {
-                    block: ctx.block,
-                    thread: (tx, ty),
-                    global: ctx.global(tx, ty),
-                    samples: 0,
-                };
-                let (k, v) = self.0.thread(&mut tctx);
-                let i = ctx.index(tx, ty);
-                out.keys[i] = k;
-                out.values[i] = v;
-                out.samples[i] = tctx.samples;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Emits its own global coordinates and tallies `global.0` samples.
     struct ProbeKernel;
@@ -510,7 +419,7 @@ mod tests {
             grid: (2, 2),
             block: (4, 2),
         };
-        let out = launch(&ProbeKernel, c, 1);
+        let out = launch(&ProbeKernel, c);
         assert_eq!(out.outputs.len(), 32);
         // Block 0 thread (0,0) is global (0,0).
         assert_eq!(out.outputs[0], (0, 0));
@@ -521,21 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let c = LaunchConfig::cover(64, 64);
-        let a = launch(&ProbeKernel, c, 1);
-        let b = launch(&ProbeKernel, c, 4);
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
     fn stats_count_threads_and_samples() {
         let c = LaunchConfig {
             grid: (1, 1),
             block: (16, 16),
         };
-        let out = launch(&ProbeKernel, c, 1);
+        let out = launch(&ProbeKernel, c);
         assert_eq!(out.stats.threads, 256);
         assert_eq!(out.stats.blocks, 1);
         assert_eq!(out.stats.warps, 8);
@@ -560,7 +460,7 @@ mod tests {
             grid: (2, 1),
             block: (32, 1),
         };
-        let out = launch(&Spike, c, 1);
+        let out = launch(&Spike, c);
         assert_eq!(out.stats.total_samples, 200);
         assert_eq!(out.stats.simt_samples, 2 * 100 * 32);
         assert!((out.stats.divergence_factor() - 32.0).abs() < 1e-9);
@@ -582,7 +482,6 @@ mod tests {
                 grid: (4, 4),
                 block: (8, 4),
             },
-            2,
         );
         assert_eq!(out.stats.divergence_factor(), 1.0);
     }
@@ -604,32 +503,51 @@ mod tests {
                 grid: (1, 1),
                 block: (8, 1),
             },
-            1,
         );
         assert_eq!(out.stats.total_samples, 8);
         assert_eq!(out.stats.simt_samples, 32);
     }
 
-    /// A scalar-only kernel (no BlockKernel impl anywhere) must keep working
-    /// through `launch` AND run bit-identically under `launch_blocks` via the
-    /// `Scalar` compat adapter.
+    /// Uneven tallies and a value that depends on the block: the same
+    /// emissions written per thread and per block agree lane for lane, and
+    /// charge the same warps.
     #[test]
     fn scalar_only_kernel_launches_via_compat_adapter() {
-        struct Legacy;
-        impl Kernel for Legacy {
+        fn emit(global: (u32, u32), block: (u32, u32)) -> (u32, u64, u64) {
+            (
+                global.1 * 1000 + global.0,
+                (block.0 + block.1) as u64,
+                (global.0 as u64 * 7 + global.1 as u64) % 13,
+            )
+        }
+        struct PerThread;
+        impl Kernel for PerThread {
             type Out = (u32, u64);
             fn thread(&self, ctx: &mut ThreadCtx) -> (u32, u64) {
-                // Uneven tallies so warp accounting is exercised.
-                ctx.tally((ctx.global.0 as u64 * 7 + ctx.global.1 as u64) % 13);
-                (
-                    ctx.global.1 * 1000 + ctx.global.0,
-                    (ctx.block.0 + ctx.block.1) as u64,
-                )
+                let (k, v, samples) = emit(ctx.global, ctx.block);
+                ctx.tally(samples);
+                (k, v)
+            }
+        }
+        struct PerBlock;
+        impl BlockKernel for PerBlock {
+            type Key = u32;
+            type Value = u64;
+            type Launch = ();
+            fn prepare(&self) {}
+            fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u64>) {
+                for ty in 0..ctx.dim.1 {
+                    for tx in 0..ctx.dim.0 {
+                        let i = ctx.index(tx, ty);
+                        (out.keys[i], out.values[i], out.samples[i]) =
+                            emit(ctx.global(tx, ty), ctx.block);
+                    }
+                }
             }
         }
         let c = LaunchConfig::cover(40, 17);
-        let scalar = launch(&Legacy, c, 1);
-        let batched = launch_blocks(&Scalar(Legacy), c, 1);
+        let scalar = launch(&PerThread, c);
+        let batched = launch_blocks(&PerBlock, c, 1);
         assert_eq!(batched.keys.len(), scalar.outputs.len());
         for (i, (k, v)) in scalar.outputs.iter().enumerate() {
             assert_eq!(batched.keys[i], *k);
@@ -638,11 +556,37 @@ mod tests {
         assert_eq!(batched.stats, scalar.stats);
     }
 
+    /// Block-wise rewrite of `ProbeKernel`: same emissions, written SoA.
+    /// `prepare` hands every block a bias (and lets a test count its calls).
+    struct BlockProbe<'a>(&'a AtomicU32);
+
+    impl BlockKernel for BlockProbe<'_> {
+        type Key = u32;
+        type Value = u32;
+        type Launch = u32;
+        fn prepare(&self) -> u32 {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            7
+        }
+        fn run_block(&self, bias: &u32, ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+            for ty in 0..ctx.dim.1 {
+                for tx in 0..ctx.dim.0 {
+                    let g = ctx.global(tx, ty);
+                    let i = ctx.index(tx, ty);
+                    out.keys[i] = g.0 + bias - 7;
+                    out.values[i] = g.1;
+                    out.samples[i] = g.0 as u64;
+                }
+            }
+        }
+    }
+
     #[test]
     fn launch_blocks_serial_and_parallel_agree() {
+        let prepared = AtomicU32::new(0);
         let c = LaunchConfig::cover(64, 48);
-        let a = launch_blocks(&Scalar(ProbeKernel), c, 1);
-        let b = launch_blocks(&Scalar(ProbeKernel), c, 4);
+        let a = launch_blocks(&BlockProbe(&prepared), c, 1);
+        let b = launch_blocks(&BlockProbe(&prepared), c, 4);
         assert_eq!(a.keys, b.keys);
         assert_eq!(a.values, b.values);
         assert_eq!(a.samples, b.samples);
@@ -651,49 +595,25 @@ mod tests {
 
     #[test]
     fn direct_block_kernel_matches_scalar_equivalent() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static PREPARED: AtomicU32 = AtomicU32::new(0);
-        /// Block-wise rewrite of `ProbeKernel`: same emissions, written SoA.
-        struct BlockProbe;
-        impl BlockKernel for BlockProbe {
-            type Key = u32;
-            type Value = u32;
-            /// Counts `prepare` calls; every block reads the bias from it.
-            type Launch = u32;
-            fn prepare(&self) -> u32 {
-                PREPARED.fetch_add(1, Ordering::Relaxed);
-                7
-            }
-            fn run_block(&self, bias: &u32, ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
-                for ty in 0..ctx.dim.1 {
-                    for tx in 0..ctx.dim.0 {
-                        let g = ctx.global(tx, ty);
-                        let i = ctx.index(tx, ty);
-                        out.keys[i] = g.0 + bias - 7;
-                        out.values[i] = g.1;
-                        out.samples[i] = g.0 as u64;
-                    }
-                }
-            }
-        }
+        let prepared = AtomicU32::new(0);
         let c = LaunchConfig::cover(100, 33);
-        let reference = launch(&ProbeKernel, c, 1);
+        let reference = launch(&ProbeKernel, c);
         for parallelism in [1, 3] {
-            let got = launch_blocks(&BlockProbe, c, parallelism);
+            let got = launch_blocks(&BlockProbe(&prepared), c, parallelism);
             for (i, (k, v)) in reference.outputs.iter().enumerate() {
                 assert_eq!((got.keys[i], got.values[i]), (*k, *v));
             }
             assert_eq!(got.stats, reference.stats);
         }
         // Per-launch state is built once per launch, not per block or worker.
-        assert_eq!(PREPARED.load(Ordering::Relaxed), 2);
+        assert_eq!(prepared.into_inner(), 2);
     }
 
     #[test]
     fn batched_divergence_accounting_matches_scalar() {
-        // Spike pattern through the compat adapter: SIMT charging must be
-        // identical to the scalar path (warp max over 32 thread-order lanes,
-        // partial trailing warp charged fully).
+        // Spike pattern written both ways: SIMT charging must be identical
+        // (warp max over 32 thread-order lanes, partial trailing warp
+        // charged fully).
         struct Spiky;
         impl Kernel for Spiky {
             type Out = (u32, u8);
@@ -704,12 +624,32 @@ mod tests {
                 (ctx.global.0, 0)
             }
         }
+        struct SpikyBlock;
+        impl BlockKernel for SpikyBlock {
+            type Key = u32;
+            type Value = u8;
+            type Launch = ();
+            fn prepare(&self) {}
+            fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u8>) {
+                for tx in 0..ctx.dim.0 {
+                    let g = ctx.global(tx, 0).0;
+                    out.keys[tx as usize] = g;
+                    if g.is_multiple_of(32) {
+                        out.samples[tx as usize] = 100;
+                    }
+                }
+            }
+        }
         let c = LaunchConfig {
             grid: (2, 1),
             block: (40, 1), // 40 threads: one full warp + one partial
         };
-        let scalar = launch(&Spiky, c, 1);
-        let batched = launch_blocks(&Scalar(Spiky), c, 1);
+        let scalar = launch(&Spiky, c);
+        let batched = launch_blocks(&SpikyBlock, c, 1);
+        assert_eq!(
+            batched.keys,
+            scalar.outputs.iter().map(|o| o.0).collect::<Vec<_>>()
+        );
         assert_eq!(batched.stats, scalar.stats);
         assert_eq!(batched.stats.warps, 4);
     }

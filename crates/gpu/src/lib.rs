@@ -3,11 +3,11 @@
 //! A CUDA-class device model for the reproduction: real computation, modeled
 //! time. Kernels execute for real on host threads with CUDA grid/block/thread
 //! index semantics, in one of two execution models: scalar per-thread
-//! dispatch ([`kernel::Kernel`] + [`kernel::launch`]) or batched per-block
-//! execution into structure-of-arrays buffers ([`kernel::BlockKernel`] +
-//! [`kernel::launch_blocks`], the hot path, with per-launch state built once
-//! before the first block — scalar kernels ride along via the
-//! [`kernel::Scalar`] adapter). [`texture::Texture3D`] reproduces `tex3D`
+//! dispatch on the calling thread ([`kernel::Kernel`] + [`kernel::launch`],
+//! the oracle) or batched per-block execution into structure-of-arrays
+//! buffers ([`kernel::BlockKernel`] + [`kernel::launch_blocks`], the hot
+//! path, with per-launch state built once before the first block and blocks
+//! shared out over host threads). [`texture::Texture3D`] reproduces `tex3D`
 //! trilinear filtering with clamp addressing (with [`texture::Sampler3D`] as
 //! the resolved inner-loop view) and can carry a min/max macrocell table for
 //! empty-space skipping, which [`texture::Texture1D::zero_alpha`] answers
@@ -15,10 +15,11 @@
 //! for eight samples at once (`locate_x8` / `sample_at_x8` / `taps_x8`:
 //! AVX2 gathers behind safe `#[target_feature]` functions, bit-identical
 //! per lane to the scalar ones — the `unsafe` is the gathers, justified by
-//! the clamps beside them; see [`texture`]); [`vram::VramAllocator`] enforces the
-//! paper's "map task must fit in GPU memory" restriction; and
-//! [`device::KernelCostModel`] converts launch statistics (including SIMT
-//! warp divergence) into simulated time on a Tesla C1060-class part.
+//! the clamps beside them; see [`texture`]); and [`device::KernelCostModel`]
+//! converts launch statistics (including SIMT warp divergence) into
+//! simulated time on a Tesla C1060-class part, whose
+//! [`device::DeviceProps::vram_bytes`] is what the renderer sizes bricks
+//! against (the paper's "map task must fit in GPU memory" restriction).
 //!
 //! The host threads that stand for device processors come from [`exec`]: a
 //! process-wide cache of parked threads behind a `std::thread::scope`-shaped
@@ -33,12 +34,10 @@ pub mod device;
 pub mod exec;
 pub mod kernel;
 pub mod texture;
-pub mod vram;
 
-pub use device::{Device, DeviceProps, KernelCostModel, KernelTimingMode};
+pub use device::{DeviceProps, KernelCostModel, KernelTimingMode};
 pub use kernel::{
     launch, launch_blocks, BlockCtx, BlockKernel, BlockOut, BlockOutput, Kernel, LaunchConfig,
-    LaunchOutput, LaunchStats, Scalar, ThreadCtx, WARP_SIZE,
+    LaunchOutput, LaunchStats, ThreadCtx, WARP_SIZE,
 };
 pub use texture::{MacroCells, Sampler1D, Sampler3D, Site, Texture1D, Texture3D};
-pub use vram::{AllocId, OutOfMemory, VramAllocator};

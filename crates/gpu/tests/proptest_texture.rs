@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use mgpu_gpu::{launch, Kernel, LaunchConfig, Texture3D, ThreadCtx};
+use mgpu_gpu::{
+    launch, launch_blocks, BlockCtx, BlockKernel, BlockOut, Kernel, LaunchConfig, Texture3D,
+    ThreadCtx,
+};
 
 fn arb_texture() -> impl Strategy<Value = Texture3D> {
     (2usize..6, 2usize..6, 2usize..6).prop_flat_map(|(x, y, z)| {
@@ -63,21 +66,46 @@ proptest! {
 
     #[test]
     fn launch_output_position_encodes_thread_identity(
-        gx in 1u32..5, gy in 1u32..5, bx in 1u32..9, by in 1u32..9,
+        gx in 0u32..5, gy in 1u32..5, bx in 1u32..9, by in 1u32..9,
         workers in 1usize..5,
     ) {
         struct Ident;
         impl Kernel for Ident {
-            type Out = (u32, u32, u32, u32);
+            type Out = ((u32, u32), (u32, u32));
             fn thread(&self, ctx: &mut ThreadCtx) -> Self::Out {
-                (ctx.block.0, ctx.block.1, ctx.thread.0, ctx.thread.1)
+                ctx.tally((ctx.global.0 % 5) as u64);
+                (ctx.block, ctx.thread)
             }
         }
+        /// `Ident`, written once per block.
+        struct IdentBlock;
+        impl BlockKernel for IdentBlock {
+            type Key = (u32, u32);
+            type Value = (u32, u32);
+            type Launch = ();
+            fn prepare(&self) {}
+            fn run_block(
+                &self,
+                _: &(),
+                ctx: &BlockCtx,
+                out: BlockOut<'_, Self::Key, Self::Value>,
+            ) {
+                for ty in 0..ctx.dim.1 {
+                    for tx in 0..ctx.dim.0 {
+                        let i = ctx.index(tx, ty);
+                        out.keys[i] = ctx.block;
+                        out.values[i] = (tx, ty);
+                        out.samples[i] = (ctx.global(tx, ty).0 % 5) as u64;
+                    }
+                }
+            }
+        }
+        // `gx == 0` is the zero-block grid: nothing runs, nothing panics.
         let config = LaunchConfig { grid: (gx, gy), block: (bx, by) };
-        let out = launch(&Ident, config, workers);
+        let out = launch(&Ident, config);
         prop_assert_eq!(out.outputs.len(), config.total_threads());
         let tpb = config.threads_per_block();
-        for (i, &(cbx, cby, ctx_, cty)) in out.outputs.iter().enumerate() {
+        for (i, &((cbx, cby), (ctx_, cty))) in out.outputs.iter().enumerate() {
             let block_id = i / tpb;
             let tid = i % tpb;
             prop_assert_eq!(cbx, (block_id as u32) % gx);
@@ -85,6 +113,12 @@ proptest! {
             prop_assert_eq!(ctx_, (tid as u32) % bx);
             prop_assert_eq!(cty, (tid as u32) / bx);
         }
+        // Deterministic across worker counts: however the blocks are shared
+        // out, the batched engine lands every lane where the oracle does.
+        let blocks = launch_blocks(&IdentBlock, config, workers);
+        let lanes: Vec<_> = blocks.keys.into_iter().zip(blocks.values).collect();
+        prop_assert_eq!(lanes, out.outputs);
+        prop_assert_eq!(blocks.stats, out.stats);
     }
 
     #[test]
@@ -109,7 +143,6 @@ proptest! {
         let out = launch(
             &kernel,
             LaunchConfig { grid: (1, 1), block: (n, 1) },
-            1,
         );
         let total: u64 = tallies.iter().sum();
         prop_assert_eq!(out.stats.total_samples, total);

@@ -17,7 +17,7 @@
 /// side-channel [`Comment`] list so lints can correlate them with nearby
 /// tokens by line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword (`fn`, `unsafe`, `frame_bytes`, ...).
     Ident(String),
     /// A lifetime such as `'a` or `'static` (without the quote).
@@ -38,9 +38,9 @@ pub enum Tok {
 
 /// A token plus the 1-based line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    pub tok: Tok,
-    pub line: u32,
+pub(crate) struct Token {
+    pub(crate) tok: Tok,
+    pub(crate) line: u32,
 }
 
 /// A comment (line or block, doc or not) with its line span and body text
@@ -48,23 +48,23 @@ pub struct Token {
 /// where the comment closes, which is what "comment on the preceding
 /// line" checks care about.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    pub start_line: u32,
-    pub end_line: u32,
-    pub text: String,
+pub(crate) struct Comment {
+    pub(crate) start_line: u32,
+    pub(crate) end_line: u32,
+    pub(crate) text: String,
 }
 
 /// Full lex result for one file.
 #[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
+pub(crate) struct Lexed {
+    pub(crate) tokens: Vec<Token>,
+    pub(crate) comments: Vec<Comment>,
 }
 
 /// Lex `src` into tokens and comments. Never fails: malformed input
 /// degrades to best-effort tokens, which is the right behavior for a
 /// linter that runs on in-progress trees.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,
@@ -378,7 +378,7 @@ impl Lexer {
 /// Parse a numeric literal as produced by the lexer into a `u64`,
 /// honoring `0x`/`0o`/`0b` prefixes, `_` separators and type suffixes
 /// (`0x8Eu8` → `0x8E`).
-pub fn parse_u64(lit: &str) -> Option<u64> {
+pub(crate) fn parse_u64(lit: &str) -> Option<u64> {
     let clean: String = lit.chars().filter(|&c| c != '_').collect();
     let (radix, digits) = match clean.get(..2) {
         Some("0x") | Some("0X") => (16, &clean[2..]),

@@ -10,7 +10,7 @@
 //! conventions. Those invariants rot silently as the system grows —
 //! unless something fails the build when they do. This crate is that
 //! something: a dependency-free analyzer over a hand-rolled,
-//! comment/string/char/raw-string-aware Rust [`lexer`], with six lints
+//! comment/string/char/raw-string-aware Rust lexer, with six lints
 //! on top (see [`lints`]), run in CI as
 //! `cargo run -p mgpu-lint --release -- --check`, regression-locked by
 //! red/green fixture self-tests in `tests/`.
@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod diag;
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod lints;
 pub mod source;
 

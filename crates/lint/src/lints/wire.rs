@@ -28,10 +28,10 @@ pub const NAME: &str = "wire-conformance";
 
 /// An opcode constant parsed out of `mod opcode`.
 #[derive(Debug, Clone)]
-pub struct Opcode {
-    pub name: String,
-    pub value: u64,
-    pub line: u32,
+pub(crate) struct Opcode {
+    pub(crate) name: String,
+    pub(crate) value: u64,
+    pub(crate) line: u32,
 }
 
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
@@ -154,7 +154,7 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
 }
 
 /// Pull `pub const NAME: u8 = VALUE;` declarations out of `mod opcode`.
-pub fn parse_opcode_module(wire: &SourceFile) -> Vec<Opcode> {
+pub(crate) fn parse_opcode_module(wire: &SourceFile) -> Vec<Opcode> {
     let tokens = &wire.tokens;
     let Some(mod_at) = (0..tokens.len()).find(|&i| {
         is_ident(tokens, i, "mod")

@@ -24,8 +24,8 @@ pub struct SourceFile {
     /// Which crate the file belongs to (`mgpu-net` → `net`; the facade's
     /// `src/` is `gpumr`).
     pub krate: String,
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
+    pub(crate) tokens: Vec<Token>,
+    pub(crate) comments: Vec<Comment>,
     /// `comments` with runs of consecutive line comments merged into one
     /// block, so a `// SAFETY: …` note that wraps onto a second line
     /// still counts as one comment adjacent to the line below it.
@@ -168,7 +168,7 @@ fn collect_test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
 
 /// Index of the `}` matching the `{` at `open` (or the last token if the
 /// file is truncated).
-pub fn match_brace(tokens: &[Token], open: usize) -> usize {
+pub(crate) fn match_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (k, t) in tokens.iter().enumerate().skip(open) {
         match t.tok {

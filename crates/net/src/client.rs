@@ -284,10 +284,9 @@ impl RenderClient {
         Ok(pong.shards)
     }
 
-    /// Render one frame, blocking until it is delivered. Unlike the old
-    /// strict request/response wire, concurrent `render` calls (from many
-    /// threads sharing this client) all proceed at once; replies are
-    /// matched by `request_id`. Admission shedding surfaces as a typed
+    /// Render one frame, blocking until it is delivered. Concurrent
+    /// `render` calls (from many threads sharing this client) all proceed
+    /// at once; replies are matched by `request_id`. Admission shedding surfaces as a typed
     /// [`ClientError::Admission`] — the server answers inline instead of
     /// parking the request (the one retry loop is `NodePool`'s).
     pub fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {

@@ -22,12 +22,12 @@
 //! or a render worker writes the waker byte, so an idle server costs zero
 //! wakeups (a unit test pins this down).
 //!
-//! Fault containment mirrors the old thread-per-connection server: a
-//! client that sends garbage gets a typed [`WireError`] echoed in a
-//! `BAD_REQUEST` frame and its connection closed; a v2 (or any
-//! wrong-version) client gets a typed `UNSUPPORTED_VERSION` reply and a
-//! clean close; a client that vanishes mid-request is reaped on the next
-//! readiness event. Other connections never notice any of it.
+//! Faults stay on the connection that caused them: a client that sends
+//! garbage gets a typed [`WireError`] echoed in a `BAD_REQUEST` frame and
+//! its connection closed; a v2 (or any wrong-version) client gets a typed
+//! `UNSUPPORTED_VERSION` reply and a clean close; a client that vanishes
+//! mid-request is reaped on the next readiness event. Other connections
+//! never notice any of it.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -335,7 +335,7 @@ impl ConnObs {
 
 /// One connection in the registry: socket, partial-frame reader, pending
 /// writes, and the session state (rate bucket, in-flight request ids,
-/// parked tickets) that used to live on a dedicated thread.
+/// parked tickets).
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,

@@ -958,6 +958,12 @@ pub const MAX_SHIPPED_VOXELS: u64 = 8 << 20;
 /// a render worker for hours; the repo itself only ever marches at 1.0.
 pub const MIN_STEP_VOXELS: f32 = 1.0 / 16.0;
 
+/// Largest cluster a request may ask for: 8× the paper's largest. A render
+/// runs `2·gpus − 1` roles at once on threads the executor keeps for the
+/// life of the process, so without a ceiling one well-formed request could
+/// leave a server holding thousands of parked threads.
+pub const MAX_GPUS: u32 = 256;
+
 impl VolumeSpec {
     /// Describe an in-process [`Volume`] for the wire: a named procedural
     /// dataset travels by `(name, base)` (the receiver regenerates it
@@ -1208,9 +1214,9 @@ impl NetSceneRequest {
     pub fn to_parts(
         &self,
     ) -> Result<(ClusterSpec, Volume, Scene, RenderConfig, Priority), WireError> {
-        if self.gpus == 0 || self.gpus_per_node == 0 {
+        if self.gpus == 0 || self.gpus > MAX_GPUS || self.gpus_per_node == 0 {
             return Err(WireError::Malformed(format!(
-                "cluster of {} GPUs, {} per node",
+                "cluster of {} GPUs, {} per node (1 to {MAX_GPUS} GPUs, at least 1 per node)",
                 self.gpus, self.gpus_per_node
             )));
         }

@@ -226,7 +226,9 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
 
 /// A well-formed request can still ask for unbounded work: samples per ray
 /// grow as `1 / step_voxels`, and a step of `1e-12` would pin a render
-/// worker for hours. The server door refuses it typed — before a
+/// worker for hours; every modeled GPU is two threads the executor keeps
+/// for the life of the process, and `u32::MAX` of them is a server that
+/// never comes back. The server door refuses both typed — before a
 /// rate-limit token is spent — and both the offending connection and a
 /// session opened beforehand carry on.
 #[test]
@@ -242,28 +244,33 @@ fn an_unbounded_march_is_refused_at_the_door() {
     let survivor = RenderClient::connect(server.addr()).expect("survivor connect");
 
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
-    for (id, step) in [(1, 1e-12), (2, 0.0), (3, f32::NAN)] {
+    type Spoil = fn(&mut NetSceneRequest);
+    let refusals: [(Spoil, &str); 5] = [
+        (|r| r.config.step_voxels = 1e-12, "ray-march step"),
+        (|r| r.config.step_voxels = 0.0, "ray-march step"),
+        (|r| r.config.step_voxels = f32::NAN, "ray-march step"),
+        (|r| r.gpus = wire::MAX_GPUS + 1, "GPUs"),
+        (|r| r.gpus = u32::MAX, "GPUs"),
+    ];
+    for (id, (spoil, why)) in (1u64..).zip(refusals) {
         let mut request = tiny_request(0.0);
-        request.config.step_voxels = step;
+        spoil(&mut request);
         write_frame(&mut raw, opcode::RENDER, id, &wire::encode(&request)).unwrap();
         let (op, echoed, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
-        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "step {step}");
+        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "{why}");
         let message: String = wire::decode(&payload).expect("error echo decodes");
-        assert!(
-            message.contains("ray-march step"),
-            "unexpected echo: {message}"
-        );
+        assert!(message.contains(why), "unexpected echo: {message}");
     }
     // Same connection, same bucket: the one token is still there.
     write_frame(
         &mut raw,
         opcode::RENDER,
-        4,
+        6,
         &wire::encode(&tiny_request(0.0)),
     )
     .unwrap();
     let (op, id, _) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 4));
+    assert_eq!((op, id), (opcode::FRAME, 6));
 
     let frame = survivor
         .render(&tiny_request(60.0))

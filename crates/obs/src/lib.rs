@@ -8,16 +8,15 @@
 //!
 //! Two halves:
 //!
-//! * **Metrics** — [`Counter`], [`Gauge`] and a log₂-bucket [`Histogram`]
-//!   (the generalization of serve's old `WaitHistogram`), all plain
-//!   relaxed atomics: recording is one `fetch_add`, never a lock. Metrics
-//!   live either as struct fields (a service's private stats) or in a
-//!   [`Registry`] — a name → metric table whose registration is a one-time
-//!   get-or-create under a short mutex; call sites cache the returned
-//!   `Arc` and the hot path touches only the atomic. [`Registry::snapshot`]
-//!   freezes every registered metric into a [`Snapshot`]: stable-sorted
-//!   keys, exact cross-node [`Snapshot::merge`] (counters and buckets
-//!   add), and [`Snapshot::to_json`] for the bench artifacts. A
+//! * **Metrics** — [`Counter`], [`Gauge`] and a log₂-bucket [`Histogram`],
+//!   all plain relaxed atomics: recording is one `fetch_add`, never a
+//!   lock. Metrics live either as struct fields (a service's private
+//!   stats) or in a [`Registry`] — a name → metric table whose
+//!   registration is a one-time get-or-create under a short mutex; call
+//!   sites cache the returned `Arc` and the hot path touches only the
+//!   atomic. [`Registry::snapshot`] freezes every registered metric into a
+//!   [`Snapshot`]: stable-sorted keys and exact cross-node
+//!   [`Snapshot::merge`] (counters and buckets add). A
 //!   [`Registry::scoped`] child gives one component (a render service)
 //!   its own snapshot while the process-wide [`global()`] registry still
 //!   reports the same events under the same names — each event is

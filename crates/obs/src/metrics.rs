@@ -252,45 +252,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
-
-    /// Stable-keyed JSON: counters and gauges verbatim, histograms as
-    /// `{count, p50_ns, p90_ns, p99_ns}` summaries. Keys appear in sorted
-    /// order, so two snapshots with the same contents render byte-equal —
-    /// trend tooling can diff exports with ordinary text tools.
-    pub fn to_json(&self) -> String {
-        fn obj<T>(
-            out: &mut String,
-            key: &str,
-            entries: &[(String, T)],
-            one: impl Fn(&T) -> String,
-        ) {
-            out.push_str(&format!("  \"{key}\": {{"));
-            for (i, (name, v)) in entries.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str(&format!("    \"{name}\": {}", one(v)));
-            }
-            if !entries.is_empty() {
-                out.push_str("\n  ");
-            }
-            out.push('}');
-        }
-        let mut out = String::from("{\n");
-        obj(&mut out, "counters", &self.counters, |v| v.to_string());
-        out.push_str(",\n");
-        obj(&mut out, "gauges", &self.gauges, |v| v.to_string());
-        out.push_str(",\n");
-        obj(&mut out, "histograms", &self.histograms, |b| {
-            format!(
-                "{{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}",
-                b.iter().sum::<u64>(),
-                quantile(b, 0.5).as_nanos(),
-                quantile(b, 0.9).as_nanos(),
-                quantile(b, 0.99).as_nanos()
-            )
-        });
-        out.push_str("\n}");
-        out
-    }
 }
 
 #[derive(Debug, Default)]
@@ -553,32 +514,11 @@ mod tests {
         assert_eq!(a.gauge("depth"), Some(2));
         let merged = a.histogram("wait").unwrap();
         assert_eq!((merged[4], merged[9]), (7, 1));
+        // Names stay sorted whatever the insertion order.
+        a.add_counter("a.first", 1);
+        let names: Vec<&str> = a.counters().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a.first", "frames", "only_b"]);
         assert!(!a.is_empty());
         assert!(Snapshot::new().is_empty());
-    }
-
-    #[test]
-    fn json_is_stable_keyed() {
-        let mut snap = Snapshot::new();
-        // Insert out of order: the export must still be sorted.
-        snap.add_counter("z.last", 1);
-        snap.add_counter("a.first", 2);
-        let mut hist = [0u64; HIST_BUCKETS];
-        hist[9] = 10;
-        snap.add_histogram("wait_ns", &hist);
-        let json = snap.to_json();
-        let a = json.find("a.first").unwrap();
-        let z = json.find("z.last").unwrap();
-        assert!(a < z, "keys sorted");
-        assert!(json.contains("\"count\": 10"));
-        assert!(json.contains("\"p50_ns\": 1024"));
-        // Same contents, different insertion order: byte-equal export.
-        let mut again = Snapshot::new();
-        again.add_counter("a.first", 2);
-        again.add_counter("z.last", 1);
-        again.add_histogram("wait_ns", &hist);
-        assert_eq!(json, again.to_json());
-        // Empty maps render as valid JSON too.
-        assert!(Snapshot::new().to_json().contains("\"counters\": {}"));
     }
 }

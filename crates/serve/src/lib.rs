@@ -63,9 +63,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver};
 use mgpu_obs::names;
 use mgpu_obs::{Registry, Snapshot, Trace};
+use std::sync::mpsc::{sync_channel, Receiver};
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
@@ -217,15 +217,16 @@ impl FrameTicket {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads rendering frames (each render additionally spawns its
-    /// own mapper/reducer threads, so a few workers saturate a host).
+    /// Worker threads rendering frames (each render additionally runs its
+    /// mappers and reducers on `mgpu_gpu::exec`'s parked threads, so a few
+    /// workers saturate a host).
     pub workers: usize,
     /// Max frames per batch; 1 disables batching.
     pub max_batch: usize,
     /// Frame-cache capacity in frames; 0 disables the cache.
     pub cache_frames: usize,
     /// Cross-batch plan-cache capacity in plans; 0 disables cross-batch
-    /// reuse (every batch re-bricks and re-stages, PR 2 behaviour).
+    /// reuse (every batch re-bricks and re-stages).
     pub plan_cache_plans: usize,
     /// Per-priority admission bounds on queue depth (default: unbounded).
     /// Must shed lower priorities first: `batch ≤ normal ≤ interactive`.
@@ -294,7 +295,7 @@ impl ServiceInner {
 
     pub(crate) fn submit(self: &Arc<Self>, request: SceneRequest) -> FrameTicket {
         self.assert_open();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         if let Some(frame) = self.cached_hit(&request) {
             tx.send(Ok(frame)).expect("fresh ticket channel");
             return FrameTicket { rx, seq: None };
@@ -311,7 +312,7 @@ impl ServiceInner {
         self: &Arc<Self>,
         request: SceneRequest,
     ) -> Result<FrameTicket, AdmissionError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let seq = self.try_admit(request, Reply::channel(tx), local_trace())?;
         Ok(FrameTicket { rx, seq })
     }

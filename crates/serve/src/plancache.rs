@@ -1,8 +1,8 @@
 //! The cross-batch plan cache: a bounded LRU from [`BatchKey`] to shared
 //! [`FramePlan`]s.
 //!
-//! PR 2's batching amortized bricking and staging *within* one batch; this
-//! cache amortizes them *across* batches: consecutive batches of the same
+//! Batching amortizes bricking and staging *within* one batch; this cache
+//! amortizes them *across* batches: consecutive batches of the same
 //! (cluster, volume, config) reuse the bricking and — more importantly — the
 //! warm shared [`mgpu_voldata::BrickStore`] behind it, so a steady stream of
 //! same-volume traffic stages each brick once for the lifetime of the cache
@@ -27,11 +27,11 @@ use crate::batch::BatchKey;
 use crate::cache::LruCache;
 
 /// Bounded LRU over shared frame plans. `capacity` is in plans; zero
-/// disables cross-batch reuse (every batch builds its own plan, PR 2
-/// behaviour). Eviction drops the `Arc`, so plans still in use by an
-/// in-flight batch stay alive until that batch finishes. Racing workers
-/// may both prepare and insert a plan; last one wins, both render
-/// correctly (plans for equal keys are interchangeable).
+/// disables cross-batch reuse (every batch builds its own plan). Eviction
+/// drops the `Arc`, so plans still in use by an in-flight batch stay alive
+/// until that batch finishes. Racing workers may both prepare and insert a
+/// plan; last one wins, both render correctly (plans for equal keys are
+/// interchangeable).
 pub(crate) type PlanCache = LruCache<BatchKey, Arc<FramePlan>>;
 
 // A cached plan is handed to whichever worker thread renders the next batch:

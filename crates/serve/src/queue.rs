@@ -23,8 +23,8 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
 use mgpu_obs::{Gauge, Trace};
+use std::sync::mpsc::SyncSender;
 
 use crate::batch::BatchKey;
 use crate::{FrameError, FrameResult, SceneRequest};
@@ -38,7 +38,7 @@ use crate::{FrameError, FrameResult, SceneRequest};
 pub struct Reply(ReplyKind);
 
 enum ReplyKind {
-    Channel(Sender<FrameResult>),
+    Channel(SyncSender<FrameResult>),
     /// `Option` so delivery can move the closure out; if the job is dropped
     /// without delivering, `Drop` fires the hook with [`FrameError::lost`]
     /// so a front-end waiting on the completion never hangs.
@@ -46,8 +46,8 @@ enum ReplyKind {
 }
 
 impl Reply {
-    /// Deliver through a bounded(1) ticket channel.
-    pub fn channel(tx: Sender<FrameResult>) -> Reply {
+    /// Deliver through a one-slot ticket channel.
+    pub fn channel(tx: SyncSender<FrameResult>) -> Reply {
         Reply(ReplyKind::Channel(tx))
     }
 
@@ -465,7 +465,7 @@ mod tests {
 
     fn push(q: &JobQueue, priority: Priority, key: &str) -> u64 {
         // The receiver drops immediately: queue tests never send replies.
-        let (tx, _rx) = crossbeam::channel::bounded(1);
+        let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         q.push(
             request(priority),
             BatchKey::synthetic(key),
@@ -475,7 +475,7 @@ mod tests {
     }
 
     fn try_push(q: &JobQueue, priority: Priority, key: &str) -> Result<u64, AdmissionError> {
-        let (tx, _rx) = crossbeam::channel::bounded(1);
+        let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         q.try_push(
             request(priority),
             BatchKey::synthetic(key),

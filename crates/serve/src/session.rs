@@ -20,9 +20,8 @@ use crate::SceneRequest;
 
 /// A client's view of a backend, pre-bound to cluster + volume + config.
 /// Obtained from [`RenderBackend::session`]; borrows the backend, so the
-/// backend cannot be shut down while sessions are still live (a class of
-/// use-after-shutdown bugs the old `Arc`-based session turned into runtime
-/// panics is now a compile error).
+/// backend cannot be shut down while sessions are still live
+/// (use-after-shutdown is a compile error, not a runtime panic).
 pub struct SceneSession<'a, B: RenderBackend + ?Sized> {
     backend: &'a B,
     spec: ClusterSpec,
@@ -34,8 +33,7 @@ pub struct SceneSession<'a, B: RenderBackend + ?Sized> {
 
 /// A submitted frame bound to the backend that issued it: redeem with
 /// [`SessionTicket::wait`] (panics on failure) or
-/// [`SessionTicket::wait_result`]. The in-backend ticket can be taken out
-/// with [`SessionTicket::into_ticket`] to redeem manually.
+/// [`SessionTicket::wait_result`].
 pub struct SessionTicket<'a, B: RenderBackend + ?Sized> {
     backend: &'a B,
     ticket: B::Ticket,
@@ -55,12 +53,6 @@ impl<'a, B: RenderBackend + ?Sized> SessionTicket<'a, B> {
     /// panicking.
     pub fn wait_result(self) -> Result<BackendFrame, BackendError> {
         self.backend.redeem(self.ticket)
-    }
-
-    /// Unwrap the backend-native ticket (for manual redemption through
-    /// [`RenderBackend::redeem`]).
-    pub fn into_ticket(self) -> B::Ticket {
-        self.ticket
     }
 }
 

@@ -32,7 +32,7 @@ fn request(priority: Priority) -> SceneRequest {
 }
 
 fn push(q: &JobQueue, priority: Priority, key: u32) -> u64 {
-    let (tx, _rx) = crossbeam::channel::bounded(1);
+    let (tx, _rx) = std::sync::mpsc::sync_channel(1);
     q.push(
         request(priority),
         BatchKey::synthetic(key),
@@ -186,7 +186,7 @@ proptest! {
                     continue;
                 }
             };
-            let (tx, _rx) = crossbeam::channel::bounded(1);
+            let (tx, _rx) = std::sync::mpsc::sync_channel(1);
             let outcome =
                 q.try_push(
                 request(priority),

@@ -1,9 +1,7 @@
 //! Baselines: an independent reference ray caster (correctness oracle) and a
 //! ParaView-class CPU-cluster model (the paper's footnote-1 comparison).
 
-use mgpu_cluster::ClusterSpec;
 use mgpu_gpu::{launch, LaunchConfig, Texture3D};
-use mgpu_sim::SimDuration;
 use mgpu_voldata::Volume;
 
 use crate::camera::Scene;
@@ -39,10 +37,7 @@ pub fn reference_render(volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> I
         step: cfg.step_voxels,
         early_term: cfg.early_term,
     };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let out = launch(&kernel, LaunchConfig::cover(width, height), parallelism);
+    let out = launch(&kernel, LaunchConfig::cover(width, height));
 
     let mut img = Image::filled(width, height, composite_sorted(&[], scene.background));
     for (key, frag) in out.outputs {
@@ -76,32 +71,7 @@ impl ParaViewClassBaseline {
     pub fn vps_per_process(&self) -> f64 {
         self.total_vps / self.processes as f64
     }
-
-    /// Modeled frame time for a volume, assuming linear process scaling.
-    pub fn frame_time(&self, voxels: u64, processes: u32) -> SimDuration {
-        let vps = self.vps_per_process() * processes as f64;
-        SimDuration::from_secs_f64(voxels as f64 / vps)
-    }
 }
-
-/// Convenience: VPS of a cluster spec rendering `voxels` in `runtime`.
-pub fn vps(voxels: u64, runtime: SimDuration) -> f64 {
-    let s = runtime.as_secs_f64();
-    if s > 0.0 {
-        voxels as f64 / s
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// The footnote's headline check: does `spec` with a measured `runtime` beat
-/// the ParaView baseline by the paper's ">2×" margin?
-pub fn beats_paraview_2x(voxels: u64, runtime: SimDuration) -> bool {
-    vps(voxels, runtime) > 2.0 * ParaViewClassBaseline::moreland_cray_xt3().total_vps
-}
-
-/// Unused import guard (ClusterSpec appears in doc examples).
-const _: fn(&ClusterSpec) -> u32 = |s| s.gpus;
 
 #[cfg(test)]
 mod tests {
@@ -123,16 +93,5 @@ mod tests {
         let pv = ParaViewClassBaseline::moreland_cray_xt3();
         assert_eq!(pv.processes, 512);
         assert!((pv.vps_per_process() - 675_781.25).abs() < 1.0);
-        // A 1024³ volume at 512 processes: ~3.1 s.
-        let t = pv.frame_time(1 << 30, 512).as_secs_f64();
-        assert!((t - 3.103).abs() < 0.01, "{t}");
-    }
-
-    #[test]
-    fn two_x_margin_check() {
-        // 1.07 G voxels in 1 s ≈ 1.07 G VPS > 2 × 346 M ✓
-        assert!(beats_paraview_2x(1 << 30, SimDuration::from_millis(1000)));
-        // …but not in 4 s.
-        assert!(!beats_paraview_2x(1 << 30, SimDuration::from_millis(4000)));
     }
 }

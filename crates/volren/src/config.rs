@@ -130,21 +130,29 @@ impl RenderConfig {
         }
     }
 
-    /// Resolve kernel parallelism: split available cores across GPUs.
+    /// Resolve kernel parallelism: an explicit count, at most the host's
+    /// cores (the field arrives verbatim off the wire, every block worker is
+    /// a thread the executor then keeps, and more threads than cores buy
+    /// nothing); `0` splits the cores across GPUs.
     pub fn resolved_kernel_parallelism(&self, gpus: u32) -> usize {
+        let cores = host_cores();
         if self.kernel_parallelism > 0 {
-            return self.kernel_parallelism;
+            return self.kernel_parallelism.min(cores);
         }
-        // Asked once per process: on Linux the answer is an affinity syscall
-        // plus cgroup file reads, and this runs on every frame.
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
         (cores / (gpus as usize).min(cores)).max(1)
     }
+}
+
+/// Asked once per process: on Linux the answer is an affinity syscall plus
+/// cgroup file reads, and [`RenderConfig::resolved_kernel_parallelism`] runs
+/// on every frame.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]
@@ -183,7 +191,9 @@ mod tests {
             kernel_parallelism: 3,
             ..RenderConfig::default()
         };
-        assert_eq!(c.resolved_kernel_parallelism(8), 3);
+        assert_eq!(c.resolved_kernel_parallelism(8), host_cores().min(3));
+        c.kernel_parallelism = usize::MAX;
+        assert_eq!(c.resolved_kernel_parallelism(8), host_cores());
         c.kernel_parallelism = 0;
         assert!(c.resolved_kernel_parallelism(1) >= 1);
         assert!(c.resolved_kernel_parallelism(64) >= 1);

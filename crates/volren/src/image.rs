@@ -52,10 +52,6 @@ impl Image {
         self.height
     }
 
-    pub fn pixel_count(&self) -> usize {
-        self.pixels.len()
-    }
-
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> [f32; 4] {
         self.pixels[(y * self.width + x) as usize]

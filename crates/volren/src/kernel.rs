@@ -885,7 +885,7 @@ mod tests {
     }
 
     fn run_kernel(kernel: &RayCastKernel<'_>, w: u32, h: u32) -> Vec<(Key, Fragment)> {
-        let out = launch(kernel, LaunchConfig::cover(w, h), 1);
+        let out = launch(kernel, LaunchConfig::cover(w, h));
         out.outputs
     }
 
@@ -968,12 +968,12 @@ mod tests {
             step: 1.0,
             early_term: 1.1,
         };
-        let no_et = launch(&base, LaunchConfig::cover(32, 32), 1).stats;
+        let no_et = launch(&base, LaunchConfig::cover(32, 32)).stats;
         let with_et = RayCastKernel {
             early_term: 0.95,
             ..base
         };
-        let et = launch(&with_et, LaunchConfig::cover(32, 32), 1).stats;
+        let et = launch(&with_et, LaunchConfig::cover(32, 32)).stats;
         assert!(
             et.total_samples < no_et.total_samples,
             "ET must cut samples: {} vs {}",
@@ -1224,7 +1224,7 @@ mod tests {
         pairs.lanes = false;
         let wide = run_blocks(kernel, &decided, cfg);
         let narrow = run_blocks(kernel, &pairs, cfg);
-        let oracle = launch(kernel, cfg, 1);
+        let oracle = launch(kernel, cfg);
 
         for (i, (key, frag)) in oracle.outputs.iter().enumerate() {
             if wide.keys[i] != *key || narrow.keys[i] != *key {

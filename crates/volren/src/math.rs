@@ -38,14 +38,6 @@ impl Vec3 {
         self / l
     }
 
-    pub fn min_elem(self, o: Vec3) -> Vec3 {
-        vec3(self.x.min(o.x), self.y.min(o.y), self.z.min(o.z))
-    }
-
-    pub fn max_elem(self, o: Vec3) -> Vec3 {
-        vec3(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
-    }
-
     pub fn get(self, axis: usize) -> f32 {
         match axis {
             0 => self.x,
@@ -114,10 +106,7 @@ mod tests {
     #[test]
     fn elementwise_and_axis() {
         let a = vec3(1.0, 5.0, 3.0);
-        let b = vec3(2.0, 4.0, 6.0);
-        assert_eq!(a.min_elem(b), vec3(1.0, 4.0, 3.0));
-        assert_eq!(a.max_elem(b), vec3(2.0, 5.0, 6.0));
-        assert_eq!(a.get(1), 5.0);
+        assert_eq!([a.get(0), a.get(1), a.get(2)], [1.0, 5.0, 3.0]);
     }
 
     #[test]

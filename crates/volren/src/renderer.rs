@@ -377,6 +377,18 @@ mod tests {
         assert!(out.report.bricks >= 4);
     }
 
+    /// The paper's restriction #1, where it is enforced: a device too small
+    /// for even a one-voxel brick's ghost shell (3³ · 4 = 108 bytes) refuses
+    /// the plan instead of staging a brick that could not be resident.
+    #[test]
+    #[should_panic(expected = "cannot fit device VRAM")]
+    fn a_brick_that_cannot_fit_vram_refuses_the_plan() {
+        let volume = Dataset::Skull.volume(8);
+        let mut spec = ClusterSpec::accelerator_cluster(1);
+        spec.device.vram_bytes = 64;
+        FramePlan::prepare(&spec, &volume, &RenderConfig::test_size(8));
+    }
+
     #[test]
     fn deterministic_across_runs() {
         let a = quick_render(4, 32, 64);

@@ -57,7 +57,7 @@ fn full_image_launch_agrees_and_actually_hits() {
         early_term: 0.97,
     };
     let config = LaunchConfig::cover(96, 96);
-    let scalar = launch(&kernel, config, 1);
+    let scalar = launch(&kernel, config);
     let batched = launch_blocks(&kernel, config, 2);
     assert_eq!(scalar.stats, batched.stats);
     let mut hits = 0usize;
@@ -116,7 +116,7 @@ proptest! {
         };
 
         let config = LaunchConfig::cover(launch_w, launch_h);
-        let scalar = launch(&kernel, config, 1);
+        let scalar = launch(&kernel, config);
         let batched = launch_blocks(&kernel, config, parallelism);
 
         prop_assert_eq!(scalar.outputs.len(), batched.keys.len());

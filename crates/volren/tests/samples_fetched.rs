@@ -84,7 +84,7 @@ fn fetched_samples_repeat_exactly_and_undercut_the_charged_total() {
             step: STEP,
             early_term: EARLY_TERM,
         };
-        oracle.merge(&launch(&kernel, LaunchConfig::cover(x1 - x0, y1 - y0), 1).stats);
+        oracle.merge(&launch(&kernel, LaunchConfig::cover(x1 - x0, y1 - y0)).stats);
     }
     assert_eq!(fetched(), before, "the scalar path does not count");
 

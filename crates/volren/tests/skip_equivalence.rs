@@ -83,7 +83,7 @@ fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String>
         early_term: shot.early_term,
     };
     let config = LaunchConfig::cover(x1 - x0, y1 - y0);
-    let scalar = launch(&kernel, config, 1);
+    let scalar = launch(&kernel, config);
     let batched = launch_blocks(&kernel, config, shot.parallelism);
 
     let mut hits = 0;

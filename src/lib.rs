@@ -5,7 +5,8 @@
 //! cluster. This facade crate re-exports the public API of the workspace:
 //!
 //! * [`sim`] — discrete-event simulation engine and cost models;
-//! * [`gpu`] — the software GPU (textures, VRAM, grid/block kernels, PCIe);
+//! * [`gpu`] — the software GPU (textures, grid/block kernels, the
+//!   parked-thread executor, device cost model);
 //! * [`cluster`] — cluster topology, disks and the interconnect;
 //! * [`mapreduce`] — the paper's streaming multi-GPU MapReduce library;
 //! * [`voldata`] — procedural volume datasets and the out-of-core brick store;
