@@ -2,8 +2,9 @@
 //! against the comparison sort it replaces (the §3.1.2 θ(n) claim), the
 //! partition strategies, trilinear texture sampling, fragment compositing,
 //! value noise, the DES replay itself, one ray-march launch with and
-//! without macrocells, a 256² frame through the wire codec, and the fixed
-//! cost of a `run_job` that maps nothing.
+//! without macrocells, a 256² frame through the wire codec, the fixed
+//! cost of a `run_job` that maps nothing, and an out-of-core brick miss with
+//! and without its macrocell table kept.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -19,7 +20,9 @@ use mgpu_mapreduce::{
 use mgpu_net::wire::{decode_frame, encode_frame, opcode, write_frame_view};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
 use mgpu_voldata::noise::{fbm, value_noise};
-use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset};
+use mgpu_voldata::{
+    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume, VolumeSource,
+};
 use mgpu_volren::composite::{composite_unsorted, over};
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
@@ -372,6 +375,53 @@ fn bench_job(c: &mut Criterion) {
     g.finish();
 }
 
+/// `plume_outofcore`'s miss: `BrickStore::get` of a 128×128×64 brick of a
+/// plume baked to a page-cached file — 130×130×66 voxels with its ghost
+/// shell — staged into a dead brick's buffer. The two bricks of a 128³ plume
+/// take turns under a budget of one brick plus room for one table
+/// (`first_miss`: the other brick's table has to go, so every miss builds
+/// its table again) or two (`re_miss`: both stay, so every miss reads the
+/// voxels and nothing else).
+fn bench_stage(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stage");
+    g.sample_size(20);
+    let dims = [128, 128, 128];
+    let plume = Dataset::Plume;
+    let procedural = Volume::procedural(plume.name(), dims, plume.seed(), plume.field());
+    let path = std::env::temp_dir().join(format!("mgpu_micro_ops_{}.vol", std::process::id()));
+    io::write_volume(&path, dims, &procedural.materialize_full()).expect("baking the plume");
+    let volume = Volume {
+        meta: procedural.meta,
+        source: VolumeSource::File(path.clone()),
+    };
+    let grid = BrickGrid::subdivide(
+        dims,
+        &BrickPolicy {
+            min_bricks: 2,
+            max_brick_voxels: u64::MAX,
+        },
+    );
+    let store_dims = grid.brick(0).size.map(|s| s as usize + 2);
+    assert_eq!(store_dims, [130, 130, 66], "plume_outofcore's brick");
+    let voxel_bytes = (store_dims.iter().product::<usize>() * 4) as u64;
+    let table_bytes = MacroCells::bytes_for(store_dims);
+
+    for (name, tables) in [("first_miss", 1), ("re_miss", 2)] {
+        let budget = voxel_bytes + tables * table_bytes;
+        let store = BrickStore::new(volume.clone(), grid.clone(), 1, budget);
+        let mut id = 0;
+        g.bench_function(format!("plume_brick_{name}"), |b| {
+            b.iter(|| {
+                id ^= 1;
+                store.get(black_box(id))
+            })
+        });
+        assert_eq!(store.snapshot().hits, 0, "every get is a miss");
+    }
+    g.finish();
+    std::fs::remove_file(&path).ok();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -382,6 +432,7 @@ criterion_group!(
     bench_des,
     bench_march,
     bench_frame,
-    bench_job
+    bench_job,
+    bench_stage
 );
 criterion_main!(benches);

@@ -1,7 +1,9 @@
 //! The out-of-core brick store: materializes bricks (with ghost layers) on
 //! demand and caches them under a host-memory budget with LRU eviction.
-//! The same miss that materializes a brick's voxels builds its min/max
-//! [`MacroCells`], and both count against the budget.
+//! A brick's first miss also builds its min/max [`MacroCells`]; the store
+//! keeps that table after the voxels are evicted, so a later miss of the same
+//! brick reads its voxels and nothing else. Voxels and tables both count
+//! against the budget.
 //!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
@@ -40,7 +42,11 @@ pub struct BrickData {
 impl BrickData {
     /// Host bytes this brick holds: voxels plus macrocells.
     pub fn bytes(&self) -> u64 {
-        (self.voxels.len() * 4) as u64 + self.cells.bytes()
+        self.voxel_bytes() + self.cells.bytes()
+    }
+
+    fn voxel_bytes(&self) -> u64 {
+        (self.voxels.len() * 4) as u64
     }
 }
 
@@ -57,7 +63,8 @@ impl Drop for BrickData {
 /// Voxel allocations of dead bricks, kept for the next miss. An out-of-core
 /// frame frees and allocates every brick it touches; handed to `malloc`,
 /// multi-megabyte buffers alternate between trimmed and re-faulted, at a
-/// page fault per 4 KiB. Holds at most one budget's worth of bytes.
+/// page fault per 4 KiB. Holds at most one budget's worth of bytes, and frees
+/// every buffer it lets go of with [`release`].
 #[derive(Debug)]
 struct Spares {
     budget_bytes: u64,
@@ -70,7 +77,15 @@ impl Spares {
         let held: usize = buffers.iter().map(Vec::len).sum();
         if ((held + voxels.len()) * 4) as u64 <= self.budget_bytes {
             buffers.push(voxels);
+        } else {
+            drop(buffers);
+            release(voxels);
         }
+    }
+
+    fn clear(&self) {
+        let buffers = std::mem::take(&mut *self.buffers.lock());
+        buffers.into_iter().for_each(release);
     }
 
     /// A buffer of exactly `len` voxels: a spare with arbitrary contents, or
@@ -88,9 +103,29 @@ impl Spares {
         if spare.len() == len {
             spare
         } else {
+            release(spare);
             vec![0f32; len]
         }
     }
+}
+
+impl Drop for Spares {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+/// Free a voxel allocation by shrinking it to one voxel first. glibc maps a
+/// brick-sized buffer on its own until the first such mapping is freed, then
+/// raises its mmap threshold past it for good: from there on every buffer is
+/// carved from the malloc arena of whichever thread ran the miss, and a freed
+/// one stays resident there. Which threads had missed — a scheduling accident
+/// — then decided the process's resident set, by a brick per arena. A shrink
+/// unmaps the pages without counting as such a free (shrinking to zero would
+/// be one), so dead buffers go back to the system.
+fn release(mut voxels: Vec<f32>) {
+    voxels.clear();
+    voxels.shrink_to(1);
 }
 
 /// Cache statistics (monotonic counters).
@@ -126,13 +161,49 @@ impl StoreSnapshot {
     }
 }
 
+/// What the store holds of one staged brick.
+struct Entry {
+    /// The brick, while its voxels are resident.
+    brick: Option<Arc<BrickData>>,
+    /// Its min/max table, kept after the voxels are evicted: it is derived
+    /// from voxels that do not change for the store's lifetime.
+    cells: MacroCells,
+    /// When the brick was last served.
+    last: u64,
+}
+
 struct CacheInner {
-    entries: HashMap<usize, (Arc<BrickData>, u64)>,
-    /// Bytes of resident entries.
+    entries: HashMap<usize, Entry>,
+    /// Bytes held: every entry's table, plus resident voxels.
     bytes: u64,
     /// Bytes reserved by misses that are still materializing.
     in_flight: u64,
     tick: u64,
+}
+
+/// A miss's claim on the budget while it reads. Dropped on its own — the
+/// read panicked — it hands the bytes back, so a failed miss does not
+/// shrink the budget for good; [`Reservation::settle`] hands them back
+/// under the lock the insert then holds.
+struct Reservation<'a> {
+    inner: &'a Mutex<CacheInner>,
+    bytes: u64,
+}
+
+impl<'a> Reservation<'a> {
+    fn settle(self) -> MutexGuard<'a, CacheInner> {
+        let lock = self.inner;
+        let mut inner = lock.lock();
+        inner.in_flight -= self.bytes;
+        std::mem::forget(self);
+        inner
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.inner.lock().in_flight -= self.bytes;
+    }
 }
 
 /// Thread-safe brick cache over a volume + brick grid.
@@ -147,10 +218,14 @@ pub struct BrickStore {
 }
 
 impl BrickStore {
-    /// `budget_bytes` bounds cached brick data (voxels and macrocells); a
-    /// single brick larger than the budget is still materialized (and evicted
-    /// as soon as another arrives). Voxel buffers of dead bricks are kept for
-    /// reuse, up to the same number of bytes again.
+    /// `budget_bytes` bounds cached brick data: resident voxels, plus one
+    /// macrocell table per brick staged so far. Eviction takes least recently
+    /// used voxels first and tables of non-resident bricks only once no
+    /// voxels are left to take. A single brick larger than the budget is
+    /// still materialized (and evicted as soon as another arrives). Voxel
+    /// buffers of dead bricks are kept for reuse, up to the same number of
+    /// bytes again. `volume` must not change while the store lives: resident
+    /// bricks and kept tables are never re-validated against it.
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),
@@ -194,7 +269,12 @@ impl BrickStore {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some((data, last)) = inner.entries.get_mut(&id) {
+        if let Some(Entry {
+            brick: Some(data),
+            last,
+            ..
+        }) = inner.entries.get_mut(&id)
+        {
             *last = tick;
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(data);
@@ -206,25 +286,34 @@ impl BrickStore {
     /// in-flight + this brick fits the budget, so the budget also holds
     /// *while* bricks are being read, not only between accesses. It never
     /// waits for room — with nothing left to evict the brick is served anyway.
+    /// A brick staged before reserves and reads its voxels only, and is
+    /// served with the table its first miss built.
     fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
         let info = self.grid.brick(id);
         let g = self.ghost;
         let store_origin = info.origin.map(|o| o as i64 - g as i64);
         let store_dims = info.size.map(|s| (s + 2 * g) as usize);
         let voxel_bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
-        let bytes = voxel_bytes + MacroCells::bytes_for(store_dims);
+        let kept = inner.entries.get(&id).map(|e| e.cells.clone());
+        let bytes = match kept {
+            Some(_) => voxel_bytes,
+            None => voxel_bytes + MacroCells::bytes_for(store_dims),
+        };
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;
         drop(inner);
+        let reservation = Reservation {
+            inner: &self.inner,
+            bytes,
+        };
 
         // Materialize outside the lock: concurrent misses may duplicate work
-        // but never block each other on voxel synthesis. (A panic in here
-        // leaks the reservation, which only makes later misses evict more.)
+        // but never block each other on voxel synthesis.
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let mut voxels = self.spares.take(store_dims.iter().product());
         self.volume
             .materialize_clamped_into(store_origin, store_dims, &mut voxels);
-        let cells = MacroCells::build(&voxels, store_dims);
+        let cells = kept.unwrap_or_else(|| MacroCells::build(&voxels, store_dims));
         let data = Arc::new(BrickData {
             info,
             ghost: g,
@@ -234,51 +323,75 @@ impl BrickStore {
             cells,
             spares: Arc::clone(&self.spares),
         });
-        debug_assert_eq!(data.bytes(), bytes);
+        debug_assert_eq!(data.cells.bytes(), MacroCells::bytes_for(store_dims));
         // Voxel bytes only: this counter is the volume data read or
         // synthesized, which the cells are derived from, not part of.
         self.stats
             .bytes_materialized
             .fetch_add(voxel_bytes, Ordering::Relaxed);
 
-        let mut inner = self.inner.lock();
+        let mut guard = reservation.settle();
+        let inner = &mut *guard;
         inner.tick += 1;
-        let tick = inner.tick;
-        inner.in_flight -= bytes;
-        inner.bytes += bytes;
-        if let Some((twin, _)) = inner.entries.insert(id, (Arc::clone(&data), tick)) {
-            inner.bytes -= twin.bytes(); // racing miss: replaced a twin entry
+        let entry = inner.entries.entry(id).or_insert_with(|| {
+            // A first miss, or one whose table went while it read.
+            inner.bytes += data.cells.bytes();
+            Entry {
+                brick: None,
+                cells: data.cells.clone(),
+                last: 0,
+            }
+        });
+        entry.last = inner.tick;
+        inner.bytes += voxel_bytes;
+        if let Some(twin) = entry.brick.replace(Arc::clone(&data)) {
+            inner.bytes -= twin.voxel_bytes(); // racing miss: replaced a twin
         }
         // Only misses that could not reserve (more in flight than the budget
         // holds) still have something to trim here.
-        self.evict_to_fit(&mut inner, 0, id);
+        self.evict_to_fit(inner, 0, id);
         data
     }
 
-    /// Evict least-recently-used entries (never `keep`) until resident +
-    /// in-flight + `incoming` bytes fit the budget or nothing else is left.
+    /// Evict (never `keep`) until held + in-flight + `incoming` bytes fit
+    /// the budget or nothing else is left: least-recently-used voxels first,
+    /// then, with no voxels left to take, the tables of non-resident bricks
+    /// in the same order.
     fn evict_to_fit(&self, inner: &mut CacheInner, incoming: u64, keep: usize) {
         while inner.bytes + inner.in_flight + incoming > self.budget_bytes {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != keep)
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(k, _)| *k);
-            let Some(k) = victim else { break };
-            let (old, _) = inner.entries.remove(&k).expect("victim is resident");
-            inner.bytes -= old.bytes();
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            let lru = |resident: bool| {
+                inner
+                    .entries
+                    .iter()
+                    .filter(|(k, e)| **k != keep && e.brick.is_some() == resident)
+                    .min_by_key(|(_, e)| e.last)
+                    .map(|(k, _)| *k)
+            };
+            let Some(k) = lru(true).or_else(|| lru(false)) else {
+                break;
+            };
+            let entry = inner.entries.get_mut(&k).expect("victim is held");
+            match entry.brick.take() {
+                Some(old) => {
+                    inner.bytes -= old.voxel_bytes();
+                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {
+                    inner.bytes -= entry.cells.bytes();
+                    inner.entries.remove(&k);
+                }
+            }
         }
     }
 
-    /// Drop all cached bricks and spare buffers (keeps statistics).
+    /// Drop all cached bricks, kept tables and spare buffers (keeps
+    /// statistics).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.bytes = 0;
         drop(inner);
-        self.spares.buffers.lock().clear();
+        self.spares.clear();
     }
 
     pub fn cached_bytes(&self) -> u64 {
@@ -385,14 +498,35 @@ mod tests {
         assert_eq!(s.snapshot().misses, before.misses + 1);
     }
 
+    /// Ids whose voxels are resident, and ids whose table is kept.
+    fn held(s: &BrickStore) -> (Vec<usize>, Vec<usize>) {
+        let inner = s.inner.lock();
+        let mut resident: Vec<usize> = inner
+            .entries
+            .iter()
+            .filter(|(_, e)| e.brick.is_some())
+            .map(|(k, _)| *k)
+            .collect();
+        let mut tables: Vec<usize> = inner.entries.keys().copied().collect();
+        resident.sort_unstable();
+        tables.sort_unstable();
+        (resident, tables)
+    }
+
+    fn bits(cells: &MacroCells) -> Vec<[u32; 2]> {
+        cells.ranges.iter().map(|r| r.map(f32::to_bits)).collect()
+    }
+
     #[test]
     fn macrocells_count_against_the_budget() {
         // Room for exactly two bricks' voxels: before cells were budgeted
-        // both stayed resident; now the second evicts the first.
+        // both stayed resident; now the second evicts the first — whose
+        // table stays, and is still paid for.
         let s = store(2 * VOXEL_BYTES);
         assert_eq!(s.get(0).bytes(), BRICK_BYTES);
         s.get(1);
-        assert_eq!(s.cached_bytes(), BRICK_BYTES);
+        assert_eq!(s.cached_bytes(), BRICK_BYTES + 64);
+        assert_eq!(held(&s), (vec![1], vec![0, 1]));
         let snap = s.snapshot();
         assert_eq!((snap.misses, snap.evictions), (2, 1));
         // The materialization counter keeps counting volume data only.
@@ -403,6 +537,102 @@ mod tests {
         s.get(1);
         assert_eq!(s.cached_bytes(), 2 * BRICK_BYTES);
         assert_eq!(s.snapshot().evictions, 0);
+    }
+
+    #[test]
+    fn a_re_missed_brick_reuses_its_table() {
+        let s = store(5_000); // barely one brick
+        let table = Arc::clone(&s.get(0).cells.ranges);
+        s.get(1); // evicts brick 0's voxels, keeps its table
+        let before = s.snapshot();
+        let again = s.get(0);
+        let after = s.snapshot().since(&before);
+        assert_eq!((after.misses, after.evictions), (1, 1));
+        assert_eq!(after.bytes_materialized, VOXEL_BYTES);
+        // The same table, and the one the re-read voxels would build.
+        assert!(Arc::ptr_eq(&again.cells.ranges, &table));
+        let rebuilt = MacroCells::build(&again.voxels, again.store_dims);
+        assert_eq!(bits(&again.cells), bits(&rebuilt));
+        // `clear` forgets it: the next miss builds a table of its own.
+        s.clear();
+        let fresh = s.get(0);
+        assert!(!Arc::ptr_eq(&fresh.cells.ranges, &table));
+        assert_eq!(bits(&fresh.cells), bits(&rebuilt));
+    }
+
+    #[test]
+    fn voxels_go_before_tables_and_tables_go_lru() {
+        // Two bricks and one spare table fit. Brick 3's miss needs 64 bytes
+        // more than evicting brick 1 frees; dropping table 0 would free
+        // them, but brick 2's voxels go first.
+        let s = store(2 * BRICK_BYTES + 64);
+        for id in [0, 1, 2] {
+            s.get(id);
+        }
+        assert_eq!(held(&s), (vec![1, 2], vec![0, 1, 2]));
+        s.get(3);
+        assert_eq!(held(&s), (vec![3], vec![0, 1, 2, 3]));
+        assert_eq!(s.snapshot().evictions, 3);
+
+        // One brick and two more tables: too small for all of them.
+        let s = store(BRICK_BYTES + 2 * 64);
+        for id in [0, 1, 2] {
+            s.get(id);
+        }
+        assert_eq!(held(&s), (vec![2], vec![0, 1, 2]));
+        // A known brick's miss reserves voxels only: no table goes.
+        s.get(0);
+        assert_eq!(held(&s), (vec![0], vec![0, 1, 2]));
+        // A new one's needs a table more than evicting brick 0 frees. Table
+        // 1 goes: least recently used, since brick 0 was used after it.
+        s.get(3);
+        assert_eq!(held(&s), (vec![3], vec![0, 2, 3]));
+        s.get(4);
+        assert_eq!(held(&s), (vec![4], vec![0, 3, 4]));
+        assert_eq!(s.cached_bytes(), BRICK_BYTES + 2 * 64);
+        // Dropping a table is not an eviction: those count voxels.
+        assert_eq!(s.snapshot().evictions, 5);
+    }
+
+    #[test]
+    fn a_panicking_miss_returns_its_reservation() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+
+        // Once armed, the field's next sample panics: a brick whose read
+        // fails, as a truncated volume file's would.
+        let armed = StdArc::new(AtomicBool::new(false));
+        let field = {
+            let armed = StdArc::clone(&armed);
+            move |x: f32, _y: f32, _z: f32| {
+                assert!(!armed.swap(false, Ordering::Relaxed), "unreadable brick");
+                x
+            }
+        };
+        let budget = 3 * BRICK_BYTES;
+        let s = store_over(StdArc::new(field), budget);
+        let fresh = store(budget);
+        for id in [0, 1] {
+            s.get(id);
+            fresh.get(id);
+        }
+        let before = s.cached_bytes();
+
+        armed.store(true, Ordering::Relaxed);
+        assert!(catch_unwind(AssertUnwindSafe(|| s.get(2))).is_err());
+        assert_eq!(s.inner.lock().in_flight, 0);
+        assert_eq!(s.cached_bytes(), before);
+        assert_eq!(held(&s), (vec![0, 1], vec![0, 1]), "no table for brick 2");
+
+        // Every later miss evicts what the same misses on a store that never
+        // failed evict.
+        for id in [2, 3, 4, 0, 5] {
+            s.get(id);
+            fresh.get(id);
+            assert_eq!(s.snapshot().evictions, fresh.snapshot().evictions);
+            assert_eq!(held(&s), held(&fresh));
+            assert_eq!(s.cached_bytes(), fresh.cached_bytes());
+        }
     }
 
     #[test]
@@ -444,10 +674,7 @@ mod tests {
         s.get(1);
         s.get(0); // brick 0 now most recent; 1 is the LRU victim
         s.get(2);
-        let inner_has = |id: usize| s.inner.lock().entries.contains_key(&id);
-        assert!(inner_has(0));
-        assert!(inner_has(2));
-        assert!(!inner_has(1));
+        assert_eq!(held(&s).0, [0, 2]);
     }
 
     #[test]
@@ -518,6 +745,6 @@ mod tests {
                 });
             }
         });
-        assert!(s.cached_bytes() <= 8_000 || s.inner.lock().entries.len() == 1);
+        assert!(s.cached_bytes() <= 8_000 || held(&s).0.len() == 1);
     }
 }

@@ -14,8 +14,9 @@
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
 //!   layers (the out-of-core path);
-//! * [`macrocell`] — the min/max table a miss builds beside the voxels, so
-//!   the renderer can skip space the transfer function makes empty;
+//! * [`macrocell`] — the min/max table a brick's first miss builds beside
+//!   the voxels (and the store keeps across eviction), so the renderer can
+//!   skip space the transfer function makes empty;
 //! * [`stats`] — streaming volume statistics.
 
 #![forbid(unsafe_code)]

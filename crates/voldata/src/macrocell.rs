@@ -1,8 +1,9 @@
 //! Min/max macrocells over a stored (ghosted) brick array — the data half
 //! of empty-space skipping. The renderer classifies each cell's value range
 //! against the transfer function and jumps rays over the cells that cannot
-//! contribute; this module only records the ranges, once, in the same miss
-//! that materializes the voxels.
+//! contribute; this module only records the ranges, once per brick per
+//! [`BrickStore`](crate::BrickStore): its first miss builds the table, and
+//! the store keeps it across eviction for every later miss of that brick.
 //!
 //! A cell is a cube of `edge` trilinear **base indices** per axis, not of
 //! voxels. A sample at stored position `p` blends the voxels `b` and `b + 1`

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mgpu_voldata::{io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource};
+use mgpu_voldata::{
+    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume, VolumeSource,
+};
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
     (2u32..40, 2u32..40, 2u32..40).prop_map(|(x, y, z)| [x, y, z])
@@ -62,6 +64,10 @@ impl Drop for Baked {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
+}
+
+fn cell_bits(cells: &MacroCells) -> Vec<[u32; 2]> {
+    cells.ranges.iter().map(|r| r.map(f32::to_bits)).collect()
 }
 
 proptest! {
@@ -163,24 +169,35 @@ proptest! {
         }
     }
 
+    /// Also: whether a miss builds its brick's table or reuses the one an
+    /// earlier miss built, the table is the one its voxels give.
     #[test]
     fn store_budget_is_respected_after_every_access(
         budget_bricks in 1u64..5,
         accesses in prop::collection::vec(0usize..8, 1..40),
+        source in 0usize..3,
     ) {
         let dims = [8u32, 8, 8];
-        let vol = Volume::in_memory("p", dims, vec![0.5; 512]);
+        let procedural = Volume::procedural("p", dims, 0, Dataset::Plume.field());
+        let baked = Baked::new(&procedural, "budget");
+        let vol = match source {
+            0 => procedural,
+            1 => Volume::in_memory("p", dims, procedural.materialize_full()),
+            _ => baked.volume.clone(),
+        };
         let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks: 8, max_brick_voxels: u64::MAX });
         // Brick with ghost = 6³ × 4 B of voxels + one 8 B macrocell.
         let brick_bytes = 864 + 8;
         let store = BrickStore::new(vol, grid, 1, budget_bricks * brick_bytes);
         for &id in &accesses {
-            let _ = store.get(id);
+            let b = store.get(id);
             prop_assert!(
                 store.cached_bytes() <= budget_bricks.max(1) * brick_bytes,
                 "cache over budget: {}",
                 store.cached_bytes()
             );
+            let fresh = MacroCells::build(&b.voxels, b.store_dims);
+            prop_assert_eq!(cell_bits(&b.cells), cell_bits(&fresh), "brick {}", id);
         }
     }
 }

@@ -3,6 +3,9 @@
 //! `iter_batched`, and the `criterion_group!`/`criterion_main!` macros. It
 //! runs each benchmark for a fixed small number of timed iterations and
 //! prints mean wall time; no statistics, HTML reports or outlier analysis.
+//! Of criterion's command line it takes the positional filter only
+//! (`cargo bench -- march` runs the benchmarks whose `group/id` contains
+//! `march`), and ignores every flag.
 
 use std::time::Instant;
 
@@ -53,12 +56,23 @@ impl Bencher {
 }
 
 #[derive(Default)]
-pub struct Criterion;
+pub struct Criterion {
+    /// Runs only the benchmarks whose full id contains it.
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Takes the filter from the command line: its first argument that is
+    /// not a flag (`cargo bench` passes `--bench` ahead of it).
+    pub fn configure_from_args(self) -> Criterion {
+        Criterion {
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        }
+    }
+
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _c: self,
+            c: self,
             name: name.into(),
         }
     }
@@ -67,13 +81,28 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(&id.into(), &mut f);
+        self.run_one(&id.into(), &mut f);
         self
+    }
+
+    fn run_one<F: FnMut(&mut Bencher)>(&self, id: &str, f: &mut F) {
+        if self.filter.as_ref().is_some_and(|want| !id.contains(want)) {
+            return;
+        }
+        let mut b = Bencher::default();
+        f(&mut b);
+        if b.mean_nanos >= 1e6 {
+            println!("{id:<50} {:>12.3} ms", b.mean_nanos / 1e6);
+        } else if b.mean_nanos >= 1e3 {
+            println!("{id:<50} {:>12.3} µs", b.mean_nanos / 1e3);
+        } else {
+            println!("{id:<50} {:>12.1} ns", b.mean_nanos);
+        }
     }
 }
 
 pub struct BenchmarkGroup<'a> {
-    _c: &'a mut Criterion,
+    c: &'a mut Criterion,
     name: String,
 }
 
@@ -87,30 +116,18 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into());
-        run_one(&full, &mut f);
+        self.c.run_one(&full, &mut f);
         self
     }
 
     pub fn finish(self) {}
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(id: &str, f: &mut F) {
-    let mut b = Bencher::default();
-    f(&mut b);
-    if b.mean_nanos >= 1e6 {
-        println!("{id:<50} {:>12.3} ms", b.mean_nanos / 1e6);
-    } else if b.mean_nanos >= 1e3 {
-        println!("{id:<50} {:>12.3} µs", b.mean_nanos / 1e3);
-    } else {
-        println!("{id:<50} {:>12.1} ns", b.mean_nanos);
-    }
-}
-
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
