@@ -2,7 +2,8 @@
 # Size scoreboard: per crate, the non-test lines under src/ by one fixed
 # rule — every line of each .rs file before its first `#[cfg(test)]` at the
 # start of a line — plus the workspace total, the same count over the
-# offline shims, the workspace's member count and the public-API item count.
+# offline shims, the workspace's member count, the `thread::sleep` call
+# sites and the public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -34,4 +35,11 @@ members=$(awk '
     on && /"/ { n++ }
     END { print n + 0 }' Cargo.toml)
 printf '%-12s %6d\n' members "$members"
+# `thread::sleep(` call sites: in the non-test lines above, and in tests
+# (`#[cfg(test)]` modules and the files under each `tests/`).
+find crates/*/src src crates/*/tests tests -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { test = FILENAME ~ /(^|\/)tests\// }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    { n = gsub(/thread::sleep\(/, "&"); if (test) t += n; else s += n }
+    END { printf "%-12s %6d  (src %d, tests %d)\n", "sleeps", s + t, s, t }'
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

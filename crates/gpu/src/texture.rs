@@ -217,11 +217,12 @@ impl Texture3D {
 /// A borrowed, resolved view over a [`Texture3D`] for per-sample inner loops.
 ///
 /// Construction ([`Texture3D::sampler`]) resolves the voxel slice and the
-/// dimension comparisons once; [`Sampler3D::sample`] then takes an interior
-/// fast path (single base index, eight unchecked loads) whenever all eight
-/// taps are in-bounds, falling back to the clamped fetch at the borders.
-/// Every float operation and its order matches [`Texture3D::sample`]
-/// exactly, so results are bit-identical everywhere.
+/// dimension comparisons once; a sample is [`Sampler3D::locate`] then
+/// [`Sampler3D::sample_at`], which takes an interior fast path (single base
+/// index, eight unchecked loads) whenever all eight taps are in-bounds,
+/// falling back to the clamped fetch at the borders. Every float operation
+/// and its order matches [`Texture3D::sample`] exactly, so results are
+/// bit-identical everywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler3D<'a> {
     data: &'a [f32],
@@ -238,20 +239,14 @@ impl Sampler3D<'_> {
     /// Nearest texel fetch with clamp addressing — same as
     /// [`Texture3D::fetch`].
     #[inline]
-    pub fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
+    fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
         let cx = x.clamp(0, self.dims[0] as i64 - 1) as usize;
         let cy = y.clamp(0, self.dims[1] as i64 - 1) as usize;
         let cz = z.clamp(0, self.dims[2] as i64 - 1) as usize;
         self.data[(cz * self.dims[1] + cy) * self.dims[0] + cx]
     }
 
-    /// Trilinear sample, bit-identical to [`Texture3D::sample`].
-    #[inline(always)]
-    pub fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
-        self.sample_at(&self.locate(x, y, z))
-    }
-
-    /// The first half of [`Sampler3D::sample`]: where a sample at
+    /// The first half of a trilinear sample: where a sample at
     /// `(x, y, z)` falls on the texel lattice. A kernel that may decide not
     /// to fetch (empty-space skipping) looks at [`Site::base_index`] first
     /// and only then pays for [`Sampler3D::sample_at`].
@@ -269,8 +264,9 @@ impl Sampler3D<'_> {
         }
     }
 
-    /// The second half of [`Sampler3D::sample`]: fetch the eight taps around
-    /// `site` and blend them.
+    /// The second half of a trilinear sample: fetch the eight taps around
+    /// `site` and blend them. `sample_at(&locate(x, y, z))` is bit-identical
+    /// to [`Texture3D::sample`]`(x, y, z)`.
     #[inline(always)]
     pub fn sample_at(&self, site: &Site) -> f32 {
         let [ix, iy, iz] = site.index;
@@ -578,8 +574,9 @@ impl Texture1D {
 }
 
 /// A borrowed, resolved view over a [`Texture1D`] for per-sample inner loops
-/// (the transfer-function LUT lookup). Bit-identical to
-/// [`Texture1D::sample`]; the texel indices are clamped as integers.
+/// (the transfer-function LUT lookup). Its taps, lerped per channel, are
+/// bit-identical to [`Texture1D::sample`]; the texel indices are clamped as
+/// integers.
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler1D<'a> {
     texels: &'a [[f32; 4]],
@@ -589,7 +586,7 @@ pub struct Sampler1D<'a> {
 }
 
 impl Sampler1D<'_> {
-    /// The two texels and interpolation fraction [`Sampler1D::sample`] would
+    /// The two texels and interpolation fraction [`Texture1D::sample`] would
     /// blend for `u`. Hot loops use this to lerp the alpha channel first and
     /// skip the color lerps when the sample is fully transparent — the color
     /// expressions are unchanged when they do run, so results stay
@@ -614,18 +611,6 @@ impl Sampler1D<'_> {
         let i0 = i.clamp(0, self.last) as usize;
         let i1 = i.saturating_add(1).clamp(0, self.last) as usize;
         (i0, i1, t)
-    }
-
-    /// Linearly filtered lookup, bit-identical to [`Texture1D::sample`].
-    #[inline(always)]
-    pub fn sample(&self, u: f32) -> [f32; 4] {
-        let (a, b, t) = self.taps(u);
-        [
-            a[0] + (b[0] - a[0]) * t,
-            a[1] + (b[1] - a[1]) * t,
-            a[2] + (b[2] - a[2]) * t,
-            a[3] + (b[3] - a[3]) * t,
-        ]
     }
 }
 
@@ -833,7 +818,7 @@ mod tests {
                 for &z in &coords {
                     assert_eq!(
                         t.sample(x, y, z).to_bits(),
-                        s.sample(x, y, z).to_bits(),
+                        s.sample_at(&s.locate(x, y, z)).to_bits(),
                         "diverged at ({x},{y},{z})"
                     );
                 }
@@ -973,20 +958,26 @@ mod tests {
                 [v, v * v, 1.0 - v, (v * 7.3).sin().abs()]
             })
             .collect();
+        // The taps and the per-channel lerp the kernel runs on them.
+        let lerped = |t: &Texture1D, u: f32| {
+            let s = t.sampler();
+            let (a, b, f) = s.taps(u);
+            [0, 1, 2, 3].map(|c| (a[c] + (b[c] - a[c]) * f).to_bits())
+        };
         let t = Texture1D::new(texels);
-        let s = t.sampler();
         for i in -50..1050 {
             let u = i as f32 / 1000.0;
-            let a = t.sample(u);
-            let b = s.sample(u);
-            assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "diverged at {u}");
+            assert_eq!(
+                t.sample(u).map(f32::to_bits),
+                lerped(&t, u),
+                "diverged at {u}"
+            );
         }
         // Single-texel LUT exercises the clamp path exclusively.
         let one = Texture1D::new(vec![[0.5, 0.25, 0.125, 1.0]]);
-        let os = one.sampler();
         for i in 0..10 {
             let u = i as f32 / 9.0;
-            assert_eq!(one.sample(u), os.sample(u));
+            assert_eq!(one.sample(u).map(f32::to_bits), lerped(&one, u));
         }
     }
 

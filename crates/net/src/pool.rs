@@ -40,10 +40,8 @@ use mgpu_obs::names;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Ipv4Addr, SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
-
-use parking_lot::{Mutex, RwLock};
 
 use mgpu_serve::shard::{ranked, route};
 use mgpu_serve::{
@@ -411,6 +409,8 @@ struct KeyTraffic {
     last: Arc<NetSceneRequest>,
 }
 
+const POISON: &str = "node pool lock poisoned";
+
 /// Bound on distinct keys tracked for rebalancing; the coldest entry is
 /// evicted when a new key arrives at the cap.
 const KEY_HEAT_CAP: usize = 64;
@@ -526,27 +526,31 @@ impl NodePool {
     /// epoch). The live directory can only be changed through the pool's
     /// own methods.
     pub fn directory(&self) -> Directory {
-        self.state.read().directory.clone()
+        self.state.read().expect(POISON).directory.clone()
     }
 
     /// The current placement epoch (see [`Directory::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.state.read().directory.epoch()
+        self.state.read().expect(POISON).directory.epoch()
     }
 
     pub fn node_count(&self) -> usize {
-        self.state.read().directory.len()
+        self.state.read().expect(POISON).directory.len()
     }
 
     /// Which node this request routes to (before any failover).
     pub fn node_for(&self, request: &SceneRequest) -> usize {
-        self.state.read().directory.node_for(&BatchKey::of(request))
+        self.state
+            .read()
+            .expect(POISON)
+            .directory
+            .node_for(&BatchKey::of(request))
     }
 
     /// Address + shared slot for one node, if it is (still) in the
     /// directory.
     fn slot_for(&self, node: usize) -> Option<(SocketAddr, Arc<Mutex<NodeSlot>>)> {
-        let state = self.state.read();
+        let state = self.state.read().expect(POISON);
         let addr = *state.directory.addrs().get(node)?;
         let slot = Arc::clone(state.nodes.get(node)?);
         Some((addr, slot))
@@ -570,7 +574,7 @@ impl NodePool {
             )));
         };
         let (client, generation) = {
-            let mut guard = slot.lock();
+            let mut guard = slot.lock().expect(POISON);
             if guard.client.is_none() {
                 let client = RenderClient::connect_with(addr, self.config.client)?;
                 guard.client = Some(Arc::new(client));
@@ -591,7 +595,7 @@ impl NodePool {
             // sharing the connection observe their own typed errors and
             // retry their own request ids — nobody replays someone else's
             // work.
-            let mut guard = slot.lock();
+            let mut guard = slot.lock().expect(POISON);
             if guard.generation == generation {
                 guard.client = None;
             }
@@ -610,7 +614,7 @@ impl NodePool {
         mut op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
     ) -> Result<Driven<T>, BackendError> {
         let order = {
-            let state = self.state.read();
+            let state = self.state.read().expect(POISON);
             let order = state.directory.ranked(key);
             let usable: Vec<usize> = order
                 .iter()
@@ -678,7 +682,7 @@ impl NodePool {
 
     /// Note one frame of traffic for `key` (rebalancer fuel).
     fn record_heat(&self, key: &BatchKey, net: &Arc<NetSceneRequest>) {
-        let mut heat = self.key_heat.lock();
+        let mut heat = self.key_heat.lock().expect(POISON);
         if let Some(traffic) = heat.get_mut(key) {
             traffic.frames += 1;
             traffic.last = Arc::clone(net);
@@ -705,7 +709,7 @@ impl NodePool {
     /// Keys this pool has routed with their observed frame counts,
     /// hottest first (bounded to the `KEY_HEAT_CAP` hottest keys).
     pub fn key_heat(&self) -> Vec<(BatchKey, u64)> {
-        let heat = self.key_heat.lock();
+        let heat = self.key_heat.lock().expect(POISON);
         let mut keys: Vec<(BatchKey, u64)> = heat
             .iter()
             .map(|(key, traffic)| (key.clone(), traffic.frames))
@@ -719,7 +723,11 @@ impl NodePool {
     /// plan before the cutover. Shared with the pool's own records, never
     /// copied: a shipped volume's voxels ride in the request.
     pub fn last_request(&self, key: &BatchKey) -> Option<Arc<NetSceneRequest>> {
-        self.key_heat.lock().get(key).map(|t| Arc::clone(&t.last))
+        self.key_heat
+            .lock()
+            .expect(POISON)
+            .get(key)
+            .map(|t| Arc::clone(&t.last))
     }
 
     // --- elastic membership -----------------------------------------------
@@ -746,7 +754,7 @@ impl NodePool {
     /// Join a new node (its connection dials lazily like any other).
     /// Returns the new node's directory index; bumps the epoch.
     pub fn add_node(&self, addr: SocketAddr) -> Result<usize, DirectoryError> {
-        let mut state = self.state.write();
+        let mut state = self.state.write().expect(POISON);
         let node = state.directory.add_node(addr)?;
         state.nodes.push(fresh_slot());
         state.draining.push(false);
@@ -759,7 +767,7 @@ impl NodePool {
     /// the epoch. Use [`NodePool::drain_node`] first for a hitless
     /// decommission.
     pub fn remove_node(&self, node: usize) -> Result<SocketAddr, DirectoryError> {
-        let mut state = self.state.write();
+        let mut state = self.state.write().expect(POISON);
         let addr = state.directory.remove_node(node)?;
         state.nodes.remove(node);
         state.draining.remove(node);
@@ -770,7 +778,11 @@ impl NodePool {
     /// sequence is [`NodePool::prewarm`] first, then migrate — so the
     /// destination's plan cache is warm before traffic cuts over.
     pub fn migrate(&self, key: &BatchKey, node: usize) -> Result<bool, DirectoryError> {
-        self.state.write().directory.migrate(key, node)
+        self.state
+            .write()
+            .expect(POISON)
+            .directory
+            .migrate(key, node)
     }
 
     /// Start draining `node`: it leaves the routing tables immediately
@@ -791,7 +803,7 @@ impl NodePool {
     /// on a real change), then tell the node itself.
     fn set_draining(&self, node: usize, draining: bool) -> Result<DrainState, NodeError> {
         let (addr, epoch) = {
-            let mut state = self.state.write();
+            let mut state = self.state.write().expect(POISON);
             let Some(&addr) = state.directory.addrs().get(node) else {
                 let nodes = state.directory.len();
                 let unknown = DirectoryError::UnknownNode { node, nodes }.to_string();
@@ -826,7 +838,7 @@ impl NodePool {
     /// reports `false`.
     pub fn node_drained(&self, node: usize) -> bool {
         let epoch = {
-            let state = self.state.read();
+            let state = self.state.read().expect(POISON);
             match state.draining.get(node) {
                 Some(true) => state.directory.epoch(),
                 // Not draining (or unknown): never "drained".
@@ -849,6 +861,7 @@ impl NodePool {
     pub fn draining(&self, node: usize) -> bool {
         self.state
             .read()
+            .expect(POISON)
             .draining
             .get(node)
             .copied()
@@ -879,7 +892,7 @@ impl NodePool {
         &self,
         op: impl Fn(&RenderClient) -> Result<T, ClientError>,
     ) -> Vec<Result<T, NodeError>> {
-        let addrs = self.state.read().directory.addrs().to_vec();
+        let addrs = self.state.read().expect(POISON).directory.addrs().to_vec();
         addrs
             .into_iter()
             .enumerate()
@@ -955,7 +968,7 @@ impl NodePool {
             self.drive(&key, blocking, |client| client.submit(&net))?;
         self.record_heat(&key, &net);
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.pending.lock().insert(
+        self.pending.lock().expect(POISON).insert(
             id,
             PendingEntry {
                 key,
@@ -986,14 +999,14 @@ impl RenderBackend for NodePool {
     /// surviving node. Renders are bit-identical across nodes, so the
     /// handed-off frame matches the one the lost node would have served.
     fn redeem(&self, ticket: PoolTicket) -> Result<BackendFrame, BackendError> {
-        let Some(entry) = self.pending.lock().remove(&ticket.id) else {
+        let Some(entry) = self.pending.lock().expect(POISON).remove(&ticket.id) else {
             return Err(BackendError::Transport(format!(
                 "unknown or already redeemed pool ticket {}",
                 ticket.id
             )));
         };
         let direct = {
-            let guard = entry.slot.lock();
+            let guard = entry.slot.lock().expect(POISON);
             match &guard.client {
                 Some(client) if guard.generation == entry.generation => Some(Arc::clone(client)),
                 // The issuing connection is gone; the server dropped its
@@ -1012,7 +1025,7 @@ impl RenderBackend for NodePool {
                 Err(ClientError::Wire(_) | ClientError::Protocol(_) | ClientError::Goodbye) => {
                     // Connection lost mid-redeem: poison the slot and hand
                     // the ticket off.
-                    let mut guard = entry.slot.lock();
+                    let mut guard = entry.slot.lock().expect(POISON);
                     if guard.generation == entry.generation {
                         guard.client = None;
                     }

@@ -15,10 +15,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mgpu_obs::{Counter, Gauge};
-use parking_lot::Mutex;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
@@ -104,6 +103,8 @@ impl CacheSnapshot {
     }
 }
 
+const POISON: &str = "cache lock poisoned";
+
 /// A bounded LRU cache from `K` to `V`. `capacity` is in entries; zero
 /// disables caching entirely (every `get` misses, `insert` is a no-op).
 #[derive(Debug)]
@@ -132,7 +133,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().expect(POISON).entries.len()
     }
 
     /// Look up an entry, refreshing its recency on hit.
@@ -152,7 +153,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
         let inner = &mut *inner;
@@ -179,7 +180,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
         let inner = &mut *inner;
@@ -211,13 +212,13 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
 
     #[cfg(test)]
     fn contains(&self, key: &K) -> bool {
-        self.inner.lock().entries.contains_key(key)
+        self.inner.lock().expect(POISON).entries.contains_key(key)
     }
 
     /// Invariant check: the recency index mirrors the entry map exactly.
     #[cfg(test)]
     fn assert_consistent(&self) {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISON);
         assert_eq!(inner.entries.len(), inner.recency.len());
         for (key, (_, last)) in &inner.entries {
             assert!(

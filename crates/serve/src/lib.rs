@@ -194,11 +194,8 @@ impl FrameTicket {
     /// service was torn down without completing the job — the latter cannot
     /// happen through the public API: shutdown drains the queue.
     pub fn wait(self) -> RenderedFrame {
-        match self.rx.recv() {
-            Ok(Ok(frame)) => frame,
-            Ok(Err(err)) => panic!("render service job failed: {err}"),
-            Err(_) => panic!("render service dropped a pending job"),
-        }
+        self.wait_result()
+            .unwrap_or_else(|err| panic!("render service job failed: {err}"))
     }
 
     /// Block until the frame resolves, returning the failure instead of

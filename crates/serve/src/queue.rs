@@ -29,76 +29,62 @@ use std::sync::mpsc::SyncSender;
 use crate::batch::BatchKey;
 use crate::{FrameError, FrameResult, SceneRequest};
 
-/// Where a job's [`FrameResult`] goes when a worker resolves it: either a
-/// ticket channel (the [`crate::FrameTicket`] path) or a completion hook —
-/// an arbitrary `FnOnce` invoked on the worker thread. Hooks are what an
-/// event-driven front-end hands in so render completions land in *its*
+/// Where a job's [`FrameResult`] goes when a worker resolves it: a
+/// completion hook, an arbitrary `FnOnce` invoked on the worker thread. A
+/// ticket's channel is one such hook ([`Reply::channel`]); an event-driven
+/// front-end hands in its own so render completions land in *its*
 /// completion queue instead of parking a waiter thread per frame (see
 /// [`crate::RenderService::try_submit_traced`]).
-pub struct Reply(ReplyKind);
-
-enum ReplyKind {
-    Channel(SyncSender<FrameResult>),
-    /// `Option` so delivery can move the closure out; if the job is dropped
-    /// without delivering, `Drop` fires the hook with [`FrameError::lost`]
-    /// so a front-end waiting on the completion never hangs.
-    Hook(Option<Box<dyn FnOnce(FrameResult) + Send>>),
-}
+///
+/// If the job is dropped without delivering, `Drop` fires the hook with a
+/// lost-job [`FrameError`] so a waiter never hangs.
+pub struct Reply(
+    /// `Option` so delivery can move the closure out.
+    Option<Box<dyn FnOnce(FrameResult) + Send>>,
+);
 
 impl Reply {
-    /// Deliver through a one-slot ticket channel.
+    /// Deliver through a one-slot ticket channel. A dropped receiver is fine
+    /// (the frame is cached anyway).
     pub fn channel(tx: SyncSender<FrameResult>) -> Reply {
-        Reply(ReplyKind::Channel(tx))
+        Reply::hook(move |result| {
+            let _ = tx.send(result);
+        })
     }
 
     /// Deliver by invoking `hook` on the resolving worker thread. Keep the
     /// hook cheap and non-blocking-ish (push to a queue, wake a loop): it
     /// runs inside the render worker's loop.
     pub fn hook(hook: impl FnOnce(FrameResult) + Send + 'static) -> Reply {
-        Reply(ReplyKind::Hook(Some(Box::new(hook))))
+        Reply(Some(Box::new(hook)))
     }
 
     /// Discard without delivering: the caller reports the outcome
     /// out-of-band (e.g. a typed admission rejection), so the lost-job
     /// guard must not fire.
     pub fn cancel(mut self) {
-        if let ReplyKind::Hook(hook) = &mut self.0 {
-            hook.take();
-        }
+        self.0.take();
     }
 
-    /// Resolve the job. A dropped ticket receiver is fine (the frame is
-    /// cached anyway); a hook always runs exactly once.
+    /// Resolve the job: the hook runs exactly once.
     pub fn deliver(mut self, result: FrameResult) {
-        match &mut self.0 {
-            ReplyKind::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyKind::Hook(hook) => {
-                if let Some(hook) = hook.take() {
-                    hook(result);
-                }
-            }
+        if let Some(hook) = self.0.take() {
+            hook(result);
         }
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        if let ReplyKind::Hook(hook) = &mut self.0 {
-            if let Some(hook) = hook.take() {
-                hook(Err(FrameError::lost()));
-            }
+        if let Some(hook) = self.0.take() {
+            hook(Err(FrameError::lost()));
         }
     }
 }
 
 impl std::fmt::Debug for Reply {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            ReplyKind::Channel(_) => f.write_str("Reply::Channel"),
-            ReplyKind::Hook(_) => f.write_str("Reply::Hook"),
-        }
+        f.write_str("Reply")
     }
 }
 
@@ -490,6 +476,28 @@ mod tests {
 
     fn unbounded(paused: bool) -> JobQueue {
         JobQueue::new(paused, QueueBounds::default())
+    }
+
+    #[test]
+    fn a_reply_fires_once_unless_cancelled_and_a_dropped_one_reports_lost() {
+        use std::sync::mpsc::{sync_channel, TryRecvError};
+        // Dropped undelivered: the ticket resolves as lost instead of hanging.
+        let (tx, rx) = sync_channel(1);
+        drop(Reply::channel(tx));
+        let ticket = crate::FrameTicket { rx, seq: None };
+        assert_eq!(ticket.wait_result().unwrap_err(), FrameError::lost());
+
+        // Cancelled: nothing is sent, not even the lost-job guard's error.
+        let (tx, rx) = sync_channel(1);
+        Reply::channel(tx).cancel();
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
+
+        // Delivered: the result arrives once, and dropping the spent reply
+        // sends nothing more.
+        let (tx, rx) = sync_channel(1);
+        Reply::channel(tx).deliver(Err(FrameError::new("delivered")));
+        assert_eq!(rx.try_recv().unwrap().unwrap_err().message(), "delivered");
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
     }
 
     #[test]

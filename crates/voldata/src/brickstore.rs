@@ -8,12 +8,19 @@
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
 //! through host memory; the whole volume never has to be resident.
+//!
+//! **Poisoned locks.** A lock here propagates a poisoning with `expect`.
+//! The exception is a lock taken in a `Drop`, or in what a `Drop` calls:
+//! `Reservation`'s, and `Spares::put` and `Spares::clear`, which
+//! [`BrickData`] and `Spares` reach when they die. Those can run while a
+//! panic unwinds, and a second panic then aborts the process, so they take
+//! the guard back with `PoisonError::into_inner`. What they do under it —
+//! hand back a reserved count, keep or free a buffer — is right whatever the
+//! panicking holder left behind.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::brick::{BrickGrid, BrickInfo};
 use crate::macrocell::MacroCells;
@@ -60,6 +67,8 @@ impl Drop for BrickData {
     }
 }
 
+const POISON: &str = "brick store lock poisoned";
+
 /// Voxel allocations of dead bricks, kept for the next miss. An out-of-core
 /// frame frees and allocates every brick it touches; handed to `malloc`,
 /// multi-megabyte buffers alternate between trimmed and re-faulted, at a
@@ -73,7 +82,7 @@ struct Spares {
 
 impl Spares {
     fn put(&self, voxels: Vec<f32>) {
-        let mut buffers = self.buffers.lock();
+        let mut buffers = self.buffers.lock().unwrap_or_else(PoisonError::into_inner);
         let held: usize = buffers.iter().map(Vec::len).sum();
         if ((held + voxels.len()) * 4) as u64 <= self.budget_bytes {
             buffers.push(voxels);
@@ -84,7 +93,8 @@ impl Spares {
     }
 
     fn clear(&self) {
-        let buffers = std::mem::take(&mut *self.buffers.lock());
+        let buffers =
+            std::mem::take(&mut *self.buffers.lock().unwrap_or_else(PoisonError::into_inner));
         buffers.into_iter().for_each(release);
     }
 
@@ -93,7 +103,7 @@ impl Spares {
     /// the wrong sizes drains instead of staying full.
     fn take(&self, len: usize) -> Vec<f32> {
         let spare = {
-            let mut buffers = self.buffers.lock();
+            let mut buffers = self.buffers.lock().expect(POISON);
             match buffers.iter().position(|b| b.len() == len) {
                 Some(i) => buffers.swap_remove(i),
                 None => buffers.pop().unwrap_or_default(),
@@ -193,7 +203,7 @@ struct Reservation<'a> {
 impl<'a> Reservation<'a> {
     fn settle(self) -> MutexGuard<'a, CacheInner> {
         let lock = self.inner;
-        let mut inner = lock.lock();
+        let mut inner = lock.lock().expect(POISON);
         inner.in_flight -= self.bytes;
         std::mem::forget(self);
         inner
@@ -202,7 +212,8 @@ impl<'a> Reservation<'a> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.inner.lock().in_flight -= self.bytes;
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.in_flight -= self.bytes;
     }
 }
 
@@ -266,7 +277,7 @@ impl BrickStore {
     /// Fetch brick `id`, materializing if absent. The returned `Arc` stays
     /// valid even if the entry is evicted afterwards.
     pub fn get(&self, id: usize) -> Arc<BrickData> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(Entry {
@@ -387,7 +398,7 @@ impl BrickStore {
     /// Drop all cached bricks, kept tables and spare buffers (keeps
     /// statistics).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISON);
         inner.entries.clear();
         inner.bytes = 0;
         drop(inner);
@@ -395,7 +406,7 @@ impl BrickStore {
     }
 
     pub fn cached_bytes(&self) -> u64 {
-        self.inner.lock().bytes
+        self.inner.lock().expect(POISON).bytes
     }
 
     pub fn snapshot(&self) -> StoreSnapshot {
@@ -500,7 +511,7 @@ mod tests {
 
     /// Ids whose voxels are resident, and ids whose table is kept.
     fn held(s: &BrickStore) -> (Vec<usize>, Vec<usize>) {
-        let inner = s.inner.lock();
+        let inner = s.inner.lock().unwrap();
         let mut resident: Vec<usize> = inner
             .entries
             .iter()
@@ -620,7 +631,7 @@ mod tests {
 
         armed.store(true, Ordering::Relaxed);
         assert!(catch_unwind(AssertUnwindSafe(|| s.get(2))).is_err());
-        assert_eq!(s.inner.lock().in_flight, 0);
+        assert_eq!(s.inner.lock().unwrap().in_flight, 0);
         assert_eq!(s.cached_bytes(), before);
         assert_eq!(held(&s), (vec![0, 1], vec![0, 1]), "no table for brick 2");
 
@@ -650,9 +661,9 @@ mod tests {
         let held = s.get(0);
         let first = held.voxels.as_ptr();
         s.get(1); // evicts brick 0, which `held` keeps alive: nothing spare
-        assert!(s.spares.buffers.lock().is_empty());
+        assert!(s.spares.buffers.lock().unwrap().is_empty());
         drop(held); // the last holder retires the allocation…
-        assert_eq!(s.spares.buffers.lock().len(), 1);
+        assert_eq!(s.spares.buffers.lock().unwrap().len(), 1);
         let again = s.get(2); // …and the next miss is staged into it,
         assert_eq!(again.voxels.as_ptr(), first);
         // with every stale voxel overwritten.
@@ -661,9 +672,9 @@ mod tests {
         // releases them with the entries.
         let (a, b) = (s.get(3), s.get(4));
         drop((a, b, again));
-        assert_eq!(s.spares.buffers.lock().len(), 1);
+        assert_eq!(s.spares.buffers.lock().unwrap().len(), 1);
         s.clear();
-        assert!(s.spares.buffers.lock().is_empty());
+        assert!(s.spares.buffers.lock().unwrap().is_empty());
         assert_eq!(s.cached_bytes(), 0);
     }
 
@@ -718,14 +729,14 @@ mod tests {
             {
                 // Both reservations were made before either read began, and
                 // made room first: nothing is resident, nothing is over.
-                let inner = s.inner.lock();
+                let inner = s.inner.lock().unwrap();
                 assert_eq!(inner.in_flight, budget);
                 assert_eq!(inner.bytes, 0);
             }
             barrier.wait();
         });
         assert_eq!(s.cached_bytes(), budget);
-        assert_eq!(s.inner.lock().in_flight, 0);
+        assert_eq!(s.inner.lock().unwrap().in_flight, 0);
         let snap = s.snapshot();
         assert_eq!((snap.misses, snap.evictions), (4, 2));
     }

@@ -37,14 +37,14 @@
 //!   ray ends** — early termination and skipping make ray lengths uneven,
 //!   and a lane left idle until its seven neighbours finish would waste most
 //!   of the width.
-//! * **Pairs** (`march_pair` / `march_solo` over `sample_step`): scalar
-//!   code, two rays interleaved to hide the sample chain's latency. The path
-//!   for every other CPU, for launches the guards below turn away, and the
-//!   in-crate reference the lane march is tested against.
+//! * **Solo** (`march_solo` over `sample_step`): scalar code, one ray at a
+//!   time. The path for every other CPU, for launches the guards below turn
+//!   away and for single rays the lanes hand off, and the in-crate reference
+//!   the lane march is tested against.
 //!
 //! **Guards.** Lanes keep lattice, cell and texel indices as `i32` and find
 //! a base index with a truncating convert, which is Rust's saturating cast
-//! only in range. So a launch takes the pair march unless `reach` — the sum
+//! only in range. So a launch takes the solo march unless `reach` — the sum
 //! of every `|coordinate|` of eye, array origin and box corners, which
 //! bounds every position any ray computes — is below 2²⁸ (a comparison a
 //! non-finite camera fails), `step ≥ 2⁻¹⁰` (jump counts stay far inside
@@ -232,8 +232,8 @@ impl Kernel for RayCastKernel<'_> {
 /// fetched sample as the scalar impl above — restructured so per-launch
 /// state ([`Launch`]) is resolved once per launch and the per-row image-plane
 /// coordinate once per row. A block sets its rays up, queues the survivors,
-/// and marches the whole queue eight rays wide or two (see the module
-/// docs); neither reorders anything within a ray, so output stays
+/// and marches the whole queue eight rays wide or one at a time (see the
+/// module docs); neither reorders anything within a ray, so output stays
 /// bit-identical. Emits straight into the launch's SoA buffers; sample
 /// counts are tallied once per ray.
 impl<'a> BlockKernel for RayCastKernel<'a> {
@@ -352,7 +352,7 @@ struct KernelObs {
     /// Texture samples fetched.
     samples_fetched: Arc<Counter>,
     /// Lane slots offered to fetches: 8 × the lane march's fetch iterations
-    /// (zero from the pair march). `samples_fetched ÷ lane_slots` is the
+    /// (zero from the solo march). `samples_fetched ÷ lane_slots` is the
     /// fetch occupancy.
     lane_slots: Arc<Counter>,
 }
@@ -509,7 +509,7 @@ impl Launch<'_> {
 
     /// March every ray of a block's queue to its exit (or early
     /// termination), by the march this launch decided on. Returns the lane
-    /// slots offered to fetches (0 from the pair march).
+    /// slots offered to fetches (0 from the solo march).
     fn march(&self, queue: &mut [March]) -> u64 {
         #[cfg(target_arch = "x86_64")]
         if self.lanes {
@@ -520,20 +520,10 @@ impl Launch<'_> {
             // the one feature `march_lanes` is compiled for.
             return unsafe { self.march_lanes(queue) };
         }
-        self.march_pairs(queue);
+        for m in queue {
+            self.march_solo(m);
+        }
         0
-    }
-
-    /// The scalar march: the queue's rays two at a time.
-    fn march_pairs(&self, queue: &mut [March]) {
-        let mut pairs = queue.chunks_exact_mut(2);
-        for pair in &mut pairs {
-            let (a, b) = pair.split_at_mut(1);
-            self.march_pair(&mut a[0], &mut b[0]);
-        }
-        if let [last] = pairs.into_remainder() {
-            self.march_solo(last);
-        }
     }
 
     /// Visit lattice point `m.k` (caller has checked `m.k < m.end`). If its
@@ -585,27 +575,14 @@ impl Launch<'_> {
         m.k += 1;
     }
 
-    /// March one ray to its exit (or early termination). Half-open
-    /// ownership: the lattice point at `t1` belongs to the next brick.
+    /// March one ray to its exit (or early termination): the scalar march
+    /// (module docs, *Two marches*). Half-open ownership: the lattice point
+    /// at `t1` belongs to the next brick.
     #[inline(always)]
     fn march_solo(&self, m: &mut March) {
         while m.k < m.end {
             self.sample_step(m);
         }
-    }
-
-    /// March two rays interleaved while both are active — two independent
-    /// dependency chains in flight — then finish the survivor alone. Each
-    /// ray still visits its own lattice points in its own order, so the
-    /// result is bit-identical to two solo marches.
-    #[inline(always)]
-    fn march_pair(&self, a: &mut March, b: &mut March) {
-        while a.k < a.end && b.k < b.end {
-            self.sample_step(a);
-            self.sample_step(b);
-        }
-        self.march_solo(a);
-        self.march_solo(b);
     }
 }
 
@@ -1214,35 +1191,35 @@ mod tests {
     }
 
     /// One launch three ways — the march `prepare` decides on (lanes, on an
-    /// AVX2 host), the pair march, the scalar `launch` oracle — agreeing on
+    /// AVX2 host), the solo march, the scalar `launch` oracle — agreeing on
     /// keys, fragment *bits* (−0.0 is not +0.0, NaN payloads count), the
     /// samples charged per thread and the samples fetched. Returns the
     /// decided march's columns.
     fn three_way(kernel: &RayCastKernel<'_>, cfg: LaunchConfig) -> Result<Columns, String> {
         let decided = kernel.prepare();
-        let mut pairs = kernel.prepare();
-        pairs.lanes = false;
+        let mut solo = kernel.prepare();
+        solo.lanes = false;
         let wide = run_blocks(kernel, &decided, cfg);
-        let narrow = run_blocks(kernel, &pairs, cfg);
+        let narrow = run_blocks(kernel, &solo, cfg);
         let oracle = launch(kernel, cfg);
 
         for (i, (key, frag)) in oracle.outputs.iter().enumerate() {
             if wide.keys[i] != *key || narrow.keys[i] != *key {
                 return Err(format!(
-                    "key at thread {i}: oracle {key}, pairs {}, decided {}",
+                    "key at thread {i}: oracle {key}, solo {}, decided {}",
                     narrow.keys[i], wide.keys[i]
                 ));
             }
             // All three leave a sentinel's value at its default.
             if bits(&wide.values[i]) != bits(frag) || bits(&narrow.values[i]) != bits(frag) {
                 return Err(format!(
-                    "fragment at thread {i}: oracle {frag:?}, pairs {:?}, decided {:?}",
+                    "fragment at thread {i}: oracle {frag:?}, solo {:?}, decided {:?}",
                     narrow.values[i], wide.values[i]
                 ));
             }
             if wide.samples[i] != narrow.samples[i] {
                 return Err(format!(
-                    "samples at thread {i}: pairs {}, decided {}",
+                    "samples at thread {i}: solo {}, decided {}",
                     narrow.samples[i], wide.samples[i]
                 ));
             }
@@ -1256,7 +1233,7 @@ mod tests {
         }
         if wide.fetched != narrow.fetched {
             return Err(format!(
-                "fetched: pairs {}, decided {}",
+                "fetched: solo {}, decided {}",
                 narrow.fetched, wide.fetched
             ));
         }
@@ -1416,7 +1393,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn lanes_pairs_and_oracle_agree_bit_for_bit(
+        fn lanes_solo_and_oracle_agree_bit_for_bit(
             kind in 0usize..9,
             seed in 0u64..1_000_000_000_000,
             az in 0f32..360.0,
@@ -1568,9 +1545,9 @@ mod tests {
         }
     }
 
-    /// A launch whose inputs do not fit `i32` lanes takes the pair march, and
-    /// a ray that does not is marched alone — each still bit-identical to the
-    /// oracle, each saying which march it took.
+    /// A launch whose inputs do not fit `i32` lanes takes the solo march, and
+    /// so does a single ray whose lattice does not — each still bit-identical
+    /// to the oracle, each saying which march it took.
     #[test]
     fn guards_turn_away_what_lanes_cannot_index() {
         let (texture, hi) = celled_skull();
@@ -1637,7 +1614,7 @@ mod tests {
     }
 
     /// A typo in a guard must fail a test, not quietly return the frame rate
-    /// to the pair march's: `micro_ops`' Skull-128 brick at 256² — the
+    /// to the solo march's: `micro_ops`' Skull-128 brick at 256² — the
     /// benchmark's kernel-bound launch — goes wide wherever AVX2 is.
     #[test]
     fn ordinary_launch_takes_the_lane_path() {

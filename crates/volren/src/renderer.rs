@@ -124,8 +124,6 @@ pub struct FramePlan {
     pub staging: Staging,
     /// Bricked volume fits aggregate VRAM (the paper's in-core condition).
     pub in_core: bool,
-    /// Bricks are staged from disk (out-of-core w.r.t. host RAM).
-    pub from_disk: bool,
     store: Arc<BrickStore>,
     bricks: Vec<RenderBrick>,
     /// Identity of the (spec, cfg) this plan was prepared for; guards
@@ -209,7 +207,6 @@ impl FramePlan {
             grid,
             staging,
             in_core,
-            from_disk,
             store,
             bricks,
             fingerprint: plan_fingerprint(spec, cfg),
@@ -344,7 +341,7 @@ pub fn render_planned(
         bricks: plan.grid.brick_count(),
         grid_counts: plan.grid.counts,
         in_core: plan.in_core,
-        from_disk: plan.from_disk,
+        from_disk: plan.staging == Staging::Disk,
         accounting,
         job: output.stats,
         store: plan.store.snapshot().since(&store_before),
