@@ -3,7 +3,7 @@
 # rule — every line of each .rs file before its first `#[cfg(test)]` at the
 # start of a line — plus the workspace total, the same count over the
 # offline shims, the workspace's member count, the `thread::sleep` call
-# sites and the public-API item count.
+# sites, the `unsafe` sites and the public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -42,4 +42,30 @@ find crates/*/src src crates/*/tests tests -name '*.rs' -print0 | xargs -0 awk '
     /^#\[cfg\(test\)\]/ { test = 1 }
     { n = gsub(/thread::sleep\(/, "&"); if (test) t += n; else s += n }
     END { printf "%-12s %6d  (src %d, tests %d)\n", "sleeps", s + t, s, t }'
+# `unsafe` sites — `unsafe {`, `unsafe fn`, `unsafe impl` — in the non-test
+# lines above (comment lines skipped), in total and per crate that has any.
+unsafe_sites() {
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        counting && !/^[ \t]*\/\// {
+            line = $0
+            while (match(line, /(^|[^A-Za-z0-9_])unsafe[ \t]+(\{|fn[ \t]|impl[ \t<])/)) {
+                n++
+                line = substr(line, RSTART + RLENGTH)
+            }
+        }
+        END { print n + 0 }'
+}
+sites=0
+per_crate=""
+for src in crates/*/src src; do
+    crate=$(basename "$(dirname "$src")")
+    n=$(unsafe_sites "$src")
+    if [ "$n" -gt 0 ]; then
+        per_crate="$per_crate${per_crate:+, }${crate/#./gpumr} $n"
+    fi
+    sites=$((sites + n))
+done
+printf '%-12s %6d  (%s)\n' unsafe "$sites" "$per_crate"
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

@@ -2,7 +2,8 @@
 //! against the comparison sort it replaces (the §3.1.2 θ(n) claim), the
 //! partition strategies, trilinear texture sampling, fragment compositing,
 //! value noise, the DES replay itself, one ray-march launch with and
-//! without macrocells, a 256² frame through the wire codec, the fixed
+//! without macrocells (and with nothing but its ray setup left to do), a
+//! 256² frame through the wire codec, the fixed
 //! cost of a `run_job` that maps nothing, and an out-of-core brick miss with
 //! and without its macrocell table kept.
 
@@ -26,6 +27,7 @@ use mgpu_voldata::{
 use mgpu_volren::composite::{composite_unsorted, over};
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
+use mgpu_volren::transfer::ControlPoint;
 use mgpu_volren::{Fragment, Image, RenderBrick, Scene, Staging, TransferFunction};
 
 fn pairs(n: usize, key_space: u32) -> (Vec<u32>, Vec<u64>) {
@@ -206,7 +208,10 @@ fn bench_des(c: &mut Criterion) {
 /// corner cell. The bypass table is conservative, so the frame is the same;
 /// it keeps a grid alive (one cell is empty) while leaving the rays nothing
 /// to skip, so `bypass − no_cells` is what the per-sample cell test and the
-/// per-launch classification cost when they buy nothing.
+/// per-launch classification cost when they buy nothing. A fourth, `setup`,
+/// takes the brick's own cells under a transfer function with zero alpha
+/// everywhere: every cell is empty, a ray's march is a few jumps, and what
+/// is left is the launch's ray setup (pass 1 of every block).
 fn bench_march(c: &mut Criterion) {
     let mut g = c.benchmark_group("march");
     g.sample_size(10);
@@ -247,14 +252,26 @@ fn bench_march(c: &mut Criterion) {
         .clone()
         .with_cells(data.cells.edge, Arc::new(widened));
 
-    for (name, texture) in [
-        ("no_cells", &no_cells),
-        ("cells", &cells),
-        ("bypass", &bypass),
+    let clear = TransferFunction::from_points(
+        "clear",
+        [0.0, 1.0]
+            .map(|value| ControlPoint {
+                value,
+                rgba: [1.0, 1.0, 1.0, 0.0],
+            })
+            .to_vec(),
+    )
+    .bake();
+
+    for (name, texture, lut) in [
+        ("no_cells", &no_cells, &lut),
+        ("cells", &cells, &lut),
+        ("bypass", &bypass, &lut),
+        ("setup", &cells, &clear),
     ] {
         let kernel = RayCastKernel {
             camera: &scene.camera,
-            lut: &lut,
+            lut,
             texture,
             store_origin: vec3(
                 data.store_origin[0] as f32,

@@ -80,11 +80,9 @@ impl Camera {
     }
 
     /// The ray through pixel `(px, py)` of a `width × height` image
-    /// (pixel centers, y growing downward).
-    ///
-    /// Defined as `ray_from_ndc(ndc_u(..), ndc_v(..))` so batched kernels can
-    /// hoist the per-row/per-column plane coordinates out of the pixel loop
-    /// and still generate bit-identical rays.
+    /// (pixel centers, y growing downward). The batched kernel's ray setup
+    /// repeats these float operations eight pixels at a time
+    /// (`kernel`'s module docs, *Ray setup*).
     #[inline]
     pub fn ray(&self, px: u32, py: u32, width: u32, height: u32) -> Ray {
         self.ray_from_ndc(self.ndc_u(px, width, height), self.ndc_v(py, height))
@@ -93,7 +91,7 @@ impl Camera {
     /// Horizontal image-plane coordinate of pixel column `px` (scaled by the
     /// FOV and aspect ratio). Depends only on the column.
     #[inline]
-    pub fn ndc_u(&self, px: u32, width: u32, height: u32) -> f32 {
+    pub(crate) fn ndc_u(&self, px: u32, width: u32, height: u32) -> f32 {
         let aspect = width as f32 / height as f32;
         ((px as f32 + 0.5) / width as f32 * 2.0 - 1.0) * self.tan_half_fov * aspect
     }
@@ -101,14 +99,14 @@ impl Camera {
     /// Vertical image-plane coordinate of pixel row `py` (y growing
     /// downward). Depends only on the row.
     #[inline]
-    pub fn ndc_v(&self, py: u32, height: u32) -> f32 {
+    pub(crate) fn ndc_v(&self, py: u32, height: u32) -> f32 {
         (1.0 - (py as f32 + 0.5) / height as f32 * 2.0) * self.tan_half_fov
     }
 
     /// The ray through image-plane coordinates `(u, v)` as produced by
     /// [`Camera::ndc_u`]/[`Camera::ndc_v`].
     #[inline]
-    pub fn ray_from_ndc(&self, u: f32, v: f32) -> Ray {
+    pub(crate) fn ray_from_ndc(&self, u: f32, v: f32) -> Ray {
         let dir = (self.forward + self.right * u + self.up * v).normalized();
         Ray {
             origin: self.eye,

@@ -18,11 +18,35 @@
 //! [`Kernel`] is the retained scalar reference path (one virtual call per
 //! pixel, used by the equivalence oracles), and [`BlockKernel`] is the
 //! production path — per *launch* it resolves the texture/LUT samplers, the
-//! camera-eye slab invariants ([`SlabTest`]), the classified macrocell grid
-//! and which march to run, once ([`Launch`]); per row it hoists the
-//! image-plane coordinate; per block it queues every surviving ray and
-//! hands the queue to one of two marches, both of which use the borrowing
-//! samplers, classify alpha before color and tally once per ray.
+//! camera basis, the eye's slab invariants against the brick box, the
+//! classified macrocell grid and which march to run, once ([`Launch`]); per
+//! block it sets its rays up eight pixels at a time, queues every surviving
+//! ray and hands the queue to one of two marches, both of which use the
+//! borrowing samplers, classify alpha before color and tally once per ray.
+//!
+//! # Ray setup
+//!
+//! Pass 1 of a block — per pixel: the direction `Camera::ray` would give,
+//! the slab test of `Ray::intersect_aabb`, the first lattice index
+//! `k₀ = ⌈t₀/step − ½⌉` and `lattice_end` — runs over chunks of eight
+//! consecutive pixels of a block row (`Launch::setup_rays`): one loop over
+//! structure-of-arrays lanes with no branch in its body, which LLVM
+//! vectorises at the baseline target, on every CPU, without an intrinsic.
+//! The slab test's early exits become selects (`t₀` only grows and `t₁`
+//! only shrinks, and neither is ever NaN, so a ray misses iff an axis it
+//! is parallel to misses or `t₀ > t₁` after all three). `k₀` and the
+//! lattice end are `i32`s: SSE2 has no vector `ceil` and Rust's saturating
+//! `as i32` does not vectorise, so `⌈x⌉` is the nearest integer read off
+//! `x + 2²³`'s bits, plus one where that fell short. **Guard:** a ray whose
+//! `t₁/step` is not below 2²³ (where that rounding is exact), or whose
+//! `lattice_end` loops would not each stop within one step of their
+//! estimate, is set up by `March::new`, the scalar code. **Why the bits
+//! cannot change:** every value is computed by the scalar path's float
+//! operations in its order — no fused multiply-add, `f32::max`/`min` with
+//! the accumulator first, as `intersect_aabb` has them, which fixes the
+//! sign of `max(0.0, −0.0)` that reaches `Fragment::depth` — integers
+//! replace `u64`s only where both are exact, and the survivors are queued
+//! in row-major order, so pass 2 sees the queue it always did.
 //!
 //! # Two marches
 //!
@@ -127,8 +151,7 @@ use mgpu_obs::{names, Counter};
 use crate::camera::Camera;
 use crate::composite::accumulate;
 use crate::fragment::Fragment;
-use crate::math::Vec3;
-use crate::ray::SlabTest;
+use crate::math::{vec3, Vec3};
 use crate::skip::SkipGrid;
 
 /// Alpha below which a fragment is considered empty and discarded.
@@ -256,11 +279,20 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
         .map(|v| v.x.abs() + v.y.abs() + v.z.abs())
         .sum();
         let longest_clear = grid.as_ref().map_or(0.0, SkipGrid::longest_clear);
+        let (eye, forward, right, up, tan_half_fov) = self.camera.raw_parts();
+        let (lo, hi) = (self.core_lo, self.core_hi);
         let mut launch = Launch {
             smp: self.texture.sampler(),
             lut: self.lut.sampler(),
-            slabs: SlabTest::new(self.camera.eye, self.core_lo, self.core_hi),
             eye: self.camera.eye,
+            forward,
+            right,
+            up,
+            tan_half_fov,
+            aspect: self.image.0 as f32 / self.image.1 as f32,
+            lo_m_eye: [0, 1, 2].map(|a| lo.get(a) - eye[a]),
+            hi_m_eye: [0, 1, 2].map(|a| hi.get(a) - eye[a]),
+            inside: [0, 1, 2].map(|a| !(eye[a] < lo.get(a) || eye[a] > hi.get(a))),
             step: self.step,
             correct: self.needs_correction(),
             early_term: self.early_term,
@@ -296,33 +328,22 @@ impl RayCastKernel<'_> {
         out: BlockOut<'_, Key, Fragment>,
     ) -> (u64, u64) {
         let (w, h) = self.image;
-        let step = self.step;
         let mut queue: Vec<March> = Vec::with_capacity((ctx.dim.0 * ctx.dim.1) as usize);
 
-        // Pass 1: intersect the block's rays, queue the survivors.
+        // Pass 1: set the block's rays up a chunk at a time, queue the
+        // survivors. Padding threads keep their default value and samples.
+        let px0 = self.offset.0 + ctx.block.0 * ctx.dim.0;
+        let columns = ctx.dim.0.min(w.saturating_sub(px0));
         for ty in 0..ctx.dim.1 {
             let row = ctx.index(0, ty);
+            out.keys[row..row + ctx.dim.0 as usize].fill(SENTINEL_KEY);
             let py = self.offset.1 + ctx.block.1 * ctx.dim.1 + ty;
             if py >= h {
-                // Whole row is padding below the image.
-                for tx in 0..ctx.dim.0 {
-                    out.keys[row + tx as usize] = SENTINEL_KEY;
-                }
-                continue;
+                continue; // the whole row is padding below the image
             }
-            let v = self.camera.ndc_v(py, h);
-            for tx in 0..ctx.dim.0 {
-                let i = row + tx as usize;
-                out.keys[i] = SENTINEL_KEY;
-                let px = self.offset.0 + ctx.block.0 * ctx.dim.0 + tx;
-                if px >= w {
-                    continue; // padding column; value/samples stay default
-                }
-                let ray = self.camera.ray_from_ndc(self.camera.ndc_u(px, w, h), v);
-                let Some((t0, t1)) = launch.slabs.intersect(ray.dir) else {
-                    continue;
-                };
-                queue.push(March::new(i, py * w + px, ray.dir, (t0, t1), step));
+            for tx in (0..columns).step_by(CHUNK) {
+                let n = (columns - tx).min(CHUNK as u32) as usize;
+                launch.setup_rays(self.image, (px0 + tx, py), n, row + tx as usize, &mut queue);
             }
         }
 
@@ -452,16 +473,27 @@ impl March {
 const SKIP_MARGIN: f32 = 1.0 / (1 << 18) as f32;
 
 /// Per-launch march state — the software analogue of constant memory: the
-/// resolved samplers, the slab invariants, the scalar config the inner loop
-/// reads every sample, the classified macrocell grid, and which march the
-/// launch's blocks run. Built once per launch by [`BlockKernel::prepare`],
-/// shared read-only by every block.
+/// resolved samplers, what ray setup reads for every pixel, the scalar
+/// config the inner loop reads every sample, the classified macrocell grid,
+/// and which march the launch's blocks run. Built once per launch by
+/// [`BlockKernel::prepare`], shared read-only by every block.
 pub struct Launch<'a> {
     smp: mgpu_gpu::Sampler3D<'a>,
     lut: mgpu_gpu::Sampler1D<'a>,
-    slabs: SlabTest,
     /// Every ray's origin.
     eye: Vec3,
+    /// The camera's basis and field of view, and the image's `width /
+    /// height`: what `Camera::ray` turns a pixel into a direction with.
+    forward: [f32; 3],
+    right: [f32; 3],
+    up: [f32; 3],
+    tan_half_fov: f32,
+    aspect: f32,
+    /// Per axis, the brick box's `lo − eye` and `hi − eye`, and whether the
+    /// eye lies inside the axis slab (which decides a ray parallel to it).
+    lo_m_eye: [f32; 3],
+    hi_m_eye: [f32; 3],
+    inside: [bool; 3],
     step: f32,
     correct: bool,
     early_term: f32,
@@ -488,7 +520,115 @@ const LANES: usize = 8;
 #[cfg(target_arch = "x86_64")]
 const LANE_END_MAX: u64 = 1 << 30;
 
+/// Ray setup finds a ray's lattice span itself only if its `t₁/step` is
+/// below this (2²³), where [`nearest`] is exact.
+const SETUP_END_MAX: f32 = 8_388_608.0;
+
+/// Pixels ray setup takes at once: a chunk of one block row.
+const CHUNK: usize = 8;
+
+/// The integer nearest `x` (ties to even), for `0 ≤ x < 2²³`: adding 2²³
+/// leaves the sum no bits below the unit, so its mantissa is the integer.
+/// A bit cast where `x as i32` would be a saturating convert, which LLVM
+/// does not vectorise.
+#[inline(always)]
+fn nearest(x: f32) -> i32 {
+    ((x + SETUP_END_MAX).to_bits() - SETUP_END_MAX.to_bits()) as i32
+}
+
 impl Launch<'_> {
+    /// Pass 1 for the `n ≤ CHUNK` pixels `(px0 + i, py)` of one block row,
+    /// the first of them block thread `thread0` (module docs, *Ray setup*):
+    /// queues, in column order, each ray that hits the brick box. The first
+    /// loop computes every lane, padding included, and branches nowhere.
+    fn setup_rays(
+        &self,
+        (w, h): (u32, u32),
+        (px0, py): (u32, u32),
+        n: usize,
+        thread0: usize,
+        queue: &mut Vec<March>,
+    ) {
+        let step = self.step;
+        // `Camera::ndc_v`, and the row's `up · v`.
+        let v = (1.0 - (py as f32 + 0.5) / h as f32 * 2.0) * self.tan_half_fov;
+        let up_v = self.up.map(|c| c * v);
+        let mut dir = [[0.0f32; CHUNK]; 3];
+        let (mut t0, mut t1) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+        let (mut k, mut end) = ([0i32; CHUNK], [0i32; CHUNK]);
+        let mut samples_per_voxel = [0.0f32; CHUNK];
+        // Whether the direction normalises, the ray hits the box, and `k`
+        // and `end` are its lattice span (if not, `March::new` finds it).
+        let (mut normal, mut hit, mut spanned) = ([false; CHUNK], [false; CHUNK], [false; CHUNK]);
+        for i in 0..CHUNK {
+            // `Camera::ndc_u`, then `(forward + right·u + up·v).normalized()`.
+            let px = px0.wrapping_add(i as u32);
+            let u = ((px as f32 + 0.5) / w as f32 * 2.0 - 1.0) * self.tan_half_fov * self.aspect;
+            let d = [0, 1, 2].map(|a| self.forward[a] + self.right[a] * u + up_v[a]);
+            let length = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            normal[i] = length > 0.0;
+            let d = d.map(|c| c / length);
+
+            // `Ray::intersect_aabb`, its branches as selects.
+            let (mut near, mut far, mut miss) = (0.0f32, f32::INFINITY, false);
+            for (a, &da) in d.iter().enumerate() {
+                // The slab's entry and exit, in order.
+                let (s0, s1) = (self.lo_m_eye[a] / da, self.hi_m_eye[a] / da);
+                let (s0, s1) = if s0 > s1 { (s1, s0) } else { (s0, s1) };
+                let parallel = da.abs() < 1e-12;
+                miss |= parallel & !self.inside[a];
+                near = if parallel { near } else { near.max(s0) };
+                far = if parallel { far } else { far.min(s1) };
+            }
+            hit[i] = !(miss | (near > far));
+
+            // `March::new`'s `k₀` and `lattice_end` from its estimate `e`,
+            // each of whose loops may step once. What either rounds to 0 (a
+            // negative or NaN quotient), or what the guard turns away, is 0.
+            let fits = far / step < SETUP_END_MAX;
+            let (x, y) = (near / step - 0.5, far / step);
+            let x = if fits & (x > 0.0) { x } else { 0.0 };
+            let y = if fits & (y > 0.0) { y } else { 0.0 };
+            let (rx, ry) = (nearest(x), nearest(y));
+            let k0 = rx + i32::from((rx as f32) < x);
+            let e = (ry - i32::from((ry as f32) > y)).max(k0);
+            let past = |k: i32| (k as f32 + 0.5) * step >= far;
+            let rise = !past(e);
+            let fall = !rise & (e > k0) & past(e - 1);
+            // Whether either loop would step a second time.
+            let walks_on = (rise & !past(e + 1)) | (fall & (e - 1 > k0) & past(e - 2));
+            spanned[i] = fits & !walks_on;
+            (k[i], end[i]) = (k0, e + i32::from(rise) - i32::from(fall));
+            samples_per_voxel[i] = 1.0 / (step * d[0].abs().max(d[1].abs()).max(d[2].abs()));
+            (t0[i], t1[i]) = (near, far);
+            for a in 0..3 {
+                dir[a][i] = d[a];
+            }
+        }
+        assert!(normal[..n].iter().all(|&ok| ok), "normalizing zero vector");
+        for i in (0..n).filter(|&i| hit[i]) {
+            let (thread, key) = (thread0 + i, py * w + px0 + i as u32);
+            let dir = vec3(dir[0][i], dir[1][i], dir[2][i]);
+            queue.push(if spanned[i] {
+                March {
+                    thread,
+                    key,
+                    dir,
+                    t0: t0[i],
+                    t1: t1[i],
+                    k: k[i] as u64,
+                    end: end[i] as u64,
+                    samples_per_voxel: samples_per_voxel[i],
+                    acc: [0.0; 4],
+                    samples: 0,
+                    fetched: 0,
+                }
+            } else {
+                March::new(thread, key, dir, (t0[i], t1[i]), step)
+            });
+        }
+    }
+
     /// The march decision (module docs, *Guards*). `reach` as `prepare`
     /// computes it; every comparison is written so that a NaN fails it.
     #[cfg(target_arch = "x86_64")]
@@ -845,7 +985,6 @@ impl Launch<'_> {
 mod tests {
     use super::*;
     use crate::camera::Scene;
-    use crate::math::vec3;
     use crate::transfer::TransferFunction;
     use mgpu_gpu::{launch, LaunchConfig};
     use mgpu_voldata::Dataset;
@@ -1060,7 +1199,7 @@ mod tests {
                 for py in 0..48 {
                     for px in 0..48 {
                         let ray = camera.ray(px, py, 48, 48);
-                        let Some((t0, t1)) = launch.slabs.intersect(ray.dir) else {
+                        let Some((t0, t1)) = ray.intersect_aabb(Vec3::ZERO, hi) else {
                             continue;
                         };
                         let mut m = March::new(0, 0, ray.dir, (t0, t1), step);
@@ -1496,6 +1635,163 @@ mod tests {
         }
     }
 
+    /// Ray setup's edge cases (module docs, *Ray setup*) through the same
+    /// three-way comparison, on a box every sample of which is visible.
+    #[test]
+    fn ray_setup_edge_cases_agree_three_ways() {
+        let (texture, transfer, origin, hi) = subject(0, 11);
+        let lut = transfer.bake();
+        let centre = hi * 0.5;
+        let run = |camera: &Camera, core_lo: Vec3, (image, offset), cfg: LaunchConfig, step| {
+            let kernel = RayCastKernel {
+                camera,
+                lut: &lut,
+                texture: &texture,
+                store_origin: origin,
+                core_lo,
+                core_hi: hi,
+                image,
+                offset,
+                step,
+                early_term: 1.1,
+            };
+            three_way(&kernel, cfg).unwrap_or_else(|e| {
+                panic!("{camera:?}, lo {core_lo:?}, {image:?}, {cfg:?}, step {step}: {e}")
+            })
+        };
+        let along = |eye: Vec3, axis: Vec3, up| Camera::look_at(eye, eye + axis, up, 30.0);
+        let (x, y, z) = (
+            vec3(1.0, 0.0, 0.0),
+            vec3(0.0, 1.0, 0.0),
+            vec3(0.0, 0.0, 1.0),
+        );
+
+        // An eye on a face plane (or three), looking along it: `lo − eye` or
+        // `hi − eye` is a signed zero, rays of both signs cross that axis,
+        // and the sign `max` picks for `max(0.0, −0.0)` is the depth of the
+        // rays that enter. `lo` also as −0.0, so that `lo − eye` is −0.0.
+        let mut zero_depths = 0;
+        for lo in [Vec3::ZERO, vec3(-0.0, -0.0, -0.0)] {
+            for (axis, face) in [
+                (x, 0.0),
+                (x, hi.x),
+                (y, 0.0),
+                (y, hi.y),
+                (z, 0.0),
+                (z, hi.z),
+            ] {
+                let eye = centre + axis * (face - centre.dot(axis));
+                // Forward and up within the plane; right along the axis.
+                let forward = vec3(axis.z, axis.x, axis.y);
+                let camera = along(eye, forward, vec3(axis.y, axis.z, axis.x));
+                for step in [1.0, 0.37] {
+                    let c = run(
+                        &camera,
+                        lo,
+                        ((9, 9), (0, 0)),
+                        LaunchConfig::cover(9, 9),
+                        step,
+                    );
+                    zero_depths += (c.keys.iter().zip(&c.values))
+                        .filter(|(&k, f)| k != SENTINEL_KEY && f.depth == 0.0)
+                        .count();
+                }
+            }
+            let corner = Camera::look_at(hi, centre, z, 50.0);
+            run(
+                &corner,
+                lo,
+                ((9, 9), (0, 0)),
+                LaunchConfig::cover(9, 9),
+                1.0,
+            );
+        }
+        assert!(zero_depths > 100, "{zero_depths} fragments at depth ±0");
+
+        // Axis-parallel rays (the middle column and row of an odd image),
+        // from inside, outside and on the face of their slabs; and a ray
+        // whose x is exactly 1e-12, not parallel, from just outside x's.
+        for eye in [
+            vec3(6.0, 6.0, -5.0),
+            vec3(-3.0, 6.0, -5.0),
+            vec3(6.0, 15.0, -5.0),
+        ] {
+            for eye in [eye, vec3(0.0, eye.y, eye.z)] {
+                run(
+                    &along(eye, z, y),
+                    Vec3::ZERO,
+                    ((9, 7), (0, 0)),
+                    LaunchConfig::cover(9, 7),
+                    1.0,
+                );
+            }
+        }
+        let threshold = Camera::from_raw_parts(
+            [-1e-11, 6.0, -5.0],
+            [1e-12, 0.0, 1.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            0.3,
+        );
+        let c = run(
+            &threshold,
+            Vec3::ZERO,
+            ((3, 3), (0, 0)),
+            LaunchConfig::cover(3, 3),
+            1.0,
+        );
+        assert_ne!(c.keys[17], SENTINEL_KEY, "the 1e-12 ray enters at x");
+
+        // Block widths 1, 7, 9 and 40 over a 37-pixel footprint that starts
+        // 3 pixels into the image: rows end mid-chunk, blocks overhang.
+        for camera in [
+            Camera::look_at(centre + vec3(20.0, -9.0, 7.0), centre, z, 40.0),
+            Camera::look_at(vec3(3.0, 4.0, 5.0), centre, z, 70.0),
+        ] {
+            for width in [1, 7, 9, 40] {
+                let cfg = LaunchConfig {
+                    grid: (37u32.div_ceil(width), 3),
+                    block: (width, 5),
+                };
+                run(&camera, Vec3::ZERO, ((40, 14), (3, 0)), cfg, 0.37);
+            }
+        }
+
+        // The middle ray of a 3×3 image down z at lattice points exactly at
+        // `t₀` (`t₀/step − ½` an integer) or at `t₁`, or with `t₁/step` an
+        // integer, from outside and from inside the box.
+        for (eye_z, step) in [
+            (-2.5, 1.0),
+            (-2.0, 1.0),
+            (-2.25, 0.5),
+            (-3.0, 0.25),
+            (0.5, 1.0),
+        ] {
+            let camera = along(vec3(6.0, 6.0, eye_z), z, y);
+            run(
+                &camera,
+                Vec3::ZERO,
+                ((3, 3), (0, 0)),
+                LaunchConfig::cover(3, 3),
+                step,
+            );
+        }
+
+        // Spans near the guard: `t₁/step` in [2²², 2²³), where `lattice_end`
+        // may walk further than one step, and past 2²³, where `March::new`
+        // sets every ray up (lanes still take them).
+        for distance in [5e3, 1e4] {
+            let camera = Camera::look_at(vec3(-distance, 6.0, 6.0), centre, z, 0.05);
+            run(
+                &camera,
+                Vec3::ZERO,
+                ((4, 4), (0, 0)),
+                LaunchConfig::cover(4, 4),
+                1.0 / 1024.0,
+            );
+        }
+    }
+
     /// Blocks whose queue holds 0, 1, 7, 8, 9 and 256 rays: fewer rays than
     /// lanes, exactly a register, one refill, and sixteen rows' worth. The
     /// eye sits inside the box, so every thread inside the image is a ray.
@@ -1592,9 +1888,8 @@ mod tests {
         let launch = kernel.prepare();
         assert_eq!(launch.lanes, avx2);
         let ray = distant.ray(0, 0, 2, 2);
-        let span = launch
-            .slabs
-            .intersect(ray.dir)
+        let span = ray
+            .intersect_aabb(Vec3::ZERO, hi)
             .expect("the box fills the view");
         assert!(March::new(0, 0, ray.dir, span, kernel.step).end >= 1 << 31);
         let c = three_way(&kernel, LaunchConfig::cover(2, 2)).unwrap();

@@ -22,65 +22,22 @@ impl Ray {
     /// entirely behind.
     #[inline]
     pub fn intersect_aabb(&self, lo: Vec3, hi: Vec3) -> Option<(f32, f32)> {
-        SlabTest::new(self.origin, lo, hi).intersect(self.dir)
-    }
-}
-
-/// Slab-method invariants hoisted for intersecting many rays that share one
-/// origin against one box — the camera-eye/brick-box case in the batched ray
-/// caster. The per-axis `lo − o` / `hi − o` differences and the parallel-ray
-/// containment test depend only on `(origin, box)`, so a whole kernel block
-/// computes them once. [`SlabTest::intersect`] performs exactly the float
-/// operations of [`Ray::intersect_aabb`], in the same order, so results are
-/// bit-identical.
-#[derive(Debug, Clone, Copy)]
-pub struct SlabTest {
-    lo_m_o: [f32; 3],
-    hi_m_o: [f32; 3],
-    /// Whether the shared origin lies inside each axis slab (decides
-    /// parallel rays).
-    inside: [bool; 3],
-}
-
-impl SlabTest {
-    pub fn new(origin: Vec3, lo: Vec3, hi: Vec3) -> SlabTest {
-        let mut lo_m_o = [0.0f32; 3];
-        let mut hi_m_o = [0.0f32; 3];
-        let mut inside = [false; 3];
-        for axis in 0..3 {
-            let o = origin.get(axis);
-            lo_m_o[axis] = lo.get(axis) - o;
-            hi_m_o[axis] = hi.get(axis) - o;
-            inside[axis] = !(o < lo.get(axis) || o > hi.get(axis));
-        }
-        SlabTest {
-            lo_m_o,
-            hi_m_o,
-            inside,
-        }
-    }
-
-    /// Intersect a ray with direction `dir` from the shared origin;
-    /// bit-identical to `Ray { origin, dir }.intersect_aabb(lo, hi)`.
-    #[inline]
-    pub fn intersect(&self, dir: Vec3) -> Option<(f32, f32)> {
         let mut t0 = 0.0f32;
         let mut t1 = f32::INFINITY;
         for axis in 0..3 {
-            let d = dir.get(axis);
-            let (mut near, mut far);
+            let o = self.origin.get(axis);
+            let d = self.dir.get(axis);
             if d.abs() < 1e-12 {
                 // Parallel to the slab: inside or miss.
-                if !self.inside[axis] {
+                if o < lo.get(axis) || o > hi.get(axis) {
                     return None;
                 }
                 continue;
-            } else {
-                near = self.lo_m_o[axis] / d;
-                far = self.hi_m_o[axis] / d;
-                if near > far {
-                    std::mem::swap(&mut near, &mut far);
-                }
+            }
+            let mut near = (lo.get(axis) - o) / d;
+            let mut far = (hi.get(axis) - o) / d;
+            if near > far {
+                std::mem::swap(&mut near, &mut far);
             }
             t0 = t0.max(near);
             t1 = t1.min(far);
@@ -172,72 +129,5 @@ mod tests {
             dir: vec3(0.0, 0.0, 1.0),
         };
         assert!(outside.intersect_aabb(lo, hi).is_none());
-    }
-
-    /// The original per-ray slab walk, kept verbatim as the oracle for the
-    /// hoisted [`SlabTest`] (which `intersect_aabb` now delegates to).
-    fn reference_intersect(ray: &Ray, lo: Vec3, hi: Vec3) -> Option<(f32, f32)> {
-        let mut t0 = 0.0f32;
-        let mut t1 = f32::INFINITY;
-        for axis in 0..3 {
-            let o = ray.origin.get(axis);
-            let d = ray.dir.get(axis);
-            let (mut near, mut far);
-            if d.abs() < 1e-12 {
-                if o < lo.get(axis) || o > hi.get(axis) {
-                    return None;
-                }
-                continue;
-            } else {
-                near = (lo.get(axis) - o) / d;
-                far = (hi.get(axis) - o) / d;
-                if near > far {
-                    std::mem::swap(&mut near, &mut far);
-                }
-            }
-            t0 = t0.max(near);
-            t1 = t1.min(far);
-            if t0 > t1 {
-                return None;
-            }
-        }
-        Some((t0, t1))
-    }
-
-    /// The hoisted slab test must agree bit-for-bit with the per-ray path
-    /// across hits, misses, parallel rays and degenerate directions.
-    #[test]
-    fn slab_test_bit_identical_to_intersect_aabb() {
-        let boxes = [
-            (vec3(0.0, 0.0, 0.0), vec3(1.0, 1.0, 1.0)),
-            (vec3(-3.5, 2.0, 0.25), vec3(4.5, 9.0, 0.75)),
-        ];
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 40) as f32 / (1u32 << 24) as f32) * 20.0 - 10.0
-        };
-        for (lo, hi) in boxes {
-            for _ in 0..500 {
-                let origin = vec3(rnd(), rnd(), rnd());
-                let mut dir = vec3(rnd(), rnd(), rnd());
-                // Mix in axis-parallel and zero components.
-                if dir.x.abs() < 2.0 {
-                    dir.x = 0.0;
-                }
-                let ray = Ray { origin, dir };
-                let slabs = SlabTest::new(origin, lo, hi);
-                let a = reference_intersect(&ray, lo, hi);
-                let b = slabs.intersect(dir);
-                match (a, b) {
-                    (None, None) => {}
-                    (Some((a0, a1)), Some((b0, b1))) => {
-                        assert_eq!(a0.to_bits(), b0.to_bits());
-                        assert_eq!(a1.to_bits(), b1.to_bits());
-                    }
-                    _ => panic!("hit/miss disagreement at {origin:?} {dir:?}"),
-                }
-            }
-        }
     }
 }
