@@ -344,7 +344,7 @@ impl RenderClient {
         self.call(opcode::TRACES, &encode(&max), opcode::TRACES_REPLY)
     }
 
-    /// Ask the node to drain (wire v4): stop accepting new RENDER/SUBMIT,
+    /// Ask the node to drain (wire v4): stop accepting new RENDER/SUBMIT/PREWARM,
     /// keep answering in-flight work and parked redeems, `GOODBYE` when
     /// empty. `epoch` is the directory epoch the drain belongs to — the
     /// node echoes it in STATS so stale clients are detectable. Draining
@@ -361,9 +361,11 @@ impl RenderClient {
     }
 
     /// Hint the node to populate its plan cache for `request`'s batch key
-    /// off the hot path (the migration pre-warm of the elastic pool), and
-    /// announce directory `epoch` while at it. Returns the shard routed to
-    /// and whether a plan was actually built (`false` = already warm).
+    /// (the migration pre-warm of the elastic pool: the brick grid and an
+    /// empty brick store), and announce directory `epoch` while at it.
+    /// Returns the shard routed to and whether a plan was actually built
+    /// (`false` = already warm); a draining node answers
+    /// [`ClientError::Draining`].
     pub fn prewarm(
         &self,
         epoch: u64,

@@ -65,12 +65,6 @@ impl NetStats {
             .collect()
     }
 
-    /// The busiest shard by completed frames (`None` with zero shards —
-    /// never the case for a live server).
-    pub fn hottest(&self) -> Option<ShardHeat> {
-        self.shards().into_iter().max_by_key(|h| h.frames_completed)
-    }
-
     /// Max-over-mean completed frames across shards: 1.0 is a perfectly
     /// even spread; large values say rendezvous routing is fighting a
     /// skewed key distribution and a rebalancer would help.
@@ -336,7 +330,13 @@ mod tests {
     #[test]
     fn imbalance_and_hottest() {
         let stats = sample_stats();
-        assert_eq!(stats.hottest().unwrap().shard, 0);
+        let hottest = |stats: &NetStats| {
+            stats
+                .shards()
+                .into_iter()
+                .max_by_key(|h| h.frames_completed)
+        };
+        assert_eq!(hottest(&stats).unwrap().shard, 0);
         // max 18, mean 12 → 1.5
         assert!((stats.imbalance() - 1.5).abs() < 1e-12);
         let empty = NetStats {
@@ -346,7 +346,7 @@ mod tests {
             obs: Snapshot::new(),
         };
         assert_eq!(empty.imbalance(), 1.0);
-        assert!(empty.hottest().is_none());
+        assert!(hottest(&empty).is_none());
         assert_eq!(empty.merged(), ServiceReport::default());
         // The display table renders without panicking.
         assert!(format!("{stats}").contains("imbalance"));

@@ -36,7 +36,9 @@
 //!   incremental frame reader the client blocks on (one parser for both
 //!   ends of the socket), completions delivered by render workers
 //!   through a queue + loopback waker, zero wakeups while idle, graceful
-//!   drain on shutdown; poisoned connections contained per session.
+//!   drain on shutdown; poisoned connections contained per session. The
+//!   loop is the server's one thread: every control request, `PREWARM`
+//!   included, is answered on it.
 //! * **Client** — [`client`]: a pipelined [`RenderClient`] —
 //!   [`RenderClient::begin_render`] issues without blocking and returns a
 //!   [`PendingRender`] collected later by [`RenderClient::finish_render`],
@@ -79,10 +81,12 @@
 //!   so stale routing is observable. Pool tickets are backed by a
 //!   pending-request table: a ticket whose issuing connection died is
 //!   **handed off** — re-rendered bit-identically on a survivor — so a
-//!   drain or crash loses zero admitted frames. [`rebalance`] adds the
-//!   control loop: heat-driven key migration ([`NodePool::migrate`]) with
-//!   `PREWARM`-before-cutover so the destination's plan cache is warm
-//!   before the first migrated frame arrives.
+//!   drain or crash loses zero admitted frames. [`rebalance_once`] is one
+//!   pass of the control loop: heat-driven key migration
+//!   ([`NodePool::migrate`]) with `PREWARM`-before-cutover, so the
+//!   destination holds the key's plan (its brick grid and an empty brick
+//!   store) before the first migrated frame arrives; that frame still
+//!   stages every brick.
 
 pub mod client;
 pub mod heat;
@@ -100,9 +104,7 @@ pub use pool::{
     RetryBudget,
 };
 pub use ratelimit::{RateLimitConfig, TokenBucket};
-pub use rebalance::{
-    rebalance_once, MigrationReport, RebalanceConfig, RebalanceOutcome, Rebalancer,
-};
+pub use rebalance::{rebalance_once, MigrationReport, RebalanceConfig, RebalanceOutcome};
 pub use remote::RemoteBackend;
 pub use server::{RenderServer, ServerConfig};
 pub use wire::{

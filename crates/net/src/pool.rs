@@ -869,9 +869,11 @@ impl NodePool {
     }
 
     /// Pre-warm `node`'s plan cache for one request (and announce the
-    /// current epoch). The staging happens off the node's hot path; the
-    /// reply says which shard was warmed and whether a plan was actually
-    /// built (`false` = already warm).
+    /// current epoch): the node builds the key's brick grid and an empty
+    /// brick store, so the first frame routed there skips preparing the
+    /// plan but still stages every brick. The reply says which shard was
+    /// warmed and whether a plan was actually built (`false` = already
+    /// warm). A draining node refuses it with a typed `DRAINING` reply.
     pub fn prewarm(&self, node: usize, net: &NetSceneRequest) -> Result<(u32, bool), NodeError> {
         let addr = self.slot_for(node).map(|(addr, _)| addr);
         let epoch = self.epoch();

@@ -1,33 +1,34 @@
 //! Heat-driven rebalancing for a [`NodePool`]: watch pool-wide load, and
 //! when one node runs meaningfully hotter than the mean, migrate its
 //! hottest key to the coolest node — pre-warming the destination's plan
-//! cache *before* the cutover so the first migrated frame pays no plan
-//! cost.
+//! cache *before* the cutover. The pre-warmed plan is the key's brick grid
+//! and an empty brick store, so the first migrated frame skips preparing
+//! the plan but still stages every brick.
 //!
 //! ```text
-//!   tick ─► node_stats() ──► frames/node ──► imbalance = max / mean
+//!   pass ─► node_stats() ──► frames/node ──► imbalance = max / mean
 //!                │                               │ > band?
 //!                │                               ▼
 //!                │            hottest key on the hottest node (key_heat)
 //!                │                               │
 //!                │            PREWARM(last request) ► coolest node
-//!                │                               │ plan built off hot path
+//!                │                               │ plan built (grid + empty store)
 //!                │                               ▼
 //!                └──────────  migrate(key → dest): epoch bump, cutover
 //! ```
 //!
-//! The decision loop is deliberately *client-side*: nodes stay simple
-//! (they only answer `STATS` and `PREWARM`), and whichever process owns
-//! the [`NodePool`] owns placement — mirroring how the in-process
-//! `ShardedService` owns its shard map. Every pass is traced (span
-//! `rebalance` with `rebalance.prewarm` / `rebalance.cutover` stages) and
-//! counted (`pool.rebalance.*`), so `obs_top` shows the control loop
-//! breathing next to the data plane it steers.
+//! The decision is deliberately *client-side*: nodes stay simple (they
+//! only answer `STATS` and `PREWARM`), and whichever process owns the
+//! [`NodePool`] owns placement — mirroring how the in-process
+//! `ShardedService` owns its shard map. There is no background thread:
+//! [`rebalance_once`] is one pass, and the pool's owner runs it on its own
+//! schedule. Every pass is traced (span `rebalance` with
+//! `rebalance.prewarm` / `rebalance.cutover` stages) and counted
+//! (`pool.rebalance.*`), so `obs_top` shows the control loop breathing
+//! next to the data plane it steers.
 
 use mgpu_obs::names;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
 
 use mgpu_serve::BatchKey;
 
@@ -43,9 +44,7 @@ pub struct RebalanceConfig {
     /// Ignore pools that have served fewer total frames than this — early
     /// traffic is too sparse to distinguish skew from startup order.
     pub min_frames: u64,
-    /// How often [`Rebalancer`] ticks.
-    pub interval: Duration,
-    /// Most migrations per tick (each one bumps the epoch; keeping this
+    /// Most migrations per pass (each one bumps the epoch; keeping this
     /// small lets the previous move settle before the next is judged).
     pub max_moves: usize,
 }
@@ -55,7 +54,6 @@ impl Default for RebalanceConfig {
         RebalanceConfig {
             band: 1.5,
             min_frames: 16,
-            interval: Duration::from_millis(500),
             max_moves: 1,
         }
     }
@@ -193,51 +191,4 @@ pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOut
     outcome.epoch = pool.epoch();
     drop(pass);
     outcome
-}
-
-/// A background thread ticking [`rebalance_once`] at
-/// [`RebalanceConfig::interval`]. Dropping the handle stops the loop and
-/// joins the thread.
-pub struct Rebalancer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Rebalancer {
-    pub fn spawn(pool: Arc<NodePool>, config: RebalanceConfig) -> Rebalancer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("mgpu-rebalance".to_string())
-            .spawn(move || {
-                // Relaxed: the stop flag is a pure signal — no data is
-                // published through it (join() below is the real sync
-                // point), so no ordering is needed.
-                while !stop_flag.load(Ordering::Relaxed) {
-                    rebalance_once(&pool, &config);
-                    // Sleep in small slices so drop() never waits a full
-                    // interval to join.
-                    let mut slept = Duration::ZERO;
-                    while slept < config.interval && !stop_flag.load(Ordering::Relaxed) {
-                        let slice = Duration::from_millis(20).min(config.interval - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                }
-            })
-            .expect("spawn rebalancer thread");
-        Rebalancer {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Rebalancer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }

@@ -15,6 +15,15 @@
 //!                          (waker pipe wakes the poll)
 //! ```
 //!
+//! The loop is the server's one thread and the completion queue its one
+//! inbound queue: everything except the render itself runs on the loop —
+//! admission, the session ticket tables, drain state, and every control
+//! request, `PREWARM` included. A `PREWARM` builds its plan inline, because
+//! a plan is a brick grid and an empty brick store: 12–19 µs for the repo's
+//! volumes on a 2.6 GHz Xeon, no more than decoding a shipped request
+//! costs. The first frame rendered against the plan still stages every
+//! brick it needs.
+//!
 //! Every request frame carries a client-chosen `request_id`; every reply
 //! echoes it — so one connection carries many in-flight renders and the
 //! replies leave in *completion* order, not submission order. The loop
@@ -29,12 +38,11 @@
 //! mid-request is reaped on the next readiness event. Other connections
 //! never notice any of it.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::Instant;
 
@@ -226,20 +234,9 @@ fn waker_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((tx, rx))
 }
 
-/// How a completed render leaves the event loop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Done {
-    /// A `RENDER`: the reply frame goes straight to the write buffer.
-    Render,
-    /// A `SUBMIT`: the result parks in the session's ticket table until
-    /// the client `REDEEM`s it (a parked redeem is answered immediately).
-    Ticket,
-}
-
 struct Completion {
     conn: u64,
     request_id: u64,
-    mode: Done,
     result: FrameResult,
     /// The request's trace, carried through the render so the event loop
     /// can stamp the `reply` span before the last `Arc` drop publishes it.
@@ -252,10 +249,6 @@ struct Completion {
 /// cycle and break shutdown's sole-ownership teardown.
 struct Notifier {
     completions: Mutex<Vec<Completion>>,
-    /// Pre-encoded reply frames from off-loop workers (the pre-warm
-    /// thread): `(conn token, frame bytes)`, delivered by the next
-    /// `apply_completions` pass.
-    replies: Mutex<Vec<(u64, Vec<u8>)>>,
     waker: Waker,
     /// The event loop's thread, set as it starts.
     loop_thread: OnceLock<ThreadId>,
@@ -278,35 +271,20 @@ impl Notifier {
     fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.completions.lock().expect("completion queue poisoned"))
     }
-
-    fn reply(&self, conn: u64, frame: Vec<u8>) {
-        self.replies
-            .lock()
-            .expect("reply queue poisoned")
-            .push((conn, frame));
-        self.waker.wake();
-    }
-
-    fn drain_replies(&self) -> Vec<(u64, Vec<u8>)> {
-        std::mem::take(&mut *self.replies.lock().expect("reply queue poisoned"))
-    }
-}
-
-/// One queued `PREWARM`: built off the event loop by the pre-warm worker
-/// thread, answered through [`Notifier::reply`].
-struct PrewarmJob {
-    conn: u64,
-    request_id: u64,
-    request: SceneRequest,
 }
 
 // ---------------------------------------------------------------------------
 // Per-connection state
 // ---------------------------------------------------------------------------
 
-/// Fate of a submitted ticket in the session table.
-enum TicketState {
-    Pending,
+/// An admitted `RENDER` or `SUBMIT` in its session's table, under its
+/// request id (a `SUBMIT`'s ticket id), until its frame has been sent.
+enum Ticket {
+    /// Rendering. `redeem` is the request id the frame will be sent
+    /// under: a `RENDER` parks its own id here when it is admitted, a
+    /// `SUBMIT` gets one when its `REDEEM` arrives first.
+    Pending { redeem: Option<u64> },
+    /// Rendered; the result waits here for its `REDEEM`.
     Ready(FrameResult),
 }
 
@@ -334,8 +312,7 @@ impl ConnObs {
 }
 
 /// One connection in the registry: socket, partial-frame reader, pending
-/// writes, and the session state (rate bucket, in-flight request ids,
-/// parked tickets).
+/// writes, and the session state (rate bucket, ticket table).
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
@@ -343,13 +320,8 @@ struct Conn {
     out: VecDeque<OutFrame>,
     out_pos: usize,
     bucket: Option<TokenBucket>,
-    /// `RENDER` request ids admitted but not yet answered.
-    in_flight: HashSet<u64>,
-    /// `SUBMIT` request ids (= ticket ids) not yet redeemed.
-    tickets: HashMap<u64, TicketState>,
-    /// Parked `REDEEM`s waiting on a pending ticket: ticket id → the
-    /// redeem frame's own request id (which tags the eventual reply).
-    redeems: HashMap<u64, u64>,
+    /// Every admitted `RENDER` and `SUBMIT` whose frame is not yet sent.
+    tickets: HashMap<u64, Ticket>,
     /// Stop reading; flush the write buffer, then drop the connection.
     closing: bool,
     /// Has this session ever been admitted render work (`RENDER` or
@@ -369,9 +341,7 @@ impl Conn {
             out: VecDeque::new(),
             out_pos: 0,
             bucket: rate.map(|cfg| TokenBucket::new(cfg, Instant::now())),
-            in_flight: HashSet::new(),
             tickets: HashMap::new(),
-            redeems: HashMap::new(),
             closing: false,
             carried_work: false,
             obs,
@@ -384,19 +354,26 @@ impl Conn {
 
     /// Requests currently holding server-side state for this session.
     fn outstanding(&self) -> usize {
-        self.in_flight.len() + self.tickets.len()
+        self.tickets.len()
+    }
+
+    /// The request ids frames are owed under: in-flight `RENDER`s and
+    /// parked `REDEEM`s.
+    fn parked_redeems(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tickets.values().filter_map(|ticket| match ticket {
+            Ticket::Pending { redeem } => *redeem,
+            Ticket::Ready(_) => None,
+        })
     }
 
     /// Is `id` already naming an outstanding request on this connection?
     fn id_in_use(&self, id: u64) -> bool {
-        self.in_flight.contains(&id)
-            || self.tickets.contains_key(&id)
-            || self.redeems.values().any(|redeem_id| *redeem_id == id)
+        self.tickets.contains_key(&id) || self.parked_redeems().any(|redeem| redeem == id)
     }
 
     /// Everything this session still owes the client (shutdown drains it).
     fn drained(&self) -> bool {
-        self.in_flight.is_empty() && self.redeems.is_empty() && self.out.is_empty()
+        self.out.is_empty() && self.parked_redeems().next().is_none()
     }
 
     /// Pull bytes until a full frame lands (`Ok(Some)`) or the socket runs
@@ -465,18 +442,15 @@ impl Read for CountedRead<'_> {
 struct Shared {
     sharded: ShardedService,
     config: ServerConfig,
+    /// Raised by `stop_event_loop` on the caller's thread: the loop stops
+    /// reading, delivers what it owes, and returns.
     shutdown: AtomicBool,
-    /// Soft drain (wire v4): refuse new RENDER/SUBMIT with a typed
-    /// `DRAINING` reply, keep answering everything already owed, `GOODBYE`
-    /// every connection once nothing is outstanding. Reversible with
-    /// `RESUME` — unlike `shutdown`, the sockets stay open and readable.
-    draining: AtomicBool,
     /// Highest directory epoch any peer has announced (via `DRAIN` /
     /// `RESUME` / `PREWARM`), echoed in STATS so a stale client can see
-    /// the placement moved under it. Monotone: `fetch_max` only.
+    /// the placement moved under it. Monotone: `fetch_max` only. Only the
+    /// event loop writes it and it publishes no other data, so every access
+    /// is `Relaxed`; [`RenderServer::stats`] is the one off-loop reader.
     epoch: AtomicU64,
-    /// Feed of the pre-warm worker thread; `None` once shutdown began.
-    prewarm_tx: Mutex<Option<mpsc::Sender<PrewarmJob>>>,
     notifier: Arc<Notifier>,
     /// Per-*server-instance* metrics (`net.*`): wakeups and traffic must
     /// not mix across servers sharing a process (the idle-wakeup test runs
@@ -500,7 +474,6 @@ pub struct RenderServer {
     addr: SocketAddr,
     shared: Option<Arc<Shared>>,
     event_loop: Option<JoinHandle<()>>,
-    prewarm_worker: Option<JoinHandle<()>>,
 }
 
 impl RenderServer {
@@ -518,17 +491,13 @@ impl RenderServer {
         let obs = Registry::new();
         let wakeups = obs.counter(names::NET_LOOP_WAKEUPS);
         let throttled = obs.counter(names::NET_THROTTLED);
-        let (prewarm_tx, prewarm_rx) = mpsc::channel::<PrewarmJob>();
         let shared = Arc::new(Shared {
             sharded: ShardedService::start(config.shards, config.service.clone()),
             config,
             shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
-            prewarm_tx: Mutex::new(Some(prewarm_tx)),
             notifier: Arc::new(Notifier {
                 completions: Mutex::new(Vec::new()),
-                replies: Mutex::new(Vec::new()),
                 waker: Waker { tx: waker_tx },
                 loop_thread: OnceLock::new(),
             }),
@@ -543,38 +512,10 @@ impl RenderServer {
                 .spawn(move || EventLoop::new(listener, waker_rx, shared).run())
                 .expect("spawn event loop")
         };
-        // Plan staging bricks the whole volume — milliseconds to seconds —
-        // so PREWARM must never run on the event loop. One worker serializes
-        // warm-ups (they are migration hints, not a hot path) and answers
-        // through the completion waker like a render worker would.
-        let prewarm_worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mgpu-net-prewarm".into())
-                .spawn(move || {
-                    while let Ok(job) = prewarm_rx.recv() {
-                        let (shard, built) = shared.sharded.prewarm(&job.request);
-                        shared.obs.counter(names::NET_PREWARMS).inc();
-                        shared.notifier.reply(
-                            job.conn,
-                            frame_bytes(
-                                opcode::PREWARMED,
-                                job.request_id,
-                                &encode(&Prewarmed {
-                                    shard: shard as u32,
-                                    built,
-                                }),
-                            ),
-                        );
-                    }
-                })
-                .expect("spawn prewarm worker")
-        };
         Ok(RenderServer {
             addr,
             shared: Some(shared),
             event_loop: Some(event_loop),
-            prewarm_worker: Some(prewarm_worker),
         })
     }
 
@@ -610,28 +551,16 @@ impl RenderServer {
 
     fn stop_event_loop(&mut self) {
         if let Some(shared) = &self.shared {
-            // Hang up on the pre-warm worker first (dropping its sender
-            // ends its recv loop) so it releases its `Arc<Shared>` before
-            // shutdown() claims sole ownership.
-            shared
-                .prewarm_tx
-                .lock()
-                .expect("prewarm sender poisoned")
-                .take();
-            // SeqCst: the shutdown flag must be totally ordered with the
-            // draining flag and epoch (all SeqCst) — the event loop reads
-            // them as one coherent control state when deciding between
-            // hard-shutdown drain and soft drain.
-            shared.shutdown.store(true, Ordering::SeqCst);
             // An in-flight reply against a *paused* service would never
             // resolve and the drain below would hang: resume so admitted
             // work completes (shutdown always drains — same contract as
             // the in-process service).
             shared.sharded.resume();
+            // Release: pairs with the loop's Acquire load, so a loop that
+            // sees the flag also sees everything this thread did before
+            // raising it, the resume above included.
+            shared.shutdown.store(true, Ordering::Release);
             shared.notifier.waker.wake();
-        }
-        if let Some(prewarm_worker) = self.prewarm_worker.take() {
-            let _ = prewarm_worker.join();
         }
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
@@ -665,10 +594,7 @@ fn net_stats(shared: &Shared) -> NetStats {
     let mut obs = shared.obs.snapshot();
     obs.merge(&mgpu_obs::global().snapshot());
     NetStats {
-        // SeqCst: a STATS reply must never echo an epoch older than a
-        // drain/resume transition the same observer already saw — epoch
-        // and the draining flag share one total order.
-        epoch: shared.epoch.load(Ordering::SeqCst),
+        epoch: shared.epoch.load(Ordering::Relaxed),
         uptime: shared.sharded.uptime(),
         shard_snapshots: shared.sharded.shard_snapshots(),
         obs,
@@ -687,6 +613,12 @@ struct EventLoop {
     next_token: u64,
     /// Handle bundle cloned into each accepted connection.
     conn_obs: ConnObs,
+    /// Soft drain (wire v4): refuse new `RENDER`/`SUBMIT`/`PREWARM` with a
+    /// typed `DRAINING` reply, keep answering everything already owed,
+    /// `GOODBYE` every work-carrying session once nothing is outstanding.
+    /// Reversible with `RESUME` — unlike shutdown, the sockets stay open
+    /// and readable.
+    draining: bool,
 }
 
 impl EventLoop {
@@ -699,6 +631,7 @@ impl EventLoop {
             conns: HashMap::new(),
             next_token: 1,
             conn_obs,
+            draining: false,
         }
     }
 
@@ -708,13 +641,9 @@ impl EventLoop {
         loop {
             self.apply_completions();
 
-            // SeqCst: shutdown and draining form one control state;
-            // reading them in the same total order their writers use means
-            // a hard shutdown can never be mistaken for a soft drain
-            // mid-transition.
-            let draining = self.shared.shutdown.load(Ordering::SeqCst);
-            // SeqCst: same total order as the shutdown read above.
-            if !draining && self.shared.draining.load(Ordering::SeqCst) {
+            // Acquire: pairs with the Release store in `stop_event_loop`.
+            let shutting_down = self.shared.shutdown.load(Ordering::Acquire);
+            if !shutting_down && self.draining {
                 // Soft drain: once no session holds anything — no in-flight
                 // renders, no un-redeemed tickets — tell every session that
                 // carried render work GOODBYE (request id 0, the
@@ -734,7 +663,7 @@ impl EventLoop {
                     }
                 }
             }
-            if draining {
+            if shutting_down {
                 // Graceful shutdown: stop reading, keep delivering. A
                 // connection owing nothing more (no in-flight renders, no
                 // parked redeems, empty write buffer) closes now;
@@ -752,7 +681,7 @@ impl EventLoop {
                 readiness::fd_of(&self.waker_rx),
                 readiness::POLLIN,
             ));
-            let listener_slot = if draining {
+            let listener_slot = if shutting_down {
                 None
             } else {
                 fds.push(readiness::PollFd::new(
@@ -764,7 +693,7 @@ impl EventLoop {
             let mut tokens = Vec::with_capacity(self.conns.len());
             for (token, conn) in &self.conns {
                 let mut events = 0i16;
-                if !draining && !conn.closing {
+                if !shutting_down && !conn.closing {
                     events |= readiness::POLLIN;
                 }
                 if !conn.out.is_empty() {
@@ -805,8 +734,10 @@ impl EventLoop {
                     self.conns.remove(&token);
                     continue;
                 }
-                if fd.readable() {
-                    self.service_reads(token, draining);
+                // During the shutdown drain reads are off: only completions
+                // and flushes run.
+                if fd.readable() && !shutting_down {
+                    self.service_reads(token);
                 }
                 if fd.writable() {
                     self.flush_conn(token);
@@ -850,46 +781,34 @@ impl EventLoop {
     /// ticket tables). Completions for connections that died in the
     /// meantime are dropped — the frame is in the render cache anyway.
     fn apply_completions(&mut self) {
-        for (token, frame) in self.shared.notifier.drain_replies() {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.send(frame);
-            }
-        }
         for done in self.shared.notifier.drain() {
             let Some(conn) = self.conns.get_mut(&done.conn) else {
                 continue;
             };
             // The `reply` span covers frame encoding and write-buffer
-            // enqueue (for tickets: parking the result); dropping `done`
-            // at the end of this arm releases the last trace `Arc`, which
-            // publishes the finished trace into the ring.
+            // enqueue (or parking the result); dropping `done` at the end
+            // of this arm releases the last trace `Arc`, which publishes the
+            // finished trace into the ring.
             let reply_start = Instant::now();
-            match done.mode {
-                Done::Render => {
-                    conn.in_flight.remove(&done.request_id);
-                    conn.send(frame_reply(done.request_id, &done.result));
+            // One rule for `RENDER` and `SUBMIT`: a parked redeem gets the
+            // reply, tagged with its id; otherwise the result is parked.
+            match conn.tickets.get_mut(&done.request_id) {
+                Some(Ticket::Pending {
+                    redeem: Some(redeem_id),
+                }) => {
+                    let reply = frame_reply(*redeem_id, &done.result);
+                    conn.tickets.remove(&done.request_id);
+                    conn.send(reply);
                 }
-                Done::Ticket => {
-                    if let Some(redeem_id) = conn.redeems.remove(&done.request_id) {
-                        // A REDEEM was already parked on this ticket:
-                        // answer it now, tagged with the redeem's own id.
-                        conn.tickets.remove(&done.request_id);
-                        conn.send(frame_reply(redeem_id, &done.result));
-                    } else if let Some(state) = conn.tickets.get_mut(&done.request_id) {
-                        *state = TicketState::Ready(done.result);
-                    }
-                }
+                Some(ticket) => *ticket = Ticket::Ready(done.result),
+                None => {}
             }
             done.trace.record_since("reply", reply_start);
         }
     }
 
-    /// Read and dispatch whatever the socket has. During shutdown drain,
-    /// reads are off — only completions and flushes run.
-    fn service_reads(&mut self, token: u64, draining: bool) {
-        if draining {
-            return;
-        }
+    /// Read and dispatch whatever the socket has.
+    fn service_reads(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -945,7 +864,30 @@ impl EventLoop {
     /// that does not decode or validate is echoed as a typed `BAD_REQUEST`
     /// and poisons nothing but its own request.
     fn dispatch(&mut self, token: u64, op: u8, request_id: u64, payload: &[u8]) {
-        let shared = Arc::clone(&self.shared);
+        if let Err(err) = self.serve(token, op, request_id, payload) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.send(frame_bytes(
+                    opcode::BAD_REQUEST,
+                    request_id,
+                    &encode(&err.to_string()),
+                ));
+            }
+        }
+        // Opportunistic flush: most replies fit the socket buffer and go
+        // out without waiting for the next poll round.
+        self.flush_conn(token);
+    }
+
+    /// Answer one request on its connection. `Err` is a payload-level
+    /// error: the caller echoes it as `BAD_REQUEST` and the connection
+    /// survives.
+    fn serve(
+        &mut self,
+        token: u64,
+        op: u8,
+        request_id: u64,
+        payload: &[u8],
+    ) -> Result<(), WireError> {
         // Drain-state replies report what the whole node still owes, which
         // must be summed before the per-connection borrow below.
         let total_outstanding: u64 = if op == opcode::DRAIN || op == opcode::RESUME {
@@ -953,121 +895,77 @@ impl EventLoop {
         } else {
             0
         };
+        let shared = &*self.shared;
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return Ok(());
         };
-        let served = serve(
-            &shared,
-            conn,
-            token,
-            total_outstanding,
-            op,
-            request_id,
-            payload,
-        );
-        if let Err(err) = served {
-            conn.send(frame_bytes(
-                opcode::BAD_REQUEST,
-                request_id,
-                &encode(&err.to_string()),
-            ));
-        }
-        // Opportunistic flush: most replies fit the socket buffer and go
-        // out without waiting for the next poll round.
-        self.flush_conn(token);
-    }
-}
-
-/// Answer one request on its connection. `Err` is a payload-level error:
-/// the caller echoes it as `BAD_REQUEST` and the connection survives.
-fn serve(
-    shared: &Shared,
-    conn: &mut Conn,
-    token: u64,
-    total_outstanding: u64,
-    op: u8,
-    request_id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    match op {
-        opcode::PING => {
-            let pong = Pong {
-                token: decode(payload)?,
-                shards: shared.sharded.shard_count() as u32,
-            };
-            conn.send(frame_bytes(opcode::PONG, request_id, &encode(&pong)));
-        }
-        opcode::STATS => {
-            let stats = net_stats(shared);
-            conn.send(frame_bytes(
-                opcode::STATS_REPORT,
-                request_id,
-                &encode(&stats),
-            ));
-        }
-        opcode::TRACES => {
-            let traces = mgpu_obs::ring().recent(decode::<u32>(payload)? as usize);
-            conn.send(frame_bytes(
-                opcode::TRACES_REPLY,
-                request_id,
-                &encode(&traces),
-            ));
-        }
-        // A draining node refuses *new* work — typed, per-request, and the
-        // connection survives (in-flight replies and parked redeems still
-        // flow). The epoch tells the refused client how stale it is.
-        // SeqCst (flag and epoch): a DRAINING refusal must carry an epoch
-        // at least as new as the DRAIN that set the flag — both sides of
-        // the refusal read one total order.
-        opcode::RENDER | opcode::SUBMIT if shared.draining.load(Ordering::SeqCst) => {
-            shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
-            // SeqCst: ordered after the draining flag read above.
-            let epoch = shared.epoch.load(Ordering::SeqCst);
-            conn.send(frame_bytes(opcode::DRAINING, request_id, &encode(&epoch)));
-        }
-        opcode::RENDER | opcode::SUBMIT => {
-            let mode = if op == opcode::RENDER {
-                Done::Render
-            } else {
-                Done::Ticket
-            };
-            let admit_start = Instant::now();
-            let Some(scene) = admit(shared, conn, request_id, payload)? else {
-                return Ok(());
-            };
-            // The trace id IS the wire request id: a client can correlate
-            // a TRACES row with its own request.
-            let trace = Trace::start(request_id);
-            trace.record_since("admit", admit_start);
-            let notifier = Arc::clone(&shared.notifier);
-            let reply_trace = Arc::clone(&trace);
-            let submitted = shared
-                .sharded
-                .try_submit_traced(scene, trace, move |result| {
-                    notifier.complete(Completion {
-                        conn: token,
-                        request_id,
-                        mode,
-                        result,
-                        trace: reply_trace,
-                    })
-                });
-            match (submitted, mode) {
-                (Err(admission), _) => {
+        match op {
+            opcode::PING => {
+                let pong = Pong {
+                    token: decode(payload)?,
+                    shards: shared.sharded.shard_count() as u32,
+                };
+                conn.send(frame_bytes(opcode::PONG, request_id, &encode(&pong)));
+            }
+            opcode::STATS => {
+                let stats = net_stats(shared);
+                conn.send(frame_bytes(
+                    opcode::STATS_REPORT,
+                    request_id,
+                    &encode(&stats),
+                ));
+            }
+            opcode::TRACES => {
+                let traces = mgpu_obs::ring().recent(decode::<u32>(payload)? as usize);
+                conn.send(frame_bytes(
+                    opcode::TRACES_REPLY,
+                    request_id,
+                    &encode(&traces),
+                ));
+            }
+            // A draining node refuses *new* work — typed, per-request, and the
+            // connection survives (in-flight replies and parked redeems still
+            // flow). The epoch tells the refused client how stale it is.
+            opcode::RENDER | opcode::SUBMIT | opcode::PREWARM if self.draining => {
+                shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
+                let epoch = shared.epoch.load(Ordering::Relaxed);
+                conn.send(frame_bytes(opcode::DRAINING, request_id, &encode(&epoch)));
+            }
+            opcode::RENDER | opcode::SUBMIT => {
+                let admit_start = Instant::now();
+                let Some(scene) = admit(shared, conn, request_id, payload)? else {
+                    return Ok(());
+                };
+                // The trace id IS the wire request id: a client can correlate
+                // a TRACES row with its own request.
+                let trace = Trace::start(request_id);
+                trace.record_since("admit", admit_start);
+                let notifier = Arc::clone(&shared.notifier);
+                let reply_trace = Arc::clone(&trace);
+                let submitted = shared
+                    .sharded
+                    .try_submit_traced(scene, trace, move |result| {
+                        notifier.complete(Completion {
+                            conn: token,
+                            request_id,
+                            result,
+                            trace: reply_trace,
+                        })
+                    });
+                if let Err(admission) = submitted {
                     conn.send(frame_bytes(
                         opcode::REJECTED,
                         request_id,
                         &encode(&admission),
                     ));
+                    return Ok(());
                 }
-                (Ok(()), Done::Render) => {
-                    conn.carried_work = true;
-                    conn.in_flight.insert(request_id);
-                }
-                // The ticket id IS the SUBMIT's request id.
-                (Ok(()), Done::Ticket) => {
-                    conn.carried_work = true;
-                    conn.tickets.insert(request_id, TicketState::Pending);
+                conn.carried_work = true;
+                // The ticket id IS the request id. A `RENDER` is a ticket whose
+                // redeem is parked under its own id from the start.
+                let redeem = (op == opcode::RENDER).then_some(request_id);
+                conn.tickets.insert(request_id, Ticket::Pending { redeem });
+                if op == opcode::SUBMIT {
                     conn.send(frame_bytes(
                         opcode::SUBMITTED,
                         request_id,
@@ -1075,103 +973,81 @@ fn serve(
                     ));
                 }
             }
-        }
-        opcode::REDEEM => {
-            let ticket_id: u64 = decode(payload)?;
-            match conn.tickets.get(&ticket_id) {
-                Some(TicketState::Ready(result)) => {
-                    let reply = frame_reply(request_id, result);
-                    conn.tickets.remove(&ticket_id);
-                    conn.send(reply);
-                }
-                Some(TicketState::Pending) => match conn.redeems.entry(ticket_id) {
-                    // Park the redeem: the completion answers it.
-                    Entry::Vacant(slot) => {
-                        slot.insert(request_id);
+            opcode::REDEEM => {
+                let ticket_id: u64 = decode(payload)?;
+                match conn.tickets.get_mut(&ticket_id) {
+                    Some(Ticket::Ready(result)) => {
+                        let reply = frame_reply(request_id, result);
+                        conn.tickets.remove(&ticket_id);
+                        conn.send(reply);
                     }
-                    Entry::Occupied(_) => {
+                    // Park the redeem: the completion answers it.
+                    Some(Ticket::Pending {
+                        redeem: redeem @ None,
+                    }) => *redeem = Some(request_id),
+                    Some(Ticket::Pending { redeem: Some(_) }) => {
                         return Err(WireError::Malformed(format!(
                             "ticket {ticket_id} is already being redeemed"
                         )));
                     }
-                },
-                None => {
-                    return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
+                    None => {
+                        return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
+                    }
                 }
             }
-        }
-        opcode::DRAIN | opcode::RESUME => {
-            // SeqCst: the epoch bump must be ordered *before* the
-            // draining-flag flip in the one total order every reader
-            // (STATS, refusals, the event loop) uses — a refusal observed
-            // after this swap always carries at least this epoch.
-            shared.epoch.fetch_max(decode(payload)?, Ordering::SeqCst);
-            let draining = op == opcode::DRAIN;
-            // SeqCst: see the fetch_max above — flag and epoch share one
-            // order.
-            let was = shared.draining.swap(draining, Ordering::SeqCst);
-            // Idempotent: repeating the current state is a no-op (and not
-            // a counted transition).
-            if draining && !was {
-                shared.obs.counter(names::NET_DRAINS).inc();
-            } else if !draining && was {
-                shared.obs.counter(names::NET_RESUMES).inc();
+            opcode::DRAIN | opcode::RESUME => {
+                shared.epoch.fetch_max(decode(payload)?, Ordering::Relaxed);
+                let draining = op == opcode::DRAIN;
+                let was = std::mem::replace(&mut self.draining, draining);
+                // Idempotent: repeating the current state is a no-op (and not
+                // a counted transition).
+                if draining && !was {
+                    shared.obs.counter(names::NET_DRAINS).inc();
+                } else if !draining && was {
+                    shared.obs.counter(names::NET_RESUMES).inc();
+                }
+                let state = DrainState {
+                    draining,
+                    outstanding: total_outstanding,
+                    epoch: shared.epoch.load(Ordering::Relaxed),
+                };
+                conn.send(frame_bytes(
+                    opcode::DRAIN_STATE,
+                    request_id,
+                    &encode(&state),
+                ));
             }
-            let state = DrainState {
-                draining,
-                outstanding: total_outstanding,
-                // SeqCst: the reply must echo an epoch no older than the
-                // bump this same request applied.
-                epoch: shared.epoch.load(Ordering::SeqCst),
-            };
-            conn.send(frame_bytes(
-                opcode::DRAIN_STATE,
-                request_id,
-                &encode(&state),
-            ));
-        }
-        opcode::PREWARM => {
-            let (epoch, request): (u64, NetSceneRequest) = decode(payload)?;
-            // SeqCst: prewarms carry the controller's epoch; the bump
-            // joins the same total order as drain/resume so a later STATS
-            // echo can never regress.
-            shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-            let (spec, volume, scene, config, priority) = request.to_parts()?;
-            let job = PrewarmJob {
-                conn: token,
-                request_id,
-                request: SceneRequest {
+            opcode::PREWARM => {
+                let (epoch, request): (u64, NetSceneRequest) = decode(payload)?;
+                shared.epoch.fetch_max(epoch, Ordering::Relaxed);
+                let (spec, volume, scene, config, priority) = request.to_parts()?;
+                let (shard, built) = shared.sharded.prewarm(&SceneRequest {
                     spec,
                     volume,
                     scene,
                     config,
                     priority,
-                },
-            };
-            let tx = shared
-                .prewarm_tx
-                .lock()
-                .expect("prewarm sender poisoned")
-                .clone();
-            // The worker answers PREWARMED when the plan is built; with
-            // the worker gone (shutdown racing in) answer built=false so
-            // the peer never hangs.
-            if tx.map(|tx| tx.send(job).is_ok()) != Some(true) {
-                let cold = Prewarmed {
-                    shard: 0,
-                    built: false,
+                });
+                shared.obs.counter(names::NET_PREWARMS).inc();
+                let prewarmed = Prewarmed {
+                    shard: shard as u32,
+                    built,
                 };
-                conn.send(frame_bytes(opcode::PREWARMED, request_id, &encode(&cold)));
+                conn.send(frame_bytes(
+                    opcode::PREWARMED,
+                    request_id,
+                    &encode(&prewarmed),
+                ));
+            }
+            other => {
+                // A peer dispatching unknown requests is not speaking this
+                // protocol: reply typed, then close.
+                conn.closing = true;
+                return Err(WireError::UnknownOpcode(other));
             }
         }
-        other => {
-            // A peer dispatching unknown requests is not speaking this
-            // protocol: reply typed, then close.
-            conn.closing = true;
-            return Err(WireError::UnknownOpcode(other));
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The server door for `RENDER`/`SUBMIT`: reject duplicate request ids,

@@ -148,9 +148,10 @@ pub mod opcode {
     pub const RESUME: u8 = 0x08;
     /// Populate the owning shard's plan cache for a request's `BatchKey`
     /// *before* traffic moves there (payload: epoch + a full render
-    /// request), so a placement cutover never costs a cold start. The plan
-    /// builds off the event loop, on a dedicated pre-warm worker; answered
-    /// with [`PREWARMED`] when the plan is resident. New in v4.
+    /// request). The plan is the brick grid and an empty brick store, built
+    /// on the event loop in microseconds; the first frame rendered against
+    /// it still stages every brick. Answered with [`PREWARMED`] once the
+    /// plan is cached, or [`DRAINING`] while the server drains. New in v4.
     pub const PREWARM: u8 = 0x09;
 
     pub const PONG: u8 = 0x81;
@@ -964,6 +965,17 @@ pub const MIN_STEP_VOXELS: f32 = 1.0 / 16.0;
 /// leave a server holding thousands of parked threads.
 pub const MAX_GPUS: u32 = 256;
 
+/// Largest procedural-dataset resolution a request may name: the paper's
+/// largest cube edge. Plume is `base × base × 4·base`, so without a ceiling
+/// one well-formed request could ask for dimensions that overflow `u32`.
+pub const MAX_DATASET_BASE: u32 = 1024;
+
+/// Most bricks a request may have its volume cut into. A plan holds one
+/// handle per brick, and `BrickGrid::subdivide` splits toward two targets,
+/// `bricks_per_gpu · gpus` and `⌈voxels / max_brick_voxels⌉`; the door
+/// bounds both, so it refuses a request without building its grid.
+pub const MAX_BRICKS: u64 = 4096;
+
 impl VolumeSpec {
     /// Describe an in-process [`Volume`] for the wire: a named procedural
     /// dataset travels by `(name, base)` (the receiver regenerates it
@@ -1002,8 +1014,10 @@ impl VolumeSpec {
     pub fn to_volume(&self) -> Result<Volume, WireError> {
         match self {
             VolumeSpec::Dataset { dataset, base } => {
-                if *base == 0 {
-                    return Err(WireError::Malformed("dataset base resolution 0".into()));
+                if *base == 0 || *base > MAX_DATASET_BASE {
+                    return Err(WireError::Malformed(format!(
+                        "dataset base resolution {base} (1 to {MAX_DATASET_BASE})"
+                    )));
                 }
                 Ok(dataset.volume(*base))
             }
@@ -1226,9 +1240,24 @@ impl NetSceneRequest {
                 "ray-march step of {step} voxels (must be finite and at least {MIN_STEP_VOXELS})"
             )));
         }
+        let min_bricks = self.config.bricks_per_gpu.max(1) as u64 * self.gpus as u64;
+        if min_bricks > MAX_BRICKS {
+            return Err(WireError::Malformed(format!(
+                "{} bricks per GPU on {} GPUs (at most {MAX_BRICKS} bricks)",
+                self.config.bricks_per_gpu, self.gpus
+            )));
+        }
         let spec =
             ClusterSpec::accelerator_cluster(self.gpus).with_gpus_per_node(self.gpus_per_node);
         let volume = self.volume.to_volume()?;
+        let voxels = volume.meta.voxel_count();
+        let max_brick_voxels = self.config.max_brick_voxels;
+        if voxels.div_ceil(max_brick_voxels.max(1)) > MAX_BRICKS {
+            return Err(WireError::Malformed(format!(
+                "{voxels} voxels in bricks of at most {max_brick_voxels} \
+                 (at most {MAX_BRICKS} bricks)"
+            )));
+        }
         let transfer = self.transfer.to_transfer()?;
         let scene = Scene {
             camera: self.camera.to_camera(&volume),
@@ -2387,11 +2416,13 @@ pub(crate) mod tests {
             mismatched.to_volume(),
             Err(WireError::Malformed(_))
         ));
-        let zero = VolumeSpec::Dataset {
-            dataset: Dataset::Skull,
-            base: 0,
-        };
-        assert!(matches!(zero.to_volume(), Err(WireError::Malformed(_))));
+        for base in [0, MAX_DATASET_BASE + 1] {
+            let spec = VolumeSpec::Dataset {
+                dataset: Dataset::Plume,
+                base,
+            };
+            assert!(matches!(spec.to_volume(), Err(WireError::Malformed(_))));
+        }
     }
 
     proptest! {

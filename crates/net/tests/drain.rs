@@ -346,6 +346,39 @@ fn rebalance_migrates_a_hot_key_with_a_prewarmed_destination() {
     }
 }
 
+/// A draining node refuses `PREWARM` like any new work: the typed
+/// `DRAINING` reply carries an epoch no older than the drain's, and no plan
+/// is built.
+#[test]
+fn a_draining_node_refuses_prewarm() {
+    let servers = [node(), node()];
+    let pool = NodePool::try_new(
+        servers.iter().map(RenderServer::addr).collect(),
+        NodePoolConfig::default(),
+    )
+    .expect("two-node pool");
+    let drained = pool.drain_node(0).expect("drain");
+
+    let client = RenderClient::connect(servers[0].addr()).expect("connect");
+    let prewarms = || {
+        let stats = client.stats().expect("stats");
+        stats.service_snapshot().counter("serve.plan_prewarms")
+    };
+    let before = prewarms();
+    let req =
+        mgpu_net::NetSceneRequest::from_request(&request(Dataset::Skull, 0.0)).expect("portable");
+    match client.prewarm(drained.epoch, &req) {
+        Err(mgpu_net::ClientError::Draining { epoch }) => assert!(epoch >= drained.epoch),
+        other => panic!("a draining node must refuse PREWARM typed, got {other:?}"),
+    }
+    assert_eq!(prewarms(), before, "no plan is built while draining");
+
+    drop(pool);
+    for server in servers {
+        server.shutdown();
+    }
+}
+
 /// Live membership end to end: a node joins, takes its share of keys, and
 /// a drained node can be removed with its parked tickets still redeemable
 /// (the slot outlives the directory index).

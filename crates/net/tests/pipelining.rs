@@ -136,7 +136,8 @@ fn submits_and_renders_interleave_on_one_connection() {
 
 /// A request id may name only one outstanding request per connection: the
 /// duplicate gets a typed BAD_REQUEST tagged with that id, and the
-/// connection (plus the original request) survives.
+/// connection (plus the original request) survives. The same holds for a
+/// REDEEM of an id whose frame is already owed to someone.
 #[test]
 fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     let server = server(1, 1);
@@ -166,6 +167,34 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     raw.flush().unwrap();
 
     server.shutdown();
+
+    // A REDEEM naming an in-flight RENDER's id: that frame is already owed
+    // to the RENDER, so the REDEEM is refused under its own id and the
+    // RENDER is still answered. (The paused service holds it in flight.)
+    let paused = RenderServer::start(ServerConfig {
+        shards: 1,
+        service: ServiceConfig {
+            workers: 1,
+            start_paused: true,
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let mut raw = TcpStream::connect(paused.addr()).expect("connect");
+    write_frame(&mut raw, opcode::RENDER, 20, &payload).expect("render");
+    write_frame(&mut raw, opcode::REDEEM, 21, &wire::encode(&20u64)).expect("redeem");
+    let (op, id, echo) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
+    assert_eq!((op, id), (opcode::BAD_REQUEST, 21));
+    let message: String = wire::decode(&echo).expect("echo decodes");
+    assert!(
+        message.contains("already being redeemed"),
+        "unexpected echo: {message}"
+    );
+    paused.resume();
+    let (op, id, _frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
+    assert_eq!((op, id), (opcode::FRAME, 20));
+    paused.shutdown();
 }
 
 /// Once a ticket's render completes *after* its REDEEM arrived (the parked

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use mgpu_net::wire::{self, opcode, read_frame, write_frame, HEADER_BYTES, MAGIC};
-use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
+use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig, VolumeSpec};
 use mgpu_serve::ServiceConfig;
 use mgpu_voldata::Dataset;
 use mgpu_volren::{RenderConfig, TransferFunction};
@@ -139,6 +139,34 @@ fn outstanding_tickets_are_bounded_per_session() {
         .submit(&tiny_request(20.0))
         .expect("submit after redeem");
     server.shutdown();
+
+    // A `RENDER` in flight counts against the same bound as a ticket.
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        service: ServiceConfig {
+            workers: 1,
+            start_paused: true,
+            ..ServiceConfig::default()
+        },
+        max_tickets_per_session: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let client = RenderClient::connect(server.addr()).expect("connect");
+    let rendering = client
+        .begin_render(&tiny_request(0.0))
+        .expect("begin render");
+    let ticket = client.submit(&tiny_request(10.0)).expect("submit");
+    match client.submit(&tiny_request(20.0)) {
+        Err(mgpu_net::ClientError::TicketsFull { outstanding, limit }) => {
+            assert_eq!((outstanding, limit), (2, 2));
+        }
+        other => panic!("expected typed ticket-bound refusal, got {other:?}"),
+    }
+    server.resume();
+    client.finish_render(rendering).expect("render");
+    client.redeem(ticket).expect("redeem");
+    server.shutdown();
 }
 
 /// Shutdown drains a *paused* service instead of deadlocking: a blocking
@@ -228,9 +256,13 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
 /// grow as `1 / step_voxels`, and a step of `1e-12` would pin a render
 /// worker for hours; every modeled GPU is two threads the executor keeps
 /// for the life of the process, and `u32::MAX` of them is a server that
-/// never comes back. The server door refuses both typed — before a
-/// rate-limit token is spent — and both the offending connection and a
-/// session opened beforehand carry on.
+/// never comes back. The plan a request names is bounded the same way: a
+/// dataset past the paper's largest edge (Plume at 2³⁰ overflowed its
+/// `4·base` depth on the event loop), and a grid split toward more than
+/// `MAX_BRICKS` bricks by either target. The server door refuses all of
+/// them typed — as `RENDER`, `SUBMIT` or `PREWARM`, before a rate-limit
+/// token is spent — and both the offending connection and a session opened
+/// beforehand carry on.
 #[test]
 fn an_unbounded_march_is_refused_at_the_door() {
     let server = RenderServer::start(ServerConfig {
@@ -260,6 +292,54 @@ fn an_unbounded_march_is_refused_at_the_door() {
         assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "{why}");
         let message: String = wire::decode(&payload).expect("error echo decodes");
         assert!(message.contains(why), "unexpected echo: {message}");
+    }
+    fn dataset(dataset: Dataset, base: u32) -> VolumeSpec {
+        VolumeSpec::Dataset { dataset, base }
+    }
+    let oversized: [(Spoil, &str); 4] = [
+        (
+            |r| r.volume = dataset(Dataset::Plume, 1 << 30),
+            "dataset base",
+        ),
+        (|r| r.volume = dataset(Dataset::Skull, 4096), "dataset base"),
+        (|r| r.config.bricks_per_gpu = u32::MAX, "bricks"),
+        (
+            |r| {
+                r.volume = dataset(Dataset::Skull, 64);
+                r.config.max_brick_voxels = 1;
+            },
+            "bricks",
+        ),
+    ];
+    for (spoil, why) in oversized {
+        let mut request = tiny_request(0.0);
+        spoil(&mut request);
+        // A connection of its own, so each case has its one token to keep.
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        let prewarm = wire::encode(&(0u64, request.clone()));
+        for (id, op, payload) in [
+            (1, opcode::SUBMIT, wire::encode(&request)),
+            (2, opcode::PREWARM, prewarm),
+        ] {
+            write_frame(&mut conn, op, id, &payload).unwrap();
+            let (op, echoed, payload) =
+                read_frame(&mut conn, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
+            assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "{request:?}");
+            let message: String = wire::decode(&payload).expect("error echo decodes");
+            assert!(message.contains(why), "unexpected echo: {message}");
+        }
+        // The same connection renders on its unspent token, and so does a
+        // fresh one.
+        write_frame(
+            &mut conn,
+            opcode::RENDER,
+            3,
+            &wire::encode(&tiny_request(0.0)),
+        )
+        .unwrap();
+        let (op, id, _) = read_frame(&mut conn, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
+        assert_eq!((op, id), (opcode::FRAME, 3), "{why}");
+        assert_service_healthy(&server, 70.0);
     }
     // Same connection, same bucket: the one token is still there.
     write_frame(

@@ -30,11 +30,13 @@ pub const NET_CONNECTIONS: &str = "net.connections";
 pub const NET_LOOP_WAKEUPS: &str = "net.loop_wakeups";
 /// Requests refused by the per-session token bucket.
 pub const NET_THROTTLED: &str = "net.throttled";
-/// PREWARM requests answered (plan built or already warm).
+/// PREWARM requests answered on the event loop (plan built or already
+/// warm; a plan is a brick grid and an empty brick store — no brick is
+/// staged).
 pub const NET_PREWARMS: &str = "net.prewarms";
 /// GOODBYE seals sent to work-carrying sessions at drain completion.
 pub const NET_GOODBYES: &str = "net.goodbyes";
-/// RENDER/SUBMIT refused with a typed DRAINING reply.
+/// RENDER/SUBMIT/PREWARM refused with a typed DRAINING reply.
 pub const NET_DRAIN_REFUSED: &str = "net.drain_refused";
 /// Idle→draining transitions (idempotent repeats not counted).
 pub const NET_DRAINS: &str = "net.drains";
@@ -51,7 +53,7 @@ pub const POOL_DRAIN_INITIATED: &str = "pool.drain.initiated";
 pub const POOL_DRAIN_RESUMED: &str = "pool.drain.resumed";
 /// Tickets redeemed via handoff re-render on a survivor node.
 pub const POOL_DRAIN_HANDOFFS: &str = "pool.drain.handoffs";
-/// Rebalancer control-loop ticks.
+/// `rebalance_once` passes.
 pub const POOL_REBALANCE_TICKS: &str = "pool.rebalance.ticks";
 /// Hot-key migrations cut over by the rebalancer.
 pub const POOL_REBALANCE_MIGRATIONS: &str = "pool.rebalance.migrations";
@@ -100,7 +102,8 @@ pub const SERVE_BATCHED_FRAMES: &str = "serve.batched_frames";
 pub const SERVE_BRICK_STAGINGS: &str = "serve.brick_stagings";
 /// Brick stagings avoided by the shared store (warm).
 pub const SERVE_BRICK_REUSES: &str = "serve.brick_reuses";
-/// Plans built by the PREWARM worker off the hot path.
+/// Plans built by a PREWARM: the brick grid and an empty brick store (the
+/// first frame rendered against the plan still stages every brick).
 pub const SERVE_PLAN_PREWARMS: &str = "serve.plan_prewarms";
 /// Queued `Batch` jobs right now (gauge).
 pub const SERVE_QUEUE_DEPTH_BATCH: &str = "serve.queue_depth_batch";

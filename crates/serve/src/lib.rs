@@ -486,10 +486,12 @@ impl RenderService {
         self.inner.plans.snapshot()
     }
 
-    /// Populate the plan cache for `request`'s [`BatchKey`] off the hot
-    /// path: brick the volume and insert the shared [`mgpu_volren::FramePlan`] now, on
-    /// the caller's thread, so the first real render of this key after a
-    /// migration hits a warm cache instead of paying the staging cost.
+    /// Populate the plan cache for `request`'s [`BatchKey`] now, on the
+    /// caller's thread: build the shared [`mgpu_volren::FramePlan`] (the
+    /// brick grid and an empty brick store; 12–19 µs for Skull 128³, Plume
+    /// and a shipped 64³ volume on a 2.6 GHz Xeon) and insert it. The first
+    /// real render of this key after a migration finds the plan cached, but
+    /// still stages every brick it needs.
     /// Returns `true` when a plan was built, `false` on a cache hit.
     pub fn prewarm(&self, request: &SceneRequest) -> bool {
         let key = BatchKey::of(request);

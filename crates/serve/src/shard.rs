@@ -102,10 +102,6 @@ pub fn ranked(key: &BatchKey, shards: usize) -> Vec<usize> {
     order
 }
 
-fn rendezvous(key: &BatchKey, shards: usize) -> usize {
-    route(key, shards)
-}
-
 /// N independent render services behind one handle, with rendezvous routing
 /// by batch key. Each shard has its own queue, workers, frame cache and
 /// plan cache; admission control applies per shard.
@@ -131,7 +127,7 @@ impl ShardedService {
 
     /// Which shard owns this batch key (deterministic).
     pub fn shard_for(&self, key: &BatchKey) -> usize {
-        rendezvous(key, self.shards.len())
+        route(key, self.shards.len())
     }
 
     /// Direct access to one shard (reports, cache snapshots).
@@ -139,9 +135,11 @@ impl ShardedService {
         &self.shards[index]
     }
 
-    /// Pre-warm the owning shard's plan cache for `request`'s batch key
-    /// (see [`RenderService::prewarm`]). Returns the shard routed to and
-    /// whether a plan was actually built (`false` = already warm).
+    /// Pre-warm the owning shard's plan cache for `request`'s batch key:
+    /// build its brick grid and an empty brick store (see
+    /// [`RenderService::prewarm`]; no brick is staged). Returns the shard
+    /// routed to and whether a plan was actually built (`false` = already
+    /// warm).
     pub fn prewarm(&self, request: &SceneRequest) -> (usize, bool) {
         let key = BatchKey::of(request);
         let shard = self.shard_for(&key);
@@ -216,23 +214,6 @@ impl ShardedService {
         ServiceReport::from_snapshot(&merged, self.uptime())
     }
 
-    /// Per-shard accounting, indexed like [`ShardedService::shard`].
-    pub fn shard_reports(&self) -> Vec<ServiceReport> {
-        self.shards.iter().map(RenderService::report).collect()
-    }
-
-    /// Per-shard heat metrics (queue depth, throughput, cache occupancy),
-    /// indexed like [`ShardedService::shard`] — the data a rebalancer
-    /// watches.
-    pub fn heat(&self) -> Vec<ShardHeat> {
-        let uptime = self.uptime();
-        self.shard_snapshots()
-            .iter()
-            .enumerate()
-            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, uptime))
-            .collect()
-    }
-
     /// Shut every shard down (draining their queues) and report the final
     /// totals. Every ticket submitted before the call still resolves.
     pub fn shutdown(mut self) -> ServiceReport {
@@ -254,13 +235,13 @@ mod tests {
     #[test]
     fn routing_is_deterministic_and_in_range() {
         for key in keys(64) {
-            let a = rendezvous(&key, 4);
+            let a = route(&key, 4);
             assert!(a < 4);
-            assert_eq!(a, rendezvous(&key, 4), "same key, same shard");
+            assert_eq!(a, route(&key, 4), "same key, same shard");
         }
         // Single shard: everything routes to it.
         for key in keys(8) {
-            assert_eq!(rendezvous(&key, 1), 0);
+            assert_eq!(route(&key, 1), 0);
         }
     }
 
@@ -281,7 +262,7 @@ mod tests {
     fn keys_spread_over_shards() {
         let mut used = [false; 4];
         for key in keys(256) {
-            used[rendezvous(&key, 4)] = true;
+            used[route(&key, 4)] = true;
         }
         assert!(used.iter().all(|u| *u), "256 keys must touch all 4 shards");
     }
@@ -310,7 +291,10 @@ mod tests {
                 .request(Scene::orbit(&volume, 0.0, 0.0, TransferFunction::bone()))
                 .wait();
         }
-        let heat = sharded.heat();
+        let uptime = sharded.uptime();
+        let heat: Vec<ShardHeat> = (sharded.shard_snapshots().iter().enumerate())
+            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, uptime))
+            .collect();
         assert_eq!(heat.len(), 2);
         assert_eq!(heat[owner].frames_completed, 2);
         assert_eq!(heat[owner].frame_cache.entries, 1);
@@ -336,8 +320,8 @@ mod tests {
     fn adding_a_shard_only_moves_keys_to_the_new_shard() {
         let mut moved = 0;
         for key in keys(512) {
-            let before = rendezvous(&key, 4);
-            let after = rendezvous(&key, 5);
+            let before = route(&key, 4);
+            let after = route(&key, 5);
             if after != before {
                 assert_eq!(after, 4, "a moved key may only land on the new shard");
                 moved += 1;

@@ -547,7 +547,9 @@ fn sharded_service_routes_by_volume_and_stays_bit_identical() {
         assert_eq!(*frame.image, direct.image, "{}", volume.meta.name);
     }
 
-    let per_shard = sharded.shard_reports();
+    let per_shard: Vec<_> = (0..sharded.shard_count())
+        .map(|i| sharded.shard(i).report())
+        .collect();
     assert_eq!(per_shard.len(), 2);
     assert!(
         per_shard.iter().all(|r| r.frames_rendered > 0),

@@ -20,8 +20,9 @@
 //!   limiting, per-shard heat stats, plus the remote backend —
 //!   [`net::NodePool`] (N servers behind a live, epoch-versioned placement
 //!   [`net::Directory`] with retry budgets, failover, zero-loss graceful
-//!   drains and heat-driven [`net::rebalance`]; [`net::RemoteBackend`] is
-//!   the same pool with one server) — behind the same trait;
+//!   drains and heat-driven rebalancing, one [`net::rebalance_once`] pass
+//!   at a time; [`net::RemoteBackend`] is the same pool with one server) —
+//!   behind the same trait;
 //! * [`obs`] — the observability layer: the unified metrics
 //!   [`obs::Registry`] (counters, gauges, log₂ histograms) with exactly
 //!   mergeable [`obs::Snapshot`]s, and per-request [`obs::Trace`]s whose
@@ -62,8 +63,8 @@ pub mod prelude {
         rebalance_once, ClientConfig, ClientError, Directory, DirectoryError, DrainState,
         MigrationReport, NetFrame, NetSceneRequest, NetStats, NetTicket, NodeError, NodePool,
         NodePoolConfig, PendingRender, PoolConfigError, PoolTicket, RateLimitConfig,
-        RebalanceConfig, RebalanceOutcome, Rebalancer, RemoteBackend, RenderClient, RenderServer,
-        RetryBudget, ServerConfig, WireError,
+        RebalanceConfig, RebalanceOutcome, RemoteBackend, RenderClient, RenderServer, RetryBudget,
+        ServerConfig, WireError,
     };
     pub use mgpu_obs::{CompletedTrace, Counter, Gauge, Histogram, Registry, Snapshot, Trace};
     pub use mgpu_serve::{
