@@ -4,7 +4,8 @@
 //! value noise, the DES replay itself, one ray-march launch with and
 //! without macrocells (and with nothing but its ray setup left to do), a
 //! 256² frame through the wire codec, the fixed
-//! cost of a `run_job` that maps nothing, and an out-of-core brick miss with
+//! cost of a `run_job` that maps nothing, a lopsided `run_job` whose idle
+//! mapper lends its core to the busy one, and an out-of-core brick miss with
 //! and without its macrocell table kept.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -13,10 +14,12 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use mgpu_cluster::{ClusterSpec, GpuId};
-use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture3D};
+use mgpu_gpu::{
+    launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig, LaunchStats, Texture3D,
+};
 use mgpu_mapreduce::{
     counting_sort_groups, run_job, Chunk, GpuMapper, JobConfig, MapOutput, Partitioner, Reducer,
-    RoundRobin, Striped, Tiled,
+    RoundRobin, Striped, Tiled, SENTINEL_KEY,
 };
 use mgpu_net::wire::{decode_frame, encode_frame, opcode, write_frame_view};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
@@ -366,7 +369,8 @@ impl Reducer for NoReducer {
 /// through the channels, sort, reduce and merge of four keys. What is left
 /// is what a frame pays before its first ray (`pool_preview`'s fixed cost),
 /// visible here without a server. One iteration is 1000 jobs, so the line
-/// reads in µs per job with "ms" as its unit.
+/// reads in µs per job with "ms" as its unit. `lopsided_2_gpus` is one job
+/// of [`SpinMapper`]'s.
 fn bench_job(c: &mut Criterion) {
     let mut g = c.benchmark_group("job");
     g.sample_size(20);
@@ -389,7 +393,74 @@ fn bench_job(c: &mut Criterion) {
             }
         })
     });
+    let lopsided: Vec<NoChunk> = (0..2).map(NoChunk).collect();
+    let config = JobConfig::new(2, 64);
+    g.bench_function("lopsided_2_gpus", |b| {
+        b.iter(|| {
+            run_job(
+                black_box(&lopsided),
+                &SpinMapper,
+                &NoReducer,
+                &RoundRobin,
+                None,
+                &spec,
+                &config,
+            )
+            .keys
+            .len()
+        })
+    });
     g.finish();
+}
+
+/// Fixed spin work per block; thread 0 of each block emits the block id.
+struct SpinKernel {
+    spins: u64,
+}
+
+impl BlockKernel for SpinKernel {
+    type Key = u32;
+    type Value = u32;
+    type Launch = ();
+
+    fn prepare(&self) {}
+
+    fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+        let mut acc = 0u64;
+        for i in 0..self.spins {
+            acc = black_box(acc.wrapping_mul(31).wrapping_add(i));
+        }
+        out.keys.fill(SENTINEL_KEY);
+        out.keys[0] = ctx.block.1 * 8 + ctx.block.0;
+        out.values[0] = acc as u32;
+    }
+}
+
+/// Chunk 0 launches 64 blocks of spin work on one host thread, chunk 1 one
+/// empty block: on 2 GPUs, mapper 1 is done at once and lends its core to
+/// mapper 0's launch, so on two cores the job takes about half the time.
+struct SpinMapper;
+
+impl GpuMapper<NoChunk> for SpinMapper {
+    type Value = u32;
+
+    fn map_chunk(&self, _gpu: GpuId, chunk: &NoChunk) -> MapOutput<u32> {
+        let (grid, spins) = if chunk.0 == 0 {
+            ((8, 8), 50_000)
+        } else {
+            ((1, 1), 0)
+        };
+        let config = LaunchConfig {
+            grid,
+            block: (16, 16),
+        };
+        let out = launch_blocks(&SpinKernel { spins }, config, 1);
+        MapOutput {
+            keys: out.keys,
+            values: out.values,
+            stats: out.stats,
+        }
+    }
 }
 
 /// `plume_outofcore`'s miss: `BrickStore::get` of a 128×128×64 brick of a

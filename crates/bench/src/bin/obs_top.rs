@@ -100,6 +100,12 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
         }
     );
     println!(
+        "map:    {:.3} ms of lent cores idle per rendered frame",
+        c(names::CORE_MAP_IDLE_TOTAL_NS) as f64
+            / 1e6
+            / c(names::SERVE_FRAMES_RENDERED).max(1) as f64
+    );
+    println!(
         "\n{:>14} {:>8} {:>10} {:>10} {:>10}",
         "stage", "count", "p50 ms", "p90 ms", "p99 ms"
     );

@@ -10,13 +10,24 @@
 //! the next, and the caller itself is mapper 0 — a job spawns nothing once
 //! the process has run one of its size.
 //!
+//! A mapper that has mapped its last chunk and flushed lends its core to the
+//! job ([`mgpu_gpu::exec::Lender`]): the block launches of the mappers still
+//! at work borrow it for helpers that run some of their blocks. Only which
+//! host thread runs a block changes — every block writes its own slices, so
+//! outputs and the [`JobRecord`] are the same. The core-time lends sat
+//! unused before the map phase ended is added to `core.map_idle_total_ns`
+//! once per job.
+//!
 //! Determinism: chunks are assigned round-robin (chunk `i` → mapper
 //! `i mod M`) and each reducer re-orders received batches by
 //! `(mapper, sequence)` before sorting, so results and the recorded
 //! [`JobRecord`] are bit-identical across runs regardless of thread timing.
 
 use mgpu_cluster::{route, ClusterSpec, GpuId, Route};
+use mgpu_gpu::exec::Lender;
+use mgpu_obs::{names, Counter};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, OnceLock};
 
 use crate::assign::Assignment;
 
@@ -120,6 +131,12 @@ type ReducerResult<Out> = (ReducerRecord, Vec<Key>, Vec<Out>);
 /// rendezvous channel would stall every send until it was taken).
 const CHANNEL_CAPACITY: usize = 1024;
 
+/// `core.map_idle_total_ns`, registered once in the global registry.
+fn map_idle() -> &'static Counter {
+    static MAP_IDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    MAP_IDLE.get_or_init(|| mgpu_obs::global().counter(names::CORE_MAP_IDLE_TOTAL_NS))
+}
+
 /// Run a MapReduce job over `chunks`.
 ///
 /// `spec` is used only to classify batch routes for the statistics (the
@@ -161,6 +178,7 @@ where
     let mut mapper_records = vec![MapperRecord::default(); m_count];
     let mut reducer_results: Vec<ReducerResult<R::Out>> = Vec::new();
     reducer_results.resize_with(r_count, Default::default);
+    let lender = Lender::new(m_count);
     mgpu_gpu::exec::scope(|scope| {
         let run = |m: usize, senders| {
             run_mapper(
@@ -181,7 +199,7 @@ where
         // next, so they are draining before the first batch is flushed.
         for (m, record) in others.iter_mut().enumerate() {
             let senders = senders.clone();
-            scope.spawn(move || *record = run(m + 1, senders));
+            scope.spawn_mapper(&lender, move || *record = run(m + 1, senders));
         }
         for (rx, result) in receivers.into_iter().zip(&mut reducer_results) {
             scope.spawn(move || *result = run_reducer(rx, reducer, config.key_space));
@@ -189,8 +207,9 @@ where
         // The caller is mapper 0 and sends on the original senders, so every
         // channel closes when the last mapper is done with it — also when
         // one of them unwinds.
-        *own = run(0, senders);
+        *own = lender.run_mapper(|| run(0, senders));
     });
+    map_idle().add(lender.idle_ns());
 
     // Assemble record, stats and merged output.
     let mut record = JobRecord::default();

@@ -1,16 +1,20 @@
 //! `run_job` on reused threads: a panic in any role comes out of `run_job`
 //! (promptly, with its own message) and leaves the executor fit for the next
 //! job; jobs of different sizes running at once, each with a kernel launch
-//! nested in its mappers, equal their serial runs.
+//! nested in its mappers, equal their serial runs; and a lopsided job, whose
+//! idle mapper lends its core to the busy one's launches, equals itself run
+//! after run.
 
+use std::collections::HashSet;
+use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier};
-use std::thread;
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use mgpu_cluster::{ClusterSpec, GpuId};
-use mgpu_gpu::{launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig};
+use mgpu_gpu::{launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig, LaunchStats};
 use mgpu_mapreduce::{
     run_job, Chunk, GpuMapper, JobConfig, JobOutput, MapOutput, Reducer, RoundRobin, SENTINEL_KEY,
 };
@@ -186,4 +190,105 @@ fn concurrent_jobs_with_nested_launches_equal_their_serial_runs() {
     for t in threads {
         t.join().expect("a concurrent job diverged");
     }
+}
+
+/// [`TileKernel`] with some spin work per block, noting the thread every
+/// block runs on.
+struct Noted<'a> {
+    tile: TileKernel,
+    threads: &'a Mutex<HashSet<ThreadId>>,
+}
+
+impl BlockKernel for Noted<'_> {
+    type Key = u32;
+    type Value = u32;
+    type Launch = ();
+
+    fn prepare(&self) {}
+
+    fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+        self.threads.lock().unwrap().insert(thread::current().id());
+        let mut spin = 0u64;
+        for i in 0..20_000u64 {
+            spin = black_box(spin.wrapping_mul(31).wrapping_add(i));
+        }
+        self.tile.run_block(&(), ctx, out);
+    }
+}
+
+/// Mapper 0's chunks each launch 40 blocks on one host thread; mapper 1's
+/// launch none, so mapper 1 is done at once and lends its core.
+struct Lopsided {
+    threads: Mutex<HashSet<ThreadId>>,
+}
+
+impl GpuMapper<Tile> for Lopsided {
+    type Value = u32;
+
+    fn map_chunk(&self, gpu: GpuId, chunk: &Tile) -> MapOutput<u32> {
+        if gpu.0 == 1 {
+            return MapOutput::from_pairs(Vec::new(), LaunchStats::default());
+        }
+        let kernel = Noted {
+            tile: TileKernel(chunk.0 as u32),
+            threads: &self.threads,
+        };
+        let config = LaunchConfig {
+            grid: (8, 5),
+            block: (4, 4),
+        };
+        let out = launch_blocks(&kernel, config, 1);
+        MapOutput {
+            keys: out.keys,
+            values: out.values,
+            stats: out.stats,
+        }
+    }
+}
+
+/// [`FoldReducer`]'s order-sensitive fold, wrapping: a lopsided job's keys
+/// gather hundreds of values.
+struct WrappingFold;
+
+impl Reducer for WrappingFold {
+    type Value = u32;
+    type Out = u64;
+
+    fn reduce(&self, key: u32, values: &mut Vec<u32>) -> u64 {
+        values.iter().fold(key as u64, |acc, &v| {
+            acc.wrapping_mul(31).wrapping_add(v as u64)
+        })
+    }
+}
+
+#[test]
+fn a_lopsided_job_borrows_the_idle_core_and_equals_itself() {
+    let tiles: Vec<Tile> = (0..9).map(Tile).collect();
+    let mut config = JobConfig::new(2, KEY_SPACE);
+    config.batch_bytes = 256;
+    let mapper = Lopsided {
+        threads: Mutex::default(),
+    };
+    let run = || {
+        run_job(
+            &tiles,
+            &mapper,
+            &WrappingFold,
+            &RoundRobin,
+            None,
+            &ClusterSpec::accelerator_cluster(2),
+            &config,
+        )
+    };
+    let first = run();
+    assert!(first.stats.kept > 0);
+    for _ in 1..20 {
+        assert_same(&run(), &first);
+    }
+    let threads = mapper.threads.into_inner().unwrap();
+    assert!(
+        threads.len() >= 2,
+        "mapper 0's blocks ran on {} thread(s) over 20 jobs",
+        threads.len()
+    );
 }

@@ -1,5 +1,6 @@
 //! The host-thread executor: parked, reused threads behind a
-//! [`std::thread::scope`]-shaped API.
+//! [`std::thread::scope`]-shaped API, and the [`Lender`] through which a
+//! job's finished mappers lend their cores to its slower launches.
 //!
 //! A frame is a handful of sub-millisecond roles (mappers, reducers, block
 //! workers); creating and joining an OS thread for each costs more than the
@@ -17,13 +18,30 @@
 //! * **No size.** A worker parks itself again when its job is done, so the
 //!   cache holds the peak number of jobs ever in flight at once and never
 //!   shrinks; parked threads are detached and end with the process.
+//!
+//! **Lent cores.** A job runs its mapper roles under one [`Lender`]
+//! ([`Lender::run_mapper`] on the calling thread, [`Scope::spawn_mapper`]
+//! on a cached one). A mapper that has mapped its last chunk lends its core
+//! to the job until the map phase ends, and a block launch on one of the
+//! job's other mappers borrows it between blocks for a helper that claims
+//! blocks from the same launch ([`crate::kernel::launch_blocks`]). The lender
+//! reaches the launch through a thread-local the mapper role installs, so no
+//! launch signature changes and a launch outside a job never borrows. A
+//! mapper on a cached thread lends only once that thread is parked again,
+//! so the helper it pays for runs on that very thread; only a lend by the
+//! caller, whose thread is not the cache's, can need a new one. Lending thus
+//! grows the cache by at most one thread.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-type Job = Box<dyn FnOnce() + Send>;
+/// A job, and the lender its thread's core goes to once the job is done.
+type Job = Box<dyn FnOnce() -> Option<Arc<Lender>> + Send>;
 type Panic = Box<dyn Any + Send>;
 
 /// Nothing panics while holding one of this module's locks.
@@ -63,10 +81,22 @@ impl Worker {
                     }
                 }
             };
-            let panic = catch_unwind(AssertUnwindSafe(job)).err();
+            let outcome = catch_unwind(AssertUnwindSafe(job));
             // Park before reporting: once a scope has returned, every worker
-            // it used is already back in the cache for the next one.
+            // it used is already back in the cache for the next one. A
+            // mapper's core is lent after parking, so the helper it pays for
+            // can check this thread out again; and before reporting, so the
+            // job's scope cannot end with the lend still to come.
             PARKED.lock().expect(POISON).push(Arc::clone(&self));
+            let panic = match outcome {
+                Ok(lender) => {
+                    if let Some(lender) = lender {
+                        lender.lend();
+                    }
+                    None
+                }
+                Err(panic) => Some(panic),
+            };
             pending.finished(panic);
         }
     }
@@ -117,7 +147,27 @@ impl<'scope> Scope<'scope, '_> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(job);
+        self.submit(Box::new(move || {
+            job();
+            None
+        }));
+    }
+
+    /// Run `role`, one of `lender`'s mapper roles, on a cached thread, as
+    /// [`Lender::run_mapper`] runs one on the caller — except that the core
+    /// is lent only once the thread is parked again.
+    pub fn spawn_mapper<F>(&'scope self, lender: &Arc<Lender>, role: F)
+    where
+        F: FnOnce() + Send + 'scope,
+    {
+        let lender = Arc::clone(lender);
+        self.submit(Box::new(move || {
+            lender.role(role);
+            Some(lender)
+        }));
+    }
+
+    fn submit(&'scope self, job: Box<dyn FnOnce() -> Option<Arc<Lender>> + Send + 'scope>) {
         // SAFETY: only the lifetime bound changes. `'scope` outlives the
         // call to `scope`, which does not return or unwind before
         // `Pending::wait` has seen this job counted back in, and a worker
@@ -151,6 +201,134 @@ where
     match (result, job_panic) {
         (Err(panic), _) | (Ok(_), Some(panic)) => resume_unwind(panic),
         (Ok(value), None) => value,
+    }
+}
+
+thread_local! {
+    /// The lender of the job whose mapper role this thread is running.
+    static LENDER: RefCell<Option<Arc<Lender>>> = const { RefCell::new(None) };
+}
+
+/// The lender of the job whose mapper role the calling thread is running;
+/// `None` outside a job.
+pub(crate) fn lender() -> Option<Arc<Lender>> {
+    LENDER.with_borrow(Option::clone)
+}
+
+/// One job's lent cores: what its finished mappers offer the block launches
+/// of the mappers still at work, until the map phase ends. See the module
+/// docs; [`Lender::idle_ns`] is what went unused.
+pub struct Lender {
+    /// `state.since.len()`, readable between blocks without the lock. A
+    /// stale read only delays a borrow to the next block, or finds nothing.
+    sitting: AtomicUsize,
+    state: Mutex<Lends>,
+}
+
+struct Lends {
+    /// Mapper roles not yet returned; the map phase ends with the last.
+    mapping: usize,
+    /// When each lend sitting unused was made.
+    since: Vec<Instant>,
+    /// Core-time lends sat unused before the map phase ended.
+    idle: Duration,
+}
+
+impl Lender {
+    /// The lender of a job with `mappers` mapper roles.
+    pub fn new(mappers: usize) -> Arc<Lender> {
+        Arc::new(Lender {
+            sitting: AtomicUsize::new(0),
+            state: Mutex::new(Lends {
+                mapping: mappers,
+                since: Vec::new(),
+                idle: Duration::ZERO,
+            }),
+        })
+    }
+
+    /// Run `role`, one of the job's mapper roles, on the calling thread:
+    /// block launches inside it may borrow the cores the job's finished
+    /// mappers lend, and once it returns this thread's core is lent in turn.
+    pub fn run_mapper<T>(self: &Arc<Self>, role: impl FnOnce() -> T) -> T {
+        let out = self.role(role);
+        self.lend();
+        out
+    }
+
+    /// Core-time, in ns, that lends sat unused before the job's map phase
+    /// ended; complete once every mapper role has returned.
+    pub fn idle_ns(&self) -> u64 {
+        self.state.lock().expect(POISON).idle.as_nanos() as u64
+    }
+
+    /// Run `role` with this lender installed for the launches inside it.
+    fn role<T>(self: &Arc<Self>, role: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Arc<Lender>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                LENDER.set(self.0.take());
+            }
+        }
+        let _restore = Restore(LENDER.replace(Some(Arc::clone(self))));
+        let out = role();
+        self.returned();
+        out
+    }
+
+    /// A mapper role returned. After the last, lends still sitting count as
+    /// idle up to now and none is lent or borrowed any more.
+    fn returned(&self) {
+        let mut lends = self.state.lock().expect(POISON);
+        lends.mapping -= 1;
+        if lends.mapping == 0 {
+            let now = Instant::now();
+            let sat: Duration = lends.since.drain(..).map(|since| now - since).sum();
+            lends.idle += sat;
+            self.sitting.store(0, Relaxed);
+        }
+    }
+
+    /// Offer one core to the job's launches while its map phase lasts.
+    fn lend(&self) {
+        let mut lends = self.state.lock().expect(POISON);
+        if lends.mapping > 0 {
+            lends.since.push(Instant::now());
+            self.sitting.store(lends.since.len(), Relaxed);
+        }
+    }
+
+    /// Borrow a lent core, if one is sitting; it is lent again when the
+    /// [`Lend`] drops.
+    pub(crate) fn take(&self) -> Option<Lend<'_>> {
+        if self.sitting.load(Relaxed) == 0 {
+            return None;
+        }
+        let mut lends = self.state.lock().expect(POISON);
+        let since = lends.since.pop()?;
+        lends.idle += since.elapsed();
+        self.sitting.store(lends.since.len(), Relaxed);
+        Some(Lend(self))
+    }
+}
+
+/// A lender with `lends` cores lent and the calling thread's mapper role
+/// still to run: what a launch sees in a job whose other mappers are done.
+#[cfg(test)]
+pub(crate) fn lent(lends: usize) -> Arc<Lender> {
+    let lender = Lender::new(lends + 1);
+    for _ in 0..lends {
+        lender.lend();
+    }
+    lender
+}
+
+/// A borrowed core, handed back to its [`Lender`] on drop.
+pub(crate) struct Lend<'a>(&'a Lender);
+
+impl Drop for Lend<'_> {
+    fn drop(&mut self) {
+        self.0.lend();
     }
 }
 

@@ -26,6 +26,12 @@
 //! Both paths charge SIMT warp statistics through the same internal
 //! accumulator (`WarpAccum`), so the cost model cannot tell them apart.
 
+use std::sync::Mutex;
+
+/// A block runs outside [`launch_blocks`]' locks, so a panicking block
+/// poisons none.
+const POISON: &str = "launch lock poisoned";
+
 /// Threads per warp (NVIDIA Tesla-era SIMT width).
 pub const WARP_SIZE: usize = 32;
 
@@ -279,13 +285,22 @@ pub struct BlockOutput<K, V> {
     pub stats: LaunchStats,
 }
 
-/// Execute a [`BlockKernel`] over `config`, using up to `parallelism` host
-/// threads (block-level parallelism, matching how blocks map to SMs): the
+/// Execute a [`BlockKernel`] over `config` on `parallelism` host threads to
+/// start with (block-level parallelism, matching how blocks map to SMs): the
 /// caller plus `parallelism - 1` cached threads from [`crate::exec`].
+///
+/// The grid is one queue: each thread claims the next unclaimed block and
+/// writes that block's own slices of the output columns, so whichever thread
+/// runs a block, the outputs are the same. Inside a job's mapper role the
+/// caller also borrows, between blocks and while at least two are still
+/// unclaimed, the cores the job's finished mappers lend (see [`crate::exec`]):
+/// each borrowed core is a helper claiming from the same queue, handed back
+/// when the queue is empty. Outside a job nothing is borrowed.
 ///
 /// Same output order and SIMT accounting as [`launch`]: a block kernel that
 /// emits what a scalar kernel emits thread by thread produces the same
-/// outputs and the same [`LaunchStats`], whatever `parallelism` is.
+/// outputs and the same [`LaunchStats`], whatever `parallelism` is and
+/// however many cores were borrowed.
 pub fn launch_blocks<B: BlockKernel>(
     kernel: &B,
     config: LaunchConfig,
@@ -298,7 +313,7 @@ pub fn launch_blocks<B: BlockKernel>(
     let mut values = vec![B::Value::default(); total];
     let mut samples = vec![0u64; total];
     let state = kernel.prepare();
-    // An empty grid has no share to hand out (`chunks_mut(0)` would panic).
+    // An empty grid has no block to hand out (`chunks_mut(0)` would panic).
     if blocks == 0 {
         return BlockOutput {
             keys,
@@ -343,42 +358,53 @@ pub fn launch_blocks<B: BlockKernel>(
         stats
     };
 
-    let workers = parallelism.clamp(1, blocks);
-    let blocks_per_worker = blocks.div_ceil(workers);
-    let per_worker = blocks_per_worker * tpb;
-    let mut worker_stats: Vec<LaunchStats> = vec![LaunchStats::default(); workers];
+    // Every block with its own slices of the columns, in grid order.
+    let queue = Mutex::new(
+        keys.chunks_mut(tpb)
+            .zip(values.chunks_mut(tpb))
+            .zip(samples.chunks_mut(tpb))
+            .enumerate(),
+    );
+    let stats = Mutex::new(LaunchStats::default());
+    // One thread's part: claim blocks until none is left, telling `claimed`
+    // after each claim how many are still unclaimed.
+    let work = |claimed: &mut dyn FnMut(usize)| {
+        let mut own = LaunchStats::default();
+        loop {
+            let (block, left) = {
+                let mut queue = queue.lock().expect(POISON);
+                (queue.next(), queue.len())
+            };
+            let Some((block_id, ((kb, vb), sb))) = block else {
+                break;
+            };
+            claimed(left);
+            own.merge(&run_block(block_id, kb, vb, sb));
+        }
+        stats.lock().expect(POISON).merge(&own);
+    };
+    let lender = crate::exec::lender();
     crate::exec::scope(|scope| {
-        let run_block = &run_block;
-        let mut shares = keys
-            .chunks_mut(per_worker)
-            .zip(values.chunks_mut(per_worker))
-            .zip(samples.chunks_mut(per_worker))
-            .zip(worker_stats.iter_mut())
-            .enumerate()
-            .map(|(wi, (((kc, vc), sc), wstats))| {
-                move || {
-                    let first_block = wi * blocks_per_worker;
-                    for (i, ((kb, vb), sb)) in kc
-                        .chunks_mut(tpb)
-                        .zip(vc.chunks_mut(tpb))
-                        .zip(sc.chunks_mut(tpb))
-                        .enumerate()
-                    {
-                        wstats.merge(&run_block(first_block + i, kb, vb, sb));
-                    }
-                }
-            });
-        // The caller works the first share itself instead of parking; with
-        // one worker that is the only share and nothing is spawned.
-        let mut own = shares.next().expect("a launch with blocks has a share");
-        shares.for_each(|share| scope.spawn(share));
-        own();
+        let work = &work;
+        for _ in 1..parallelism.clamp(1, blocks) {
+            scope.spawn(|| work(&mut |_| {}));
+        }
+        // The caller works too; with one thread and no lender nothing is
+        // spawned. A helper needs a block besides the caller's next.
+        work(&mut |left| {
+            if left < 2 {
+                return;
+            }
+            if let Some(lend) = lender.as_deref().and_then(|lender| lender.take()) {
+                scope.spawn(move || {
+                    let _lend = lend;
+                    work(&mut |_| {});
+                });
+            }
+        });
     });
 
-    let mut stats = LaunchStats::default();
-    for w in &worker_stats {
-        stats.merge(w);
-    }
+    let stats = stats.into_inner().expect(POISON);
     BlockOutput {
         keys,
         values,
@@ -390,7 +416,11 @@ pub fn launch_blocks<B: BlockKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Condvar;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     /// Emits its own global coordinates and tallies `global.0` samples.
     struct ProbeKernel;
@@ -591,6 +621,131 @@ mod tests {
         assert_eq!(a.values, b.values);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.stats, b.stats);
+        // Borrowed cores change which thread runs a block, nothing else.
+        for parallelism in [1, 3] {
+            for lends in [0, 1, 2] {
+                let got = crate::exec::lent(lends)
+                    .run_mapper(|| launch_blocks(&BlockProbe(&prepared), c, parallelism));
+                assert_eq!(got.keys, a.keys, "parallelism {parallelism}, {lends} lends");
+                assert_eq!(got.values, a.values);
+                assert_eq!(got.samples, a.samples);
+                assert_eq!(got.stats, a.stats);
+            }
+        }
+    }
+
+    /// Notes the thread every block runs on, and writes its block id.
+    struct Spread {
+        caller: ThreadId,
+        /// Block 0 waits (at most 10 s) until a block has started on
+        /// another thread.
+        wait: bool,
+        /// Block 1 panics when it runs off the caller.
+        fail: bool,
+        threads: Mutex<HashSet<ThreadId>>,
+        elsewhere: Condvar,
+    }
+
+    impl Spread {
+        fn new(wait: bool, fail: bool) -> Spread {
+            Spread {
+                caller: thread::current().id(),
+                wait,
+                fail,
+                threads: Mutex::default(),
+                elsewhere: Condvar::new(),
+            }
+        }
+
+        fn threads(self) -> HashSet<ThreadId> {
+            self.threads.into_inner().unwrap()
+        }
+    }
+
+    impl BlockKernel for Spread {
+        type Key = u32;
+        type Value = u32;
+        type Launch = ();
+        fn prepare(&self) {}
+        fn run_block(&self, _: &(), ctx: &BlockCtx, out: BlockOut<'_, u32, u32>) {
+            let me = thread::current().id();
+            let mut threads = self.threads.lock().unwrap();
+            threads.insert(me);
+            if me != self.caller {
+                self.elsewhere.notify_all();
+                if self.fail && ctx.block.0 == 1 {
+                    drop(threads);
+                    panic!("block 1 blew up on a helper");
+                }
+            }
+            if self.wait && ctx.block.0 == 0 {
+                let (threads, waited) = self
+                    .elsewhere
+                    .wait_timeout_while(threads, Duration::from_secs(10), |t| t.len() < 2)
+                    .unwrap();
+                drop(threads);
+                assert!(!waited.timed_out(), "no block ran off the caller in 10 s");
+            }
+            out.keys.fill(ctx.block.0);
+            out.values.fill(ctx.block.0 * 3);
+            out.samples.fill(1);
+        }
+    }
+
+    const EIGHT_BLOCKS: LaunchConfig = LaunchConfig {
+        grid: (8, 1),
+        block: (4, 4),
+    };
+
+    fn serial_spread() -> BlockOutput<u32, u32> {
+        launch_blocks(&Spread::new(false, false), EIGHT_BLOCKS, 1)
+    }
+
+    #[test]
+    fn a_lent_core_runs_blocks_beside_the_caller() {
+        // Block 0 cannot finish until a helper has run a block.
+        let spread = Spread::new(true, false);
+        let got = crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        assert_eq!(spread.threads().len(), 2);
+        let serial = serial_spread();
+        assert_eq!(
+            (got.keys, got.values, got.stats),
+            (serial.keys, serial.values, serial.stats)
+        );
+    }
+
+    #[test]
+    fn without_a_lend_every_block_runs_on_the_caller() {
+        let caller = HashSet::from([thread::current().id()]);
+        let spread = Spread::new(false, false);
+        crate::exec::lent(0).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        assert_eq!(spread.threads(), caller, "no lend");
+        // Lends sitting with a lender no mapper role installed: outside a job.
+        let _lender = crate::exec::lent(2);
+        let spread = Spread::new(false, false);
+        launch_blocks(&spread, EIGHT_BLOCKS, 1);
+        assert_eq!(spread.threads(), caller, "outside a job");
+    }
+
+    #[test]
+    fn a_block_panicking_on_a_helper_fails_its_launch_only() {
+        let spread = Spread::new(true, true);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1))
+        }));
+        let panic = caught.expect_err("the helper's block panicked");
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"block 1 blew up on a helper")
+        );
+        let spread = Spread::new(true, false);
+        let got = crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        let serial = serial_spread();
+        assert_eq!(
+            (got.keys, got.values, got.samples),
+            (serial.keys, serial.values, serial.samples)
+        );
+        assert_eq!(got.stats, serial.stats);
     }
 
     #[test]

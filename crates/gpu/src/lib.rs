@@ -7,11 +7,12 @@
 //! the oracle) or batched per-block execution into structure-of-arrays
 //! buffers ([`kernel::BlockKernel`] + [`kernel::launch_blocks`], the hot
 //! path, with per-launch state built once before the first block and blocks
-//! shared out over host threads). [`texture::Texture3D`] reproduces `tex3D`
-//! trilinear filtering with clamp addressing (with [`texture::Sampler3D`] as
-//! the resolved inner-loop view) and can carry a min/max macrocell table for
-//! empty-space skipping, which [`texture::Texture1D::zero_alpha`] answers
-//! from the transfer-function side; on `x86_64` both samplers also filter
+//! claimed from one queue by host threads). [`texture::Texture3D`]
+//! reproduces `tex3D` trilinear filtering with clamp addressing (with
+//! [`texture::Sampler3D`] as the resolved inner-loop view) and can carry a
+//! min/max macrocell table for empty-space skipping, which
+//! [`texture::Texture1D::zero_alpha`] answers from the transfer-function
+//! side; on `x86_64` both samplers also filter
 //! for eight samples at once (`locate_x8` / `sample_at_x8` / `taps_x8`:
 //! AVX2 gathers behind safe `#[target_feature]` functions, bit-identical
 //! per lane to the scalar ones — the `unsafe` is the gathers, justified by
@@ -26,9 +27,13 @@
 //! [`exec::scope`]. A scope returns only when every job it spawned has
 //! finished — also on a panic, which it then re-raises — and every spawn
 //! gets a thread of its own, so the cache grows to the peak number of jobs
-//! ever in flight and never shrinks. Its one `unsafe` is the lifetime
-//! erasure of a boxed job in `Scope::spawn`; `mgpu-mapreduce` runs its
-//! mappers and reducers on it and so stays `#![forbid(unsafe_code)]`.
+//! ever in flight and never shrinks. Its [`exec::Lender`] lets a job's
+//! finished mappers lend their cores to the launches of the mappers still at
+//! work, which run helpers on them that claim blocks from the same queue —
+//! changing which thread runs a block and nothing it computes. Its one
+//! `unsafe` is the lifetime erasure of a boxed job in `Scope::spawn`;
+//! `mgpu-mapreduce` runs its mappers and reducers on it and so stays
+//! `#![forbid(unsafe_code)]`.
 
 pub mod device;
 pub mod exec;

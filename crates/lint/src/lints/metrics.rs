@@ -29,8 +29,9 @@ use crate::source::{SourceFile, Workspace};
 pub const NAME: &str = "metric-registry";
 
 /// First path segment a metric name may use. `pool.*` lives in
-/// `mgpu-net` but names the NodePool subsystem; the rest map to crates.
-pub const NAMESPACES: &[&str] = &["serve", "net", "volren", "pool", "gpu", "obs"];
+/// `mgpu-net` but names the NodePool subsystem, `core.*` is
+/// `mgpu-mapreduce`'s; the rest map to crates.
+pub const NAMESPACES: &[&str] = &["serve", "net", "volren", "pool", "gpu", "core", "obs"];
 
 const INSTRUMENTS: &[&str] = &["counter", "gauge", "histogram"];
 
@@ -303,7 +304,7 @@ fn convention_violation(name: &str) -> Option<&'static str> {
     if !NAMESPACES.contains(&first) {
         return Some(
             "must start with a known namespace segment \
-             (serve/net/volren/pool/gpu/obs) followed by a dot",
+             (serve/net/volren/pool/gpu/core/obs) followed by a dot",
         );
     }
     let rest: Vec<&str> = segments.collect();

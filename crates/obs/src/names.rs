@@ -9,7 +9,7 @@
 //! registered set against the blessed `ci/metrics.txt`.
 //!
 //! Naming convention: `namespace.rest`, where `namespace` is one of
-//! `serve` / `net` / `volren` / `pool` / `gpu` / `obs` and every
+//! `serve` / `net` / `volren` / `pool` / `gpu` / `core` / `obs` and every
 //! dot-separated segment is `[a-z][a-z0-9_]*`. Histogram names end in
 //! a unit suffix (`_ns`) or describe a distribution
 //! (`samples_per_ray`).
@@ -42,6 +42,12 @@ pub const NET_DRAIN_REFUSED: &str = "net.drain_refused";
 pub const NET_DRAINS: &str = "net.drains";
 /// Draining→resumed transitions.
 pub const NET_RESUMES: &str = "net.resumes";
+
+// --- core.* — the MapReduce runtime (process-global) --------------------
+
+/// Core-time that finished mappers' lent cores sat unused before their
+/// job's map phase ended, summed over jobs (counter, ns; one add per job).
+pub const CORE_MAP_IDLE_TOTAL_NS: &str = "core.map_idle_total_ns";
 
 // --- pool.* — NodePool cluster operations (process-global) --------------
 

@@ -96,7 +96,9 @@ pub struct RenderConfig {
     pub combiner: bool,
     /// DES options: async uploads, GPU reduce.
     pub trace: TraceOptions,
-    /// Real host threads per kernel launch; 0 = auto.
+    /// Host threads a kernel launch starts with; 0 = auto. A launch also
+    /// borrows the cores of the frame's mappers that have run out of bricks,
+    /// so it may end on more.
     pub kernel_parallelism: usize,
 }
 

@@ -46,8 +46,9 @@ pub struct VolumeMapper {
     image: (u32, u32),
     step: f32,
     early_term: f32,
-    /// Real host threads per kernel launch (wall-clock only; no effect on
-    /// results or simulated time).
+    /// Host threads each kernel launch starts with, besides the cores the
+    /// job's finished mappers lend it (wall-clock only; no effect on results
+    /// or simulated time).
     kernel_parallelism: usize,
 }
 
