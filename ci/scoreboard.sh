@@ -3,7 +3,8 @@
 # rule — every line of each .rs file before its first `#[cfg(test)]` at the
 # start of a line — plus the workspace total, the same count over the
 # offline shims, the workspace's member count, the `thread::sleep` call
-# sites, the `unsafe` and thread-spawn sites and the public-API item count.
+# sites, the `unsafe` and thread-spawn sites, the `pub` fields of the
+# config-like structs and the public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -42,34 +43,56 @@ find crates/*/src src crates/*/tests tests -name '*.rs' -print0 | xargs -0 awk '
     /^#\[cfg\(test\)\]/ { test = 1 }
     { n = gsub(/thread::sleep\(/, "&"); if (test) t += n; else s += n }
     END { printf "%-12s %6d  (src %d, tests %d)\n", "sleeps", s + t, s, t }'
-# Sites of an extended regex (taken from the environment, so awk applies no
-# string escapes to it) in the non-test lines above, comment lines skipped,
-# printed in total and per crate that has any.
-site_row() {
-    local total=0 per_crate="" n
+# A row counted per crate: `per_crate_row label count [args]` runs
+# `count [args] <src dir>` for every crate and prints the total and each
+# crate that has any.
+per_crate_row() {
+    local label=$1 total=0 per_crate="" n
+    shift
     for src in crates/*/src src; do
-        n=$(find "$src" -name '*.rs' -print0 | PATTERN=$2 xargs -0 awk '
-            FNR == 1 { counting = 1 }
-            /^#\[cfg\(test\)\]/ { counting = 0 }
-            counting && !/^[ \t]*\/\// {
-                line = $0
-                while (match(line, ENVIRON["PATTERN"])) {
-                    n++
-                    line = substr(line, RSTART + RLENGTH)
-                }
-            }
-            END { print n + 0 }')
+        n=$("$@" "$src")
         if [ "$n" -gt 0 ]; then
             crate=$(basename "$(dirname "$src")")
             per_crate="$per_crate${per_crate:+, }${crate/#./gpumr} $n"
         fi
         total=$((total + n))
     done
-    printf '%-12s %6d  (%s)\n' "$1" "$total" "$per_crate"
+    printf '%-12s %6d  (%s)\n' "$label" "$total" "$per_crate"
+}
+# Sites of an extended regex (taken from the environment, so awk applies no
+# string escapes to it) in the non-test lines above, comment lines skipped.
+sites() {
+    find "$2" -name '*.rs' -print0 | PATTERN=$1 xargs -0 awk '
+        FNR == 1 { counting = 1 }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        counting && !/^[ \t]*\/\// {
+            line = $0
+            while (match(line, ENVIRON["PATTERN"])) {
+                n++
+                line = substr(line, RSTART + RLENGTH)
+            }
+        }
+        END { print n + 0 }'
+}
+# Knobs: the `pub` fields of every `pub struct *Config`, `*Bounds`,
+# `*Budget` or `*Options` in the non-test lines above — a knob removed
+# shows here the way an item removed shows in `api-surface`.
+options() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1; inside = 0 }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        !counting { next }
+        inside && /^[ \t]*}/ { inside = 0 }
+        inside && /^[ \t]*pub [A-Za-z_][A-Za-z0-9_]*[ \t]*:/ { n++ }
+        /^[ \t]*pub struct [A-Za-z0-9_]*(Config|Bounds|Budget|Options)[ \t<][^;(]*\{[ \t]*$/ {
+            inside = 1
+        }
+        END { print n + 0 }'
 }
 # `unsafe` sites: `unsafe {`, `unsafe fn`, `unsafe impl`.
-site_row unsafe '(^|[^A-Za-z0-9_])unsafe[ \t]+(\{|fn[ \t]|impl[ \t<])'
+per_crate_row unsafe sites '(^|[^A-Za-z0-9_])unsafe[ \t]+(\{|fn[ \t]|impl[ \t<])'
 # Thread-spawn sites: `thread::Builder::new()`, `thread::spawn(`,
 # `thread::scope(`.
-site_row threads 'thread::(Builder::new\(\)|spawn\(|scope\()'
+per_crate_row threads sites 'thread::(Builder::new\(\)|spawn\(|scope\()'
+per_crate_row options options
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

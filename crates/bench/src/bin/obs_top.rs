@@ -66,11 +66,15 @@ fn draw(label: &str, snap: &Snapshot, traces: &[CompletedTrace]) {
         .sum::<i64>(),
     );
     println!(
-        "caches: frame {:.1}% hit, plan {:.1}% hit   batches {} ({} frames)   stagings {} / reuses {}",
-        rate(c(names::SERVE_FRAME_CACHE_HITS), c(names::SERVE_FRAME_CACHE_MISSES)) * 100.0,
-        rate(c(names::SERVE_PLAN_CACHE_HITS), c(names::SERVE_PLAN_CACHE_MISSES)) * 100.0,
-        c(names::SERVE_BATCHES),
-        c(names::SERVE_BATCHED_FRAMES),
+        "caches: frame {:.1}% hit, plan {:.1}% hit   stagings {} / reuses {}",
+        rate(
+            c(names::SERVE_FRAME_CACHE_HITS),
+            c(names::SERVE_FRAME_CACHE_MISSES)
+        ) * 100.0,
+        rate(
+            c(names::SERVE_PLAN_CACHE_HITS),
+            c(names::SERVE_PLAN_CACHE_MISSES)
+        ) * 100.0,
         c(names::SERVE_BRICK_STAGINGS),
         c(names::SERVE_BRICK_REUSES),
     );

@@ -288,8 +288,6 @@ mod tests {
             frames_failed: 0,
             cache_hits: 4,
             admission_rejected: 0,
-            batches: 10,
-            batched_frames: 20,
             jobs_popped: 24,
             brick_stagings: 16,
             brick_reuses: 144,

@@ -88,7 +88,7 @@ pub const SERVE_FRAME_CACHE_EVICTIONS: &str = "serve.frame_cache_evictions";
 pub const SERVE_FRAME_CACHE_ENTRIES: &str = "serve.frame_cache_entries";
 /// Configured frame-cache bound in frames (gauge; 0 = disabled).
 pub const SERVE_FRAME_CACHE_CAPACITY: &str = "serve.frame_cache_capacity";
-/// Cross-batch plan-cache hits (bricking + warm store reused).
+/// Plan-cache hits (bricking + warm store reused).
 pub const SERVE_PLAN_CACHE_HITS: &str = "serve.plan_cache_hits";
 /// Plan-cache misses (plan prepared from scratch).
 pub const SERVE_PLAN_CACHE_MISSES: &str = "serve.plan_cache_misses";
@@ -100,9 +100,14 @@ pub const SERVE_PLAN_CACHE_ENTRIES: &str = "serve.plan_cache_entries";
 pub const SERVE_PLAN_CACHE_CAPACITY: &str = "serve.plan_cache_capacity";
 /// Submissions shed by admission control (queue bounds).
 pub const SERVE_ADMISSION_REJECTED: &str = "serve.admission_rejected";
-/// Same-key batches executed.
+/// Rendered frames, each counted as a batch of one. The service no longer
+/// co-renders same-key frames (its plan cache shares their plan instead),
+/// but this name and [`SERVE_BATCHED_FRAMES`] stay registered because
+/// benchmark harnesses read them by name: their ratio, the batch
+/// occupancy, reads 1.0.
 pub const SERVE_BATCHES: &str = "serve.batches";
-/// Frames coalesced into those batches.
+/// Rendered frames, the numerator of the batch occupancy (see
+/// [`SERVE_BATCHES`] for why it remains).
 pub const SERVE_BATCHED_FRAMES: &str = "serve.batched_frames";
 /// Bricks staged into a brick store (cold).
 pub const SERVE_BRICK_STAGINGS: &str = "serve.brick_stagings";
@@ -117,8 +122,8 @@ pub const SERVE_QUEUE_DEPTH_BATCH: &str = "serve.queue_depth_batch";
 pub const SERVE_QUEUE_DEPTH_NORMAL: &str = "serve.queue_depth_normal";
 /// Queued `Interactive` jobs right now (gauge).
 pub const SERVE_QUEUE_DEPTH_INTERACTIVE: &str = "serve.queue_depth_interactive";
-/// Submit → worker-pop wait per popped job, batch leaders and coalesced
-/// jobs alike (histogram, ns); its sample count is the jobs-popped total.
+/// Submit → worker-pop wait per popped job, rendered and coalesced jobs
+/// alike (histogram, ns); its sample count is the jobs-popped total.
 pub const SERVE_QUEUE_WAIT_NS: &str = "serve.queue_wait_ns";
 /// Sum of those waits, for the exact mean (counter, ns).
 pub const SERVE_QUEUE_WAIT_TOTAL_NS: &str = "serve.queue_wait_total_ns";

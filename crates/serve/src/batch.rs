@@ -1,12 +1,14 @@
-//! Batch compatibility: which queued frames can share one
-//! [`mgpu_volren::FramePlan`].
+//! The plan/routing key: which frames can share one
+//! [`mgpu_volren::FramePlan`], and where they are routed.
 //!
 //! Bricking, the staging decision and the brick store depend on the cluster
 //! spec, the volume and the scene-independent parts of the render config —
 //! not on the camera. Frames that agree on those render against one shared
-//! plan, so the volume is bricked once and every brick is staged once per
-//! batch instead of once per frame (the service-level analogue of the
-//! paper's "all data resident" assumption).
+//! plan from the plan cache, so the volume is bricked once and every brick
+//! is staged once for the plan's cached lifetime instead of once per frame
+//! (the service-level analogue of the paper's "all data resident"
+//! assumption). The same key routes a request to its shard or node, so a
+//! volume's frames keep landing where its plan is warm.
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
@@ -16,11 +18,12 @@ use crate::SceneRequest;
 
 /// Identity of a shareable render plan: the `Debug` encoding of the cluster
 /// spec, the volume metadata and the full render config — everything except
-/// the scene. Requests with equal keys batch together.
+/// the scene. Requests with equal keys share one cached plan and route to
+/// the same shard.
 ///
 /// The whole config participates (not only the bricking fields): equal keys
 /// must imply "one plan serves all", and config fields like the partition
-/// strategy also shape the per-frame job, so distinct configs never batch.
+/// strategy also shape the per-frame job, so distinct configs never share.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BatchKey(String);
 

@@ -1,17 +1,14 @@
 //! Bounded LRU caches: the frame cache over rendered frames and the backing
-//! store for the cross-batch plan cache.
+//! store for the plan cache.
 //!
 //! [`LruCache`] is the shared mechanism: a key→value map plus a recency
 //! index (a `BTreeSet` ordered by last-touch tick), so eviction pops the
 //! least-recently-used entry in O(log n) instead of scanning every entry
 //! under the lock — the service holds these locks on its hot submit path.
 //!
-//! [`FrameCache`] keys fully rendered frames by a canonical fingerprint of
-//! `(cluster, volume, scene, config)`: repeated views — the common case for
-//! interactive sessions orbiting a dataset — are answered without touching
-//! the queue or the renderer. The key is the exact `Debug` encoding of every
-//! input that can change pixels or timing, so lookups are equality matches,
-//! never hash-collision guesses.
+//! [`FrameCache`] keys fully rendered frames by [`FrameKey`]: repeated
+//! views — the common case for interactive sessions orbiting a dataset —
+//! are answered without touching the queue or the renderer.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
@@ -19,34 +16,32 @@ use std::sync::{Arc, Mutex};
 
 use mgpu_obs::{Counter, Gauge};
 
-use mgpu_cluster::ClusterSpec;
-use mgpu_voldata::Volume;
 use mgpu_volren::camera::Scene;
-use mgpu_volren::config::RenderConfig;
 
-/// Canonical identity of one frame request.
+use crate::batch::BatchKey;
+
+/// Canonical identity of one frame request: its plan's [`BatchKey`] plus
+/// the `Debug` encoding of its scene (camera, transfer function,
+/// background). Two keys are equal iff every rendering input is
+/// field-for-field identical, so lookups are equality matches, never
+/// hash-collision guesses.
 ///
-/// Built from the `Debug` encodings of the cluster spec, the volume
-/// metadata, the scene (camera, transfer function, background) and the full
-/// render config — every input that influences the output. Two keys are
-/// equal iff every rendering input is field-for-field identical.
-///
-/// Volume *content* participates through `VolumeMeta::content`, the cheap
-/// voxel fingerprint: two in-memory volumes with identical `(name, dims,
-/// seed)` but different voxels get different keys and never alias in the
-/// cache.
+/// Volume *content* participates through the plan key's
+/// `VolumeMeta::content`, the cheap voxel fingerprint: two in-memory
+/// volumes with identical `(name, dims, seed)` but different voxels get
+/// different keys and never alias in the cache.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct FrameKey(String);
+pub(crate) struct FrameKey(BatchKey, String);
 
 impl FrameKey {
-    pub fn new(spec: &ClusterSpec, volume: &Volume, scene: &Scene, cfg: &RenderConfig) -> FrameKey {
-        FrameKey(format!("{spec:?}|{:?}|{scene:?}|{cfg:?}", volume.meta))
+    pub fn new(plan: &BatchKey, scene: &Scene) -> FrameKey {
+        FrameKey(plan.clone(), format!("{scene:?}"))
     }
 
     /// An opaque key for tests.
     #[cfg(test)]
     pub fn synthetic(tag: impl std::fmt::Display) -> FrameKey {
-        FrameKey(format!("synthetic-{tag}"))
+        FrameKey(BatchKey::synthetic(tag), String::new())
     }
 }
 
@@ -57,6 +52,19 @@ struct CacheInner<K, V> {
     /// always the LRU victim. Kept in lockstep with `entries`.
     recency: BTreeSet<(u64, K)>,
     tick: u64,
+}
+
+impl<K: Eq + Hash + Ord + Clone, V: Clone> CacheInner<K, V> {
+    /// Advance the clock; if `key` is resident, stamp it as used now and
+    /// hand back its value.
+    fn touch(&mut self, key: &K) -> Option<V> {
+        self.tick += 1;
+        let (value, last) = self.entries.get_mut(key)?;
+        self.recency.remove(&(*last, key.clone()));
+        self.recency.insert((self.tick, key.clone()));
+        *last = self.tick;
+        Some(value.clone())
+    }
 }
 
 /// The instruments a cache counts into — its only tallies. A service hands
@@ -106,7 +114,7 @@ impl CacheSnapshot {
 const POISON: &str = "cache lock poisoned";
 
 /// A bounded LRU cache from `K` to `V`. `capacity` is in entries; zero
-/// disables caching entirely (every `get` misses, `insert` is a no-op).
+/// disables caching entirely (every `get` misses, `insert` stores nothing).
 #[derive(Debug)]
 pub(crate) struct LruCache<K, V> {
     capacity: usize,
@@ -153,40 +161,32 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock().expect(POISON);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let inner = &mut *inner;
-        match inner.entries.get_mut(key) {
-            Some((value, last)) => {
-                inner.recency.remove(&(*last, key.clone()));
-                inner.recency.insert((tick, key.clone()));
-                *last = tick;
-                self.meters.hits.inc();
-                Some(value.clone())
-            }
-            None => {
-                if count_miss {
-                    self.meters.misses.inc();
-                }
-                None
-            }
+        let hit = self.inner.lock().expect(POISON).touch(key);
+        if hit.is_some() {
+            self.meters.hits.inc();
+        } else if count_miss {
+            self.meters.misses.inc();
         }
+        hit
     }
 
-    /// Insert (or refresh) an entry, evicting least-recently-used entries
-    /// past capacity — O(log n) per eviction via the recency index.
-    pub fn insert(&self, key: K, value: V) {
+    /// Insert an entry unless one is already resident, and hand back the
+    /// entry the cache now holds: the resident one (its recency refreshed)
+    /// or `value`. Racing inserters of one key thus all end up sharing the
+    /// first one's value. Evicts least-recently-used entries past capacity
+    /// — O(log n) per eviction via the recency index. A disabled cache
+    /// hands `value` straight back.
+    pub fn insert(&self, key: K, value: V) -> V {
         if self.capacity == 0 {
-            return;
+            return value;
         }
         let mut inner = self.inner.lock().expect(POISON);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let inner = &mut *inner;
-        if let Some((_, old_tick)) = inner.entries.insert(key.clone(), (value, tick)) {
-            inner.recency.remove(&(old_tick, key.clone()));
+        if let Some(resident) = inner.touch(&key) {
+            return resident;
         }
+        let inner = &mut *inner;
+        let tick = inner.tick;
+        inner.entries.insert(key.clone(), (value.clone(), tick));
         inner.recency.insert((tick, key));
         while inner.entries.len() > self.capacity {
             match inner.recency.pop_first() {
@@ -198,6 +198,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
             }
         }
         self.meters.entries.set(inner.entries.len() as i64);
+        value
     }
 
     pub fn snapshot(&self) -> CacheSnapshot {
@@ -232,6 +233,9 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgpu_cluster::ClusterSpec;
+    use mgpu_voldata::Volume;
+    use mgpu_volren::config::RenderConfig;
 
     fn key(tag: u32) -> FrameKey {
         FrameKey::synthetic(tag)
@@ -281,10 +285,29 @@ mod tests {
         let c: FrameCache<u32> = FrameCache::new(2, CacheMeters::default());
         c.insert(key(1), 1);
         c.insert(key(2), 2);
-        c.insert(key(1), 10); // refresh, no eviction: len stays 2
+        // Refresh, no eviction: len stays 2 and the resident value stays.
+        assert_eq!(c.insert(key(1), 10), 1);
         c.insert(key(3), 3); // victim must be 2, not 1
-        assert_eq!(c.get(&key(1)), Some(10));
+        assert_eq!(c.get(&key(1)), Some(1));
         assert!(!c.contains(&key(2)));
+    }
+
+    /// Insert is insert-if-absent: a second insert of a resident key hands
+    /// back the resident `Arc`, so racing plan builders share one plan.
+    #[test]
+    fn insert_onto_a_resident_key_hands_back_the_resident_value() {
+        let c: LruCache<u32, Arc<u32>> = LruCache::new(2, CacheMeters::default());
+        let first = Arc::new(7);
+        assert!(Arc::ptr_eq(&c.insert(1, Arc::clone(&first)), &first));
+        let racer = Arc::new(7);
+        let kept = c.insert(1, Arc::clone(&racer));
+        assert!(Arc::ptr_eq(&kept, &first), "the resident value wins");
+        assert!(!Arc::ptr_eq(&kept, &racer));
+        assert!(Arc::ptr_eq(&c.get(&1).unwrap(), &first));
+        assert_eq!(c.snapshot().entries, 1);
+        // A disabled cache stores nothing and hands the value straight back.
+        let off: LruCache<u32, Arc<u32>> = LruCache::new(0, CacheMeters::default());
+        assert!(Arc::ptr_eq(&off.insert(1, Arc::clone(&racer)), &racer));
     }
 
     #[test]
@@ -351,6 +374,15 @@ mod tests {
         assert_eq!(empty.hit_rate(), 0.0);
     }
 
+    fn frame_key(
+        spec: &ClusterSpec,
+        volume: &Volume,
+        scene: &Scene,
+        cfg: &RenderConfig,
+    ) -> FrameKey {
+        FrameKey::new(&BatchKey::new(spec, volume, cfg), scene)
+    }
+
     #[test]
     fn frame_key_separates_every_input() {
         use mgpu_voldata::Dataset;
@@ -360,17 +392,17 @@ mod tests {
         let volume = Dataset::Skull.volume(16);
         let scene = Scene::orbit(&volume, 30.0, 20.0, TransferFunction::bone());
         let cfg = RenderConfig::test_size(32);
-        let base = FrameKey::new(&spec, &volume, &scene, &cfg);
-        assert_eq!(base, FrameKey::new(&spec, &volume, &scene, &cfg));
+        let base = frame_key(&spec, &volume, &scene, &cfg);
+        assert_eq!(base, frame_key(&spec, &volume, &scene, &cfg));
 
         let scene2 = Scene::orbit(&volume, 31.0, 20.0, TransferFunction::bone());
-        assert_ne!(base, FrameKey::new(&spec, &volume, &scene2, &cfg));
+        assert_ne!(base, frame_key(&spec, &volume, &scene2, &cfg));
         let cfg2 = RenderConfig::test_size(64);
-        assert_ne!(base, FrameKey::new(&spec, &volume, &scene, &cfg2));
+        assert_ne!(base, frame_key(&spec, &volume, &scene, &cfg2));
         let spec2 = ClusterSpec::accelerator_cluster(4);
-        assert_ne!(base, FrameKey::new(&spec2, &volume, &scene, &cfg));
+        assert_ne!(base, frame_key(&spec2, &volume, &scene, &cfg));
         let volume2 = Dataset::Supernova.volume(16);
-        assert_ne!(base, FrameKey::new(&spec, &volume2, &scene, &cfg));
+        assert_ne!(base, frame_key(&spec, &volume2, &scene, &cfg));
     }
 
     /// Same metadata, different voxels: the `content` fingerprint keeps the
@@ -380,12 +412,12 @@ mod tests {
         let spec = ClusterSpec::accelerator_cluster(1);
         let cfg = RenderConfig::test_size(16);
         let dims = [8u32, 8, 8];
-        let a = mgpu_voldata::Volume::in_memory("twin", dims, vec![0.25; 512]);
-        let b = mgpu_voldata::Volume::in_memory("twin", dims, vec![0.75; 512]);
+        let a = Volume::in_memory("twin", dims, vec![0.25; 512]);
+        let b = Volume::in_memory("twin", dims, vec![0.75; 512]);
         let scene = Scene::orbit(&a, 0.0, 0.0, mgpu_volren::TransferFunction::bone());
         assert_ne!(
-            FrameKey::new(&spec, &a, &scene, &cfg),
-            FrameKey::new(&spec, &b, &scene, &cfg),
+            frame_key(&spec, &a, &scene, &cfg),
+            frame_key(&spec, &b, &scene, &cfg),
             "same-meta volumes with different voxels must not alias"
         );
     }

@@ -10,35 +10,36 @@
 //!
 //! ```text
 //! submit / try_submit(SceneRequest)
-//!        │ (rendezvous-routed by ShardedService when sharded)
+//!        │ BatchKey computed once (ShardedService routes by it, hands it down)
 //!        ├── frame cache? ──hit──► FrameTicket (immediate)
 //!        │ miss
 //!        ├── admission control: class at its queue bound? ──► AdmissionError
 //!        ▼
 //!   JobQueue (priority, FIFO within class, per-priority depth bounds)
-//!        │ pop + drain_matching(batch key)
+//!        │ pop one job
 //!        ▼
-//!   worker: plan cache (BatchKey → Arc<FramePlan>) ──► render_planned
-//!        │ per frame (panics caught: job fails, worker survives)
+//!   worker: frame cache re-check, plan cache (BatchKey → Arc<FramePlan>)
+//!        │ ──► render_planned (panics caught: job fails, worker survives)
 //!        ▼
 //!   frame cache ──► ticket
 //! ```
 //!
 //! * **Queue** — [`queue::JobQueue`]: interactive requests overtake batch
-//!   sweeps, FIFO within a class (no starvation).
+//!   sweeps, FIFO within a class (no starvation). A worker pops one job at
+//!   a time, so nothing lower-priority ever renders ahead of a queued
+//!   `Interactive` job.
 //! * **Admission** — [`queue::QueueBounds`]: per-priority queue-depth
 //!   bounds; under overload [`RenderService::try_submit`] sheds `Batch`
 //!   first and `Interactive` last, while [`RenderService::submit`] blocks
 //!   for capacity.
-//! * **Batching** — [`batch::BatchKey`]: frames that agree on (cluster,
-//!   volume, config) share one [`mgpu_volren::FramePlan`], so the volume is
-//!   bricked and staged once per batch instead of once per frame.
-//! * **Plan cache** — `plancache::PlanCache`: plans survive *across*
-//!   batches, so sustained same-volume traffic keeps its brick store warm
-//!   instead of re-staging every batch.
+//! * **Plan cache** — `plancache::PlanCache`: frames that agree on
+//!   (cluster, volume, config) — one [`batch::BatchKey`] — share one
+//!   [`mgpu_volren::FramePlan`] and its warm brick store, so sustained
+//!   same-volume traffic bricks the volume once and stages each brick once
+//!   for the plan's cached lifetime instead of once per frame.
 //! * **Cache** — `cache::FrameCache`: bounded LRU over rendered frames;
 //!   repeated views skip the renderer entirely.
-//! * **Sharding** — [`shard::ShardedService`]: rendezvous-hashes batch keys
+//! * **Sharding** — [`shard::ShardedService`]: rendezvous-hashes plan keys
 //!   over N independent services so distinct volumes stop contending on one
 //!   queue and always land where their plan cache is warm.
 //! * **Backend contract** — [`backend::RenderBackend`]: the one trait every
@@ -47,14 +48,14 @@
 //!   ([`backend::BackendError`]) and frame type ([`backend::BackendFrame`])
 //!   — callers written against it move from one GPU to a cluster of render
 //!   nodes without a rewrite.
-//! * **Accounting** — [`report::ServiceReport`]: queue latency, batch
-//!   occupancy, cache and plan-cache hit rates, staging reuse, admission
-//!   rejections, failed frames, frames/sec — alongside the per-frame
+//! * **Accounting** — [`report::ServiceReport`]: queue latency, cache and
+//!   plan-cache hit rates, staging reuse, admission rejections, failed
+//!   frames, frames/sec — alongside the per-frame
 //!   [`mgpu_volren::RenderReport`] each ticket carries.
 //!
 //! Determinism: a frame rendered through the service is bit-identical to a
 //! direct [`mgpu_volren::render`] call with the same request, regardless of
-//! worker count, batching, caching, plan reuse, sharding or interleaving.
+//! worker count, caching, plan reuse, sharding or interleaving.
 
 #![forbid(unsafe_code)]
 
@@ -183,7 +184,6 @@ pub type FrameResult = Result<RenderedFrame, FrameError>;
 #[derive(Debug)]
 pub struct FrameTicket {
     rx: Receiver<FrameResult>,
-    seq: Option<u64>,
 }
 
 impl FrameTicket {
@@ -203,12 +203,6 @@ impl FrameTicket {
     pub fn wait_result(self) -> FrameResult {
         self.rx.recv().unwrap_or_else(|_| Err(FrameError::lost()))
     }
-
-    /// Queue sequence number, if the request went through the queue
-    /// (`None` = answered immediately from the frame cache).
-    pub fn seq(&self) -> Option<u64> {
-        self.seq
-    }
 }
 
 /// Service tuning knobs.
@@ -218,20 +212,18 @@ pub struct ServiceConfig {
     /// mappers and reducers on `mgpu_gpu::exec`'s parked threads, so a few
     /// workers saturate a host).
     pub workers: usize,
-    /// Max frames per batch; 1 disables batching.
-    pub max_batch: usize,
     /// Frame-cache capacity in frames; 0 disables the cache.
     pub cache_frames: usize,
-    /// Cross-batch plan-cache capacity in plans; 0 disables cross-batch
-    /// reuse (every batch re-bricks and re-stages).
+    /// Plan-cache capacity in plans; 0 disables plan reuse (every frame
+    /// re-bricks and re-stages).
     pub plan_cache_plans: usize,
     /// Per-priority admission bounds on queue depth (default: unbounded).
     /// Must shed lower priorities first: `batch ≤ normal ≤ interactive`.
     pub queue_bounds: QueueBounds,
     /// Start with the queue paused: submissions accumulate until
-    /// [`RenderService::resume`], which makes batch formation deterministic
-    /// (benchmarks, tests). Use [`RenderService::try_submit`] when pausing a
-    /// *bounded* queue — the blocking submit would wait forever.
+    /// [`RenderService::resume`], so a test or benchmark can queue a known
+    /// burst before any worker pops. Use [`RenderService::try_submit`] when
+    /// pausing a *bounded* queue — the blocking submit would wait forever.
     pub start_paused: bool,
 }
 
@@ -239,7 +231,6 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: 2,
-            max_batch: 8,
             cache_frames: 64,
             plan_cache_plans: 8,
             queue_bounds: QueueBounds::default(),
@@ -265,14 +256,9 @@ impl ServiceInner {
     /// Fast path: a cached frame resolves the request immediately, without
     /// queueing. (Workers re-check the cache, so duplicates in flight still
     /// coalesce once the first render lands.) The cache counts the hit.
-    fn cached_hit(&self, request: &SceneRequest) -> Option<RenderedFrame> {
-        let key = FrameKey::new(
-            &request.spec,
-            &request.volume,
-            &request.scene,
-            &request.config,
-        );
-        self.cache.get(&key).map(|mut frame| {
+    fn cached_hit(&self, key: &BatchKey, request: &SceneRequest) -> Option<RenderedFrame> {
+        let frame_key = FrameKey::new(key, &request.scene);
+        self.cache.get(&frame_key).map(|mut frame| {
             frame.from_cache = true;
             self.stats.frames_submitted.inc();
             self.stats.frames_completed.inc();
@@ -290,52 +276,53 @@ impl ServiceInner {
         );
     }
 
-    pub(crate) fn submit(self: &Arc<Self>, request: SceneRequest) -> FrameTicket {
+    /// The blocking submit behind [`RenderService::submit`] and
+    /// [`ShardedService::submit`]; `key` is `request`'s [`BatchKey`],
+    /// computed once by the caller (a sharded caller already routed by it).
+    pub(crate) fn submit(&self, key: BatchKey, request: SceneRequest) -> FrameTicket {
         self.assert_open();
         let (tx, rx) = sync_channel(1);
-        if let Some(frame) = self.cached_hit(&request) {
+        if let Some(frame) = self.cached_hit(&key, &request) {
             tx.send(Ok(frame)).expect("fresh ticket channel");
-            return FrameTicket { rx, seq: None };
+            return FrameTicket { rx };
         }
-        let batch_key = BatchKey::of(&request);
-        let seq = self
-            .queue
-            .push(request, batch_key, Reply::channel(tx), local_trace());
+        self.queue
+            .push(request, key, Reply::channel(tx), local_trace());
         self.stats.frames_submitted.inc();
-        FrameTicket { rx, seq: Some(seq) }
+        FrameTicket { rx }
     }
 
     pub(crate) fn try_submit(
-        self: &Arc<Self>,
+        &self,
+        key: BatchKey,
         request: SceneRequest,
     ) -> Result<FrameTicket, AdmissionError> {
         let (tx, rx) = sync_channel(1);
-        let seq = self.try_admit(request, Reply::channel(tx), local_trace())?;
-        Ok(FrameTicket { rx, seq })
+        self.try_admit(key, request, Reply::channel(tx), local_trace())?;
+        Ok(FrameTicket { rx })
     }
 
     /// The non-blocking admission path behind every `try_submit*`: answer
-    /// from the frame cache, else enqueue or shed. Returns the queue
-    /// sequence number (`None` = answered from the cache). A network
-    /// front-end passes the trace it seeded from the wire `request_id`, so
-    /// the spans the worker and the renderer record land on the request's
-    /// own end-to-end trace.
+    /// from the frame cache, else enqueue or shed. A network front-end
+    /// passes the trace it seeded from the wire `request_id`, so the spans
+    /// the worker and the renderer record land on the request's own
+    /// end-to-end trace.
     pub(crate) fn try_admit(
-        self: &Arc<Self>,
+        &self,
+        key: BatchKey,
         request: SceneRequest,
         reply: Reply,
         trace: Arc<Trace>,
-    ) -> Result<Option<u64>, AdmissionError> {
+    ) -> Result<(), AdmissionError> {
         self.assert_open();
-        if let Some(frame) = self.cached_hit(&request) {
+        if let Some(frame) = self.cached_hit(&key, &request) {
             reply.deliver(Ok(frame));
-            return Ok(None);
+            return Ok(());
         }
-        let batch_key = BatchKey::of(&request);
-        match self.queue.try_push(request, batch_key, reply, trace) {
-            Ok(seq) => {
+        match self.queue.try_push(request, key, reply, trace) {
+            Ok(_) => {
                 self.stats.frames_submitted.inc();
-                Ok(Some(seq))
+                Ok(())
             }
             Err((err, reply)) => {
                 reply.cancel();
@@ -344,11 +331,22 @@ impl ServiceInner {
             }
         }
     }
+
+    /// The prewarm behind [`RenderService::prewarm`] and
+    /// [`ShardedService::prewarm`]: the worker's plan acquisition, counted
+    /// as a prewarm when it built the plan.
+    pub(crate) fn prewarm(&self, key: &BatchKey, request: &SceneRequest) -> bool {
+        let (_, built) = self.plans.acquire(key, request);
+        if built {
+            self.stats.plan_prewarms.inc();
+        }
+        built
+    }
 }
 
 /// The render service: a worker pool over a prioritized, bounded job queue
-/// with frame batching, a cross-batch plan cache and a frame cache. See the
-/// crate docs for the architecture.
+/// with a plan cache and a frame cache. See the crate docs for the
+/// architecture.
 pub struct RenderService {
     pub(crate) inner: Arc<ServiceInner>,
     workers: Vec<JoinHandle<()>>,
@@ -358,7 +356,6 @@ impl RenderService {
     /// Start the service with `config.workers` worker threads.
     pub fn start(config: ServiceConfig) -> RenderService {
         assert!(config.workers >= 1, "service needs at least one worker");
-        assert!(config.max_batch >= 1, "max_batch of 0 would render nothing");
         config.queue_bounds.validate();
         let registry = Registry::scoped(mgpu_obs::global());
         let inner = Arc::new(ServiceInner {
@@ -412,14 +409,14 @@ impl RenderService {
     /// admission bound, then returns a ticket. With the default unbounded
     /// [`QueueBounds`] it never blocks.
     pub fn submit(&self, request: SceneRequest) -> FrameTicket {
-        self.inner.submit(request)
+        self.inner.submit(BatchKey::of(&request), request)
     }
 
     /// Submit one frame request without blocking: if the request's priority
     /// class is at its queue bound the frame is shed with [`AdmissionError`]
     /// (`Batch` sheds first, `Interactive` last — see [`QueueBounds`]).
     pub fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, AdmissionError> {
-        self.inner.try_submit(request)
+        self.inner.try_submit(BatchKey::of(&request), request)
     }
 
     /// [`RenderService::try_submit`] with a completion hook instead of a
@@ -440,16 +437,11 @@ impl RenderService {
         on_done: impl FnOnce(FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
         self.inner
-            .try_admit(request, Reply::hook(on_done), trace)
-            .map(|_| ())
+            .try_admit(BatchKey::of(&request), request, Reply::hook(on_done), trace)
     }
 
-    /// Stop popping jobs (submissions still accepted and queued).
-    pub fn pause(&self) {
-        self.inner.queue.set_paused(true);
-    }
-
-    /// Resume popping; wakes all workers.
+    /// Resume popping after [`ServiceConfig::start_paused`]; wakes all
+    /// workers.
     pub fn resume(&self) {
         self.inner.queue.set_paused(false);
     }
@@ -481,31 +473,21 @@ impl RenderService {
         self.inner.started.elapsed()
     }
 
-    /// Cross-batch plan-cache counters.
+    /// Plan-cache counters.
     pub fn plan_snapshot(&self) -> CacheSnapshot {
         self.inner.plans.snapshot()
     }
 
     /// Populate the plan cache for `request`'s [`BatchKey`] now, on the
-    /// caller's thread: build the shared [`mgpu_volren::FramePlan`] (the
-    /// brick grid and an empty brick store; 12–19 µs for Skull 128³, Plume
-    /// and a shipped 64³ volume on a 2.6 GHz Xeon) and insert it. The first
-    /// real render of this key after a migration finds the plan cached, but
-    /// still stages every brick it needs.
+    /// caller's thread, through the workers' own plan acquisition: build
+    /// the shared [`mgpu_volren::FramePlan`] (the brick grid and an empty
+    /// brick store; 12–19 µs for Skull 128³, Plume and a shipped 64³ volume
+    /// on a 2.6 GHz Xeon) and insert it unless one is already cached. The
+    /// first real render of this key after a migration finds the plan
+    /// cached, but still stages every brick it needs.
     /// Returns `true` when a plan was built, `false` on a cache hit.
     pub fn prewarm(&self, request: &SceneRequest) -> bool {
-        let key = BatchKey::of(request);
-        if self.inner.plans.get(&key).is_some() {
-            return false;
-        }
-        let plan = Arc::new(mgpu_volren::FramePlan::prepare(
-            &request.spec,
-            &request.volume,
-            &request.config,
-        ));
-        self.inner.plans.insert(key, plan);
-        self.inner.stats.plan_prewarms.inc();
-        true
+        self.inner.prewarm(&BatchKey::of(request), request)
     }
 
     /// Drain the queue, stop the workers and return the final report. Every

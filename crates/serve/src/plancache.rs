@@ -1,21 +1,19 @@
-//! The cross-batch plan cache: a bounded LRU from [`BatchKey`] to shared
-//! [`FramePlan`]s.
+//! The plan cache: a bounded LRU from [`BatchKey`] to shared
+//! [`FramePlan`]s — the one way frames of a key share bricking and staging.
 //!
-//! Batching amortizes bricking and staging *within* one batch; this cache
-//! amortizes them *across* batches: consecutive batches of the same
-//! (cluster, volume, config) reuse the bricking and — more importantly — the
-//! warm shared [`mgpu_voldata::BrickStore`] behind it, so a steady stream of
-//! same-volume traffic stages each brick once for the lifetime of the cache
-//! entry instead of once per batch. This is the service-layer analogue of
-//! distributed render front-ends keeping per-partition render state resident
-//! across requests (Hassan et al., arXiv:1205.0282; Sahistan et al.,
-//! arXiv:2209.14537).
+//! Every frame of the same (cluster, volume, config) reuses the bricking
+//! and — more importantly — the warm shared [`mgpu_voldata::BrickStore`]
+//! behind it, so a steady stream of same-volume traffic stages each brick
+//! once for the lifetime of the cache entry instead of once per frame. This
+//! is the service-layer analogue of distributed render front-ends keeping
+//! per-partition render state resident across requests (Hassan et al.,
+//! arXiv:1205.0282; Sahistan et al., arXiv:2209.14537).
 //!
 //! Sharing is sound because a [`FramePlan`] is immutable apart from its
 //! brick store, whose statistics are interior-mutable atomics and whose
 //! per-frame attribution already goes through snapshot deltas
 //! (`StoreSnapshot::since`) — `render_planned` stays bit-identical to a
-//! direct `render` call no matter which batch, worker or service instance
+//! direct `render` call no matter which frame, worker or service instance
 //! the plan came from (a compile-time assertion below pins `FramePlan:
 //! Send + Sync`).
 
@@ -25,16 +23,34 @@ use mgpu_volren::renderer::FramePlan;
 
 use crate::batch::BatchKey;
 use crate::cache::LruCache;
+use crate::SceneRequest;
 
 /// Bounded LRU over shared frame plans. `capacity` is in plans; zero
-/// disables cross-batch reuse (every batch builds its own plan). Eviction
-/// drops the `Arc`, so plans still in use by an in-flight batch stay alive
-/// until that batch finishes. Racing workers may both prepare and insert a
-/// plan; last one wins, both render correctly (plans for equal keys are
-/// interchangeable).
+/// disables reuse (every frame builds its own plan). Eviction drops the
+/// `Arc`, so plans still in use by an in-flight render stay alive until it
+/// finishes.
 pub(crate) type PlanCache = LruCache<BatchKey, Arc<FramePlan>>;
 
-// A cached plan is handed to whichever worker thread renders the next batch:
+impl PlanCache {
+    /// The one way to a plan, for the worker and `prewarm` alike: look
+    /// `key` up; on a miss, prepare `request`'s plan and insert it unless a
+    /// racer got there first, in which case adopt the racer's — so workers
+    /// racing on a cold key render on one brick store. Returns the plan and
+    /// whether this call prepared one.
+    pub fn acquire(&self, key: &BatchKey, request: &SceneRequest) -> (Arc<FramePlan>, bool) {
+        if let Some(plan) = self.get(key) {
+            return (plan, false);
+        }
+        let fresh = Arc::new(FramePlan::prepare(
+            &request.spec,
+            &request.volume,
+            &request.config,
+        ));
+        (self.insert(key.clone(), fresh), true)
+    }
+}
+
+// A cached plan is handed to whichever worker thread renders the next frame:
 // it must be shareable across threads. `const` so a regression to interior
 // non-Sync state inside FramePlan fails the build, not a test.
 const _: fn() = || {
@@ -76,6 +92,36 @@ mod tests {
         // p1 is still alive and renderable through our Arc even though the
         // cache dropped it.
         assert!(p1.brick_count() > 0);
+    }
+
+    #[test]
+    fn acquire_prepares_once_then_shares() {
+        use crate::queue::Priority;
+        use mgpu_volren::camera::Scene;
+        use mgpu_volren::TransferFunction;
+
+        let volume = Dataset::Skull.volume(16);
+        let request = SceneRequest {
+            spec: ClusterSpec::accelerator_cluster(2),
+            scene: Scene::orbit(&volume, 0.0, 0.0, TransferFunction::bone()),
+            config: RenderConfig::test_size(16),
+            volume,
+            priority: Priority::Normal,
+        };
+        let key = BatchKey::of(&request);
+        let cache = PlanCache::new(1, CacheMeters::default());
+        let (first, built) = cache.acquire(&key, &request);
+        assert!(built);
+        let (again, built) = cache.acquire(&key, &request);
+        assert!(!built, "a resident plan is reused");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.snapshot().hits, cache.snapshot().misses), (1, 1));
+
+        // Disabled: every acquisition prepares its own plan.
+        let off = PlanCache::new(0, CacheMeters::default());
+        let (a, _) = off.acquire(&key, &request);
+        let (b, built) = off.acquire(&key, &request);
+        assert!(built && !Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -12,13 +12,6 @@
 //! submissions are shed first, `Normal` next, and `Interactive` last.
 //! [`JobQueue::try_push`] rejects with [`AdmissionError`];
 //! [`JobQueue::push`] blocks until a worker frees capacity.
-//!
-//! The queue also supports *selective* draining: after popping a job, a
-//! worker pulls further queued jobs with the same batch key so same-volume
-//! frames render as one batch over a shared brick store (see
-//! [`crate::batch`]). The job list is kept in submission (sequence) order,
-//! so draining is a single order-preserving pass — no quadratic rescans
-//! under the lock.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -201,7 +194,7 @@ pub struct QueuedJob {
 
 #[derive(Debug, Default)]
 struct QueueState {
-    /// Always in ascending `seq` (= submission) order: pops and drains use
+    /// Always in ascending `seq` (= submission) order: pops use
     /// order-preserving removal, so FIFO scans never need sorting.
     jobs: Vec<QueuedJob>,
     next_seq: u64,
@@ -234,11 +227,11 @@ pub struct JobQueue {
     state: Mutex<QueueState>,
     /// Signalled when a job arrives (or the queue closes/resumes).
     ready: Condvar,
-    /// Signalled when capacity frees up (pop/drain) or the queue closes.
+    /// Signalled when capacity frees up (pop) or the queue closes.
     space: Condvar,
     bounds: QueueBounds,
     /// Queued jobs per priority class (indexed by [`Priority::index`]),
-    /// moved under the state lock on enqueue and pop/drain. A service hands
+    /// moved under the state lock on enqueue and pop. A service hands
     /// in its `serve.queue_depth_*` gauges ([`JobQueue::metered`]).
     depths: [Arc<Gauge>; 3],
 }
@@ -260,10 +253,6 @@ impl JobQueue {
             bounds,
             depths,
         }
-    }
-
-    pub fn bounds(&self) -> QueueBounds {
-        self.bounds
     }
 
     /// Enqueue a request, blocking while this priority class is at its
@@ -367,33 +356,6 @@ impl JobQueue {
         }
     }
 
-    /// Remove up to `max` further queued jobs with the given batch key, in
-    /// submission order (the batch a worker co-renders with a popped job).
-    /// Single order-preserving pass over the queue.
-    pub fn drain_matching(&self, key: &BatchKey, max: usize) -> Vec<QueuedJob> {
-        let mut state = self.state.lock().unwrap();
-        let mut picked: Vec<QueuedJob> = Vec::new();
-        if max == 0 {
-            return picked;
-        }
-        let mut kept: Vec<QueuedJob> = Vec::with_capacity(state.jobs.len());
-        for job in state.jobs.drain(..) {
-            if picked.len() < max && job.batch_key == *key {
-                picked.push(job);
-            } else {
-                kept.push(job);
-            }
-        }
-        state.jobs = kept;
-        for job in &picked {
-            self.depths[job.priority.index()].dec();
-        }
-        if !picked.is_empty() {
-            self.space.notify_all();
-        }
-        picked
-    }
-
     /// Pause or resume popping. Resuming wakes all workers.
     pub fn set_paused(&self, paused: bool) {
         self.state.lock().unwrap().paused = paused;
@@ -484,7 +446,7 @@ mod tests {
         // Dropped undelivered: the ticket resolves as lost instead of hanging.
         let (tx, rx) = sync_channel(1);
         drop(Reply::channel(tx));
-        let ticket = crate::FrameTicket { rx, seq: None };
+        let ticket = crate::FrameTicket { rx };
         assert_eq!(ticket.wait_result().unwrap_err(), FrameError::lost());
 
         // Cancelled: nothing is sent, not even the lost-job guard's error.
@@ -512,47 +474,6 @@ mod tests {
         // Interactive first (FIFO: c before e), then Normal (a before b),
         // then Batch.
         assert_eq!(order, vec![c, e, a, b, d]);
-    }
-
-    #[test]
-    fn drain_matching_picks_only_the_key_in_seq_order() {
-        let q = unbounded(false);
-        let a = push(&q, Priority::Normal, "x");
-        let _b = push(&q, Priority::Normal, "y");
-        let c = push(&q, Priority::Interactive, "x");
-        let d = push(&q, Priority::Batch, "x");
-        let drained = q.drain_matching(&BatchKey::synthetic("x"), 2);
-        let seqs: Vec<u64> = drained.iter().map(|j| j.seq).collect();
-        // Seq order regardless of priority: a then c; d stays queued.
-        assert_eq!(seqs, vec![a, c]);
-        assert_eq!(q.len(), 2);
-        let rest = q.drain_matching(&BatchKey::synthetic("x"), 8);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].seq, d);
-    }
-
-    /// Pops in the middle of the queue must not scramble submission order
-    /// for later drains (the old swap-remove implementation did).
-    #[test]
-    fn drain_stays_fifo_after_interleaved_pops() {
-        let q = unbounded(false);
-        let mut x_seqs = Vec::new();
-        for i in 0..12u64 {
-            // Interleave an interactive "y" job among normal "x" jobs so the
-            // pops below remove from the middle of the list.
-            if i % 3 == 1 {
-                push(&q, Priority::Interactive, "y");
-            } else {
-                x_seqs.push(push(&q, Priority::Normal, "x"));
-            }
-        }
-        // Pop the interactive jobs out of the middle.
-        for _ in 0..4 {
-            assert_eq!(q.pop().unwrap().priority, Priority::Interactive);
-        }
-        let drained = q.drain_matching(&BatchKey::synthetic("x"), 64);
-        let seqs: Vec<u64> = drained.iter().map(|j| j.seq).collect();
-        assert_eq!(seqs, x_seqs, "drain must deliver x jobs in submit order");
     }
 
     #[test]

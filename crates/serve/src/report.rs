@@ -3,9 +3,9 @@
 //!
 //! This sits *above* the per-frame [`mgpu_volren::RenderReport`]: the frame
 //! report times one frame on the modeled cluster; the service report
-//! measures how the front-end behaves under load — queue latency, batch
-//! occupancy, cache and plan-cache hit rates, brick staging reuse, admission
-//! shedding, failures, wall-clock throughput.
+//! measures how the front-end behaves under load — queue latency, cache and
+//! plan-cache hit rates, brick staging reuse, admission shedding, failures,
+//! wall-clock throughput.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,6 +27,8 @@ pub(crate) struct ServiceStats {
     pub frames_rendered: Arc<Counter>,
     pub frames_failed: Arc<Counter>,
     pub admission_rejected: Arc<Counter>,
+    /// Both count every rendered frame once, as a batch of one; no report
+    /// field reads them (see `names::SERVE_BATCHES`).
     pub batches: Arc<Counter>,
     pub batched_frames: Arc<Counter>,
     pub brick_stagings: Arc<Counter>,
@@ -76,13 +78,11 @@ pub struct ServiceReport {
     pub cache_hits: u64,
     /// Submissions shed by admission control (never queued).
     pub admission_rejected: u64,
-    pub batches: u64,
-    pub batched_frames: u64,
     /// Jobs that actually left the queue (rendered or coalesced).
     pub jobs_popped: u64,
     pub brick_stagings: u64,
     pub brick_reuses: u64,
-    /// Cross-batch plan cache counters (hits = batches that skipped
+    /// Plan cache counters (hits = frames and prewarms that skipped
     /// re-bricking and reused a warm store).
     pub plan_cache: CacheSnapshot,
     /// Frame-cache occupancy and counters (entries and capacities sum
@@ -130,8 +130,6 @@ impl ServiceReport {
             frames_failed: count(names::SERVE_FRAMES_FAILED),
             cache_hits: count(names::SERVE_FRAME_CACHE_HITS),
             admission_rejected: count(names::SERVE_ADMISSION_REJECTED),
-            batches: count(names::SERVE_BATCHES),
-            batched_frames: count(names::SERVE_BATCHED_FRAMES),
             jobs_popped,
             brick_stagings: count(names::SERVE_BRICK_STAGINGS),
             brick_reuses: count(names::SERVE_BRICK_REUSES),
@@ -165,18 +163,9 @@ impl ServiceReport {
         }
     }
 
-    /// Fraction of plan lookups answered by the cross-batch plan cache.
+    /// Fraction of plan lookups answered by the plan cache.
     pub fn plan_cache_hit_rate(&self) -> f64 {
         self.plan_cache.hit_rate()
-    }
-
-    /// Mean frames per batch (1.0 = batching bought nothing).
-    pub fn batch_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_frames as f64 / self.batches as f64
-        }
     }
 
     /// Completed frames per wall-clock second since service start.
@@ -238,12 +227,6 @@ impl std::fmt::Display for ServiceReport {
                 self.admission_rejected, self.frames_failed
             )?;
         }
-        writeln!(
-            f,
-            "batching: {} batches, mean occupancy {:.2} frames/batch",
-            self.batches,
-            self.batch_occupancy()
-        )?;
         writeln!(
             f,
             "plan cache: {} hits, {} misses ({:.1}% hit rate), {} evictions",
@@ -312,8 +295,6 @@ mod tests {
                 (names::SERVE_FRAMES_RENDERED, 8),
                 (names::SERVE_FRAME_CACHE_HITS, 2),
                 (names::SERVE_FRAME_CACHE_MISSES, 8),
-                (names::SERVE_BATCHES, 2),
-                (names::SERVE_BATCHED_FRAMES, 8),
                 (names::SERVE_PLAN_CACHE_HITS, 1),
                 (names::SERVE_PLAN_CACHE_MISSES, 1),
             ],
@@ -325,7 +306,6 @@ mod tests {
         );
         let r = ServiceReport::from_snapshot(&snap, Duration::from_secs(2));
         assert_eq!(r.cache_hit_rate(), 0.2);
-        assert_eq!(r.batch_occupancy(), 4.0);
         assert_eq!(r.frames_per_sec(), 5.0);
         assert_eq!(r.jobs_popped, 10);
         assert_eq!(r.mean_queue_wait, Duration::from_nanos(1_000_000));
@@ -337,7 +317,6 @@ mod tests {
     fn empty_report_has_no_nans() {
         let r = ServiceReport::default();
         assert_eq!(r.cache_hit_rate(), 0.0);
-        assert_eq!(r.batch_occupancy(), 0.0);
         assert_eq!(r.frames_per_sec(), 0.0);
         assert_eq!(r.plan_cache_hit_rate(), 0.0);
         assert_eq!(r.mean_sim_frame(), Duration::ZERO);

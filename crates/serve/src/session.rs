@@ -4,7 +4,8 @@
 //! drives a local [`crate::RenderService`], a [`crate::ShardedService`], or
 //! the remote backends in `mgpu-net`; all sessions share whatever queue,
 //! workers and caches sit behind the backend, so two sessions over the same
-//! volume batch and cache-share naturally.
+//! volume share one cached plan (and its warm brick store) and one frame
+//! cache naturally.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

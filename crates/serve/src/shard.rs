@@ -1,5 +1,5 @@
-//! The shard router: rendezvous-hash batch keys over N independent
-//! [`RenderService`] instances.
+//! The shard router: rendezvous-hash plan keys ([`BatchKey`]) over N
+//! independent [`RenderService`] instances.
 //!
 //! One service instance serializes every volume behind one queue and one
 //! plan cache; under many-volume traffic the volumes contend. A
@@ -23,7 +23,8 @@ use mgpu_voldata::volume::{fnv1a, FNV_OFFSET};
 use crate::batch::BatchKey;
 use crate::cache::CacheSnapshot;
 use crate::{
-    AdmissionError, FrameTicket, RenderService, SceneRequest, ServiceConfig, ServiceReport,
+    AdmissionError, FrameTicket, RenderService, Reply, SceneRequest, ServiceConfig, ServiceInner,
+    ServiceReport,
 };
 
 /// Point-in-time load ("heat") of one shard — what a rebalancer or an
@@ -103,7 +104,7 @@ pub fn ranked(key: &BatchKey, shards: usize) -> Vec<usize> {
 }
 
 /// N independent render services behind one handle, with rendezvous routing
-/// by batch key. Each shard has its own queue, workers, frame cache and
+/// by plan key. Each shard has its own queue, workers, frame cache and
 /// plan cache; admission control applies per shard.
 pub struct ShardedService {
     shards: Vec<RenderService>,
@@ -125,7 +126,7 @@ impl ShardedService {
         self.shards.len()
     }
 
-    /// Which shard owns this batch key (deterministic).
+    /// Which shard owns this plan key (deterministic).
     pub fn shard_for(&self, key: &BatchKey) -> usize {
         route(key, self.shards.len())
     }
@@ -135,7 +136,7 @@ impl ShardedService {
         &self.shards[index]
     }
 
-    /// Pre-warm the owning shard's plan cache for `request`'s batch key:
+    /// Pre-warm the owning shard's plan cache for `request`'s plan key:
     /// build its brick grid and an empty brick store (see
     /// [`RenderService::prewarm`]; no brick is staged). Returns the shard
     /// routed to and whether a plan was actually built (`false` = already
@@ -143,21 +144,28 @@ impl ShardedService {
     pub fn prewarm(&self, request: &SceneRequest) -> (usize, bool) {
         let key = BatchKey::of(request);
         let shard = self.shard_for(&key);
-        (shard, self.shards[shard].prewarm(request))
+        (shard, self.shards[shard].inner.prewarm(&key, request))
+    }
+
+    /// The shard that owns `request`, with the key it was routed by — handed
+    /// down so the shard never computes it again.
+    fn owner(&self, request: &SceneRequest) -> (&ServiceInner, BatchKey) {
+        let key = BatchKey::of(request);
+        (&self.shards[self.shard_for(&key)].inner, key)
     }
 
     /// Submit one frame request to its owning shard (blocking form — see
     /// [`RenderService::submit`]).
     pub fn submit(&self, request: SceneRequest) -> FrameTicket {
-        let key = BatchKey::of(&request);
-        self.shards[self.shard_for(&key)].submit(request)
+        let (shard, key) = self.owner(&request);
+        shard.submit(key, request)
     }
 
     /// Submit without blocking; sheds with [`AdmissionError`] when the
     /// owning shard's queue is at this priority's bound.
     pub fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, AdmissionError> {
-        let key = BatchKey::of(&request);
-        self.shards[self.shard_for(&key)].try_submit(request)
+        let (shard, key) = self.owner(&request);
+        shard.try_submit(key, request)
     }
 
     /// [`RenderService::try_submit_traced`] routed to the owning shard: the
@@ -171,25 +179,15 @@ impl ShardedService {
         trace: std::sync::Arc<mgpu_obs::Trace>,
         on_done: impl FnOnce(crate::FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
-        let key = BatchKey::of(&request);
-        self.shards[self.shard_for(&key)].try_submit_traced(request, trace, on_done)
+        let (shard, key) = self.owner(&request);
+        shard.try_admit(key, request, Reply::hook(on_done), trace)
     }
 
-    pub fn pause(&self) {
-        for s in &self.shards {
-            s.pause();
-        }
-    }
-
+    /// Resume every shard after [`ServiceConfig::start_paused`].
     pub fn resume(&self) {
         for s in &self.shards {
             s.resume();
         }
-    }
-
-    /// Jobs waiting across all shard queues.
-    pub fn queue_len(&self) -> usize {
-        self.shards.iter().map(RenderService::queue_len).sum()
     }
 
     /// Each shard's own `serve.*` snapshot, indexed like

@@ -1,12 +1,9 @@
-//! Starvation/fairness and admission-shedding properties of the job queue,
-//! checked against a deterministic single-worker simulation (no real
+//! Priority and admission-shedding properties of the job queue (no real
 //! renders: these are pure scheduling properties).
 //!
-//! * **Fairness**: once an `Interactive` job is queued, the only
-//!   lower-priority work that may still render ahead of it is the remainder
-//!   of the batch already in flight — at most `max_batch − 1` drained
-//!   frames. The next batch a worker forms always pops the interactive job
-//!   first.
+//! * **Strict priority**: a worker pops one job at a time, so once an
+//!   `Interactive` job is queued, no lower-priority job is popped before
+//!   it; within a class, jobs pop in submission order.
 //! * **Shedding**: a class's submissions are accepted exactly while the
 //!   queue is below that class's bound, so a filling queue rejects `Batch`
 //!   before `Normal` before `Interactive`.
@@ -14,7 +11,7 @@
 use proptest::prelude::*;
 
 use mgpu_cluster::ClusterSpec;
-use mgpu_serve::queue::{JobQueue, Priority, QueueBounds, QueuedJob, Reply};
+use mgpu_serve::queue::{JobQueue, Priority, QueueBounds, Reply};
 use mgpu_serve::{BatchKey, SceneRequest};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
@@ -41,114 +38,62 @@ fn push(q: &JobQueue, priority: Priority, key: u32) -> u64 {
     )
 }
 
-/// One simulated worker: a batch is formed atomically (pop + drain, exactly
-/// like `worker_loop`), then renders one frame per step so pushes can
-/// interleave mid-batch.
-struct SimWorker {
-    /// Remaining frames of the in-flight batch, with a "was drained" flag
-    /// (the batch leader was popped, the rest drained).
-    batch: std::collections::VecDeque<(QueuedJob, bool)>,
-    max_batch: usize,
-}
-
-impl SimWorker {
-    /// Render one frame if any work exists; returns (job, was_drained).
-    fn step(&mut self, q: &JobQueue) -> Option<(QueuedJob, bool)> {
-        if self.batch.is_empty() {
-            if q.is_empty() {
-                return None;
-            }
-            let first = q.pop().expect("non-empty queue");
-            let key = first.batch_key.clone();
-            self.batch.push_back((first, false));
-            for drained in q.drain_matching(&key, self.max_batch.saturating_sub(1)) {
-                self.batch.push_back((drained, true));
-            }
-        }
-        self.batch.pop_front()
+/// Pop one job, as a worker does, if the model holds any; fail unless it is
+/// the model's choice and no queued interactive job was passed over.
+fn pop_checked(q: &JobQueue, queued: &mut Vec<(Priority, u64)>) -> Result<(), String> {
+    if queued.is_empty() {
+        return Ok(());
     }
+    let job = q.pop().expect("a queued job");
+    if job.priority != Priority::Interactive {
+        prop_assert!(
+            queued.iter().all(|(p, _)| *p != Priority::Interactive),
+            "popped {:?} seq {} over a queued interactive",
+            job.priority,
+            job.seq
+        );
+    }
+    let best = *queued
+        .iter()
+        .max_by_key(|(p, seq)| (*p, std::cmp::Reverse(*seq)))
+        .expect("non-empty model");
+    prop_assert_eq!((job.priority, job.seq), best);
+    queued.retain(|entry| *entry != best);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// An interactive job is never delayed by more than `max_batch − 1`
-    /// drained lower-priority frames (single worker; one interactive in
-    /// flight at a time — the interactive-user story).
+    /// Pushes of every class interleaved with single-job pops, as a worker
+    /// makes them: no lower-priority job ever pops while an `Interactive`
+    /// job is queued, and every pop is exactly the model's choice — the
+    /// highest class present, earliest submission first.
     #[test]
-    fn interactive_delay_is_bounded_by_one_batch_remainder(
+    fn no_lower_priority_job_pops_before_a_queued_interactive(
         ops in prop::collection::vec((0u8..5, 0u32..3), 4..64),
-        max_batch in 1usize..5,
     ) {
         let q = JobQueue::new(false, QueueBounds::default());
-        let mut worker = SimWorker {
-            batch: std::collections::VecDeque::new(),
-            max_batch,
-        };
-        // Pending interactive jobs: seq → lower-priority drained frames
-        // rendered since its push.
-        let mut pending: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
-
+        // The model: queued (priority, seq) pairs.
+        let mut queued: Vec<(Priority, u64)> = Vec::new();
         for (op, key) in ops {
-            match op {
-                // Push lower-priority work (two flavours).
-                0 => {
-                    push(&q, Priority::Batch, key);
-                }
-                1 => {
-                    push(&q, Priority::Normal, key);
-                }
-                // Push interactive — but only one in flight at a time.
-                2 if pending.is_empty() => {
-                    let seq = push(&q, Priority::Interactive, key);
-                    pending.insert(seq, 0);
-                }
-                // Everything else (incl. a busy interactive slot): render.
+            let priority = match op {
+                0 => Priority::Batch,
+                1 => Priority::Normal,
+                2 => Priority::Interactive,
+                // Everything else: a worker pops one job.
                 _ => {
-                    if let Some((job, was_drained)) = worker.step(&q) {
-                        if job.priority == Priority::Interactive {
-                            if let Some(delay) = pending.remove(&job.seq) {
-                                prop_assert!(
-                                    delay < max_batch,
-                                    "interactive seq {} delayed by {} drained \
-                                     lower-priority frames (max_batch {})",
-                                    job.seq, delay, max_batch
-                                );
-                            }
-                        } else if was_drained {
-                            for delay in pending.values_mut() {
-                                *delay += 1;
-                            }
-                        } else {
-                            // A lower-priority batch LEADER popped while an
-                            // interactive was queued would be a priority
-                            // inversion — the queue must never do that.
-                            prop_assert!(
-                                pending.is_empty(),
-                                "popped {:?} leader over a queued interactive",
-                                job.priority
-                            );
-                        }
-                    }
+                    pop_checked(&q, &mut queued)?;
+                    continue;
                 }
-            }
+            };
+            queued.push((priority, push(&q, priority, key)));
         }
-        // Drain to completion: the bound must hold for stragglers too.
-        while let Some((job, was_drained)) = worker.step(&q) {
-            if job.priority == Priority::Interactive {
-                if let Some(delay) = pending.remove(&job.seq) {
-                    prop_assert!(delay < max_batch);
-                }
-            } else if was_drained {
-                for delay in pending.values_mut() {
-                    *delay += 1;
-                }
-            } else {
-                prop_assert!(pending.is_empty());
-            }
+        // Drain to completion: the order must hold for stragglers too.
+        while !queued.is_empty() {
+            pop_checked(&q, &mut queued)?;
         }
-        prop_assert!(pending.is_empty(), "every interactive job rendered");
+        prop_assert!(q.is_empty());
     }
 
     /// Admission under a filling queue: a class is accepted exactly while

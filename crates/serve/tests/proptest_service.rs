@@ -1,5 +1,5 @@
-//! Property: for ANY mix of scenes, worker counts, batch limits, cache
-//! sizes, plan-cache sizes and admission bounds — i.e. any concurrent
+//! Property: for ANY mix of scenes, worker counts, cache sizes, plan-cache
+//! sizes and admission bounds — i.e. any concurrent
 //! interleaving the service can produce — every frame delivered by the
 //! service is bit-identical to a sequential direct `render` call with the
 //! same request.
@@ -20,7 +20,6 @@ proptest! {
     fn any_interleaving_matches_sequential_direct_renders(
         azimuth_steps in prop::collection::vec(0u32..12, 3..9),
         workers in 1usize..4,
-        max_batch in 1usize..5,
         cache_frames in 0usize..3,
         plan_cache_plans in 0usize..3,
         queue_bound in 1usize..6,
@@ -43,7 +42,6 @@ proptest! {
 
         let service = RenderService::start(ServiceConfig {
             workers,
-            max_batch,
             cache_frames,
             plan_cache_plans,
             // A tight bound exercises the blocking submit path: the test
@@ -74,8 +72,8 @@ proptest! {
             prop_assert_eq!(
                 &*frame.image,
                 &direct[i],
-                "frame {} (azimuth step {}) diverged under workers={} max_batch={} cache={} plans={} bound={}",
-                i, azimuth_steps[i], workers, max_batch, cache_frames, plan_cache_plans, queue_bound
+                "frame {} (azimuth step {}) diverged under workers={} cache={} plans={} bound={}",
+                i, azimuth_steps[i], workers, cache_frames, plan_cache_plans, queue_bound
             );
         }
         let report = service.shutdown();

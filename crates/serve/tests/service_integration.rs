@@ -1,6 +1,5 @@
 //! End-to-end tests of the render service: per-frame bit-equivalence with
-//! direct renders, staging savings from batching and cross-batch plan reuse,
-//! cache behaviour, admission control, worker fault containment, sharding,
+//! direct renders, staging savings from plan reuse, cache behaviour, admission control, worker fault containment, sharding,
 //! and clean shutdown semantics.
 
 use mgpu_cluster::ClusterSpec;
@@ -23,7 +22,6 @@ fn scene_for(volume: &mgpu_voldata::Volume, azimuth: f32) -> Scene {
 fn two_sessions_eight_frames_each_match_direct_renders() {
     let service = RenderService::start(ServiceConfig {
         workers: 2,
-        max_batch: 4,
         cache_frames: 32,
         ..ServiceConfig::default()
     });
@@ -65,18 +63,17 @@ fn two_sessions_eight_frames_each_match_direct_renders() {
     assert_eq!(report.frames_failed, 0);
 }
 
-/// Batched same-volume requests stage each brick once; unbatched requests
-/// pay the full staging cost per frame. (Plan cache off: this isolates
-/// within-batch sharing from cross-batch reuse.)
+/// A paused same-key burst renders over one cached plan: each brick is
+/// staged once for the whole burst. With the plan cache off, every frame
+/// prepares its own plan and pays the full staging cost.
 #[test]
-fn batching_cuts_brick_stagings() {
+fn plan_cache_stages_each_brick_once_per_burst() {
     let frames = 6;
-    let run = |max_batch: usize| {
+    let run = |plan_cache_plans: usize| {
         let service = RenderService::start(ServiceConfig {
             workers: 1,
-            max_batch,
-            cache_frames: 0,     // isolate batching from caching
-            plan_cache_plans: 0, // and from cross-batch plan reuse
+            cache_frames: 0, // isolate plan reuse from frame caching
+            plan_cache_plans,
             start_paused: true,
             ..ServiceConfig::default()
         });
@@ -101,31 +98,26 @@ fn batching_cuts_brick_stagings() {
         (service.shutdown(), bricks)
     };
 
-    let (batched, bricks) = run(frames);
-    let (unbatched, _) = run(1);
+    let (warm, bricks) = run(8);
+    let (cold, _) = run(0);
 
-    // One paused single-worker batch: every frame in one batch, every brick
-    // staged exactly once.
-    assert_eq!(batched.batches, 1);
-    assert_eq!(batched.batch_occupancy(), frames as f64);
-    assert_eq!(batched.brick_stagings, bricks);
-
-    // Unbatched: one plan per frame, full staging cost each time.
-    assert_eq!(unbatched.batches, frames as u64);
-    assert_eq!(unbatched.batch_occupancy(), 1.0);
-    assert_eq!(unbatched.brick_stagings, bricks * frames as u64);
-    assert!(
-        batched.brick_stagings < unbatched.brick_stagings,
-        "batching must reduce stagings: {} vs {}",
-        batched.brick_stagings,
-        unbatched.brick_stagings
+    // One plan for the burst: every brick staged exactly once.
+    assert_eq!(warm.frames_rendered, frames as u64);
+    assert_eq!(
+        (warm.plan_cache.misses, warm.plan_cache.hits),
+        (1, frames as u64 - 1)
     );
+    assert_eq!(warm.brick_stagings, bricks);
+
+    // No plan cache: one plan per frame, full staging cost each time.
+    assert_eq!(cold.frames_rendered, frames as u64);
+    assert_eq!(cold.brick_stagings, bricks * frames as u64);
 }
 
-/// The tentpole effect: with the plan cache on, *separate* batches of the
-/// same (cluster, volume, config) reuse one plan and its warm brick store —
-/// every brick is staged exactly once across all batches, not once per
-/// batch. With the cache off, every batch re-stages (PR 2 behaviour).
+/// With the plan cache on, *separate* waves of the same (cluster, volume,
+/// config) reuse one plan and its warm brick store — every brick is staged
+/// exactly once across all waves, not once per wave. With the cache off,
+/// every frame re-stages.
 #[test]
 fn plan_cache_reuses_staging_across_batches() {
     let waves = 3;
@@ -133,7 +125,6 @@ fn plan_cache_reuses_staging_across_batches() {
     let run = |plan_cache_plans: usize| {
         let service = RenderService::start(ServiceConfig {
             workers: 1,
-            max_batch: frames_per_wave,
             cache_frames: 0, // isolate plan reuse from frame caching
             plan_cache_plans,
             ..ServiceConfig::default()
@@ -144,8 +135,7 @@ fn plan_cache_reuses_staging_across_batches() {
         let session = service.session(spec.clone(), volume.clone(), cfg.clone());
         let mut bricks = 0u64;
         let mut az = 0.0f32;
-        // Waiting out each wave forces wave boundaries = batch boundaries:
-        // the queue is empty before the next wave starts.
+        // Waiting out each wave empties the queue before the next starts.
         for _ in 0..waves {
             let tickets: Vec<_> = (0..frames_per_wave)
                 .map(|_| {
@@ -169,8 +159,9 @@ fn plan_cache_reuses_staging_across_batches() {
     let (warm, bricks) = run(8);
     let (cold, _) = run(0);
 
-    assert!(warm.batches >= waves as u64, "waves force separate batches");
-    // Warm: only the first batch stages bricks; all later batches reuse the
+    let frames = (waves * frames_per_wave) as u64;
+    assert_eq!(warm.frames_rendered, frames);
+    // Warm: only the first frame stages bricks; all later frames reuse the
     // warm store, so total stagings never exceed the brick count.
     assert!(
         warm.brick_stagings <= bricks,
@@ -178,24 +169,23 @@ fn plan_cache_reuses_staging_across_batches() {
         warm.brick_stagings
     );
     assert_eq!(warm.plan_cache.misses, 1, "one cold plan build");
-    assert!(
-        warm.plan_cache.hits >= warm.batches - 1,
-        "later batches must hit the plan cache ({} hits, {} batches)",
+    assert_eq!(
         warm.plan_cache.hits,
-        warm.batches
+        frames - 1,
+        "later frames must hit the plan cache"
     );
     assert!(warm.plan_cache_hit_rate() > 0.0);
 
-    // Cold: every batch rebuilds the plan and re-stages its bricks.
+    // Cold: every frame rebuilds the plan and re-stages its bricks.
     assert_eq!(cold.plan_cache.hits, 0);
     assert!(
         cold.brick_stagings > bricks,
-        "every cold batch re-stages: {} stagings for {bricks} bricks",
+        "every cold frame re-stages: {} stagings for {bricks} bricks",
         cold.brick_stagings
     );
     assert!(
         warm.brick_stagings < cold.brick_stagings,
-        "cross-batch reuse must cut stagings: {} vs {}",
+        "plan reuse across waves must cut stagings: {} vs {}",
         warm.brick_stagings,
         cold.brick_stagings
     );
@@ -244,7 +234,6 @@ fn repeated_view_hits_the_cache() {
 fn interactive_requests_overtake_batch_work() {
     let service = RenderService::start(ServiceConfig {
         workers: 1,
-        max_batch: 1, // isolate priority order from batch grouping
         cache_frames: 4,
         start_paused: true,
         ..ServiceConfig::default()
@@ -348,7 +337,7 @@ fn wait_panics_with_the_explicit_failure() {
 }
 
 /// Two in-memory volumes with identical metadata but different voxels must
-/// not alias in the frame cache or batch together (the `content`
+/// not alias in the frame cache or share a plan (the `content`
 /// fingerprint regression).
 #[test]
 fn same_meta_volumes_with_different_voxels_do_not_alias() {
@@ -458,7 +447,6 @@ fn admission_control_sheds_lowest_priority_first() {
 fn shutdown_resolves_all_pending_tickets() {
     let service = RenderService::start(ServiceConfig {
         workers: 1,
-        max_batch: 2,
         cache_frames: 4,
         start_paused: true, // jobs pile up before any worker runs
         ..ServiceConfig::default()

@@ -1,10 +1,9 @@
 //! The render service in action: two clients orbit two different datasets
-//! concurrently, each queueing a dozen frames; the service batches
-//! same-volume work over one shared brick store, keeps the plan warm across
-//! batches in the plan cache, caches repeated views, and reports
-//! queue/batch/cache behaviour. Every delivered frame is verified
-//! bit-identical to a direct `render` call. A final vignette shows admission
-//! control shedding low-priority work from a full queue.
+//! concurrently, each queueing a dozen frames; the service renders each
+//! volume's frames over one cached plan and its shared brick store, caches
+//! repeated views, and reports queue/cache behaviour. Every delivered frame
+//! is verified bit-identical to a direct `render` call. A final vignette
+//! shows admission control shedding low-priority work from a full queue.
 //!
 //!     cargo run --release --example render_service
 
@@ -19,9 +18,8 @@ fn main() {
 
     let service = RenderService::start(ServiceConfig {
         workers: 2,
-        max_batch: 6,
         cache_frames: 64,
-        start_paused: true, // queue everything first: deterministic batching
+        start_paused: true, // queue everything first, then release the workers
         ..ServiceConfig::default()
     });
     let skull_client = service.session(spec.clone(), skull.clone(), cfg.clone());
@@ -76,8 +74,8 @@ fn main() {
     assert!(replay.from_cache, "repeated view must come from the cache");
     println!("replayed skull az 0 from the frame cache (no render)");
 
-    // A NEW wave of skull views: a fresh batch, but the plan cache already
-    // holds the skull's plan — its warm brick store answers every staging.
+    // A NEW wave of skull views: the plan cache already holds the skull's
+    // plan — its warm brick store answers every staging.
     let wave: Vec<_> = (0..3)
         .map(|i| skull_client.request_orbit(7.0 + i as f32 * 11.0, 20.0, TransferFunction::bone()))
         .collect();
@@ -94,13 +92,13 @@ fn main() {
     let report = service.shutdown();
     println!("service report:\n{report}");
 
-    // Batching effect: each brick staged once per batch, not once per frame.
+    // Plan-cache effect: each brick staged once per cached plan, not once
+    // per frame.
     let saved = report.brick_reuses;
     println!(
         "\nbrick sharing: {} stagings paid, {} avoided by shared stores",
         report.brick_stagings, saved
     );
-    assert!(report.batch_occupancy() > 1.0, "batches should have formed");
     assert!(saved > 0, "shared stores should have been reused");
 
     // Admission control: a paused service with a 2-deep queue bound for
