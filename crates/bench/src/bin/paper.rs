@@ -9,7 +9,6 @@
 
 use std::cell::OnceCell;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use mgpu_bench::figures::{
     bottleneck_report, fig3_report, fig4_report, micro_report, paraview_report, run_sweep,
@@ -20,12 +19,9 @@ use mgpu_bench::{
 };
 use mgpu_cluster::{ClusterSpec, ResourceMap};
 use mgpu_gpu::KernelTimingMode;
-use mgpu_mapreduce::{build_trace, run_job, CostBook, JobConfig, TraceOptions};
+use mgpu_mapreduce::{build_trace, CostBook};
 use mgpu_sim::{ascii_timeline, resource_use, simulate};
 use mgpu_voldata::Dataset;
-use mgpu_volren::brick::{RenderBrick, Staging};
-use mgpu_volren::mapper::VolumeMapper;
-use mgpu_volren::reduce::CompositeReducer;
 use mgpu_volren::renderer::render;
 use mgpu_volren::{Compositor, PartitionStrategy, RenderConfig, Residency};
 
@@ -113,38 +109,10 @@ fn timeline(size: u32, gpus: u32, scale: &BenchScale) {
     let scene = standard_scene(&volume);
     let spec = ClusterSpec::accelerator_cluster(gpus);
 
-    // Run the job manually so we keep the trace around for inspection.
-    let grid = mgpu_voldata::BrickGrid::subdivide(
-        volume.dims(),
-        &mgpu_voldata::BrickPolicy::for_gpus(gpus, cfg.max_brick_voxels),
-    );
-    let store = Arc::new(mgpu_voldata::BrickStore::new(
-        volume.clone(),
-        grid.clone(),
-        1,
-        u64::MAX,
-    ));
-    let bricks: Vec<RenderBrick> = (0..grid.brick_count())
-        .map(|i| RenderBrick::new(Arc::clone(&store), i, Staging::HostResident))
-        .collect();
-    let mapper = VolumeMapper::new(scene.clone(), cfg.image, 1.0, cfg.early_term, 2);
-    let reducer = CompositeReducer {
-        background: scene.background,
-    };
-    let partitioner = PartitionStrategy::RoundRobin.build(cfg.image.0);
-    let job_cfg = JobConfig::new(gpus, cfg.image.0 * cfg.image.1);
-    let out = run_job(
-        &bricks,
-        &mapper,
-        &reducer,
-        partitioner.as_ref(),
-        None,
-        &spec,
-        &job_cfg,
-    );
-
+    // Render the frame, then rebuild the trace its report replayed.
+    let out = render(&spec, &volume, &scene, &cfg);
     let book = CostBook::from_cluster(&spec);
-    let trace = build_trace(&out.record, &spec, &book, &TraceOptions::default());
+    let trace = build_trace(&out.record, &spec, &book, &cfg.trace);
     let schedule = simulate(&trace);
 
     println!(

@@ -6,8 +6,8 @@
 //! **Partition** (dense-key routing to reducers), **Sort** (θ(n) counting
 //! sort) and **Reduce** — run for real on host threads; every I/O and
 //! compute operation is also recorded into a [`record::JobRecord`], from
-//! which [`trace_build::build_trace`] reconstructs the run as a dependency
-//! trace that `mgpu-sim` replays against the modeled 2010 cluster.
+//! which [`trace_build`] reconstructs the run (under either compositor) as
+//! a dependency trace that `mgpu-sim` replays against the 2010 cluster.
 //!
 //! The §3.1.1 restrictions the paper adopts for performance are first-class
 //! here: 4-byte dense keys ([`types::Key`]), homogeneous POD values
@@ -39,6 +39,6 @@ pub use partition::{Checkerboard, Partitioner, RoundRobin, Striped, Tiled};
 pub use record::{ChunkRecord, JobRecord, JobStats, MapperRecord, ReducerRecord, SendRecord};
 pub use runtime::{run_job, JobConfig, JobOutput};
 pub use sort::{counting_sort_groups, SortedGroups};
-pub use trace_build::{build_trace, TraceOptions};
+pub use trace_build::{build_swap_trace, build_trace, TraceOptions};
 pub use traits::{Chunk, Combiner, FnCombiner, GpuMapper, MapOutput, Reducer};
 pub use types::{pair_wire_bytes, Key, Pair, WireValue, SENTINEL_KEY};

@@ -16,14 +16,13 @@
 //!              RenderServer … RenderServer   (N processes / hosts)
 //! ```
 //!
-//! Placement uses the *same* rendezvous hash as the in-process
-//! [`mgpu_serve::ShardedService`] ([`mgpu_serve::shard::route`]): a batch
-//! key's node across processes and its shard within a process are chosen by
-//! one consistent rule, so a key keeps hitting the node (and shard) whose
-//! plan cache is warm, and growing the directory from N to N+1 nodes only
-//! moves ~1/(N+1) of the keys. A [`Directory::migrate`] pin overrides the
-//! hash for one key (the rebalancer's lever); every placement change bumps
-//! the directory **epoch**, which the pool announces to its nodes with
+//! Placement is rendezvous hashing ([`mgpu_serve::shard::route`]) over
+//! each node's stable id: a key keeps hitting the node whose plan cache is
+//! warm, growing the directory from N to N+1 nodes moves only ~1/(N+1) of
+//! the keys, and removing a node moves only the keys it owned. A
+//! [`Directory::migrate`] pin overrides the hash for one key (the
+//! rebalancer's lever); every placement change bumps the directory
+//! **epoch**, which the pool announces to its nodes with
 //! `DRAIN`/`RESUME`/`PREWARM` and the nodes echo in STATS — so a client
 //! routing on a stale directory is detectable, not just wrong.
 //!
@@ -86,17 +85,21 @@ impl std::fmt::Display for DirectoryError {
 impl std::error::Error for DirectoryError {}
 
 /// The placement directory: which render nodes exist, and which one owns a
-/// given [`BatchKey`]. Rendezvous-hashed with the exact policy
-/// [`mgpu_serve::ShardedService`] uses for in-process shards, overridden
-/// per key by migration **pins**, and versioned by an **epoch** that bumps
-/// on every membership or placement change.
+/// given [`BatchKey`]. Rendezvous-hashed over each node's stable id,
+/// overridden per key by migration **pins**, and versioned by an **epoch**
+/// that bumps on every membership or placement change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directory {
     addrs: Vec<SocketAddr>,
-    /// Migration pins: key → owning node, overriding the rendezvous hash.
-    /// Sparse — only rebalanced keys appear; everything else routes by
-    /// hash, so pins survive membership changes with index remapping.
-    pins: BTreeMap<BatchKey, usize>,
+    /// Rendezvous ids of the nodes removed so far. A live node's id is
+    /// fixed when it joins: in list order the nodes hold the first `len`
+    /// integers not in this list — `0..n` for a directory that never lost
+    /// a node — so a joining node takes the next unused id.
+    removed: Vec<u64>,
+    /// Migration pins: key → the owning node's id, overriding the
+    /// rendezvous hash. Sparse — only rebalanced keys appear; everything
+    /// else routes by hash.
+    pins: BTreeMap<BatchKey, u64>,
     /// Placement version. Every change (node added/removed, key migrated,
     /// drain initiated) bumps it; nodes echo the highest epoch they have
     /// heard in STATS, so stale routing is observable.
@@ -118,6 +121,7 @@ impl Directory {
         }
         Ok(Directory {
             addrs,
+            removed: Vec::new(),
             pins: BTreeMap::new(),
             epoch: 0,
         })
@@ -149,33 +153,49 @@ impl Directory {
         self.epoch
     }
 
+    /// Every node's rendezvous id, in list order.
+    fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..)
+            .filter(|id| !self.removed.contains(id))
+            .take(self.addrs.len())
+    }
+
+    /// `node`'s rendezvous id; a typed error for an unknown node.
+    fn id(&self, node: usize) -> Result<u64, DirectoryError> {
+        let nodes = self.addrs.len();
+        self.ids()
+            .nth(node)
+            .ok_or(DirectoryError::UnknownNode { node, nodes })
+    }
+
+    /// The node this key is pinned to, if any.
+    fn pinned(&self, key: &BatchKey) -> Option<usize> {
+        let pin = self.pins.get(key)?;
+        self.ids().position(|id| id == *pin)
+    }
+
     /// The node that owns this key: its migration pin if one exists, the
     /// rendezvous hash otherwise (deterministic; every client with the
     /// same directory agrees without coordination).
     pub fn node_for(&self, key: &BatchKey) -> usize {
-        match self.pins.get(key) {
-            Some(&pin) => pin,
-            None => route(key, self.addrs.len()),
-        }
+        self.pinned(key).unwrap_or_else(|| route(key, self.ids()))
     }
 
     /// Every node in preference order for this key: `[0]` is the owner
     /// (pin-aware), the tail is the failover order when the owner is
     /// unreachable.
     pub fn ranked(&self, key: &BatchKey) -> Vec<usize> {
-        let mut order = ranked(key, self.addrs.len());
-        if let Some(&pin) = self.pins.get(key) {
-            if let Some(pos) = order.iter().position(|&node| node == pin) {
-                order.remove(pos);
-            }
+        let mut order = ranked(key, self.ids());
+        if let Some(pin) = self.pinned(key) {
+            order.retain(|&node| node != pin);
             order.insert(0, pin);
         }
         order
     }
 
-    /// Add a node at the end of the directory. Returns its index. Bumps
-    /// the epoch; rendezvous hashing means only ~1/(N+1) of unpinned keys
-    /// move — all of them to the new node.
+    /// Add a node at the end of the directory, under the next unused id.
+    /// Returns its index. Bumps the epoch; rendezvous hashing means only
+    /// ~1/(N+1) of unpinned keys move — all of them to the new node.
     pub fn add_node(&mut self, addr: SocketAddr) -> Result<usize, DirectoryError> {
         if self.addrs.contains(&addr) {
             return Err(DirectoryError::Duplicate(addr));
@@ -185,28 +205,18 @@ impl Directory {
         Ok(self.addrs.len() - 1)
     }
 
-    /// Remove a node. Pins pointing at it dissolve (those keys fall back
-    /// to the hash); pins past it slide down with the indices. Bumps the
-    /// epoch. The last node cannot be removed.
+    /// Remove a node. Only the keys it owned move: pins pointing at it
+    /// dissolve (those keys fall back to the hash), and every other node
+    /// keeps its id, its pins and its keys, though nodes after it slide
+    /// down one index. Bumps the epoch. The last node cannot be removed.
     pub fn remove_node(&mut self, node: usize) -> Result<SocketAddr, DirectoryError> {
-        if node >= self.addrs.len() {
-            return Err(DirectoryError::UnknownNode {
-                node,
-                nodes: self.addrs.len(),
-            });
-        }
+        let id = self.id(node)?;
         if self.addrs.len() == 1 {
             return Err(DirectoryError::LastNode);
         }
         let addr = self.addrs.remove(node);
-        self.pins = std::mem::take(&mut self.pins)
-            .into_iter()
-            .filter_map(|(key, pin)| match pin.cmp(&node) {
-                std::cmp::Ordering::Less => Some((key, pin)),
-                std::cmp::Ordering::Equal => None,
-                std::cmp::Ordering::Greater => Some((key, pin - 1)),
-            })
-            .collect();
+        self.removed.push(id);
+        self.pins.retain(|_, pin| *pin != id);
         self.epoch += 1;
         Ok(addr)
     }
@@ -216,16 +226,11 @@ impl Directory {
     /// Returns whether placement actually changed (the epoch bumps only
     /// then, so repeated migrations are idempotent).
     pub fn migrate(&mut self, key: &BatchKey, node: usize) -> Result<bool, DirectoryError> {
-        if node >= self.addrs.len() {
-            return Err(DirectoryError::UnknownNode {
-                node,
-                nodes: self.addrs.len(),
-            });
-        }
-        let changed = if route(key, self.addrs.len()) == node {
+        let id = self.id(node)?;
+        let changed = if route(key, self.ids()) == node {
             self.pins.remove(key).is_some()
         } else {
-            self.pins.insert(key.clone(), node) != Some(node)
+            self.pins.insert(key.clone(), id) != Some(id)
         };
         if changed {
             self.epoch += 1;
@@ -1085,16 +1090,22 @@ mod tests {
             .collect()
     }
 
-    /// The directory is the ShardedService policy verbatim: same owner,
-    /// same preference order, for every key (absent migrations).
+    /// A directory that never lost a node, fresh or grown, routes by list
+    /// position: `route`/`ranked` over ids `0..len` — same owner, same
+    /// preference order, for every key (absent migrations).
     #[test]
     fn directory_routes_with_the_shard_policy() {
-        let dir = Directory::new(addrs(4)).unwrap();
-        for tag in 0..64 {
-            let key = BatchKey::synthetic(tag);
-            assert_eq!(dir.node_for(&key), route(&key, 4));
-            assert_eq!(dir.ranked(&key), ranked(&key, 4));
-            assert_eq!(dir.ranked(&key)[0], dir.node_for(&key));
+        let mut grown = Directory::new(addrs(2)).unwrap();
+        for addr in &addrs(4)[2..] {
+            grown.add_node(*addr).unwrap();
+        }
+        for dir in [Directory::new(addrs(4)).unwrap(), grown] {
+            for tag in 0..256 {
+                let key = BatchKey::synthetic(tag);
+                assert_eq!(dir.node_for(&key), route(&key, 0..4));
+                assert_eq!(dir.ranked(&key), ranked(&key, 0..4));
+                assert_eq!(dir.ranked(&key)[0], dir.node_for(&key));
+            }
         }
     }
 
@@ -1111,6 +1122,47 @@ mod tests {
             }
         }
         assert!(moved > 0 && moved < 128, "{moved}/256 moved");
+    }
+
+    /// Removing a node moves only the keys it owned: every key a survivor
+    /// owned stays on that survivor, so no survivor's plan cache goes cold.
+    #[test]
+    fn removing_a_node_moves_only_its_keys() {
+        let before = Directory::new(addrs(3)).unwrap();
+        let mut after = before.clone();
+        after.remove_node(0).unwrap();
+        let mut kept = 0;
+        for tag in 0..256 {
+            let key = BatchKey::synthetic(tag);
+            let owner = before.addr(before.node_for(&key));
+            if owner != before.addr(0) {
+                assert_eq!(after.addr(after.node_for(&key)), owner, "key {tag}");
+                kept += 1;
+            }
+        }
+        assert!(kept > 100, "{kept}/256 keys owned by survivors");
+    }
+
+    /// Nodes and shards score keys apart: of the keys a 2-node directory
+    /// sends to node 0, a 2-shard service spreads at least a quarter onto
+    /// each shard (with one shared score, all of them went to shard 0).
+    #[test]
+    fn a_nodes_keys_spread_over_its_shards() {
+        let dir = Directory::new(addrs(2)).unwrap();
+        let sharded = mgpu_serve::ShardedService::start(2, mgpu_serve::ServiceConfig::default());
+        let mut per_shard = [0usize; 2];
+        for tag in 0..256 {
+            let key = BatchKey::synthetic(tag);
+            if dir.node_for(&key) == 0 {
+                per_shard[sharded.shard_for(&key)] += 1;
+            }
+        }
+        sharded.shutdown();
+        let on_node = per_shard[0] + per_shard[1];
+        assert!(
+            per_shard.iter().all(|&n| 4 * n >= on_node),
+            "node 0's {on_node} keys split {per_shard:?} over its shards"
+        );
     }
 
     #[test]
@@ -1158,7 +1210,7 @@ mod tests {
         // Migrating back to the natural owner dissolves the pin.
         assert!(dir.migrate(&key, natural).unwrap());
         assert_eq!(dir.node_for(&key), natural);
-        assert_eq!(dir.ranked(&key), ranked(&key, 3));
+        assert_eq!(dir.ranked(&key), ranked(&key, 0..3));
         assert_eq!(dir.epoch(), 2);
         assert!(!dir.migrate(&key, natural).unwrap());
         // Unknown destinations are typed errors.
@@ -1182,6 +1234,13 @@ mod tests {
             .clone();
         dir.migrate(&key_onto, 1).unwrap();
         let before = dir.epoch();
+        // Where the hash sends `key_onto` once node 1 is gone: its next
+        // choice among the survivors, one index lower if past node 1.
+        let fallback = ranked(&key_onto, 0..4)
+            .into_iter()
+            .find(|&node| node != 1)
+            .map(|node| node - usize::from(node > 1))
+            .unwrap();
 
         let removed = dir.remove_node(1).unwrap();
         assert_eq!(removed, addrs(4)[1]);
@@ -1190,7 +1249,7 @@ mod tests {
         // The pin to node 3 slid down with the indices…
         assert_eq!(dir.node_for(&key_high), 2);
         // …and the pin onto the removed node dissolved back to the hash.
-        assert_eq!(dir.node_for(&key_onto), route(&key_onto, 3));
+        assert_eq!(dir.node_for(&key_onto), fallback);
 
         // Duplicates are rejected on join; the last node cannot leave.
         let existing = dir.addr(0);

@@ -13,7 +13,9 @@
 //! gets a deterministic per-key score and the max wins. Growing the fleet
 //! from N to N+1 shards only moves the keys whose max moved to the new
 //! shard (~1/(N+1) of them) — no global reshuffle that would cold-start
-//! every plan cache at once.
+//! every plan cache at once. [`route`] places render nodes (`mgpu-net`'s
+//! `Directory`) by the same rule; shards score apart from nodes, so a key's
+//! shard is independent of the node that owns it.
 
 use std::time::Duration;
 
@@ -76,31 +78,49 @@ impl ShardHeat {
     }
 }
 
-/// FNV-1a over the key bytes, salted with the shard index — the rendezvous
-/// score of (key, shard). Stable across runs and platforms (the same hash
-/// voldata uses for content fingerprints).
-fn rendezvous_score(key: &BatchKey, shard: u64) -> u64 {
-    fnv1a(&shard.to_le_bytes(), fnv1a(key.bytes(), FNV_OFFSET))
+/// FNV-1a over the key bytes, salted with the owner's rendezvous id — the
+/// rendezvous score of (key, owner). Stable across runs and platforms (the
+/// same hash voldata uses for content fingerprints).
+fn rendezvous_score(key: &BatchKey, owner: u64) -> u64 {
+    fnv1a(&owner.to_le_bytes(), fnv1a(key.bytes(), FNV_OFFSET))
 }
 
-/// The placement policy: which of `shards` owners a key lands on. This is
-/// *the* routing function for the whole stack — [`ShardedService`] routes
-/// in-process shards with it, and `mgpu-net`'s node `Directory` routes
-/// whole render nodes with it, so a key's shard inside one process and its
-/// node across processes are chosen by one consistent rule.
-pub fn route(key: &BatchKey, shards: usize) -> usize {
+/// A shard's score: the rendezvous score run through splitmix64's
+/// finalizer, so a key's shard is independent of its node (with one shared
+/// score, every key node `i` owns landed on shard `i`).
+fn shard_score(key: &BatchKey, shard: u64) -> u64 {
+    let z = rendezvous_score(key, shard);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The node placement policy: the position in `ids` (the owners'
+/// rendezvous ids, `0..n` for a directory that never lost a node) of the
+/// owner a key lands on.
+pub fn route(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> usize {
+    ranked(key, ids)[0]
+}
+
+/// Every owner in preference order (highest rendezvous score first), as
+/// positions in `ids`: `[0]` is [`route`]'s owner, and the tail is the
+/// deterministic failover order a multi-node pool walks when the preferred
+/// node is down.
+pub fn ranked(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> Vec<usize> {
+    let mut order: Vec<(usize, u64)> = ids
+        .into_iter()
+        .map(|id| rendezvous_score(key, id))
+        .enumerate()
+        .collect();
+    order.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
+    order.into_iter().map(|(pos, _)| pos).collect()
+}
+
+/// Which of `shards` in-process shards owns a key.
+fn shard_of(key: &BatchKey, shards: usize) -> usize {
     (0..shards as u64)
-        .max_by_key(|i| rendezvous_score(key, *i))
+        .max_by_key(|&shard| shard_score(key, shard))
         .expect("at least one shard") as usize
-}
-
-/// Every owner in preference order (highest rendezvous score first):
-/// `ranked(...)[0] == route(...)`, and the tail is the deterministic
-/// failover order a multi-node pool walks when the preferred node is down.
-pub fn ranked(key: &BatchKey, shards: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..shards).collect();
-    order.sort_by_key(|i| std::cmp::Reverse(rendezvous_score(key, *i as u64)));
-    order
 }
 
 /// N independent render services behind one handle, with rendezvous routing
@@ -128,7 +148,7 @@ impl ShardedService {
 
     /// Which shard owns this plan key (deterministic).
     pub fn shard_for(&self, key: &BatchKey) -> usize {
-        route(key, self.shards.len())
+        shard_of(key, self.shards.len())
     }
 
     /// Direct access to one shard (reports, cache snapshots).
@@ -233,13 +253,17 @@ mod tests {
     #[test]
     fn routing_is_deterministic_and_in_range() {
         for key in keys(64) {
-            let a = route(&key, 4);
+            let a = route(&key, 0..4);
             assert!(a < 4);
-            assert_eq!(a, route(&key, 4), "same key, same shard");
+            assert_eq!(a, route(&key, 0..4), "same key, same node");
+            let s = shard_of(&key, 4);
+            assert!(s < 4);
+            assert_eq!(s, shard_of(&key, 4), "same key, same shard");
         }
-        // Single shard: everything routes to it.
+        // Single owner: everything routes to it.
         for key in keys(8) {
-            assert_eq!(route(&key, 1), 0);
+            assert_eq!(route(&key, 0..1), 0);
+            assert_eq!(shard_of(&key, 1), 0);
         }
     }
 
@@ -248,8 +272,8 @@ mod tests {
     #[test]
     fn ranked_agrees_with_route_and_is_a_permutation() {
         for key in keys(64) {
-            let order = ranked(&key, 5);
-            assert_eq!(order[0], route(&key, 5));
+            let order = ranked(&key, 0..5);
+            assert_eq!(order[0], route(&key, 0..5));
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
@@ -259,10 +283,13 @@ mod tests {
     #[test]
     fn keys_spread_over_shards() {
         let mut used = [false; 4];
+        let mut nodes = [false; 4];
         for key in keys(256) {
-            used[route(&key, 4)] = true;
+            used[shard_of(&key, 4)] = true;
+            nodes[route(&key, 0..4)] = true;
         }
         assert!(used.iter().all(|u| *u), "256 keys must touch all 4 shards");
+        assert!(nodes.iter().all(|u| *u), "256 keys must touch all 4 nodes");
     }
 
     /// Heat metrics see the load where it actually landed: the shard that
@@ -311,24 +338,29 @@ mod tests {
         );
     }
 
-    /// The rendezvous property: growing the fleet moves a key only if its
-    /// new-max score belongs to the added shard — nothing shuffles between
-    /// pre-existing shards (their plan caches stay warm).
+    /// The rendezvous property, for node and shard scores alike: growing
+    /// the fleet moves a key only if its new-max score belongs to the added
+    /// shard — nothing shuffles between pre-existing shards (their plan
+    /// caches stay warm).
     #[test]
     fn adding_a_shard_only_moves_keys_to_the_new_shard() {
-        let mut moved = 0;
-        for key in keys(512) {
-            let before = route(&key, 4);
-            let after = route(&key, 5);
-            if after != before {
-                assert_eq!(after, 4, "a moved key may only land on the new shard");
-                moved += 1;
+        let policies: [fn(&BatchKey, usize) -> usize; 2] =
+            [|key, n| route(key, 0..n as u64), shard_of];
+        for grow in policies {
+            let mut moved = 0;
+            for key in keys(512) {
+                let before = grow(&key, 4);
+                let after = grow(&key, 5);
+                if after != before {
+                    assert_eq!(after, 4, "a moved key may only land on the new shard");
+                    moved += 1;
+                }
             }
+            assert!(moved > 0, "some keys should adopt the new shard");
+            assert!(
+                moved < 512 / 2,
+                "rendezvous must not reshuffle wholesale ({moved}/512 moved)"
+            );
         }
-        assert!(moved > 0, "some keys should adopt the new shard");
-        assert!(
-            moved < 512 / 2,
-            "rendezvous must not reshuffle wholesale ({moved}/512 moved)"
-        );
     }
 }

@@ -69,17 +69,6 @@ impl RateModel {
     }
 }
 
-/// Convenience constructors for common magnitudes.
-pub mod units {
-    pub const KIB: f64 = 1024.0;
-    pub const MIB: f64 = 1024.0 * 1024.0;
-    pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-
-    pub fn mib(n: f64) -> u64 {
-        (n * MIB) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +83,7 @@ mod tests {
     #[test]
     fn paper_anchor_disk_64cubed_brick_about_20ms() {
         // §3: "loading a 64³ block from disk takes approximately 20 ms".
-        let disk = LinkModel::new(0.008, 85.0 * units::MIB);
+        let disk = LinkModel::new(0.008, 85.0 * (1u64 << 20) as f64);
         let brick_bytes = 64u64 * 64 * 64 * 4;
         let t = disk.time(brick_bytes).as_millis_f64();
         assert!(
@@ -106,7 +95,7 @@ mod tests {
     #[test]
     fn paper_anchor_h2d_under_point2ms_for_1mib() {
         // §3: transferring that (1 MiB) brick to the GPU takes < 0.2 ms.
-        let pcie = LinkModel::new(15e-6, 6.0 * units::GIB);
+        let pcie = LinkModel::new(15e-6, 6.0 * (1u64 << 30) as f64);
         let t = pcie.time(64 * 64 * 64 * 4).as_millis_f64();
         assert!(t < 0.2, "PCIe model breaks the <0.2ms anchor: {t} ms");
         assert!(t > 0.05, "PCIe model implausibly fast: {t} ms");

@@ -17,17 +17,6 @@ pub struct BrickPolicy {
     pub max_brick_voxels: u64,
 }
 
-impl BrickPolicy {
-    /// The paper's configuration: two bricks per GPU (its 1024³/8-GPU example
-    /// runs 2 bricks per GPU), capped by a per-brick VRAM budget.
-    pub fn for_gpus(gpus: u32, max_brick_voxels: u64) -> BrickPolicy {
-        BrickPolicy {
-            min_bricks: gpus.max(1) * 2,
-            max_brick_voxels,
-        }
-    }
-}
-
 impl Default for BrickPolicy {
     fn default() -> Self {
         BrickPolicy {
@@ -162,7 +151,12 @@ mod tests {
 
     #[test]
     fn respects_min_bricks() {
-        let g = BrickGrid::subdivide([128, 128, 128], &BrickPolicy::for_gpus(8, u64::MAX));
+        // The paper's two bricks per GPU, on 8 GPUs.
+        let policy = BrickPolicy {
+            min_bricks: 16,
+            max_brick_voxels: u64::MAX,
+        };
+        let g = BrickGrid::subdivide([128, 128, 128], &policy);
         assert!(g.brick_count() >= 16);
         // Stays within a factor of ~4 of the request (paper §6).
         assert!(g.brick_count() <= 64);

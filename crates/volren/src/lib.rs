@@ -18,15 +18,15 @@
 //! [`renderer::render`] drives the whole pipeline and returns a real image
 //! plus the DES-replayed timing report. [`baseline`] holds the unbricked
 //! reference renderer (the correctness oracle) and the ParaView-class
-//! comparator from the paper's footnote 1; [`binary_swap`] models the
-//! alternative compositor of §6.1.
+//! comparator from the paper's footnote 1. [`config::Compositor`] picks
+//! direct-send or the binary swap of §6.1; either way the job runs once and
+//! only the replayed trace differs.
 
 // One exception, allowed at its site: `kernel`'s call of its AVX2 march
 // after detecting AVX2.
 #![deny(unsafe_code)]
 
 pub mod baseline;
-pub mod binary_swap;
 pub mod brick;
 pub mod camera;
 pub mod combine;

@@ -5,7 +5,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mgpu_cluster::ClusterSpec;
-use mgpu_mapreduce::{build_trace, run_job, CostBook, JobConfig, JobStats};
+use mgpu_mapreduce::{
+    build_swap_trace, build_trace, run_job, CostBook, JobConfig, JobRecord, JobStats,
+};
 use mgpu_obs::names;
 use mgpu_obs::{trace, Histogram};
 use mgpu_sim::{account, simulate, PhaseBreakdown, RunAccounting, SimDuration};
@@ -103,13 +105,16 @@ impl RenderReport {
 pub struct RenderOutcome {
     pub image: Image,
     pub report: RenderReport,
+    /// What the frame's MapReduce job did: the record `report.accounting`
+    /// was replayed from, to rebuild its trace task by task.
+    pub record: JobRecord,
 }
 
 /// Per-(cluster, volume, config) render state that is scene-independent and
 /// can be shared across frames: the brick grid, the staging decision, the
 /// brick store and the chunk handles. [`render`] builds one per call; the
-/// render service shares one across a *batch* — and, through its plan
-/// cache, across consecutive batches — so same-volume frames stage bricks
+/// render service shares one through its plan cache across every frame of
+/// the same (cluster, volume, config), so same-volume frames stage bricks
 /// once for the plan's lifetime instead of once per frame.
 ///
 /// A plan is immutable apart from the brick store's interior-mutable cache
@@ -313,20 +318,18 @@ pub fn render_planned(
     // Composite phase: DES accounting of the modeled compositing plus the
     // actual stitch into the final image.
     let composite_start = Instant::now();
-    let accounting = match cfg.compositor {
-        Compositor::DirectSend => {
-            let book = CostBook::from_cluster(spec);
-            let trace = build_trace(&output.record, spec, &book, &cfg.trace);
-            let schedule = simulate(&trace);
-            account(&trace, &schedule)
-        }
-        Compositor::BinarySwap => crate::binary_swap::account_binary_swap(
+    let book = CostBook::from_cluster(spec);
+    let trace = match cfg.compositor {
+        Compositor::DirectSend => build_trace(&output.record, spec, &book, &cfg.trace),
+        Compositor::BinarySwap => build_swap_trace(
             &output.record,
             spec,
+            &book,
             &cfg.trace,
             width as u64 * height as u64,
         ),
     };
+    let accounting = account(&trace, &simulate(&trace));
 
     let image = stitch(&output.keys, &output.outs, width, height, scene.background);
     obs()
@@ -347,7 +350,11 @@ pub fn render_planned(
         store: plan.store.snapshot().since(&store_before),
     };
 
-    RenderOutcome { image, report }
+    RenderOutcome {
+        image,
+        report,
+        record: output.record,
+    }
 }
 
 #[cfg(test)]
