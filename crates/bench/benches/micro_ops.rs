@@ -469,7 +469,9 @@ impl GpuMapper<NoChunk> for SpinMapper {
 /// take turns under a budget of one brick plus room for one table
 /// (`first_miss`: the other brick's table has to go, so every miss builds
 /// its table again) or two (`re_miss`: both stay, so every miss reads the
-/// voxels and nothing else).
+/// voxels and nothing else). After each timing both bricks must equal the
+/// procedural plume's ghosted regions bit for bit: a 4.46 MB brick whose
+/// core is read in 16 cap-split runs.
 fn bench_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("stage");
     g.sample_size(20);
@@ -479,7 +481,7 @@ fn bench_stage(c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("mgpu_micro_ops_{}.vol", std::process::id()));
     io::write_volume(&path, dims, &procedural.materialize_full()).expect("baking the plume");
     let volume = Volume {
-        meta: procedural.meta,
+        meta: procedural.meta.clone(),
         source: VolumeSource::File(path.clone()),
     };
     let grid = BrickGrid::subdivide(
@@ -493,6 +495,11 @@ fn bench_stage(c: &mut Criterion) {
     assert_eq!(store_dims, [130, 130, 66], "plume_outofcore's brick");
     let voxel_bytes = (store_dims.iter().product::<usize>() * 4) as u64;
     let table_bytes = MacroCells::bytes_for(store_dims);
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let expect = [0, 1].map(|id| {
+        let origin = grid.brick(id).origin.map(|o| o as i64 - 1);
+        bits(&procedural.materialize_clamped(origin, store_dims))
+    });
 
     for (name, tables) in [("first_miss", 1), ("re_miss", 2)] {
         let budget = voxel_bytes + tables * table_bytes;
@@ -505,6 +512,12 @@ fn bench_stage(c: &mut Criterion) {
             })
         });
         assert_eq!(store.snapshot().hits, 0, "every get is a miss");
+        for (id, expect) in expect.iter().enumerate() {
+            assert!(
+                bits(&store.get(id).voxels) == *expect,
+                "brick {id} staged wrong"
+            );
+        }
     }
     g.finish();
     std::fs::remove_file(&path).ok();

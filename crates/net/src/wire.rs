@@ -35,9 +35,11 @@
 //! with one vectored write; the client's `FrameReader::read_reply` checks
 //! the head against the declared length — itself within `max_payload` —
 //! before allocating, then reads the pixel bytes straight into the image it
-//! returns. Both rest on the module's only `unsafe`: `pixel_bytes` and
-//! `pixel_bytes_mut`, the `[[f32; 4]]`-as-`[u8]` views, behind a
-//! compile-time little-endian assertion. [`encode_frame`] /
+//! returns. Both rest on `pixel_bytes` and `pixel_bytes_mut`, the
+//! `[[f32; 4]]`-as-`[u8]` views, which flatten the pixels and take the
+//! workspace's one pair of `f32` byte views, [`mgpu_voldata::io::f32_bytes`]
+//! and [`mgpu_voldata::io::f32_bytes_mut`], behind their compile-time
+//! little-endian assertion. [`encode_frame`] /
 //! [`decode_frame`] are the same head and views over a `Vec<u8>` — one
 //! exact allocation, one bulk copy — kept for callers that want the bytes.
 //!
@@ -93,6 +95,7 @@ use std::time::Duration;
 use mgpu_cluster::ClusterSpec;
 use mgpu_mapreduce::{Assignment, TraceOptions};
 use mgpu_serve::{AdmissionError, Priority};
+use mgpu_voldata::io::{f32_bytes, f32_bytes_mut};
 use mgpu_voldata::{Dataset, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::config::{Compositor, PartitionStrategy, RenderConfig, Residency};
@@ -1548,30 +1551,15 @@ fn blank_frame(head: &[u8], payload_len: usize) -> Result<NetFrame, WireError> {
     })
 }
 
-// The two views below hand pixel memory to the socket, and the socket's
-// bytes to pixel memory, as they are — which is the wire's little-endian
-// `f32` only on a little-endian host.
-const _: () = assert!(
-    cfg!(target_endian = "little"),
-    "FRAME pixels cross the wire as they lie in memory: little-endian hosts only"
-);
-
 /// `pixels` as the bytes they occupy — their wire encoding.
 pub(crate) fn pixel_bytes(pixels: &[[f32; 4]]) -> &[u8] {
-    // SAFETY: the pointer and byte length are those of `pixels` itself,
-    // borrowed for the returned lifetime; `[f32; 4]` has no padding, `u8`
-    // has alignment 1, and any initialised memory is valid `u8`s.
-    unsafe { std::slice::from_raw_parts(pixels.as_ptr().cast(), std::mem::size_of_val(pixels)) }
+    f32_bytes(pixels.as_flattened())
 }
 
 /// `pixels` as the bytes they occupy, writable: bytes stored here *are*
 /// the decoded pixels.
 fn pixel_bytes_mut(pixels: &mut [[f32; 4]]) -> &mut [u8] {
-    let len = std::mem::size_of_val(pixels);
-    // SAFETY: as in `pixel_bytes`, over an exclusive borrow; and every bit
-    // pattern is a valid `f32`, so no write through the view can leave
-    // `pixels` holding an invalid value.
-    unsafe { std::slice::from_raw_parts_mut(pixels.as_mut_ptr().cast(), len) }
+    f32_bytes_mut(pixels.as_flattened_mut())
 }
 
 /// `FRAME`: flags + sim time + dimensions + raw RGBA rows.

@@ -8,10 +8,14 @@
 //! Reading a region is the out-of-core brick-load path. It costs one
 //! positioned read per *file-contiguous run* — the whole region if it spans
 //! full x and y of the volume, a z-slab if it spans full x, else a row —
-//! fetched through one bounded staging buffer and bulk-decoded straight into
-//! a possibly larger destination array, so a ghosted brick is filled in
-//! place. [`VolumeWriter`] is the way back: header, then slabs appended
-//! through one reused encode buffer.
+//! straight into a possibly larger destination array, so a ghosted brick is
+//! filled in place: the bytes land in the destination as they lie in the
+//! file, and the run's rows then move down to their strided places while
+//! they are still in cache. No staging buffer, no decode pass.
+//! [`VolumeWriter`] is the way back: header, then slabs appended as the
+//! bytes they occupy. Both rest on [`f32_bytes`] and [`f32_bytes_mut`],
+//! `f32`s viewed as the bytes they occupy, behind a compile-time
+//! little-endian assertion.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -19,16 +23,42 @@ use std::path::Path;
 
 pub const MAGIC: &[u8; 8] = b"MGVOL001";
 const HEADER_BYTES: usize = 8 + 12;
-/// Voxels per staging-buffer fill (256 KiB): large enough that a brick is
-/// a handful of syscalls, small enough to stay cache-resident while decoded.
+/// Voxels per positioned read (256 KiB), the cap a longer run is split at:
+/// large enough that a brick is a handful of syscalls, small enough that
+/// the window a read lands in is still cached when its rows move down.
 const STAGE_VOXELS: usize = 64 << 10;
+
+// The views below hand voxel memory to the file, and the file's bytes to
+// voxel memory, as they are — which is `MGVOL001`'s little-endian `f32`
+// only on a little-endian host.
+const _: () = assert!(
+    cfg!(target_endian = "little"),
+    "f32s are read and written as they lie in memory: little-endian hosts only"
+);
+
+/// `values` as the bytes they occupy — their little-endian encoding.
+pub fn f32_bytes(values: &[f32]) -> &[u8] {
+    // SAFETY: the pointer and byte length are those of `values` itself,
+    // borrowed for the returned lifetime; `f32` has no padding, `u8` has
+    // alignment 1, and any initialised memory is valid `u8`s.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// `values` as the bytes they occupy, writable: bytes stored here *are*
+/// the decoded values.
+pub fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    let len = std::mem::size_of_val(values);
+    // SAFETY: as in `f32_bytes`, over an exclusive borrow; and every bit
+    // pattern is a valid `f32`, so no write through the view can leave
+    // `values` holding an invalid value.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), len) }
+}
 
 /// Streaming volume writer: the header on `create`, then x-fastest voxels
 /// `append`ed in any slab sizes, checked against the header on `finish`.
 pub struct VolumeWriter {
     file: File,
     remaining: u64,
-    buf: Vec<u8>,
 }
 
 impl VolumeWriter {
@@ -41,22 +71,13 @@ impl VolumeWriter {
         Ok(VolumeWriter {
             file,
             remaining: dims.iter().map(|&d| d as u64).product(),
-            buf: Vec::new(),
         })
     }
 
     pub fn append(&mut self, voxels: &[f32]) -> io::Result<()> {
         let left = self.remaining.checked_sub(voxels.len() as u64);
         self.remaining = left.expect("more voxels appended than the header's dims hold");
-        self.buf.resize(voxels.len().min(STAGE_VOXELS) * 4, 0);
-        for chunk in voxels.chunks(STAGE_VOXELS) {
-            let bytes = &mut self.buf[..chunk.len() * 4];
-            for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
-                b.copy_from_slice(&v.to_le_bytes());
-            }
-            self.file.write_all(bytes)?;
-        }
-        Ok(())
+        self.file.write_all(f32_bytes(voxels))
     }
 
     /// Check that exactly the header's voxel count was appended.
@@ -152,9 +173,13 @@ fn plan_runs(
 /// Read an in-bounds region into the corner of an x-fastest array of
 /// `out_dims` (`= size` for a dense read): `out[0]` receives the region's
 /// first voxel, rows are `out_dims[0]` apart, z-slabs `out_dims[0] *
-/// out_dims[1]`. The file's header must carry `dims` — every offset would
-/// be wrong otherwise — and a file shorter than its header claims is
-/// `UnexpectedEof`; both errors name the path.
+/// out_dims[1]`. Cells of `out` strictly between two of the region's rows
+/// serve as scratch and hold unspecified values afterwards (in a ghosted
+/// brick they are the ghost shell, which is filled next); cells before the
+/// region's first voxel and after its last are untouched. The file's header
+/// must carry `dims` — every offset would be wrong otherwise — and a file
+/// shorter than its header claims is `UnexpectedEof`; both errors name the
+/// path.
 pub fn read_region(
     path: &Path,
     dims: [u32; 3],
@@ -181,25 +206,30 @@ pub fn read_region(
         size[0] <= out_dims[0] && size[1] <= out_dims[1],
         "a {size:?} region does not fit a {out_dims:?} array"
     );
-    let row_start = |row: usize| (row / size[1] * out_dims[1] + row % size[1]) * out_dims[0];
+    // Where the region's dense (x-fastest) voxel `at` goes in `out`.
+    let w = size[0];
+    let place = |at: usize| {
+        let row = at / w;
+        (row / size[1] * out_dims[1] + row % size[1]) * out_dims[0] + at % w
+    };
 
-    let mut stage = vec![0u8; STAGE_VOXELS.min(size[0] * size[1] * size[2]) * 4];
     for run in plan_runs(dims, origin, size, STAGE_VOXELS) {
-        let bytes = &mut stage[..run.len * 4];
+        // `last` starts the run's last row piece. Read the run into a window
+        // of `out` that puts that piece where it belongs, then move the
+        // earlier pieces down to their rows, front to back: every piece
+        // moves down or stays put, onto cells whose pieces have already
+        // moved, and the window lies past every cell of an earlier run.
+        let last = ((run.at + run.len - 1) / w * w).max(run.at);
+        let window = place(last) - (last - run.at);
+        let bytes = &mut f32_bytes_mut(out)[window * 4..][..run.len * 4];
         read_exact_at(&file, bytes, HEADER_BYTES as u64 + run.src * 4)
             .map_err(|e| with_path(path, e))?;
-        // Decode row piece by row piece: a run may span many destination
-        // rows and start or stop in the middle of one.
-        let (mut bytes, mut at) = (&*bytes, run.at);
-        while !bytes.is_empty() {
-            let x = at % size[0];
-            let n = (size[0] - x).min(bytes.len() / 4);
-            let (piece, rest) = bytes.split_at(n * 4);
-            let dst = row_start(at / size[0]) + x;
-            for (v, b) in out[dst..dst + n].iter_mut().zip(piece.chunks_exact(4)) {
-                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            }
-            (bytes, at) = (rest, at + n);
+        let mut at = run.at;
+        while at < last {
+            let n = w - at % w;
+            let src = window + (at - run.at);
+            out.copy_within(src..src + n, place(at));
+            at += n;
         }
     }
     Ok(())
@@ -280,15 +310,17 @@ mod tests {
             out_dims,
         )
         .unwrap();
+        // Every region cell is exact; the cells between its rows are
+        // scratch; the cells before its first voxel and after its last are
+        // untouched.
+        let last = (2 * 4 + 2) * 6 + 4;
         for (i, v) in out.iter().enumerate() {
             let (x, y, z) = (i % 6, i / 6 % 4, i / 24);
-            let inside = (1..5).contains(&x) && (1..3).contains(&y) && (1..3).contains(&z);
-            let expect = if inside {
-                data[(x - 1) + 4 * (y + 3 * z)]
-            } else {
-                -1.0
-            };
-            assert_eq!(*v, expect, "at ({x},{y},{z})");
+            if (1..5).contains(&x) && (1..3).contains(&y) && (1..3).contains(&z) {
+                assert_eq!(*v, data[(x - 1) + 4 * (y + 3 * z)], "at ({x},{y},{z})");
+            } else if !(base..last).contains(&i) {
+                assert_eq!(*v, -1.0, "at ({x},{y},{z})");
+            }
         }
         std::fs::remove_file(&path).ok();
     }

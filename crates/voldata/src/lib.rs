@@ -10,7 +10,8 @@
 //! * [`volume`] — volume metadata + sources (procedural / raw file /
 //!   in-memory) with clamped region materialization;
 //! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous run
-//!   into a strided destination, and a streaming writer;
+//!   straight into a strided destination, a streaming writer, and the
+//!   workspace's `f32` byte views (the crate's only `unsafe`);
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
 //!   layers (the out-of-core path);
@@ -18,8 +19,6 @@
 //!   the voxels (and the store keeps across eviction), so the renderer can
 //!   skip space the transfer function makes empty;
 //! * [`stats`] — streaming volume statistics.
-
-#![forbid(unsafe_code)]
 
 pub mod brick;
 pub mod brickstore;

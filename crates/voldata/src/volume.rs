@@ -221,6 +221,8 @@ impl Volume {
 
     /// [`Volume::materialize_clamped`] into memory the caller already has:
     /// `out` holds one element per voxel of the region; each is overwritten.
+    /// That includes the ghost cells between the core's rows, which a file
+    /// read of the core leaves holding scratch ([`io::read_region`]).
     pub fn materialize_clamped_into(&self, origin: [i64; 3], size: [usize; 3], out: &mut [f32]) {
         assert_eq!(out.len(), size[0] * size[1] * size[2]);
         if out.is_empty() {

@@ -201,3 +201,28 @@ proptest! {
         }
     }
 }
+
+/// The proptests' volumes are too small for a run to reach the read cap
+/// (64 Ki voxels), so this one is not: read in one run, the 100×100×8 core
+/// of a ghosted 102×102×10 brick splits 655 rows and 36 voxels in. A z-slab
+/// run and a row run of the same file, and a 656×100×1 volume whose tail
+/// run starts and ends inside one row, cover the other ways a run meets the
+/// rows of its destination.
+#[test]
+fn runs_split_at_the_read_cap_mid_row() {
+    for (dims, origin, size) in [
+        ([100, 100, 8], [-1, -1, -1], [102, 102, 10]),
+        ([100, 100, 8], [-1, 10, 2], [102, 50, 4]),
+        ([100, 100, 8], [-1, 30, 5], [41, 20, 5]),
+        ([656, 100, 1], [-1, -1, -1], [658, 102, 3]),
+    ] {
+        let n = (dims[0] * dims[1] * dims[2]) as usize;
+        let resident = Volume::in_memory("p", dims, (0..n).map(|i| i as f32).collect());
+        let baked = Baked::new(&resident, "cap_split");
+        assert_eq!(
+            bits(&baked.volume.materialize_clamped(origin, size)),
+            bits(&resident.materialize_clamped(origin, size)),
+            "{dims:?} volume, region {origin:?} + {size:?}"
+        );
+    }
+}
