@@ -5,8 +5,9 @@
 //! without macrocells (and with nothing but its ray setup left to do), a
 //! 256² frame through the wire codec, the fixed
 //! cost of a `run_job` that maps nothing, a lopsided `run_job` whose idle
-//! mapper lends its core to the busy one, and an out-of-core brick miss with
-//! and without its macrocell table kept.
+//! mapper lends its core to the busy one, an out-of-core brick miss with
+//! and without its macrocell table kept, and the request keys a served
+//! frame builds.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -31,7 +32,9 @@ use mgpu_volren::composite::{composite_unsorted, over};
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
 use mgpu_volren::transfer::ControlPoint;
-use mgpu_volren::{Fragment, Image, RenderBrick, Scene, Staging, TransferFunction};
+use mgpu_volren::{
+    Fragment, Image, RenderBrick, RenderConfig, RequestKey, Scene, Staging, TransferFunction,
+};
 
 fn pairs(n: usize, key_space: u32) -> (Vec<u32>, Vec<u64>) {
     let keys = (0..n as u64)
@@ -523,6 +526,39 @@ fn bench_stage(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
+/// The request identity at `pool_preview`'s request (Skull 64³, a 16²
+/// image, 2 GPUs, one kernel thread): `plan` is the key a client routes by
+/// and the render guard checks, `frame` appends the scene for the frame
+/// cache. One iteration is 1000 keys, so the line reads in ns per key with
+/// "µs" as its unit.
+fn bench_key(c: &mut Criterion) {
+    let mut g = c.benchmark_group("key");
+    let spec = ClusterSpec::accelerator_cluster(2);
+    let volume = Dataset::Skull.volume(64);
+    let cfg = RenderConfig {
+        image: (16, 16),
+        kernel_parallelism: 1,
+        ..RenderConfig::default()
+    };
+    let scene = Scene::orbit(&volume, 30.0, 20.0, TransferFunction::bone());
+    g.bench_function("plan_pool_preview_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                black_box(RequestKey::plan(black_box(&spec), &volume.meta, &cfg));
+            }
+        })
+    });
+    let plan = RequestKey::plan(&spec, &volume.meta, &cfg);
+    g.bench_function("frame_pool_preview_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                black_box(black_box(&plan).with_scene(&scene));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sort,
@@ -534,6 +570,7 @@ criterion_group!(
     bench_march,
     bench_frame,
     bench_job,
-    bench_stage
+    bench_stage,
+    bench_key
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! DES makes visible.
 
 /// How chunks are distributed across mappers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Assignment {
     /// Chunk `i` → mapper `i mod M` (deterministic streaming round-robin,
     /// the paper's implied policy and our default).

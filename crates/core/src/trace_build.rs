@@ -39,7 +39,7 @@ use crate::cost::CostBook;
 use crate::record::{ChunkRecord, JobRecord, MapperRecord};
 
 /// Trace-level options (ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceOptions {
     /// Model asynchronous texture uploads (paper future work §7): uploads
     /// stop serializing against kernels on the GPU queue.

@@ -10,7 +10,7 @@ use mgpu_sim::{LinkModel, SimDuration};
 use crate::kernel::LaunchStats;
 
 /// How kernel time is charged from launch statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTimingMode {
     /// `overhead + total_samples / rate` — texture-throughput bound, the
     /// default calibration target.

@@ -360,7 +360,7 @@ impl RenderClient {
         self.call(opcode::RESUME, &encode(&epoch), opcode::DRAIN_STATE)
     }
 
-    /// Hint the node to populate its plan cache for `request`'s batch key
+    /// Hint the node to populate its plan cache for `request`'s plan key
     /// (the migration pre-warm of the elastic pool: the brick grid and an
     /// empty brick store), and announce directory `epoch` while at it.
     /// Returns the shard routed to and whether a plan was actually built

@@ -1,14 +1,14 @@
 //! Stats over the wire: the `STATS` request's payload (v3) is the node's
 //! directory epoch, its uptime, one [`mgpu_obs::Snapshot`] per shard and
-//! the node's own snapshot — nothing else. The merged
-//! [`ServiceReport`], the per-shard [`ShardHeat`] and the imbalance
-//! arithmetic a rebalancer (or an operator reading a dashboard) starts
-//! from are views the client computes over those snapshots.
+//! the node's own snapshot — nothing else. The merged [`ServiceReport`],
+//! one [`ServiceReport`] per shard and the imbalance arithmetic a
+//! rebalancer (or an operator reading a dashboard) starts from are views
+//! the client computes over those snapshots.
 
 use std::time::Duration;
 
-use mgpu_obs::{Snapshot, HIST_BUCKETS};
-use mgpu_serve::{ServiceReport, ShardHeat};
+use mgpu_obs::{names, Snapshot, HIST_BUCKETS};
+use mgpu_serve::ServiceReport;
 
 use crate::wire::{wire_struct, Reader, Wire, WireError, Writer};
 
@@ -20,7 +20,7 @@ wire_struct! {
     pub struct NetStats {
         /// The directory epoch this node last heard about (wire v4). Every
         /// placement change — a node joining or leaving the pool, a
-        /// `BatchKey` migration, a drain — bumps the pool's epoch, and the
+        /// plan-key migration, a drain — bumps the pool's epoch, and the
         /// pool announces it with `DRAIN`/`RESUME`/`PREWARM`. A client whose
         /// directory epoch lags the value echoed here is routing on a stale
         /// placement.
@@ -54,14 +54,12 @@ impl NetStats {
         ServiceReport::from_snapshot(&self.service_snapshot(), self.uptime)
     }
 
-    /// Per-shard heat, indexed by shard. Derived from the same snapshots as
-    /// [`NetStats::merged`], so shard counters sum to the merged counters
+    /// Per-shard reports, indexed by shard. Derived from the same snapshots
+    /// as [`NetStats::merged`], so shard counters sum to the merged counters
     /// even when the reply was taken under live traffic.
-    pub fn shards(&self) -> Vec<ShardHeat> {
-        self.shard_snapshots
-            .iter()
-            .enumerate()
-            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, self.uptime))
+    pub fn shards(&self) -> Vec<ServiceReport> {
+        (self.shard_snapshots.iter())
+            .map(|snap| ServiceReport::from_snapshot(snap, self.uptime))
             .collect()
     }
 
@@ -89,19 +87,24 @@ impl std::fmt::Display for NetStats {
             "{:>5} {:>7} {:>9} {:>9} {:>11} {:>11} {:>9}",
             "shard", "queued", "frames", "frames/s", "cache", "plans", "p90 wait"
         )?;
-        for h in self.shards() {
+        for (shard, snap) in self.shard_snapshots.iter().enumerate() {
+            let h = ServiceReport::from_snapshot(snap, self.uptime);
+            let depth = |name| snap.gauge(name).unwrap_or(0);
+            let queued = depth(names::SERVE_QUEUE_DEPTH_BATCH)
+                + depth(names::SERVE_QUEUE_DEPTH_NORMAL)
+                + depth(names::SERVE_QUEUE_DEPTH_INTERACTIVE);
             writeln!(
                 f,
                 "{:>5} {:>7} {:>9} {:>9.2} {:>6}/{:<4} {:>6}/{:<4} {:>7.2}ms",
-                h.shard,
-                h.queue_depth(),
+                shard,
+                queued,
                 h.frames_completed,
-                h.frames_per_sec,
+                h.frames_per_sec(),
                 h.frame_cache.entries,
                 h.frame_cache.capacity,
                 h.plan_cache.entries,
                 h.plan_cache.capacity,
-                h.queue_wait_p90.as_secs_f64() * 1e3,
+                h.queue_wait_p90().as_secs_f64() * 1e3,
             )?;
         }
         write!(f, "imbalance (max/mean frames): {:.2}", self.imbalance())
@@ -315,10 +318,13 @@ mod tests {
 
         let shards = stats.shards();
         assert_eq!(shards.len(), 2);
-        assert_eq!(shards[1].shard, 1);
-        assert_eq!(shards[0].queue_depths, [1, 2, 0]);
+        // The table's row for shard 0 reads its queue-depth gauges: 1 + 2.
+        let table = format!("{stats}");
+        let row = table.lines().find(|l| l.trim_start().starts_with("0 "));
+        let row: Vec<&str> = row.expect("shard 0's row").split_whitespace().collect();
+        assert_eq!(row[..2], ["0", "3"]);
         assert_eq!(shards[0].frames_completed, 18);
-        assert_eq!(shards[0].frames_per_sec, 9.0);
+        assert_eq!(shards[0].frames_per_sec(), 9.0);
         assert_eq!(shards[0].mean_queue_wait, Duration::from_millis(2));
         assert_eq!(shards[1].frame_cache.entries, 6);
         let per_shard: u64 = shards.iter().map(|h| h.frames_completed).sum();
@@ -329,12 +335,11 @@ mod tests {
     fn imbalance_and_hottest() {
         let stats = sample_stats();
         let hottest = |stats: &NetStats| {
-            stats
-                .shards()
-                .into_iter()
-                .max_by_key(|h| h.frames_completed)
+            (stats.shards().iter().enumerate())
+                .max_by_key(|(_, h)| h.frames_completed)
+                .map(|(shard, _)| shard)
         };
-        assert_eq!(hottest(&stats).unwrap().shard, 0);
+        assert_eq!(hottest(&stats), Some(0));
         // max 18, mean 12 → 1.5
         assert!((stats.imbalance() - 1.5).abs() < 1e-12);
         let empty = NetStats {

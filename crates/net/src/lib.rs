@@ -12,7 +12,7 @@
 //!   many in-flight ids     poll(2) readiness,           │ (before admission)
 //!   per connection         all conns in one loop        ▼
 //!         ▲                       ▲             ShardedService (N shards)
-//!         └──replies, any order───┴─completion──┘ rendezvous by BatchKey
+//!         └──replies, any order───┴─completion──┘ rendezvous by plan key
 //!                                   queue + waker      │
 //!                                                      ▼
 //!                                        queue → workers → plan/frame caches
@@ -54,9 +54,9 @@
 //!   [`mgpu_obs::Snapshot`]s — one per shard (that shard's own `serve.*`)
 //!   and the node's (`net.*` wire metrics merged with the process-wide
 //!   `serve.*`/`volren.*` registry) — plus the epoch and uptime; the
-//!   merged [`mgpu_serve::ServiceReport`] and per-shard
-//!   [`mgpu_serve::ShardHeat`] (queue depth, frames/sec, cache occupancy)
-//!   are views [`NetStats`] computes over them, in a canonical
+//!   merged [`mgpu_serve::ServiceReport`] and one report per shard
+//!   (frames/sec, cache occupancy; the table adds each shard's queue-depth
+//!   gauges) are views [`NetStats`] computes over them, in a canonical
 //!   sorted-key wire form that re-encodes bit-exactly. The `TRACES`
 //!   request returns the newest completed request traces (stage spans
 //!   `admit → queue → plan → stage → kernel → composite → render →
@@ -64,12 +64,14 @@
 //!   fetches and exactly merges every reachable node's snapshot.
 //! * **Backends** — [`pool::NodePool`] puts N servers behind the
 //!   [`mgpu_serve::RenderBackend`] trait with a rendezvous
-//!   [`pool::Directory`] (the same placement policy `ShardedService` uses
-//!   in-process), one pipelined connection per node carrying all of that
-//!   node's in-flight work, a typed [`pool::RetryBudget`] that honors
-//!   server `retry_after`, and failover to the next-ranked node on
-//!   connection loss that re-issues only the lost request ids. One server
-//!   is the N = 1 case, not a second implementation:
+//!   [`pool::Directory`] over plan keys ([`mgpu_volren::RequestKey`],
+//!   never sent: each end builds its own) — the same placement policy
+//!   `ShardedService` uses in-process — one pipelined connection per node
+//!   carrying all of that node's in-flight work, a typed
+//!   [`pool::RetryBudget`] that honors server `retry_after`, and failover
+//!   to the next-ranked node on connection loss that re-issues only the
+//!   lost request ids. One server is the N = 1 case, not a second
+//!   implementation:
 //!   [`remote::RemoteBackend`] is a `NodePool` of one
 //!   ([`NodePool::connect`]) whose blocking calls wait without a budget.
 //! * **Elastic membership** — since **v4** the directory is *live*:

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!                    NodePool (RenderBackend)
-//!   BatchKey ──► Directory (rendezvous + migration pins, epoch-versioned)
+//!   plan key ──► Directory (rendezvous + migration pins, epoch-versioned)
 //!                     │ preferred node, then failover order
 //!                     ▼
 //!     per-node slot: one shared pipelined RenderClient connection
@@ -16,10 +16,12 @@
 //!              RenderServer … RenderServer   (N processes / hosts)
 //! ```
 //!
-//! Placement is rendezvous hashing ([`mgpu_serve::shard::route`]) over
-//! each node's stable id: a key keeps hitting the node whose plan cache is
-//! warm, growing the directory from N to N+1 nodes moves only ~1/(N+1) of
-//! the keys, and removing a node moves only the keys it owned. A
+//! Placement is rendezvous hashing ([`mgpu_serve::shard::route`]) of a
+//! request's plan key ([`SceneRequest::plan_key`], built once per request
+//! and never sent) over each node's stable id: a key keeps hitting the
+//! node whose plan cache is warm, growing the directory from N to N+1
+//! nodes moves only ~1/(N+1) of the keys, and removing a node moves only
+//! the keys it owned. A
 //! [`Directory::migrate`] pin overrides the hash for one key (the
 //! rebalancer's lever); every placement change bumps the directory
 //! **epoch**, which the pool announces to its nodes with
@@ -43,9 +45,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use mgpu_serve::shard::{ranked, route};
-use mgpu_serve::{
-    BackendError, BackendFrame, BatchKey, RenderBackend, SceneRequest, ServiceReport,
-};
+use mgpu_serve::{BackendError, BackendFrame, RenderBackend, SceneRequest, ServiceReport};
+use mgpu_volren::RequestKey;
 
 use crate::client::{ClientConfig, ClientError, NetTicket, RenderClient};
 use crate::heat::NetStats;
@@ -85,7 +86,7 @@ impl std::fmt::Display for DirectoryError {
 impl std::error::Error for DirectoryError {}
 
 /// The placement directory: which render nodes exist, and which one owns a
-/// given [`BatchKey`]. Rendezvous-hashed over each node's stable id,
+/// given [`RequestKey`]. Rendezvous-hashed over each node's stable id,
 /// overridden per key by migration **pins**, and versioned by an **epoch**
 /// that bumps on every membership or placement change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub struct Directory {
     /// Migration pins: key → the owning node's id, overriding the
     /// rendezvous hash. Sparse — only rebalanced keys appear; everything
     /// else routes by hash.
-    pins: BTreeMap<BatchKey, u64>,
+    pins: BTreeMap<RequestKey, u64>,
     /// Placement version. Every change (node added/removed, key migrated,
     /// drain initiated) bumps it; nodes echo the highest epoch they have
     /// heard in STATS, so stale routing is observable.
@@ -169,7 +170,7 @@ impl Directory {
     }
 
     /// The node this key is pinned to, if any.
-    fn pinned(&self, key: &BatchKey) -> Option<usize> {
+    fn pinned(&self, key: &RequestKey) -> Option<usize> {
         let pin = self.pins.get(key)?;
         self.ids().position(|id| id == *pin)
     }
@@ -177,14 +178,14 @@ impl Directory {
     /// The node that owns this key: its migration pin if one exists, the
     /// rendezvous hash otherwise (deterministic; every client with the
     /// same directory agrees without coordination).
-    pub fn node_for(&self, key: &BatchKey) -> usize {
+    pub fn node_for(&self, key: &RequestKey) -> usize {
         self.pinned(key).unwrap_or_else(|| route(key, self.ids()))
     }
 
     /// Every node in preference order for this key: `[0]` is the owner
     /// (pin-aware), the tail is the failover order when the owner is
     /// unreachable.
-    pub fn ranked(&self, key: &BatchKey) -> Vec<usize> {
+    pub fn ranked(&self, key: &RequestKey) -> Vec<usize> {
         let mut order = ranked(key, self.ids());
         if let Some(pin) = self.pinned(key) {
             order.retain(|&node| node != pin);
@@ -225,7 +226,7 @@ impl Directory {
     /// key's natural rendezvous owner — just dissolve any existing pin.
     /// Returns whether placement actually changed (the epoch bumps only
     /// then, so repeated migrations are idempotent).
-    pub fn migrate(&mut self, key: &BatchKey, node: usize) -> Result<bool, DirectoryError> {
+    pub fn migrate(&mut self, key: &RequestKey, node: usize) -> Result<bool, DirectoryError> {
         let id = self.id(node)?;
         let changed = if route(key, self.ids()) == node {
             self.pins.remove(key).is_some()
@@ -400,7 +401,7 @@ impl PoolTicket {
 /// What a pool ticket is backed by: enough to redeem directly, and enough
 /// to re-render elsewhere when the issuing connection is gone.
 struct PendingEntry {
-    key: BatchKey,
+    key: RequestKey,
     net: Arc<NetSceneRequest>,
     slot: Arc<Mutex<NodeSlot>>,
     generation: u64,
@@ -416,8 +417,8 @@ struct KeyTraffic {
 
 const POISON: &str = "node pool lock poisoned";
 
-/// Bound on distinct keys tracked for rebalancing; the coldest entry is
-/// evicted when a new key arrives at the cap.
+/// Bound on distinct keys tracked for rebalancing; the coldest entry (the
+/// smallest key among ties) is evicted when a new key arrives at the cap.
 const KEY_HEAT_CAP: usize = 64;
 
 /// Poll interval for the blocking submit while the owning node sheds for
@@ -444,7 +445,7 @@ fn fresh_slot() -> Arc<Mutex<NodeSlot>> {
 
 /// N render servers behind one [`RenderBackend`] — N = 1 included
 /// ([`NodePool::connect`]). Connections are opened lazily (eagerly by
-/// `connect`) and reused per node; requests route by batch key through the
+/// `connect`) and reused per node; requests route by plan key through the
 /// [`Directory`]; throttling and node loss are absorbed within the
 /// [`RetryBudget`]. The directory is *live*: [`NodePool::add_node`],
 /// [`NodePool::remove_node`], [`NodePool::migrate`] and
@@ -455,7 +456,7 @@ pub struct NodePool {
     /// Un-redeemed pool tickets, keyed by [`PoolTicket`] id.
     pending: Mutex<HashMap<u64, PendingEntry>>,
     next_ticket: AtomicU64,
-    key_heat: Mutex<HashMap<BatchKey, KeyTraffic>>,
+    key_heat: Mutex<HashMap<RequestKey, KeyTraffic>>,
 }
 
 impl NodePool {
@@ -549,7 +550,7 @@ impl NodePool {
             .read()
             .expect(POISON)
             .directory
-            .node_for(&BatchKey::of(request))
+            .node_for(&request.plan_key())
     }
 
     /// Address + shared slot for one node, if it is (still) in the
@@ -614,7 +615,7 @@ impl NodePool {
     /// `blocking`, poll out admission sheds) within the budget.
     fn drive<T>(
         &self,
-        key: &BatchKey,
+        key: &RequestKey,
         blocking: bool,
         mut op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
     ) -> Result<Driven<T>, BackendError> {
@@ -685,8 +686,9 @@ impl NodePool {
         }
     }
 
-    /// Note one frame of traffic for `key` (rebalancer fuel).
-    fn record_heat(&self, key: &BatchKey, net: &Arc<NetSceneRequest>) {
+    /// Note one frame of traffic for `key` (rebalancer fuel). At the cap the
+    /// coldest key goes, the smallest among ties (not the hash seed's pick).
+    fn record_heat(&self, key: &RequestKey, net: &Arc<NetSceneRequest>) {
         let mut heat = self.key_heat.lock().expect(POISON);
         if let Some(traffic) = heat.get_mut(key) {
             traffic.frames += 1;
@@ -696,7 +698,7 @@ impl NodePool {
         if heat.len() >= KEY_HEAT_CAP {
             if let Some(coldest) = heat
                 .iter()
-                .min_by_key(|(_, traffic)| traffic.frames)
+                .min_by_key(|&(key, traffic)| (traffic.frames, key))
                 .map(|(key, _)| key.clone())
             {
                 heat.remove(&coldest);
@@ -713,9 +715,9 @@ impl NodePool {
 
     /// Keys this pool has routed with their observed frame counts,
     /// hottest first (bounded to the `KEY_HEAT_CAP` hottest keys).
-    pub fn key_heat(&self) -> Vec<(BatchKey, u64)> {
+    pub fn key_heat(&self) -> Vec<(RequestKey, u64)> {
         let heat = self.key_heat.lock().expect(POISON);
-        let mut keys: Vec<(BatchKey, u64)> = heat
+        let mut keys: Vec<(RequestKey, u64)> = heat
             .iter()
             .map(|(key, traffic)| (key.clone(), traffic.frames))
             .collect();
@@ -727,7 +729,7 @@ impl NodePool {
     /// replays as a `PREWARM` so the migration destination builds its
     /// plan before the cutover. Shared with the pool's own records, never
     /// copied: a shipped volume's voxels ride in the request.
-    pub fn last_request(&self, key: &BatchKey) -> Option<Arc<NetSceneRequest>> {
+    pub fn last_request(&self, key: &RequestKey) -> Option<Arc<NetSceneRequest>> {
         self.key_heat
             .lock()
             .expect(POISON)
@@ -782,7 +784,7 @@ impl NodePool {
     /// Migrate one key to `node` (see [`Directory::migrate`]). The usual
     /// sequence is [`NodePool::prewarm`] first, then migrate — so the
     /// destination's plan cache is warm before traffic cuts over.
-    pub fn migrate(&self, key: &BatchKey, node: usize) -> Result<bool, DirectoryError> {
+    pub fn migrate(&self, key: &RequestKey, node: usize) -> Result<bool, DirectoryError> {
         self.state
             .write()
             .expect(POISON)
@@ -970,7 +972,7 @@ impl NodePool {
         blocking: bool,
     ) -> Result<PoolTicket, BackendError> {
         let net = Arc::new(portable(request)?);
-        let key = BatchKey::of(request);
+        let key = request.plan_key();
         let (node, slot, generation, ticket) =
             self.drive(&key, blocking, |client| client.submit(&net))?;
         self.record_heat(&key, &net);
@@ -1052,7 +1054,7 @@ impl RenderBackend for NodePool {
 
     fn render(&self, request: SceneRequest) -> Result<BackendFrame, BackendError> {
         let net = Arc::new(portable(&request)?);
-        let key = BatchKey::of(&request);
+        let key = request.plan_key();
         let frame = self
             .drive(&key, true, |client| client.render(&net))
             .map(|(_, _, _, frame)| backend_frame(frame))?;
@@ -1083,6 +1085,53 @@ impl RenderBackend for NodePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgpu_cluster::ClusterSpec;
+    use mgpu_voldata::VolumeMeta;
+    use mgpu_volren::RenderConfig;
+
+    /// A distinct plan key per tag: one volume seed each.
+    fn test_key(tag: u64) -> RequestKey {
+        let dims = [8; 3];
+        let (name, content) = ("routed".to_string(), 0);
+        let meta = VolumeMeta {
+            name,
+            dims,
+            seed: tag,
+            content,
+        };
+        RequestKey::plan(
+            &ClusterSpec::accelerator_cluster(1),
+            &meta,
+            &RenderConfig::default(),
+        )
+    }
+
+    /// Key heat at its cap, every key equally cold: a new key evicts the
+    /// smallest, on every run (the table is a `HashMap`, whose iteration
+    /// order follows a per-process random seed).
+    #[test]
+    fn key_heat_at_the_cap_evicts_the_smallest_of_equally_cold_keys() {
+        let pool = NodePool::new(Directory::new(addrs(1)).unwrap(), NodePoolConfig::default());
+        let net = Arc::new(NetSceneRequest::orbit_dataset(
+            mgpu_voldata::Dataset::Skull,
+            8,
+            1,
+            0.0,
+            0.0,
+            &mgpu_volren::TransferFunction::bone(),
+        ));
+        let mut keys: Vec<RequestKey> = (0..=KEY_HEAT_CAP as u64).map(test_key).collect();
+        let newcomer = keys.pop().unwrap();
+        for key in &keys {
+            pool.record_heat(key, &net);
+        }
+        pool.record_heat(&newcomer, &net);
+        let smallest = keys.iter().min().unwrap();
+        let kept: Vec<RequestKey> = pool.key_heat().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(kept.len(), KEY_HEAT_CAP);
+        assert!(!kept.contains(smallest), "the smallest cold key goes");
+        assert!(kept.contains(&newcomer));
+    }
 
     fn addrs(n: usize) -> Vec<SocketAddr> {
         (0..n)
@@ -1101,7 +1150,7 @@ mod tests {
         }
         for dir in [Directory::new(addrs(4)).unwrap(), grown] {
             for tag in 0..256 {
-                let key = BatchKey::synthetic(tag);
+                let key = test_key(tag);
                 assert_eq!(dir.node_for(&key), route(&key, 0..4));
                 assert_eq!(dir.ranked(&key), ranked(&key, 0..4));
                 assert_eq!(dir.ranked(&key)[0], dir.node_for(&key));
@@ -1115,7 +1164,7 @@ mod tests {
         let five = Directory::new(addrs(5)).unwrap();
         let mut moved = 0;
         for tag in 0..256 {
-            let key = BatchKey::synthetic(tag);
+            let key = test_key(tag);
             if five.node_for(&key) != four.node_for(&key) {
                 assert_eq!(five.node_for(&key), 4, "moves only to the new node");
                 moved += 1;
@@ -1133,7 +1182,7 @@ mod tests {
         after.remove_node(0).unwrap();
         let mut kept = 0;
         for tag in 0..256 {
-            let key = BatchKey::synthetic(tag);
+            let key = test_key(tag);
             let owner = before.addr(before.node_for(&key));
             if owner != before.addr(0) {
                 assert_eq!(after.addr(after.node_for(&key)), owner, "key {tag}");
@@ -1152,7 +1201,7 @@ mod tests {
         let sharded = mgpu_serve::ShardedService::start(2, mgpu_serve::ServiceConfig::default());
         let mut per_shard = [0usize; 2];
         for tag in 0..256 {
-            let key = BatchKey::synthetic(tag);
+            let key = test_key(tag);
             if dir.node_for(&key) == 0 {
                 per_shard[sharded.shard_for(&key)] += 1;
             }
@@ -1196,7 +1245,7 @@ mod tests {
     #[test]
     fn migration_pins_rule_placement_and_bump_the_epoch() {
         let mut dir = Directory::new(addrs(3)).unwrap();
-        let key = BatchKey::synthetic(7);
+        let key = test_key(7);
         let natural = dir.node_for(&key);
         let dest = (natural + 1) % 3;
         assert_eq!(dir.epoch(), 0);
@@ -1223,7 +1272,7 @@ mod tests {
     #[test]
     fn membership_changes_remap_pins_and_bump_the_epoch() {
         let mut dir = Directory::new(addrs(4)).unwrap();
-        let keys: Vec<BatchKey> = (0..64).map(BatchKey::synthetic).collect();
+        let keys: Vec<RequestKey> = (0..64).map(test_key).collect();
         // One key pinned past the node we will remove, one pinned onto it.
         let key_high = keys.iter().find(|k| dir.node_for(k) != 3).unwrap().clone();
         dir.migrate(&key_high, 3).unwrap();

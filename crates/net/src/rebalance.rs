@@ -30,7 +30,7 @@
 use mgpu_obs::names;
 use std::sync::atomic::Ordering;
 
-use mgpu_serve::BatchKey;
+use mgpu_volren::RequestKey;
 
 use crate::pool::NodePool;
 
@@ -62,7 +62,7 @@ impl Default for RebalanceConfig {
 /// One key moved by a rebalance pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationReport {
-    pub key: BatchKey,
+    pub key: RequestKey,
     /// Directory index the key routed to before the move.
     pub from: usize,
     /// Directory index it routes to now.
@@ -149,7 +149,7 @@ pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOut
 
     // Hot keys actually owned by the hot node, hottest first.
     let directory = pool.directory();
-    let candidates: Vec<BatchKey> = pool
+    let candidates: Vec<RequestKey> = pool
         .key_heat()
         .into_iter()
         .filter(|(key, _)| directory.node_for(key) == hot)

@@ -1020,14 +1020,7 @@ impl EventLoop {
             opcode::PREWARM => {
                 let (epoch, request): (u64, NetSceneRequest) = decode(payload)?;
                 shared.epoch.fetch_max(epoch, Ordering::Relaxed);
-                let (spec, volume, scene, config, priority) = request.to_parts()?;
-                let (shard, built) = shared.sharded.prewarm(&SceneRequest {
-                    spec,
-                    volume,
-                    scene,
-                    config,
-                    priority,
-                });
+                let (shard, built) = shared.sharded.prewarm(&request.to_request()?);
                 shared.obs.counter(names::NET_PREWARMS).inc();
                 let prewarmed = Prewarmed {
                     shard: shard as u32,
@@ -1099,7 +1092,7 @@ fn admit(
     if len > max {
         return Err(WireError::TooLarge { len, max });
     }
-    let (spec, volume, scene, config, priority) = request.to_parts()?;
+    let request = request.to_request()?;
     if let Some(bucket) = &mut conn.bucket {
         if let Err(retry_after) = bucket.try_take() {
             shared.throttled.inc();
@@ -1111,13 +1104,7 @@ fn admit(
             return Ok(None);
         }
     }
-    Ok(Some(SceneRequest {
-        spec,
-        volume,
-        scene,
-        config,
-        priority,
-    }))
+    Ok(Some(request))
 }
 
 /// Redeem a completed render into a `FRAME` or `FAILED` reply frame. A

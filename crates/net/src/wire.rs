@@ -149,7 +149,7 @@ pub mod opcode {
     /// rejoin half of a drain that was called off. Idempotent; answered
     /// with [`DRAIN_STATE`]. New in v4.
     pub const RESUME: u8 = 0x08;
-    /// Populate the owning shard's plan cache for a request's `BatchKey`
+    /// Populate the owning shard's plan cache for a request's plan key
     /// *before* traffic moves there (payload: epoch + a full render
     /// request). The plan is the brick grid and an empty brick store, built
     /// on the event loop in microseconds; the first frame rendered against
@@ -1227,10 +1227,9 @@ impl NetSceneRequest {
         self
     }
 
-    /// Reconstruct the direct-render inputs on the receiving side.
-    pub fn to_parts(
-        &self,
-    ) -> Result<(ClusterSpec, Volume, Scene, RenderConfig, Priority), WireError> {
+    /// The in-process request on the receiving side — the inverse of
+    /// [`NetSceneRequest::from_request`] — or the door's refusal.
+    pub fn to_request(&self) -> Result<mgpu_serve::SceneRequest, WireError> {
         if self.gpus == 0 || self.gpus > MAX_GPUS || self.gpus_per_node == 0 {
             return Err(WireError::Malformed(format!(
                 "cluster of {} GPUs, {} per node (1 to {MAX_GPUS} GPUs, at least 1 per node)",
@@ -1261,13 +1260,17 @@ impl NetSceneRequest {
                  (at most {MAX_BRICKS} bricks)"
             )));
         }
-        let transfer = self.transfer.to_transfer()?;
-        let scene = Scene {
-            camera: self.camera.to_camera(&volume),
-            transfer,
-            background: self.background,
-        };
-        Ok((spec, volume, scene, self.config.clone(), self.priority))
+        Ok(mgpu_serve::SceneRequest {
+            spec,
+            scene: Scene {
+                camera: self.camera.to_camera(&volume),
+                transfer: self.transfer.to_transfer()?,
+                background: self.background,
+            },
+            volume,
+            config: self.config.clone(),
+            priority: self.priority,
+        })
     }
 }
 
@@ -1476,7 +1479,7 @@ wire_struct! {
     /// `PREWARMED`: the owning shard, and whether a plan was newly built
     /// (`false` = the cache was already warm). The `PREWARM` request itself
     /// is `(u64, NetSceneRequest)`: the announcing controller's epoch, then
-    /// a full render request — a `BatchKey` alone cannot rebuild a plan.
+    /// a full render request — a plan key alone cannot rebuild a plan.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Prewarmed {
         pub shard: u32,
@@ -1672,15 +1675,15 @@ pub(crate) mod tests {
         pin("request_plain", req.clone());
         let back = decode_request(&encode_request(&req)).expect("round-trip");
         assert_eq!(back, req);
-        // The canonical identity the service uses is the Debug encoding of
-        // the reconstructed parts — they must match exactly.
-        let (spec, volume, scene, cfg, priority) = req.to_parts().unwrap();
-        let (spec2, volume2, scene2, cfg2, priority2) = back.to_parts().unwrap();
-        assert_eq!(format!("{spec:?}"), format!("{spec2:?}"));
-        assert_eq!(volume.meta, volume2.meta);
-        assert_eq!(format!("{scene:?}"), format!("{scene2:?}"));
-        assert_eq!(format!("{cfg:?}"), format!("{cfg2:?}"));
-        assert_eq!(priority, priority2);
+        // The identity the service uses is the reconstructed request's
+        // frame key — it must match exactly.
+        let (a, b) = (req.to_request().unwrap(), back.to_request().unwrap());
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.volume.meta, b.volume.meta);
+        let frame_key = |r: &mgpu_serve::SceneRequest| r.plan_key().with_scene(&r.scene);
+        assert_eq!(frame_key(&a), frame_key(&b));
+        assert_eq!(a.config, b.config);
+        assert_eq!(a.priority, b.priority);
     }
 
     /// With [`sample_request`], every arm of every enum a request carries.
@@ -2298,7 +2301,7 @@ pub(crate) mod tests {
         req.camera = CameraSpec::of(&camera);
         let back = decode_request(&encode_request(&req)).expect("round-trip");
         assert_eq!(back, req);
-        let (_, _, scene, _, _) = back.to_parts().unwrap();
+        let scene = back.to_request().unwrap().scene;
         assert_eq!(scene.camera, camera);
         // And the reconstructed camera is bit-identical, not just PartialEq.
         let (e1, f1, r1, u1, t1) = camera.raw_parts();
@@ -2339,13 +2342,13 @@ pub(crate) mod tests {
             "a named dataset travels by name, not by voxels"
         );
         let back = decode_request(&encode_request(&net)).expect("round-trip");
-        let (spec2, volume2, scene2, cfg2, priority2) = back.to_parts().unwrap();
-        assert_eq!(spec2, spec);
-        assert_eq!(volume2.meta, volume.meta);
-        assert_eq!(scene2.camera, scene.camera);
-        assert_eq!(scene2.background, scene.background);
-        assert_eq!(format!("{cfg2:?}"), format!("{:?}", request.config));
-        assert_eq!(priority2, Priority::Interactive);
+        let back = back.to_request().unwrap();
+        assert_eq!(back.spec, spec);
+        assert_eq!(back.volume.meta, volume.meta);
+        assert_eq!(back.scene.camera, scene.camera);
+        assert_eq!(back.scene.background, scene.background);
+        assert_eq!(back.config, request.config);
+        assert_eq!(back.priority, Priority::Interactive);
 
         // A custom in-memory volume ships its exact voxels.
         let custom = Volume::in_memory("twist", [3, 3, 3], (0..27).map(|i| i as f32).collect());

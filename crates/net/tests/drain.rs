@@ -10,7 +10,7 @@ use mgpu_net::{
     rebalance_once, Directory, NodePool, NodePoolConfig, RebalanceConfig, RenderClient,
     RenderServer, ServerConfig,
 };
-use mgpu_serve::{BatchKey, Priority, RenderBackend, SceneRequest, ServiceConfig};
+use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::{Dataset, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::{RenderConfig, TransferFunction};
@@ -446,7 +446,7 @@ fn a_remembered_request_is_shared_not_copied() {
         config: RenderConfig::test_size(8),
         priority: Priority::Normal,
     };
-    let key = BatchKey::of(&request_at(0.0));
+    let key = request_at(0.0).plan_key();
 
     pool.render(request_at(0.0)).expect("first render");
     pool.render(request_at(30.0)).expect("second render");

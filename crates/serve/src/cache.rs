@@ -6,9 +6,10 @@
 //! least-recently-used entry in O(log n) instead of scanning every entry
 //! under the lock — the service holds these locks on its hot submit path.
 //!
-//! [`FrameCache`] keys fully rendered frames by [`FrameKey`]: repeated
-//! views — the common case for interactive sessions orbiting a dataset —
-//! are answered without touching the queue or the renderer.
+//! [`FrameCache`] keys rendered frames by their frame [`RequestKey`], equal
+//! iff every rendering input is bit-equal: repeated views — the common case
+//! for interactive sessions orbiting a dataset — are answered without
+//! touching the queue or the renderer, and never on a hash collision.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
@@ -16,34 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use mgpu_obs::{Counter, Gauge};
 
-use mgpu_volren::camera::Scene;
-
-use crate::batch::BatchKey;
-
-/// Canonical identity of one frame request: its plan's [`BatchKey`] plus
-/// the `Debug` encoding of its scene (camera, transfer function,
-/// background). Two keys are equal iff every rendering input is
-/// field-for-field identical, so lookups are equality matches, never
-/// hash-collision guesses.
-///
-/// Volume *content* participates through the plan key's
-/// `VolumeMeta::content`, the cheap voxel fingerprint: two in-memory
-/// volumes with identical `(name, dims, seed)` but different voxels get
-/// different keys and never alias in the cache.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct FrameKey(BatchKey, String);
-
-impl FrameKey {
-    pub fn new(plan: &BatchKey, scene: &Scene) -> FrameKey {
-        FrameKey(plan.clone(), format!("{scene:?}"))
-    }
-
-    /// An opaque key for tests.
-    #[cfg(test)]
-    pub fn synthetic(tag: impl std::fmt::Display) -> FrameKey {
-        FrameKey(BatchKey::synthetic(tag), String::new())
-    }
-}
+use mgpu_volren::RequestKey;
 
 #[derive(Debug)]
 struct CacheInner<K, V> {
@@ -123,7 +97,7 @@ pub(crate) struct LruCache<K, V> {
 }
 
 /// The service's cache of rendered frames (stores [`crate::RenderedFrame`]).
-pub(crate) type FrameCache<V> = LruCache<FrameKey, V>;
+pub(crate) type FrameCache<V> = LruCache<RequestKey, V>;
 
 impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {
     pub fn new(capacity: usize, meters: CacheMeters) -> LruCache<K, V> {
@@ -235,10 +209,15 @@ mod tests {
     use super::*;
     use mgpu_cluster::ClusterSpec;
     use mgpu_voldata::Volume;
+    use mgpu_volren::camera::Scene;
     use mgpu_volren::config::RenderConfig;
 
-    fn key(tag: u32) -> FrameKey {
-        FrameKey::synthetic(tag)
+    /// A distinct frame key per tag: one volume, one scene, `tag + 1` GPUs.
+    fn key(tag: u32) -> RequestKey {
+        let volume = Volume::in_memory("cached", [2, 2, 2], vec![0.5; 8]);
+        let scene = Scene::orbit(&volume, 0.0, 0.0, mgpu_volren::TransferFunction::bone());
+        let spec = ClusterSpec::accelerator_cluster(tag + 1);
+        frame_key(&spec, &volume, &scene, &RenderConfig::test_size(8))
     }
 
     #[test]
@@ -379,8 +358,8 @@ mod tests {
         volume: &Volume,
         scene: &Scene,
         cfg: &RenderConfig,
-    ) -> FrameKey {
-        FrameKey::new(&BatchKey::new(spec, volume, cfg), scene)
+    ) -> RequestKey {
+        RequestKey::plan(spec, &volume.meta, cfg).with_scene(scene)
     }
 
     #[test]

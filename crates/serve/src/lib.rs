@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! submit / try_submit(SceneRequest)
-//!        │ BatchKey computed once (ShardedService routes by it, hands it down)
+//!        │ plan key (ShardedService routes by it) and frame key, once
 //!        ├── frame cache? ──hit──► FrameTicket (immediate)
 //!        │ miss
 //!        ├── admission control: class at its queue bound? ──► AdmissionError
@@ -18,7 +18,7 @@
 //!   JobQueue (priority, FIFO within class, per-priority depth bounds)
 //!        │ pop one job
 //!        ▼
-//!   worker: frame cache re-check, plan cache (BatchKey → Arc<FramePlan>)
+//!   worker: frame cache re-check, plan cache (plan key → Arc<FramePlan>)
 //!        │ ──► render_planned (panics caught: job fails, worker survives)
 //!        ▼
 //!   frame cache ──► ticket
@@ -33,7 +33,8 @@
 //!   first and `Interactive` last, while [`RenderService::submit`] blocks
 //!   for capacity.
 //! * **Plan cache** — `plancache::PlanCache`: frames that agree on
-//!   (cluster, volume, config) — one [`batch::BatchKey`] — share one
+//!   (cluster, volume, config) — one plan key, a [`mgpu_volren::RequestKey`]
+//!   — share one
 //!   [`mgpu_volren::FramePlan`] and its warm brick store, so sustained
 //!   same-volume traffic bricks the volume once and stages each brick once
 //!   for the plan's cached lifetime instead of once per frame.
@@ -72,10 +73,9 @@ use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
 use mgpu_volren::camera::Scene;
 use mgpu_volren::config::RenderConfig;
-use mgpu_volren::{Image, RenderReport};
+use mgpu_volren::{Image, RenderReport, RequestKey};
 
 pub mod backend;
-pub mod batch;
 mod cache;
 mod plancache;
 pub mod queue;
@@ -85,14 +85,13 @@ pub mod shard;
 mod worker;
 
 pub use backend::{BackendError, BackendFrame, RenderBackend};
-pub use batch::BatchKey;
 pub use cache::CacheSnapshot;
 pub use queue::{AdmissionError, Priority, QueueBounds, Reply};
 pub use report::ServiceReport;
 pub use session::{SceneSession, SessionTicket};
-pub use shard::{ShardHeat, ShardedService};
+pub use shard::ShardedService;
 
-use cache::{CacheMeters, FrameCache, FrameKey};
+use cache::{CacheMeters, FrameCache};
 use plancache::PlanCache;
 use report::ServiceStats;
 
@@ -112,6 +111,13 @@ pub struct SceneRequest {
     pub scene: Scene,
     pub config: RenderConfig,
     pub priority: Priority,
+}
+
+impl SceneRequest {
+    /// Equal plan keys share one plan and route to one shard and node.
+    pub fn plan_key(&self) -> RequestKey {
+        RequestKey::plan(&self.spec, &self.volume.meta, &self.config)
+    }
 }
 
 /// A completed frame as delivered by a [`FrameTicket`]. Cheap to clone: the
@@ -255,18 +261,9 @@ pub(crate) struct ServiceInner {
 impl ServiceInner {
     /// Fast path: a cached frame resolves the request immediately, without
     /// queueing. (Workers re-check the cache, so duplicates in flight still
-    /// coalesce once the first render lands.) The cache counts the hit.
-    fn cached_hit(&self, key: &BatchKey, request: &SceneRequest) -> Option<RenderedFrame> {
-        let frame_key = FrameKey::new(key, &request.scene);
-        self.cache.get(&frame_key).map(|mut frame| {
-            frame.from_cache = true;
-            self.stats.frames_submitted.inc();
-            self.stats.frames_completed.inc();
-            frame
-        })
-    }
-
-    fn assert_open(&self) {
+    /// coalesce once the first render lands.) The cache counts the hit; a
+    /// miss hands back the frame key for the queued job to carry.
+    fn cached_hit(&self, key: &RequestKey, scene: &Scene) -> Result<RenderedFrame, RequestKey> {
         // Defensive: no public path submits after shutdown (sessions borrow
         // the service, shutdown consumes it), but an internal caller that
         // raced teardown should fail loudly, cached or not.
@@ -274,27 +271,34 @@ impl ServiceInner {
             !self.queue.is_closed(),
             "cannot submit to a shut-down render service"
         );
+        let frame_key = key.with_scene(scene);
+        let mut frame = self.cache.get(&frame_key).ok_or(frame_key)?;
+        frame.from_cache = true;
+        self.stats.frames_submitted.inc();
+        self.stats.frames_completed.inc();
+        Ok(frame)
     }
 
     /// The blocking submit behind [`RenderService::submit`] and
-    /// [`ShardedService::submit`]; `key` is `request`'s [`BatchKey`],
-    /// computed once by the caller (a sharded caller already routed by it).
-    pub(crate) fn submit(&self, key: BatchKey, request: SceneRequest) -> FrameTicket {
-        self.assert_open();
+    /// [`ShardedService::submit`]; `key` is `request`'s plan key, computed
+    /// once by the caller (a sharded caller already routed by it).
+    pub(crate) fn submit(&self, key: RequestKey, request: SceneRequest) -> FrameTicket {
         let (tx, rx) = sync_channel(1);
-        if let Some(frame) = self.cached_hit(&key, &request) {
-            tx.send(Ok(frame)).expect("fresh ticket channel");
-            return FrameTicket { rx };
+        match self.cached_hit(&key, &request.scene) {
+            Ok(frame) => tx.send(Ok(frame)).expect("fresh ticket channel"),
+            Err(frame_key) => {
+                let reply = Reply::channel(tx);
+                self.queue
+                    .push(request, key, frame_key, reply, local_trace());
+                self.stats.frames_submitted.inc();
+            }
         }
-        self.queue
-            .push(request, key, Reply::channel(tx), local_trace());
-        self.stats.frames_submitted.inc();
         FrameTicket { rx }
     }
 
     pub(crate) fn try_submit(
         &self,
-        key: BatchKey,
+        key: RequestKey,
         request: SceneRequest,
     ) -> Result<FrameTicket, AdmissionError> {
         let (tx, rx) = sync_channel(1);
@@ -309,17 +313,19 @@ impl ServiceInner {
     /// end-to-end trace.
     pub(crate) fn try_admit(
         &self,
-        key: BatchKey,
+        key: RequestKey,
         request: SceneRequest,
         reply: Reply,
         trace: Arc<Trace>,
     ) -> Result<(), AdmissionError> {
-        self.assert_open();
-        if let Some(frame) = self.cached_hit(&key, &request) {
-            reply.deliver(Ok(frame));
-            return Ok(());
-        }
-        match self.queue.try_push(request, key, reply, trace) {
+        let frame_key = match self.cached_hit(&key, &request.scene) {
+            Ok(frame) => {
+                reply.deliver(Ok(frame));
+                return Ok(());
+            }
+            Err(frame_key) => frame_key,
+        };
+        match self.queue.try_push(request, key, frame_key, reply, trace) {
             Ok(_) => {
                 self.stats.frames_submitted.inc();
                 Ok(())
@@ -335,7 +341,7 @@ impl ServiceInner {
     /// The prewarm behind [`RenderService::prewarm`] and
     /// [`ShardedService::prewarm`]: the worker's plan acquisition, counted
     /// as a prewarm when it built the plan.
-    pub(crate) fn prewarm(&self, key: &BatchKey, request: &SceneRequest) -> bool {
+    pub(crate) fn prewarm(&self, key: &RequestKey, request: &SceneRequest) -> bool {
         let (_, built) = self.plans.acquire(key, request);
         if built {
             self.stats.plan_prewarms.inc();
@@ -409,14 +415,14 @@ impl RenderService {
     /// admission bound, then returns a ticket. With the default unbounded
     /// [`QueueBounds`] it never blocks.
     pub fn submit(&self, request: SceneRequest) -> FrameTicket {
-        self.inner.submit(BatchKey::of(&request), request)
+        self.inner.submit(request.plan_key(), request)
     }
 
     /// Submit one frame request without blocking: if the request's priority
     /// class is at its queue bound the frame is shed with [`AdmissionError`]
     /// (`Batch` sheds first, `Interactive` last — see [`QueueBounds`]).
     pub fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, AdmissionError> {
-        self.inner.try_submit(BatchKey::of(&request), request)
+        self.inner.try_submit(request.plan_key(), request)
     }
 
     /// [`RenderService::try_submit`] with a completion hook instead of a
@@ -437,7 +443,7 @@ impl RenderService {
         on_done: impl FnOnce(FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
         self.inner
-            .try_admit(BatchKey::of(&request), request, Reply::hook(on_done), trace)
+            .try_admit(request.plan_key(), request, Reply::hook(on_done), trace)
     }
 
     /// Resume popping after [`ServiceConfig::start_paused`]; wakes all
@@ -478,7 +484,7 @@ impl RenderService {
         self.inner.plans.snapshot()
     }
 
-    /// Populate the plan cache for `request`'s [`BatchKey`] now, on the
+    /// Populate the plan cache for `request`'s plan key now, on the
     /// caller's thread, through the workers' own plan acquisition: build
     /// the shared [`mgpu_volren::FramePlan`] (the brick grid and an empty
     /// brick store; 12–19 µs for Skull 128³, Plume and a shipped 64³ volume
@@ -487,7 +493,7 @@ impl RenderService {
     /// cached, but still stages every brick it needs.
     /// Returns `true` when a plan was built, `false` on a cache hit.
     pub fn prewarm(&self, request: &SceneRequest) -> bool {
-        self.inner.prewarm(&BatchKey::of(request), request)
+        self.inner.prewarm(&request.plan_key(), request)
     }
 
     /// Drain the queue, stop the workers and return the final report. Every

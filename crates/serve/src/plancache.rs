@@ -1,5 +1,5 @@
-//! The plan cache: a bounded LRU from [`BatchKey`] to shared
-//! [`FramePlan`]s — the one way frames of a key share bricking and staging.
+//! The plan cache: a bounded LRU from plan keys to shared [`FramePlan`]s —
+//! the one way frames of a key share bricking and staging.
 //!
 //! Every frame of the same (cluster, volume, config) reuses the bricking
 //! and — more importantly — the warm shared [`mgpu_voldata::BrickStore`]
@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use mgpu_volren::renderer::FramePlan;
+use mgpu_volren::RequestKey;
 
-use crate::batch::BatchKey;
 use crate::cache::LruCache;
 use crate::SceneRequest;
 
@@ -29,7 +29,7 @@ use crate::SceneRequest;
 /// disables reuse (every frame builds its own plan). Eviction drops the
 /// `Arc`, so plans still in use by an in-flight render stay alive until it
 /// finishes.
-pub(crate) type PlanCache = LruCache<BatchKey, Arc<FramePlan>>;
+pub(crate) type PlanCache = LruCache<RequestKey, Arc<FramePlan>>;
 
 impl PlanCache {
     /// The one way to a plan, for the worker and `prewarm` alike: look
@@ -37,7 +37,7 @@ impl PlanCache {
     /// racer got there first, in which case adopt the racer's — so workers
     /// racing on a cold key render on one brick store. Returns the plan and
     /// whether this call prepared one.
-    pub fn acquire(&self, key: &BatchKey, request: &SceneRequest) -> (Arc<FramePlan>, bool) {
+    pub fn acquire(&self, key: &RequestKey, request: &SceneRequest) -> (Arc<FramePlan>, bool) {
         if let Some(plan) = self.get(key) {
             return (plan, false);
         }
@@ -66,11 +66,11 @@ mod tests {
     use mgpu_voldata::Dataset;
     use mgpu_volren::RenderConfig;
 
-    fn plan_for(gpus: u32) -> (BatchKey, Arc<FramePlan>) {
+    fn plan_for(gpus: u32) -> (RequestKey, Arc<FramePlan>) {
         let spec = ClusterSpec::accelerator_cluster(gpus);
         let volume = Dataset::Skull.volume(16);
         let cfg = RenderConfig::test_size(16);
-        let key = BatchKey::new(&spec, &volume, &cfg);
+        let key = RequestKey::plan(&spec, &volume.meta, &cfg);
         let plan = Arc::new(FramePlan::prepare(&spec, &volume, &cfg));
         (key, plan)
     }
@@ -108,7 +108,7 @@ mod tests {
             volume,
             priority: Priority::Normal,
         };
-        let key = BatchKey::of(&request);
+        let key = request.plan_key();
         let cache = PlanCache::new(1, CacheMeters::default());
         let (first, built) = cache.acquire(&key, &request);
         assert!(built);

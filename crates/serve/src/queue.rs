@@ -17,9 +17,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use mgpu_obs::{Gauge, Trace};
+use mgpu_volren::RequestKey;
 use std::sync::mpsc::SyncSender;
 
-use crate::batch::BatchKey;
 use crate::{FrameError, FrameResult, SceneRequest};
 
 /// Where a job's [`FrameResult`] goes when a worker resolves it: a
@@ -184,7 +184,9 @@ pub struct QueuedJob {
     pub priority: Priority,
     pub enqueued: Instant,
     pub request: SceneRequest,
-    pub batch_key: BatchKey,
+    /// The request's plan and frame keys, built once at admission.
+    pub plan_key: RequestKey,
+    pub frame_key: RequestKey,
     pub reply: Reply,
     /// The request's end-to-end trace: the worker records the queue/plan/
     /// render spans into it, and the renderer adds stage/kernel/composite
@@ -264,7 +266,8 @@ impl JobQueue {
     pub fn push(
         &self,
         request: SceneRequest,
-        batch_key: BatchKey,
+        plan_key: RequestKey,
+        frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
     ) -> u64 {
@@ -273,7 +276,7 @@ impl JobQueue {
         loop {
             assert!(!state.closed, "cannot submit to a shut-down render service");
             if state.jobs.len() < limit {
-                return self.enqueue(&mut state, request, batch_key, reply, trace);
+                return self.enqueue(&mut state, request, plan_key, frame_key, reply, trace);
             }
             state = self.space.wait(state).unwrap();
         }
@@ -288,7 +291,8 @@ impl JobQueue {
     pub fn try_push(
         &self,
         request: SceneRequest,
-        batch_key: BatchKey,
+        plan_key: RequestKey,
+        frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
     ) -> Result<u64, (AdmissionError, Reply)> {
@@ -305,14 +309,15 @@ impl JobQueue {
                 reply,
             ));
         }
-        Ok(self.enqueue(&mut state, request, batch_key, reply, trace))
+        Ok(self.enqueue(&mut state, request, plan_key, frame_key, reply, trace))
     }
 
     fn enqueue(
         &self,
         state: &mut QueueState,
         request: SceneRequest,
-        batch_key: BatchKey,
+        plan_key: RequestKey,
+        frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
     ) -> u64 {
@@ -324,7 +329,8 @@ impl JobQueue {
             priority: request.priority,
             enqueued: Instant::now(),
             request,
-            batch_key,
+            plan_key,
+            frame_key,
             reply,
             trace,
         });
@@ -394,7 +400,6 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchKey;
     use mgpu_cluster::ClusterSpec;
     use mgpu_voldata::Dataset;
     use mgpu_volren::camera::Scene;
@@ -411,22 +416,30 @@ mod tests {
         }
     }
 
-    fn push(q: &JobQueue, priority: Priority, key: &str) -> u64 {
+    fn push(q: &JobQueue, priority: Priority) -> u64 {
         // The receiver drops immediately: queue tests never send replies.
         let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+        let request = request(priority);
+        let key = request.plan_key();
+        let frame_key = key.with_scene(&request.scene);
         q.push(
-            request(priority),
-            BatchKey::synthetic(key),
+            request,
+            key,
+            frame_key,
             Reply::channel(tx),
             Trace::detached(0),
         )
     }
 
-    fn try_push(q: &JobQueue, priority: Priority, key: &str) -> Result<u64, AdmissionError> {
+    fn try_push(q: &JobQueue, priority: Priority) -> Result<u64, AdmissionError> {
         let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+        let request = request(priority);
+        let key = request.plan_key();
+        let frame_key = key.with_scene(&request.scene);
         q.try_push(
-            request(priority),
-            BatchKey::synthetic(key),
+            request,
+            key,
+            frame_key,
             Reply::channel(tx),
             Trace::detached(0),
         )
@@ -465,11 +478,11 @@ mod tests {
     #[test]
     fn fifo_within_priority_and_priority_wins() {
         let q = unbounded(false);
-        let a = push(&q, Priority::Normal, "k");
-        let b = push(&q, Priority::Normal, "k");
-        let c = push(&q, Priority::Interactive, "k");
-        let d = push(&q, Priority::Batch, "k");
-        let e = push(&q, Priority::Interactive, "k");
+        let a = push(&q, Priority::Normal);
+        let b = push(&q, Priority::Normal);
+        let c = push(&q, Priority::Interactive);
+        let d = push(&q, Priority::Batch);
+        let e = push(&q, Priority::Interactive);
         let order: Vec<u64> = (0..5).map(|_| q.pop().unwrap().seq).collect();
         // Interactive first (FIFO: c before e), then Normal (a before b),
         // then Batch.
@@ -479,7 +492,7 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = unbounded(false);
-        push(&q, Priority::Normal, "k");
+        push(&q, Priority::Normal);
         q.close();
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
@@ -488,7 +501,7 @@ mod tests {
     #[test]
     fn paused_queue_blocks_until_resumed() {
         let q = std::sync::Arc::new(unbounded(true));
-        push(&q, Priority::Normal, "k");
+        push(&q, Priority::Normal);
         let q2 = std::sync::Arc::clone(&q);
         let handle = std::thread::spawn(move || q2.pop().map(|j| j.seq));
         // Give the popper a moment to block, then release it.
@@ -503,7 +516,7 @@ mod tests {
     fn push_after_close_panics() {
         let q = unbounded(false);
         q.close();
-        push(&q, Priority::Normal, "k");
+        push(&q, Priority::Normal);
     }
 
     #[test]
@@ -516,17 +529,17 @@ mod tests {
                 interactive: 3,
             },
         );
-        assert!(try_push(&q, Priority::Batch, "k").is_ok());
+        assert!(try_push(&q, Priority::Batch).is_ok());
         // Depth 1: batch is at its bound, the others still admit.
-        let err = try_push(&q, Priority::Batch, "k").unwrap_err();
+        let err = try_push(&q, Priority::Batch).unwrap_err();
         assert_eq!((err.queued, err.limit), (1, 1));
         assert_eq!(err.priority, Priority::Batch);
-        assert!(try_push(&q, Priority::Normal, "k").is_ok());
+        assert!(try_push(&q, Priority::Normal).is_ok());
         // Depth 2: normal now sheds too; interactive still admits.
-        assert!(try_push(&q, Priority::Normal, "k").is_err());
-        assert!(try_push(&q, Priority::Interactive, "k").is_ok());
+        assert!(try_push(&q, Priority::Normal).is_err());
+        assert!(try_push(&q, Priority::Interactive).is_ok());
         // Depth 3: everything sheds.
-        let err = try_push(&q, Priority::Interactive, "k").unwrap_err();
+        let err = try_push(&q, Priority::Interactive).unwrap_err();
         assert_eq!((err.queued, err.limit), (3, 3));
         assert_eq!(q.depths(), [1, 1, 1]);
     }
@@ -534,9 +547,9 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_capacity() {
         let q = std::sync::Arc::new(JobQueue::new(false, QueueBounds::uniform(1)));
-        push(&q, Priority::Normal, "k");
+        push(&q, Priority::Normal);
         let q2 = std::sync::Arc::clone(&q);
-        let handle = std::thread::spawn(move || push(&q2, Priority::Normal, "k2"));
+        let handle = std::thread::spawn(move || push(&q2, Priority::Normal));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished(), "push must block at the bound");
         // A pop frees capacity and admits the blocked push.

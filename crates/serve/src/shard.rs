@@ -1,95 +1,37 @@
-//! The shard router: rendezvous-hash plan keys ([`BatchKey`]) over N
-//! independent [`RenderService`] instances.
+//! The shard router: rendezvous-hash plan keys ([`SceneRequest::plan_key`])
+//! over N independent [`RenderService`] instances.
 //!
 //! One service instance serializes every volume behind one queue and one
 //! plan cache; under many-volume traffic the volumes contend. A
 //! [`ShardedService`] runs N full services side by side and routes each
-//! request by its [`BatchKey`] — the same (cluster, volume, config) always
+//! request by its plan key — the same (cluster, volume, config) always
 //! lands on the same shard, so a volume's frames keep hitting the shard
 //! whose plan cache (and brick store) is warm, while distinct volumes
 //! spread across shards and stop contending.
 //!
 //! Routing uses rendezvous (highest-random-weight) hashing: every shard
-//! gets a deterministic per-key score and the max wins. Growing the fleet
-//! from N to N+1 shards only moves the keys whose max moved to the new
-//! shard (~1/(N+1) of them) — no global reshuffle that would cold-start
-//! every plan cache at once. [`route`] places render nodes (`mgpu-net`'s
-//! `Directory`) by the same rule; shards score apart from nodes, so a key's
-//! shard is independent of the node that owns it.
+//! gets a deterministic score ([`RequestKey::score`]) and the max wins.
+//! Growing the fleet from N to N+1 shards only moves the keys whose max
+//! moved to the new shard (~1/(N+1) of them) — no global reshuffle that
+//! would cold-start every plan cache at once. [`route`] places render
+//! nodes (`mgpu-net`'s `Directory`) by the same rule; shards score apart
+//! from nodes, so a key's shard is independent of the node that owns it.
 
 use std::time::Duration;
 
-use mgpu_obs::{names, Snapshot};
-use mgpu_voldata::volume::{fnv1a, FNV_OFFSET};
+use mgpu_obs::Snapshot;
+use mgpu_volren::RequestKey;
 
-use crate::batch::BatchKey;
-use crate::cache::CacheSnapshot;
 use crate::{
     AdmissionError, FrameTicket, RenderService, Reply, SceneRequest, ServiceConfig, ServiceInner,
     ServiceReport,
 };
 
-/// Point-in-time load ("heat") of one shard — what a rebalancer or an
-/// operator dashboard watches per shard: queue pressure, throughput, and
-/// whether the shard's caches are actually warm for the keys it owns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHeat {
-    /// Index into [`ShardedService::shard`].
-    pub shard: usize,
-    /// Queued jobs per class, `[batch, normal, interactive]`.
-    pub queue_depths: [usize; 3],
-    pub frames_completed: u64,
-    pub frames_per_sec: f64,
-    /// Frame-cache occupancy and hit counters for this shard.
-    pub frame_cache: CacheSnapshot,
-    /// Plan-cache occupancy and hit counters for this shard.
-    pub plan_cache: CacheSnapshot,
-    pub mean_queue_wait: Duration,
-    /// Tail queue wait (p90) — rises first when a shard runs hot.
-    pub queue_wait_p90: Duration,
-}
-
-impl ShardHeat {
-    /// The heat view over one shard's snapshot and uptime — the same
-    /// snapshot that, merged with its siblings', feeds the node-wide
-    /// [`ServiceReport`], so shard counters always sum to the merged ones.
-    pub fn from_snapshot(shard: usize, snap: &Snapshot, uptime: Duration) -> ShardHeat {
-        let report = ServiceReport::from_snapshot(snap, uptime);
-        let depth = |name: &str| usize::try_from(snap.gauge(name).unwrap_or(0)).unwrap_or(0);
-        ShardHeat {
-            shard,
-            queue_depths: [
-                depth(names::SERVE_QUEUE_DEPTH_BATCH),
-                depth(names::SERVE_QUEUE_DEPTH_NORMAL),
-                depth(names::SERVE_QUEUE_DEPTH_INTERACTIVE),
-            ],
-            frames_completed: report.frames_completed,
-            frames_per_sec: report.frames_per_sec(),
-            frame_cache: report.frame_cache,
-            plan_cache: report.plan_cache,
-            mean_queue_wait: report.mean_queue_wait,
-            queue_wait_p90: report.queue_wait_p90(),
-        }
-    }
-
-    /// Total queued jobs on this shard.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depths.iter().sum()
-    }
-}
-
-/// FNV-1a over the key bytes, salted with the owner's rendezvous id — the
-/// rendezvous score of (key, owner). Stable across runs and platforms (the
-/// same hash voldata uses for content fingerprints).
-fn rendezvous_score(key: &BatchKey, owner: u64) -> u64 {
-    fnv1a(&owner.to_le_bytes(), fnv1a(key.bytes(), FNV_OFFSET))
-}
-
 /// A shard's score: the rendezvous score run through splitmix64's
 /// finalizer, so a key's shard is independent of its node (with one shared
 /// score, every key node `i` owns landed on shard `i`).
-fn shard_score(key: &BatchKey, shard: u64) -> u64 {
-    let z = rendezvous_score(key, shard);
+fn shard_score(key: &RequestKey, shard: u64) -> u64 {
+    let z = key.score(shard);
     let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -98,7 +40,7 @@ fn shard_score(key: &BatchKey, shard: u64) -> u64 {
 /// The node placement policy: the position in `ids` (the owners'
 /// rendezvous ids, `0..n` for a directory that never lost a node) of the
 /// owner a key lands on.
-pub fn route(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> usize {
+pub fn route(key: &RequestKey, ids: impl IntoIterator<Item = u64>) -> usize {
     ranked(key, ids)[0]
 }
 
@@ -106,10 +48,10 @@ pub fn route(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> usize {
 /// positions in `ids`: `[0]` is [`route`]'s owner, and the tail is the
 /// deterministic failover order a multi-node pool walks when the preferred
 /// node is down.
-pub fn ranked(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> Vec<usize> {
+pub fn ranked(key: &RequestKey, ids: impl IntoIterator<Item = u64>) -> Vec<usize> {
     let mut order: Vec<(usize, u64)> = ids
         .into_iter()
-        .map(|id| rendezvous_score(key, id))
+        .map(|id| key.score(id))
         .enumerate()
         .collect();
     order.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
@@ -117,7 +59,7 @@ pub fn ranked(key: &BatchKey, ids: impl IntoIterator<Item = u64>) -> Vec<usize> 
 }
 
 /// Which of `shards` in-process shards owns a key.
-fn shard_of(key: &BatchKey, shards: usize) -> usize {
+fn shard_of(key: &RequestKey, shards: usize) -> usize {
     (0..shards as u64)
         .max_by_key(|&shard| shard_score(key, shard))
         .expect("at least one shard") as usize
@@ -147,7 +89,7 @@ impl ShardedService {
     }
 
     /// Which shard owns this plan key (deterministic).
-    pub fn shard_for(&self, key: &BatchKey) -> usize {
+    pub fn shard_for(&self, key: &RequestKey) -> usize {
         shard_of(key, self.shards.len())
     }
 
@@ -162,15 +104,15 @@ impl ShardedService {
     /// routed to and whether a plan was actually built (`false` = already
     /// warm).
     pub fn prewarm(&self, request: &SceneRequest) -> (usize, bool) {
-        let key = BatchKey::of(request);
+        let key = request.plan_key();
         let shard = self.shard_for(&key);
         (shard, self.shards[shard].inner.prewarm(&key, request))
     }
 
     /// The shard that owns `request`, with the key it was routed by — handed
     /// down so the shard never computes it again.
-    fn owner(&self, request: &SceneRequest) -> (&ServiceInner, BatchKey) {
-        let key = BatchKey::of(request);
+    fn owner(&self, request: &SceneRequest) -> (&ServiceInner, RequestKey) {
+        let key = request.plan_key();
         (&self.shards[self.shard_for(&key)].inner, key)
     }
 
@@ -245,9 +187,27 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgpu_cluster::ClusterSpec;
+    use mgpu_voldata::VolumeMeta;
+    use mgpu_volren::config::RenderConfig;
 
-    fn keys(n: usize) -> Vec<BatchKey> {
-        (0..n).map(BatchKey::synthetic).collect()
+    /// `n` distinct plan keys: one volume seed each.
+    fn keys(n: usize) -> Vec<RequestKey> {
+        let spec = ClusterSpec::accelerator_cluster(1);
+        let cfg = RenderConfig::default();
+        (0..n as u64)
+            .map(|seed| {
+                let dims = [8; 3];
+                let (name, content) = ("routed".to_string(), 0);
+                let meta = VolumeMeta {
+                    name,
+                    dims,
+                    seed,
+                    content,
+                };
+                RequestKey::plan(&spec, &meta, &cfg)
+            })
+            .collect()
     }
 
     #[test]
@@ -309,7 +269,7 @@ mod tests {
         let spec = ClusterSpec::accelerator_cluster(1);
         let cfg = RenderConfig::test_size(8);
         let session = sharded.session(spec.clone(), volume.clone(), cfg.clone());
-        let owner = sharded.shard_for(&BatchKey::new(&spec, &volume, &cfg));
+        let owner = sharded.shard_for(&RequestKey::plan(&spec, &volume.meta, &cfg));
         for _ in 0..2 {
             // Same scene twice: the second resolves from the frame cache.
             session
@@ -317,8 +277,8 @@ mod tests {
                 .wait();
         }
         let uptime = sharded.uptime();
-        let heat: Vec<ShardHeat> = (sharded.shard_snapshots().iter().enumerate())
-            .map(|(i, snap)| ShardHeat::from_snapshot(i, snap, uptime))
+        let heat: Vec<ServiceReport> = (sharded.shard_snapshots().iter())
+            .map(|snap| ServiceReport::from_snapshot(snap, uptime))
             .collect();
         assert_eq!(heat.len(), 2);
         assert_eq!(heat[owner].frames_completed, 2);
@@ -326,8 +286,9 @@ mod tests {
         assert!(heat[owner].frame_cache.hits >= 1, "repeat view must hit");
         assert_eq!(heat[1 - owner].frames_completed, 0);
         assert_eq!(heat[1 - owner].frame_cache.entries, 0);
-        for h in &heat {
-            assert_eq!(h.queue_depth(), 0, "drained after wait()");
+        for shard in 0..2 {
+            let depths = sharded.shard(shard).queue_depths();
+            assert_eq!(depths, [0; 3], "drained after wait()");
         }
         // The merged report folds the same occupancy numbers.
         let merged = sharded.report();
@@ -344,7 +305,7 @@ mod tests {
     /// caches stay warm).
     #[test]
     fn adding_a_shard_only_moves_keys_to_the_new_shard() {
-        let policies: [fn(&BatchKey, usize) -> usize; 2] =
+        let policies: [fn(&RequestKey, usize) -> usize; 2] =
             [|key, n| route(key, 0..n as u64), shard_of];
         for grow in policies {
             let mut moved = 0;

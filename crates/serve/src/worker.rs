@@ -20,7 +20,6 @@ use std::time::Instant;
 use mgpu_obs::trace;
 use mgpu_volren::renderer::render_planned;
 
-use crate::cache::FrameKey;
 use crate::queue::QueuedJob;
 use crate::{FrameError, RenderedFrame, ServiceInner};
 
@@ -39,11 +38,10 @@ pub(crate) fn worker_loop(inner: Arc<ServiceInner>) {
 fn render_job(inner: &ServiceInner, job: QueuedJob) {
     let stats = &inner.stats;
     let req = &job.request;
-    let key = FrameKey::new(&job.batch_key, &req.scene);
     // Coalescing re-check: an identical request may have rendered since
     // this one was queued (recheck: the submit path already counted the
     // miss; the cache counts the hit).
-    if let Some(mut frame) = inner.cache.recheck(&key) {
+    if let Some(mut frame) = inner.cache.recheck(&job.frame_key) {
         frame.from_cache = true;
         stats.frames_completed.inc();
         job.reply.deliver(Ok(frame));
@@ -55,7 +53,7 @@ fn render_job(inner: &ServiceInner, job: QueuedJob) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         trace::scope(&job.trace, || {
             let plan_start = Instant::now();
-            let (plan, _) = inner.plans.acquire(&job.batch_key, req);
+            let (plan, _) = inner.plans.acquire(&job.plan_key, req);
             job.trace.record_since("plan", plan_start);
             let render_start = Instant::now();
             let outcome = render_planned(&req.spec, &plan, &req.scene, &req.config);
@@ -91,7 +89,7 @@ fn render_job(inner: &ServiceInner, job: QueuedJob) {
         report: Arc::new(outcome.report),
         from_cache: false,
     };
-    inner.cache.insert(key, frame.clone());
+    inner.cache.insert(job.frame_key, frame.clone());
     // A dropped ticket is fine: the frame is already cached.
     job.reply.deliver(Ok(frame));
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_serve::queue::{JobQueue, Priority, QueueBounds, Reply};
-use mgpu_serve::{BatchKey, SceneRequest};
+use mgpu_serve::SceneRequest;
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
 use mgpu_volren::{RenderConfig, TransferFunction};
@@ -28,11 +28,18 @@ fn request(priority: Priority) -> SceneRequest {
     }
 }
 
+/// Push a request whose plan key is one of a few (`key` picks the GPU
+/// count): keys must not change the pop order.
 fn push(q: &JobQueue, priority: Priority, key: u32) -> u64 {
     let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+    let mut request = request(priority);
+    request.spec = ClusterSpec::accelerator_cluster(1 + key);
+    let plan_key = request.plan_key();
+    let frame_key = plan_key.with_scene(&request.scene);
     q.push(
-        request(priority),
-        BatchKey::synthetic(key),
+        request,
+        plan_key,
+        frame_key,
         Reply::channel(tx),
         mgpu_obs::Trace::detached(0),
     )
@@ -132,10 +139,14 @@ proptest! {
                 }
             };
             let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+            let request = request(priority);
+            let plan_key = request.plan_key();
+            let frame_key = plan_key.with_scene(&request.scene);
             let outcome =
                 q.try_push(
-                request(priority),
-                BatchKey::synthetic(0u32),
+                request,
+                plan_key,
+                frame_key,
                 Reply::channel(tx),
                 mgpu_obs::Trace::detached(0),
             );

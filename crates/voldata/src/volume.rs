@@ -8,7 +8,7 @@ use crate::field::ScalarField;
 use crate::io;
 
 /// Metadata describing a scalar volume of `f32` samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VolumeMeta {
     pub name: String,
     /// Voxel dimensions, x/y/z. x varies fastest in memory.

@@ -9,7 +9,7 @@ use mgpu_mapreduce::{
 
 /// Which partitioning strategy routes fragments to reducers (§3.1.1 — the
 /// paper found per-pixel round-robin "empirically the most performant").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
     RoundRobin,
     Striped { rows_per_stripe: u32 },
@@ -50,7 +50,7 @@ impl PartitionStrategy {
 /// Compositing scheme (§6: the paper chose direct-send over swap because it
 /// overlaps communication with computation and fits MapReduce; §6.1 points
 /// out swap is a pluggable alternative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Compositor {
     DirectSend,
     BinarySwap,
@@ -58,7 +58,7 @@ pub enum Compositor {
 
 /// Where brick data starts (§5 timings assume host residency; out-of-core
 /// runs stream from disk).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Residency {
     /// Resident when the bricked volume fits aggregate VRAM, disk otherwise.
     Auto,

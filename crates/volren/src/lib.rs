@@ -35,6 +35,7 @@ pub mod config;
 pub mod fragment;
 pub mod image;
 pub mod kernel;
+pub mod key;
 pub mod mapper;
 pub mod math;
 pub mod ray;
@@ -49,5 +50,6 @@ pub use camera::{Camera, Scene};
 pub use config::{Compositor, PartitionStrategy, RenderConfig, Residency};
 pub use fragment::Fragment;
 pub use image::Image;
+pub use key::RequestKey;
 pub use renderer::{render, render_planned, FramePlan, RenderOutcome, RenderReport};
 pub use transfer::TransferFunction;

@@ -18,6 +18,7 @@ use crate::camera::Scene;
 use crate::combine::AdjacentFragmentCombiner;
 use crate::config::{Compositor, RenderConfig, Residency};
 use crate::image::Image;
+use crate::key::RequestKey;
 use crate::mapper::VolumeMapper;
 use crate::reduce::CompositeReducer;
 use crate::stitch::stitch;
@@ -131,23 +132,15 @@ pub struct FramePlan {
     pub in_core: bool,
     store: Arc<BrickStore>,
     bricks: Vec<RenderBrick>,
-    /// Identity of the (spec, cfg) this plan was prepared for; guards
-    /// [`render_planned`] against mismatched reuse.
-    fingerprint: String,
-}
-
-fn plan_fingerprint(spec: &ClusterSpec, cfg: &RenderConfig) -> String {
-    format!("{spec:?}|{cfg:?}")
+    /// The key of the (spec, volume, cfg) this plan was prepared for;
+    /// guards [`render_planned`] against mismatched reuse.
+    key: RequestKey,
 }
 
 impl FramePlan {
     /// Brick `volume` for `spec` under `cfg` and build the shared store.
-    ///
-    /// Only the scene-independent parts of `cfg` matter for the bricking
-    /// (`bricks_per_gpu`, `max_brick_voxels`, `residency`,
-    /// `host_cache_bytes`), but [`render_planned`] insists on the exact same
-    /// `spec` and `cfg` — a mismatch would silently break its bit-identical
-    /// guarantee.
+    /// [`render_planned`] insists on this exact `spec` and `cfg`: a mismatch
+    /// would silently break its bit-identical guarantee.
     pub fn prepare(spec: &ClusterSpec, volume: &Volume, cfg: &RenderConfig) -> FramePlan {
         let prepare_start = Instant::now();
         let gpus = spec.gpus;
@@ -214,13 +207,8 @@ impl FramePlan {
             in_core,
             store,
             bricks,
-            fingerprint: plan_fingerprint(spec, cfg),
+            key: RequestKey::plan(spec, &volume.meta, cfg),
         }
-    }
-
-    /// Does this plan match the given spec/config (field-for-field)?
-    pub fn matches(&self, spec: &ClusterSpec, cfg: &RenderConfig) -> bool {
-        self.fingerprint == plan_fingerprint(spec, cfg)
     }
 
     /// The shared brick store (cache counters accumulate across frames).
@@ -269,15 +257,15 @@ pub fn render_planned(
     scene: &Scene,
     cfg: &RenderConfig,
 ) -> RenderOutcome {
+    let volume = plan.store.volume();
     assert!(
-        plan.matches(spec, cfg),
+        RequestKey::plan(spec, &volume.meta, cfg) == plan.key,
         "render_planned requires the exact ClusterSpec and RenderConfig the \
          FramePlan was prepared with"
     );
     let gpus = spec.gpus;
     let (width, height) = cfg.image;
     assert!(width > 0 && height > 0, "degenerate image");
-    let volume = plan.store.volume();
     let store_before = plan.store.snapshot();
 
     let mapper = VolumeMapper::new(

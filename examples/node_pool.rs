@@ -1,7 +1,7 @@
 //! The first multi-node rung in action: two independent [`RenderServer`]
 //! processes-worth of render capacity behind one [`NodePool`] — the same
 //! `RenderBackend` trait as a local [`RenderService`], but the frames come
-//! from whichever node the placement [`Directory`] owns each batch key on.
+//! from whichever node the placement [`Directory`] owns each plan key on.
 //! Two finales: a **graceful drain-and-rejoin** (tickets in flight when
 //! the drain starts, every one redeemed bit-identically, then the node
 //! RESUMEs back into service at a new epoch) and a **crash** (a node

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use mgpu_serve::{
         AdmissionError, BackendError, BackendFrame, CacheSnapshot, FrameError, FrameTicket,
         Priority, QueueBounds, RenderBackend, RenderService, RenderedFrame, SceneRequest,
-        SceneSession, ServiceConfig, ServiceReport, SessionTicket, ShardHeat, ShardedService,
+        SceneSession, ServiceConfig, ServiceReport, SessionTicket, ShardedService,
     };
     pub use mgpu_sim::{Fig3Bucket, SimDuration};
     pub use mgpu_voldata::datasets::Dataset;
