@@ -367,9 +367,10 @@ impl Reducer for NoReducer {
     }
 }
 
-/// The per-frame floor: `run_job` over 4 no-op chunks on 2 GPUs — two
-/// mappers and two reducers handed their threads, four one-pair batches
-/// through the channels, sort, reduce and merge of four keys. What is left
+/// The per-frame floor: `run_job` over 4 no-op chunks on 2 GPUs — one
+/// mapper handed a thread beside the caller, four one-pair batches kept by
+/// the mappers that flushed them, then the last mapper and one helper it
+/// wakes sorting and reducing two keys each, and the merge of four keys. What is left
 /// is what a frame pays before its first ray (`pool_preview`'s fixed cost),
 /// visible here without a server. One iteration is 1000 jobs, so the line
 /// reads in µs per job with "ms" as its unit. `lopsided_2_gpus` is one job

@@ -1,14 +1,23 @@
-//! The streaming MapReduce runtime: real threads, real channels, real data.
+//! The MapReduce runtime: real threads, real data.
 //!
-//! One mapper thread per (simulated) GPU and one reducer thread per GPU
-//! process, wired with bounded channels — the library's "asynchronous,
-//! streaming interface": partitioned batches flow to reducers while mapping
-//! is still in progress, exactly as in the paper ("Once enough pairs have
-//! been generated by a Mapper, they are sent asynchronously to the
-//! Reducer"). As in the paper's library the threads outlive the job: the
-//! roles run on [`mgpu_gpu::exec`]'s parked threads, reused from one job to
-//! the next, and the caller itself is mapper 0 — a job spawns nothing once
-//! the process has run one of its size.
+//! One mapper role per (simulated) GPU, and one reduce task per GPU process
+//! once the map phase is over — the paper's order: a reduce starts "once all
+//! Mappers have finished and all data has been routed to the proper
+//! Reducer". A mapper partitions what each chunk emits into per-reducer
+//! buffers and flushes a buffer as a batch once it holds `batch_bytes` (the
+//! paper's "once enough pairs have been generated by a Mapper, they are
+//! sent asynchronously to the Reducer"); the batches stay with the mapper
+//! that flushed them until the reduce. The host does not stream them — the
+//! DES does: [`crate::trace_build`] replays every flush from the
+//! [`JobRecord`] as a send overlapping the rest of the map phase.
+//!
+//! As in the paper's library the threads outlive the job: the roles run on
+//! [`mgpu_gpu::exec`]'s parked threads, reused from one job to the next, and
+//! the caller itself is mapper 0. The mapper role that returns last runs the
+//! reduce tasks on its own thread, which is already on a core, beside R − 1
+//! helpers it spawns; each claims tasks from one queue until none is left.
+//! A job spawns nothing once the cache holds what one of its size has at
+//! work at once: at most M − 1 mappers and R − 1 helpers.
 //!
 //! A mapper that has mapped its last chunk and flushed lends its core to the
 //! job ([`mgpu_gpu::exec::Lender`]): the block launches of the mappers still
@@ -16,18 +25,17 @@
 //! host thread runs a block changes — every block writes its own slices, so
 //! outputs and the [`JobRecord`] are the same. The core-time lends sat
 //! unused before the map phase ended is added to `core.map_idle_total_ns`
-//! once per job.
+//! once per job; the reduce runs after the map phase, so it adds nothing.
 //!
-//! Determinism: chunks are assigned round-robin (chunk `i` → mapper
-//! `i mod M`) and each reducer re-orders received batches by
-//! `(mapper, sequence)` before sorting, so results and the recorded
+//! Determinism: chunks are assigned by [`JobConfig::assignment`] and reduce
+//! task `r` concatenates mapper 0's batches for `r`, then mapper 1's, and so
+//! on, each mapper's in flush order, so results and the recorded
 //! [`JobRecord`] are bit-identical across runs regardless of thread timing.
 
 use mgpu_cluster::{route, ClusterSpec, GpuId, Route};
 use mgpu_gpu::exec::Lender;
 use mgpu_obs::{names, Counter};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::assign::Assignment;
 
@@ -39,7 +47,7 @@ use crate::types::{pair_wire_bytes, Key, WireValue, SENTINEL_KEY};
 /// Job-level configuration.
 #[derive(Debug, Clone)]
 pub struct JobConfig {
-    /// GPUs = mapper threads = reducer processes.
+    /// GPUs = mapper roles = reduce tasks.
     pub gpus: u32,
     /// Dense key space `[0, key_space)` (image pixels for the renderer).
     pub key_space: u32,
@@ -115,21 +123,14 @@ impl<O> JobOutput<O> {
     }
 }
 
-struct Batch<V> {
-    mapper: u32,
-    seq: u32,
-    keys: Vec<Key>,
-    values: Vec<V>,
-}
+/// One flushed batch: parallel key and value columns.
+type Batch<V> = (Vec<Key>, Vec<V>);
 
 /// One reducer's accounting record with its emitted keys and outputs (SoA).
 type ReducerResult<Out> = (ReducerRecord, Vec<Key>, Vec<Out>);
 
-/// Batches in flight per reducer channel. A reducer has its thread before
-/// any mapper starts and takes batches as they arrive, so a send blocks only
-/// if a mapper gets this far ahead of it; the bound must be non-zero (a
-/// rendezvous channel would stall every send until it was taken).
-const CHANNEL_CAPACITY: usize = 1024;
+/// Nothing panics while holding one of the job's locks.
+const POISON: &str = "job lock poisoned";
 
 /// `core.map_idle_total_ns`, registered once in the global registry.
 fn map_idle() -> &'static Counter {
@@ -167,47 +168,53 @@ where
         "cluster spec GPU count must match job config"
     );
 
-    let mut senders: Vec<SyncSender<Batch<M::Value>>> = Vec::with_capacity(r_count);
-    let mut receivers: Vec<Receiver<Batch<M::Value>>> = Vec::with_capacity(r_count);
-    for _ in 0..r_count {
-        let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
+    // Mapper `m`'s batches for reducer `r`, in flush order, at
+    // `r * m_count + m`: published when the mapper role returns.
+    let flushed: Vec<Mutex<Vec<Batch<M::Value>>>> =
+        (0..r_count * m_count).map(|_| Mutex::default()).collect();
     let mut mapper_records = vec![MapperRecord::default(); m_count];
     let mut reducer_results: Vec<ReducerResult<R::Out>> = Vec::new();
     reducer_results.resize_with(r_count, Default::default);
+    // The reduce tasks, claimed in order as `launch_blocks` claims blocks:
+    // task `r` is the mappers' batches for `r` and the slot of its result.
+    let tasks = Mutex::new(flushed.chunks(m_count).zip(&mut reducer_results));
+    let reduce = || loop {
+        let Some((mine, result)) = tasks.lock().expect(POISON).next() else {
+            break;
+        };
+        let mut batches = Vec::new();
+        for slot in mine {
+            batches.append(&mut slot.lock().expect(POISON));
+        }
+        *result = run_reducer(batches, reducer, config.key_space);
+    };
     let lender = Lender::new(m_count);
     mgpu_gpu::exec::scope(|scope| {
-        let run = |m: usize, senders| {
-            run_mapper(
-                m as u32,
-                chunks,
-                mapper,
-                partitioner,
-                combiner,
-                config,
-                senders,
-            )
+        let reduce = &reduce;
+        let map = |m: usize| {
+            let (record, batches) =
+                run_mapper(m as u32, chunks, mapper, partitioner, combiner, config);
+            for (r, batches) in batches.into_iter().enumerate() {
+                *flushed[r * m_count + m].lock().expect(POISON) = batches;
+            }
+            record
+        };
+        // Run by the mapper role that returns last, after the map phase: it
+        // reduces on its own thread, already on a core, beside R − 1 helpers.
+        // A helper that wakes after every task is claimed returns at once.
+        let last = move || {
+            for _ in 1..r_count {
+                scope.spawn(reduce);
+            }
+            reduce();
         };
         let (own, others) = mapper_records
             .split_first_mut()
             .expect("validated: gpus >= 1");
-        // Mappers are woken first: the slowest of them ends the map phase,
-        // and a parked thread is tens of microseconds from running. Reducers
-        // next, so they are draining before the first batch is flushed.
         for (m, record) in others.iter_mut().enumerate() {
-            let senders = senders.clone();
-            scope.spawn_mapper(&lender, move || *record = run(m + 1, senders));
+            scope.spawn_mapper(&lender, move || *record = map(m + 1), last);
         }
-        for (rx, result) in receivers.into_iter().zip(&mut reducer_results) {
-            scope.spawn(move || *result = run_reducer(rx, reducer, config.key_space));
-        }
-        // The caller is mapper 0 and sends on the original senders, so every
-        // channel closes when the last mapper is done with it — also when
-        // one of them unwinds.
-        *own = lender.run_mapper(|| run(0, senders));
+        *own = lender.run_mapper(|| map(0), last);
     });
     map_idle().add(lender.idle_ns());
 
@@ -289,8 +296,7 @@ fn run_mapper<C, M, P>(
     partitioner: &P,
     combiner: Option<&dyn Combiner<M::Value>>,
     config: &JobConfig,
-    senders: Vec<SyncSender<Batch<M::Value>>>,
-) -> MapperRecord
+) -> (MapperRecord, Vec<Vec<Batch<M::Value>>>)
 where
     C: Chunk,
     M: GpuMapper<C>,
@@ -304,15 +310,15 @@ where
         ..Default::default()
     };
 
-    // Per-reducer SoA buffers: parallel key and value columns.
-    let mut buffers: Vec<(Vec<Key>, Vec<M::Value>)> =
-        vec![(Vec::new(), Vec::new()); reducers as usize];
+    // Per-reducer SoA buffers, and the batches flushed from each.
+    let mut buffers: Vec<Batch<M::Value>> = vec![(Vec::new(), Vec::new()); reducers as usize];
+    let mut flushed: Vec<Vec<Batch<M::Value>>> = Vec::new();
+    flushed.resize_with(reducers as usize, Vec::new);
     let mut counts = vec![0usize; reducers as usize];
-    let mut flush_seq = 0u32;
 
     let mut flush = |r: usize,
                      after_chunk: usize,
-                     buffers: &mut Vec<(Vec<Key>, Vec<M::Value>)>,
+                     buffers: &mut Vec<Batch<M::Value>>,
                      rec: &mut MapperRecord| {
         if buffers[r].0.is_empty() {
             return;
@@ -328,15 +334,7 @@ where
             bytes: items * wire as u64,
             after_chunk,
         });
-        senders[r]
-            .send(Batch {
-                mapper: m,
-                seq: flush_seq,
-                keys,
-                values,
-            })
-            .expect("reducer hung up early");
-        flush_seq += 1;
+        flushed[r].push((keys, values));
     };
 
     let mine = config
@@ -386,7 +384,7 @@ where
     for r in 0..reducers as usize {
         flush(r, last, &mut buffers, &mut rec);
     }
-    rec
+    (rec, flushed)
 }
 
 fn apply_combiner<V: WireValue>(
@@ -410,28 +408,24 @@ fn apply_combiner<V: WireValue>(
     }
 }
 
+/// Reduce task `r`: `batches` are every mapper's batches for `r`, mapper 0's
+/// first, each mapper's in flush order — the order the values reach
+/// [`Reducer::reduce`] in.
 fn run_reducer<R: Reducer>(
-    rx: Receiver<Batch<R::Value>>,
+    batches: Vec<Batch<R::Value>>,
     reducer: &R,
     key_space: u32,
 ) -> ReducerResult<R::Out> {
-    let mut batches: Vec<Batch<R::Value>> = rx.iter().collect();
-    // Deterministic order regardless of arrival interleaving.
-    batches.sort_by_key(|b| (b.mapper, b.seq));
-
     let wire = pair_wire_bytes::<R::Value>() as u64;
     // The first batch's columns become the sort input; the rest append.
     let mut batches = batches.into_iter();
-    let (mut keys, mut values) = batches
-        .next()
-        .map(|b| (b.keys, b.values))
-        .unwrap_or_default();
-    let rest: usize = batches.as_slice().iter().map(|b| b.keys.len()).sum();
+    let (mut keys, mut values) = batches.next().unwrap_or_default();
+    let rest: usize = batches.as_slice().iter().map(|b| b.0.len()).sum();
     keys.reserve(rest);
     values.reserve(rest);
-    for b in batches {
-        keys.extend_from_slice(&b.keys);
-        values.extend_from_slice(&b.values);
+    for (more_keys, more_values) in batches {
+        keys.extend_from_slice(&more_keys);
+        values.extend_from_slice(&more_values);
     }
     let items = keys.len() as u64;
 

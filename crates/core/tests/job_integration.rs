@@ -1,13 +1,16 @@
 //! End-to-end tests of the MapReduce runtime on a synthetic, non-rendering
 //! job: a histogram over noisy measurements. Exercises paths the renderer
 //! does not: combiners that actually combine, single-item chunks, more GPUs
-//! than chunks, zero-emission chunks.
+//! than chunks, zero-emission chunks — and pins the order values reach a
+//! reducer in.
+
+use std::collections::BTreeMap;
 
 use mgpu_cluster::{ClusterSpec, GpuId};
 use mgpu_gpu::LaunchStats;
 use mgpu_mapreduce::{
-    build_trace, run_job, Chunk, CostBook, FnCombiner, GpuMapper, JobConfig, MapOutput, Reducer,
-    RoundRobin, TraceOptions, SENTINEL_KEY,
+    build_trace, run_job, Assignment, Chunk, CostBook, FnCombiner, GpuMapper, JobConfig, MapOutput,
+    Reducer, RoundRobin, TraceOptions, SENTINEL_KEY,
 };
 use mgpu_sim::{account, simulate};
 
@@ -254,6 +257,89 @@ fn trace_replay_is_consistent_with_record() {
         })
         .sum();
     assert_eq!(intra + inter, recorded);
+}
+
+/// Emits one pair per measurement, keyed by the measurement, whose value
+/// names the chunk and the emission; every fourth slot is a sentinel.
+struct TagMapper;
+
+impl GpuMapper<Samples> for TagMapper {
+    type Value = u32;
+
+    fn map_chunk(&self, _gpu: GpuId, chunk: &Samples) -> MapOutput<u32> {
+        let pairs = chunk
+            .values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if i % 4 == 3 {
+                    (SENTINEL_KEY, 0)
+                } else {
+                    (v as u32, (chunk.id << 16 | i) as u32)
+                }
+            })
+            .collect();
+        MapOutput::from_pairs(pairs, LaunchStats::default())
+    }
+}
+
+/// Outputs exactly the values it received, in the order received.
+struct Received;
+
+impl Reducer for Received {
+    type Value = u32;
+    type Out = Vec<u32>;
+    fn reduce(&self, _key: u32, values: &mut Vec<u32>) -> Vec<u32> {
+        values.clone()
+    }
+}
+
+/// What each key's reducer must receive, built serially: mappers 0..M, each
+/// mapper's chunks in assignment order, each chunk's pairs in emission
+/// order, sentinels dropped.
+fn serial_order(chunks: &[Samples], gpus: u32, assignment: Assignment) -> BTreeMap<u32, Vec<u32>> {
+    let mut order: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for m in 0..gpus {
+        for i in assignment.chunks_for(m, chunks.len(), gpus) {
+            let out = TagMapper.map_chunk(GpuId(m), &chunks[i]);
+            for (key, &value) in out.iter().filter(|&(k, _)| k != SENTINEL_KEY) {
+                order.entry(key).or_default().push(value);
+            }
+        }
+    }
+    order
+}
+
+#[test]
+fn reducers_receive_values_in_mapper_then_flush_order() {
+    let chunks = make_chunks(11, 300);
+    for gpus in [1u32, 2, 3, 5] {
+        for batch_bytes in [8, JobConfig::new(gpus, 64).batch_bytes] {
+            for assignment in [Assignment::RoundRobin, Assignment::Blocked] {
+                let mut config = JobConfig::new(gpus, 64);
+                config.batch_bytes = batch_bytes;
+                config.assignment = assignment;
+                let out = run_job(
+                    &chunks,
+                    &TagMapper,
+                    &Received,
+                    &RoundRobin,
+                    None,
+                    &ClusterSpec::accelerator_cluster(gpus),
+                    &config,
+                );
+                let want = serial_order(&chunks, gpus, assignment);
+                let case = format!("{gpus} GPUs, batch_bytes {batch_bytes}, {assignment:?}");
+                assert_eq!(out.keys, want.keys().copied().collect::<Vec<_>>(), "{case}");
+                for (key, got) in out.iter() {
+                    assert_eq!(got, &want[&key], "key {key}: {case}");
+                }
+                if batch_bytes == 8 {
+                    assert!(out.stats.batches >= chunks.len() as u64, "{case}");
+                }
+            }
+        }
+    }
 }
 
 /// `run_job` must reject a malformed config up front with a descriptive

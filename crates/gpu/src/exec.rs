@@ -2,9 +2,10 @@
 //! [`std::thread::scope`]-shaped API, and the [`Lender`] through which a
 //! job's finished mappers lend their cores to its slower launches.
 //!
-//! A frame is a handful of sub-millisecond roles (mappers, reducers, block
-//! workers); creating and joining an OS thread for each costs more than the
-//! roles do. [`scope`] runs them on threads that outlive the frame instead:
+//! A frame is a handful of sub-millisecond roles (mappers, reduce helpers,
+//! block workers); creating and joining an OS thread for each costs more
+//! than the roles do. [`scope`] runs them on threads that outlive the frame
+//! instead:
 //!
 //! * **Same contract as `thread::scope`.** Spawned closures may borrow from
 //!   the caller; `scope` returns only after every one of them has finished,
@@ -21,7 +22,9 @@
 //!
 //! **Lent cores.** A job runs its mapper roles under one [`Lender`]
 //! ([`Lender::run_mapper`] on the calling thread, [`Scope::spawn_mapper`]
-//! on a cached one). A mapper that has mapped its last chunk lends its core
+//! on a cached one). The role that returns last ends the map phase and runs
+//! the job's `last` step (`run_job`'s reduce) on its own thread, outside the
+//! phase. Any other mapper that has mapped its last chunk lends its core
 //! to the job until the map phase ends, and a block launch on one of the
 //! job's other mappers borrows it between blocks for a helper that claims
 //! blocks from the same launch ([`crate::kernel::launch_blocks`]). The lender
@@ -153,16 +156,22 @@ impl<'scope> Scope<'scope, '_> {
         }));
     }
 
-    /// Run `role`, one of `lender`'s mapper roles, on a cached thread, as
-    /// [`Lender::run_mapper`] runs one on the caller — except that the core
-    /// is lent only once the thread is parked again.
-    pub fn spawn_mapper<F>(&'scope self, lender: &Arc<Lender>, role: F)
+    /// Run `role`, one of `lender`'s mapper roles, and then `last` if it
+    /// was the job's last, on a cached thread, as [`Lender::run_mapper`]
+    /// runs them on the caller — except that the core is lent only once the
+    /// thread is parked again.
+    pub fn spawn_mapper<F, L>(&'scope self, lender: &Arc<Lender>, role: F, last: L)
     where
         F: FnOnce() + Send + 'scope,
+        L: FnOnce() + Send + 'scope,
     {
         let lender = Arc::clone(lender);
         self.submit(Box::new(move || {
-            lender.role(role);
+            let ((), ended) = lender.role(role);
+            if ended {
+                last();
+                return None;
+            }
             Some(lender)
         }));
     }
@@ -249,10 +258,16 @@ impl Lender {
 
     /// Run `role`, one of the job's mapper roles, on the calling thread:
     /// block launches inside it may borrow the cores the job's finished
-    /// mappers lend, and once it returns this thread's core is lent in turn.
-    pub fn run_mapper<T>(self: &Arc<Self>, role: impl FnOnce() -> T) -> T {
-        let out = self.role(role);
-        self.lend();
+    /// mappers lend. Once it returns, this thread's core is lent in turn —
+    /// or, if it was the job's last mapper role, `last` runs here instead,
+    /// after the map phase has ended and outside it.
+    pub fn run_mapper<T>(self: &Arc<Self>, role: impl FnOnce() -> T, last: impl FnOnce()) -> T {
+        let (out, ended) = self.role(role);
+        if ended {
+            last();
+        } else {
+            self.lend();
+        }
         out
     }
 
@@ -262,8 +277,9 @@ impl Lender {
         self.state.lock().expect(POISON).idle.as_nanos() as u64
     }
 
-    /// Run `role` with this lender installed for the launches inside it.
-    fn role<T>(self: &Arc<Self>, role: impl FnOnce() -> T) -> T {
+    /// Run `role` with this lender installed for the launches inside it;
+    /// also whether it was the last mapper role to return.
+    fn role<T>(self: &Arc<Self>, role: impl FnOnce() -> T) -> (T, bool) {
         struct Restore(Option<Arc<Lender>>);
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -272,21 +288,23 @@ impl Lender {
         }
         let _restore = Restore(LENDER.replace(Some(Arc::clone(self))));
         let out = role();
-        self.returned();
-        out
+        (out, self.returned())
     }
 
-    /// A mapper role returned. After the last, lends still sitting count as
-    /// idle up to now and none is lent or borrowed any more.
-    fn returned(&self) {
+    /// A mapper role returned; whether it was the last. After the last,
+    /// lends still sitting count as idle up to now and none is lent or
+    /// borrowed any more.
+    fn returned(&self) -> bool {
         let mut lends = self.state.lock().expect(POISON);
         lends.mapping -= 1;
-        if lends.mapping == 0 {
-            let now = Instant::now();
-            let sat: Duration = lends.since.drain(..).map(|since| now - since).sum();
-            lends.idle += sat;
-            self.sitting.store(0, Relaxed);
+        if lends.mapping > 0 {
+            return false;
         }
+        let now = Instant::now();
+        let sat: Duration = lends.since.drain(..).map(|since| now - since).sum();
+        lends.idle += sat;
+        self.sitting.store(0, Relaxed);
+        true
     }
 
     /// Offer one core to the job's launches while its map phase lasts.

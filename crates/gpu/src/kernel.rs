@@ -624,8 +624,10 @@ mod tests {
         // Borrowed cores change which thread runs a block, nothing else.
         for parallelism in [1, 3] {
             for lends in [0, 1, 2] {
-                let got = crate::exec::lent(lends)
-                    .run_mapper(|| launch_blocks(&BlockProbe(&prepared), c, parallelism));
+                let got = crate::exec::lent(lends).run_mapper(
+                    || launch_blocks(&BlockProbe(&prepared), c, parallelism),
+                    || (),
+                );
                 assert_eq!(got.keys, a.keys, "parallelism {parallelism}, {lends} lends");
                 assert_eq!(got.values, a.values);
                 assert_eq!(got.samples, a.samples);
@@ -705,7 +707,8 @@ mod tests {
     fn a_lent_core_runs_blocks_beside_the_caller() {
         // Block 0 cannot finish until a helper has run a block.
         let spread = Spread::new(true, false);
-        let got = crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        let got =
+            crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1), || ());
         assert_eq!(spread.threads().len(), 2);
         let serial = serial_spread();
         assert_eq!(
@@ -718,7 +721,7 @@ mod tests {
     fn without_a_lend_every_block_runs_on_the_caller() {
         let caller = HashSet::from([thread::current().id()]);
         let spread = Spread::new(false, false);
-        crate::exec::lent(0).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        crate::exec::lent(0).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1), || ());
         assert_eq!(spread.threads(), caller, "no lend");
         // Lends sitting with a lender no mapper role installed: outside a job.
         let _lender = crate::exec::lent(2);
@@ -731,7 +734,7 @@ mod tests {
     fn a_block_panicking_on_a_helper_fails_its_launch_only() {
         let spread = Spread::new(true, true);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1))
+            crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1), || ())
         }));
         let panic = caught.expect_err("the helper's block panicked");
         assert_eq!(
@@ -739,7 +742,8 @@ mod tests {
             Some(&"block 1 blew up on a helper")
         );
         let spread = Spread::new(true, false);
-        let got = crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1));
+        let got =
+            crate::exec::lent(1).run_mapper(|| launch_blocks(&spread, EIGHT_BLOCKS, 1), || ());
         let serial = serial_spread();
         assert_eq!(
             (got.keys, got.values, got.samples),
