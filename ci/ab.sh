@@ -12,7 +12,9 @@
 # printed at the end. For each workload it prints one Markdown table: per
 # end-to-end metric, median [q1–q3] on both sides, the median paired ratio
 # (HEAD / base), HEAD's wins of N pairs (ties count as neither) and the
-# two-sided sign-test p over the untied pairs. Progress goes to stderr.
+# two-sided sign-test p over the untied pairs — and the same for `minflt`,
+# the minor page faults of each run (the `mgpu-perf` process, read from its
+# parent subshell's `cminflt` in /proc). Progress goes to stderr.
 #
 # Defaults: every workload, 10 pairs, BENCHMARK.json's `run_seconds`.
 # A/A check: `ci/ab.sh HEAD --workloads pool_preview --pairs 5`.
@@ -50,6 +52,7 @@ metrics=$(awk '
     on && /"per_layer"/ { exit }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
     on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' "$bench")
+metrics+=$'\n'"minflt lower"
 if [ -z "$workloads" ]; then
     workloads=$(awk '
         /"workloads"/ { on = 1 }
@@ -72,14 +75,21 @@ for side in base head; do
         cargo build --release --offline --quiet --manifest-path "$work/$side/perf/Cargo.toml" >&2
 done
 
-# One run: the pipeline's form, in the side's own copy; keeps the JSON.
+# One run: the pipeline's form, in the side's own copy; keeps the JSON, and
+# the run's minor faults beside it: this subshell's `cminflt` (field 11 of
+# /proc/PID/stat, the faults of its waited-for children) once mgpu-perf,
+# its one child, has exited.
 run() {
     local side=$1 workload=$2 seed=$3 out="$work/results/$2/$1-$3.json"
     echo "ab: $workload pair $seed $side" >&2
-    (cd "$work/$side" &&
+    (
+        cd "$work/$side"
         "$work/$side-target/release/mgpu-perf" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 0 2>>"$work/results/$workload/$side-$seed.log") |
-        grep '^{' >"$out" || true
+            --seconds "$seconds" --trace 0 2>>"$work/results/$workload/$side-$seed.log"
+        read -r stat </proc/$BASHPID/stat
+        read -r -a fields <<<"${stat##*) }"
+        echo "${fields[8]}" >"${out%.json}.minflt"
+    ) | grep '^{' >"$out" || true
 }
 
 IFS=, read -r -a names <<<"$workloads"
@@ -93,9 +103,14 @@ for workload in "${names[@]}"; do
     done
 done
 
-# `value` of metric $2 in result file $1 (empty if the run printed none).
+# `value` of metric $2 in result file $1 (empty if the run printed none);
+# `minflt` is kept beside the JSON.
 value() {
-    sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" "$1"
+    if [ "$2" = minflt ]; then
+        cat "${1%.json}.minflt" 2>/dev/null || true
+    else
+        sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" "$1"
+    fi
 }
 
 # Median and quartiles (linear interpolation) of the numbers on stdin.

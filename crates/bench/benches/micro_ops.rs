@@ -22,7 +22,7 @@ use mgpu_mapreduce::{
     counting_sort_groups, run_job, Chunk, GpuMapper, JobConfig, MapOutput, Partitioner, Reducer,
     RoundRobin, Striped, Tiled, SENTINEL_KEY,
 };
-use mgpu_net::wire::{decode_frame, encode_frame, opcode, write_frame_view};
+use mgpu_net::wire::{decode_frame, encode_frame, write_frame_view};
 use mgpu_sim::{simulate, Activity, SimDuration, Trace};
 use mgpu_voldata::noise::{fbm, value_noise};
 use mgpu_voldata::{
@@ -323,7 +323,7 @@ fn bench_frame(c: &mut Criterion) {
     g.bench_function("reply_view_256", |b| {
         b.iter(|| {
             sink.clear();
-            write_frame_view(&mut sink, opcode::FRAME, 7, black_box(&image), true, 0)
+            write_frame_view(&mut sink, 7, black_box(&image), true, 0)
                 .expect("a Vec takes every byte");
             sink.len()
         })

@@ -2,8 +2,8 @@
 //!
 //! Clippy checks Rust; this crate checks **gpumr**. The workspace
 //! encodes cross-file invariants no general-purpose linter can know:
-//! the wire protocol's opcode discipline spans `wire.rs`, the server
-//! dispatch loop, the client and the README table; the metric namespace
+//! the wire protocol's messages are documented in the README table (the
+//! compiler checks the code that handles them); the metric namespace
 //! is shared between the serving crates and the `obs_top` dashboard;
 //! the decode path carries a panic-free guarantee; 64 lock sites share
 //! an acquisition order; atomics and `unsafe` carry justification

@@ -5,7 +5,7 @@
 //!
 //! | lint name | invariant |
 //! |---|---|
-//! | `wire-conformance` | opcode discipline across wire.rs / server / client / README |
+//! | `wire-conformance` | every `Request`/`Reply` variant and its tag appear on one line of the README |
 //! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
 //! | `panic-free-decode` | no panics or direct indexing in any `Wire::get`, `Reader`/`FrameReader` method or frame parser |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |

@@ -25,9 +25,8 @@ pub struct SourceFile {
     /// `src/` is `gpumr`).
     pub krate: String,
     pub(crate) tokens: Vec<Token>,
-    pub(crate) comments: Vec<Comment>,
-    /// `comments` with runs of consecutive line comments merged into one
-    /// block, so a `// SAFETY: …` note that wraps onto a second line
+    /// The file's comments, with runs of consecutive line comments merged
+    /// into one block, so a `// SAFETY: …` note that wraps onto a second line
     /// still counts as one comment adjacent to the line below it.
     blocks: Vec<Comment>,
     /// `lint-name → lines` where a `// lint: allow(name)` comment
@@ -47,7 +46,6 @@ impl SourceFile {
             rel,
             krate,
             tokens,
-            comments,
             blocks,
             allows,
             test_regions,

@@ -33,30 +33,39 @@ fn assert_quiet(findings: &[Finding]) {
 
 // --- wire-conformance ---------------------------------------------------
 
+/// Both message enums as `wire.rs` declares them, one tag through a
+/// constant.
 const WIRE_OK: &str = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x81;
+messages! {
+    /// Requests.
+    #[derive(Debug)]
+    pub enum Request<'a> {
+        /// A probe.
+        Ping(token: u64) = 0x01,
+        Render(request: Cow<'a, NetSceneRequest>) = 0x02,
+        Stats = 0x05,
+    }
 }
-"#;
 
-const SERVER_OK: &str = r#"
-fn dispatch(op: u8, conn: &mut Conn) {
-    match op {
-        opcode::PING => conn.send(frame_bytes(opcode::PONG, &[])),
-        _ => {}
+const FRAME_TAG: u8 = 0x82;
+
+messages! {
+    pub enum Reply {
+        Pong(pong: Pong) = 0x81,
+        Frame(frame: NetFrame) = FRAME_TAG,
+        BadRequest(message: String) = 0xFF,
     }
 }
 "#;
 
-const CLIENT_OK: &str = r#"
-fn roundtrip() {
-    send(opcode::PING);
-    // lint: wire-ignore(PONG) replies are matched by request id, not opcode
-}
-"#;
-
-const README_OK: &str = "wire table: `PING` (0x01) is answered by `PONG` (0x81).";
+const README_OK: &str = "\
+| request | tag | reply | tag |
+|---|---|---|---|
+| `Ping` | `0x01` | `Pong` | `0x81` |
+| `Render` | `0x02` | `Frame` | `0x82` |
+| `Stats` | `0x05` | — | — |
+| — | — | `BadRequest` | `0xFF` |
+";
 
 #[test]
 fn wire_green_conforming_protocol_is_quiet() {
@@ -64,8 +73,6 @@ fn wire_green_conforming_protocol_is_quiet() {
         wire::check,
         vec![
             ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
             ("README.md", README_OK),
         ],
     );
@@ -73,76 +80,19 @@ fn wire_green_conforming_protocol_is_quiet() {
 }
 
 #[test]
-fn wire_red_duplicate_value_fires() {
-    let wire_dup = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x01;
-}
-"#;
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", wire_dup),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            ("README.md", README_OK),
-        ],
-    );
-    assert_fires(&findings, wire::NAME, "reuses value");
-}
-
-#[test]
-fn wire_red_request_valued_reply_fires() {
-    // The server *sends* REPLY, but its value sits in request space.
-    let wire_bad = r#"
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x02;
-}
-"#;
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", wire_bad),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            ("README.md", README_OK),
-        ],
-    );
-    assert_fires(&findings, wire::NAME, "request value");
-}
-
-#[test]
 fn wire_red_undocumented_opcode_fires() {
+    // `Stats` is missing, and `Frame` (tagged through its constant) is
+    // documented under the wrong tag.
+    let readme = README_OK
+        .replace("| `Stats` | `0x05` | — | — |\n", "")
+        .replace("`Frame` | `0x82`", "`Frame` | `0x83`");
     let findings = run(
         wire::check,
-        vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", CLIENT_OK),
-            (
-                "README.md",
-                "wire table: only `PING` (0x01) is described here.",
-            ),
-        ],
+        vec![("crates/net/src/wire.rs", WIRE_OK), ("README.md", &readme)],
     );
-    assert_fires(&findings, wire::NAME, "not documented in the README");
-}
-
-#[test]
-fn wire_red_unhandled_in_client_fires() {
-    let client_partial = "fn roundtrip() { send(opcode::PING); }\n";
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("crates/net/src/server.rs", SERVER_OK),
-            ("crates/net/src/client.rs", client_partial),
-            ("README.md", README_OK),
-        ],
-    );
-    assert_fires(&findings, wire::NAME, "never handled in client.rs");
+    assert_fires(&findings, wire::NAME, "Stats (0x05) is not documented");
+    assert_fires(&findings, wire::NAME, "Frame (0x82) is not documented");
+    assert_eq!(findings.len(), 2, "{findings:#?}");
 }
 
 // --- metric-registry ----------------------------------------------------

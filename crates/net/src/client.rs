@@ -16,7 +16,9 @@
 //!
 //! Every in-process error type still crosses the socket intact: admission
 //! shedding comes back as the same [`AdmissionError`], a caught render
-//! panic as the same [`FrameError`] message.
+//! panic as the same [`FrameError`] message. Each [`Reply`] becomes a
+//! result in one exhaustive `match` (`answer`), so a reply this client does
+//! not handle fails to compile here.
 //!
 //! Internally the client is a mailbox: all methods take `&self` and are
 //! safe to call from many threads. Writers serialize whole frames through
@@ -27,7 +29,9 @@
 //! every later call) fails with the same typed error, because a
 //! desynchronized byte stream cannot be trusted again.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -38,15 +42,15 @@ use mgpu_serve::{AdmissionError, FrameError};
 
 use crate::heat::NetStats;
 use crate::wire::{
-    decode, encode, opcode, write_frame, Body, DrainState, FrameReader, NetFrame, NetSceneRequest,
-    Pong, Prewarmed, TicketsFull, UnsupportedVersion, Wire, WireError, Writer, DEFAULT_MAX_PAYLOAD,
+    DrainState, FrameReader, NetFrame, NetSceneRequest, Prewarmed, Reply, Request, TicketsFull,
+    UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Why a client call failed, with the server-side error types restored.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientError {
-    /// Transport or framing problem (includes the server's `BAD_REQUEST`
-    /// echo of a [`WireError`] we caused).
+    /// Transport or framing problem, or a reply whose payload did not
+    /// decode.
     Wire(WireError),
     /// The server's admission control shed this submission (fire-and-forget
     /// path only; blocking renders wait instead).
@@ -67,7 +71,13 @@ pub enum ClientError {
     /// The node finished draining and said `GOODBYE` — every outstanding
     /// request was answered and the connection is done for good.
     Goodbye,
-    /// The server answered something this client cannot interpret.
+    /// The server refused this request as malformed: its echo of the
+    /// [`WireError`] the request caused (a payload that did not decode, a
+    /// door check, a duplicate or unknown id). Only this request failed;
+    /// the connection carries on.
+    BadRequest(String),
+    /// The server answered something this client cannot interpret, or
+    /// refused the connection itself.
     Protocol(String),
 }
 
@@ -98,6 +108,7 @@ impl std::fmt::Display for ClientError {
                 )
             }
             ClientError::Goodbye => write!(f, "node drained and said goodbye"),
+            ClientError::BadRequest(echo) => write!(f, "server rejected request: {echo}"),
             ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
     }
@@ -184,8 +195,9 @@ impl Default for ClientConfig {
 
 /// Replies filed by `request_id`, plus the shared connection state.
 struct Mailbox {
-    /// A `FRAME` is filed already decoded; everything else as its bytes.
-    inbox: HashMap<u64, (u8, Body)>,
+    /// Each reply decoded (a `FRAME` in place as it arrived), or why its
+    /// payload did not decode.
+    inbox: HashMap<u64, Result<Reply, WireError>>,
     /// Someone currently holds the read half pulling the next frame.
     reading: bool,
     /// A transport-level failure poisons the whole connection: everyone
@@ -274,7 +286,9 @@ impl RenderClient {
     /// Round-trip a `PING`; returns the server's shard count.
     pub fn ping(&self) -> Result<u32, ClientError> {
         let token: u64 = 0x6D67_7075; // arbitrary echo payload
-        let pong: Pong = self.call(opcode::PING, &encode(&token), opcode::PONG)?;
+        let Reply::Pong(pong) = self.call(&Request::Ping(token))? else {
+            return Err(unexpected());
+        };
         if pong.token != token {
             return Err(ClientError::Protocol(format!(
                 "pong echoed {:#x}, expected {token:#x}",
@@ -300,7 +314,7 @@ impl RenderClient {
     /// then collect them in any order with [`RenderClient::finish_render`].
     pub fn begin_render(&self, request: &NetSceneRequest) -> Result<PendingRender, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::RENDER, id, &encode(request))?;
+        self.send(id, &Request::Render(Cow::Borrowed(request)))?;
         Ok(PendingRender { id })
     }
 
@@ -308,8 +322,7 @@ impl RenderClient {
     /// regardless of how many other requests are in flight or in what
     /// order the server finishes them.
     pub fn finish_render(&self, pending: PendingRender) -> Result<NetFrame, ClientError> {
-        let (op, body) = self.await_reply(pending.id)?;
-        frame_response(op, body)
+        self.frame(pending.id)
     }
 
     /// Fire-and-forget submit — the wire analogue of `try_submit`: waits
@@ -319,29 +332,36 @@ impl RenderClient {
     /// with [`RenderClient::redeem`], or drop the ticket (the frame still
     /// lands in the server's cache).
     pub fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
-        let id = self.call(opcode::SUBMIT, &encode(request), opcode::SUBMITTED)?;
+        let Reply::Submitted(id) = self.call(&Request::Submit(Cow::Borrowed(request)))? else {
+            return Err(unexpected());
+        };
         Ok(NetTicket { id })
     }
 
     /// Block until a submitted frame is ready. A ticket redeems once.
     pub fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
-        self.send(opcode::REDEEM, id, &encode(&ticket.id))?;
-        let (op, body) = self.await_reply(id)?;
-        frame_response(op, body)
+        self.send(id, &Request::Redeem(ticket.id))?;
+        self.frame(id)
     }
 
     /// Fetch the server's per-shard and node snapshots ([`NetStats`] derives
     /// the merged service report and per-shard heat from them).
     pub fn stats(&self) -> Result<NetStats, ClientError> {
-        self.call(opcode::STATS, &[], opcode::STATS_REPORT)
+        let Reply::StatsReport(stats) = self.call(&Request::Stats)? else {
+            return Err(unexpected());
+        };
+        Ok(stats)
     }
 
     /// Fetch the server's most recently completed request traces, newest
     /// first, at most `max`. Trace ids are the `request_id`s the requests
     /// were submitted under, so a client can find its own.
     pub fn traces(&self, max: u32) -> Result<Vec<CompletedTrace>, ClientError> {
-        self.call(opcode::TRACES, &encode(&max), opcode::TRACES_REPLY)
+        let Reply::TracesReply(traces) = self.call(&Request::Traces(max))? else {
+            return Err(unexpected());
+        };
+        Ok(traces)
     }
 
     /// Ask the node to drain (wire v4): stop accepting new RENDER/SUBMIT/PREWARM,
@@ -351,13 +371,20 @@ impl RenderClient {
     /// an already-draining node is idempotent. Returns the node's drain
     /// state (including how much work is still outstanding).
     pub fn drain(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.call(opcode::DRAIN, &encode(&epoch), opcode::DRAIN_STATE)
+        self.drain_state(Request::Drain(epoch))
     }
 
     /// Undo a drain: the node accepts new work again. Resuming a node that
     /// is not draining is idempotent.
     pub fn resume(&self, epoch: u64) -> Result<DrainState, ClientError> {
-        self.call(opcode::RESUME, &encode(&epoch), opcode::DRAIN_STATE)
+        self.drain_state(Request::Resume(epoch))
+    }
+
+    fn drain_state(&self, request: Request) -> Result<DrainState, ClientError> {
+        let Reply::DrainState(state) = self.call(&request)? else {
+            return Err(unexpected());
+        };
+        Ok(state)
     }
 
     /// Hint the node to populate its plan cache for `request`'s plan key
@@ -371,26 +398,28 @@ impl RenderClient {
         epoch: u64,
         request: &NetSceneRequest,
     ) -> Result<(u32, bool), ClientError> {
-        // The bytes of `(u64, NetSceneRequest)`, written without cloning
-        // the request into a tuple.
-        let mut w = Writer::new();
-        epoch.put(&mut w);
-        request.put(&mut w);
-        let Prewarmed { shard, built } =
-            self.call(opcode::PREWARM, &w.into_bytes(), opcode::PREWARMED)?;
+        let request = Request::Prewarm(epoch, Cow::Borrowed(request));
+        let Reply::Prewarmed(Prewarmed { shard, built }) = self.call(&request)? else {
+            return Err(unexpected());
+        };
         Ok((shard, built))
     }
 
-    /// One request/reply exchange: send `payload` under `op`, wait for the
-    /// reply tagged with the same id, and decode it as `R` if it carries
-    /// the `want`ed opcode — anything else is a [`refusal`].
-    fn call<R: Wire>(&self, op: u8, payload: &[u8], want: u8) -> Result<R, ClientError> {
+    /// One request/reply exchange: send `request` under a fresh id and
+    /// wait for the success reply tagged with the same id (a refusal is
+    /// its [`ClientError`]).
+    fn call(&self, request: &Request) -> Result<Reply, ClientError> {
         let id = self.fresh_id();
-        self.send(op, id, payload)?;
-        match self.await_reply(id)? {
-            (got, Body::Bytes(reply)) if got == want => Ok(decode(&reply)?),
-            (got, body) => Err(refusal(got, &body)),
-        }
+        self.send(id, request)?;
+        self.await_reply(id)
+    }
+
+    /// The frame a `Render` or `Redeem` sent under `id` is answered with.
+    fn frame(&self, id: u64) -> Result<NetFrame, ClientError> {
+        let Reply::Frame(frame) = self.await_reply(id)? else {
+            return Err(unexpected());
+        };
+        Ok(frame)
     }
 
     /// Request ids only need to be unique among a connection's
@@ -402,25 +431,27 @@ impl RenderClient {
 
     /// Write one whole request frame (serialized so concurrent requests
     /// never interleave bytes). Fails fast if the connection is poisoned.
-    fn send(&self, op: u8, request_id: u64, payload: &[u8]) -> Result<(), ClientError> {
+    fn send(&self, request_id: u64, request: &Request) -> Result<(), ClientError> {
         if let Some(dead) = &self.mail.lock().expect("client mailbox poisoned").dead {
             return Err(dead.clone());
         }
+        let frame = request.framed(request_id);
         let mut stream = self.write.lock().expect("client write half poisoned");
-        write_frame(&mut *stream, op, request_id, payload)?;
+        stream.write_all(&frame).map_err(WireError::from)?;
+        stream.flush().map_err(WireError::from)?;
         Ok(())
     }
 
-    /// Block until the reply for `id` is in the inbox. Leader/follower:
-    /// whoever arrives while nobody is reading takes the read half and
-    /// pulls exactly one frame, files it, and wakes everyone; followers
-    /// wait on the condvar and re-check. Each frame is read by *somebody*,
+    /// Block until the reply for `id` is in the inbox, and [`answer`] it.
+    /// Leader/follower: whoever arrives while nobody is reading takes the
+    /// read half and pulls exactly one frame, files it, and wakes everyone;
+    /// followers wait on the condvar and re-check. Each frame is read by *somebody*,
     /// so no reply can starve even if its requester arrives late.
-    fn await_reply(&self, id: u64) -> Result<(u8, Body), ClientError> {
+    fn await_reply(&self, id: u64) -> Result<Reply, ClientError> {
         let mut mail = self.mail.lock().expect("client mailbox poisoned");
         loop {
             if let Some(reply) = mail.inbox.remove(&id) {
-                return Ok(reply);
+                return answer(id, reply?);
             }
             if let Some(dead) = &mail.dead {
                 return Err(dead.clone());
@@ -444,7 +475,7 @@ impl RenderClient {
             mail = self.mail.lock().expect("client mailbox poisoned");
             mail.reading = false;
             match result {
-                Ok((op, reply_id, body)) => self.file(&mut mail, op, reply_id, body),
+                Ok((reply_id, reply)) => file(&mut mail, reply_id, reply),
                 // The first verdict wins: a read error after a GOODBYE is
                 // just the drained node closing, not a new failure.
                 Err(err) => {
@@ -456,73 +487,61 @@ impl RenderClient {
             self.delivered.notify_all();
         }
     }
-
-    /// File one received frame. Unsolicited frames (`request_id` 0) are
-    /// connection verdicts, not replies: a version mismatch or an
-    /// unframable-input echo poisons the connection with a typed error for
-    /// every waiter.
-    fn file(&self, mail: &mut Mailbox, op: u8, reply_id: u64, body: Body) {
-        if reply_id != 0 {
-            mail.inbox.insert(reply_id, (op, body));
-            return;
-        }
-        if mail.dead.is_some() {
-            return; // the first verdict wins
-        }
-        mail.dead = Some(match op {
-            opcode::UNSUPPORTED_VERSION | opcode::BAD_REQUEST => refusal(op, &body),
-            // The drained node answered everything and is closing; every
-            // later call on this connection gets the typed goodbye rather
-            // than a confusing EOF.
-            opcode::GOODBYE => ClientError::Goodbye,
-            other => ClientError::Protocol(format!(
-                "unsolicited frame with opcode {other:#04x} and request id 0"
-            )),
-        });
-    }
 }
 
-fn frame_response(op: u8, body: Body) -> Result<NetFrame, ClientError> {
-    match (op, body) {
-        (opcode::FRAME, Body::Frame(frame)) => Ok(frame),
-        (other, refused) => Err(refusal(other, &refused)),
+/// File one received reply. Unsolicited frames (`request_id` 0) are
+/// connection verdicts, not replies: a version mismatch, an
+/// unframable-input echo or a `GOODBYE` (the drained node answered
+/// everything and is closing) poisons the connection with a typed error
+/// for every waiter, rather than a confusing EOF.
+fn file(mail: &mut Mailbox, reply_id: u64, reply: Result<Reply, WireError>) {
+    if reply_id != 0 {
+        mail.inbox.insert(reply_id, reply);
+        return;
     }
+    if mail.dead.is_some() {
+        return; // the first verdict wins
+    }
+    mail.dead = Some(match reply.map(|reply| answer(0, reply)) {
+        Err(err) => ClientError::Wire(err),
+        Ok(Err(verdict)) => verdict,
+        Ok(Ok(reply)) => ClientError::Protocol(format!("unsolicited {reply:?}")),
+    });
 }
 
-/// Interpret any reply other than the success the caller asked for — the
-/// one place a refusal opcode becomes a [`ClientError`]. The server's
-/// typed refusals carry their in-process error types; `BAD_REQUEST` echoes
-/// the [`WireError`] the server saw; anything else is a protocol violation.
-fn refusal(op: u8, body: &Body) -> ClientError {
-    let payload = match body {
-        Body::Bytes(payload) => payload.as_slice(),
-        Body::Frame(_) => &[],
-    };
-    let typed = match op {
-        opcode::FAILED => decode(payload).map(|m: String| ClientError::Render(FrameError::new(m))),
-        opcode::THROTTLED => {
-            decode(payload).map(|retry_after| ClientError::Throttled { retry_after })
+/// The one place a reply becomes a result: every refusal is its typed
+/// [`ClientError`], every success comes back for the call that asked for it
+/// to unpack. `id` is the request id the reply came under: a `BadRequest`
+/// under 0 is the server's verdict on the connection, under any other id
+/// its refusal of that one request.
+fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
+    match reply {
+        Reply::Pong(_)
+        | Reply::Frame(_)
+        | Reply::Submitted(_)
+        | Reply::StatsReport(_)
+        | Reply::TracesReply(_)
+        | Reply::DrainState(_)
+        | Reply::Prewarmed(_) => Ok(reply),
+        Reply::Rejected(err) => Err(ClientError::Admission(err)),
+        Reply::Throttled(retry_after) => Err(ClientError::Throttled { retry_after }),
+        Reply::Failed(message) => Err(ClientError::Render(FrameError::new(message))),
+        Reply::TicketsFull(TicketsFull { outstanding, limit }) => {
+            Err(ClientError::TicketsFull { outstanding, limit })
         }
-        opcode::REJECTED => decode(payload).map(ClientError::Admission),
-        opcode::TICKETS_FULL => {
-            decode(payload).map(
-                |TicketsFull { outstanding, limit }| ClientError::TicketsFull {
-                    outstanding,
-                    limit,
-                },
-            )
-        }
-        opcode::DRAINING => decode(payload).map(|epoch| ClientError::Draining { epoch }),
-        opcode::BAD_REQUEST => decode(payload)
-            .map(|echo: String| ClientError::Protocol(format!("server rejected request: {echo}"))),
-        opcode::UNSUPPORTED_VERSION => decode(payload).map(|UnsupportedVersion { got, want }| {
-            ClientError::Protocol(format!(
-                "server speaks wire protocol v{want}, this client sent v{got}"
-            ))
-        }),
-        other => Ok(ClientError::Protocol(format!(
-            "unexpected response opcode {other:#04x}"
+        Reply::UnsupportedVersion(UnsupportedVersion { got, want }) => Err(ClientError::Protocol(
+            format!("server speaks wire protocol v{want}, this client sent v{got}"),
+        )),
+        Reply::Goodbye => Err(ClientError::Goodbye),
+        Reply::Draining(epoch) => Err(ClientError::Draining { epoch }),
+        Reply::BadRequest(echo) if id == 0 => Err(ClientError::Protocol(format!(
+            "server rejected request: {echo}"
         ))),
-    };
-    typed.unwrap_or_else(ClientError::Wire)
+        Reply::BadRequest(echo) => Err(ClientError::BadRequest(echo)),
+    }
+}
+
+/// A success reply of another kind than the request asked for.
+fn unexpected() -> ClientError {
+    ClientError::Protocol("the server answered with a reply of another kind".into())
 }

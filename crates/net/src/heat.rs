@@ -13,7 +13,7 @@ use mgpu_serve::ServiceReport;
 use crate::wire::{wire_struct, Reader, Wire, WireError, Writer};
 
 wire_struct! {
-    /// What `STATS` returns (`STATS_REPORT`, STATS v3), in wire order.
+    /// What `Stats` returns (`Reply::StatsReport`, STATS v3), in wire order.
     /// Snapshots merge exactly ([`Snapshot::merge`]), so shard, node and
     /// pool totals are all the same fold.
     #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +162,7 @@ fn strictly_ascending<T>(section: &str, entries: &[(String, T)]) -> Result<(), W
 mod tests {
     use super::*;
     use crate::wire::tests::{pin, wire_contract};
-    use crate::wire::{decode, frame_bytes, opcode, read_frame, DEFAULT_MAX_PAYLOAD, VERSION};
+    use crate::wire::{decode, read_frame, Request, DEFAULT_MAX_PAYLOAD, VERSION};
     use mgpu_obs::{names, Histogram};
     use mgpu_serve::CacheSnapshot;
 
@@ -355,13 +355,13 @@ mod tests {
         assert!(format!("{stats}").contains("imbalance"));
     }
 
-    /// STATS v3 changed the `STATS_REPORT` payload incompatibly, so the
+    /// STATS v3 changed the `StatsReport` payload incompatibly, so the
     /// wire version moved to 5: a v4 peer's frame is refused by version,
     /// never mis-decoded.
     #[test]
     fn a_v4_frame_is_refused_with_a_typed_version_error() {
         assert_eq!(VERSION, 5);
-        let mut frame = frame_bytes(opcode::STATS, 9, &[]);
+        let mut frame = Request::Stats.framed(9);
         frame[4..6].copy_from_slice(&4u16.to_le_bytes());
         assert!(matches!(
             read_frame(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD),

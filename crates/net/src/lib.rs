@@ -22,10 +22,13 @@
 //!   `std::net` TCP; one little-endian codec — every payload type
 //!   implements [`wire::Wire`], its field order written once for both
 //!   directions — with no external dependencies; every decode failure is a
-//!   typed [`WireError`], never a panic. Since **v3** every request
+//!   typed [`WireError`], never a panic. A frame carries one
+//!   [`wire::Request`] or [`wire::Reply`], each declared once with its tag;
+//!   the server and the client match them exhaustively, so a new message
+//!   does not compile until both ends handle it. Since **v3** every request
 //!   carries a client-chosen 8-byte `request_id` echoed by its reply, so
 //!   one connection multiplexes many in-flight renders that complete out
-//!   of order; a v2 peer gets a typed `UNSUPPORTED_VERSION` reply instead
+//!   of order; a v2 peer gets a typed `UnsupportedVersion` reply instead
 //!   of a silent close. Floats travel by bit pattern, so a frame fetched
 //!   through the socket is **bit-identical** to a direct
 //!   `mgpu_volren::render` call — the service's determinism guarantee

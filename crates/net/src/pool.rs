@@ -680,7 +680,8 @@ impl NodePool {
                     rank += 1;
                 }
                 // Semantic refusals (admission/tickets-full on the
-                // non-blocking path, render failures) belong to the caller.
+                // non-blocking path, render failures, a request the server
+                // refused as malformed) belong to the caller.
                 Err(err) => return Err(backend_error(err)),
             }
         }

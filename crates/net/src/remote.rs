@@ -24,7 +24,8 @@ use crate::pool::NodePool;
 use crate::wire::{NetFrame, NetSceneRequest};
 
 /// Fold a wire-level failure into the shared backend vocabulary. Semantic
-/// errors cross losslessly; transport and protocol failures collapse into
+/// errors cross losslessly, a request the server refused as malformed is
+/// [`BackendError::Unsupported`]; transport and protocol failures collapse into
 /// [`BackendError::Transport`] (the caller can't do anything more specific
 /// with them than retry elsewhere).
 pub(crate) fn backend_error(err: ClientError) -> BackendError {
@@ -42,6 +43,8 @@ pub(crate) fn backend_error(err: ClientError) -> BackendError {
         ClientError::Goodbye => {
             BackendError::Transport("node drained and said goodbye".to_string())
         }
+        // The server refused the request itself; any node would.
+        ClientError::BadRequest(what) => BackendError::Unsupported(what),
         ClientError::Protocol(what) => BackendError::Transport(what),
     }
 }

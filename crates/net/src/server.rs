@@ -31,12 +31,14 @@
 //! or a render worker writes the waker byte, so an idle server costs zero
 //! wakeups (a unit test pins this down).
 //!
-//! Faults stay on the connection that caused them: a client that sends
-//! garbage gets a typed [`WireError`] echoed in a `BAD_REQUEST` frame and
-//! its connection closed; a v2 (or any wrong-version) client gets a typed
-//! `UNSUPPORTED_VERSION` reply and a clean close; a client that vanishes
-//! mid-request is reaped on the next readiness event. Other connections
-//! never notice any of it.
+//! Each complete frame is decoded into a [`Request`] and served by one
+//! exhaustive `match`; every answer leaves as a [`Reply`] (a `FRAME` as a
+//! view of the cached image). Faults stay on the connection that caused
+//! them: a client that sends garbage gets a typed [`WireError`] echoed in a
+//! `BadRequest` and its connection closed; a v2 (or any wrong-version)
+//! client gets a typed `UnsupportedVersion` reply and a clean close; a
+//! client that vanishes mid-request is reaped on the next readiness event.
+//! Other connections never notice any of it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -53,9 +55,8 @@ use mgpu_serve::{FrameResult, SceneRequest, ServiceConfig, ServiceReport, Sharde
 use crate::heat::NetStats;
 use crate::ratelimit::{RateLimitConfig, TokenBucket};
 use crate::wire::{
-    decode, encode, frame_bytes, frame_payload_bytes, frame_view, opcode, DrainState, FrameReader,
-    NetSceneRequest, OutFrame, Pong, Prewarmed, TicketsFull, UnsupportedVersion, WireError,
-    DEFAULT_MAX_PAYLOAD,
+    frame_payload_bytes, frame_view, DrainState, FrameReader, NetSceneRequest, OutFrame, Pong,
+    Prewarmed, Reply, Request, TicketsFull, UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Server tuning knobs.
@@ -71,14 +72,14 @@ pub struct ServerConfig {
     pub rate_limit: Option<RateLimitConfig>,
     /// Upper bound on one frame's payload, either way: a longer request is
     /// refused unread, and so is a `RENDER`/`SUBMIT` whose image would not
-    /// fit one `FRAME` reply this size (typed `BAD_REQUEST`, nothing is
+    /// fit one `FRAME` reply this size (typed `BadRequest`, nothing is
     /// rendered). Clients reading replies near it raise their own bound,
     /// [`crate::ClientConfig::max_payload`], to match.
     pub max_payload: u64,
     /// Outstanding requests one session may hold: in-flight `RENDER`s plus
     /// submitted-but-unredeemed tickets. Each one eventually pins a
     /// rendered frame in server memory, so this bounds per-connection
-    /// cost; requests past the bound get a typed `TICKETS_FULL` reply
+    /// cost; requests past the bound get a typed `TicketsFull` reply
     /// until replies are consumed / tickets redeemed.
     pub max_tickets_per_session: usize,
 }
@@ -656,7 +657,7 @@ impl EventLoop {
                 if empty {
                     for conn in self.conns.values_mut() {
                         if conn.carried_work && !conn.closing {
-                            conn.send(frame_bytes(opcode::GOODBYE, 0, &[]));
+                            conn.send(Reply::Goodbye.framed(0));
                             conn.closing = true;
                             self.shared.obs.counter(names::NET_GOODBYES).inc();
                         }
@@ -830,18 +831,16 @@ impl EventLoop {
                 Err(err) => {
                     // Framing is lost — resyncing an unframed byte stream
                     // is guesswork. Answer typed, flush, close. A version
-                    // mismatch gets the dedicated UNSUPPORTED_VERSION
+                    // mismatch gets the dedicated `UnsupportedVersion`
                     // reply (the v2 migration path); everything else the
-                    // BAD_REQUEST echo.
+                    // `BadRequest` echo.
                     let reply = match err {
-                        WireError::UnsupportedVersion { got, want } => frame_bytes(
-                            opcode::UNSUPPORTED_VERSION,
-                            0,
-                            &encode(&UnsupportedVersion { got, want }),
-                        ),
-                        other => frame_bytes(opcode::BAD_REQUEST, 0, &encode(&other.to_string())),
+                        WireError::UnsupportedVersion { got, want } => {
+                            Reply::UnsupportedVersion(UnsupportedVersion { got, want })
+                        }
+                        other => Reply::BadRequest(other.to_string()),
                     };
-                    conn.send(reply);
+                    conn.send(reply.framed(0));
                     conn.closing = true;
                     self.flush_conn(token);
                     return;
@@ -859,127 +858,75 @@ impl EventLoop {
         }
     }
 
-    /// Serve one complete request frame: every reply is queued to the
+    /// Serve one complete request frame: its reply is queued to the
     /// connection's write buffer, tagged with the request's id. A payload
-    /// that does not decode or validate is echoed as a typed `BAD_REQUEST`
-    /// and poisons nothing but its own request.
-    fn dispatch(&mut self, token: u64, op: u8, request_id: u64, payload: &[u8]) {
-        if let Err(err) = self.serve(token, op, request_id, payload) {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.send(frame_bytes(
-                    opcode::BAD_REQUEST,
-                    request_id,
-                    &encode(&err.to_string()),
-                ));
+    /// that does not decode or validate is echoed as a typed `BadRequest`
+    /// and poisons nothing but its own request; an unknown tag closes the
+    /// connection after the echo, since a peer dispatching unknown requests
+    /// is not speaking this protocol.
+    fn dispatch(&mut self, token: u64, tag: u8, request_id: u64, payload: &[u8]) {
+        let arrived = Instant::now();
+        let served = Request::decode(tag, payload)
+            .and_then(|request| self.serve(token, request_id, request, arrived));
+        let reply = served.unwrap_or_else(|err| {
+            if let (WireError::UnknownOpcode(_), Some(conn)) = (&err, self.conns.get_mut(&token)) {
+                conn.closing = true;
             }
+            Some(Reply::BadRequest(err.to_string()))
+        });
+        if let (Some(reply), Some(conn)) = (reply, self.conns.get_mut(&token)) {
+            conn.send(reply.framed(request_id));
         }
         // Opportunistic flush: most replies fit the socket buffer and go
         // out without waiting for the next poll round.
         self.flush_conn(token);
     }
 
-    /// Answer one request on its connection. `Err` is a payload-level
-    /// error: the caller echoes it as `BAD_REQUEST` and the connection
+    /// Answer one request: the reply to send under its id, or `None` when
+    /// the answer comes later (a `Render`'s frame, a parked `Redeem`) or is
+    /// already queued (a ready `Redeem`'s frame). `Err` is a payload-level
+    /// error: the caller echoes it as `BadRequest` and the connection
     /// survives.
     fn serve(
         &mut self,
         token: u64,
-        op: u8,
         request_id: u64,
-        payload: &[u8],
-    ) -> Result<(), WireError> {
-        // Drain-state replies report what the whole node still owes, which
-        // must be summed before the per-connection borrow below.
-        let total_outstanding: u64 = if op == opcode::DRAIN || op == opcode::RESUME {
-            self.conns.values().map(|c| c.outstanding() as u64).sum()
-        } else {
-            0
-        };
+        request: Request,
+        arrived: Instant,
+    ) -> Result<Option<Reply>, WireError> {
         let shared = &*self.shared;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return Ok(());
-        };
-        match op {
-            opcode::PING => {
-                let pong = Pong {
-                    token: decode(payload)?,
-                    shards: shared.sharded.shard_count() as u32,
-                };
-                conn.send(frame_bytes(opcode::PONG, request_id, &encode(&pong)));
-            }
-            opcode::STATS => {
-                let stats = net_stats(shared);
-                conn.send(frame_bytes(
-                    opcode::STATS_REPORT,
-                    request_id,
-                    &encode(&stats),
-                ));
-            }
-            opcode::TRACES => {
-                let traces = mgpu_obs::ring().recent(decode::<u32>(payload)? as usize);
-                conn.send(frame_bytes(
-                    opcode::TRACES_REPLY,
-                    request_id,
-                    &encode(&traces),
-                ));
-            }
-            // A draining node refuses *new* work — typed, per-request, and the
-            // connection survives (in-flight replies and parked redeems still
-            // flow). The epoch tells the refused client how stale it is.
-            opcode::RENDER | opcode::SUBMIT | opcode::PREWARM if self.draining => {
+        let reply = match request {
+            Request::Ping(token) => Reply::Pong(Pong {
+                token,
+                shards: shared.sharded.shard_count() as u32,
+            }),
+            Request::Stats => Reply::StatsReport(net_stats(shared)),
+            Request::Traces(max) => Reply::TracesReply(mgpu_obs::ring().recent(max as usize)),
+            // A draining node refuses *new* work — typed, per-request, and
+            // the connection survives (in-flight replies and parked redeems
+            // still flow). The epoch tells the refused client how stale it is.
+            Request::Render(_) | Request::Submit(_) | Request::Prewarm(..) if self.draining => {
                 shared.obs.counter(names::NET_DRAIN_REFUSED).inc();
-                let epoch = shared.epoch.load(Ordering::Relaxed);
-                conn.send(frame_bytes(opcode::DRAINING, request_id, &encode(&epoch)));
+                Reply::Draining(shared.epoch.load(Ordering::Relaxed))
             }
-            opcode::RENDER | opcode::SUBMIT => {
-                let admit_start = Instant::now();
-                let Some(scene) = admit(shared, conn, request_id, payload)? else {
-                    return Ok(());
+            // A `RENDER` is a ticket whose redeem is parked under its own id
+            // from the start; a `SUBMIT` is answered with its ticket now.
+            Request::Render(request) => {
+                return self.submit(token, request_id, &request, Some(request_id), arrived);
+            }
+            Request::Submit(request) => {
+                let refusal = self.submit(token, request_id, &request, None, arrived)?;
+                refusal.unwrap_or(Reply::Submitted(request_id))
+            }
+            Request::Redeem(ticket_id) => {
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return Ok(None);
                 };
-                // The trace id IS the wire request id: a client can correlate
-                // a TRACES row with its own request.
-                let trace = Trace::start(request_id);
-                trace.record_since("admit", admit_start);
-                let notifier = Arc::clone(&shared.notifier);
-                let reply_trace = Arc::clone(&trace);
-                let submitted = shared
-                    .sharded
-                    .try_submit_traced(scene, trace, move |result| {
-                        notifier.complete(Completion {
-                            conn: token,
-                            request_id,
-                            result,
-                            trace: reply_trace,
-                        })
-                    });
-                if let Err(admission) = submitted {
-                    conn.send(frame_bytes(
-                        opcode::REJECTED,
-                        request_id,
-                        &encode(&admission),
-                    ));
-                    return Ok(());
-                }
-                conn.carried_work = true;
-                // The ticket id IS the request id. A `RENDER` is a ticket whose
-                // redeem is parked under its own id from the start.
-                let redeem = (op == opcode::RENDER).then_some(request_id);
-                conn.tickets.insert(request_id, Ticket::Pending { redeem });
-                if op == opcode::SUBMIT {
-                    conn.send(frame_bytes(
-                        opcode::SUBMITTED,
-                        request_id,
-                        &encode(&request_id),
-                    ));
-                }
-            }
-            opcode::REDEEM => {
-                let ticket_id: u64 = decode(payload)?;
                 match conn.tickets.get_mut(&ticket_id) {
                     Some(Ticket::Ready(result)) => {
-                        let reply = frame_reply(request_id, result);
+                        let frame = frame_reply(request_id, result);
                         conn.tickets.remove(&ticket_id);
-                        conn.send(reply);
+                        conn.send(frame);
                     }
                     // Park the redeem: the completion answers it.
                     Some(Ticket::Pending {
@@ -994,66 +941,100 @@ impl EventLoop {
                         return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
                     }
                 }
+                return Ok(None);
             }
-            opcode::DRAIN | opcode::RESUME => {
-                shared.epoch.fetch_max(decode(payload)?, Ordering::Relaxed);
-                let draining = op == opcode::DRAIN;
-                let was = std::mem::replace(&mut self.draining, draining);
-                // Idempotent: repeating the current state is a no-op (and not
-                // a counted transition).
-                if draining && !was {
-                    shared.obs.counter(names::NET_DRAINS).inc();
-                } else if !draining && was {
-                    shared.obs.counter(names::NET_RESUMES).inc();
-                }
-                let state = DrainState {
-                    draining,
-                    outstanding: total_outstanding,
-                    epoch: shared.epoch.load(Ordering::Relaxed),
-                };
-                conn.send(frame_bytes(
-                    opcode::DRAIN_STATE,
-                    request_id,
-                    &encode(&state),
-                ));
-            }
-            opcode::PREWARM => {
-                let (epoch, request): (u64, NetSceneRequest) = decode(payload)?;
+            Request::Drain(epoch) => self.set_draining(true, epoch),
+            Request::Resume(epoch) => self.set_draining(false, epoch),
+            Request::Prewarm(epoch, request) => {
                 shared.epoch.fetch_max(epoch, Ordering::Relaxed);
                 let (shard, built) = shared.sharded.prewarm(&request.to_request()?);
                 shared.obs.counter(names::NET_PREWARMS).inc();
-                let prewarmed = Prewarmed {
+                Reply::Prewarmed(Prewarmed {
                     shard: shard as u32,
                     built,
-                };
-                conn.send(frame_bytes(
-                    opcode::PREWARMED,
-                    request_id,
-                    &encode(&prewarmed),
-                ));
+                })
             }
-            other => {
-                // A peer dispatching unknown requests is not speaking this
-                // protocol: reply typed, then close.
-                conn.closing = true;
-                return Err(WireError::UnknownOpcode(other));
-            }
+        };
+        Ok(Some(reply))
+    }
+
+    /// Enter (`Drain`) or leave (`Resume`) the draining state under a
+    /// controller's `epoch`, and report what the whole node still owes.
+    fn set_draining(&mut self, draining: bool, epoch: u64) -> Reply {
+        let shared = &*self.shared;
+        shared.epoch.fetch_max(epoch, Ordering::Relaxed);
+        let was = std::mem::replace(&mut self.draining, draining);
+        // Idempotent: repeating the current state is a no-op (and not a
+        // counted transition).
+        if draining && !was {
+            shared.obs.counter(names::NET_DRAINS).inc();
+        } else if !draining && was {
+            shared.obs.counter(names::NET_RESUMES).inc();
         }
-        Ok(())
+        Reply::DrainState(DrainState {
+            draining,
+            outstanding: self.conns.values().map(|c| c.outstanding() as u64).sum(),
+            epoch: shared.epoch.load(Ordering::Relaxed),
+        })
+    }
+
+    /// Admit a `RENDER` (`redeem`: its own id) or a `SUBMIT` (`redeem`:
+    /// `None`, until its `REDEEM` arrives) and queue it: `Ok(None)` once it
+    /// is queued, or the typed refusal to answer with. The `admit` span
+    /// runs from the frame's arrival, decode included.
+    fn submit(
+        &mut self,
+        token: u64,
+        request_id: u64,
+        request: &NetSceneRequest,
+        redeem: Option<u64>,
+        arrived: Instant,
+    ) -> Result<Option<Reply>, WireError> {
+        let shared = &*self.shared;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return Ok(None);
+        };
+        let scene = match admit(shared, conn, request_id, request)? {
+            Ok(scene) => scene,
+            Err(refusal) => return Ok(Some(refusal)),
+        };
+        // The trace id IS the wire request id: a client can correlate a
+        // TRACES row with its own request.
+        let trace = Trace::start(request_id);
+        trace.record_since("admit", arrived);
+        let notifier = Arc::clone(&shared.notifier);
+        let reply_trace = Arc::clone(&trace);
+        let submitted = shared
+            .sharded
+            .try_submit_traced(scene, trace, move |result| {
+                notifier.complete(Completion {
+                    conn: token,
+                    request_id,
+                    result,
+                    trace: reply_trace,
+                })
+            });
+        if let Err(admission) = submitted {
+            return Ok(Some(Reply::Rejected(admission)));
+        }
+        conn.carried_work = true;
+        // The ticket id IS the request id.
+        conn.tickets.insert(request_id, Ticket::Pending { redeem });
+        Ok(None)
     }
 }
 
 /// The server door for `RENDER`/`SUBMIT`: reject duplicate request ids,
-/// bound the session's outstanding requests, decode, validate, then
-/// rate-limit. `Err` is the caller's `BAD_REQUEST`; `Ok(None)` means a
-/// typed refusal (`TICKETS_FULL`, `THROTTLED`) is already queued; the
-/// request comes back only once it is clear to submit.
+/// bound the session's outstanding requests, validate, then rate-limit.
+/// `Err` is the caller's `BadRequest`; `Ok(Err(reply))` a typed refusal
+/// (`TicketsFull`, `Throttled`); the request comes back only once it is
+/// clear to submit.
 fn admit(
     shared: &Shared,
     conn: &mut Conn,
     request_id: u64,
-    payload: &[u8],
-) -> Result<Option<SceneRequest>, WireError> {
+    request: &NetSceneRequest,
+) -> Result<Result<SceneRequest, Reply>, WireError> {
     // Multiplexing invariant first: an id may name only one outstanding
     // request at a time, or replies would be unattributable.
     if conn.id_in_use(request_id) {
@@ -1065,20 +1046,13 @@ fn admit(
     // parked ticket eventually pins a rendered frame, so a client that
     // never consumes replies must not grow server memory without limit.
     if conn.outstanding() >= shared.config.max_tickets_per_session {
-        let full = TicketsFull {
+        return Ok(Err(Reply::TicketsFull(TicketsFull {
             outstanding: conn.outstanding() as u64,
             limit: shared.config.max_tickets_per_session as u64,
-        };
-        conn.send(frame_bytes(
-            opcode::TICKETS_FULL,
-            request_id,
-            &encode(&full),
-        ));
-        return Ok(None);
+        })));
     }
     // Validate fully BEFORE spending a rate-limit token: a malformed
     // request never renders, so it must not burn the session's budget.
-    let request: NetSceneRequest = decode(payload)?;
     // The image is sized by the client and allocated by a worker: refuse
     // here what could not leave as one `FRAME` anyway.
     let (width, height) = request.config.image;
@@ -1096,22 +1070,17 @@ fn admit(
     if let Some(bucket) = &mut conn.bucket {
         if let Err(retry_after) = bucket.try_take() {
             shared.throttled.inc();
-            conn.send(frame_bytes(
-                opcode::THROTTLED,
-                request_id,
-                &encode(&retry_after),
-            ));
-            return Ok(None);
+            return Ok(Err(Reply::Throttled(retry_after)));
         }
     }
-    Ok(Some(request))
+    Ok(Ok(request))
 }
 
 /// Redeem a completed render into a `FRAME` or `FAILED` reply frame. A
 /// `FRAME` is a head plus a share of the image the frame cache holds:
 /// nothing is encoded and no pixel is copied before the socket write.
 fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
-    let failed = |message: String| frame_bytes(opcode::FAILED, request_id, &encode(&message));
+    let failed = |message: String| Reply::Failed(message).framed(request_id).into();
     match result {
         Ok(frame) => {
             // Cache hits re-deliver a previously rendered frame: their
@@ -1123,16 +1092,10 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
                 frame.report.runtime().nanos()
             };
             let image = Arc::clone(&frame.image);
-            frame_view(
-                opcode::FRAME,
-                request_id,
-                image,
-                frame.from_cache,
-                sim_nanos,
-            )
-            .unwrap_or_else(|err| failed(err.to_string()).into())
+            frame_view(request_id, image, frame.from_cache, sim_nanos)
+                .unwrap_or_else(|err| failed(err.to_string()))
         }
-        Err(err) => failed(err.message().to_string()).into(),
+        Err(err) => failed(err.message().to_string()),
     }
 }
 

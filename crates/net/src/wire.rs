@@ -25,23 +25,32 @@
 //!    so a corrupted payload either fails typed or *is* the one encoding
 //!    of the value it decodes to.
 //!
-//! A `FRAME` is the one payload outside the trait: a 17-byte head
-//! (`bool, u64, u32, u32` — cache provenance, simulated nanoseconds,
-//! width, height) whose dimensions imply the size of what follows, the
-//! image's RGBA rows as little-endian `f32`. That is how an `Image` already
-//! lies in memory, so a frame is never *encoded* on its way through a
-//! socket. The server queues the prelude and head (36 bytes) plus a share
-//! of the `Arc<Image>` its frame cache holds (`frame_view`) and writes both
-//! with one vectored write; the client's `FrameReader::read_reply` checks
-//! the head against the declared length — itself within `max_payload` —
-//! before allocating, then reads the pixel bytes straight into the image it
-//! returns. Both rest on `pixel_bytes` and `pixel_bytes_mut`, the
+//! ## Messages
+//!
+//! A frame carries one [`Request`] (tags below `0x80`) or one [`Reply`]
+//! (from `0x80`), each declared once — per variant, its payload's fields in
+//! wire order and its tag, the frame's opcode byte — by `messages!`, which
+//! also writes the one codec: `tag`, `framed` and `decode`. The server and
+//! the client match them exhaustively, so a new message does not compile
+//! until both ends handle it.
+//!
+//! A `FRAME` ([`Reply::Frame`]) is a 17-byte head (`bool, u64, u32, u32`
+//! — cache provenance, simulated nanoseconds, width, height) whose
+//! dimensions imply the size of what follows, the image's RGBA rows as
+//! little-endian `f32`. That is how an `Image` already lies in memory, so
+//! a frame is never *encoded* on its way through a socket. The server
+//! queues the prelude and head (36 bytes) plus a share of the
+//! `Arc<Image>` its frame cache holds (`frame_view`) and writes both with
+//! one vectored write; the client's `FrameReader::read_reply` checks the
+//! head against the declared length — itself within `max_payload` —
+//! before allocating, then reads the pixel bytes straight into the image
+//! it returns. Both rest on `pixel_bytes` and `pixel_bytes_mut`, the
 //! `[[f32; 4]]`-as-`[u8]` views, which flatten the pixels and take the
 //! workspace's one pair of `f32` byte views, [`mgpu_voldata::io::f32_bytes`]
 //! and [`mgpu_voldata::io::f32_bytes_mut`], behind their compile-time
-//! little-endian assertion. [`encode_frame`] /
-//! [`decode_frame`] are the same head and views over a `Vec<u8>` — one
-//! exact allocation, one bulk copy — kept for callers that want the bytes.
+//! little-endian assertion. [`encode_frame`] / [`decode_frame`] are the
+//! same head and views over a `Vec<u8>` — one exact allocation, one bulk
+//! copy — kept for callers that want the bytes.
 //!
 //! ## Framing (v3)
 //!
@@ -51,18 +60,18 @@
 //! |------------|-------|--------------------------------------------|
 //! | magic      | 4     | the bytes `MGPU` (LE u32 `0x5550474D`)     |
 //! | version    | 2     | [`VERSION`]                                |
-//! | opcode     | 1     | [`opcode`] constant                        |
+//! | opcode     | 1     | the message's tag ([`Request`], [`Reply`]) |
 //! | length     | 4     | payload bytes that follow the request id   |
 //! | request_id | 8     | correlates a response with its request     |
-//! | payload    | n     | opcode-specific encoding                   |
+//! | payload    | n     | the message's fields                       |
 //!
 //! The `request_id` (new in v3) is chosen by the client, must be unique
 //! among that connection's outstanding requests, and is echoed verbatim on
 //! every response to the request — which is what lets one connection carry
 //! many in-flight renders and redeem the replies out of order. Requests the
 //! server originates no reply for do not exist; unsolicited server frames
-//! ([`opcode::UNSUPPORTED_VERSION`], [`opcode::BAD_REQUEST`] for unframable
-//! input) carry request id 0.
+//! ([`Reply::UnsupportedVersion`], [`Reply::BadRequest`] for unframable
+//! input, [`Reply::Goodbye`]) carry request id 0.
 //!
 //! Both ends of the socket parse frames with one incremental reader
 //! (`FrameReader`; [`read_frame`] is its blocking form) that runs over any
@@ -84,16 +93,18 @@
 //! v3 header (and vice versa) far enough to read the version field and fail
 //! with a typed [`WireError::UnsupportedVersion`]. The server goes one step
 //! further: a request frame carrying any version other than [`VERSION`] is
-//! answered with a typed [`opcode::UNSUPPORTED_VERSION`] reply (payload:
-//! [`UnsupportedVersion`]) before the connection closes cleanly — a v2
+//! answered with a typed [`Reply::UnsupportedVersion`] before the
+//! connection closes cleanly — a v2
 //! client sees an orderly refusal instead of a silent disconnect.
 
+use std::borrow::Cow;
 use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_mapreduce::{Assignment, TraceOptions};
+use mgpu_obs::CompletedTrace;
 use mgpu_serve::{AdmissionError, Priority};
 use mgpu_voldata::io::{f32_bytes, f32_bytes_mut};
 use mgpu_voldata::{Dataset, Volume};
@@ -102,20 +113,22 @@ use mgpu_volren::config::{Compositor, PartitionStrategy, RenderConfig, Residency
 use mgpu_volren::transfer::ControlPoint;
 use mgpu_volren::{Image, TransferFunction};
 
+use crate::heat::NetStats;
+
 /// Frame magic: the ASCII bytes `MGPU` as a little-endian `u32`
 /// (`0x5550474D`) — a packet capture shows the literal characters "MGPU"
 /// at every frame boundary.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MGPU");
 /// Protocol version this build speaks. Bumped on any incompatible change;
 /// the server answers other versions with a typed
-/// [`opcode::UNSUPPORTED_VERSION`] reply (and decoders fail with
+/// [`Reply::UnsupportedVersion`] (and decoders fail with
 /// [`WireError::UnsupportedVersion`]). v2 replaced the orbit-only camera
 /// fields with [`CameraSpec`]; v3 added the per-request `request_id` that
 /// multiplexes many in-flight renders over one connection; v4 added the
-/// elastic-pool control opcodes ([`opcode::DRAIN`] / [`opcode::RESUME`] /
-/// [`opcode::PREWARM`] and their replies) and the directory epoch carried
-/// by the `STATS` payload; v5 replaced the `STATS_REPORT` payload with
-/// STATS v3 (epoch, uptime, per-shard and node snapshots — see
+/// elastic-pool control messages ([`Request::Drain`] / [`Request::Resume`]
+/// / [`Request::Prewarm`] and their replies) and the directory epoch
+/// carried by the `STATS` payload; v5 replaced the [`Reply::StatsReport`]
+/// payload with STATS v3 (epoch, uptime, per-shard and node snapshots — see
 /// [`crate::heat`]).
 pub const VERSION: u16 = 5;
 /// Frame header bytes: magic + version + opcode + length.
@@ -128,70 +141,6 @@ pub const PRELUDE_BYTES: usize = HEADER_BYTES + 8;
 /// 64 MiB leaves room for shipped in-memory volumes without letting one
 /// frame OOM the peer).
 pub const DEFAULT_MAX_PAYLOAD: u64 = 64 << 20;
-
-/// Request and response opcodes. Responses have the high bit set.
-pub mod opcode {
-    pub const PING: u8 = 0x01;
-    pub const RENDER: u8 = 0x02;
-    pub const SUBMIT: u8 = 0x03;
-    pub const REDEEM: u8 = 0x04;
-    pub const STATS: u8 = 0x05;
-    /// Fetch the last N completed request traces from the server's trace
-    /// ring; payload is the maximum count as a u32.
-    pub const TRACES: u8 = 0x06;
-    /// Put the server into the draining state (payload: the controller's
-    /// directory epoch as a u64): in-flight work and parked redeems still
-    /// answer, new `RENDER`/`SUBMIT`/`PREWARM` get a typed [`DRAINING`]
-    /// reply, and the server says [`GOODBYE`] once it owes nothing more.
-    /// Idempotent; answered with [`DRAIN_STATE`]. New in v4.
-    pub const DRAIN: u8 = 0x07;
-    /// Leave the draining state (payload: epoch, like [`DRAIN`]) — the
-    /// rejoin half of a drain that was called off. Idempotent; answered
-    /// with [`DRAIN_STATE`]. New in v4.
-    pub const RESUME: u8 = 0x08;
-    /// Populate the owning shard's plan cache for a request's plan key
-    /// *before* traffic moves there (payload: epoch + a full render
-    /// request). The plan is the brick grid and an empty brick store, built
-    /// on the event loop in microseconds; the first frame rendered against
-    /// it still stages every brick. Answered with [`PREWARMED`] once the
-    /// plan is cached, or [`DRAINING`] while the server drains. New in v4.
-    pub const PREWARM: u8 = 0x09;
-
-    pub const PONG: u8 = 0x81;
-    pub const FRAME: u8 = 0x82;
-    pub const SUBMITTED: u8 = 0x83;
-    pub const REJECTED: u8 = 0x84;
-    pub const THROTTLED: u8 = 0x85;
-    pub const FAILED: u8 = 0x86;
-    pub const STATS_REPORT: u8 = 0x87;
-    /// Per-session ticket table is full: redeem before submitting more.
-    pub const TICKETS_FULL: u8 = 0x88;
-    /// The request frame declared a protocol version this server does not
-    /// speak; payload is `(got, want)` and the connection closes after the
-    /// reply flushes. New in v3 — the migration path for v2 clients.
-    pub const UNSUPPORTED_VERSION: u8 = 0x89;
-    /// Reply to [`TRACES`]: the newest completed traces, newest first (a
-    /// `Vec` of [`mgpu_obs::CompletedTrace`]).
-    pub const TRACES_REPLY: u8 = 0x8A;
-    /// Reply to [`DRAIN`] / [`RESUME`]: whether the server is draining,
-    /// how many requests it still owes (in-flight renders + un-redeemed
-    /// tickets + parked redeems, across all sessions), and the highest
-    /// directory epoch it has been told. New in v4.
-    pub const DRAIN_STATE: u8 = 0x8B;
-    /// Reply to [`PREWARM`]: the owning shard index and whether a plan was
-    /// newly built (`false` = the cache was already warm). New in v4.
-    pub const PREWARMED: u8 = 0x8C;
-    /// Unsolicited (request id 0) farewell from a draining server that
-    /// owes nothing more: every outstanding request has been answered and
-    /// the connection closes after this frame flushes. New in v4.
-    pub const GOODBYE: u8 = 0x8D;
-    /// Typed refusal of `RENDER`/`SUBMIT`/`PREWARM` while the server is
-    /// draining (payload: the server's directory epoch, so a stale client
-    /// learns placement moved on without it). The connection stays open —
-    /// redeems and stats still answer. New in v4.
-    pub const DRAINING: u8 = 0x8E;
-    pub const BAD_REQUEST: u8 = 0xFF;
-}
 
 /// Everything that can go wrong between bytes and messages. Framing errors
 /// (`BadMagic`, `UnsupportedVersion`, `Truncated`, `TooLarge`) mean the
@@ -585,6 +534,18 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A borrowed or owned value, encoded as the value: what a message carries
+/// by reference on its way out decodes to an owned copy.
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, w: &mut Writer) {
+        T::put(self, w)
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        T::get(r).map(Cow::Owned)
+    }
+}
+
 /// `impl Wire` for a plain struct from one field list: the order written
 /// here *is* the wire order, in both directions. Given a whole `pub struct`
 /// it defines the struct too, so a payload type's fields are listed once.
@@ -648,6 +609,130 @@ macro_rules! wire_enum {
 }
 
 // ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
+
+/// A message enum and its one codec, from one declaration per variant: the
+/// payload's fields in wire order, then `= tag`, the frame's opcode byte.
+macro_rules! messages {
+    ($(#[$meta:meta])* pub enum $ty:ident $(<$lt:lifetime>)? {
+        $($(#[$vmeta:meta])* $variant:ident $(($($field:ident: $fty:ty),+))? = $tag:tt,)+
+    }) => {
+        $(#[$meta])*
+        pub enum $ty $(<$lt>)? {
+            $($(#[$vmeta])* $variant $(($($fty),+))?,)+
+        }
+
+        impl $(<$lt>)? $ty $(<$lt>)? {
+            /// Every variant's tag and name, in declaration order.
+            #[cfg(test)]
+            pub(crate) const TAGS: &'static [(u8, &'static str)] =
+                &[$(($tag, stringify!($variant))),+];
+
+            /// The frame header's opcode byte for this message.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$variant { .. } => $tag,)+
+                }
+            }
+
+            /// The whole frame: prelude under `request_id`, then the payload.
+            pub fn framed(&self, request_id: u64) -> Vec<u8> {
+                let mut w = Writer::new();
+                put_prelude(&mut w, self.tag(), 0, request_id);
+                match self {
+                    $($ty::$variant $(($($field),+))? => {
+                        $($(Wire::put($field, &mut w);)+)?
+                    })+
+                }
+                seal(w)
+            }
+
+            /// The message a frame's `tag` and `payload` carry: each field's
+            /// `Wire::get` in turn, then [`Reader::finish`].
+            pub fn decode(tag: u8, payload: &[u8]) -> Result<Self, WireError> {
+                let mut r = Reader::new(payload);
+                let message = match tag {
+                    $($tag => $ty::$variant $(($(<$fty as Wire>::get(&mut r)?),+))?,)+
+                    other => return Err(WireError::UnknownOpcode(other)),
+                };
+                r.finish()?;
+                Ok(message)
+            }
+        }
+    };
+}
+
+messages! {
+    /// A client's request. A render request travels as a [`Cow`]: a sender
+    /// frames it from its own borrow, a receiver decodes an owned copy.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request<'a> {
+        /// Liveness and version probe: answered by a [`Pong`].
+        Ping(token: u64) = 0x01,
+        /// Render; the frame (or why not) answers under this request's id.
+        Render(request: Cow<'a, NetSceneRequest>) = 0x02,
+        /// Admit a render; its ticket, this request's id, answers at once.
+        Submit(request: Cow<'a, NetSceneRequest>) = 0x03,
+        /// Exchange a ticket for its frame or its error.
+        Redeem(ticket: u64) = 0x04,
+        /// The node's [`NetStats`].
+        Stats = 0x05,
+        /// The newest completed request traces, at most `max`.
+        Traces(max: u32) = 0x06,
+        /// Refuse new work, announcing the controller's directory epoch;
+        /// owed replies still flow, then [`Reply::Goodbye`]. New in v4.
+        Drain(epoch: u64) = 0x07,
+        /// Call a drain off. New in v4.
+        Resume(epoch: u64) = 0x08,
+        /// Build a request's plan (brick grid, empty brick store) before
+        /// traffic moves there, announcing `epoch`. New in v4.
+        Prewarm(epoch: u64, request: Cow<'a, NetSceneRequest>) = 0x09,
+    }
+}
+
+/// The tag of [`Reply::Frame`], which `FrameReader::read_reply` decodes in
+/// place.
+const FRAME_TAG: u8 = 0x82;
+
+messages! {
+    /// A server's reply, under the id of the request it answers; an
+    /// unsolicited one, under id 0, is a verdict on the connection.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Reply {
+        Pong(pong: Pong) = 0x81,
+        /// The rendered frame. The server sends a `frame_view` of the image
+        /// its frame cache holds; nothing is encoded.
+        Frame(frame: NetFrame) = FRAME_TAG,
+        Submitted(ticket: u64) = 0x83,
+        /// Admission control shed the request.
+        Rejected(error: AdmissionError) = 0x84,
+        /// The session's rate limiter refused the request; retry after this.
+        Throttled(retry_after: Duration) = 0x85,
+        /// The render failed server-side.
+        Failed(message: String) = 0x86,
+        StatsReport(stats: NetStats) = 0x87,
+        TicketsFull(full: TicketsFull) = 0x88,
+        /// Unsolicited, then the connection closes. New in v3.
+        UnsupportedVersion(versions: UnsupportedVersion) = 0x89,
+        /// Newest first.
+        TracesReply(traces: Vec<CompletedTrace>) = 0x8A,
+        DrainState(state: DrainState) = 0x8B,
+        Prewarmed(prewarmed: Prewarmed) = 0x8C,
+        /// Unsolicited: a draining server owes nothing more and closes the
+        /// connection. New in v4.
+        Goodbye = 0x8D,
+        /// New work refused while the server drains, with its directory
+        /// epoch; the connection stays open. New in v4.
+        Draining(epoch: u64) = 0x8E,
+        /// The server's echo of the [`WireError`] a request caused: under
+        /// its id, that request failed and the connection carries on; under
+        /// id 0 (unframable input, an unknown tag) the connection closes.
+        BadRequest(message: String) = 0xFF,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
 
@@ -658,6 +743,14 @@ fn put_prelude(w: &mut Writer, opcode: u8, len: u32, request_id: u64) {
     w.u8(opcode);
     w.u32(len);
     w.u64(request_id);
+}
+
+/// A frame written into `w` behind a zero length field: the length of what
+/// followed the prelude, filled in.
+fn seal(mut w: Writer) -> Vec<u8> {
+    let len = (w.buf.len() - PRELUDE_BYTES) as u32;
+    w.buf[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    w.buf
 }
 
 /// Serialize one frame (prelude + payload) into a byte vector — the form
@@ -723,12 +816,11 @@ impl OutFrame {
     }
 }
 
-/// The bytes of `frame_bytes(opcode, request_id, &encode_frame(image, ..))`
-/// with nothing encoded and nothing copied: 36 owned bytes of prelude and
-/// frame head, and the pixels where they already are. Refuses an image too
-/// large for the `u32` length field.
+/// The bytes of `Reply::Frame(..).framed(request_id)` with nothing encoded
+/// and nothing copied: 36 owned bytes of prelude and frame head, and the
+/// pixels where they already are. Refuses an image too large for the `u32`
+/// length field.
 pub(crate) fn frame_view(
-    opcode: u8,
     request_id: u64,
     image: Arc<Image>,
     from_cache: bool,
@@ -738,7 +830,7 @@ pub(crate) fn frame_view(
     let max = u32::MAX as u64;
     let len = u32::try_from(len).map_err(|_| WireError::TooLarge { len, max })?;
     let mut w = Writer::with_capacity(PRELUDE_BYTES + FRAME_HEAD_BYTES);
-    put_prelude(&mut w, opcode, len, request_id);
+    put_prelude(&mut w, FRAME_TAG, len, request_id);
     put_frame_head(&mut w, &image, from_cache, sim_nanos);
     Ok(OutFrame {
         bytes: w.buf,
@@ -746,18 +838,17 @@ pub(crate) fn frame_view(
     })
 }
 
-/// [`write_frame`] for a payload that is an image, as the server replies:
-/// the bytes of `write_frame(w, opcode, request_id, &encode_frame(image,
-/// ..))`, the pixels written from where they are.
+/// [`write_frame`] for a `FRAME`, as the server replies: the bytes of
+/// `write_frame(w, FRAME, request_id, &encode_frame(image, ..))`, the pixels
+/// written from where they are.
 pub fn write_frame_view(
     w: &mut impl Write,
-    opcode: u8,
     request_id: u64,
     image: &Arc<Image>,
     from_cache: bool,
     sim_nanos: u64,
 ) -> Result<(), WireError> {
-    let frame = frame_view(opcode, request_id, Arc::clone(image), from_cache, sim_nanos)?;
+    let frame = frame_view(request_id, Arc::clone(image), from_cache, sim_nanos)?;
     let [head, pixels] = frame.parts();
     w.write_all(head)?;
     w.write_all(pixels)?;
@@ -795,8 +886,7 @@ pub fn parse_header(
 
 /// A received payload: its bytes, or — a `FRAME` read by
 /// [`FrameReader::read_reply`] — the frame they decode to.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Body {
+enum Body {
     Bytes(Vec<u8>),
     Frame(NetFrame),
 }
@@ -845,25 +935,28 @@ impl FrameReader {
         Ok(frame.map(|(opcode, id, body)| match body {
             Body::Bytes(payload) => (opcode, id, payload),
             // Only a frame begun by `read_reply`; the bytes are the same.
-            Body::Frame(f) => {
-                let sim_nanos = f.sim_frame.as_nanos() as u64;
-                (opcode, id, encode_frame(&f.image, f.from_cache, sim_nanos))
-            }
+            Body::Frame(frame) => (opcode, id, encode(&frame)),
         }))
     }
 
-    /// [`FrameReader::read`] for the receiving end of replies: a `FRAME`
-    /// is decoded as it arrives. Its 17-byte head is judged exactly as
-    /// [`decode_frame`] judges it — against the declared payload length,
-    /// itself already within `max_payload` — before any pixel is allocated
-    /// for, and the pixel bytes are then read straight into the image that
-    /// is returned. Every other opcode comes back as its bytes.
+    /// [`FrameReader::read`] for the receiving end of replies: the reply
+    /// and its request id, or why its payload did not decode (framing is
+    /// intact either way). A `FRAME` is decoded as it arrives: its 17-byte
+    /// head is judged exactly as [`decode_frame`] judges it — against the
+    /// declared payload length, itself already within `max_payload` —
+    /// before any pixel is allocated for, and the pixel bytes are then read
+    /// straight into the image that is returned.
+    #[allow(clippy::type_complexity)]
     pub(crate) fn read_reply(
         &mut self,
         r: &mut impl Read,
         max_payload: u64,
-    ) -> Result<Option<(u8, u64, Body)>, WireError> {
-        self.pull(r, max_payload, true)
+    ) -> Result<Option<(u64, Result<Reply, WireError>)>, WireError> {
+        let frame = self.pull(r, max_payload, true)?;
+        Ok(frame.map(|(tag, id, body)| match body {
+            Body::Frame(frame) => (id, Ok(Reply::Frame(frame))),
+            Body::Bytes(payload) => (id, Reply::decode(tag, &payload)),
+        }))
     }
 
     fn pull(
@@ -879,7 +972,7 @@ impl FrameReader {
                 None if have >= HEADER_BYTES => {
                     if let Some(header) = self.fixed.first_chunk() {
                         let (op, len) = parse_header(header, max_payload)?;
-                        let in_place = frames_in_place && op == opcode::FRAME;
+                        let in_place = frames_in_place && op == FRAME_TAG;
                         let head = in_place.then(|| len.min(FRAME_HEAD_BYTES));
                         self.header = Some((op, len, head));
                     }
@@ -1403,7 +1496,7 @@ impl Wire for TransferSpec {
     }
 }
 
-/// Encode a render request payload (`RENDER` and `SUBMIT` share it).
+/// Encode a render request payload (`Render` and `Submit` carry it).
 pub fn encode_request(req: &NetSceneRequest) -> Vec<u8> {
     encode(req)
 }
@@ -1414,13 +1507,13 @@ pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Reply payloads. A payload that is a single value travels as that value:
-// `u64` tokens, tickets and epochs, the `THROTTLED` `Duration`, `String`
-// messages, the `TRACES` `u32`. (`STATS_REPORT` lives in `crate::heat`.)
+// Reply payloads. A message whose payload is a single value carries that
+// value: `u64` tokens, tickets and epochs, the `Throttled` `Duration`,
+// `String` messages, the `Traces` `u32`. (`NetStats` lives in `crate::heat`.)
 // ---------------------------------------------------------------------------
 
 wire_struct! {
-    /// `PONG`: the `PING`'s token echoed, and the server's shard count.
+    /// [`Reply::Pong`]: the `Ping`'s token echoed, and the server's shard count.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Pong {
         pub token: u64,
@@ -1428,7 +1521,7 @@ wire_struct! {
     }
 }
 
-// `REJECTED`: the server's `AdmissionError`, intact.
+// `Reply::Rejected`: the server's `AdmissionError`, intact.
 wire_struct!(AdmissionError {
     priority: Priority,
     queued: usize,
@@ -1436,7 +1529,8 @@ wire_struct!(AdmissionError {
 });
 
 wire_struct! {
-    /// `TICKETS_FULL`: the session's outstanding-request count and its bound.
+    /// [`Reply::TicketsFull`]: the session's outstanding-request count and its
+    /// bound.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct TicketsFull {
         pub outstanding: u64,
@@ -1445,7 +1539,7 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// `UNSUPPORTED_VERSION`: the version the peer sent and the version
+    /// [`Reply::UnsupportedVersion`]: the version the peer sent and the version
     /// this build speaks — the typed refusal a v2 client receives before
     /// the server closes the connection.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1456,17 +1550,17 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// A draining server's answer to `DRAIN`/`RESUME`: its current mode,
+    /// A server's answer to `Drain`/`Resume` ([`Reply::DrainState`]): its mode,
     /// how much it still owes, and the newest directory epoch it has been
     /// told — what a drain controller polls until `outstanding` reaches
     /// zero.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct DrainState {
-        /// New `RENDER`/`SUBMIT`/`PREWARM` are being refused with `DRAINING`.
+        /// New `Render`/`Submit`/`Prewarm` are being refused with `Draining`.
         pub draining: bool,
         /// In-flight renders + un-redeemed tickets + parked redeems, across
         /// every session on the server. Zero while draining means the
-        /// server is about to say `GOODBYE`.
+        /// server is about to say `Goodbye`.
         pub outstanding: u64,
         /// Highest directory epoch any controller has announced to this
         /// server (echoed in STATS too): a client whose directory is older
@@ -1476,10 +1570,8 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// `PREWARMED`: the owning shard, and whether a plan was newly built
-    /// (`false` = the cache was already warm). The `PREWARM` request itself
-    /// is `(u64, NetSceneRequest)`: the announcing controller's epoch, then
-    /// a full render request — a plan key alone cannot rebuild a plan.
+    /// [`Reply::Prewarmed`]: the owning shard, and whether a plan was newly
+    /// built (`false` = the cache was already warm).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Prewarmed {
         pub shard: u32,
@@ -1487,7 +1579,7 @@ wire_struct! {
     }
 }
 
-// `TRACES_REPLY` is a `Vec<CompletedTrace>`, newest first: each trace is its
+// `Reply::TracesReply` is a `Vec<CompletedTrace>`, newest first: each trace is its
 // wire `request_id`-seeded id plus the named stage spans as nanosecond
 // offsets from the trace's start.
 wire_struct!(mgpu_obs::SpanRecord { name: String, start_ns: u64, end_ns: u64 }
@@ -1514,6 +1606,26 @@ pub struct NetFrame {
     /// Simulated (DES) frame time on the modeled cluster — zero for cache
     /// hits, which re-deliver a previously rendered frame.
     pub sim_frame: Duration,
+}
+
+/// A `FRAME` payload, which is only ever a whole payload ([`Reply::Frame`]):
+/// `get` takes every remaining byte as the head and pixels, and judges
+/// them as [`decode_frame`] does — a length that disagrees with the head's
+/// dimensions is `Malformed`.
+impl Wire for NetFrame {
+    const MIN_BYTES: usize = FRAME_HEAD_BYTES;
+    fn put(&self, w: &mut Writer) {
+        put_frame_head(
+            w,
+            &self.image,
+            self.from_cache,
+            self.sim_frame.as_nanos() as u64,
+        );
+        w.buf.extend_from_slice(pixel_bytes(self.image.pixels()));
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        decode_frame(std::mem::take(&mut r.rest))
+    }
 }
 
 /// Bytes of a `FRAME` payload ahead of its pixels: `bool, u64, u32, u32`.
@@ -1587,8 +1699,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::heat::NetStats;
-    use mgpu_obs::{CompletedTrace, Snapshot, SpanRecord, HIST_BUCKETS};
+    use mgpu_obs::{Snapshot, SpanRecord, HIST_BUCKETS};
     use proptest::prelude::*;
 
     /// `bytes` as hex, against the named line of `tests/golden_v5.txt`: what
@@ -1604,6 +1715,13 @@ pub(crate) mod tests {
             .lines()
             .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
             .unwrap_or_else(|| panic!("no golden bytes named {name}"))
+    }
+
+    /// The tag of the [`Request`] or [`Reply`] variant `name`.
+    fn tag(name: &str) -> u8 {
+        let mut tags = Request::TAGS.iter().chain(Reply::TAGS);
+        let found = tags.find(|&&(_, variant)| variant == name);
+        found.unwrap_or_else(|| panic!("no message named {name}")).0
     }
 
     /// The named golden payload, framed under `opcode` and `request_id`.
@@ -1782,10 +1900,10 @@ pub(crate) mod tests {
     #[test]
     fn header_validation() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, opcode::PING, 42, &encode(&7u64)).unwrap();
-        assert_eq!(buf, frame_bytes(opcode::PING, 42, &encode(&7u64)));
+        write_frame(&mut buf, tag("Ping"), 42, &encode(&7u64)).unwrap();
+        assert_eq!(buf, frame_bytes(tag("Ping"), 42, &encode(&7u64)));
         let (op, id, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(op, opcode::PING);
+        assert_eq!(op, tag("Ping"));
         assert_eq!(id, 42);
         assert_eq!(decode::<u64>(&payload), Ok(7));
 
@@ -1875,10 +1993,10 @@ pub(crate) mod tests {
     /// shipped volume, the bulk pixel path) and the empty payload.
     fn sample_frames() -> Vec<Vec<u8>> {
         vec![
-            golden_frame("pong", opcode::PONG, 1),
-            golden_frame("request_shipped", opcode::RENDER, u64::MAX),
-            golden_frame("frame", opcode::FRAME, 0x0102_0304_0506_0708),
-            frame_bytes(opcode::STATS, 7, &[]),
+            golden_frame("pong", tag("Pong"), 1),
+            golden_frame("request_shipped", tag("Render"), u64::MAX),
+            golden_frame("frame", FRAME_TAG, 0x0102_0304_0506_0708),
+            frame_bytes(tag("Stats"), 7, &[]),
         ]
     }
 
@@ -1924,7 +2042,7 @@ pub(crate) mod tests {
     /// forever — and not a byte earlier.
     #[test]
     fn frame_reader_judges_the_header_after_exactly_header_bytes() {
-        let good = frame_bytes(opcode::PING, 3, &encode(&7u64));
+        let good = frame_bytes(tag("Ping"), 3, &encode(&7u64));
         let bent = |at: usize, with: &[u8]| {
             let mut bad = good.clone();
             bad[at..at + with.len()].copy_from_slice(with);
@@ -1963,8 +2081,8 @@ pub(crate) mod tests {
 
     #[test]
     fn frame_reader_takes_back_to_back_frames_one_at_a_time() {
-        let first = golden_frame("pong", opcode::PONG, 1);
-        let second = golden_frame("prewarmed", opcode::PREWARMED, 2);
+        let first = golden_frame("pong", tag("Pong"), 1);
+        let second = golden_frame("prewarmed", tag("Prewarmed"), 2);
         let both = [first.clone(), second.clone()].concat();
         let mut src = both.as_slice();
         let mut reader = FrameReader::new();
@@ -2040,12 +2158,11 @@ pub(crate) mod tests {
         ) {
             let from_cache = cached == 1;
             let payload = encode_frame(&image, from_cache, sim_nanos);
-            let bytes = frame_bytes(opcode::FRAME, id, &payload);
+            let bytes = frame_bytes(FRAME_TAG, id, &payload);
 
             // Out: resumed at whatever byte each write stopped on.
             let image = Arc::new(image);
-            let view = frame_view(opcode::FRAME, id, Arc::clone(&image), from_cache, sim_nanos)
-                .unwrap();
+            let view = frame_view(id, Arc::clone(&image), from_cache, sim_nanos).unwrap();
             prop_assert_eq!(view.len(), bytes.len());
             let mut sink = Trickle { taken: Vec::new(), schedule: &schedule, writes: 0 };
             while sink.taken.len() < view.len() {
@@ -2054,8 +2171,7 @@ pub(crate) mod tests {
             }
             prop_assert_eq!(&sink.taken, &bytes);
             let mut whole = Vec::new();
-            write_frame_view(&mut whole, opcode::FRAME, id, &image, from_cache, sim_nanos)
-                .unwrap();
+            write_frame_view(&mut whole, id, &image, from_cache, sim_nanos).unwrap();
             prop_assert_eq!(&whole, &bytes);
 
             // In: the same schedule as read sizes, then a split in two at
@@ -2075,7 +2191,7 @@ pub(crate) mod tests {
                 .chain(cuts.map(|cut| Pieces::new(<[&[u8]; 2]>::from(bytes.split_at(cut)))));
             for mut arrival in arrivals {
                 match pump_reply(&mut arrival) {
-                    Ok((opcode::FRAME, got_id, Body::Frame(got))) => {
+                    Ok((got_id, Ok(Reply::Frame(got)))) => {
                         prop_assert_eq!(got_id, id);
                         prop_assert_eq!(got.sim_frame, want.sim_frame);
                         let again = encode_frame(&got.image, got.from_cache, sim_nanos);
@@ -2088,7 +2204,7 @@ pub(crate) mod tests {
     }
 
     /// [`pump`] for the replies' end of the socket.
-    fn pump_reply(src: &mut impl Read) -> Result<(u8, u64, Body), WireError> {
+    fn pump_reply(src: &mut impl Read) -> Result<(u64, Result<Reply, WireError>), WireError> {
         let mut reader = FrameReader::new();
         loop {
             if let Some(frame) = reader.read_reply(src, DEFAULT_MAX_PAYLOAD)? {
@@ -2130,7 +2246,7 @@ pub(crate) mod tests {
                 matches!(want, WireError::Malformed(_) | WireError::Truncated { .. }),
                 "{want:?}"
             );
-            let bytes = frame_bytes(opcode::FRAME, 5, &payload);
+            let bytes = frame_bytes(FRAME_TAG, 5, &payload);
             let head = &bytes[..bytes.len().min(PRELUDE_BYTES + FRAME_HEAD_BYTES)];
             for split in 0..head.len() {
                 let (a, b) = head.split_at(split);
@@ -2138,11 +2254,11 @@ pub(crate) mod tests {
             }
             // The server's end never looks inside: same bytes back.
             let raw = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD);
-            assert_eq!(raw, Ok((opcode::FRAME, 5, payload)));
+            assert_eq!(raw, Ok((FRAME_TAG, 5, payload)));
         }
 
         // The payload bound is judged on the header, as for any opcode.
-        let bytes = frame_bytes(opcode::FRAME, 5, &good);
+        let bytes = frame_bytes(FRAME_TAG, 5, &good);
         let mut src = Pieces::new([&bytes[..HEADER_BYTES]]);
         let too_large = WireError::TooLarge {
             len: good.len() as u64,
@@ -2157,7 +2273,7 @@ pub(crate) mod tests {
         let mut src = Pieces::new([a, b]);
         let mut reader = FrameReader::new();
         assert_eq!(reader.read_reply(&mut src, DEFAULT_MAX_PAYLOAD), Ok(None));
-        assert_eq!(pump(&mut reader, &mut src), Ok((opcode::FRAME, 5, good)));
+        assert_eq!(pump(&mut reader, &mut src), Ok((FRAME_TAG, 5, good)));
     }
 
     /// Every request id value round-trips verbatim through the prelude —
@@ -2165,11 +2281,11 @@ pub(crate) mod tests {
     #[test]
     fn request_id_roundtrips_verbatim() {
         for id in [0u64, 1, 8, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
-            let buf = frame_bytes(opcode::SUBMIT, id, b"xyz");
+            let buf = frame_bytes(tag("Submit"), id, b"xyz");
             let (op, got, payload) = read_frame(&mut buf.as_slice(), 1024).unwrap();
             assert_eq!(
                 (op, got, payload.as_slice()),
-                (opcode::SUBMIT, id, &b"xyz"[..])
+                (tag("Submit"), id, &b"xyz"[..])
             );
         }
     }
@@ -2233,6 +2349,460 @@ pub(crate) mod tests {
     #[test]
     fn prewarm_carries_the_epoch_and_the_full_request() {
         pin("prewarm", (17u64, sample_request()));
+    }
+
+    /// What the message contract needs of [`Request`] and [`Reply`] alike.
+    trait Message: Sized + std::fmt::Debug + PartialEq {
+        fn bytes(&self, request_id: u64) -> Vec<u8>;
+        fn parse(tag: u8, payload: &[u8]) -> Result<Self, WireError>;
+        /// One frame off `src` as this end of the socket reads it.
+        #[allow(clippy::type_complexity)]
+        fn read(
+            reader: &mut FrameReader,
+            src: &mut impl Read,
+        ) -> Result<Option<(u64, Result<Self, WireError>)>, WireError>;
+    }
+
+    impl Message for Request<'static> {
+        fn bytes(&self, request_id: u64) -> Vec<u8> {
+            self.framed(request_id)
+        }
+        fn parse(tag: u8, payload: &[u8]) -> Result<Self, WireError> {
+            Request::decode(tag, payload)
+        }
+        fn read(
+            reader: &mut FrameReader,
+            src: &mut impl Read,
+        ) -> Result<Option<(u64, Result<Self, WireError>)>, WireError> {
+            let frame = reader.read(src, DEFAULT_MAX_PAYLOAD)?;
+            Ok(frame.map(|(tag, id, payload)| (id, Request::decode(tag, &payload))))
+        }
+    }
+
+    impl Message for Reply {
+        fn bytes(&self, request_id: u64) -> Vec<u8> {
+            self.framed(request_id)
+        }
+        fn parse(tag: u8, payload: &[u8]) -> Result<Self, WireError> {
+            Reply::decode(tag, payload)
+        }
+        fn read(
+            reader: &mut FrameReader,
+            src: &mut impl Read,
+        ) -> Result<Option<(u64, Result<Self, WireError>)>, WireError> {
+            reader.read_reply(src, DEFAULT_MAX_PAYLOAD)
+        }
+    }
+
+    /// The byte of a frame that holds its tag: after magic and version.
+    const TAG_AT: usize = 6;
+
+    /// The module docs' four clauses for a message, whose bytes are a tag
+    /// and a payload. `decode(tag, payload)` round trips; every strict
+    /// prefix of the payload is `Truncated` and one appended byte
+    /// `TrailingBytes` — except past a `FRAME`'s head, whose dimensions then
+    /// disagree with the length (`Malformed`, as [`decode_frame`] has it);
+    /// a flipped bit of the tag or the payload fails typed, or decodes to
+    /// the message that frames to exactly the flipped bytes.
+    fn message_contract<M: Message>(message: &M) {
+        let frame = message.bytes(7);
+        let (tag, payload) = (frame[TAG_AT], &frame[PRELUDE_BYTES..]);
+        let back = M::parse(tag, payload).unwrap_or_else(|e| panic!("{message:?}: {e}"));
+        assert_eq!(back.bytes(7), frame, "{message:?} came back as {back:?}");
+        let past_head = |len: usize| tag == FRAME_TAG && len >= FRAME_HEAD_BYTES;
+        for cut in 0..payload.len() {
+            let short = M::parse(tag, &payload[..cut]);
+            let typed = match short {
+                Err(WireError::Malformed(_)) => past_head(cut),
+                Err(WireError::Truncated { .. }) => !past_head(cut),
+                _ => false,
+            };
+            assert!(typed, "{cut}-byte prefix of {message:?}: {short:?}");
+        }
+        let longer = [payload, &[0]].concat();
+        let extra = M::parse(tag, &longer);
+        let typed = match extra {
+            Err(WireError::Malformed(_)) => tag == FRAME_TAG,
+            Err(WireError::TrailingBytes { extra: 1 }) => tag != FRAME_TAG,
+            _ => false,
+        };
+        assert!(typed, "{message:?} with a byte appended: {extra:?}");
+        for at in std::iter::once(TAG_AT).chain(PRELUDE_BYTES..frame.len()) {
+            for bit in 0..8 {
+                let mut bent = frame.clone();
+                bent[at] ^= 1 << bit;
+                if let Ok(other) = M::parse(bent[TAG_AT], &bent[PRELUDE_BYTES..]) {
+                    let again = other.bytes(7);
+                    assert_eq!(
+                        again, bent,
+                        "byte {at} bit {bit} of {message:?} gave {other:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every request, each payload the one `golden_v5.txt` pins for it
+    /// (`Stats` has none).
+    fn sample_requests() -> Vec<(Request<'static>, Option<&'static str>)> {
+        vec![
+            (Request::Ping(0x0123_4567_89AB_CDEF), Some("u64")),
+            (
+                Request::Render(Cow::Owned(sample_request())),
+                Some("request_plain"),
+            ),
+            (
+                Request::Submit(Cow::Owned(sample_request())),
+                Some("request_plain"),
+            ),
+            (Request::Redeem(0x0123_4567_89AB_CDEF), Some("u64")),
+            (Request::Stats, None),
+            (Request::Traces(32), Some("u32")),
+            (Request::Drain(0x0123_4567_89AB_CDEF), Some("u64")),
+            (Request::Resume(0x0123_4567_89AB_CDEF), Some("u64")),
+            (
+                Request::Prewarm(17, Cow::Owned(sample_request())),
+                Some("prewarm"),
+            ),
+        ]
+    }
+
+    /// Every reply, with the golden payload it pins to where there is one.
+    fn sample_replies() -> Vec<(Reply, Option<&'static str>)> {
+        let pixels = vec![
+            [0.1, 0.05, 0.9, 1.0],
+            [0.5, 0.25, 0.5, 1.0],
+            [f32::NAN, 0.0, 1.0, 0.25],
+            [0.0; 4],
+        ];
+        let frame = NetFrame {
+            image: Image::from_pixels(2, 2, pixels),
+            from_cache: true,
+            sim_frame: Duration::from_nanos(123_456),
+        };
+        let span = |name: &str, start_ns, end_ns| SpanRecord {
+            name: name.into(),
+            start_ns,
+            end_ns,
+        };
+        let traces = vec![
+            CompletedTrace {
+                id: 7,
+                spans: vec![span("queue", 10, 20), span("render", 20, 90)],
+            },
+            CompletedTrace {
+                id: u64::MAX,
+                spans: vec![],
+            },
+        ];
+        let empty = NetStats {
+            epoch: 0,
+            uptime: Duration::ZERO,
+            shard_snapshots: vec![],
+            obs: Snapshot::new(),
+        };
+        vec![
+            (
+                Reply::Pong(Pong {
+                    token: 7,
+                    shards: 3,
+                }),
+                Some("pong"),
+            ),
+            (Reply::Frame(frame), Some("frame")),
+            (Reply::Submitted(0x0123_4567_89AB_CDEF), Some("u64")),
+            (
+                Reply::Rejected(AdmissionError {
+                    priority: Priority::Interactive,
+                    queued: 9,
+                    limit: usize::MAX,
+                }),
+                Some("rejected"),
+            ),
+            (
+                Reply::Throttled(Duration::from_millis(125)),
+                Some("throttled"),
+            ),
+            (
+                Reply::Failed("render panicked: poison".into()),
+                Some("message"),
+            ),
+            (Reply::StatsReport(empty), None),
+            (
+                Reply::TicketsFull(TicketsFull {
+                    outstanding: 64,
+                    limit: 64,
+                }),
+                Some("tickets_full"),
+            ),
+            (
+                Reply::UnsupportedVersion(UnsupportedVersion { got: 2, want: 5 }),
+                Some("unsupported_version"),
+            ),
+            (Reply::TracesReply(traces), Some("traces")),
+            (
+                Reply::DrainState(DrainState {
+                    draining: true,
+                    outstanding: 9,
+                    epoch: 41,
+                }),
+                Some("drain_state"),
+            ),
+            (
+                Reply::Prewarmed(Prewarmed {
+                    shard: 3,
+                    built: true,
+                }),
+                Some("prewarmed"),
+            ),
+            (Reply::Goodbye, None),
+            (Reply::Draining(0x0123_4567_89AB_CDEF), Some("u64")),
+            (
+                Reply::BadRequest("render panicked: poison".into()),
+                Some("message"),
+            ),
+        ]
+    }
+
+    /// Every message keeps the bytes its payload had before the messages
+    /// were typed, and the contract; the samples cover every variant.
+    #[test]
+    fn every_message_honours_the_contract_in_its_v5_bytes() {
+        let requests = sample_requests();
+        let sampled: Vec<_> = requests.iter().map(|(request, _)| request.tag()).collect();
+        assert!(sampled.iter().eq(Request::TAGS.iter().map(|(tag, _)| tag)));
+        for (request, golden) in &requests {
+            if let Some(name) = golden {
+                assert_golden(name, &request.framed(0)[PRELUDE_BYTES..]);
+            }
+            message_contract(request);
+        }
+        assert_eq!(Request::Stats.framed(3), frame_bytes(tag("Stats"), 3, &[]));
+
+        let replies = sample_replies();
+        let sampled: Vec<_> = replies.iter().map(|(reply, _)| reply.tag()).collect();
+        assert!(sampled.iter().eq(Reply::TAGS.iter().map(|(tag, _)| tag)));
+        for (reply, golden) in &replies {
+            if let Some(name) = golden {
+                assert_golden(name, &reply.framed(0)[PRELUDE_BYTES..]);
+            }
+            message_contract(reply);
+        }
+    }
+
+    /// Tags are unique across both enums, every request's is below `0x80`
+    /// and every reply's at or above it, and any other byte is an
+    /// `UnknownOpcode` to the enum that does not declare it.
+    #[test]
+    fn tags_are_unique_and_requests_sit_below_replies() {
+        let mut seen = std::collections::BTreeMap::new();
+        let requests = Request::TAGS.iter().map(|entry| (entry, true));
+        for (&(tag, name), is_request) in requests.chain(Reply::TAGS.iter().map(|e| (e, false))) {
+            assert_eq!(
+                tag < 0x80,
+                is_request,
+                "{name} ({tag:#04x}) is on the wrong side"
+            );
+            if let Some(first) = seen.insert(tag, name) {
+                panic!("{name} reuses tag {tag:#04x}, already {first}'s");
+            }
+        }
+        assert_eq!(seen.get(&FRAME_TAG), Some(&"Frame"));
+        for tag in 0..=u8::MAX {
+            if !Request::TAGS.iter().any(|&(t, _)| t == tag) {
+                assert_eq!(
+                    Request::decode(tag, &[]),
+                    Err(WireError::UnknownOpcode(tag))
+                );
+            }
+            if !Reply::TAGS.iter().any(|&(t, _)| t == tag) {
+                assert_eq!(Reply::decode(tag, &[]), Err(WireError::UnknownOpcode(tag)));
+            }
+        }
+    }
+
+    /// A deterministic stream of numbers from one seed (SplitMix64), for
+    /// building a message's fields.
+    fn numbers(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Request variant `pick` (mod 9) with fields drawn from `seed`.
+    fn arbitrary_request(pick: usize, seed: u64) -> Request<'static> {
+        let mut next = numbers(seed);
+        let dataset = Dataset::ALL[next() as usize % Dataset::ALL.len()];
+        let scene = NetSceneRequest::orbit_dataset(
+            dataset,
+            1 + next() as u32 % 64,
+            1 + next() as u32 % 8,
+            (next() % 3600) as f32 / 10.0,
+            (next() % 1800) as f32 / 10.0 - 90.0,
+            &TransferFunction::for_dataset(dataset.name()),
+        )
+        .with_config(RenderConfig::test_size(1 + next() as u32 % 512));
+        match pick % 9 {
+            0 => Request::Ping(next()),
+            1 => Request::Render(Cow::Owned(scene)),
+            2 => Request::Submit(Cow::Owned(scene)),
+            3 => Request::Redeem(next()),
+            4 => Request::Stats,
+            5 => Request::Traces(next() as u32),
+            6 => Request::Drain(next()),
+            7 => Request::Resume(next()),
+            _ => Request::Prewarm(next(), Cow::Owned(scene)),
+        }
+    }
+
+    /// Reply variant `pick` (mod 15) with fields drawn from `seed`; floats
+    /// are finite, so equal bytes are equal values.
+    fn arbitrary_reply(pick: usize, seed: u64) -> Reply {
+        let mut next = numbers(seed);
+        let text: String = (0..next() % 40)
+            .map(|_| char::from(b' ' + next() as u8 % 95))
+            .collect();
+        match pick % 15 {
+            0 => Reply::Pong(Pong {
+                token: next(),
+                shards: next() as u32,
+            }),
+            1 => {
+                let (width, height) = (next() as u32 % 12, next() as u32 % 12);
+                let pixels = (0..width * height)
+                    .map(|_| std::array::from_fn(|_| (next() % 2001) as f32 / 1000.0 - 1.0))
+                    .collect();
+                Reply::Frame(NetFrame {
+                    image: Image::from_pixels(width, height, pixels),
+                    from_cache: next() % 2 == 1,
+                    sim_frame: Duration::from_nanos(next()),
+                })
+            }
+            2 => Reply::Submitted(next()),
+            3 => Reply::Rejected(AdmissionError {
+                priority: [Priority::Batch, Priority::Normal, Priority::Interactive]
+                    [next() as usize % 3],
+                queued: next() as usize,
+                limit: next() as usize,
+            }),
+            4 => Reply::Throttled(Duration::from_nanos(next())),
+            5 => Reply::Failed(text),
+            6 => {
+                let mut shard = Snapshot::new();
+                for name in 0..next() % 5 {
+                    shard.add_counter(&format!("serve.c{name}"), next() >> 20);
+                }
+                Reply::StatsReport(NetStats {
+                    epoch: next(),
+                    uptime: Duration::from_nanos(next()),
+                    shard_snapshots: vec![shard.clone(); next() as usize % 3],
+                    obs: shard,
+                })
+            }
+            7 => Reply::TicketsFull(TicketsFull {
+                outstanding: next(),
+                limit: next(),
+            }),
+            8 => Reply::UnsupportedVersion(UnsupportedVersion {
+                got: next() as u16,
+                want: next() as u16,
+            }),
+            9 => Reply::TracesReply(
+                (0..next() % 4)
+                    .map(|_| CompletedTrace {
+                        id: next(),
+                        spans: (0..next() % 4)
+                            .map(|_| {
+                                let start_ns = next() >> 1;
+                                SpanRecord {
+                                    name: text.clone(),
+                                    start_ns,
+                                    end_ns: start_ns + (next() >> 2),
+                                }
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+            ),
+            10 => Reply::DrainState(DrainState {
+                draining: next() % 2 == 1,
+                outstanding: next(),
+                epoch: next(),
+            }),
+            11 => Reply::Prewarmed(Prewarmed {
+                shard: next() as u32,
+                built: next() % 2 == 1,
+            }),
+            12 => Reply::Goodbye,
+            13 => Reply::Draining(next()),
+            _ => Reply::BadRequest(text),
+        }
+    }
+
+    /// `message` framed under `id` and split in two at `cut` arrives
+    /// through a [`FrameReader`] as itself; with bit `bit` of byte `at`
+    /// flipped it arrives as a typed error, or as the message (and id)
+    /// whose frame is exactly the bytes read.
+    fn crosses_the_reader<M: Message>(
+        message: &M,
+        id: u64,
+        cut: usize,
+        (at, bit): (usize, u32),
+    ) -> Result<(), String> {
+        let pump = |bytes: &[u8]| -> Result<(u64, Result<M, WireError>), WireError> {
+            let (a, b) = bytes.split_at(cut % (bytes.len() + 1));
+            let (mut src, mut reader) = (Pieces::new([a, b]), FrameReader::new());
+            loop {
+                if let Some(frame) = M::read(&mut reader, &mut src)? {
+                    return Ok(frame);
+                }
+            }
+        };
+        let bytes = message.bytes(id);
+        match pump(&bytes) {
+            Ok((got_id, Ok(got))) if got_id == id && got == *message => {}
+            other => return Err(format!("{message:?} under id {id} came back as {other:?}")),
+        }
+        let mut bent = bytes.clone();
+        let at = at % bent.len();
+        bent[at] ^= 1 << bit;
+        if let Ok((got_id, Ok(got))) = pump(&bent) {
+            let len = u32::from_le_bytes(bent[HEADER_BYTES - 4..HEADER_BYTES].try_into().unwrap());
+            let read = &bent[..PRELUDE_BYTES + len as usize];
+            if got.bytes(got_id) != read {
+                return Err(format!("byte {at} bit {bit} of {message:?} gave {got:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary requests and replies through the one frame parser, no
+        /// socket: split at any byte, each comes back equal; with any one
+        /// bit of its frame flipped, typed or canonical.
+        #[test]
+        fn arbitrary_messages_cross_the_frame_reader(
+            pick in 0usize..24,
+            seed in 0u64..=u64::MAX,
+            id in 0u64..=u64::MAX,
+            cut in 0usize..5000,
+            at in 0usize..5000,
+            bit in 0u32..8,
+        ) {
+            let crossed = if pick < 9 {
+                crosses_the_reader(&arbitrary_request(pick, seed), id, cut, (at, bit))
+            } else {
+                crosses_the_reader(&arbitrary_reply(pick - 9, seed), id, cut, (at, bit))
+            };
+            prop_assert!(crossed.is_ok(), "{}", crossed.unwrap_err());
+        }
     }
 
     /// The types no payload uses bare, and the two `f64`/`u8`-shaped

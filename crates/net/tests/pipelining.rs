@@ -2,11 +2,12 @@
 //! redeemed out of order — plus the protocol-level guard rails that make
 //! that safe (duplicate request-id rejection, id echo on every reply).
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use mgpu_net::wire::{self, opcode, read_frame, write_frame};
+use mgpu_net::wire::{self, read_frame, Reply, Request};
 use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
 use mgpu_serve::ServiceConfig;
 use mgpu_voldata::Dataset;
@@ -135,7 +136,7 @@ fn submits_and_renders_interleave_on_one_connection() {
 }
 
 /// A request id may name only one outstanding request per connection: the
-/// duplicate gets a typed BAD_REQUEST tagged with that id, and the
+/// duplicate gets a typed `BadRequest` tagged with that id, and the
 /// connection (plus the original request) survives. The same holds for a
 /// REDEEM of an id whose frame is already owed to someone.
 #[test]
@@ -143,27 +144,26 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     let server = server(1, 1);
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
 
-    let payload = wire::encode_request(&sized_request(0.0, 8));
-    write_frame(&mut raw, opcode::SUBMIT, 9, &payload).expect("first submit");
-    write_frame(&mut raw, opcode::SUBMIT, 9, &payload).expect("duplicate submit");
+    let request = sized_request(0.0, 8);
+    let submit = Request::Submit(Cow::Borrowed(&request)).framed(9);
+    raw.write_all(&submit).expect("first submit");
+    raw.write_all(&submit).expect("duplicate submit");
 
     // The first use of id 9 acks normally…
-    let (op, id, ack) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("ack");
-    assert_eq!((op, id), (opcode::SUBMITTED, 9));
-    assert_eq!(wire::decode::<u64>(&ack).expect("ticket"), 9);
+    assert_eq!(read_reply(&mut raw), (9, Reply::Submitted(9)));
     // …the duplicate is refused, typed and tagged with the id.
-    let (op, id, echo) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 9));
-    let message: String = wire::decode(&echo).expect("echo decodes");
-    assert!(
-        message.contains("duplicate request id 9"),
-        "unexpected echo: {message}"
-    );
+    match read_reply(&mut raw) {
+        (9, Reply::BadRequest(message)) => assert!(
+            message.contains("duplicate request id 9"),
+            "unexpected echo: {message}"
+        ),
+        other => panic!("expected a BadRequest under id 9, got {other:?}"),
+    }
 
     // The connection still works: redeem the original ticket on it.
-    write_frame(&mut raw, opcode::REDEEM, 10, &wire::encode(&9u64)).expect("redeem");
-    let (op, id, _frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 10));
+    raw.write_all(&Request::Redeem(9).framed(10))
+        .expect("redeem");
+    assert!(matches!(read_reply(&mut raw), (10, Reply::Frame(_))));
     raw.flush().unwrap();
 
     server.shutdown();
@@ -182,19 +182,26 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     })
     .expect("bind loopback server");
     let mut raw = TcpStream::connect(paused.addr()).expect("connect");
-    write_frame(&mut raw, opcode::RENDER, 20, &payload).expect("render");
-    write_frame(&mut raw, opcode::REDEEM, 21, &wire::encode(&20u64)).expect("redeem");
-    let (op, id, echo) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("refusal");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 21));
-    let message: String = wire::decode(&echo).expect("echo decodes");
-    assert!(
-        message.contains("already being redeemed"),
-        "unexpected echo: {message}"
-    );
+    let render = Request::Render(Cow::Borrowed(&request)).framed(20);
+    raw.write_all(&render).expect("render");
+    raw.write_all(&Request::Redeem(20).framed(21))
+        .expect("redeem");
+    match read_reply(&mut raw) {
+        (21, Reply::BadRequest(message)) => assert!(
+            message.contains("already being redeemed"),
+            "unexpected echo: {message}"
+        ),
+        other => panic!("expected a BadRequest under id 21, got {other:?}"),
+    }
     paused.resume();
-    let (op, id, _frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 20));
+    assert!(matches!(read_reply(&mut raw), (20, Reply::Frame(_))));
     paused.shutdown();
+}
+
+/// One reply off a raw socket: its request id and the reply it decodes to.
+fn read_reply(raw: &mut TcpStream) -> (u64, Reply) {
+    let (tag, id, payload) = read_frame(raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
+    (id, Reply::decode(tag, &payload).expect("reply decodes"))
 }
 
 /// Once a ticket's render completes *after* its REDEEM arrived (the parked
@@ -212,7 +219,7 @@ fn parked_redeems_resolve_and_tickets_redeem_once() {
     assert_eq!(frame.image.width(), 16);
 
     match client.redeem(ticket) {
-        Err(mgpu_net::ClientError::Protocol(what)) => {
+        Err(mgpu_net::ClientError::BadRequest(what)) => {
             assert!(what.contains("unknown ticket"), "unexpected: {what}")
         }
         other => panic!("double redeem must be a typed error, got {other:?}"),

@@ -1,16 +1,23 @@
 //! Poison-pill clients: the server must survive clients that send garbage,
 //! disconnect mid-request, or speak the wrong protocol version. The
 //! affected connection gets a clean typed error ([`WireError`] echoed in a
-//! `BAD_REQUEST` frame) or is dropped; *other* sessions keep rendering as
-//! if nothing happened.
+//! `BadRequest` reply) or is dropped; *other* sessions keep rendering as
+//! if nothing happened. Hostile bytes are the point here, so these tests
+//! write and read raw frames; tags come from [`Request`] and [`Reply`].
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mgpu_net::wire::{self, opcode, read_frame, write_frame, HEADER_BYTES, MAGIC};
-use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig, VolumeSpec};
-use mgpu_serve::ServiceConfig;
+use mgpu_net::wire::{
+    self, read_frame, write_frame, Reply, Request, UnsupportedVersion, HEADER_BYTES, MAGIC,
+};
+use mgpu_net::{
+    Directory, NetSceneRequest, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig,
+    VolumeSpec,
+};
+use mgpu_serve::{BackendError, RenderBackend, ServiceConfig};
 use mgpu_voldata::Dataset;
 use mgpu_volren::{RenderConfig, TransferFunction};
 
@@ -38,6 +45,30 @@ fn tiny_request(azimuth: f32) -> NetSceneRequest {
     .with_config(RenderConfig::test_size(8))
 }
 
+/// The tag a `RENDER` frame carries.
+fn render_tag() -> u8 {
+    Request::Render(Cow::Owned(tiny_request(0.0))).tag()
+}
+
+/// `request` framed under `id` as a `RENDER`.
+fn render_frame(request: &NetSceneRequest, id: u64) -> Vec<u8> {
+    Request::Render(Cow::Borrowed(request)).framed(id)
+}
+
+/// One reply off a raw socket: its request id and the reply it decodes to.
+fn read_reply(raw: &mut TcpStream) -> (u64, Reply) {
+    let (tag, id, payload) = read_frame(raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
+    (id, Reply::decode(tag, &payload).expect("reply decodes"))
+}
+
+/// The echo a `BadRequest` under `id` carries — the next reply must be one.
+fn bad_request(raw: &mut TcpStream, id: u64) -> String {
+    match read_reply(raw) {
+        (got, Reply::BadRequest(message)) if got == id => message,
+        other => panic!("expected a BadRequest under id {id}, got {other:?}"),
+    }
+}
+
 /// A healthy render on a separate connection — the "other sessions are
 /// unaffected" probe used after each poisoning.
 fn assert_service_healthy(server: &RenderServer, azimuth: f32) {
@@ -59,12 +90,9 @@ fn garbage_bytes_get_a_typed_error_and_the_connection_closed() {
         .write_all(b"GET / HTTP/1.1\r\nHost: not-a-render-service\r\n\r\n")
         .expect("write garbage");
     poison.flush().unwrap();
-    // The server answers with a BAD_REQUEST frame carrying the WireError…
-    // tagged with request id 0 (no request could be framed to echo an id).
-    let (op, id, payload) =
-        read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD).expect("typed reply to garbage");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    let message: String = wire::decode(&payload).expect("error echo decodes");
+    // The server answers with a BadRequest carrying the WireError… tagged
+    // with request id 0 (no request could be framed to echo an id).
+    let message = bad_request(&mut poison, 0);
     assert!(message.contains("magic"), "unexpected echo: {message}");
     // …then closes the poisoned connection.
     match read_frame(&mut poison, wire::DEFAULT_MAX_PAYLOAD) {
@@ -91,7 +119,7 @@ fn disconnect_mid_request_is_reaped_quietly() {
     let mut header = Vec::with_capacity(HEADER_BYTES + 5);
     header.extend_from_slice(&MAGIC.to_le_bytes());
     header.extend_from_slice(&wire::VERSION.to_le_bytes());
-    header.push(opcode::RENDER);
+    header.push(render_tag());
     header.extend_from_slice(&64u32.to_le_bytes());
     header.extend_from_slice(&[1, 2, 3, 4, 5]);
     {
@@ -167,6 +195,78 @@ fn outstanding_tickets_are_bounded_per_session() {
     client.finish_render(rendering).expect("render");
     client.redeem(ticket).expect("redeem");
     server.shutdown();
+
+    // A request both malformed and over the bound is refused for its
+    // payload: a frame is decoded before the door looks at the session.
+    let server = RenderServer::start(ServerConfig {
+        shards: 1,
+        max_tickets_per_session: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let submit = |id: u64| Request::Submit(Cow::Owned(tiny_request(id as f32))).framed(id);
+    for id in 1..=2 {
+        raw.write_all(&submit(id)).unwrap();
+        assert_eq!(read_reply(&mut raw), (id, Reply::Submitted(id)));
+    }
+    let submit_tag = Request::Submit(Cow::Owned(tiny_request(0.0))).tag();
+    write_frame(&mut raw, submit_tag, 3, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
+    let message = bad_request(&mut raw, 3);
+    assert!(message.contains("truncated"), "unexpected echo: {message}");
+    raw.write_all(&submit(4)).unwrap();
+    match read_reply(&mut raw) {
+        (4, Reply::TicketsFull(full)) => assert_eq!((full.outstanding, full.limit), (2, 2)),
+        other => panic!("expected TicketsFull under id 4, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A request the server door refuses is the caller's error, not the
+/// node's: through a 2-node pool it goes out once and comes back typed, as
+/// `BackendError::Unsupported`, and the pooled connection it went out on
+/// carries the next render without a new handshake.
+#[test]
+fn a_refused_request_neither_fails_over_nor_drops_its_connection() {
+    let servers = [tiny_server(), tiny_server()];
+    let addrs = servers.iter().map(RenderServer::addr).collect();
+    let pool = NodePool::new(
+        Directory::new(addrs).expect("directory"),
+        NodePoolConfig::default(),
+    );
+    let frames_in = || -> u64 {
+        let count = |server: &RenderServer| server.stats().obs.counter("net.frames_in");
+        servers
+            .iter()
+            .map(|server| count(server).unwrap_or(0))
+            .sum()
+    };
+    let scene = |image| {
+        let mut request = tiny_request(0.0).to_request().expect("valid request");
+        request.config.image = image;
+        request
+    };
+
+    let refused = scene((0, 8));
+    match pool.render(refused.clone()) {
+        Err(BackendError::Unsupported(why)) => {
+            assert!(why.contains("degenerate 0x8 image"), "{why}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(frames_in(), 2, "one handshake PING and one RENDER");
+
+    // A valid request on the same node rides the same connection.
+    let node = pool.node_for(&refused);
+    let valid = (8..64)
+        .map(|width| scene((width, 8)))
+        .find(|request| pool.node_for(request) == node)
+        .expect("some image size routes to the refused request's node");
+    pool.render(valid).expect("render after a refusal");
+    assert_eq!(frames_in(), 3, "no new handshake");
+    for server in servers {
+        server.shutdown();
+    }
 }
 
 /// Shutdown drains a *paused* service instead of deadlocking: a blocking
@@ -205,19 +305,23 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     let server = tiny_server();
 
     // Wrong protocol version (a v2 frame has the same 11-byte header
-    // layout): a typed UNSUPPORTED_VERSION reply naming both versions,
+    // layout): a typed UnsupportedVersion reply naming both versions,
     // then a clean close — not a silent drop.
     let mut old = TcpStream::connect(server.addr()).expect("connect");
     let mut frame = Vec::new();
     frame.extend_from_slice(&MAGIC.to_le_bytes());
     frame.extend_from_slice(&999u16.to_le_bytes());
-    frame.push(opcode::PING);
+    frame.push(Request::Ping(0).tag());
     frame.extend_from_slice(&0u32.to_le_bytes());
     old.write_all(&frame).unwrap();
-    let (op, id, payload) = read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD).expect("version reply");
-    assert_eq!((op, id), (opcode::UNSUPPORTED_VERSION, 0));
-    let refusal: wire::UnsupportedVersion = wire::decode(&payload).expect("typed payload");
-    assert_eq!((refusal.got, refusal.want), (999, wire::VERSION));
+    let versions = UnsupportedVersion {
+        got: 999,
+        want: wire::VERSION,
+    };
+    assert_eq!(
+        read_reply(&mut old),
+        (0, Reply::UnsupportedVersion(versions))
+    );
     match read_frame(&mut old, wire::DEFAULT_MAX_PAYLOAD) {
         Err(wire::WireError::ConnectionClosed) | Err(wire::WireError::Io(_)) => {}
         other => panic!("wrong-version connection should be closed, got {other:?}"),
@@ -226,27 +330,43 @@ fn wrong_version_and_malformed_payloads_are_clean_errors() {
     // A well-framed RENDER whose payload is junk: the connection SURVIVES
     // (framing is intact) and the next request on it succeeds.
     let mut junk = TcpStream::connect(server.addr()).expect("connect");
-    write_frame(&mut junk, opcode::RENDER, 7, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-    let (op, id, _) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("junk echo");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 7), "echoes the request id");
-    write_frame(&mut junk, opcode::PING, 8, &wire::encode(&9u64)).unwrap();
-    let (op, id, payload) = read_frame(&mut junk, wire::DEFAULT_MAX_PAYLOAD).expect("ping reply");
-    assert_eq!((op, id), (opcode::PONG, 8));
-    assert_eq!(wire::decode::<wire::Pong>(&payload).unwrap().token, 9);
+    write_frame(&mut junk, render_tag(), 7, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
+    bad_request(&mut junk, 7); // echoes the request id
+    junk.write_all(&Request::Ping(9).framed(8)).unwrap();
+    match read_reply(&mut junk) {
+        (8, Reply::Pong(pong)) => assert_eq!(pong.token, 9),
+        other => panic!("expected a Pong under id 8, got {other:?}"),
+    }
+
+    // A well-framed request under a tag no request has (here, a reply's):
+    // typed echo under its id, then close — a peer dispatching unknown
+    // requests is not speaking this protocol. (A socket left open would
+    // time out instead.)
+    let mut stranger = TcpStream::connect(server.addr()).expect("connect");
+    stranger
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut stranger, Reply::Goodbye.tag(), 5, &[]).unwrap();
+    let message = bad_request(&mut stranger, 5);
+    assert!(
+        message.contains("unknown opcode"),
+        "unexpected echo: {message}"
+    );
+    match read_frame(&mut stranger, wire::DEFAULT_MAX_PAYLOAD) {
+        Err(wire::WireError::ConnectionClosed) => {}
+        Err(wire::WireError::Io(std::io::ErrorKind::ConnectionReset)) => {}
+        other => panic!("an unknown tag should close the connection, got {other:?}"),
+    }
 
     // An oversized declared length: typed TooLarge echo, then close.
     let mut huge = TcpStream::connect(server.addr()).expect("connect");
     let mut frame = Vec::new();
     frame.extend_from_slice(&MAGIC.to_le_bytes());
     frame.extend_from_slice(&wire::VERSION.to_le_bytes());
-    frame.push(opcode::RENDER);
+    frame.push(render_tag());
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
     huge.write_all(&frame).unwrap();
-    let (op, id, payload) = read_frame(&mut huge, wire::DEFAULT_MAX_PAYLOAD).expect("size echo");
-    assert_eq!((op, id), (opcode::BAD_REQUEST, 0));
-    assert!(wire::decode::<String>(&payload)
-        .unwrap()
-        .contains("exceeds"));
+    assert!(bad_request(&mut huge, 0).contains("exceeds"));
 
     assert_service_healthy(&server, 50.0);
     server.shutdown();
@@ -287,10 +407,8 @@ fn an_unbounded_march_is_refused_at_the_door() {
     for (id, (spoil, why)) in (1u64..).zip(refusals) {
         let mut request = tiny_request(0.0);
         spoil(&mut request);
-        write_frame(&mut raw, opcode::RENDER, id, &wire::encode(&request)).unwrap();
-        let (op, echoed, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
-        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "{why}");
-        let message: String = wire::decode(&payload).expect("error echo decodes");
+        raw.write_all(&render_frame(&request, id)).unwrap();
+        let message = bad_request(&mut raw, id);
         assert!(message.contains(why), "unexpected echo: {message}");
     }
     fn dataset(dataset: Dataset, base: u32) -> VolumeSpec {
@@ -316,41 +434,27 @@ fn an_unbounded_march_is_refused_at_the_door() {
         spoil(&mut request);
         // A connection of its own, so each case has its one token to keep.
         let mut conn = TcpStream::connect(server.addr()).expect("connect");
-        let prewarm = wire::encode(&(0u64, request.clone()));
-        for (id, op, payload) in [
-            (1, opcode::SUBMIT, wire::encode(&request)),
-            (2, opcode::PREWARM, prewarm),
+        for (id, door) in [
+            (1, Request::Submit(Cow::Borrowed(&request))),
+            (2, Request::Prewarm(0, Cow::Borrowed(&request))),
         ] {
-            write_frame(&mut conn, op, id, &payload).unwrap();
-            let (op, echoed, payload) =
-                read_frame(&mut conn, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
-            assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "{request:?}");
-            let message: String = wire::decode(&payload).expect("error echo decodes");
+            conn.write_all(&door.framed(id)).unwrap();
+            let message = bad_request(&mut conn, id);
             assert!(message.contains(why), "unexpected echo: {message}");
         }
         // The same connection renders on its unspent token, and so does a
         // fresh one.
-        write_frame(
-            &mut conn,
-            opcode::RENDER,
-            3,
-            &wire::encode(&tiny_request(0.0)),
-        )
-        .unwrap();
-        let (op, id, _) = read_frame(&mut conn, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-        assert_eq!((op, id), (opcode::FRAME, 3), "{why}");
+        conn.write_all(&render_frame(&tiny_request(0.0), 3))
+            .unwrap();
+        assert!(
+            matches!(read_reply(&mut conn), (3, Reply::Frame(_))),
+            "{why}"
+        );
         assert_service_healthy(&server, 70.0);
     }
     // Same connection, same bucket: the one token is still there.
-    write_frame(
-        &mut raw,
-        opcode::RENDER,
-        6,
-        &wire::encode(&tiny_request(0.0)),
-    )
-    .unwrap();
-    let (op, id, _) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 6));
+    raw.write_all(&render_frame(&tiny_request(0.0), 6)).unwrap();
+    assert!(matches!(read_reply(&mut raw), (6, Reply::Frame(_))));
 
     let frame = survivor
         .render(&tiny_request(60.0))
@@ -386,25 +490,18 @@ fn an_unservable_image_is_refused_at_the_door() {
     for (id, (image, why)) in (1u64..).zip(cases) {
         let mut request = tiny_request(0.0);
         request.config.image = image;
-        let op = [opcode::RENDER, opcode::SUBMIT][id as usize % 2];
-        write_frame(&mut raw, op, id, &wire::encode(&request)).unwrap();
-        let (op, echoed, payload) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("reply");
-        assert_eq!((op, echoed), (opcode::BAD_REQUEST, id), "image {image:?}");
-        let message: String = wire::decode(&payload).expect("error echo decodes");
+        let request = Cow::Borrowed(&request);
+        let door = [Request::Render(request.clone()), Request::Submit(request)];
+        raw.write_all(&door[id as usize % 2].framed(id)).unwrap();
+        let message = bad_request(&mut raw, id);
         assert!(message.contains(why), "image {image:?}: {message}");
     }
     // Same connection, same bucket: the one token is still there, and an
     // image that exactly fills the bound is served.
-    write_frame(
-        &mut raw,
-        opcode::RENDER,
-        9,
-        &wire::encode(&tiny_request(0.0)),
-    )
-    .unwrap();
-    let (op, id, frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
-    assert_eq!((op, id), (opcode::FRAME, 9));
-    assert_eq!(frame.len() as u64, 17 + 8 * 8 * 16);
+    raw.write_all(&render_frame(&tiny_request(0.0), 9)).unwrap();
+    let (tag, id, frame) = read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD).expect("frame");
+    assert!(matches!(Reply::decode(tag, &frame), Ok(Reply::Frame(_))));
+    assert_eq!((id, frame.len() as u64), (9, 17 + 8 * 8 * 16));
 
     // Nothing was rendered for the refused ones.
     assert_eq!(server.shutdown().frames_completed, 1);

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 use mgpu_net::ratelimit::{RateLimitConfig, TokenBucket};
 use mgpu_net::wire::{
-    decode, decode_frame, decode_request, encode_request, frame_bytes, opcode, parse_header,
-    read_frame, NetSceneRequest, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
+    decode, decode_frame, decode_request, encode_request, frame_bytes, parse_header, read_frame,
+    NetSceneRequest, Request, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
 };
 use mgpu_net::NetStats;
 use mgpu_net::{RenderClient, RenderServer, ServerConfig};
@@ -137,8 +137,14 @@ proptest! {
         flip_mask in 1u8..=255,
         cut_inside in 0usize..8,
     ) {
-        let op = [opcode::PING, opcode::RENDER, opcode::SUBMIT, opcode::REDEEM, opcode::STATS]
-            [op_bit as usize];
+        let op = [
+            Request::Ping(0),
+            Request::Redeem(0),
+            Request::Stats,
+            Request::Traces(0),
+            Request::Drain(0),
+        ][op_bit as usize]
+            .tag();
         let frame = frame_bytes(op, request_id, &payload);
 
         // Flip bits inside the 8-byte id (bytes 11..19 of the prelude).

@@ -393,7 +393,7 @@ fn ticket_redemption_edge_cases() {
     }
     let raw = RenderClient::connect(server.addr()).expect("raw connect");
     match raw.redeem(NetTicket::from_id(0xDEAD)) {
-        Err(ClientError::Protocol(msg)) => {
+        Err(ClientError::BadRequest(msg)) => {
             assert!(msg.contains("unknown ticket"), "{msg}")
         }
         other => panic!("unknown ticket must fail typed, got {other:?}"),

@@ -177,8 +177,8 @@ fn submit_and_redeem_out_of_order() {
     // A ticket redeems exactly once.
     let err = client.redeem(tickets[0]).expect_err("double redeem");
     match err {
-        ClientError::Protocol(msg) => assert!(msg.contains("unknown ticket"), "{msg}"),
-        other => panic!("expected protocol error, got {other:?}"),
+        ClientError::BadRequest(msg) => assert!(msg.contains("unknown ticket"), "{msg}"),
+        other => panic!("expected a refused request, got {other:?}"),
     }
     server.shutdown();
 }
