@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Paired A/B benchmark: the committed HEAD against a base revision, on the
-# workloads of BENCHMARK.json, in alternating runs.
+# workloads of BENCHMARK.json (or on `micro_ops` timings), in alternating
+# runs.
 #
 #   ci/ab.sh <base-rev> [--workloads a,b] [--pairs N] [--seconds S]
+#   ci/ab.sh <base-rev> --micro <filter> [--pairs N]
 #
 # Both sides are built from `git archive` copies under one `mktemp -d`
 # directory, each with its own target dir, so the working tree (and its
@@ -16,12 +18,19 @@
 # the minor page faults of each run (the `mgpu-perf` process, read from its
 # parent subshell's `cminflt` in /proc). Progress goes to stderr.
 #
+# With `--micro`, each side builds the `micro_ops` bench instead
+# (`cargo bench -p mgpu-bench --no-run`), and pair i runs both binaries as
+# `micro_ops --bench <filter>` from the side's `crates/bench`, in the same
+# alternating order. One table follows: per `group/id` the filter matched,
+# the mean time per iteration (lower is better), in the same columns.
+#
 # Defaults: every workload, 10 pairs, BENCHMARK.json's `run_seconds`.
 # A/A check: `ci/ab.sh HEAD --workloads pool_preview --pairs 5`.
 set -euo pipefail
 
 usage() {
     echo "usage: ci/ab.sh <base-rev> [--workloads a,b] [--pairs N] [--seconds S]" >&2
+    echo "       ci/ab.sh <base-rev> --micro <filter> [--pairs N]" >&2
     exit 2
 }
 
@@ -31,8 +40,10 @@ shift
 workloads=""
 pairs=10
 seconds=""
+micro=""
 while [ $# -gt 0 ]; do
     case "$1" in
+        --micro) micro=${2:?}; shift 2 ;;
         --workloads) workloads=${2:?}; shift 2 ;;
         --pairs) pairs=${2:?}; shift 2 ;;
         --seconds) seconds=${2:?}; shift 2 ;;
@@ -71,9 +82,93 @@ for side in base head; do
     mkdir -p "$work/$side"
     git -C "$root" archive "${!sha}" | tar -x -C "$work/$side"
     echo "ab: building $side (${!sha:0:10})" >&2
-    CARGO_TARGET_DIR="$work/$side-target" \
-        cargo build --release --offline --quiet --manifest-path "$work/$side/perf/Cargo.toml" >&2
+    if [ -n "$micro" ]; then
+        CARGO_TARGET_DIR="$work/$side-target" cargo bench --offline --quiet --no-run \
+            --manifest-path "$work/$side/Cargo.toml" -p mgpu-bench >&2
+    else
+        CARGO_TARGET_DIR="$work/$side-target" \
+            cargo build --release --offline --quiet --manifest-path "$work/$side/perf/Cargo.toml" >&2
+    fi
 done
+
+# Median and quartiles (linear interpolation) of the numbers on stdin.
+quartiles() {
+    sort -g | awk '
+        { x[NR] = $1 }
+        function q(p,   h, l) {
+            h = (NR - 1) * p + 1; l = int(h)
+            return l >= NR ? x[NR] : x[l] + (h - l) * (x[l + 1] - x[l])
+        }
+        END { if (NR) printf "%.4g [%.4g–%.4g]", q(0.5), q(0.25), q(0.75); else printf "—" }'
+}
+
+# `base HEAD` pairs on stdin, `better` = higher|lower: HEAD's wins of the
+# pairs (ties count as neither) and the two-sided sign-test p over the
+# untied ones, as `W of N|p`.
+tally() {
+    awk -v better="$1" '
+        NF {
+            n++
+            if ($2 == $1) next
+            if ((better == "higher") == ($2 > $1)) w++; else l++
+        }
+        END {
+            m = w + l; k = w < l ? w : l; tail = 0; c = 1
+            for (j = 0; j <= k; j++) { tail += c; c = c * (m - j) / (j + 1) }
+            p = m ? 2 * tail / 2 ^ m : 1
+            if (p > 1) p = 1
+            printf "%d of %d|%.3g", w, n, p
+        }'
+}
+
+# One table row: metric label, `better`, and the `base HEAD` pairs.
+row() {
+    local label=$1 better=$2 rows=$3
+    local base_q head_q ratio_q tally_
+    base_q=$(printf '%s' "$rows" | awk 'NF { print $1 }' | quartiles)
+    head_q=$(printf '%s' "$rows" | awk 'NF { print $2 }' | quartiles)
+    ratio_q=$(printf '%s' "$rows" | awk 'NF && $1 != 0 { print $2 / $1 }' | quartiles)
+    tally_=$(printf '%s' "$rows" | tally "$better")
+    echo "| $label | $base_q | $head_q | ${ratio_q%% *} | ${tally_%|*} | ${tally_#*|} |"
+}
+
+if [ -n "$micro" ]; then
+    dir="$work/results/micro"
+    mkdir -p "$dir"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order="base head"; else order="head base"; fi
+        for side in $order; do
+            echo "ab: micro $micro pair $i $side" >&2
+            bin=$(find "$work/$side-target/release/deps" -maxdepth 1 -type f -executable \
+                -name 'micro_ops-*' | head -n 1)
+            (cd "$work/$side/crates/bench" && "$bin" --bench "$micro") >"$dir/$side-$i.txt"
+        done
+    done
+    # A timing line is `<group/id> <value> <ms|µs|ns>`: `<id>`'s value in
+    # file $1, in unit $3.
+    value_in() {
+        awk -v id="$2" -v unit="$3" '
+            function ns(u) { return u == "ms" ? 1e6 : u == "µs" ? 1e3 : 1 }
+            $1 == id { print $2 * ns($3) / ns(unit) }' "$1"
+    }
+    echo "base $base_rev (${base_sha:0:10}) vs HEAD (${head_sha:0:10}): $pairs pairs of micro_ops --bench $micro"
+    echo
+    echo "| benchmark (lower is better) | base | HEAD | median ratio | HEAD wins | sign p |"
+    echo "|---|---|---|---|---|---|"
+    # Ids and units as the first base run printed them.
+    while read -r id _ unit; do
+        rows=""
+        for ((i = 1; i <= pairs; i++)); do
+            b=$(value_in "$dir/base-$i.txt" "$id" "$unit")
+            h=$(value_in "$dir/head-$i.txt" "$id" "$unit")
+            [ -n "$b" ] && [ -n "$h" ] && rows+="$b $h"$'\n'
+        done
+        row "\`$id\` ($unit)" lower "$rows"
+    done <"$dir/base-1.txt"
+    rm -rf "$work/base-target" "$work/head-target"
+    echo "ab: timings under $dir" >&2
+    exit 0
+fi
 
 # One run: the pipeline's form, in the side's own copy; keeps the JSON, and
 # the run's minor faults beside it: this subshell's `cminflt` (field 11 of
@@ -113,17 +208,6 @@ value() {
     fi
 }
 
-# Median and quartiles (linear interpolation) of the numbers on stdin.
-quartiles() {
-    sort -g | awk '
-        { x[NR] = $1 }
-        function q(p,   h, l) {
-            h = (NR - 1) * p + 1; l = int(h)
-            return l >= NR ? x[NR] : x[l] + (h - l) * (x[l + 1] - x[l])
-        }
-        END { if (NR) printf "%.4g [%.4g–%.4g]", q(0.5), q(0.25), q(0.75); else printf "—" }'
-}
-
 echo "base $base_rev (${base_sha:0:10}) vs HEAD (${head_sha:0:10}): $pairs pairs of ${seconds} s"
 for workload in "${names[@]}"; do
     dir="$work/results/$workload"
@@ -139,24 +223,7 @@ for workload in "${names[@]}"; do
             h=$(value "$dir/head-$i.json" "$metric")
             [ -n "$b" ] && [ -n "$h" ] && rows+="$b $h"$'\n'
         done
-        base_q=$(printf '%s' "$rows" | awk 'NF { print $1 }' | quartiles)
-        head_q=$(printf '%s' "$rows" | awk 'NF { print $2 }' | quartiles)
-        ratio_q=$(printf '%s' "$rows" | awk 'NF && $1 != 0 { print $2 / $1 }' | quartiles)
-        # Wins, losses and the two-sided sign-test p over the untied pairs.
-        tally=$(printf '%s' "$rows" | awk -v better="$better" '
-            NF {
-                n++
-                if ($2 == $1) next
-                if ((better == "higher") == ($2 > $1)) w++; else l++
-            }
-            END {
-                m = w + l; k = w < l ? w : l; tail = 0; c = 1
-                for (j = 0; j <= k; j++) { tail += c; c = c * (m - j) / (j + 1) }
-                p = m ? 2 * tail / 2 ^ m : 1
-                if (p > 1) p = 1
-                printf "%d of %d|%.3g", w, n, p
-            }')
-        echo "| \`$metric\` ($better is better) | $base_q | $head_q | ${ratio_q%% *} | ${tally%|*} | ${tally#*|} |"
+        row "\`$metric\` ($better is better)" "$better" "$rows"
     done <<<"$metrics"
     failed=""
     for side in base head; do

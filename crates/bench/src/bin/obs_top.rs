@@ -39,7 +39,7 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
+    let total = hits.saturating_add(misses);
     if total == 0 {
         0.0
     } else {
@@ -273,7 +273,6 @@ fn main() {
         &RebalanceConfig {
             band: 1.2,
             min_frames: 4,
-            ..RebalanceConfig::default()
         },
     );
     let dest = pool.node_for(&pool_request(0.0));

@@ -5,9 +5,11 @@ use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Dataset;
 use mgpu_volren::baseline::ParaViewClassBaseline;
 
-use crate::{
-    fig3_sweep, figure_config, print_table, run_point, write_csv, BenchScale, FigRow, Table,
+use crate::harness::{
+    bench_volume, fig3_sweep, figure_config, results_dir, run_point, standard_scene, BenchScale,
+    FigRow,
 };
+use crate::report::{print_table, write_csv, Table};
 
 /// Run the full Figure-3/4 sweep, returning one row per (size, gpus) point.
 pub fn run_sweep(scale: &BenchScale) -> Vec<FigRow> {
@@ -26,7 +28,7 @@ pub fn run_sweep(scale: &BenchScale) -> Vec<FigRow> {
     rows
 }
 
-/// Figure 3: the stacked phase-breakdown table + ASCII bars.
+/// Figure 3: the stacked phase-breakdown table.
 pub fn fig3_report(rows: &[FigRow]) {
     let mut t = Table::new(&[
         "volume",
@@ -80,7 +82,7 @@ pub fn fig3_report(rows: &[FigRow]) {
 
 /// Write the sweep to `name` under the results dir; returns the path.
 fn write_rows_csv(name: &str, rows: &[FigRow]) -> std::path::PathBuf {
-    let dir = crate::results_dir();
+    let dir = results_dir();
     std::fs::create_dir_all(&dir).ok();
     let path = dir.join(name);
     let cells = rows.iter().map(|r| r.csv_cells());
@@ -246,8 +248,8 @@ pub fn speed_of_light_report(scale: &BenchScale) {
     use mgpu_sim::Activity;
     let cfg = figure_config(scale);
     let size = scale.size(1024);
-    let volume = crate::bench_volume(Dataset::Skull, size);
-    let scene = crate::standard_scene(&volume);
+    let volume = bench_volume(Dataset::Skull, size);
+    let scene = standard_scene(&volume);
 
     let mut t = Table::new(&[
         "gpus",

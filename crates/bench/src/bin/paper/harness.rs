@@ -1,32 +1,6 @@
-//! # mgpu-bench — the experiment harness
-//!
-//! Regenerates every figure and inline result of the paper's evaluation,
-//! one `paper` subcommand each
-//! (`cargo run --release -p mgpu-bench --bin paper -- <subcommand>`):
-//!
-//! | subcommand | reproduces |
-//! |---|---|
-//! | `fig3` | Figure 3: phase breakdown over volumes × GPUs |
-//! | `fig4` | Figure 4: FPS and VPS curves |
-//! | `micro` | §3 disk / H2D / D2H anchors |
-//! | `bottlenecks`, `speed-of-light` | §6.3 comm-vs-compute split, hardware bounds |
-//! | `paraview` | footnote 1 (ParaView 346 M VPS) |
-//! | `timeline [size] [gpus]` | the overlap of communication and computation, as a Gantt chart |
-//! | `ablate <combiner\|compositing\|partition\|reduce-device\|warp>`, `oocore` | §3.1/§6 design-decision ablations |
-//! | `all` | every row above |
-//!
-//! The other two targets: the `obs_top` bin is the live dashboard over
-//! STATS/TRACES, and `cargo bench -p mgpu-bench` runs `micro_ops`, where
-//! the §3.1.2 counting-sort-vs-comparison-sort claim is measured.
-//! Wall-clock throughput is measured by `perf/` (`mgpu-perf`), not here.
-//!
-//! Scale: set `MGPU_BENCH_SCALE` (default `1.0` = paper scale: volumes up to
-//! 1024³, 512² images). `0.25` gives a laptop-quick pass with the same
-//! shapes. Large volumes are baked to raw files under `MGPU_BENCH_CACHE`
-//! (default: target/mgpu-bench-cache) once, so repeated sweep points pay
-//! file reads instead of procedural synthesis.
-
-#![forbid(unsafe_code)]
+//! The sweep points behind every subcommand: the bench scale, the paper's
+//! standard view and sweep axes, cached (and, when large, file-baked)
+//! volumes, and one measured [`FigRow`] per rendered point.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -38,11 +12,6 @@ use mgpu_voldata::{io as volio, Dataset, Volume, VolumeSource};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::renderer::{render, RenderOutcome};
 use mgpu_volren::{RenderConfig, TransferFunction};
-
-pub mod figures;
-pub mod report;
-
-pub use report::{ascii_bar, print_table, write_csv, Table};
 
 /// Global bench scale, read from `MGPU_BENCH_SCALE`.
 #[derive(Debug, Clone, Copy)]

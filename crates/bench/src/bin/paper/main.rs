@@ -1,22 +1,37 @@
 //! `paper` — regenerates the paper's evaluation: every figure, inline
-//! result and design-decision ablation, one subcommand each (the table in
-//! the crate docs says which reproduces what). The timings come from the
-//! DES replay, so a subcommand prints the same bytes on every run.
+//! result and design-decision ablation, one subcommand each. The timings
+//! come from the DES replay, so a subcommand prints the same bytes on every
+//! run.
 //!
 //!     cargo run --release -p mgpu-bench --bin paper -- <subcommand>
 //!
-//! `MGPU_BENCH_SCALE=0.25` gives a laptop-quick pass with the same shapes.
+//! | subcommand | reproduces |
+//! |---|---|
+//! | `fig3` | Figure 3: phase breakdown over volumes × GPUs |
+//! | `fig4` | Figure 4: FPS and VPS curves |
+//! | `micro` | §3 disk / H2D / D2H anchors |
+//! | `bottlenecks`, `speed-of-light` | §6.3 comm-vs-compute split, hardware bounds |
+//! | `paraview` | footnote 1 (ParaView 346 M VPS) |
+//! | `timeline [size] [gpus]` | the overlap of communication and computation, as a Gantt chart |
+//! | `ablate <combiner\|compositing\|partition\|reduce-device\|warp>`, `oocore` | §3.1/§6 design-decision ablations |
+//! | `all` | every row above |
+//!
+//! Scale: set `MGPU_BENCH_SCALE` (default `1.0` = paper scale: volumes up to
+//! 1024³, 512² images). `0.25` gives a laptop-quick pass with the same
+//! shapes. Large volumes are baked to raw files under `MGPU_BENCH_CACHE`
+//! (default: target/mgpu-bench-cache) once, so repeated sweep points pay
+//! file reads instead of procedural synthesis. Figure CSVs land in
+//! target/results.
+
+#![forbid(unsafe_code)]
+
+mod figures;
+mod harness;
+mod report;
 
 use std::cell::OnceCell;
 use std::process::ExitCode;
 
-use mgpu_bench::figures::{
-    bottleneck_report, fig3_report, fig4_report, micro_report, paraview_report, run_sweep,
-    speed_of_light_report,
-};
-use mgpu_bench::{
-    bench_volume, figure_config, print_table, run_point, standard_scene, BenchScale, FigRow, Table,
-};
 use mgpu_cluster::{ClusterSpec, ResourceMap};
 use mgpu_gpu::KernelTimingMode;
 use mgpu_mapreduce::{build_trace, CostBook};
@@ -24,6 +39,13 @@ use mgpu_sim::{ascii_timeline, resource_use, simulate};
 use mgpu_voldata::Dataset;
 use mgpu_volren::renderer::render;
 use mgpu_volren::{Compositor, PartitionStrategy, RenderConfig, Residency};
+
+use crate::figures::{
+    bottleneck_report, fig3_report, fig4_report, micro_report, paraview_report, run_sweep,
+    speed_of_light_report,
+};
+use crate::harness::{bench_volume, figure_config, run_point, standard_scene, BenchScale, FigRow};
+use crate::report::{print_table, Table};
 
 const USAGE: &str =
     "usage: paper <fig3 | fig4 | micro | bottlenecks | paraview | speed-of-light | \

@@ -1,4 +1,4 @@
-//! Table, CSV and ASCII-chart output for the `paper` subcommands.
+//! Table and CSV output for the `paper` subcommands.
 
 use std::fmt::Display;
 use std::io;
@@ -66,15 +66,6 @@ pub fn print_table(title: &str, table: &Table) {
     println!("\n== {title} ==\n{}", table.render());
 }
 
-/// A proportional ASCII bar: `####----` etc., `width` chars full-scale.
-pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 || value <= 0.0 {
-        return String::new();
-    }
-    let n = ((value / max) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
-}
-
 /// Write rows as CSV.
 pub fn write_csv(
     path: impl AsRef<Path>,
@@ -105,12 +96,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[3].ends_with("123"));
-    }
-
-    #[test]
-    fn bars_scale() {
-        assert_eq!(ascii_bar(5.0, 10.0, 10), "#####");
-        assert_eq!(ascii_bar(0.0, 10.0, 10), "");
-        assert_eq!(ascii_bar(20.0, 10.0, 10), "##########");
     }
 }

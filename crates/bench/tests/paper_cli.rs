@@ -2,6 +2,7 @@
 //! prints the golden tables byte for byte, and an unknown subcommand is
 //! refused with the usage line.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn paper(args: &[&str]) -> std::process::Output {
@@ -30,7 +31,11 @@ fn all_prints_every_table() {
         "paper all failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let results = mgpu_bench::results_dir().display().to_string();
+    // Where `paper` writes its CSVs: the workspace target dir, resolved
+    // the way the binary resolves it.
+    let target = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    let target = target.canonicalize().unwrap_or_else(|_| "target".into());
+    let results = target.join("results").display().to_string();
     let stdout = stdout.replace(&results, "target/results");
     let golden = include_str!("paper_all_0.05.txt");
     let first_diff = stdout

@@ -33,7 +33,7 @@ use std::sync::Mutex;
 const POISON: &str = "launch lock poisoned";
 
 /// Threads per warp (NVIDIA Tesla-era SIMT width).
-pub const WARP_SIZE: usize = 32;
+pub(crate) const WARP_SIZE: usize = 32;
 
 /// A 2-D launch configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -43,6 +43,6 @@ pub mod texture;
 pub use device::{DeviceProps, KernelCostModel, KernelTimingMode};
 pub use kernel::{
     launch, launch_blocks, BlockCtx, BlockKernel, BlockOut, BlockOutput, Kernel, LaunchConfig,
-    LaunchOutput, LaunchStats, ThreadCtx, WARP_SIZE,
+    LaunchOutput, LaunchStats, ThreadCtx,
 };
 pub use texture::{MacroCells, Sampler1D, Sampler3D, Site, Texture1D, Texture3D};

@@ -31,7 +31,7 @@ pub const NAME: &str = "metric-registry";
 /// First path segment a metric name may use. `pool.*` lives in
 /// `mgpu-net` but names the NodePool subsystem, `core.*` is
 /// `mgpu-mapreduce`'s; the rest map to crates.
-pub const NAMESPACES: &[&str] = &["serve", "net", "volren", "pool", "gpu", "core", "obs"];
+pub(crate) const NAMESPACES: &[&str] = &["serve", "net", "volren", "pool", "gpu", "core", "obs"];
 
 const INSTRUMENTS: &[&str] = &["counter", "gauge", "histogram"];
 

@@ -68,7 +68,7 @@ impl NetStats {
     /// skewed key distribution and a rebalancer would help.
     pub fn imbalance(&self) -> f64 {
         let frames: Vec<u64> = self.shards().iter().map(|h| h.frames_completed).collect();
-        let total: u64 = frames.iter().sum();
+        let total = frames.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
         if total == 0 {
             return 1.0;
         }
@@ -91,8 +91,8 @@ impl std::fmt::Display for NetStats {
             let h = ServiceReport::from_snapshot(snap, self.uptime);
             let depth = |name| snap.gauge(name).unwrap_or(0);
             let queued = depth(names::SERVE_QUEUE_DEPTH_BATCH)
-                + depth(names::SERVE_QUEUE_DEPTH_NORMAL)
-                + depth(names::SERVE_QUEUE_DEPTH_INTERACTIVE);
+                .saturating_add(depth(names::SERVE_QUEUE_DEPTH_NORMAL))
+                .saturating_add(depth(names::SERVE_QUEUE_DEPTH_INTERACTIVE));
             writeln!(
                 f,
                 "{:>5} {:>7} {:>9} {:>9.2} {:>6}/{:<4} {:>6}/{:<4} {:>7.2}ms",
@@ -367,5 +367,39 @@ mod tests {
             read_frame(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD),
             Err(WireError::UnsupportedVersion { got: 4, want: 5 })
         ));
+    }
+
+    /// A STATS reply is outside input: shard snapshots whose counters and
+    /// queue-wait buckets sum past `u64::MAX` decode fine, and every view
+    /// the client folds from them saturates instead of panicking.
+    #[test]
+    fn a_stats_reply_past_u64_max_folds_saturated() {
+        let shard = |frames: u64, waits: u64| {
+            let mut snap = Snapshot::new();
+            snap.add_counter(names::SERVE_FRAMES_COMPLETED, frames);
+            snap.add_counter(names::SERVE_PLAN_CACHE_HITS, frames);
+            snap.add_counter(names::SERVE_PLAN_CACHE_MISSES, 1);
+            let mut buckets = [0; HIST_BUCKETS];
+            buckets[20] = waits;
+            buckets[21] = 1;
+            snap.add_histogram(names::SERVE_QUEUE_WAIT_NS, &buckets);
+            snap.add_gauge(names::SERVE_QUEUE_DEPTH_BATCH, i64::MAX);
+            snap.add_gauge(names::SERVE_QUEUE_DEPTH_NORMAL, 1);
+            snap
+        };
+        let stats = NetStats {
+            epoch: 1,
+            uptime: Duration::from_secs(1),
+            shard_snapshots: vec![shard(u64::MAX, u64::MAX), shard(1, 1)],
+            obs: Snapshot::new(),
+        };
+        let stats: NetStats = decode(&crate::wire::encode(&stats)).unwrap();
+        let merged = stats.merged();
+        assert_eq!(merged.frames_completed, u64::MAX);
+        assert_eq!(merged.jobs_popped, u64::MAX);
+        assert_eq!(merged.queue_wait_p90(), Duration::from_nanos(1 << 21));
+        assert_eq!(stats.shards()[0].jobs_popped, u64::MAX);
+        assert!(stats.imbalance() > 1.0);
+        assert!(format!("{stats}").contains("imbalance"));
     }
 }

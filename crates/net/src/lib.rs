@@ -1,11 +1,11 @@
 //! # mgpu-net — the render service on the wire
 //!
 //! Everything below `mgpu-serve` assumes the caller shares an address
-//! space with the service. This crate removes that assumption — the
-//! cross-*process* sharding rung of the ROADMAP, after the cross-batch and
-//! cross-shard rungs of the previous PRs, and the shape of the distributed
-//! GPU render frameworks the paper's cluster implies (Hassan et al.,
-//! arXiv:1205.0282): render nodes behind a network front-end.
+//! space with the service. This crate removes that assumption — sharding
+//! across *processes*, after `ShardedService`'s sharding across worker
+//! pools, and the shape of the distributed GPU render frameworks the
+//! paper's cluster implies (Hassan et al., arXiv:1205.0282): render nodes
+//! behind a network front-end.
 //!
 //! ```text
 //! RenderClient ══TCP══► RenderServer event loop ──► per-session TokenBucket
@@ -70,9 +70,10 @@
 //!   [`pool::Directory`] over plan keys ([`mgpu_volren::RequestKey`],
 //!   never sent: each end builds its own) — the same placement policy
 //!   `ShardedService` uses in-process — one pipelined connection per node
-//!   carrying all of that node's in-flight work, a typed
-//!   [`pool::RetryBudget`] that honors server `retry_after`, and failover
-//!   to the next-ranked node on connection loss that re-issues only the
+//!   carrying all of that node's in-flight work, a bounded wait budget
+//!   that honors server `retry_after`, and failover (up to
+//!   [`pool::NodePoolConfig::attempts`] tries) to the next-ranked node on
+//!   connection loss that re-issues only the
 //!   lost request ids. One server is the N = 1 case, not a second
 //!   implementation:
 //!   [`remote::RemoteBackend`] is a `NodePool` of one
@@ -106,9 +107,8 @@ pub use client::{ClientConfig, ClientError, NetTicket, PendingRender, RenderClie
 pub use heat::NetStats;
 pub use pool::{
     Directory, DirectoryError, NodeError, NodePool, NodePoolConfig, PoolConfigError, PoolTicket,
-    RetryBudget,
 };
-pub use ratelimit::{RateLimitConfig, TokenBucket};
+pub use ratelimit::RateLimitConfig;
 pub use rebalance::{rebalance_once, MigrationReport, RebalanceConfig, RebalanceOutcome};
 pub use remote::RemoteBackend;
 pub use server::{RenderServer, ServerConfig};

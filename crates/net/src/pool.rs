@@ -240,38 +240,41 @@ impl Directory {
     }
 }
 
-/// How much adversity one pool operation absorbs before giving up — the
-/// typed contract for "the pool retries so the caller doesn't".
+/// How long one pool operation may sleep before giving up.
+#[derive(Debug, Clone, Copy)]
+struct WaitBudget {
+    /// Largest single server `retry_after` the pool honors by sleeping;
+    /// anything longer is returned to the caller as
+    /// [`BackendError::Throttled`] instead of silently stalling.
+    throttle: Duration,
+    /// Total sleep per operation (throttle waits plus blocked admission
+    /// polling). Exhausted → the last refusal is returned.
+    total: Duration,
+}
+
+impl WaitBudget {
+    /// Every pool built from a [`NodePoolConfig`].
+    const POOL: WaitBudget = WaitBudget {
+        throttle: Duration::from_secs(5),
+        total: Duration::from_secs(30),
+    };
+    /// [`NodePool::connect_with`]'s in-process contract: as long as it takes.
+    const UNBOUNDED: WaitBudget = WaitBudget {
+        throttle: Duration::MAX,
+        total: Duration::MAX,
+    };
+}
+
+/// Pool tuning: how much adversity one operation absorbs before giving up
+/// (the typed contract for "the pool retries so the caller doesn't"), plus
+/// the per-connection transport bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryBudget {
+pub struct NodePoolConfig {
     /// Transport failures (connection refused/lost, protocol violation,
     /// a node answering `DRAINING`/`GOODBYE`) tolerated per operation;
     /// each one fails over to the next node in the key's preference
     /// order. At least 1 (the first try itself).
     pub attempts: u32,
-    /// Largest single server `retry_after` the pool honors by sleeping;
-    /// anything longer is returned to the caller as
-    /// [`BackendError::Throttled`] instead of silently stalling.
-    pub max_throttle_wait: Duration,
-    /// Total sleep budget per operation (throttle waits plus blocked
-    /// admission polling). Exhausted → the last refusal is returned.
-    pub total_wait: Duration,
-}
-
-impl Default for RetryBudget {
-    fn default() -> RetryBudget {
-        RetryBudget {
-            attempts: 4,
-            max_throttle_wait: Duration::from_secs(5),
-            total_wait: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Pool tuning: the retry budget plus the per-connection transport bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodePoolConfig {
-    pub retry: RetryBudget,
     /// Connect/read timeouts and payload bound for every pooled
     /// connection (see [`ClientConfig`]).
     pub client: ClientConfig,
@@ -279,14 +282,14 @@ pub struct NodePoolConfig {
 
 impl Default for NodePoolConfig {
     /// Unlike a bare [`ClientConfig`], the pool defaults to *finite*
-    /// transport timeouts: the retry budget only meters waits between
-    /// attempts, so an unbounded read against a hung (accepting but
-    /// unresponsive) node would block forever and failover could never
-    /// trigger. The 120 s read bound must exceed the slowest legitimate
+    /// transport timeouts: the pool's wait budget (5 s on one throttle,
+    /// 30 s in all) only meters waits between attempts, so an unbounded
+    /// read against a hung (accepting but unresponsive) node would block
+    /// forever and failover could never trigger. The 120 s read bound must exceed the slowest legitimate
     /// render + queue wait — raise it for heavyweight workloads.
     fn default() -> NodePoolConfig {
         NodePoolConfig {
-            retry: RetryBudget::default(),
+            attempts: 4,
             client: ClientConfig {
                 connect_timeout: Some(Duration::from_secs(5)),
                 read_timeout: Some(Duration::from_secs(120)),
@@ -302,7 +305,7 @@ impl Default for NodePoolConfig {
 pub enum PoolConfigError {
     /// The node set itself is invalid (empty, duplicates).
     Directory(DirectoryError),
-    /// `retry.attempts` must be at least 1 — the first try is an attempt.
+    /// `attempts` must be at least 1 — the first try is an attempt.
     ZeroAttempts,
 }
 
@@ -311,10 +314,7 @@ impl std::fmt::Display for PoolConfigError {
         match self {
             PoolConfigError::Directory(err) => write!(f, "invalid node directory: {err}"),
             PoolConfigError::ZeroAttempts => {
-                write!(
-                    f,
-                    "retry.attempts must be ≥ 1 (the first try is an attempt)"
-                )
+                write!(f, "attempts must be ≥ 1 (the first try is an attempt)")
             }
         }
     }
@@ -446,13 +446,15 @@ fn fresh_slot() -> Arc<Mutex<NodeSlot>> {
 /// N render servers behind one [`RenderBackend`] — N = 1 included
 /// ([`NodePool::connect`]). Connections are opened lazily (eagerly by
 /// `connect`) and reused per node; requests route by plan key through the
-/// [`Directory`]; throttling and node loss are absorbed within the
-/// [`RetryBudget`]. The directory is *live*: [`NodePool::add_node`],
-/// [`NodePool::remove_node`], [`NodePool::migrate`] and
-/// [`NodePool::drain_node`] reshape the pool under traffic.
+/// [`Directory`]; throttling and node loss are absorbed within
+/// [`NodePoolConfig::attempts`] and the pool's wait budget. The directory
+/// is *live*: [`NodePool::add_node`], [`NodePool::remove_node`],
+/// [`NodePool::migrate`] and [`NodePool::drain_node`] reshape the pool
+/// under traffic.
 pub struct NodePool {
     state: RwLock<PoolState>,
     config: NodePoolConfig,
+    waits: WaitBudget,
     /// Un-redeemed pool tickets, keyed by [`PoolTicket`] id.
     pending: Mutex<HashMap<u64, PendingEntry>>,
     next_ticket: AtomicU64,
@@ -473,6 +475,7 @@ impl NodePool {
                 draining,
             }),
             config,
+            waits: WaitBudget::POOL,
             pending: Mutex::new(HashMap::new()),
             next_ticket: AtomicU64::new(1),
             key_heat: Mutex::new(HashMap::new()),
@@ -485,7 +488,7 @@ impl NodePool {
         addrs: Vec<SocketAddr>,
         config: NodePoolConfig,
     ) -> Result<NodePool, PoolConfigError> {
-        if config.retry.attempts == 0 {
+        if config.attempts == 0 {
             return Err(PoolConfigError::ZeroAttempts);
         }
         Ok(NodePool::new(Directory::new(addrs)?, config))
@@ -509,17 +512,14 @@ impl NodePool {
         client: ClientConfig,
     ) -> Result<NodePool, ClientError> {
         let config = NodePoolConfig {
-            retry: RetryBudget {
-                attempts: 1,
-                max_throttle_wait: Duration::MAX,
-                total_wait: Duration::MAX,
-            },
+            attempts: 1,
             client,
         };
         let mut last = WireError::Io(std::io::ErrorKind::AddrNotAvailable).into();
         for candidate in addr.to_socket_addrs().map_err(WireError::from)? {
             let directory = Directory::new(vec![candidate]).expect("one address, no duplicate");
-            let pool = NodePool::new(directory, config);
+            let mut pool = NodePool::new(directory, config);
+            pool.waits = WaitBudget::UNBOUNDED;
             match pool.on_node(0, |_| Ok(())) {
                 Ok(_) => return Ok(pool),
                 Err(err) => last = err,
@@ -635,8 +635,8 @@ impl NodePool {
                 usable
             }
         };
-        let budget = self.config.retry;
-        let mut attempts = budget.attempts.max(1);
+        let budget = self.waits;
+        let mut attempts = self.config.attempts.max(1);
         let mut waited = Duration::ZERO;
         let mut rank = 0usize;
         loop {
@@ -644,9 +644,7 @@ impl NodePool {
             match self.on_node(node, &mut op) {
                 Ok((slot, generation, value)) => return Ok((node, slot, generation, value)),
                 Err(ClientError::Throttled { retry_after }) if blocking => {
-                    if retry_after > budget.max_throttle_wait
-                        || waited + retry_after > budget.total_wait
-                    {
+                    if retry_after > budget.throttle || waited + retry_after > budget.total {
                         return Err(BackendError::Throttled { retry_after });
                     }
                     std::thread::sleep(retry_after);
@@ -655,7 +653,7 @@ impl NodePool {
                     // node is healthy, just telling us to pace.
                 }
                 Err(ClientError::Admission(err)) if blocking => {
-                    if waited + ADMISSION_RETRY > budget.total_wait {
+                    if waited + ADMISSION_RETRY > budget.total {
                         return Err(BackendError::Admission(err));
                     }
                     std::thread::sleep(ADMISSION_RETRY);
@@ -1231,10 +1229,7 @@ mod tests {
             Err(PoolConfigError::Directory(DirectoryError::Empty))
         ));
         let zero = NodePoolConfig {
-            retry: RetryBudget {
-                attempts: 0,
-                ..RetryBudget::default()
-            },
+            attempts: 0,
             ..NodePoolConfig::default()
         };
         assert!(matches!(
@@ -1333,10 +1328,7 @@ mod tests {
         let pool = NodePool::try_new(
             dead,
             NodePoolConfig {
-                retry: RetryBudget {
-                    attempts: 2,
-                    ..RetryBudget::default()
-                },
+                attempts: 2,
                 ..NodePoolConfig::default()
             },
         )

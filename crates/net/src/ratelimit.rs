@@ -1,7 +1,7 @@
 //! Per-session token-bucket rate limiting, enforced at the server door.
 //!
 //! Every connection (one connection = one client session) owns its own
-//! [`TokenBucket`]: a client hammering the service only drains its *own*
+//! `TokenBucket`: a client hammering the service only drains its *own*
 //! bucket, so a well-behaved session next to it keeps its full rate — the
 //! fairness property the proptests pin down. The limiter sits *before*
 //! admission control: a throttled request never touches the queue, never
@@ -41,7 +41,7 @@ impl RateLimitConfig {
 /// `frames_per_sec`. Time is passed in explicitly (`try_take_at`) so the
 /// refill math is deterministic under test; the server uses [`TokenBucket::try_take`].
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity: f64,
     tokens: f64,
     fill_per_sec: f64,
@@ -91,6 +91,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t0() -> Instant {
         Instant::now()
@@ -170,5 +171,77 @@ mod tests {
     #[should_panic(expected = "burst of 0")]
     fn zero_burst_is_rejected() {
         RateLimitConfig::new(1.0, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rate-limit fairness: session B's admissions are byte-for-byte the
+        /// same whether or not session A hammers its own bucket in between —
+        /// buckets are fully isolated per session.
+        #[test]
+        fn rate_limit_is_fair_across_sessions(
+            rate in 1.0f64..100.0,
+            burst in 1u32..8,
+            a_schedule in prop::collection::vec(0u64..2_000, 1..64),
+            b_schedule in prop::collection::vec(0u64..2_000, 1..32),
+        ) {
+            let config = RateLimitConfig::new(rate, burst);
+            let t0 = Instant::now();
+            // B alone.
+            let mut b_alone = TokenBucket::new(config, t0);
+            let mut b_times: Vec<u64> = b_schedule.clone();
+            b_times.sort_unstable();
+            let alone: Vec<bool> = b_times
+                .iter()
+                .map(|ms| b_alone.try_take_at(t0 + Duration::from_millis(*ms)).is_ok())
+                .collect();
+
+            // B next to a hammering A (separate buckets, interleaved calls).
+            let mut a = TokenBucket::new(config, t0);
+            let mut b = TokenBucket::new(config, t0);
+            let mut a_times: Vec<u64> = a_schedule.clone();
+            a_times.sort_unstable();
+            let mut a_iter = a_times.iter().peekable();
+            let contended: Vec<bool> = b_times
+                .iter()
+                .map(|ms| {
+                    while let Some(at) = a_iter.peek() {
+                        if **at <= *ms {
+                            let _ = a.try_take_at(t0 + Duration::from_millis(**at));
+                            a_iter.next();
+                        } else {
+                            break;
+                        }
+                    }
+                    b.try_take_at(t0 + Duration::from_millis(*ms)).is_ok()
+                })
+                .collect();
+            prop_assert_eq!(alone, contended, "a noisy neighbour changed session B's admissions");
+        }
+
+        /// Admission count is bounded by burst + rate·elapsed (+1 for boundary
+        /// rounding): the limiter actually limits.
+        #[test]
+        fn rate_limit_bounds_throughput(
+            rate in 1.0f64..50.0,
+            burst in 1u32..6,
+            attempts in prop::collection::vec(0u64..5_000, 1..128),
+        ) {
+            let t0 = Instant::now();
+            let mut bucket = TokenBucket::new(RateLimitConfig::new(rate, burst), t0);
+            let mut times = attempts.clone();
+            times.sort_unstable();
+            let horizon_ms = *times.last().unwrap();
+            let admitted = times
+                .iter()
+                .filter(|ms| bucket.try_take_at(t0 + Duration::from_millis(**ms)).is_ok())
+                .count() as f64;
+            let bound = burst as f64 + rate * (horizon_ms as f64 / 1_000.0) + 1.0;
+            prop_assert!(
+                admitted <= bound,
+                "admitted {admitted} > bound {bound} (rate {rate}, burst {burst})"
+            );
+        }
     }
 }

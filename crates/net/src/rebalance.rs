@@ -44,17 +44,17 @@ pub struct RebalanceConfig {
     /// Ignore pools that have served fewer total frames than this — early
     /// traffic is too sparse to distinguish skew from startup order.
     pub min_frames: u64,
-    /// Most migrations per pass (each one bumps the epoch; keeping this
-    /// small lets the previous move settle before the next is judged).
-    pub max_moves: usize,
 }
+
+/// Most migrations per pass: each one bumps the epoch, and one move lets
+/// the previous settle before the next is judged.
+const MAX_MOVES: usize = 1;
 
 impl Default for RebalanceConfig {
     fn default() -> RebalanceConfig {
         RebalanceConfig {
             band: 1.5,
             min_frames: 16,
-            max_moves: 1,
         }
     }
 }
@@ -86,9 +86,9 @@ pub struct RebalanceOutcome {
 }
 
 /// Run one rebalance pass over the pool: measure imbalance from every
-/// reachable node's STATS, and if it exceeds the band, migrate up to
-/// `max_moves` hot keys from the hottest node to the coolest — each with
-/// a pre-warm before the cutover. Draining and unreachable nodes are
+/// reachable node's STATS, and if it exceeds the band, migrate the hottest
+/// node's hottest key to the coolest node, with a pre-warm before the
+/// cutover. Draining and unreachable nodes are
 /// never chosen as destinations.
 pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOutcome {
     static TICK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -111,7 +111,7 @@ pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOut
         .enumerate()
         .filter_map(|(node, f)| f.map(|f| (node, f)))
         .collect();
-    let total: u64 = reachable.iter().map(|(_, f)| f).sum();
+    let total = (reachable.iter()).fold(0u64, |sum, (_, f)| sum.saturating_add(*f));
     let mut outcome = RebalanceOutcome {
         imbalance: 0.0,
         moves: Vec::new(),
@@ -154,7 +154,7 @@ pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOut
         .into_iter()
         .filter(|(key, _)| directory.node_for(key) == hot)
         .map(|(key, _)| key)
-        .take(config.max_moves)
+        .take(MAX_MOVES)
         .collect();
     for key in candidates {
         let Some(request) = pool.last_request(&key) else {

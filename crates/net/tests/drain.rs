@@ -298,7 +298,6 @@ fn rebalance_migrates_a_hot_key_with_a_prewarmed_destination() {
         &RebalanceConfig {
             band: 1.2,
             min_frames: 4,
-            ..RebalanceConfig::default()
         },
     );
     assert!(

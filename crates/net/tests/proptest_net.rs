@@ -1,17 +1,10 @@
-//! Properties of the wire layer and the rate limiter:
-//!
-//! * decoding NEVER panics — arbitrary bytes and corrupted headers produce
-//!   typed [`WireError`]s (structured corruption of *valid* payloads is the
-//!   `wire_contract` proptest beside the codec, in `src/wire.rs`);
-//! * the per-session token bucket is fair: one session draining its bucket
-//!   at an arbitrary schedule never affects another session's tokens, and
-//!   admissions never exceed burst + rate × elapsed.
-
-use std::time::{Duration, Instant};
+//! Properties of the wire layer: decoding NEVER panics — arbitrary bytes
+//! and corrupted headers produce typed [`WireError`]s (structured
+//! corruption of *valid* payloads is the `wire_contract` proptest beside
+//! the codec, in `src/wire.rs`).
 
 use proptest::prelude::*;
 
-use mgpu_net::ratelimit::{RateLimitConfig, TokenBucket};
 use mgpu_net::wire::{
     decode, decode_frame, decode_request, encode_request, frame_bytes, parse_header, read_frame,
     NetSceneRequest, Request, WireError, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES,
@@ -51,74 +44,6 @@ proptest! {
             ) => {}
             Err(other) => prop_assert!(false, "unexpected header error {other:?}"),
         }
-    }
-
-    /// Rate-limit fairness: session B's admissions are byte-for-byte the
-    /// same whether or not session A hammers its own bucket in between —
-    /// buckets are fully isolated per session.
-    #[test]
-    fn rate_limit_is_fair_across_sessions(
-        rate in 1.0f64..100.0,
-        burst in 1u32..8,
-        a_schedule in prop::collection::vec(0u64..2_000, 1..64),
-        b_schedule in prop::collection::vec(0u64..2_000, 1..32),
-    ) {
-        let config = RateLimitConfig::new(rate, burst);
-        let t0 = Instant::now();
-        // B alone.
-        let mut b_alone = TokenBucket::new(config, t0);
-        let mut b_times: Vec<u64> = b_schedule.clone();
-        b_times.sort_unstable();
-        let alone: Vec<bool> = b_times
-            .iter()
-            .map(|ms| b_alone.try_take_at(t0 + Duration::from_millis(*ms)).is_ok())
-            .collect();
-
-        // B next to a hammering A (separate buckets, interleaved calls).
-        let mut a = TokenBucket::new(config, t0);
-        let mut b = TokenBucket::new(config, t0);
-        let mut a_times: Vec<u64> = a_schedule.clone();
-        a_times.sort_unstable();
-        let mut a_iter = a_times.iter().peekable();
-        let contended: Vec<bool> = b_times
-            .iter()
-            .map(|ms| {
-                while let Some(at) = a_iter.peek() {
-                    if **at <= *ms {
-                        let _ = a.try_take_at(t0 + Duration::from_millis(**at));
-                        a_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                b.try_take_at(t0 + Duration::from_millis(*ms)).is_ok()
-            })
-            .collect();
-        prop_assert_eq!(alone, contended, "a noisy neighbour changed session B's admissions");
-    }
-
-    /// Admission count is bounded by burst + rate·elapsed (+1 for boundary
-    /// rounding): the limiter actually limits.
-    #[test]
-    fn rate_limit_bounds_throughput(
-        rate in 1.0f64..50.0,
-        burst in 1u32..6,
-        attempts in prop::collection::vec(0u64..5_000, 1..128),
-    ) {
-        let t0 = Instant::now();
-        let mut bucket = TokenBucket::new(RateLimitConfig::new(rate, burst), t0);
-        let mut times = attempts.clone();
-        times.sort_unstable();
-        let horizon_ms = *times.last().unwrap();
-        let admitted = times
-            .iter()
-            .filter(|ms| bucket.try_take_at(t0 + Duration::from_millis(**ms)).is_ok())
-            .count() as f64;
-        let bound = burst as f64 + rate * (horizon_ms as f64 / 1_000.0) + 1.0;
-        prop_assert!(
-            admitted <= bound,
-            "admitted {admitted} > bound {bound} (rate {rate}, burst {burst})"
-        );
     }
 
     /// Corrupting the v3 `request_id` field specifically: the id is opaque

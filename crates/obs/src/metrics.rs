@@ -20,16 +20,17 @@ pub fn bucket_of(value: u64) -> usize {
 
 /// Quantile over loaded histogram buckets: the inclusive upper edge of the
 /// bucket holding the q-th sample — conservative, it never under-reports.
-/// `q` is clamped to `[0, 1]`; zero while the histogram is empty.
+/// `q` is clamped to `[0, 1]`; zero while the histogram is empty. Counts
+/// may come off the wire, so the running total saturates at `u64::MAX`.
 pub fn quantile(buckets: &[u64; HIST_BUCKETS], q: f64) -> Duration {
-    let total: u64 = buckets.iter().sum();
+    let total = buckets.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
     if total == 0 {
         return Duration::ZERO;
     }
     let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-    let mut seen = 0;
-    for (i, count) in buckets.iter().enumerate() {
-        seen += count;
+    let mut seen = 0u64;
+    for (i, &count) in buckets.iter().enumerate() {
+        seen = seen.saturating_add(count);
         if seen >= rank {
             return Duration::from_nanos(1u64 << (i + 1).min(63));
         }
@@ -158,7 +159,9 @@ impl Histogram {
 /// Merging sums counters, gauges and histogram buckets — the right
 /// semantics for combining shards or pool nodes, where each source counted
 /// disjoint events. Merge is associative and commutative with no count
-/// loss (pinned by proptests).
+/// loss (pinned by proptests). A snapshot may be decoded off the wire, so
+/// every sum saturates — counters and buckets at `u64::MAX`, gauges at the
+/// `i64` bounds — instead of overflowing.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     counters: Vec<(String, u64)>,
@@ -187,19 +190,23 @@ impl Snapshot {
 
     /// Add `v` into the named counter (creating it at `v`).
     pub fn add_counter(&mut self, name: &str, v: u64) {
-        upsert(&mut self.counters, name, v, |acc, v| *acc += v);
+        upsert(&mut self.counters, name, v, |acc, v| {
+            *acc = acc.saturating_add(v)
+        });
     }
 
     /// Add `v` into the named gauge (creating it at `v`).
     pub fn add_gauge(&mut self, name: &str, v: i64) {
-        upsert(&mut self.gauges, name, v, |acc, v| *acc += v);
+        upsert(&mut self.gauges, name, v, |acc, v| {
+            *acc = acc.saturating_add(v)
+        });
     }
 
     /// Add bucket counts into the named histogram (creating it).
     pub fn add_histogram(&mut self, name: &str, buckets: &[u64; HIST_BUCKETS]) {
         upsert(&mut self.histograms, name, *buckets, |acc, v| {
             for (a, b) in acc.iter_mut().zip(v) {
-                *a += b;
+                *a = a.saturating_add(b);
             }
         });
     }
@@ -411,6 +418,36 @@ mod tests {
         assert_eq!(g.get(), 10);
         g.set(-3);
         assert_eq!(g.get(), -3);
+    }
+
+    /// Counts decoded off the wire can be anything: folding them saturates
+    /// (counters and buckets at `u64::MAX`, gauges at the `i64` bounds)
+    /// instead of overflowing — a debug build panicked here, a release
+    /// build wrapped to wrong totals.
+    #[test]
+    fn sums_saturate_at_the_integer_bounds() {
+        let mut a = Snapshot::new();
+        a.add_counter("c", u64::MAX);
+        a.add_gauge("up", i64::MAX);
+        a.add_gauge("down", i64::MIN);
+        let mut wide = [0; HIST_BUCKETS];
+        wide[3] = u64::MAX;
+        wide[9] = 1;
+        a.add_histogram("h", &wide);
+        let mut b = Snapshot::new();
+        b.add_counter("c", 1);
+        b.add_gauge("up", 1);
+        b.add_gauge("down", -1);
+        b.add_histogram("h", &wide);
+        a.merge(&b);
+        assert_eq!(a.counter("c"), Some(u64::MAX));
+        assert_eq!(a.gauge("up"), Some(i64::MAX));
+        assert_eq!(a.gauge("down"), Some(i64::MIN));
+        let h = a.histogram("h").unwrap();
+        assert_eq!((h[3], h[9]), (u64::MAX, 2));
+        // One histogram whose buckets alone sum past u64::MAX.
+        assert_eq!(quantile(&wide, 0.5), Duration::from_nanos(16));
+        assert_eq!(a.hist_quantile("h", 0.9), Some(Duration::from_nanos(16)));
     }
 
     #[test]

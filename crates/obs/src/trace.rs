@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Capacity of the process-global [`ring`].
-pub const RING_CAPACITY: usize = 256;
+pub(crate) const RING_CAPACITY: usize = 256;
 
 /// One named stage of a request, as nanosecond offsets from the trace
 /// start (`end_ns >= start_ns` always; offsets make traces portable
@@ -280,7 +280,7 @@ impl TraceRing {
     }
 }
 
-/// The process-global ring ([`RING_CAPACITY`] traces) that
+/// The process-global ring (`RING_CAPACITY` traces) that
 /// [`Trace::start`] publishes into and the `TRACES` wire request reads.
 pub fn ring() -> &'static TraceRing {
     static RING: OnceLock<TraceRing> = OnceLock::new();

@@ -76,7 +76,7 @@ impl CacheSnapshot {
 
     /// Fraction of counted lookups that hit (0.0 before any lookup).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits.saturating_add(self.misses);
         if total == 0 {
             0.0
         } else {

@@ -24,11 +24,11 @@
 //!   frame cache ──► ticket
 //! ```
 //!
-//! * **Queue** — [`queue::JobQueue`]: interactive requests overtake batch
+//! * **Queue** — `queue::JobQueue`: interactive requests overtake batch
 //!   sweeps, FIFO within a class (no starvation). A worker pops one job at
 //!   a time, so nothing lower-priority ever renders ahead of a queued
 //!   `Interactive` job.
-//! * **Admission** — [`queue::QueueBounds`]: per-priority queue-depth
+//! * **Admission** — [`QueueBounds`]: per-priority queue-depth
 //!   bounds; under overload [`RenderService::try_submit`] sheds `Batch`
 //!   first and `Interactive` last, while [`RenderService::submit`] blocks
 //!   for capacity.
@@ -78,7 +78,7 @@ use mgpu_volren::{Image, RenderReport, RequestKey};
 pub mod backend;
 mod cache;
 mod plancache;
-pub mod queue;
+mod queue;
 pub mod report;
 pub mod session;
 pub mod shard;
@@ -86,13 +86,14 @@ mod worker;
 
 pub use backend::{BackendError, BackendFrame, RenderBackend};
 pub use cache::CacheSnapshot;
-pub use queue::{AdmissionError, Priority, QueueBounds, Reply};
+pub use queue::{AdmissionError, Priority, QueueBounds};
 pub use report::ServiceReport;
 pub use session::{SceneSession, SessionTicket};
 pub use shard::ShardedService;
 
 use cache::{CacheMeters, FrameCache};
 use plancache::PlanCache;
+use queue::Reply;
 use report::ServiceStats;
 
 /// A fresh trace for a request submitted through the local API (no wire

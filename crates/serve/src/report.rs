@@ -121,7 +121,8 @@ impl ServiceReport {
             .unwrap_or([0; HIST_BUCKETS]);
         // Every popped job (rendered or coalesced) records one wait sample;
         // cache fast-path frames never enter the queue and are excluded.
-        let jobs_popped: u64 = queue_wait_hist.iter().sum();
+        // Saturating: the buckets may have come off the wire.
+        let jobs_popped = (queue_wait_hist.iter()).fold(0u64, |sum, &n| sum.saturating_add(n));
         let waited = count(names::SERVE_QUEUE_WAIT_TOTAL_NS);
         ServiceReport {
             frames_submitted: count(names::SERVE_FRAMES_SUBMITTED),

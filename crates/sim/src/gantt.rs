@@ -1,19 +1,9 @@
-//! Per-resource utilization and Gantt-style interval export for replayed
-//! schedules — the raw material for timeline plots and utilization tables.
+//! Per-resource utilization and an ASCII Gantt timeline of replayed
+//! schedules — the raw material for `paper timeline`'s tables.
 
-use crate::activity::Activity;
 use crate::engine::Schedule;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::trace::Trace;
-
-/// One service interval on one resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GanttBar {
-    pub resource: u32,
-    pub activity: Activity,
-    pub start: SimTime,
-    pub finish: SimTime,
-}
 
 /// Utilization summary of one resource.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,24 +13,6 @@ pub struct ResourceUse {
     pub tasks: u64,
     /// busy / makespan, in [0, 1].
     pub utilization: f64,
-}
-
-/// All bars, sorted by (resource, start) — ready for plotting.
-pub fn gantt_bars(trace: &Trace, schedule: &Schedule) -> Vec<GanttBar> {
-    let mut bars: Vec<GanttBar> = trace
-        .tasks()
-        .iter()
-        .zip(schedule.timings())
-        .filter(|(spec, _)| !spec.duration.is_zero())
-        .map(|(spec, t)| GanttBar {
-            resource: spec.resource.0,
-            activity: spec.activity,
-            start: t.start,
-            finish: t.finish,
-        })
-        .collect();
-    bars.sort_by_key(|b| (b.resource, b.start));
-    bars
 }
 
 /// Per-resource busy time and utilization.
@@ -93,6 +65,7 @@ pub fn ascii_timeline(trace: &Trace, schedule: &Schedule, width: usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::Activity;
     use crate::engine::simulate;
     use crate::trace::Trace;
 
@@ -105,18 +78,6 @@ mod tests {
         tr.task(Activity::SortCpu, r1, SimDuration(5), vec![a, b]);
         let s = simulate(&tr);
         (tr, s)
-    }
-
-    #[test]
-    fn bars_are_sorted_and_non_overlapping_per_resource() {
-        let (tr, s) = sample();
-        let bars = gantt_bars(&tr, &s);
-        assert_eq!(bars.len(), 3);
-        for w in bars.windows(2) {
-            if w[0].resource == w[1].resource {
-                assert!(w[0].finish <= w[1].start);
-            }
-        }
     }
 
     #[test]
@@ -146,7 +107,6 @@ mod tests {
     fn empty_schedule() {
         let tr = Trace::new();
         let s = simulate(&tr);
-        assert!(gantt_bars(&tr, &s).is_empty());
         assert!(resource_use(&tr, &s).is_empty());
     }
 }

@@ -32,7 +32,7 @@ pub mod trace;
 pub use accounting::{account, ActivityTotals, PhaseBreakdown, RunAccounting};
 pub use activity::{Activity, Fig3Bucket};
 pub use engine::{serial_demand, simulate, Schedule, TaskTiming};
-pub use gantt::{ascii_timeline, gantt_bars, resource_use, GanttBar, ResourceUse};
+pub use gantt::{ascii_timeline, resource_use, ResourceUse};
 pub use models::{LinkModel, RateModel};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ResourceId, TaskId, TaskSpec, Trace};

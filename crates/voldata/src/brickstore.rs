@@ -140,7 +140,7 @@ fn release(mut voxels: Vec<f32>) {
 
 /// Cache statistics (monotonic counters).
 #[derive(Debug, Default)]
-pub struct StoreStats {
+pub(crate) struct StoreStats {
     pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
@@ -158,7 +158,7 @@ pub struct StoreSnapshot {
 impl StoreSnapshot {
     /// Counter deltas since an `earlier` snapshot of the same store —
     /// attributes staging work to one frame when a store is shared across
-    /// frames (the render service's batching path).
+    /// frames (the render service's plan cache).
     pub fn since(&self, earlier: &StoreSnapshot) -> StoreSnapshot {
         StoreSnapshot {
             hits: self.hits.saturating_sub(earlier.hits),

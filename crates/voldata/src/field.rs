@@ -20,42 +20,28 @@ where
     }
 }
 
-/// A constant field (useful in tests).
-pub struct Constant(pub f32);
+/// A constant field.
+#[cfg(test)]
+pub(crate) struct Constant(pub f32);
 
+#[cfg(test)]
 impl ScalarField for Constant {
     fn sample(&self, _x: f32, _y: f32, _z: f32) -> f32 {
         self.0
     }
 }
 
-/// A linear ramp along one axis (useful for interpolation tests: trilinear
-/// sampling reconstructs it exactly).
-pub struct AxisRamp {
+/// A linear ramp along one axis (trilinear sampling reconstructs it
+/// exactly).
+#[cfg(test)]
+pub(crate) struct AxisRamp {
     pub axis: usize,
 }
 
+#[cfg(test)]
 impl ScalarField for AxisRamp {
     fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
         [x, y, z][self.axis]
-    }
-}
-
-/// Distance-from-center sphere field: 1 inside radius, smooth falloff band.
-pub struct SphereShell {
-    pub center: [f32; 3],
-    pub radius: f32,
-    pub width: f32,
-}
-
-impl ScalarField for SphereShell {
-    fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
-        let dx = x - self.center[0];
-        let dy = y - self.center[1];
-        let dz = z - self.center[2];
-        let r = (dx * dx + dy * dy + dz * dz).sqrt();
-        let d = (r - self.radius).abs();
-        (1.0 - d / self.width).max(0.0)
     }
 }
 
@@ -73,16 +59,5 @@ mod tests {
     fn constant_and_ramp() {
         assert_eq!(Constant(0.7).sample(0.1, 0.2, 0.3), 0.7);
         assert_eq!(AxisRamp { axis: 2 }.sample(0.1, 0.2, 0.3), 0.3);
-    }
-
-    #[test]
-    fn sphere_shell_peaks_on_surface() {
-        let s = SphereShell {
-            center: [0.5, 0.5, 0.5],
-            radius: 0.3,
-            width: 0.05,
-        };
-        assert!((s.sample(0.8, 0.5, 0.5) - 1.0).abs() < 1e-6);
-        assert_eq!(s.sample(0.5, 0.5, 0.5), 0.0); // deep inside, far from shell
     }
 }

@@ -122,15 +122,6 @@ pub fn read_header(path: &Path) -> io::Result<[u32; 3]> {
     open(path).map(|(_, dims)| dims)
 }
 
-/// Read the full volume.
-pub fn read_volume(path: &Path) -> io::Result<([u32; 3], Vec<f32>)> {
-    let dims = read_header(path)?;
-    let size = dims.map(|d| d as usize);
-    let mut out = vec![0f32; size[0] * size[1] * size[2]];
-    read_region(path, dims, [0, 0, 0], size, &mut out, size)?;
-    Ok((dims, out))
-}
-
 /// One positioned read: `len` voxels contiguous in the file from voxel
 /// `src`, which are the region's voxels from dense (x-fastest) index `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +243,15 @@ fn read_exact_at(f: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read the full volume.
+    fn read_volume(path: &Path) -> io::Result<([u32; 3], Vec<f32>)> {
+        let dims = read_header(path)?;
+        let size = dims.map(|d| d as usize);
+        let mut out = vec![0f32; size[0] * size[1] * size[2]];
+        read_region(path, dims, [0, 0, 0], size, &mut out, size)?;
+        Ok((dims, out))
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();

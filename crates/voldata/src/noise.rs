@@ -9,7 +9,7 @@
 /// A fast integer hash (SplitMix64 finalizer) turning a lattice point and a
 /// seed into well-mixed bits.
 #[inline]
-pub fn hash3(ix: i64, iy: i64, iz: i64, seed: u64) -> u64 {
+pub(crate) fn hash3(ix: i64, iy: i64, iz: i64, seed: u64) -> u64 {
     let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
     for v in [ix as u64, iy as u64, iz as u64] {
         h ^= v.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -97,7 +97,7 @@ pub fn fbm(x: f32, y: f32, z: f32, octaves: u32, lacunarity: f32, gain: f32, see
 
 /// Turbulence: fBm over |2n−1|, giving billowy ridged structure (used for the
 /// supernova shock shell).
-pub fn turbulence(
+pub(crate) fn turbulence(
     x: f32,
     y: f32,
     z: f32,

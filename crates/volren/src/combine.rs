@@ -4,7 +4,7 @@
 //! (§3.1: "we specifically omitted partial reduce/combine because it didn't
 //! increase performance for our volume renderer"). Naïvely compositing a
 //! mapper's fragments per pixel would be *wrong*: another mapper's segment
-//! may lie between them in depth. [`AdjacentFragmentCombiner`] only merges
+//! may lie between them in depth. `AdjacentFragmentCombiner` only merges
 //! segments whose parametric intervals abut exactly — bricks partition the
 //! ray, so nothing can sit between abutting segments, making the merge an
 //! application of *over*'s associativity and bit-safe up to f32 rounding.
@@ -21,7 +21,7 @@ use crate::fragment::Fragment;
 
 /// Merges depth-adjacent fragments of the same pixel.
 #[derive(Debug, Clone)]
-pub struct AdjacentFragmentCombiner {
+pub(crate) struct AdjacentFragmentCombiner {
     /// Adjacency tolerance in ray-parameter units (fraction of a step).
     pub tol: f32,
 }

@@ -155,7 +155,7 @@ use crate::math::{vec3, Vec3};
 use crate::skip::SkipGrid;
 
 /// Alpha below which a fragment is considered empty and discarded.
-pub const EMPTY_ALPHA: f32 = 1e-5;
+pub(crate) const EMPTY_ALPHA: f32 = 1e-5;
 
 /// The ray-cast kernel for one brick.
 pub struct RayCastKernel<'a> {
@@ -1243,6 +1243,55 @@ mod tests {
             "{jumps} jumps, {skipped} skipped"
         );
         assert!(longest > 100, "longest jump {longest}");
+    }
+
+    /// What `SKIP_MARGIN` is for, on one ray along +x (step 1, so one
+    /// sample per voxel): sample 0's base is the last voxel of empty cell 0,
+    /// two cells short of an occupied one, and sample 8 — exactly one cell
+    /// edge further, so analytically still in empty cell 1 — rounds onto
+    /// cell 2's first base (its stored `x = 16.5 − 2⁻²⁰` is a tie, broken to
+    /// the even 16.5). Without the margin the jump from sample 0 would be
+    /// 1 + 8 steps and pass over sample 8.
+    #[test]
+    fn the_skip_margin_stops_a_jump_short_of_a_rounded_sample() {
+        // Stored x ≥ 17 dense: bases 0..=15 tap only zeros, so cells 0 and 1
+        // are empty and cell 0 is at distance 2 from occupied cell 2.
+        let dims = [34, 10, 10];
+        let voxels = (0..dims[0] * dims[1] * dims[2])
+            .map(|i| if i % dims[0] >= 17 { 1.0 } else { 0.0 })
+            .collect();
+        let texture = with_built_cells(dims, voxels);
+        let lut = TransferFunction::bone().bake();
+        let eye = vec3(7.0 - 2f32.powi(-20), 4.0, 4.0);
+        let camera = Camera::look_at(eye, vec3(30.0, 4.0, 4.0), vec3(0.0, 0.0, 1.0), 30.0);
+        let kernel = RayCastKernel {
+            camera: &camera,
+            lut: &lut,
+            texture: &texture,
+            store_origin: vec3(-1.0, -1.0, -1.0),
+            core_lo: Vec3::ZERO,
+            core_hi: vec3(32.0, 8.0, 8.0),
+            image: (1, 1),
+            offset: (0, 0),
+            step: 1.0,
+            early_term: 0.98,
+        };
+        let launch = kernel.prepare();
+        let ray = camera.ray(0, 0, 1, 1);
+        assert_eq!(ray.dir, vec3(1.0, 0.0, 0.0));
+        let base = |k: u64| {
+            let p = ray.at(k as f32 + 0.5) - vec3(launch.ox, launch.oy, launch.oz);
+            launch.smp.locate(p.x, p.y, p.z).base_index()
+        };
+        assert_eq!((base(0), base(8)), ([7, 4, 4], [16, 4, 4]));
+        let grid = launch.grid.as_ref().expect("empty cells");
+        assert_eq!((grid.distance(base(0)), grid.distance(base(8))), (2, 0));
+
+        let (t0, t1) = ray.intersect_aabb(Vec3::ZERO, kernel.core_hi).unwrap();
+        let mut m = March::new(0, 0, ray.dir, (t0, t1), 1.0);
+        assert_eq!(m.k, 0);
+        launch.sample_step(&mut m);
+        assert_eq!((m.k, m.fetched), (8, 0), "the jump must stop at sample 8");
     }
 
     #[test]

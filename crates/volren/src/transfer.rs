@@ -8,7 +8,7 @@
 use mgpu_gpu::Texture1D;
 
 /// LUT resolution (texels).
-pub const LUT_SIZE: usize = 256;
+pub(crate) const LUT_SIZE: usize = 256;
 
 /// A control point: scalar position in `[0,1]` → straight-alpha RGBA.
 #[derive(Debug, Clone, Copy, PartialEq)]

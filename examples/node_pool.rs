@@ -6,7 +6,7 @@
 //! the drain starts, every one redeemed bit-identically, then the node
 //! RESUMEs back into service at a new epoch) and a **crash** (a node
 //! killed mid-run; the pool completes the next frame on the survivor,
-//! inside its [`RetryBudget`], bit-identical as ever).
+//! inside its [`NodePoolConfig::attempts`], bit-identical as ever).
 //!
 //!     cargo run --release --example node_pool
 
@@ -33,10 +33,7 @@ fn main() {
     let pool = NodePool::new(
         directory,
         NodePoolConfig {
-            retry: RetryBudget {
-                attempts: 3,
-                ..RetryBudget::default()
-            },
+            attempts: 3,
             client: ClientConfig {
                 connect_timeout: Some(std::time::Duration::from_secs(5)),
                 read_timeout: Some(std::time::Duration::from_secs(120)),

@@ -12,9 +12,9 @@
 //! * [`voldata`] — procedural volume datasets and the out-of-core brick store;
 //! * [`volren`] — the ray-casting volume renderer built on all of the above;
 //! * [`serve`] — the multi-scene render service (job queue with admission
-//!   control, frame batching, cross-batch plan cache, frame cache, shard
-//!   router) layered on the renderer, and the [`serve::RenderBackend`]
-//!   trait every front-end implements;
+//!   control, plan cache, frame cache, shard router) layered on the
+//!   renderer, and the [`serve::RenderBackend`] trait every front-end
+//!   implements;
 //! * [`net`] — the service on the wire: protocol,
 //!   [`net::RenderServer`]/[`net::RenderClient`], per-session rate
 //!   limiting, per-shard heat stats, plus the remote backend —
@@ -60,22 +60,17 @@ pub use mgpu_volren as volren;
 pub mod prelude {
     pub use mgpu_cluster::topology::ClusterSpec;
     pub use mgpu_net::{
-        rebalance_once, ClientConfig, ClientError, Directory, DirectoryError, DrainState,
-        MigrationReport, NetFrame, NetSceneRequest, NetStats, NetTicket, NodeError, NodePool,
-        NodePoolConfig, PendingRender, PoolConfigError, PoolTicket, RateLimitConfig,
-        RebalanceConfig, RebalanceOutcome, RemoteBackend, RenderClient, RenderServer, RetryBudget,
-        ServerConfig, WireError,
+        ClientConfig, ClientError, Directory, NetSceneRequest, NetTicket, NodePool, NodePoolConfig,
+        PendingRender, PoolTicket, RateLimitConfig, RemoteBackend, RenderClient, RenderServer,
+        ServerConfig,
     };
-    pub use mgpu_obs::{CompletedTrace, Counter, Gauge, Histogram, Registry, Snapshot, Trace};
     pub use mgpu_serve::{
-        AdmissionError, BackendError, BackendFrame, CacheSnapshot, FrameError, FrameTicket,
-        Priority, QueueBounds, RenderBackend, RenderService, RenderedFrame, SceneRequest,
-        SceneSession, ServiceConfig, ServiceReport, SessionTicket, ShardedService,
+        AdmissionError, BackendError, FrameError, Priority, QueueBounds, RenderBackend,
+        RenderService, SceneRequest, ServiceConfig, ServiceReport, ShardedService,
     };
-    pub use mgpu_sim::{Fig3Bucket, SimDuration};
     pub use mgpu_voldata::datasets::Dataset;
     pub use mgpu_volren::camera::Scene;
     pub use mgpu_volren::config::RenderConfig;
-    pub use mgpu_volren::renderer::{render, render_planned, FramePlan, RenderOutcome};
+    pub use mgpu_volren::renderer::{render, RenderOutcome};
     pub use mgpu_volren::transfer::TransferFunction;
 }

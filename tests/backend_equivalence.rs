@@ -303,10 +303,7 @@ fn node_pool_fails_over_within_its_retry_budget_when_a_node_dies() {
     let pool = NodePool::new(
         directory,
         NodePoolConfig {
-            retry: RetryBudget {
-                attempts: 3,
-                ..RetryBudget::default()
-            },
+            attempts: 3,
             client: ClientConfig {
                 connect_timeout: Some(Duration::from_secs(5)),
                 read_timeout: Some(Duration::from_secs(60)),
@@ -415,10 +412,7 @@ fn ticket_redemption_edge_cases() {
         Directory::new(nodes.iter().map(|n| n.as_ref().unwrap().addr()).collect())
             .expect("two-node directory"),
         NodePoolConfig {
-            retry: RetryBudget {
-                attempts: 3,
-                ..RetryBudget::default()
-            },
+            attempts: 3,
             ..NodePoolConfig::default()
         },
     );
