@@ -6,8 +6,8 @@
 //! 256² frame through the wire codec, the fixed
 //! cost of a `run_job` that maps nothing, a lopsided `run_job` whose idle
 //! mapper lends its core to the busy one, an out-of-core brick miss with
-//! and without its macrocell table kept, and the request keys a served
-//! frame builds.
+//! and without its macrocell table kept, procedural synthesis of one brick
+//! per dataset, and the request keys a served frame builds.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -527,6 +527,43 @@ fn bench_stage(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
+/// Procedural synthesis: one brick-sized region of each dataset read through
+/// `Volume::read_region`'s procedural path, a row per `sample_row` call,
+/// split across threads by z-slab. Skull and Supernova read a central 64³
+/// brick of their 128³ volume (2¹⁸ voxels); Plume reads one of
+/// `plume_outofcore`'s 128×128×64 bricks of its 128×128×512 column. After
+/// each timing every voxel must equal the field's per-point `sample` bit
+/// for bit.
+fn bench_synth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("synth");
+    g.sample_size(10);
+    for (ds, origin, size) in [
+        (Dataset::Skull, [32, 32, 32], [64, 64, 64]),
+        (Dataset::Supernova, [32, 32, 32], [64, 64, 64]),
+        (Dataset::Plume, [0, 0, 128], [128, 128, 64]),
+    ] {
+        let volume = ds.volume(128);
+        let mut out = vec![0f32; size.iter().product()];
+        g.bench_function(format!("{}128_brick", ds.name()), |b| {
+            b.iter(|| volume.read_region(black_box(origin), size, &mut out))
+        });
+        let field = ds.field();
+        let dims = volume.dims();
+        let center =
+            |a: usize, i: usize| (origin[a] as f32 + i as f32 + 0.5) * (1.0 / dims[a] as f32);
+        for (i, v) in out.iter().enumerate() {
+            let (x, y, z) = (i % size[0], i / size[0] % size[1], i / (size[0] * size[1]));
+            let point = field.sample(center(0, x), center(1, y), center(2, z));
+            assert!(
+                v.to_bits() == point.to_bits(),
+                "{} voxel {i} differs from its per-point sample",
+                ds.name()
+            );
+        }
+    }
+    g.finish();
+}
+
 /// The request identity at `pool_preview`'s request (Skull 64³, a 16²
 /// image, 2 GPUs, one kernel thread): `plan` is the key a client routes by
 /// and the render guard checks, `frame` appends the scene for the frame
@@ -572,6 +609,7 @@ criterion_group!(
     bench_frame,
     bench_job,
     bench_stage,
+    bench_synth,
     bench_key
 );
 criterion_main!(benches);

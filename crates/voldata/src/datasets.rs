@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use crate::field::ScalarField;
-use crate::noise::{fbm, turbulence, value_noise};
+use crate::noise::{FractalRow, NoiseRow};
 use crate::volume::Volume;
 
 /// The paper's three evaluation datasets.
@@ -89,6 +89,13 @@ fn clamp01(v: f32) -> f32 {
     v.clamp(0.0, 1.0)
 }
 
+/// `sample` of a field whose one formula is its `sample_row`: the row of one.
+fn sample_one(field: &impl ScalarField, x: f32, y: f32, z: f32) -> f32 {
+    let mut out = [0.0];
+    field.sample_row(&[x], y, z, &mut out);
+    out[0]
+}
+
 /// CT-head stand-in: hard cranial shell with eye-socket cavities, soft brain
 /// interior, faint skin layer.
 struct SkullField {
@@ -97,49 +104,49 @@ struct SkullField {
 
 impl ScalarField for SkullField {
     fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
+        sample_one(self, x, y, z)
+    }
+
+    fn sample_row(&self, xs: &[f32], y: f32, z: f32, out: &mut [f32]) {
         // Head-shaped ellipsoid: slightly narrow in x, tall in z.
-        let px = (x - 0.5) / 0.88;
         let py = (y - 0.5) / 0.95;
         let pz = (z - 0.52) / 1.02;
-        let r = (px * px + py * py + pz * pz).sqrt();
+        let mut lump_noise = NoiseRow::new(y * 9.0, z * 9.0, self.seed);
+        let mut folds_fbm = FractalRow::<3>::fbm(y * 14.0, z * 14.0, 2.1, 0.5, self.seed ^ 0xB4A1);
+        for (out, &x) in out.iter_mut().zip(xs) {
+            let px = (x - 0.5) / 0.88;
+            let r = (px * px + py * py + pz * pz).sqrt();
 
-        // Lumpy cranial radius.
-        let lump = value_noise(x * 9.0, y * 9.0, z * 9.0, self.seed) - 0.5;
-        let shell_r = 0.335 + 0.02 * lump;
+            // Lumpy cranial radius.
+            let lump = lump_noise.at(x * 9.0) - 0.5;
+            let shell_r = 0.335 + 0.02 * lump;
 
-        // Bone: a hard, bright shell.
-        let mut v = 0.92 * smooth_band(r, shell_r, 0.035);
+            // Bone: a hard, bright shell.
+            let mut v = 0.92 * smooth_band(r, shell_r, 0.035);
 
-        // Eye sockets carve two notches out of the front of the shell.
-        for sx in [-1.0f32, 1.0] {
-            let ex = px - sx * 0.14;
-            let ey = py + 0.30;
-            let ez = pz - 0.05;
-            let er = (ex * ex + ey * ey + ez * ez).sqrt();
-            if er < 0.09 {
-                let t = 1.0 - er / 0.09;
-                v *= 1.0 - t * t;
+            // Eye sockets carve two notches out of the front of the shell.
+            for sx in [-1.0f32, 1.0] {
+                let ex = px - sx * 0.14;
+                let ey = py + 0.30;
+                let ez = pz - 0.05;
+                let er = (ex * ex + ey * ey + ez * ez).sqrt();
+                if er < 0.09 {
+                    let t = 1.0 - er / 0.09;
+                    v *= 1.0 - t * t;
+                }
             }
+
+            // Brain: mid-density convoluted interior.
+            if r < shell_r - 0.03 {
+                let folds = folds_fbm.at(x * 14.0);
+                v = v.max(0.30 + 0.18 * folds);
+            }
+
+            // Skin: faint thin layer outside the bone.
+            v = v.max(0.12 * smooth_band(r, 0.40, 0.015));
+
+            *out = clamp01(v);
         }
-
-        // Brain: mid-density convoluted interior.
-        if r < shell_r - 0.03 {
-            let folds = fbm(
-                x * 14.0,
-                y * 14.0,
-                z * 14.0,
-                3,
-                2.1,
-                0.5,
-                self.seed ^ 0xB4A1,
-            );
-            v = v.max(0.30 + 0.18 * folds);
-        }
-
-        // Skin: faint thin layer outside the bone.
-        v = v.max(0.12 * smooth_band(r, 0.40, 0.015));
-
-        clamp01(v)
     }
 }
 
@@ -151,34 +158,44 @@ struct SupernovaField {
 
 impl ScalarField for SupernovaField {
     fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
-        let px = x - 0.5;
+        sample_one(self, x, y, z)
+    }
+
+    fn sample_row(&self, xs: &[f32], y: f32, z: f32, out: &mut [f32]) {
         let py = y - 0.5;
         let pz = z - 0.5;
-        let r = (px * px + py * py + pz * pz).sqrt();
-        if r > 0.48 {
-            return 0.0;
+        let mut wob_turbulence = FractalRow::<3>::turbulence(y * 5.0, z * 5.0, 2.0, 0.5, self.seed);
+        let mut fil_turbulence =
+            FractalRow::<3>::turbulence(y * 11.0, z * 11.0, 2.2, 0.55, self.seed ^ 0xE);
+        for (out, &x) in out.iter_mut().zip(xs) {
+            let px = x - 0.5;
+            let r = (px * px + py * py + pz * pz).sqrt();
+            if r > 0.48 {
+                *out = 0.0;
+                continue;
+            }
+
+            // Direction-dependent shock radius: the blast wave is aspherical.
+            let wob = wob_turbulence.at(x * 5.0);
+            let shock_r = 0.36 + 0.05 * (wob - 0.5);
+
+            let mut v = 0.85 * smooth_band(r, shock_r, 0.045);
+
+            // Filamentary ejecta fill the interior, fading towards the shock.
+            if r < shock_r {
+                let fil = fil_turbulence.at(x * 11.0);
+                let radial = 1.0 - (r / shock_r);
+                v = v.max(clamp01(0.65 * fil * (0.35 + 0.65 * radial)));
+            }
+
+            // Hot compact core.
+            if r < 0.06 {
+                let t = 1.0 - r / 0.06;
+                v = v.max(0.95 * t * t);
+            }
+
+            *out = clamp01(v);
         }
-
-        // Direction-dependent shock radius: the blast wave is aspherical.
-        let wob = turbulence(x * 5.0, y * 5.0, z * 5.0, 3, 2.0, 0.5, self.seed);
-        let shock_r = 0.36 + 0.05 * (wob - 0.5);
-
-        let mut v = 0.85 * smooth_band(r, shock_r, 0.045);
-
-        // Filamentary ejecta fill the interior, fading towards the shock.
-        if r < shock_r {
-            let fil = turbulence(x * 11.0, y * 11.0, z * 11.0, 3, 2.2, 0.55, self.seed ^ 0xE);
-            let radial = 1.0 - (r / shock_r);
-            v = v.max(clamp01(0.65 * fil * (0.35 + 0.65 * radial)));
-        }
-
-        // Hot compact core.
-        if r < 0.06 {
-            let t = 1.0 - r / 0.06;
-            v = v.max(0.95 * t * t);
-        }
-
-        clamp01(v)
     }
 }
 
@@ -190,31 +207,39 @@ struct PlumeField {
 
 impl ScalarField for PlumeField {
     fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
+        sample_one(self, x, y, z)
+    }
+
+    fn sample_row(&self, xs: &[f32], y: f32, z: f32, out: &mut [f32]) {
         let h = z; // height fraction along the tall axis
 
-        // The plume axis drifts with height (noise-driven sway, no trig).
-        let sway_x = 0.18 * (value_noise(h * 4.0, 0.31, 7.7, self.seed) - 0.5) * h;
-        let sway_y = 0.18 * (value_noise(9.2, h * 4.0, 1.3, self.seed ^ 0x77) - 0.5) * h;
-        let dx = x - (0.5 + sway_x);
+        // The plume axis drifts with height (noise-driven sway, no trig):
+        // `value_noise(h * 4.0, 0.31, 7.7)` and `value_noise(9.2, h * 4.0, 1.3)`.
+        let sway_x = 0.18 * (NoiseRow::new(0.31, 7.7, self.seed).at(h * 4.0) - 0.5) * h;
+        let sway_y = 0.18 * (NoiseRow::new(h * 4.0, 1.3, self.seed ^ 0x77).at(9.2) - 0.5) * h;
         let dy = y - (0.5 + sway_y);
-        let d = (dx * dx + dy * dy).sqrt();
 
         // Column radius grows with height; density thins as it rises.
         let radius = 0.055 + 0.22 * h;
-        let core = (-3.0 * (d / radius) * (d / radius)).exp();
 
         // Turbulent mixing intensifies with height.
-        let turb = fbm(x * 7.0, y * 7.0, z * 21.0, 3, 2.0, 0.5, self.seed ^ 0xF00D);
-        let mixed = core * (0.55 + 0.45 * turb) * (1.0 - 0.55 * h);
+        let mut turb_fbm = FractalRow::<3>::fbm(y * 7.0, z * 21.0, 2.0, 0.5, self.seed ^ 0xF00D);
+        for (out, &x) in out.iter_mut().zip(xs) {
+            let dx = x - (0.5 + sway_x);
+            let d = (dx * dx + dy * dy).sqrt();
+            let core = (-3.0 * (d / radius) * (d / radius)).exp();
+            let turb = turb_fbm.at(x * 7.0);
+            let mixed = core * (0.55 + 0.45 * turb) * (1.0 - 0.55 * h);
 
-        // Hot source pool at the base.
-        let base = if h < 0.04 && d < 0.12 {
-            (1.0 - h / 0.04) * (1.0 - d / 0.12) * 0.9
-        } else {
-            0.0
-        };
+            // Hot source pool at the base.
+            let base = if h < 0.04 && d < 0.12 {
+                (1.0 - h / 0.04) * (1.0 - d / 0.12) * 0.9
+            } else {
+                0.0
+            };
 
-        clamp01((1.35 * mixed).max(base))
+            *out = clamp01((1.35 * mixed).max(base));
+        }
     }
 }
 

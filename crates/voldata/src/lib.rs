@@ -4,7 +4,8 @@
 //! MapReduce"* (Stuart et al., 2010):
 //!
 //! * [`noise`] — seeded value noise / fBm / turbulence;
-//! * [`field`] — continuous scalar fields over the unit cube;
+//! * [`field`] — continuous scalar fields over the unit cube, synthesized a
+//!   row of voxels at a time;
 //! * [`datasets`] — procedural stand-ins for the paper's Skull, Supernova and
 //!   Plume volumes at the paper's resolutions (128³…1024³, 512×512×2048);
 //! * [`volume`] — volume metadata + sources (procedural / raw file /
@@ -19,6 +20,15 @@
 //!   the voxels (and the store keeps across eviction), so the renderer can
 //!   skip space the transfer function makes empty;
 //! * [`stats`] — streaming volume statistics.
+//!
+//! A row along x is the unit of procedural synthesis: materializing a
+//! region computes the row's voxel-center x coordinates once and makes one
+//! [`ScalarField::sample_row`] call per row. The datasets hoist what depends
+//! only on `(y, z)` out of the row and evaluate their noise through a row
+//! evaluator that keeps the current lattice cell's corners between
+//! neighbouring samples, so a voxel costs a few lerps rather than dozens of
+//! lattice hashes, and every voxel keeps the exact bits of its per-point
+//! `sample`.
 
 pub mod brick;
 pub mod brickstore;

@@ -279,7 +279,8 @@ impl Volume {
     }
 }
 
-/// Sample a field at voxel centers over a region, splitting z-slabs across
+/// Sample a field at voxel centers over a region, one
+/// [`ScalarField::sample_row`] call per row, splitting z-slabs across
 /// threads for large regions. `out` is strided as for [`io::read_region`].
 fn materialize_procedural(
     field: &dyn ScalarField,
@@ -294,16 +295,16 @@ fn materialize_procedural(
         1.0 / dims[1] as f32,
         1.0 / dims[2] as f32,
     ];
+    let xs: Vec<f32> = (0..size[0])
+        .map(|x| (origin[0] as f32 + x as f32 + 0.5) * inv[0])
+        .collect();
     let fill_slab = |z_lo: usize, z_hi: usize, slab: &mut [f32]| {
         for (zi, z) in (z_lo..z_hi).enumerate() {
             let wz = (origin[2] as f32 + z as f32 + 0.5) * inv[2];
             for y in 0..size[1] {
                 let wy = (origin[1] as f32 + y as f32 + 0.5) * inv[1];
                 let row = (zi * out_dims[1] + y) * out_dims[0];
-                for x in 0..size[0] {
-                    let wx = (origin[0] as f32 + x as f32 + 0.5) * inv[0];
-                    slab[row + x] = field.sample(wx, wy, wz);
-                }
+                field.sample_row(&xs, wy, wz, &mut slab[row..row + size[0]]);
             }
         }
     };
@@ -359,6 +360,19 @@ mod tests {
         // x=0 center is 0.5/8; x=7 center is 7.5/8.
         assert!((full[0] - 0.0625).abs() < 1e-6);
         assert!((full[7] - 0.9375).abs() < 1e-6);
+    }
+
+    #[test]
+    fn rows_sample_at_the_voxel_centers_of_the_region() {
+        // `1/24` is inexact, so only `(origin + x + 0.5) * (1/24)` gives
+        // these bits for a row that starts mid-volume.
+        let v = ramp_volume([24, 3, 2]);
+        let mut out = vec![0f32; 17];
+        v.read_region([7, 1, 1], [17, 1, 1], &mut out);
+        for (x, got) in out.iter().enumerate() {
+            let center = (7.0 + x as f32 + 0.5) * (1.0 / 24.0f32);
+            assert_eq!(got.to_bits(), center.to_bits(), "voxel {x}");
+        }
     }
 
     #[test]
