@@ -96,6 +96,7 @@
 
 pub mod client;
 pub mod heat;
+mod node;
 pub mod pool;
 pub mod ratelimit;
 pub mod rebalance;

@@ -38,8 +38,9 @@ impl RateLimitConfig {
 }
 
 /// A classic token bucket: `burst` capacity, refilled continuously at
-/// `frames_per_sec`. Time is passed in explicitly (`try_take_at`) so the
-/// refill math is deterministic under test; the server uses [`TokenBucket::try_take`].
+/// `frames_per_sec`. Time is passed in explicitly: the server's protocol
+/// core hands every event its own clock reading, so the refill math is the
+/// same under a test's virtual time as under the real clock.
 #[derive(Debug, Clone)]
 pub(crate) struct TokenBucket {
     capacity: f64,
@@ -80,11 +81,6 @@ impl TokenBucket {
             let secs = (1.0 - self.tokens) / self.fill_per_sec;
             Err(Duration::from_nanos((secs * 1e9).ceil() as u64 + 1_000))
         }
-    }
-
-    /// Spend one token against the real clock.
-    pub fn try_take(&mut self) -> Result<(), Duration> {
-        self.try_take_at(Instant::now())
     }
 }
 

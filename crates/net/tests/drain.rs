@@ -1,14 +1,17 @@
 //! Elastic-pool acceptance: zero-loss graceful drain under pipelined
 //! traffic, epoch-versioned placement observable through STATS,
-//! idempotent drain/resume, the GOODBYE protocol, and heat-driven
-//! rebalancing with pre-warm-before-cutover.
+//! idempotent drain/resume, a GOODBYE as the client sees it, and
+//! heat-driven rebalancing with pre-warm-before-cutover.
 
+use std::io::Write;
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
+use mgpu_net::wire::{read_frame, Pong, Reply, Request, DEFAULT_MAX_PAYLOAD};
 use mgpu_net::{
-    rebalance_once, Directory, NodePool, NodePoolConfig, RebalanceConfig, RenderClient,
-    RenderServer, ServerConfig,
+    rebalance_once, ClientError, Directory, NodePool, NodePoolConfig, RebalanceConfig,
+    RenderClient, RenderServer, ServerConfig,
 };
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::{Dataset, Volume};
@@ -214,61 +217,33 @@ fn double_drain_and_double_resume_are_idempotent() {
     }
 }
 
-/// The wire-level drain protocol: a draining server refuses new RENDER /
-/// SUBMIT with a typed `DRAINING` reply (the connection survives), keeps
-/// answering reads, says GOODBYE to work-carrying sessions once empty —
-/// and a fresh control connection can still RESUME it afterwards.
+/// A GOODBYE seals the client's connection: the call it meets, and every
+/// call after it, fails as `ClientError::Goodbye`. Which sessions a node
+/// says GOODBYE to, and when, is the protocol core's to decide; its tests
+/// (`node::tests` in the crate) drive that drain event by event.
 #[test]
-fn drained_server_refuses_goodbyes_and_can_still_be_resumed() {
-    let server = node();
-    let worker = RenderClient::connect(server.addr()).expect("worker connect");
-    let req =
-        mgpu_net::NetSceneRequest::from_request(&request(Dataset::Skull, 1.0)).expect("portable");
-    worker.render(&req).expect("healthy render");
-    // A parked ticket keeps the session non-empty, so the GOODBYE wave
-    // cannot fire while we probe the DRAINING refusal.
-    let parked = worker.submit(&req).expect("park a ticket");
-
-    // Drain announced with epoch 3: acknowledged, echoed in STATS, and
-    // new work is refused with the typed DRAINING verdict (not a close).
-    let state = worker.drain(3).expect("drain ack");
-    assert!(state.draining);
-    assert_eq!(state.epoch, 3);
-    match worker.submit(&req) {
-        Err(mgpu_net::ClientError::Draining { epoch }) => assert_eq!(epoch, 3),
-        other => panic!("draining server must refuse typed, got {other:?}"),
-    }
-    // What the node already owes is still answered mid-drain.
-    worker
-        .redeem(parked)
-        .expect("parked redeem answered while draining");
-
-    // Empty + draining → the work-carrying session gets GOODBYE'd.
-    let mut goodbyed = false;
-    for _ in 0..500 {
-        match worker.ping() {
-            Err(mgpu_net::ClientError::Goodbye) => {
-                goodbyed = true;
-                break;
-            }
-            _ => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    assert!(goodbyed, "drained-empty server must say GOODBYE");
-
-    // A pure control connection is served normally: it can observe the
-    // drain and undo it.
-    let control = RenderClient::connect(server.addr()).expect("control connect");
-    let state = control.drain(3).expect("idempotent drain query");
-    assert!(state.draining && state.outstanding == 0);
-    let state = control.resume(4).expect("resume");
-    assert!(!state.draining);
-    assert_eq!(state.epoch, 4);
-
-    // Back in service for fresh sessions.
-    let fresh = RenderClient::connect(server.addr()).expect("fresh connect");
-    fresh.render(&req).expect("render after resume");
-    server.shutdown();
+fn a_goodbye_seals_the_client_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    let node = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("accept");
+        // Answer the client's handshake PING, then meet its next request
+        // with a GOODBYE.
+        let (tag, id, payload) = read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("handshake");
+        let Ok(Request::Ping(token)) = Request::decode(tag, &payload) else {
+            panic!("the handshake is a PING");
+        };
+        let pong = Reply::Pong(Pong { token, shards: 1 });
+        socket.write_all(&pong.framed(id)).expect("pong");
+        read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("a request");
+        socket
+            .write_all(&Reply::Goodbye.framed(0))
+            .expect("goodbye");
+    });
+    let client = RenderClient::connect(addr).expect("connect");
+    assert!(matches!(client.ping(), Err(ClientError::Goodbye)));
+    assert!(matches!(client.stats(), Err(ClientError::Goodbye)));
+    node.join().expect("the node's thread");
 }
 
 /// Heat-driven rebalancing: skewed traffic makes one node hot; one pass

@@ -6,6 +6,7 @@ use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mgpu_net::wire::{self, read_frame, Reply, Request};
 use mgpu_net::{NetSceneRequest, RenderClient, RenderServer, ServerConfig};
@@ -138,7 +139,8 @@ fn submits_and_renders_interleave_on_one_connection() {
 /// A request id may name only one outstanding request per connection: the
 /// duplicate gets a typed `BadRequest` tagged with that id, and the
 /// connection (plus the original request) survives. The same holds for a
-/// REDEEM of an id whose frame is already owed to someone.
+/// REDEEM of an id whose frame is already owed to someone, and for a
+/// REDEEM sent under an outstanding request's id.
 #[test]
 fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     let server = server(1, 1);
@@ -182,6 +184,9 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
     })
     .expect("bind loopback server");
     let mut raw = TcpStream::connect(paused.addr()).expect("connect");
+    // A reply that never comes fails the read instead of hanging it.
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
     let render = Request::Render(Cow::Borrowed(&request)).framed(20);
     raw.write_all(&render).expect("render");
     raw.write_all(&Request::Redeem(20).framed(21))
@@ -193,9 +198,34 @@ fn duplicate_request_ids_are_rejected_and_the_connection_survives() {
         ),
         other => panic!("expected a BadRequest under id 21, got {other:?}"),
     }
+
+    // The id rule is the door's, so it holds for every request: a REDEEM
+    // sent under the in-flight RENDER's id is a duplicate, refused under
+    // that id. The RENDER's FRAME is then the one reply under 20, and the
+    // ticket the REDEEM named is still there to redeem.
+    let ticket_scene = sized_request(50.0, 8);
+    raw.write_all(&Request::Submit(Cow::Borrowed(&ticket_scene)).framed(10))
+        .expect("submit");
+    assert_eq!(read_reply(&mut raw), (10, Reply::Submitted(10)));
+    raw.write_all(&Request::Redeem(10).framed(20))
+        .expect("redeem under a busy id");
+    match read_reply(&mut raw) {
+        (20, Reply::BadRequest(message)) => assert!(
+            message.contains("duplicate request id 20"),
+            "unexpected echo: {message}"
+        ),
+        other => panic!("expected a BadRequest under id 20, got {other:?}"),
+    }
     paused.resume();
     assert!(matches!(read_reply(&mut raw), (20, Reply::Frame(_))));
+    raw.write_all(&Request::Redeem(10).framed(30))
+        .expect("redeem");
+    assert!(matches!(read_reply(&mut raw), (30, Reply::Frame(_))));
     paused.shutdown();
+    match read_frame(&mut raw, wire::DEFAULT_MAX_PAYLOAD) {
+        Err(wire::WireError::ConnectionClosed) => {}
+        other => panic!("nothing more is owed under any id, got {other:?}"),
+    }
 }
 
 /// One reply off a raw socket: its request id and the reply it decodes to.

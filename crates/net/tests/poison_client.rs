@@ -122,14 +122,13 @@ fn disconnect_mid_request_is_reaped_quietly() {
     header.push(render_tag());
     header.extend_from_slice(&64u32.to_le_bytes());
     header.extend_from_slice(&[1, 2, 3, 4, 5]);
-    {
-        let mut poison = TcpStream::connect(server.addr()).expect("poison connect");
-        poison.write_all(&header).expect("write torn frame");
-        poison.flush().unwrap();
-        // Dropping the stream closes the socket mid-payload.
-    }
-    // Give the handler a moment to hit the EOF.
-    std::thread::sleep(Duration::from_millis(120));
+    let mut poison = TcpStream::connect(server.addr()).expect("poison connect");
+    // A PING round trip first, so the connection sits in the server's poll
+    // set before it tears.
+    poison.write_all(&Request::Ping(1).framed(1)).unwrap();
+    assert!(matches!(read_reply(&mut poison), (1, Reply::Pong(_))));
+    poison.write_all(&header).expect("write torn frame");
+    drop(poison); // closes the socket mid-payload
 
     let frame = survivor
         .render(&tiny_request(30.0))
@@ -269,9 +268,9 @@ fn a_refused_request_neither_fails_over_nor_drops_its_connection() {
     }
 }
 
-/// Shutdown drains a *paused* service instead of deadlocking: a blocking
-/// RENDER admitted while the queue is paused still resolves because
-/// shutdown resumes the shards before joining the connection handlers.
+/// Shutdown drains a *paused* service instead of deadlocking: a RENDER
+/// admitted while the queue is paused still resolves because shutdown
+/// resumes the shards before the event loop's last turns.
 #[test]
 fn shutdown_drains_paused_service_with_blocked_render() {
     let server = RenderServer::start(ServerConfig {
@@ -284,20 +283,19 @@ fn shutdown_drains_paused_service_with_blocked_render() {
         ..ServerConfig::default()
     })
     .expect("bind");
-    let addr = server.addr();
-    let renderer = std::thread::spawn(move || {
-        let client = RenderClient::connect(addr).expect("connect");
-        client
-            .render(&tiny_request(5.0))
-            .expect("render resolves at shutdown")
-    });
-    // Let the request reach the paused queue, then shut down: the frame
-    // must render during the drain and the join must not hang.
-    std::thread::sleep(Duration::from_millis(150));
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    // The PING's answer means the RENDER before it reached the paused
+    // queue; then shut down: the frame must render during the drain and
+    // the join must not hang.
+    raw.write_all(&render_frame(&tiny_request(5.0), 1)).unwrap();
+    raw.write_all(&Request::Ping(2).framed(2)).unwrap();
+    assert!(matches!(read_reply(&mut raw), (2, Reply::Pong(_))));
     let report = server.shutdown();
     assert_eq!(report.frames_completed, 1);
-    let frame = renderer.join().expect("client thread");
-    assert!(!frame.from_cache);
+    match read_reply(&mut raw) {
+        (1, Reply::Frame(frame)) => assert!(!frame.from_cache),
+        other => panic!("expected the FRAME under id 1, got {other:?}"),
+    }
 }
 
 #[test]
