@@ -38,10 +38,12 @@
 //!   loop: non-blocking sockets, per-connection write queues and the same
 //!   incremental frame reader the client blocks on (one parser for both
 //!   ends of the socket), completions delivered by render workers
-//!   through a queue + loopback waker, zero wakeups while idle, graceful
-//!   drain on shutdown; poisoned connections contained per session. The
-//!   loop is the server's one thread: every control request, `PREWARM`
-//!   included, is answered on it.
+//!   through a queue + `UnixStream` waker, zero wakeups while idle,
+//!   graceful drain on shutdown; poisoned connections contained per
+//!   session. The loop is the server's one thread and only does I/O: the
+//!   protocol — the door, ticket tables, drain, every control request — is
+//!   a socket-free state machine it feeds events, tested in exact event
+//!   orders without a socket or a sleep. Unix-only (`poll(2)`).
 //! * **Client** — [`client`]: a pipelined [`RenderClient`] —
 //!   [`RenderClient::begin_render`] issues without blocking and returns a
 //!   [`PendingRender`] collected later by [`RenderClient::finish_render`],

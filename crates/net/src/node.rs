@@ -1,27 +1,11 @@
-//! The render server's protocol, with no I/O. A [`Node`] holds every
-//! session's state and the node's drain state, and answers events: a
-//! session opened or closed, a request frame read, framing lost, a render
-//! completed, a loop turn. Each reply goes to its session's out queue,
-//! and whoever owns the node writes it. The server's event loop
-//! ([`crate::server`]) owns one over sockets; a test owns one as the
-//! sockets, the render workers' arrival order and the clock all at once.
-//! The clock is an argument of every event that reads it.
-//!
-//! The rules live here and nowhere else:
-//! * **the door** — a frame is decoded, then its request id checked
-//!   against the session's outstanding ones (an id names one request at a
-//!   time, whatever the request), then served. A `RENDER`/`SUBMIT` is
-//!   further bounded by `max_tickets_per_session`, validated, and
-//!   rate-limited, in that order.
-//! * **tickets** — a `RENDER` is a ticket whose redeem is parked under its
-//!   own id from the start; a `SUBMIT`'s ticket waits for its `REDEEM`.
-//!   Whichever of the render and the redeem comes second sends the
-//!   `FRAME`, under the redeeming request's id.
-//! * **drain** — a draining node refuses new work with `DRAINING`, and a
-//!   loop turn that finds nothing outstanding says `GOODBYE` to every
-//!   session that carried work.
-//! * **shutdown** — a loop turn during shutdown keeps only the sessions
-//!   still owed a frame or a write.
+//! The render server's protocol with no I/O. A [`Node`] holds the
+//! sessions' state — out queues, ticket tables, rate buckets — and the
+//! drain state. It takes events (a session opened or closed, a request
+//! frame, lost framing, a completion, a loop turn) and queues each reply
+//! on its session's out queue for its owner to write. The event loop in
+//! [`crate::server`] owns one over sockets; the tests below own one with
+//! the completions' order and the clock in their hands: every event that
+//! reads the clock takes the time as an argument.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,7 +111,7 @@ pub(crate) struct Session<T> {
     /// Replies in sending order, for the owner to write and pop.
     pub(crate) out: VecDeque<OutFrame>,
     /// Read no more; once `out` is written the owner closes the session.
-    closing: bool,
+    pub(crate) closing: bool,
     bucket: Option<TokenBucket>,
     /// Every admitted `RENDER` and `SUBMIT` whose frame is not yet sent.
     tickets: HashMap<u64, Ticket>,
@@ -139,10 +123,6 @@ pub(crate) struct Session<T> {
 }
 
 impl<T> Session<T> {
-    pub(crate) fn closing(&self) -> bool {
-        self.closing
-    }
-
     fn send(&mut self, frame: impl Into<OutFrame>) {
         self.out.push_back(frame.into());
     }
@@ -222,10 +202,6 @@ impl<T> Node<T> {
 
     pub(crate) fn sessions(&self) -> impl Iterator<Item = (u64, &Session<T>)> {
         self.sessions.iter().map(|(id, session)| (*id, session))
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
     }
 
     /// Serve one complete request frame, read at `now`: its reply is
@@ -312,23 +288,19 @@ impl<T> Node<T> {
     /// The loop's turn, between applying completions and waiting again.
     pub(crate) fn turn(&mut self, shutting_down: bool) {
         if shutting_down {
-            // Graceful shutdown: stop reading, keep delivering. A session
-            // owing nothing more (no in-flight renders, no parked redeems,
-            // nothing left to write) closes now; un-redeemed tickets are
-            // abandoned (their frames still land in the render cache).
+            // Reads are off, delivery goes on: a session owed nothing more
+            // closes; un-redeemed tickets are abandoned (their frames still
+            // land in the render cache).
             self.sessions.retain(|_, open| !open.drained());
             return;
         }
         if !self.draining {
             return;
         }
-        // Soft drain: once no session holds anything — no in-flight
-        // renders, no un-redeemed tickets — tell every session that carried
-        // render work GOODBYE (request id 0, the unsolicited-verdict
-        // channel) and close after the flush. Pure control sessions stay
-        // open and readable, so the drained node can still answer STATS
-        // and be RESUMEd; the GOODBYE on the data sessions is the
-        // drained-node signal the pool keys off.
+        // Soft drain: once no session holds a ticket, every session that
+        // carried work gets GOODBYE under id 0 (the signal the pool keys
+        // off) and closes after the flush; control sessions stay readable,
+        // so the drained node can still answer STATS and be RESUMEd.
         let empty = self.sessions.values().all(|open| open.tickets.is_empty());
         if empty {
             for open in self.sessions.values_mut() {
@@ -375,7 +347,31 @@ impl<T> Node<T> {
                 let refusal = self.submit(session, request_id, &request, None, now)?;
                 refusal.unwrap_or(Reply::Submitted(request_id))
             }
-            Request::Redeem(ticket_id) => return self.redeem(session, request_id, ticket_id),
+            Request::Redeem(ticket_id) => {
+                let Some(open) = self.sessions.get_mut(&session) else {
+                    return Ok(None);
+                };
+                match open.tickets.get_mut(&ticket_id) {
+                    Some(Ticket::Ready(result)) => {
+                        let frame = frame_reply(request_id, result);
+                        open.tickets.remove(&ticket_id);
+                        open.send(frame);
+                    }
+                    // Park the redeem: the completion answers it.
+                    Some(Ticket::Pending {
+                        redeem: redeem @ None,
+                    }) => *redeem = Some(request_id),
+                    Some(Ticket::Pending { redeem: Some(_) }) => {
+                        return Err(WireError::Malformed(format!(
+                            "ticket {ticket_id} is already being redeemed"
+                        )));
+                    }
+                    None => {
+                        return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
+                    }
+                }
+                return Ok(None);
+            }
             Request::Drain(epoch) => self.set_draining(true, epoch),
             Request::Resume(epoch) => self.set_draining(false, epoch),
             Request::Prewarm(epoch, request) => {
@@ -389,39 +385,6 @@ impl<T> Node<T> {
             }
         };
         Ok(Some(reply))
-    }
-
-    /// Exchange ticket `ticket_id` for its frame under `request_id`: now if
-    /// it is rendered, else when its render completes.
-    fn redeem(
-        &mut self,
-        session: u64,
-        request_id: u64,
-        ticket_id: u64,
-    ) -> Result<Option<Reply>, WireError> {
-        let Some(open) = self.sessions.get_mut(&session) else {
-            return Ok(None);
-        };
-        match open.tickets.get_mut(&ticket_id) {
-            Some(Ticket::Ready(result)) => {
-                let frame = frame_reply(request_id, result);
-                open.tickets.remove(&ticket_id);
-                open.send(frame);
-            }
-            // Park the redeem: the completion answers it.
-            Some(Ticket::Pending {
-                redeem: redeem @ None,
-            }) => *redeem = Some(request_id),
-            Some(Ticket::Pending { redeem: Some(_) }) => {
-                return Err(WireError::Malformed(format!(
-                    "ticket {ticket_id} is already being redeemed"
-                )));
-            }
-            None => {
-                return Err(WireError::Malformed(format!("unknown ticket {ticket_id}")));
-            }
-        }
-        Ok(None)
     }
 
     /// A peer announced directory `epoch`; the node keeps the highest.
@@ -624,7 +587,7 @@ mod tests {
     }
 
     /// One queued reply frame, decoded as a client would read it.
-    fn decode(frame: &OutFrame) -> (u64, Reply) {
+    fn read_out(frame: &OutFrame) -> (u64, Reply) {
         let mut bytes = Vec::new();
         frame
             .write_from(0, &mut bytes)
@@ -690,7 +653,7 @@ mod tests {
             let Some(open) = self.node.session_mut(session) else {
                 return Vec::new();
             };
-            open.out.drain(..).map(|frame| decode(&frame)).collect()
+            open.out.drain(..).map(|frame| read_out(&frame)).collect()
         }
 
         /// Block until `n` completions are held, in an order that does not
@@ -762,7 +725,7 @@ mod tests {
         assert_frame(h.replies(worker), 5, &req);
         h.node.turn(false);
         assert_eq!(h.replies(worker), [(0, Reply::Goodbye)]);
-        assert!(h.node.session_mut(worker).expect("open").closing());
+        assert!(h.node.session_mut(worker).expect("open").closing);
 
         let control = h.open();
         h.send(control, 1, &Request::Drain(3));
@@ -844,10 +807,10 @@ mod tests {
         h.hold(1);
         h.complete(0);
         h.node.turn(true);
-        assert!(!h.node.is_empty(), "the FRAME is not written yet");
+        assert!(!h.node.sessions.is_empty(), "the FRAME is not written yet");
         assert_frame(h.replies(client), 1, &req);
         h.node.turn(true);
-        assert!(h.node.is_empty());
+        assert!(h.node.sessions.is_empty());
         assert_eq!(h.shutdown().frames_completed, 1);
     }
 
@@ -953,7 +916,8 @@ mod tests {
         log: bool,
         max_tickets: usize,
         rate: Option<RateLimitConfig>,
-        sessions: usize,
+        /// Sessions still to open: a seed opens 1–3 in all.
+        to_open: usize,
         clients: HashMap<u64, Client>,
         draining: bool,
         epoch: u64,
@@ -976,14 +940,14 @@ mod tests {
                 max_tickets_per_session: max_tickets,
                 ..config()
             });
-            let sessions = 1 + rng.below(3);
+            let to_open = 1 + rng.below(3);
             let mut sim = Sim {
                 h,
                 rng,
                 log: std::env::var_os("NODE_SEED").is_some(),
                 max_tickets,
                 rate,
-                sessions,
+                to_open,
                 clients: HashMap::new(),
                 draining: false,
                 epoch: 0,
@@ -1044,10 +1008,10 @@ mod tests {
         }
 
         fn open(&mut self) {
-            if self.sessions == 0 {
+            if self.to_open == 0 {
                 return;
             }
-            self.sessions -= 1;
+            self.to_open -= 1;
             let session = self.h.open();
             self.note(format_args!("open {session}"));
             let bucket = self.rate.map(|rate| TokenBucket::new(rate, self.h.now));
@@ -1355,12 +1319,16 @@ mod tests {
                         );
                     }
                     let Some((to, want_id, wanted)) = want.next() else {
-                        panic!("session {session}: ({id}, {reply:?}) was not expected");
+                        panic!(
+                            "session {session}: ({id}, {}) was not expected",
+                            brief(&reply)
+                        );
                     };
                     assert_eq!(
                         (to, want_id),
                         (session, id),
-                        "{reply:?} where {wanted:?} was due"
+                        "{} where {wanted:?} was due",
+                        brief(&reply)
                     );
                     let matches = match (&wanted, &reply) {
                         (Want::Is(wanted), reply) => wanted == reply,
@@ -1378,12 +1346,22 @@ mod tests {
                     };
                     assert!(
                         matches,
-                        "session {session}, id {id}: got {reply:?}, want {wanted:?}"
+                        "session {session}, id {id}: got {}, want {wanted:?}",
+                        brief(&reply)
                     );
                 }
             }
             let missing: Vec<_> = want.collect();
             assert!(missing.is_empty(), "replies never sent: {missing:?}");
+        }
+    }
+
+    /// `reply` in an assertion message, without its pixels or snapshots.
+    fn brief(reply: &Reply) -> String {
+        match reply {
+            Reply::Frame(frame) => format!("Frame({}²)", frame.image.width()),
+            Reply::StatsReport(stats) => format!("StatsReport(epoch {})", stats.epoch),
+            other => format!("{other:?}"),
         }
     }
 
@@ -1413,7 +1391,10 @@ mod tests {
             sim.complete();
             sim.check();
         }
-        assert!(sim.h.node.is_empty(), "shutdown leaves no session behind");
+        assert!(
+            sim.h.node.sessions.is_empty(),
+            "shutdown leaves no session behind"
+        );
         let report = sim.h.shutdown();
         assert_eq!(report.frames_failed, 0);
     }

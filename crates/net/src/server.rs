@@ -6,26 +6,25 @@
 //! of state each, not a parked thread.
 //!
 //! ```text
-//!                    poll(2) readiness loop (one thread): I/O only
-//!   TcpListener ──accept──► open ─┐
-//!   socket ──FrameReader──► frame ├──► Node (crate::node): the protocol —
-//!                unframable ──────┤     door, ticket tables, drain
-//!   waker ◄── Notifier ──► complete ┘          │ replies
-//!     ▲       (completion queue)               ▼
-//!     └── render worker's hook     per-session out queue ──vectored write──► socket
+//!                 poll(2) readiness loop (one thread): I/O only
+//!   TcpListener ──accept──────────► Node::open
+//!   socket ──wire::FrameReader────► Node::frame, Node::unframable ─┐ crate::node:
+//!   waker pair ◄── Notifier ◄── a render worker's completion hook  │ the door,
+//!     └─poll wakes─► Notifier's queue ─► Node::complete ───────────┤ ticket tables,
+//!   every loop round ─────────────────► Node::turn ────────────────┘ drain, GOODBYE
+//!                                                                   │ replies
+//!   socket ◄──vectored write── the session's out queue ◄────────────┘
 //! ```
 //!
-//! The loop is split in two. The protocol — admission, the session ticket
-//! tables, drain state, and every control request, `PREWARM` included — is
-//! a [`Node`] with no I/O: it takes events and queues replies. The loop
-//! around it keeps only I/O: it accepts, reads frames with
+//! The loop only does I/O: it accepts, reads frames with
 //! `wire::FrameReader`, writes each session's out queue with vectored
-//! writes, polls, and drains the waker. A `PREWARM` builds its plan on the
-//! loop, because a plan is a brick grid and an empty brick store: 12–19 µs
-//! for the repo's volumes on a 2.6 GHz Xeon, no more than decoding a
-//! shipped request costs. The first frame rendered against the plan still
-//! stages every brick it needs.
-//!
+//! writes, polls and drains the waker. Every protocol decision — the door,
+//! the session ticket tables, drain, every control request — is made by a
+//! socket-free `Node` (in `crate::node`) that the loop feeds events. A
+//! `PREWARM` builds its plan there, on the loop: a brick grid and an empty
+//! brick store, 12–19 µs for the repo's volumes on a 2.6 GHz Xeon, no more
+//! than decoding a shipped request costs.
+
 //! Every request frame carries a client-chosen `request_id`; every reply
 //! echoes it — so one connection carries many in-flight renders and the
 //! replies leave in *completion* order, not submission order. The loop
@@ -153,15 +152,14 @@ mod readiness {
         fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
     }
 
-    /// Block until at least one fd is ready (or `timeout_ms` elapses;
-    /// negative = wait forever). Retries `EINTR` internally.
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    /// Block until at least one fd is ready; no timeout. Retries `EINTR`.
+    pub fn wait(fds: &mut [PollFd]) -> std::io::Result<usize> {
         loop {
             // SAFETY: `fds` is a live, exclusively borrowed slice for the
             // whole call; `PollFd` is `#[repr(C)]` matching `struct pollfd`,
             // and the length is passed alongside the pointer, so the kernel
             // reads/writes exactly the slice we own and nothing else.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
+            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, -1) };
             if rc >= 0 {
                 return Ok(rc as usize);
             }
@@ -176,6 +174,8 @@ mod readiness {
 // ---------------------------------------------------------------------------
 // Notifier: render workers and shutdown → event loop
 // ---------------------------------------------------------------------------
+
+const POISON: &str = "completion queue poisoned";
 
 /// How other threads reach the event loop: render workers' hooks queue
 /// completions and shutdown raises its flag, and either writes one byte to
@@ -198,18 +198,11 @@ impl Notifier {
         // and a closed one means the loop is gone — both ignorable.
         let _ = (&self.waker).write(&[1u8]);
     }
-
-    fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().expect("completion queue poisoned"))
-    }
 }
 
 impl CompletionSink for Notifier {
     fn complete(&self, done: Completion) {
-        self.completions
-            .lock()
-            .expect("completion queue poisoned")
-            .push(done);
+        self.completions.lock().expect(POISON).push(done);
         // A frame-cache hit completes inside `try_submit_traced`, on the
         // event loop itself, mid-dispatch: the loop applies completions
         // before it next polls, so waking it would only buy an empty round.
@@ -472,56 +465,45 @@ struct EventLoop {
 
 impl EventLoop {
     fn run(mut self) {
+        use readiness::{PollFd, POLLIN, POLLOUT};
         let _ = self.notifier.loop_thread.set(std::thread::current().id());
         loop {
-            for done in self.notifier.drain() {
+            let completions = std::mem::take(&mut *self.notifier.completions.lock().expect(POISON));
+            for done in completions {
                 self.node.complete(done, Instant::now());
             }
             // Acquire: pairs with the Release store in `stop_event_loop`.
             let shutting_down = self.notifier.shutdown.load(Ordering::Acquire);
             self.node.turn(shutting_down);
-            if shutting_down && self.node.is_empty() {
+            if shutting_down && self.node.sessions().next().is_none() {
                 return;
             }
 
-            // fds: [waker, listener?, conns...] with a parallel token list.
-            let mut fds = vec![readiness::PollFd::new(
-                self.waker_rx.as_raw_fd(),
-                readiness::POLLIN,
-            )];
-            let listener_slot = (!shutting_down).then(|| {
-                fds.push(readiness::PollFd::new(
-                    self.listener.as_raw_fd(),
-                    readiness::POLLIN,
-                ));
-                1
-            });
+            // fds: [waker, listener (unless shutting down), sessions...].
+            let mut fds = vec![PollFd::new(self.waker_rx.as_raw_fd(), POLLIN)];
+            if !shutting_down {
+                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            }
+            let first = fds.len();
             let mut tokens = Vec::new();
             for (token, session) in self.node.sessions() {
-                let mut events = 0i16;
-                if !shutting_down && !session.closing() {
-                    events |= readiness::POLLIN;
-                }
-                if !session.out.is_empty() {
-                    events |= readiness::POLLOUT;
-                }
-                if events == 0 {
-                    // Nothing to wait for on this socket right now (e.g. a
-                    // draining conn waiting only on render completions) —
-                    // still include it so peer resets are noticed.
-                    events = readiness::POLLIN;
-                }
-                tokens.push((token, fds.len()));
-                fds.push(readiness::PollFd::new(
-                    session.io.stream.as_raw_fd(),
-                    events,
-                ));
+                // A socket with nothing to read or write (a draining session
+                // waiting on renders) still polls for input, so that a peer
+                // reset is noticed.
+                let reading = !shutting_down && !session.closing;
+                let events = match (reading, session.out.is_empty()) {
+                    (_, true) => POLLIN,
+                    (true, false) => POLLIN | POLLOUT,
+                    (false, false) => POLLOUT,
+                };
+                tokens.push(token);
+                fds.push(PollFd::new(session.io.stream.as_raw_fd(), events));
             }
 
             // Block until something happens: socket readiness, a fresh
             // connection, a completion's waker byte, or shutdown's wake.
             // No timeout — idle costs zero wakeups.
-            if readiness::wait(&mut fds, -1).is_err() {
+            if readiness::wait(&mut fds).is_err() {
                 return; // poll itself failed: the loop cannot continue
             }
             self.wakeups.inc();
@@ -529,13 +511,10 @@ impl EventLoop {
             if fds[0].readable() {
                 self.drain_waker();
             }
-            if let Some(slot) = listener_slot {
-                if fds[slot].readable() {
-                    self.accept_ready();
-                }
+            if !shutting_down && fds[1].readable() {
+                self.accept_ready();
             }
-            for (token, slot) in tokens {
-                let fd = fds[slot];
+            for (token, fd) in tokens.into_iter().zip(&fds[first..]) {
                 if fd.failed() {
                     self.node.close(token);
                     continue;
@@ -582,7 +561,7 @@ impl EventLoop {
     /// Read whatever the socket has and hand each frame to the node.
     fn service_reads(&mut self, token: u64) {
         while let Some(session) = self.node.session_mut(token) {
-            if session.closing() {
+            if session.closing {
                 return;
             }
             match session.io.read_frame(self.max_payload) {
@@ -611,7 +590,7 @@ impl EventLoop {
             return;
         };
         if session.io.flush(&mut session.out).is_err()
-            || (session.closing() && session.out.is_empty())
+            || (session.closing && session.out.is_empty())
         {
             self.node.close(token);
         }

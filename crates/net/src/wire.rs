@@ -1558,9 +1558,10 @@ wire_struct! {
     pub struct DrainState {
         /// New `Render`/`Submit`/`Prewarm` are being refused with `Draining`.
         pub draining: bool,
-        /// In-flight renders + un-redeemed tickets + parked redeems, across
-        /// every session on the server. Zero while draining means the
-        /// server is about to say `Goodbye`.
+        /// Tickets held across every session on the server: in-flight
+        /// `Render`s and submitted, un-redeemed tickets (a parked `Redeem`
+        /// waits on one of these and is not counted again). Zero while
+        /// draining means the server is about to say `Goodbye`.
         pub outstanding: u64,
         /// Highest directory epoch any controller has announced to this
         /// server (echoed in STATS too): a client whose directory is older
