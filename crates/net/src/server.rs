@@ -24,7 +24,7 @@
 //! `PREWARM` builds its plan there, on the loop: a brick grid and an empty
 //! brick store, 12–19 µs for the repo's volumes on a 2.6 GHz Xeon, no more
 //! than decoding a shipped request costs.
-
+//!
 //! Every request frame carries a client-chosen `request_id`; every reply
 //! echoes it — so one connection carries many in-flight renders and the
 //! replies leave in *completion* order, not submission order. The loop
@@ -183,8 +183,12 @@ const POISON: &str = "completion queue poisoned";
 /// [`Shared`], which the hooks must not hold (see [`CompletionSink`]).
 struct Notifier {
     completions: Mutex<Vec<Completion>>,
-    /// The write end of the waker pair; the loop polls the read end.
+    /// The waker pair: one byte written to `waker` breaks the loop's poll
+    /// on `waker_rx`. Both ends live as long as any hook does, so a hook
+    /// that fires after the loop has returned writes to a live pair (at
+    /// worst a full one), never to a closed peer, which raises `SIGPIPE`.
     waker: UnixStream,
+    waker_rx: UnixStream,
     /// The event loop's thread, set as it starts.
     loop_thread: OnceLock<ThreadId>,
     /// Raised by `stop_event_loop` on the caller's thread: the loop stops
@@ -352,12 +356,12 @@ impl RenderServer {
         let notifier = Arc::new(Notifier {
             completions: Mutex::new(Vec::new()),
             waker,
+            waker_rx,
             loop_thread: OnceLock::new(),
             shutdown: AtomicBool::new(false),
         });
         let event_loop = EventLoop {
             listener,
-            waker_rx,
             max_payload,
             conn_obs: ConnObs::new(&shared.obs),
             wakeups: shared.obs.counter(names::NET_LOOP_WAKEUPS),
@@ -451,7 +455,6 @@ impl Drop for RenderServer {
 /// protocol [`Node`] inside, keyed by the session ids it hands out.
 struct EventLoop {
     listener: TcpListener,
-    waker_rx: UnixStream,
     notifier: Arc<Notifier>,
     node: Node<Conn>,
     max_payload: u64,
@@ -480,7 +483,7 @@ impl EventLoop {
             }
 
             // fds: [waker, listener (unless shutting down), sessions...].
-            let mut fds = vec![PollFd::new(self.waker_rx.as_raw_fd(), POLLIN)];
+            let mut fds = vec![PollFd::new(self.notifier.waker_rx.as_raw_fd(), POLLIN)];
             if !shutting_down {
                 fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             }
@@ -533,7 +536,7 @@ impl EventLoop {
 
     fn drain_waker(&mut self) {
         let mut sink = [0u8; 256];
-        while let Ok(n) = self.waker_rx.read(&mut sink) {
+        while let Ok(n) = (&self.notifier.waker_rx).read(&mut sink) {
             if n < sink.len() {
                 break;
             }
