@@ -6,6 +6,13 @@
 //! `i + 0.5`, trilinear filtering, clamp-to-edge addressing. [`Texture1D`]
 //! plays the transfer-function LUT role.
 //!
+//! A [`Texture3D`] may store only a box of its index space, its **window**
+//! ([`Texture3D::windowed`]): every tap is clamped into the window instead
+//! of into `[0, dims − 1]`, so the texels outside it read as copies of its
+//! nearest edge texels. A brick that stores its ghost-padded box clipped to
+//! the volume samples, through the window, exactly what the padded box
+//! with its border ghosts written out would give.
+//!
 //! Both textures also answer the two questions empty-space skipping asks
 //! (the ray caster in `mgpu-volren` combines them): a [`Texture3D`] may
 //! carry a **min/max macrocell table** ([`Texture3D::with_cells`]) bounding
@@ -26,7 +33,7 @@
 //! functions: a caller must itself be compiled for AVX2 (or assert, in an
 //! `unsafe` block, that it detected it). Their own `unsafe` is the gathers,
 //! beside the scalar paths' `get_unchecked` loads, and rests on the same
-//! thing: every coordinate is clamped into the texture before it becomes an
+//! thing: every coordinate is clamped into the window before it becomes an
 //! address — with clamp addressing the clamped taps *are* the interior fast
 //! path's taps when the sample is interior, so one code path serves both —
 //! and a view whose indices would not fit an `i32` lane refuses
@@ -90,7 +97,11 @@ pub struct MacroCells<'a> {
 /// only the simulated PCIe transfer is charged.
 #[derive(Debug, Clone)]
 pub struct Texture3D {
+    /// The index space sampled over.
     dims: [usize; 3],
+    /// The window: where the stored box starts, and its dims.
+    window: [usize; 3],
+    stored: [usize; 3],
     data: Arc<Vec<f32>>,
     /// `(edge, ranges)` of the macrocell table, when one was attached.
     cells: Option<(usize, Arc<Vec<[f32; 2]>>)>,
@@ -102,18 +113,36 @@ impl Texture3D {
     }
 
     pub fn from_shared(dims: [usize; 3], data: Arc<Vec<f32>>) -> Texture3D {
+        Texture3D::windowed(dims, [0; 3], dims, data)
+    }
+
+    /// A texture over the index space `dims` that stores only the box of
+    /// `stored` texels at `window` (`data`, x fastest): each tap is clamped
+    /// into that box, so a texel outside it reads as its nearest edge texel.
+    pub fn windowed(
+        dims: [usize; 3],
+        window: [usize; 3],
+        stored: [usize; 3],
+        data: Arc<Vec<f32>>,
+    ) -> Texture3D {
         assert_eq!(
             data.len(),
-            dims[0] * dims[1] * dims[2],
+            stored[0] * stored[1] * stored[2],
             "texture data does not match dims"
         );
-        assert!(dims.iter().all(|&d| d > 0), "degenerate texture dims");
+        assert!(stored.iter().all(|&d| d > 0), "degenerate texture dims");
+        assert!(
+            (0..3).all(|a| window[a] + stored[a] <= dims[a]),
+            "window {window:?} + {stored:?} outside {dims:?}"
+        );
         assert!(
             dims.iter().all(|&d| d <= i32::MAX as usize),
             "texture too large for i32 texel indices"
         );
         Texture3D {
             dims,
+            window,
+            stored,
             data,
             cells: None,
         }
@@ -123,8 +152,11 @@ impl Texture3D {
     /// `(cx, cy, cz)` — x fastest, `edge` base indices per axis — holds the
     /// `[min, max]` of every voxel a trilinear sample whose base index falls
     /// in it can tap, i.e. voxels `c·edge ..= min((c+1)·edge, dim−1)` per
-    /// axis (neighbouring cells share one voxel layer). Sampling is
-    /// unaffected; the table only lets a kernel prove a region empty.
+    /// axis (neighbouring cells share one voxel layer), each read as the
+    /// window clamps it. Cells cover the whole index space, keyed by the
+    /// unclamped base index ([`Site::base_index`]), not the stored one.
+    /// Sampling is unaffected; the table only lets a kernel prove a region
+    /// empty.
     pub fn with_cells(mut self, edge: usize, ranges: Arc<Vec<[f32; 2]>>) -> Texture3D {
         assert!(
             edge.is_power_of_two(),
@@ -149,19 +181,17 @@ impl Texture3D {
         self.dims
     }
 
-    /// Device bytes of the voxel data (the modelled 2010 GPU holds no
+    /// Bytes of the stored voxel data (the modelled 2010 GPU holds no
     /// macrocells, so they are not counted).
     pub fn bytes(&self) -> u64 {
         (self.data.len() * 4) as u64
     }
 
-    /// Nearest texel fetch with clamp addressing (integer coordinates).
+    /// Nearest texel fetch with clamp addressing into the window (integer
+    /// coordinates).
     #[inline]
     pub fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
-        let cx = x.clamp(0, self.dims[0] as i64 - 1) as usize;
-        let cy = y.clamp(0, self.dims[1] as i64 - 1) as usize;
-        let cz = z.clamp(0, self.dims[2] as i64 - 1) as usize;
-        self.data[(cz * self.dims[1] + cy) * self.dims[0] + cx]
+        self.sampler().fetch(x, y, z)
     }
 
     /// Trilinear sample at unnormalized coordinates: texel `i`'s center is at
@@ -202,14 +232,13 @@ impl Texture3D {
     /// [`Texture3D::sample`] (bit-identical results), without per-sample
     /// `Arc` indirection, and with a bounds-check-free interior fast path.
     pub fn sampler(&self) -> Sampler3D<'_> {
+        let lo = self.window.map(|w| w as i32);
         Sampler3D {
             data: &self.data,
-            dims: self.dims,
-            // Interior-test upper bounds (`dims − 1`) and row/slice strides,
-            // resolved once so the per-sample test is 3 unsigned compares.
-            hi: self.dims.map(|d| d as u32 - 1),
-            sx: self.dims[0],
-            sy: self.dims[1] * self.dims[0],
+            lo,
+            hi: [0, 1, 2].map(|a| lo[a] + self.stored[a] as i32 - 1),
+            sx: self.stored[0],
+            sy: self.stored[1] * self.stored[0],
         }
     }
 }
@@ -217,33 +246,33 @@ impl Texture3D {
 /// A borrowed, resolved view over a [`Texture3D`] for per-sample inner loops.
 ///
 /// Construction ([`Texture3D::sampler`]) resolves the voxel slice and the
-/// dimension comparisons once; a sample is [`Sampler3D::locate`] then
+/// window once; a sample is [`Sampler3D::locate`] then
 /// [`Sampler3D::sample_at`], which takes an interior fast path (single base
-/// index, eight unchecked loads) whenever all eight taps are in-bounds,
-/// falling back to the clamped fetch at the borders. Every float operation
+/// index, eight unchecked loads) whenever all eight taps are in the window,
+/// falling back to the clamped fetch at its borders. Every float operation
 /// and its order matches [`Texture3D::sample`] exactly, so results are
 /// bit-identical everywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler3D<'a> {
     data: &'a [f32],
-    dims: [usize; 3],
-    /// `dims − 1` per axis: the interior fast-path upper bounds.
-    hi: [u32; 3],
-    /// Row stride (`dims[0]`).
+    /// The window's lowest and highest index per axis, inclusive.
+    lo: [i32; 3],
+    hi: [i32; 3],
+    /// Row stride (the stored x extent).
     sx: usize,
-    /// Slice stride (`dims[1] · dims[0]`).
+    /// Slice stride (the stored x·y extent).
     sy: usize,
 }
 
 impl Sampler3D<'_> {
-    /// Nearest texel fetch with clamp addressing — same as
+    /// Nearest texel fetch with clamp addressing into the window — same as
     /// [`Texture3D::fetch`].
     #[inline]
     fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
-        let cx = x.clamp(0, self.dims[0] as i64 - 1) as usize;
-        let cy = y.clamp(0, self.dims[1] as i64 - 1) as usize;
-        let cz = z.clamp(0, self.dims[2] as i64 - 1) as usize;
-        self.data[(cz * self.dims[1] + cy) * self.dims[0] + cx]
+        let at = |v: i64, a: usize| {
+            (v.clamp(self.lo[a] as i64, self.hi[a] as i64) - self.lo[a] as i64) as usize
+        };
+        self.data[at(z, 2) * self.sy + at(y, 1) * self.sx + at(x, 0)]
     }
 
     /// The first half of a trilinear sample: where a sample at
@@ -273,15 +302,17 @@ impl Sampler3D<'_> {
         let [tx, ty, tz] = site.frac;
 
         let (c000, c100, c010, c110, c001, c101, c011, c111);
-        // Interior fast path: all 8 taps in-bounds from one base index. As
-        // unsigned, a negative index is a huge one, so each compare checks
-        // both ends.
-        if (ix as u32) < self.hi[0] && (iy as u32) < self.hi[1] && (iz as u32) < self.hi[2] {
+        // Interior fast path: all 8 taps in the window from one base index.
+        // Relative to the window's low corner and as unsigned, an index below
+        // it is a huge one, so each compare checks both ends.
+        let [jx, jy, jz] = [0, 1, 2].map(|a| site.index[a].wrapping_sub(self.lo[a]) as u32);
+        let [wx, wy, wz] = [0, 1, 2].map(|a| (self.hi[a] - self.lo[a]) as u32);
+        if jx < wx && jy < wy && jz < wz {
             let sx = self.sx;
             let sy = self.sy;
-            let base = iz as usize * sy + iy as usize * sx + ix as usize;
-            // SAFETY: 0 ≤ ix ≤ dims[0]−2, 0 ≤ iy ≤ dims[1]−2, 0 ≤ iz ≤ dims[2]−2
-            // (from the comparisons above), so base + sy + sx + 1 < data.len().
+            let base = jz as usize * sy + jy as usize * sx + jx as usize;
+            // SAFETY: 0 ≤ j ≤ stored − 2 per axis (from the comparisons
+            // above), so base + sy + sx + 1 < data.len().
             unsafe {
                 c000 = *self.data.get_unchecked(base);
                 c100 = *self.data.get_unchecked(base + 1);
@@ -314,12 +345,12 @@ impl Sampler3D<'_> {
     }
 }
 
-/// `v` clamped into `[0, hi]`, per lane.
+/// `v` clamped into `[lo, hi]`, per lane.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-fn clamp_epi32(v: __m256i, hi: __m256i) -> __m256i {
-    _mm256_min_epi32(_mm256_max_epi32(v, _mm256_setzero_si256()), hi)
+fn clamp_epi32(v: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
+    _mm256_min_epi32(_mm256_max_epi32(v, lo), hi)
 }
 
 /// `a + (b − a)·t` per lane: the scalar samplers' lerp, unfused.
@@ -335,10 +366,11 @@ fn lerp_ps(a: __m256, b: __m256, t: __m256) -> __m256 {
 #[cfg(target_arch = "x86_64")]
 impl Sampler3D<'_> {
     /// Whether [`Sampler3D::sample_at_x8`] serves this texture: fewer than
-    /// 2³⁰ texels, so a flat texel index, and every product it is built
-    /// from, fits an `i32` lane.
+    /// 2³⁰ texels up to the window's high corner, so a flat texel index
+    /// counted from index 0, and every product it is built from, fits an
+    /// `i32` lane.
     pub fn fits_lanes(&self) -> bool {
-        self.data.len() < 1 << 30
+        self.hi.iter().map(|&h| h as u64 + 1).product::<u64>() < 1 << 30
     }
 
     /// [`Sampler3D::locate`] for eight positions. `_mm256_floor_ps` is
@@ -381,7 +413,7 @@ impl Sampler3D<'_> {
     }
 
     /// [`Sampler3D::sample_at`] for eight sites: gather the eight taps of
-    /// each with clamp addressing, blend them with the same seven lerps.
+    /// each clamped into the window, blend them with the same seven lerps.
     /// Bit-identical per lane to the scalar method for every base index
     /// below `i32::MAX`. Lanes a caller has masked off may hold anything —
     /// their taps are clamped like any other's.
@@ -402,24 +434,26 @@ impl Sampler3D<'_> {
         let one = _mm256_set1_epi32(1);
         let [ix, iy, iz] = site.index;
         let [tx, ty, tz] = site.frac;
-        // Fewer than 2³⁰ texels: `hi`, both strides and every sum below fit.
-        let [hx, hy, hz] = self.hi.map(|h| _mm256_set1_epi32(h as i32));
+        // Fewer than 2³⁰ texels to the window's high corner: `hi`, both
+        // strides and every sum below fit.
+        let [lx, ly, lz] = self.lo.map(|l| _mm256_set1_epi32(l));
+        let [hx, hy, hz] = self.hi.map(|h| _mm256_set1_epi32(h));
         let (sx, sy) = (self.sx as i32, self.sy as i32);
 
         // The two clamped taps per axis, the y and z ones as row and slice
         // offsets. The second offset is the first plus one stride unless the
         // clamp folded both taps onto one texel.
-        let x0 = clamp_epi32(ix, hx);
-        let x1 = clamp_epi32(_mm256_add_epi32(ix, one), hx);
-        let second = |i: __m256i, hi: __m256i, stride: i32| {
-            let c0 = clamp_epi32(i, hi);
-            let c1 = clamp_epi32(_mm256_add_epi32(i, one), hi);
+        let x0 = clamp_epi32(ix, lx, hx);
+        let x1 = clamp_epi32(_mm256_add_epi32(ix, one), lx, hx);
+        let second = |i: __m256i, lo: __m256i, hi: __m256i, stride: i32| {
+            let c0 = clamp_epi32(i, lo, hi);
+            let c1 = clamp_epi32(_mm256_add_epi32(i, one), lo, hi);
             let o0 = _mm256_mullo_epi32(c0, _mm256_set1_epi32(stride));
             let step = _mm256_and_si256(_mm256_cmpgt_epi32(c1, c0), _mm256_set1_epi32(stride));
             (o0, _mm256_add_epi32(o0, step))
         };
-        let (y0, y1) = second(iy, hy, sx);
-        let (z0, z1) = second(iz, hz, sy);
+        let (y0, y1) = second(iy, ly, hy, sx);
+        let (z0, z1) = second(iz, lz, hz, sy);
         let (r00, r10, r01, r11) = (
             _mm256_add_epi32(z0, y0),
             _mm256_add_epi32(z0, y1),
@@ -427,12 +461,17 @@ impl Sampler3D<'_> {
             _mm256_add_epi32(z1, y1),
         );
 
-        let texels = self.data.as_ptr();
+        // Indices count from index 0, the data from the window's low
+        // corner: the gathers start that many texels before the data.
+        let corner =
+            self.lo[2] as usize * self.sy + self.lo[1] as usize * self.sx + self.lo[0] as usize;
+        let texels = self.data.as_ptr().wrapping_sub(corner);
         let tap = |row: __m256i, x: __m256i| {
-            // SAFETY: per lane, `row + x = (cz·dims[1] + cy)·dims[0] + cx`
-            // with each coordinate clamped into `0..dims[axis]` just above,
-            // computed without overflow (`fits_lanes`, asserted on entry):
-            // an index below `data.len()`.
+            // SAFETY: per lane, `row + x − corner = (cz−lz)·sy + (cy−ly)·sx
+            // + (cx−lx)` with each coordinate clamped into the window just
+            // above, computed without overflow (`fits_lanes`, asserted on
+            // entry): an index below `data.len()`, so every lane reads inside
+            // the data.
             unsafe { _mm256_i32gather_ps::<4>(texels, _mm256_add_epi32(row, x)) }
         };
         let x00 = lerp_ps(tap(r00, x0), tap(r00, x1), tx);
@@ -457,7 +496,8 @@ pub struct Site {
 impl Site {
     /// `floor(p − ½)` per axis as integers, saturated at the `i32` range and
     /// 0 for a NaN position. Clamped into `[0, max(dim − 2, 0)]` this is the
-    /// base index macrocells are keyed by (see [`Texture3D::with_cells`]).
+    /// base index macrocells are keyed by (see [`Texture3D::with_cells`]),
+    /// over the whole index space whatever the window.
     #[inline(always)]
     pub fn base_index(&self) -> [i32; 3] {
         self.index
@@ -656,8 +696,8 @@ impl<'a> Sampler1D<'a> {
         TapsX8 {
             texels: self.texels,
             // Four floats a texel; `last < 2²⁸` keeps the shift in range.
-            first: _mm256_slli_epi32::<2>(clamp_epi32(i, last)),
-            second: _mm256_slli_epi32::<2>(clamp_epi32(i1, last)),
+            first: _mm256_slli_epi32::<2>(clamp_epi32(i, _mm256_setzero_si256(), last)),
+            second: _mm256_slli_epi32::<2>(clamp_epi32(i1, _mm256_setzero_si256(), last)),
             frac: _mm256_sub_ps(x, x0),
         }
     }
@@ -1084,6 +1124,128 @@ mod tests {
                 assert_eq!(got[6].to_bits(), t.sample(0.5, 0.5, 0.5).to_bits());
             }
             assert!(lanes_seen > 100_000);
+        }
+        with_avx2(check);
+    }
+
+    /// `(dims, window, stored)`: a window clipped on no side, on the low
+    /// side of every axis, on the high side, on both, one texel thick, and
+    /// a brick's: a 10³ ghost-padded box at a volume's corner.
+    const WINDOWS: [([usize; 3], [usize; 3], [usize; 3]); 6] = [
+        ([5, 4, 3], [0, 0, 0], [5, 4, 3]),
+        ([7, 6, 5], [1, 1, 1], [6, 5, 4]),
+        ([7, 6, 5], [0, 0, 0], [6, 5, 4]),
+        ([9, 6, 5], [1, 2, 1], [7, 2, 3]),
+        ([3, 4, 5], [1, 0, 4], [1, 4, 1]),
+        ([10, 10, 10], [1, 1, 0], [9, 9, 9]),
+    ];
+
+    /// A windowed texture, and the texture over its whole index space with
+    /// every texel outside the window written out as the window clamps it.
+    fn window_pair(
+        (dims, window, stored): ([usize; 3], [usize; 3], [usize; 3]),
+    ) -> (Texture3D, Texture3D) {
+        let data: Vec<f32> = (0..stored[0] * stored[1] * stored[2])
+            .map(|i| ((i * 2654435761) % 1000) as f32 / 999.0)
+            .collect();
+        let at = |a: usize, i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+        let mut full = Vec::new();
+        for z in 0..dims[2] {
+            for y in 0..dims[1] {
+                for x in 0..dims[0] {
+                    full.push(data[(at(2, z) * stored[1] + at(1, y)) * stored[0] + at(0, x)]);
+                }
+            }
+        }
+        let win = Texture3D::windowed(dims, window, stored, Arc::new(data));
+        (win, Texture3D::new(dims, full))
+    }
+
+    #[test]
+    fn a_window_samples_as_its_clamped_box() {
+        let mut coords = vec![-2.0f32, -0.49, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5];
+        coords.extend([9e6, -9e6, 3e9, -3e9, f32::NAN]);
+        coords.extend((0..36).map(|i| i as f32 * 0.3));
+        for shape in WINDOWS {
+            let (win, full) = window_pair(shape);
+            assert_eq!(win.dims(), full.dims());
+            let s = win.sampler();
+            for &x in &coords {
+                for &y in &coords {
+                    for &z in &coords {
+                        let want = full.sample(x, y, z).to_bits();
+                        assert_eq!(
+                            win.sample(x, y, z).to_bits(),
+                            want,
+                            "{shape:?} at ({x},{y},{z})"
+                        );
+                        let site = s.locate(x, y, z);
+                        assert_eq!(
+                            site.base_index(),
+                            full.sampler().locate(x, y, z).base_index()
+                        );
+                        assert_eq!(
+                            s.sample_at(&site).to_bits(),
+                            want,
+                            "{shape:?} at ({x},{y},{z})"
+                        );
+                    }
+                }
+            }
+            for f in [-3i64, 0, 1, 2, 7, 12] {
+                assert_eq!(win.fetch(f, f + 1, f - 1), full.fetch(f, f + 1, f - 1));
+            }
+            // Cells are keyed over the whole index space.
+            let n: usize = cell_dims(shape.0, 8).iter().product();
+            let cells = win.with_cells(8, Arc::new(vec![[0.0, 1.0]; n]));
+            assert_eq!(cells.cells().unwrap().dims, cell_dims(shape.0, 8));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn rejects_a_window_past_the_index_space() {
+        Texture3D::windowed([4, 4, 4], [1, 0, 0], [4, 4, 4], Arc::new(vec![0.0; 64]));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_sampler3d_clamps_into_the_window() {
+        #[target_feature(enable = "avx2")]
+        fn check() {
+            let mut coords = vec![-2.0f32, -0.49, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5];
+            coords.extend([9e6, -9e6, 5e8, -5e8, 8_388_608.5, -1e-9]);
+            coords.extend((0..36).map(|i| i as f32 * 0.3));
+            for shape in WINDOWS {
+                let (win, full) = window_pair(shape);
+                let s = win.sampler();
+                assert!(s.fits_lanes());
+                for &y in &coords {
+                    for &z in &coords {
+                        for xs in coords.chunks(8) {
+                            let mut x = [xs[0]; 8];
+                            x[..xs.len()].copy_from_slice(xs);
+                            let ys: [f32; 8] = std::array::from_fn(|l| y + l as f32 * 0.37);
+                            let zs: [f32; 8] = std::array::from_fn(|l| z - l as f32 * 0.21);
+                            let got = lanes_f32(s.sample_at_x8(&s.locate_x8(
+                                splat8(x),
+                                splat8(ys),
+                                splat8(zs),
+                            )));
+                            for l in 0..8 {
+                                assert_eq!(
+                                    got[l].to_bits(),
+                                    full.sample(x[l], ys[l], zs[l]).to_bits(),
+                                    "{shape:?} at ({}, {}, {})",
+                                    x[l],
+                                    ys[l],
+                                    zs[l]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
         with_avx2(check);
     }

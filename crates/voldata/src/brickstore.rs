@@ -1,5 +1,9 @@
-//! The out-of-core brick store: materializes bricks (with ghost layers) on
-//! demand and caches them under a host-memory budget with LRU eviction.
+//! The out-of-core brick store: materializes bricks on demand and caches
+//! them under a host-memory budget with LRU eviction. A brick is sampled
+//! over its ghost-padded box but stores only the part of that box inside
+//! the volume, read densely and straight into place: the ghost voxels
+//! outside the volume are copies of its edge voxels, which the texture's
+//! clamp into the stored window supplies (`mgpu_gpu::Texture3D::windowed`).
 //! A brick's first miss also builds its min/max [`MacroCells`]; the store
 //! keeps that table after the voxels are evicted, so a later miss of the same
 //! brick reads its voxels and nothing else. Voxels and tables both count
@@ -26,27 +30,39 @@ use crate::brick::{BrickGrid, BrickInfo};
 use crate::macrocell::MacroCells;
 use crate::volume::Volume;
 
-/// A materialized brick: voxels including `ghost` extra layers on every side
-/// (clamped at volume borders), so trilinear sampling at brick boundaries
-/// reproduces the global volume exactly.
+/// A materialized brick: its ghost-padded box ([`BrickData::padded`])
+/// clipped to the volume. Trilinear sampling clamped into this window
+/// reproduces the global volume exactly, brick boundaries included.
 #[derive(Debug)]
 pub struct BrickData {
     pub info: BrickInfo,
-    /// Ghost layers on each side.
+    /// Ghost layers on each side of the padded box.
     pub ghost: u32,
-    /// Origin of the stored array in (possibly negative) volume coordinates.
-    pub store_origin: [i64; 3],
-    /// Dimensions of the stored array (= size + 2·ghost).
+    /// Origin of the stored array in volume coordinates.
+    pub store_origin: [u32; 3],
+    /// Dimensions of the stored array.
     pub store_dims: [usize; 3],
     /// Shared so a device texture can reference the same allocation.
     pub voxels: Arc<Vec<f32>>,
-    /// Min/max macrocells over `voxels`, shared the same way.
+    /// Min/max macrocells over the padded box, keyed by its base indices.
     pub cells: MacroCells,
     /// Where the voxel allocation goes when the brick dies.
     spares: Arc<Spares>,
 }
 
 impl BrickData {
+    /// The ghost-padded box the brick is sampled over: its origin in volume
+    /// coordinates (negative at a low border) and its dims.
+    pub fn padded(&self) -> ([i64; 3], [usize; 3]) {
+        padded(&self.info, self.ghost)
+    }
+
+    /// Where the stored array starts inside the padded box.
+    pub fn window(&self) -> [usize; 3] {
+        let origin = self.padded().0;
+        [0, 1, 2].map(|a| (self.store_origin[a] as i64 - origin[a]) as usize)
+    }
+
     /// Host bytes this brick holds: voxels plus macrocells.
     pub fn bytes(&self) -> u64 {
         self.voxel_bytes() + self.cells.bytes()
@@ -67,24 +83,49 @@ impl Drop for BrickData {
     }
 }
 
+/// `info`'s box with `ghost` layers on every side: origin and dims.
+fn padded(info: &BrickInfo, ghost: u32) -> ([i64; 3], [usize; 3]) {
+    let g = ghost as usize;
+    (
+        info.origin.map(|o| o as i64 - g as i64),
+        info.size.map(|s| s as usize + 2 * g),
+    )
+}
+
+/// What a brick stores of its padded box: the part inside a volume of
+/// `dims`, as origin and dims.
+fn stored(info: &BrickInfo, ghost: u32, dims: [u32; 3]) -> ([u32; 3], [usize; 3]) {
+    let lo = info.origin.map(|o| o.saturating_sub(ghost));
+    let hi = [0, 1, 2].map(|a| {
+        (info.origin[a] + info.size[a])
+            .saturating_add(ghost)
+            .min(dims[a])
+    });
+    (lo, [0, 1, 2].map(|a| (hi[a] - lo[a]) as usize))
+}
+
 const POISON: &str = "brick store lock poisoned";
 
 /// Voxel allocations of dead bricks, kept for the next miss. An out-of-core
 /// frame frees and allocates every brick it touches; handed to `malloc`,
 /// multi-megabyte buffers alternate between trimmed and re-faulted, at a
-/// page fault per 4 KiB. Holds at most one budget's worth of bytes, and frees
+/// page fault per 4 KiB. Every buffer is allocated with room for the
+/// store's largest brick, so any spare serves any miss however the brick
+/// sizes alternate. Holds at most one budget's worth of capacity, and frees
 /// every buffer it lets go of with [`release`].
 #[derive(Debug)]
 struct Spares {
     budget_bytes: u64,
+    /// Voxels every buffer has room for.
+    capacity: usize,
     buffers: Mutex<Vec<Vec<f32>>>,
 }
 
 impl Spares {
     fn put(&self, voxels: Vec<f32>) {
         let mut buffers = self.buffers.lock().unwrap_or_else(PoisonError::into_inner);
-        let held: usize = buffers.iter().map(Vec::len).sum();
-        if ((held + voxels.len()) * 4) as u64 <= self.budget_bytes {
+        let held: usize = buffers.iter().map(Vec::capacity).sum();
+        if ((held + voxels.capacity()) * 4) as u64 <= self.budget_bytes {
             buffers.push(voxels);
         } else {
             drop(buffers);
@@ -98,24 +139,15 @@ impl Spares {
         buffers.into_iter().for_each(release);
     }
 
-    /// A buffer of exactly `len` voxels: a spare with arbitrary contents, or
-    /// a zeroed new one — and then a spare of another size goes, so a pool of
-    /// the wrong sizes drains instead of staying full.
+    /// A buffer of `len` voxels: a spare with arbitrary contents, or a new
+    /// zeroed one.
     fn take(&self, len: usize) -> Vec<f32> {
-        let spare = {
-            let mut buffers = self.buffers.lock().expect(POISON);
-            match buffers.iter().position(|b| b.len() == len) {
-                Some(i) => buffers.swap_remove(i),
-                None => buffers.pop().unwrap_or_default(),
-            }
-        };
-        // Allocating, and freeing the misfit, happen outside the lock.
-        if spare.len() == len {
-            spare
-        } else {
-            release(spare);
-            vec![0f32; len]
-        }
+        let spare = self.buffers.lock().expect(POISON).pop();
+        // Allocating happens outside the lock; resizing within the capacity
+        // writes at most the tail the last brick did not cover.
+        let mut voxels = spare.unwrap_or_else(|| vec![0f32; self.capacity]);
+        voxels.resize(len, 0.0);
+        voxels
     }
 }
 
@@ -235,14 +267,20 @@ impl BrickStore {
     /// voxels are left to take. A single brick larger than the budget is
     /// still materialized (and evicted as soon as another arrives). Voxel
     /// buffers of dead bricks are kept for reuse, up to the same number of
-    /// bytes again. `volume` must not change while the store lives: resident
-    /// bricks and kept tables are never re-validated against it.
+    /// bytes of capacity again. `volume` must not change while the store
+    /// lives: resident bricks and kept tables are never re-validated
+    /// against it.
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),
             grid.vol_dims,
             "grid does not match volume dims"
         );
+        let capacity = grid
+            .bricks()
+            .map(|b| stored(&b, ghost, grid.vol_dims).1.iter().product())
+            .max()
+            .unwrap_or(0);
         BrickStore {
             volume,
             grid,
@@ -256,6 +294,7 @@ impl BrickStore {
             }),
             spares: Arc::new(Spares {
                 budget_bytes,
+                capacity,
                 buffers: Mutex::new(Vec::new()),
             }),
             stats: StoreStats::default(),
@@ -301,14 +340,14 @@ impl BrickStore {
     /// served with the table its first miss built.
     fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
         let info = self.grid.brick(id);
-        let g = self.ghost;
-        let store_origin = info.origin.map(|o| o as i64 - g as i64);
-        let store_dims = info.size.map(|s| (s + 2 * g) as usize);
+        let (store_origin, store_dims) = stored(&info, self.ghost, self.grid.vol_dims);
+        let (origin, dims) = padded(&info, self.ghost);
+        let window = [0, 1, 2].map(|a| (store_origin[a] as i64 - origin[a]) as usize);
         let voxel_bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
         let kept = inner.entries.get(&id).map(|e| e.cells.clone());
         let bytes = match kept {
             Some(_) => voxel_bytes,
-            None => voxel_bytes + MacroCells::bytes_for(store_dims),
+            None => voxel_bytes + MacroCells::bytes_for(dims),
         };
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;
@@ -323,18 +362,18 @@ impl BrickStore {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let mut voxels = self.spares.take(store_dims.iter().product());
         self.volume
-            .materialize_clamped_into(store_origin, store_dims, &mut voxels);
-        let cells = kept.unwrap_or_else(|| MacroCells::build(&voxels, store_dims));
+            .read_region(store_origin, store_dims, &mut voxels);
+        let cells = kept.unwrap_or_else(|| MacroCells::build(&voxels, store_dims, window, dims));
         let data = Arc::new(BrickData {
             info,
-            ghost: g,
+            ghost: self.ghost,
             store_origin,
             store_dims,
             voxels: Arc::new(voxels),
             cells,
             spares: Arc::clone(&self.spares),
         });
-        debug_assert_eq!(data.cells.bytes(), MacroCells::bytes_for(store_dims));
+        debug_assert_eq!(data.cells.bytes(), MacroCells::bytes_for(dims));
         // Voxel bytes only: this counter is the volume data read or
         // synthesized, which the cells are derived from, not part of.
         self.stats
@@ -430,10 +469,15 @@ mod tests {
         store_over(StdArc::new(AxisRamp { axis: 0 }), budget)
     }
 
-    /// One staged brick of [`store`]: (8+2)³ voxels × 4 B, plus its 2³
-    /// macrocells × 8 B.
-    const VOXEL_BYTES: u64 = 4000;
+    /// One staged brick of [`store`]: every brick touches a border on each
+    /// axis, so it stores its (8+2)³ padded box clipped to 9³ voxels × 4 B,
+    /// plus the 2³ macrocells × 8 B keyed over the padded box.
+    const VOXEL_BYTES: u64 = 2916;
     const BRICK_BYTES: u64 = VOXEL_BYTES + 64;
+    /// Budgets: barely one brick, just under two, and about two and a half.
+    const ONE_BRICK: u64 = 3_700;
+    const UNDER_TWO: u64 = 5_900;
+    const TWO_AND_A_HALF: u64 = 7_400;
 
     /// 16³ of `field` in eight 8³ bricks with one ghost layer.
     fn store_over(field: StdArc<dyn ScalarField>, budget: u64) -> BrickStore {
@@ -450,23 +494,51 @@ mod tests {
 
     #[test]
     fn ghost_layers_match_neighbours() {
-        let s = store(u64::MAX);
-        // Brick 0 is at origin; its +x ghost layer must equal brick 1's first
-        // interior layer of voxels.
-        let b0 = s.get(0);
-        let b1 = s.get(1);
-        assert_eq!(b0.info.origin, [0, 0, 0]);
-        assert_eq!(b1.info.origin, [8, 0, 0]);
-        let d0 = b0.store_dims;
-        // Ghost voxel at store x = size+ghost (global x = 8) in brick 0…
-        let x_ghost = b0.info.size[0] as usize + 1; // ghost=1 shifts by one
-                                                    // …equals brick 1's first interior voxel (store x = 1, global x = 8).
-        for z in 1..d0[2] - 1 {
-            for y in 1..d0[1] - 1 {
-                let v0 = b0.voxels[(z * d0[1] + y) * d0[0] + x_ghost];
-                let v1 = b1.voxels[(z * b1.store_dims[1] + y) * b1.store_dims[0] + 1];
-                assert_eq!(v0, v1, "ghost mismatch at y={y} z={z}");
+        let s = store_over(
+            StdArc::new(|x: f32, y: f32, z: f32| x + 3.0 * y + 7.0 * z),
+            u64::MAX,
+        );
+        for id in 0..8 {
+            let b = s.get(id);
+            let ((origin, dims), window, stored) = (b.padded(), b.window(), b.store_dims);
+            // Border faces are not stored: the window starts one layer in
+            // at a low border and stops one layer short at a high one.
+            for a in 0..3 {
+                let low = b.info.origin[a] == 0;
+                assert_eq!((window[a], stored[a]), (usize::from(low), 9), "brick {id}");
             }
+            // A windowed read anywhere in the padded box is the
+            // pointwise-clamped volume.
+            let expect = s.volume().materialize_clamped(origin, dims);
+            let at = |a: usize, i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+            for z in 0..dims[2] {
+                for y in 0..dims[1] {
+                    for x in 0..dims[0] {
+                        let got =
+                            b.voxels[(at(2, z) * stored[1] + at(1, y)) * stored[0] + at(0, x)];
+                        let want = expect[(z * dims[1] + y) * dims[0] + x];
+                        assert_eq!(got.to_bits(), want.to_bits(), "brick {id} at ({x},{y},{z})");
+                    }
+                }
+            }
+        }
+        // Interior faces carry the neighbours' voxels: brick 0's +x ghost
+        // layer (global x = 8) is brick 1's first core layer, and brick 1's
+        // -x ghost layer (global x = 7) is brick 0's last.
+        let (b0, b1) = (s.get(0), s.get(1));
+        assert_eq!((b0.store_origin, b1.store_origin), ([0, 0, 0], [7, 0, 0]));
+        let d = b0.store_dims;
+        for row in 0..d[1] * d[2] {
+            assert_eq!(
+                b0.voxels[row * d[0] + 8],
+                b1.voxels[row * d[0] + 1],
+                "row {row}"
+            );
+            assert_eq!(
+                b0.voxels[row * d[0] + 7],
+                b1.voxels[row * d[0]],
+                "row {row}"
+            );
         }
     }
 
@@ -496,12 +568,11 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_budget() {
-        // Budget of ~2.5 bricks.
-        let s = store(10_000);
+        let s = store(TWO_AND_A_HALF);
         s.get(0);
         s.get(1);
         s.get(2); // evicts brick 0 (LRU)
-        assert!(s.cached_bytes() <= 10_000);
+        assert!(s.cached_bytes() <= TWO_AND_A_HALF);
         let before = s.snapshot();
         assert!(before.evictions >= 1);
         // Brick 0 must re-materialize.
@@ -552,7 +623,7 @@ mod tests {
 
     #[test]
     fn a_re_missed_brick_reuses_its_table() {
-        let s = store(5_000); // barely one brick
+        let s = store(ONE_BRICK);
         let table = Arc::clone(&s.get(0).cells.ranges);
         s.get(1); // evicts brick 0's voxels, keeps its table
         let before = s.snapshot();
@@ -562,7 +633,12 @@ mod tests {
         assert_eq!(after.bytes_materialized, VOXEL_BYTES);
         // The same table, and the one the re-read voxels would build.
         assert!(Arc::ptr_eq(&again.cells.ranges, &table));
-        let rebuilt = MacroCells::build(&again.voxels, again.store_dims);
+        let rebuilt = MacroCells::build(
+            &again.voxels,
+            again.store_dims,
+            again.window(),
+            again.padded().1,
+        );
         assert_eq!(bits(&again.cells), bits(&rebuilt));
         // `clear` forgets it: the next miss builds a table of its own.
         s.clear();
@@ -648,7 +724,7 @@ mod tests {
 
     #[test]
     fn evicted_arc_stays_valid() {
-        let s = store(5_000); // barely one brick
+        let s = store(ONE_BRICK);
         let b0 = s.get(0);
         let _b1 = s.get(1); // evicts brick 0 from cache
         assert_eq!(b0.info.id, 0);
@@ -657,7 +733,7 @@ mod tests {
 
     #[test]
     fn a_dead_bricks_allocation_serves_the_next_miss() {
-        let s = store(5_000); // barely one brick
+        let s = store(ONE_BRICK);
         let held = s.get(0);
         let first = held.voxels.as_ptr();
         s.get(1); // evicts brick 0, which `held` keeps alive: nothing spare
@@ -680,7 +756,7 @@ mod tests {
 
     #[test]
     fn touching_keeps_entries_warm() {
-        let s = store(10_000);
+        let s = store(TWO_AND_A_HALF);
         s.get(0);
         s.get(1);
         s.get(0); // brick 0 now most recent; 1 is the LRU victim
@@ -710,7 +786,7 @@ mod tests {
                 x
             }
         };
-        let budget = 2 * BRICK_BYTES; // exactly two ghosted bricks
+        let budget = 2 * BRICK_BYTES; // exactly two bricks
         let s = store_over(StdArc::new(field), budget);
         s.get(0);
         s.get(1);
@@ -743,7 +819,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let s = StdArc::new(store(8_000));
+        let s = StdArc::new(store(UNDER_TWO));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let s = StdArc::clone(&s);
@@ -756,6 +832,50 @@ mod tests {
                 });
             }
         });
-        assert!(s.cached_bytes() <= 8_000 || held(&s).0.len() == 1);
+        assert!(s.cached_bytes() <= UNDER_TWO || held(&s).0.len() == 1);
+    }
+
+    #[test]
+    fn spares_serve_bricks_of_every_size() {
+        // Three z-bricks of a 4×4×24 column: the end bricks store 9 slabs of
+        // their padded box, the middle one 10. Under a budget of two bricks
+        // and their tables, a cyclic walk misses and evicts every time.
+        let v = Volume::procedural("ramp", [4, 4, 24], 0, StdArc::new(AxisRamp { axis: 2 }));
+        let grid = BrickGrid {
+            vol_dims: [4, 4, 24],
+            counts: [1, 1, 3],
+        };
+        let s = BrickStore::new(v, grid, 1, 2 * 640 + 3 * 16);
+        let mut seen = Vec::new();
+        for lap in 0..4 {
+            for id in 0..3 {
+                let b = s.get(id);
+                assert_eq!(b.store_dims, [4, 4, if id == 1 { 10 } else { 9 }]);
+                assert_eq!(b.voxels.capacity(), 4 * 4 * 10, "room for the largest");
+                let at = b.voxels.as_ptr();
+                if lap == 0 {
+                    seen.push(at);
+                } else {
+                    assert!(
+                        seen.contains(&at),
+                        "lap {lap}, brick {id}: a fresh allocation"
+                    );
+                }
+            }
+        }
+        assert_eq!(s.snapshot().misses, 12);
+        assert_eq!(s.snapshot().evictions, 10);
+
+        // The spares' byte bound counts capacity, not length: three buffers
+        // of 4 voxels fit 80 bytes by length but only two by capacity.
+        let spares = Spares {
+            budget_bytes: 80,
+            capacity: 10,
+            buffers: Mutex::new(Vec::new()),
+        };
+        let taken: Vec<Vec<f32>> = (0..3).map(|_| spares.take(4)).collect();
+        assert!(taken.iter().all(|b| b.len() == 4 && b.capacity() == 10));
+        taken.into_iter().for_each(|b| spares.put(b));
+        assert_eq!(spares.buffers.lock().unwrap().len(), 2);
     }
 }

@@ -8,10 +8,8 @@
 //! Reading a region is the out-of-core brick-load path. It costs one
 //! positioned read per *file-contiguous run* — the whole region if it spans
 //! full x and y of the volume, a z-slab if it spans full x, else a row —
-//! straight into a possibly larger destination array, so a ghosted brick is
-//! filled in place: the bytes land in the destination as they lie in the
-//! file, and the run's rows then move down to their strided places while
-//! they are still in cache. No staging buffer, no decode pass.
+//! each straight into its place in the dense destination: the bytes land as
+//! they lie in the file. No staging buffer, no decode pass, no move.
 //! [`VolumeWriter`] is the way back: header, then slabs appended as the
 //! bytes they occupy. Both rest on [`f32_bytes`] and [`f32_bytes_mut`],
 //! `f32`s viewed as the bytes they occupy, behind a compile-time
@@ -24,8 +22,7 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"MGVOL001";
 const HEADER_BYTES: usize = 8 + 12;
 /// Voxels per positioned read (256 KiB), the cap a longer run is split at:
-/// large enough that a brick is a handful of syscalls, small enough that
-/// the window a read lands in is still cached when its rows move down.
+/// a brick is a handful of syscalls.
 const STAGE_VOXELS: usize = 64 << 10;
 
 // The views below hand voxel memory to the file, and the file's bytes to
@@ -161,23 +158,16 @@ fn plan_runs(
     })
 }
 
-/// Read an in-bounds region into the corner of an x-fastest array of
-/// `out_dims` (`= size` for a dense read): `out[0]` receives the region's
-/// first voxel, rows are `out_dims[0]` apart, z-slabs `out_dims[0] *
-/// out_dims[1]`. Cells of `out` strictly between two of the region's rows
-/// serve as scratch and hold unspecified values afterwards (in a ghosted
-/// brick they are the ghost shell, which is filled next); cells before the
-/// region's first voxel and after its last are untouched. The file's header
-/// must carry `dims` — every offset would be wrong otherwise — and a file
-/// shorter than its header claims is `UnexpectedEof`; both errors name the
-/// path.
+/// Read an in-bounds region into `out`, x fastest: `out` holds exactly the
+/// region's voxels. The file's header must carry `dims` — every offset
+/// would be wrong otherwise — and a file shorter than its header claims is
+/// `UnexpectedEof`; both errors name the path.
 pub fn read_region(
     path: &Path,
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
     out: &mut [f32],
-    out_dims: [usize; 3],
 ) -> io::Result<()> {
     let (file, file_dims) = open(path)?;
     if file_dims != dims {
@@ -190,38 +180,18 @@ pub fn read_region(
         (0..3).all(|a| origin[a] as usize + size[a] <= dims[a] as usize),
         "region out of bounds: origin {origin:?} size {size:?} dims {dims:?}"
     );
-    if size.contains(&0) {
+    assert_eq!(
+        out.len(),
+        size.iter().product(),
+        "region does not match out"
+    );
+    if out.is_empty() {
         return Ok(());
     }
-    assert!(
-        size[0] <= out_dims[0] && size[1] <= out_dims[1],
-        "a {size:?} region does not fit a {out_dims:?} array"
-    );
-    // Where the region's dense (x-fastest) voxel `at` goes in `out`.
-    let w = size[0];
-    let place = |at: usize| {
-        let row = at / w;
-        (row / size[1] * out_dims[1] + row % size[1]) * out_dims[0] + at % w
-    };
-
     for run in plan_runs(dims, origin, size, STAGE_VOXELS) {
-        // `last` starts the run's last row piece. Read the run into a window
-        // of `out` that puts that piece where it belongs, then move the
-        // earlier pieces down to their rows, front to back: every piece
-        // moves down or stays put, onto cells whose pieces have already
-        // moved, and the window lies past every cell of an earlier run.
-        let last = ((run.at + run.len - 1) / w * w).max(run.at);
-        let window = place(last) - (last - run.at);
-        let bytes = &mut f32_bytes_mut(out)[window * 4..][..run.len * 4];
+        let bytes = f32_bytes_mut(&mut out[run.at..run.at + run.len]);
         read_exact_at(&file, bytes, HEADER_BYTES as u64 + run.src * 4)
             .map_err(|e| with_path(path, e))?;
-        let mut at = run.at;
-        while at < last {
-            let n = w - at % w;
-            let src = window + (at - run.at);
-            out.copy_within(src..src + n, place(at));
-            at += n;
-        }
     }
     Ok(())
 }
@@ -249,7 +219,7 @@ mod tests {
         let dims = read_header(path)?;
         let size = dims.map(|d| d as usize);
         let mut out = vec![0f32; size[0] * size[1] * size[2]];
-        read_region(path, dims, [0, 0, 0], size, &mut out, size)?;
+        read_region(path, dims, [0, 0, 0], size, &mut out)?;
         Ok((dims, out))
     }
 
@@ -279,47 +249,13 @@ mod tests {
         write_volume(&path, dims, &data).unwrap();
 
         let mut out = vec![0f32; 3 * 2 * 4];
-        read_region(&path, dims, [2, 5, 1], [3, 2, 4], &mut out, [3, 2, 4]).unwrap();
+        read_region(&path, dims, [2, 5, 1], [3, 2, 4], &mut out).unwrap();
         for z in 0..4usize {
             for y in 0..2usize {
                 for x in 0..3usize {
                     let src = (2 + x) + 8 * ((5 + y) + 8 * (1 + z));
                     assert_eq!(out[(z * 2 + y) * 3 + x], data[src]);
                 }
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn strided_read_lands_inside_a_larger_array() {
-        let path = tmp("strided.vol");
-        let dims = [4u32, 3, 3];
-        let data: Vec<f32> = (0..36).map(|i| i as f32).collect();
-        write_volume(&path, dims, &data).unwrap();
-        // Full-x 4x2x2 region placed at (1,1,1) of a 6x4x4 array.
-        let out_dims = [6usize, 4, 4];
-        let mut out = vec![-1f32; 6 * 4 * 4];
-        let base = (4 + 1) * 6 + 1;
-        read_region(
-            &path,
-            dims,
-            [0, 1, 1],
-            [4, 2, 2],
-            &mut out[base..],
-            out_dims,
-        )
-        .unwrap();
-        // Every region cell is exact; the cells between its rows are
-        // scratch; the cells before its first voxel and after its last are
-        // untouched.
-        let last = (2 * 4 + 2) * 6 + 4;
-        for (i, v) in out.iter().enumerate() {
-            let (x, y, z) = (i % 6, i / 6 % 4, i / 24);
-            if (1..5).contains(&x) && (1..3).contains(&y) && (1..3).contains(&z) {
-                assert_eq!(*v, data[(x - 1) + 4 * (y + 3 * z)], "at ({x},{y},{z})");
-            } else if !(base..last).contains(&i) {
-                assert_eq!(*v, -1.0, "at ({x},{y},{z})");
             }
         }
         std::fs::remove_file(&path).ok();
@@ -364,8 +300,7 @@ mod tests {
         let path = tmp("dims.vol");
         write_volume(&path, [4, 4, 2], &[0.0; 32]).unwrap();
         let mut out = vec![0f32; 4];
-        let e =
-            read_region(&path, [4, 2, 4], [0, 0, 0], [4, 1, 1], &mut out, [4, 1, 1]).unwrap_err();
+        let e = read_region(&path, [4, 2, 4], [0, 0, 0], [4, 1, 1], &mut out).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("dims.vol"), "{e}");
         std::fs::remove_file(&path).ok();
@@ -383,8 +318,7 @@ mod tests {
             .set_len(len - 6)
             .unwrap();
         let mut out = vec![0f32; 32];
-        let e =
-            read_region(&path, [4, 4, 2], [0, 0, 0], [4, 4, 2], &mut out, [4, 4, 2]).unwrap_err();
+        let e = read_region(&path, [4, 4, 2], [0, 0, 0], [4, 4, 2], &mut out).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
         assert!(e.to_string().contains("short.vol"), "{e}");
         // So is a file too short to hold a header.

@@ -9,13 +9,15 @@
 //! * [`datasets`] — procedural stand-ins for the paper's Skull, Supernova and
 //!   Plume volumes at the paper's resolutions (128³…1024³, 512×512×2048);
 //! * [`volume`] — volume metadata + sources (procedural / raw file /
-//!   in-memory) with clamped region materialization;
-//! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous run
-//!   straight into a strided destination, a streaming writer, and the
-//!   workspace's `f32` byte views (the crate's only `unsafe`);
+//!   in-memory), dense in-bounds region reads, and clamped materialization
+//!   for oracles;
+//! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous
+//!   run straight into its place in a dense destination, a streaming
+//!   writer, and the workspace's `f32` byte views (the crate's only `unsafe`);
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
-//! * [`brickstore`] — LRU-cached on-demand brick materialization with ghost
-//!   layers (the out-of-core path);
+//! * [`brickstore`] — LRU-cached on-demand brick materialization (the
+//!   out-of-core path): each brick stores its ghost-padded box clipped to
+//!   the volume, and its texture's clamp supplies the border ghosts;
 //! * [`macrocell`] — the min/max table a brick's first miss builds beside
 //!   the voxels (and the store keeps across eviction), so the renderer can
 //!   skip space the transfer function makes empty;

@@ -1,5 +1,5 @@
-//! Min/max macrocells over a stored (ghosted) brick array — the data half
-//! of empty-space skipping. The renderer classifies each cell's value range
+//! Min/max macrocells over a brick's ghost-padded box — the data half of
+//! empty-space skipping. The renderer classifies each cell's value range
 //! against the transfer function and jumps rays over the cells that cannot
 //! contribute; this module only records the ranges, once per brick per
 //! [`BrickStore`](crate::BrickStore): its first miss builds the table, and
@@ -16,6 +16,11 @@
 //! cell can tap, clamped borders included, one voxel layer shared with the
 //! next cell. (`mgpu_gpu::Texture3D::with_cells` states the same contract
 //! from the sampling side.)
+//!
+//! A brick stores only the part of its padded box inside the volume, its
+//! *window*; its texture clamps every tap into the window. The cells stay
+//! keyed by the padded base index, which is what the kernel looks up, and
+//! a cell's range is that of the window voxels its padded span clamps onto.
 
 use std::sync::Arc;
 
@@ -53,7 +58,7 @@ pub struct MacroCells {
 }
 
 impl MacroCells {
-    /// Cells per axis for a stored array of `dims`.
+    /// Cells per axis over a padded index space of `dims`.
     fn dims(dims: [usize; 3]) -> [usize; 3] {
         dims.map(|d| d.saturating_sub(1).max(1).div_ceil(CELL_EDGE))
     }
@@ -68,20 +73,34 @@ impl MacroCells {
         (self.ranges.len() * 8) as u64
     }
 
-    /// One pass over `voxels` (x fastest, `dims` long). A cell row's voxel
-    /// rows are folded element-wise into one row of running minima and
-    /// maxima — branch-free compares over contiguous floats, which
-    /// vectorize, three rows to a pass over the accumulators (a full cell
-    /// spans nine) — and only that one row is then reduced along x. The
-    /// candidate is always the *first* operand of the compare, so a NaN
-    /// candidate loses and the accumulator survives.
-    pub fn build(voxels: &[f32], dims: [usize; 3]) -> MacroCells {
-        let [dx, dy, dz] = dims;
+    /// One pass over `voxels`: the `stored` array (x fastest) that sits at
+    /// `window` in a padded index space of `dims`, where the table is
+    /// keyed. A cell row's voxel rows are folded element-wise into one row
+    /// of running minima and maxima — branch-free compares over contiguous
+    /// floats, which vectorize, three rows to a pass over the accumulators
+    /// (a full cell spans nine) — and only that one row is then reduced
+    /// along x. The candidate is always the *first* operand of the compare,
+    /// so a NaN candidate loses and the accumulator survives.
+    pub fn build(
+        voxels: &[f32],
+        stored: [usize; 3],
+        window: [usize; 3],
+        dims: [usize; 3],
+    ) -> MacroCells {
+        let [dx, dy, dz] = stored;
         assert_eq!(voxels.len(), dx * dy * dz, "voxels do not match dims");
         assert!(dx > 0 && dy > 0 && dz > 0, "degenerate brick dims");
+        assert!(
+            (0..3).all(|a| window[a] + stored[a] <= dims[a]),
+            "window {window:?} + {stored:?} outside {dims:?}"
+        );
         let n = Self::dims(dims);
-        // Inclusive voxel span of cell `c` along an axis of `d` voxels.
-        let span = |c: usize, d: usize| c * CELL_EDGE..=((c + 1) * CELL_EDGE).min(d - 1);
+        // Inclusive stored span of cell `c` along axis `a`: its padded span,
+        // clamped into the window as the texture clamps a tap.
+        let span = |c: usize, a: usize| {
+            let at = |i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+            at(c * CELL_EDGE)..=at(((c + 1) * CELL_EDGE).min(dims[a] - 1))
+        };
         let min = |v: f32, acc: f32| if v < acc { v } else { acc };
         let max = |v: f32, acc: f32| if v > acc { v } else { acc };
 
@@ -92,8 +111,8 @@ impl MacroCells {
             for cy in 0..n[1] {
                 lo.fill(f32::INFINITY);
                 hi.fill(f32::NEG_INFINITY);
-                let ys = span(cy, dy);
-                for z in span(cz, dz) {
+                let ys = span(cy, 1);
+                for z in span(cz, 2) {
                     // The cell row's voxel rows in one plane are contiguous.
                     let rows = &voxels[(z * dy + ys.start()) * dx..(z * dy + ys.end() + 1) * dx];
                     let mut triples = rows.chunks_exact(3 * dx);
@@ -115,7 +134,7 @@ impl MacroCells {
                 }
                 for cx in 0..n[0] {
                     let (mut a, mut b) = (f32::INFINITY, f32::NEG_INFINITY);
-                    for x in span(cx, dx) {
+                    for x in span(cx, 0) {
                         a = a.min(lo[x]);
                         b = b.max(hi[x]);
                     }
@@ -194,7 +213,7 @@ mod tests {
                 voxels[33] = f32::NEG_INFINITY;
                 voxels[40] = -1e6;
             }
-            let cells = MacroCells::build(&voxels, dims);
+            let cells = MacroCells::build(&voxels, dims, [0; 3], dims);
             let want = brute(&voxels, dims);
             assert_eq!(cells.bytes(), MacroCells::bytes_for(dims));
             assert_eq!(cells.ranges.len(), want.len(), "{dims:?}");
@@ -209,8 +228,47 @@ mod tests {
     }
 
     #[test]
+    fn a_windowed_table_is_the_table_of_the_clamped_padded_box() {
+        // (stored, window, dims): clipped on no side, on the low side, on
+        // the high side, on both, and windows a cell edge or more inside.
+        for (stored, window, dims) in [
+            ([9, 9, 9], [0, 0, 0], [9, 9, 9]),
+            ([9, 10, 3], [1, 0, 1], [10, 12, 5]),
+            ([17, 8, 16], [1, 1, 0], [19, 10, 18]),
+            ([5, 26, 11], [12, 0, 3], [19, 27, 14]),
+            ([1, 1, 2], [2, 0, 1], [3, 2, 4]),
+        ] {
+            let voxels = noise(stored[0] * stored[1] * stored[2]);
+            let at = |a: usize, i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+            let mut padded = Vec::new();
+            for z in 0..dims[2] {
+                for y in 0..dims[1] {
+                    for x in 0..dims[0] {
+                        padded
+                            .push(voxels[(at(2, z) * stored[1] + at(1, y)) * stored[0] + at(0, x)]);
+                    }
+                }
+            }
+            let cells = MacroCells::build(&voxels, stored, window, dims);
+            let want = MacroCells::build(&padded, dims, [0; 3], dims);
+            assert_eq!(cells.bytes(), MacroCells::bytes_for(dims));
+            let bits = |c: &MacroCells| {
+                c.ranges
+                    .iter()
+                    .map(|r| r.map(f32::to_bits))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&cells),
+                bits(&want),
+                "{stored:?} at {window:?} in {dims:?}"
+            );
+        }
+    }
+
+    #[test]
     fn all_nan_cell_keeps_the_empty_range() {
-        let cells = MacroCells::build(&[f32::NAN; 27], [3, 3, 3]);
+        let cells = MacroCells::build(&[f32::NAN; 27], [3, 3, 3], [0; 3], [3, 3, 3]);
         assert_eq!(*cells.ranges, vec![[f32::INFINITY, f32::NEG_INFINITY]]);
     }
 }

@@ -1,5 +1,7 @@
 //! Volumes: metadata plus a voxel source (procedural field, raw file, or an
-//! in-memory array), with clamped region materialization for ghost layers.
+//! in-memory array). A region is read densely and in bounds; a clamped
+//! region, which may reach past the volume, is the oracle a brick's
+//! windowed texture is tested against.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -164,42 +166,29 @@ impl Volume {
     /// Read an **in-bounds** region into `out` (x-fastest layout).
     pub fn read_region(&self, origin: [u32; 3], size: [usize; 3], out: &mut [f32]) {
         assert_eq!(out.len(), size[0] * size[1] * size[2]);
-        self.read_region_strided(origin, size, out, size);
-    }
-
-    /// [`Volume::read_region`] into the corner of an `out_dims` array, strided
-    /// as for [`io::read_region`].
-    fn read_region_strided(
-        &self,
-        origin: [u32; 3],
-        size: [usize; 3],
-        out: &mut [f32],
-        out_dims: [usize; 3],
-    ) {
         let d = self.meta.dims;
         assert!(
             (0..3).all(|a| origin[a] as usize + size[a] <= d[a] as usize),
             "region out of bounds: origin {origin:?} size {size:?} dims {d:?}"
         );
+        if out.is_empty() {
+            return;
+        }
         match &self.source {
             VolumeSource::Procedural(field) => {
-                materialize_procedural(field.as_ref(), d, origin, size, out, out_dims);
+                materialize_procedural(field.as_ref(), d, origin, size, out);
             }
             VolumeSource::File(path) => {
-                io::read_region(path, d, origin, size, out, out_dims)
+                io::read_region(path, d, origin, size, out)
                     .unwrap_or_else(|e| panic!("reading region from {path:?}: {e}"));
             }
             VolumeSource::InMemory(data) => {
                 let (dx, dy) = (d[0] as usize, d[1] as usize);
-                for z in 0..size[2] {
-                    for y in 0..size[1] {
-                        let src_row = (origin[2] as usize + z) * dx * dy
-                            + (origin[1] as usize + y) * dx
-                            + origin[0] as usize;
-                        let dst_row = (z * out_dims[1] + y) * out_dims[0];
-                        out[dst_row..dst_row + size[0]]
-                            .copy_from_slice(&data[src_row..src_row + size[0]]);
-                    }
+                for (row, dst) in out.chunks_exact_mut(size[0]).enumerate() {
+                    let (y, z) = (row % size[1], row / size[1]);
+                    let src = ((origin[2] as usize + z) * dy + origin[1] as usize + y) * dx
+                        + origin[0] as usize;
+                    dst.copy_from_slice(&data[src..src + size[0]]);
                 }
             }
         }
@@ -207,60 +196,32 @@ impl Volume {
 
     /// Materialize a region that may extend past the volume (negative or
     /// too-large coordinates), replicating edge voxels — the same clamping a
-    /// CUDA 3-D texture in clamp-address mode performs. This is what gives
-    /// bricks their ghost layers.
+    /// CUDA 3-D texture in clamp-address mode performs. Bricks do not store
+    /// this shell (their textures clamp into what they store); the
+    /// reference renderer, point probes and the tests' oracles read it.
     ///
-    /// The in-bounds core is read straight into its place in the output and
-    /// the shell around it replicated in place; clamp addressing is
-    /// separable, so x edges, then y rows, then z slabs reproduce it exactly.
+    /// Reads the in-bounds box the region clamps into, then gathers every
+    /// output voxel from its clamped position in that box.
     pub fn materialize_clamped(&self, origin: [i64; 3], size: [usize; 3]) -> Vec<f32> {
-        let mut out = vec![0f32; size[0] * size[1] * size[2]];
-        self.materialize_clamped_into(origin, size, &mut out);
-        out
-    }
-
-    /// [`Volume::materialize_clamped`] into memory the caller already has:
-    /// `out` holds one element per voxel of the region; each is overwritten.
-    /// That includes the ghost cells between the core's rows, which a file
-    /// read of the core leaves holding scratch ([`io::read_region`]).
-    pub fn materialize_clamped_into(&self, origin: [i64; 3], size: [usize; 3], out: &mut [f32]) {
-        assert_eq!(out.len(), size[0] * size[1] * size[2]);
-        if out.is_empty() {
-            return;
+        if size.contains(&0) {
+            return Vec::new();
         }
         let d = self.meta.dims.map(|d| d as i64);
-        // In-bounds core `lo..lo + n` — a region wholly outside the volume
-        // clamps to the nearest face voxel — and its place `at` in the output.
+        // A region wholly outside the volume clamps to its nearest face.
         let lo = [0, 1, 2].map(|a| origin[a].clamp(0, d[a] - 1));
-        let n = [0, 1, 2]
-            .map(|a| ((origin[a] + size[a] as i64).clamp(lo[a] + 1, d[a]) - lo[a]) as usize);
-        let at = [0, 1, 2].map(|a| (lo[a] - origin[a]).clamp(0, size[a] as i64 - 1) as usize);
-        let (row, slab) = (size[0], size[0] * size[1]);
-        self.read_region_strided(
-            lo.map(|v| v as u32),
-            n,
-            &mut out[at[2] * slab + at[1] * row + at[0]..],
-            size,
-        );
-
-        let (x_end, y_end, z_end) = (at[0] + n[0], at[1] + n[1], at[2] + n[2]);
-        for z in at[2]..z_end {
-            let z0 = z * slab;
-            for y in at[1]..y_end {
-                let r = &mut out[z0 + y * row..][..row];
-                let (first, last) = (r[at[0]], r[x_end - 1]);
-                r[..at[0]].fill(first);
-                r[x_end..].fill(last);
-            }
-            for y in (0..at[1]).chain(y_end..size[1]) {
-                let src = z0 + y.clamp(at[1], y_end - 1) * row;
-                out.copy_within(src..src + row, z0 + y * row);
+        let hi = [0, 1, 2].map(|a| (origin[a] + size[a] as i64 - 1).clamp(lo[a], d[a] - 1));
+        let n = [0, 1, 2].map(|a| (hi[a] - lo[a] + 1) as usize);
+        let mut core = vec![0f32; n[0] * n[1] * n[2]];
+        self.read_region(lo.map(|v| v as u32), n, &mut core);
+        let at = |a: usize, i: usize| ((origin[a] + i as i64).clamp(lo[a], hi[a]) - lo[a]) as usize;
+        let mut out = Vec::with_capacity(size[0] * size[1] * size[2]);
+        for z in 0..size[2] {
+            for y in 0..size[1] {
+                let row = &core[(at(2, z) * n[1] + at(1, y)) * n[0]..][..n[0]];
+                out.extend((0..size[0]).map(|x| row[at(0, x)]));
             }
         }
-        for z in (0..at[2]).chain(z_end..size[2]) {
-            let src = z.clamp(at[2], z_end - 1) * slab;
-            out.copy_within(src..src + slab, z * slab);
-        }
+        out
     }
 
     /// Materialize the entire volume (small volumes and tests only).
@@ -281,14 +242,13 @@ impl Volume {
 
 /// Sample a field at voxel centers over a region, one
 /// [`ScalarField::sample_row`] call per row, splitting z-slabs across
-/// threads for large regions. `out` is strided as for [`io::read_region`].
+/// threads for large regions. `out` is dense, x fastest.
 fn materialize_procedural(
     field: &dyn ScalarField,
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
     out: &mut [f32],
-    out_dims: [usize; 3],
 ) {
     let inv = [
         1.0 / dims[0] as f32,
@@ -303,7 +263,7 @@ fn materialize_procedural(
             let wz = (origin[2] as f32 + z as f32 + 0.5) * inv[2];
             for y in 0..size[1] {
                 let wy = (origin[1] as f32 + y as f32 + 0.5) * inv[1];
-                let row = (zi * out_dims[1] + y) * out_dims[0];
+                let row = (zi * size[1] + y) * size[0];
                 field.sample_row(&xs, wy, wz, &mut slab[row..row + size[0]]);
             }
         }
@@ -318,7 +278,7 @@ fn materialize_procedural(
         return;
     }
 
-    let slab_voxels = out_dims[0] * out_dims[1];
+    let slab_voxels = size[0] * size[1];
     let chunk_z = size[2].div_ceil(threads);
     std::thread::scope(|scope| {
         for (ti, chunk) in out.chunks_mut(chunk_z * slab_voxels).enumerate() {

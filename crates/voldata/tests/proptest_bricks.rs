@@ -161,11 +161,24 @@ proptest! {
         let vol = Volume::in_memory("p", dims, data);
         let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks, max_brick_voxels: u64::MAX });
         let store = Arc::new(BrickStore::new(vol.clone(), grid, 1, u64::MAX));
-        // Every brick's stored voxels must equal a direct clamped read.
+        // Every brick stores its padded box clipped to the volume, and a
+        // read clamped into that window anywhere in the padded box is a
+        // direct clamped read of the volume.
         for id in 0..store.grid().brick_count() {
             let b = store.get(id);
-            let expect = vol.materialize_clamped(b.store_origin, b.store_dims);
-            prop_assert_eq!(&*b.voxels, &expect, "brick {}", id);
+            let ((origin, dims), window, stored) = (b.padded(), b.window(), b.store_dims);
+            for a in 0..3 {
+                prop_assert_eq!(b.store_origin[a] as i64, origin[a].max(0));
+                let end = (origin[a] + dims[a] as i64).min(12) as usize;
+                prop_assert_eq!(b.store_origin[a] as usize + stored[a], end);
+            }
+            let expect = vol.materialize_clamped(origin, dims);
+            let at = |a: usize, i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+            for (i, want) in expect.iter().enumerate() {
+                let (x, y, z) = (i % dims[0], i / dims[0] % dims[1], i / (dims[0] * dims[1]));
+                let got = b.voxels[(at(2, z) * stored[1] + at(1, y)) * stored[0] + at(0, x)];
+                prop_assert_eq!(got, *want, "brick {} at ({},{},{})", id, x, y, z);
+            }
         }
     }
 
@@ -186,8 +199,9 @@ proptest! {
             _ => baked.volume.clone(),
         };
         let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks: 8, max_brick_voxels: u64::MAX });
-        // Brick with ghost = 6³ × 4 B of voxels + one 8 B macrocell.
-        let brick_bytes = 864 + 8;
+        // A brick stores its 6³ padded box clipped to 5³ × 4 B of voxels, plus
+        // one 8 B macrocell.
+        let brick_bytes = 500 + 8;
         let store = BrickStore::new(vol, grid, 1, budget_bricks * brick_bytes);
         for &id in &accesses {
             let b = store.get(id);
@@ -196,7 +210,7 @@ proptest! {
                 "cache over budget: {}",
                 store.cached_bytes()
             );
-            let fresh = MacroCells::build(&b.voxels, b.store_dims);
+            let fresh = MacroCells::build(&b.voxels, b.store_dims, b.window(), b.padded().1);
             prop_assert_eq!(cell_bits(&b.cells), cell_bits(&fresh), "brick {}", id);
         }
     }

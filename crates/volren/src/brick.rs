@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use mgpu_gpu::Texture3D;
 use mgpu_mapreduce::Chunk;
 use mgpu_voldata::{BrickData, BrickInfo, BrickStore};
 
@@ -49,12 +50,34 @@ impl RenderBrick {
         self.info
     }
 
-    /// Materialize (or fetch cached) voxels with ghost layers.
+    /// Materialize (or fetch cached) voxels: the ghost-padded box clipped
+    /// to the volume.
     pub fn voxels(&self) -> Arc<BrickData> {
         self.store.get(self.info.id)
     }
 
-    /// Stored (ghost-padded) dimensions, known without materializing.
+    /// The brick as the kernel samples it, materializing through the store:
+    /// its stored voxels windowed into the ghost-padded box, with their
+    /// macrocells, and the world position of that box's origin (the
+    /// kernel's `store_origin`).
+    pub fn texture(&self) -> (Texture3D, Vec3) {
+        let data = self.voxels();
+        let (origin, dims) = data.padded();
+        let texture = Texture3D::windowed(
+            dims,
+            data.window(),
+            data.store_dims,
+            Arc::clone(&data.voxels),
+        )
+        .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+        let [x, y, z] = origin.map(|c| c as f32);
+        (texture, vec3(x, y, z))
+    }
+
+    /// Dimensions of the modelled device array — the ghost-padded brick,
+    /// which the DES charges as the texture uploaded — known without
+    /// materializing. The host stores this box clipped to the volume
+    /// ([`BrickData::store_dims`]).
     pub fn store_dims(&self) -> [usize; 3] {
         [
             self.info.size[0] as usize + 2 * self.ghost as usize,

@@ -162,7 +162,8 @@ pub struct RayCastKernel<'a> {
     pub camera: &'a Camera,
     pub lut: &'a Texture1D,
     pub texture: &'a Texture3D,
-    /// World coordinate of the stored array's origin (core origin − ghost).
+    /// World coordinate of the texture's index origin: the ghost-padded
+    /// brick's corner (core origin − ghost).
     pub store_origin: Vec3,
     /// Brick core box in world (voxel) coordinates.
     pub core_lo: Vec3,
@@ -1145,11 +1146,12 @@ mod tests {
         assert!(outs.iter().all(|(k, _)| *k == SENTINEL_KEY));
     }
 
-    /// A staged 40³ Skull as one brick, with its cells attached.
+    /// A 40³ Skull as one brick, its ghost shell written out, with its
+    /// cells attached.
     fn celled_skull() -> (Texture3D, Vec3) {
         let volume = Dataset::Skull.volume(40);
         let voxels = volume.materialize_clamped([-1, -1, -1], [42, 42, 42]);
-        let cells = mgpu_voldata::MacroCells::build(&voxels, [42, 42, 42]);
+        let cells = mgpu_voldata::MacroCells::build(&voxels, [42; 3], [0; 3], [42; 3]);
         let texture = Texture3D::new([42, 42, 42], voxels).with_cells(cells.edge, cells.ranges);
         (texture, vec3(40.0, 40.0, 40.0))
     }
@@ -1449,7 +1451,7 @@ mod tests {
     }
 
     fn with_built_cells(dims: [usize; 3], voxels: Vec<f32>) -> Texture3D {
-        let cells = mgpu_voldata::MacroCells::build(&voxels, dims);
+        let cells = mgpu_voldata::MacroCells::build(&voxels, dims, [0; 3], dims);
         Texture3D::new(dims, voxels).with_cells(cells.edge, cells.ranges)
     }
 
@@ -1477,6 +1479,21 @@ mod tests {
             1 => {
                 let (texture, hi) = celled_skull();
                 (texture, TransferFunction::bone(), ghost, hi)
+            }
+            // The same brick as the store keeps it: stored without its
+            // border ghosts, which the window's clamp supplies.
+            5 => {
+                let volume = Dataset::Skull.volume(40);
+                let voxels = volume.materialize_full();
+                let cells = mgpu_voldata::MacroCells::build(&voxels, [40; 3], [1; 3], [42; 3]);
+                let texture = Texture3D::windowed([42; 3], [1; 3], [40; 3], Arc::new(voxels))
+                    .with_cells(cells.edge, cells.ranges);
+                (
+                    texture,
+                    TransferFunction::bone(),
+                    ghost,
+                    vec3(40.0, 40.0, 40.0),
+                )
             }
             // Cells, none of them empty: the grid is dropped per launch.
             2 => (
@@ -1974,17 +1991,15 @@ mod tests {
         );
         let store = Arc::new(BrickStore::new(volume, grid, 1, u64::MAX));
         let brick = crate::RenderBrick::new(Arc::clone(&store), 0, crate::Staging::HostResident);
+        let (texture, store_origin) = brick.texture();
         let data = brick.voxels();
-        let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels))
-            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
         let lut = scene.transfer.bake();
         let (core_lo, core_hi) = brick.core_box();
-        let origin = data.store_origin.map(|c| c as f32);
         let kernel = RayCastKernel {
             camera: &scene.camera,
             lut: &lut,
             texture: &texture,
-            store_origin: vec3(origin[0], origin[1], origin[2]),
+            store_origin,
             core_lo,
             core_hi,
             image: (256, 256),
@@ -1994,7 +2009,14 @@ mod tests {
         };
         assert_eq!(kernel.prepare().lanes, kernel_has_lanes());
         // And the smallest step the wire admits, without cells.
-        let bare = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels));
+        let (origin, dims) = data.padded();
+        let bare = Texture3D::windowed(
+            dims,
+            data.window(),
+            data.store_dims,
+            Arc::clone(&data.voxels),
+        );
+        assert_eq!(store_origin.x, origin[0] as f32);
         let kernel = RayCastKernel {
             texture: &bare,
             step: 1.0 / 16.0,

@@ -4,7 +4,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mgpu_cluster::GpuId;
-use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture1D, Texture3D};
+use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture1D};
 use mgpu_mapreduce::{GpuMapper, MapOutput};
 use mgpu_obs::names;
 use mgpu_obs::{bucket_of, Counter, Histogram, HIST_BUCKETS};
@@ -13,7 +13,6 @@ use crate::brick::RenderBrick;
 use crate::camera::Scene;
 use crate::fragment::Fragment;
 use crate::kernel::RayCastKernel;
-use crate::math::vec3;
 
 /// Kernel-level observability: how many blocks each launch dispatched and
 /// the per-ray sample-count distribution (the quantity the paper's cost
@@ -98,19 +97,13 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
             };
         };
 
-        let data = brick.voxels();
-        let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels))
-            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+        let (texture, store_origin) = brick.texture();
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {
             camera: &self.scene.camera,
             lut: &self.lut,
             texture: &texture,
-            store_origin: vec3(
-                data.store_origin[0] as f32,
-                data.store_origin[1] as f32,
-                data.store_origin[2] as f32,
-            ),
+            store_origin,
             core_lo,
             core_hi,
             image: self.image,

@@ -289,7 +289,7 @@ mod tests {
                     _ => next(),
                 })
                 .collect();
-            let built = mgpu_voldata::MacroCells::build(&voxels, dims);
+            let built = mgpu_voldata::MacroCells::build(&voxels, dims, [0; 3], dims);
             let tex = Texture3D::new(dims, voxels).with_cells(built.edge, built.ranges);
             let cells = tex.cells().unwrap();
             let smp = tex.sampler();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mgpu_gpu::{launch, launch_blocks, LaunchConfig, Texture3D};
+use mgpu_gpu::{launch, launch_blocks, LaunchConfig};
 use mgpu_mapreduce::SENTINEL_KEY;
 use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset, Volume};
 use mgpu_volren::camera::Scene;
@@ -61,20 +61,14 @@ fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String>
     else {
         return Ok((0, 0));
     };
-    let data = brick.voxels();
-    let texture = Texture3D::from_shared(data.store_dims, Arc::clone(&data.voxels))
-        .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+    let (texture, store_origin) = brick.texture();
     let lut = shot.scene.transfer.bake();
     let (core_lo, core_hi) = brick.core_box();
     let kernel = RayCastKernel {
         camera: &shot.scene.camera,
         lut: &lut,
         texture: &texture,
-        store_origin: vec3(
-            data.store_origin[0] as f32,
-            data.store_origin[1] as f32,
-            data.store_origin[2] as f32,
-        ),
+        store_origin,
         core_lo,
         core_hi,
         image: shot.image,
