@@ -239,10 +239,14 @@ fn bench_march(c: &mut Criterion) {
         .expect("the orbit frames the volume");
     let (core_lo, core_hi) = brick.core_box();
 
-    let (cells, store_origin) = brick.texture();
+    let (cells, store_origin) = RenderBrick::texture(&data);
     let (_, dims) = data.padded();
-    let no_cells =
-        Texture3D::windowed(dims, data.window(), data.store_dims, Arc::clone(&data.voxels));
+    let no_cells = Texture3D::windowed(
+        dims,
+        data.window(),
+        data.store_dims,
+        Arc::clone(&data.voxels),
+    );
     let whole = data
         .cells
         .ranges

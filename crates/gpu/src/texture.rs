@@ -6,12 +6,9 @@
 //! `i + 0.5`, trilinear filtering, clamp-to-edge addressing. [`Texture1D`]
 //! plays the transfer-function LUT role.
 //!
-//! A [`Texture3D`] may store only a box of its index space, its **window**
-//! ([`Texture3D::windowed`]): every tap is clamped into the window instead
-//! of into `[0, dims − 1]`, so the texels outside it read as copies of its
-//! nearest edge texels. A brick that stores its ghost-padded box clipped to
-//! the volume samples, through the window, exactly what the padded box
-//! with its border ghosts written out would give.
+//! A [`Texture3D`] may store only a **window** of its index space
+//! ([`Texture3D::windowed`]): taps clamp into the window, so a texel outside
+//! it reads as the nearest stored one — a brick's border ghosts, unstored.
 //!
 //! Both textures also answer the two questions empty-space skipping asks
 //! (the ray caster in `mgpu-volren` combines them): a [`Texture3D`] may
@@ -97,7 +94,6 @@ pub struct MacroCells<'a> {
 /// only the simulated PCIe transfer is charged.
 #[derive(Debug, Clone)]
 pub struct Texture3D {
-    /// The index space sampled over.
     dims: [usize; 3],
     /// The window: where the stored box starts, and its dims.
     window: [usize; 3],
@@ -130,10 +126,9 @@ impl Texture3D {
             stored[0] * stored[1] * stored[2],
             "texture data does not match dims"
         );
-        assert!(stored.iter().all(|&d| d > 0), "degenerate texture dims");
         assert!(
-            (0..3).all(|a| window[a] + stored[a] <= dims[a]),
-            "window {window:?} + {stored:?} outside {dims:?}"
+            (0..3).all(|a| stored[a] > 0 && window[a] + stored[a] <= dims[a]),
+            "degenerate texture dims, or window {window:?} + {stored:?} outside {dims:?}"
         );
         assert!(
             dims.iter().all(|&d| d <= i32::MAX as usize),
@@ -152,11 +147,9 @@ impl Texture3D {
     /// `(cx, cy, cz)` — x fastest, `edge` base indices per axis — holds the
     /// `[min, max]` of every voxel a trilinear sample whose base index falls
     /// in it can tap, i.e. voxels `c·edge ..= min((c+1)·edge, dim−1)` per
-    /// axis (neighbouring cells share one voxel layer), each read as the
-    /// window clamps it. Cells cover the whole index space, keyed by the
-    /// unclamped base index ([`Site::base_index`]), not the stored one.
-    /// Sampling is unaffected; the table only lets a kernel prove a region
-    /// empty.
+    /// axis (neighbouring cells share one voxel layer) as the window clamps
+    /// them; cells span the whole index space, not the window. Sampling is
+    /// unaffected; the table only lets a kernel prove a region empty.
     pub fn with_cells(mut self, edge: usize, ranges: Arc<Vec<[f32; 2]>>) -> Texture3D {
         assert!(
             edge.is_power_of_two(),
@@ -366,9 +359,8 @@ fn lerp_ps(a: __m256, b: __m256, t: __m256) -> __m256 {
 #[cfg(target_arch = "x86_64")]
 impl Sampler3D<'_> {
     /// Whether [`Sampler3D::sample_at_x8`] serves this texture: fewer than
-    /// 2³⁰ texels up to the window's high corner, so a flat texel index
-    /// counted from index 0, and every product it is built from, fits an
-    /// `i32` lane.
+    /// 2³⁰ texels up to the window's far corner, so a flat texel index, and
+    /// every product it is built from, fits an `i32` lane.
     pub fn fits_lanes(&self) -> bool {
         self.hi.iter().map(|&h| h as u64 + 1).product::<u64>() < 1 << 30
     }
@@ -434,8 +426,7 @@ impl Sampler3D<'_> {
         let one = _mm256_set1_epi32(1);
         let [ix, iy, iz] = site.index;
         let [tx, ty, tz] = site.frac;
-        // Fewer than 2³⁰ texels to the window's high corner: `hi`, both
-        // strides and every sum below fit.
+        // `fits_lanes`: `hi`, both strides and every sum below fit.
         let [lx, ly, lz] = self.lo.map(|l| _mm256_set1_epi32(l));
         let [hx, hy, hz] = self.hi.map(|h| _mm256_set1_epi32(h));
         let (sx, sy) = (self.sx as i32, self.sy as i32);

@@ -90,10 +90,6 @@ impl MacroCells {
         let [dx, dy, dz] = stored;
         assert_eq!(voxels.len(), dx * dy * dz, "voxels do not match dims");
         assert!(dx > 0 && dy > 0 && dz > 0, "degenerate brick dims");
-        assert!(
-            (0..3).all(|a| window[a] + stored[a] <= dims[a]),
-            "window {window:?} + {stored:?} outside {dims:?}"
-        );
         let n = Self::dims(dims);
         // Inclusive stored span of cell `c` along axis `a`: its padded span,
         // clamped into the window as the texture clamps a tap.

@@ -196,16 +196,10 @@ impl Volume {
 
     /// Materialize a region that may extend past the volume (negative or
     /// too-large coordinates), replicating edge voxels — the same clamping a
-    /// CUDA 3-D texture in clamp-address mode performs. Bricks do not store
-    /// this shell (their textures clamp into what they store); the
-    /// reference renderer, point probes and the tests' oracles read it.
-    ///
-    /// Reads the in-bounds box the region clamps into, then gathers every
-    /// output voxel from its clamped position in that box.
+    /// CUDA 3-D texture in clamp-address mode performs: the reference
+    /// renderer's, point probes' and the tests' oracle. Bricks do not store
+    /// this shell; their textures clamp into what they store.
     pub fn materialize_clamped(&self, origin: [i64; 3], size: [usize; 3]) -> Vec<f32> {
-        if size.contains(&0) {
-            return Vec::new();
-        }
         let d = self.meta.dims.map(|d| d as i64);
         // A region wholly outside the volume clamps to its nearest face.
         let lo = [0, 1, 2].map(|a| origin[a].clamp(0, d[a] - 1));

@@ -218,10 +218,10 @@ proptest! {
 
 /// The proptests' volumes are too small for a run to reach the read cap
 /// (64 Ki voxels), so this one is not: read in one run, the 100×100×8 core
-/// of a ghosted 102×102×10 brick splits 655 rows and 36 voxels in. A z-slab
-/// run and a row run of the same file, and a 656×100×1 volume whose tail
-/// run starts and ends inside one row, cover the other ways a run meets the
-/// rows of its destination.
+/// of a clamped 102×102×10 region splits 655 rows and 36 voxels in. A
+/// z-slab run and a row run of the same file, and a 656×100×1 volume whose
+/// tail run starts and ends inside one row, cover the other ways a run
+/// meets the rows of its destination.
 #[test]
 fn runs_split_at_the_read_cap_mid_row() {
     for (dims, origin, size) in [

@@ -56,12 +56,12 @@ impl RenderBrick {
         self.store.get(self.info.id)
     }
 
-    /// The brick as the kernel samples it, materializing through the store:
-    /// its stored voxels windowed into the ghost-padded box, with their
-    /// macrocells, and the world position of that box's origin (the
-    /// kernel's `store_origin`).
-    pub fn texture(&self) -> (Texture3D, Vec3) {
-        let data = self.voxels();
+    /// `data` as the kernel samples it: its stored voxels windowed into the
+    /// ghost-padded box, with their macrocells, and the box's origin in
+    /// world space (the kernel's `store_origin`). Keep `data` until the
+    /// texture is dropped: a voxel buffer goes back to the store's spares
+    /// only when the `BrickData` holding it is its last holder.
+    pub fn texture(data: &BrickData) -> (Texture3D, Vec3) {
         let (origin, dims) = data.padded();
         let texture = Texture3D::windowed(
             dims,
@@ -196,6 +196,32 @@ mod tests {
         // 8³ core + 2-voxel padding = 10³ stored.
         assert_eq!(b.device_bytes(), 10 * 10 * 10 * 4);
         assert_eq!(b.disk_bytes(), 0);
+    }
+
+    #[test]
+    fn a_texture_held_past_eviction_returns_its_buffer_with_the_brick() {
+        // Room for one 9³ stored brick, its table and no second buffer in
+        // the spares: staging brick 1 evicts brick 0 while its texture, and
+        // the brick the texture was built from, are still held.
+        let v = Dataset::Skull.volume(16);
+        let grid = BrickGrid::subdivide(
+            v.dims(),
+            &BrickPolicy {
+                min_bricks: 8,
+                max_brick_voxels: u64::MAX,
+            },
+        );
+        let store = Arc::new(BrickStore::new(v, grid, 1, 3_700));
+        let brick = |id| RenderBrick::new(Arc::clone(&store), id, Staging::HostResident);
+        let data = brick(0).voxels();
+        let first = data.voxels.as_ptr();
+        let (texture, _) = RenderBrick::texture(&data);
+        brick(1).voxels();
+        assert_eq!(store.snapshot().evictions, 1);
+        drop(texture);
+        drop(data);
+        // The buffer went back to the store, and serves the next miss.
+        assert_eq!(brick(2).voxels().voxels.as_ptr(), first);
     }
 
     #[test]

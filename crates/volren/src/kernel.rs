@@ -1991,8 +1991,8 @@ mod tests {
         );
         let store = Arc::new(BrickStore::new(volume, grid, 1, u64::MAX));
         let brick = crate::RenderBrick::new(Arc::clone(&store), 0, crate::Staging::HostResident);
-        let (texture, store_origin) = brick.texture();
         let data = brick.voxels();
+        let (texture, store_origin) = crate::RenderBrick::texture(&data);
         let lut = scene.transfer.bake();
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {

@@ -97,7 +97,8 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
             };
         };
 
-        let (texture, store_origin) = brick.texture();
+        let data = brick.voxels();
+        let (texture, store_origin) = RenderBrick::texture(&data);
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {
             camera: &self.scene.camera,

@@ -61,7 +61,8 @@ fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String>
     else {
         return Ok((0, 0));
     };
-    let (texture, store_origin) = brick.texture();
+    let data = brick.voxels();
+    let (texture, store_origin) = RenderBrick::texture(&data);
     let lut = shot.scene.transfer.bake();
     let (core_lo, core_hi) = brick.core_box();
     let kernel = RayCastKernel {

@@ -121,7 +121,7 @@ proptest! {
             };
             let data = brick.voxels();
             let (origin, padded) = data.padded();
-            let (windowed, store_origin) = brick.texture();
+            let (windowed, store_origin) = RenderBrick::texture(&data);
             let voxels = Arc::clone(&data.voxels);
             let bare = Texture3D::windowed(padded, data.window(), data.store_dims, voxels);
             // The oracle: the whole padded box, border ghosts written out.
