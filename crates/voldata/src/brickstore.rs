@@ -802,14 +802,16 @@ mod tests {
                 });
             }
             barrier.wait();
-            {
-                // Both reservations were made before either read began, and
-                // made room first: nothing is resident, nothing is over.
+            let mid_read = {
                 let inner = s.inner.lock().unwrap();
-                assert_eq!(inner.in_flight, budget);
-                assert_eq!(inner.bytes, 0);
-            }
+                (inner.in_flight, inner.bytes)
+            };
+            // Released before asserting: a failure must not leave both
+            // readers parked at the barrier and the scope waiting on them.
             barrier.wait();
+            // Both reservations were made before either read began, and
+            // made room first: nothing is resident, nothing is over.
+            assert_eq!(mid_read, (budget, 0));
         });
         assert_eq!(s.cached_bytes(), budget);
         assert_eq!(s.inner.lock().unwrap().in_flight, 0);
