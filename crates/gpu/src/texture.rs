@@ -184,7 +184,11 @@ impl Texture3D {
     /// coordinates).
     #[inline]
     pub fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
-        self.sampler().fetch(x, y, z)
+        let ([wx, wy, wz], [sx, sy, sz]) = (self.window, self.stored);
+        let cx = (x.clamp(wx as i64, (wx + sx) as i64 - 1) - wx as i64) as usize;
+        let cy = (y.clamp(wy as i64, (wy + sy) as i64 - 1) - wy as i64) as usize;
+        let cz = (z.clamp(wz as i64, (wz + sz) as i64 - 1) - wz as i64) as usize;
+        self.data[(cz * sy + cy) * sx + cx]
     }
 
     /// Trilinear sample at unnormalized coordinates: texel `i`'s center is at
@@ -262,10 +266,11 @@ impl Sampler3D<'_> {
     /// [`Texture3D::fetch`].
     #[inline]
     fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
-        let at = |v: i64, a: usize| {
-            (v.clamp(self.lo[a] as i64, self.hi[a] as i64) - self.lo[a] as i64) as usize
-        };
-        self.data[at(z, 2) * self.sy + at(y, 1) * self.sx + at(x, 0)]
+        let ([lx, ly, lz], [hx, hy, hz]) = (self.lo, self.hi);
+        let cx = (x.clamp(lx as i64, hx as i64) - lx as i64) as usize;
+        let cy = (y.clamp(ly as i64, hy as i64) - ly as i64) as usize;
+        let cz = (z.clamp(lz as i64, hz as i64) - lz as i64) as usize;
+        self.data[cz * self.sy + cy * self.sx + cx]
     }
 
     /// The first half of a trilinear sample: where a sample at
@@ -298,9 +303,13 @@ impl Sampler3D<'_> {
         // Interior fast path: all 8 taps in the window from one base index.
         // Relative to the window's low corner and as unsigned, an index below
         // it is a huge one, so each compare checks both ends.
-        let [jx, jy, jz] = [0, 1, 2].map(|a| site.index[a].wrapping_sub(self.lo[a]) as u32);
-        let [wx, wy, wz] = [0, 1, 2].map(|a| (self.hi[a] - self.lo[a]) as u32);
-        if jx < wx && jy < wy && jz < wz {
+        let ([lx, ly, lz], [hx, hy, hz]) = (self.lo, self.hi);
+        let (jx, jy, jz) = (
+            ix.wrapping_sub(lx) as u32,
+            iy.wrapping_sub(ly) as u32,
+            iz.wrapping_sub(lz) as u32,
+        );
+        if jx < (hx - lx) as u32 && jy < (hy - ly) as u32 && jz < (hz - lz) as u32 {
             let sx = self.sx;
             let sy = self.sy;
             let base = jz as usize * sy + jy as usize * sx + jx as usize;
@@ -427,8 +436,17 @@ impl Sampler3D<'_> {
         let [ix, iy, iz] = site.index;
         let [tx, ty, tz] = site.frac;
         // `fits_lanes`: `hi`, both strides and every sum below fit.
-        let [lx, ly, lz] = self.lo.map(|l| _mm256_set1_epi32(l));
-        let [hx, hy, hz] = self.hi.map(|h| _mm256_set1_epi32(h));
+        let ([lx, ly, lz], [hx, hy, hz]) = (self.lo, self.hi);
+        let (lx, ly, lz) = (
+            _mm256_set1_epi32(lx),
+            _mm256_set1_epi32(ly),
+            _mm256_set1_epi32(lz),
+        );
+        let (hx, hy, hz) = (
+            _mm256_set1_epi32(hx),
+            _mm256_set1_epi32(hy),
+            _mm256_set1_epi32(hz),
+        );
         let (sx, sy) = (self.sx as i32, self.sy as i32);
 
         // The two clamped taps per axis, the y and z ones as row and slice

@@ -1480,19 +1480,21 @@ mod tests {
                 let (texture, hi) = celled_skull();
                 (texture, TransferFunction::bone(), ghost, hi)
             }
-            // The same brick as the store keeps it: stored without its
-            // border ghosts, which the window's clamp supplies.
+            // A brick as the store keeps it: stored without its border
+            // ghosts, which the window's clamp supplies — on both x sides,
+            // the high y side and the low z side of a 20³ Skull.
             5 => {
-                let volume = Dataset::Skull.volume(40);
-                let voxels = volume.materialize_full();
-                let cells = mgpu_voldata::MacroCells::build(&voxels, [40; 3], [1; 3], [42; 3]);
-                let texture = Texture3D::windowed([42; 3], [1; 3], [40; 3], Arc::new(voxels))
+                let voxels = Dataset::Skull.volume(20).materialize_full();
+                let (dims, window) = ([22, 21, 21], [1, 0, 1]);
+                let cells = mgpu_voldata::MacroCells::build(&voxels, [20; 3], window, dims);
+                let texture = Texture3D::windowed(dims, window, [20; 3], Arc::new(voxels))
                     .with_cells(cells.edge, cells.ranges);
+                let origin = vec3(-1.0, 0.0, -1.0);
                 (
                     texture,
                     TransferFunction::bone(),
-                    ghost,
-                    vec3(40.0, 40.0, 40.0),
+                    origin,
+                    vec3(20.0, 20.0, 20.0),
                 )
             }
             // Cells, none of them empty: the grid is dropped per launch.
