@@ -240,7 +240,7 @@ fn bench_march(c: &mut Criterion) {
     let (core_lo, core_hi) = brick.core_box();
 
     let (cells, store_origin) = RenderBrick::texture(&data);
-    let (_, dims) = data.padded();
+    let (_, dims) = data.info.padded(data.ghost);
     let no_cells = Texture3D::windowed(
         dims,
         data.window(),

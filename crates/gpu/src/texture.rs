@@ -95,9 +95,9 @@ pub struct MacroCells<'a> {
 #[derive(Debug, Clone)]
 pub struct Texture3D {
     dims: [usize; 3],
-    /// The window: where the stored box starts, and its dims.
-    window: [usize; 3],
-    stored: [usize; 3],
+    /// The window: its lowest and highest index per axis, inclusive.
+    lo: [i32; 3],
+    hi: [i32; 3],
     data: Arc<Vec<f32>>,
     /// `(edge, ranges)` of the macrocell table, when one was attached.
     cells: Option<(usize, Arc<Vec<[f32; 2]>>)>,
@@ -134,10 +134,11 @@ impl Texture3D {
             dims.iter().all(|&d| d <= i32::MAX as usize),
             "texture too large for i32 texel indices"
         );
+        let lo = window.map(|w| w as i32);
         Texture3D {
             dims,
-            window,
-            stored,
+            lo,
+            hi: [0, 1, 2].map(|a| lo[a] + stored[a] as i32 - 1),
             data,
             cells: None,
         }
@@ -180,15 +181,10 @@ impl Texture3D {
         (self.data.len() * 4) as u64
     }
 
-    /// Nearest texel fetch with clamp addressing into the window (integer
-    /// coordinates).
+    /// Nearest texel fetch, clamped into the window (integer coordinates).
     #[inline]
     pub fn fetch(&self, x: i64, y: i64, z: i64) -> f32 {
-        let ([wx, wy, wz], [sx, sy, sz]) = (self.window, self.stored);
-        let cx = (x.clamp(wx as i64, (wx + sx) as i64 - 1) - wx as i64) as usize;
-        let cy = (y.clamp(wy as i64, (wy + sy) as i64 - 1) - wy as i64) as usize;
-        let cz = (z.clamp(wz as i64, (wz + sz) as i64 - 1) - wz as i64) as usize;
-        self.data[(cz * sy + cy) * sx + cx]
+        self.sampler().fetch(x, y, z)
     }
 
     /// Trilinear sample at unnormalized coordinates: texel `i`'s center is at
@@ -229,13 +225,16 @@ impl Texture3D {
     /// [`Texture3D::sample`] (bit-identical results), without per-sample
     /// `Arc` indirection, and with a bounds-check-free interior fast path.
     pub fn sampler(&self) -> Sampler3D<'_> {
-        let lo = self.window.map(|w| w as i32);
+        let (lo, hi) = (self.lo, self.hi);
+        let sx = (hi[0] - lo[0] + 1) as usize;
+        let sy = sx * (hi[1] - lo[1] + 1) as usize;
+        let data = &self.data;
         Sampler3D {
-            data: &self.data,
+            data,
             lo,
-            hi: [0, 1, 2].map(|a| lo[a] + self.stored[a] as i32 - 1),
-            sx: self.stored[0],
-            sy: self.stored[1] * self.stored[0],
+            hi,
+            sx,
+            sy,
         }
     }
 }
@@ -304,11 +303,9 @@ impl Sampler3D<'_> {
         // Relative to the window's low corner and as unsigned, an index below
         // it is a huge one, so each compare checks both ends.
         let ([lx, ly, lz], [hx, hy, hz]) = (self.lo, self.hi);
-        let (jx, jy, jz) = (
-            ix.wrapping_sub(lx) as u32,
-            iy.wrapping_sub(ly) as u32,
-            iz.wrapping_sub(lz) as u32,
-        );
+        let jx = ix.wrapping_sub(lx) as u32;
+        let jy = iy.wrapping_sub(ly) as u32;
+        let jz = iz.wrapping_sub(lz) as u32;
         if jx < (hx - lx) as u32 && jy < (hy - ly) as u32 && jz < (hz - lz) as u32 {
             let sx = self.sx;
             let sy = self.sy;

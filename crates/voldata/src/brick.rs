@@ -45,6 +45,14 @@ impl BrickInfo {
     pub fn bytes(&self) -> u64 {
         self.voxels() * 4
     }
+
+    /// The brick with `ghost` layers on every side: its origin (negative at
+    /// a low border of the volume) and dims.
+    pub fn padded(&self, ghost: u32) -> ([i64; 3], [usize; 3]) {
+        let g = ghost as usize;
+        let origin = self.origin.map(|o| o as i64 - g as i64);
+        (origin, self.size.map(|s| s as usize + 2 * g))
+    }
 }
 
 /// An axis-aligned decomposition of a volume into `counts[0]·counts[1]·counts[2]`

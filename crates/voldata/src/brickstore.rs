@@ -1,9 +1,7 @@
 //! The out-of-core brick store: materializes bricks on demand and caches
-//! them under a host-memory budget with LRU eviction. A brick is sampled
-//! over its ghost-padded box but stores only the part of that box inside
-//! the volume, read densely and straight into place: the ghost voxels
-//! outside the volume are copies of its edge voxels, which the texture's
-//! clamp into the stored window supplies (`mgpu_gpu::Texture3D::windowed`).
+//! them under a host-memory budget with LRU eviction. A brick stores its
+//! ghost-padded box clipped to the volume, read straight into place; its
+//! texture's clamp supplies the border ghosts (`Texture3D::windowed`).
 //! A brick's first miss also builds its min/max [`MacroCells`]; the store
 //! keeps that table after the voxels are evicted, so a later miss of the same
 //! brick reads its voxels and nothing else. Voxels and tables both count
@@ -30,7 +28,7 @@ use crate::brick::{BrickGrid, BrickInfo};
 use crate::macrocell::MacroCells;
 use crate::volume::Volume;
 
-/// A materialized brick: its ghost-padded box ([`BrickData::padded`])
+/// A materialized brick: its ghost-padded box ([`BrickInfo::padded`])
 /// clipped to the volume. Trilinear sampling clamped into this window
 /// reproduces the global volume exactly, brick boundaries included.
 #[derive(Debug)]
@@ -51,15 +49,10 @@ pub struct BrickData {
 }
 
 impl BrickData {
-    /// The ghost-padded box the brick is sampled over: its origin in volume
-    /// coordinates (negative at a low border) and its dims.
-    pub fn padded(&self) -> ([i64; 3], [usize; 3]) {
-        padded(&self.info, self.ghost)
-    }
-
-    /// Where the stored array starts inside the padded box.
+    /// Where the stored array starts inside the ghost-padded box the brick
+    /// is sampled over (`info.padded(ghost)`).
     pub fn window(&self) -> [usize; 3] {
-        let origin = self.padded().0;
+        let origin = self.info.padded(self.ghost).0;
         [0, 1, 2].map(|a| (self.store_origin[a] as i64 - origin[a]) as usize)
     }
 
@@ -83,25 +76,16 @@ impl Drop for BrickData {
     }
 }
 
-/// `info`'s box with `ghost` layers on every side: origin and dims.
-fn padded(info: &BrickInfo, ghost: u32) -> ([i64; 3], [usize; 3]) {
-    let g = ghost as usize;
-    (
-        info.origin.map(|o| o as i64 - g as i64),
-        info.size.map(|s| s as usize + 2 * g),
-    )
-}
-
 /// What a brick stores of its padded box: the part inside a volume of
 /// `dims`, as origin and dims.
 fn stored(info: &BrickInfo, ghost: u32, dims: [u32; 3]) -> ([u32; 3], [usize; 3]) {
     let lo = info.origin.map(|o| o.saturating_sub(ghost));
-    let hi = [0, 1, 2].map(|a| {
+    let end = |a: usize| {
         (info.origin[a] + info.size[a])
             .saturating_add(ghost)
             .min(dims[a])
-    });
-    (lo, [0, 1, 2].map(|a| (hi[a] - lo[a]) as usize))
+    };
+    (lo, [0, 1, 2].map(|a| (end(a) - lo[a]) as usize))
 }
 
 const POISON: &str = "brick store lock poisoned";
@@ -341,7 +325,7 @@ impl BrickStore {
     fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
         let info = self.grid.brick(id);
         let (store_origin, store_dims) = stored(&info, self.ghost, self.grid.vol_dims);
-        let (origin, dims) = padded(&info, self.ghost);
+        let (origin, dims) = info.padded(self.ghost);
         let window = [0, 1, 2].map(|a| (store_origin[a] as i64 - origin[a]) as usize);
         let voxel_bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
         let kept = inner.entries.get(&id).map(|e| e.cells.clone());
@@ -500,7 +484,8 @@ mod tests {
         );
         for id in 0..8 {
             let b = s.get(id);
-            let ((origin, dims), window, stored) = (b.padded(), b.window(), b.store_dims);
+            let ((origin, dims), window, stored) =
+                (b.info.padded(b.ghost), b.window(), b.store_dims);
             // Border faces are not stored: the window starts one layer in
             // at a low border and stops one layer short at a high one.
             for a in 0..3 {
@@ -637,7 +622,7 @@ mod tests {
             &again.voxels,
             again.store_dims,
             again.window(),
-            again.padded().1,
+            again.info.padded(again.ghost).1,
         );
         assert_eq!(bits(&again.cells), bits(&rebuilt));
         // `clear` forgets it: the next miss builds a table of its own.

@@ -73,14 +73,14 @@ impl MacroCells {
         (self.ranges.len() * 8) as u64
     }
 
-    /// One pass over `voxels`: the `stored` array (x fastest) that sits at
-    /// `window` in a padded index space of `dims`, where the table is
-    /// keyed. A cell row's voxel rows are folded element-wise into one row
-    /// of running minima and maxima — branch-free compares over contiguous
-    /// floats, which vectorize, three rows to a pass over the accumulators
-    /// (a full cell spans nine) — and only that one row is then reduced
-    /// along x. The candidate is always the *first* operand of the compare,
-    /// so a NaN candidate loses and the accumulator survives.
+    /// One pass over `voxels`, the `stored` array (x fastest) at `window` in
+    /// the padded index space of `dims` the table is keyed over. A cell
+    /// row's voxel rows are folded element-wise into one row of running
+    /// minima and maxima — branch-free compares over contiguous floats,
+    /// which vectorize, three rows to a pass over the accumulators (a full
+    /// cell spans nine) — and only that one row is then reduced along x.
+    /// The candidate is always the *first* operand of the compare, so a NaN
+    /// candidate loses and the accumulator survives.
     pub fn build(
         voxels: &[f32],
         stored: [usize; 3],

@@ -166,7 +166,7 @@ proptest! {
         // direct clamped read of the volume.
         for id in 0..store.grid().brick_count() {
             let b = store.get(id);
-            let ((origin, dims), window, stored) = (b.padded(), b.window(), b.store_dims);
+            let ((origin, dims), window, stored) = (b.info.padded(b.ghost), b.window(), b.store_dims);
             for a in 0..3 {
                 prop_assert_eq!(b.store_origin[a] as i64, origin[a].max(0));
                 let end = (origin[a] + dims[a] as i64).min(12) as usize;
@@ -210,7 +210,7 @@ proptest! {
                 "cache over budget: {}",
                 store.cached_bytes()
             );
-            let fresh = MacroCells::build(&b.voxels, b.store_dims, b.window(), b.padded().1);
+            let fresh = MacroCells::build(&b.voxels, b.store_dims, b.window(), b.info.padded(b.ghost).1);
             prop_assert_eq!(cell_bits(&b.cells), cell_bits(&fresh), "brick {}", id);
         }
     }

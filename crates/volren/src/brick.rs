@@ -62,14 +62,10 @@ impl RenderBrick {
     /// texture is dropped: a voxel buffer goes back to the store's spares
     /// only when the `BrickData` holding it is its last holder.
     pub fn texture(data: &BrickData) -> (Texture3D, Vec3) {
-        let (origin, dims) = data.padded();
-        let texture = Texture3D::windowed(
-            dims,
-            data.window(),
-            data.store_dims,
-            Arc::clone(&data.voxels),
-        )
-        .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+        let (origin, dims) = data.info.padded(data.ghost);
+        let voxels = Arc::clone(&data.voxels);
+        let texture = Texture3D::windowed(dims, data.window(), data.store_dims, voxels)
+            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
         let [x, y, z] = origin.map(|c| c as f32);
         (texture, vec3(x, y, z))
     }
@@ -79,11 +75,7 @@ impl RenderBrick {
     /// materializing. The host stores this box clipped to the volume
     /// ([`BrickData::store_dims`]).
     pub fn store_dims(&self) -> [usize; 3] {
-        [
-            self.info.size[0] as usize + 2 * self.ghost as usize,
-            self.info.size[1] as usize + 2 * self.ghost as usize,
-            self.info.size[2] as usize + 2 * self.ghost as usize,
-        ]
+        self.info.padded(self.ghost).1
     }
 
     /// World-space box of the brick core (no ghost).

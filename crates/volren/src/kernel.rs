@@ -2011,7 +2011,7 @@ mod tests {
         };
         assert_eq!(kernel.prepare().lanes, kernel_has_lanes());
         // And the smallest step the wire admits, without cells.
-        let (origin, dims) = data.padded();
+        let (origin, dims) = data.info.padded(data.ghost);
         let bare = Texture3D::windowed(
             dims,
             data.window(),

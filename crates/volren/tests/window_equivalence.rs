@@ -120,7 +120,7 @@ proptest! {
                 continue;
             };
             let data = brick.voxels();
-            let (origin, padded) = data.padded();
+            let (origin, padded) = data.info.padded(data.ghost);
             let (windowed, store_origin) = RenderBrick::texture(&data);
             let voxels = Arc::clone(&data.voxels);
             let bare = Texture3D::windowed(padded, data.window(), data.store_dims, voxels);
