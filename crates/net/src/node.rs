@@ -75,7 +75,7 @@ impl Shared {
 
 /// A finished render on its way back to the session that asked for it.
 pub(crate) struct Completion {
-    session: u64,
+    pub(crate) session: u64,
     request_id: u64,
     result: FrameResult,
     /// The request's trace, carried through the render so the node can

@@ -10,8 +10,6 @@
 //!                     ▼
 //!     per-node slot: one shared pipelined RenderClient connection
 //!                     │   (all in-flight work multiplexes on it)
-//!                     │   Throttled → sleep exact retry_after (budgeted)
-//!                     │   connection loss / DRAINING → next-ranked node
 //!                     ▼
 //!              RenderServer … RenderServer   (N processes / hosts)
 //! ```
@@ -36,6 +34,37 @@
 //! request on a survivor** instead of reporting loss. Renders are
 //! bit-identical across nodes, so the handed-off frame is indistinguishable
 //! from the original.
+//!
+//! **Core and shell.** Every decision sits in a private core with no
+//! socket, clock or sleep: `outcome` sorts a call's [`ClientError`] (the
+//! only place one is matched), a `Route` turns each outcome into the next
+//! step, and a `Slot` keeps the generation rule. The shell (`on_node`,
+//! `drive`, `redeem`) dials, calls the [`RenderClient`], sleeps and counts.
+//! A seeded test runs the core against a straight-line model of these rules.
+//!
+//! ```text
+//!   outcome           new work: render, submit,   control call    direct
+//!                     a ticket's hand-off         (drain, resume, redeem
+//!                                                  prewarm)
+//!   Ok                return                      return          return
+//!   Throttled(after)  blocking: wait `after` if   return          return
+//!                     ≤ 5 s and within 30 s in
+//!                     all (no attempt spent)
+//!   Admission         blocking: wait 2 ms, same   return          return
+//!   Lost (transport)  next node, 1 attempt        dial, retry     hand off
+//!   Broken (protocol) next node, 1 attempt        return          hand off
+//!   Draining          next node, 1 attempt        return          return
+//!   Goodbye           next node, 1 attempt        dial, retry     hand off
+//!   BadRequest, Render, TicketsFull: return the caller's error, everywhere
+//! ```
+//!
+//! "return" hands the call's result to the caller, and a route out of
+//! attempts returns too. Lost, Broken and Goodbye poison the slot, unless
+//! it was re-dialed since; new work that meets Draining or Goodbye counts
+//! `pool.drain.rerouted`; a hand-off counts `pool.drain.handoffs`. New
+//! work skips the draining nodes unless all of them drain, and a ticket
+//! redeems directly only while its slot holds the connection that issued
+//! it. [`NodePool::connect_with`] waits without bound and tries once.
 
 use mgpu_obs::names;
 use std::collections::{BTreeMap, HashMap};
@@ -359,24 +388,171 @@ fn node_error(node: usize, addr: Option<SocketAddr>, error: ClientError) -> Node
     }
 }
 
-/// One pooled connection slot. `generation` counts (re)connects, so a
-/// ticket issued on a connection that later died can never redeem against
-/// the replacement connection's unrelated ticket table. The client is held
-/// in an `Arc`: callers clone the handle out and release the slot lock, so
-/// one pooled connection carries every caller's in-flight work
-/// concurrently — the pipelined wire multiplexes them by `request_id`.
-/// Slots themselves are `Arc`-shared: pending tickets pin their issuing
-/// slot directly, so a slot outlives its directory index (a decommissioned
-/// node's parked frames stay redeemable while its connection lives).
-struct NodeSlot {
-    client: Option<Arc<RenderClient>>,
+/// One pooled connection slot (over a shared `RenderClient` in the pool).
+/// `generation` counts (re)connects, so a ticket issued on a connection
+/// that later died never redeems against the replacement's unrelated
+/// ticket table. Callers clone the client out and release the lock, so one
+/// connection carries every caller's in-flight work, multiplexed by
+/// `request_id`. Pending tickets pin their slot, so a slot outlives its
+/// directory index (a removed node's parked frames stay redeemable while
+/// its connection lives).
+struct Slot<C> {
+    client: Option<C>,
     generation: u64,
 }
 
-/// What a successful `drive` pass yields: the answering node's directory
-/// index, its connection slot, the slot generation at issue time, and the
-/// operation's value.
-type Driven<T> = (usize, Arc<Mutex<NodeSlot>>, u64, T);
+impl<C: Clone> Slot<C> {
+    const EMPTY: Slot<C> = Slot {
+        client: None,
+        generation: 0,
+    };
+
+    /// The connection and its generation, dialed first if the slot is empty.
+    fn connection<E>(&mut self, dial: impl FnOnce() -> Result<C, E>) -> Result<(C, u64), E> {
+        if self.client.is_none() {
+            self.client = Some(dial()?);
+            self.generation += 1;
+        }
+        Ok((self.client.clone().expect("dialed above"), self.generation))
+    }
+
+    /// The connection of `generation` if the slot still holds it — never a
+    /// replacement.
+    fn current(&self, generation: u64) -> Option<C> {
+        let issued = self.generation == generation;
+        self.client.clone().filter(|_| issued)
+    }
+
+    /// Drop the connection of `generation`, unless the slot was re-dialed.
+    fn poison(&mut self, generation: u64) {
+        if self.generation == generation {
+            self.client = None;
+        }
+    }
+}
+
+type NodeSlot = Slot<Arc<RenderClient>>;
+
+// --- the core: the pool's decisions, with no socket, clock or sleep -----
+
+/// What one call came back with (the module docs give each one's step).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Ok,
+    Throttled(Duration),
+    Admission,
+    Lost,   // `Wire`: the connection failed, closed or timed out
+    Broken, // `Protocol`: an answer this client cannot read
+    Draining,
+    Goodbye,
+    Refused, // the caller's own: `BadRequest`, `Render`, `TicketsFull`
+}
+
+fn outcome<T>(result: &Result<T, ClientError>) -> Outcome {
+    match result {
+        Ok(_) => Outcome::Ok,
+        Err(ClientError::Throttled { retry_after }) => Outcome::Throttled(*retry_after),
+        Err(ClientError::Admission(_)) => Outcome::Admission,
+        Err(ClientError::Wire(_)) => Outcome::Lost,
+        Err(ClientError::Protocol(_)) => Outcome::Broken,
+        Err(ClientError::Draining { .. }) => Outcome::Draining,
+        Err(ClientError::Goodbye) => Outcome::Goodbye,
+        Err(
+            ClientError::BadRequest(_) | ClientError::Render(_) | ClientError::TicketsFull { .. },
+        ) => Outcome::Refused,
+    }
+}
+
+impl Outcome {
+    /// The connection is gone for good.
+    fn gone(self) -> bool {
+        matches!(self, Outcome::Lost | Outcome::Goodbye)
+    }
+
+    /// The connection can no longer be trusted: its slot is poisoned, and
+    /// a ticket parked on it is handed off.
+    fn poisons(self) -> bool {
+        self.gone() || self == Outcome::Broken
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Send(usize),    // call this node, dialing its slot if empty
+    Wait(Duration), // sleep, then call the same node again
+    Return,         // the last call's result, value or error, is the caller's
+}
+
+/// One operation's walk over the nodes: `order[0]` is called next.
+#[derive(Debug, Clone)]
+struct Route {
+    order: Vec<usize>,
+    /// Failures still tolerated, the current call's included.
+    attempts: u32,
+    /// `budget.total` is what is left of it.
+    budget: WaitBudget,
+    blocking: bool,
+    /// A control call: once more on a connection found gone, no waits.
+    control: bool,
+}
+
+impl Route {
+    /// New work for a key ranked `ranked`, minus the nodes being drained —
+    /// or every node when all of them drain: the typed refusals surface.
+    fn new(ranked: Vec<usize>, draining: &[bool], attempts: u32, budget: WaitBudget) -> Route {
+        let open: Vec<usize> = ranked.iter().copied().filter(|&n| !draining[n]).collect();
+        Route {
+            order: if open.is_empty() { ranked } else { open },
+            attempts: attempts.max(1),
+            budget,
+            blocking: true,
+            control: false,
+        }
+    }
+
+    /// A control call on `node`. A completed drain seals the pooled
+    /// connection with `GOODBYE`, so a gone connection is dialed once more
+    /// (only sessions that carried render work are sealed).
+    fn control(node: usize) -> Route {
+        Route {
+            order: vec![node],
+            attempts: 2,
+            budget: WaitBudget::POOL,
+            blocking: false,
+            control: true,
+        }
+    }
+
+    /// New work that meets `DRAINING` or `GOODBYE` is re-routed: the
+    /// routing table lagged a drain, and the refusal is the signal.
+    fn reroutes(&self, seen: Outcome) -> bool {
+        !self.control && matches!(seen, Outcome::Draining | Outcome::Goodbye)
+    }
+
+    /// The step after a call that came back `seen`.
+    fn next(&mut self, seen: Outcome) -> Step {
+        let fails_over =
+            seen.gone() || !self.control && matches!(seen, Outcome::Broken | Outcome::Draining);
+        let pause = match seen {
+            _ if fails_over && self.attempts > 1 => {
+                self.attempts -= 1;
+                self.order.rotate_left(1);
+                return Step::Send(self.order[0]);
+            }
+            // A throttle wait spends no attempt: the node is only pacing us.
+            Outcome::Throttled(pause) if self.blocking && pause <= self.budget.throttle => pause,
+            Outcome::Admission if self.blocking => ADMISSION_RETRY,
+            _ => return Step::Return,
+        };
+        if pause > self.budget.total {
+            return Step::Return;
+        }
+        self.budget.total -= pause;
+        Step::Wait(pause)
+    }
+}
+
+// --- the shell: dials, calls, sleeps and counts --------------------------
 
 /// A redeemable handle from the pool's submit paths. Backed by a
 /// pool-side pending entry that remembers the request and the issuing
@@ -436,13 +612,6 @@ struct PoolState {
     draining: Vec<bool>,
 }
 
-fn fresh_slot() -> Arc<Mutex<NodeSlot>> {
-    Arc::new(Mutex::new(NodeSlot {
-        client: None,
-        generation: 0,
-    }))
-}
-
 /// N render servers behind one [`RenderBackend`] — N = 1 included
 /// ([`NodePool::connect`]). Connections are opened lazily (eagerly by
 /// `connect`) and reused per node; requests route by plan key through the
@@ -466,7 +635,9 @@ impl NodePool {
     /// each node's connection is dialed on first use (and re-dialed after
     /// a failure).
     pub fn new(directory: Directory, config: NodePoolConfig) -> NodePool {
-        let nodes = (0..directory.len()).map(|_| fresh_slot()).collect();
+        let nodes = (0..directory.len())
+            .map(|_| Arc::new(Mutex::new(Slot::EMPTY)))
+            .collect();
         let draining = vec![false; directory.len()];
         NodePool {
             state: RwLock::new(PoolState {
@@ -566,9 +737,11 @@ impl NodePool {
     /// The slot lock is held only to clone the connection handle out — the
     /// operation itself runs unlocked, so concurrent callers multiplex on
     /// the same connection instead of queueing. Returns the slot and the
-    /// generation the operation ran on; transport and protocol failures
-    /// (and a `GOODBYE`) poison the slot so the next use re-dials, unless
-    /// a concurrent failure already re-dialed it (generation moved on).
+    /// generation the operation ran on. An outcome that poisons the slot
+    /// costs only this caller's own request, which its route re-issues;
+    /// other callers sharing the connection observe their own typed errors
+    /// and retry their own request ids — nobody replays someone else's
+    /// work.
     fn on_node<T>(
         &self,
         node: usize,
@@ -579,108 +752,43 @@ impl NodePool {
                 "node {node} is not in the directory"
             )));
         };
-        let (client, generation) = {
-            let mut guard = slot.lock().expect(POISON);
-            if guard.client.is_none() {
-                let client = RenderClient::connect_with(addr, self.config.client)?;
-                guard.client = Some(Arc::new(client));
-                guard.generation += 1;
-            }
-            (
-                Arc::clone(guard.client.as_ref().expect("slot dialed above")),
-                guard.generation,
-            )
-        };
+        let (client, generation) = slot
+            .lock()
+            .expect(POISON)
+            .connection(|| RenderClient::connect_with(addr, self.config.client).map(Arc::new))?;
         let result = op(&client);
-        if matches!(
-            result,
-            Err(ClientError::Wire(_)) | Err(ClientError::Protocol(_)) | Err(ClientError::Goodbye)
-        ) {
-            // The connection is no longer trustworthy. Only this caller's
-            // own request is lost and re-issued by `drive`; other callers
-            // sharing the connection observe their own typed errors and
-            // retry their own request ids — nobody replays someone else's
-            // work.
-            let mut guard = slot.lock().expect(POISON);
-            if guard.generation == generation {
-                guard.client = None;
-            }
+        if outcome(&result).poisons() {
+            slot.lock().expect(POISON).poison(generation);
         }
         result.map(|value| (slot, generation, value))
     }
 
-    /// The retry loop shared by every submit flavour: walk the key's node
-    /// preference order (skipping nodes the pool is draining) on transport
-    /// failures and `DRAINING` refusals, honor throttle waits (and, when
-    /// `blocking`, poll out admission sheds) within the budget.
+    /// New work for `key`: its route over the directory as it stands.
+    fn route(&self, key: &RequestKey, blocking: bool) -> Route {
+        let state = self.state.read().expect(POISON);
+        let ranked = state.directory.ranked(key);
+        let route = Route::new(ranked, &state.draining, self.config.attempts, self.waits);
+        Route { blocking, ..route }
+    }
+
+    /// Carry `route` out on the pooled connections. Returns the node called
+    /// last and its result, with the slot and generation it ran on.
     fn drive<T>(
         &self,
-        key: &RequestKey,
-        blocking: bool,
+        mut route: Route,
         mut op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
-    ) -> Result<Driven<T>, BackendError> {
-        let order = {
-            let state = self.state.read().expect(POISON);
-            let order = state.directory.ranked(key);
-            let usable: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&node| !state.draining[node])
-                .collect();
-            // With the whole pool draining there is nowhere better to go;
-            // let the typed DRAINING refusals surface.
-            if usable.is_empty() {
-                order
-            } else {
-                usable
-            }
-        };
-        let budget = self.waits;
-        let mut attempts = self.config.attempts.max(1);
-        let mut waited = Duration::ZERO;
-        let mut rank = 0usize;
+    ) -> (usize, Result<(Arc<Mutex<NodeSlot>>, u64, T), ClientError>) {
+        let mut node = route.order[0];
         loop {
-            let node = order[rank % order.len()];
-            match self.on_node(node, &mut op) {
-                Ok((slot, generation, value)) => return Ok((node, slot, generation, value)),
-                Err(ClientError::Throttled { retry_after }) if blocking => {
-                    if retry_after > budget.throttle || waited + retry_after > budget.total {
-                        return Err(BackendError::Throttled { retry_after });
-                    }
-                    std::thread::sleep(retry_after);
-                    waited += retry_after;
-                    // Throttle honors don't consume failover attempts: the
-                    // node is healthy, just telling us to pace.
-                }
-                Err(ClientError::Admission(err)) if blocking => {
-                    if waited + ADMISSION_RETRY > budget.total {
-                        return Err(BackendError::Admission(err));
-                    }
-                    std::thread::sleep(ADMISSION_RETRY);
-                    waited += ADMISSION_RETRY;
-                }
-                Err(
-                    err @ (ClientError::Wire(_)
-                    | ClientError::Protocol(_)
-                    | ClientError::Draining { .. }
-                    | ClientError::Goodbye),
-                ) => {
-                    if matches!(err, ClientError::Draining { .. } | ClientError::Goodbye) {
-                        // The routing table lagged the drain; the refusal
-                        // itself is the re-route signal.
-                        mgpu_obs::global().counter(names::POOL_DRAIN_REROUTED).inc();
-                    }
-                    attempts -= 1;
-                    if attempts == 0 {
-                        return Err(backend_error(err));
-                    }
-                    // Fail over: next node in this key's preference order.
-                    rank += 1;
-                }
-                // Semantic refusals (admission/tickets-full on the
-                // non-blocking path, render failures, a request the server
-                // refused as malformed) belong to the caller.
-                Err(err) => return Err(backend_error(err)),
+            let result = self.on_node(node, &mut op);
+            let seen = outcome(&result);
+            if route.reroutes(seen) {
+                mgpu_obs::global().counter(names::POOL_DRAIN_REROUTED).inc();
+            }
+            match route.next(seen) {
+                Step::Send(next) => node = next,
+                Step::Wait(pause) => std::thread::sleep(pause),
+                Step::Return => return (node, result),
             }
         }
     }
@@ -738,23 +846,15 @@ impl NodePool {
 
     // --- elastic membership -----------------------------------------------
 
-    /// Control operations ride the same pooled connection as render
-    /// traffic. A completed drain seals that connection with `GOODBYE`,
-    /// so the first control attempt after it poisons the slot — retry
-    /// once on a fresh dial (which the server serves normally: only
-    /// sessions that carried render work are sealed).
+    /// Run a control operation on `node` (see [`Route::control`]).
     fn control<T>(
         &self,
         node: usize,
-        mut op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
+        op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
-        match self.on_node(node, &mut op) {
-            Ok((_, _, value)) => Ok(value),
-            Err(ClientError::Goodbye) | Err(ClientError::Wire(_)) => {
-                self.on_node(node, &mut op).map(|(_, _, value)| value)
-            }
-            Err(err) => Err(err),
-        }
+        self.drive(Route::control(node), op)
+            .1
+            .map(|(_, _, value)| value)
     }
 
     /// Join a new node (its connection dials lazily like any other).
@@ -762,7 +862,7 @@ impl NodePool {
     pub fn add_node(&self, addr: SocketAddr) -> Result<usize, DirectoryError> {
         let mut state = self.state.write().expect(POISON);
         let node = state.directory.add_node(addr)?;
-        state.nodes.push(fresh_slot());
+        state.nodes.push(Arc::new(Mutex::new(Slot::EMPTY)));
         state.draining.push(false);
         Ok(node)
     }
@@ -853,14 +953,11 @@ impl NodePool {
         };
         // Re-sending DRAIN is idempotent and returns the live
         // outstanding-work count (the control retry re-dials if the
-        // drain's GOODBYE sealed the old connection).
-        match self.control(node, |client| client.drain(epoch)) {
-            Ok(state) => state.draining && state.outstanding == 0,
-            // A refused or lost connection means the node is gone
-            // altogether — nothing left to wait for.
-            Err(ClientError::Goodbye) | Err(ClientError::Wire(_)) => true,
-            Err(_) => false,
-        }
+        // drain's GOODBYE sealed the old connection). A node whose
+        // connection is gone even then owes nothing more.
+        let answer = self.control(node, |client| client.drain(epoch));
+        let gone = outcome(&answer).gone();
+        answer.map_or(gone, |state| state.draining && state.outstanding == 0)
     }
 
     /// Is the pool currently draining `node`?
@@ -963,6 +1060,18 @@ impl NodePool {
         self.each_node(|client| client.traces(max))
     }
 
+    /// Render on `key`'s route, blocking.
+    fn render_on(
+        &self,
+        key: &RequestKey,
+        net: &NetSceneRequest,
+    ) -> Result<BackendFrame, BackendError> {
+        let (_, result) = self.drive(self.route(key, true), |c| c.render(net));
+        result
+            .map(|(_, _, frame)| backend_frame(frame))
+            .map_err(backend_error)
+    }
+
     /// Submit through `drive` and park a pending entry so the ticket can
     /// be handed off if the issuing connection dies before redemption.
     fn submit_pending(
@@ -972,8 +1081,8 @@ impl NodePool {
     ) -> Result<PoolTicket, BackendError> {
         let net = Arc::new(portable(request)?);
         let key = request.plan_key();
-        let (node, slot, generation, ticket) =
-            self.drive(&key, blocking, |client| client.submit(&net))?;
+        let (node, result) = self.drive(self.route(&key, blocking), |c| c.submit(&net));
+        let (slot, generation, ticket) = result.map_err(backend_error)?;
         self.record_heat(&key, &net);
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.pending.lock().expect(POISON).insert(
@@ -1013,50 +1122,26 @@ impl RenderBackend for NodePool {
                 ticket.id
             )));
         };
-        let direct = {
-            let guard = entry.slot.lock().expect(POISON);
-            match &guard.client {
-                Some(client) if guard.generation == entry.generation => Some(Arc::clone(client)),
-                // The issuing connection is gone; the server dropped its
-                // per-connection ticket table with it. Never redeem
-                // against a replacement connection: its ticket ids are
-                // unrelated. Fall through to the hand-off below.
-                _ => None,
+        let issuer = entry.slot.lock().expect(POISON).current(entry.generation);
+        if let Some(client) = issuer {
+            let result = client.redeem(entry.ticket);
+            if !outcome(&result).poisons() {
+                return result.map(backend_frame).map_err(backend_error);
             }
-        };
-        if let Some(client) = direct {
-            match client.redeem(entry.ticket) {
-                Ok(frame) => return Ok(backend_frame(frame)),
-                // The render itself failed server-side; re-rendering would
-                // fail identically (renders are deterministic).
-                Err(ClientError::Render(err)) => return Err(BackendError::Render(err)),
-                Err(ClientError::Wire(_) | ClientError::Protocol(_) | ClientError::Goodbye) => {
-                    // Connection lost mid-redeem: poison the slot and hand
-                    // the ticket off.
-                    let mut guard = entry.slot.lock().expect(POISON);
-                    if guard.generation == entry.generation {
-                        guard.client = None;
-                    }
-                }
-                Err(other) => return Err(backend_error(other)),
-            }
+            entry.slot.lock().expect(POISON).poison(entry.generation);
         }
         // Ticket hand-off: the issuing connection (and its parked frame)
         // is unreachable, so re-render the remembered request on whichever
         // node now owns the key. Same request, same deterministic kernel —
         // bit-identical output, zero frames lost.
         mgpu_obs::global().counter(names::POOL_DRAIN_HANDOFFS).inc();
-        let net = entry.net;
-        self.drive(&entry.key, true, |client| client.render(&net))
-            .map(|(_, _, _, frame)| backend_frame(frame))
+        self.render_on(&entry.key, &entry.net)
     }
 
     fn render(&self, request: SceneRequest) -> Result<BackendFrame, BackendError> {
         let net = Arc::new(portable(&request)?);
         let key = request.plan_key();
-        let frame = self
-            .drive(&key, true, |client| client.render(&net))
-            .map(|(_, _, _, frame)| backend_frame(frame))?;
+        let frame = self.render_on(&key, &net)?;
         self.record_heat(&key, &net);
         Ok(frame)
     }
@@ -1358,5 +1443,550 @@ mod tests {
             );
         }
         assert!(RenderBackend::report(&pool).is_err(), "no node reachable");
+    }
+
+    // -----------------------------------------------------------------------
+    // The core against a straight-line model of the pool's rules
+    // -----------------------------------------------------------------------
+
+    use crate::wire::WireError;
+    use mgpu_serve::{AdmissionError, FrameError, Priority};
+
+    /// splitmix64: a seeded stream with no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// What the shell did, in order. Connections are numbered as dialed.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Event {
+        Dial { node: usize, conn: u64 },
+        DialRefused(usize),
+        Call { node: usize, conn: u64 },
+        Sleep(Duration),
+        Rerouted,
+        Redeem { ticket: u64, conn: u64 },
+        HandOff(u64),
+        Return(String),
+    }
+
+    /// One pool operation of a seed.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `submit` (blocking) or `try_submit`.
+        Submit {
+            blocking: bool,
+        },
+        Render,
+        /// A control call, read as `node_drained` reads it.
+        Control(usize),
+        /// Another caller's loss poisons `node`'s slot.
+        Redial(usize),
+        /// Redeem the pending ticket at this position.
+        Redeem(usize),
+    }
+
+    /// A seed's fixed setting: the nodes, the key's rank order, the
+    /// draining set and the pool's budgets.
+    struct Case {
+        ranked: Vec<usize>,
+        draining: Vec<bool>,
+        attempts: u32,
+        budget: WaitBudget,
+    }
+
+    /// One answer of a node to one call; a dial is refused one time in 6.
+    fn answer(rng: &mut Rng) -> Result<(), ClientError> {
+        let throttles = [1, 250, 2_000, 4_999, 5_000, 5_001, 12_000, 29_000];
+        let admission = AdmissionError {
+            priority: Priority::Normal,
+            queued: 4,
+            limit: 4,
+        };
+        Err(match rng.below(20) {
+            0..=6 => return Ok(()),
+            7 | 8 => ClientError::Throttled {
+                retry_after: Duration::from_millis(throttles[rng.below(throttles.len())]),
+            },
+            9 | 10 => ClientError::Admission(admission),
+            11 | 12 => ClientError::Wire(WireError::ConnectionClosed),
+            13 => ClientError::Protocol("an answer of another kind".into()),
+            14 | 15 => ClientError::Draining { epoch: 3 },
+            16 => ClientError::Goodbye,
+            17 => ClientError::BadRequest("a 0×8 image".into()),
+            18 => ClientError::Render(FrameError::new("the render panicked")),
+            _ => ClientError::TicketsFull {
+                outstanding: 4,
+                limit: 4,
+            },
+        })
+    }
+
+    fn refused() -> ClientError {
+        ClientError::Wire(WireError::Io(std::io::ErrorKind::ConnectionRefused))
+    }
+
+    /// A ticket the pool holds: the slot and generation it was issued on,
+    /// and (for the invariants) the connection that issued it.
+    #[derive(Debug, Clone, Copy)]
+    struct Pending {
+        id: u64,
+        node: usize,
+        generation: u64,
+        conn: u64,
+    }
+
+    /// The pool as the core and a shell that mirrors `NodePool` run it:
+    /// slots of numbered connections, answers from a seeded stream.
+    struct Pool {
+        slots: Vec<Slot<u64>>,
+        dialed: u64,
+        answers: Rng,
+        events: Vec<Event>,
+        pending: Vec<Pending>,
+        next_ticket: u64,
+        /// How many times each ticket was settled: redeemed on its own
+        /// connection, or handed off.
+        settled: HashMap<u64, u32>,
+    }
+
+    /// Check one named invariant.
+    fn invariant(name: &str, holds: bool, context: &dyn std::fmt::Debug) {
+        assert!(holds, "invariant broken: {name}\n{context:#?}");
+    }
+
+    impl Pool {
+        fn new(nodes: usize) -> Pool {
+            Pool {
+                slots: (0..nodes).map(|_| Slot::EMPTY).collect(),
+                dialed: 0,
+                answers: Rng(0),
+                events: Vec::new(),
+                pending: Vec::new(),
+                next_ticket: 1,
+                settled: HashMap::new(),
+            }
+        }
+
+        /// `NodePool::on_node`.
+        fn on_node(&mut self, node: usize) -> Result<(u64, u64), ClientError> {
+            let (answers, dialed, events) = (&mut self.answers, &mut self.dialed, &mut self.events);
+            let (conn, generation) = self.slots[node].connection(|| {
+                if answers.below(6) == 0 {
+                    events.push(Event::DialRefused(node));
+                    return Err(refused());
+                }
+                *dialed += 1;
+                events.push(Event::Dial {
+                    node,
+                    conn: *dialed,
+                });
+                Ok(*dialed)
+            })?;
+            self.events.push(Event::Call { node, conn });
+            let result = answer(&mut self.answers);
+            if outcome(&result).poisons() {
+                self.slots[node].poison(generation);
+            }
+            result.map(|()| (generation, conn))
+        }
+
+        /// `NodePool::drive`, checking the invariants at every step.
+        fn drive(
+            &mut self,
+            case: &Case,
+            mut route: Route,
+        ) -> (usize, Result<(u64, u64), ClientError>) {
+            let (blocking, limit) = (route.blocking, route.attempts);
+            let all_drain = case.draining.iter().all(|&d| d);
+            let mut node = route.order[0];
+            let (mut tries, mut waited) = (0, Duration::ZERO);
+            loop {
+                if !route.control {
+                    invariant(
+                        "new work never goes to a draining node while another exists",
+                        all_drain || !case.draining[node],
+                        &(node, &case.draining, &self.events),
+                    );
+                }
+                tries += 1;
+                let result = self.on_node(node);
+                let seen = outcome(&result);
+                if route.reroutes(seen) {
+                    self.events.push(Event::Rerouted);
+                }
+                let step = route.next(seen);
+                let context = (&result, step, &self.events);
+                invariant("attempts ≤ attempts", tries <= limit, &context);
+                if matches!(result, Err(ClientError::BadRequest(_))) {
+                    invariant(
+                        "a BadRequest never fails over",
+                        step == Step::Return,
+                        &context,
+                    );
+                }
+                match step {
+                    Step::Send(next) => node = next,
+                    Step::Wait(pause) => {
+                        tries -= 1;
+                        waited += pause;
+                        invariant("a non-blocking call never waits", blocking, &context);
+                        let single = pause <= case.budget.throttle;
+                        invariant("no single throttle wait above its cap", single, &context);
+                        let total = waited <= case.budget.total;
+                        invariant("the total wait stays within the budget", total, &context);
+                        self.events.push(Event::Sleep(pause));
+                    }
+                    Step::Return => {
+                        self.events.push(Event::Return(format!("{result:?}")));
+                        return (node, result);
+                    }
+                }
+            }
+        }
+
+        fn route(&self, case: &Case, blocking: bool) -> Route {
+            let route = Route::new(
+                case.ranked.clone(),
+                &case.draining,
+                case.attempts,
+                case.budget,
+            );
+            Route { blocking, ..route }
+        }
+
+        fn op(&mut self, case: &Case, op: Op) {
+            match op {
+                Op::Submit { blocking } => {
+                    let route = self.route(case, blocking);
+                    if let (node, Ok((generation, conn))) = self.drive(case, route) {
+                        let id = self.next_ticket;
+                        self.next_ticket += 1;
+                        self.pending.push(Pending {
+                            id,
+                            node,
+                            generation,
+                            conn,
+                        });
+                    }
+                }
+                Op::Render => {
+                    let route = self.route(case, true);
+                    let _ = self.drive(case, route);
+                }
+                Op::Control(node) => {
+                    let answer = self.drive(case, Route::control(node)).1;
+                    let drained = outcome(&answer).gone() || answer.is_ok();
+                    self.events
+                        .push(Event::Return(format!("drained {drained}")));
+                }
+                Op::Redial(node) => {
+                    let generation = self.slots[node].generation;
+                    self.slots[node].poison(generation);
+                }
+                Op::Redeem(at) => {
+                    let ticket = self.pending.remove(at);
+                    let issuer = self.slots[ticket.node].current(ticket.generation);
+                    if let Some(conn) = issuer {
+                        invariant(
+                            "no ticket is redeemed against a replacement connection",
+                            conn == ticket.conn,
+                            &(ticket, conn, &self.events),
+                        );
+                        self.events.push(Event::Redeem {
+                            ticket: ticket.id,
+                            conn,
+                        });
+                        let result = answer(&mut self.answers);
+                        if !outcome(&result).poisons() {
+                            *self.settled.entry(ticket.id).or_default() += 1;
+                            self.events.push(Event::Return(format!("{result:?}")));
+                            return;
+                        }
+                        self.slots[ticket.node].poison(ticket.generation);
+                    }
+                    *self.settled.entry(ticket.id).or_default() += 1;
+                    self.events.push(Event::HandOff(ticket.id));
+                    let route = self.route(case, true);
+                    let _ = self.drive(case, route);
+                }
+            }
+        }
+    }
+
+    /// Today's rules written out straight, as the pool ran them before the
+    /// core existed: the retry loop, the control retry, the redeem.
+    struct Model {
+        slots: Vec<(Option<u64>, u64)>,
+        dialed: u64,
+        answers: Rng,
+        events: Vec<Event>,
+        pending: Vec<Pending>,
+        next_ticket: u64,
+    }
+
+    impl Model {
+        fn on_node(&mut self, node: usize) -> Result<(u64, u64), ClientError> {
+            let slot = &mut self.slots[node];
+            if slot.0.is_none() {
+                if self.answers.below(6) == 0 {
+                    self.events.push(Event::DialRefused(node));
+                    return Err(refused());
+                }
+                self.dialed += 1;
+                self.events.push(Event::Dial {
+                    node,
+                    conn: self.dialed,
+                });
+                slot.0 = Some(self.dialed);
+                slot.1 += 1;
+            }
+            let (conn, generation) = (slot.0.unwrap(), slot.1);
+            self.events.push(Event::Call { node, conn });
+            let result = answer(&mut self.answers);
+            if matches!(
+                result,
+                Err(ClientError::Wire(_))
+                    | Err(ClientError::Protocol(_))
+                    | Err(ClientError::Goodbye)
+            ) && self.slots[node].1 == generation
+            {
+                self.slots[node].0 = None;
+            }
+            result.map(|()| (generation, conn))
+        }
+
+        fn drive(
+            &mut self,
+            case: &Case,
+            blocking: bool,
+        ) -> (usize, Result<(u64, u64), ClientError>) {
+            let usable: Vec<usize> = case
+                .ranked
+                .iter()
+                .copied()
+                .filter(|&n| !case.draining[n])
+                .collect();
+            let order = if usable.is_empty() {
+                case.ranked.clone()
+            } else {
+                usable
+            };
+            let budget = case.budget;
+            let mut attempts = case.attempts.max(1);
+            let mut waited = Duration::ZERO;
+            let mut rank = 0;
+            loop {
+                let node = order[rank % order.len()];
+                let result = self.on_node(node);
+                match &result {
+                    Ok(_) => {}
+                    Err(ClientError::Throttled { retry_after }) if blocking => {
+                        if *retry_after <= budget.throttle && waited + *retry_after <= budget.total
+                        {
+                            self.events.push(Event::Sleep(*retry_after));
+                            waited += *retry_after;
+                            continue;
+                        }
+                    }
+                    Err(ClientError::Admission(_)) if blocking => {
+                        if waited + ADMISSION_RETRY <= budget.total {
+                            self.events.push(Event::Sleep(ADMISSION_RETRY));
+                            waited += ADMISSION_RETRY;
+                            continue;
+                        }
+                    }
+                    Err(
+                        err @ (ClientError::Wire(_)
+                        | ClientError::Protocol(_)
+                        | ClientError::Draining { .. }
+                        | ClientError::Goodbye),
+                    ) => {
+                        if matches!(err, ClientError::Draining { .. } | ClientError::Goodbye) {
+                            self.events.push(Event::Rerouted);
+                        }
+                        attempts -= 1;
+                        if attempts > 0 {
+                            rank += 1;
+                            continue;
+                        }
+                    }
+                    Err(_) => {}
+                }
+                self.events.push(Event::Return(format!("{result:?}")));
+                return (node, result);
+            }
+        }
+
+        fn op(&mut self, case: &Case, op: Op) {
+            match op {
+                Op::Submit { blocking } => {
+                    if let (node, Ok((generation, conn))) = self.drive(case, blocking) {
+                        let id = self.next_ticket;
+                        self.next_ticket += 1;
+                        self.pending.push(Pending {
+                            id,
+                            node,
+                            generation,
+                            conn,
+                        });
+                    }
+                }
+                Op::Render => {
+                    let _ = self.drive(case, true);
+                }
+                Op::Control(node) => {
+                    let mut answer = self.on_node(node);
+                    if matches!(
+                        answer,
+                        Err(ClientError::Goodbye) | Err(ClientError::Wire(_))
+                    ) {
+                        answer = self.on_node(node);
+                    }
+                    let drained = match answer {
+                        Ok(_) => true,
+                        Err(ClientError::Goodbye) | Err(ClientError::Wire(_)) => true,
+                        Err(_) => false,
+                    };
+                    self.events.push(Event::Return(format!("{answer:?}")));
+                    self.events
+                        .push(Event::Return(format!("drained {drained}")));
+                }
+                Op::Redial(node) => self.slots[node].0 = None,
+                Op::Redeem(at) => {
+                    let ticket = self.pending.remove(at);
+                    let slot = self.slots[ticket.node];
+                    if let (Some(conn), true) = (slot.0, slot.1 == ticket.generation) {
+                        self.events.push(Event::Redeem {
+                            ticket: ticket.id,
+                            conn,
+                        });
+                        let result = answer(&mut self.answers);
+                        match result {
+                            Err(
+                                ClientError::Wire(_)
+                                | ClientError::Protocol(_)
+                                | ClientError::Goodbye,
+                            ) => {
+                                if self.slots[ticket.node].1 == ticket.generation {
+                                    self.slots[ticket.node].0 = None;
+                                }
+                            }
+                            _ => {
+                                self.events.push(Event::Return(format!("{result:?}")));
+                                return;
+                            }
+                        }
+                    }
+                    self.events.push(Event::HandOff(ticket.id));
+                    let _ = self.drive(case, true);
+                }
+            }
+        }
+    }
+
+    /// Run `seed` to its end: a random setting, 24 random operations, then
+    /// every ticket still pending redeemed. The core and the model must
+    /// take the same steps throughout.
+    fn run_seed(seed: u64) {
+        let mut rng = Rng(seed);
+        let nodes = 1 + rng.below(4);
+        let mut ranked: Vec<usize> = (0..nodes).collect();
+        for i in (1..nodes).rev() {
+            ranked.swap(i, rng.below(i + 1));
+        }
+        // Every fourth seed is `RemoteBackend`'s contract: one attempt and
+        // an unbounded budget.
+        let remote = seed % 4 == 0;
+        let case = Case {
+            ranked,
+            draining: (0..nodes).map(|_| rng.below(3) == 0).collect(),
+            attempts: if remote { 1 } else { 1 + rng.below(4) as u32 },
+            budget: if remote || rng.below(3) == 0 {
+                WaitBudget::UNBOUNDED
+            } else {
+                WaitBudget::POOL
+            },
+        };
+        let mut pool = Pool::new(nodes);
+        let mut model = Model {
+            slots: vec![(None, 0); nodes],
+            dialed: 0,
+            answers: Rng(0),
+            events: Vec::new(),
+            pending: Vec::new(),
+            next_ticket: 1,
+        };
+        let mut ops = Vec::new();
+        for round in 0..24 + nodes {
+            let op = if round >= 24 {
+                None
+            } else {
+                Some(match rng.below(10) {
+                    0..=3 => Op::Submit {
+                        blocking: rng.below(2) == 0,
+                    },
+                    4 => Op::Render,
+                    5 => Op::Control(rng.below(nodes)),
+                    6 => Op::Redial(rng.below(nodes)),
+                    _ if pool.pending.is_empty() => Op::Render,
+                    _ => Op::Redeem(rng.below(pool.pending.len())),
+                })
+            };
+            // The tail redeems what is still pending, oldest first.
+            let ops_now: Vec<Op> = match op {
+                Some(op) => vec![op],
+                None => (0..pool.pending.len()).map(|_| Op::Redeem(0)).collect(),
+            };
+            for op in ops_now {
+                let answers = rng.next();
+                pool.answers = Rng(answers);
+                model.answers = Rng(answers);
+                pool.op(&case, op);
+                model.op(&case, op);
+                ops.push(op);
+                assert_eq!(
+                    pool.events, model.events,
+                    "the core left the model's steps after {ops:?}"
+                );
+            }
+        }
+        invariant(
+            "every pending ticket is redeemed or handed off exactly once",
+            pool.pending.is_empty()
+                && (1..pool.next_ticket).all(|id| pool.settled.get(&id) == Some(&1)),
+            &(&pool.settled, pool.next_ticket),
+        );
+    }
+
+    /// 1000 seeded outcome sequences. A failing seed prints itself; once
+    /// its fault is mended, check it in beside `seed_7_replays`.
+    #[test]
+    fn a_thousand_seeded_outcome_sequences_keep_every_invariant() {
+        for seed in 0..1000 {
+            if let Err(panic) = std::panic::catch_unwind(|| run_seed(seed)) {
+                eprintln!("seed {seed} fails; replay it alone with `run_seed({seed})`");
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
+    /// One seed checked in as its own test: the shape a failing seed takes
+    /// once its fault is mended.
+    #[test]
+    fn seed_7_replays() {
+        run_seed(7);
     }
 }

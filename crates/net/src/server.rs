@@ -473,7 +473,11 @@ impl EventLoop {
         loop {
             let completions = std::mem::take(&mut *self.notifier.completions.lock().expect(POISON));
             for done in completions {
+                let session = done.session;
                 self.node.complete(done, Instant::now());
+                // The reply usually fits the socket buffer: write it now
+                // rather than after another poll round.
+                self.flush_conn(session);
             }
             // Acquire: pairs with the Release store in `stop_event_loop`.
             let shutting_down = self.notifier.shutdown.load(Ordering::Acquire);
