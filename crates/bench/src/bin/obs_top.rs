@@ -279,7 +279,10 @@ fn main() {
     // Graceful drain + resume of the now-cold node.
     pool.drain_node(owner_before).expect("drain");
     // Every render above was answered, so the node owes nothing.
-    assert!(pool.node_drained(owner_before), "the drained node owes work");
+    assert!(
+        pool.node_drained(owner_before),
+        "the drained node owes work"
+    );
     pool.resume_node(owner_before).expect("resume");
     // Crash hand-off: park a ticket on the new owner, kill it, redeem —
     // the frame re-renders on the survivor instead of being lost.

@@ -388,6 +388,8 @@ fn node_error(node: usize, addr: Option<SocketAddr>, error: ClientError) -> Node
     }
 }
 
+// --- the core: the pool's decisions, with no socket, clock or sleep -----
+
 /// One pooled connection slot (over a shared `RenderClient` in the pool).
 /// `generation` counts (re)connects, so a ticket issued on a connection
 /// that later died never redeems against the replacement's unrelated
@@ -433,7 +435,8 @@ impl<C: Clone> Slot<C> {
 
 type NodeSlot = Slot<Arc<RenderClient>>;
 
-// --- the core: the pool's decisions, with no socket, clock or sleep -----
+/// A call's result, with the slot and generation it ran on.
+type Ran<T> = Result<(Arc<Mutex<NodeSlot>>, u64, T), ClientError>;
 
 /// What one call came back with (the module docs give each one's step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -746,7 +749,7 @@ impl NodePool {
         &self,
         node: usize,
         op: impl FnOnce(&RenderClient) -> Result<T, ClientError>,
-    ) -> Result<(Arc<Mutex<NodeSlot>>, u64, T), ClientError> {
+    ) -> Ran<T> {
         let Some((addr, slot)) = self.slot_for(node) else {
             return Err(ClientError::Protocol(format!(
                 "node {node} is not in the directory"
@@ -777,7 +780,7 @@ impl NodePool {
         &self,
         mut route: Route,
         mut op: impl FnMut(&RenderClient) -> Result<T, ClientError>,
-    ) -> (usize, Result<(Arc<Mutex<NodeSlot>>, u64, T), ClientError>) {
+    ) -> (usize, Ran<T>) {
         let mut node = route.order[0];
         loop {
             let result = self.on_node(node, &mut op);
@@ -1909,7 +1912,7 @@ mod tests {
         }
         // Every fourth seed is `RemoteBackend`'s contract: one attempt and
         // an unbounded budget.
-        let remote = seed % 4 == 0;
+        let remote = seed.is_multiple_of(4);
         let case = Case {
             ranked,
             draining: (0..nodes).map(|_| rng.below(3) == 0).collect(),
