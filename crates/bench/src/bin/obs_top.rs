@@ -281,7 +281,7 @@ fn main() {
     // Every render above was answered, so the node owes nothing.
     assert!(
         pool.node_drained(owner_before),
-        "the drained node owes work"
+        "node {owner_before} still owes work"
     );
     pool.resume_node(owner_before).expect("resume");
     // Crash hand-off: park a ticket on the new owner, kill it, redeem —

@@ -50,7 +50,8 @@
 //!   Throttled(after)  blocking: wait `after` if   return          return
 //!                     ≤ 5 s and within 30 s in
 //!                     all (no attempt spent)
-//!   Admission         blocking: wait 2 ms, same   return          return
+//!   Admission         blocking: wait 2 ms within  return          return
+//!                     the same budget
 //!   Lost (transport)  next node, 1 attempt        dial, retry     hand off
 //!   Broken (protocol) next node, 1 attempt        return          hand off
 //!   Draining          next node, 1 attempt        return          return

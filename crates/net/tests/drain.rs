@@ -47,7 +47,7 @@ fn direct(req: &SceneRequest) -> mgpu_volren::Image {
 }
 
 /// Every ticket has been redeemed by now, so the node owes nothing: it
-/// reads drained at once, with no polling.
+/// reads drained at once.
 fn wait_drained(pool: &NodePool, node: usize) {
     assert!(pool.node_drained(node), "node {node} still owes work");
 }
