@@ -7,6 +7,8 @@
 //!
 //!     cargo run --release -p mgpu-bench --bin obs_top [-- --ticks N]
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

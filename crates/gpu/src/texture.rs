@@ -1030,7 +1030,7 @@ mod tests {
     /// Run `check` if this CPU has AVX2 (every x86-64 CI runner does; a
     /// machine without it has nothing to check the lane samplers on).
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: not an unsafe operation, a type — the only pointer type a safe
+    // `check` is an `unsafe fn` pointer: the only pointer type a safe
     // `#[target_feature]` function coerces to.
     fn with_avx2(check: unsafe fn()) {
         if std::arch::is_x86_feature_detected!("avx2") {

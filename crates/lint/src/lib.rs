@@ -5,11 +5,11 @@
 //! the wire protocol's messages are documented in the README table (the
 //! compiler checks the code that handles them); the metric namespace
 //! is shared between the serving crates and the `obs_top` dashboard;
-//! the decode path carries a panic-free guarantee; 64 lock sites share
-//! an acquisition order; atomics and `unsafe` carry justification
-//! conventions. Those invariants rot silently as the system grows —
-//! unless something fails the build when they do. This crate is that
-//! something: a dependency-free analyzer over a hand-rolled,
+//! 64 lock sites share an acquisition order; atomics carry a
+//! justification comment; the decode path and `unsafe` stay under the
+//! clippy lints that check them. Those invariants rot silently as the
+//! system grows — unless something fails the build when they do. This
+//! crate is that something: a dependency-free analyzer over a hand-rolled,
 //! comment/string/char/raw-string-aware Rust lexer, with six lints
 //! on top (see [`lints`]), run in CI as
 //! `cargo run -p mgpu-lint --release -- --check`, regression-locked by

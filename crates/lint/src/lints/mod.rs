@@ -1,16 +1,17 @@
-//! The six project-invariant lints. Each is a function over the
+//! The project-invariant lints. Each is a function over the
 //! [`Workspace`] that reports into a
 //! [`Diagnostics`] sink; `run_all` is the CLI
-//! entry point's one-stop call.
+//! entry point's one-stop call. The last two are scope guards: clippy
+//! checks the code, they check that the code is under clippy's lint.
 //!
 //! | lint name | invariant |
 //! |---|---|
 //! | `wire-conformance` | every `Request`/`Reply` variant and its tag appear on one line of the README |
 //! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
-//! | `panic-free-decode` | no panics or direct indexing in any `Wire::get`, `Reader`/`FrameReader` method or frame parser |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |
 //! | `atomic-ordering` | every non-`Relaxed` ordering carries a justification comment |
-//! | `unsafe-hygiene` | `// SAFETY:` on unsafe blocks; `#![forbid(unsafe_code)]` elsewhere |
+//! | `panic-free-decode` | every `net` file that decodes denies clippy's seven panic lints |
+//! | `unsafe-hygiene` | every crate root forbids `unsafe_code`, or has `unsafe` and denies clippy's two `SAFETY:` lints |
 
 pub mod atomics;
 pub mod decode;
@@ -46,6 +47,44 @@ pub(crate) fn path2<'t>(tokens: &'t [Token], i: usize, head: &str) -> Option<(&'
     }
     match tokens.get(i + 3).map(|t| &t.tok) {
         Some(Tok::Ident(name)) => Some((name.as_str(), tokens[i + 3].line)),
+        _ => None,
+    }
+}
+
+/// Which of `lints` the file's inner `#![deny(..)]` and `#![forbid(..)]`
+/// attributes leave out, each written as in the attribute (`unsafe_code`,
+/// `clippy::panic`).
+pub(crate) fn not_denied<'l>(tokens: &[Token], lints: &[&'l str]) -> Vec<&'l str> {
+    let mut denied = String::new();
+    for i in 0..tokens.len() {
+        let inner = is_punct(tokens, i, '#') && is_punct(tokens, i + 1, '!');
+        if inner && (is_ident(tokens, i + 3, "deny") || is_ident(tokens, i + 3, "forbid")) {
+            for t in tokens
+                .iter()
+                .skip(i + 5)
+                .take_while(|t| t.tok != Tok::Punct(')'))
+            {
+                match &t.tok {
+                    Tok::Ident(part) => denied.push_str(part),
+                    Tok::Punct(c) => denied.push(*c),
+                    _ => {}
+                }
+            }
+            denied.push(',');
+        }
+    }
+    let denied: Vec<&str> = denied.split(',').collect();
+    lints
+        .iter()
+        .copied()
+        .filter(|lint| !denied.contains(lint))
+        .collect()
+}
+
+/// The name of an identifier token.
+pub(crate) fn ident(t: Option<&Token>) -> Option<&str> {
+    match t.map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s),
         _ => None,
     }
 }

@@ -1,89 +1,61 @@
-//! `unsafe-hygiene` — unsafe is rare, annotated, and fenced.
-//!
-//! Two rules:
-//!
-//! 1. every `unsafe` keyword (block, fn, impl) carries a `// SAFETY:`
-//!    comment on the same or the directly preceding line stating the
-//!    invariant that makes it sound;
-//! 2. a crate whose sources contain *no* `unsafe` at all must say so
-//!    with `#![forbid(unsafe_code)]` in its `src/lib.rs`, so unsafe
-//!    cannot creep in without tripping the compiler and this lint.
-
-use std::collections::BTreeMap;
+//! `unsafe-hygiene` — unsafe is rare, annotated, and fenced. Every crate
+//! root (`src/lib.rs`, `src/main.rs`, each `src/bin` target) of a crate
+//! with no `unsafe` at all declares `#![forbid(unsafe_code)]`; that of a
+//! crate with `unsafe` denies clippy's `SAFETY_LINTS`, so CI's clippy
+//! step rejects an `unsafe` block without a `// SAFETY:` comment stating
+//! why it is sound, and such a comment on safe code. Clippy checks the
+//! comments; this lint checks that no crate escapes both fences.
 
 use crate::diag::Diagnostics;
-use crate::lexer::Tok;
-use crate::lints::{is_ident, is_punct};
+use crate::lints::{is_ident, not_denied};
 use crate::source::Workspace;
 
 pub const NAME: &str = "unsafe-hygiene";
 
-pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
-    // crate → has any unsafe token
-    let mut crate_unsafe: BTreeMap<&str, bool> = BTreeMap::new();
+const SAFETY_LINTS: [&str; 2] = [
+    "clippy::undocumented_unsafe_blocks",
+    "clippy::unnecessary_safety_comment",
+];
 
-    for file in &ws.files {
-        let mut any = false;
-        for t in &file.tokens {
-            if !matches!(&t.tok, Tok::Ident(s) if s == "unsafe") {
+pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
+    for root in ws
+        .files
+        .iter()
+        .filter(|f| is_crate_root(&f.rel.to_string_lossy()))
+    {
+        let krate = &root.krate;
+        let mut files = ws.files.iter().filter(|f| f.krate == *krate);
+        let has_unsafe =
+            files.any(|f| (0..f.tokens.len()).any(|i| is_ident(&f.tokens, i, "unsafe")));
+        let message = if has_unsafe {
+            let missing = not_denied(&root.tokens, &SAFETY_LINTS).join("`, `");
+            if missing.is_empty() {
                 continue;
             }
-            any = true;
-            let documented = file.comment_near(t.line, |text| text.contains("SAFETY:"));
-            if !documented {
-                diag.report(
-                    file,
-                    t.line,
-                    NAME,
-                    "`unsafe` without a `// SAFETY:` comment on the same or preceding \
-                     line stating the soundness invariant"
-                        .to_string(),
-                );
-            }
-        }
-        let entry = crate_unsafe.entry(file.krate.as_str()).or_insert(false);
-        *entry |= any;
-    }
-
-    for (krate, has_unsafe) in crate_unsafe {
-        if has_unsafe {
+            format!(
+                "crate `{krate}` has unsafe code, but this root does not deny `{missing}`: \
+                 an `unsafe` without a `// SAFETY:` comment would pass"
+            )
+        } else if not_denied(&root.tokens, &["unsafe_code"]).is_empty() {
             continue;
-        }
-        let lib_suffix = if krate == "gpumr" {
-            "src/lib.rs".to_string()
         } else {
-            format!("crates/{krate}/src/lib.rs")
+            format!("crate `{krate}` has no unsafe code, but this root does not declare `#![forbid(unsafe_code)]`")
         };
-        let Some(lib) = ws
-            .files
-            .iter()
-            .find(|f| f.rel.to_string_lossy() == lib_suffix)
-        else {
-            continue; // bin-only crate: nothing to anchor the attribute to
-        };
-        if !has_forbid_unsafe(lib) {
-            diag.report(
-                lib,
-                1,
-                NAME,
-                format!(
-                    "crate `{krate}` contains no unsafe code but {lib_suffix} does not \
-                     declare `#![forbid(unsafe_code)]`"
-                ),
-            );
-        }
+        diag.report(root, 1, NAME, message);
     }
 }
 
-/// Token pattern `# ! [ forbid ( unsafe_code ) ]` (also accepts `deny`).
-fn has_forbid_unsafe(lib: &crate::source::SourceFile) -> bool {
-    let tokens = &lib.tokens;
-    (0..tokens.len()).any(|i| {
-        is_punct(tokens, i, '#')
-            && is_punct(tokens, i + 1, '!')
-            && is_punct(tokens, i + 2, '[')
-            && (is_ident(tokens, i + 3, "forbid") || is_ident(tokens, i + 3, "deny"))
-            && is_punct(tokens, i + 4, '(')
-            && is_ident(tokens, i + 5, "unsafe_code")
-    })
+/// `src/lib.rs`, `src/main.rs`, `src/bin/x.rs` or `src/bin/x/main.rs`,
+/// under `crates/<name>/` or the facade.
+fn is_crate_root(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    let in_src = match parts.as_slice() {
+        ["crates", _, "src", rest @ ..] | ["src", rest @ ..] => rest,
+        _ => return false,
+    };
+    match in_src {
+        ["lib.rs" | "main.rs"] | ["bin", _, "main.rs"] => true,
+        ["bin", file] => file.ends_with(".rs"),
+        _ => false,
+    }
 }

@@ -26,7 +26,7 @@ pub struct SourceFile {
     pub krate: String,
     pub(crate) tokens: Vec<Token>,
     /// The file's comments, with runs of consecutive line comments merged
-    /// into one block, so a `// SAFETY: …` note that wraps onto a second line
+    /// into one block, so a justification that wraps onto a second line
     /// still counts as one comment adjacent to the line below it.
     blocks: Vec<Comment>,
     /// `lint-name → lines` where a `// lint: allow(name)` comment
@@ -67,7 +67,7 @@ impl SourceFile {
 
     /// Is there a comment block whose text satisfies `pred` ending on
     /// `line` or the line directly above? (The "same or preceding line"
-    /// contract used by the SAFETY and atomic-ordering checks.)
+    /// contract of the atomic-ordering check.)
     /// Consecutive line comments count as one block, so wrapped comments
     /// stay adjacent.
     pub fn comment_near(&self, line: u32, pred: impl Fn(&str) -> bool) -> bool {

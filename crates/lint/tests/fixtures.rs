@@ -213,56 +213,72 @@ fn metrics_names_module_consts_resolve() {
 
 // --- panic-free-decode --------------------------------------------------
 
+/// The deny a decoding file starts with, all seven panic lints named.
+const PANIC_DENY: &str = "#![deny(clippy::indexing_slicing, clippy::unwrap_used, \
+clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]\n";
+
+/// `PANIC_DENY` without `lint` (clippy checks nothing of it then), followed
+/// by `body`.
+fn deny_without(lint: &str, body: &str) -> String {
+    format!(
+        "{}{body}",
+        PANIC_DENY.replace(&format!("clippy::{lint}, "), "")
+    )
+}
+
 #[test]
 fn decode_green_typed_errors_are_quiet() {
-    let findings = run(
-        decode::check,
-        vec![(
-            "crates/net/src/wire.rs",
-            "fn decode_ping(p: &[u8]) -> Result<u8, WireError> {\n\
-                 p.first().copied().ok_or(WireError::Truncated)\n\
-             }\n",
-        )],
+    let wire = format!(
+        "{PANIC_DENY}fn decode_ping(p: &[u8]) -> Result<u8, WireError> {{\n\
+             p.first().copied().ok_or(WireError::Truncated)\n\
+         }}\n"
     );
+    let findings = run(decode::check, vec![("crates/net/src/wire.rs", &wire)]);
     assert_quiet(&findings);
 }
 
+/// A deny that leaves `unwrap_used` out lets this `unwrap` through clippy.
 #[test]
 fn decode_red_unwrap_fires() {
-    let findings = run(
-        decode::check,
-        vec![(
-            "crates/net/src/wire.rs",
-            "fn decode_ping(p: &[u8]) -> u8 { p.first().copied().unwrap() }\n",
-        )],
+    let wire = deny_without(
+        "unwrap_used",
+        "fn decode_ping(p: &[u8]) -> u8 { p.first().copied().unwrap() }\n",
     );
-    assert_fires(&findings, decode::NAME, "`unwrap`");
+    let findings = run(decode::check, vec![("crates/net/src/wire.rs", &wire)]);
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "does not deny `clippy::unwrap_used`",
+    );
+    assert_eq!(findings.len(), 1, "{findings:#?}");
 }
 
+/// A deny that leaves `indexing_slicing` out lets `p[0]` through clippy.
 #[test]
 fn decode_red_direct_indexing_fires() {
-    let findings = run(
-        decode::check,
-        vec![(
-            "crates/net/src/wire.rs",
-            "fn decode_ping(p: &[u8]) -> u8 { p[0] }\n",
-        )],
+    let wire = deny_without(
+        "indexing_slicing",
+        "fn decode_ping(p: &[u8]) -> u8 { p[0] }\n",
     );
-    assert_fires(&findings, decode::NAME, "direct slice indexing");
+    let findings = run(decode::check, vec![("crates/net/src/wire.rs", &wire)]);
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "does not deny `clippy::indexing_slicing`",
+    );
 }
 
 #[test]
 fn decode_non_decode_fns_are_out_of_scope() {
-    // `encode_*` and `Wire::put` may index freely — lengths are under our
-    // control there.
+    // Encoders and inherent methods of other types need no deny of their
+    // own: they decode nothing.
     let findings = run(
         decode::check,
         vec![(
             "crates/net/src/wire.rs",
             "fn encode_ping(out: &mut [u8]) { out[0] = 1; }\n\
-             impl Wire for Ping {\n\
+             impl Ping {\n\
                  fn put(&self, w: &mut Writer) { w.u8(self.bytes[0]); }\n\
-                 fn get(r: &mut Reader) -> Result<Self, WireError> { Ok(Ping { bytes: r.array()? }) }\n\
              }\n",
         )],
     );
@@ -272,7 +288,7 @@ fn decode_non_decode_fns_are_out_of_scope() {
 #[test]
 fn decode_red_panicking_wire_get_fires_in_any_net_file() {
     // `heat.rs`-style: the impl lives outside wire.rs, and the trait's own
-    // bodyless `fn get(..);` declaration must not hide what follows it.
+    // declaration is not an impl of it.
     let findings = run(
         decode::check,
         vec![(
@@ -292,41 +308,43 @@ fn decode_red_panicking_wire_get_fires_in_any_net_file() {
     assert_fires(
         &findings,
         decode::NAME,
-        "`unwrap` in decode path `Wire::get`",
+        "`impl Wire` decodes received bytes",
     );
-    assert_eq!(findings.len(), 1, "only the get: {findings:?}");
+    assert_eq!(findings.len(), 1, "only the impl: {findings:?}");
 }
 
 #[test]
 fn decode_red_reader_methods_and_macro_generated_gets_fire() {
+    // The codec macro is defined in a denied file; its invocation in an
+    // undenied one expands a `Wire::get` there.
+    let wire = format!(
+        "{PANIC_DENY}macro_rules! wire_struct {{\n\
+             ($ty:path {{ $($field:ident),+ }}) => {{\n\
+                 impl $crate::wire::Wire for $ty {{\n\
+                     fn get(r: &mut Reader) -> Result<Self, WireError> {{\n\
+                         Ok(Self {{ $($field: Wire::get(r)?),+ }})\n\
+                     }}\n\
+                 }}\n\
+             }};\n\
+         }}\n\
+         pub(crate) use wire_struct;\n"
+    );
     let findings = run(
         decode::check,
-        vec![(
-            "crates/net/src/wire.rs",
-            "impl<'a> Reader<'a> {\n\
-                 fn take(&mut self, n: usize) -> &'a [u8] { &self.buf[self.pos..self.pos + n] }\n\
-             }\n\
-             macro_rules! wire_struct {\n\
-                 ($ty:path { $($field:ident),+ }) => {\n\
-                     impl Wire for $ty {\n\
-                         fn get(r: &mut Reader) -> Result<Self, WireError> {\n\
-                             Ok(Self { $($field: Wire::get(r).expect(\"short\")),+ })\n\
-                         }\n\
-                     }\n\
-                 };\n\
-             }\n",
-        )],
+        vec![
+            ("crates/net/src/wire.rs", &wire),
+            (
+                "crates/net/src/heat.rs",
+                "impl<'a> Reader<'a> {\n\
+                     fn take(&mut self, n: usize) -> &'a [u8] { &self.buf[self.pos..self.pos + n] }\n\
+                 }\n\
+                 wire_struct!(Snapshot { n });\n",
+            ),
+        ],
     );
-    assert_fires(
-        &findings,
-        decode::NAME,
-        "direct slice indexing in decode path `Reader::take`",
-    );
-    assert_fires(
-        &findings,
-        decode::NAME,
-        "`expect` in decode path `Wire::get`",
-    );
+    assert_fires(&findings, decode::NAME, "`impl Reader` decodes");
+    assert_fires(&findings, decode::NAME, "`wire_struct!` decodes");
+    assert_eq!(findings.len(), 2, "{findings:#?}");
 }
 
 #[test]
@@ -334,40 +352,43 @@ fn decode_red_frame_reader_methods_fire() {
     let findings = run(
         decode::check,
         vec![(
-            "crates/net/src/wire.rs",
+            "crates/net/src/server.rs",
             "impl FrameReader {\n\
                  fn read(&mut self, r: &mut impl Read) -> usize { r.read(&mut self.prelude[self.have..]).unwrap() }\n\
-             }\n",
+             }\n\
+             fn read_frame(r: &mut impl Read) -> Vec<u8> { FrameReader::new().read(r) }\n",
         )],
     );
-    assert_fires(
-        &findings,
-        decode::NAME,
-        "direct slice indexing in decode path `FrameReader::read`",
-    );
-    assert_fires(
-        &findings,
-        decode::NAME,
-        "`unwrap` in decode path `FrameReader::read`",
-    );
+    assert_fires(&findings, decode::NAME, "`impl FrameReader` decodes");
+    assert_fires(&findings, decode::NAME, "`fn read_frame` decodes");
 }
 
 #[test]
 fn decode_green_frame_reader_with_checked_slices_is_quiet() {
-    // A `Read` adapter *for* some other type is not the frame parser.
+    // A `Read` adapter *for* some other type is not the frame parser, and
+    // a test module is exempt.
+    let wire = format!(
+        "{PANIC_DENY}impl FrameReader {{\n\
+             fn read(&mut self, r: &mut impl Read) -> Result<usize, WireError> {{\n\
+                 Ok(r.read(self.prelude.get_mut(self.have..).unwrap_or_default())?)\n\
+             }}\n\
+         }}\n"
+    );
     let findings = run(
         decode::check,
-        vec![(
-            "crates/net/src/wire.rs",
-            "impl FrameReader {\n\
-                 fn read(&mut self, r: &mut impl Read) -> Result<usize, WireError> {\n\
-                     Ok(r.read(self.prelude.get_mut(self.have..).unwrap_or_default())?)\n\
+        vec![
+            ("crates/net/src/wire.rs", &wire),
+            (
+                "crates/net/src/server.rs",
+                "impl Read for CountedRead<'_> {\n\
+                     fn read(&mut self, buf: &mut [u8]) -> usize { self.stream.read(&mut buf[..]).unwrap() }\n\
                  }\n\
-             }\n\
-             impl Read for CountedRead<'_> {\n\
-                 fn read(&mut self, buf: &mut [u8]) -> usize { self.stream.read(&mut buf[..]).unwrap() }\n\
-             }\n",
-        )],
+                 #[cfg(test)]\n\
+                 mod tests {\n\
+                     fn decode_bytes(p: &[u8]) -> u8 { p[0] }\n\
+                 }\n",
+            ),
+        ],
     );
     assert_quiet(&findings);
 }
@@ -470,47 +491,91 @@ fn atomics_relaxed_needs_no_comment() {
 
 // --- unsafe-hygiene -----------------------------------------------------
 
-#[test]
-fn unsafety_green_documented_and_fenced_is_quiet() {
-    let findings = run(
-        unsafety::check,
-        vec![
-            (
-                "crates/gpu/src/texture.rs",
-                "fn fetch(&self, i: usize) -> f32 {\n\
-                     // SAFETY: callers clamp i to texels.len() - 1.\n\
-                     unsafe { *self.texels.get_unchecked(i) }\n\
-                 }\n",
-            ),
-            ("crates/gpu/src/lib.rs", "pub mod texture;\n"),
-            (
-                "crates/obs/src/lib.rs",
-                "#![forbid(unsafe_code)]\npub mod metrics;\n",
-            ),
-        ],
-    );
-    assert_quiet(&findings);
+/// The deny at the root of a crate that has `unsafe`.
+const SAFETY_DENY: &str =
+    "#![deny(clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]\n";
+
+/// A crate with one documented `unsafe` block, its root `lib`.
+fn unsafe_crate(lib: &str) -> Vec<(&'static str, String)> {
+    vec![
+        (
+            "crates/gpu/src/texture.rs",
+            "fn fetch(&self, i: usize) -> f32 {\n\
+                 // SAFETY: callers clamp i to texels.len() - 1.\n\
+                 unsafe { *self.texels.get_unchecked(i) }\n\
+             }\n"
+            .to_string(),
+        ),
+        ("crates/gpu/src/lib.rs", lib.to_string()),
+    ]
+}
+
+fn run_owned(check: Check, files: &[(&str, String)]) -> Vec<Finding> {
+    run(
+        check,
+        files
+            .iter()
+            .map(|(path, text)| (*path, text.as_str()))
+            .collect(),
+    )
 }
 
 #[test]
+fn unsafety_green_documented_and_fenced_is_quiet() {
+    let mut files = unsafe_crate(&format!("{SAFETY_DENY}pub mod texture;\n"));
+    files.extend([
+        (
+            "crates/obs/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub mod metrics;\n".to_string(),
+        ),
+        (
+            "crates/bench/src/bin/paper/main.rs",
+            "#![forbid(unsafe_code)]\nfn main() {}\n".to_string(),
+        ),
+        // Not a crate root: a module needs no attribute of its own.
+        (
+            "crates/bench/src/bin/paper/report.rs",
+            "fn table() {}\n".to_string(),
+        ),
+    ]);
+    assert_quiet(&run_owned(unsafety::check, &files));
+}
+
+/// A root that denies only one of the two lints lets an `unsafe` without
+/// its `// SAFETY:` comment through clippy.
+#[test]
 fn unsafety_red_undocumented_unsafe_fires() {
-    let findings = run(
-        unsafety::check,
-        vec![(
-            "crates/gpu/src/texture.rs",
-            "fn fetch(&self, i: usize) -> f32 { unsafe { *self.texels.get_unchecked(i) } }\n",
-        )],
+    let files = unsafe_crate(
+        "#![deny(unsafe_code, clippy::unnecessary_safety_comment)]\npub mod texture;\n",
     );
-    assert_fires(&findings, unsafety::NAME, "SAFETY:");
+    let findings = run_owned(unsafety::check, &files);
+    assert_fires(
+        &findings,
+        unsafety::NAME,
+        "without a `// SAFETY:` comment would pass",
+    );
+    assert_eq!(findings.len(), 1, "{findings:#?}");
 }
 
 #[test]
 fn unsafety_red_missing_forbid_fires() {
     let findings = run(
         unsafety::check,
-        vec![("crates/obs/src/lib.rs", "pub mod metrics;\n")],
+        vec![
+            ("crates/obs/src/lib.rs", "pub mod metrics;\n"),
+            ("crates/bench/src/bin/obs_top.rs", "fn main() {}\n"),
+            (
+                "src/lib.rs",
+                "#![deny(clippy::undocumented_unsafe_blocks)]\n",
+            ),
+        ],
     );
     assert_fires(&findings, unsafety::NAME, "forbid(unsafe_code)");
+    assert_eq!(
+        findings.len(),
+        3,
+        "every root without unsafe: {findings:#?}"
+    );
 }
 
 // --- suppression --------------------------------------------------------

@@ -5,6 +5,16 @@
 //! rebalancer (or an operator reading a dashboard) starts from are views
 //! the client computes over those snapshots.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::time::Duration;
 
 use mgpu_obs::{names, Snapshot, HIST_BUCKETS};
@@ -159,6 +169,15 @@ fn strictly_ascending<T>(section: &str, entries: &[(String, T)]) -> Result<(), W
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod tests {
     use super::*;
     use crate::wire::tests::{pin, wire_contract};

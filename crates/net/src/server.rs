@@ -263,20 +263,6 @@ impl Conn {
         }
     }
 
-    /// Pull bytes until a full frame lands (`Ok(Some)`) or the socket runs
-    /// dry (`Ok(None)`).
-    fn read_frame(&mut self, max_payload: u64) -> Result<Option<(u8, u64, Vec<u8>)>, WireError> {
-        let mut socket = CountedRead {
-            stream: &self.stream,
-            bytes_read: &self.obs.bytes_read,
-        };
-        let frame = self.reader.read(&mut socket, max_payload)?;
-        if frame.is_some() {
-            self.obs.frames_in.inc();
-        }
-        Ok(frame)
-    }
-
     /// Write as much of `out` as the socket accepts, popping each frame
     /// once written. `Err(())` means the connection is dead.
     fn flush(&mut self, out: &mut VecDeque<OutFrame>) -> Result<(), ()> {
@@ -571,8 +557,16 @@ impl EventLoop {
             if session.closing {
                 return;
             }
-            match session.io.read_frame(self.max_payload) {
+            let io = &mut session.io;
+            let mut socket = CountedRead {
+                stream: &io.stream,
+                bytes_read: &io.obs.bytes_read,
+            };
+            // Pull bytes until a full frame lands (`Ok(Some)`) or the
+            // socket runs dry (`Ok(None)`).
+            match io.reader.read(&mut socket, self.max_payload) {
                 Ok(Some((tag, request_id, payload))) => {
+                    io.obs.frames_in.inc();
                     self.node
                         .frame(token, tag, request_id, &payload, Instant::now());
                 }

@@ -83,9 +83,11 @@
 //! the socket.
 //!
 //! Every decode error is a typed [`WireError`]; malformed and truncated
-//! input can never panic the peer (`mgpu-lint`'s `panic-free-decode` scans
-//! every `Wire::get`, every [`Reader`] and `FrameReader` method,
-//! [`parse_header`] and [`read_frame`] for anything that could).
+//! input can never panic the peer. This module denies clippy's seven panic
+//! lints (no `unwrap`, `expect`, panicking macro or direct index or slice
+//! outside its tests, encoders included), and `mgpu-lint`'s
+//! `panic-free-decode` keeps every decode item of `mgpu-net` in a file that
+//! does the same.
 //!
 //! ### Migration from v2
 //!
@@ -96,6 +98,16 @@
 //! answered with a typed [`Reply::UnsupportedVersion`] before the
 //! connection closes cleanly — a v2
 //! client sees an orderly refusal instead of a silent disconnect.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::borrow::Cow;
 use std::io::{IoSlice, Read, Write};
@@ -748,8 +760,10 @@ fn put_prelude(w: &mut Writer, opcode: u8, len: u32, request_id: u64) {
 /// A frame written into `w` behind a zero length field: the length of what
 /// followed the prelude, filled in.
 fn seal(mut w: Writer) -> Vec<u8> {
-    let len = (w.buf.len() - PRELUDE_BYTES) as u32;
-    w.buf[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    let len = w.buf.len().saturating_sub(PRELUDE_BYTES) as u32;
+    if let Some((prelude, _)) = w.buf.split_first_chunk_mut::<PRELUDE_BYTES>() {
+        prelude[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    }
     w.buf
 }
 
@@ -1698,6 +1712,15 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetFrame, WireError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub(crate) mod tests {
     use super::*;
     use mgpu_obs::{Snapshot, SpanRecord, HIST_BUCKETS};

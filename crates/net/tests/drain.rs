@@ -398,6 +398,30 @@ fn membership_changes_keep_parked_tickets_redeemable() {
     third.shutdown();
 }
 
+/// A ticket whose node has shut down is handed off: its connection is
+/// poisoned, not asked again, and the remembered request re-renders on
+/// the surviving node, bit-identically.
+#[test]
+fn a_ticket_on_a_lost_connection_is_handed_off() {
+    let mut servers = vec![node(), node()];
+    let pool = NodePool::try_new(
+        servers.iter().map(RenderServer::addr).collect(),
+        NodePoolConfig::default(),
+    )
+    .expect("two-node pool");
+    let req = request(Dataset::Skull, 5.0);
+    let ticket = pool.submit(req.clone()).expect("park a ticket");
+    servers.remove(ticket.node()).shutdown();
+
+    let frame = pool.redeem(ticket).expect("redeem hands off");
+    assert_eq!(*frame.image, direct(&req), "the hand-off is bit-identical");
+
+    drop(pool);
+    for server in servers {
+        server.shutdown();
+    }
+}
+
 /// The pool remembers each key's last request (for `PREWARM`) and each
 /// un-redeemed ticket's (for hand-off). A shipped volume's voxels ride in
 /// that request, so every record of it shares one allocation.
