@@ -4,7 +4,8 @@
 # start of a line — plus the workspace total, the same count over the
 # offline shims, the workspace's member count, the `thread::sleep` call
 # sites, the `unsafe` and thread-spawn sites, the `pub` fields of the
-# config-like structs and the public-API item count.
+# config-like structs, the `#[allow(clippy::…)]` attributes and the
+# public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -95,4 +96,23 @@ per_crate_row unsafe sites '(^|[^A-Za-z0-9_])unsafe[ \t]+(\{|fn[ \t]|impl[ \t<])
 # `thread::scope(`.
 per_crate_row threads sites 'thread::(Builder::new\(\)|spawn\(|scope\()'
 per_crate_row options options
+# Escapes from the clippy denies: the `#[allow(..)]` / `#![allow(..)]`
+# attributes that allow a `clippy::` lint, in the non-test lines above (an
+# attribute may span lines).
+clippy_allows() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1; attr = "" }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        !counting || /^[ \t]*\/\// { next }
+        attr == "" && /#!?\[allow\(/ { attr = " " }
+        attr != "" {
+            attr = attr $0
+            if (/\)\]/) {
+                if (attr ~ /clippy::/) n++
+                attr = ""
+            }
+        }
+        END { print n + 0 }'
+}
+per_crate_row allows clippy_allows
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

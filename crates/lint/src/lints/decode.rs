@@ -8,8 +8,8 @@
 //! holds one of these.
 
 use crate::diag::Diagnostics;
-use crate::lexer::{Tok, Token};
-use crate::lints::{ident, is_punct, not_denied};
+use crate::lexer::Token;
+use crate::lints::{ident, is_ident, is_punct, not_denied};
 use crate::source::{match_brace, Workspace};
 
 pub const NAME: &str = "panic-free-decode";
@@ -29,10 +29,10 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
     let mut codecs = Vec::new();
     for tokens in net.iter().map(|f| &f.tokens) {
         for i in 0..tokens.len() {
-            if ident(tokens.get(i)) == Some("macro_rules") && is_punct(tokens, i + 3, '{') {
+            if is_ident(tokens, i, "macro_rules") && is_punct(tokens, i + 3, '{') {
                 let body = &tokens[i + 3..=match_brace(tokens, i + 3)];
                 if !decode_items(body, &[]).is_empty() {
-                    codecs.extend(ident(tokens.get(i + 2)));
+                    codecs.extend(ident(tokens, i + 2));
                 }
             }
         }
@@ -54,11 +54,11 @@ pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
 fn decode_items(tokens: &[Token], codecs: &[&str]) -> Vec<(u32, String)> {
     let mut items = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        let item = match (ident(Some(t)), ident(tokens.get(i + 1))) {
+        let item = match (ident(tokens, i), ident(tokens, i + 1)) {
             (Some("Wire"), Some("for")) => "`impl Wire`".to_string(),
             (Some("impl"), _) => {
-                let header = tokens[i..].iter().take_while(|t| t.tok != Tok::Punct('{'));
-                let names: Vec<_> = header.filter_map(|t| ident(Some(t))).collect();
+                let header = (i..).take_while(|&k| k < tokens.len() && !is_punct(tokens, k, '{'));
+                let names: Vec<_> = header.filter_map(|k| ident(tokens, k)).collect();
                 match names.iter().find(|n| ["Reader", "FrameReader"].contains(n)) {
                     Some(ty) if !names.contains(&"for") => format!("`impl {ty}`"),
                     _ => continue,

@@ -39,16 +39,9 @@ pub fn run_all(ws: &Workspace) -> Diagnostics {
 
 /// Does token `i` start the path `a::b`? (Pattern `Ident(a) :: Ident(b)`.)
 pub(crate) fn path2<'t>(tokens: &'t [Token], i: usize, head: &str) -> Option<(&'t str, u32)> {
-    if !matches!(&tokens[i].tok, Tok::Ident(s) if s == head) {
-        return None;
-    }
-    if !(is_punct(tokens, i + 1, ':') && is_punct(tokens, i + 2, ':')) {
-        return None;
-    }
-    match tokens.get(i + 3).map(|t| &t.tok) {
-        Some(Tok::Ident(name)) => Some((name.as_str(), tokens[i + 3].line)),
-        _ => None,
-    }
+    let path =
+        is_ident(tokens, i, head) && is_punct(tokens, i + 1, ':') && is_punct(tokens, i + 2, ':');
+    Some((ident(tokens, i + 3).filter(|_| path)?, tokens[i + 3].line))
 }
 
 /// Which of `lints` the file's inner `#![deny(..)]` and `#![forbid(..)]`
@@ -59,17 +52,15 @@ pub(crate) fn not_denied<'l>(tokens: &[Token], lints: &[&'l str]) -> Vec<&'l str
     for i in 0..tokens.len() {
         let inner = is_punct(tokens, i, '#') && is_punct(tokens, i + 1, '!');
         if inner && (is_ident(tokens, i + 3, "deny") || is_ident(tokens, i + 3, "forbid")) {
-            for t in tokens
+            let attr = tokens
                 .iter()
                 .skip(i + 5)
-                .take_while(|t| t.tok != Tok::Punct(')'))
-            {
-                match &t.tok {
-                    Tok::Ident(part) => denied.push_str(part),
-                    Tok::Punct(c) => denied.push(*c),
-                    _ => {}
-                }
-            }
+                .take_while(|t| t.tok != Tok::Punct(')'));
+            denied.extend(attr.map(|t| match &t.tok {
+                Tok::Ident(part) => part.as_str(),
+                Tok::Punct(':') => ":",
+                _ => ",",
+            }));
             denied.push(',');
         }
     }
@@ -81,9 +72,9 @@ pub(crate) fn not_denied<'l>(tokens: &[Token], lints: &[&'l str]) -> Vec<&'l str
         .collect()
 }
 
-/// The name of an identifier token.
-pub(crate) fn ident(t: Option<&Token>) -> Option<&str> {
-    match t.map(|t| &t.tok) {
+/// The name of token `i`, if it is an identifier.
+pub(crate) fn ident(tokens: &[Token], i: usize) -> Option<&str> {
+    match tokens.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s),
         _ => None,
     }
@@ -94,7 +85,7 @@ pub(crate) fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
 }
 
 pub(crate) fn is_ident(tokens: &[Token], i: usize, name: &str) -> bool {
-    matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Ident(s)) if s == name)
+    ident(tokens, i) == Some(name)
 }
 
 /// Does `word` appear in `text` as a standalone word (neighbors are not
