@@ -96,9 +96,7 @@
 //!   store) before the first migrated frame arrives; that frame still
 //!   stages every brick.
 
-// Every `unsafe` block states why it is sound in a comment above it, and
-// no safe code carries such a comment (`mgpu-lint`'s `unsafe-hygiene` keeps
-// this deny at every root of a crate with `unsafe`).
+// `mgpu-lint`'s `unsafe-hygiene` keeps this deny at each root of a crate with `unsafe`.
 #![deny(clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]
 
 pub mod client;

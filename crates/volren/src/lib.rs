@@ -22,9 +22,7 @@
 //! direct-send or the binary swap of §6.1; either way the job runs once and
 //! only the replayed trace differs.
 
-// Every `unsafe` block states why it is sound in a comment above it, and
-// no safe code carries such a comment (`mgpu-lint`'s `unsafe-hygiene` keeps
-// this deny at every root of a crate with `unsafe`).
+// `mgpu-lint`'s `unsafe-hygiene` keeps this deny at each root of a crate with `unsafe`.
 #![deny(clippy::undocumented_unsafe_blocks, clippy::unnecessary_safety_comment)]
 // One exception, allowed at its site: `kernel`'s call of its AVX2 march
 // after detecting AVX2.
