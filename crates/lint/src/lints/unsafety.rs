@@ -1,6 +1,6 @@
 //! `unsafe-hygiene` — unsafe is rare, annotated, and fenced. Every crate
 //! root (`src/lib.rs`, `src/main.rs`, each `src/bin` target) of a crate
-//! with no `unsafe` at all declares `#![forbid(unsafe_code)]`; that of a
+//! with no `unsafe` at all forbids (or denies) `unsafe_code`; that of a
 //! crate with `unsafe` denies clippy's `SAFETY_LINTS`, so CI's clippy
 //! step rejects an `unsafe` block without a `// SAFETY:` comment stating
 //! why it is sound, and such a comment on safe code. Clippy checks the
