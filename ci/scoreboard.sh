@@ -4,8 +4,8 @@
 # start of a line — plus the workspace total, the same count over the
 # offline shims, the workspace's member count, the `thread::sleep` call
 # sites, the `unsafe` and thread-spawn sites, the `pub` fields of the
-# config-like structs, the `#[allow(clippy::…)]` attributes and the
-# public-API item count.
+# config-like structs, the `allow`/`expect` attributes naming a `clippy::`
+# lint and the public-API item count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -96,19 +96,20 @@ per_crate_row unsafe sites '(^|[^A-Za-z0-9_])unsafe[ \t]+(\{|fn[ \t]|impl[ \t<])
 # `thread::scope(`.
 per_crate_row threads sites 'thread::(Builder::new\(\)|spawn\(|scope\()'
 per_crate_row options options
-# Escapes from the clippy denies: the `#[allow(..)]` / `#![allow(..)]`
-# attributes that allow a `clippy::` lint, in the non-test lines above (an
+# Escapes from the clippy denies: the attributes that allow or expect a
+# `clippy::` lint — `#[allow(..)]`, `#![allow(..)]`, `#[expect(..)]` and
+# either inside a `#[cfg_attr(..)]` — in the non-test lines above (an
 # attribute may span lines).
 clippy_allows() {
     find "$1" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { counting = 1; attr = "" }
         /^#\[cfg\(test\)\]/ { counting = 0 }
         !counting || /^[ \t]*\/\// { next }
-        attr == "" && /#!?\[allow\(/ { attr = " " }
+        attr == "" && /#!?\[(allow|expect|cfg_attr)\(/ { attr = " " }
         attr != "" {
             attr = attr $0
             if (/\)\]/) {
-                if (attr ~ /clippy::/) n++
+                if (attr ~ /(allow|expect)\(/ && attr ~ /clippy::/) n++
                 attr = ""
             }
         }

@@ -6,6 +6,12 @@
 //! `Reader` or `FrameReader`, a `fn` named `decode…`, `parse_header` or
 //! `read_frame`, or an invocation of a `macro_rules!` codec whose body
 //! holds one of these.
+//!
+//! Clippy does not see into those codec bodies: `unwrap_used` and
+//! `expect_used` skip code a macro expands to, and `panic`/`unreachable`/
+//! `todo`/`unimplemented` look for the outermost macro call, which is the
+//! codec. So this lint bans those six names token by token inside every
+//! codec body. (`indexing_slicing` does fire in expanded code.)
 
 use crate::diag::Diagnostics;
 use crate::lexer::Token;
@@ -24,15 +30,37 @@ const PANIC_LINTS: [&str; 7] = [
     "clippy::unimplemented",
 ];
 
+/// What the panic lints other than `indexing_slicing` look for.
+const PANICKING_CALLS: [&str; 6] = [
+    "unwrap",
+    "expect",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
+
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
     let net: Vec<_> = ws.files.iter().filter(|f| f.krate == "net").collect();
     let mut codecs = Vec::new();
-    for tokens in net.iter().map(|f| &f.tokens) {
+    for file in &net {
+        let tokens = &file.tokens;
         for i in 0..tokens.len() {
             if is_ident(tokens, i, "macro_rules") && is_punct(tokens, i + 3, '{') {
                 let body = &tokens[i + 3..=match_brace(tokens, i + 3)];
-                if !decode_items(body, &[]).is_empty() {
-                    codecs.extend(ident(tokens, i + 2));
+                if decode_items(body, &[]).is_empty() || file.in_test_region(tokens[i].line) {
+                    continue;
+                }
+                let codec = ident(tokens, i + 2).unwrap_or_default();
+                codecs.push(codec);
+                for (k, t) in body.iter().enumerate() {
+                    if let Some(id) = ident(body, k).filter(|id| PANICKING_CALLS.contains(id)) {
+                        let message = format!(
+                            "`{id}` in the body of codec `{codec}!`, where clippy's panic \
+                             lints do not look"
+                        );
+                        diag.report(file, t.line, NAME, message);
+                    }
                 }
             }
         }

@@ -39,30 +39,43 @@ pub fn run_all(ws: &Workspace) -> Diagnostics {
 
 /// Does token `i` start the path `a::b`? (Pattern `Ident(a) :: Ident(b)`.)
 pub(crate) fn path2<'t>(tokens: &'t [Token], i: usize, head: &str) -> Option<(&'t str, u32)> {
-    let path =
-        is_ident(tokens, i, head) && is_punct(tokens, i + 1, ':') && is_punct(tokens, i + 2, ':');
-    Some((ident(tokens, i + 3).filter(|_| path)?, tokens[i + 3].line))
+    if !matches!(&tokens[i].tok, Tok::Ident(s) if s == head) {
+        return None;
+    }
+    if !(is_punct(tokens, i + 1, ':') && is_punct(tokens, i + 2, ':')) {
+        return None;
+    }
+    match tokens.get(i + 3).map(|t| &t.tok) {
+        Some(Tok::Ident(name)) => Some((name.as_str(), tokens[i + 3].line)),
+        _ => None,
+    }
 }
 
-/// Which of `lints` the file's inner `#![deny(..)]` and `#![forbid(..)]`
-/// attributes leave out, each written as in the attribute (`unsafe_code`,
-/// `clippy::panic`).
+/// Which of `lints` the file's module-level `#![deny(..)]` and
+/// `#![forbid(..)]` attributes leave out, each written as in the attribute
+/// (`unsafe_code`, `clippy::panic`). Only the inner attributes that open
+/// the file count: one further down belongs to a nested module or block,
+/// and covers nothing outside it.
 pub(crate) fn not_denied<'l>(tokens: &[Token], lints: &[&'l str]) -> Vec<&'l str> {
     let mut denied = String::new();
-    for i in 0..tokens.len() {
-        let inner = is_punct(tokens, i, '#') && is_punct(tokens, i + 1, '!');
-        if inner && (is_ident(tokens, i + 3, "deny") || is_ident(tokens, i + 3, "forbid")) {
-            let attr = tokens
-                .iter()
-                .skip(i + 5)
-                .take_while(|t| t.tok != Tok::Punct(')'));
-            denied.extend(attr.map(|t| match &t.tok {
-                Tok::Ident(part) => part.as_str(),
-                Tok::Punct(':') => ":",
-                _ => ",",
-            }));
+    let mut i = 0;
+    while is_punct(tokens, i, '#') && is_punct(tokens, i + 1, '!') {
+        // The first `]` closes the attribute; a `[` nested inside one only
+        // ends the walk early, which can add findings but never hide one.
+        let end = (i..tokens.len())
+            .find(|&k| is_punct(tokens, k, ']'))
+            .unwrap_or(tokens.len());
+        if is_ident(tokens, i + 3, "deny") || is_ident(tokens, i + 3, "forbid") {
+            denied.extend(tokens.get(i + 4..end).unwrap_or_default().iter().map(
+                |t| match &t.tok {
+                    Tok::Ident(part) => part.as_str(),
+                    Tok::Punct(':') => ":",
+                    _ => ",",
+                },
+            ));
             denied.push(',');
         }
+        i = end + 1;
     }
     let denied: Vec<&str> = denied.split(',').collect();
     lints
@@ -85,7 +98,7 @@ pub(crate) fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
 }
 
 pub(crate) fn is_ident(tokens: &[Token], i: usize, name: &str) -> bool {
-    ident(tokens, i) == Some(name)
+    matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Ident(s)) if s == name)
 }
 
 /// Does `word` appear in `text` as a standalone word (neighbors are not

@@ -347,6 +347,60 @@ fn decode_red_reader_methods_and_macro_generated_gets_fire() {
     assert_eq!(findings.len(), 2, "{findings:#?}");
 }
 
+/// Clippy's `unwrap_used`/`expect_used` skip macro-expanded code and its
+/// `panic`-family lints see only the codec call, so the deny alone would
+/// let these through.
+#[test]
+fn decode_red_panics_inside_a_codec_body_fire_under_the_deny() {
+    let wire = format!(
+        "{PANIC_DENY}macro_rules! wire_struct {{\n\
+             ($ty:path {{ $($field:ident),+ }}) => {{\n\
+                 impl $crate::wire::Wire for $ty {{\n\
+                     fn get(r: &mut Reader) -> Result<Self, WireError> {{\n\
+                         Ok(Self {{ $($field: Wire::get(r).expect(\"short\")),+ }})\n\
+                     }}\n\
+                 }}\n\
+             }};\n\
+         }}\n\
+         macro_rules! wire_enum {{\n\
+             ($ty:ident) => {{\n\
+                 impl Wire for $ty {{\n\
+                     fn get(r: &mut Reader) -> Result<Self, WireError> {{ unreachable!() }}\n\
+                 }}\n\
+             }};\n\
+         }}\n\
+         macro_rules! bytes {{ ($n:expr) => {{ [0u8; $n].first().unwrap() }}; }}\n\
+         wire_struct!(Snapshot {{ n }});\n"
+    );
+    let findings = run(decode::check, vec![("crates/net/src/wire.rs", &wire)]);
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`expect` in the body of codec `wire_struct!`",
+    );
+    assert_fires(
+        &findings,
+        decode::NAME,
+        "`unreachable` in the body of codec `wire_enum!`",
+    );
+    // `bytes!` holds no decode item: clippy's `unwrap_used` misses it too,
+    // but it is no codec, as under the old body checks.
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+}
+
+/// An inner deny inside a nested module covers that module only.
+#[test]
+fn decode_red_deny_in_a_nested_module_does_not_cover_the_file() {
+    let heat = format!(
+        "mod inner {{\n{PANIC_DENY}}}\n\
+         impl Wire for Snapshot {{\n\
+             fn get(r: &mut Reader) -> Result<Self, WireError> {{ Ok(Snapshot {{ n: r.u8()? }}) }}\n\
+         }}\n"
+    );
+    let findings = run(decode::check, vec![("crates/net/src/heat.rs", &heat)]);
+    assert_fires(&findings, decode::NAME, "`impl Wire` decodes");
+}
+
 #[test]
 fn decode_red_frame_reader_methods_fire() {
     let findings = run(
