@@ -10,7 +10,7 @@
 //! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |
 //! | `atomic-ordering` | every non-`Relaxed` ordering carries a justification comment |
-//! | `panic-free-decode` | every `net` file that decodes denies clippy's seven panic lints |
+//! | `panic-free-decode` | every `net` file that decodes denies clippy's seven panic lints; no codec macro body names a panicking call |
 //! | `unsafe-hygiene` | every crate root forbids `unsafe_code`, or has `unsafe` and denies clippy's two `SAFETY:` lints |
 
 pub mod atomics;
