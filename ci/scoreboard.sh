@@ -5,7 +5,8 @@
 # offline shims, the workspace's member count, the `thread::sleep` call
 # sites, the `unsafe` and thread-spawn sites, the `pub` fields of the
 # config-like structs, the `allow`/`expect` attributes naming a `clippy::`
-# lint and the public-API item count.
+# lint, the metric table's entries per namespace and the public-API item
+# count.
 # Informational (never fails): a simplicity change reads its line-count
 # criteria off this instead of counting by hand.
 #
@@ -116,4 +117,10 @@ clippy_allows() {
         END { print n + 0 }'
 }
 per_crate_row allows clippy_allows
+# The metric table's entries (the `kind CONST = "namespace.…";` lines of
+# `mgpu_obs::names`), per namespace, most first.
+metrics=$(sed -nE 's/^[ \t]*(counter|gauge|histogram) [A-Z0-9_]+ = "([a-z0-9_]+)\..*/\2/p' \
+    crates/obs/src/names.rs | sort | uniq -c | sort -k1,1nr -k2,2)
+printf '%-12s %6d  (%s)\n' metrics "$(awk '{ n += $1 } END { print n + 0 }' <<<"$metrics")" \
+    "$(awk '{ printf "%s%s %d", (NR > 1 ? ", " : ""), $2, $1 }' <<<"$metrics")"
 printf '%-12s %6d\n' api-surface "$(wc -l < ci/api-surface.txt)"

@@ -54,16 +54,4 @@ impl Diagnostics {
             message,
         });
     }
-
-    /// Report a violation with no single source site (e.g. "metric never
-    /// documented in README"): attributed to `file` at `line` anyway so
-    /// every finding is clickable, but never suppressible by a comment.
-    pub fn report_global(&mut self, file: PathBuf, line: u32, lint: &'static str, message: String) {
-        self.findings.push(Finding {
-            file,
-            line,
-            lint,
-            message,
-        });
-    }
 }

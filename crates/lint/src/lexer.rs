@@ -375,27 +375,6 @@ impl Lexer {
     }
 }
 
-/// Parse a numeric literal as produced by the lexer into a `u64`,
-/// honoring `0x`/`0o`/`0b` prefixes, `_` separators and type suffixes
-/// (`0x8Eu8` → `0x8E`).
-pub(crate) fn parse_u64(lit: &str) -> Option<u64> {
-    let clean: String = lit.chars().filter(|&c| c != '_').collect();
-    let (radix, digits) = match clean.get(..2) {
-        Some("0x") | Some("0X") => (16, &clean[2..]),
-        Some("0o") | Some("0O") => (8, &clean[2..]),
-        Some("0b") | Some("0B") => (2, &clean[2..]),
-        _ => (10, clean.as_str()),
-    };
-    // Strip a trailing type suffix (u8, u16, usize ... or i-forms).
-    let digits = digits
-        .find(|c: char| !c.is_digit(radix))
-        .map_or(digits, |i| &digits[..i]);
-    if digits.is_empty() {
-        return None;
-    }
-    u64::from_str_radix(digits, radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,13 +420,5 @@ mod tests {
             .count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 1);
-    }
-
-    #[test]
-    fn parse_u64_handles_prefixes_and_suffixes() {
-        assert_eq!(parse_u64("0x8E"), Some(0x8E));
-        assert_eq!(parse_u64("0x8Eu8"), Some(0x8E));
-        assert_eq!(parse_u64("1_000"), Some(1000));
-        assert_eq!(parse_u64("0b101"), Some(5));
     }
 }

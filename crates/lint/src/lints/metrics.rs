@@ -1,338 +1,131 @@
-//! `metric-registry` — the metric namespace.
+//! `metric-registry` — the metric namespace against its one table.
 //!
-//! Every instrument the stack registers (`counter(..)`, `gauge(..)`,
-//! `histogram(..)`) shares one flat name space that the `obs_top`
-//! dashboard, STATS consumers and the `perf/` benchmark all read by string.
-//! This lint keeps that namespace honest:
+//! `mgpu_obs::names` declares every metric once, in its `metrics!` table
+//! (`counter NET_BYTES_READ = "net.bytes_read";`), and its unit tests hold
+//! each name to the `namespace.lowercase_dot` convention and unique. What
+//! the table cannot see is its users. Outside test modules:
 //!
-//! 1. names follow the `crate.` prefix + lowercase-dot convention
-//!    (`serve.frames_rendered`, `pool.rebalance.ticks`);
-//! 2. one name, one instrument type — `counter("x")` in one file and
-//!    `histogram("x")` in another is a data bug, not a style issue;
-//! 3. every metric-shaped name the `mgpu-bench` crate (the dashboard
-//!    side) reads exists at a registration site in the serving crates;
-//! 4. the full registered set matches the blessed `ci/metrics.txt`
-//!    snapshot — additions and removals land only together with a
-//!    deliberate `mgpu-lint --update`.
-//!
-//! Name arguments resolve through the shared `mgpu_obs::names` consts as
-//! well as string literals, so centralized registration sites stay
-//! visible to the lint.
+//! 1. every `counter(..)`/`gauge(..)`/`histogram(..)` call whose argument
+//!    is a table const uses the kind the table declares for it;
+//! 2. no file but `names.rs` spells a metric name as a string literal, and
+//!    no instrument call takes its name as one — a registration, or a
+//!    dashboard read, goes through the table's const. The namespaces are
+//!    the table's first segments;
+//! 3. every declared name is registered somewhere outside `mgpu-bench`
+//!    (the `obs_top` dashboard only reads).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Diagnostics;
-use crate::lexer::Tok;
-use crate::lints::is_ident;
-use crate::source::{SourceFile, Workspace};
+use crate::lexer::{Tok, Token};
+use crate::lints::{is_ident, is_punct};
+use crate::source::Workspace;
 
 pub const NAME: &str = "metric-registry";
 
-/// First path segment a metric name may use. `pool.*` lives in
-/// `mgpu-net` but names the NodePool subsystem, `core.*` is
-/// `mgpu-mapreduce`'s; the rest map to crates.
-pub(crate) const NAMESPACES: &[&str] = &["serve", "net", "volren", "pool", "gpu", "core", "obs"];
-
 const INSTRUMENTS: &[&str] = &["counter", "gauge", "histogram"];
 
-/// One `counter("…")`-style site with its resolved name.
-#[derive(Debug, Clone)]
-struct Site {
-    instrument: &'static str,
-    name: String,
-    line: u32,
-}
-
 pub fn check(ws: &Workspace, diag: &mut Diagnostics) {
-    let consts = named_consts(ws);
+    let Some(names) = ws.file_ending("obs/src/names.rs") else {
+        return; // no metric table in this tree
+    };
+    let table = table(&names.tokens);
+    let namespaces: BTreeSet<&str> = table
+        .values()
+        .filter_map(|(_, value, _)| Some(value.split_once('.')?.0))
+        .collect();
+    let mut unregistered: BTreeSet<&str> = table.keys().map(String::as_str).collect();
 
-    // Convention check on the names module itself, so a bad const value
-    // is flagged where it is written, not where it is used.
-    if let Some(names_file) = ws.file_ending("obs/src/names.rs") {
-        for (value, line) in consts.values() {
-            if let Some(why) = convention_violation(value) {
-                diag.report(
-                    names_file,
-                    *line,
-                    NAME,
-                    format!("metric name {value:?} {why}"),
-                );
+    for file in ws.files.iter().filter(|f| !std::ptr::eq(*f, names)) {
+        let tokens = &file.tokens;
+        for (i, t) in tokens.iter().enumerate() {
+            if file.in_test_region(t.line) {
+                continue; // unit tests register throwaway names freely
             }
-        }
-    }
-
-    let mut registered: BTreeMap<String, (&'static str, String, u32)> = BTreeMap::new();
-    let mut reads: Vec<(usize, Site)> = Vec::new();
-
-    for (idx, file) in ws.files.iter().enumerate() {
-        let dashboard_side = file.krate == "bench";
-        for site in call_sites(file, &consts) {
-            if let Some(why) = convention_violation(&site.name) {
-                diag.report(
-                    file,
-                    site.line,
-                    NAME,
-                    format!("metric name {:?} {why}", site.name),
-                );
-            }
-            if dashboard_side {
-                reads.push((idx, site));
+            if let Tok::Str(s) = &t.tok {
+                if metric_shaped(s, &namespaces) {
+                    let why =
+                        format!("metric name {s:?} spelled as a literal: use its `names::` const");
+                    diag.report(file, t.line, NAME, why);
+                }
                 continue;
             }
-            match registered.get(&site.name) {
-                Some((instrument, first_file, first_line)) if *instrument != site.instrument => {
-                    diag.report(
-                        file,
-                        site.line,
-                        NAME,
-                        format!(
-                            "{:?} registered as {} here but as {} at {}:{} — one name, \
-                             one instrument type",
-                            site.name, site.instrument, instrument, first_file, first_line
-                        ),
-                    );
-                }
-                Some(_) => {}
-                None => {
-                    registered.insert(
-                        site.name.clone(),
-                        (site.instrument, file.rel.display().to_string(), site.line),
-                    );
-                }
+            let Some(kind) = INSTRUMENTS.iter().find(|k| is_ident(tokens, i, k)) else {
+                continue;
+            };
+            if !is_punct(tokens, i + 1, '(')
+                || i.checked_sub(1).is_some_and(|p| is_ident(tokens, p, "fn"))
+            {
+                continue; // not a call, or a declaration
             }
-        }
-        // The dashboard also names metrics in plain string literals
-        // (format strings aside, any dotted name in a known namespace).
-        if dashboard_side {
-            for t in &file.tokens {
-                if let Tok::Str(s) = &t.tok {
-                    if looks_like_metric(s) {
-                        reads.push((
-                            idx,
-                            Site {
-                                instrument: "counter", // irrelevant for reads
-                                name: s.clone(),
-                                line: t.line,
-                            },
-                        ));
+            match argument(tokens, i + 2) {
+                Some(Tok::Str(s)) if !metric_shaped(s, &namespaces) => {
+                    let why = format!(
+                        "`{kind}({s:?})` names its metric by a literal: declare it in names.rs"
+                    );
+                    diag.report(file, t.line, NAME, why);
+                }
+                Some(Tok::Ident(konst)) => {
+                    let Some((declared, _, _)) = table.get(konst) else {
+                        continue; // a variable, not a table const
+                    };
+                    if declared != kind {
+                        let why = format!(
+                            "`{kind}(names::{konst})`, but the table declares it a {declared}"
+                        );
+                        diag.report(file, t.line, NAME, why);
+                    }
+                    if file.krate != "bench" {
+                        unregistered.remove(konst.as_str());
                     }
                 }
+                _ => {}
             }
         }
     }
 
-    for (idx, read) in &reads {
-        if !registered.contains_key(&read.name) {
-            diag.report(
-                &ws.files[*idx],
-                read.line,
-                NAME,
-                format!(
-                    "dashboard reads metric {:?} but nothing registers it",
-                    read.name
-                ),
-            );
-        }
-    }
-
-    // Blessed-set diff.
-    let current = blessed_text(&registered);
-    match &ws.blessed_metrics {
-        None => {
-            if !registered.is_empty() {
-                diag.report_global(
-                    "ci/metrics.txt".into(),
-                    1,
-                    NAME,
-                    format!(
-                        "ci/metrics.txt is missing; bless the {} registered metrics with \
-                         `mgpu-lint --update`",
-                        registered.len()
-                    ),
-                );
-            }
-        }
-        Some(blessed) if blessed.trim() != current.trim() => {
-            for line in diff_lines(blessed, &current) {
-                diag.report_global("ci/metrics.txt".into(), 1, NAME, line);
-            }
-        }
-        Some(_) => {}
+    for konst in unregistered {
+        let (_, value, line) = &table[konst];
+        let why = format!("{value:?} is declared but nothing outside mgpu-bench registers it");
+        diag.report(names, *line, NAME, why);
     }
 }
 
-/// The canonical `ci/metrics.txt` body for the current tree: one
-/// `instrument name` pair per line, sorted by name.
-pub fn current_blessed(ws: &Workspace) -> String {
-    let consts = named_consts(ws);
-    let mut registered: BTreeMap<String, (&'static str, String, u32)> = BTreeMap::new();
-    for file in &ws.files {
-        if file.krate == "bench" {
-            continue;
+/// The `metrics!` table: `kind CONST = "name";` entries, by const.
+fn table(tokens: &[Token]) -> BTreeMap<String, (String, String, u32)> {
+    let entry = |w: &[Token]| match [&w[0].tok, &w[1].tok, &w[2].tok, &w[3].tok, &w[4].tok] {
+        [Tok::Ident(kind), Tok::Ident(konst), Tok::Punct('='), Tok::Str(value), Tok::Punct(';')] => {
+            Some((konst.clone(), (kind.clone(), value.clone(), w[3].line)))
         }
-        for site in call_sites(file, &consts) {
-            registered
-                .entry(site.name.clone())
-                .or_insert((site.instrument, String::new(), 0));
-        }
-    }
-    blessed_text(&registered)
-}
-
-fn blessed_text(registered: &BTreeMap<String, (&'static str, String, u32)>) -> String {
-    let mut out = String::from(
-        "# Blessed metric namespace: `instrument name`, sorted. Regenerate with\n\
-         # `cargo run -p mgpu-lint -- --update` when metrics are added or removed.\n",
-    );
-    for (name, (instrument, _, _)) in registered {
-        out.push_str(&format!("{instrument} {name}\n"));
-    }
-    out
-}
-
-fn diff_lines(blessed: &str, current: &str) -> Vec<String> {
-    let b: Vec<&str> = blessed.lines().filter(|l| !l.starts_with('#')).collect();
-    let c: Vec<&str> = current.lines().filter(|l| !l.starts_with('#')).collect();
-    let mut out = Vec::new();
-    for line in &c {
-        if !b.contains(line) && !line.trim().is_empty() {
-            out.push(format!(
-                "metric `{line}` is registered but not blessed in ci/metrics.txt — \
-                 run `mgpu-lint --update`"
-            ));
-        }
-    }
-    for line in &b {
-        if !c.contains(line) && !line.trim().is_empty() {
-            out.push(format!(
-                "blessed metric `{line}` is no longer registered anywhere — \
-                 run `mgpu-lint --update`"
-            ));
-        }
-    }
-    if out.is_empty() {
-        out.push("ci/metrics.txt is stale (ordering/formatting) — run `mgpu-lint --update`".into());
-    }
-    out
-}
-
-/// `pub const IDENT: &str = "value";` declarations in `obs/src/names.rs`.
-fn named_consts(ws: &Workspace) -> BTreeMap<String, (String, u32)> {
-    let mut map = BTreeMap::new();
-    let Some(file) = ws.file_ending("obs/src/names.rs") else {
-        return map;
+        _ => None,
     };
-    let tokens = &file.tokens;
-    let mut i = 0;
-    while i + 2 < tokens.len() {
-        if is_ident(tokens, i, "const") {
-            if let Some(Tok::Ident(ident)) = tokens.get(i + 1).map(|t| &t.tok) {
-                // Find the string value before the `;`.
-                let mut j = i + 2;
-                while j < tokens.len() && !matches!(tokens[j].tok, Tok::Punct(';')) {
-                    if let Tok::Str(value) = &tokens[j].tok {
-                        map.insert(ident.clone(), (value.clone(), tokens[j].line));
-                        break;
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-        }
-        i += 1;
-    }
-    map
+    tokens.windows(5).filter_map(entry).collect()
 }
 
-/// All `counter(..)`/`gauge(..)`/`histogram(..)` calls in non-test code
-/// whose name argument is a string literal or a resolvable
-/// `names::CONST` path. Declarations (`fn counter(...)`) are skipped.
-fn call_sites(file: &SourceFile, consts: &BTreeMap<String, (String, u32)>) -> Vec<Site> {
-    let tokens = &file.tokens;
-    let mut sites = Vec::new();
-    for i in 0..tokens.len() {
-        let Some(instrument) = INSTRUMENTS.iter().find(|m| is_ident(tokens, i, m)).copied() else {
-            continue;
-        };
-        if !matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-            continue;
-        }
-        if i > 0 && is_ident(tokens, i - 1, "fn") {
-            continue; // a declaration, not a call
-        }
-        if file.in_test_region(tokens[i].line) {
-            continue; // unit tests register throwaway names freely
-        }
-        // Resolve the first argument: a literal, or a path ending in a
-        // known const ident.
-        let mut j = i + 2;
-        let mut last_ident: Option<&str> = None;
-        let name = loop {
-            match tokens.get(j).map(|t| &t.tok) {
-                Some(Tok::Str(s)) => break Some(s.clone()),
-                Some(Tok::Ident(s)) => {
-                    last_ident = Some(s);
-                    j += 1;
-                }
-                Some(Tok::Punct(':')) => j += 1,
-                _ => {
-                    break last_ident
-                        .and_then(|ident| consts.get(ident))
-                        .map(|(value, _)| value.clone())
-                }
-            }
-        };
-        if let Some(name) = name {
-            sites.push(Site {
-                instrument: match instrument {
-                    "counter" => "counter",
-                    "gauge" => "gauge",
-                    _ => "histogram",
-                },
-                name,
-                line: tokens[i].line,
-            });
+/// The first argument of a call whose `(` precedes `at`: a string literal,
+/// or the last segment of a path (`names::NET_BYTES_READ` →
+/// `NET_BYTES_READ`).
+fn argument(tokens: &[Token], at: usize) -> Option<&Tok> {
+    let mut last = None;
+    for t in tokens.get(at..)? {
+        match &t.tok {
+            Tok::Str(_) if last.is_none() => return Some(&t.tok),
+            Tok::Ident(_) => last = Some(&t.tok),
+            Tok::Punct(':') => {}
+            _ => break,
         }
     }
-    sites
+    last
 }
 
-/// `None` if `name` conforms; otherwise why it does not.
-fn convention_violation(name: &str) -> Option<&'static str> {
-    let mut segments = name.split('.');
-    let first = segments.next().unwrap_or("");
-    if !NAMESPACES.contains(&first) {
-        return Some(
-            "must start with a known namespace segment \
-             (serve/net/volren/pool/gpu/core/obs) followed by a dot",
-        );
-    }
-    let rest: Vec<&str> = segments.collect();
-    if rest.is_empty() {
-        return Some("needs at least one dot-separated segment after the namespace");
-    }
-    for seg in rest {
-        let mut chars = seg.chars();
-        let head_ok = chars.next().is_some_and(|c| c.is_ascii_lowercase());
-        if !head_ok
-            || !seg
+/// Is this literal shaped like a metric name: a table namespace, a dot, and
+/// name characters? (`serve.frames_rendered` yes, `fig3.csv` no.)
+fn metric_shaped(s: &str, namespaces: &BTreeSet<&str>) -> bool {
+    s.split_once('.').is_some_and(|(namespace, rest)| {
+        namespaces.contains(namespace)
+            && !rest.is_empty()
+            && rest
                 .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        {
-            return Some("segments must be lowercase snake_case (`[a-z][a-z0-9_]*`)");
-        }
-    }
-    None
-}
-
-/// Is this string literal shaped like a metric name in a known
-/// namespace? (`serve.frames_rendered` yes, `fig3.csv` no.)
-fn looks_like_metric(s: &str) -> bool {
-    let Some((first, rest)) = s.split_once('.') else {
-        return false;
-    };
-    NAMESPACES.contains(&first)
-        && !rest.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '.')
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+    })
 }

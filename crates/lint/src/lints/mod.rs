@@ -6,8 +6,7 @@
 //!
 //! | lint name | invariant |
 //! |---|---|
-//! | `wire-conformance` | every `Request`/`Reply` variant and its tag appear on one line of the README |
-//! | `metric-registry` | metric-name convention, type consistency, dashboard reads, blessed set |
+//! | `metric-registry` | every call uses its metric's declared kind; no metric name as a literal; every declared name registered |
 //! | `lock-order` | no cyclic held-while-acquiring lock order |
 //! | `atomic-ordering` | every non-`Relaxed` ordering carries a justification comment |
 //! | `panic-free-decode` | every `net` file that decodes denies clippy's seven panic lints; no codec macro body names a panicking call |
@@ -18,7 +17,6 @@ pub mod decode;
 pub mod locks;
 pub mod metrics;
 pub mod unsafety;
-pub mod wire;
 
 use crate::diag::Diagnostics;
 use crate::lexer::{Tok, Token};
@@ -27,7 +25,6 @@ use crate::source::Workspace;
 /// Run every lint over the workspace.
 pub fn run_all(ws: &Workspace) -> Diagnostics {
     let mut diag = Diagnostics::new();
-    wire::check(ws, &mut diag);
     metrics::check(ws, &mut diag);
     decode::check(ws, &mut diag);
     locks::check(ws, &mut diag);
@@ -99,26 +96,4 @@ pub(crate) fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
 
 pub(crate) fn is_ident(tokens: &[Token], i: usize, name: &str) -> bool {
     matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Ident(s)) if s == name)
-}
-
-/// Does `word` appear in `text` as a standalone word (neighbors are not
-/// `[A-Za-z0-9_]`)? Used for README documentation checks.
-pub(crate) fn contains_word(text: &str, word: &str) -> bool {
-    let bytes = text.as_bytes();
-    let mut from = 0;
-    while let Some(at) = text[from..].find(word) {
-        let start = from + at;
-        let end = start + word.len();
-        let left_ok = start == 0 || !is_word_byte(bytes[start - 1]);
-        let right_ok = end == bytes.len() || !is_word_byte(bytes[end]);
-        if left_ok && right_ok {
-            return true;
-        }
-        from = start + 1;
-    }
-    false
-}
-
-fn is_word_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }

@@ -1,12 +1,11 @@
 //! CLI for the project-invariant analyzer.
 //!
 //! ```text
-//! mgpu-lint [--check] [--update] [--root DIR] [--report FILE]
+//! mgpu-lint [--check] [--root DIR] [--report FILE]
 //! ```
 //!
-//! `--check` (the default) runs all six lints and exits non-zero on any
-//! finding. `--update` re-blesses `ci/metrics.txt` from the current tree
-//! first, then checks. `--report` additionally writes the findings to a
+//! `--check` (the default) runs all five lints and exits non-zero on any
+//! finding. `--report` additionally writes the findings to a
 //! file (CI uploads it as an artifact). With no `--root`, the workspace
 //! root is found by walking up from the current directory to the first
 //! `Cargo.toml` that declares `[workspace]`.
@@ -18,22 +17,19 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mgpu_lint::lints::metrics;
 use mgpu_lint::{run_all, Workspace};
 
 fn main() -> ExitCode {
-    let mut update = false;
     let mut root: Option<PathBuf> = None;
     let mut report: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => {}
-            "--update" => update = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--report" => report = args.next().map(PathBuf::from),
             "--help" | "-h" => {
-                eprintln!("usage: mgpu-lint [--check] [--update] [--root DIR] [--report FILE]");
+                eprintln!("usage: mgpu-lint [--check] [--root DIR] [--report FILE]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -51,28 +47,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut ws = match Workspace::load(&root) {
+    let ws = match Workspace::load(&root) {
         Ok(ws) => ws,
         Err(err) => {
             eprintln!("mgpu-lint: failed to read {}: {err}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if update {
-        let blessed = metrics::current_blessed(&ws);
-        let path = root.join("ci").join("metrics.txt");
-        if let Err(err) = fs::write(&path, &blessed) {
-            eprintln!("mgpu-lint: failed to write {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "blessed {} metrics into {}",
-            blessed.lines().filter(|l| !l.starts_with('#')).count(),
-            path.display()
-        );
-        ws.blessed_metrics = Some(blessed);
-    }
 
     let diag = run_all(&ws);
     let mut out = String::new();

@@ -3,8 +3,7 @@
 //! `#[cfg(test)] mod` line ranges).
 //!
 //! Scope is deliberate: the lints read **non-test source** — every `.rs`
-//! under `crates/*/src/` plus the facade's `src/` — and two side files the
-//! wire lint needs, `README.md` and `ci/metrics.txt`. Test trees, the
+//! under `crates/*/src/` plus the facade's `src/`. Test trees, the
 //! `shims/` stand-ins for registry crates, and anything under a
 //! `fixtures/` directory (the analyzer's own red/green test inputs) are
 //! out of scope; invariants there are enforced by the tests themselves.
@@ -186,12 +185,7 @@ pub(crate) fn match_brace(tokens: &[Token], open: usize) -> usize {
 /// The analyzer's view of the workspace.
 #[derive(Debug)]
 pub struct Workspace {
-    pub root: PathBuf,
     pub files: Vec<SourceFile>,
-    /// `README.md` text, if present (the wire lint's documentation check).
-    pub readme: Option<String>,
-    /// Blessed metric list (`ci/metrics.txt`), if present.
-    pub blessed_metrics: Option<String>,
 }
 
 impl Workspace {
@@ -226,36 +220,17 @@ impl Workspace {
             let text = fs::read_to_string(&path)?;
             files.push(SourceFile::parse(rel.clone(), crate_of(&rel), &text));
         }
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            readme: fs::read_to_string(root.join("README.md")).ok(),
-            blessed_metrics: fs::read_to_string(root.join("ci").join("metrics.txt")).ok(),
-        })
+        Ok(Workspace { files })
     }
 
     /// Build a workspace from in-memory files — the red/green fixture
-    /// path. Paths are workspace-relative; `README.md` and
-    /// `ci/metrics.txt` entries are routed to their side channels.
+    /// path. Paths are workspace-relative.
     pub fn from_files(files: Vec<(&str, &str)>) -> Workspace {
-        let mut ws = Workspace {
-            root: PathBuf::new(),
-            files: Vec::new(),
-            readme: None,
-            blessed_metrics: None,
-        };
-        for (path, text) in files {
-            if path == "README.md" {
-                ws.readme = Some(text.to_string());
-            } else if path == "ci/metrics.txt" {
-                ws.blessed_metrics = Some(text.to_string());
-            } else {
-                let rel = PathBuf::from(path);
-                ws.files
-                    .push(SourceFile::parse(rel.clone(), crate_of(&rel), text));
-            }
-        }
-        ws
+        let files = files
+            .into_iter()
+            .map(|(path, text)| SourceFile::parse(path.into(), crate_of(Path::new(path)), text))
+            .collect();
+        Workspace { files }
     }
 
     /// The file whose relative path ends with `suffix` (e.g.

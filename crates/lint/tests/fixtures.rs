@@ -3,7 +3,7 @@
 //! corrected twin (green). Each test drives one lint directly so a
 //! fixture minimal for lint A doesn't drown in findings from lint B.
 
-use mgpu_lint::lints::{atomics, decode, locks, metrics, unsafety, wire};
+use mgpu_lint::lints::{atomics, decode, locks, metrics, unsafety};
 use mgpu_lint::{Diagnostics, Finding, Workspace};
 
 type Check = fn(&Workspace, &mut Diagnostics);
@@ -31,181 +31,185 @@ fn assert_quiet(findings: &[Finding]) {
     );
 }
 
-// --- wire-conformance ---------------------------------------------------
-
-/// Both message enums as `wire.rs` declares them, one tag through a
-/// constant.
-const WIRE_OK: &str = r#"
-messages! {
-    /// Requests.
-    #[derive(Debug)]
-    pub enum Request<'a> {
-        /// A probe.
-        Ping(token: u64) = 0x01,
-        Render(request: Cow<'a, NetSceneRequest>) = 0x02,
-        Stats = 0x05,
-    }
-}
-
-const FRAME_TAG: u8 = 0x82;
-
-messages! {
-    pub enum Reply {
-        Pong(pong: Pong) = 0x81,
-        Frame(frame: NetFrame) = FRAME_TAG,
-        BadRequest(message: String) = 0xFF,
-    }
-}
-"#;
-
-const README_OK: &str = "\
-| request | tag | reply | tag |
-|---|---|---|---|
-| `Ping` | `0x01` | `Pong` | `0x81` |
-| `Render` | `0x02` | `Frame` | `0x82` |
-| `Stats` | `0x05` | — | — |
-| — | — | `BadRequest` | `0xFF` |
-";
-
-#[test]
-fn wire_green_conforming_protocol_is_quiet() {
-    let findings = run(
-        wire::check,
-        vec![
-            ("crates/net/src/wire.rs", WIRE_OK),
-            ("README.md", README_OK),
-        ],
-    );
-    assert_quiet(&findings);
-}
-
-#[test]
-fn wire_red_undocumented_opcode_fires() {
-    // `Stats` is missing, and `Frame` (tagged through its constant) is
-    // documented under the wrong tag.
-    let readme = README_OK
-        .replace("| `Stats` | `0x05` | — | — |\n", "")
-        .replace("`Frame` | `0x82`", "`Frame` | `0x83`");
-    let findings = run(
-        wire::check,
-        vec![("crates/net/src/wire.rs", WIRE_OK), ("README.md", &readme)],
-    );
-    assert_fires(&findings, wire::NAME, "Stats (0x05) is not documented");
-    assert_fires(&findings, wire::NAME, "Frame (0x82) is not documented");
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-}
-
 // --- metric-registry ----------------------------------------------------
 
-/// The exact blessed header `blessed_text` emits, so green fixtures can
-/// check in a matching `ci/metrics.txt`.
-const BLESSED_HEADER: &str =
-    "# Blessed metric namespace: `instrument name`, sorted. Regenerate with\n\
-# `cargo run -p mgpu-lint -- --update` when metrics are added or removed.\n";
+/// A two-entry metric table, as `obs/src/names.rs` declares it.
+const NAMES: (&str, &str) = (
+    "crates/obs/src/names.rs",
+    "metrics! {\n\
+         /// Frames parsed.\n\
+         counter NET_FRAMES_IN = \"net.frames_in\";\n\
+         /// Open connections.\n\
+         gauge NET_CONNECTIONS = \"net.connections\";\n\
+     }\n",
+);
+
+/// A server that registers both table entries through their consts.
+const SERVER: (&str, &str) = (
+    "crates/net/src/server.rs",
+    "fn meters(reg: &Registry) {\n\
+         reg.counter(names::NET_FRAMES_IN).add(1);\n\
+         reg.gauge(mgpu_obs::names::NET_CONNECTIONS).set(2);\n\
+     }\n",
+);
 
 #[test]
 fn metrics_green_conforming_names_are_quiet() {
-    let blessed = format!("{BLESSED_HEADER}counter net.frames_in\n");
     let findings = run(
         metrics::check,
         vec![
+            NAMES,
+            SERVER,
+            // The dashboard reads through the consts too; a test module may
+            // register a throwaway literal.
             (
-                "crates/net/src/server.rs",
-                "fn wire_in(reg: &Registry) { reg.counter(\"net.frames_in\").add(1); }\n",
+                "crates/bench/src/bin/obs_top.rs",
+                "fn draw(s: &Snapshot) { row(s.counter(names::NET_FRAMES_IN)); }\n\
+                 #[cfg(test)]\n\
+                 mod tests { fn t(r: &Registry) { r.counter(\"net.scratch\"); } }\n",
             ),
-            ("ci/metrics.txt", &blessed),
         ],
     );
     assert_quiet(&findings);
 }
 
+/// A literal registration outside the table: the name is not one of the
+/// declared ones, and no convention check would see it.
 #[test]
 fn metrics_red_bad_name_fires() {
-    let blessed = format!("{BLESSED_HEADER}counter net.FramesIn\n");
     let findings = run(
         metrics::check,
         vec![
-            (
-                "crates/net/src/server.rs",
-                "fn wire_in(reg: &Registry) { reg.counter(\"net.FramesIn\").add(1); }\n",
-            ),
-            ("ci/metrics.txt", &blessed),
-        ],
-    );
-    assert_fires(&findings, metrics::NAME, "snake_case");
-}
-
-#[test]
-fn metrics_red_two_instrument_types_fires() {
-    let blessed = format!("{BLESSED_HEADER}counter net.frames_in\n");
-    let findings = run(
-        metrics::check,
-        vec![
-            (
-                "crates/net/src/server.rs",
-                "fn a(reg: &Registry) { reg.counter(\"net.frames_in\"); }\n",
-            ),
+            NAMES,
+            SERVER,
             (
                 "crates/net/src/heat.rs",
-                "fn b(reg: &Registry) { reg.histogram(\"net.frames_in\"); }\n",
+                "fn a(reg: &Registry) { reg.counter(\"net.FramesIn\"); reg.gauge(\"bogus\"); }\n",
             ),
-            ("ci/metrics.txt", &blessed),
         ],
     );
-    assert_fires(&findings, metrics::NAME, "one name, one instrument type");
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "\"net.FramesIn\" spelled as a literal",
+    );
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "`gauge(\"bogus\")` names its metric by a literal",
+    );
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+}
+
+/// A registration under another kind than the table declares: one name,
+/// one instrument type.
+#[test]
+fn metrics_red_two_instrument_types_fires() {
+    let findings = run(
+        metrics::check,
+        vec![
+            NAMES,
+            SERVER,
+            (
+                "crates/net/src/heat.rs",
+                "fn b(reg: &Registry) { reg.histogram(names::NET_FRAMES_IN); }\n",
+            ),
+        ],
+    );
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "`histogram(names::NET_FRAMES_IN)`, but the table declares it a counter",
+    );
+    assert_eq!(findings.len(), 1, "{findings:#?}");
 }
 
 #[test]
 fn metrics_red_dashboard_reads_unregistered_fires() {
-    let blessed = format!("{BLESSED_HEADER}counter net.frames_in\n");
     let findings = run(
         metrics::check,
         vec![
-            (
-                "crates/net/src/server.rs",
-                "fn a(reg: &Registry) { reg.counter(\"net.frames_in\"); }\n",
-            ),
+            NAMES,
+            SERVER,
             (
                 "crates/bench/src/bin/obs_top.rs",
                 "fn draw(s: &Snapshot) { row(s.counters.get(\"net.frames_ni\")); }\n",
             ),
-            ("ci/metrics.txt", &blessed),
         ],
     );
-    assert_fires(&findings, metrics::NAME, "nothing registers it");
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "\"net.frames_ni\" spelled as a literal",
+    );
 }
 
+/// A name registered only by a literal is one the table never declared.
 #[test]
 fn metrics_red_unblessed_registration_fires() {
     let findings = run(
         metrics::check,
         vec![
+            NAMES,
+            SERVER,
             (
-                "crates/net/src/server.rs",
-                "fn a(reg: &Registry) { reg.counter(\"net.frames_in\"); }\n",
+                "crates/serve/src/report.rs",
+                "fn c(reg: &Registry) { reg.counter(\"net.bogus\"); }\n",
             ),
-            ("ci/metrics.txt", BLESSED_HEADER),
         ],
     );
-    assert_fires(&findings, metrics::NAME, "registered but not blessed");
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "\"net.bogus\" spelled as a literal",
+    );
+}
+
+/// A declared name that only the dashboard reads, or only a test module
+/// registers, is registered nowhere.
+#[test]
+fn metrics_red_declared_but_unregistered_fires() {
+    let findings = run(
+        metrics::check,
+        vec![
+            NAMES,
+            (
+                "crates/net/src/server.rs",
+                "fn meters(reg: &Registry) { reg.counter(names::NET_FRAMES_IN).add(1); }\n\
+                 #[cfg(test)]\n\
+                 mod tests { fn t(r: &Registry) { r.gauge(names::NET_CONNECTIONS); } }\n",
+            ),
+            (
+                "crates/bench/src/bin/obs_top.rs",
+                "fn draw(s: &Snapshot) { row(s.gauge(names::NET_CONNECTIONS)); }\n",
+            ),
+        ],
+    );
+    assert_fires(
+        &findings,
+        metrics::NAME,
+        "\"net.connections\" is declared but nothing outside mgpu-bench registers it",
+    );
+    assert_eq!(findings.len(), 1, "{findings:#?}");
 }
 
 #[test]
 fn metrics_names_module_consts_resolve() {
-    // A registration through `names::CONST` is still visible.
-    let blessed = format!("{BLESSED_HEADER}counter net.frames_in\n");
+    // A path to a table const resolves to its entry, however it is spelled;
+    // a variable argument is no table const and is left alone.
     let findings = run(
         metrics::check,
         vec![
+            NAMES,
+            SERVER,
             (
-                "crates/obs/src/names.rs",
-                "pub const NET_FRAMES_IN: &str = \"net.frames_in\";\n",
+                "crates/serve/src/report.rs",
+                "use mgpu_obs::names::NET_CONNECTIONS;\n\
+                 fn d(snap: &Snapshot, name: &str) {\n\
+                     snap.gauge(NET_CONNECTIONS);\n\
+                     snap.counter(name);\n\
+                 }\n",
             ),
-            (
-                "crates/net/src/server.rs",
-                "fn a(reg: &Registry) { reg.counter(names::NET_FRAMES_IN); }\n",
-            ),
-            ("ci/metrics.txt", &blessed),
         ],
     );
     assert_quiet(&findings);

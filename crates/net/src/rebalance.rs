@@ -28,7 +28,6 @@
 //! next to the data plane it steers.
 
 use mgpu_obs::names;
-use std::sync::atomic::Ordering;
 
 use mgpu_volren::RequestKey;
 
@@ -91,12 +90,10 @@ pub struct RebalanceOutcome {
 /// cutover. Draining and unreachable nodes are
 /// never chosen as destinations.
 pub fn rebalance_once(pool: &NodePool, config: &RebalanceConfig) -> RebalanceOutcome {
-    static TICK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     let obs = mgpu_obs::global();
     obs.counter(names::POOL_REBALANCE_TICKS).inc();
-    // Publishes into the trace ring on drop; tick ids are this process's
-    // own sequence (request ids come from the wire, these don't).
-    let trace = mgpu_obs::Trace::start(TICK.fetch_add(1, Ordering::Relaxed));
+    // Publishes into the trace ring on drop, under a locally minted id.
+    let trace = mgpu_obs::Trace::local();
     let pass = trace.span("rebalance");
 
     // Per-node completed-frame counts; unreachable nodes drop out of both

@@ -2645,6 +2645,43 @@ pub(crate) mod tests {
         }
     }
 
+    /// Each message whose `` `Request::Name` `` (or `Reply::`) and tag share
+    /// no line of `readme`, as `Name (0xNN)`.
+    fn undocumented(readme: &str) -> Vec<String> {
+        let requests = Request::TAGS.iter().map(|entry| ("Request", entry));
+        let messages = requests.chain(Reply::TAGS.iter().map(|entry| ("Reply", entry)));
+        messages
+            .filter_map(|(ty, &(tag, name))| {
+                let (path, tag) = (format!("`{ty}::{name}`"), format!("{tag:#04x}"));
+                let documented = readme
+                    .lines()
+                    .any(|row| row.contains(&path) && row.to_ascii_lowercase().contains(&tag));
+                (!documented).then(|| format!("{name} ({tag})"))
+            })
+            .collect()
+    }
+
+    const README: &str = include_str!("../../../README.md");
+
+    /// The compiler checks the code that handles each message; this holds
+    /// the README's wire table to the same declarations, so a message or a
+    /// tag changed in code alone fails here.
+    #[test]
+    fn every_message_has_a_readme_wire_row() {
+        assert_eq!(undocumented(README), Vec::<String>::new());
+    }
+
+    #[test]
+    fn an_undocumented_message_is_reported() {
+        let without = |row: &str| {
+            let rows = README.lines().filter(|line| !line.contains(row));
+            rows.collect::<Vec<_>>().join("\n")
+        };
+        assert_eq!(undocumented(&without("`Request::Stats`")), ["Stats (0x05)"]);
+        let retagged = README.replace("| `Reply::Frame` | `0x82`", "| `Reply::Frame` | `0x83`");
+        assert_eq!(undocumented(&retagged), ["Frame (0x82)"]);
+    }
+
     /// A deterministic stream of numbers from one seed (SplitMix64), for
     /// building a message's fields.
     fn numbers(seed: u64) -> impl FnMut() -> u64 {

@@ -161,3 +161,26 @@ fn pool_merged_snapshot_roundtrips_bit_exactly() {
     a.shutdown();
     b.shutdown();
 }
+
+/// A rebalance pass shares the process's trace ring with wire requests,
+/// whose ids clients choose from 1 up: its trace id carries bit 63, as every
+/// locally minted id does, so the two never meet under one id.
+#[test]
+fn a_rebalance_pass_publishes_its_trace_under_a_local_id() {
+    let node = server();
+    let pool = NodePool::new(
+        Directory::new(vec![node.addr()]).expect("one-node directory"),
+        NodePoolConfig::default(),
+    );
+    mgpu_net::rebalance_once(&pool, &mgpu_net::RebalanceConfig::default());
+    let traces = mgpu_obs::ring().recent(usize::MAX);
+    let passes: Vec<u64> = traces
+        .iter()
+        .filter(|trace| trace.span("rebalance").is_some())
+        .map(|trace| trace.id)
+        .collect();
+    assert!(!passes.is_empty(), "the pass published no trace");
+    for id in passes {
+        assert_ne!(id & 1 << 63, 0, "rebalance trace #{id} has a wire-range id");
+    }
+}

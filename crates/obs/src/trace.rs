@@ -84,6 +84,15 @@ impl Trace {
         })
     }
 
+    /// Start a trace for work this process mints itself (a local submit, a
+    /// rebalance pass), numbered from one process-wide counter with bit 63
+    /// set, so its id never collides with a client-chosen wire id in the
+    /// shared ring.
+    pub fn local() -> Arc<Trace> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Trace::start(NEXT.fetch_add(1, Ordering::Relaxed) | 1 << 63)
+    }
+
     /// Start a trace that is never published — for tests and tools that
     /// inspect spans directly without touching the global ring.
     pub fn detached(id: u64) -> Arc<Trace> {

@@ -60,7 +60,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -95,14 +94,6 @@ use cache::{CacheMeters, FrameCache};
 use plancache::PlanCache;
 use queue::Reply;
 use report::ServiceStats;
-
-/// A fresh trace for a request submitted through the local API (no wire
-/// `request_id` to inherit). The top bit is set so locally minted ids never
-/// collide with client-chosen wire ids in a shared trace ring.
-fn local_trace() -> Arc<Trace> {
-    static LOCAL_IDS: AtomicU64 = AtomicU64::new(0);
-    Trace::start(LOCAL_IDS.fetch_add(1, Ordering::Relaxed) | 1 << 63)
-}
 
 /// Everything needed to render one frame, as submitted by a client.
 #[derive(Debug, Clone)]
@@ -290,7 +281,7 @@ impl ServiceInner {
             Err(frame_key) => {
                 let reply = Reply::channel(tx);
                 self.queue
-                    .push(request, key, frame_key, reply, local_trace());
+                    .push(request, key, frame_key, reply, Trace::local());
                 self.stats.frames_submitted.inc();
             }
         }
@@ -303,7 +294,7 @@ impl ServiceInner {
         request: SceneRequest,
     ) -> Result<FrameTicket, AdmissionError> {
         let (tx, rx) = sync_channel(1);
-        self.try_admit(key, request, Reply::channel(tx), local_trace())?;
+        self.try_admit(key, request, Reply::channel(tx), Trace::local())?;
         Ok(FrameTicket { rx })
     }
 

@@ -1,9 +1,9 @@
 //! The prioritized, admission-controlled job queue feeding the worker pool.
 //!
-//! Jobs carry a [`Priority`] and a monotonic sequence number; workers always
-//! pop the highest-priority job, FIFO within a priority level — interactive
-//! view changes overtake queued batch sweeps without starving them
-//! (everything at one level drains in submission order).
+//! Jobs carry a [`Priority`] and wait in one FIFO per class; workers always
+//! pop the front of the highest non-empty class — interactive view changes
+//! overtake queued batch sweeps without starving them (everything at one
+//! level drains in submission order).
 //!
 //! **Admission control**: the queue enforces per-priority depth bounds
 //! ([`QueueBounds`]). A class's bound caps the *total* queue depth that
@@ -13,6 +13,7 @@
 //! [`JobQueue::try_push`] rejects with [`AdmissionError`];
 //! [`JobQueue::push`] blocks until a worker frees capacity.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -180,9 +181,6 @@ impl std::error::Error for AdmissionError {}
 /// One queued frame request with its reply destination and bookkeeping.
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
-    /// Submission order; the tests' pop-order models read it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub seq: u64,
     pub priority: Priority,
     pub enqueued: Instant,
     pub request: SceneRequest,
@@ -198,28 +196,16 @@ pub(crate) struct QueuedJob {
 
 #[derive(Debug, Default)]
 struct QueueState {
-    /// Always in ascending `seq` (= submission) order: pops use
-    /// order-preserving removal, so FIFO scans never need sorting.
-    jobs: Vec<QueuedJob>,
-    next_seq: u64,
+    /// One FIFO per class, indexed by [`Priority::index`], each in
+    /// submission order.
+    jobs: [VecDeque<QueuedJob>; 3],
     closed: bool,
     paused: bool,
 }
 
 impl QueueState {
-    /// Index of the next job to pop: first (= min seq) job of the highest
-    /// priority class present. One forward pass over the seq-ordered list.
-    fn best(&self) -> Option<usize> {
-        let mut best: Option<(Priority, usize)> = None;
-        for (i, job) in self.jobs.iter().enumerate() {
-            if best.is_none_or(|(p, _)| job.priority > p) {
-                best = Some((job.priority, i));
-                if job.priority == Priority::Interactive {
-                    break; // nothing outranks it
-                }
-            }
-        }
-        best.map(|(_, i)| i)
+    fn len(&self) -> usize {
+        self.jobs.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -261,7 +247,7 @@ impl JobQueue {
     }
 
     /// Enqueue a request, blocking while this priority class is at its
-    /// admission bound; returns the job's sequence number.
+    /// admission bound.
     ///
     /// Panics if the queue is closed (the service is shutting down) — before
     /// or while blocked. Note that a *paused* queue never frees capacity, so
@@ -273,12 +259,12 @@ impl JobQueue {
         frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
-    ) -> u64 {
+    ) {
         let limit = self.bounds.limit(request.priority);
         let mut state = self.state.lock().unwrap();
         loop {
             assert!(!state.closed, "cannot submit to a shut-down render service");
-            if state.jobs.len() < limit {
+            if state.len() < limit {
                 return self.enqueue(&mut state, request, plan_key, frame_key, reply, trace);
             }
             state = self.space.wait(state).unwrap();
@@ -298,21 +284,22 @@ impl JobQueue {
         frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
-    ) -> Result<u64, (AdmissionError, Reply)> {
+    ) -> Result<(), (AdmissionError, Reply)> {
         let limit = self.bounds.limit(request.priority);
         let mut state = self.state.lock().unwrap();
         assert!(!state.closed, "cannot submit to a shut-down render service");
-        if state.jobs.len() >= limit {
+        if state.len() >= limit {
             return Err((
                 AdmissionError {
                     priority: request.priority,
-                    queued: state.jobs.len(),
+                    queued: state.len(),
                     limit,
                 },
                 reply,
             ));
         }
-        Ok(self.enqueue(&mut state, request, plan_key, frame_key, reply, trace))
+        self.enqueue(&mut state, request, plan_key, frame_key, reply, trace);
+        Ok(())
     }
 
     fn enqueue(
@@ -323,12 +310,10 @@ impl JobQueue {
         frame_key: RequestKey,
         reply: Reply,
         trace: Arc<Trace>,
-    ) -> u64 {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        self.depths[request.priority.index()].inc();
-        state.jobs.push(QueuedJob {
-            seq,
+    ) {
+        let class = request.priority.index();
+        self.depths[class].inc();
+        state.jobs[class].push_back(QueuedJob {
             priority: request.priority,
             enqueued: Instant::now(),
             request,
@@ -338,7 +323,6 @@ impl JobQueue {
             trace,
         });
         self.ready.notify_one();
-        seq
     }
 
     /// Block until a job is available (highest priority, FIFO within equal
@@ -351,8 +335,7 @@ impl JobQueue {
         loop {
             let runnable = !state.paused || state.closed;
             if runnable {
-                if let Some(i) = state.best() {
-                    let job = state.jobs.remove(i); // preserves seq order
+                if let Some(job) = state.jobs.iter_mut().rev().find_map(VecDeque::pop_front) {
                     self.depths[job.priority.index()].dec();
                     self.space.notify_all();
                     return Some(job);
@@ -386,7 +369,7 @@ impl JobQueue {
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().jobs.len()
+        self.state.lock().unwrap().len()
     }
 
     /// Queued jobs per class, `[batch, normal, interactive]`.
@@ -421,7 +404,8 @@ mod tests {
         }
     }
 
-    fn push(q: &JobQueue, priority: Priority) -> u64 {
+    /// Push a job traced under `id`, the tests' name for it.
+    fn push(q: &JobQueue, priority: Priority, id: u64) {
         // The receiver drops immediately: queue tests never send replies.
         let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         let request = request(priority);
@@ -432,11 +416,16 @@ mod tests {
             key,
             frame_key,
             Reply::channel(tx),
-            Trace::detached(0),
+            Trace::detached(id),
         )
     }
 
-    fn try_push(q: &JobQueue, priority: Priority) -> Result<u64, AdmissionError> {
+    /// The id of the job the next pop returns.
+    fn pop_id(q: &JobQueue) -> Option<u64> {
+        q.pop().map(|job| job.trace.id())
+    }
+
+    fn try_push(q: &JobQueue, priority: Priority) -> Result<(), AdmissionError> {
         let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         let request = request(priority);
         let key = request.plan_key();
@@ -483,21 +472,21 @@ mod tests {
     #[test]
     fn fifo_within_priority_and_priority_wins() {
         let q = unbounded(false);
-        let a = push(&q, Priority::Normal);
-        let b = push(&q, Priority::Normal);
-        let c = push(&q, Priority::Interactive);
-        let d = push(&q, Priority::Batch);
-        let e = push(&q, Priority::Interactive);
-        let order: Vec<u64> = (0..5).map(|_| q.pop().unwrap().seq).collect();
-        // Interactive first (FIFO: c before e), then Normal (a before b),
+        push(&q, Priority::Normal, 1);
+        push(&q, Priority::Normal, 2);
+        push(&q, Priority::Interactive, 3);
+        push(&q, Priority::Batch, 4);
+        push(&q, Priority::Interactive, 5);
+        let order: Vec<u64> = (0..5).map(|_| pop_id(&q).unwrap()).collect();
+        // Interactive first (FIFO: 3 before 5), then Normal (1 before 2),
         // then Batch.
-        assert_eq!(order, vec![c, e, a, b, d]);
+        assert_eq!(order, vec![3, 5, 1, 2, 4]);
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = unbounded(false);
-        push(&q, Priority::Normal);
+        push(&q, Priority::Normal, 1);
         q.close();
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
@@ -506,14 +495,14 @@ mod tests {
     #[test]
     fn paused_queue_blocks_until_resumed() {
         let q = std::sync::Arc::new(unbounded(true));
-        push(&q, Priority::Normal);
+        push(&q, Priority::Normal, 7);
         let q2 = std::sync::Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.pop().map(|j| j.seq));
+        let handle = std::thread::spawn(move || pop_id(&q2));
         // Give the popper a moment to block, then release it.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished(), "pop must block while paused");
         q.set_paused(false);
-        assert_eq!(handle.join().unwrap(), Some(0));
+        assert_eq!(handle.join().unwrap(), Some(7));
     }
 
     #[test]
@@ -521,7 +510,7 @@ mod tests {
     fn push_after_close_panics() {
         let q = unbounded(false);
         q.close();
-        push(&q, Priority::Normal);
+        push(&q, Priority::Normal, 1);
     }
 
     #[test]
@@ -552,15 +541,16 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_capacity() {
         let q = std::sync::Arc::new(JobQueue::new(false, QueueBounds::uniform(1)));
-        push(&q, Priority::Normal);
+        push(&q, Priority::Normal, 1);
         let q2 = std::sync::Arc::clone(&q);
-        let handle = std::thread::spawn(move || push(&q2, Priority::Normal));
+        let handle = std::thread::spawn(move || push(&q2, Priority::Normal, 2));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished(), "push must block at the bound");
         // A pop frees capacity and admits the blocked push.
-        assert_eq!(q.pop().unwrap().seq, 0);
-        assert_eq!(handle.join().unwrap(), 1);
+        assert_eq!(pop_id(&q), Some(1));
+        handle.join().unwrap();
         assert_eq!(q.len(), 1);
+        assert_eq!(pop_id(&q), Some(2));
     }
 
     #[test]
@@ -576,9 +566,9 @@ mod tests {
         );
     }
 
-    /// Push a request whose plan key is one of a few (`key` picks the GPU
-    /// count): keys must not change the pop order.
-    fn push_keyed(q: &JobQueue, priority: Priority, key: u32) -> u64 {
+    /// Push a request traced under `id` whose plan key is one of a few
+    /// (`key` picks the GPU count): keys must not change the pop order.
+    fn push_keyed(q: &JobQueue, priority: Priority, key: u32, id: u64) {
         let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         let mut request = request(priority);
         request.spec = ClusterSpec::accelerator_cluster(1 + key);
@@ -589,7 +579,7 @@ mod tests {
             plan_key,
             frame_key,
             Reply::channel(tx),
-            Trace::detached(0),
+            Trace::detached(id),
         )
     }
 
@@ -600,19 +590,20 @@ mod tests {
             return Ok(());
         }
         let job = q.pop().expect("a queued job");
+        let popped = (job.priority, job.trace.id());
         if job.priority != Priority::Interactive {
             prop_assert!(
                 queued.iter().all(|(p, _)| *p != Priority::Interactive),
-                "popped {:?} seq {} over a queued interactive",
-                job.priority,
-                job.seq
+                "popped {:?} job {} over a queued interactive",
+                popped.0,
+                popped.1
             );
         }
         let best = *queued
             .iter()
-            .max_by_key(|(p, seq)| (*p, std::cmp::Reverse(*seq)))
+            .max_by_key(|(p, id)| (*p, std::cmp::Reverse(*id)))
             .expect("non-empty model");
-        prop_assert_eq!((job.priority, job.seq), best);
+        prop_assert_eq!(popped, best);
         queued.retain(|entry| *entry != best);
         Ok(())
     }
@@ -630,9 +621,10 @@ mod tests {
             ops in prop::collection::vec((0u8..5, 0u32..3), 4..64),
         ) {
             let q = JobQueue::new(false, QueueBounds::default());
-            // The model: queued (priority, seq) pairs.
+            // The model: queued (priority, trace id) pairs; ids count up in
+            // submission order.
             let mut queued: Vec<(Priority, u64)> = Vec::new();
-            for (op, key) in ops {
+            for (id, (op, key)) in (0u64..).zip(ops) {
                 let priority = match op {
                     0 => Priority::Batch,
                     1 => Priority::Normal,
@@ -643,7 +635,8 @@ mod tests {
                         continue;
                     }
                 };
-                queued.push((priority, push_keyed(&q, priority, key)));
+                push_keyed(&q, priority, key, id);
+                queued.push((priority, id));
             }
             // Drain to completion: the order must hold for stragglers too.
             while !queued.is_empty() {

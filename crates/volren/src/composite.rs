@@ -138,6 +138,17 @@ mod tests {
     }
 
     #[test]
+    fn a_nearer_fragment_lies_over_a_farther_one() {
+        let near = frag([0.5, 0.0, 0.0, 0.5], 1.0);
+        let far = frag([0.0, 0.5, 0.0, 0.5], 2.0);
+        // near + far · (1 − 0.5), over a clear background.
+        assert_eq!(
+            composite_sorted(&[near, far], [0.0; 4]),
+            [0.5, 0.25, 0.0, 0.75]
+        );
+    }
+
+    #[test]
     fn saturated_alpha_short_circuits_identically() {
         let opaque = frag([0.5, 0.5, 0.5, 1.0], 0.5);
         let behind = frag([9.0, 9.0, 9.0, 1.0], 1.0); // absurd color, must not leak
