@@ -4,8 +4,9 @@
 //! in-flight renders at once:
 //!
 //! - [`RenderClient::render`] blocks until the frame arrives — the wire
-//!   analogue of `ShardedService::submit(...).wait()` — but concurrent
-//!   `render` calls from many threads interleave on the same socket.
+//!   analogue of `RenderBackend::render` on a `ShardedService` — but
+//!   concurrent `render` calls from many threads interleave on the same
+//!   socket.
 //! - [`RenderClient::begin_render`] / [`RenderClient::finish_render`]
 //!   split that into an issue half (returns immediately with a
 //!   [`PendingRender`]) and a redeem half, so a single thread can hold

@@ -103,6 +103,10 @@ enum Ticket {
     Ready(FrameResult),
 }
 
+/// Unwritten replies at which a session is [`Session::backlogged`]: above
+/// the default ticket bound (64), so in-flight frames alone never reach it.
+pub(crate) const MAX_QUEUED_REPLIES: usize = 256;
+
 /// One client session: the owner's I/O state, the replies not yet
 /// written, and the session's protocol state.
 pub(crate) struct Session<T> {
@@ -139,6 +143,13 @@ impl<T> Session<T> {
     /// Is `id` already naming an outstanding request on this session?
     fn id_in_use(&self, id: u64) -> bool {
         self.tickets.contains_key(&id) || self.parked_redeems().any(|redeem| redeem == id)
+    }
+
+    /// Holds [`MAX_QUEUED_REPLIES`] unwritten replies: its owner reads no
+    /// more of its requests until some are written, so a client that
+    /// pipelines `PING`s or `STATS` without reading is held back by TCP.
+    pub(crate) fn backlogged(&self) -> bool {
+        self.out.len() >= MAX_QUEUED_REPLIES
     }
 
     /// Everything this session still owes the client (shutdown drains it).
@@ -512,15 +523,8 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
     let failed = |message: String| Reply::Failed(message).framed(request_id).into();
     match result {
         Ok(frame) => {
-            // Cache hits re-deliver a previously rendered frame: their
-            // simulated frame time is zero (same convention as the
-            // in-process `BackendFrame`), not the original render's time.
-            let sim_nanos = if frame.from_cache {
-                0
-            } else {
-                frame.report.runtime().nanos()
-            };
             let image = Arc::clone(&frame.image);
+            let sim_nanos = frame.sim_frame.as_nanos() as u64;
             frame_view(request_id, image, frame.from_cache, sim_nanos)
                 .unwrap_or_else(|err| failed(err.to_string()))
         }
@@ -679,6 +683,29 @@ mod tests {
             let shared = Arc::into_inner(self.shared).expect("the node held the last share");
             shared.sharded.shutdown()
         }
+    }
+
+    /// A session is backlogged once `MAX_QUEUED_REPLIES` replies wait in its
+    /// out queue, and no longer once one is written; the bound sits above
+    /// the default ticket bound.
+    #[test]
+    fn a_session_is_backlogged_at_the_reply_bound() {
+        assert!(MAX_QUEUED_REPLIES > ServerConfig::default().max_tickets_per_session);
+        let mut h = Harness::new(config());
+        let client = h.open();
+        let bound = MAX_QUEUED_REPLIES as u64;
+        for id in 1..bound {
+            h.send(client, id, &Request::Ping(id));
+        }
+        let open = h.node.session_mut(client).expect("open");
+        assert_eq!(open.out.len(), MAX_QUEUED_REPLIES - 1);
+        assert!(!open.backlogged());
+        h.send(client, bound, &Request::Ping(bound));
+        let open = h.node.session_mut(client).expect("open");
+        assert!(open.backlogged());
+        open.out.pop_front();
+        assert!(!open.backlogged());
+        h.shutdown();
     }
 
     /// A draining node refuses new work typed, still answers what it owes,

@@ -482,8 +482,9 @@ impl EventLoop {
             for (token, session) in self.node.sessions() {
                 // A socket with nothing to read or write (a draining session
                 // waiting on renders) still polls for input, so that a peer
-                // reset is noticed.
-                let reading = !shutting_down && !session.closing;
+                // reset is noticed. A backlogged one has replies to write,
+                // and its requests wait in the socket until they are.
+                let reading = !shutting_down && !session.closing && !session.backlogged();
                 let events = match (reading, session.out.is_empty()) {
                     (_, true) => POLLIN,
                     (true, false) => POLLIN | POLLOUT,
@@ -551,10 +552,12 @@ impl EventLoop {
         }
     }
 
-    /// Read whatever the socket has and hand each frame to the node.
+    /// Read whatever the socket has and hand each frame to the node, until
+    /// the session closes or is backlogged: then the rest of its requests
+    /// wait in the socket, and TCP flow control holds the client back.
     fn service_reads(&mut self, token: u64) {
         while let Some(session) = self.node.session_mut(token) {
-            if session.closing {
+            if session.closing || session.backlogged() {
                 return;
             }
             let io = &mut session.io;
@@ -602,7 +605,8 @@ impl EventLoop {
 mod tests {
     use super::*;
     use crate::client::RenderClient;
-    use crate::wire::NetSceneRequest;
+    use crate::node::MAX_QUEUED_REPLIES;
+    use crate::wire::{read_frame, NetSceneRequest, Reply, Request};
     use mgpu_cluster::ClusterSpec;
     use mgpu_serve::{Priority, SceneRequest};
     use mgpu_voldata::Dataset;
@@ -659,5 +663,80 @@ mod tests {
             );
             server.shutdown();
         }
+    }
+
+    /// A client that writes thousands of `STATS` requests and reads no
+    /// reply is held back, not buffered for: the loop stops reading its
+    /// requests once `MAX_QUEUED_REPLIES` replies wait unwritten, so
+    /// `net.frames_in − net.frames_out` never passes the bound. Once the
+    /// client reads, every request gets exactly one reply, in order.
+    #[test]
+    fn a_client_that_never_reads_is_held_back_at_the_reply_bound() {
+        let server = RenderServer::start(ServerConfig {
+            shards: 1,
+            service: ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let counter = |name| server.shared().obs.counter(name).get();
+        let held = || counter(names::NET_FRAMES_IN) - counter(names::NET_FRAMES_OUT);
+        // The counters are server-wide: the control session's last PONG may
+        // reach it a moment before the loop counts it written.
+        let bound = MAX_QUEUED_REPLIES as u64 + 1;
+        let requests = 8000u64;
+        let raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        let mut writer = raw.try_clone().expect("clone the socket");
+        let writer = std::thread::spawn(move || {
+            let bytes: Vec<u8> = (1..=requests)
+                .flat_map(|id| Request::Stats.framed(id))
+                .collect();
+            // Blocks once the server stops reading, until the replies are.
+            writer.write_all(&bytes).expect("write the requests");
+        });
+
+        // Round trips on a second session pace the checks: the loop serves
+        // them between its reads of the first.
+        let control = RenderClient::connect(server.addr()).expect("control connect");
+        let mut rounds_at_bound = 0;
+        for _ in 0..100_000 {
+            let now = held();
+            assert!(
+                now <= bound,
+                "{now} replies held for one session (bound {MAX_QUEUED_REPLIES})"
+            );
+            if now >= MAX_QUEUED_REPLIES as u64 {
+                rounds_at_bound += 1;
+                if rounds_at_bound == 3 {
+                    break;
+                }
+            }
+            control.ping().expect("ping");
+        }
+        assert_eq!(rounds_at_bound, 3, "the backlog never formed");
+        for _ in 0..50 {
+            control.ping().expect("ping");
+        }
+        let now = held();
+        assert!(
+            (MAX_QUEUED_REPLIES as u64..=bound).contains(&now),
+            "reads stay stopped: {now} held"
+        );
+
+        let mut reader = &raw;
+        for id in 1..=requests {
+            let (tag, got, payload) = read_frame(&mut reader, DEFAULT_MAX_PAYLOAD).expect("reply");
+            assert_eq!(got, id, "replies in request order");
+            assert!(matches!(
+                Reply::decode(tag, &payload),
+                Ok(Reply::StatsReport(_))
+            ));
+        }
+        writer.join().expect("writer");
+        server.shutdown();
     }
 }

@@ -10,18 +10,21 @@
 //! those surfaces into one trait: `submit` / `try_submit` / blocking
 //! `render`, ticket redemption, `report` and `shutdown`, with one error
 //! vocabulary ([`BackendError`]) and one delivered-frame type
-//! ([`BackendFrame`]). Callers written against the trait run unchanged on
-//! any backend — and a single generic equivalence harness proves every
-//! backend's frames bit-identical to direct renders.
+//! ([`BackendFrame`]). It is the only way in and out: the in-process
+//! services have no submit or redeem of their own, and their workers,
+//! frame caches and completion hooks all carry a `BackendFrame`. Callers
+//! written against the trait run unchanged on any backend — and a single
+//! generic equivalence harness proves every backend's frames
+//! bit-identical to direct renders.
 //!
 //! Backends in this workspace:
 //!
-//! | backend                      | crate       | scope                          |
-//! |------------------------------|-------------|--------------------------------|
-//! | [`RenderService`]            | `mgpu-serve`| one process, one queue         |
-//! | [`ShardedService`]           | `mgpu-serve`| N in-process shards            |
-//! | `NodePool`                   | `mgpu-net`  | N servers behind a directory   |
-//! | `RemoteBackend`              | `mgpu-net`  | one server: a `NodePool` of one|
+//! | backend            | crate        | scope                           | ticket        |
+//! |--------------------|--------------|---------------------------------|---------------|
+//! | [`RenderService`]  | `mgpu-serve` | one process, one queue          | [`FrameTicket`] |
+//! | [`ShardedService`] | `mgpu-serve` | N in-process shards             | [`FrameTicket`] |
+//! | `NodePool`         | `mgpu-net`   | N servers behind a directory    | `PoolTicket`  |
+//! | `RemoteBackend`    | `mgpu-net`   | one server: a `NodePool` of one | `PoolTicket`  |
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,10 +36,7 @@ use mgpu_volren::{Image, RenderReport};
 
 use crate::queue::AdmissionError;
 use crate::session::SceneSession;
-use crate::{
-    FrameError, FrameTicket, RenderService, RenderedFrame, SceneRequest, ServiceReport,
-    ShardedService,
-};
+use crate::{FrameError, FrameTicket, RenderService, SceneRequest, ServiceReport, ShardedService};
 
 /// Every way a backend can refuse or fail a request — the union of the
 /// in-process error types and the transport failures only remote backends
@@ -55,8 +55,8 @@ pub enum BackendError {
     /// The session holds too many un-redeemed tickets server-side; redeem
     /// some, then retry (remote backends only).
     TicketsFull { outstanding: u64, limit: u64 },
-    /// The render itself failed (e.g. a caught render panic); the message
-    /// is exactly what a local `FrameTicket::wait_result` would report.
+    /// The render itself failed (e.g. a caught render panic); a remote
+    /// backend reports exactly the message an in-process one does.
     Render(FrameError),
     /// The connection to a remote backend failed (or the peer broke
     /// protocol) and the retry budget, if any, is exhausted.
@@ -122,18 +122,14 @@ pub struct BackendFrame {
     pub report: Option<Arc<RenderReport>>,
 }
 
-impl From<RenderedFrame> for BackendFrame {
-    fn from(frame: RenderedFrame) -> BackendFrame {
-        let sim_frame = if frame.from_cache {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(frame.report.runtime().nanos())
-        };
+impl BackendFrame {
+    /// This frame re-delivered from a frame cache: no render happened for
+    /// the request, so its simulated frame time is zero.
+    pub(crate) fn served_from_cache(self) -> BackendFrame {
         BackendFrame {
-            image: frame.image,
-            from_cache: frame.from_cache,
-            sim_frame,
-            report: Some(frame.report),
+            from_cache: true,
+            sim_frame: Duration::ZERO,
+            ..self
         }
     }
 }
@@ -183,9 +179,11 @@ pub trait RenderBackend {
     fn report(&self) -> Result<ServiceReport, BackendError>;
 
     /// Stop this backend and return its final accounting, best-effort for
-    /// remote backends. In-process services drain their queues (every
-    /// ticket submitted before the call still resolves); remote backends
-    /// disconnect — the server keeps running for its other clients.
+    /// remote backends. In-process services drain their queues: every job
+    /// admitted before the call completes and its hook fires, but their
+    /// tickets can no longer be redeemed (redeeming takes the backend this
+    /// consumes). Remote backends disconnect — the server keeps running
+    /// for its other clients.
     fn shutdown(self) -> ServiceReport
     where
         Self: Sized;
@@ -210,18 +208,15 @@ impl RenderBackend for RenderService {
     type Ticket = FrameTicket;
 
     fn submit(&self, request: SceneRequest) -> Result<FrameTicket, BackendError> {
-        Ok(RenderService::submit(self, request))
+        Ok(self.inner.submit(request.plan_key(), request))
     }
 
     fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, BackendError> {
-        RenderService::try_submit(self, request).map_err(BackendError::from)
+        Ok(self.inner.try_submit(request.plan_key(), request)?)
     }
 
     fn redeem(&self, ticket: FrameTicket) -> Result<BackendFrame, BackendError> {
-        ticket
-            .wait_result()
-            .map(BackendFrame::from)
-            .map_err(BackendError::from)
+        Ok(ticket.resolve()?)
     }
 
     fn report(&self) -> Result<ServiceReport, BackendError> {
@@ -237,18 +232,17 @@ impl RenderBackend for ShardedService {
     type Ticket = FrameTicket;
 
     fn submit(&self, request: SceneRequest) -> Result<FrameTicket, BackendError> {
-        Ok(ShardedService::submit(self, request))
+        let (shard, key) = self.owner(&request);
+        Ok(shard.submit(key, request))
     }
 
     fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, BackendError> {
-        ShardedService::try_submit(self, request).map_err(BackendError::from)
+        let (shard, key) = self.owner(&request);
+        Ok(shard.try_submit(key, request)?)
     }
 
     fn redeem(&self, ticket: FrameTicket) -> Result<BackendFrame, BackendError> {
-        ticket
-            .wait_result()
-            .map(BackendFrame::from)
-            .map_err(BackendError::from)
+        Ok(ticket.resolve()?)
     }
 
     fn report(&self) -> Result<ServiceReport, BackendError> {

@@ -96,7 +96,7 @@ pub(crate) struct LruCache<K, V> {
     inner: Mutex<CacheInner<K, V>>,
 }
 
-/// The service's cache of rendered frames (stores [`crate::RenderedFrame`]).
+/// The service's cache of rendered frames (stores [`crate::BackendFrame`]).
 pub(crate) type FrameCache<V> = LruCache<RequestKey, V>;
 
 impl<K: Eq + Hash + Ord + Clone, V: Clone> LruCache<K, V> {

@@ -6,14 +6,17 @@
 //! renderer behind a job queue, in the spirit of distributed GPU render
 //! front-ends (cf. Hassan et al., arXiv:1205.0282).
 //!
-//! Architecture (one request's path):
+//! Every caller goes through [`RenderBackend`]: the services have no other
+//! submit or redeem, and [`BackendFrame`] is the one frame type they
+//! deliver. Architecture (one request's path):
 //!
 //! ```text
-//! submit / try_submit(SceneRequest)
+//! RenderBackend::submit / try_submit(SceneRequest)
 //!        │ plan key (ShardedService routes by it) and frame key, once
-//!        ├── frame cache? ──hit──► FrameTicket (immediate)
+//!        ├── frame cache? ──hit──► FrameTicket (resolved at once)
 //!        │ miss
-//!        ├── admission control: class at its queue bound? ──► AdmissionError
+//!        ├── admission control: class at its queue bound?
+//!        │                          ──► BackendError::Admission
 //!        ▼
 //!   JobQueue (priority, FIFO within class, per-priority depth bounds)
 //!        │ pop one job
@@ -21,7 +24,7 @@
 //!   worker: frame cache re-check, plan cache (plan key → Arc<FramePlan>)
 //!        │ ──► render_planned (panics caught: job fails, worker survives)
 //!        ▼
-//!   frame cache ──► ticket
+//!   frame cache ──► ticket ──► RenderBackend::redeem ──► BackendFrame
 //! ```
 //!
 //! * **Queue** — `queue::JobQueue`: interactive requests overtake batch
@@ -29,8 +32,8 @@
 //!   a time, so nothing lower-priority ever renders ahead of a queued
 //!   `Interactive` job.
 //! * **Admission** — [`QueueBounds`]: per-priority queue-depth
-//!   bounds; under overload [`RenderService::try_submit`] sheds `Batch`
-//!   first and `Interactive` last, while [`RenderService::submit`] blocks
+//!   bounds; under overload [`RenderBackend::try_submit`] sheds `Batch`
+//!   first and `Interactive` last, while [`RenderBackend::submit`] blocks
 //!   for capacity.
 //! * **Plan cache** — `plancache::PlanCache`: frames that agree on
 //!   (cluster, volume, config) — one plan key, a [`mgpu_volren::RequestKey`]
@@ -52,7 +55,7 @@
 //! * **Accounting** — [`report::ServiceReport`]: queue latency, cache and
 //!   plan-cache hit rates, staging reuse, admission rejections, failed
 //!   frames, frames/sec — alongside the per-frame
-//!   [`mgpu_volren::RenderReport`] each ticket carries.
+//!   [`mgpu_volren::RenderReport`] each in-process [`BackendFrame`] carries.
 //!
 //! Determinism: a frame rendered through the service is bit-identical to a
 //! direct [`mgpu_volren::render`] call with the same request, regardless of
@@ -72,7 +75,7 @@ use mgpu_cluster::ClusterSpec;
 use mgpu_voldata::Volume;
 use mgpu_volren::camera::Scene;
 use mgpu_volren::config::RenderConfig;
-use mgpu_volren::{Image, RenderReport, RequestKey};
+use mgpu_volren::RequestKey;
 
 pub mod backend;
 mod cache;
@@ -112,20 +115,10 @@ impl SceneRequest {
     }
 }
 
-/// A completed frame as delivered by a [`FrameTicket`]. Cheap to clone: the
-/// image and report are shared (cache hits hand out the same allocation).
-#[derive(Debug, Clone)]
-pub struct RenderedFrame {
-    pub image: Arc<Image>,
-    pub report: Arc<RenderReport>,
-    /// Served from the frame cache (no render happened for this request).
-    pub from_cache: bool,
-}
-
 /// Why a submitted frame could not be delivered: the render panicked (the
 /// worker caught the unwind and stayed alive) or the job was lost. The
-/// failure is explicit — [`FrameTicket::wait`] panics with this message,
-/// [`FrameTicket::wait_result`] returns it.
+/// failure is explicit: [`RenderBackend::redeem`] returns it as
+/// [`BackendError::Render`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
     message: String,
@@ -174,31 +167,20 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// What travels down a ticket's channel: the frame, or the explicit failure.
-pub type FrameResult = Result<RenderedFrame, FrameError>;
+/// What a job resolves to: the frame, or the explicit failure.
+pub type FrameResult = Result<BackendFrame, FrameError>;
 
-/// Handle to one submitted frame; redeem with [`FrameTicket::wait`] (panics
-/// on failure) or [`FrameTicket::wait_result`].
+/// The in-process backends' ticket for one submitted frame: redeem it with
+/// [`RenderBackend::redeem`] on the service that issued it.
 #[derive(Debug)]
 pub struct FrameTicket {
     rx: Receiver<FrameResult>,
 }
 
 impl FrameTicket {
-    /// Block until the frame is rendered (or served from cache).
-    ///
-    /// Panics with the explicit failure message if the render panicked (see
-    /// [`FrameTicket::wait_result`] for the non-panicking form), or if the
-    /// service was torn down without completing the job — the latter cannot
-    /// happen through the public API: shutdown drains the queue.
-    pub fn wait(self) -> RenderedFrame {
-        self.wait_result()
-            .unwrap_or_else(|err| panic!("render service job failed: {err}"))
-    }
-
-    /// Block until the frame resolves, returning the failure instead of
-    /// panicking.
-    pub fn wait_result(self) -> FrameResult {
+    /// Block until the job resolves; a job dropped unresolved reports the
+    /// lost-job error rather than hanging.
+    pub(crate) fn resolve(self) -> FrameResult {
         self.rx.recv().unwrap_or_else(|_| Err(FrameError::lost()))
     }
 }
@@ -220,7 +202,7 @@ pub struct ServiceConfig {
     pub queue_bounds: QueueBounds,
     /// Start with the queue paused: submissions accumulate until
     /// [`RenderService::resume`], so a test or benchmark can queue a known
-    /// burst before any worker pops. Use [`RenderService::try_submit`] when
+    /// burst before any worker pops. Use [`RenderBackend::try_submit`] when
     /// pausing a *bounded* queue — the blocking submit would wait forever.
     pub start_paused: bool,
 }
@@ -241,7 +223,7 @@ impl Default for ServiceConfig {
 pub(crate) struct ServiceInner {
     pub(crate) config: ServiceConfig,
     pub(crate) queue: queue::JobQueue,
-    pub(crate) cache: FrameCache<RenderedFrame>,
+    pub(crate) cache: FrameCache<BackendFrame>,
     pub(crate) plans: PlanCache,
     /// This service's `serve.*` instruments: scoped, so its own snapshot
     /// holds only its events while `mgpu_obs::global()` still sums them in.
@@ -255,7 +237,7 @@ impl ServiceInner {
     /// queueing. (Workers re-check the cache, so duplicates in flight still
     /// coalesce once the first render lands.) The cache counts the hit; a
     /// miss hands back the frame key for the queued job to carry.
-    fn cached_hit(&self, key: &RequestKey, scene: &Scene) -> Result<RenderedFrame, RequestKey> {
+    fn cached_hit(&self, key: &RequestKey, scene: &Scene) -> Result<BackendFrame, RequestKey> {
         // Defensive: no public path submits after shutdown (sessions borrow
         // the service, shutdown consumes it), but an internal caller that
         // raced teardown should fail loudly, cached or not.
@@ -264,16 +246,15 @@ impl ServiceInner {
             "cannot submit to a shut-down render service"
         );
         let frame_key = key.with_scene(scene);
-        let mut frame = self.cache.get(&frame_key).ok_or(frame_key)?;
-        frame.from_cache = true;
+        let frame = self.cache.get(&frame_key).ok_or(frame_key)?;
         self.stats.frames_submitted.inc();
         self.stats.frames_completed.inc();
-        Ok(frame)
+        Ok(frame.served_from_cache())
     }
 
-    /// The blocking submit behind [`RenderService::submit`] and
-    /// [`ShardedService::submit`]; `key` is `request`'s plan key, computed
-    /// once by the caller (a sharded caller already routed by it).
+    /// The blocking submit behind both services' [`RenderBackend::submit`];
+    /// `key` is `request`'s plan key, computed once by the caller (a
+    /// sharded caller already routed by it).
     pub(crate) fn submit(&self, key: RequestKey, request: SceneRequest) -> FrameTicket {
         let (tx, rx) = sync_channel(1);
         match self.cached_hit(&key, &request.scene) {
@@ -298,7 +279,7 @@ impl ServiceInner {
         Ok(FrameTicket { rx })
     }
 
-    /// The non-blocking admission path behind every `try_submit*`: answer
+    /// The non-blocking admission path behind every `try_submit`: answer
     /// from the frame cache, else enqueue or shed. A network front-end
     /// passes the trace it seeded from the wire `request_id`, so the spans
     /// the worker and the renderer record land on the request's own
@@ -403,41 +384,6 @@ impl RenderService {
         RenderService { inner, workers }
     }
 
-    /// Submit one frame request; blocks while this priority class is at its
-    /// admission bound, then returns a ticket. With the default unbounded
-    /// [`QueueBounds`] it never blocks.
-    pub fn submit(&self, request: SceneRequest) -> FrameTicket {
-        self.inner.submit(request.plan_key(), request)
-    }
-
-    /// Submit one frame request without blocking: if the request's priority
-    /// class is at its queue bound the frame is shed with [`AdmissionError`]
-    /// (`Batch` sheds first, `Interactive` last — see [`QueueBounds`]).
-    pub fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, AdmissionError> {
-        self.inner.try_submit(request.plan_key(), request)
-    }
-
-    /// [`RenderService::try_submit`] with a completion hook instead of a
-    /// ticket: `on_done` runs exactly once with the [`FrameResult`] — on the
-    /// resolving worker's thread, or immediately on the caller's for a frame
-    /// cache hit. This is the admission path for event-driven front-ends: no
-    /// waiter thread parks per frame; completions land wherever the hook
-    /// puts them (a completion queue, typically). On [`AdmissionError`] the
-    /// hook never runs — the caller reports the shed itself. The
-    /// queue/plan/render (and, inside the renderer, stage/kernel/composite)
-    /// spans are recorded onto the caller's [`mgpu_obs::Trace`]: a network
-    /// front-end seeds it from the wire `request_id` so one request is
-    /// followable end to end.
-    pub fn try_submit_traced(
-        &self,
-        request: SceneRequest,
-        trace: Arc<Trace>,
-        on_done: impl FnOnce(FrameResult) + Send + 'static,
-    ) -> Result<(), AdmissionError> {
-        self.inner
-            .try_admit(request.plan_key(), request, Reply::hook(on_done), trace)
-    }
-
     /// Resume popping after [`ServiceConfig::start_paused`]; wakes all
     /// workers.
     pub fn resume(&self) {
@@ -489,7 +435,9 @@ impl RenderService {
     }
 
     /// Drain the queue, stop the workers and return the final report. Every
-    /// ticket submitted before the call still resolves.
+    /// job admitted before the call still completes and its hook fires; an
+    /// in-process ticket can no longer be redeemed, since redeeming takes
+    /// the service this consumes.
     pub fn shutdown(mut self) -> ServiceReport {
         self.teardown();
         self.report()

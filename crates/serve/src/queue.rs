@@ -28,7 +28,7 @@ use crate::{FrameError, FrameResult, SceneRequest};
 /// ticket's channel is one such hook ([`Reply::channel`]); an event-driven
 /// front-end hands in its own so render completions land in *its*
 /// completion queue instead of parking a waiter thread per frame (see
-/// [`crate::RenderService::try_submit_traced`]).
+/// [`crate::ShardedService::try_submit_traced`]).
 ///
 /// If the job is dropped without delivering, `Drop` fires the hook with a
 /// lost-job [`FrameError`] so a waiter never hangs.
@@ -454,7 +454,7 @@ mod tests {
         let (tx, rx) = sync_channel(1);
         drop(Reply::channel(tx));
         let ticket = crate::FrameTicket { rx };
-        assert_eq!(ticket.wait_result().unwrap_err(), FrameError::lost());
+        assert_eq!(ticket.resolve().unwrap_err(), FrameError::lost());
 
         // Cancelled: nothing is sent, not even the lost-job guard's error.
         let (tx, rx) = sync_channel(1);

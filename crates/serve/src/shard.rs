@@ -23,7 +23,7 @@ use mgpu_obs::Snapshot;
 use mgpu_volren::RequestKey;
 
 use crate::{
-    AdmissionError, FrameTicket, RenderService, Reply, SceneRequest, ServiceConfig, ServiceInner,
+    AdmissionError, FrameResult, RenderService, Reply, SceneRequest, ServiceConfig, ServiceInner,
     ServiceReport,
 };
 
@@ -111,35 +111,25 @@ impl ShardedService {
 
     /// The shard that owns `request`, with the key it was routed by — handed
     /// down so the shard never computes it again.
-    fn owner(&self, request: &SceneRequest) -> (&ServiceInner, RequestKey) {
+    pub(crate) fn owner(&self, request: &SceneRequest) -> (&ServiceInner, RequestKey) {
         let key = request.plan_key();
         (&self.shards[self.shard_for(&key)].inner, key)
     }
 
-    /// Submit one frame request to its owning shard (blocking form — see
-    /// [`RenderService::submit`]).
-    pub fn submit(&self, request: SceneRequest) -> FrameTicket {
-        let (shard, key) = self.owner(&request);
-        shard.submit(key, request)
-    }
-
-    /// Submit without blocking; sheds with [`AdmissionError`] when the
-    /// owning shard's queue is at this priority's bound.
-    pub fn try_submit(&self, request: SceneRequest) -> Result<FrameTicket, AdmissionError> {
-        let (shard, key) = self.owner(&request);
-        shard.try_submit(key, request)
-    }
-
-    /// [`RenderService::try_submit_traced`] routed to the owning shard: the
-    /// completion hook runs on that shard's worker (or inline on a cache
-    /// hit; never on [`AdmissionError`]), and the caller-provided trace
-    /// travels with the job, so the shard's worker and renderer record
-    /// their spans onto the request's end-to-end trace.
+    /// Submit to the owning shard without blocking, with a completion hook
+    /// instead of a ticket: the admission path for event-driven front-ends,
+    /// which park no waiter thread per frame. `on_done` runs exactly once
+    /// with the [`FrameResult`]: on that shard's worker, or inline on the
+    /// caller's thread for a frame-cache hit. On [`AdmissionError`] it never
+    /// runs; the caller reports the shed itself. The caller's trace travels
+    /// with the job, so the shard's worker and renderer record their spans
+    /// (queue, plan, render; stage, kernel, composite) onto the request's
+    /// end-to-end trace.
     pub fn try_submit_traced(
         &self,
         request: SceneRequest,
         trace: std::sync::Arc<mgpu_obs::Trace>,
-        on_done: impl FnOnce(crate::FrameResult) + Send + 'static,
+        on_done: impl FnOnce(FrameResult) + Send + 'static,
     ) -> Result<(), AdmissionError> {
         let (shard, key) = self.owner(&request);
         shard.try_admit(key, request, Reply::hook(on_done), trace)
@@ -175,7 +165,8 @@ impl ShardedService {
     }
 
     /// Shut every shard down (draining their queues) and report the final
-    /// totals. Every ticket submitted before the call still resolves.
+    /// totals. Every job admitted before the call still completes and its
+    /// hook fires (see [`RenderService::shutdown`]).
     pub fn shutdown(mut self) -> ServiceReport {
         for shard in &mut self.shards {
             shard.teardown();

@@ -15,13 +15,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mgpu_obs::trace;
 use mgpu_volren::renderer::render_planned;
 
 use crate::queue::QueuedJob;
-use crate::{FrameError, RenderedFrame, ServiceInner};
+use crate::{BackendFrame, FrameError, ServiceInner};
 
 pub(crate) fn worker_loop(inner: Arc<ServiceInner>) {
     while let Some(job) = inner.queue.pop() {
@@ -41,10 +41,9 @@ fn render_job(inner: &ServiceInner, job: QueuedJob) {
     // Coalescing re-check: an identical request may have rendered since
     // this one was queued (recheck: the submit path already counted the
     // miss; the cache counts the hit).
-    if let Some(mut frame) = inner.cache.recheck(&job.frame_key) {
-        frame.from_cache = true;
+    if let Some(frame) = inner.cache.recheck(&job.frame_key) {
         stats.frames_completed.inc();
-        job.reply.deliver(Ok(frame));
+        job.reply.deliver(Ok(frame.served_from_cache()));
         return;
     }
 
@@ -78,16 +77,16 @@ fn render_job(inner: &ServiceInner, job: QueuedJob) {
     stats.batched_frames.inc();
     stats.brick_stagings.add(outcome.report.store.misses);
     stats.brick_reuses.add(outcome.report.store.hits);
-    stats
-        .sim_frame_total_ns
-        .add(outcome.report.runtime().nanos());
+    let sim_nanos = outcome.report.runtime().nanos();
+    stats.sim_frame_total_ns.add(sim_nanos);
     stats.frames_rendered.inc();
     stats.frames_completed.inc();
 
-    let frame = RenderedFrame {
+    let frame = BackendFrame {
         image: Arc::new(outcome.image),
-        report: Arc::new(outcome.report),
         from_cache: false,
+        sim_frame: Duration::from_nanos(sim_nanos),
+        report: Some(Arc::new(outcome.report)),
     };
     inner.cache.insert(job.frame_key, frame.clone());
     // A dropped ticket is fine: the frame is already cached.

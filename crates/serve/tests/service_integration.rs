@@ -280,32 +280,31 @@ fn render_panic_fails_the_job_but_not_the_worker() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let volume = Dataset::Skull.volume(8);
 
-    let poisoned = service
-        .submit(SceneRequest {
-            spec: spec.clone(),
-            volume: volume.clone(),
-            scene: scene_for(&volume, 0.0),
-            config: RenderConfig::test_size(0), // 0×0 image: render panics
-            priority: Priority::Normal,
-        })
-        .wait_result();
-    let err = poisoned.expect_err("degenerate config must fail the job");
-    assert!(
-        err.message().contains("degenerate image"),
-        "error must carry the panic message, got: {err}"
-    );
+    let poisoned = service.render(SceneRequest {
+        spec: spec.clone(),
+        volume: volume.clone(),
+        scene: scene_for(&volume, 0.0),
+        config: RenderConfig::test_size(0), // 0×0 image: render panics
+        priority: Priority::Normal,
+    });
+    match poisoned {
+        Err(BackendError::Render(err)) => assert!(
+            err.message().contains("degenerate image"),
+            "error must carry the panic message, got: {err}"
+        ),
+        other => panic!("degenerate config must fail the job, got {other:?}"),
+    }
 
     // The same worker must still be alive and rendering.
     let cfg = RenderConfig::test_size(16);
     let frame = service
-        .submit(SceneRequest {
+        .render(SceneRequest {
             spec: spec.clone(),
             volume: volume.clone(),
             scene: scene_for(&volume, 30.0),
             config: cfg.clone(),
             priority: Priority::Normal,
         })
-        .wait_result()
         .expect("worker survived the poisoned job");
     let direct = render(&spec, &volume, &scene_for(&volume, 30.0), &cfg);
     assert_eq!(*frame.image, direct.image);
@@ -313,27 +312,6 @@ fn render_panic_fails_the_job_but_not_the_worker() {
     let report = service.shutdown();
     assert_eq!(report.frames_failed, 1);
     assert_eq!(report.frames_rendered, 1);
-}
-
-/// `FrameTicket::wait` (the panicking form) reports the explicit render
-/// failure, not a misleading channel disconnect.
-#[test]
-#[should_panic(expected = "render service job failed")]
-fn wait_panics_with_the_explicit_failure() {
-    let service = RenderService::start(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    });
-    let spec = ClusterSpec::accelerator_cluster(1);
-    let volume = Dataset::Skull.volume(8);
-    let ticket = service.submit(SceneRequest {
-        spec,
-        scene: scene_for(&volume, 0.0),
-        volume,
-        config: RenderConfig::test_size(0),
-        priority: Priority::Normal,
-    });
-    let _ = ticket.wait();
 }
 
 /// Two in-memory volumes with identical metadata but different voxels must
@@ -356,14 +334,14 @@ fn same_meta_volumes_with_different_voxels_do_not_alias() {
 
     let submit = |volume: &mgpu_voldata::Volume| {
         service
-            .submit(SceneRequest {
+            .render(SceneRequest {
                 spec: spec.clone(),
                 volume: volume.clone(),
                 scene: Scene::orbit(volume, 15.0, 10.0, TransferFunction::bone()),
                 config: cfg.clone(),
                 priority: Priority::Normal,
             })
-            .wait()
+            .expect("render")
     };
     let first = submit(&lo);
     let second = submit(&hi);
@@ -442,7 +420,9 @@ fn admission_control_sheds_lowest_priority_first() {
 // consumed the service is now a compile error rather than the runtime
 // panic the pre-`RenderBackend` API produced.)
 
-/// Shutdown drains every queued job; all tickets resolve.
+/// Shutdown drains every queued job. The tickets cannot be redeemed
+/// afterwards (redeeming takes the service shutdown consumed); the drain
+/// shows in the final report.
 #[test]
 fn shutdown_resolves_all_pending_tickets() {
     let service = RenderService::start(ServiceConfig {
@@ -454,26 +434,25 @@ fn shutdown_resolves_all_pending_tickets() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let cfg = RenderConfig::test_size(16);
     let volume = Dataset::Skull.volume(8);
-    // Raw (non-borrowing) tickets: shutdown must resolve them even though
-    // they are redeemed only afterwards.
+    // Raw (non-borrowing) tickets, still held while the service shuts down.
     let tickets: Vec<_> = (0..5)
         .map(|i| {
-            service.submit(SceneRequest {
-                spec: spec.clone(),
-                volume: volume.clone(),
-                scene: scene_for(&volume, i as f32 * 20.0),
-                config: cfg.clone(),
-                priority: Priority::Normal,
-            })
+            service
+                .submit(SceneRequest {
+                    spec: spec.clone(),
+                    volume: volume.clone(),
+                    scene: scene_for(&volume, i as f32 * 20.0),
+                    config: cfg.clone(),
+                    priority: Priority::Normal,
+                })
+                .expect("unbounded queue admits")
         })
         .collect();
     assert_eq!(service.queue_len(), 5);
     // Shutdown (queue close) drains even a paused queue.
     let report = service.shutdown();
     assert_eq!(report.frames_completed, 5);
-    for t in tickets {
-        let _ = t.wait(); // already resolved
-    }
+    drop(tickets);
 }
 
 /// Direct submit (no session) with an explicit request.
@@ -485,17 +464,18 @@ fn raw_submit_roundtrip() {
     let volume = Dataset::Skull.volume(8);
     let scene = scene_for(&volume, 0.0);
     let frame = service
-        .submit(SceneRequest {
+        .render(SceneRequest {
             spec: spec.clone(),
             volume: volume.clone(),
             scene: scene.clone(),
             config: cfg.clone(),
             priority: Priority::Normal,
         })
-        .wait();
+        .expect("render");
     let direct = render(&spec, &volume, &scene, &cfg);
     assert_eq!(*frame.image, direct.image);
-    assert_eq!(frame.report.job, direct.report.job);
+    let report = frame.report.expect("local frame carries the report");
+    assert_eq!(report.job, direct.report.job);
 }
 
 /// The shard router: sessions for distinct volumes land on their rendezvous

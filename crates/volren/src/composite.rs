@@ -32,8 +32,8 @@ pub fn accumulate(acc: &mut [f32; 4], rgb: [f32; 3], a: f32) {
     acc[3] += t;
 }
 
-/// Composite fragments already sorted by ascending depth, then blend the
-/// (straight-alpha) background behind them. Returns straight-alpha RGBA.
+/// Composite fragments already sorted by ascending depth, then lay the
+/// (straight-alpha) background behind them. Returns premultiplied RGBA.
 pub fn composite_sorted(fragments: &[Fragment], background: [f32; 4]) -> [f32; 4] {
     let mut acc = [0f32; 4];
     for f in fragments {
@@ -42,7 +42,7 @@ pub fn composite_sorted(fragments: &[Fragment], background: [f32; 4]) -> [f32; 4
             break;
         }
     }
-    // Background is straight alpha; premultiply, lay it behind, un-premultiply.
+    // Background is straight alpha: premultiply it and lay it behind.
     let bg = [
         background[0] * background[3],
         background[1] * background[3],
@@ -51,7 +51,7 @@ pub fn composite_sorted(fragments: &[Fragment], background: [f32; 4]) -> [f32; 4
     ];
     let out = over(acc, bg);
     if out[3] > 1e-6 {
-        [out[0], out[1], out[2], out[3]]
+        out
     } else {
         [0.0, 0.0, 0.0, 0.0]
     }

@@ -3,7 +3,7 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-/// An RGBA image with `f32` channels in `[0,1]` (straight, not premultiplied).
+/// An RGBA image with `f32` channels in `[0,1]`, premultiplied by alpha.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     width: u32,

@@ -7,7 +7,7 @@ use mgpu_mapreduce::{Key, Reducer};
 use crate::composite::composite_unsorted;
 use crate::fragment::Fragment;
 
-/// Reduces all fragments of one pixel into its final straight-alpha color.
+/// Reduces all fragments of one pixel into its final premultiplied color.
 #[derive(Debug, Clone)]
 pub struct CompositeReducer {
     pub background: [f32; 4],

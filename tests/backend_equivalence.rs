@@ -127,13 +127,7 @@ fn prove_frames_bit_identical<B: RenderBackend>(backend: &B, label: &str) -> u64
         );
         completed += 1;
         cache_hits += frame.from_cache as u64;
-        if frame.from_cache {
-            assert_eq!(
-                frame.sim_frame,
-                Duration::ZERO,
-                "{label}: cache hits re-deliver, they don't re-render"
-            );
-        }
+        assert_sim_frame(&frame, &direct, label);
     }
     assert!(
         cache_hits >= 1,
@@ -176,6 +170,7 @@ fn prove_frames_bit_identical<B: RenderBackend>(backend: &B, label: &str) -> u64
             *frame.image, direct.image,
             "{label}: out-of-order redemption diverged"
         );
+        assert_sim_frame(&frame, &direct, label);
         completed += 1;
     }
 
@@ -195,6 +190,7 @@ fn prove_frames_bit_identical<B: RenderBackend>(backend: &B, label: &str) -> u64
         *frame.image, direct.image,
         "{label}: session frame diverged"
     );
+    assert_sim_frame(&frame, &direct, label);
     assert_eq!(session.frames_submitted(), 1);
     completed += 1;
 
@@ -208,6 +204,22 @@ fn prove_frames_bit_identical<B: RenderBackend>(backend: &B, label: &str) -> u64
     );
     assert_eq!(report.frames_failed, 0, "{label}: no frame may fail");
     completed
+}
+
+/// A fresh frame carries exactly the direct render's simulated frame time,
+/// across the wire too; a cache hit re-delivers without re-rendering, so
+/// it carries zero.
+fn assert_sim_frame(frame: &gpumr::serve::BackendFrame, direct: &RenderOutcome, label: &str) {
+    let want = if frame.from_cache {
+        Duration::ZERO
+    } else {
+        Duration::from_nanos(direct.report.runtime().nanos())
+    };
+    assert_eq!(
+        frame.sim_frame, want,
+        "{label}: sim_frame (from_cache {})",
+        frame.from_cache
+    );
 }
 
 fn service_config() -> ServiceConfig {

@@ -185,8 +185,8 @@ fn submit_and_redeem_out_of_order() {
 
 /// The typed errors cross the socket intact: throttling carries a usable
 /// retry-after, admission shedding restores the same `AdmissionError`, and
-/// a render panic comes back as the same `FrameError` message a local
-/// `wait_result` would see.
+/// a render panic comes back as the same `FrameError` message an
+/// in-process `redeem` would return.
 #[test]
 fn typed_errors_round_trip() {
     // 1 frame burst, 1 frame/min steady: the second render throttles.
