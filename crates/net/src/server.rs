@@ -690,6 +690,16 @@ mod tests {
         let raw = TcpStream::connect(server.addr()).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(60)))
             .expect("read timeout");
+        // Dropped before the server, also when an assertion fails: a
+        // backlogged session the client never drains would hold the
+        // server's shutdown (and the blocked writer) forever.
+        struct Hangup(TcpStream);
+        impl Drop for Hangup {
+            fn drop(&mut self) {
+                let _ = self.0.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        let _hangup = Hangup(raw.try_clone().expect("clone the socket"));
         let mut writer = raw.try_clone().expect("clone the socket");
         let writer = std::thread::spawn(move || {
             let bytes: Vec<u8> = (1..=requests)

@@ -19,12 +19,12 @@
 //!
 //! Backends in this workspace:
 //!
-//! | backend            | crate        | scope                           | ticket        |
-//! |--------------------|--------------|---------------------------------|---------------|
+//! | backend            | crate        | scope                           | ticket          |
+//! |--------------------|--------------|---------------------------------|-----------------|
 //! | [`RenderService`]  | `mgpu-serve` | one process, one queue          | [`FrameTicket`] |
 //! | [`ShardedService`] | `mgpu-serve` | N in-process shards             | [`FrameTicket`] |
-//! | `NodePool`         | `mgpu-net`   | N servers behind a directory    | `PoolTicket`  |
-//! | `RemoteBackend`    | `mgpu-net`   | one server: a `NodePool` of one | `PoolTicket`  |
+//! | `NodePool`         | `mgpu-net`   | N servers behind a directory    | `PoolTicket`    |
+//! | `RemoteBackend`    | `mgpu-net`   | one server: a `NodePool` of one | `PoolTicket`    |
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -181,7 +181,7 @@ pub trait RenderBackend {
     /// Stop this backend and return its final accounting, best-effort for
     /// remote backends. In-process services drain their queues: every job
     /// admitted before the call completes and its hook fires, but their
-    /// tickets can no longer be redeemed (redeeming takes the backend this
+    /// tickets cannot be redeemed (redeeming takes the backend this
     /// consumes). Remote backends disconnect — the server keeps running
     /// for its other clients.
     fn shutdown(self) -> ServiceReport

@@ -279,11 +279,11 @@ impl ServiceInner {
         Ok(FrameTicket { rx })
     }
 
-    /// The non-blocking admission path behind every `try_submit`: answer
-    /// from the frame cache, else enqueue or shed. A network front-end
-    /// passes the trace it seeded from the wire `request_id`, so the spans
-    /// the worker and the renderer record land on the request's own
-    /// end-to-end trace.
+    /// The non-blocking admission path behind `try_submit` and
+    /// [`ShardedService::try_submit_traced`]: answer from the frame cache,
+    /// else enqueue or shed. A network front-end passes the trace it seeded
+    /// from the wire `request_id`, so the spans the worker and the renderer
+    /// record land on the request's own end-to-end trace.
     pub(crate) fn try_admit(
         &self,
         key: RequestKey,
@@ -435,9 +435,9 @@ impl RenderService {
     }
 
     /// Drain the queue, stop the workers and return the final report. Every
-    /// job admitted before the call still completes and its hook fires; an
-    /// in-process ticket can no longer be redeemed, since redeeming takes
-    /// the service this consumes.
+    /// job admitted before the call still completes and its hook fires; its
+    /// ticket cannot be redeemed, since redeeming takes the service this
+    /// consumes.
     pub fn shutdown(mut self) -> ServiceReport {
         self.teardown();
         self.report()
