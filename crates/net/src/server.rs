@@ -55,7 +55,7 @@ use mgpu_obs::{Counter, Gauge, Registry};
 use mgpu_serve::{ServiceConfig, ServiceReport};
 
 use crate::heat::NetStats;
-use crate::node::{Completion, CompletionSink, Node, Shared};
+use crate::node::{Completion, CompletionSink, Node, Shared, MAX_QUEUED_REPLIES};
 use crate::ratelimit::RateLimitConfig;
 use crate::wire::{FrameReader, OutFrame, WireError, DEFAULT_MAX_PAYLOAD};
 
@@ -437,6 +437,11 @@ impl Drop for RenderServer {
 // The event loop
 // ---------------------------------------------------------------------------
 
+/// Frames one session may have read per loop turn: one backlog's worth, so
+/// a client that keeps its socket full while it reads its replies cannot
+/// keep the loop from other sessions, accepts and completions.
+const FRAMES_PER_TURN: usize = MAX_QUEUED_REPLIES;
+
 /// The server's one thread: sockets and the waker on the outside, the
 /// protocol [`Node`] inside, keyed by the session ids it hands out.
 struct EventLoop {
@@ -552,11 +557,19 @@ impl EventLoop {
         }
     }
 
-    /// Read whatever the socket has and hand each frame to the node, until
-    /// the session closes or is backlogged: then the rest of its requests
-    /// wait in the socket, and TCP flow control holds the client back.
+    /// Read what the socket has and hand each frame to the node, until the
+    /// socket runs dry, the session closes or is backlogged, or it has had
+    /// its turn: [`FRAMES_PER_TURN`] frames. Whatever is left waits in the
+    /// socket — `FrameReader` never reads past the frame it assembles, so it
+    /// never holds a whole one — which keeps the session readable: the next
+    /// `poll` returns at once, and every other ready session is served
+    /// before this one is read again. A backlogged session's requests wait
+    /// there too, and TCP flow control holds the client back.
     fn service_reads(&mut self, token: u64) {
-        while let Some(session) = self.node.session_mut(token) {
+        for _ in 0..FRAMES_PER_TURN {
+            let Some(session) = self.node.session_mut(token) else {
+                return;
+            };
             if session.closing || session.backlogged() {
                 return;
             }
@@ -605,7 +618,6 @@ impl EventLoop {
 mod tests {
     use super::*;
     use crate::client::RenderClient;
-    use crate::node::MAX_QUEUED_REPLIES;
     use crate::wire::{read_frame, NetSceneRequest, Reply, Request};
     use mgpu_cluster::ClusterSpec;
     use mgpu_serve::{Priority, SceneRequest};
@@ -747,6 +759,96 @@ mod tests {
             ));
         }
         writer.join().expect("writer");
+        server.shutdown();
+    }
+
+    /// A fair turn: a session with more requests in its socket than one
+    /// turn's budget cannot hold the loop from another session. The test
+    /// holds the loop at the top of a turn (on the completions lock), queues
+    /// `4 × FRAMES_PER_TURN` `PING`s on one client — whose replies a thread
+    /// reads as they come — and a `STATS` on the other, then lets it go. The
+    /// `STATS` must be handled in the first turn, after at most one turn's
+    /// worth of the stream: its reply carries `net.loop_wakeups` and
+    /// `net.frames_in` as of then. Each client streams once and asks once,
+    /// so whichever session the loop visits first, one round puts the
+    /// stream ahead of the question; without the budget, that round reads
+    /// the whole stream first.
+    #[test]
+    fn a_streaming_session_does_not_hold_the_loop() {
+        let server = RenderServer::start(ServerConfig {
+            shards: 1,
+            service: ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let reply = |mut client: &TcpStream, want: u64| {
+            let (tag, id, payload) = read_frame(&mut client, DEFAULT_MAX_PAYLOAD).expect("reply");
+            assert_eq!(id, want, "replies in request order");
+            Reply::decode(tag, &payload).expect("a reply")
+        };
+        // Both sessions open before the loop is held.
+        let clients = [(); 2].map(|_| {
+            let mut client = TcpStream::connect(server.addr()).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("read timeout");
+            client
+                .write_all(&Request::Ping(1).framed(1))
+                .expect("write");
+            assert!(matches!(reply(&client, 1), Reply::Pong { .. }));
+            client
+        });
+        let counter = |name| server.shared().obs.counter(name).get();
+        let stream = 4 * FRAMES_PER_TURN as u64;
+        for (streamer, asker) in [(0, 1), (1, 0)] {
+            let (mut asker, streamer) = (&clients[asker], &clients[streamer]);
+            // Hold the loop. A loop in `poll` is woken, finds no socket
+            // ready and comes round to the lock; a loop already past its
+            // `poll` gets there within microseconds without polling, and
+            // the wake waits for the release's `poll`, which sees it with
+            // the two sockets. Either way nothing is read until the release.
+            let held = server.notifier.completions.lock().expect(POISON);
+            let woke = counter(names::NET_LOOP_WAKEUPS);
+            server.notifier.wake();
+            let since = Instant::now();
+            while counter(names::NET_LOOP_WAKEUPS) == woke && since.elapsed().as_millis() < 50 {
+                std::thread::yield_now();
+            }
+            let burst: Vec<u8> = (1..=stream)
+                .flat_map(|id| Request::Ping(id).framed(id))
+                .collect();
+            (&*streamer).write_all(&burst).expect("write the stream");
+            asker.write_all(&Request::Stats.framed(2)).expect("write");
+            let (turns, frames) = (
+                counter(names::NET_LOOP_WAKEUPS),
+                counter(names::NET_FRAMES_IN),
+            );
+            drop(held);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for id in 1..=stream {
+                        assert!(matches!(reply(streamer, id), Reply::Pong { .. }));
+                    }
+                });
+                let Reply::StatsReport(stats) = reply(asker, 2) else {
+                    panic!("a STATS reply");
+                };
+                let at = |name| stats.obs.counter(name).unwrap_or(0);
+                let read = at(names::NET_FRAMES_IN) - frames;
+                assert_eq!(
+                    at(names::NET_LOOP_WAKEUPS) - turns,
+                    1,
+                    "handled in the first turn"
+                );
+                assert!(
+                    read <= FRAMES_PER_TURN as u64 + 1,
+                    "{read} frames read before the STATS was handled"
+                );
+            });
+        }
         server.shutdown();
     }
 }

@@ -55,7 +55,8 @@
 //!   lanes that are done, and the texture units filter for all of it at
 //!   once. Here eight rays advance per iteration in 256-bit registers: all
 //!   lanes compute `t`, position, `floor`, base index and cell distance;
-//!   lanes in an empty cell jump under a mask; the rest gather their taps
+//!   lanes in an empty cell jump to its empty cube's exit under a mask; the
+//!   rest gather their taps
 //!   (`mgpu_gpu::Sampler3D::sample_at_x8`), classify, and blend under a
 //!   mask. **A lane is refilled from the block's queue in the iteration its
 //!   ray ends** — early termination and skipping make ray lengths uneven,
@@ -108,27 +109,39 @@
 //!   grid, and the march below runs as if the texture had no cells.
 //! * **Per sample**, the march computes the sample's position and base
 //!   index as always, and looks up `D` for the cell holding that base. If
-//!   `D = 0` it fetches. If `D ≥ 1` the cell is empty: the sample is not
-//!   fetched and `k` advances by `1 + n`, `n` the largest count with
-//!   `n·step·‖dir‖∞ ≤ (D − 1)·edge − margin` — every cell within `D − 1`
-//!   of this one is empty, and a sample less than `D − 1` cell edges away
-//!   along every axis is still inside one of them — clipped to the lattice
-//!   points the ray has left. The sample it lands on tests its own cell
-//!   again.
+//!   `D = 0` it fetches. If `D ≥ 1` the cell is empty, and so is every cell
+//!   within `D − 1` of it: a cube of `2D − 1` cells a side around it. The
+//!   sample is not fetched, and `k` advances to just before the ray leaves
+//!   that cube, as a DDA traversal leaves a cell by its exit face. Per
+//!   axis, `room` is the distance from the sampler's own `p − ½` to the
+//!   cube's face in the ray's direction (`SkipGrid::room`), and `k` moves
+//!   by `1 + n`, `n = ⌊min over axes of (room − margin) / (step·|d_axis|)⌋`
+//!   — a NaN or negative `n` becomes 0 — clipped to the lattice points the
+//!   ray has left. The sample it lands on tests its own cell again. A
+//!   sample in a cell at `D = 1` crosses the rest of its cell in one jump,
+//!   where a bound on the cube's *size*, `(D − 1)·edge` whatever the
+//!   sample's place in it, would step it one sample at a time; in the lane
+//!   march such steps held a lane slot each while other lanes fetched.
 //!
 //! **Why this is bit-exact.** The lattice `t_k = (k + ½)·step` is fixed, so
 //! a jump changes which samples are *visited*, never where one is. A skipped
 //! sample's value would have been inside its cell's widened range (or NaN),
 //! so its alpha would have been exactly `0.0` (or NaN): the scalar loop's
 //! `a > 0.0` test rejects it, and all it does is `samples += 1; k += 1` —
-//! which is what a jump does `n` times at once. The margin
-//! (`SKIP_MARGIN`) is an absolute distance that dominates the rounding
-//! between "`n` steps further along the ray" and the base index the sampler
-//! would compute there, so the guarantee also holds for a ray grazing a cell
-//! face; a sample whose own cell is empty may always be skipped alone,
-//! whatever the margin. The ray's last lattice point is found with the
-//! scalar loop's own predicate (`lattice_end`), so a clipped jump charges
-//! exactly the samples the scalar loop would have taken.
+//! which is what a jump does `n` times at once. A sample `j ≤ n` steps on
+//! has its `p − ½` at most `j·step·|d_axis|` further along each axis, less
+//! than `room` short of the face by more than the margin (`SKIP_MARGIN`): an
+//! absolute distance that dominates every rounding between the two computed
+//! positions and in `n` itself, so the sample's base index floors into the
+//! cube — also for a ray grazing a face, and in the clamp fringe past the
+//! grid's ends, where every cell index clamps onto the grid's edge. A
+//! sample whose own cell is empty may always be skipped alone, whatever
+//! the margin. The ray's last lattice point is found with the scalar loop's
+//! own predicate (`lattice_end`), so a clipped jump charges exactly the
+//! samples the scalar loop would have taken. The lane march computes each
+//! jump with the solo march's float operations in the same order, its
+//! minimum over axes included (`Launch::jump_x8`), so both visit the same
+//! samples.
 //!
 //! **The modelled GPU does not skip.** The simulated 2010 device has no
 //! macrocells: `BlockOut::samples` keeps charging every lattice point in
@@ -422,9 +435,6 @@ struct March {
     /// One past the last lattice index still to visit: [`lattice_end`] at
     /// first, pulled in to `k` when early ray termination fires.
     end: u64,
-    /// Lattice samples per voxel of travel along the ray's dominant axis,
-    /// `1 / (step · ‖dir‖∞)`: converts a skip distance into a sample count.
-    samples_per_voxel: f32,
     acc: [f32; 4],
     /// Samples charged to the modelled GPU: every lattice point visited,
     /// fetched or skipped.
@@ -446,7 +456,6 @@ impl March {
             t1,
             k,
             end: lattice_end(k, t1, step),
-            samples_per_voxel: 1.0 / (step * dir.x.abs().max(dir.y.abs()).max(dir.z.abs())),
             acc: [0.0; 4],
             samples: 0,
             fetched: 0,
@@ -455,22 +464,30 @@ impl March {
 }
 
 /// Relative size of the skip margin: the margin is `SKIP_MARGIN · (reach +
-/// longest jump)`, an absolute distance per launch. It has to dominate
-/// every f32 rounding between "sample `k + n` lies `n·step·‖d‖∞` further
-/// along the dominant axis than sample `k`" and the base indices the sampler
-/// computes for the two. A stored position is `(eye + d·t) − origin` with
-/// `t = (k + ½)·step`: four roundings, on `t`, `d·t`, the world position and
-/// the stored one, none of a magnitude above `t ≤ √3·reach` or `reach` (the
-/// sum of every `|coordinate|` of the eye, the array origin and the box
-/// corners), so one position is within `(2√3 + 2)u·reach < 6u·reach` of the
-/// exact ray (`u = 2⁻²⁴`) and two within `12u`; `p − ½` adds `u·reach` each.
-/// The jump length — at most 255 cell edges, where distances saturate — goes
-/// through four more
-/// roundings. `2⁻¹⁸ = 64u` on the sum of both scales covers all of that four
-/// times over, and being absolute it holds for a ray nearly parallel to a
-/// cell face, where a bound relative to the distance from that face would
-/// vanish. Non-finite geometry makes the margin non-finite, and every jump a
-/// single step.
+/// longest_clear)`, an absolute distance per launch. Per axis it has to
+/// dominate every f32 rounding between "sample `k + j` lies `j·step·|d|`
+/// further along the axis than sample `k`" and the `p − ½` the sampler
+/// computes for the two, plus the roundings in the jump `n` itself
+/// (`u = 2⁻²⁴`; `reach` is the sum of every `|coordinate|` of the eye, the
+/// array origin and the box corners, `L` is `SkipGrid::longest_clear`):
+///
+/// * A stored position is `(eye + d·t) − origin` with `t = (k + ½)·step`:
+///   four roundings, on `t`, `d·t`, the world position and the stored one,
+///   none of a magnitude above `t ≤ √3·reach` or `reach`, so one position is
+///   within `(2√3 + 2)u·reach < 6u·reach` of the exact ray, and `p − ½` adds
+///   `u·reach`: `14u·reach` for the two samples.
+/// * The face is a whole number of voxels, `cells·edge`, one rounding of at
+///   most `u·|face|`. Inside its cell a sample is at most `D ≤ 255` cell
+///   edges from the face, so `room ≤ L`; in the clamp fringe `p − ½` lies
+///   past the grid's edge, and `room` and `|face|` stay within `reach + L`.
+/// * `room = face − (p − ½)`, `− margin`, `/ (step·|d|)`: four roundings of
+///   quantities at most `reach + L` in voxels, `≈ 4u·(reach + L)`.
+///
+/// That is below `20u·(reach + L)`; `2⁻¹⁸ = 64u` covers it three times over,
+/// and being absolute it holds for a ray nearly parallel to a cell face,
+/// where a bound relative to the distance from that face would vanish.
+/// Non-finite geometry makes the margin non-finite, and every jump a single
+/// step.
 const SKIP_MARGIN: f32 = 1.0 / (1 << 18) as f32;
 
 /// Per-launch march state — the software analogue of constant memory: the
@@ -557,7 +574,6 @@ impl Launch<'_> {
         let mut dir = [[0.0f32; CHUNK]; 3];
         let (mut t0, mut t1) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
         let (mut k, mut end) = ([0i32; CHUNK], [0i32; CHUNK]);
-        let mut samples_per_voxel = [0.0f32; CHUNK];
         // Whether the direction normalises, the ray hits the box, and `k`
         // and `end` are its lattice span (if not, `March::new` finds it).
         let (mut normal, mut hit, mut spanned) = ([false; CHUNK], [false; CHUNK], [false; CHUNK]);
@@ -600,7 +616,6 @@ impl Launch<'_> {
             let walks_on = (rise & !past(e + 1)) | (fall & (e - 1 > k0) & past(e - 2));
             spanned[i] = fits & !walks_on;
             (k[i], end[i]) = (k0, e + i32::from(rise) - i32::from(fall));
-            samples_per_voxel[i] = 1.0 / (step * d[0].abs().max(d[1].abs()).max(d[2].abs()));
             (t0[i], t1[i]) = (near, far);
             for a in 0..3 {
                 dir[a][i] = d[a];
@@ -619,7 +634,6 @@ impl Launch<'_> {
                     t1: t1[i],
                     k: k[i] as u64,
                     end: end[i] as u64,
-                    samples_per_voxel: samples_per_voxel[i],
                     acc: [0.0; 4],
                     samples: 0,
                     fetched: 0,
@@ -677,17 +691,13 @@ impl Launch<'_> {
     fn sample_step(&self, m: &mut March) {
         let t = (m.k as f32 + 0.5) * self.step;
         let p = self.eye + m.dir * t;
-        let site = self.smp.locate(p.x - self.ox, p.y - self.oy, p.z - self.oz);
+        let stored = [p.x - self.ox, p.y - self.oy, p.z - self.oz];
+        let site = self.smp.locate(stored[0], stored[1], stored[2]);
         if let Some(grid) = &self.grid {
-            let distance = grid.distance(site.base_index());
+            let base = site.base_index();
+            let distance = grid.distance(base);
             if distance != 0 {
-                // Every cell within `distance − 1` of this one is empty, so
-                // any sample whose base index is less than that many cell
-                // edges away along every axis is too. (NaN compares false.)
-                let clear = (distance - 1) as f32 * grid.edge - self.margin;
-                let more = clear * m.samples_per_voxel;
-                let more = if more > 0.0 { more as u64 } else { 0 };
-                let n = more.saturating_add(1).min(m.end - m.k);
+                let n = self.jump(grid, base, distance, stored, m.dir, m.end - m.k);
                 m.samples += n;
                 m.k += n;
                 return;
@@ -716,6 +726,34 @@ impl Launch<'_> {
         m.k += 1;
     }
 
+    /// How far a sample in an empty cell moves `k` (module docs, *Empty-space
+    /// skipping*): `1 + n`, `n` the further lattice points that stay more
+    /// than `margin` short of the empty cube's exit face along every axis,
+    /// clipped to the `left` points the ray has still to visit. `stored` is
+    /// the sample's stored position, `base` and `distance` its base index
+    /// and that cell's distance (≥ 1).
+    #[inline(always)]
+    fn jump(
+        &self,
+        grid: &SkipGrid,
+        base: [i32; 3],
+        distance: u8,
+        stored: [f32; 3],
+        dir: Vec3,
+        left: u64,
+    ) -> u64 {
+        let dir = [dir.x, dir.y, dir.z];
+        let room = grid.room(base, distance, stored.map(|c| c - 0.5), dir);
+        let steps = |axis: usize| (room[axis] - self.margin) / (self.step * dir[axis].abs());
+        // `_mm256_min_ps`'s rule, so that a NaN on one axis is kept or
+        // dropped as `jump_x8` keeps or drops it.
+        let min = |a: f32, b: f32| if a < b { a } else { b };
+        let n = min(min(steps(0), steps(1)), steps(2));
+        // A NaN or negative `n` becomes 0 (NaN compares false).
+        let n = if n > 0.0 { n as u64 } else { 0 };
+        n.saturating_add(1).min(left)
+    }
+
     /// March one ray to its exit (or early termination): the scalar march
     /// (module docs, *Two marches*). Half-open ownership: the lattice point
     /// at `t1` belongs to the next brick.
@@ -735,7 +773,6 @@ struct LaneFile {
     /// Per lane, its ray's index in the queue; [`VACANT`] for none.
     ray: [usize; LANES],
     dir: [[f32; LANES]; 3],
-    samples_per_voxel: [f32; LANES],
     /// `k` and `end` of a vacant lane are both 0: never live.
     k: [i32; LANES],
     end: [i32; LANES],
@@ -802,10 +839,9 @@ impl Launch<'_> {
             _mm256_set1_ps(0.5),
             _mm256_set1_ps(1.0),
         );
-        let (zero_i, one_i) = (_mm256_setzero_si256(), _mm256_set1_epi32(1));
+        let zero_i = _mm256_setzero_si256();
         let step = _mm256_set1_ps(self.step);
         let early_term = _mm256_set1_ps(self.early_term);
-        let margin = _mm256_set1_ps(self.margin);
         let eye = [self.eye.x, self.eye.y, self.eye.z].map(|c| _mm256_set1_ps(c));
         let origin = [self.ox, self.oy, self.oz].map(|c| _mm256_set1_ps(c));
         let bits = |mask: __m256i| _mm256_movemask_ps(_mm256_castsi256_ps(mask)) as u32;
@@ -813,7 +849,6 @@ impl Launch<'_> {
         let mut file = LaneFile {
             ray: [VACANT; LANES],
             dir: [[0.0; LANES]; 3],
-            samples_per_voxel: [0.0; LANES],
             k: [0; LANES],
             end: [0; LANES],
             acc: [[0.0; LANES]; 4],
@@ -824,7 +859,6 @@ impl Launch<'_> {
         let mut slots = 0u64;
 
         let mut dir = [zero; 3];
-        let mut samples_per_voxel = zero;
         let (mut k, mut end) = (zero_i, zero_i);
         let mut acc = [zero; 4];
         let mut fetched = zero_i;
@@ -842,7 +876,6 @@ impl Launch<'_> {
                 }
                 occupied = (0..LANES).fold(0, |m, l| m | u32::from(file.ray[l] != VACANT) << l);
                 dir = [ps(&file.dir[0]), ps(&file.dir[1]), ps(&file.dir[2])];
-                samples_per_voxel = ps(&file.samples_per_voxel);
                 k = epi32(&file.k);
                 end = epi32(&file.end);
                 acc = [
@@ -859,34 +892,21 @@ impl Launch<'_> {
             }
 
             let t = _mm256_mul_ps(_mm256_add_ps(_mm256_cvtepi32_ps(k), half), step);
-            let stored = |axis: usize| {
+            let stored = [0, 1, 2].map(|axis| {
                 let world = _mm256_add_ps(eye[axis], _mm256_mul_ps(dir[axis], t));
                 _mm256_sub_ps(world, origin[axis])
-            };
-            let site = self.smp.locate_x8(stored(0), stored(1), stored(2));
+            });
+            let site = self.smp.locate_x8(stored[0], stored[1], stored[2]);
 
             // Lanes in an empty cell jump; the others fetch.
             let mut fetch = live;
             if let Some(grid) = &self.grid {
-                let distance = grid.distance_x8(site.base_index());
+                let base = site.base_index();
+                let distance = grid.distance_x8(base);
                 let empty = _mm256_and_si256(live, _mm256_cmpgt_epi32(distance, zero_i));
                 if bits(empty) != 0 {
-                    let clear = _mm256_sub_ps(
-                        _mm256_mul_ps(
-                            _mm256_cvtepi32_ps(_mm256_sub_epi32(distance, one_i)),
-                            _mm256_set1_ps(grid.edge),
-                        ),
-                        margin,
-                    );
-                    let more = _mm256_mul_ps(clear, samples_per_voxel);
-                    // `if more > 0.0 { more as u64 } else { 0 }`: `max`
-                    // returns its second operand for a NaN or a negative
-                    // first, and saturating at 2³⁰ is as good as at 2⁶⁴ — no
-                    // lane has that many samples left.
-                    let more = _mm256_max_ps(more, zero);
-                    let more = _mm256_min_ps(more, _mm256_set1_ps(LANE_END_MAX as f32));
-                    let n = _mm256_add_epi32(_mm256_cvttps_epi32(more), one_i);
-                    let n = _mm256_min_epi32(n, _mm256_sub_epi32(end, k));
+                    let left = _mm256_sub_epi32(end, k);
+                    let n = self.jump_x8(grid, base, distance, stored, dir, left);
                     k = _mm256_add_epi32(k, _mm256_and_si256(n, empty));
                     fetch = _mm256_andnot_si256(empty, live);
                 }
@@ -946,6 +966,39 @@ impl Launch<'_> {
         }
     }
 
+    /// [`Launch::jump`] for eight lanes, `left` each lane's `end − k`: the
+    /// same float operations per lane, the minimum over axes taken by
+    /// `_mm256_min_ps` in the order the scalar code takes it.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn jump_x8(
+        &self,
+        grid: &SkipGrid,
+        base: [__m256i; 3],
+        distance: __m256i,
+        stored: [__m256; 3],
+        dir: [__m256; 3],
+        left: __m256i,
+    ) -> __m256i {
+        let half = _mm256_set1_ps(0.5);
+        let at = stored.map(|c| _mm256_sub_ps(c, half));
+        let room = grid.room_x8(base, distance, at, dir);
+        let (step, margin) = (_mm256_set1_ps(self.step), _mm256_set1_ps(self.margin));
+        let sign = _mm256_set1_ps(-0.0);
+        let steps = |axis: usize| {
+            let speed = _mm256_mul_ps(step, _mm256_andnot_ps(sign, dir[axis]));
+            _mm256_div_ps(_mm256_sub_ps(room[axis], margin), speed)
+        };
+        let n = _mm256_min_ps(_mm256_min_ps(steps(0), steps(1)), steps(2));
+        // `if n > 0.0 { n as u64 } else { 0 }`: `max` returns its second
+        // operand for a NaN or a negative first, and saturating at 2³⁰ is as
+        // good as at 2⁶⁴ — no lane has that many samples left.
+        let n = _mm256_max_ps(n, _mm256_setzero_ps());
+        let n = _mm256_min_ps(n, _mm256_set1_ps(LANE_END_MAX as f32));
+        let n = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(1));
+        _mm256_min_epi32(n, left)
+    }
+
     /// `lane`'s ray has ended (or it never had one): write the ray's result
     /// back to the queue, then give the lane the queue's next ray that has
     /// anything to sample, or leave it vacant.
@@ -970,7 +1023,6 @@ impl Launch<'_> {
                 for axis in 0..3 {
                     file.dir[axis][lane] = m.dir.get(axis);
                 }
-                file.samples_per_voxel[lane] = m.samples_per_voxel;
                 (file.k[lane], file.end[lane]) = (m.k as i32, m.end as i32);
                 for c in 0..4 {
                     file.acc[c][lane] = 0.0;
@@ -1156,6 +1208,47 @@ mod tests {
         (texture, vec3(40.0, 40.0, 40.0))
     }
 
+    /// The views the jump tests march the celled Skull from: orbit views,
+    /// plus eyes placed on cell faces in base-index space (stored p − ½ a
+    /// multiple of 8) looking along them.
+    fn skip_cameras() -> Vec<Camera> {
+        let v = Dataset::Skull.volume(40);
+        let mut cameras: Vec<Camera> = [(0.0, 0.0), (30.0, 20.0), (271.0, -48.0), (90.0, 89.0)]
+            .iter()
+            .map(|&(az, el)| Scene::orbit(&v, az, el, TransferFunction::bone()).camera)
+            .collect();
+        for (eye, target) in [
+            (vec3(-70.0, 7.5, 15.5), vec3(40.0, 7.5, 15.5)),
+            (vec3(15.5, 23.5, 150.0), vec3(15.5, 23.5, 0.0)),
+            (vec3(-0.5, -90.0, 31.5), vec3(20.0, 20.0, 31.5)),
+        ] {
+            cameras.push(Camera::look_at(eye, target, vec3(0.2, 0.3, 0.9), 30.0));
+        }
+        cameras
+    }
+
+    /// A 48² launch of `camera` over the celled Skull.
+    fn skip_kernel<'a>(
+        camera: &'a Camera,
+        lut: &'a Texture1D,
+        texture: &'a Texture3D,
+        hi: Vec3,
+        step: f32,
+    ) -> RayCastKernel<'a> {
+        RayCastKernel {
+            camera,
+            lut,
+            texture,
+            store_origin: vec3(-1.0, -1.0, -1.0),
+            core_lo: Vec3::ZERO,
+            core_hi: hi,
+            image: (48, 48),
+            offset: (0, 0),
+            step,
+            early_term: 0.98,
+        }
+    }
+
     /// The invariant behind bit-exactness, checked where it is made rather
     /// than through pixels (a wrongly skipped sample only shows if it also
     /// happens to be visible): every lattice sample a jump passes over has
@@ -1165,37 +1258,10 @@ mod tests {
     fn every_skipped_sample_lies_in_an_empty_cell() {
         let (texture, hi) = celled_skull();
         let lut = TransferFunction::bone().bake();
-        // Orbit views, plus eyes placed on cell faces in base-index space
-        // (stored p − ½ a multiple of 8) looking along them.
-        let mut cameras: Vec<Camera> = [(0.0, 0.0), (30.0, 20.0), (271.0, -48.0), (90.0, 89.0)]
-            .iter()
-            .map(|&(az, el)| {
-                let v = Dataset::Skull.volume(40);
-                Scene::orbit(&v, az, el, TransferFunction::bone()).camera
-            })
-            .collect();
-        for (eye, target) in [
-            (vec3(-70.0, 7.5, 15.5), vec3(40.0, 7.5, 15.5)),
-            (vec3(15.5, 23.5, 150.0), vec3(15.5, 23.5, 0.0)),
-            (vec3(-0.5, -90.0, 31.5), vec3(20.0, 20.0, 31.5)),
-        ] {
-            cameras.push(Camera::look_at(eye, target, vec3(0.2, 0.3, 0.9), 30.0));
-        }
         let (mut jumps, mut skipped, mut longest) = (0u64, 0u64, 0u64);
-        for camera in &cameras {
-            for step in [1.0f32, 0.37, 1.0 / 16.0, 2.3] {
-                let kernel = RayCastKernel {
-                    camera,
-                    lut: &lut,
-                    texture: &texture,
-                    store_origin: vec3(-1.0, -1.0, -1.0),
-                    core_lo: Vec3::ZERO,
-                    core_hi: hi,
-                    image: (48, 48),
-                    offset: (0, 0),
-                    step,
-                    early_term: 0.98,
-                };
+        for camera in &skip_cameras() {
+            for step in STEPS {
+                let kernel = skip_kernel(camera, &lut, &texture, hi, step);
                 let launch = kernel.prepare();
                 let grid = launch.grid.as_ref().expect("air around the skull");
                 for py in 0..48 {
@@ -1245,6 +1311,179 @@ mod tests {
             "{jumps} jumps, {skipped} skipped"
         );
         assert!(longest > 100, "longest jump {longest}");
+    }
+
+    /// The lane march's jump is the solo march's, lane for lane: every jump
+    /// the solo march makes from the views of
+    /// `every_skipped_sample_lies_in_an_empty_cell`, eight rays to a
+    /// register, so the invariant that test checks holds for the lanes too.
+    /// Under a non-finite margin — what non-finite geometry makes of it —
+    /// every jump is a single step in both.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_jumps_equal_solo_jumps() {
+        /// One visit of an empty cell: `jump`'s inputs, and the jump taken.
+        struct Visit {
+            stored: [f32; 3],
+            base: [i32; 3],
+            distance: u8,
+            dir: Vec3,
+            left: u64,
+            jump: u64,
+        }
+
+        #[target_feature(enable = "avx2")]
+        fn lanes_agree(launch: &Launch<'_>, visits: &[Visit]) -> usize {
+            let grid = launch.grid.as_ref().expect("air around the skull");
+            let lanes = |of: &dyn Fn(&Visit) -> f32, at: &[Visit]| {
+                ps(&std::array::from_fn(|l| of(&at[l % at.len()])))
+            };
+            let ints = |of: &dyn Fn(&Visit) -> i32, at: &[Visit]| {
+                epi32(&std::array::from_fn(|l| of(&at[l % at.len()])))
+            };
+            for chunk in visits.chunks(LANES) {
+                let got = i32s(launch.jump_x8(
+                    grid,
+                    [0, 1, 2].map(|a| ints(&|v| v.base[a], chunk)),
+                    ints(&|v| i32::from(v.distance), chunk),
+                    [0, 1, 2].map(|a| lanes(&|v| v.stored[a], chunk)),
+                    [0, 1, 2].map(|a| lanes(&|v| v.dir.get(a), chunk)),
+                    ints(&|v| v.left as i32, chunk),
+                ));
+                for (lane, v) in chunk.iter().enumerate() {
+                    let solo = launch.jump(grid, v.base, v.distance, v.stored, v.dir, v.left);
+                    assert_eq!(solo, v.jump, "`jump` is what `sample_step` jumps");
+                    assert_eq!(
+                        got[lane] as u64, solo,
+                        "lane {lane} at margin {}",
+                        launch.margin
+                    );
+                }
+            }
+            visits.len()
+        }
+
+        if !kernel_has_lanes() {
+            return;
+        }
+        let (texture, hi) = celled_skull();
+        let lut = TransferFunction::bone().bake();
+        let (mut compared, mut longer) = (0, 0);
+        for camera in &skip_cameras() {
+            for step in STEPS {
+                let kernel = skip_kernel(camera, &lut, &texture, hi, step);
+                let mut launch = kernel.prepare();
+                let grid = launch.grid.as_ref().expect("air around the skull");
+                let mut visits = Vec::new();
+                for py in 0..48 {
+                    for px in 0..48 {
+                        let ray = camera.ray(px, py, 48, 48);
+                        let Some(span) = ray.intersect_aabb(Vec3::ZERO, hi) else {
+                            continue;
+                        };
+                        let mut m = March::new(0, 0, ray.dir, span, step);
+                        while m.k < m.end {
+                            let p = launch.eye + m.dir * ((m.k as f32 + 0.5) * step);
+                            let stored = [p.x - launch.ox, p.y - launch.oy, p.z - launch.oz];
+                            let base = launch.smp.locate(stored[0], stored[1], stored[2]);
+                            let (base, from, fetched) = (base.base_index(), m.k, m.fetched);
+                            let left = m.end - m.k;
+                            launch.sample_step(&mut m);
+                            if m.fetched == fetched {
+                                let (distance, dir) = (grid.distance(base), ray.dir);
+                                let jump = m.k - from;
+                                longer += usize::from(jump > 1);
+                                visits.push(Visit {
+                                    stored,
+                                    base,
+                                    distance,
+                                    dir,
+                                    left,
+                                    jump,
+                                });
+                            }
+                        }
+                    }
+                }
+                #[allow(unsafe_code)] // test only: the lane helpers, as `march` calls them
+                // SAFETY: `lanes_agree` is compiled for AVX2 alone, which
+                // `kernel_has_lanes` detected above.
+                unsafe {
+                    compared += lanes_agree(&launch, &visits);
+                    for margin in [f32::NAN, f32::INFINITY] {
+                        launch.margin = margin;
+                        for v in &mut visits {
+                            v.jump = 1;
+                        }
+                        lanes_agree(&launch, &visits);
+                    }
+                }
+            }
+        }
+        assert!(
+            compared > 10_000 && longer > compared / 4,
+            "{compared} jumps, {longer} > 1"
+        );
+    }
+
+    /// What the exit rule adds: a sample in a cell at distance 1 — the
+    /// chessboard rule's `(D − 1)·edge` clears nothing there — crosses the
+    /// rest of the cell in one jump. One ray along +x at step 1 from inside
+    /// the box: samples 0..=6 have bases 1..=7, all in empty cell 0, next to
+    /// occupied cell 1; sample 7's base is 8.
+    #[test]
+    fn a_jump_crosses_a_cell_next_to_an_occupied_one() {
+        // Stored x ≥ 9 dense: bases 0..=7 tap only zeros, so cell 0 is
+        // empty and cell 1, which taps stored x = 9, is not.
+        let dims = [34, 10, 10];
+        let voxels = (0..dims[0] * dims[1] * dims[2])
+            .map(|i| if i % dims[0] >= 9 { 1.0 } else { 0.0 })
+            .collect();
+        let texture = with_built_cells(dims, voxels);
+        let lut = TransferFunction::bone().bake();
+        let eye = vec3(0.25, 4.0, 4.0);
+        let camera = Camera::look_at(eye, vec3(30.0, 4.0, 4.0), vec3(0.0, 0.0, 1.0), 30.0);
+        let kernel = RayCastKernel {
+            camera: &camera,
+            lut: &lut,
+            texture: &texture,
+            store_origin: vec3(-1.0, -1.0, -1.0),
+            core_lo: Vec3::ZERO,
+            core_hi: vec3(32.0, 8.0, 8.0),
+            image: (1, 1),
+            offset: (0, 0),
+            step: 1.0,
+            early_term: 0.98,
+        };
+        let launch = kernel.prepare();
+        let ray = camera.ray(0, 0, 1, 1);
+        assert_eq!(ray.dir, vec3(1.0, 0.0, 0.0));
+        let base = |k: u64| {
+            let p = ray.at(k as f32 + 0.5) - vec3(launch.ox, launch.oy, launch.oz);
+            launch.smp.locate(p.x, p.y, p.z).base_index()
+        };
+        assert_eq!(
+            (base(0), base(6), base(7)),
+            ([1, 4, 4], [7, 4, 4], [8, 4, 4])
+        );
+        let grid = launch.grid.as_ref().expect("empty cells");
+        assert_eq!((grid.distance(base(0)), grid.distance(base(7))), (1, 0));
+
+        let (t0, t1) = ray.intersect_aabb(Vec3::ZERO, kernel.core_hi).unwrap();
+        let mut m = March::new(0, 0, ray.dir, (t0, t1), 1.0);
+        assert_eq!(m.k, 0);
+        launch.sample_step(&mut m);
+        assert_eq!(
+            (m.k, m.samples, m.fetched),
+            (7, 7, 0),
+            "one jump to sample 7"
+        );
+        launch.sample_step(&mut m);
+        assert_eq!(
+            (m.k, m.samples, m.fetched),
+            (8, 8, 1),
+            "sample 7 is fetched"
+        );
     }
 
     /// What `SKIP_MARGIN` is for, on one ray along +x (step 1, so one

@@ -50,7 +50,8 @@ fn is_empty(lut: &Texture1D, [lo, hi]: [f32; 2]) -> bool {
 
 /// Per cell, the chessboard distance (in cells, saturating at 255) to the
 /// nearest occupied cell; 0 marks an occupied cell. Every cell at chessboard
-/// distance `< D` from a cell of distance `D` is empty.
+/// distance `< D` from a cell of distance `D` is empty: a cube of `2D − 1`
+/// cells a side, whose faces [`SkipGrid::room`] measures.
 pub(crate) struct SkipGrid {
     /// Padded by one [`FAR`] cell on every side, so the transform's
     /// neighbourhoods need no edge cases.
@@ -62,7 +63,7 @@ pub(crate) struct SkipGrid {
     /// `log2` of the cell edge.
     shift: u32,
     /// Cell edge in voxels.
-    pub(crate) edge: f32,
+    edge: f32,
 }
 
 impl SkipGrid {
@@ -107,21 +108,55 @@ impl SkipGrid {
         })
     }
 
-    /// The longest stretch, in voxels, a stored distance can vouch for.
+    /// The longest stretch, in voxels, a stored distance can vouch for: no
+    /// [`SkipGrid::room`] from inside its cell exceeds it.
     pub(crate) fn longest_clear(&self) -> f32 {
         FAR as f32 * self.edge
     }
 
+    /// The cell holding base index `base` along `axis`, unpadded. Cells are
+    /// keyed by the base clamped into `[0, max(dim − 2, 0)]`; clamping the
+    /// *cell* index instead is the same thing, the shift being monotone and
+    /// the last cell the one that holds the last base.
+    #[inline(always)]
+    fn cell(&self, base: [i32; 3], axis: usize) -> i32 {
+        (base[axis] >> self.shift).clamp(0, self.last[axis])
+    }
+
     /// Distance of the cell holding base index `base` (as
-    /// `mgpu_gpu::Site::base_index` reports it). Cells are keyed by the base
-    /// clamped into `[0, max(dim − 2, 0)]`; clamping the *cell* index instead
-    /// is the same thing, the shift being monotone and the last cell the one
-    /// that holds the last base.
+    /// `mgpu_gpu::Site::base_index` reports it).
     #[inline(always)]
     pub(crate) fn distance(&self, base: [i32; 3]) -> u8 {
-        let cell =
-            |axis: usize| ((base[axis] >> self.shift).clamp(0, self.last[axis]) + 1) as usize;
+        let cell = |axis: usize| (self.cell(base, axis) + 1) as usize;
         self.dist[cell(2) * self.stride[1] + cell(1) * self.stride[0] + cell(0)]
+    }
+
+    /// Per axis, how far `at` — the sampler's own `p − ½`, whose floor is
+    /// `base` — lies from the face a ray along `dir` leaves through, of the
+    /// cube of cells within `distance − 1` of `base`'s cell: every cell of it
+    /// is empty, and a later `p − ½` less than `room` further along every
+    /// axis still floors into it. The low face where `dir`'s sign bit is set
+    /// (−0.0 included), the high one otherwise. Inside its cell `at` is at
+    /// most `distance` cell edges from either face; in the clamp fringe,
+    /// past the grid's ends, it may be further, and a ray moving away from
+    /// the grid there may get a negative room.
+    #[inline(always)]
+    pub(crate) fn room(
+        &self,
+        base: [i32; 3],
+        distance: u8,
+        at: [f32; 3],
+        dir: [f32; 3],
+    ) -> [f32; 3] {
+        let d = i32::from(distance);
+        [0, 1, 2].map(|axis| {
+            let cell = self.cell(base, axis);
+            if dir[axis].is_sign_negative() {
+                at[axis] - (cell + 1 - d) as f32 * self.edge
+            } else {
+                (cell + d) as f32 * self.edge - at[axis]
+            }
+        })
     }
 
     /// Whether [`SkipGrid::distance_x8`] serves this grid: the padded table's
@@ -129,6 +164,16 @@ impl SkipGrid {
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn fits_lanes(&self) -> bool {
         self.dist.len() <= i32::MAX as usize
+    }
+
+    /// [`SkipGrid::cell`] for eight base indices.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn cell_x8(&self, base: [__m256i; 3], axis: usize) -> __m256i {
+        let c = _mm256_sra_epi32(base[axis], _mm_cvtsi32_si128(self.shift as i32));
+        let c = _mm256_max_epi32(c, _mm256_setzero_si256());
+        _mm256_min_epi32(c, _mm256_set1_epi32(self.last[axis]))
     }
 
     /// [`SkipGrid::distance`] for eight base indices (x, y and z as three
@@ -142,13 +187,7 @@ impl SkipGrid {
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(crate) fn distance_x8(&self, base: [__m256i; 3]) -> __m256i {
-        let shift = _mm_cvtsi32_si128(self.shift as i32);
-        let cell = |axis: usize| {
-            let c = _mm256_sra_epi32(base[axis], shift);
-            let c = _mm256_max_epi32(c, _mm256_setzero_si256());
-            let c = _mm256_min_epi32(c, _mm256_set1_epi32(self.last[axis]));
-            _mm256_add_epi32(c, _mm256_set1_epi32(1))
-        };
+        let cell = |axis: usize| _mm256_add_epi32(self.cell_x8(base, axis), _mm256_set1_epi32(1));
         let stride = |of: usize| _mm256_set1_epi32(self.stride[of] as i32);
         let at = _mm256_add_epi32(
             _mm256_add_epi32(
@@ -158,6 +197,37 @@ impl SkipGrid {
             cell(0),
         );
         epi32(&i32s(at).map(|cell| self.dist[cell as usize] as i32))
+    }
+
+    /// [`SkipGrid::room`] for eight lanes, `distance` as
+    /// [`SkipGrid::distance_x8`] returns it: the same integers, converted
+    /// and scaled by the same operations, and the face picked by `dir`'s
+    /// sign bit.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn room_x8(
+        &self,
+        base: [__m256i; 3],
+        distance: __m256i,
+        at: [__m256; 3],
+        dir: [__m256; 3],
+    ) -> [__m256; 3] {
+        let edge = _mm256_set1_ps(self.edge);
+        let face = |cells: __m256i| _mm256_mul_ps(_mm256_cvtepi32_ps(cells), edge);
+        [0, 1, 2].map(|axis| {
+            let cell = self.cell_x8(base, axis);
+            let low = face(_mm256_sub_epi32(
+                _mm256_add_epi32(cell, _mm256_set1_epi32(1)),
+                distance,
+            ));
+            let high = face(_mm256_add_epi32(cell, distance));
+            _mm256_blendv_ps(
+                _mm256_sub_ps(high, at[axis]),
+                _mm256_sub_ps(at[axis], low),
+                dir[axis],
+            )
+        })
     }
 }
 
