@@ -239,27 +239,22 @@ fn bench_march(c: &mut Criterion) {
         .expect("the orbit frames the volume");
     let (core_lo, core_hi) = brick.core_box();
 
-    let (cells, store_origin) = RenderBrick::texture(&data);
+    let (no_cells, store_origin) = RenderBrick::texture(&data);
     let (_, dims) = data.info.padded(data.ghost);
-    let no_cells = Texture3D::windowed(
-        dims,
-        data.window(),
-        data.store_dims,
-        Arc::clone(&data.voxels),
-    );
-    let whole = data
-        .cells
+    let own = MacroCells::build(&data.voxels, data.store_dims, data.window(), dims);
+    let cells = no_cells
+        .clone()
+        .with_cells(own.edge, Arc::clone(&own.ranges));
+    let whole = own
         .ranges
         .iter()
         .fold([f32::INFINITY, f32::NEG_INFINITY], |[lo, hi], r| {
             [lo.min(r[0]), hi.max(r[1])]
         });
-    let mut widened = vec![whole; data.cells.ranges.len()];
-    assert_eq!(data.cells.ranges[0], [0.0, 0.0], "corner cell is air");
+    let mut widened = vec![whole; own.ranges.len()];
+    assert_eq!(own.ranges[0], [0.0, 0.0], "corner cell is air");
     widened[0] = [0.0, 0.0];
-    let bypass = no_cells
-        .clone()
-        .with_cells(data.cells.edge, Arc::new(widened));
+    let bypass = no_cells.clone().with_cells(own.edge, Arc::new(widened));
 
     let clear = TransferFunction::from_points(
         "clear",
@@ -470,11 +465,9 @@ impl GpuMapper<NoChunk> for SpinMapper {
 /// plume baked to a page-cached file — its 130×130×66 ghost-padded box
 /// clipped to the volume, 128×128×65 voxels — staged into a dead brick's
 /// buffer. The two bricks of a 128³ plume take turns under a budget of one
-/// brick plus room for one table (`first_miss`: the other brick's table has
-/// to go, so every miss builds its table again) or two (`re_miss`: both
-/// stay, so every miss reads the voxels and nothing else). After each
-/// timing both bricks must equal the procedural plume's in-bounds regions
-/// bit for bit: a 4.26 MB brick read in 17 cap-split runs.
+/// brick, so every get misses and reads the voxels (the store builds nothing
+/// else). After the timing both bricks must equal the procedural plume's
+/// in-bounds regions bit for bit: a 4.26 MB brick read in 17 cap-split runs.
 fn bench_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("stage");
     g.sample_size(20);
@@ -494,10 +487,8 @@ fn bench_stage(c: &mut Criterion) {
             max_brick_voxels: u64::MAX,
         },
     );
-    let padded = grid.brick(0).size.map(|s| s as usize + 2);
     let store_dims = [128, 128, 65];
     let voxel_bytes = (store_dims.iter().product::<usize>() * 4) as u64;
-    let table_bytes = MacroCells::bytes_for(padded);
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     let expect = [[0, 0, 0], [0, 0, 63]].map(|origin| {
         let mut region = vec![0f32; voxel_bytes as usize / 4];
@@ -505,22 +496,19 @@ fn bench_stage(c: &mut Criterion) {
         bits(&region)
     });
 
-    for (name, tables) in [("first_miss", 1), ("re_miss", 2)] {
-        let budget = voxel_bytes + tables * table_bytes;
-        let store = BrickStore::new(volume.clone(), grid.clone(), 1, budget);
-        let mut id = 0;
-        g.bench_function(format!("plume_brick_{name}"), |b| {
-            b.iter(|| {
-                id ^= 1;
-                store.get(black_box(id))
-            })
-        });
-        assert_eq!(store.snapshot().hits, 0, "every get is a miss");
-        for (id, expect) in expect.iter().enumerate() {
-            let brick = store.get(id);
-            assert_eq!(brick.store_dims, store_dims, "plume_outofcore's end brick");
-            assert!(bits(&brick.voxels) == *expect, "brick {id} staged wrong");
-        }
+    let store = BrickStore::new(volume.clone(), grid.clone(), 1, voxel_bytes);
+    let mut id = 0;
+    g.bench_function("plume_brick_miss", |b| {
+        b.iter(|| {
+            id ^= 1;
+            store.get(black_box(id))
+        })
+    });
+    assert_eq!(store.snapshot().hits, 0, "every get is a miss");
+    for (id, expect) in expect.iter().enumerate() {
+        let brick = store.get(id);
+        assert_eq!(brick.store_dims, store_dims, "plume_outofcore's end brick");
+        assert!(bits(&brick.voxels) == *expect, "brick {id} staged wrong");
     }
     g.finish();
     std::fs::remove_file(&path).ok();

@@ -227,7 +227,7 @@ fn main() {
         "every workload frame must complete"
     );
     assert!(
-        traces.iter().any(|t| t.span("kernel").is_some()),
+        traces.iter().any(|t| t.span("map").is_some()),
         "traces must carry renderer stage spans"
     );
 

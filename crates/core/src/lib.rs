@@ -37,7 +37,7 @@ pub use assign::Assignment;
 pub use cost::{CostBook, CpuCostModel, GpuReduceModel};
 pub use partition::{Checkerboard, Partitioner, RoundRobin, Striped, Tiled};
 pub use record::{ChunkRecord, JobRecord, JobStats, MapperRecord, ReducerRecord, SendRecord};
-pub use runtime::{run_job, JobConfig, JobOutput};
+pub use runtime::{run_job, JobConfig, JobOutput, JobTimes};
 pub use sort::{counting_sort_groups, SortedGroups};
 pub use trace_build::{build_swap_trace, build_trace, TraceOptions};
 pub use traits::{Chunk, Combiner, FnCombiner, GpuMapper, MapOutput, Reducer};

@@ -31,11 +31,14 @@
 //! task `r` concatenates mapper 0's batches for `r`, then mapper 1's, and so
 //! on, each mapper's in flush order, so results and the recorded
 //! [`JobRecord`] are bit-identical across runs regardless of thread timing.
+//! Beside the record, a job returns when each host task ran ([`JobTimes`]):
+//! wall-clock offsets, different on every run, that the record leaves out.
 
 use mgpu_cluster::{route, ClusterSpec, GpuId, Route};
 use mgpu_gpu::exec::Lender;
 use mgpu_obs::{names, Counter};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use crate::assign::Assignment;
 
@@ -104,6 +107,39 @@ pub struct JobOutput<O> {
     pub record: JobRecord,
     /// Functional counters (conservation checks, reports).
     pub stats: JobStats,
+    /// When each host task ran (not deterministic; not in `record`).
+    pub times: JobTimes,
+}
+
+/// When each of a job's host tasks ran, in ns after [`JobTimes::start`], and
+/// which role ran it: mapper role `m` is `m`, and the reduce helper that
+/// role `m` spawned `h`-th (`h` from 1) is `gpus + h − 1`. Each task fills
+/// its own preallocated slot; stamping takes no lock.
+#[derive(Debug, Clone)]
+pub struct JobTimes {
+    /// When the job began.
+    pub start: Instant,
+    /// Per chunk, mapper 0's in the order it mapped them, then mapper 1's,
+    /// and so on: `[launch start, launch end = partition start, partition
+    /// end]` (partition includes the flushes after the chunk) and the role.
+    pub chunks: Vec<([u64; 3], u32)>,
+    /// Per reduce task, in reducer order: `[sort start, sort end = reduce
+    /// start, reduce end]` and the role.
+    pub reduces: Vec<([u64; 3], u32)>,
+    /// The k-way merge's `[start, end]`, on the caller's thread (role 0).
+    pub merge: [u64; 2],
+}
+
+impl JobTimes {
+    /// The instant `ns` after the job began.
+    pub fn at(&self, ns: u64) -> Instant {
+        self.start + std::time::Duration::from_nanos(ns)
+    }
+}
+
+/// Nanoseconds from `start` to now.
+fn since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
 }
 
 impl<O> JobOutput<O> {
@@ -167,6 +203,18 @@ where
         spec.gpus as usize, m_count,
         "cluster spec GPU count must match job config"
     );
+    let start = Instant::now();
+    // Every mapper's chunk slots, in mapper order, then each reduce task's.
+    let mut chunk_times = vec![([0; 3], 0); chunks.len()];
+    let mut reduce_times = vec![([0; 3], 0); r_count];
+    let mut mapper_times = Vec::with_capacity(m_count);
+    let mut rest = chunk_times.as_mut_slice();
+    for m in 0..config.gpus {
+        let mine = config.assignment.chunks_for(m, chunks.len(), config.gpus).count();
+        let (slots, after) = rest.split_at_mut(mine);
+        mapper_times.push(slots);
+        rest = after;
+    }
 
     // Mapper `m`'s batches for reducer `r`, in flush order, at
     // `r * m_count + m`: published when the mapper role returns.
@@ -176,24 +224,33 @@ where
     let mut reducer_results: Vec<ReducerResult<R::Out>> = Vec::new();
     reducer_results.resize_with(r_count, Default::default);
     // The reduce tasks, claimed in order as `launch_blocks` claims blocks:
-    // task `r` is the mappers' batches for `r` and the slot of its result.
-    let tasks = Mutex::new(flushed.chunks(m_count).zip(&mut reducer_results));
-    let reduce = || loop {
-        let Some((mine, result)) = tasks.lock().expect(POISON).next() else {
+    // task `r` is the mappers' batches for `r` and the slots of its result
+    // and its times.
+    let tasks = Mutex::new(
+        flushed
+            .chunks(m_count)
+            .zip(&mut reducer_results)
+            .zip(&mut reduce_times),
+    );
+    let reduce = |role: u32| loop {
+        let Some(((mine, result), time)) = tasks.lock().expect(POISON).next() else {
             break;
         };
+        let begun = since(start);
         let mut batches = Vec::new();
         for slot in mine {
             batches.append(&mut slot.lock().expect(POISON));
         }
-        *result = run_reducer(batches, reducer, config.key_space);
+        let (out, sorted) = run_reducer(batches, reducer, config.key_space, start);
+        *result = out;
+        *time = ([begun, sorted, since(start)], role);
     };
     let lender = Lender::new(m_count);
     mgpu_gpu::exec::scope(|scope| {
         let reduce = &reduce;
-        let map = |m: usize| {
+        let map = |m: usize, times: &mut [([u64; 3], u32)]| {
             let (record, batches) =
-                run_mapper(m as u32, chunks, mapper, partitioner, combiner, config);
+                run_mapper(m as u32, chunks, mapper, partitioner, combiner, config, (start, times));
             for (r, batches) in batches.into_iter().enumerate() {
                 *flushed[r * m_count + m].lock().expect(POISON) = batches;
             }
@@ -202,21 +259,24 @@ where
         // Run by the mapper role that returns last, after the map phase: it
         // reduces on its own thread, already on a core, beside R − 1 helpers.
         // A helper that wakes after every task is claimed returns at once.
-        let last = move || {
-            for _ in 1..r_count {
-                scope.spawn(reduce);
+        let last = move |m: usize| {
+            for h in 1..r_count {
+                scope.spawn(move || reduce((m_count + h - 1) as u32));
             }
-            reduce();
+            reduce(m as u32);
         };
         let (own, others) = mapper_records
             .split_first_mut()
             .expect("validated: gpus >= 1");
-        for (m, record) in others.iter_mut().enumerate() {
-            scope.spawn_mapper(&lender, move || *record = map(m + 1), last);
+        let mut mapper_times = mapper_times.into_iter();
+        let own_times = mapper_times.next().expect("validated: gpus >= 1");
+        for ((m, record), times) in others.iter_mut().enumerate().zip(mapper_times) {
+            scope.spawn_mapper(&lender, move || *record = map(m + 1, times), move || last(m + 1));
         }
-        *own = lender.run_mapper(|| map(0), last);
+        *own = lender.run_mapper(|| map(0, own_times), || last(0));
     });
     map_idle().add(lender.idle_ns());
+    let merge_start = since(start);
 
     // Assemble record, stats and merged output.
     let mut record = JobRecord::default();
@@ -286,6 +346,12 @@ where
         outs,
         record,
         stats,
+        times: JobTimes {
+            start,
+            chunks: chunk_times,
+            reduces: reduce_times,
+            merge: [merge_start, since(start)],
+        },
     }
 }
 
@@ -296,6 +362,7 @@ fn run_mapper<C, M, P>(
     partitioner: &P,
     combiner: Option<&dyn Combiner<M::Value>>,
     config: &JobConfig,
+    (start, times): (Instant, &mut [([u64; 3], u32)]),
 ) -> (MapperRecord, Vec<Vec<Batch<M::Value>>>)
 where
     C: Chunk,
@@ -344,7 +411,9 @@ where
     let mut last = 0;
     for (ci, chunk) in mine.enumerate() {
         last = ci;
+        let begun = since(start);
         let out = mapper.map_chunk(gpu, chunk);
+        let launched = since(start);
         let emitted = out.len() as u64;
         // Two passes, so each buffer grows once per chunk, to what it needs.
         counts.fill(0);
@@ -378,6 +447,7 @@ where
                 flush(r, ci, &mut buffers, &mut rec);
             }
         }
+        times[ci] = ([begun, launched, since(start)], m);
     }
 
     // Final drain after the last chunk.
@@ -410,12 +480,13 @@ fn apply_combiner<V: WireValue>(
 
 /// Reduce task `r`: `batches` are every mapper's batches for `r`, mapper 0's
 /// first, each mapper's in flush order — the order the values reach
-/// [`Reducer::reduce`] in.
+/// [`Reducer::reduce`] in. Also returns when, after `start`, its sort ended.
 fn run_reducer<R: Reducer>(
     batches: Vec<Batch<R::Value>>,
     reducer: &R,
     key_space: u32,
-) -> ReducerResult<R::Out> {
+    start: Instant,
+) -> (ReducerResult<R::Out>, u64) {
     let wire = pair_wire_bytes::<R::Value>() as u64;
     // The first batch's columns become the sort input; the rest append.
     let mut batches = batches.into_iter();
@@ -430,6 +501,7 @@ fn run_reducer<R: Reducer>(
     let items = keys.len() as u64;
 
     let groups = counting_sort_groups(&keys, &values, key_space);
+    let sorted = since(start);
     let mut out_keys = Vec::with_capacity(groups.num_groups());
     let mut outs = Vec::with_capacity(groups.num_groups());
     let mut scratch: Vec<R::Value> = Vec::new();
@@ -441,13 +513,16 @@ fn run_reducer<R: Reducer>(
     }
 
     (
-        ReducerRecord {
-            items,
-            bytes: items * wire,
-            groups: groups.num_groups() as u64,
-        },
-        out_keys,
-        outs,
+        (
+            ReducerRecord {
+                items,
+                bytes: items * wire,
+                groups: groups.num_groups() as u64,
+            },
+            out_keys,
+            outs,
+        ),
+        sorted,
     )
 }
 

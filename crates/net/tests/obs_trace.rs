@@ -38,13 +38,18 @@ fn request(azimuth: f32) -> SceneRequest {
 
 /// The stage spans a freshly rendered (cache-missing) frame must carry,
 /// in pipeline order of their start timestamps.
-const PIPELINE: [&str; 7] = [
+const PIPELINE: [&str; 12] = [
     "admit",
     "queue",
     "plan",
     "stage",
-    "kernel",
-    "composite",
+    "map",
+    "partition",
+    "sort",
+    "reduce",
+    "merge",
+    "model",
+    "stitch",
     "reply",
 ];
 

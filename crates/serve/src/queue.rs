@@ -189,8 +189,9 @@ pub(crate) struct QueuedJob {
     pub frame_key: RequestKey,
     pub reply: Reply,
     /// The request's end-to-end trace: the worker records the queue/plan/
-    /// render spans into it, and the renderer adds stage/kernel/composite
-    /// via the thread-local [`mgpu_obs::trace::scope`].
+    /// render spans into it, and the renderer adds stage, map, partition,
+    /// sort, reduce, merge, model and stitch via the thread-local
+    /// [`mgpu_obs::trace::scope`].
     pub trace: Arc<Trace>,
 }
 

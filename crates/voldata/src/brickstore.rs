@@ -2,10 +2,12 @@
 //! them under a host-memory budget with LRU eviction. A brick stores its
 //! ghost-padded box clipped to the volume, read straight into place; its
 //! texture's clamp supplies the border ghosts (`Texture3D::windowed`).
-//! A brick's first miss also builds its min/max [`MacroCells`]; the store
-//! keeps that table after the voxels are evicted, so a later miss of the same
-//! brick reads its voxels and nothing else. Voxels and tables both count
-//! against the budget.
+//! The store holds voxels only, and only voxels count against the budget.
+//! What a renderer derives from a brick's voxels — its min/max
+//! [`MacroCells`](crate::MacroCells) and the skip grid classified from them —
+//! is built and kept by the renderer, per brick and transfer function, and
+//! sits outside the budget: a skip grid is one byte per 4³ cell, ≈ 1/256 of
+//! the brick's voxel bytes.
 //!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
@@ -25,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::brick::{BrickGrid, BrickInfo};
-use crate::macrocell::MacroCells;
 use crate::volume::Volume;
 
 /// A materialized brick: its ghost-padded box ([`BrickInfo::padded`])
@@ -42,8 +43,6 @@ pub struct BrickData {
     pub store_dims: [usize; 3],
     /// Shared so a device texture can reference the same allocation.
     pub voxels: Arc<Vec<f32>>,
-    /// Min/max macrocells over the padded box, keyed by its base indices.
-    pub cells: MacroCells,
     /// Where the voxel allocation goes when the brick dies.
     spares: Arc<Spares>,
 }
@@ -56,12 +55,8 @@ impl BrickData {
         [0, 1, 2].map(|a| (self.store_origin[a] as i64 - origin[a]) as usize)
     }
 
-    /// Host bytes this brick holds: voxels plus macrocells.
+    /// Host bytes this brick holds: its voxels.
     pub fn bytes(&self) -> u64 {
-        self.voxel_bytes() + self.cells.bytes()
-    }
-
-    fn voxel_bytes(&self) -> u64 {
         (self.voxels.len() * 4) as u64
     }
 }
@@ -187,20 +182,16 @@ impl StoreSnapshot {
     }
 }
 
-/// What the store holds of one staged brick.
+/// A resident brick.
 struct Entry {
-    /// The brick, while its voxels are resident.
-    brick: Option<Arc<BrickData>>,
-    /// Its min/max table, kept after the voxels are evicted: it is derived
-    /// from voxels that do not change for the store's lifetime.
-    cells: MacroCells,
+    brick: Arc<BrickData>,
     /// When the brick was last served.
     last: u64,
 }
 
 struct CacheInner {
     entries: HashMap<usize, Entry>,
-    /// Bytes held: every entry's table, plus resident voxels.
+    /// Voxel bytes resident.
     bytes: u64,
     /// Bytes reserved by misses that are still materializing.
     in_flight: u64,
@@ -245,15 +236,12 @@ pub struct BrickStore {
 }
 
 impl BrickStore {
-    /// `budget_bytes` bounds cached brick data: resident voxels, plus one
-    /// macrocell table per brick staged so far. Eviction takes least recently
-    /// used voxels first and tables of non-resident bricks only once no
-    /// voxels are left to take. A single brick larger than the budget is
-    /// still materialized (and evicted as soon as another arrives). Voxel
-    /// buffers of dead bricks are kept for reuse, up to the same number of
-    /// bytes of capacity again. `volume` must not change while the store
-    /// lives: resident bricks and kept tables are never re-validated
-    /// against it.
+    /// `budget_bytes` bounds the resident voxels; eviction takes the least
+    /// recently used brick. A single brick larger than the budget is still
+    /// materialized (and evicted as soon as another arrives). Voxel buffers
+    /// of dead bricks are kept for reuse, up to the same number of bytes of
+    /// capacity again. `volume` must not change while the store lives:
+    /// resident bricks are never re-validated against it.
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),
@@ -303,15 +291,10 @@ impl BrickStore {
         let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(Entry {
-            brick: Some(data),
-            last,
-            ..
-        }) = inner.entries.get_mut(&id)
-        {
+        if let Some(Entry { brick, last }) = inner.entries.get_mut(&id) {
             *last = tick;
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(data);
+            return Arc::clone(brick);
         }
         self.stage(id, inner)
     }
@@ -320,19 +303,10 @@ impl BrickStore {
     /// in-flight + this brick fits the budget, so the budget also holds
     /// *while* bricks are being read, not only between accesses. It never
     /// waits for room — with nothing left to evict the brick is served anyway.
-    /// A brick staged before reserves and reads its voxels only, and is
-    /// served with the table its first miss built.
     fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
         let info = self.grid.brick(id);
         let (store_origin, store_dims) = stored(&info, self.ghost, self.grid.vol_dims);
-        let (origin, dims) = info.padded(self.ghost);
-        let window = [0, 1, 2].map(|a| (store_origin[a] as i64 - origin[a]) as usize);
-        let voxel_bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
-        let kept = inner.entries.get(&id).map(|e| e.cells.clone());
-        let bytes = match kept {
-            Some(_) => voxel_bytes,
-            None => voxel_bytes + MacroCells::bytes_for(dims),
-        };
+        let bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;
         drop(inner);
@@ -347,39 +321,28 @@ impl BrickStore {
         let mut voxels = self.spares.take(store_dims.iter().product());
         self.volume
             .read_region(store_origin, store_dims, &mut voxels);
-        let cells = kept.unwrap_or_else(|| MacroCells::build(&voxels, store_dims, window, dims));
         let data = Arc::new(BrickData {
             info,
             ghost: self.ghost,
             store_origin,
             store_dims,
             voxels: Arc::new(voxels),
-            cells,
             spares: Arc::clone(&self.spares),
         });
-        debug_assert_eq!(data.cells.bytes(), MacroCells::bytes_for(dims));
-        // Voxel bytes only: this counter is the volume data read or
-        // synthesized, which the cells are derived from, not part of.
         self.stats
             .bytes_materialized
-            .fetch_add(voxel_bytes, Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
 
         let mut guard = reservation.settle();
         let inner = &mut *guard;
         inner.tick += 1;
-        let entry = inner.entries.entry(id).or_insert_with(|| {
-            // A first miss, or one whose table went while it read.
-            inner.bytes += data.cells.bytes();
-            Entry {
-                brick: None,
-                cells: data.cells.clone(),
-                last: 0,
-            }
-        });
-        entry.last = inner.tick;
-        inner.bytes += voxel_bytes;
-        if let Some(twin) = entry.brick.replace(Arc::clone(&data)) {
-            inner.bytes -= twin.voxel_bytes(); // racing miss: replaced a twin
+        let entry = Entry {
+            brick: Arc::clone(&data),
+            last: inner.tick,
+        };
+        inner.bytes += bytes;
+        if let Some(twin) = inner.entries.insert(id, entry) {
+            inner.bytes -= twin.brick.bytes(); // racing miss: replaced a twin
         }
         // Only misses that could not reserve (more in flight than the budget
         // holds) still have something to trim here.
@@ -387,39 +350,26 @@ impl BrickStore {
         data
     }
 
-    /// Evict (never `keep`) until held + in-flight + `incoming` bytes fit
-    /// the budget or nothing else is left: least-recently-used voxels first,
-    /// then, with no voxels left to take, the tables of non-resident bricks
-    /// in the same order.
+    /// Evict least-recently-used bricks (never `keep`) until held +
+    /// in-flight + `incoming` bytes fit the budget or nothing else is left.
     fn evict_to_fit(&self, inner: &mut CacheInner, incoming: u64, keep: usize) {
         while inner.bytes + inner.in_flight + incoming > self.budget_bytes {
-            let lru = |resident: bool| {
-                inner
-                    .entries
-                    .iter()
-                    .filter(|(k, e)| **k != keep && e.brick.is_some() == resident)
-                    .min_by_key(|(_, e)| e.last)
-                    .map(|(k, _)| *k)
-            };
-            let Some(k) = lru(true).or_else(|| lru(false)) else {
+            let Some(k) = inner
+                .entries
+                .iter()
+                .filter(|(k, _)| **k != keep)
+                .min_by_key(|(_, e)| e.last)
+                .map(|(k, _)| *k)
+            else {
                 break;
             };
-            let entry = inner.entries.get_mut(&k).expect("victim is held");
-            match entry.brick.take() {
-                Some(old) => {
-                    inner.bytes -= old.voxel_bytes();
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    inner.bytes -= entry.cells.bytes();
-                    inner.entries.remove(&k);
-                }
-            }
+            let old = inner.entries.remove(&k).expect("victim is held");
+            inner.bytes -= old.brick.bytes();
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drop all cached bricks, kept tables and spare buffers (keeps
-    /// statistics).
+    /// Drop all cached bricks and spare buffers (keeps statistics).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect(POISON);
         inner.entries.clear();
@@ -454,13 +404,11 @@ mod tests {
     }
 
     /// One staged brick of [`store`]: every brick touches a border on each
-    /// axis, so it stores its (8+2)³ padded box clipped to 9³ voxels × 4 B,
-    /// plus the 2³ macrocells × 8 B keyed over the padded box.
-    const VOXEL_BYTES: u64 = 2916;
-    const BRICK_BYTES: u64 = VOXEL_BYTES + 64;
+    /// axis, so it stores its (8+2)³ padded box clipped to 9³ voxels × 4 B.
+    const BRICK_BYTES: u64 = 2916;
     /// Budgets: barely one brick, just under two, and about two and a half.
     const ONE_BRICK: u64 = 3_700;
-    const UNDER_TWO: u64 = 5_900;
+    const UNDER_TWO: u64 = 5_800;
     const TWO_AND_A_HALF: u64 = 7_400;
 
     /// 16³ of `field` in eight 8³ bricks with one ghost layer.
@@ -565,105 +513,31 @@ mod tests {
         assert_eq!(s.snapshot().misses, before.misses + 1);
     }
 
-    /// Ids whose voxels are resident, and ids whose table is kept.
-    fn held(s: &BrickStore) -> (Vec<usize>, Vec<usize>) {
-        let inner = s.inner.lock().unwrap();
-        let mut resident: Vec<usize> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| e.brick.is_some())
-            .map(|(k, _)| *k)
-            .collect();
-        let mut tables: Vec<usize> = inner.entries.keys().copied().collect();
+    /// Ids whose voxels are resident.
+    fn held(s: &BrickStore) -> Vec<usize> {
+        let mut resident: Vec<usize> = s.inner.lock().unwrap().entries.keys().copied().collect();
         resident.sort_unstable();
-        tables.sort_unstable();
-        (resident, tables)
-    }
-
-    fn bits(cells: &MacroCells) -> Vec<[u32; 2]> {
-        cells.ranges.iter().map(|r| r.map(f32::to_bits)).collect()
+        resident
     }
 
     #[test]
-    fn macrocells_count_against_the_budget() {
-        // Room for exactly two bricks' voxels: before cells were budgeted
-        // both stayed resident; now the second evicts the first — whose
-        // table stays, and is still paid for.
-        let s = store(2 * VOXEL_BYTES);
+    fn the_budget_counts_voxels_only() {
+        // Room for exactly two bricks' voxels: both stay resident.
+        let s = store(2 * BRICK_BYTES);
         assert_eq!(s.get(0).bytes(), BRICK_BYTES);
         s.get(1);
-        assert_eq!(s.cached_bytes(), BRICK_BYTES + 64);
-        assert_eq!(held(&s), (vec![1], vec![0, 1]));
+        assert_eq!(s.cached_bytes(), 2 * BRICK_BYTES);
+        assert_eq!(held(&s), [0, 1]);
         let snap = s.snapshot();
-        assert_eq!((snap.misses, snap.evictions), (2, 1));
-        // The materialization counter keeps counting volume data only.
-        assert_eq!(snap.bytes_materialized, 2 * VOXEL_BYTES);
-        // With the cells paid for, both fit.
-        let s = store(2 * BRICK_BYTES);
+        assert_eq!((snap.misses, snap.evictions), (2, 0));
+        assert_eq!(snap.bytes_materialized, 2 * BRICK_BYTES);
+        // One byte less, and the second evicts the first.
+        let s = store(2 * BRICK_BYTES - 1);
         s.get(0);
         s.get(1);
-        assert_eq!(s.cached_bytes(), 2 * BRICK_BYTES);
-        assert_eq!(s.snapshot().evictions, 0);
-    }
-
-    #[test]
-    fn a_re_missed_brick_reuses_its_table() {
-        let s = store(ONE_BRICK);
-        let table = Arc::clone(&s.get(0).cells.ranges);
-        s.get(1); // evicts brick 0's voxels, keeps its table
-        let before = s.snapshot();
-        let again = s.get(0);
-        let after = s.snapshot().since(&before);
-        assert_eq!((after.misses, after.evictions), (1, 1));
-        assert_eq!(after.bytes_materialized, VOXEL_BYTES);
-        // The same table, and the one the re-read voxels would build.
-        assert!(Arc::ptr_eq(&again.cells.ranges, &table));
-        let rebuilt = MacroCells::build(
-            &again.voxels,
-            again.store_dims,
-            again.window(),
-            again.info.padded(again.ghost).1,
-        );
-        assert_eq!(bits(&again.cells), bits(&rebuilt));
-        // `clear` forgets it: the next miss builds a table of its own.
-        s.clear();
-        let fresh = s.get(0);
-        assert!(!Arc::ptr_eq(&fresh.cells.ranges, &table));
-        assert_eq!(bits(&fresh.cells), bits(&rebuilt));
-    }
-
-    #[test]
-    fn voxels_go_before_tables_and_tables_go_lru() {
-        // Two bricks and one spare table fit. Brick 3's miss needs 64 bytes
-        // more than evicting brick 1 frees; dropping table 0 would free
-        // them, but brick 2's voxels go first.
-        let s = store(2 * BRICK_BYTES + 64);
-        for id in [0, 1, 2] {
-            s.get(id);
-        }
-        assert_eq!(held(&s), (vec![1, 2], vec![0, 1, 2]));
-        s.get(3);
-        assert_eq!(held(&s), (vec![3], vec![0, 1, 2, 3]));
-        assert_eq!(s.snapshot().evictions, 3);
-
-        // One brick and two more tables: too small for all of them.
-        let s = store(BRICK_BYTES + 2 * 64);
-        for id in [0, 1, 2] {
-            s.get(id);
-        }
-        assert_eq!(held(&s), (vec![2], vec![0, 1, 2]));
-        // A known brick's miss reserves voxels only: no table goes.
-        s.get(0);
-        assert_eq!(held(&s), (vec![0], vec![0, 1, 2]));
-        // A new one's needs a table more than evicting brick 0 frees. Table
-        // 1 goes: least recently used, since brick 0 was used after it.
-        s.get(3);
-        assert_eq!(held(&s), (vec![3], vec![0, 2, 3]));
-        s.get(4);
-        assert_eq!(held(&s), (vec![4], vec![0, 3, 4]));
-        assert_eq!(s.cached_bytes(), BRICK_BYTES + 2 * 64);
-        // Dropping a table is not an eviction: those count voxels.
-        assert_eq!(s.snapshot().evictions, 5);
+        assert_eq!(s.cached_bytes(), BRICK_BYTES);
+        assert_eq!(held(&s), [1]);
+        assert_eq!(s.snapshot().evictions, 1);
     }
 
     #[test]
@@ -694,7 +568,7 @@ mod tests {
         assert!(catch_unwind(AssertUnwindSafe(|| s.get(2))).is_err());
         assert_eq!(s.inner.lock().unwrap().in_flight, 0);
         assert_eq!(s.cached_bytes(), before);
-        assert_eq!(held(&s), (vec![0, 1], vec![0, 1]), "no table for brick 2");
+        assert_eq!(held(&s), [0, 1], "no entry for brick 2");
 
         // Every later miss evicts what the same misses on a store that never
         // failed evict.
@@ -746,7 +620,7 @@ mod tests {
         s.get(1);
         s.get(0); // brick 0 now most recent; 1 is the LRU victim
         s.get(2);
-        assert_eq!(held(&s).0, [0, 2]);
+        assert_eq!(held(&s), [0, 2]);
     }
 
     #[test]
@@ -819,20 +693,20 @@ mod tests {
                 });
             }
         });
-        assert!(s.cached_bytes() <= UNDER_TWO || held(&s).0.len() == 1);
+        assert!(s.cached_bytes() <= UNDER_TWO || held(&s).len() == 1);
     }
 
     #[test]
     fn spares_serve_bricks_of_every_size() {
         // Three z-bricks of a 4×4×24 column: the end bricks store 9 slabs of
-        // their padded box, the middle one 10. Under a budget of two bricks
-        // and their tables, a cyclic walk misses and evicts every time.
+        // their padded box, the middle one 10. Under a budget of two bricks, a
+        // cyclic walk misses and evicts every time.
         let v = Volume::procedural("ramp", [4, 4, 24], 0, StdArc::new(AxisRamp { axis: 2 }));
         let grid = BrickGrid {
             vol_dims: [4, 4, 24],
             counts: [1, 1, 3],
         };
-        let s = BrickStore::new(v, grid, 1, 2 * 640 + 3 * 16);
+        let s = BrickStore::new(v, grid, 1, 2 * 640);
         let mut seen = Vec::new();
         for lap in 0..4 {
             for id in 0..3 {

@@ -1,9 +1,10 @@
 //! Min/max macrocells over a brick's ghost-padded box — the data half of
 //! empty-space skipping. The renderer classifies each cell's value range
 //! against the transfer function and jumps rays over the cells that cannot
-//! contribute; this module only records the ranges, once per brick per
-//! [`BrickStore`](crate::BrickStore): its first miss builds the table, and
-//! the store keeps it across eviction for every later miss of that brick.
+//! contribute; this module only records the ranges. The renderer builds a
+//! brick's table from its resident voxels once per transfer function, and
+//! keeps the grid it classifies from it beside the brick; the
+//! [`BrickStore`](crate::BrickStore) holds voxels only.
 //!
 //! A cell is a cube of `edge` trilinear **base indices** per axis, not of
 //! voxels. A sample at stored position `p` blends the voxels `b` and `b + 1`
@@ -43,7 +44,7 @@ use std::sync::Arc;
 /// edge 4) and the table is 4 % of the brick instead of 0.5 %. Edge 4 hands
 /// back to the staging-bound workload most of what skipping earned it; 8
 /// keeps both gains.
-const CELL_EDGE: usize = 8;
+const CELL_EDGE: usize = 4;
 
 /// The `[min, max]` table of one brick. Plain shared data, like the voxels.
 #[derive(Debug, Clone)]
@@ -61,16 +62,6 @@ impl MacroCells {
     /// Cells per axis over a padded index space of `dims`.
     fn dims(dims: [usize; 3]) -> [usize; 3] {
         dims.map(|d| d.saturating_sub(1).max(1).div_ceil(CELL_EDGE))
-    }
-
-    /// Bytes a table over `dims` will occupy (known before it is built, so
-    /// a miss can reserve for it).
-    pub fn bytes_for(dims: [usize; 3]) -> u64 {
-        (Self::dims(dims).iter().product::<usize>() * 8) as u64
-    }
-
-    pub fn bytes(&self) -> u64 {
-        (self.ranges.len() * 8) as u64
     }
 
     /// One pass over `voxels`, the `stored` array (x fastest) at `window` in
@@ -211,7 +202,6 @@ mod tests {
             }
             let cells = MacroCells::build(&voxels, dims, [0; 3], dims);
             let want = brute(&voxels, dims);
-            assert_eq!(cells.bytes(), MacroCells::bytes_for(dims));
             assert_eq!(cells.ranges.len(), want.len(), "{dims:?}");
             for (i, (got, want)) in cells.ranges.iter().zip(&want).enumerate() {
                 assert_eq!(
@@ -247,7 +237,7 @@ mod tests {
             }
             let cells = MacroCells::build(&voxels, stored, window, dims);
             let want = MacroCells::build(&padded, dims, [0; 3], dims);
-            assert_eq!(cells.bytes(), MacroCells::bytes_for(dims));
+            assert_eq!(cells.ranges.len(), MacroCells::dims(dims).iter().product());
             let bits = |c: &MacroCells| {
                 c.ranges
                     .iter()

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use mgpu_voldata::{
-    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume, VolumeSource,
+    io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource,
 };
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
@@ -64,10 +64,6 @@ impl Drop for Baked {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
-}
-
-fn cell_bits(cells: &MacroCells) -> Vec<[u32; 2]> {
-    cells.ranges.iter().map(|r| r.map(f32::to_bits)).collect()
 }
 
 proptest! {
@@ -182,8 +178,8 @@ proptest! {
         }
     }
 
-    /// Also: whether a miss builds its brick's table or reuses the one an
-    /// earlier miss built, the table is the one its voxels give.
+    /// Also: a brick served from the cache, or staged again after an
+    /// eviction, holds the voxels a fresh read of its stored box gives.
     #[test]
     fn store_budget_is_respected_after_every_access(
         budget_bricks in 1u64..5,
@@ -199,9 +195,8 @@ proptest! {
             _ => baked.volume.clone(),
         };
         let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks: 8, max_brick_voxels: u64::MAX });
-        // A brick stores its 6³ padded box clipped to 5³ × 4 B of voxels, plus
-        // one 8 B macrocell.
-        let brick_bytes = 500 + 8;
+        // A brick stores its 6³ padded box clipped to 5³ × 4 B of voxels.
+        let brick_bytes = 500;
         let store = BrickStore::new(vol, grid, 1, budget_bricks * brick_bytes);
         for &id in &accesses {
             let b = store.get(id);
@@ -210,8 +205,9 @@ proptest! {
                 "cache over budget: {}",
                 store.cached_bytes()
             );
-            let fresh = MacroCells::build(&b.voxels, b.store_dims, b.window(), b.info.padded(b.ghost).1);
-            prop_assert_eq!(cell_bits(&b.cells), cell_bits(&fresh), "brick {}", id);
+            let mut fresh = vec![0f32; b.voxels.len()];
+            store.volume().read_region(b.store_origin, b.store_dims, &mut fresh);
+            prop_assert_eq!(bits(&b.voxels), bits(&fresh), "brick {}", id);
         }
     }
 }

@@ -5,15 +5,26 @@
 //! [`BrickStore`] at map time — this is what makes out-of-core rendering
 //! work: the store's LRU budget bounds host memory while bricks stream
 //! through the mappers.
+//!
+//! A brick also keeps the skip grid last classified for it (`skip_grid`):
+//! the mapper's per-GPU state of the paper's `initialize`, held per brick
+//! so that a plan's frames under one transfer function classify each brick
+//! once, whatever the store evicts between them.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use mgpu_gpu::Texture3D;
+use mgpu_gpu::{Texture1D, Texture3D};
 use mgpu_mapreduce::Chunk;
-use mgpu_voldata::{BrickData, BrickInfo, BrickStore};
+use mgpu_voldata::{BrickData, BrickInfo, BrickStore, MacroCells};
 
 use crate::camera::Camera;
 use crate::math::{vec3, Vec3};
+use crate::skip::SkipGrid;
+use crate::transfer::TransferFunction;
+
+/// A brick's skip grid and the transfer function it was classified
+/// against; `None` for a grid with no empty cell.
+type SkipMemo = (TransferFunction, Option<Arc<SkipGrid>>);
 
 /// Whether brick voxels are charged as disk reads by the DES.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +43,8 @@ pub struct RenderBrick {
     store: Arc<BrickStore>,
     staging: Staging,
     ghost: u32,
+    /// The skip grid last built for this brick (one slot).
+    skip: Mutex<Option<SkipMemo>>,
 }
 
 impl RenderBrick {
@@ -43,6 +56,7 @@ impl RenderBrick {
             store,
             staging,
             ghost,
+            skip: Mutex::new(None),
         }
     }
 
@@ -57,17 +71,49 @@ impl RenderBrick {
     }
 
     /// `data` as the kernel samples it: its stored voxels windowed into the
-    /// ghost-padded box, with their macrocells, and the box's origin in
-    /// world space (the kernel's `store_origin`). Keep `data` until the
-    /// texture is dropped: a voxel buffer goes back to the store's spares
-    /// only when the `BrickData` holding it is its last holder.
+    /// ghost-padded box, and the box's origin in world space (the kernel's
+    /// `store_origin`). Keep `data` until the texture is dropped: a voxel
+    /// buffer goes back to the store's spares only when the `BrickData`
+    /// holding it is its last holder.
     pub fn texture(data: &BrickData) -> (Texture3D, Vec3) {
         let (origin, dims) = data.info.padded(data.ghost);
         let voxels = Arc::clone(&data.voxels);
-        let texture = Texture3D::windowed(dims, data.window(), data.store_dims, voxels)
-            .with_cells(data.cells.edge, Arc::clone(&data.cells.ranges));
+        let texture = Texture3D::windowed(dims, data.window(), data.store_dims, voxels);
         let [x, y, z] = origin.map(|c| c as f32);
         (texture, vec3(x, y, z))
+    }
+
+    /// The skip grid of this brick under `transfer`, whose baked LUT is
+    /// `lut`: the memo's when it was built for `transfer`; otherwise built
+    /// from `data`, this brick's resident voxels — min/max macrocells over
+    /// the padded box, classified, distance-transformed — and memoised in
+    /// place of the last one. Built outside the lock: two launches that
+    /// miss at once each build the same grid, and the later one stays.
+    pub(crate) fn skip_grid(
+        &self,
+        data: &BrickData,
+        transfer: &TransferFunction,
+        lut: &Texture1D,
+    ) -> Option<Arc<SkipGrid>> {
+        if let Some((built_for, grid)) = &*self.memo() {
+            if built_for == transfer {
+                return grid.clone();
+            }
+        }
+        let (_, dims) = data.info.padded(data.ghost);
+        let window = data.window();
+        let cells = MacroCells::build(&data.voxels, data.store_dims, window, dims);
+        let celled = Texture3D::windowed(dims, window, data.store_dims, Arc::clone(&data.voxels))
+            .with_cells(cells.edge, cells.ranges);
+        let grid = SkipGrid::classify(&celled, lut).map(Arc::new);
+        *self.memo() = Some((transfer.clone(), grid.clone()));
+        grid
+    }
+
+    /// The memo slot. Whatever a panicking holder left in it is a complete
+    /// memo or none.
+    pub(crate) fn memo(&self) -> std::sync::MutexGuard<'_, Option<SkipMemo>> {
+        self.skip.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Dimensions of the modelled device array — the ghost-padded brick,
@@ -192,8 +238,7 @@ mod tests {
 
     #[test]
     fn a_texture_held_past_eviction_returns_its_buffer_with_the_brick() {
-        // Room for one 9³ stored brick, its table and no second buffer in
-        // the spares: staging brick 1 evicts brick 0 while its texture, and
+        // Room for one 9³ stored brick and no second buffer in the spares: staging brick 1 evicts brick 0 while its texture, and
         // the brick the texture was built from, are still held.
         let v = Dataset::Skull.volume(16);
         let grid = BrickGrid::subdivide(
@@ -214,6 +259,35 @@ mod tests {
         drop(data);
         // The buffer went back to the store, and serves the next miss.
         assert_eq!(brick(2).voxels().voxels.as_ptr(), first);
+    }
+
+    /// The memo's grid is the grid of the brick's padded box written out
+    /// whole: its cells are keyed by the padded base index, also where the
+    /// store keeps a clipped window of the box.
+    #[test]
+    fn a_bricks_skip_grid_is_the_grid_of_its_clamped_padded_box() {
+        let store = store_for(32, 27);
+        let transfer = TransferFunction::bone();
+        let lut = transfer.bake();
+        let mut grids = 0;
+        for id in 0..store.grid().brick_count() {
+            let brick = RenderBrick::new(Arc::clone(&store), id, Staging::HostResident);
+            let data = brick.voxels();
+            let (origin, dims) = data.info.padded(data.ghost);
+            let full = store.volume().materialize_clamped(origin, dims);
+            let cells = MacroCells::build(&full, dims, [0; 3], dims);
+            let celled = Texture3D::new(dims, full).with_cells(cells.edge, cells.ranges);
+            let want = SkipGrid::classify(&celled, &lut);
+            let grid = brick.skip_grid(&data, &transfer, &lut);
+            assert_eq!(
+                grid.as_deref(),
+                want.as_ref(),
+                "brick {id} at {:?}",
+                data.window()
+            );
+            grids += usize::from(grid.is_some());
+        }
+        assert!(grids > 0, "no brick skips anything");
     }
 
     #[test]

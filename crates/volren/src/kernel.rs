@@ -19,7 +19,7 @@
 //! pixel, used by the equivalence oracles), and [`BlockKernel`] is the
 //! production path — per *launch* it resolves the texture/LUT samplers, the
 //! camera basis, the eye's slab invariants against the brick box, the
-//! classified macrocell grid and which march to run, once ([`Launch`]); per
+//! macrocell grid and which march to run, once ([`Launch`]); per
 //! block it sets its rays up eight pixels at a time, queues every surviving
 //! ray and hands the queue to one of two marches, both of which use the
 //! borrowing samplers, classify alpha before color and tally once per ray.
@@ -95,18 +95,22 @@
 //!
 //! Early ray termination leaves a ray at its *back*; the batched path also
 //! leaves out what cannot contribute at its *front* and in between. A
-//! brick staged by `mgpu_voldata::BrickStore` carries a min/max
-//! **macrocell** table (attached with `Texture3D::with_cells`): per cube of
-//! 8³ trilinear base indices, the range of every voxel a sample based there
-//! can tap.
+//! brick's min/max **macrocell** table (`mgpu_voldata::MacroCells`, built
+//! from its resident voxels) holds, per cube of 4³ trilinear base indices,
+//! the range of every voxel a sample based there can tap.
 //!
-//! * **Per launch**, each cell is classified *empty* iff the transfer
-//!   function's alpha is exactly `0.0` over the cell's range, widened by a
-//!   slack that covers f32 interpolation landing outside its taps
-//!   (`Texture1D::zero_alpha`, an O(1) conservative query). A two-pass
-//!   chessboard distance transform then gives every cell its distance `D`,
-//!   in cells, to the nearest occupied one. If no cell is empty there is no
-//!   grid, and the march below runs as if the texture had no cells.
+//! * **Per brick and transfer function**, each cell is classified *empty*
+//!   iff the transfer function's alpha is exactly `0.0` over the cell's
+//!   range, widened by a slack that covers f32 interpolation landing outside
+//!   its taps (`Texture1D::zero_alpha`, an O(1) conservative query). A
+//!   two-pass chessboard distance transform then gives every cell its
+//!   distance `D`, in cells, to the nearest occupied one. The brick keeps
+//!   the grid (`RenderBrick::skip_grid`) until a launch under another
+//!   transfer function replaces it, and the mapper hands it to the launch
+//!   (`RayCastKernel::prepare_with`). A texture with its own cells attached
+//!   (`Texture3D::with_cells`) is classified per launch by
+//!   [`BlockKernel::prepare`] instead. If no cell is empty there is no grid,
+//!   and the march below runs as if the texture had no cells.
 //! * **Per sample**, the march computes the sample's position and base
 //!   index as always, and looks up `D` for the cell holding that base. If
 //!   `D = 0` it fetches. If `D ≥ 1` the cell is empty, and so is every cell
@@ -278,8 +282,31 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
     type Value = Fragment;
     type Launch = Launch<'a>;
 
+    /// Classifies the texture's attached cells, if any. The renderer's
+    /// mapper launches through `RayCastKernel::prepare_with` instead, with
+    /// the grid it keeps per brick and transfer function.
     fn prepare(&self) -> Launch<'a> {
-        let grid = SkipGrid::classify(self.texture, self.lut);
+        self.prepare_with(SkipGrid::classify(self.texture, self.lut).map(Arc::new))
+    }
+
+    fn run_block(&self, launch: &Launch<'a>, ctx: &BlockCtx, out: BlockOut<'_, Key, Fragment>) {
+        let (fetched, lane_slots) = self.march_block(launch, ctx, out);
+        if fetched > 0 {
+            obs().samples_fetched.add(fetched);
+        }
+        if lane_slots > 0 {
+            obs().lane_slots.add(lane_slots);
+        }
+    }
+}
+
+impl<'a> RayCastKernel<'a> {
+    /// [`BlockKernel::prepare`] with `grid` for the skip grid: the texture's
+    /// cells classified against this kernel's LUT, or `None` to march
+    /// without skipping. The caller vouches for the pairing; a grid from
+    /// other voxels or another transfer function skips samples that are
+    /// not empty.
+    pub(crate) fn prepare_with(&self, grid: Option<Arc<SkipGrid>>) -> Launch<'a> {
         // Bounds the magnitude of every coordinate any position on any ray
         // of this launch is computed from (see `SKIP_MARGIN`). A sum, so
         // that a NaN or infinite input poisons it instead of being skipped.
@@ -292,7 +319,7 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
         .iter()
         .map(|v| v.x.abs() + v.y.abs() + v.z.abs())
         .sum();
-        let longest_clear = grid.as_ref().map_or(0.0, SkipGrid::longest_clear);
+        let longest_clear = grid.as_deref().map_or(0.0, SkipGrid::longest_clear);
         let (eye, forward, right, up, tan_half_fov) = self.camera.raw_parts();
         let (lo, hi) = (self.core_lo, self.core_hi);
         let mut launch = Launch {
@@ -321,18 +348,6 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
         launch
     }
 
-    fn run_block(&self, launch: &Launch<'a>, ctx: &BlockCtx, out: BlockOut<'_, Key, Fragment>) {
-        let (fetched, lane_slots) = self.march_block(launch, ctx, out);
-        if fetched > 0 {
-            obs().samples_fetched.add(fetched);
-        }
-        if lane_slots > 0 {
-            obs().lane_slots.add(lane_slots);
-        }
-    }
-}
-
-impl RayCastKernel<'_> {
     /// [`BlockKernel::run_block`] short of its telemetry: returns what the
     /// block adds to `volren.samples_fetched` and `volren.lane_slots`.
     fn march_block(
@@ -519,7 +534,8 @@ pub struct Launch<'a> {
     oy: f32,
     oz: f32,
     /// `None`: no cells on the texture, or nothing skippable in them.
-    grid: Option<SkipGrid>,
+    /// Shared: the renderer keeps one per brick and transfer function.
+    grid: Option<Arc<SkipGrid>>,
     /// See [`SKIP_MARGIN`].
     margin: f32,
     /// Whether blocks run the lane march: AVX2 was detected and the
@@ -653,7 +669,7 @@ impl Launch<'_> {
             && self.step >= 1.0 / (1u32 << 10) as f32
             && self.smp.fits_lanes()
             && self.lut.fits_lanes()
-            && self.grid.as_ref().is_none_or(SkipGrid::fits_lanes)
+            && self.grid.as_deref().is_none_or(SkipGrid::fits_lanes)
     }
 
     /// No lane march on this architecture.
@@ -1426,18 +1442,24 @@ mod tests {
         );
     }
 
+    /// The edge `mgpu_voldata::MacroCells::build` builds cells at.
+    fn cell_edge() -> usize {
+        mgpu_voldata::MacroCells::build(&[0.0], [1; 3], [0; 3], [1; 3]).edge
+    }
+
     /// What the exit rule adds: a sample in a cell at distance 1 — the
     /// chessboard rule's `(D − 1)·edge` clears nothing there — crosses the
     /// rest of the cell in one jump. One ray along +x at step 1 from inside
-    /// the box: samples 0..=6 have bases 1..=7, all in empty cell 0, next to
-    /// occupied cell 1; sample 7's base is 8.
+    /// the box, cell edge `e`: samples 0..=e−2 have bases 1..=e−1, all in
+    /// empty cell 0, next to occupied cell 1; sample e−1's base is e.
     #[test]
     fn a_jump_crosses_a_cell_next_to_an_occupied_one() {
-        // Stored x ≥ 9 dense: bases 0..=7 tap only zeros, so cell 0 is
-        // empty and cell 1, which taps stored x = 9, is not.
+        // Stored x ≥ e + 1 dense: bases 0..e tap only zeros, so cell 0 is
+        // empty and cell 1, which taps stored x = e + 1, is not.
+        let e = cell_edge();
         let dims = [34, 10, 10];
         let voxels = (0..dims[0] * dims[1] * dims[2])
-            .map(|i| if i % dims[0] >= 9 { 1.0 } else { 0.0 })
+            .map(|i| if i % dims[0] > e { 1.0 } else { 0.0 })
             .collect();
         let texture = with_built_cells(dims, voxels);
         let lut = TransferFunction::bone().bake();
@@ -1462,12 +1484,13 @@ mod tests {
             let p = ray.at(k as f32 + 0.5) - vec3(launch.ox, launch.oy, launch.oz);
             launch.smp.locate(p.x, p.y, p.z).base_index()
         };
+        let (e, ei) = (e as u64, e as i32);
         assert_eq!(
-            (base(0), base(6), base(7)),
-            ([1, 4, 4], [7, 4, 4], [8, 4, 4])
+            (base(0), base(e - 2), base(e - 1)),
+            ([1, 4, 4], [ei - 1, 4, 4], [ei, 4, 4])
         );
         let grid = launch.grid.as_ref().expect("empty cells");
-        assert_eq!((grid.distance(base(0)), grid.distance(base(7))), (1, 0));
+        assert_eq!((grid.distance(base(0)), grid.distance(base(e - 1))), (1, 0));
 
         let (t0, t1) = ray.intersect_aabb(Vec3::ZERO, kernel.core_hi).unwrap();
         let mut m = March::new(0, 0, ray.dir, (t0, t1), 1.0);
@@ -1475,35 +1498,37 @@ mod tests {
         launch.sample_step(&mut m);
         assert_eq!(
             (m.k, m.samples, m.fetched),
-            (7, 7, 0),
-            "one jump to sample 7"
+            (e - 1, e - 1, 0),
+            "one jump to sample e − 1"
         );
         launch.sample_step(&mut m);
         assert_eq!(
             (m.k, m.samples, m.fetched),
-            (8, 8, 1),
-            "sample 7 is fetched"
+            (e, e, 1),
+            "sample e − 1 is fetched"
         );
     }
 
     /// What `SKIP_MARGIN` is for, on one ray along +x (step 1, so one
-    /// sample per voxel): sample 0's base is the last voxel of empty cell 0,
-    /// two cells short of an occupied one, and sample 8 — exactly one cell
-    /// edge further, so analytically still in empty cell 1 — rounds onto
-    /// cell 2's first base (its stored `x = 16.5 − 2⁻²⁰` is a tie, broken to
-    /// the even 16.5). Without the margin the jump from sample 0 would be
-    /// 1 + 8 steps and pass over sample 8.
+    /// sample per voxel), cell edge `e`: sample 0's base is the last base of
+    /// empty cell 0, two cells short of an occupied one, and sample e —
+    /// exactly one cell edge further, so analytically still in empty cell 1
+    /// — rounds onto cell 2's first base (its stored `x = 2e + ½ − e·2⁻²³`
+    /// is a tie, broken to the even 2e + ½: at edge 8, 16.5 − 2⁻²⁰). Without
+    /// the margin the jump from sample 0 would be 1 + e steps and pass over
+    /// sample e.
     #[test]
     fn the_skip_margin_stops_a_jump_short_of_a_rounded_sample() {
-        // Stored x ≥ 17 dense: bases 0..=15 tap only zeros, so cells 0 and 1
-        // are empty and cell 0 is at distance 2 from occupied cell 2.
+        // Stored x ≥ 2e + 1 dense: bases 0..2e tap only zeros, so cells 0
+        // and 1 are empty and cell 0 is at distance 2 from occupied cell 2.
+        let e = cell_edge();
         let dims = [34, 10, 10];
         let voxels = (0..dims[0] * dims[1] * dims[2])
-            .map(|i| if i % dims[0] >= 17 { 1.0 } else { 0.0 })
+            .map(|i| if i % dims[0] > 2 * e { 1.0 } else { 0.0 })
             .collect();
         let texture = with_built_cells(dims, voxels);
         let lut = TransferFunction::bone().bake();
-        let eye = vec3(7.0 - 2f32.powi(-20), 4.0, 4.0);
+        let eye = vec3((e - 1) as f32 - e as f32 * 2f32.powi(-23), 4.0, 4.0);
         let camera = Camera::look_at(eye, vec3(30.0, 4.0, 4.0), vec3(0.0, 0.0, 1.0), 30.0);
         let kernel = RayCastKernel {
             camera: &camera,
@@ -1524,15 +1549,16 @@ mod tests {
             let p = ray.at(k as f32 + 0.5) - vec3(launch.ox, launch.oy, launch.oz);
             launch.smp.locate(p.x, p.y, p.z).base_index()
         };
-        assert_eq!((base(0), base(8)), ([7, 4, 4], [16, 4, 4]));
+        let (e, ei) = (e as u64, e as i32);
+        assert_eq!((base(0), base(e)), ([ei - 1, 4, 4], [2 * ei, 4, 4]));
         let grid = launch.grid.as_ref().expect("empty cells");
-        assert_eq!((grid.distance(base(0)), grid.distance(base(8))), (2, 0));
+        assert_eq!((grid.distance(base(0)), grid.distance(base(e))), (2, 0));
 
         let (t0, t1) = ray.intersect_aabb(Vec3::ZERO, kernel.core_hi).unwrap();
         let mut m = March::new(0, 0, ray.dir, (t0, t1), 1.0);
         assert_eq!(m.k, 0);
         launch.sample_step(&mut m);
-        assert_eq!((m.k, m.fetched), (8, 0), "the jump must stop at sample 8");
+        assert_eq!((m.k, m.fetched), (e, 0), "the jump must stop at sample e");
     }
 
     #[test]
@@ -1888,46 +1914,78 @@ mod tests {
 
     /// Every subject under every march setting from fixed views — the sweep
     /// the proptest samples from, so a regression does not wait for its seed
-    /// — and proof that the sweep is not all sentinels or all skips.
+    /// — and proof that the sweep is not all sentinels or all skips. One
+    /// after another the sweep's launches take ≈ 25 s of a debug build, so
+    /// a thread per core takes (subject, eye, step) sweeps off one list.
     #[test]
     fn every_subject_and_march_setting_agrees_three_ways() {
-        for kind in 0..9 {
-            let (texture, transfer, origin, hi) = subject(kind, 7 + kind as u64);
-            let lut = transfer.bake();
-            let centre = hi * 0.5;
-            let eyes = [
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        let subjects: Vec<_> = (0..9)
+            .map(|kind| {
+                let (texture, transfer, origin, hi) = subject(kind, 7 + kind as u64);
+                (texture, transfer.bake(), origin, hi)
+            })
+            .collect();
+        let mut sweeps = Vec::new();
+        for (kind, (_, _, _, hi)) in subjects.iter().enumerate() {
+            let centre = *hi * 0.5;
+            for eye in [
                 centre + vec3(1.9, 0.4, 0.7) * hi.x.max(hi.z),
                 centre + vec3(-0.2, -0.3, 2.1) * hi.x.max(hi.z),
                 vec3(hi.x * 0.3, hi.y * 0.5, hi.z * 0.6), // inside: t0 = 0
-            ];
-            let (mut kept, mut fetched, mut charged, mut slots) = (0usize, 0u64, 0u64, 0u64);
-            for eye in eyes {
-                let camera = Camera::look_at(eye, centre, vec3(0.1, 0.2, 0.95), 45.0);
-                for step in STEPS {
-                    for early_term in EARLY_TERMS {
-                        let kernel = RayCastKernel {
-                            camera: &camera,
-                            lut: &lut,
-                            texture: &texture,
-                            store_origin: origin,
-                            core_lo: Vec3::ZERO,
-                            core_hi: hi,
-                            image: (40, 36),
-                            offset: (0, 0),
-                            step,
-                            early_term,
-                        };
-                        let c =
-                            three_way(&kernel, LaunchConfig::cover(40, 36)).unwrap_or_else(|e| {
-                                panic!("kind {kind}, eye {eye:?}, step {step}, {early_term}: {e}")
-                            });
-                        kept += c.keys.iter().filter(|&&k| k != SENTINEL_KEY).count();
-                        fetched += c.fetched;
-                        slots += c.lane_slots;
-                        charged += c.samples.iter().sum::<u64>();
-                    }
-                }
+            ] {
+                sweeps.extend(STEPS.map(|step| (kind, eye, step)));
             }
+        }
+        // Per subject: kept, fetched, charged, lane slots.
+        let tallies = Mutex::new([(0usize, 0u64, 0u64, 0u64); 9]);
+        let next = AtomicUsize::new(0);
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    while let Some(&(kind, eye, step)) =
+                        sweeps.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let (texture, lut, origin, hi) = &subjects[kind];
+                        let centre = *hi * 0.5;
+                        let camera = Camera::look_at(eye, centre, vec3(0.1, 0.2, 0.95), 45.0);
+                        for early_term in EARLY_TERMS {
+                            let kernel = RayCastKernel {
+                                camera: &camera,
+                                lut,
+                                texture,
+                                store_origin: *origin,
+                                core_lo: Vec3::ZERO,
+                                core_hi: *hi,
+                                image: (40, 36),
+                                offset: (0, 0),
+                                step,
+                                early_term,
+                            };
+                            let c = three_way(&kernel, LaunchConfig::cover(40, 36)).unwrap_or_else(
+                                |e| {
+                                    panic!(
+                                        "kind {kind}, eye {eye:?}, step {step}, {early_term}: {e}"
+                                    )
+                                },
+                            );
+                            let mut tallies = tallies.lock().unwrap();
+                            let t = &mut tallies[kind];
+                            t.0 += c.keys.iter().filter(|&&k| k != SENTINEL_KEY).count();
+                            t.1 += c.fetched;
+                            t.2 += c.samples.iter().sum::<u64>();
+                            t.3 += c.lane_slots;
+                        }
+                    }
+                });
+            }
+        });
+        for (kind, (kept, fetched, charged, slots)) in
+            tallies.into_inner().unwrap().into_iter().enumerate()
+        {
             assert!(charged > 10_000, "kind {kind}: {charged} samples charged");
             if kernel_has_lanes() {
                 // Every one of these launches fits the lanes, and every fetch
@@ -2248,18 +2306,14 @@ mod tests {
             step: 1.0,
             early_term: 0.98,
         };
-        assert_eq!(kernel.prepare().lanes, kernel_has_lanes());
+        // With the grid the mapper launches with.
+        let grid = brick.skip_grid(&data, &scene.transfer, &lut);
+        assert!(grid.is_some(), "air around the skull");
+        assert_eq!(kernel.prepare_with(grid).lanes, kernel_has_lanes());
         // And the smallest step the wire admits, without cells.
-        let (origin, dims) = data.info.padded(data.ghost);
-        let bare = Texture3D::windowed(
-            dims,
-            data.window(),
-            data.store_dims,
-            Arc::clone(&data.voxels),
-        );
+        let (origin, _) = data.info.padded(data.ghost);
         assert_eq!(store_origin.x, origin[0] as f32);
         let kernel = RayCastKernel {
-            texture: &bare,
             step: 1.0 / 16.0,
             ..kernel
         };

@@ -4,15 +4,18 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mgpu_cluster::GpuId;
-use mgpu_gpu::{launch_blocks, LaunchConfig, LaunchStats, Texture1D};
-use mgpu_mapreduce::{GpuMapper, MapOutput};
+use mgpu_gpu::{
+    launch_blocks, BlockCtx, BlockKernel, BlockOut, LaunchConfig, LaunchStats, Texture1D,
+};
+use mgpu_mapreduce::{GpuMapper, Key, MapOutput};
 use mgpu_obs::names;
 use mgpu_obs::{bucket_of, Counter, Histogram, HIST_BUCKETS};
 
 use crate::brick::RenderBrick;
 use crate::camera::Scene;
 use crate::fragment::Fragment;
-use crate::kernel::RayCastKernel;
+use crate::kernel::{Launch, RayCastKernel};
+use crate::skip::SkipGrid;
 
 /// Kernel-level observability: how many blocks each launch dispatched and
 /// the per-ray sample-count distribution (the quantity the paper's cost
@@ -36,9 +39,33 @@ fn obs() -> &'static MapperObs {
     })
 }
 
+/// A brick's launch with the skip grid its memo holds: the kernel's own
+/// `prepare` would classify the texture's cells on every launch.
+struct MemoLaunch<'a> {
+    kernel: RayCastKernel<'a>,
+    grid: Option<Arc<SkipGrid>>,
+}
+
+impl<'a> BlockKernel for MemoLaunch<'a> {
+    type Key = Key;
+    type Value = Fragment;
+    type Launch = Launch<'a>;
+
+    fn prepare(&self) -> Launch<'a> {
+        self.kernel.prepare_with(self.grid.clone())
+    }
+
+    fn run_block(&self, launch: &Launch<'a>, ctx: &BlockCtx, out: BlockOut<'_, Key, Fragment>) {
+        self.kernel.run_block(launch, ctx, out);
+    }
+}
+
 /// Maps bricks to ray fragments. One instance is shared by all mapper
 /// threads (it is stateless per GPU beyond the scene constants, which is
 /// what the paper's Mapper `initialize` uploads: view matrix + TF LUT).
+/// What the LUT makes of a brick — its skip grid — is set up once per
+/// brick and transfer function too, and kept on the brick, which outlives
+/// the frame's mapper (`RenderBrick::skip_grid`).
 pub struct VolumeMapper {
     scene: Scene,
     lut: Texture1D,
@@ -98,6 +125,7 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
         };
 
         let data = brick.voxels();
+        let grid = brick.skip_grid(&data, &self.scene.transfer, &self.lut);
         let (texture, store_origin) = RenderBrick::texture(&data);
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {
@@ -115,7 +143,7 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
         let o = obs();
         let march_start = Instant::now();
         let out = launch_blocks(
-            &kernel,
+            &MemoLaunch { kernel, grid },
             LaunchConfig::cover(x1 - x0, y1 - y0),
             self.kernel_parallelism,
         );

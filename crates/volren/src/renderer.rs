@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_mapreduce::{
-    build_swap_trace, build_trace, run_job, CostBook, JobConfig, JobRecord, JobStats,
+    build_swap_trace, build_trace, run_job, CostBook, JobConfig, JobRecord, JobStats, JobTimes,
 };
 use mgpu_obs::names;
 use mgpu_obs::{trace, Histogram};
@@ -51,6 +51,28 @@ fn obs() -> &'static RendererObs {
             composite_ns: reg.histogram(names::VOLREN_COMPOSITE_NS),
         }
     })
+}
+
+/// A job's stages as spans on the current trace, each from its first task's
+/// start to its last task's end: `map` (the launches), `partition`, `sort`,
+/// `reduce` and `merge`. One TLS read outside a trace.
+fn trace_job(times: &JobTimes) {
+    let Some(trace) = trace::current() else {
+        return;
+    };
+    let stage = |name, tasks: &[([u64; 3], u32)], from: usize, to: usize| {
+        let first = tasks.iter().map(|(t, _)| t[from]).min();
+        let last = tasks.iter().map(|(t, _)| t[to]).max();
+        if let (Some(first), Some(last)) = (first, last) {
+            trace.record(name, times.at(first), times.at(last));
+        }
+    };
+    stage("map", &times.chunks, 0, 1);
+    stage("partition", &times.chunks, 1, 2);
+    stage("sort", &times.reduces, 0, 1);
+    stage("reduce", &times.reduces, 1, 2);
+    let [begun, ended] = times.merge;
+    trace.record("merge", times.at(begun), times.at(ended));
 }
 
 /// Everything measured about one rendered frame.
@@ -287,7 +309,7 @@ pub fn render_planned(
     };
 
     // Kernel phase: the real map/sort/reduce execution (every texture
-    // sample and blend), staged brick reads included.
+    // sample and blend), staged brick reads included; traced stage by stage.
     let kernel_start = Instant::now();
     let output = run_job(
         &plan.bricks,
@@ -300,11 +322,11 @@ pub fn render_planned(
         &job_cfg,
     );
     obs().kernel_ns.record_duration(kernel_start.elapsed());
-    trace::record_current("kernel", kernel_start);
+    trace_job(&output.times);
     debug_assert!(output.stats.conserved(), "fragment conservation violated");
 
-    // Composite phase: DES accounting of the modeled compositing plus the
-    // actual stitch into the final image.
+    // Composite phase: DES accounting of the modeled compositing (`model`)
+    // plus the actual stitch into the final image.
     let composite_start = Instant::now();
     let book = CostBook::from_cluster(spec);
     let trace = match cfg.compositor {
@@ -318,12 +340,14 @@ pub fn render_planned(
         ),
     };
     let accounting = account(&trace, &simulate(&trace));
+    trace::record_current("model", composite_start);
 
+    let stitch_start = Instant::now();
     let image = stitch(&output.keys, &output.outs, width, height, scene.background);
     obs()
         .composite_ns
         .record_duration(composite_start.elapsed());
-    trace::record_current("composite", composite_start);
+    trace::record_current("stitch", stitch_start);
 
     let report = RenderReport {
         volume_label: volume.meta.label(),
@@ -451,6 +475,59 @@ mod tests {
         // The shared store materializes each brick once across all frames;
         // direct renders would pay `bricks` misses per frame.
         assert_eq!(planned_misses as usize, plan.brick_count());
+    }
+
+    /// A plan's bricks keep one skip grid per transfer function: a second
+    /// frame under the same function reuses every grid the first built, a
+    /// change rebuilds them, and every frame is a fresh plan's frame, pixels,
+    /// simulated runtime and job record alike.
+    #[test]
+    fn a_plan_reuses_each_bricks_skip_grid_until_the_transfer_function_changes() {
+        let volume = Dataset::Skull.volume(32);
+        let spec = ClusterSpec::accelerator_cluster(2);
+        let cfg = RenderConfig::test_size(64);
+        let plan = FramePlan::prepare(&spec, &volume, &cfg);
+        let (bone, grayscale) = (TransferFunction::bone(), TransferFunction::grayscale());
+        let mut last: Option<(TransferFunction, Vec<_>)> = None;
+        for (frame, transfer) in [&bone, &bone, &grayscale, &grayscale, &bone]
+            .into_iter()
+            .enumerate()
+        {
+            let scene = Scene::orbit(&volume, 10.0 + 25.0 * frame as f32, 20.0, transfer.clone());
+            let planned = render_planned(&spec, &plan, &scene, &cfg);
+            let fresh = render(&spec, &volume, &scene, &cfg);
+            assert_eq!(planned.image, fresh.image, "frame {frame}");
+            assert_eq!(planned.report.runtime(), fresh.report.runtime());
+            assert_eq!(planned.record, fresh.record);
+
+            let grids: Vec<_> = plan
+                .bricks
+                .iter()
+                .map(|brick| {
+                    let (built_for, grid) = brick.memo().clone().expect("every brick mapped");
+                    assert_eq!(&built_for, transfer);
+                    grid
+                })
+                .collect();
+            // `grayscale` shows every voxel above 0.0, so it may leave no
+            // brick anything to skip; `bone` leaves air around the skull.
+            if transfer == &bone {
+                assert!(grids.iter().any(Option::is_some), "frame {frame}");
+            }
+            if let Some((before, kept)) = &last {
+                let same = before == transfer;
+                for (now, then) in grids.iter().zip(kept) {
+                    match (now, then) {
+                        (Some(now), Some(then)) => {
+                            assert_eq!(Arc::ptr_eq(now, then), same, "frame {frame}")
+                        }
+                        (None, None) => {}
+                        _ => assert!(!same, "frame {frame}: a grid came or went"),
+                    }
+                }
+            }
+            last = Some((transfer.clone(), grids));
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The per-launch half of empty-space skipping: a brick's min/max
+//! The renderer's half of empty-space skipping: a brick's min/max
 //! macrocells classified against the transfer function, turned into a grid
-//! of distances to the nearest cell that can contribute. The march rule that
+//! of distances to the nearest cell that can contribute — built once per
+//! brick and transfer function (`RenderBrick::skip_grid`), or per launch for
+//! a texture that carries its own cells. The march rule that
 //! reads it — and the argument that skipping is bit-exact — is in
 //! [`crate::kernel`].
 
@@ -52,6 +54,7 @@ fn is_empty(lut: &Texture1D, [lo, hi]: [f32; 2]) -> bool {
 /// nearest occupied cell; 0 marks an occupied cell. Every cell at chessboard
 /// distance `< D` from a cell of distance `D` is empty: a cube of `2D − 1`
 /// cells a side, whose faces [`SkipGrid::room`] measures.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct SkipGrid {
     /// Padded by one [`FAR`] cell on every side, so the transform's
     /// neighbourhoods need no edge cases.
@@ -374,7 +377,8 @@ mod tests {
                 let site = smp.locate(p[0], p[1], p[2]);
                 let value = smp.sample_at(&site);
                 let base = site.base_index();
-                let c = [0, 1, 2].map(|a| ((base[a] >> 3).clamp(0, cells.dims[a] as i32 - 1)) as usize);
+                let shift = cells.edge.trailing_zeros();
+                let c = [0, 1, 2].map(|a| ((base[a] >> shift).clamp(0, cells.dims[a] as i32 - 1)) as usize);
                 let [lo, hi] = cells.ranges[(c[2] * cells.dims[1] + c[1]) * cells.dims[0] + c[0]];
                 let slack = lo.abs().max(hi.abs()) * LERP_SLACK + f32::MIN_POSITIVE;
                 prop_assert!(

@@ -5,7 +5,9 @@
 //! border ghosts written out by `Volume::materialize_clamped`, no window —
 //! agree bit for bit on keys, fragments, per-ray sample counts,
 //! `LaunchStats` and `volren.samples_fetched`, with and without macrocells,
-//! on the scalar oracle and on the block path.
+//! on the scalar oracle and on the block path. The mapper's launch, whose
+//! skip grid the brick builds from its stored voxels and keeps, agrees
+//! with the padded box's celled launch too.
 //!
 //! The block path runs the lane march where AVX2 is detected and the solo
 //! march elsewhere; `kernel.rs`'s three-way proptest holds the two marches
@@ -17,11 +19,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use mgpu_cluster::GpuId;
 use mgpu_gpu::{launch, launch_blocks, LaunchConfig, Texture3D};
+use mgpu_mapreduce::GpuMapper;
 use mgpu_obs::names;
 use mgpu_voldata::{io, BrickGrid, BrickStore, Dataset, MacroCells, Volume, VolumeSource};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::kernel::RayCastKernel;
+use mgpu_volren::mapper::VolumeMapper;
 use mgpu_volren::{RenderBrick, Staging, TransferFunction};
 
 fn fetched() -> u64 {
@@ -43,11 +48,12 @@ struct Shot {
     oracle_stats: mgpu_gpu::LaunchStats,
 }
 
+fn bits(f: &mgpu_volren::Fragment) -> [u32; 6] {
+    let [r, g, b, a] = f.color.map(f32::to_bits);
+    [r, g, b, a, f.depth.to_bits(), f.exit.to_bits()]
+}
+
 fn shoot(kernel: &RayCastKernel<'_>, config: LaunchConfig) -> Shot {
-    let bits = |f: &mgpu_volren::Fragment| {
-        let [r, g, b, a] = f.color.map(f32::to_bits);
-        [r, g, b, a, f.depth.to_bits(), f.exit.to_bits()]
-    };
     let before = fetched();
     let out = launch_blocks(kernel, config, 1);
     let fetched = fetched() - before;
@@ -114,6 +120,7 @@ proptest! {
         let (step, early_term) = [(1.0, 0.98), (0.6, 1.1), (1.7, 0.5)][march];
         let image = (36, 30);
         let store = Arc::new(BrickStore::new(volume.clone(), grid, 1, u64::MAX));
+        let mapper = VolumeMapper::new(scene.clone(), image, step, early_term, 1);
         for id in 0..store.grid().brick_count() {
             let brick = RenderBrick::new(Arc::clone(&store), id, Staging::HostResident);
             let Some((x0, y0, x1, y1)) = brick.footprint(&scene.camera, image.0, image.1) else {
@@ -121,15 +128,16 @@ proptest! {
             };
             let data = brick.voxels();
             let (origin, padded) = data.info.padded(data.ghost);
-            let (windowed, store_origin) = RenderBrick::texture(&data);
-            let voxels = Arc::clone(&data.voxels);
-            let bare = Texture3D::windowed(padded, data.window(), data.store_dims, voxels);
+            let (bare, store_origin) = RenderBrick::texture(&data);
+            let stored =
+                MacroCells::build(&data.voxels, data.store_dims, data.window(), padded);
             // The oracle: the whole padded box, border ghosts written out.
             let full = volume.materialize_clamped(origin, padded);
             let cells = MacroCells::build(&full, padded, [0; 3], padded);
             let cell_bits =
                 |c: &MacroCells| c.ranges.iter().map(|r| r.map(f32::to_bits)).collect::<Vec<_>>();
-            prop_assert_eq!(cell_bits(&data.cells), cell_bits(&cells), "brick {} cells", id);
+            prop_assert_eq!(cell_bits(&stored), cell_bits(&cells), "brick {} cells", id);
+            let windowed = bare.clone().with_cells(stored.edge, stored.ranges);
             let plain = Texture3D::new(padded, full);
             let celled = plain.clone().with_cells(cells.edge, cells.ranges);
 
@@ -151,6 +159,17 @@ proptest! {
                 let got = shoot(&kernel(window), config);
                 let want = shoot(&kernel(whole), config);
                 prop_assert_eq!(&got, &want, "brick {} of {:?}", id, store.grid().counts);
+                if whole.cells().is_some() {
+                    let before = fetched();
+                    let mapped = mapper.map_chunk(GpuId(0), &brick);
+                    let fetched = fetched() - before;
+                    let fragments: Vec<_> = mapped.values.iter().map(bits).collect();
+                    prop_assert_eq!(
+                        (&mapped.keys, &fragments, &mapped.stats, fetched),
+                        (&want.keys, &want.fragments, &want.stats, want.fetched),
+                        "mapped brick {} of {:?}", id, store.grid().counts
+                    );
+                }
             }
         }
         if let Some(path) = baked {

@@ -1,16 +1,18 @@
 //! Offline shim for `criterion`: the subset used by the workspace benches —
 //! `Criterion`, `benchmark_group`/`bench_function`, `Bencher::iter` /
 //! `iter_batched`, and the `criterion_group!`/`criterion_main!` macros. It
-//! runs each benchmark for a fixed small number of timed iterations and
-//! prints mean wall time; no statistics, HTML reports or outlier analysis.
+//! runs each benchmark once to warm up, then times each of a fixed number of
+//! iterations on its own and prints their median wall time — robust to the
+//! few iterations a busy neighbour slows down, which a mean of ten is not;
+//! no HTML reports or outlier analysis.
 //! Of criterion's command line it takes the positional filter only
 //! (`cargo bench -- march` runs the benchmarks whose `group/id` contains
 //! `march`), and ignores every flag.
 
 use std::time::Instant;
 
-const WARMUP_ITERS: u32 = 2;
-const MEASURE_ITERS: u32 = 10;
+const WARMUP_ITERS: u32 = 1;
+const MEASURE_ITERS: usize = 31;
 
 #[derive(Debug, Clone, Copy)]
 pub enum BatchSize {
@@ -21,19 +23,12 @@ pub enum BatchSize {
 
 #[derive(Default)]
 pub struct Bencher {
-    mean_nanos: f64,
+    median_nanos: f64,
 }
 
 impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        for _ in 0..WARMUP_ITERS {
-            std::hint::black_box(routine());
-        }
-        let start = Instant::now();
-        for _ in 0..MEASURE_ITERS {
-            std::hint::black_box(routine());
-        }
-        self.mean_nanos = start.elapsed().as_nanos() as f64 / MEASURE_ITERS as f64;
+        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
     }
 
     pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
@@ -44,14 +39,15 @@ impl Bencher {
         for _ in 0..WARMUP_ITERS {
             std::hint::black_box(routine(setup()));
         }
-        let mut total = 0u128;
-        for _ in 0..MEASURE_ITERS {
+        let mut nanos = [0u128; MEASURE_ITERS];
+        for n in &mut nanos {
             let input = setup();
             let start = Instant::now();
             std::hint::black_box(routine(input));
-            total += start.elapsed().as_nanos();
+            *n = start.elapsed().as_nanos();
         }
-        self.mean_nanos = total as f64 / MEASURE_ITERS as f64;
+        nanos.sort_unstable();
+        self.median_nanos = nanos[MEASURE_ITERS / 2] as f64;
     }
 }
 
@@ -91,12 +87,12 @@ impl Criterion {
         }
         let mut b = Bencher::default();
         f(&mut b);
-        if b.mean_nanos >= 1e6 {
-            println!("{id:<50} {:>12.3} ms", b.mean_nanos / 1e6);
-        } else if b.mean_nanos >= 1e3 {
-            println!("{id:<50} {:>12.3} µs", b.mean_nanos / 1e3);
+        if b.median_nanos >= 1e6 {
+            println!("{id:<50} {:>12.3} ms", b.median_nanos / 1e6);
+        } else if b.median_nanos >= 1e3 {
+            println!("{id:<50} {:>12.3} µs", b.median_nanos / 1e3);
         } else {
-            println!("{id:<50} {:>12.1} ns", b.mean_nanos);
+            println!("{id:<50} {:>12.1} ns", b.median_nanos);
         }
     }
 }
