@@ -210,7 +210,10 @@ where
     let mut mapper_times = Vec::with_capacity(m_count);
     let mut rest = chunk_times.as_mut_slice();
     for m in 0..config.gpus {
-        let mine = config.assignment.chunks_for(m, chunks.len(), config.gpus).count();
+        let mine = config
+            .assignment
+            .chunks_for(m, chunks.len(), config.gpus)
+            .count();
         let (slots, after) = rest.split_at_mut(mine);
         mapper_times.push(slots);
         rest = after;
@@ -249,8 +252,15 @@ where
     mgpu_gpu::exec::scope(|scope| {
         let reduce = &reduce;
         let map = |m: usize, times: &mut [([u64; 3], u32)]| {
-            let (record, batches) =
-                run_mapper(m as u32, chunks, mapper, partitioner, combiner, config, (start, times));
+            let (record, batches) = run_mapper(
+                m as u32,
+                chunks,
+                mapper,
+                partitioner,
+                combiner,
+                config,
+                (start, times),
+            );
             for (r, batches) in batches.into_iter().enumerate() {
                 *flushed[r * m_count + m].lock().expect(POISON) = batches;
             }
@@ -271,7 +281,11 @@ where
         let mut mapper_times = mapper_times.into_iter();
         let own_times = mapper_times.next().expect("validated: gpus >= 1");
         for ((m, record), times) in others.iter_mut().enumerate().zip(mapper_times) {
-            scope.spawn_mapper(&lender, move || *record = map(m + 1, times), move || last(m + 1));
+            scope.spawn_mapper(
+                &lender,
+                move || *record = map(m + 1, times),
+                move || last(m + 1),
+            );
         }
         *own = lender.run_mapper(|| map(0, own_times), || last(0));
     });

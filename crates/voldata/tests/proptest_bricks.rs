@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mgpu_voldata::{
-    io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource,
-};
+use mgpu_voldata::{io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource};
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
     (2u32..40, 2u32..40, 2u32..40).prop_map(|(x, y, z)| [x, y, z])
