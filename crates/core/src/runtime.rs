@@ -204,7 +204,8 @@ where
         "cluster spec GPU count must match job config"
     );
     let start = Instant::now();
-    // Every mapper's chunk slots, in mapper order, then each reduce task's.
+    // A time slot per host task: each mapper gets the slice of its chunks'
+    // slots, and each reduce task claims its own with the task.
     let mut chunk_times = vec![([0; 3], 0); chunks.len()];
     let mut reduce_times = vec![([0; 3], 0); r_count];
     let mut mapper_times = Vec::with_capacity(m_count);

@@ -379,3 +379,45 @@ fn run_job_rejects_zero_gpus_at_entry() {
         &config,
     );
 }
+
+/// `JobTimes` holds a slot per host task, each filled in order, by a role
+/// that exists, and in the paper's stage order: every chunk's partition
+/// ends before any reduce task starts, and every reduce task ends before
+/// the merge.
+#[test]
+fn job_times_stamp_every_task_in_stage_order() {
+    for gpus in [1u32, 3, 5] {
+        let chunks = make_chunks(12, 300);
+        let times = run(gpus, &chunks, false).times;
+        let roles: Vec<u32> = (0..gpus)
+            .flat_map(|m| {
+                let mine = Assignment::default()
+                    .chunks_for(m, chunks.len(), gpus)
+                    .count();
+                std::iter::repeat_n(m, mine)
+            })
+            .collect();
+        assert_eq!(
+            times
+                .chunks
+                .iter()
+                .map(|&(_, role)| role)
+                .collect::<Vec<_>>(),
+            roles
+        );
+        assert_eq!(times.reduces.len(), gpus as usize);
+        let in_order = |[a, b, c]: [u64; 3]| a <= b && b <= c;
+        assert!(times.chunks.iter().all(|&(t, _)| in_order(t)));
+        assert!(times
+            .reduces
+            .iter()
+            .all(|&(t, role)| in_order(t) && role < 2 * gpus - 1));
+        let mapped = times.chunks.iter().map(|(t, _)| t[2]).max().unwrap();
+        let reduced = times.reduces.iter().map(|(t, _)| t[2]).max().unwrap();
+        assert!(
+            times.reduces.iter().all(|(t, _)| t[0] >= mapped),
+            "{gpus} GPUs"
+        );
+        assert!(reduced <= times.merge[0] && times.merge[0] <= times.merge[1]);
+    }
+}
