@@ -22,8 +22,8 @@
 # (`cargo bench -p mgpu-bench --no-run`), and pair i runs both binaries as
 # `micro_ops --bench <filter>` from the side's `crates/bench`, in the same
 # alternating order. One table follows: per `group/id` the filter matched,
-# the time per iteration it prints (the median of 31; lower is better), in
-# the same columns.
+# the time per iteration it prints (the fastest of a 2 s run; lower is
+# better), in the same columns.
 #
 # Defaults: every workload, 10 pairs, BENCHMARK.json's `run_seconds`.
 # A/A check: `ci/ab.sh HEAD --workloads pool_preview --pairs 5`.

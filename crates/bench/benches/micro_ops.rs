@@ -5,8 +5,8 @@
 //! without macrocells (and with nothing but its ray setup left to do), a
 //! 256² frame through the wire codec, the fixed
 //! cost of a `run_job` that maps nothing, a lopsided `run_job` whose idle
-//! mapper lends its core to the busy one, an out-of-core brick miss with
-//! and without its macrocell table kept, procedural synthesis of one brick
+//! mapper lends its core to the busy one, an out-of-core brick miss,
+//! procedural synthesis of one brick
 //! per dataset, and the request keys a served frame builds.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -207,8 +207,10 @@ fn bench_des(c: &mut Criterion) {
 
 /// One launch of the batched ray caster over one brick of `orbit_incore`'s
 /// volume (Skull 128³ in two bricks, `bone`, 256², serial), three ways:
-/// without macrocells (the march the parent commit ran), with the brick's
-/// own cells (empty-space skipping at work), and with a *bypass* table —
+/// without macrocells, with the brick's own cells (`MacroCells::build`;
+/// empty-space skipping at work — the kernel's own `prepare` classifies
+/// them on every launch, which the renderer does once per brick and
+/// transfer function), and with a *bypass* table —
 /// every cell widened to the brick's whole value range except one all-air
 /// corner cell. The bypass table is conservative, so the frame is the same;
 /// it keeps a grid alive (one cell is empty) while leaving the rays nothing

@@ -238,8 +238,9 @@ mod tests {
 
     #[test]
     fn a_texture_held_past_eviction_returns_its_buffer_with_the_brick() {
-        // Room for one 9³ stored brick and no second buffer in the spares: staging brick 1 evicts brick 0 while its texture, and
-        // the brick the texture was built from, are still held.
+        // Room for one 9³ stored brick and no second buffer in the spares:
+        // staging brick 1 evicts brick 0 while its texture, and the brick
+        // the texture was built from, are still held.
         let v = Dataset::Skull.volume(16);
         let grid = BrickGrid::subdivide(
             v.dims(),

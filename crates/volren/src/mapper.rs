@@ -39,8 +39,9 @@ fn obs() -> &'static MapperObs {
     })
 }
 
-/// A brick's launch with the skip grid its memo holds: the kernel's own
-/// `prepare` would classify the texture's cells on every launch.
+/// A brick's launch with the skip grid its memo holds. The brick's texture
+/// carries no cells, so the kernel's own `prepare` would launch without
+/// skipping.
 struct MemoLaunch<'a> {
     kernel: RayCastKernel<'a>,
     grid: Option<Arc<SkipGrid>>,
