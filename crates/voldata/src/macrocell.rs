@@ -28,22 +28,26 @@ use std::sync::Arc;
 /// Cell edge in base indices (a power of two: the kernel shifts by it).
 ///
 /// Chosen by measurement — `mgpu-perf`, 8 s untraced runs at seeds 1 and 2 on
-/// the 2-vCPU box, frames/s (the parent commit, without cells: 10.3 and 75):
+/// the 2-vCPU box, frames/s, the median of three alternated rounds:
 ///
-/// | edge | `orbit_incore` | `plume_outofcore` |
-/// |------|----------------|-------------------|
-/// | 8    | 29.0 / 28.7    | 102.8 / 111.3     |
-/// | 4    | 35.4 / 35.2    | 86.7 / 86.4       |
+/// | cells | `orbit_incore` | `plume_outofcore` |
+/// |-------|----------------|-------------------|
+/// | edge 8, classified on every launch | 83.9 / 88.8 | 372 / 395 |
+/// | edge 8, classified per brick and transfer function | 87.6 / 89.2 | 435 / 430 |
+/// | edge 4, classified per brick and transfer function | 98.3 / 97.3 | 440 / 425 |
 ///
-/// Smaller cells hug the data more tightly — the in-core march gains another
-/// fifth — but every launch classifies and distance-transforms eight times
-/// as many (2.6 K → 18.5 K for a 130×130×66 brick; traced `volren.map_ms`
-/// on the out-of-core workload, whose eight launches a frame each pay for
-/// it, 3.1 → 5.4 ms against the parent's 17.1), the miss builds a finer
-/// table (`voldata.brick_get_miss_ms` 1.0 → 1.2–1.3 at edge 8, 1.4–1.5 at
-/// edge 4) and the table is 4 % of the brick instead of 0.5 %. Edge 4 hands
-/// back to the staging-bound workload most of what skipping earned it; 8
-/// keeps both gains.
+/// Smaller cells hug the data more tightly, and the in-core march gains a
+/// tenth. They were too dear while every launch classified and
+/// distance-transformed its cells — eight times as many at edge 4, 2.6 K →
+/// 18.5 K for a 130×130×66 brick — and the out-of-core frame lost more than
+/// the march gained. The renderer now does that once per brick and transfer
+/// function (`RenderBrick::skip_grid`): traced `volren.map_ms` on
+/// `plume_outofcore` reads 2.4 ms at edge 4 and 2.5 at edge 8, against 3.4
+/// when every launch classified at edge 8 (medians of four runs). The cost
+/// moves to a change of transfer function: a plan whose frames alternate two
+/// rebuilds every brick's grid on every frame, which took
+/// `plume_outofcore`-shaped frames from 3.0–3.3 to 10.0 ms on the same box
+/// (3.1–3.2 ms either way while every launch classified).
 const CELL_EDGE: usize = 4;
 
 /// The `[min, max]` table of one brick. Plain shared data, like the voxels.
