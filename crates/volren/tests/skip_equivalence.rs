@@ -1,20 +1,25 @@
 //! Empty-space skipping is invisible: for bricks staged through a
-//! [`BrickStore`] (so their textures carry macrocells), the batched
+//! [`BrickStore`], with the min/max macrocells the renderer builds from
+//! their stored voxels attached to their textures, the batched
 //! `launch_blocks` path — which skips — and the scalar `launch` oracle —
 //! which ignores cells and fetches every lattice sample — must agree
 //! bit-for-bit on keys, fragments *and* `LaunchStats`: the modelled GPU is
-//! charged for every lattice point either way.
+//! charged for every lattice point either way. Each sweep also checks, by
+//! `volren.samples_fetched`, that its launches skipped what they should.
+//! (`brick::tests` holds the renderer's kept grid equal to the one these
+//! launches classify.)
 //!
 //! Sibling of `batched_equivalence.rs`, which pins the same two paths on
 //! textures without cells.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use proptest::prelude::*;
 
 use mgpu_gpu::{launch, launch_blocks, LaunchConfig};
 use mgpu_mapreduce::SENTINEL_KEY;
-use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset, Volume};
+use mgpu_obs::names;
+use mgpu_voldata::{BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::kernel::RayCastKernel;
 use mgpu_volren::math::vec3;
@@ -51,18 +56,56 @@ struct Shot<'a> {
     parallelism: usize,
 }
 
-/// Launch `brick` both ways and compare everything. Returns the number of
-/// fragments kept and the samples charged.
-fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String> {
+/// What launches kept, charged and fetched.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    /// Fragments kept.
+    hits: usize,
+    /// Samples charged (`LaunchStats::total_samples`).
+    charged: u64,
+    /// Samples the batched path fetched.
+    fetched: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: Tally) {
+        self.hits += other.hits;
+        self.charged += other.charged;
+        self.fetched += other.fetched;
+    }
+
+    /// Whether the launches skipped anything: without a skip grid every
+    /// charged sample is fetched.
+    fn skipped(&self) -> bool {
+        self.fetched < self.charged
+    }
+}
+
+/// Held around each batched launch: `volren.samples_fetched` is
+/// process-global, and the tests of this file run at once.
+static FETCH_COUNTER: Mutex<()> = Mutex::new(());
+
+fn fetched() -> u64 {
+    mgpu_obs::global()
+        .snapshot()
+        .counter(names::VOLREN_SAMPLES_FETCHED)
+        .unwrap_or(0)
+}
+
+/// Launch `brick` both ways and compare everything.
+fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<Tally, String> {
     let (w, h) = shot.image;
     let Some((x0, y0, x1, y1)) = shot
         .window
         .or_else(|| brick.footprint(&shot.scene.camera, w, h))
     else {
-        return Ok((0, 0));
+        return Ok(Tally::default());
     };
     let data = brick.voxels();
     let (texture, store_origin) = RenderBrick::texture(&data);
+    let (_, padded) = data.info.padded(data.ghost);
+    let cells = MacroCells::build(&data.voxels, data.store_dims, data.window(), padded);
+    let texture = texture.with_cells(cells.edge, cells.ranges);
     let lut = shot.scene.transfer.bake();
     let (core_lo, core_hi) = brick.core_box();
     let kernel = RayCastKernel {
@@ -79,7 +122,12 @@ fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String>
     };
     let config = LaunchConfig::cover(x1 - x0, y1 - y0);
     let scalar = launch(&kernel, config);
-    let batched = launch_blocks(&kernel, config, shot.parallelism);
+    let (batched, fetched) = {
+        let _counter = FETCH_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+        let before = fetched();
+        let batched = launch_blocks(&kernel, config, shot.parallelism);
+        (batched, fetched() - before)
+    };
 
     let mut hits = 0;
     for (i, (key, frag)) in scalar.outputs.iter().enumerate() {
@@ -109,25 +157,29 @@ fn compare(brick: &RenderBrick, shot: &Shot<'_>) -> Result<(usize, u64), String>
             scalar.stats, batched.stats
         ));
     }
-    Ok((hits, scalar.stats.total_samples))
+    Ok(Tally {
+        hits,
+        charged: scalar.stats.total_samples,
+        fetched,
+    })
 }
 
 /// Every brick of `volume` under every march setting, from `views`. Returns
-/// the number of fragments kept, so a caller can tell its sweep was not
-/// all-sentinel.
+/// the tally, so a caller can tell its sweep was not all-sentinel and
+/// whether it skipped.
 fn sweep(
     volume: Volume,
     min_bricks: u32,
     transfer: &TransferFunction,
     views: &[(f32, f32)],
-) -> usize {
+) -> Tally {
     let scenes: Vec<Scene> = views
         .iter()
         .map(|&(az, el)| Scene::orbit(&volume, az, el, transfer.clone()))
         .collect();
     let label = volume.meta.label();
     let bricks = bricks(volume, min_bricks);
-    let (mut hits, mut samples) = (0, 0);
+    let mut tally = Tally::default();
     for (v, scene) in scenes.iter().enumerate() {
         for (m, &(step, early_term)) in MARCHES.iter().enumerate() {
             for brick in &bricks {
@@ -145,10 +197,7 @@ fn sweep(
                     },
                 };
                 match compare(brick, &shot) {
-                    Ok((h, s)) => {
-                        hits += h;
-                        samples += s;
-                    }
+                    Ok(t) => tally.add(t),
                     Err(e) => panic!(
                         "{label} with {}, view {:?}, step {step}, early_term {early_term}, \
                          brick {}: {e}",
@@ -160,8 +209,8 @@ fn sweep(
             }
         }
     }
-    assert!(samples > 0, "{label}: no ray entered any brick");
-    hits
+    assert!(tally.charged > 0, "{label}: no ray entered any brick");
+    tally
 }
 
 const VIEWS: [(f32, f32); 6] = [
@@ -178,10 +227,14 @@ fn every_dataset_with_its_preset_matches_the_oracle() {
     for dataset in Dataset::ALL {
         let transfer = TransferFunction::for_dataset(dataset.name());
         // 40³-class volumes in 8 bricks: 20-voxel cores, 22-voxel stored
-        // arrays, 3 cells per axis with a partial last one.
-        assert!(sweep(dataset.volume(40), 8, &transfer, &VIEWS) > 1000);
-        // And as one brick: 6 cells per axis, jumps of more than one cell.
-        assert!(sweep(dataset.volume(44), 1, &transfer, &VIEWS[1..3]) > 1000);
+        // arrays, 6 cells per axis with a partial last one.
+        let bricked = sweep(dataset.volume(40), 8, &transfer, &VIEWS);
+        // And as one brick: 12 cells per axis, jumps of more than one cell.
+        let whole = sweep(dataset.volume(44), 1, &transfer, &VIEWS[1..3]);
+        for tally in [bricked, whole] {
+            assert!(tally.hits > 1000, "{}: {tally:?}", dataset.name());
+            assert!(tally.skipped(), "{}: {tally:?}", dataset.name());
+        }
     }
 }
 
@@ -215,16 +268,28 @@ fn zero_alpha_interval_in_the_middle_or_nowhere() {
     );
     // Nothing transparent anywhere: no cell is empty, no grid is built.
     let fog = custom("fog", &[(0.0, 0.01), (1.0, 0.4)]);
-    for transfer in [band, fog] {
-        assert!(sweep(Dataset::Skull.volume(40), 8, &transfer, &VIEWS[..3]) > 1000);
-        assert!(sweep(Dataset::Supernova.volume(32), 2, &transfer, &VIEWS[3..]) > 1000);
+    // The skull's band cells skip; no supernova cell lies inside the band.
+    for (transfer, skull_skips) in [(band, true), (fog, false)] {
+        let skull = sweep(Dataset::Skull.volume(40), 8, &transfer, &VIEWS[..3]);
+        let supernova = sweep(Dataset::Supernova.volume(32), 2, &transfer, &VIEWS[3..]);
+        for tally in [skull, supernova] {
+            assert!(tally.hits > 1000, "{}: {tally:?}", transfer.name());
+        }
+        assert_eq!(
+            skull.skipped(),
+            skull_skips,
+            "{}: {skull:?}",
+            transfer.name()
+        );
+        assert!(!supernova.skipped(), "{}: {supernova:?}", transfer.name());
     }
 }
 
 #[test]
 fn all_empty_volume_skips_everything_and_charges_everything() {
     let volume = Volume::in_memory("void", [24, 24, 24], vec![0.0; 24 * 24 * 24]);
-    assert_eq!(sweep(volume, 2, &TransferFunction::bone(), &VIEWS), 0);
+    let tally = sweep(volume, 2, &TransferFunction::bone(), &VIEWS);
+    assert_eq!((tally.hits, tally.fetched), (0, 0), "{tally:?}");
 }
 
 #[test]
@@ -233,13 +298,13 @@ fn bricks_smaller_than_one_cell() {
     for (dims, min_bricks) in [([6u32, 6, 6], 27), ([3, 3, 3], 27), ([5, 4, 3], 8)] {
         let n = (dims[0] * dims[1] * dims[2]) as usize;
         let data = (0..n).map(|i| if i % 3 == 0 { 0.7 } else { 0.0 }).collect();
-        let hits = sweep(
+        let tally = sweep(
             Volume::in_memory("tiny", dims, data),
             min_bricks,
             &TransferFunction::bone(),
             &VIEWS[..4],
         );
-        assert!(hits > 100, "{dims:?}: {hits} fragments");
+        assert!(tally.hits > 100, "{dims:?}: {tally:?}");
     }
 }
 
@@ -267,8 +332,10 @@ fn special_values_next_to_just_transparent_ones() {
         }
     }
     let volume = Volume::in_memory("specials", dims, data);
-    assert!(sweep(volume.clone(), 1, &TransferFunction::bone(), &VIEWS) > 100);
-    assert!(sweep(volume, 8, &TransferFunction::bone(), &VIEWS[1..4]) > 0);
+    let whole = sweep(volume.clone(), 1, &TransferFunction::bone(), &VIEWS);
+    assert!(whole.hits > 100 && whole.skipped(), "{whole:?}");
+    let bricked = sweep(volume, 8, &TransferFunction::bone(), &VIEWS[1..4]);
+    assert!(bricked.hits > 0 && bricked.skipped(), "{bricked:?}");
 }
 
 #[test]
@@ -281,6 +348,7 @@ fn rays_through_the_ghost_and_clamp_fringe() {
     let d = volume.dims();
     let transfer = TransferFunction::smoke();
     let mut scene = Scene::orbit(&volume, 0.0, 0.0, transfer);
+    let mut tally = Tally::default();
     for eye in [
         vec3(-30.0, 0.0, d[2] as f32 * 0.5),
         vec3(d[0] as f32 * 0.5, d[1] as f32, -40.0),
@@ -298,12 +366,13 @@ fn rays_through_the_ghost_and_clamp_fringe() {
                     early_term,
                     parallelism: 2,
                 };
-                compare(brick, &shot).unwrap_or_else(|e| {
+                tally.add(compare(brick, &shot).unwrap_or_else(|e| {
                     panic!("eye {eye:?}, step {step}, brick {}: {e}", brick.info().id)
-                });
+                }));
             }
         }
     }
+    assert!(tally.hits > 0 && tally.skipped(), "{tally:?}");
 }
 
 proptest! {
