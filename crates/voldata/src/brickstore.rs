@@ -4,10 +4,10 @@
 //! texture's clamp supplies the border ghosts (`Texture3D::windowed`).
 //! The store holds voxels only, and only voxels count against the budget.
 //! What a renderer derives from a brick's voxels — its min/max
-//! [`MacroCells`](crate::MacroCells) and the skip grid classified from them —
-//! is built and kept by the renderer, per brick and transfer function, and
-//! sits outside the budget: a skip grid is one byte per 4³ cell, ≈ 1/256 of
-//! the brick's voxel bytes.
+//! [`MacroCells`](crate::MacroCells) and the skip grids classified from them
+//! — is built and kept by the renderer, per brick, and sits outside the
+//! budget: the table is 8 bytes per 4³ cell, ≈ 1/32 of the brick's voxel
+//! bytes, and a skip grid one byte per cell.
 //!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream

@@ -2,8 +2,8 @@
 //! empty-space skipping. The renderer classifies each cell's value range
 //! against the transfer function and jumps rays over the cells that cannot
 //! contribute; this module only records the ranges. The renderer builds a
-//! brick's table from its resident voxels once per transfer function, and
-//! keeps the grid it classifies from it beside the brick; the
+//! brick's table from its resident voxels once, and keeps it beside the
+//! brick with the grids it classifies from it; the
 //! [`BrickStore`](crate::BrickStore) holds voxels only.
 //!
 //! A cell is a cube of `edge` trilinear **base indices** per axis, not of
@@ -43,11 +43,14 @@ use std::sync::Arc;
 /// the march gained. The renderer now does that once per brick and transfer
 /// function (`RenderBrick::skip_grid`): traced `volren.map_ms` on
 /// `plume_outofcore` reads 2.4 ms at edge 4 and 2.5 at edge 8, against 3.4
-/// when every launch classified at edge 8 (medians of four runs). The cost
-/// moves to a change of transfer function: a plan whose frames alternate two
-/// rebuilds every brick's grid on every frame, which took
-/// `plume_outofcore`-shaped frames from 3.0–3.3 to 10.0 ms on the same box
-/// (3.1–3.2 ms either way while every launch classified).
+/// when every launch classified at edge 8 (medians of four runs). The brick
+/// keeps its table and the grids of its last four transfer functions, so
+/// frames that alternate two cost what frames under one do
+/// (`plume_outofcore`-shaped frames, 2.9–3.2 ms either way on the same box).
+/// The cost moves to a transfer function the brick has not kept: its
+/// classification, ≈ 0.46 ms a 4 MiB brick at edge 4, so frames under a
+/// new function each time took 5.0–6.1 ms (3.1–3.3 ms while every launch
+/// classified at edge 8).
 const CELL_EDGE: usize = 4;
 
 /// The `[min, max]` table of one brick. Plain shared data, like the voxels.

@@ -6,11 +6,13 @@
 //! work: the store's LRU budget bounds host memory while bricks stream
 //! through the mappers.
 //!
-//! A brick also keeps the skip grid last classified for it (`skip_grid`):
-//! the mapper's per-GPU state of the paper's `initialize`, held per brick
-//! so that a plan's frames under one transfer function classify each brick
-//! once, whatever the store evicts between them.
+//! A brick also keeps what skipping needs of it (`skip_grid`): its min/max
+//! macrocells and the skip grids last classified from them. This is the
+//! mapper's per-GPU state of the paper's `initialize`, held per brick so
+//! that a plan's frames classify each brick once per transfer function,
+//! whatever the store evicts between them.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mgpu_gpu::{Texture1D, Texture3D};
@@ -22,9 +24,20 @@ use crate::math::{vec3, Vec3};
 use crate::skip::SkipGrid;
 use crate::transfer::TransferFunction;
 
-/// A brick's skip grid and the transfer function it was classified
-/// against; `None` for a grid with no empty cell.
-type SkipMemo = (TransferFunction, Option<Arc<SkipGrid>>);
+/// How many transfer functions' grids a brick keeps: a plan serves
+/// sessions with different presets at once. A grid is a byte per cell.
+const GRIDS_KEPT: usize = 4;
+
+/// A brick's skipping state. The cells depend on its voxels only, so a new
+/// transfer function costs a classification and no pass over the voxels.
+#[derive(Default)]
+pub(crate) struct SkipMemo {
+    /// The brick's min/max cells over its padded box, once built.
+    cells: Option<MacroCells>,
+    /// Grids by the transfer function they were classified against, most
+    /// recently used first; `None` for a grid with no empty cell.
+    grids: VecDeque<(TransferFunction, Option<Arc<SkipGrid>>)>,
+}
 
 /// Whether brick voxels are charged as disk reads by the DES.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +56,8 @@ pub struct RenderBrick {
     store: Arc<BrickStore>,
     staging: Staging,
     ghost: u32,
-    /// The skip grid last built for this brick (one slot).
-    skip: Mutex<Option<SkipMemo>>,
+    /// The cells and grids built for this brick.
+    skip: Mutex<SkipMemo>,
 }
 
 impl RenderBrick {
@@ -56,7 +69,7 @@ impl RenderBrick {
             store,
             staging,
             ghost,
-            skip: Mutex::new(None),
+            skip: Mutex::default(),
         }
     }
 
@@ -84,36 +97,57 @@ impl RenderBrick {
     }
 
     /// The skip grid of this brick under `transfer`, whose baked LUT is
-    /// `lut`: the memo's when it was built for `transfer`; otherwise built
-    /// from `data`, this brick's resident voxels — min/max macrocells over
-    /// the padded box, classified, distance-transformed — and memoised in
-    /// place of the last one. Built outside the lock: two launches that
-    /// miss at once each build the same grid, and the later one stays.
+    /// `lut`: the memo's when one was built for `transfer`; otherwise the
+    /// memo's cells — built from `data`, this brick's resident voxels, the
+    /// first time — classified and distance-transformed, and kept in place
+    /// of the least recently used grid. Built outside the lock: two
+    /// launches that miss at once each build the same thing, and the later
+    /// one stays.
     pub(crate) fn skip_grid(
         &self,
         data: &BrickData,
         transfer: &TransferFunction,
         lut: &Texture1D,
     ) -> Option<Arc<SkipGrid>> {
-        if let Some((built_for, grid)) = &*self.memo() {
-            if built_for == transfer {
-                return grid.clone();
+        let cells = {
+            let mut memo = self.memo();
+            if let Some(i) = memo.grids.iter().position(|(tf, _)| tf == transfer) {
+                memo.grids.make_contiguous()[..=i].rotate_right(1);
+                return memo.grids[0].1.clone();
             }
-        }
+            memo.cells.clone()
+        };
         let (_, dims) = data.info.padded(data.ghost);
         let window = data.window();
-        let cells = MacroCells::build(&data.voxels, data.store_dims, window, dims);
+        let cells = cells.unwrap_or_else(|| {
+            let cells = MacroCells::build(&data.voxels, data.store_dims, window, dims);
+            self.memo().cells = Some(cells.clone());
+            cells
+        });
         let celled = Texture3D::windowed(dims, window, data.store_dims, Arc::clone(&data.voxels))
             .with_cells(cells.edge, cells.ranges);
         let grid = SkipGrid::classify(&celled, lut).map(Arc::new);
-        *self.memo() = Some((transfer.clone(), grid.clone()));
+        let mut memo = self.memo();
+        memo.grids.retain(|(tf, _)| tf != transfer);
+        memo.grids.push_front((transfer.clone(), grid.clone()));
+        memo.grids.truncate(GRIDS_KEPT);
         grid
     }
 
-    /// The memo slot. Whatever a panicking holder left in it is a complete
-    /// memo or none.
-    pub(crate) fn memo(&self) -> std::sync::MutexGuard<'_, Option<SkipMemo>> {
+    /// The memo slot. Whatever a panicking holder left in it is complete.
+    fn memo(&self) -> std::sync::MutexGuard<'_, SkipMemo> {
         self.skip.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memo's cells, and its grid for `transfer` if it keeps one.
+    #[cfg(test)]
+    pub(crate) fn kept(
+        &self,
+        transfer: &TransferFunction,
+    ) -> (Option<MacroCells>, Option<Option<Arc<SkipGrid>>>) {
+        let memo = self.memo();
+        let grid = memo.grids.iter().find(|(tf, _)| tf == transfer);
+        (memo.cells.clone(), grid.map(|(_, grid)| grid.clone()))
     }
 
     /// Dimensions of the modelled device array — the ghost-padded brick,
@@ -289,6 +323,38 @@ mod tests {
             grids += usize::from(grid.is_some());
         }
         assert!(grids > 0, "no brick skips anything");
+    }
+
+    /// The grids go least recently used first; the cells stay.
+    #[test]
+    fn a_brick_keeps_the_grids_of_its_last_transfer_functions() {
+        let store = store_for(32, 8);
+        let brick = RenderBrick::new(store, 0, Staging::HostResident);
+        let data = brick.voxels();
+        let glow = TransferFunction::from_points(
+            "glow",
+            vec![crate::transfer::ControlPoint {
+                value: 0.5,
+                rgba: [1.0; 4],
+            }],
+        );
+        let [bone, fire, smoke, grayscale] = [
+            TransferFunction::bone(),
+            TransferFunction::fire(),
+            TransferFunction::smoke(),
+            TransferFunction::grayscale(),
+        ];
+        // `bone` again is a hit, which makes `fire` the least recently used.
+        for transfer in [&bone, &fire, &smoke, &grayscale, &bone, &glow] {
+            brick.skip_grid(&data, transfer, &transfer.bake());
+        }
+        let cells = brick.kept(&bone).0.expect("cells").ranges;
+        for transfer in [&bone, &smoke, &grayscale, &glow] {
+            let (kept_cells, grid) = brick.kept(transfer);
+            assert!(grid.is_some(), "{} dropped", transfer.name());
+            assert!(Arc::ptr_eq(&kept_cells.expect("cells").ranges, &cells));
+        }
+        assert!(brick.kept(&fire).1.is_none(), "fire kept");
     }
 
     #[test]

@@ -105,8 +105,8 @@
 //!   its taps (`Texture1D::zero_alpha`, an O(1) conservative query). A
 //!   two-pass chessboard distance transform then gives every cell its
 //!   distance `D`, in cells, to the nearest occupied one. The brick keeps
-//!   the grid (`RenderBrick::skip_grid`) until a launch under another
-//!   transfer function replaces it, and the mapper hands it to the launch
+//!   its table and the grids of its last few transfer functions
+//!   (`RenderBrick::skip_grid`), and the mapper hands the grid to the launch
 //!   (`RayCastKernel::prepare_with`). A texture with its own cells attached
 //!   (`Texture3D::with_cells`) is classified per launch by
 //!   [`BlockKernel::prepare`] instead. If no cell is empty there is no grid,

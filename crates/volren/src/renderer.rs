@@ -477,10 +477,11 @@ mod tests {
         assert_eq!(planned_misses as usize, plan.brick_count());
     }
 
-    /// A plan's bricks keep one skip grid per transfer function: a second
-    /// frame under the same function reuses every grid the first built, a
-    /// change rebuilds them, and every frame is a fresh plan's frame, pixels,
-    /// simulated runtime and job record alike.
+    /// A plan's bricks keep their cells and one skip grid per transfer
+    /// function: the cells are built once, a frame under a function seen
+    /// before reuses every grid built for it, a new function builds new
+    /// ones, and every frame is a fresh plan's frame, pixels, simulated
+    /// runtime and job record alike.
     #[test]
     fn a_plan_reuses_each_bricks_skip_grid_until_the_transfer_function_changes() {
         let volume = Dataset::Skull.volume(32);
@@ -488,7 +489,8 @@ mod tests {
         let cfg = RenderConfig::test_size(64);
         let plan = FramePlan::prepare(&spec, &volume, &cfg);
         let (bone, grayscale) = (TransferFunction::bone(), TransferFunction::grayscale());
-        let mut last: Option<(TransferFunction, Vec<_>)> = None;
+        let mut cells = Vec::new();
+        let mut built: Vec<(&TransferFunction, Vec<_>)> = Vec::new();
         for (frame, transfer) in [&bone, &bone, &grayscale, &grayscale, &bone]
             .into_iter()
             .enumerate()
@@ -500,22 +502,29 @@ mod tests {
             assert_eq!(planned.report.runtime(), fresh.report.runtime());
             assert_eq!(planned.record, fresh.record);
 
-            let grids: Vec<_> = plan
+            let (now_cells, grids): (Vec<_>, Vec<_>) = plan
                 .bricks
                 .iter()
                 .map(|brick| {
-                    let (built_for, grid) = brick.memo().clone().expect("every brick mapped");
-                    assert_eq!(&built_for, transfer);
-                    grid
+                    let (cells, grid) = brick.kept(transfer);
+                    let cells = cells.expect("every brick mapped").ranges;
+                    (cells, grid.expect("a grid for this frame's function"))
                 })
-                .collect();
+                .unzip();
+            if cells.is_empty() {
+                cells = now_cells;
+            } else {
+                for (now, then) in now_cells.iter().zip(&cells) {
+                    assert!(Arc::ptr_eq(now, then), "frame {frame}: cells rebuilt");
+                }
+            }
             // `grayscale` shows every voxel above 0.0, so it may leave no
             // brick anything to skip; `bone` leaves air around the skull.
             if transfer == &bone {
                 assert!(grids.iter().any(Option::is_some), "frame {frame}");
             }
-            if let Some((before, kept)) = &last {
-                let same = before == transfer;
+            for (before, kept) in &built {
+                let same = *before == transfer;
                 for (now, then) in grids.iter().zip(kept) {
                     match (now, then) {
                         (Some(now), Some(then)) => {
@@ -526,8 +535,11 @@ mod tests {
                     }
                 }
             }
-            last = Some((transfer.clone(), grids));
+            if built.iter().all(|(before, _)| *before != transfer) {
+                built.push((transfer, grids));
+            }
         }
+        assert_eq!(built.len(), 2);
     }
 
     #[test]
