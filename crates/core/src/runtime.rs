@@ -121,7 +121,8 @@ pub struct JobTimes {
     pub start: Instant,
     /// Per chunk, mapper 0's in the order it mapped them, then mapper 1's,
     /// and so on: `[launch start, launch end = partition start, partition
-    /// end]` (partition includes the flushes after the chunk) and the role.
+    /// end]` (partition includes the flushes after the chunk, and the last
+    /// chunk's the final drain) and the role.
     pub chunks: Vec<([u64; 3], u32)>,
     /// Per reduce task, in reducer order: `[sort start, sort end = reduce
     /// start, reduce end]` and the role.
@@ -465,9 +466,12 @@ where
         times[ci] = ([begun, launched, since(start)], m);
     }
 
-    // Final drain after the last chunk.
+    // Final drain after the last chunk, in that chunk's partition span.
     for r in 0..reducers as usize {
         flush(r, last, &mut buffers, &mut rec);
+    }
+    if let Some((span, _)) = times.get_mut(last) {
+        span[2] = since(start);
     }
     (rec, flushed)
 }
