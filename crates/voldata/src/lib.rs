@@ -19,7 +19,8 @@
 //!   out-of-core path): each brick stores its ghost-padded box clipped to
 //!   the volume, and its texture's clamp supplies the border ghosts;
 //! * [`macrocell`] — the min/max table the renderer builds from a brick's
-//!   voxels, so it can skip space the transfer function makes empty.
+//!   voxels, so it can skip space the transfer function makes empty;
+//! * [`stats`] — streaming volume statistics.
 //!
 //! A row along x is the unit of procedural synthesis: materializing a
 //! region computes the row's voxel-center x coordinates once and makes one
@@ -40,9 +41,7 @@ pub mod field;
 pub mod io;
 pub mod macrocell;
 pub mod noise;
-/// Streaming volume statistics, which the dataset tests check shapes with.
-#[cfg(test)]
-mod stats;
+pub mod stats;
 pub mod volume;
 
 pub use brick::{BrickGrid, BrickInfo, BrickPolicy};
@@ -50,4 +49,5 @@ pub use brickstore::{BrickData, BrickStore, StoreSnapshot};
 pub use datasets::Dataset;
 pub use field::ScalarField;
 pub use macrocell::MacroCells;
+pub use stats::VolumeStats;
 pub use volume::{Volume, VolumeMeta, VolumeSource};
