@@ -9,13 +9,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mgpu_cluster::ClusterSpec;
 use mgpu_net::{
-    rebalance_once, NetSceneRequest, NodePool, NodePoolConfig, RebalanceConfig, RenderClient,
-    RenderServer, ServerConfig,
+    rebalance_once, NodePool, NodePoolConfig, RebalanceConfig, RemoteBackend, RenderServer,
+    ServerConfig,
 };
 use mgpu_obs::names;
 use mgpu_obs::{CompletedTrace, Snapshot};
@@ -169,12 +168,13 @@ fn main() {
          ({volume_size}³ volumes, {image}² frames) against {addr}"
     );
 
-    // The workload: each client pipelines its frames on one connection.
-    // Every 4th view repeats so the frame cache sees hits.
+    // The workload: each client pipelines its frames on one connection —
+    // every frame submitted before the first is redeemed. Every 4th view
+    // repeats so the frame cache sees hits.
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             std::thread::spawn(move || {
-                let client = Arc::new(RenderClient::connect(addr).expect("connect workload"));
+                let client = RemoteBackend::connect(addr).expect("connect workload");
                 let volume = mgpu_voldata::Dataset::Skull.volume(volume_size);
                 let pending: Vec<_> = (0..frames_each)
                     .map(|f| {
@@ -191,24 +191,28 @@ fn main() {
                             config: RenderConfig::test_size(image),
                             priority: Priority::Normal,
                         };
-                        let net = NetSceneRequest::from_request(&request).expect("portable");
-                        client.begin_render(&net).expect("begin render")
+                        client.submit(request).expect("submit frame")
                     })
                     .collect();
-                for p in pending {
-                    client.finish_render(p).expect("finish render");
+                for ticket in pending {
+                    client.redeem(ticket).expect("redeem frame");
                 }
             })
         })
         .collect();
 
     // The dashboard: a separate observer connection polling STATS and
-    // TRACES — exactly what a remote operator console would do.
-    let observer = RenderClient::connect(addr).expect("connect observer");
+    // TRACES — exactly what a remote operator console would do. A one-node
+    // pool's only node is node 0.
+    let observer = RemoteBackend::connect(addr).expect("connect observer");
+    let poll = |traces: u32| {
+        let stats = observer.node_stats().remove(0).expect("stats");
+        let traces = observer.node_traces(traces).remove(0).expect("traces");
+        (stats, traces)
+    };
     for tick in 1..=ticks {
         std::thread::sleep(tick_wait);
-        let stats = observer.stats().expect("stats");
-        let traces = observer.traces(8).expect("traces");
+        let (stats, traces) = poll(8);
         draw(&format!("tick {tick}/{ticks}"), &stats.obs, &traces);
     }
     for w in workers {
@@ -216,8 +220,7 @@ fn main() {
     }
 
     // Final snapshot after the workload fully drains.
-    let stats = observer.stats().expect("final stats");
-    let traces = observer.traces(16).expect("final traces");
+    let (stats, traces) = poll(16);
     draw("final (workload drained)", &stats.obs, &traces);
     let snap = &stats.obs;
     let completed = snap.counter(names::SERVE_FRAMES_COMPLETED).unwrap_or(0);

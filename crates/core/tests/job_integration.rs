@@ -408,6 +408,14 @@ fn job_times_stamp_every_task_in_stage_order() {
         assert_eq!(times.reduces.len(), gpus as usize);
         let in_order = |[a, b, c]: [u64; 3]| a <= b && b <= c;
         assert!(times.chunks.iter().all(|&(t, _)| in_order(t)));
+        // A role maps its chunks one after another: in mapping order, each
+        // chunk's partition ends before the role's next launch starts.
+        for pair in times.chunks.windows(2) {
+            let ((this, role), (next, next_role)) = (pair[0], pair[1]);
+            if role == next_role {
+                assert!(this[2] <= next[0], "{gpus} GPUs, role {role}");
+            }
+        }
         assert!(times
             .reduces
             .iter()

@@ -1,23 +1,22 @@
-//! The client side of the wire: a **pipelined** [`RenderClient`] over one
-//! TCP connection. Every request carries a fresh `request_id` and the
-//! server replies in *completion* order, so one connection carries many
-//! in-flight renders at once:
+//! The client side of the wire: the [`ClientError`] every call fails
+//! with, the [`ClientConfig`] that bounds its transport, and the
+//! crate-private `RenderClient` — one **pipelined** TCP connection, which
+//! [`crate::NodePool`] keeps one of per node and is the only caller of.
+//! Every request carries a fresh `request_id` and the server replies in
+//! *completion* order, so one connection carries many in-flight requests
+//! at once:
 //!
-//! - [`RenderClient::render`] blocks until the frame arrives — the wire
-//!   analogue of `RenderBackend::render` on a `ShardedService` — but
-//!   concurrent `render` calls from many threads interleave on the same
-//!   socket.
-//! - [`RenderClient::begin_render`] / [`RenderClient::finish_render`]
-//!   split that into an issue half (returns immediately with a
-//!   [`PendingRender`]) and a redeem half, so a single thread can hold
-//!   many renders in flight and collect them in any order.
-//! - [`RenderClient::submit`] stays the `try_submit` analogue: it waits
-//!   only for the server's admission verdict (a fast ack), returning a
-//!   [`NetTicket`] while the render proceeds server-side.
+//! - `render` blocks until the frame arrives, but concurrent `render`
+//!   calls from many threads interleave on the same socket.
+//! - `submit` waits only for the server's admission verdict (a fast ack),
+//!   returning a `NetTicket` while the render proceeds server-side;
+//!   `redeem` exchanges the ticket for its frame.
+//! - `stats`, `traces`, `drain`, `resume` and `prewarm` are the pool's
+//!   observability and control calls.
 //!
 //! Every in-process error type still crosses the socket intact: admission
 //! shedding comes back as the same [`AdmissionError`], a caught render
-//! panic as the same [`FrameError`] message. Each [`Reply`] becomes a
+//! panic as the same [`FrameError`] message. Each `Reply` becomes a
 //! result in one exhaustive `match` (`answer`), so a reply this client does
 //! not handle fails to compile here.
 //!
@@ -33,7 +32,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -128,39 +127,8 @@ impl From<WireError> for ClientError {
 /// `request_id`. Tickets are connection-scoped: redeem them on the client
 /// that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetTicket {
+pub(crate) struct NetTicket {
     id: u64,
-}
-
-impl NetTicket {
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Rebuild a ticket from its id (e.g. recorded in a log). Redeeming a
-    /// ticket the issuing connection does not know is a typed error, so
-    /// this cannot forge frames — only name them.
-    pub fn from_id(id: u64) -> NetTicket {
-        NetTicket { id }
-    }
-}
-
-/// An issued-but-uncollected render from [`RenderClient::begin_render`].
-/// Collect it with [`RenderClient::finish_render`] — in any order relative
-/// to other pending renders on the same connection. Dropping it abandons
-/// the reply (the frame still arrives and sits in the client's inbox until
-/// the connection is dropped).
-#[must_use = "collect the frame with RenderClient::finish_render"]
-#[derive(Debug)]
-pub struct PendingRender {
-    id: u64,
-}
-
-impl PendingRender {
-    /// The `request_id` the reply will carry (diagnostics).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// Client-side transport tuning: how long to wait for a connection and for
@@ -210,59 +178,36 @@ struct Mailbox {
 /// one connection: the server's rate limiter and outstanding-request table
 /// live per connection. All methods take `&self`; share a client across
 /// threads (e.g. in an `Arc`) and their requests multiplex on the socket.
-pub struct RenderClient {
+pub(crate) struct RenderClient {
     write: Mutex<TcpStream>,
     read: Mutex<TcpStream>,
     mail: Mutex<Mailbox>,
     delivered: Condvar,
     next_id: AtomicU64,
     max_payload: u64,
-    shards: u32,
 }
 
 impl RenderClient {
-    /// Connect and handshake (a `PING` round-trip that also verifies the
-    /// protocol version and learns the server's shard count). Uses the
-    /// default [`ClientConfig`] — no timeouts; see
-    /// [`RenderClient::connect_with`] to bound connect and response waits.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<RenderClient, ClientError> {
-        RenderClient::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect with explicit transport bounds. A read timeout surfaces as
-    /// a [`ClientError::Wire`] I/O error on the call that hit it and
-    /// poisons the connection (a late reply would desynchronize the frame
-    /// stream).
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
+    /// Connect to `addr` within `config`'s transport bounds, and handshake
+    /// (a `PING` round-trip that also verifies the protocol version). A
+    /// read timeout surfaces as a [`ClientError::Wire`] I/O error on the
+    /// call that hit it and poisons the connection (a late reply would
+    /// desynchronize the frame stream).
+    pub(crate) fn connect_with(
+        addr: SocketAddr,
         config: ClientConfig,
     ) -> Result<RenderClient, ClientError> {
         let stream = match config.connect_timeout {
-            None => TcpStream::connect(addr).map_err(WireError::from)?,
-            Some(bound) => {
-                // `connect_timeout` needs concrete addresses: try each
-                // resolution, keeping the last error.
-                let addrs: Vec<_> = addr.to_socket_addrs().map_err(WireError::from)?.collect();
-                let mut last = WireError::Io(std::io::ErrorKind::AddrNotAvailable);
-                let mut stream = None;
-                for candidate in addrs {
-                    match TcpStream::connect_timeout(&candidate, bound) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = e.into(),
-                    }
-                }
-                stream.ok_or(last)?
-            }
-        };
+            None => TcpStream::connect(addr),
+            Some(bound) => TcpStream::connect_timeout(&addr, bound),
+        }
+        .map_err(WireError::from)?;
         let _ = stream.set_nodelay(true);
         stream
             .set_read_timeout(config.read_timeout)
             .map_err(WireError::from)?;
         let read = stream.try_clone().map_err(WireError::from)?;
-        let mut client = RenderClient {
+        let client = RenderClient {
             write: Mutex::new(stream),
             read: Mutex::new(read),
             mail: Mutex::new(Mailbox {
@@ -273,19 +218,13 @@ impl RenderClient {
             delivered: Condvar::new(),
             next_id: AtomicU64::new(1),
             max_payload: config.max_payload,
-            shards: 0,
         };
-        client.shards = client.ping()?;
+        client.ping()?;
         Ok(client)
     }
 
-    /// Shards behind the server (learned during the handshake).
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Round-trip a `PING`; returns the server's shard count.
-    pub fn ping(&self) -> Result<u32, ClientError> {
+    /// Round-trip a `PING`, checking the echoed token.
+    pub(crate) fn ping(&self) -> Result<(), ClientError> {
         let token: u64 = 0x6D67_7075; // arbitrary echo payload
         let Reply::Pong(pong) = self.call(&Request::Ping(token))? else {
             return Err(unexpected());
@@ -296,7 +235,7 @@ impl RenderClient {
                 pong.token
             )));
         }
-        Ok(pong.shards)
+        Ok(())
     }
 
     /// Render one frame, blocking until it is delivered. Concurrent
@@ -304,26 +243,10 @@ impl RenderClient {
     /// at once; replies are matched by `request_id`. Admission shedding surfaces as a typed
     /// [`ClientError::Admission`] — the server answers inline instead of
     /// parking the request (the one retry loop is `NodePool`'s).
-    pub fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
-        let pending = self.begin_render(request)?;
-        self.finish_render(pending)
-    }
-
-    /// Issue a render without waiting for anything: the request frame is
-    /// written and a [`PendingRender`] returned while the server works.
-    /// Issue as many as the server's per-session outstanding bound allows,
-    /// then collect them in any order with [`RenderClient::finish_render`].
-    pub fn begin_render(&self, request: &NetSceneRequest) -> Result<PendingRender, ClientError> {
+    pub(crate) fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
         self.send(id, &Request::Render(Cow::Borrowed(request)))?;
-        Ok(PendingRender { id })
-    }
-
-    /// Collect one pending render — blocks until *its* reply arrives,
-    /// regardless of how many other requests are in flight or in what
-    /// order the server finishes them.
-    pub fn finish_render(&self, pending: PendingRender) -> Result<NetFrame, ClientError> {
-        self.frame(pending.id)
+        self.frame(id)
     }
 
     /// Fire-and-forget submit — the wire analogue of `try_submit`: waits
@@ -332,7 +255,7 @@ impl RenderClient {
     /// overload, and returns a ticket while the server renders. Redeem
     /// with [`RenderClient::redeem`], or drop the ticket (the frame still
     /// lands in the server's cache).
-    pub fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
+    pub(crate) fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
         let Reply::Submitted(id) = self.call(&Request::Submit(Cow::Borrowed(request)))? else {
             return Err(unexpected());
         };
@@ -340,7 +263,7 @@ impl RenderClient {
     }
 
     /// Block until a submitted frame is ready. A ticket redeems once.
-    pub fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
+    pub(crate) fn redeem(&self, ticket: NetTicket) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
         self.send(id, &Request::Redeem(ticket.id))?;
         self.frame(id)
@@ -348,7 +271,7 @@ impl RenderClient {
 
     /// Fetch the server's per-shard and node snapshots ([`NetStats`] derives
     /// the merged service report and per-shard heat from them).
-    pub fn stats(&self) -> Result<NetStats, ClientError> {
+    pub(crate) fn stats(&self) -> Result<NetStats, ClientError> {
         let Reply::StatsReport(stats) = self.call(&Request::Stats)? else {
             return Err(unexpected());
         };
@@ -358,8 +281,8 @@ impl RenderClient {
     /// Fetch the server's most recently completed request traces, newest
     /// first, at most `max`. Trace ids are the `request_id`s the requests
     /// were submitted under, so a client can find its own.
-    pub fn traces(&self, max: u32) -> Result<Vec<CompletedTrace>, ClientError> {
-        let Reply::TracesReply(traces) = self.call(&Request::Traces(max))? else {
+    pub(crate) fn traces(&self, max: u32) -> Result<Vec<CompletedTrace>, ClientError> {
+        let Reply::Traces(traces) = self.call(&Request::Traces(max))? else {
             return Err(unexpected());
         };
         Ok(traces)
@@ -371,13 +294,13 @@ impl RenderClient {
     /// node echoes it in STATS so stale clients are detectable. Draining
     /// an already-draining node is idempotent. Returns the node's drain
     /// state (including how much work is still outstanding).
-    pub fn drain(&self, epoch: u64) -> Result<DrainState, ClientError> {
+    pub(crate) fn drain(&self, epoch: u64) -> Result<DrainState, ClientError> {
         self.drain_state(Request::Drain(epoch))
     }
 
     /// Undo a drain: the node accepts new work again. Resuming a node that
     /// is not draining is idempotent.
-    pub fn resume(&self, epoch: u64) -> Result<DrainState, ClientError> {
+    pub(crate) fn resume(&self, epoch: u64) -> Result<DrainState, ClientError> {
         self.drain_state(Request::Resume(epoch))
     }
 
@@ -394,7 +317,7 @@ impl RenderClient {
     /// Returns the shard routed to and whether a plan was actually built
     /// (`false` = already warm); a draining node answers
     /// [`ClientError::Draining`].
-    pub fn prewarm(
+    pub(crate) fn prewarm(
         &self,
         epoch: u64,
         request: &NetSceneRequest,
@@ -521,7 +444,7 @@ fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
         | Reply::Frame(_)
         | Reply::Submitted(_)
         | Reply::StatsReport(_)
-        | Reply::TracesReply(_)
+        | Reply::Traces(_)
         | Reply::DrainState(_)
         | Reply::Prewarmed(_) => Ok(reply),
         Reply::Rejected(err) => Err(ClientError::Admission(err)),
@@ -545,4 +468,307 @@ fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
 /// A success reply of another kind than the request asked for.
 fn unexpected() -> ClientError {
     ClientError::Protocol("the server answered with a reply of another kind".into())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+
+    use mgpu_obs::names;
+    use mgpu_serve::{Priority, SceneRequest, ServiceConfig};
+    use mgpu_voldata::Dataset;
+    use mgpu_volren::camera::Scene;
+    use mgpu_volren::{RenderConfig, TransferFunction};
+    use proptest::prelude::*;
+
+    use crate::pool::{NodePool, NodePoolConfig};
+    use crate::server::{RenderServer, ServerConfig};
+    use crate::wire::tests::read_frame;
+    use crate::wire::Pong;
+
+    /// A handshaken client with the default transport bounds (none).
+    pub(crate) fn connect(addr: SocketAddr) -> RenderClient {
+        RenderClient::connect_with(addr, ClientConfig::default()).expect("connect")
+    }
+
+    /// Issue a `RENDER` without waiting for its reply: the request id to
+    /// collect it under with `frame`, in any order.
+    fn begin(client: &RenderClient, request: &NetSceneRequest) -> u64 {
+        let id = client.fresh_id();
+        client
+            .send(id, &Request::Render(Cow::Borrowed(request)))
+            .expect("issue render");
+        id
+    }
+
+    fn server(shards: usize, workers: usize) -> RenderServer {
+        RenderServer::start(ServerConfig {
+            shards,
+            service: ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("bind loopback server")
+    }
+
+    fn sized_request(azimuth: f32, size: u32) -> NetSceneRequest {
+        NetSceneRequest::orbit_dataset(
+            Dataset::Skull,
+            8,
+            1,
+            azimuth,
+            0.0,
+            &TransferFunction::bone(),
+        )
+        .with_config(RenderConfig::test_size(size))
+    }
+
+    /// The headline v3 property: a single connection carries 10 concurrent
+    /// in-flight renders, and collecting them in *reverse* issue order works —
+    /// each reply is matched to its request by id, not by arrival position.
+    /// Distinct image sizes per request make any misrouting visible.
+    #[test]
+    fn one_connection_carries_ten_inflight_renders_redeemed_in_reverse() {
+        let server = server(2, 2);
+        let client = connect(server.addr());
+
+        let pending: Vec<_> = (0..10u32)
+            .map(|i| {
+                let size = 4 + i;
+                (size, begin(&client, &sized_request(i as f32 * 13.0, size)))
+            })
+            .collect();
+
+        // All ten were issued without waiting for a single reply.
+        for (i, (_, id)) in pending.iter().enumerate() {
+            assert_ne!(*id, 0, "request ids are never 0");
+            for (_, other) in pending.iter().skip(i + 1) {
+                assert_ne!(id, other, "ids are unique per connection");
+            }
+        }
+
+        for (size, id) in pending.into_iter().rev() {
+            let frame = client.frame(id).expect("collect render");
+            assert_eq!(
+                (frame.image.width(), frame.image.height()),
+                (size, size),
+                "reply correlated to the wrong request"
+            );
+        }
+
+        let report = server.shutdown();
+        assert_eq!(report.frames_completed, 10);
+        assert_eq!(report.frames_failed, 0);
+    }
+
+    /// Many threads sharing one client (the NodePool shape): all renders
+    /// multiplex on the one socket concurrently and every thread gets its own
+    /// frame back. Bounded: a reply the mailbox never hands its caller
+    /// fails the test instead of hanging it.
+    #[test]
+    fn threads_share_one_pipelined_connection() {
+        let server = server(2, 2);
+        let client = Arc::new(connect(server.addr()));
+
+        let (done, finished) = std::sync::mpsc::channel();
+        for i in 0..8u32 {
+            let (client, done) = (Arc::clone(&client), done.clone());
+            std::thread::spawn(move || {
+                let size = 4 + i;
+                let frame = client
+                    .render(&sized_request(i as f32 * 29.0, size))
+                    .expect("threaded render");
+                done.send((size, frame.image.width())).expect("report");
+            });
+        }
+        drop(done);
+        for _ in 0..8 {
+            let (size, width) = finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("every render thread returns its frame");
+            assert_eq!(width, size);
+        }
+
+        let report = server.shutdown();
+        assert_eq!(report.frames_completed, 8);
+    }
+
+    /// Tickets and renders interleave on one connection: a slow-ish render is
+    /// in flight while submits ack and redeems resolve around it.
+    #[test]
+    fn submits_and_renders_interleave_on_one_connection() {
+        let server = server(1, 1);
+        let client = connect(server.addr());
+
+        let in_flight = begin(&client, &sized_request(0.0, 24));
+        let ticket_a = client.submit(&sized_request(10.0, 8)).expect("submit a");
+        let ticket_b = client.submit(&sized_request(20.0, 12)).expect("submit b");
+
+        // Redeem in reverse submit order, then collect the render last.
+        assert_eq!(client.redeem(ticket_b).expect("redeem b").image.width(), 12);
+        assert_eq!(client.redeem(ticket_a).expect("redeem a").image.width(), 8);
+        assert_eq!(client.frame(in_flight).expect("render").image.width(), 24);
+
+        let report = server.shutdown();
+        assert_eq!(report.frames_completed, 3);
+    }
+
+    /// Once a ticket's render completes *after* its REDEEM arrived (the parked
+    /// redeem path), the reply carries the REDEEM's id — and a second redeem of
+    /// the same ticket is a typed unknown-ticket error.
+    #[test]
+    fn parked_redeems_resolve_and_tickets_redeem_once() {
+        let server = server(1, 1);
+        let client = connect(server.addr());
+
+        let ticket = client.submit(&sized_request(5.0, 16)).expect("submit");
+        // Redeem immediately: the render may still be in flight, parking the
+        // redeem server-side until the completion answers it.
+        let frame = client.redeem(ticket).expect("redeem");
+        assert_eq!(frame.image.width(), 16);
+
+        match client.redeem(ticket) {
+            Err(ClientError::BadRequest(what)) => {
+                assert!(what.contains("unknown ticket"), "unexpected: {what}")
+            }
+            other => panic!("double redeem must be a typed error, got {other:?}"),
+        }
+
+        server.shutdown();
+    }
+
+    /// A ticket the connection never issued is the server's own typed
+    /// refusal, and the session carries on. (A pool ticket cannot name
+    /// one: the pool refuses an unknown `PoolTicket` itself.)
+    #[test]
+    fn a_never_issued_ticket_is_refused_typed() {
+        let server = server(1, 1);
+        let client = connect(server.addr());
+        match client.redeem(NetTicket { id: 0xDEAD }) {
+            Err(ClientError::BadRequest(msg)) => {
+                assert!(msg.contains("unknown ticket"), "{msg}")
+            }
+            other => panic!("unknown ticket must fail typed, got {other:?}"),
+        }
+        // The session (and server) survive the bad redemption.
+        client
+            .render(&sized_request(15.0, 8))
+            .expect("render after a bad redemption");
+        server.shutdown();
+    }
+
+    /// A GOODBYE seals the client's connection: the call it meets, and every
+    /// call after it, fails as `ClientError::Goodbye`. Which sessions a node
+    /// says GOODBYE to, and when, is the protocol core's to decide; its tests
+    /// (`node::tests`) drive that drain event by event.
+    #[test]
+    fn a_goodbye_seals_the_client_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound address");
+        let node = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().expect("accept");
+            // Answer the client's handshake PING, then meet its next request
+            // with a GOODBYE.
+            let (tag, id, payload) =
+                read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("handshake");
+            let Ok(Request::Ping(token)) = Request::decode(tag, &payload) else {
+                panic!("the handshake is a PING");
+            };
+            let pong = Reply::Pong(Pong { token, shards: 1 });
+            socket.write_all(&pong.framed(id)).expect("pong");
+            read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("a request");
+            socket
+                .write_all(&Reply::Goodbye.framed(0))
+                .expect("goodbye");
+        });
+        let client = connect(addr);
+        assert!(matches!(client.ping(), Err(ClientError::Goodbye)));
+        assert!(matches!(client.stats(), Err(ClientError::Goodbye)));
+        node.join().expect("the node's thread");
+    }
+
+    /// A draining node refuses `PREWARM` like any new work: the typed
+    /// `DRAINING` reply carries an epoch no older than the drain's, and no plan
+    /// is built.
+    #[test]
+    fn a_draining_node_refuses_prewarm() {
+        let servers = [server(2, 2), server(2, 2)];
+        let pool = NodePool::try_new(
+            servers.iter().map(RenderServer::addr).collect(),
+            NodePoolConfig::default(),
+        )
+        .expect("two-node pool");
+        let drained = pool.drain_node(0).expect("drain");
+
+        let client = connect(servers[0].addr());
+        let prewarms = || {
+            let stats = client.stats().expect("stats");
+            stats.service_snapshot().counter(names::SERVE_PLAN_PREWARMS)
+        };
+        let before = prewarms();
+        let volume = Dataset::Skull.volume(8);
+        let request = SceneRequest {
+            spec: mgpu_cluster::ClusterSpec::accelerator_cluster(1),
+            scene: Scene::orbit(
+                &volume,
+                0.0,
+                10.0,
+                TransferFunction::for_dataset(Dataset::Skull.name()),
+            ),
+            volume,
+            config: RenderConfig::test_size(8),
+            priority: Priority::Normal,
+        };
+        let req = NetSceneRequest::from_request(&request).expect("portable");
+        match client.prewarm(drained.epoch, &req) {
+            Err(ClientError::Draining { epoch }) => assert!(epoch >= drained.epoch),
+            other => panic!("a draining node must refuse PREWARM typed, got {other:?}"),
+        }
+        assert_eq!(prewarms(), before, "no plan is built while draining");
+
+        drop(pool);
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
+    proptest! {
+        // Live-server cases are heavier: fewer, smaller.
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// N pipelined renders on ONE connection, collected in an arbitrary
+        /// order: every reply lands on the request that issued it. Each
+        /// request asks for a distinct image size, so a misrouted reply is
+        /// immediately visible as the wrong dimensions.
+        #[test]
+        fn pipelined_renders_redeem_out_of_order(
+            n in 2usize..10,
+            order_keys in prop::collection::vec(0u64..u64::MAX, 10),
+        ) {
+            let server = server(2, 2);
+            let client = connect(server.addr());
+
+            let mut pending: Vec<Option<(u32, u64)>> = (0..n)
+                .map(|i| {
+                    let size = 4 + i as u32;
+                    Some((size, begin(&client, &sized_request(i as f32 * 17.0, size))))
+                })
+                .collect();
+
+            // A permutation derived from the random keys: sort indices by key.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|i| order_keys[*i]);
+
+            for i in order {
+                let (size, id) = pending[i].take().expect("each collected once");
+                let frame = client.frame(id).expect("collect render");
+                prop_assert_eq!(frame.image.width(), size, "reply matched to the wrong request");
+            }
+            server.shutdown();
+        }
+    }
 }

@@ -180,8 +180,8 @@ fn strictly_ascending<T>(section: &str, entries: &[(String, T)]) -> Result<(), W
 )]
 mod tests {
     use super::*;
-    use crate::wire::tests::{pin, wire_contract};
-    use crate::wire::{decode, read_frame, Request, DEFAULT_MAX_PAYLOAD, VERSION};
+    use crate::wire::tests::{pin, read_frame, wire_contract};
+    use crate::wire::{decode, Request, DEFAULT_MAX_PAYLOAD, VERSION};
     use mgpu_obs::{names, Histogram};
     use mgpu_serve::CacheSnapshot;
 
@@ -420,5 +420,79 @@ mod tests {
         assert_eq!(stats.shards()[0].jobs_popped, u64::MAX);
         assert!(stats.imbalance() > 1.0);
         assert!(format!("{stats}").contains("imbalance"));
+    }
+
+    /// STATS is bit-exact on the wire: a pool-merged registry snapshot of
+    /// two live nodes re-encodes to the same bytes after a decode round
+    /// trip (sorted keys make the encoding canonical), and the decode
+    /// reproduces the snapshot.
+    #[test]
+    fn pool_merged_snapshot_roundtrips_bit_exactly() {
+        use crate::client::tests::connect;
+        use crate::pool::{Directory, NodePool, NodePoolConfig};
+        use crate::server::{RenderServer, ServerConfig};
+        use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
+        use mgpu_voldata::Dataset;
+        use mgpu_volren::camera::Scene;
+        use mgpu_volren::{RenderConfig, TransferFunction};
+
+        let server = || {
+            RenderServer::start(ServerConfig {
+                shards: 2,
+                service: ServiceConfig {
+                    workers: 2,
+                    ..ServiceConfig::default()
+                },
+                ..ServerConfig::default()
+            })
+            .expect("bind loopback server")
+        };
+        let request = |azimuth: f32| {
+            let volume = Dataset::Skull.volume(8);
+            SceneRequest {
+                spec: mgpu_cluster::ClusterSpec::accelerator_cluster(1),
+                scene: Scene::orbit(&volume, azimuth, 10.0, TransferFunction::bone()),
+                volume,
+                config: RenderConfig::test_size(8),
+                priority: Priority::Normal,
+            }
+        };
+        let (a, b) = (server(), server());
+        let pool = NodePool::new(
+            Directory::new(vec![a.addr(), b.addr()]).expect("two-node directory"),
+            NodePoolConfig::default(),
+        );
+        // Touch both nodes so the merged snapshot carries real counters and
+        // histograms from each.
+        for view in 0..4 {
+            RenderBackend::render(&pool, request(100.0 + view as f32 * 23.0)).expect("pool render");
+        }
+        for addr in [a.addr(), b.addr()] {
+            connect(addr).stats().expect("node stats");
+        }
+
+        let merged = pool.obs_snapshot().expect("pool-wide snapshot");
+        assert!(!merged.is_empty(), "rendering must populate the registry");
+        assert!(
+            merged.counter(names::SERVE_FRAMES_COMPLETED).unwrap_or(0) >= 4,
+            "merged snapshot sums both nodes' counters"
+        );
+        assert!(
+            merged.histogram(names::SERVE_QUEUE_WAIT_NS).is_some(),
+            "stage histograms cross the wire"
+        );
+
+        // The merged snapshot survives the STATS payload's snapshot codec.
+        let bytes = crate::wire::encode(&merged);
+        let decoded: Snapshot = decode(&bytes).expect("canonical bytes decode");
+        assert_eq!(decoded, merged, "decode reproduces the snapshot");
+        assert_eq!(
+            crate::wire::encode(&decoded),
+            bytes,
+            "re-encoding is bit-exact (canonical sorted-key form)"
+        );
+
+        a.shutdown();
+        b.shutdown();
     }
 }

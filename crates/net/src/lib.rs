@@ -8,9 +8,9 @@
 //! behind a network front-end.
 //!
 //! ```text
-//! RenderClient ══TCP══► RenderServer event loop ──► per-session TokenBucket
-//!   many in-flight ids     poll(2) readiness,           │ (before admission)
-//!   per connection         all conns in one loop        ▼
+//!   NodePool ═══TCP═══► RenderServer event loop ──► per-session TokenBucket
+//!   one pipelined conn     poll(2) readiness,           │ (before admission)
+//!   per node, many ids     all conns in one loop        ▼
 //!         ▲                       ▲             ShardedService (N shards)
 //!         └──replies, any order───┴─completion──┘ rendezvous by plan key
 //!                                   queue + waker      │
@@ -20,10 +20,10 @@
 //!
 //! * **Wire format** — [`wire`]: versioned, length-prefixed frames over
 //!   `std::net` TCP; one little-endian codec — every payload type
-//!   implements [`wire::Wire`], its field order written once for both
-//!   directions — with no external dependencies; every decode failure is a
-//!   typed [`WireError`], never a panic. A frame carries one
-//!   [`wire::Request`] or [`wire::Reply`], each declared once with its tag;
+//!   implements the crate-private `Wire` trait, its field order written
+//!   once for both directions — with no external dependencies; every
+//!   decode failure is a typed [`WireError`], never a panic. A frame
+//!   carries one `Request` or `Reply`, each declared once with its tag;
 //!   the server and the client match them exhaustively, so a new message
 //!   does not compile until both ends handle it. Since **v3** every request
 //!   carries a client-chosen 8-byte `request_id` echoed by its reply, so
@@ -44,14 +44,13 @@
 //!   protocol — the door, ticket tables, drain, every control request — is
 //!   a socket-free state machine it feeds events, tested in exact event
 //!   orders without a socket or a sleep. Unix-only (`poll(2)`).
-//! * **Client** — [`client`]: a pipelined [`RenderClient`] —
-//!   [`RenderClient::begin_render`] issues without blocking and returns a
-//!   [`PendingRender`] collected later by [`RenderClient::finish_render`],
-//!   blocking [`RenderClient::render`] mirroring `submit`, fire-and-forget
-//!   [`RenderClient::submit`] mirroring `try_submit` with [`NetTicket`]
-//!   redemption, all sharing one connection from any number of threads,
-//!   and typed errors that round-trip [`mgpu_serve::AdmissionError`] /
-//!   [`mgpu_serve::FrameError`] across the socket.
+//! * **Client** — [`NodePool`] (below) is the one client door. Under it,
+//!   [`client`] holds one crate-private pipelined connection per node:
+//!   every caller's renders, submits and redeems share it from any number
+//!   of threads, replies matched by request id in any order, with typed
+//!   errors ([`ClientError`]) that round-trip
+//!   [`mgpu_serve::AdmissionError`] / [`mgpu_serve::FrameError`] across
+//!   the socket, and transport bounds in [`ClientConfig`].
 //! * **Rate limiting** — [`ratelimit`]: a per-session token bucket at the
 //!   server door, ahead of admission control; throttled requests carry an
 //!   exact retry-after.
@@ -64,8 +63,9 @@
 //!   gauges) are views [`NetStats`] computes over them, in a canonical
 //!   sorted-key wire form that re-encodes bit-exactly. The `TRACES`
 //!   request returns the newest completed request traces (stage spans
-//!   `admit → queue → plan → stage → kernel → composite → render →
-//!   reply`, seeded from the wire `request_id`); `NodePool::obs_snapshot`
+//!   `admit → queue → plan → stage → map → partition → sort → reduce →
+//!   merge → model → stitch → render → reply`, seeded from the wire
+//!   `request_id`); `NodePool::obs_snapshot`
 //!   fetches and exactly merges every reachable node's snapshot.
 //! * **Backends** — [`pool::NodePool`] puts N servers behind the
 //!   [`mgpu_serve::RenderBackend`] trait with a rendezvous
@@ -109,7 +109,7 @@ pub mod remote;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError, NetTicket, PendingRender, RenderClient};
+pub use client::{ClientConfig, ClientError};
 pub use heat::NetStats;
 pub use pool::{
     Directory, DirectoryError, NodeError, NodePool, NodePoolConfig, PoolConfigError, PoolTicket,

@@ -343,7 +343,7 @@ impl<T> Node<T> {
                 shards: shared.sharded.shard_count() as u32,
             }),
             Request::Stats => Reply::StatsReport(shared.stats()),
-            Request::Traces(max) => Reply::TracesReply(mgpu_obs::ring().recent(max as usize)),
+            Request::Traces(max) => Reply::Traces(mgpu_obs::ring().recent(max as usize)),
             // A draining node refuses *new* work — typed, per-request, and
             // the session survives (in-flight replies and parked redeems
             // still flow). The epoch tells the refused client how stale it is.
@@ -536,7 +536,8 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
 mod tests {
     use super::*;
     use crate::ratelimit::RateLimitConfig;
-    use crate::wire::{read_frame, DEFAULT_MAX_PAYLOAD, PRELUDE_BYTES, VERSION};
+    use crate::wire::tests::read_frame;
+    use crate::wire::{DEFAULT_MAX_PAYLOAD, PRELUDE_BYTES, VERSION};
     use mgpu_serve::{ServiceConfig, ServiceReport};
     use mgpu_voldata::Dataset;
     use mgpu_volren::{Image, RenderConfig, TransferFunction};

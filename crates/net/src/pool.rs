@@ -39,7 +39,7 @@
 //! socket, clock or sleep: `outcome` sorts a call's [`ClientError`] (the
 //! only place one is matched), a `Route` turns each outcome into the next
 //! step, and a `Slot` keeps the generation rule. The shell (`on_node`,
-//! `drive`, `redeem`) dials, calls the [`RenderClient`], sleeps and counts.
+//! `drive`, `redeem`) dials, calls the node's `RenderClient`, sleeps and counts.
 //! A seeded test runs the core against a straight-line model of these rules.
 //!
 //! ```text

@@ -1,7 +1,7 @@
 //! The seam between the wire's vocabulary and the service contract's, and
 //! the name [`RemoteBackend`] for the one-server case.
 //!
-//! The raw [`crate::RenderClient`] mirrors the wire protocol (its own
+//! The pool's crate-private connections speak the wire protocol (its own
 //! [`ClientError`], [`NetSceneRequest`]); the three conversions here
 //! restore the service contract for [`NodePool`]:
 //! [`mgpu_serve::SceneRequest`] in, [`BackendFrame`] out, and every

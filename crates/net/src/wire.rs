@@ -3,11 +3,11 @@
 //!
 //! ## The codec
 //!
-//! Every type that crosses the socket implements [`Wire`]: `put` appends
-//! its bytes to a [`Writer`], `get` reads them back off a [`Reader`], and
-//! `MIN_BYTES` bounds any encoding's size from below. [`encode`] and
-//! [`decode`] are the only entry points — `decode` is `get` followed by
-//! [`Reader::finish`]. A plain struct's field list is written once
+//! Every type that crosses the socket implements `Wire`: `put` appends
+//! its bytes to a `Writer`, `get` reads them back off a `Reader`, and
+//! `MIN_BYTES` bounds any encoding's size from below. `encode` and
+//! `decode` are the only entry points — `decode` is `get` followed by
+//! `Reader::finish`. A plain struct's field list is written once
 //! (`wire_struct!`) and serves both directions, so the two ends of a
 //! connection cannot drift apart field by field. Every implementation
 //! keeps the same four-clause contract, which one generic test
@@ -17,7 +17,7 @@
 //!    same bytes (compared as bytes, so NaN payloads count).
 //! 2. **Truncation.** Every strict prefix of an encoding is a typed
 //!    [`WireError::Truncated`]; a length prefix is checked against the
-//!    bytes that remain ([`Reader::count`]) *before* anything is allocated.
+//!    bytes that remain (`Reader::count`) *before* anything is allocated.
 //! 3. **No trailing bytes.** An encoding with one byte appended is
 //!    [`WireError::TrailingBytes`].
 //! 4. **Canonical.** Bytes that decode at all re-encode to exactly
@@ -27,14 +27,14 @@
 //!
 //! ## Messages
 //!
-//! A frame carries one [`Request`] (tags below `0x80`) or one [`Reply`]
+//! A frame carries one `Request` (tags below `0x80`) or one `Reply`
 //! (from `0x80`), each declared once — per variant, its payload's fields in
 //! wire order and its tag, the frame's opcode byte — by `messages!`, which
 //! also writes the one codec: `tag`, `framed` and `decode`. The server and
 //! the client match them exhaustively, so a new message does not compile
 //! until both ends handle it.
 //!
-//! A `FRAME` ([`Reply::Frame`]) is a 17-byte head (`bool, u64, u32, u32`
+//! A `FRAME` (`Reply::Frame`) is a 17-byte head (`bool, u64, u32, u32`
 //! — cache provenance, simulated nanoseconds, width, height) whose
 //! dimensions imply the size of what follows, the image's RGBA rows as
 //! little-endian `f32`. That is how an `Image` already lies in memory, so
@@ -60,7 +60,7 @@
 //! |------------|-------|--------------------------------------------|
 //! | magic      | 4     | the bytes `MGPU` (LE u32 `0x5550474D`)     |
 //! | version    | 2     | [`VERSION`]                                |
-//! | opcode     | 1     | the message's tag ([`Request`], [`Reply`]) |
+//! | opcode     | 1     | the message's tag (`Request`, `Reply`)     |
 //! | length     | 4     | payload bytes that follow the request id   |
 //! | request_id | 8     | correlates a response with its request     |
 //! | payload    | n     | the message's fields                       |
@@ -70,12 +70,12 @@
 //! every response to the request — which is what lets one connection carry
 //! many in-flight renders and redeem the replies out of order. Requests the
 //! server originates no reply for do not exist; unsolicited server frames
-//! ([`Reply::UnsupportedVersion`], [`Reply::BadRequest`] for unframable
-//! input, [`Reply::Goodbye`]) carry request id 0.
+//! (`Reply::UnsupportedVersion`, `Reply::BadRequest` for unframable
+//! input, `Reply::Goodbye`) carry request id 0.
 //!
 //! Both ends of the socket parse frames with one incremental reader
-//! (`FrameReader`; [`read_frame`] is its blocking form) that runs over any
-//! `Read`, so a torn or hostile byte stream can be replayed from a slice.
+//! (`FrameReader`) that runs over any `Read`, so a torn or hostile byte
+//! stream can be replayed from a slice.
 //!
 //! Integers and float bit patterns are little-endian. Floats travel as
 //! [`f32::to_bits`]/[`f64::to_bits`], so decoding reconstructs the exact
@@ -95,7 +95,7 @@
 //! v3 header (and vice versa) far enough to read the version field and fail
 //! with a typed [`WireError::UnsupportedVersion`]. The server goes one step
 //! further: a request frame carrying any version other than [`VERSION`] is
-//! answered with a typed [`Reply::UnsupportedVersion`] before the
+//! answered with a typed `Reply::UnsupportedVersion` before the
 //! connection closes cleanly — a v2
 //! client sees an orderly refusal instead of a silent disconnect.
 
@@ -130,25 +130,25 @@ use crate::heat::NetStats;
 /// Frame magic: the ASCII bytes `MGPU` as a little-endian `u32`
 /// (`0x5550474D`) — a packet capture shows the literal characters "MGPU"
 /// at every frame boundary.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"MGPU");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"MGPU");
 /// Protocol version this build speaks. Bumped on any incompatible change;
 /// the server answers other versions with a typed
-/// [`Reply::UnsupportedVersion`] (and decoders fail with
+/// `Reply::UnsupportedVersion` (and decoders fail with
 /// [`WireError::UnsupportedVersion`]). v2 replaced the orbit-only camera
 /// fields with [`CameraSpec`]; v3 added the per-request `request_id` that
 /// multiplexes many in-flight renders over one connection; v4 added the
-/// elastic-pool control messages ([`Request::Drain`] / [`Request::Resume`]
-/// / [`Request::Prewarm`] and their replies) and the directory epoch
-/// carried by the `STATS` payload; v5 replaced the [`Reply::StatsReport`]
+/// elastic-pool control messages (`Request::Drain` / `Request::Resume`
+/// / `Request::Prewarm` and their replies) and the directory epoch
+/// carried by the `STATS` payload; v5 replaced the `Reply::StatsReport`
 /// payload with STATS v3 (epoch, uptime, per-shard and node snapshots — see
 /// [`crate::heat`]).
 pub const VERSION: u16 = 5;
 /// Frame header bytes: magic + version + opcode + length.
-pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
+pub(crate) const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 /// Fixed-size frame prelude: the header plus the 8-byte request id. A
 /// reader consumes `PRELUDE_BYTES`, then the `length` payload bytes the
 /// header declared.
-pub const PRELUDE_BYTES: usize = HEADER_BYTES + 8;
+pub(crate) const PRELUDE_BYTES: usize = HEADER_BYTES + 8;
 /// Default cap on a single payload (a 1024² float-RGBA frame is 16 MiB;
 /// 64 MiB leaves room for shipped in-memory volumes without letting one
 /// frame OOM the peer).
@@ -235,7 +235,7 @@ impl From<std::io::Error> for WireError {
 
 /// Append-only payload encoder (little-endian throughout).
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
@@ -300,7 +300,7 @@ impl Writer {
 /// Cursor over a received payload; every read is bounds-checked into a
 /// typed [`WireError`].
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     /// The bytes not yet consumed.
     rest: &'a [u8],
 }
@@ -409,7 +409,7 @@ impl<'a> Reader<'a> {
 
 /// One type's wire form, written once for both directions. See the module
 /// docs for the four-clause contract every implementation keeps.
-pub trait Wire: Sized {
+pub(crate) trait Wire: Sized {
     /// A lower bound on the bytes any encoding of `Self` occupies: what
     /// [`Reader::count`] multiplies a received length prefix by, so a
     /// hostile count is refused before `Vec<Self>` is sized for it.
@@ -421,14 +421,14 @@ pub trait Wire: Sized {
 }
 
 /// Encode one payload.
-pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+pub(crate) fn encode<T: Wire>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.put(&mut w);
     w.into_bytes()
 }
 
 /// Decode one payload; consumes the whole payload.
-pub fn decode<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
+pub(crate) fn decode<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
     let mut r = Reader::new(payload);
     let value = T::get(&mut r)?;
     r.finish()?;
@@ -559,8 +559,9 @@ impl<T: Wire + Clone> Wire for Cow<'_, T> {
 }
 
 /// `impl Wire` for a plain struct from one field list: the order written
-/// here *is* the wire order, in both directions. Given a whole `pub struct`
-/// it defines the struct too, so a payload type's fields are listed once.
+/// here *is* the wire order, in both directions. Given a whole struct (of
+/// any visibility, its fields `pub`) it defines the struct too, so a
+/// payload type's fields are listed once.
 /// An optional `where` closure refuses decoded values that break an
 /// invariant.
 macro_rules! wire_struct {
@@ -579,11 +580,11 @@ macro_rules! wire_struct {
             }
         }
     };
-    ($(#[$meta:meta])* pub struct $ty:ident {
+    ($(#[$meta:meta])* $vis:vis struct $ty:ident {
         $($(#[$fmeta:meta])* pub $field:ident: $fty:ty),+ $(,)?
     }) => {
         $(#[$meta])*
-        pub struct $ty {
+        $vis struct $ty {
             $($(#[$fmeta])* pub $field: $fty),+
         }
         $crate::wire::wire_struct!($ty { $($field: $fty),+ });
@@ -627,11 +628,11 @@ macro_rules! wire_enum {
 /// A message enum and its one codec, from one declaration per variant: the
 /// payload's fields in wire order, then `= tag`, the frame's opcode byte.
 macro_rules! messages {
-    ($(#[$meta:meta])* pub enum $ty:ident $(<$lt:lifetime>)? {
+    ($(#[$meta:meta])* $vis:vis enum $ty:ident $(<$lt:lifetime>)? {
         $($(#[$vmeta:meta])* $variant:ident $(($($field:ident: $fty:ty),+))? = $tag:tt,)+
     }) => {
         $(#[$meta])*
-        pub enum $ty $(<$lt>)? {
+        $vis enum $ty $(<$lt>)? {
             $($(#[$vmeta])* $variant $(($($fty),+))?,)+
         }
 
@@ -679,7 +680,7 @@ messages! {
     /// A client's request. A render request travels as a [`Cow`]: a sender
     /// frames it from its own borrow, a receiver decodes an owned copy.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Request<'a> {
+    pub(crate) enum Request<'a> {
         /// Liveness and version probe: answered by a [`Pong`].
         Ping(token: u64) = 0x01,
         /// Render; the frame (or why not) answers under this request's id.
@@ -711,7 +712,7 @@ messages! {
     /// A server's reply, under the id of the request it answers; an
     /// unsolicited one, under id 0, is a verdict on the connection.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Reply {
+    pub(crate) enum Reply {
         Pong(pong: Pong) = 0x81,
         /// The rendered frame. The server sends a `frame_view` of the image
         /// its frame cache holds; nothing is encoded.
@@ -728,7 +729,7 @@ messages! {
         /// Unsolicited, then the connection closes. New in v3.
         UnsupportedVersion(versions: UnsupportedVersion) = 0x89,
         /// Newest first.
-        TracesReply(traces: Vec<CompletedTrace>) = 0x8A,
+        Traces(traces: Vec<CompletedTrace>) = 0x8A,
         DrainState(state: DrainState) = 0x8B,
         Prewarmed(prewarmed: Prewarmed) = 0x8C,
         /// Unsolicited: a draining server owes nothing more and closes the
@@ -765,27 +766,6 @@ fn seal(mut w: Writer) -> Vec<u8> {
         prelude[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
     }
     w.buf
-}
-
-/// Serialize one frame (prelude + payload) into a byte vector — the form
-/// an event loop appends to a connection's write buffer.
-pub fn frame_bytes(opcode: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(PRELUDE_BYTES + payload.len());
-    put_prelude(&mut w, opcode, payload.len() as u32, request_id);
-    w.buf.extend_from_slice(payload);
-    w.buf
-}
-
-/// Write one frame (header + request id + payload) and flush.
-pub fn write_frame(
-    w: &mut impl Write,
-    opcode: u8,
-    request_id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    w.write_all(&frame_bytes(opcode, request_id, payload))?;
-    w.flush()?;
-    Ok(())
 }
 
 /// One frame on its way out of an event loop: owned bytes, then — for a
@@ -852,9 +832,9 @@ pub(crate) fn frame_view(
     })
 }
 
-/// [`write_frame`] for a `FRAME`, as the server replies: the bytes of
-/// `write_frame(w, FRAME, request_id, &encode_frame(image, ..))`, the pixels
-/// written from where they are.
+/// One `FRAME` written and flushed, as the server replies: the prelude and
+/// head, then the pixels from where they are — the bytes of
+/// [`encode_frame`]'s payload behind its prelude.
 pub fn write_frame_view(
     w: &mut impl Write,
     request_id: u64,
@@ -871,7 +851,7 @@ pub fn write_frame_view(
 }
 
 /// Parse a frame header, validating magic, version and the payload bound.
-pub fn parse_header(
+pub(crate) fn parse_header(
     header: &[u8; HEADER_BYTES],
     max_payload: u64,
 ) -> Result<(u8, usize), WireError> {
@@ -1029,14 +1009,6 @@ impl FrameReader {
             }
         }
     }
-}
-
-/// Read one frame from a blocking reader: `(opcode, request_id, payload)`.
-/// `WouldBlock` here means the reader's own timeout expired mid-wait.
-pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<(u8, u64, Vec<u8>), WireError> {
-    FrameReader::new()
-        .read(r, max_payload)?
-        .ok_or(WireError::Io(std::io::ErrorKind::WouldBlock))
 }
 
 // ---------------------------------------------------------------------------
@@ -1529,7 +1501,7 @@ pub fn decode_request(payload: &[u8]) -> Result<NetSceneRequest, WireError> {
 wire_struct! {
     /// [`Reply::Pong`]: the `Ping`'s token echoed, and the server's shard count.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Pong {
+    pub(crate) struct Pong {
         pub token: u64,
         pub shards: u32,
     }
@@ -1546,7 +1518,7 @@ wire_struct! {
     /// [`Reply::TicketsFull`]: the session's outstanding-request count and its
     /// bound.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct TicketsFull {
+    pub(crate) struct TicketsFull {
         pub outstanding: u64,
         pub limit: u64,
     }
@@ -1557,14 +1529,14 @@ wire_struct! {
     /// this build speaks — the typed refusal a v2 client receives before
     /// the server closes the connection.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct UnsupportedVersion {
+    pub(crate) struct UnsupportedVersion {
         pub got: u16,
         pub want: u16,
     }
 }
 
 wire_struct! {
-    /// A server's answer to `Drain`/`Resume` ([`Reply::DrainState`]): its mode,
+    /// A server's answer to `Drain`/`Resume` (`Reply::DrainState`): its mode,
     /// how much it still owes, and the newest directory epoch it has been
     /// told — what a drain controller polls until `outstanding` reaches
     /// zero.
@@ -1588,13 +1560,13 @@ wire_struct! {
     /// [`Reply::Prewarmed`]: the owning shard, and whether a plan was newly
     /// built (`false` = the cache was already warm).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Prewarmed {
+    pub(crate) struct Prewarmed {
         pub shard: u32,
         pub built: bool,
     }
 }
 
-// `Reply::TracesReply` is a `Vec<CompletedTrace>`, newest first: each trace is its
+// `Reply::Traces` is a `Vec<CompletedTrace>`, newest first: each trace is its
 // wire `request_id`-seeded id plus the named stage spans as nanosecond
 // offsets from the trace's start.
 wire_struct!(mgpu_obs::SpanRecord { name: String, start_ns: u64, end_ns: u64 }
@@ -1725,6 +1697,38 @@ pub(crate) mod tests {
     use super::*;
     use mgpu_obs::{Snapshot, SpanRecord, HIST_BUCKETS};
     use proptest::prelude::*;
+
+    /// Serialize one frame (prelude + payload) into a byte vector: any
+    /// opcode, any payload, so a test can frame what no message encodes.
+    pub(crate) fn frame_bytes(opcode: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(PRELUDE_BYTES + payload.len());
+        put_prelude(&mut w, opcode, payload.len() as u32, request_id);
+        w.buf.extend_from_slice(payload);
+        w.buf
+    }
+
+    /// Write one frame (header + request id + payload) and flush.
+    pub(crate) fn write_frame(
+        w: &mut impl Write,
+        opcode: u8,
+        request_id: u64,
+        payload: &[u8],
+    ) -> Result<(), WireError> {
+        w.write_all(&frame_bytes(opcode, request_id, payload))?;
+        w.flush()?;
+        Ok(())
+    }
+
+    /// Read one frame from a blocking reader: `(opcode, request_id, payload)`.
+    /// `WouldBlock` here means the reader's own timeout expired mid-wait.
+    pub(crate) fn read_frame(
+        r: &mut impl Read,
+        max_payload: u64,
+    ) -> Result<(u8, u64, Vec<u8>), WireError> {
+        FrameReader::new()
+            .read(r, max_payload)?
+            .ok_or(WireError::Io(std::io::ErrorKind::WouldBlock))
+    }
 
     /// `bytes` as hex, against the named line of `tests/golden_v5.txt`: what
     /// the hand-paired encoders this codec replaced produced for the same
@@ -2563,7 +2567,7 @@ pub(crate) mod tests {
                 Reply::UnsupportedVersion(UnsupportedVersion { got: 2, want: 5 }),
                 Some("unsupported_version"),
             ),
-            (Reply::TracesReply(traces), Some("traces")),
+            (Reply::Traces(traces), Some("traces")),
             (
                 Reply::DrainState(DrainState {
                     draining: true,
@@ -2773,7 +2777,7 @@ pub(crate) mod tests {
                 got: next() as u16,
                 want: next() as u16,
             }),
-            9 => Reply::TracesReply(
+            9 => Reply::Traces(
                 (0..next() % 4)
                     .map(|_| CompletedTrace {
                         id: next(),
@@ -3086,6 +3090,89 @@ pub(crate) mod tests {
                 shard_snapshots: vec![shard, Snapshot::new()],
                 obs,
             });
+        }
+    }
+
+    // Decoding never panics: arbitrary bytes and corrupted headers produce
+    // typed `WireError`s (structured corruption of *valid* payloads is
+    // `wire_contract` above).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes fed to the request decoder: typed error or a valid
+        /// request, never a panic — and whatever decodes must re-encode to the
+        /// exact same bytes (the format is canonical).
+        #[test]
+        fn random_bytes_never_panic_the_decoder(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+            if let Ok(request) = decode_request(&bytes) {
+                prop_assert_eq!(encode_request(&request), bytes);
+            }
+            // Frame and stats decoders share the never-panic property.
+            let _ = decode_frame(&bytes);
+            let _ = decode::<NetStats>(&bytes);
+        }
+
+        /// Corrupted frame headers parse to typed errors, never panic, and a
+        /// valid header round-trips.
+        #[test]
+        fn corrupted_headers_fail_cleanly(header in prop::collection::vec(0u8..=255, HEADER_BYTES)) {
+            let header: [u8; HEADER_BYTES] = header.try_into().unwrap();
+            match parse_header(&header, 1 << 20) {
+                Ok((_, len)) => prop_assert!(len <= 1 << 20),
+                Err(
+                    WireError::BadMagic(_)
+                    | WireError::UnsupportedVersion { .. }
+                    | WireError::TooLarge { .. },
+                ) => {}
+                Err(other) => prop_assert!(false, "unexpected header error {other:?}"),
+            }
+        }
+
+        /// Corrupting the v3 `request_id` field specifically: the id is opaque
+        /// payload to the framing layer, so any bit flip inside it still
+        /// parses — to exactly the flipped id, with opcode and payload intact
+        /// (a corrupted id can misroute a reply, which is why ids are
+        /// client-chosen and collision-checked, but it can never break
+        /// framing). Truncation *inside* the id field is a typed error, never
+        /// a panic.
+        #[test]
+        fn request_id_corruption_never_breaks_framing(
+            request_id in 0u64..u64::MAX,
+            op_bit in 0u32..5,
+            payload in prop::collection::vec(0u8..=255, 0..64),
+            flip_offset in 0usize..8,
+            flip_mask in 1u8..=255,
+            cut_inside in 0usize..8,
+        ) {
+            let op = [
+                Request::Ping(0),
+                Request::Redeem(0),
+                Request::Stats,
+                Request::Traces(0),
+                Request::Drain(0),
+            ][op_bit as usize]
+                .tag();
+            let frame = frame_bytes(op, request_id, &payload);
+
+            // Flip bits inside the 8-byte id (bytes 11..19 of the prelude).
+            let mut bent = frame.clone();
+            bent[HEADER_BYTES + flip_offset] ^= flip_mask;
+            let (got_op, got_id, got_payload) =
+                read_frame(&mut &bent[..], DEFAULT_MAX_PAYLOAD).expect("id bytes are opaque");
+            prop_assert_eq!(got_op, op);
+            prop_assert_eq!(got_id, request_id ^ ((flip_mask as u64) << (8 * flip_offset)));
+            prop_assert_eq!(got_payload, payload);
+
+            // Tear the stream anywhere inside the id field: typed error.
+            let cut = HEADER_BYTES + cut_inside;
+            match read_frame(&mut &frame[..cut], DEFAULT_MAX_PAYLOAD) {
+                Err(WireError::ConnectionClosed) | Err(WireError::Io(_)) => {}
+                other => prop_assert!(false, "torn id field must be a typed error, got {other:?}"),
+            }
+            // And a full valid prelude round-trips the id verbatim.
+            let (_, id, _) = read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).expect("valid frame");
+            prop_assert_eq!(id, request_id);
+            prop_assert!(frame.len() >= PRELUDE_BYTES);
         }
     }
 }

@@ -1,16 +1,14 @@
 //! Elastic-pool acceptance: zero-loss graceful drain under pipelined
 //! traffic, epoch-versioned placement observable through STATS,
-//! idempotent drain/resume, a GOODBYE as the client sees it, and
-//! heat-driven rebalancing with pre-warm-before-cutover.
+//! idempotent drain/resume, and heat-driven rebalancing with
+//! pre-warm-before-cutover. (A GOODBYE and a refused PREWARM as the raw
+//! connection sees them are `client::tests` in the crate.)
 
-use std::io::Write;
-use std::net::TcpListener;
 use std::sync::Arc;
 
-use mgpu_net::wire::{read_frame, Pong, Reply, Request, DEFAULT_MAX_PAYLOAD};
 use mgpu_net::{
-    rebalance_once, ClientError, Directory, NodePool, NodePoolConfig, RebalanceConfig,
-    RenderClient, RenderServer, ServerConfig,
+    rebalance_once, Directory, NodePool, NodePoolConfig, RebalanceConfig, RemoteBackend,
+    RenderServer, ServerConfig,
 };
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::{Dataset, Volume};
@@ -154,11 +152,11 @@ fn stale_directory_copies_are_detectable_through_the_epoch_echo() {
     pool.resume_node(0).expect("resume");
     assert_eq!(pool.epoch(), 2);
 
-    // Any client (here: a raw one, standing for an unrelated process)
-    // sees the node echo epoch 2; the stale copy's epoch lags — that gap
-    // IS the staleness signal.
-    let observer = RenderClient::connect(servers[0].addr()).expect("observer connect");
-    let echoed = observer.stats().expect("stats").epoch;
+    // Any client (here: a one-node pool of its own, standing for an
+    // unrelated process) sees the node echo epoch 2; the stale copy's
+    // epoch lags — that gap IS the staleness signal.
+    let observer = RemoteBackend::connect(servers[0].addr()).expect("observer connect");
+    let echoed = observer.node_stats()[0].as_ref().expect("stats").epoch;
     assert_eq!(echoed, 2);
     assert!(
         stale.epoch() < echoed,
@@ -210,35 +208,6 @@ fn double_drain_and_double_resume_are_idempotent() {
     for server in servers {
         server.shutdown();
     }
-}
-
-/// A GOODBYE seals the client's connection: the call it meets, and every
-/// call after it, fails as `ClientError::Goodbye`. Which sessions a node
-/// says GOODBYE to, and when, is the protocol core's to decide; its tests
-/// (`node::tests` in the crate) drive that drain event by event.
-#[test]
-fn a_goodbye_seals_the_client_connection() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("bound address");
-    let node = std::thread::spawn(move || {
-        let (mut socket, _) = listener.accept().expect("accept");
-        // Answer the client's handshake PING, then meet its next request
-        // with a GOODBYE.
-        let (tag, id, payload) = read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("handshake");
-        let Ok(Request::Ping(token)) = Request::decode(tag, &payload) else {
-            panic!("the handshake is a PING");
-        };
-        let pong = Reply::Pong(Pong { token, shards: 1 });
-        socket.write_all(&pong.framed(id)).expect("pong");
-        read_frame(&mut socket, DEFAULT_MAX_PAYLOAD).expect("a request");
-        socket
-            .write_all(&Reply::Goodbye.framed(0))
-            .expect("goodbye");
-    });
-    let client = RenderClient::connect(addr).expect("connect");
-    assert!(matches!(client.ping(), Err(ClientError::Goodbye)));
-    assert!(matches!(client.stats(), Err(ClientError::Goodbye)));
-    node.join().expect("the node's thread");
 }
 
 /// Heat-driven rebalancing: skewed traffic makes one node hot; one pass
@@ -308,39 +277,6 @@ fn rebalance_migrates_a_hot_key_with_a_prewarmed_destination() {
         dest_frames >= 1,
         "post-cutover frames land on the destination"
     );
-
-    drop(pool);
-    for server in servers {
-        server.shutdown();
-    }
-}
-
-/// A draining node refuses `PREWARM` like any new work: the typed
-/// `DRAINING` reply carries an epoch no older than the drain's, and no plan
-/// is built.
-#[test]
-fn a_draining_node_refuses_prewarm() {
-    let servers = [node(), node()];
-    let pool = NodePool::try_new(
-        servers.iter().map(RenderServer::addr).collect(),
-        NodePoolConfig::default(),
-    )
-    .expect("two-node pool");
-    let drained = pool.drain_node(0).expect("drain");
-
-    let client = RenderClient::connect(servers[0].addr()).expect("connect");
-    let prewarms = || {
-        let stats = client.stats().expect("stats");
-        stats.service_snapshot().counter("serve.plan_prewarms")
-    };
-    let before = prewarms();
-    let req =
-        mgpu_net::NetSceneRequest::from_request(&request(Dataset::Skull, 0.0)).expect("portable");
-    match client.prewarm(drained.epoch, &req) {
-        Err(mgpu_net::ClientError::Draining { epoch }) => assert!(epoch >= drained.epoch),
-        other => panic!("a draining node must refuse PREWARM typed, got {other:?}"),
-    }
-    assert_eq!(prewarms(), before, "no plan is built while draining");
 
     drop(pool);
     for server in servers {

@@ -1,13 +1,12 @@
 //! End-to-end observability through a two-node [`NodePool`]: a pipelined
 //! render must leave a retrievable trace whose stage spans cover the whole
-//! pipeline (queue → plan → stage → render → reply) with monotone
-//! timestamps, and the pool-wide STATS snapshot must survive the wire
-//! bit-exactly (sorted keys make re-encoding canonical).
+//! pipeline (queue → plan → stage → map … stitch → reply) with monotone
+//! timestamps, in the order the DES orders a job's stages. (That the
+//! pool-wide STATS snapshot survives the wire bit-exactly is
+//! `heat::tests` in the crate.)
 
-use mgpu_net::{
-    wire, Directory, NodePool, NodePoolConfig, RenderClient, RenderServer, ServerConfig,
-};
-use mgpu_obs::{CompletedTrace, Snapshot};
+use mgpu_net::{Directory, NodePool, NodePoolConfig, RenderServer, ServerConfig};
+use mgpu_obs::CompletedTrace;
 use mgpu_serve::{Priority, RenderBackend, SceneRequest, ServiceConfig};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
@@ -59,7 +58,8 @@ fn full_pipeline(trace: &CompletedTrace) -> bool {
 
 /// Render through a two-node pool, then pull each node's trace ring over
 /// the wire: at least one trace must cover the full pipeline with ≥ 6
-/// named stage spans and monotone, well-formed timestamps.
+/// named stage spans and monotone, well-formed timestamps, and every
+/// full-pipeline trace must keep the edges the DES orders a job by.
 #[test]
 fn pool_render_leaves_a_full_pipeline_trace_on_some_node() {
     let (a, b) = (server(), server());
@@ -118,50 +118,43 @@ fn pool_render_leaves_a_full_pipeline_trace_on_some_node() {
         );
     }
 
-    a.shutdown();
-    b.shutdown();
-}
-
-/// STATS is bit-exact on the wire: the pool-merged registry snapshot
-/// re-encodes to the same bytes after a decode round trip (sorted keys
-/// make the encoding canonical), and the decode reproduces the snapshot.
-#[test]
-fn pool_merged_snapshot_roundtrips_bit_exactly() {
-    let (a, b) = (server(), server());
-    let pool = NodePool::new(
-        Directory::new(vec![a.addr(), b.addr()]).expect("two-node directory"),
-        NodePoolConfig::default(),
-    );
-    // Touch both nodes so the merged snapshot carries real counters and
-    // histograms from each.
-    for view in 0..4 {
-        RenderBackend::render(&pool, request(100.0 + view as f32 * 23.0)).expect("pool render");
+    // The DES edges the engine orders a job by, on every full-pipeline
+    // trace: the launches begin before partitioning does; every mapper
+    // role has partitioned before any reduce task sorts; every reduce task
+    // is done before the merge.
+    let mut checked = 0;
+    for trace in traces.iter().filter(|t| full_pipeline(t)) {
+        let span = |name| trace.span(name).unwrap();
+        let edges = [
+            (
+                "map",
+                span("map").start_ns,
+                "partition",
+                span("partition").start_ns,
+            ),
+            (
+                "partition",
+                span("partition").end_ns,
+                "sort",
+                span("sort").start_ns,
+            ),
+            (
+                "reduce",
+                span("reduce").end_ns,
+                "merge",
+                span("merge").start_ns,
+            ),
+        ];
+        for (before, at, after, then) in edges {
+            assert!(
+                at <= then,
+                "trace #{}: {before} at {at} ns after {after} at {then} ns",
+                trace.id
+            );
+        }
+        checked += 1;
     }
-    for addr in [a.addr(), b.addr()] {
-        let client = RenderClient::connect(addr).expect("connect node");
-        client.stats().expect("node stats");
-    }
-
-    let merged = pool.obs_snapshot().expect("pool-wide snapshot");
-    assert!(!merged.is_empty(), "rendering must populate the registry");
-    assert!(
-        merged.counter("serve.frames_completed").unwrap_or(0) >= 4,
-        "merged snapshot sums both nodes' counters"
-    );
-    assert!(
-        merged.histogram("serve.queue_wait_ns").is_some(),
-        "stage histograms cross the wire"
-    );
-
-    // The merged snapshot survives the STATS payload's snapshot codec.
-    let bytes = wire::encode(&merged);
-    let decoded: Snapshot = wire::decode(&bytes).expect("canonical bytes decode");
-    assert_eq!(decoded, merged, "decode reproduces the snapshot");
-    assert_eq!(
-        wire::encode(&decoded),
-        bytes,
-        "re-encoding is bit-exact (canonical sorted-key form)"
-    );
+    assert!(checked >= 1);
 
     a.shutdown();
     b.shutdown();

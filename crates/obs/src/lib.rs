@@ -23,10 +23,11 @@
 //!   written once.
 //! * **Tracing** — a [`trace::Trace`] is one request's span list:
 //!   [`trace::SpanGuard`]s (or explicit [`trace::Trace::record`] calls)
-//!   stamp named stages — admit, queue, plan, stage, kernel, composite,
-//!   render, reply — as nanosecond offsets from the trace's start. The
-//!   trace id is seeded from the wire's `request_id`, so one request is
-//!   followable from socket to pixel and back. Completed traces land in a
+//!   stamp named stages — admit, queue, plan, stage, map, partition, sort,
+//!   reduce, merge, model, stitch, render, reply — as nanosecond offsets
+//!   from the trace's start. The trace id is seeded from the wire's
+//!   `request_id`, so one request is followable from socket to pixel and
+//!   back. Completed traces land in a
 //!   bounded [`trace::TraceRing`] whose writers never block: a slot that
 //!   is contended or already full *drops* (counted exactly —
 //!   `pushed == held + dropped` always), so tracing is always-on at

@@ -123,8 +123,8 @@ impl ShardedService {
     /// caller's thread for a frame-cache hit. On [`AdmissionError`] it never
     /// runs; the caller reports the shed itself. The caller's trace travels
     /// with the job, so the shard's worker and renderer record their spans
-    /// (queue, plan, render; stage, kernel, composite) onto the request's
-    /// end-to-end trace.
+    /// (queue, plan, render; stage, map, partition, sort, reduce, merge,
+    /// model, stitch) onto the request's end-to-end trace.
     pub fn try_submit_traced(
         &self,
         request: SceneRequest,

@@ -6,8 +6,9 @@
 //! delivered frame is verified bit-identical to a direct `render` call; the
 //! `STATS` round-trip shows the per-shard heat the routing produced; a
 //! final vignette shows the token bucket throttling a client that submits
-//! faster than its budget (visible on the raw [`RenderClient`] — the
-//! backend wrapper would politely sleep the throttle out).
+//! faster than its budget (visible through a [`NodePool`] with the default
+//! budget, whose 5 s single wait is shorter than the retry-after —
+//! `RemoteBackend` would politely sleep the throttle out).
 //!
 //!     cargo run --release --example net_service
 
@@ -104,8 +105,8 @@ fn main() {
     let merged = skull_backend.report().expect("report over the socket");
     assert_eq!(merged.frames_completed, (rendered + 1) as u64);
     assert_eq!(merged.cache_hits, cache_hits as u64);
-    let stats_client = RenderClient::connect(server.addr()).expect("stats connection");
-    let stats = stats_client.stats().expect("stats over the socket");
+    let stats = nova_backend.node_stats().remove(0);
+    let stats = stats.expect("stats over the socket");
     println!("server stats as seen over the wire:\n{stats}\n");
     assert!(
         stats.shards().iter().all(|h| h.frames_completed > 0),
@@ -123,24 +124,31 @@ fn main() {
         report.frames_per_sec()
     );
 
-    // Rate-limit vignette on the RAW client: 2 frames of budget, then
-    // typed throttling with an exact retry-after. (RemoteBackend would
-    // sleep the retry_after out instead of surfacing it.)
+    // Rate-limit vignette: 2 frames of budget, then typed throttling with
+    // an exact retry-after. A token every 10 s is a retry-after longer than
+    // the default pool's 5 s single wait, so the throttle surfaces at once.
+    // (RemoteBackend would sleep the retry_after out instead.)
     let throttled_server = RenderServer::start(ServerConfig {
         shards: 1,
-        rate_limit: Some(RateLimitConfig::new(0.5, 2)),
+        rate_limit: Some(RateLimitConfig::new(0.1, 2)),
         ..ServerConfig::default()
     })
     .expect("bind throttle demo server");
-    let hasty = RenderClient::connect(throttled_server.addr()).expect("connect");
-    let tiny =
-        NetSceneRequest::orbit_dataset(Dataset::Skull, 16, 1, 0.0, 0.0, &TransferFunction::bone())
-            .with_config(RenderConfig::test_size(32));
+    let hasty = NodePool::try_new(vec![throttled_server.addr()], NodePoolConfig::default())
+        .expect("one-node pool");
+    let tiny_volume = Dataset::Skull.volume(16);
+    let tiny = |az: f32| SceneRequest {
+        spec: ClusterSpec::accelerator_cluster(1),
+        scene: Scene::orbit(&tiny_volume, az, 0.0, TransferFunction::bone()),
+        volume: tiny_volume.clone(),
+        config: RenderConfig::test_size(32),
+        priority: Priority::Normal,
+    };
     let mut throttled = 0;
     for i in 0..4 {
-        match hasty.render(&tiny.clone().with_azimuth(i as f32 * 10.0)) {
+        match hasty.render(tiny(i as f32 * 10.0)) {
             Ok(_) => println!("hasty client: frame {i} admitted"),
-            Err(ClientError::Throttled { retry_after }) => {
+            Err(BackendError::Throttled { retry_after }) => {
                 throttled += 1;
                 println!(
                     "hasty client: frame {i} throttled, retry in {:.1} s",
@@ -152,6 +160,7 @@ fn main() {
     }
     assert_eq!(throttled, 2, "burst of 2, then the token bucket says no");
     let report = throttled_server.shutdown();
+    assert_eq!(report.frames_completed, 2, "the burst of 2 was admitted");
     println!(
         "\nthrottle demo: {} admitted, {} throttled at the door (never queued)",
         report.frames_completed, throttled

@@ -15,9 +15,9 @@
 //!   control, plan cache, frame cache, shard router) layered on the
 //!   renderer, and the [`serve::RenderBackend`] trait every front-end
 //!   implements;
-//! * [`net`] — the service on the wire: protocol,
-//!   [`net::RenderServer`]/[`net::RenderClient`], per-session rate
-//!   limiting, per-shard heat stats, plus the remote backend —
+//! * [`net`] — the service on the wire: protocol, [`net::RenderServer`],
+//!   per-session rate limiting, per-shard heat stats, plus the one client
+//!   door, the remote backend —
 //!   [`net::NodePool`] (N servers behind a live, epoch-versioned placement
 //!   [`net::Directory`] with retry budgets, failover, zero-loss graceful
 //!   drains and heat-driven rebalancing, one [`net::rebalance_once`] pass
@@ -60,9 +60,8 @@ pub use mgpu_volren as volren;
 pub mod prelude {
     pub use mgpu_cluster::topology::ClusterSpec;
     pub use mgpu_net::{
-        ClientConfig, ClientError, Directory, NetSceneRequest, NetTicket, NodePool, NodePoolConfig,
-        PendingRender, PoolTicket, RateLimitConfig, RemoteBackend, RenderClient, RenderServer,
-        ServerConfig,
+        ClientConfig, ClientError, Directory, NetSceneRequest, NodePool, NodePoolConfig,
+        PoolTicket, RateLimitConfig, RemoteBackend, RenderServer, ServerConfig,
     };
     pub use mgpu_serve::{
         AdmissionError, BackendError, FrameError, Priority, QueueBounds, RenderBackend,

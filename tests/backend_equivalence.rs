@@ -379,9 +379,9 @@ fn node_pool_fails_over_within_its_retry_budget_when_a_node_dies() {
 #[test]
 fn ticket_redemption_edge_cases() {
     // Remote (a one-node pool): a ticket redeems exactly once, the second
-    // attempt is the pool's typed error, and the connection survives it. A
-    // never-issued wire ticket is the server's own typed refusal — only
-    // the raw client can name one now that a remote ticket is a PoolTicket.
+    // attempt is the pool's typed error, and the connection survives it. (A
+    // never-issued wire ticket is the server's own typed refusal; only the
+    // crate's own connection can name one, in `client::tests`.)
     let server = start_node(1);
     let backend = RemoteBackend::connect(server.addr()).expect("connect");
     let skull = Dataset::Skull.volume(8);
@@ -400,15 +400,7 @@ fn ticket_redemption_edge_cases() {
         }
         other => panic!("double redemption must fail typed, got {other:?}"),
     }
-    let raw = RenderClient::connect(server.addr()).expect("raw connect");
-    match raw.redeem(NetTicket::from_id(0xDEAD)) {
-        Err(ClientError::BadRequest(msg)) => {
-            assert!(msg.contains("unknown ticket"), "{msg}")
-        }
-        other => panic!("unknown ticket must fail typed, got {other:?}"),
-    }
-    drop(raw);
-    // The session (and server) survive the bad redemptions.
+    // The session (and server) survive the bad redemption.
     backend
         .render(request)
         .expect("render after bad redemptions");
@@ -541,7 +533,9 @@ fn connect_dials_eagerly_and_blocking_submit_waits_out_admission() {
 
 /// Wire v3 pipelined submission: the same bit-identity contract holds when
 /// a single connection holds many renders in flight and collects them out
-/// of order — multiplexing changes delivery order, never pixels.
+/// of order — multiplexing changes delivery order, never pixels. A
+/// `RemoteBackend` is one connection: every submit below rides it, and
+/// each is admitted before any frame is collected.
 #[test]
 fn pipelined_submissions_are_bit_identical_to_direct_renders() {
     let server = RenderServer::start(ServerConfig {
@@ -550,7 +544,7 @@ fn pipelined_submissions_are_bit_identical_to_direct_renders() {
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
-    let client = RenderClient::connect(server.addr()).expect("connect");
+    let backend = RemoteBackend::connect(server.addr()).expect("connect");
 
     // At least nine distinct views, all issued before any reply is read:
     // the mixed workload, topped up with extra orbit angles.
@@ -569,10 +563,7 @@ fn pipelined_submissions_are_bit_identical_to_direct_renders() {
     }
     let pending: Vec<_> = requests
         .iter()
-        .map(|request| {
-            let net = NetSceneRequest::from_request(request).expect("portable request");
-            client.begin_render(&net).expect("issue render")
-        })
+        .map(|request| backend.submit(request.clone()).expect("issue render"))
         .collect();
     assert!(
         pending.len() >= 8,
@@ -582,10 +573,10 @@ fn pipelined_submissions_are_bit_identical_to_direct_renders() {
     // Collect out of order: middle-out (4, 5, 3, 6, 2, 7, 1, 8, 0).
     let mut order: Vec<usize> = (0..pending.len()).collect();
     order.sort_by_key(|i| (*i as i64 - 4).unsigned_abs());
-    let mut slots: Vec<Option<gpumr::net::PendingRender>> = pending.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<PoolTicket>> = pending.into_iter().map(Some).collect();
     for i in order {
         let handle = slots[i].take().expect("collected once");
-        let frame = client.finish_render(handle).expect("collect render");
+        let frame = backend.redeem(handle).expect("collect render");
         let request = &requests[i];
         let direct = render(
             &request.spec,
@@ -594,7 +585,7 @@ fn pipelined_submissions_are_bit_identical_to_direct_renders() {
             &request.config,
         );
         assert_eq!(
-            frame.image, direct.image,
+            *frame.image, direct.image,
             "pipelined request {i} diverged from the direct render"
         );
     }

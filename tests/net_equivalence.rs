@@ -1,10 +1,11 @@
 //! End-to-end proof of the wire protocol's headline guarantee: a frame
-//! requested through [`RenderClient`] over a real localhost socket — through
-//! the per-session rate limiter and a ≥2-shard server — is **bit-identical**
-//! to a direct `mgpu_volren::render` call whose inputs are constructed
-//! independently on the client side. Also locks the fire-and-forget
-//! submit/redeem path, the cache provenance flag, the `STATS` round-trip
-//! and the typed error round-trips (throttle, admission, render failure).
+//! requested through a one-node [`NodePool`] over a real localhost socket —
+//! through the per-session rate limiter and a ≥2-shard server — is
+//! **bit-identical** to a direct `mgpu_volren::render` call whose inputs
+//! are constructed independently on the client side. Also locks the
+//! fire-and-forget submit/redeem path, the cache provenance flag, the
+//! `STATS` round-trip and the typed error round-trips (throttle,
+//! admission, render failure).
 
 use std::time::Duration;
 
@@ -26,6 +27,33 @@ fn test_server(shards: usize, rate: Option<RateLimitConfig>) -> RenderServer {
     .expect("bind loopback server")
 }
 
+/// `server` as a pool of one with the pool's default budget: a throttle
+/// longer than its 5 s single wait surfaces at once instead of being
+/// slept out.
+fn one_node(server: &RenderServer) -> NodePool {
+    NodePool::try_new(vec![server.addr()], NodePoolConfig::default()).expect("one-node pool")
+}
+
+/// The request `orbit_dataset` describes, built in-process.
+fn orbit(
+    dataset: Dataset,
+    base: u32,
+    gpus: u32,
+    azimuth: f32,
+    elevation: f32,
+    transfer: TransferFunction,
+    config: &RenderConfig,
+) -> SceneRequest {
+    let volume = dataset.volume(base);
+    SceneRequest {
+        spec: ClusterSpec::accelerator_cluster(gpus),
+        scene: Scene::orbit(&volume, azimuth, elevation, transfer),
+        volume,
+        config: config.clone(),
+        priority: Priority::Normal,
+    }
+}
+
 /// The canonical request mix: two procedural datasets on different cluster
 /// sizes (distinct batch keys spread over the shards), plus one repeated
 /// view to exercise the frame cache across the wire.
@@ -33,8 +61,7 @@ fn test_server(shards: usize, rate: Option<RateLimitConfig>) -> RenderServer {
 fn socket_frames_are_bit_identical_to_direct_renders() {
     // Rate limiter ON (generous): every frame below passes through it.
     let server = test_server(2, Some(RateLimitConfig::new(500.0, 64)));
-    let client = RenderClient::connect(server.addr()).expect("connect");
-    assert_eq!(client.shards(), 2);
+    let pool = one_node(&server);
 
     let cfg = RenderConfig::test_size(24);
     let cases: Vec<(Dataset, u32, u32, f32)> = vec![
@@ -47,18 +74,18 @@ fn socket_frames_are_bit_identical_to_direct_renders() {
     let mut cache_hits = 0;
     for (dataset, base, gpus, az) in &cases {
         let transfer = TransferFunction::for_dataset(dataset.name());
-        let request = NetSceneRequest::orbit_dataset(*dataset, *base, *gpus, *az, 20.0, &transfer)
-            .with_config(cfg.clone());
-        let frame = client.render(&request).expect("render over socket");
+        let request = orbit(*dataset, *base, *gpus, *az, 20.0, transfer.clone(), &cfg);
+        let frame = pool.render(request).expect("render over socket");
 
-        // The ground truth is built WITHOUT the wire types: if any field
-        // were lost or re-encoded lossily in transit, the pixels diverge.
+        // The ground truth is built independently of the request: if any
+        // field were lost or re-encoded lossily in transit, the pixels
+        // diverge.
         let spec = ClusterSpec::accelerator_cluster(*gpus);
         let volume = dataset.volume(*base);
         let scene = Scene::orbit(&volume, *az, 20.0, transfer);
         let direct = gpumr::volren::render(&spec, &volume, &scene, &cfg);
         assert_eq!(
-            frame.image, direct.image,
+            *frame.image, direct.image,
             "socket frame diverged for {dataset:?} az {az}"
         );
         if frame.from_cache {
@@ -68,8 +95,8 @@ fn socket_frames_are_bit_identical_to_direct_renders() {
     assert_eq!(cache_hits, 1, "exactly the repeated view is a cache hit");
 
     // STATS round-trips and accounts for everything the client sent.
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.shards().len(), 2);
+    let stats = pool.node_stats().remove(0).expect("stats");
+    assert_eq!(stats.shards().len(), 2, "the server reports its 2 shards");
     assert_eq!(stats.merged().frames_completed, cases.len() as u64);
     let per_shard: u64 = stats.shards().iter().map(|h| h.frames_completed).sum();
     assert_eq!(per_shard, stats.merged().frames_completed);
@@ -91,7 +118,7 @@ fn socket_frames_are_bit_identical_to_direct_renders() {
 #[test]
 fn shipped_voxels_and_custom_transfers_render_bit_identically() {
     let server = test_server(2, None);
-    let client = RenderClient::connect(server.addr()).expect("connect");
+    let pool = one_node(&server);
 
     let dims = [6u32, 6, 6];
     let voxels: Vec<f32> = (0..216).map(|i| (i as f32) / 215.0).collect();
@@ -110,31 +137,35 @@ fn shipped_voxels_and_custom_transfers_render_bit_identically() {
         },
     ];
     let cfg = RenderConfig::test_size(16);
-    let mut request = NetSceneRequest::orbit_dataset(
-        Dataset::Skull, // placeholder, replaced below
-        8,
-        1,
-        30.0,
-        -15.0,
-        &TransferFunction::bone(),
-    )
-    .with_config(cfg.clone())
-    .with_background([0.05, 0.1, 0.2, 1.0]);
-    request.volume = VolumeSpec::InMemory {
-        name: "shipped".into(),
-        dims,
-        voxels: voxels.clone(),
+    let volume = Volume::in_memory("shipped", dims, voxels.clone());
+    let transfer = TransferFunction::from_points("custom", points.clone());
+    let request = SceneRequest {
+        spec: ClusterSpec::accelerator_cluster(1),
+        scene: Scene::orbit(&volume, 30.0, -15.0, transfer).with_background([0.05, 0.1, 0.2, 1.0]),
+        volume,
+        config: cfg.clone(),
+        priority: Priority::Normal,
     };
-    request.transfer = TransferSpec::Points(points.clone());
+    // What crosses the wire: the voxels and the points themselves.
+    let net = NetSceneRequest::from_request(&request).expect("portable");
+    assert_eq!(
+        net.volume,
+        VolumeSpec::InMemory {
+            name: "shipped".into(),
+            dims,
+            voxels: voxels.clone(),
+        }
+    );
+    assert_eq!(net.transfer, TransferSpec::Points(points.clone()));
 
-    let frame = client.render(&request).expect("render shipped volume");
+    let frame = pool.render(request).expect("render shipped volume");
 
     let spec = ClusterSpec::accelerator_cluster(1);
     let volume = Volume::in_memory("shipped", dims, voxels);
     let transfer = TransferFunction::from_points("wire", points);
     let scene = Scene::orbit(&volume, 30.0, -15.0, transfer).with_background([0.05, 0.1, 0.2, 1.0]);
     let direct = gpumr::volren::render(&spec, &volume, &scene, &cfg);
-    assert_eq!(frame.image, direct.image, "shipped-voxel frame diverged");
+    assert_eq!(*frame.image, direct.image, "shipped-voxel frame diverged");
     assert!(!frame.from_cache);
     server.shutdown();
 }
@@ -144,41 +175,44 @@ fn shipped_voxels_and_custom_transfers_render_bit_identically() {
 #[test]
 fn submit_and_redeem_out_of_order() {
     let server = test_server(2, None);
-    let client = RenderClient::connect(server.addr()).expect("connect");
+    let pool = one_node(&server);
     let cfg = RenderConfig::test_size(16);
     let azimuths = [10.0f32, 100.0, 250.0];
 
-    let tickets: Vec<NetTicket> = azimuths
+    let tickets: Vec<PoolTicket> = azimuths
         .iter()
         .map(|az| {
-            let req = NetSceneRequest::orbit_dataset(
+            let req = orbit(
                 Dataset::Supernova,
                 16,
                 2,
                 *az,
                 5.0,
-                &TransferFunction::fire(),
-            )
-            .with_config(cfg.clone());
-            client.submit(&req).expect("fire-and-forget submit")
+                TransferFunction::fire(),
+                &cfg,
+            );
+            pool.try_submit(req).expect("fire-and-forget submit")
         })
         .collect();
 
     // Redeem newest-first: ticket order must not matter.
     for (az, ticket) in azimuths.iter().zip(tickets.iter()).rev() {
-        let frame = client.redeem(*ticket).expect("redeem");
+        let frame = pool.redeem(*ticket).expect("redeem");
         let spec = ClusterSpec::accelerator_cluster(2);
         let volume = Dataset::Supernova.volume(16);
         let scene = Scene::orbit(&volume, *az, 5.0, TransferFunction::fire());
         let direct = gpumr::volren::render(&spec, &volume, &scene, &cfg);
-        assert_eq!(frame.image, direct.image, "redeemed frame az {az}");
+        assert_eq!(*frame.image, direct.image, "redeemed frame az {az}");
     }
 
-    // A ticket redeems exactly once.
-    let err = client.redeem(tickets[0]).expect_err("double redeem");
+    // A ticket redeems exactly once. (The server's own refusal of a
+    // ticket it no longer holds is `client::tests` in `mgpu-net`.)
+    let err = pool.redeem(tickets[0]).expect_err("double redeem");
     match err {
-        ClientError::BadRequest(msg) => assert!(msg.contains("unknown ticket"), "{msg}"),
-        other => panic!("expected a refused request, got {other:?}"),
+        BackendError::Transport(msg) => {
+            assert!(msg.contains("unknown or already redeemed"), "{msg}")
+        }
+        other => panic!("expected a refused redemption, got {other:?}"),
     }
     server.shutdown();
 }
@@ -189,22 +223,32 @@ fn submit_and_redeem_out_of_order() {
 /// in-process `redeem` would return.
 #[test]
 fn typed_errors_round_trip() {
-    // 1 frame burst, 1 frame/min steady: the second render throttles.
+    // 1 frame burst, 1 frame/min steady: the second render throttles, for
+    // longer than the pool waits on one throttle.
     let server = test_server(1, Some(RateLimitConfig::new(1.0 / 60.0, 1)));
-    let client = RenderClient::connect(server.addr()).expect("connect");
-    let ok =
-        NetSceneRequest::orbit_dataset(Dataset::Skull, 8, 1, 0.0, 0.0, &TransferFunction::bone())
-            .with_config(RenderConfig::test_size(8));
-    client.render(&ok).expect("first frame in the burst");
-    match client.render(&ok.clone().with_azimuth(90.0)) {
-        Err(ClientError::Throttled { retry_after }) => {
+    let pool = one_node(&server);
+    let cfg = RenderConfig::test_size(8);
+    let ok = |az: f32| {
+        orbit(
+            Dataset::Skull,
+            8,
+            1,
+            az,
+            0.0,
+            TransferFunction::bone(),
+            &cfg,
+        )
+    };
+    pool.render(ok(0.0)).expect("first frame in the burst");
+    match pool.render(ok(90.0)) {
+        Err(BackendError::Throttled { retry_after }) => {
             assert!(retry_after > Duration::ZERO);
             assert!(retry_after <= Duration::from_secs(61));
         }
         other => panic!("expected throttle, got {other:?}"),
     }
     // PING/STATS bypass the limiter (they are not render submissions).
-    client.ping().expect("ping while throttled");
+    pool.node_stats().remove(0).expect("stats while throttled");
     assert_eq!(server.shutdown().frames_completed, 1);
 
     // Admission: a paused 1-shard server with a bound of 1 sheds the second
@@ -225,10 +269,11 @@ fn typed_errors_round_trip() {
         ..ServerConfig::default()
     })
     .expect("bind");
-    let client = RenderClient::connect(server.addr()).expect("connect");
-    client.submit(&ok).expect("first submit fills the queue");
-    match client.submit(&ok.clone().with_azimuth(45.0)) {
-        Err(ClientError::Admission(err)) => {
+    let pool = one_node(&server);
+    pool.try_submit(ok(0.0))
+        .expect("first submit fills the queue");
+    match pool.try_submit(ok(45.0)) {
+        Err(BackendError::Admission(err)) => {
             assert_eq!(err.priority, Priority::Normal);
             assert_eq!((err.queued, err.limit), (1, 1));
         }
@@ -241,13 +286,14 @@ fn typed_errors_round_trip() {
     // zero server-side; the worker catches the panic and the message
     // crosses the wire as a FrameError.
     let server = test_server(1, None);
-    let client = RenderClient::connect(server.addr()).expect("connect");
-    let poison = ok.clone().with_config(RenderConfig {
+    let pool = one_node(&server);
+    let mut poison = ok(0.0);
+    poison.config = RenderConfig {
         partition: gpumr::volren::PartitionStrategy::Tiled { tile: 0 },
         ..RenderConfig::test_size(8)
-    });
-    match client.render(&poison) {
-        Err(ClientError::Render(err)) => {
+    };
+    match pool.render(poison) {
+        Err(BackendError::Render(err)) => {
             assert!(
                 err.message().contains("render panicked"),
                 "unexpected message: {}",
@@ -257,7 +303,7 @@ fn typed_errors_round_trip() {
         other => panic!("expected render failure, got {other:?}"),
     }
     // The connection — and the server — survive the failure.
-    let frame = client.render(&ok).expect("render after failure");
+    let frame = pool.render(ok(0.0)).expect("render after failure");
     assert!(!frame.image.pixels().is_empty());
     let report = server.shutdown();
     assert_eq!(report.frames_failed, 1);
