@@ -52,8 +52,9 @@ pub enum ClientError {
     /// Transport or framing problem, or a reply whose payload did not
     /// decode.
     Wire(WireError),
-    /// The server's admission control shed this submission (fire-and-forget
-    /// path only; blocking renders wait instead).
+    /// The server's admission control shed this render or submission; the
+    /// server answers at once instead of parking it (the pool's blocking
+    /// calls wait the shed out).
     Admission(AdmissionError),
     /// The per-session rate limiter refused the request; retry no sooner
     /// than `retry_after`.
