@@ -13,10 +13,13 @@
 # first in even ones, and every result JSON is kept under the directory
 # printed at the end. For each workload it prints one Markdown table: per
 # end-to-end metric, median [q1–q3] on both sides, the median paired ratio
-# (HEAD / base), HEAD's wins of N pairs (ties count as neither) and the
-# two-sided sign-test p over the untied pairs — and the same for `minflt`,
-# the minor page faults of each run (the `mgpu-perf` process, read from its
-# parent subshell's `cminflt` in /proc). Progress goes to stderr.
+# (HEAD / base), HEAD's wins of N pairs (ties count as neither), the
+# two-sided sign-test p over the untied pairs and each side's spread
+# (interquartile range ÷ median) — and the same for `minflt`, the minor page
+# faults of each run (the `mgpu-perf` process, read from its parent
+# subshell's `cminflt` in /proc). A metric whose base spread exceeds half
+# its BENCHMARK.json bound is marked `unjudgeable`: its own runs move more
+# than a change the bound lets through would. Progress goes to stderr.
 #
 # With `--micro`, each side builds the `micro_ops` bench instead
 # (`cargo bench -p mgpu-bench --no-run`), and pair i runs both binaries as
@@ -56,15 +59,16 @@ root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 work=$(mktemp -d -t mgpu-ab.XXXXXX)
 echo "ab: working in $work" >&2
 
-# The end-to-end metrics of BENCHMARK.json as `name better` lines, its
-# workload names and its run length.
+# The end-to-end metrics of BENCHMARK.json as `name better bound` lines,
+# its workload names and its run length.
 bench="$root/BENCHMARK.json"
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     on && /"per_layer"/ { exit }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' "$bench")
-metrics+=$'\n'"minflt lower"
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }' "$bench")
+metrics+=$'\n'"minflt lower -"
 if [ -z "$workloads" ]; then
     workloads=$(awk '
         /"workloads"/ { on = 1 }
@@ -103,6 +107,17 @@ quartiles() {
         END { if (NR) printf "%.4g [%.4g–%.4g]", q(0.5), q(0.25), q(0.75); else printf "—" }'
 }
 
+# Interquartile range ÷ median of the numbers on stdin, as a percentage.
+spread() {
+    sort -g | awk '
+        { x[NR] = $1 }
+        function q(p,   h, l) {
+            h = (NR - 1) * p + 1; l = int(h)
+            return l >= NR ? x[NR] : x[l] + (h - l) * (x[l + 1] - x[l])
+        }
+        END { if (NR && q(0.5) != 0) printf "%.1f", 100 * (q(0.75) - q(0.25)) / q(0.5); else printf "—" }'
+}
+
 # `base HEAD` pairs on stdin, `better` = higher|lower: HEAD's wins of the
 # pairs (ties count as neither) and the two-sided sign-test p over the
 # untied ones, as `W of N|p`.
@@ -122,15 +137,22 @@ tally() {
         }'
 }
 
-# One table row: metric label, `better`, and the `base HEAD` pairs.
+# One table row: metric label, `better`, its bound (`-` for none) and the
+# `base HEAD` pairs.
 row() {
-    local label=$1 better=$2 rows=$3
-    local base_q head_q ratio_q tally_
+    local label=$1 better=$2 bound=$3 rows=$4
+    local base_q head_q ratio_q tally_ base_s head_s note=""
     base_q=$(printf '%s' "$rows" | awk 'NF { print $1 }' | quartiles)
     head_q=$(printf '%s' "$rows" | awk 'NF { print $2 }' | quartiles)
     ratio_q=$(printf '%s' "$rows" | awk 'NF && $1 != 0 { print $2 / $1 }' | quartiles)
     tally_=$(printf '%s' "$rows" | tally "$better")
-    echo "| $label | $base_q | $head_q | ${ratio_q%% *} | ${tally_%|*} | ${tally_#*|} |"
+    base_s=$(printf '%s' "$rows" | awk 'NF { print $1 }' | spread)
+    head_s=$(printf '%s' "$rows" | awk 'NF { print $2 }' | spread)
+    if [ "$bound" != - ] && [ "$base_s" != — ] &&
+        awk -v s="$base_s" -v b="$bound" 'BEGIN { exit !(s > 50 * b) }'; then
+        note="unjudgeable"
+    fi
+    echo "| $label | $base_q | $head_q | ${ratio_q%% *} | ${tally_%|*} | ${tally_#*|} | $base_s % | $head_s % | $note |"
 }
 
 if [ -n "$micro" ]; then
@@ -154,8 +176,8 @@ if [ -n "$micro" ]; then
     }
     echo "base $base_rev (${base_sha:0:10}) vs HEAD (${head_sha:0:10}): $pairs pairs of micro_ops --bench $micro"
     echo
-    echo "| benchmark (lower is better) | base | HEAD | median ratio | HEAD wins | sign p |"
-    echo "|---|---|---|---|---|---|"
+    echo "| benchmark (lower is better) | base | HEAD | median ratio | HEAD wins | sign p | base spread | HEAD spread | |"
+    echo "|---|---|---|---|---|---|---|---|---|"
     # Ids and units as the first base run printed them.
     while read -r id _ unit; do
         rows=""
@@ -164,7 +186,7 @@ if [ -n "$micro" ]; then
             h=$(value_in "$dir/head-$i.txt" "$id" "$unit")
             [ -n "$b" ] && [ -n "$h" ] && rows+="$b $h"$'\n'
         done
-        row "\`$id\` ($unit)" lower "$rows"
+        row "\`$id\` ($unit)" lower - "$rows"
     done <"$dir/base-1.txt"
     rm -rf "$work/base-target" "$work/head-target"
     echo "ab: timings under $dir" >&2
@@ -215,16 +237,16 @@ for workload in "${names[@]}"; do
     echo
     echo "**$workload**"
     echo
-    echo "| metric | base | HEAD | median ratio | HEAD wins | sign p |"
-    echo "|---|---|---|---|---|---|"
-    while read -r metric better; do
+    echo "| metric | base | HEAD | median ratio | HEAD wins | sign p | base spread | HEAD spread | |"
+    echo "|---|---|---|---|---|---|---|---|---|"
+    while read -r metric better bound; do
         rows=""
         for ((i = 1; i <= pairs; i++)); do
             b=$(value "$dir/base-$i.json" "$metric")
             h=$(value "$dir/head-$i.json" "$metric")
             [ -n "$b" ] && [ -n "$h" ] && rows+="$b $h"$'\n'
         done
-        row "\`$metric\` ($better is better)" "$better" "$rows"
+        row "\`$metric\` ($better is better)" "$better" "$bound" "$rows"
     done <<<"$metrics"
     failed=""
     for side in base head; do

@@ -136,6 +136,38 @@ impl JobTimes {
     pub fn at(&self, ns: u64) -> Instant {
         self.start + std::time::Duration::from_nanos(ns)
     }
+
+    /// The job's span in ns: from its start to the last stamp, the merge's
+    /// end.
+    pub fn span_ns(&self) -> u64 {
+        self.intervals().map(|[_, end]| end).max().unwrap_or(0)
+    }
+
+    /// The ns of the job's span that no task covers: the span less the
+    /// union of every chunk's `[launch start, partition end]`, every reduce
+    /// task's `[sort start, reduce end]` and the merge — thread start-up,
+    /// hand-offs and joins, which no stage span shows.
+    pub fn unattributed_ns(&self) -> u64 {
+        let mut intervals: Vec<[u64; 2]> = self.intervals().collect();
+        intervals.sort_unstable();
+        let (mut covered, mut reach) = (0, 0);
+        for [begin, end] in intervals {
+            let begin = begin.max(reach);
+            if end > begin {
+                covered += end - begin;
+                reach = end;
+            }
+        }
+        self.span_ns() - covered
+    }
+
+    /// Every task's interval, and the merge's.
+    fn intervals(&self) -> impl Iterator<Item = [u64; 2]> + '_ {
+        let tasks = self.chunks.iter().chain(&self.reduces);
+        tasks
+            .map(|([begin, _, end], _)| [*begin, *end])
+            .chain([self.merge])
+    }
 }
 
 /// Nanoseconds from `start` to now.
@@ -548,6 +580,29 @@ fn run_reducer<R: Reducer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unattributed_time_is_the_span_less_the_union_of_the_tasks() {
+        let times = JobTimes {
+            start: Instant::now(),
+            // Two mappers' chunks, overlapping; a gap 40..50.
+            chunks: vec![([5, 20, 30], 0), ([10, 25, 40], 1), ([12, 13, 14], 0)],
+            // Reduce tasks, one inside another; a gap 70..75.
+            reduces: vec![([50, 55, 70], 0), ([52, 60, 65], 2)],
+            merge: [75, 90],
+        };
+        assert_eq!(times.span_ns(), 90);
+        // 0..5, 40..50 and 70..75 are nobody's.
+        assert_eq!(times.unattributed_ns(), 5 + 10 + 5);
+        // A job of nothing but the merge.
+        let idle = JobTimes {
+            chunks: Vec::new(),
+            reduces: Vec::new(),
+            merge: [3, 4],
+            ..times
+        };
+        assert_eq!((idle.span_ns(), idle.unattributed_ns()), (4, 3));
+    }
 
     #[test]
     fn default_config_is_valid() {

@@ -148,7 +148,8 @@ metrics! {
 
     // --- volren.* — the renderer's stages (process-global) ------------------
 
-    /// Brick staging wall time per frame (histogram, ns).
+    /// Brick staging wall time: one sample per brick a mapper stages, the
+    /// miss's read (histogram, ns).
     histogram VOLREN_STAGING_NS = "volren.staging_ns";
     /// Frame-plan preparation wall time (histogram, ns).
     histogram VOLREN_PLAN_PREPARE_NS = "volren.plan_prepare_ns";

@@ -53,6 +53,18 @@ impl BrickInfo {
         let origin = self.origin.map(|o| o as i64 - g as i64);
         (origin, self.size.map(|s| s as usize + 2 * g))
     }
+
+    /// What the brick stores of its `ghost`-padded box: the part inside a
+    /// volume of `dims`, as origin and dims.
+    pub fn stored(&self, ghost: u32, dims: [u32; 3]) -> ([u32; 3], [usize; 3]) {
+        let lo = self.origin.map(|o| o.saturating_sub(ghost));
+        let end = |a: usize| {
+            (self.origin[a] + self.size[a])
+                .saturating_add(ghost)
+                .min(dims[a])
+        };
+        (lo, [0, 1, 2].map(|a| (end(a) - lo[a]) as usize))
+    }
 }
 
 /// An axis-aligned decomposition of a volume into `counts[0]·counts[1]·counts[2]`

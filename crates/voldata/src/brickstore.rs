@@ -9,6 +9,17 @@
 //! budget: the table is 8 bytes per 4³ cell, ≈ 1/32 of the brick's voxel
 //! bytes, and a skip grid one byte per cell.
 //!
+//! **Rows.** A miss reads only the [`Rows`] its caller asks for: per
+//! stored z-slab, one run of y-rows, full x width — the rows a renderer's
+//! occupied macrocells can tap ([`MacroCells::rows`](crate::MacroCells::rows)).
+//! The other rows of the buffer are left as they are; in debug builds they
+//! are filled with `POISON_VOXEL`, so a read of one shows. An entry serves
+//! every need its rows contain. One that falls short is a miss: the union
+//! of its rows and the need is staged into a fresh buffer and replaces it,
+//! and an `Arc` of the old brick keeps its own voxels. [`BrickStore::get`]
+//! asks for every row. The budget charges a brick's whole stored box,
+//! whatever rows it holds.
+//!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
 //! through host memory; the whole volume never has to be resident.
@@ -23,8 +34,10 @@
 //! panicking holder left behind.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::brick::{BrickGrid, BrickInfo};
 use crate::volume::Volume;
@@ -43,6 +56,9 @@ pub struct BrickData {
     pub store_dims: [usize; 3],
     /// Shared so a device texture can reference the same allocation.
     pub voxels: Arc<Vec<f32>>,
+    /// The rows of the stored array that were read; the others hold what
+    /// the buffer held before (`POISON_VOXEL` in debug builds).
+    pub rows: Rows,
     /// Where the voxel allocation goes when the brick dies.
     spares: Arc<Spares>,
 }
@@ -71,16 +87,96 @@ impl Drop for BrickData {
     }
 }
 
-/// What a brick stores of its padded box: the part inside a volume of
-/// `dims`, as origin and dims.
-fn stored(info: &BrickInfo, ghost: u32, dims: [u32; 3]) -> ([u32; 3], [usize; 3]) {
-    let lo = info.origin.map(|o| o.saturating_sub(ghost));
-    let end = |a: usize| {
-        (info.origin[a] + info.size[a])
-            .saturating_add(ghost)
-            .min(dims[a])
-    };
-    (lo, [0, 1, 2].map(|a| (end(a) - lo[a]) as usize))
+/// What a debug build's store fills the rows a miss did not read with: far
+/// above every dataset's `[0, 1]`, where each preset transfer function
+/// clamps to its last point, which is opaque — a sample that taps one shows.
+const POISON_VOXEL: f32 = 1.0e4;
+
+/// Which rows of a brick's stored box a miss reads: per stored z-slab, one
+/// run of y-rows, each the full x width — in a volume file, one positioned
+/// read per slab. A slab whose run is empty is not read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    /// Rows per slab: the stored box's y extent.
+    depth: usize,
+    /// Per slab, the run's `[first, end)`; `[0, 0]` when it is empty.
+    slabs: Vec<[usize; 2]>,
+}
+
+impl Rows {
+    /// Every row of a stored box of `dims`.
+    pub fn all(dims: [usize; 3]) -> Rows {
+        Rows {
+            depth: dims[1],
+            slabs: vec![[0, dims[1]]; dims[2]],
+        }
+    }
+
+    /// The run `runs[z]` of each slab `z` of a box `depth` rows deep.
+    pub(crate) fn new(depth: usize, runs: impl IntoIterator<Item = Range<usize>>) -> Rows {
+        let slabs = runs
+            .into_iter()
+            .map(|run| {
+                assert!(run.end <= depth, "rows {run:?} outside a slab of {depth}");
+                if run.is_empty() {
+                    [0, 0]
+                } else {
+                    [run.start, run.end]
+                }
+            })
+            .collect();
+        Rows { depth, slabs }
+    }
+
+    /// The run of rows read of slab `z`.
+    pub fn slab(&self, z: usize) -> Range<usize> {
+        let [first, end] = self.slabs[z];
+        first..end
+    }
+
+    /// Whether every row `other` reads is read here too.
+    pub fn contains(&self, other: &Rows) -> bool {
+        self.check_shape(other);
+        let mut pairs = self.slabs.iter().zip(&other.slabs);
+        pairs.all(|(&[a, b], &[c, d])| c == d || (a <= c && d <= b))
+    }
+
+    /// The rows of both: per slab, from the first row either reads to the
+    /// last.
+    pub fn union(&self, other: &Rows) -> Rows {
+        self.check_shape(other);
+        let runs = self
+            .slabs
+            .iter()
+            .zip(&other.slabs)
+            .map(|(&[a, b], &[c, d])| {
+                if a == b {
+                    c..d
+                } else if c == d {
+                    a..b
+                } else {
+                    a.min(c)..b.max(d)
+                }
+            });
+        Rows::new(self.depth, runs.collect::<Vec<_>>())
+    }
+
+    /// Whether every row of the box is read.
+    pub fn is_all(&self) -> bool {
+        self.slabs.iter().all(|&run| run == [0, self.depth])
+    }
+
+    /// Rows read, over every slab.
+    pub fn count(&self) -> usize {
+        self.slabs.iter().map(|[first, end]| end - first).sum()
+    }
+
+    fn check_shape(&self, other: &Rows) {
+        assert!(
+            (self.depth, self.slabs.len()) == (other.depth, other.slabs.len()),
+            "rows of boxes of different shapes"
+        );
+    }
 }
 
 const POISON: &str = "brick store lock poisoned";
@@ -149,6 +245,16 @@ fn release(mut voxels: Vec<f32>) {
     voxels.shrink_to(1);
 }
 
+/// Fill every row of `voxels`, a stored array of `dims`, that `rows` does
+/// not take with `POISON_VOXEL`.
+fn poison_unread(voxels: &mut [f32], dims: [usize; 3], rows: &Rows) {
+    for (z, slab) in voxels.chunks_exact_mut(dims[0] * dims[1]).enumerate() {
+        let read = rows.slab(z);
+        slab[..read.start * dims[0]].fill(POISON_VOXEL);
+        slab[read.end * dims[0]..].fill(POISON_VOXEL);
+    }
+}
+
 /// Cache statistics (monotonic counters).
 #[derive(Debug, Default)]
 pub(crate) struct StoreStats {
@@ -163,6 +269,8 @@ pub struct StoreSnapshot {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
+    /// Voxel bytes the misses read: the rows each asked for, not the
+    /// stored box the budget charges.
     pub bytes_materialized: u64,
 }
 
@@ -250,7 +358,7 @@ impl BrickStore {
         );
         let capacity = grid
             .bricks()
-            .map(|b| stored(&b, ghost, grid.vol_dims).1.iter().product())
+            .map(|b| b.stored(ghost, grid.vol_dims).1.iter().product())
             .max()
             .unwrap_or(0);
         BrickStore {
@@ -285,27 +393,50 @@ impl BrickStore {
         self.ghost
     }
 
-    /// Fetch brick `id`, materializing if absent. The returned `Arc` stays
-    /// valid even if the entry is evicted afterwards.
+    /// Fetch brick `id` with every row read, materializing if absent or
+    /// short. The returned `Arc` stays valid even if the entry is evicted
+    /// afterwards.
     pub fn get(&self, id: usize) -> Arc<BrickData> {
+        let (_, dims) = self.grid.brick(id).stored(self.ghost, self.grid.vol_dims);
+        self.get_rows(id, &Rows::all(dims)).0
+    }
+
+    /// Fetch brick `id` holding at least `rows` of its stored box: the
+    /// entry if its rows contain them, else a miss that reads them — with
+    /// the short entry's rows, which it replaces. Also how long the read
+    /// took, when this call read.
+    pub fn get_rows(&self, id: usize, rows: &Rows) -> (Arc<BrickData>, Option<Duration>) {
         let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(Entry { brick, last }) = inner.entries.get_mut(&id) {
-            *last = tick;
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(brick);
+        let rows = match inner.entries.get_mut(&id) {
+            Some(Entry { brick, last }) if brick.rows.contains(rows) => {
+                *last = tick;
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                return (Arc::clone(brick), None);
+            }
+            Some(Entry { brick, .. }) => brick.rows.union(rows),
+            None => rows.clone(),
+        };
+        if let Some(short) = inner.entries.remove(&id) {
+            inner.bytes -= short.brick.bytes();
         }
-        self.stage(id, inner)
+        self.stage(id, rows, inner)
     }
 
     /// The miss path. Reserve, then read: LRU victims go until resident +
     /// in-flight + this brick fits the budget, so the budget also holds
     /// *while* bricks are being read, not only between accesses. It never
     /// waits for room — with nothing left to evict the brick is served anyway.
-    fn stage(&self, id: usize, mut inner: MutexGuard<'_, CacheInner>) -> Arc<BrickData> {
+    /// The budget charges the stored box, whatever `rows` it reads.
+    fn stage(
+        &self,
+        id: usize,
+        rows: Rows,
+        mut inner: MutexGuard<'_, CacheInner>,
+    ) -> (Arc<BrickData>, Option<Duration>) {
         let info = self.grid.brick(id);
-        let (store_origin, store_dims) = stored(&info, self.ghost, self.grid.vol_dims);
+        let (store_origin, store_dims) = info.stored(self.ghost, self.grid.vol_dims);
         let bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;
@@ -318,20 +449,26 @@ impl BrickStore {
         // Materialize outside the lock: concurrent misses may duplicate work
         // but never block each other on voxel synthesis.
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let read_start = Instant::now();
         let mut voxels = self.spares.take(store_dims.iter().product());
         self.volume
-            .read_region(store_origin, store_dims, &mut voxels);
+            .read_rows(store_origin, store_dims, |z| rows.slab(z), &mut voxels);
+        let read = read_start.elapsed();
+        if cfg!(debug_assertions) {
+            poison_unread(&mut voxels, store_dims, &rows);
+        }
+        self.stats
+            .bytes_materialized
+            .fetch_add((rows.count() * store_dims[0] * 4) as u64, Ordering::Relaxed);
         let data = Arc::new(BrickData {
             info,
             ghost: self.ghost,
             store_origin,
             store_dims,
             voxels: Arc::new(voxels),
+            rows,
             spares: Arc::clone(&self.spares),
         });
-        self.stats
-            .bytes_materialized
-            .fetch_add(bytes, Ordering::Relaxed);
 
         let mut guard = reservation.settle();
         let inner = &mut *guard;
@@ -347,7 +484,7 @@ impl BrickStore {
         // Only misses that could not reserve (more in flight than the budget
         // holds) still have something to trim here.
         self.evict_to_fit(inner, 0, id);
-        data
+        (data, Some(read))
     }
 
     /// Evict least-recently-used bricks (never `keep`) until held +
@@ -473,6 +610,100 @@ mod tests {
                 "row {row}"
             );
         }
+    }
+
+    /// Rows `runs[z]` of each of a stored brick's 9 slabs.
+    fn rows(runs: [std::ops::Range<usize>; 9]) -> Rows {
+        Rows::new(9, runs)
+    }
+
+    /// Rows 2..5 of slabs 3..6: what a brick with one small occupied
+    /// region needs.
+    fn narrow() -> Rows {
+        rows([0..0, 0..0, 0..0, 2..5, 2..5, 2..5, 0..0, 0..0, 0..0])
+    }
+
+    #[test]
+    fn rows_contain_and_unite_per_slab() {
+        let all = Rows::all([9, 9, 9]);
+        let wide = rows([0..0, 1..2, 0..0, 1..9, 2..5, 3..4, 0..0, 0..0, 0..0]);
+        assert!(all.contains(&narrow()) && all.contains(&wide) && all.is_all());
+        assert!(!narrow().contains(&wide) && !wide.contains(&narrow()));
+        assert!(narrow().contains(&rows(Default::default())));
+        let both = narrow().union(&wide);
+        assert_eq!(
+            both,
+            rows([0..0, 1..2, 0..0, 1..9, 2..5, 2..5, 0..0, 0..0, 0..0])
+        );
+        assert!(both.contains(&narrow()) && both.contains(&wide) && !both.is_all());
+        assert_eq!((narrow().count(), both.count()), (9, 1 + 8 + 3 + 3));
+    }
+
+    #[test]
+    fn a_miss_reads_only_its_rows() {
+        let s = store(u64::MAX);
+        let all = s.get(0);
+        let (b, read) = s.get_rows(1, &narrow());
+        assert!(read.is_some());
+        assert_eq!(b.rows, narrow());
+        let d = b.store_dims;
+        let mut fresh = vec![0f32; b.voxels.len()];
+        s.volume().read_region(b.store_origin, d, &mut fresh);
+        for (i, (&got, &want)) in b.voxels.iter().zip(&fresh).enumerate() {
+            let (y, z) = (i / d[0] % d[1], i / (d[0] * d[1]));
+            if narrow().slab(z).contains(&y) {
+                assert_eq!(got.to_bits(), want.to_bits(), "voxel {i}");
+            } else if cfg!(debug_assertions) {
+                assert_eq!(got, POISON_VOXEL, "voxel {i}");
+            }
+        }
+        // The budget charges the stored box; the counter, the rows read.
+        assert_eq!(s.cached_bytes(), 2 * BRICK_BYTES);
+        let rows_bytes = (narrow().count() * d[0] * 4) as u64;
+        assert_eq!(s.snapshot().bytes_materialized, BRICK_BYTES + rows_bytes);
+        // A need the entry's rows contain is a hit.
+        assert!(all.rows.is_all());
+        let (again, read) = s.get_rows(0, &narrow());
+        assert!(Arc::ptr_eq(&again, &all) && read.is_none());
+    }
+
+    #[test]
+    fn a_short_entry_is_a_miss_into_a_fresh_buffer() {
+        let s = store(u64::MAX);
+        let (short, _) = s.get_rows(2, &narrow());
+        let before = short.voxels.to_vec();
+        let wide = rows([0..0, 0..0, 0..0, 0..9, 2..5, 2..5, 0..0, 0..0, 1..2]);
+        let (widened, read) = s.get_rows(2, &wide);
+        assert!(read.is_some(), "a short entry is a miss");
+        assert!(!Arc::ptr_eq(&widened.voxels, &short.voxels));
+        assert_eq!(widened.rows, narrow().union(&wide));
+        // The earlier `Arc` keeps its own voxels and rows.
+        assert_eq!(short.rows, narrow());
+        assert_eq!(
+            short.voxels.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            before.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        // The widened entry replaced the short one: one brick resident,
+        // nothing evicted; and both its needs are hits now.
+        assert_eq!(s.cached_bytes(), BRICK_BYTES);
+        let snap = s.snapshot();
+        assert_eq!((snap.misses, snap.evictions, snap.hits), (2, 0, 0));
+        assert!(s.get_rows(2, &narrow()).1.is_none() && s.get_rows(2, &wide).1.is_none());
+        // `get` after a partial stage reads every row.
+        let full = s.get(2);
+        assert!(full.rows.is_all());
+        assert_eq!(full.voxels, store(u64::MAX).get(2).voxels);
+        assert_eq!(s.snapshot().misses, 3);
+    }
+
+    /// The cells of a brick are built from all of it: in debug builds a
+    /// brick that holds only some rows is refused.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "holds only some of its rows")]
+    fn cells_refuse_a_brick_with_unread_rows() {
+        let s = store(u64::MAX);
+        crate::MacroCells::of(&s.get_rows(0, &narrow()).0);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! purpose — the paper treats volume files as pre-bricked raw data and is
 //! explicit that its library is "hard-disk agnostic".
 //!
-//! Reading a region is the out-of-core brick-load path. It costs one
-//! positioned read per *file-contiguous run* — the whole region if it spans
-//! full x and y of the volume, a z-slab if it spans full x, else a row —
-//! each straight into its place in the dense destination: the bytes land as
-//! they lie in the file. No staging buffer, no decode pass, no move.
+//! Reading a region is the out-of-core brick-load path. A read takes, per
+//! z-slab of the region, one run of y-rows (every row, for
+//! [`read_region`]), and costs one positioned read per *file-contiguous
+//! run* of what it takes — the whole region if it takes every row and
+//! spans full x and y of the volume, a slab's rows if it spans full x, else
+//! a row — each straight into its place in the dense destination: the bytes
+//! land as they lie in the file. No staging buffer, no decode pass, no
+//! move. Rows a read does not take are left as they are.
 //! [`VolumeWriter`] is the way back: header, then slabs appended as the
 //! bytes they occupy. Both rest on [`f32_bytes`] and [`f32_bytes_mut`],
 //! `f32`s viewed as the bytes they occupy, behind a compile-time
@@ -17,6 +20,7 @@
 
 use std::fs::File;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 pub const MAGIC: &[u8; 8] = b"MGVOL001";
@@ -128,34 +132,46 @@ struct Run {
     len: usize,
 }
 
-/// The reads that fetch an in-bounds, non-empty region, in file order: one
-/// per file-contiguous run — the whole region if it spans full x and y, a
-/// z-slab if it spans full x, else a row — split so none exceeds `cap`.
+/// The reads that fetch an in-bounds, non-empty region's rows `rows(z)` of
+/// each z-slab `z`, in file order: one per file-contiguous run — whole rows
+/// that follow each other in the file and in the region are one run, so a
+/// region spanning full x is a run per slab, and one taking every row of
+/// full x and y a single run — split so none exceeds `cap`.
 fn plan_runs(
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
+    rows: impl Fn(usize) -> Range<usize>,
     cap: usize,
-) -> impl Iterator<Item = Run> {
+) -> Vec<Run> {
     let (dx, dy) = (dims[0] as u64, dims[1] as u64);
-    let total = size[0] * size[1] * size[2];
-    let run = if size[0] as u64 != dx {
-        size[0]
-    } else if size[1] as u64 != dy {
-        size[0] * size[1]
-    } else {
-        total
-    };
-    (0..total).step_by(run).flat_map(move |at| {
-        let row = at / size[0];
-        let (y, z) = ((row % size[1]) as u64, (row / size[1]) as u64);
-        let src = ((origin[2] as u64 + z) * dy + origin[1] as u64 + y) * dx + origin[0] as u64;
-        (0..run).step_by(cap).map(move |o| Run {
-            src: src + o as u64,
-            at: at + o,
-            len: cap.min(run - o),
+    let mut runs: Vec<Run> = Vec::new();
+    for z in 0..size[2] {
+        for y in rows(z) {
+            let src = ((origin[2] as u64 + z as u64) * dy + origin[1] as u64 + y as u64) * dx
+                + origin[0] as u64;
+            let at = (z * size[1] + y) * size[0];
+            match runs.last_mut() {
+                Some(run) if run.src + run.len as u64 == src && run.at + run.len == at => {
+                    run.len += size[0];
+                }
+                _ => runs.push(Run {
+                    src,
+                    at,
+                    len: size[0],
+                }),
+            }
+        }
+    }
+    runs.into_iter()
+        .flat_map(|run| {
+            (0..run.len).step_by(cap).map(move |o| Run {
+                src: run.src + o as u64,
+                at: run.at + o,
+                len: cap.min(run.len - o),
+            })
         })
-    })
+        .collect()
 }
 
 /// Read an in-bounds region into `out`, x fastest: `out` holds exactly the
@@ -167,6 +183,20 @@ pub fn read_region(
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
+    out: &mut [f32],
+) -> io::Result<()> {
+    read_rows(path, dims, origin, size, |_| 0..size[1], out)
+}
+
+/// [`read_region`], taking of each z-slab `z` only the y-rows `rows(z)`
+/// (each within `0..size[1]`); the rest of `out` is left as it is. One
+/// `open` per call.
+pub(crate) fn read_rows(
+    path: &Path,
+    dims: [u32; 3],
+    origin: [u32; 3],
+    size: [usize; 3],
+    rows: impl Fn(usize) -> Range<usize>,
     out: &mut [f32],
 ) -> io::Result<()> {
     let (file, file_dims) = open(path)?;
@@ -188,7 +218,7 @@ pub fn read_region(
     if out.is_empty() {
         return Ok(());
     }
-    for run in plan_runs(dims, origin, size, STAGE_VOXELS) {
+    for run in plan_runs(dims, origin, size, rows, STAGE_VOXELS) {
         let bytes = f32_bytes_mut(&mut out[run.at..run.at + run.len]);
         read_exact_at(&file, bytes, HEADER_BYTES as u64 + run.src * 4)
             .map_err(|e| with_path(path, e))?;
@@ -262,7 +292,7 @@ mod tests {
     }
 
     fn runs(dims: [u32; 3], origin: [u32; 3], size: [usize; 3], cap: usize) -> Vec<Run> {
-        plan_runs(dims, origin, size, cap).collect()
+        plan_runs(dims, origin, size, |_| 0..size[1], cap)
     }
 
     fn run(src: u64, at: usize, len: usize) -> Run {
@@ -293,6 +323,54 @@ mod tests {
         let r = runs([8, 6, 5], [0, 1, 2], [8, 3, 2], 16);
         let spans: Vec<(usize, usize)> = r.iter().map(|r| (r.at, r.len)).collect();
         assert_eq!(spans, [(0, 16), (16, 8), (24, 16), (40, 8)]);
+    }
+
+    #[test]
+    fn planner_takes_only_each_slabs_rows() {
+        let dims = [8u32, 6, 5];
+        let rows = |z: usize| [1..3, 0..0, 0..6, 2..6][z].clone();
+        // Full x and y: a slab's rows are one run and an empty slab none;
+        // slab 3 takes no row 0, so slabs 2 and 3 do not meet in the file.
+        let r = plan_runs(dims, [0, 0, 1], [8, 6, 4], rows, usize::MAX);
+        assert_eq!(
+            r,
+            [
+                run(48 + 8, 8, 16),
+                run(3 * 48, 96, 48),
+                run(4 * 48 + 16, 160, 32)
+            ]
+        );
+        // Every row of slab 1 and the first of slab 2 follow each other.
+        let rows = |z: usize| [0..6, 0..1][z].clone();
+        let r = plan_runs(dims, [0, 0, 1], [8, 6, 2], rows, usize::MAX);
+        assert_eq!(r, [run(48, 0, 56)]);
+        // Partial x: one run per row taken.
+        let r = plan_runs(dims, [3, 2, 1], [4, 3, 2], |z| z..z + 2, usize::MAX);
+        assert_eq!(r.iter().map(|r| r.at).collect::<Vec<_>>(), [0, 4, 16, 20]);
+    }
+
+    #[test]
+    fn a_rows_read_leaves_the_rows_it_does_not_take() {
+        let path = tmp("rows.vol");
+        let dims = [4u32, 3, 2];
+        let data: Vec<f32> = (0..24).map(|i| i as f32).collect();
+        write_volume(&path, dims, &data).unwrap();
+        let mut out = vec![-1f32; 24];
+        read_rows(
+            &path,
+            dims,
+            [0, 0, 0],
+            [4, 3, 2],
+            |z| [1..2, 0..3][z].clone(),
+            &mut out,
+        )
+        .unwrap();
+        for (i, (&got, &want)) in out.iter().zip(&data).enumerate() {
+            let (y, z) = (i / 4 % 3, i / 12);
+            let taken = z == 1 || y == 1;
+            assert_eq!(got, if taken { want } else { -1.0 }, "voxel {i}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! keyed by the padded base index, which is what the kernel looks up, and
 //! a cell's range is that of the window voxels its padded span clamps onto.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
+
+use crate::brickstore::{BrickData, Rows};
 
 /// Cell edge in base indices (a power of two: the kernel shifts by it).
 ///
@@ -41,7 +44,7 @@ use std::sync::Arc;
 /// distance-transformed its cells — eight times as many at edge 4, 2.6 K →
 /// 18.5 K for a 130×130×66 brick — and the out-of-core frame lost more than
 /// the march gained. The renderer now does that once per brick and transfer
-/// function (`RenderBrick::skip_grid`): traced `volren.map_ms` on
+/// function (`RenderBrick::stage`): traced `volren.map_ms` on
 /// `plume_outofcore` reads 2.4 ms at edge 4 and 2.5 at edge 8, against 3.4
 /// when every launch classified at edge 8 (medians of four runs). The brick
 /// keeps its table and the grids of its last four transfer functions, so
@@ -63,12 +66,73 @@ pub struct MacroCells {
     /// that taps one is NaN whatever its other taps hold, and contributes
     /// nothing); a cell holding nothing else keeps `[+∞, −∞]`.
     pub ranges: Arc<Vec<[f32; 2]>>,
+    /// The brick the table was built over: its stored array's dims, where
+    /// that sits in the padded index space, and that space's dims.
+    stored: [usize; 3],
+    window: [usize; 3],
+    padded: [usize; 3],
+}
+
+/// Inclusive stored span of cell `c` along axis `a`, for a `stored` array at
+/// `window` in a padded index space of `dims`: the cell's padded span
+/// `c·edge ..= min((c+1)·edge, dim−1)`, clamped into the window as the
+/// texture clamps a tap.
+fn span(
+    c: usize,
+    a: usize,
+    stored: [usize; 3],
+    window: [usize; 3],
+    dims: [usize; 3],
+) -> RangeInclusive<usize> {
+    let at = |i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+    at(c * CELL_EDGE)..=at(((c + 1) * CELL_EDGE).min(dims[a] - 1))
 }
 
 impl MacroCells {
     /// Cells per axis over a padded index space of `dims`.
-    fn dims(dims: [usize; 3]) -> [usize; 3] {
+    fn per_axis(dims: [usize; 3]) -> [usize; 3] {
         dims.map(|d| d.saturating_sub(1).max(1).div_ceil(CELL_EDGE))
+    }
+
+    /// Cells per axis.
+    pub fn dims(&self) -> [usize; 3] {
+        Self::per_axis(self.padded)
+    }
+
+    /// The table of `brick`, which must hold every row of its stored box:
+    /// [`MacroCells::build`] over its voxels, window and padded box.
+    pub fn of(brick: &BrickData) -> MacroCells {
+        debug_assert!(
+            brick.rows.is_all(),
+            "cells built from a brick that holds only some of its rows"
+        );
+        let (_, dims) = brick.info.padded(brick.ghost);
+        MacroCells::build(&brick.voxels, brick.store_dims, brick.window(), dims)
+    }
+
+    /// The rows of the stored array that a sample based in an `occupied`
+    /// cell (by cell coordinates) can tap: per z-slab, from the first to
+    /// the last row that the spans of the occupied cells over it reach.
+    pub fn rows(&self, occupied: impl Fn([usize; 3]) -> bool) -> Rows {
+        let n = self.dims();
+        let span = |c: usize, a: usize| span(c, a, self.stored, self.window, self.padded);
+        // Per slab, `[first, end)` of the rows reached; none while first > end.
+        let mut runs = vec![[usize::MAX, 0]; self.stored[2]];
+        for cz in 0..n[2] {
+            for cy in 0..n[1] {
+                if !(0..n[0]).any(|cx| occupied([cx, cy, cz])) {
+                    continue;
+                }
+                let ys = span(cy, 1);
+                for [first, end] in &mut runs[span(cz, 2)] {
+                    (*first, *end) = ((*first).min(*ys.start()), (*end).max(ys.end() + 1));
+                }
+            }
+        }
+        Rows::new(
+            self.stored[1],
+            runs.into_iter().map(|[first, end]| first..end),
+        )
     }
 
     /// One pass over `voxels`, the `stored` array (x fastest) at `window` in
@@ -88,13 +152,8 @@ impl MacroCells {
         let [dx, dy, dz] = stored;
         assert_eq!(voxels.len(), dx * dy * dz, "voxels do not match dims");
         assert!(dx > 0 && dy > 0 && dz > 0, "degenerate brick dims");
-        let n = Self::dims(dims);
-        // Inclusive stored span of cell `c` along axis `a`: its padded span,
-        // clamped into the window as the texture clamps a tap.
-        let span = |c: usize, a: usize| {
-            let at = |i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
-            at(c * CELL_EDGE)..=at(((c + 1) * CELL_EDGE).min(dims[a] - 1))
-        };
+        let n = Self::per_axis(dims);
+        let span = |c: usize, a: usize| span(c, a, stored, window, dims);
         let min = |v: f32, acc: f32| if v < acc { v } else { acc };
         let max = |v: f32, acc: f32| if v > acc { v } else { acc };
 
@@ -139,6 +198,9 @@ impl MacroCells {
         MacroCells {
             edge: CELL_EDGE,
             ranges: Arc::new(ranges),
+            stored,
+            window,
+            padded: dims,
         }
     }
 }
@@ -149,7 +211,7 @@ mod tests {
 
     /// Brute force straight from the definition.
     fn brute(voxels: &[f32], dims: [usize; 3]) -> Vec<[f32; 2]> {
-        let n = MacroCells::dims(dims);
+        let n = MacroCells::per_axis(dims);
         let mut out = Vec::new();
         for cz in 0..n[2] {
             for cy in 0..n[1] {
@@ -244,7 +306,10 @@ mod tests {
             }
             let cells = MacroCells::build(&voxels, stored, window, dims);
             let want = MacroCells::build(&padded, dims, [0; 3], dims);
-            assert_eq!(cells.ranges.len(), MacroCells::dims(dims).iter().product());
+            assert_eq!(
+                cells.ranges.len(),
+                MacroCells::per_axis(dims).iter().product()
+            );
             let bits = |c: &MacroCells| {
                 c.ranges
                     .iter()
@@ -256,6 +321,57 @@ mod tests {
                 bits(&want),
                 "{stored:?} at {window:?} in {dims:?}"
             );
+        }
+    }
+
+    /// Per slab, the hull of every stored row a sample based in an occupied
+    /// cell taps — voxel by voxel, from the definition — is what `rows`
+    /// reads; with every cell occupied that is every row.
+    #[test]
+    fn rows_hull_what_the_occupied_cells_tap() {
+        for (stored, window, dims) in [
+            ([9, 9, 9], [0, 0, 0], [9, 9, 9]),
+            ([9, 10, 3], [1, 0, 1], [10, 12, 5]),
+            ([17, 8, 16], [1, 1, 0], [19, 10, 18]),
+            ([5, 26, 11], [12, 0, 3], [19, 27, 14]),
+            ([1, 1, 2], [2, 0, 1], [3, 2, 4]),
+        ] {
+            let cells = MacroCells::build(
+                &noise(stored[0] * stored[1] * stored[2]),
+                stored,
+                window,
+                dims,
+            );
+            let n = cells.dims();
+            assert!(cells.rows(|_| true).is_all());
+            for seed in 0..8usize {
+                let occupied = |c: [usize; 3]| {
+                    (c[0] * 7 + c[1] * 13 + c[2] * 29 + seed * 5).is_multiple_of(seed + 2)
+                };
+                let at =
+                    |a: usize, i: usize| i.clamp(window[a], window[a] + stored[a] - 1) - window[a];
+                let mut want = vec![[usize::MAX, 0]; stored[2]];
+                for c in
+                    (0..n[0] * n[1] * n[2]).map(|i| [i % n[0], i / n[0] % n[1], i / (n[0] * n[1])])
+                {
+                    if !occupied(c) {
+                        continue;
+                    }
+                    let taps =
+                        |a: usize| c[a] * CELL_EDGE..=((c[a] + 1) * CELL_EDGE).min(dims[a] - 1);
+                    for z in taps(2) {
+                        for y in taps(1) {
+                            let [first, end] = &mut want[at(2, z)];
+                            (*first, *end) = ((*first).min(at(1, y)), (*end).max(at(1, y) + 1));
+                        }
+                    }
+                }
+                assert_eq!(
+                    cells.rows(occupied),
+                    Rows::new(stored[1], want.into_iter().map(|[first, end]| first..end)),
+                    "seed {seed}: {stored:?} at {window:?} in {dims:?}"
+                );
+            }
         }
     }
 

@@ -3,6 +3,7 @@
 //! region, which may reach past the volume, is the oracle a brick's
 //! windowed texture is tested against.
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -165,6 +166,19 @@ impl Volume {
 
     /// Read an **in-bounds** region into `out` (x-fastest layout).
     pub fn read_region(&self, origin: [u32; 3], size: [usize; 3], out: &mut [f32]) {
+        self.read_rows(origin, size, |_| 0..size[1], out);
+    }
+
+    /// [`Volume::read_region`], taking of each z-slab `z` of the region only
+    /// the y-rows `rows(z)`: every source reads the same voxels into them,
+    /// and leaves the rest of `out` as it is.
+    pub(crate) fn read_rows(
+        &self,
+        origin: [u32; 3],
+        size: [usize; 3],
+        rows: impl Fn(usize) -> Range<usize> + Sync,
+        out: &mut [f32],
+    ) {
         assert_eq!(out.len(), size[0] * size[1] * size[2]);
         let d = self.meta.dims;
         assert!(
@@ -176,19 +190,21 @@ impl Volume {
         }
         match &self.source {
             VolumeSource::Procedural(field) => {
-                materialize_procedural(field.as_ref(), d, origin, size, out);
+                materialize_procedural(field.as_ref(), d, origin, size, rows, out);
             }
             VolumeSource::File(path) => {
-                io::read_region(path, d, origin, size, out)
+                io::read_rows(path, d, origin, size, rows, out)
                     .unwrap_or_else(|e| panic!("reading region from {path:?}: {e}"));
             }
             VolumeSource::InMemory(data) => {
                 let (dx, dy) = (d[0] as usize, d[1] as usize);
-                for (row, dst) in out.chunks_exact_mut(size[0]).enumerate() {
-                    let (y, z) = (row % size[1], row / size[1]);
-                    let src = ((origin[2] as usize + z) * dy + origin[1] as usize + y) * dx
-                        + origin[0] as usize;
-                    dst.copy_from_slice(&data[src..src + size[0]]);
+                for (z, slab) in out.chunks_exact_mut(size[0] * size[1]).enumerate() {
+                    for y in rows(z) {
+                        let src = ((origin[2] as usize + z) * dy + origin[1] as usize + y) * dx
+                            + origin[0] as usize;
+                        slab[y * size[0]..(y + 1) * size[0]]
+                            .copy_from_slice(&data[src..src + size[0]]);
+                    }
                 }
             }
         }
@@ -234,14 +250,15 @@ impl Volume {
     }
 }
 
-/// Sample a field at voxel centers over a region, one
-/// [`ScalarField::sample_row`] call per row, splitting z-slabs across
-/// threads for large regions. `out` is dense, x fastest.
+/// Sample a field at voxel centers over a region's rows `rows(z)` of each
+/// z-slab `z`, one [`ScalarField::sample_row`] call per row, splitting
+/// z-slabs across threads for large regions. `out` is dense, x fastest.
 fn materialize_procedural(
     field: &dyn ScalarField,
     dims: [u32; 3],
     origin: [u32; 3],
     size: [usize; 3],
+    rows: impl Fn(usize) -> Range<usize> + Sync,
     out: &mut [f32],
 ) {
     let inv = [
@@ -255,7 +272,7 @@ fn materialize_procedural(
     let fill_slab = |z_lo: usize, z_hi: usize, slab: &mut [f32]| {
         for (zi, z) in (z_lo..z_hi).enumerate() {
             let wz = (origin[2] as f32 + z as f32 + 0.5) * inv[2];
-            for y in 0..size[1] {
+            for y in rows(z) {
                 let wy = (origin[1] as f32 + y as f32 + 0.5) * inv[1];
                 let row = (zi * size[1] + y) * size[0];
                 field.sample_row(&xs, wy, wz, &mut slab[row..row + size[0]]);

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mgpu_voldata::{io, BrickGrid, BrickPolicy, BrickStore, Dataset, Volume, VolumeSource};
+use mgpu_voldata::{
+    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume, VolumeSource,
+};
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
     (2u32..40, 2u32..40, 2u32..40).prop_map(|(x, y, z)| [x, y, z])
@@ -172,6 +174,44 @@ proptest! {
                 let (x, y, z) = (i % dims[0], i / dims[0] % dims[1], i / (dims[0] * dims[1]));
                 let got = b.voxels[(at(2, z) * stored[1] + at(1, y)) * stored[0] + at(0, x)];
                 prop_assert_eq!(got, *want, "brick {} at ({},{},{})", id, x, y, z);
+            }
+        }
+    }
+
+    /// A miss for some rows reads the same voxels into them from every
+    /// source, and they are the brick's: the rows are those of a random
+    /// set of occupied cells, as a skip grid names them.
+    #[test]
+    fn every_source_reads_the_same_rows(
+        dims in arb_dims(),
+        min_bricks in 1u32..9,
+        dataset in 0usize..3,
+        seed in 0usize..64,
+    ) {
+        let field = [Dataset::Skull, Dataset::Supernova, Dataset::Plume][dataset].field();
+        let procedural = Volume::procedural("p", dims, 0, field);
+        let baked = Baked::new(&procedural, "rows");
+        let resident = Volume::in_memory("p", dims, procedural.materialize_full());
+        let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks, max_brick_voxels: u64::MAX });
+        let stores = [procedural, resident, baked.volume.clone()]
+            .map(|v| BrickStore::new(v, grid.clone(), 1, u64::MAX));
+        let whole = BrickStore::new(baked.volume.clone(), grid.clone(), 1, u64::MAX);
+        for id in 0..grid.brick_count() {
+            let full = whole.get(id);
+            let rows = MacroCells::of(&full).rows(|[x, y, z]| (x * 3 + y * 5 + z * 7 + seed).is_multiple_of(4));
+            let d = full.store_dims;
+            for (source, store) in stores.iter().enumerate() {
+                let (b, read) = store.get_rows(id, &rows);
+                prop_assert!(read.is_some());
+                prop_assert_eq!(&b.rows, &rows);
+                for z in 0..d[2] {
+                    let taken = (z * d[1] + rows.slab(z).start) * d[0]..(z * d[1] + rows.slab(z).end) * d[0];
+                    prop_assert_eq!(
+                        bits(&b.voxels[taken.clone()]),
+                        bits(&full.voxels[taken]),
+                        "source {}, brick {}, slab {}", source, id, z
+                    );
+                }
             }
         }
     }

@@ -6,18 +6,21 @@
 //! work: the store's LRU budget bounds host memory while bricks stream
 //! through the mappers.
 //!
-//! A brick also keeps what skipping needs of it (`skip_grid`): its min/max
-//! macrocells and the skip grids last classified from them. This is the
+//! A brick also keeps what skipping needs of it (`stage`): its min/max
+//! macrocells, and per transfer function the skip grid classified from
+//! them and the rows of the brick its occupied cells can tap. This is the
 //! mapper's per-GPU state of the paper's `initialize`, held per brick so
 //! that a plan's frames classify each brick once per transfer function,
-//! whatever the store evicts between them.
+//! whatever the store evicts between them — and so that a miss, knowing
+//! the grid before it reads, reads only those rows.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mgpu_gpu::{Texture1D, Texture3D};
 use mgpu_mapreduce::Chunk;
-use mgpu_voldata::{BrickData, BrickInfo, BrickStore, MacroCells};
+use mgpu_obs::{names, Histogram};
+use mgpu_voldata::{BrickData, BrickInfo, BrickStore, MacroCells, Rows};
 
 use crate::camera::Camera;
 use crate::math::{vec3, Vec3};
@@ -28,15 +31,25 @@ use crate::transfer::TransferFunction;
 /// sessions with different presets at once. A grid is a byte per cell.
 const GRIDS_KEPT: usize = 4;
 
+/// A transfer function's grid for one brick — `None` when no cell is
+/// empty — and the rows of the brick a launch with it can tap.
+type Kept = (Option<Arc<SkipGrid>>, Rows);
+
 /// A brick's skipping state. The cells depend on its voxels only, so a new
 /// transfer function costs a classification and no pass over the voxels.
 #[derive(Default)]
 pub(crate) struct SkipMemo {
     /// The brick's min/max cells over its padded box, once built.
     cells: Option<MacroCells>,
-    /// Grids by the transfer function they were classified against, most
-    /// recently used first; `None` for a grid with no empty cell.
-    grids: VecDeque<(TransferFunction, Option<Arc<SkipGrid>>)>,
+    /// Grids and rows by the transfer function they were classified
+    /// against, most recently used first.
+    grids: VecDeque<(TransferFunction, Kept)>,
+}
+
+/// `volren.staging_ns`, registered once in the global registry.
+fn staging_ns() -> &'static Histogram {
+    static STAGING: OnceLock<Arc<Histogram>> = OnceLock::new();
+    STAGING.get_or_init(|| mgpu_obs::global().histogram(names::VOLREN_STAGING_NS))
 }
 
 /// Whether brick voxels are charged as disk reads by the DES.
@@ -96,42 +109,63 @@ impl RenderBrick {
         (texture, vec3(x, y, z))
     }
 
-    /// The skip grid of this brick under `transfer`, whose baked LUT is
-    /// `lut`: the memo's when one was built for `transfer`; otherwise the
-    /// memo's cells — built from `data`, this brick's resident voxels, the
-    /// first time — classified and distance-transformed, and kept in place
-    /// of the least recently used grid. Built outside the lock: two
-    /// launches that miss at once each build the same thing, and the later
-    /// one stays.
-    pub(crate) fn skip_grid(
+    /// This brick staged for a launch under `transfer`, whose baked LUT is
+    /// `lut`, and the skip grid to launch with: the voxels hold at least
+    /// the rows the grid's occupied cells can tap — every row when the grid
+    /// is `None`. The memo's grid and rows when it kept them for
+    /// `transfer`; otherwise its cells — built from a read of every row the
+    /// first time — classified and distance-transformed, kept with their
+    /// rows in place of the least recently used grid. Built outside the
+    /// lock: two launches that miss at once each build the same thing, and
+    /// the later one stays. Each read is one `volren.staging_ns` sample.
+    pub(crate) fn stage(
         &self,
-        data: &BrickData,
         transfer: &TransferFunction,
         lut: &Texture1D,
-    ) -> Option<Arc<SkipGrid>> {
+    ) -> (Arc<BrickData>, Option<Arc<SkipGrid>>) {
         let cells = {
             let mut memo = self.memo();
             if let Some(i) = memo.grids.iter().position(|(tf, _)| tf == transfer) {
                 memo.grids.make_contiguous()[..=i].rotate_right(1);
-                return memo.grids[0].1.clone();
+                let (grid, rows) = memo.grids[0].1.clone();
+                drop(memo);
+                return (self.fetch(&rows), grid);
             }
             memo.cells.clone()
         };
-        let (_, dims) = data.info.padded(data.ghost);
-        let window = data.window();
-        let cells = cells.unwrap_or_else(|| {
-            let cells = MacroCells::build(&data.voxels, data.store_dims, window, dims);
-            self.memo().cells = Some(cells.clone());
-            cells
-        });
-        let celled = Texture3D::windowed(dims, window, data.store_dims, Arc::clone(&data.voxels))
-            .with_cells(cells.edge, cells.ranges);
-        let grid = SkipGrid::classify(&celled, lut).map(Arc::new);
+        let (data, cells) = match cells {
+            Some(cells) => (None, cells),
+            None => {
+                let vol_dims = self.store.grid().vol_dims;
+                let data = self.fetch(&Rows::all(self.info.stored(self.ghost, vol_dims).1));
+                let cells = MacroCells::of(&data);
+                self.memo().cells = Some(cells.clone());
+                (Some(data), cells)
+            }
+        };
+        let view = mgpu_gpu::MacroCells {
+            edge: cells.edge,
+            dims: cells.dims(),
+            ranges: &cells.ranges,
+        };
+        let grid = SkipGrid::classify(view, lut).map(Arc::new);
+        let rows = cells.rows(|cell| grid.as_ref().is_none_or(|grid| grid.occupied(cell)));
+        let data = data.unwrap_or_else(|| self.fetch(&rows));
         let mut memo = self.memo();
         memo.grids.retain(|(tf, _)| tf != transfer);
-        memo.grids.push_front((transfer.clone(), grid.clone()));
+        memo.grids
+            .push_front((transfer.clone(), (grid.clone(), rows)));
         memo.grids.truncate(GRIDS_KEPT);
-        grid
+        (data, grid)
+    }
+
+    /// The brick holding at least `rows`, timing the read if it took one.
+    fn fetch(&self, rows: &Rows) -> Arc<BrickData> {
+        let (data, read) = self.store.get_rows(self.info.id, rows);
+        if let Some(read) = read {
+            staging_ns().record_duration(read);
+        }
+        data
     }
 
     /// The memo slot. Whatever a panicking holder left in it is complete.
@@ -147,7 +181,7 @@ impl RenderBrick {
     ) -> (Option<MacroCells>, Option<Option<Arc<SkipGrid>>>) {
         let memo = self.memo();
         let grid = memo.grids.iter().find(|(tf, _)| tf == transfer);
-        (memo.cells.clone(), grid.map(|(_, grid)| grid.clone()))
+        (memo.cells.clone(), grid.map(|(_, (grid, _))| grid.clone()))
     }
 
     /// Dimensions of the modelled device array — the ghost-padded brick,
@@ -312,8 +346,8 @@ mod tests {
             let full = store.volume().materialize_clamped(origin, dims);
             let cells = MacroCells::build(&full, dims, [0; 3], dims);
             let celled = Texture3D::new(dims, full).with_cells(cells.edge, cells.ranges);
-            let want = SkipGrid::classify(&celled, &lut);
-            let grid = brick.skip_grid(&data, &transfer, &lut);
+            let want = SkipGrid::classify(celled.cells().unwrap(), &lut);
+            let (_, grid) = brick.stage(&transfer, &lut);
             assert_eq!(
                 grid.as_deref(),
                 want.as_ref(),
@@ -330,7 +364,6 @@ mod tests {
     fn a_brick_keeps_the_grids_of_its_last_transfer_functions() {
         let store = store_for(32, 8);
         let brick = RenderBrick::new(store, 0, Staging::HostResident);
-        let data = brick.voxels();
         let glow = TransferFunction::from_points(
             "glow",
             vec![crate::transfer::ControlPoint {
@@ -346,7 +379,7 @@ mod tests {
         ];
         // `bone` again is a hit, which makes `fire` the least recently used.
         for transfer in [&bone, &fire, &smoke, &grayscale, &bone, &glow] {
-            brick.skip_grid(&data, transfer, &transfer.bake());
+            brick.stage(transfer, &transfer.bake());
         }
         let cells = brick.kept(&bone).0.expect("cells").ranges;
         for transfer in [&bone, &smoke, &grayscale, &glow] {

@@ -106,7 +106,7 @@
 //!   two-pass chessboard distance transform then gives every cell its
 //!   distance `D`, in cells, to the nearest occupied one. The brick keeps
 //!   its table and the grids of its last few transfer functions
-//!   (`RenderBrick::skip_grid`), and the mapper hands the grid to the launch
+//!   (`RenderBrick::stage`), and the mapper hands the grid to the launch
 //!   (`RayCastKernel::prepare_with`). A texture with its own cells attached
 //!   (`Texture3D::with_cells`) is classified per launch by
 //!   [`BlockKernel::prepare`] instead. If no cell is empty there is no grid,
@@ -286,7 +286,8 @@ impl<'a> BlockKernel for RayCastKernel<'a> {
     /// mapper launches through `RayCastKernel::prepare_with` instead, with
     /// the grid it keeps per brick and transfer function.
     fn prepare(&self) -> Launch<'a> {
-        self.prepare_with(SkipGrid::classify(self.texture, self.lut).map(Arc::new))
+        let cells = self.texture.cells();
+        self.prepare_with(cells.and_then(|cells| SkipGrid::classify(cells, self.lut).map(Arc::new)))
     }
 
     fn run_block(&self, launch: &Launch<'a>, ctx: &BlockCtx, out: BlockOut<'_, Key, Fragment>) {
@@ -2290,9 +2291,9 @@ mod tests {
         );
         let store = Arc::new(BrickStore::new(volume, grid, 1, u64::MAX));
         let brick = crate::RenderBrick::new(Arc::clone(&store), 0, crate::Staging::HostResident);
-        let data = brick.voxels();
-        let (texture, store_origin) = crate::RenderBrick::texture(&data);
         let lut = scene.transfer.bake();
+        let (data, grid) = brick.stage(&scene.transfer, &lut);
+        let (texture, store_origin) = crate::RenderBrick::texture(&data);
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {
             camera: &scene.camera,
@@ -2307,7 +2308,6 @@ mod tests {
             early_term: 0.98,
         };
         // With the grid the mapper launches with.
-        let grid = brick.skip_grid(&data, &scene.transfer, &lut);
         assert!(grid.is_some(), "air around the skull");
         assert_eq!(kernel.prepare_with(grid).lanes, kernel_has_lanes());
         // And the smallest step the wire admits, without cells.

@@ -66,7 +66,7 @@ impl<'a> BlockKernel for MemoLaunch<'a> {
 /// what the paper's Mapper `initialize` uploads: view matrix + TF LUT).
 /// What the LUT makes of a brick — its skip grid — is set up once per
 /// brick and transfer function too, and kept on the brick, which outlives
-/// the frame's mapper (`RenderBrick::skip_grid`).
+/// the frame's mapper (`RenderBrick::stage`).
 pub struct VolumeMapper {
     scene: Scene,
     lut: Texture1D,
@@ -125,8 +125,7 @@ impl GpuMapper<RenderBrick> for VolumeMapper {
             };
         };
 
-        let data = brick.voxels();
-        let grid = brick.skip_grid(&data, &self.scene.transfer, &self.lut);
+        let (data, grid) = brick.stage(&self.scene.transfer, &self.lut);
         let (texture, store_origin) = RenderBrick::texture(&data);
         let (core_lo, core_hi) = brick.core_box();
         let kernel = RayCastKernel {

@@ -34,7 +34,6 @@ const HOST_BYTES_PER_NODE: u64 = 8 << 30;
 /// `STATS` snapshot and the `obs_top` dashboard. (The *modeled* cluster
 /// times stay in [`RenderReport::accounting`].)
 struct RendererObs {
-    staging_ns: Arc<Histogram>,
     plan_prepare_ns: Arc<Histogram>,
     kernel_ns: Arc<Histogram>,
     composite_ns: Arc<Histogram>,
@@ -45,7 +44,6 @@ fn obs() -> &'static RendererObs {
     OBS.get_or_init(|| {
         let reg = mgpu_obs::global();
         RendererObs {
-            staging_ns: reg.histogram(names::VOLREN_STAGING_NS),
             plan_prepare_ns: reg.histogram(names::VOLREN_PLAN_PREPARE_NS),
             kernel_ns: reg.histogram(names::VOLREN_KERNEL_NS),
             composite_ns: reg.histogram(names::VOLREN_COMPOSITE_NS),
@@ -206,7 +204,8 @@ impl FramePlan {
         };
 
         // Build the shared store and chunk handles — the staging setup this
-        // plan amortizes across every frame rendered against it.
+        // plan amortizes across every frame rendered against it. Bricks are
+        // staged by the mappers, which time each read (`volren.staging_ns`).
         let stage_start = Instant::now();
         let store = Arc::new(BrickStore::new(
             volume.clone(),
@@ -217,7 +216,6 @@ impl FramePlan {
         let bricks: Vec<RenderBrick> = (0..grid.brick_count())
             .map(|i| RenderBrick::new(Arc::clone(&store), i, staging))
             .collect();
-        obs().staging_ns.record_duration(stage_start.elapsed());
         trace::record_current("stage", stage_start);
 
         obs()
@@ -540,6 +538,98 @@ mod tests {
             }
         }
         assert_eq!(built.len(), 2);
+    }
+
+    /// Out-of-core frames through one plan read only the rows their
+    /// occupied cells can tap, and equal fresh renders bit for bit. The
+    /// plume is baked to a file and the budget holds three of its eight
+    /// bricks, so every frame misses. Frames alternate a function opaque
+    /// only at high values with `smoke`, which shows more of the plume; a
+    /// close-up of the top two bricks under `smoke` finds them resident
+    /// with the other function's rows and widens them. Both functions are
+    /// opaque at the debug store's poison (far above 1), so a tap of a row
+    /// no miss read shows in the pixels.
+    #[test]
+    fn out_of_core_frames_read_only_their_rows_and_match_fresh_renders() {
+        use crate::camera::Camera;
+        use crate::math::vec3;
+        use crate::transfer::ControlPoint;
+        use mgpu_voldata::{io, VolumeSource};
+
+        let procedural = Dataset::Plume.volume(16);
+        let path =
+            std::env::temp_dir().join(format!("mgpu_volren_rows_{}.vol", std::process::id()));
+        io::write_volume(&path, procedural.dims(), &procedural.materialize_full()).unwrap();
+        let volume = Volume {
+            meta: procedural.meta.clone(),
+            source: VolumeSource::File(path.clone()),
+        };
+        let spec = ClusterSpec::accelerator_cluster(1);
+        // Eight 16×16×8 bricks along z, each storing at most 16×16×10.
+        let brick_bytes = 16 * 16 * 10 * 4;
+        let cfg = RenderConfig {
+            residency: Residency::Disk,
+            bricks_per_gpu: 8,
+            host_cache_bytes: 3 * brick_bytes,
+            ..RenderConfig::test_size(32)
+        };
+        let plan = FramePlan::prepare(&spec, &volume, &cfg);
+        assert_eq!(plan.grid.counts, [1, 1, 8]);
+
+        let point = |value, rgba| ControlPoint { value, rgba };
+        let dense = TransferFunction::from_points(
+            "dense",
+            vec![
+                point(0.45, [0.0; 4]),
+                point(0.6, [1.0, 0.5, 0.2, 0.6]),
+                point(1.0, [1.0, 1.0, 1.0, 0.9]),
+            ],
+        );
+        let smoke = TransferFunction::smoke();
+        let orbit = |az: f32, tf: &TransferFunction| Scene::orbit(&volume, az, 20.0, tf.clone());
+        // Bricks 6 and 7 fill the view; brick 5 projects off-screen.
+        let top = Scene {
+            camera: Camera::look_at(
+                vec3(56.0, 8.0, 58.0),
+                vec3(8.0, 8.0, 58.0),
+                vec3(0.0, 0.0, 1.0),
+                10.0,
+            ),
+            ..orbit(0.0, &smoke)
+        };
+        let frames = [
+            orbit(10.0, &dense),
+            orbit(40.0, &smoke),
+            orbit(70.0, &dense),
+            top,
+            orbit(100.0, &smoke),
+            orbit(130.0, &dense),
+        ];
+        let mut partial = 0;
+        for (i, scene) in frames.iter().enumerate() {
+            let planned = render_planned(&spec, &plan, scene, &cfg);
+            let fresh = render(&spec, &volume, scene, &cfg);
+            assert_eq!(planned.image, fresh.image, "frame {i}");
+            assert_eq!(
+                planned.report.runtime(),
+                fresh.report.runtime(),
+                "frame {i}"
+            );
+            assert_eq!(planned.record, fresh.record, "frame {i}");
+            let store = planned.report.store;
+            assert!(store.misses > 0, "frame {i} missed nothing");
+            if i == 3 {
+                // With the budget full, a miss that evicts nothing replaced
+                // its own short entry.
+                assert_eq!(store.evictions, 0, "the close-up widened nothing");
+            }
+            partial += usize::from(store.bytes_materialized < store.misses * brick_bytes);
+        }
+        assert!(
+            partial >= 4,
+            "only {partial} frames read fewer rows than their boxes"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The renderer's half of empty-space skipping: a brick's min/max
 //! macrocells classified against the transfer function, turned into a grid
 //! of distances to the nearest cell that can contribute — built once per
-//! brick and transfer function (`RenderBrick::skip_grid`), or per launch for
-//! a texture that carries its own cells. The march rule that
+//! brick and transfer function (`RenderBrick::stage`), before the brick's
+//! voxels are staged, or per launch for a texture that carries its own
+//! cells. The grid's occupied cells also name the rows a launch can tap,
+//! which are all a miss stages. The march rule that
 //! reads it — and the argument that skipping is bit-exact — is in
 //! [`crate::kernel`].
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use mgpu_gpu::{Texture1D, Texture3D};
+use mgpu_gpu::{MacroCells, Texture1D};
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernel::{epi32, i32s};
@@ -70,12 +72,10 @@ pub(crate) struct SkipGrid {
 }
 
 impl SkipGrid {
-    /// Classify `texture`'s macrocells against `lut`. `None` when the texture
-    /// carries no cells or no cell is empty: a dense volume or an
-    /// everywhere-opaque transfer function pays for the classification pass
-    /// and nothing after it.
-    pub(crate) fn classify(texture: &Texture3D, lut: &Texture1D) -> Option<SkipGrid> {
-        let cells = texture.cells()?;
+    /// Classify `cells` against `lut`. `None` when no cell is empty: a
+    /// dense volume or an everywhere-opaque transfer function pays for the
+    /// classification pass and nothing after it.
+    pub(crate) fn classify(cells: MacroCells<'_>, lut: &Texture1D) -> Option<SkipGrid> {
         let [nx, ny, nz] = cells.dims;
         let stride = [nx + 2, (nx + 2) * (ny + 2)];
         let mut dist = vec![FAR; stride[1] * (nz + 2)];
@@ -109,6 +109,12 @@ impl SkipGrid {
             shift: cells.edge.trailing_zeros(),
             edge: cells.edge as f32,
         })
+    }
+
+    /// Whether the cell at `cell` (cells per axis, unpadded) is occupied:
+    /// a sample based in it may contribute.
+    pub(crate) fn occupied(&self, [x, y, z]: [usize; 3]) -> bool {
+        self.dist[(z + 1) * self.stride[1] + (y + 1) * self.stride[0] + x + 1] == 0
     }
 
     /// The longest stretch, in voxels, a stored distance can vouch for: no
@@ -280,6 +286,7 @@ fn forward_scan(dist: &mut [u8], [nx, ny, nz]: [usize; 3]) {
 mod tests {
     use super::*;
     use crate::transfer::TransferFunction;
+    use mgpu_gpu::Texture3D;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -408,7 +415,7 @@ mod tests {
     fn classification_widens_ranges_and_respects_specials() {
         // bone: alpha is zero up to 0.08, positive after.
         let lut = TransferFunction::bone().bake();
-        let empty = |range| SkipGrid::classify(&one_cell(range), &lut).is_some();
+        let empty = |range| SkipGrid::classify(one_cell(range).cells().unwrap(), &lut).is_some();
         assert!(empty([0.0, 0.05]));
         assert!(empty([-3.0, 0.0]));
         assert!(!empty([0.0, 0.2]));
@@ -423,8 +430,8 @@ mod tests {
         // land above both, so the slack scales with the magnitude.
         assert!(empty([-1.0, 0.076]));
         assert!(!empty([-1e6, 0.076]));
-        // A texture without cells has no grid.
-        assert!(SkipGrid::classify(&Texture3D::new([2, 2, 2], vec![0.0; 8]), &lut).is_none());
+        // A texture without cells has nothing to classify.
+        assert!(Texture3D::new([2, 2, 2], vec![0.0; 8]).cells().is_none());
     }
 
     #[test]
@@ -433,7 +440,7 @@ mod tests {
         // 20 voxels → 19 bases → 3 cells along x; 1 cell along y and z.
         let ranges = vec![[0.0, 0.01], [0.0, 0.01], [0.5, 0.6]];
         let tex = Texture3D::new([20, 2, 2], vec![0.0; 80]).with_cells(8, Arc::new(ranges));
-        let grid = SkipGrid::classify(&tex, &lut).expect("two empty cells");
+        let grid = SkipGrid::classify(tex.cells().unwrap(), &lut).expect("two empty cells");
         for (base, want) in [
             (i32::MIN, 2),
             (-1, 2),
