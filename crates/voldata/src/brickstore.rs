@@ -158,7 +158,7 @@ impl Rows {
                     a.min(c)..b.max(d)
                 }
             });
-        Rows::new(self.depth, runs.collect::<Vec<_>>())
+        Rows::new(self.depth, runs)
     }
 
     /// Whether every row of the box is read.

@@ -12,14 +12,16 @@
 //!   in-memory), dense in-bounds region reads, and clamped materialization
 //!   for oracles;
 //! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous
-//!   run straight into its place in a dense destination, a streaming
+//!   run of the rows taken straight into its place in a dense destination, a streaming
 //!   writer, and the workspace's `f32` byte views (the crate's only `unsafe`);
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization (the
 //!   out-of-core path): each brick stores its ghost-padded box clipped to
-//!   the volume, and its texture's clamp supplies the border ghosts;
+//!   the volume, and its texture's clamp supplies the border ghosts; a miss
+//!   reads only the [`Rows`] its caller asks for;
 //! * [`macrocell`] — the min/max table the renderer builds from a brick's
-//!   voxels, so it can skip space the transfer function makes empty;
+//!   voxels, so it can skip space the transfer function makes empty, and
+//!   the rows its occupied cells can tap;
 //! * [`stats`] — streaming volume statistics.
 //!
 //! A row along x is the unit of procedural synthesis: materializing a

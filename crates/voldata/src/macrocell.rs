@@ -22,6 +22,10 @@
 //! *window*; its texture clamps every tap into the window. The cells stay
 //! keyed by the padded base index, which is what the kernel looks up, and
 //! a cell's range is that of the window voxels its padded span clamps onto.
+//!
+//! The same spans name what a launch can read: given which cells a skip
+//! grid calls occupied, [`MacroCells::rows`] gives per stored z-slab the run
+//! of rows their spans reach, and a miss reads only those.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
