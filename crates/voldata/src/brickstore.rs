@@ -397,8 +397,7 @@ impl BrickStore {
     /// short. The returned `Arc` stays valid even if the entry is evicted
     /// afterwards.
     pub fn get(&self, id: usize) -> Arc<BrickData> {
-        let (_, dims) = self.grid.brick(id).stored(self.ghost, self.grid.vol_dims);
-        self.get_rows(id, &Rows::all(dims)).0
+        self.fetch(id, None).0
     }
 
     /// Fetch brick `id` holding at least `rows` of its stored box: the
@@ -406,17 +405,23 @@ impl BrickStore {
     /// the short entry's rows, which it replaces. Also how long the read
     /// took, when this call read.
     pub fn get_rows(&self, id: usize, rows: &Rows) -> (Arc<BrickData>, Option<Duration>) {
+        self.fetch(id, Some(rows))
+    }
+
+    /// [`BrickStore::get_rows`], for every row when `need` is `None`.
+    fn fetch(&self, id: usize, need: Option<&Rows>) -> (Arc<BrickData>, Option<Duration>) {
+        let covered = |rows: &Rows| need.map_or(rows.is_all(), |need| rows.contains(need));
         let mut inner = self.inner.lock().expect(POISON);
         inner.tick += 1;
         let tick = inner.tick;
         let rows = match inner.entries.get_mut(&id) {
-            Some(Entry { brick, last }) if brick.rows.contains(rows) => {
+            Some(Entry { brick, last }) if covered(&brick.rows) => {
                 *last = tick;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 return (Arc::clone(brick), None);
             }
-            Some(Entry { brick, .. }) => brick.rows.union(rows),
-            None => rows.clone(),
+            Some(Entry { brick, .. }) => need.map(|need| brick.rows.union(need)),
+            None => need.cloned(),
         };
         if let Some(short) = inner.entries.remove(&id) {
             inner.bytes -= short.brick.bytes();
@@ -428,15 +433,17 @@ impl BrickStore {
     /// in-flight + this brick fits the budget, so the budget also holds
     /// *while* bricks are being read, not only between accesses. It never
     /// waits for room — with nothing left to evict the brick is served anyway.
-    /// The budget charges the stored box, whatever `rows` it reads.
+    /// The budget charges the stored box, whatever `rows` it reads (every
+    /// row for `None`).
     fn stage(
         &self,
         id: usize,
-        rows: Rows,
+        rows: Option<Rows>,
         mut inner: MutexGuard<'_, CacheInner>,
     ) -> (Arc<BrickData>, Option<Duration>) {
         let info = self.grid.brick(id);
         let (store_origin, store_dims) = info.stored(self.ghost, self.grid.vol_dims);
+        let rows = rows.unwrap_or_else(|| Rows::all(store_dims));
         let bytes = (store_dims[0] * store_dims[1] * store_dims[2] * 4) as u64;
         self.evict_to_fit(&mut inner, bytes, id);
         inner.in_flight += bytes;

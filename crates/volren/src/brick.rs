@@ -33,7 +33,7 @@ const GRIDS_KEPT: usize = 4;
 
 /// A transfer function's grid for one brick — `None` when no cell is
 /// empty — and the rows of the brick a launch with it can tap.
-type Kept = (Option<Arc<SkipGrid>>, Rows);
+type Kept = (Option<Arc<SkipGrid>>, Arc<Rows>);
 
 /// A brick's skipping state. The cells depend on its voxels only, so a new
 /// transfer function costs a classification and no pass over the voxels.
@@ -149,7 +149,8 @@ impl RenderBrick {
             ranges: &cells.ranges,
         };
         let grid = SkipGrid::classify(view, lut).map(Arc::new);
-        let rows = cells.rows(|cell| grid.as_ref().is_none_or(|grid| grid.occupied(cell)));
+        let rows =
+            Arc::new(cells.rows(|cell| grid.as_ref().is_none_or(|grid| grid.occupied(cell))));
         let data = data.unwrap_or_else(|| self.fetch(&rows));
         let mut memo = self.memo();
         memo.grids.retain(|(tf, _)| tf != transfer);
