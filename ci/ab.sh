@@ -24,9 +24,11 @@
 # With `--micro`, each side builds the `micro_ops` bench instead
 # (`cargo bench -p mgpu-bench --no-run`), and pair i runs both binaries as
 # `micro_ops --bench <filter>` from the side's `crates/bench`, in the same
-# alternating order. One table follows: per `group/id` the filter matched,
-# the time per iteration it prints (the fastest of a 2 s run; lower is
-# better), in the same columns.
+# alternating order, three times per side. One table follows: per
+# `group/id` the filter matched, the median of a side's three times per
+# iteration in the pair (each the fastest of a 2 s run; lower is better),
+# in the same columns. A single run of one binary can land in a slow spell
+# of the machine; the median of three rarely does.
 #
 # Defaults: every workload, 10 pairs, BENCHMARK.json's `run_seconds`.
 # A/A check: `ci/ab.sh HEAD --workloads pool_preview --pairs 5`.
@@ -158,15 +160,6 @@ row() {
 if [ -n "$micro" ]; then
     dir="$work/results/micro"
     mkdir -p "$dir"
-    for ((i = 1; i <= pairs; i++)); do
-        if ((i % 2)); then order="base head"; else order="head base"; fi
-        for side in $order; do
-            echo "ab: micro $micro pair $i $side" >&2
-            bin=$(find "$work/$side-target/release/deps" -maxdepth 1 -type f -executable \
-                -name 'micro_ops-*' | head -n 1)
-            (cd "$work/$side/crates/bench" && "$bin" --bench "$micro") >"$dir/$side-$i.txt"
-        done
-    done
     # A timing line is `<group/id> <value> <ms|µs|ns>`: `<id>`'s value in
     # file $1, in unit $3.
     value_in() {
@@ -174,7 +167,25 @@ if [ -n "$micro" ]; then
             function ns(u) { return u == "ms" ? 1e6 : u == "µs" ? 1e3 : 1 }
             $1 == id { print $2 * ns($3) / ns(unit) }' "$1"
     }
-    echo "base $base_rev (${base_sha:0:10}) vs HEAD (${head_sha:0:10}): $pairs pairs of micro_ops --bench $micro"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order="base head"; else order="head base"; fi
+        for side in $order; do
+            bin=$(find "$work/$side-target/release/deps" -maxdepth 1 -type f -executable \
+                -name 'micro_ops-*' | head -n 1)
+            for r in 1 2 3; do
+                echo "ab: micro $micro pair $i $side run $r" >&2
+                (cd "$work/$side/crates/bench" && "$bin" --bench "$micro") >"$dir/$side-$i-$r.txt"
+            done
+            # The pair's line per id: the median of the three runs, in the
+            # first run's unit.
+            while read -r id _ unit; do
+                median=$(for r in 1 2 3; do value_in "$dir/$side-$i-$r.txt" "$id" "$unit"; done |
+                    sort -g | awk '{ x[NR] = $1 } END { if (NR) print x[int((NR + 1) / 2)] }')
+                [ -n "$median" ] && echo "$id $median $unit"
+            done <"$dir/$side-$i-1.txt" >"$dir/$side-$i.txt"
+        done
+    done
+    echo "base $base_rev (${base_sha:0:10}) vs HEAD (${head_sha:0:10}): $pairs pairs of micro_ops --bench $micro, the median of 3 runs per side"
     echo
     echo "| benchmark (lower is better) | base | HEAD | median ratio | HEAD wins | sign p | base spread | HEAD spread | |"
     echo "|---|---|---|---|---|---|---|---|---|"

@@ -90,17 +90,32 @@ pub struct MacroCells<'a> {
 }
 
 /// A 3-D single-channel float texture (a volume brick on the device).
-/// Voxel data is shared (`Arc`), so "uploading" a brick never copies it —
-/// only the simulated PCIe transfer is charged.
-#[derive(Debug, Clone)]
+/// Voxel data is shared: the texture holds an `Arc` of whatever owns the
+/// texels — a `Vec`, or a brick's voxels, which may be a mapping of the
+/// volume file — so "uploading" a brick never copies it; only the simulated
+/// PCIe transfer is charged. The owner lives as long as the last texture
+/// or brick holding it.
+#[derive(Clone)]
 pub struct Texture3D {
     dims: [usize; 3],
     /// The window: its lowest and highest index per axis, inclusive.
     lo: [i32; 3],
     hi: [i32; 3],
-    data: Arc<Vec<f32>>,
+    data: Arc<dyn AsRef<[f32]> + Send + Sync>,
     /// `(edge, ranges)` of the macrocell table, when one was attached.
     cells: Option<(usize, Arc<Vec<[f32; 2]>>)>,
+}
+
+impl std::fmt::Debug for Texture3D {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Texture3D")
+            .field("dims", &self.dims)
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .field("texels", &self.texels().len())
+            .field("cells", &self.cells.as_ref().map(|(edge, _)| edge))
+            .finish()
+    }
 }
 
 impl Texture3D {
@@ -108,21 +123,27 @@ impl Texture3D {
         Texture3D::from_shared(dims, Arc::new(data))
     }
 
-    pub fn from_shared(dims: [usize; 3], data: Arc<Vec<f32>>) -> Texture3D {
+    pub fn from_shared<T>(dims: [usize; 3], data: Arc<T>) -> Texture3D
+    where
+        T: AsRef<[f32]> + Send + Sync + 'static,
+    {
         Texture3D::windowed(dims, [0; 3], dims, data)
     }
 
     /// A texture over the index space `dims` that stores only the box of
     /// `stored` texels at `window` (`data`, x fastest): each tap is clamped
     /// into that box, so a texel outside it reads as its nearest edge texel.
-    pub fn windowed(
+    pub fn windowed<T>(
         dims: [usize; 3],
         window: [usize; 3],
         stored: [usize; 3],
-        data: Arc<Vec<f32>>,
-    ) -> Texture3D {
+        data: Arc<T>,
+    ) -> Texture3D
+    where
+        T: AsRef<[f32]> + Send + Sync + 'static,
+    {
         assert_eq!(
-            data.len(),
+            (*data).as_ref().len(),
             stored[0] * stored[1] * stored[2],
             "texture data does not match dims"
         );
@@ -178,7 +199,11 @@ impl Texture3D {
     /// Bytes of the stored voxel data (the modelled 2010 GPU holds no
     /// macrocells, so they are not counted).
     pub fn bytes(&self) -> u64 {
-        (self.data.len() * 4) as u64
+        (self.texels().len() * 4) as u64
+    }
+
+    fn texels(&self) -> &[f32] {
+        (*self.data).as_ref()
     }
 
     /// Nearest texel fetch, clamped into the window (integer coordinates).
@@ -228,7 +253,7 @@ impl Texture3D {
         let (lo, hi) = (self.lo, self.hi);
         let sx = (hi[0] - lo[0] + 1) as usize;
         let sy = sx * (hi[1] - lo[1] + 1) as usize;
-        let data = &self.data;
+        let data = self.texels();
         Sampler3D {
             data,
             lo,

@@ -40,6 +40,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::brick::{BrickGrid, BrickInfo};
+use crate::io::Mapping;
 use crate::volume::Volume;
 
 /// A materialized brick: its ghost-padded box ([`BrickInfo::padded`])
@@ -54,10 +55,12 @@ pub struct BrickData {
     pub store_origin: [u32; 3],
     /// Dimensions of the stored array.
     pub store_dims: [usize; 3],
-    /// Shared so a device texture can reference the same allocation.
-    pub voxels: Arc<Vec<f32>>,
+    /// The stored array, x fastest. Shared so a device texture can
+    /// reference the same voxels.
+    pub voxels: Arc<Voxels>,
     /// The rows of the stored array that were read; the others hold what
-    /// the buffer held before (`POISON_VOXEL` in debug builds).
+    /// the buffer held before (`POISON_VOXEL` in debug builds). Every row,
+    /// for a mapping.
     pub rows: Rows,
     /// Where the voxel allocation goes when the brick dies.
     spares: Arc<Spares>,
@@ -79,11 +82,54 @@ impl BrickData {
 
 impl Drop for BrickData {
     fn drop(&mut self) {
-        // Whoever holds the voxels last — the store evicting, or a mapper
-        // done with an evicted brick — hands the allocation back.
-        if let Some(voxels) = Arc::get_mut(&mut self.voxels) {
+        // Whoever holds a buffer last — the store evicting, or a mapper done
+        // with an evicted brick — hands the allocation back. A mapping is
+        // unmapped by its last holder, whoever that is.
+        if let Some(Voxels(Owner::Buffer(voxels))) = Arc::get_mut(&mut self.voxels) {
             self.spares.put(std::mem::take(voxels));
         }
+    }
+}
+
+/// A brick's stored voxels, x fastest, which it derefs to: a buffer the
+/// miss wrote them into, or — for a file-backed brick whose stored box is
+/// one contiguous range of the file — a mapping of that range.
+#[derive(Debug)]
+pub struct Voxels(Owner);
+
+#[derive(Debug)]
+enum Owner {
+    Buffer(Vec<f32>),
+    Mapped(Mapping),
+}
+
+impl Voxels {
+    /// Whether these voxels are a mapping of the volume file.
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.0, Owner::Mapped(_))
+    }
+}
+
+impl std::ops::Deref for Voxels {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match &self.0 {
+            Owner::Buffer(voxels) => voxels,
+            Owner::Mapped(map) => map,
+        }
+    }
+}
+
+impl AsRef<[f32]> for Voxels {
+    fn as_ref(&self) -> &[f32] {
+        self
+    }
+}
+
+impl PartialEq for Voxels {
+    fn eq(&self, other: &Voxels) -> bool {
+        **self == **other
     }
 }
 
@@ -457,13 +503,19 @@ impl BrickStore {
         // but never block each other on voxel synthesis.
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let read_start = Instant::now();
-        let mut voxels = self.spares.take(store_dims.iter().product());
-        self.volume
-            .read_rows(store_origin, store_dims, |z| rows.slab(z), &mut voxels);
+        let (voxels, rows) = match self.volume.map_box(store_origin, store_dims) {
+            Some(map) => (Owner::Mapped(map), Rows::all(store_dims)),
+            None => {
+                let mut voxels = self.spares.take(store_dims.iter().product());
+                self.volume
+                    .read_rows(store_origin, store_dims, |z| rows.slab(z), &mut voxels);
+                if cfg!(debug_assertions) {
+                    poison_unread(&mut voxels, store_dims, &rows);
+                }
+                (Owner::Buffer(voxels), rows)
+            }
+        };
         let read = read_start.elapsed();
-        if cfg!(debug_assertions) {
-            poison_unread(&mut voxels, store_dims, &rows);
-        }
         self.stats
             .bytes_materialized
             .fetch_add((rows.count() * store_dims[0] * 4) as u64, Ordering::Relaxed);
@@ -472,7 +524,7 @@ impl BrickStore {
             ghost: self.ghost,
             store_origin,
             store_dims,
-            voxels: Arc::new(voxels),
+            voxels: Arc::new(Voxels(voxels)),
             rows,
             spares: Arc::clone(&self.spares),
         });
@@ -828,6 +880,61 @@ mod tests {
         assert!(!b0.voxels.is_empty()); // still readable
     }
 
+    /// Whether a line of `/proc/self/maps` maps `path` over `at`.
+    fn mapped_at(path: &std::path::Path, at: *const f32) -> bool {
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let at = at as usize;
+        maps.lines()
+            .filter(|line| line.ends_with(&*path.to_string_lossy()))
+            .any(|line| {
+                let range = line.split(' ').next().unwrap();
+                let (lo, hi) = range.split_once('-').unwrap();
+                let hex = |s| usize::from_str_radix(s, 16).unwrap();
+                (hex(lo)..hex(hi)).contains(&at)
+            })
+    }
+
+    /// A file-backed brick whose stored box spans full x and y is a mapping
+    /// of the file: it stays readable in the hands of a texture after the
+    /// store evicts it, and is unmapped when that last holder drops it.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_evicted_mapped_brick_lives_until_its_last_holder_drops_it() {
+        let dims = [8u32, 8, 32];
+        let procedural = Volume::procedural("ramp", dims, 0, StdArc::new(AxisRamp { axis: 2 }));
+        let path =
+            std::env::temp_dir().join(format!("mgpu_voldata_mapped_{}.vol", std::process::id()));
+        crate::io::write_volume(&path, dims, &procedural.materialize_full()).unwrap();
+        let volume = Volume {
+            meta: procedural.meta.clone(),
+            source: crate::VolumeSource::File(path.clone()),
+        };
+        let grid = BrickGrid {
+            vol_dims: dims,
+            counts: [1, 1, 2],
+        };
+        // Each brick stores 8×8×17 voxels; the budget holds one.
+        let fresh = BrickStore::new(procedural, grid.clone(), 1, u64::MAX);
+        let s = BrickStore::new(volume, grid, 1, 8 * 8 * 17 * 4);
+        let brick = s.get(0);
+        assert!(brick.voxels.is_mapped() && brick.rows.is_all());
+        // What a texture holds of the brick: its voxels.
+        let texels = Arc::clone(&brick.voxels);
+        drop(brick);
+        let at = texels.as_ptr();
+        s.get(1); // evicts brick 0
+        assert_eq!((s.snapshot().evictions, held(&s)), (1, vec![1]));
+        assert!(mapped_at(&path, at), "brick 0 unmapped while held");
+        assert_eq!(*texels, *fresh.get(0).voxels);
+        drop(texels);
+        assert!(!mapped_at(&path, at), "brick 0 still mapped");
+        assert!(
+            s.spares.buffers.lock().unwrap().is_empty(),
+            "no buffer taken"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn a_dead_bricks_allocation_serves_the_next_miss() {
         let s = store(ONE_BRICK);
@@ -950,7 +1057,10 @@ mod tests {
             for id in 0..3 {
                 let b = s.get(id);
                 assert_eq!(b.store_dims, [4, 4, if id == 1 { 10 } else { 9 }]);
-                assert_eq!(b.voxels.capacity(), 4 * 4 * 10, "room for the largest");
+                let Voxels(Owner::Buffer(buffer)) = &*b.voxels else {
+                    panic!("a procedural brick is a buffer");
+                };
+                assert_eq!(buffer.capacity(), 4 * 4 * 10, "room for the largest");
                 let at = b.voxels.as_ptr();
                 if lap == 0 {
                     seen.push(at);

@@ -5,32 +5,33 @@
 //! purpose — the paper treats volume files as pre-bricked raw data and is
 //! explicit that its library is "hard-disk agnostic".
 //!
-//! Reading a region is the out-of-core brick-load path. A read takes, per
-//! z-slab of the region, one run of y-rows (every row, for
-//! [`read_region`]), and costs one positioned read per *file-contiguous
-//! run* of what it takes — the whole region if it takes every row and
-//! spans full x and y of the volume, a slab's rows if it spans full x, else
-//! a row — each straight into its place in the dense destination: the bytes
-//! land as they lie in the file. No staging buffer, no decode pass, no
-//! move. Rows a read does not take are left as they are.
+//! Reading is the out-of-core brick-load path, and it never calls `read`:
+//! a read maps the file's bytes in place — a private, read-only `mmap` of
+//! the range that covers what it takes, advised `MADV_RANDOM` so a touch
+//! faults in one page, not its neighbours — and the bytes *are* the voxels.
+//! A region that spans full x and y of the volume is one contiguous range
+//! of the file, and a brick whose stored box is one keeps the mapping as
+//! its voxels (`BrickStore`); every other region has its rows copied out of
+//! a mapping into a dense destination ([`read_region`]). A file shorter
+//! than its header claims is refused before anything is mapped. Unix only,
+//! like the server's `poll` loop.
 //! [`VolumeWriter`] is the way back: header, then slabs appended as the
-//! bytes they occupy. Both rest on [`f32_bytes`] and [`f32_bytes_mut`],
-//! `f32`s viewed as the bytes they occupy, behind a compile-time
-//! little-endian assertion.
+//! bytes they occupy. Both rest on the file's bytes being the voxels'
+//! little-endian `f32`s; [`f32_bytes`] and [`f32_bytes_mut`] view `f32`s as
+//! the bytes they occupy, behind a compile-time little-endian assertion.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
+use std::os::unix::io::AsRawFd;
 use std::path::Path;
 
 pub const MAGIC: &[u8; 8] = b"MGVOL001";
 const HEADER_BYTES: usize = 8 + 12;
-/// Voxels per positioned read (256 KiB), the cap a longer run is split at:
-/// a brick is a handful of syscalls.
-const STAGE_VOXELS: usize = 64 << 10;
 
-// The views below hand voxel memory to the file, and the file's bytes to
-// voxel memory, as they are — which is `MGVOL001`'s little-endian `f32`
+// The views below hand voxel memory to the file, and mappings hand the
+// file's bytes to voxel memory, as they are — which is `MGVOL001`'s little-endian `f32`
 // only on a little-endian host.
 const _: () = assert!(
     cfg!(target_endian = "little"),
@@ -104,7 +105,8 @@ fn with_path(path: &Path, e: io::Error) -> io::Error {
 fn open(path: &Path) -> io::Result<(File, [u32; 3])> {
     let file = File::open(path)?;
     let mut header = [0u8; HEADER_BYTES];
-    read_exact_at(&file, &mut header, 0).map_err(|e| with_path(path, e))?;
+    file.read_exact_at(&mut header, 0)
+        .map_err(|e| with_path(path, e))?;
     if &header[..8] != MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -123,61 +125,11 @@ pub fn read_header(path: &Path) -> io::Result<[u32; 3]> {
     open(path).map(|(_, dims)| dims)
 }
 
-/// One positioned read: `len` voxels contiguous in the file from voxel
-/// `src`, which are the region's voxels from dense (x-fastest) index `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    src: u64,
-    at: usize,
-    len: usize,
-}
-
-/// The reads that fetch an in-bounds, non-empty region's rows `rows(z)` of
-/// each z-slab `z`, in file order: one per file-contiguous run — whole rows
-/// that follow each other in the file and in the region are one run, so a
-/// region spanning full x is a run per slab, and one taking every row of
-/// full x and y a single run — split so none exceeds `cap`.
-fn plan_runs(
-    dims: [u32; 3],
-    origin: [u32; 3],
-    size: [usize; 3],
-    rows: impl Fn(usize) -> Range<usize>,
-    cap: usize,
-) -> Vec<Run> {
-    let (dx, dy) = (dims[0] as u64, dims[1] as u64);
-    let mut runs: Vec<Run> = Vec::new();
-    for z in 0..size[2] {
-        for y in rows(z) {
-            let src = ((origin[2] as u64 + z as u64) * dy + origin[1] as u64 + y as u64) * dx
-                + origin[0] as u64;
-            let at = (z * size[1] + y) * size[0];
-            match runs.last_mut() {
-                Some(run) if run.src + run.len as u64 == src && run.at + run.len == at => {
-                    run.len += size[0];
-                }
-                _ => runs.push(Run {
-                    src,
-                    at,
-                    len: size[0],
-                }),
-            }
-        }
-    }
-    runs.into_iter()
-        .flat_map(|run| {
-            (0..run.len).step_by(cap).map(move |o| Run {
-                src: run.src + o as u64,
-                at: run.at + o,
-                len: cap.min(run.len - o),
-            })
-        })
-        .collect()
-}
-
 /// Read an in-bounds region into `out`, x fastest: `out` holds exactly the
-/// region's voxels. The file's header must carry `dims` — every offset
-/// would be wrong otherwise — and a file shorter than its header claims is
-/// `UnexpectedEof`; both errors name the path.
+/// region's voxels, copied out of a mapping of the file. The file's header
+/// must carry `dims` — every offset would be wrong otherwise — and a file
+/// shorter than its header claims is `UnexpectedEof`; both errors name the
+/// path.
 pub fn read_region(
     path: &Path,
     dims: [u32; 3],
@@ -185,27 +137,6 @@ pub fn read_region(
     size: [usize; 3],
     out: &mut [f32],
 ) -> io::Result<()> {
-    read_rows(path, dims, origin, size, |_| 0..size[1], out)
-}
-
-/// [`read_region`], taking of each z-slab `z` only the y-rows `rows(z)`
-/// (each within `0..size[1]`); the rest of `out` is left as it is. One
-/// `open` per call.
-pub(crate) fn read_rows(
-    path: &Path,
-    dims: [u32; 3],
-    origin: [u32; 3],
-    size: [usize; 3],
-    rows: impl Fn(usize) -> Range<usize>,
-    out: &mut [f32],
-) -> io::Result<()> {
-    let (file, file_dims) = open(path)?;
-    if file_dims != dims {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{path:?} holds {file_dims:?} voxels, expected {dims:?}"),
-        ));
-    }
     assert!(
         (0..3).all(|a| origin[a] as usize + size[a] <= dims[a] as usize),
         "region out of bounds: origin {origin:?} size {size:?} dims {dims:?}"
@@ -218,26 +149,191 @@ pub(crate) fn read_rows(
     if out.is_empty() {
         return Ok(());
     }
-    for run in plan_runs(dims, origin, size, rows, STAGE_VOXELS) {
-        let bytes = f32_bytes_mut(&mut out[run.at..run.at + run.len]);
-        read_exact_at(&file, bytes, HEADER_BYTES as u64 + run.src * 4)
-            .map_err(|e| with_path(path, e))?;
-    }
+    let (first, map) = map_region(path, dims, origin, size)?;
+    copy_rows(&map, first, dims, origin, size, |_| 0..size[1], out);
     Ok(())
 }
 
-#[cfg(unix)]
-fn read_exact_at(f: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    f.read_exact_at(buf, offset)
+/// Copy the rows `rows(z)` of each z-slab `z` of an in-bounds region of a
+/// volume of `dims` out of `src`, which holds the volume's voxels from
+/// voxel `first` on, into their places in the dense `out`; the rest of
+/// `out` is left as it is.
+pub(crate) fn copy_rows(
+    src: &[f32],
+    first: usize,
+    dims: [u32; 3],
+    origin: [u32; 3],
+    size: [usize; 3],
+    rows: impl Fn(usize) -> Range<usize>,
+    out: &mut [f32],
+) {
+    let (dx, dy) = (dims[0] as usize, dims[1] as usize);
+    for (z, slab) in out.chunks_exact_mut(size[0] * size[1]).enumerate() {
+        for y in rows(z) {
+            let at = ((origin[2] as usize + z) * dy + origin[1] as usize + y) * dx
+                + origin[0] as usize
+                - first;
+            slab[y * size[0]..(y + 1) * size[0]].copy_from_slice(&src[at..at + size[0]]);
+        }
+    }
 }
 
-#[cfg(not(unix))]
-fn read_exact_at(f: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = f;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
+/// A mapping of the voxels of an in-bounds, non-empty region's covering
+/// range — from its first voxel in the file to its last — and the index of
+/// that first voxel in the volume. The whole region when it spans full x
+/// and y.
+pub(crate) fn map_region(
+    path: &Path,
+    dims: [u32; 3],
+    origin: [u32; 3],
+    size: [usize; 3],
+) -> io::Result<(usize, Mapping)> {
+    let (dx, dy) = (dims[0] as usize, dims[1] as usize);
+    let index = |x: usize, y: usize, z: usize| (z * dy + y) * dx + x;
+    let [x, y, z] = origin.map(|o| o as usize);
+    let first = index(x, y, z);
+    let end = index(x + size[0] - 1, y + size[1] - 1, z + size[2] - 1) + 1;
+    Mapping::new(path, dims, first..end).map(|map| (first, map))
+}
+
+/// The file offsets a mapping starts at are multiples of this: 64 KiB, a
+/// multiple of every page size Linux and macOS use (4, 16 or 64 KiB). The
+/// bytes between it and the first voxel are mapped and never touched.
+const MAP_ALIGN: u64 = 1 << 16;
+
+/// `mmap(2)`, `madvise(2)` and `munmap(2)`, declared directly (libc is
+/// already linked by std; the offline build takes no external crates).
+mod sys {
+    use std::os::raw::{c_int, c_long, c_void};
+
+    pub const PROT_READ: c_int = 1;
+    pub const MAP_PRIVATE: c_int = 2;
+    pub const MADV_RANDOM: c_int = 1;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+}
+
+/// A private, read-only mapping of a run of a volume file's voxels, which
+/// it derefs to; unmapped on drop. Its pages are the page cache's: a miss
+/// that maps a brick copies nothing, and a page is read in — one 4 KiB page
+/// per fault, under `MADV_RANDOM` — only when something touches it. The
+/// file must not be truncated or written while a mapping of it lives: a
+/// touch past a truncated end is a `SIGBUS`, and a write shows through.
+/// [`BrickStore`](crate::BrickStore)'s contract, "`volume` must not change
+/// while the store lives", is what rules both out.
+#[derive(Debug)]
+pub(crate) struct Mapping {
+    /// Where the mapping starts (a multiple of [`MAP_ALIGN`] into the file).
+    base: *mut std::os::raw::c_void,
+    /// Bytes mapped from `base`.
+    mapped: usize,
+    /// The first voxel, inside the mapping.
+    voxels: *const f32,
+    len: usize,
+}
+
+// SAFETY: a `Mapping` owns its pages alone and never writes them: it is
+// immutable memory with no thread affinity, which `munmap` may release
+// from any thread.
+unsafe impl Send for Mapping {}
+// SAFETY: shared access is only ever `&[f32]` reads of the mapping.
+unsafe impl Sync for Mapping {}
+
+impl Mapping {
+    /// Map voxels `voxels` (non-empty, within the volume) of the volume file
+    /// at `path`, whose header must carry `dims`. The file's length is
+    /// checked against its header first: a file shorter than its header
+    /// claims is `UnexpectedEof`, naming the path.
+    fn new(path: &Path, dims: [u32; 3], voxels: Range<usize>) -> io::Result<Mapping> {
+        let (file, file_dims) = open(path)?;
+        if file_dims != dims {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{path:?} holds {file_dims:?} voxels, expected {dims:?}"),
+            ));
+        }
+        let need = HEADER_BYTES as u64 + 4 * dims.iter().map(|&d| d as u64).product::<u64>();
+        let have = file.metadata().map_err(|e| with_path(path, e))?.len();
+        if have < need {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "{}: {have} bytes, its header's voxels need {need}",
+                    path.display()
+                ),
+            ));
+        }
+        assert!(
+            !voxels.is_empty() && HEADER_BYTES as u64 + 4 * voxels.end as u64 <= need,
+            "voxels {voxels:?} outside a {dims:?} volume"
+        );
+        let start = HEADER_BYTES as u64 + 4 * voxels.start as u64;
+        let offset = start & !(MAP_ALIGN - 1);
+        let mapped = (HEADER_BYTES as u64 + 4 * voxels.end as u64 - offset) as usize;
+        let too_far = || io::Error::new(io::ErrorKind::InvalidInput, "offset past c_long");
+        let at = std::os::raw::c_long::try_from(offset).map_err(|_| too_far())?;
+        // SAFETY: a fresh mapping at an address of the kernel's choosing
+        // aliases no memory of ours; `mapped` bytes from `offset` lie inside
+        // the file, whose length was just checked. `madvise` only advises
+        // on those pages, and its failure is harmless.
+        let base = unsafe {
+            let base = sys::mmap(
+                std::ptr::null_mut(),
+                mapped,
+                sys::PROT_READ,
+                sys::MAP_PRIVATE,
+                file.as_raw_fd(),
+                at,
+            );
+            if base as isize != -1 {
+                sys::madvise(base, mapped, sys::MADV_RANDOM);
+            }
+            base
+        };
+        if base as isize == -1 {
+            return Err(with_path(path, io::Error::last_os_error()));
+        }
+        Ok(Mapping {
+            base,
+            mapped,
+            // `start - offset` is a multiple of 4 (the header is 20 bytes),
+            // so the voxels are aligned for `f32`.
+            voxels: base.wrapping_byte_add((start - offset) as usize).cast(),
+            len: voxels.len(),
+        })
+    }
+}
+
+impl std::ops::Deref for Mapping {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        // SAFETY: `len` `f32`s from `voxels` lie inside the live mapping,
+        // aligned (see `new`); the pages are read-only and the file stays
+        // as it was (the type's contract), so they hold initialised values
+        // that nothing mutates while the borrow lasts. Every bit pattern is
+        // a valid `f32`.
+        unsafe { std::slice::from_raw_parts(self.voxels, self.len) }
+    }
+}
+
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: `base` and `mapped` are exactly what `mmap` returned and
+        // was asked for, and no borrow of the pages outlives `self`.
+        unsafe { sys::munmap(self.base, self.mapped) };
+    }
 }
 
 #[cfg(test)]
@@ -291,80 +387,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn runs(dims: [u32; 3], origin: [u32; 3], size: [usize; 3], cap: usize) -> Vec<Run> {
-        plan_runs(dims, origin, size, |_| 0..size[1], cap)
-    }
-
-    fn run(src: u64, at: usize, len: usize) -> Run {
-        Run { src, at, len }
-    }
-
-    #[test]
-    fn planner_yields_one_run_per_contiguous_span() {
-        let dims = [8u32, 6, 5];
-        // Full x and y: the whole region is one run.
-        let r = runs(dims, [0, 0, 1], [8, 6, 3], usize::MAX);
-        assert_eq!(r, [run(48, 0, 144)]);
-        // Full x only: one run per z-slab.
-        let r = runs(dims, [0, 2, 1], [8, 3, 4], usize::MAX);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[1], run(2 * 48 + 2 * 8, 24, 24));
-        // Partial x: one run per row.
-        let r = runs(dims, [3, 2, 1], [4, 3, 2], usize::MAX);
-        assert_eq!(r.len(), 3 * 2);
-        assert_eq!(r[4], run(2 * 48 + 3 * 8 + 3, 16, 4));
-    }
-
-    #[test]
-    fn planner_splits_runs_at_the_staging_cap() {
-        let r = runs([8, 6, 5], [0, 0, 0], [8, 6, 5], 100);
-        assert_eq!(r, [run(0, 0, 100), run(100, 100, 100), run(200, 200, 40)]);
-        // Each run splits on its own: 2 slabs of 24 under a cap of 16.
-        let r = runs([8, 6, 5], [0, 1, 2], [8, 3, 2], 16);
-        let spans: Vec<(usize, usize)> = r.iter().map(|r| (r.at, r.len)).collect();
-        assert_eq!(spans, [(0, 16), (16, 8), (24, 16), (40, 8)]);
-    }
-
-    #[test]
-    fn planner_takes_only_each_slabs_rows() {
-        let dims = [8u32, 6, 5];
-        let rows = |z: usize| [1..3, 0..0, 0..6, 2..6][z].clone();
-        // Full x and y: a slab's rows are one run and an empty slab none;
-        // slab 3 takes no row 0, so slabs 2 and 3 do not meet in the file.
-        let r = plan_runs(dims, [0, 0, 1], [8, 6, 4], rows, usize::MAX);
-        assert_eq!(
-            r,
-            [
-                run(48 + 8, 8, 16),
-                run(3 * 48, 96, 48),
-                run(4 * 48 + 16, 160, 32)
-            ]
-        );
-        // Every row of slab 1 and the first of slab 2 follow each other.
-        let rows = |z: usize| [0..6, 0..1][z].clone();
-        let r = plan_runs(dims, [0, 0, 1], [8, 6, 2], rows, usize::MAX);
-        assert_eq!(r, [run(48, 0, 56)]);
-        // Partial x: one run per row taken.
-        let r = plan_runs(dims, [3, 2, 1], [4, 3, 2], |z| z..z + 2, usize::MAX);
-        assert_eq!(r.iter().map(|r| r.at).collect::<Vec<_>>(), [0, 4, 16, 20]);
-    }
-
     #[test]
     fn a_rows_read_leaves_the_rows_it_does_not_take() {
         let path = tmp("rows.vol");
         let dims = [4u32, 3, 2];
         let data: Vec<f32> = (0..24).map(|i| i as f32).collect();
         write_volume(&path, dims, &data).unwrap();
+        let volume = crate::Volume {
+            meta: crate::Volume::in_memory("rows", dims, data.clone()).meta,
+            source: crate::VolumeSource::File(path.clone()),
+        };
         let mut out = vec![-1f32; 24];
-        read_rows(
-            &path,
-            dims,
-            [0, 0, 0],
-            [4, 3, 2],
-            |z| [1..2, 0..3][z].clone(),
-            &mut out,
-        )
-        .unwrap();
+        volume.read_rows([0, 0, 0], [4, 3, 2], |z| [1..2, 0..3][z].clone(), &mut out);
         for (i, (&got, &want)) in out.iter().zip(&data).enumerate() {
             let (y, z) = (i / 4 % 3, i / 12);
             let taken = z == 1 || y == 1;

@@ -47,7 +47,7 @@ pub mod stats;
 pub mod volume;
 
 pub use brick::{BrickGrid, BrickInfo, BrickPolicy};
-pub use brickstore::{BrickData, BrickStore, Rows, StoreSnapshot};
+pub use brickstore::{BrickData, BrickStore, Rows, StoreSnapshot, Voxels};
 pub use datasets::Dataset;
 pub use field::ScalarField;
 pub use macrocell::MacroCells;

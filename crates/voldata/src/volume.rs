@@ -193,21 +193,29 @@ impl Volume {
                 materialize_procedural(field.as_ref(), d, origin, size, rows, out);
             }
             VolumeSource::File(path) => {
-                io::read_rows(path, d, origin, size, rows, out)
+                let (first, map) = io::map_region(path, d, origin, size)
                     .unwrap_or_else(|e| panic!("reading region from {path:?}: {e}"));
+                io::copy_rows(&map, first, d, origin, size, rows, out);
             }
-            VolumeSource::InMemory(data) => {
-                let (dx, dy) = (d[0] as usize, d[1] as usize);
-                for (z, slab) in out.chunks_exact_mut(size[0] * size[1]).enumerate() {
-                    for y in rows(z) {
-                        let src = ((origin[2] as usize + z) * dy + origin[1] as usize + y) * dx
-                            + origin[0] as usize;
-                        slab[y * size[0]..(y + 1) * size[0]]
-                            .copy_from_slice(&data[src..src + size[0]]);
-                    }
-                }
-            }
+            VolumeSource::InMemory(data) => io::copy_rows(data, 0, d, origin, size, rows, out),
         }
+    }
+
+    /// A file-backed volume's in-bounds, non-empty region mapped in place,
+    /// when the region spans full x and y — one contiguous range of the
+    /// file, which the mapping derefs to, x fastest. `None` for any other
+    /// region or source.
+    pub(crate) fn map_box(&self, origin: [u32; 3], size: [usize; 3]) -> Option<io::Mapping> {
+        let d = self.meta.dims;
+        let VolumeSource::File(path) = &self.source else {
+            return None;
+        };
+        if size[0] != d[0] as usize || size[1] != d[1] as usize {
+            return None;
+        }
+        let (_, map) = io::map_region(path, d, origin, size)
+            .unwrap_or_else(|e| panic!("mapping region from {path:?}: {e}"));
+        Some(map)
     }
 
     /// Materialize a region that may extend past the volume (negative or

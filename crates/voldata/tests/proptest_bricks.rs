@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use mgpu_voldata::{
-    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Volume, VolumeSource,
+    io, BrickGrid, BrickPolicy, BrickStore, Dataset, MacroCells, Rows, Volume, VolumeSource,
 };
 
 fn arb_dims() -> impl Strategy<Value = [u32; 3]> {
@@ -178,13 +178,16 @@ proptest! {
         }
     }
 
-    /// A miss for some rows reads the same voxels into them from every
-    /// source, and they are the brick's: the rows are those of a random
-    /// set of occupied cells, as a skip grid names them.
+    /// A miss for some rows reads the procedural brick's voxels into them
+    /// bit for bit from every source: the rows are those of a random set
+    /// of occupied cells, as a skip grid names them. On a z-only split a
+    /// file brick's stored box is one contiguous range of the file, and its
+    /// miss maps the box — every row, not only those asked for; on a 2×2×2
+    /// split the file's rows are copied out of a mapping.
     #[test]
     fn every_source_reads_the_same_rows(
         dims in arb_dims(),
-        min_bricks in 1u32..9,
+        z_bricks in 1u32..9,
         dataset in 0usize..3,
         seed in 0usize..64,
     ) {
@@ -192,25 +195,29 @@ proptest! {
         let procedural = Volume::procedural("p", dims, 0, field);
         let baked = Baked::new(&procedural, "rows");
         let resident = Volume::in_memory("p", dims, procedural.materialize_full());
-        let grid = BrickGrid::subdivide(dims, &BrickPolicy { min_bricks, max_brick_voxels: u64::MAX });
-        let stores = [procedural, resident, baked.volume.clone()]
-            .map(|v| BrickStore::new(v, grid.clone(), 1, u64::MAX));
-        let whole = BrickStore::new(baked.volume.clone(), grid.clone(), 1, u64::MAX);
-        for id in 0..grid.brick_count() {
-            let full = whole.get(id);
-            let rows = MacroCells::of(&full).rows(|[x, y, z]| (x * 3 + y * 5 + z * 7 + seed).is_multiple_of(4));
-            let d = full.store_dims;
-            for (source, store) in stores.iter().enumerate() {
-                let (b, read) = store.get_rows(id, &rows);
-                prop_assert!(read.is_some());
-                prop_assert_eq!(&b.rows, &rows);
-                for z in 0..d[2] {
-                    let taken = (z * d[1] + rows.slab(z).start) * d[0]..(z * d[1] + rows.slab(z).end) * d[0];
-                    prop_assert_eq!(
-                        bits(&b.voxels[taken.clone()]),
-                        bits(&full.voxels[taken]),
-                        "source {}, brick {}, slab {}", source, id, z
-                    );
+        for counts in [[1, 1, z_bricks.min(dims[2])], [2, 2, 2]] {
+            let grid = BrickGrid { vol_dims: dims, counts };
+            let stores = [procedural.clone(), resident.clone(), baked.volume.clone()]
+                .map(|v| BrickStore::new(v, grid.clone(), 1, u64::MAX));
+            let whole = BrickStore::new(procedural.clone(), grid.clone(), 1, u64::MAX);
+            for id in 0..grid.brick_count() {
+                let full = whole.get(id);
+                let rows = MacroCells::of(&full).rows(|[x, y, z]| (x * 3 + y * 5 + z * 7 + seed).is_multiple_of(4));
+                let d = full.store_dims;
+                for (source, store) in stores.iter().enumerate() {
+                    let (b, read) = store.get_rows(id, &rows);
+                    prop_assert!(read.is_some());
+                    let view = source == 2 && counts[..2] == [1, 1];
+                    prop_assert_eq!(b.voxels.is_mapped(), view, "source {}, grid {:?}", source, counts);
+                    prop_assert_eq!(&b.rows, &if view { Rows::all(d) } else { rows.clone() });
+                    for z in 0..d[2] {
+                        let taken = (z * d[1] + b.rows.slab(z).start) * d[0]..(z * d[1] + b.rows.slab(z).end) * d[0];
+                        prop_assert_eq!(
+                            bits(&b.voxels[taken.clone()]),
+                            bits(&full.voxels[taken]),
+                            "source {}, grid {:?}, brick {}, slab {}", source, counts, id, z
+                        );
+                    }
                 }
             }
         }
@@ -250,14 +257,14 @@ proptest! {
     }
 }
 
-/// The proptests' volumes are too small for a run to reach the read cap
-/// (64 Ki voxels), so this one is not: read in one run, the 100×100×8 core
-/// of a clamped 102×102×10 region splits 655 rows and 36 voxels in. A
-/// z-slab run and a row run of the same file, and a 656×100×1 volume whose
-/// tail run starts and ends inside one row, cover the other ways a run
-/// meets the rows of its destination.
+/// The proptests' volumes lie within one 64 KiB mapping granule; these
+/// span several, so a covering mapping starts at a granule boundary inside
+/// the file, rows straddle granule and page boundaries, and the copied
+/// rows start mid-row of the file: the clamped 102×102×10 region of a
+/// 100×100×8 volume, a full-x slab run and a partial-x run of the same
+/// file, and a one-slab 656×100×1 volume.
 #[test]
-fn runs_split_at_the_read_cap_mid_row() {
+fn large_file_regions_read_like_resident_ones() {
     for (dims, origin, size) in [
         ([100, 100, 8], [-1, -1, -1], [102, 102, 10]),
         ([100, 100, 8], [-1, 10, 2], [102, 50, 4]),
@@ -266,7 +273,7 @@ fn runs_split_at_the_read_cap_mid_row() {
     ] {
         let n = (dims[0] * dims[1] * dims[2]) as usize;
         let resident = Volume::in_memory("p", dims, (0..n).map(|i| i as f32).collect());
-        let baked = Baked::new(&resident, "cap_split");
+        let baked = Baked::new(&resident, "large");
         assert_eq!(
             bits(&baked.volume.materialize_clamped(origin, size)),
             bits(&resident.materialize_clamped(origin, size)),

@@ -540,32 +540,19 @@ mod tests {
         assert_eq!(built.len(), 2);
     }
 
-    /// Out-of-core frames through one plan read only the rows their
-    /// occupied cells can tap, and equal fresh renders bit for bit. The
-    /// plume is baked to a file and the budget holds three of its eight
-    /// bricks, so every frame misses. Frames alternate a function opaque
-    /// only at high values with `smoke`, which shows more of the plume; a
-    /// close-up of the top two bricks under `smoke` finds them resident
-    /// with the other function's rows and widens them. Both functions are
-    /// opaque at the debug store's poison (far above 1), so a tap of a row
-    /// no miss read shows in the pixels.
-    #[test]
-    fn out_of_core_frames_read_only_their_rows_and_match_fresh_renders() {
+    /// Plume 16 bricked for out-of-core frames — eight 16×16×8 bricks
+    /// along z, each storing at most 16×16×10 voxels, under a budget of
+    /// three — and six frames through it: frames alternate a function
+    /// opaque only at high values with `smoke`, which shows more of the
+    /// plume, and the fourth is a close-up of the top two bricks under
+    /// `smoke`. Returns the spec, the config, the frames and a brick's
+    /// largest stored box in bytes.
+    fn out_of_core_frames(volume: &Volume) -> (ClusterSpec, RenderConfig, [Scene; 6], u64) {
         use crate::camera::Camera;
         use crate::math::vec3;
         use crate::transfer::ControlPoint;
-        use mgpu_voldata::{io, VolumeSource};
 
-        let procedural = Dataset::Plume.volume(16);
-        let path =
-            std::env::temp_dir().join(format!("mgpu_volren_rows_{}.vol", std::process::id()));
-        io::write_volume(&path, procedural.dims(), &procedural.materialize_full()).unwrap();
-        let volume = Volume {
-            meta: procedural.meta.clone(),
-            source: VolumeSource::File(path.clone()),
-        };
         let spec = ClusterSpec::accelerator_cluster(1);
-        // Eight 16×16×8 bricks along z, each storing at most 16×16×10.
         let brick_bytes = 16 * 16 * 10 * 4;
         let cfg = RenderConfig {
             residency: Residency::Disk,
@@ -573,9 +560,6 @@ mod tests {
             host_cache_bytes: 3 * brick_bytes,
             ..RenderConfig::test_size(32)
         };
-        let plan = FramePlan::prepare(&spec, &volume, &cfg);
-        assert_eq!(plan.grid.counts, [1, 1, 8]);
-
         let point = |value, rgba| ControlPoint { value, rgba };
         let dense = TransferFunction::from_points(
             "dense",
@@ -586,7 +570,7 @@ mod tests {
             ],
         );
         let smoke = TransferFunction::smoke();
-        let orbit = |az: f32, tf: &TransferFunction| Scene::orbit(&volume, az, 20.0, tf.clone());
+        let orbit = |az: f32, tf: &TransferFunction| Scene::orbit(volume, az, 20.0, tf.clone());
         // Bricks 6 and 7 fill the view; brick 5 projects off-screen.
         let top = Scene {
             camera: Camera::look_at(
@@ -605,6 +589,22 @@ mod tests {
             orbit(100.0, &smoke),
             orbit(130.0, &dense),
         ];
+        (spec, cfg, frames, brick_bytes)
+    }
+
+    /// Out-of-core frames through one plan read only the rows their
+    /// occupied cells can tap, and equal fresh renders bit for bit. The
+    /// plume is procedural, staged as if from disk, and every frame misses;
+    /// the close-up finds the top two bricks resident with the other
+    /// function's rows and widens them. Both functions are opaque at the
+    /// debug store's poison (far above 1), so a tap of a row no miss read
+    /// shows in the pixels.
+    #[test]
+    fn out_of_core_frames_read_only_their_rows_and_match_fresh_renders() {
+        let volume = Dataset::Plume.volume(16);
+        let (spec, cfg, frames, brick_bytes) = out_of_core_frames(&volume);
+        let plan = FramePlan::prepare(&spec, &volume, &cfg);
+        assert_eq!(plan.grid.counts, [1, 1, 8]);
         let mut partial = 0;
         for (i, scene) in frames.iter().enumerate() {
             let planned = render_planned(&spec, &plan, scene, &cfg);
@@ -629,6 +629,57 @@ mod tests {
             partial >= 4,
             "only {partial} frames read fewer rows than their boxes"
         );
+    }
+
+    /// The same frames over the plume baked to a file: each brick's stored
+    /// box is one contiguous range of the file, so every miss maps its box
+    /// — every row readable, no buffer taken — and the frames still equal
+    /// fresh renders bit for bit. Every frame but the close-up misses; the
+    /// close-up finds its two bricks resident whole.
+    #[test]
+    fn out_of_core_file_frames_map_their_bricks_and_match_fresh_renders() {
+        use mgpu_voldata::{io, VolumeSource};
+
+        let procedural = Dataset::Plume.volume(16);
+        let path =
+            std::env::temp_dir().join(format!("mgpu_volren_mapped_{}.vol", std::process::id()));
+        io::write_volume(&path, procedural.dims(), &procedural.materialize_full()).unwrap();
+        let volume = Volume {
+            meta: procedural.meta.clone(),
+            source: VolumeSource::File(path.clone()),
+        };
+        let (spec, cfg, frames, _) = out_of_core_frames(&volume);
+        let plan = FramePlan::prepare(&spec, &volume, &cfg);
+        assert_eq!(plan.grid.counts, [1, 1, 8]);
+        // The end bricks' stored boxes are the smallest: 16×16×9.
+        let smallest_box = 16 * 16 * 9 * 4;
+        for (i, scene) in frames.iter().enumerate() {
+            let planned = render_planned(&spec, &plan, scene, &cfg);
+            let fresh = render(&spec, &volume, scene, &cfg);
+            assert_eq!(planned.image, fresh.image, "frame {i}");
+            assert_eq!(
+                planned.report.runtime(),
+                fresh.report.runtime(),
+                "frame {i}"
+            );
+            assert_eq!(planned.record, fresh.record, "frame {i}");
+            let store = planned.report.store;
+            if i == 3 {
+                // The top two bricks are resident, and a view holds every
+                // row: the close-up widens nothing and misses nothing.
+                assert_eq!((store.misses, store.hits), (0, 2), "frame {i}");
+            } else {
+                assert!(store.misses > 0, "frame {i} missed nothing");
+            }
+            assert!(
+                store.bytes_materialized >= store.misses * smallest_box,
+                "frame {i}: a miss made only some rows readable"
+            );
+        }
+        for id in 0..plan.brick_count() {
+            let data = plan.store().get(id);
+            assert!(data.voxels.is_mapped(), "brick {id} took a buffer");
+        }
         std::fs::remove_file(&path).ok();
     }
 
