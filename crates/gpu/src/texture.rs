@@ -89,33 +89,27 @@ pub struct MacroCells<'a> {
     pub ranges: &'a [[f32; 2]],
 }
 
+/// What a texture's texels may live in: anything that lends them out as
+/// one slice — a `Vec`, or a brick's voxels, which may be a mapping of the
+/// volume file.
+trait Texels: AsRef<[f32]> + Send + Sync + std::fmt::Debug {}
+
+impl<T: AsRef<[f32]> + Send + Sync + std::fmt::Debug> Texels for T {}
+
 /// A 3-D single-channel float texture (a volume brick on the device).
 /// Voxel data is shared: the texture holds an `Arc` of whatever owns the
-/// texels — a `Vec`, or a brick's voxels, which may be a mapping of the
-/// volume file — so "uploading" a brick never copies it; only the simulated
-/// PCIe transfer is charged. The owner lives as long as the last texture
-/// or brick holding it.
-#[derive(Clone)]
+/// texels, so "uploading" a brick never copies it — only the simulated
+/// PCIe transfer is charged — and the owner lives as long as the last
+/// texture or brick holding it.
+#[derive(Debug, Clone)]
 pub struct Texture3D {
     dims: [usize; 3],
     /// The window: its lowest and highest index per axis, inclusive.
     lo: [i32; 3],
     hi: [i32; 3],
-    data: Arc<dyn AsRef<[f32]> + Send + Sync>,
+    data: Arc<dyn Texels>,
     /// `(edge, ranges)` of the macrocell table, when one was attached.
     cells: Option<(usize, Arc<Vec<[f32; 2]>>)>,
-}
-
-impl std::fmt::Debug for Texture3D {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Texture3D")
-            .field("dims", &self.dims)
-            .field("lo", &self.lo)
-            .field("hi", &self.hi)
-            .field("texels", &self.texels().len())
-            .field("cells", &self.cells.as_ref().map(|(edge, _)| edge))
-            .finish()
-    }
 }
 
 impl Texture3D {
@@ -125,7 +119,7 @@ impl Texture3D {
 
     pub fn from_shared<T>(dims: [usize; 3], data: Arc<T>) -> Texture3D
     where
-        T: AsRef<[f32]> + Send + Sync + 'static,
+        T: AsRef<[f32]> + Send + Sync + std::fmt::Debug + 'static,
     {
         Texture3D::windowed(dims, [0; 3], dims, data)
     }
@@ -140,7 +134,7 @@ impl Texture3D {
         data: Arc<T>,
     ) -> Texture3D
     where
-        T: AsRef<[f32]> + Send + Sync + 'static,
+        T: AsRef<[f32]> + Send + Sync + std::fmt::Debug + 'static,
     {
         assert_eq!(
             (*data).as_ref().len(),

@@ -149,7 +149,8 @@ metrics! {
     // --- volren.* — the renderer's stages (process-global) ------------------
 
     /// Brick staging wall time: one sample per brick a mapper stages, the
-    /// miss's read (histogram, ns).
+    /// miss's read — for a file brick that is one range of the file, its
+    /// `mmap`, µs where a read took a millisecond (histogram, ns).
     histogram VOLREN_STAGING_NS = "volren.staging_ns";
     /// Frame-plan preparation wall time (histogram, ns).
     histogram VOLREN_PLAN_PREPARE_NS = "volren.plan_prepare_ns";

@@ -1,24 +1,33 @@
 //! The out-of-core brick store: materializes bricks on demand and caches
 //! them under a host-memory budget with LRU eviction. A brick stores its
-//! ghost-padded box clipped to the volume, read straight into place; its
-//! texture's clamp supplies the border ghosts (`Texture3D::windowed`).
-//! The store holds voxels only, and only voxels count against the budget.
+//! ghost-padded box clipped to the volume; its texture's clamp supplies the
+//! border ghosts (`Texture3D::windowed`). The store holds voxels only, and
+//! only voxels count against the budget.
 //! What a renderer derives from a brick's voxels — its min/max
 //! [`MacroCells`](crate::MacroCells) and the skip grids classified from them
 //! — is built and kept by the renderer, per brick, and sits outside the
 //! budget: the table is 8 bytes per 4³ cell, ≈ 1/32 of the brick's voxel
 //! bytes, and a skip grid one byte per cell.
 //!
-//! **Rows.** A miss reads only the [`Rows`] its caller asks for: per
-//! stored z-slab, one run of y-rows, full x width — the rows a renderer's
-//! occupied macrocells can tap ([`MacroCells::rows`](crate::MacroCells::rows)).
-//! The other rows of the buffer are left as they are; in debug builds they
-//! are filled with `POISON_VOXEL`, so a read of one shows. An entry serves
-//! every need its rows contain. One that falls short is a miss: the union
-//! of its rows and the need is staged into a fresh buffer and replaces it,
-//! and an `Arc` of the old brick keeps its own voxels. [`BrickStore::get`]
-//! asks for every row. The budget charges a brick's whole stored box,
-//! whatever rows it holds.
+//! **Views.** A brick of a file-backed volume whose stored box spans the
+//! volume's full x and y is one contiguous range of the file, and its miss
+//! copies nothing: the brick's [`Voxels`] are a private, read-only mapping
+//! of that range, whose pages the page cache serves as the march touches
+//! them. A mapping holds every row, and is unmapped when its last holder —
+//! the store, or a texture still marching an evicted brick — drops it.
+//! Every other miss writes into a buffer.
+//!
+//! **Rows.** A miss into a buffer reads only the [`Rows`] its caller asks
+//! for: per stored z-slab, one run of y-rows, full x width — the rows a
+//! renderer's occupied macrocells can tap
+//! ([`MacroCells::rows`](crate::MacroCells::rows)). The other rows of the
+//! buffer are left as they are; in debug builds they are filled with
+//! `POISON_VOXEL`, so a read of one shows. An entry serves every need its
+//! rows contain. One that falls short is a miss: the union of its rows and
+//! the need is staged into a fresh buffer and replaces it, and an `Arc` of
+//! the old brick keeps its own voxels. [`BrickStore::get`] asks for every
+//! row. The budget charges a brick's whole stored box, whatever rows it
+//! holds, and a view alike.
 //!
 //! This is the data side of the paper's out-of-core story: "the library
 //! allows for out-of-core algorithms (including rendering)" — bricks stream
@@ -315,8 +324,9 @@ pub struct StoreSnapshot {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    /// Voxel bytes the misses read: the rows each asked for, not the
-    /// stored box the budget charges.
+    /// Voxel bytes the misses made readable: the rows each read into a
+    /// buffer — not the stored box the budget charges — or, for a view,
+    /// its whole stored box.
     pub bytes_materialized: u64,
 }
 
@@ -479,8 +489,9 @@ impl BrickStore {
     /// in-flight + this brick fits the budget, so the budget also holds
     /// *while* bricks are being read, not only between accesses. It never
     /// waits for room — with nothing left to evict the brick is served anyway.
-    /// The budget charges the stored box, whatever `rows` it reads (every
-    /// row for `None`).
+    /// A stored box the volume can map is mapped, every row; any other
+    /// reads `rows` (every row for `None`) into a spare buffer. The budget
+    /// charges the stored box either way.
     fn stage(
         &self,
         id: usize,

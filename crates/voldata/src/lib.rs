@@ -11,14 +11,17 @@
 //! * [`volume`] — volume metadata + sources (procedural / raw file /
 //!   in-memory), dense in-bounds region reads, and clamped materialization
 //!   for oracles;
-//! * [`io`] — the raw `MGVOL001` on-disk format: one read per contiguous
-//!   run of the rows taken straight into its place in a dense destination, a streaming
-//!   writer, and the workspace's `f32` byte views (the crate's only `unsafe`);
+//! * [`io`] — the raw `MGVOL001` on-disk format: reads through private,
+//!   read-only mappings of the file (a region's rows copied out, or a
+//!   brick's box kept as its voxels), a streaming writer, and the
+//!   workspace's `f32` byte views (the crate's only `unsafe`, with the
+//!   mapping's `mmap`/`munmap` and slice);
 //! * [`brick`] — brick-grid geometry under VRAM/GPU-count policies;
 //! * [`brickstore`] — LRU-cached on-demand brick materialization (the
 //!   out-of-core path): each brick stores its ghost-padded box clipped to
-//!   the volume, and its texture's clamp supplies the border ghosts; a miss
-//!   reads only the [`Rows`] its caller asks for;
+//!   the volume, and its texture's clamp supplies the border ghosts; a
+//!   file brick whose box is one range of the file is a mapping of it, and
+//!   any other miss reads only the [`Rows`] its caller asks for;
 //! * [`macrocell`] — the min/max table the renderer builds from a brick's
 //!   voxels, so it can skip space the transfer function makes empty, and
 //!   the rows its occupied cells can tap;
