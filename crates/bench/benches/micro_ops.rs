@@ -466,8 +466,8 @@ impl GpuMapper<NoChunk> for SpinMapper {
 /// `plume_outofcore`'s miss: `BrickStore::get` of a 128×128×64 brick of a
 /// plume baked to a page-cached file — its 130×130×66 ghost-padded box
 /// clipped to the volume, 128×128×65 voxels, one contiguous range of the
-/// file — mapped in place, then a sum over every voxel, so the timing also
-/// pays the page faults a march over the brick would. The two bricks of a
+/// file — mapped in place, then a sum over every voxel's bits, so the
+/// timing also pays the page faults a march over the brick would. The two bricks of a
 /// 128³ plume take turns under a budget of one brick, so every get misses
 /// (the store builds nothing else). After the timing both bricks must equal
 /// the procedural plume's in-bounds regions bit for bit: a 4.26 MB brick,
@@ -505,7 +505,13 @@ fn bench_stage(c: &mut Criterion) {
     g.bench_function("plume_brick_miss", |b| {
         b.iter(|| {
             id ^= 1;
-            store.get(black_box(id)).voxels.iter().sum::<f32>()
+            let brick = store.get(black_box(id));
+            // Integer adds, which vectorise: a float sum is one long chain
+            // of dependent adds, slower than the faults it should show.
+            brick
+                .voxels
+                .iter()
+                .fold(0u32, |sum, v| sum.wrapping_add(v.to_bits()))
         })
     });
     assert_eq!(store.snapshot().hits, 0, "every get is a miss");

@@ -7,8 +7,9 @@
 //!
 //! Reading is the out-of-core brick-load path, and it never calls `read`:
 //! a read maps the file's bytes in place — a private, read-only `mmap` of
-//! the range that covers what it takes, advised `MADV_RANDOM` so a touch
-//! faults in one page, not its neighbours — and the bytes *are* the voxels.
+//! the range that covers what it takes, advised `MADV_RANDOM` so a fault
+//! on a cold file reads no neighbours ahead — and the bytes *are* the
+//! voxels.
 //! A region that spans full x and y of the volume is one contiguous range
 //! of the file, and a brick whose stored box is one keeps the mapping as
 //! its voxels (`BrickStore`); every other region has its rows copied out of
@@ -226,8 +227,10 @@ mod sys {
 
 /// A private, read-only mapping of a run of a volume file's voxels, which
 /// it derefs to; unmapped on drop. Its pages are the page cache's: a miss
-/// that maps a brick copies nothing, and a page is read in — one 4 KiB page
-/// per fault, under `MADV_RANDOM` — only when something touches it. The
+/// that maps a brick copies nothing, and a page is mapped in only when
+/// something touches it — on a page-cached file a fault maps the cache's
+/// whole folio around it, and `MADV_RANDOM` keeps a fault on a cold one
+/// from reading ahead. The
 /// file must not be truncated or written while a mapping of it lives: a
 /// touch past a truncated end is a `SIGBUS`, and a write shows through.
 /// [`BrickStore`](crate::BrickStore)'s contract, "`volume` must not change
