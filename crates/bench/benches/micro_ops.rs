@@ -467,11 +467,11 @@ impl GpuMapper<NoChunk> for SpinMapper {
 /// plume baked to a page-cached file — its 130×130×66 ghost-padded box
 /// clipped to the volume, 128×128×65 voxels, one contiguous range of the
 /// file — mapped in place, then a sum over every voxel's bits, so the
-/// timing also pays the page faults a march over the brick would. The two bricks of a
-/// 128³ plume take turns under a budget of one brick, so every get misses
-/// (the store builds nothing else). After the timing both bricks must equal
-/// the procedural plume's in-bounds regions bit for bit: a 4.26 MB brick,
-/// one mapping.
+/// timing also pays the page faults a march over the brick would. The two
+/// bricks of a 128³ plume take turns under a budget of one brick, so every
+/// get misses (the store builds nothing else). After the timing both bricks
+/// must equal the procedural plume's in-bounds regions bit for bit: a
+/// 4.26 MB brick, one mapping.
 fn bench_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("stage");
     g.sample_size(20);

@@ -150,7 +150,7 @@ metrics! {
 
     /// Brick staging wall time: one sample per brick a mapper stages, the
     /// miss's read — for a file brick that is one range of the file, its
-    /// `mmap`, µs where a read took a millisecond (histogram, ns).
+    /// `mmap`, in µs (histogram, ns).
     histogram VOLREN_STAGING_NS = "volren.staging_ns";
     /// Frame-plan preparation wall time (histogram, ns).
     histogram VOLREN_PLAN_PREPARE_NS = "volren.plan_prepare_ns";

@@ -136,12 +136,6 @@ impl AsRef<[f32]> for Voxels {
     }
 }
 
-impl PartialEq for Voxels {
-    fn eq(&self, other: &Voxels) -> bool {
-        **self == **other
-    }
-}
-
 /// What a debug build's store fills the rows a miss did not read with: far
 /// above every dataset's `[0, 1]`, where each preset transfer function
 /// clamps to its last point, which is opaque — a sample that taps one shows.
@@ -762,7 +756,7 @@ mod tests {
         // `get` after a partial stage reads every row.
         let full = s.get(2);
         assert!(full.rows.is_all());
-        assert_eq!(full.voxels, store(u64::MAX).get(2).voxels);
+        assert_eq!(full.voxels[..], store(u64::MAX).get(2).voxels[..]);
         assert_eq!(s.snapshot().misses, 3);
     }
 
@@ -936,7 +930,7 @@ mod tests {
         s.get(1); // evicts brick 0
         assert_eq!((s.snapshot().evictions, held(&s)), (1, vec![1]));
         assert!(mapped_at(&path, at), "brick 0 unmapped while held");
-        assert_eq!(*texels, *fresh.get(0).voxels);
+        assert_eq!(texels[..], fresh.get(0).voxels[..]);
         drop(texels);
         assert!(!mapped_at(&path, at), "brick 0 still mapped");
         assert!(
@@ -958,7 +952,7 @@ mod tests {
         let again = s.get(2); // …and the next miss is staged into it,
         assert_eq!(again.voxels.as_ptr(), first);
         // with every stale voxel overwritten.
-        assert_eq!(again.voxels, store(u64::MAX).get(2).voxels);
+        assert_eq!(again.voxels[..], store(u64::MAX).get(2).voxels[..]);
         // Spares hold at most the budget (one brick here), and `clear`
         // releases them with the entries.
         let (a, b) = (s.get(3), s.get(4));
