@@ -398,8 +398,10 @@ impl BrickStore {
     /// recently used brick. A single brick larger than the budget is still
     /// materialized (and evicted as soon as another arrives). Voxel buffers
     /// of dead bricks are kept for reuse, up to the same number of bytes of
-    /// capacity again. `volume` must not change while the store lives:
-    /// resident bricks are never re-validated against it.
+    /// capacity again. `volume` must not change while the store, or a brick
+    /// it served, lives: resident bricks are never re-validated against
+    /// it, and a file brick's voxels may be a mapping of the file itself,
+    /// which a truncation would turn into a `SIGBUS`.
     pub fn new(volume: Volume, grid: BrickGrid, ghost: u32, budget_bytes: u64) -> BrickStore {
         assert_eq!(
             volume.dims(),

@@ -233,8 +233,9 @@ mod sys {
 /// from reading ahead. The
 /// file must not be truncated or written while a mapping of it lives: a
 /// touch past a truncated end is a `SIGBUS`, and a write shows through.
-/// [`BrickStore`](crate::BrickStore)'s contract, "`volume` must not change
-/// while the store lives", is what rules both out.
+/// [`BrickStore`](crate::BrickStore)'s contract — its volume does not
+/// change while the store, or a brick it served, lives — is what rules
+/// both out; a read that copies drops its mapping before it returns.
 #[derive(Debug)]
 pub(crate) struct Mapping {
     /// Where the mapping starts (a multiple of [`MAP_ALIGN`] into the file).
