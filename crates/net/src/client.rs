@@ -164,15 +164,15 @@ impl Default for ClientConfig {
 }
 
 /// Replies filed by `request_id`, plus the shared connection state.
-struct Mailbox {
+pub(crate) struct Mailbox {
     /// Each reply decoded (a `FRAME` in place as it arrived), or why its
     /// payload did not decode.
-    inbox: HashMap<u64, Result<Reply, WireError>>,
+    pub(crate) inbox: HashMap<u64, Result<Reply, WireError>>,
     /// Someone currently holds the read half pulling the next frame.
-    reading: bool,
+    pub(crate) reading: bool,
     /// A transport-level failure poisons the whole connection: everyone
     /// gets the same typed error.
-    dead: Option<ClientError>,
+    pub(crate) dead: Option<ClientError>,
 }
 
 /// A pipelined render-service client over one TCP connection. One session =
@@ -419,7 +419,7 @@ impl RenderClient {
 /// unframable-input echo or a `GOODBYE` (the drained node answered
 /// everything and is closing) poisons the connection with a typed error
 /// for every waiter, rather than a confusing EOF.
-fn file(mail: &mut Mailbox, reply_id: u64, reply: Result<Reply, WireError>) {
+pub(crate) fn file(mail: &mut Mailbox, reply_id: u64, reply: Result<Reply, WireError>) {
     if reply_id != 0 {
         mail.inbox.insert(reply_id, reply);
         return;
@@ -439,7 +439,7 @@ fn file(mail: &mut Mailbox, reply_id: u64, reply: Result<Reply, WireError>) {
 /// to unpack. `id` is the request id the reply came under: a `BadRequest`
 /// under 0 is the server's verdict on the connection, under any other id
 /// its refusal of that one request.
-fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
+pub(crate) fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
     match reply {
         Reply::Pong(_)
         | Reply::Frame(_)
@@ -467,7 +467,7 @@ fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
 }
 
 /// A success reply of another kind than the request asked for.
-fn unexpected() -> ClientError {
+pub(crate) fn unexpected() -> ClientError {
     ClientError::Protocol("the server answered with a reply of another kind".into())
 }
 

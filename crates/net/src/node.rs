@@ -533,7 +533,7 @@ fn frame_reply(request_id: u64, result: &FrameResult) -> OutFrame {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ratelimit::RateLimitConfig;
     use crate::wire::tests::read_frame;
@@ -556,7 +556,7 @@ mod tests {
     }
 
     /// An 8³ Skull orbit at `azimuth`, rendered `size`² pixels.
-    fn scene(azimuth: f32, size: u32) -> NetSceneRequest {
+    pub(crate) fn scene(azimuth: f32, size: u32) -> NetSceneRequest {
         NetSceneRequest::orbit_dataset(
             Dataset::Skull,
             8,
@@ -569,7 +569,7 @@ mod tests {
     }
 
     /// `request` rendered directly: every `FRAME` must equal it bit for bit.
-    fn direct(request: &NetSceneRequest) -> Image {
+    pub(crate) fn direct(request: &NetSceneRequest) -> Image {
         let request = request.to_request().expect("valid scene");
         mgpu_volren::render(
             &request.spec,
@@ -580,7 +580,7 @@ mod tests {
         .image
     }
 
-    fn config() -> ServerConfig {
+    pub(crate) fn config() -> ServerConfig {
         ServerConfig {
             shards: 1,
             service: ServiceConfig {
@@ -620,17 +620,17 @@ mod tests {
     /// plays the sockets (it frames requests and pops the out queues), the
     /// render workers' arrival order (it holds completions until it applies
     /// them) and the clock.
-    struct Harness {
-        node: Node<()>,
-        shared: Arc<Shared>,
-        completions: Receiver<Completion>,
+    pub(crate) struct Harness {
+        pub(crate) node: Node<()>,
+        pub(crate) shared: Arc<Shared>,
+        pub(crate) completions: Receiver<Completion>,
         /// Completions received and not yet applied.
-        held: Vec<Completion>,
-        now: Instant,
+        pub(crate) held: Vec<Completion>,
+        pub(crate) now: Instant,
     }
 
     impl Harness {
-        fn new(config: ServerConfig) -> Harness {
+        pub(crate) fn new(config: ServerConfig) -> Harness {
             let shared = Arc::new(Shared::new(config));
             let (sink, completions) = channel();
             Harness {
@@ -663,7 +663,7 @@ mod tests {
 
         /// Block until `n` completions are held, in an order that does not
         /// depend on which render finished first.
-        fn hold(&mut self, n: usize) {
+        pub(crate) fn hold(&mut self, n: usize) {
             while self.held.len() < n {
                 let done = self.completions.recv_timeout(Duration::from_secs(20));
                 self.held.push(done.expect("a render completes"));
@@ -673,13 +673,13 @@ mod tests {
         }
 
         /// Apply held completion `i`.
-        fn complete(&mut self, i: usize) {
+        pub(crate) fn complete(&mut self, i: usize) {
             let done = self.held.remove(i);
             self.node.complete(done, self.now);
         }
 
         /// Drop the node, then shut the service down and join its workers.
-        fn shutdown(self) -> ServiceReport {
+        pub(crate) fn shutdown(self) -> ServiceReport {
             drop(self.node);
             let shared = Arc::into_inner(self.shared).expect("the node held the last share");
             shared.sharded.shutdown()
