@@ -40,7 +40,8 @@
 //! only place one is matched), a `Route` turns each outcome into the next
 //! step, and a `Slot` keeps the generation rule. The shell (`on_node`,
 //! `drive`, `redeem`) dials, calls the node's `RenderClient`, sleeps and counts.
-//! A seeded test runs the core against a straight-line model of these rules.
+//! A seeded test runs the core against a straight-line model of these rules,
+//! and a seeded cluster runs it with the server's `Node`s under faults.
 //!
 //! ```text
 //!   outcome           new work: render, submit,   control call    direct
@@ -52,16 +53,16 @@
 //!                     all (no attempt spent)
 //!   Admission         blocking: wait 2 ms within  return          return
 //!                     the same budget
-//!   Lost (transport)  next node, 1 attempt        dial, retry     hand off
-//!   Broken (protocol) next node, 1 attempt        return          hand off
+//!   Lost (transport,  next node, 1 attempt        dial, retry     hand off
+//!     protocol)
 //!   Draining          next node, 1 attempt        return          return
 //!   Goodbye           next node, 1 attempt        dial, retry     hand off
 //!   BadRequest, Render, TicketsFull: return the caller's error, everywhere
 //! ```
 //!
 //! "return" hands the call's result to the caller, and a route out of
-//! attempts returns too. Lost, Broken and Goodbye poison the slot, unless
-//! it was re-dialed since; new work that meets Draining or Goodbye counts
+//! attempts returns too. Lost and Goodbye poison the slot, unless it was
+//! re-dialed since; new work that meets Draining or Goodbye counts
 //! `pool.drain.rerouted`; a hand-off counts `pool.drain.handoffs`. New
 //! work skips the draining nodes unless all of them drain, and a ticket
 //! redeems directly only while its slot holds the connection that issued
@@ -445,8 +446,9 @@ enum Outcome {
     Ok,
     Throttled(Duration),
     Admission,
-    Lost,   // `Wire`: the connection failed, closed or timed out
-    Broken, // `Protocol`: an answer this client cannot read
+    /// `Wire` or `Protocol`: the connection failed, closed or timed out,
+    /// or answered something this client cannot read.
+    Lost,
     Draining,
     Goodbye,
     Refused, // the caller's own: `BadRequest`, `Render`, `TicketsFull`
@@ -457,8 +459,7 @@ fn outcome<T>(result: &Result<T, ClientError>) -> Outcome {
         Ok(_) => Outcome::Ok,
         Err(ClientError::Throttled { retry_after }) => Outcome::Throttled(*retry_after),
         Err(ClientError::Admission(_)) => Outcome::Admission,
-        Err(ClientError::Wire(_)) => Outcome::Lost,
-        Err(ClientError::Protocol(_)) => Outcome::Broken,
+        Err(ClientError::Wire(_) | ClientError::Protocol(_)) => Outcome::Lost,
         Err(ClientError::Draining { .. }) => Outcome::Draining,
         Err(ClientError::Goodbye) => Outcome::Goodbye,
         Err(
@@ -468,15 +469,10 @@ fn outcome<T>(result: &Result<T, ClientError>) -> Outcome {
 }
 
 impl Outcome {
-    /// The connection is gone for good.
+    /// The connection is gone for good: its slot is poisoned, a ticket
+    /// parked on it is handed off, and a control call dials once more.
     fn gone(self) -> bool {
         matches!(self, Outcome::Lost | Outcome::Goodbye)
-    }
-
-    /// The connection can no longer be trusted: its slot is poisoned, and
-    /// a ticket parked on it is handed off.
-    fn poisons(self) -> bool {
-        self.gone() || self == Outcome::Broken
     }
 }
 
@@ -535,8 +531,7 @@ impl Route {
 
     /// The step after a call that came back `seen`.
     fn next(&mut self, seen: Outcome) -> Step {
-        let fails_over =
-            seen.gone() || !self.control && matches!(seen, Outcome::Broken | Outcome::Draining);
+        let fails_over = seen.gone() || !self.control && seen == Outcome::Draining;
         let pause = match seen {
             _ if fails_over && self.attempts > 1 => {
                 self.attempts -= 1;
@@ -761,7 +756,7 @@ impl NodePool {
             .expect(POISON)
             .connection(|| RenderClient::connect_with(addr, self.config.client).map(Arc::new))?;
         let result = op(&client);
-        if outcome(&result).poisons() {
+        if outcome(&result).gone() {
             slot.lock().expect(POISON).poison(generation);
         }
         result.map(|value| (slot, generation, value))
@@ -1129,7 +1124,7 @@ impl RenderBackend for NodePool {
         let issuer = entry.slot.lock().expect(POISON).current(entry.generation);
         if let Some(client) = issuer {
             let result = client.redeem(entry.ticket);
-            if !outcome(&result).poisons() {
+            if !outcome(&result).gone() {
                 return result.map(backend_frame).map_err(backend_error);
             }
             entry.slot.lock().expect(POISON).poison(entry.generation);
@@ -1605,7 +1600,7 @@ mod tests {
             })?;
             self.events.push(Event::Call { node, conn });
             let result = answer(&mut self.answers);
-            if outcome(&result).poisons() {
+            if outcome(&result).gone() {
                 self.slots[node].poison(generation);
             }
             result.map(|()| (generation, conn))
@@ -1718,7 +1713,7 @@ mod tests {
                             conn,
                         });
                         let result = answer(&mut self.answers);
-                        if !outcome(&result).poisons() {
+                        if !outcome(&result).gone() {
                             *self.settled.entry(ticket.id).or_default() += 1;
                             self.events.push(Event::Return(format!("{result:?}")));
                             return;
@@ -1856,18 +1851,22 @@ mod tests {
                     let _ = self.drive(case, true);
                 }
                 Op::Control(node) => {
+                    // A connection found gone — closed, lost, or answering
+                    // what this client cannot read — is dialed once more,
+                    // and then reads as drained.
+                    let gone = |answer: &Result<_, ClientError>| {
+                        matches!(
+                            answer,
+                            Err(ClientError::Goodbye)
+                                | Err(ClientError::Wire(_))
+                                | Err(ClientError::Protocol(_))
+                        )
+                    };
                     let mut answer = self.on_node(node);
-                    if matches!(
-                        answer,
-                        Err(ClientError::Goodbye) | Err(ClientError::Wire(_))
-                    ) {
+                    if gone(&answer) {
                         answer = self.on_node(node);
                     }
-                    let drained = match answer {
-                        Ok(_) => true,
-                        Err(ClientError::Goodbye) | Err(ClientError::Wire(_)) => true,
-                        Err(_) => false,
-                    };
+                    let drained = answer.is_ok() || gone(&answer);
                     self.events.push(Event::Return(format!("{answer:?}")));
                     self.events
                         .push(Event::Return(format!("drained {drained}")));
@@ -2813,7 +2812,7 @@ mod cluster {
             let (conn, generation) = dialed?;
             let result = self.net.call_as(conn, call);
             self.note(Some(node), &result);
-            if outcome(&result).poisons() {
+            if outcome(&result).gone() {
                 self.poison(slot, generation);
             }
             result.map(|value| (slot, generation, value))
@@ -2908,7 +2907,7 @@ mod cluster {
                 self.kind = Kind::Redeem;
                 let result = self.net.call_as(conn, Call::Redeem(entry.ticket));
                 self.note(None, &result);
-                if !outcome(&result).poisons() {
+                if !outcome(&result).gone() {
                     invariant(
                         "a ticket redeemed on its own connection gets its frame",
                         result.is_ok(),
@@ -3048,8 +3047,13 @@ mod cluster {
                     let _ = self.set_draining(pick % nodes, false);
                 }
                 11 => {
-                    let node = pick % nodes;
-                    // The operator decommissions a node found drained.
+                    // The operator polls a draining node, and decommissions
+                    // it once it reads drained.
+                    let draining: Vec<usize> = (0..nodes).filter(|&n| self.draining[n]).collect();
+                    let node = draining
+                        .get(pick % draining.len().max(1))
+                        .copied()
+                        .unwrap_or(pick % nodes);
                     if self.node_drained(node) && nodes > 1 && self.spare(node) {
                         let server = self.server_of(node);
                         self.remove_node(node);
@@ -3110,7 +3114,7 @@ mod cluster {
     }
 
     /// Run `seed` to its end: a seeded setting (1–4 nodes, a rate limit
-    /// or none, 3 or 4 attempts), 30 actions under seeded faults, then
+    /// or none, 3 or 4 attempts), 20 actions under seeded faults, then
     /// every ticket still pending redeemed.
     fn run(seed: u64) -> Tally {
         let mut rng = Rng(seed ^ 0xC1A5_7E55);
@@ -3119,7 +3123,7 @@ mod cluster {
             .then(|| RateLimitConfig::new(1.0 + rng.below(20) as f64, 1 + rng.below(3) as u32));
         let attempts = 3 + rng.below(2) as u32;
         let mut cluster = Cluster::new(seed, nodes, rate, attempts, Faults::SEEDED);
-        for _ in 0..30 {
+        for _ in 0..20 {
             cluster.step();
         }
         cluster.finish()
