@@ -1292,20 +1292,6 @@ impl NetSceneRequest {
         self
     }
 
-    /// Re-aim an orbit camera's azimuth (the elevation is kept); a `Look`
-    /// camera is replaced by an orbit at elevation 0.
-    pub fn with_azimuth(mut self, azimuth_deg: f32) -> NetSceneRequest {
-        let elevation_deg = match self.camera {
-            CameraSpec::Orbit { elevation_deg, .. } => elevation_deg,
-            CameraSpec::Look { .. } => 0.0,
-        };
-        self.camera = CameraSpec::Orbit {
-            azimuth_deg,
-            elevation_deg,
-        };
-        self
-    }
-
     /// The in-process request on the receiving side — the inverse of
     /// [`NetSceneRequest::from_request`] — or the door's refusal.
     pub fn to_request(&self) -> Result<mgpu_serve::SceneRequest, WireError> {

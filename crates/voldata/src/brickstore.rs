@@ -142,8 +142,9 @@ impl AsRef<[f32]> for Voxels {
 const POISON_VOXEL: f32 = 1.0e4;
 
 /// Which rows of a brick's stored box a miss reads: per stored z-slab, one
-/// run of y-rows, each the full x width — in a volume file, one positioned
-/// read per slab. A slab whose run is empty is not read.
+/// run of y-rows, each the full x width — in a volume file, rows copied out
+/// of a mapping of the range that covers the box. A slab whose run is
+/// empty is not read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rows {
     /// Rows per slab: the stored box's y extent.

@@ -13,9 +13,11 @@
 //! A region that spans full x and y of the volume is one contiguous range
 //! of the file, and a brick whose stored box is one keeps the mapping as
 //! its voxels (`BrickStore`); every other region has its rows copied out of
-//! a mapping into a dense destination ([`read_region`]). A file shorter
-//! than its header claims is refused before anything is mapped. Unix only,
-//! like the server's `poll` loop.
+//! a mapping into a dense destination (`Volume::read_region` and
+//! `read_rows`, through `map_region` and `copy_rows`). A file shorter than
+//! its header claims is refused before anything is mapped, with an
+//! `UnexpectedEof` naming the path. Unix only, like the server's `poll`
+//! loop.
 //! [`VolumeWriter`] is the way back: header, then slabs appended as the
 //! bytes they occupy. Both rest on the file's bytes being the voxels'
 //! little-endian `f32`s; [`f32_bytes`] and [`f32_bytes_mut`] view `f32`s as
@@ -124,35 +126,6 @@ fn open(path: &Path) -> io::Result<(File, [u32; 3])> {
 /// Read and validate the header, returning the dimensions.
 pub fn read_header(path: &Path) -> io::Result<[u32; 3]> {
     open(path).map(|(_, dims)| dims)
-}
-
-/// Read an in-bounds region into `out`, x fastest: `out` holds exactly the
-/// region's voxels, copied out of a mapping of the file. The file's header
-/// must carry `dims` — every offset would be wrong otherwise — and a file
-/// shorter than its header claims is `UnexpectedEof`; both errors name the
-/// path.
-pub fn read_region(
-    path: &Path,
-    dims: [u32; 3],
-    origin: [u32; 3],
-    size: [usize; 3],
-    out: &mut [f32],
-) -> io::Result<()> {
-    assert!(
-        (0..3).all(|a| origin[a] as usize + size[a] <= dims[a] as usize),
-        "region out of bounds: origin {origin:?} size {size:?} dims {dims:?}"
-    );
-    assert_eq!(
-        out.len(),
-        size.iter().product(),
-        "region does not match out"
-    );
-    if out.is_empty() {
-        return Ok(());
-    }
-    let (first, map) = map_region(path, dims, origin, size)?;
-    copy_rows(&map, first, dims, origin, size, |_| 0..size[1], out);
-    Ok(())
 }
 
 /// Copy the rows `rows(z)` of each z-slab `z` of an in-bounds region of a
@@ -343,6 +316,21 @@ impl Drop for Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An in-bounds, non-empty region copied out of a mapping of its
+    /// covering range into `out`, x fastest — how `Volume::read_region`
+    /// reads a file.
+    fn read_region(
+        path: &Path,
+        dims: [u32; 3],
+        origin: [u32; 3],
+        size: [usize; 3],
+        out: &mut [f32],
+    ) -> io::Result<()> {
+        let (first, map) = map_region(path, dims, origin, size)?;
+        copy_rows(&map, first, dims, origin, size, |_| 0..size[1], out);
+        Ok(())
+    }
 
     /// Read the full volume.
     fn read_volume(path: &Path) -> io::Result<([u32; 3], Vec<f32>)> {
