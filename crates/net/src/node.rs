@@ -537,7 +537,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::ratelimit::RateLimitConfig;
     use crate::wire::tests::read_frame;
-    use crate::wire::{DEFAULT_MAX_PAYLOAD, PRELUDE_BYTES, VERSION};
+    use crate::wire::{FrameReader, DEFAULT_MAX_PAYLOAD, HEADER_BYTES, PRELUDE_BYTES, VERSION};
     use mgpu_serve::{ServiceConfig, ServiceReport};
     use mgpu_voldata::Dataset;
     use mgpu_volren::{Image, RenderConfig, TransferFunction};
@@ -931,6 +931,8 @@ pub(crate) mod tests {
         BadRequest(&'static str),
         Stats(u64),
         Prewarmed,
+        /// A `TRACES` request only a corrupted frame sends: any answer.
+        Traces,
     }
 
     /// One seed: 1–3 sessions and a random mix of every request the door
@@ -955,6 +957,12 @@ pub(crate) mod tests {
         applied: usize,
         /// Replies the last event must have queued: (session, id, reply).
         want: Vec<(u64, u64, Want)>,
+        /// Each session's bytes not yet read, and the node's `FrameReader`
+        /// on them (the fuzzed door only).
+        streams: HashMap<u64, (VecDeque<u8>, FrameReader)>,
+        /// Frames the fuzzed door served whole, refused undecoded, and
+        /// verdicts it gave on lost framing.
+        fuzzed: [u64; 3],
     }
 
     impl Sim {
@@ -983,6 +991,8 @@ pub(crate) mod tests {
                 admitted: 0,
                 applied: 0,
                 want: Vec::new(),
+                streams: HashMap::new(),
+                fuzzed: [0; 3],
             };
             sim.open();
             sim
@@ -1063,6 +1073,25 @@ pub(crate) mod tests {
             let Some(session) = self.pick(true) else {
                 return;
             };
+            let (id, index, request) = self.make_request(session);
+            self.note(format_args!(
+                "{session}: {} under {id}",
+                describe(&request, index)
+            ));
+            if let Some(want) = self.expect(session, id, index, &request) {
+                self.want.push((session, id, want));
+            }
+            self.clients
+                .get_mut(&session)
+                .expect("open")
+                .issued
+                .push(id);
+            self.h.send(session, id, &request);
+        }
+
+        /// A request of the seed's mix for `session`: its id, its scene's
+        /// index and the request.
+        fn make_request(&mut self, session: u64) -> (u64, usize, Request<'static>) {
             let id = self.request_id(session);
             let index = self.rng.below(scenes().len());
             let scene = Cow::Borrowed(&scenes()[index].0);
@@ -1077,19 +1106,7 @@ pub(crate) mod tests {
                 _ if self.rng.below(2) == 0 => Request::Resume(epoch),
                 _ => Request::Prewarm(epoch, scene),
             };
-            self.note(format_args!(
-                "{session}: {} under {id}",
-                describe(&request, index)
-            ));
-            if let Some(want) = self.expect(session, id, index, &request) {
-                self.want.push((session, id, want));
-            }
-            self.clients
-                .get_mut(&session)
-                .expect("open")
-                .issued
-                .push(id);
-            self.h.send(session, id, &request);
+            (id, index, request)
         }
 
         /// A ticket id to redeem: one the model holds, any id the session
@@ -1182,7 +1199,7 @@ pub(crate) mod tests {
                     self.epoch = self.epoch.max(*epoch);
                     Want::Prewarmed
                 }
-                Request::Traces(_) => unreachable!("not in the mix"),
+                Request::Traces(_) => Want::Traces,
             };
             Some(want)
         }
@@ -1370,6 +1387,7 @@ pub(crate) mod tests {
                         (Want::BadRequest(text), Reply::BadRequest(echo)) => echo.contains(text),
                         (Want::Stats(epoch), Reply::StatsReport(stats)) => stats.epoch == *epoch,
                         (Want::Prewarmed, Reply::Prewarmed(prewarmed)) => prewarmed.shard == 0,
+                        (Want::Traces, Reply::Traces(_)) => true,
                         _ => false,
                     };
                     assert!(
@@ -1410,21 +1428,30 @@ pub(crate) mod tests {
         for _ in 0..60 {
             sim.step();
         }
-        loop {
-            sim.turn(true);
-            sim.check();
-            if sim.admitted == sim.applied {
-                break;
+        sim.finish();
+    }
+
+    impl Sim {
+        /// The shutdown: the renders still in flight complete in seeded
+        /// order, and every session goes.
+        fn finish(mut self) {
+            let sim = &mut self;
+            loop {
+                sim.turn(true);
+                sim.check();
+                if sim.admitted == sim.applied {
+                    break;
+                }
+                sim.complete();
+                sim.check();
             }
-            sim.complete();
-            sim.check();
+            assert!(
+                sim.h.node.sessions.is_empty(),
+                "shutdown leaves no session behind"
+            );
+            let report = self.h.shutdown();
+            assert_eq!(report.frames_failed, 0);
         }
-        assert!(
-            sim.h.node.sessions.is_empty(),
-            "shutdown leaves no session behind"
-        );
-        let report = sim.h.shutdown();
-        assert_eq!(report.frames_failed, 0);
     }
 
     /// 1000 seeded event orders; `NODE_SEED=<n>` runs seed n alone and
@@ -1455,5 +1482,220 @@ pub(crate) mod tests {
     #[test]
     fn seed_17_replays() {
         run(17);
+    }
+
+    // -----------------------------------------------------------------------
+    // The door under fuzzed bytes
+    // -----------------------------------------------------------------------
+
+    /// The bytes one read hands a `FrameReader`: a `Read` that would block
+    /// once they are taken, or reads end-of-stream if the sender closed.
+    pub(crate) struct Piece<'a> {
+        pub(crate) bytes: &'a [u8],
+        pub(crate) eof: bool,
+    }
+
+    impl std::io::Read for Piece<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() && !self.eof {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    impl Sim {
+        /// One event of a fuzzed run: requests reach the node as bytes,
+        /// in pieces of any size, through a `FrameReader`.
+        fn fuzz_step(&mut self) {
+            self.h.now += Duration::from_millis(self.rng.below(250) as u64);
+            match self.rng.below(100) {
+                0..=44 => self.frame_bytes(),
+                45..=69 => self.deliver(),
+                70..=81 => self.complete(),
+                82..=89 => self.turn(false),
+                90..=92 => self.close(),
+                _ => self.open(),
+            }
+            self.check();
+        }
+
+        /// Frame one request of the mix onto `session`'s stream, one time
+        /// in three corrupted: truncated, given an over-long length, or
+        /// with one bit flipped. A request that carries a scene keeps its
+        /// payload whole, since a flipped scene field could ask for any
+        /// render; its prelude may still be hit.
+        fn frame_bytes(&mut self) {
+            let Some(session) = self.pick(true) else {
+                return;
+            };
+            let (id, _, request) = self.make_request(session);
+            let mut bytes = request.framed(id);
+            let scene = matches!(
+                request,
+                Request::Render(_) | Request::Submit(_) | Request::Prewarm(..)
+            );
+            let hit = if scene { PRELUDE_BYTES } else { bytes.len() };
+            let len_at = HEADER_BYTES - 4..HEADER_BYTES;
+            let len = u32::from_le_bytes(bytes[len_at.clone()].try_into().expect("4 bytes"));
+            let corrupted = match self.rng.below(9) {
+                0 if !scene && bytes.len() > PRELUDE_BYTES => {
+                    let cut = 1 + self.rng.below(bytes.len() - PRELUDE_BYTES);
+                    bytes.truncate(bytes.len() - cut);
+                    "truncated"
+                }
+                1 => {
+                    let longer = match self.rng.below(2) {
+                        0 => DEFAULT_MAX_PAYLOAD as u32 + 1 + self.rng.below(1 << 20) as u32,
+                        _ => len + 1 + self.rng.below(64) as u32,
+                    };
+                    bytes[len_at].copy_from_slice(&longer.to_le_bytes());
+                    "over-long"
+                }
+                2 => {
+                    let at = self.rng.below(hit);
+                    bytes[at] ^= 1 << self.rng.below(8);
+                    "bit-flipped"
+                }
+                _ => "whole",
+            };
+            self.note(format_args!(
+                "{session}: {} under {id}, {corrupted}",
+                describe(&request, 0)
+            ));
+            let stream = self
+                .streams
+                .entry(session)
+                .or_insert_with(|| (VecDeque::new(), FrameReader::new()));
+            stream.0.extend(bytes);
+        }
+
+        /// The node reads a piece of one session's stream and serves every
+        /// frame it completes, as the event loop does; lost framing is a
+        /// verdict, and the session reads no more.
+        fn deliver(&mut self) {
+            let ready: Vec<u64> = self
+                .ids(true)
+                .into_iter()
+                .filter(|s| {
+                    self.streams
+                        .get(s)
+                        .is_some_and(|(bytes, _)| !bytes.is_empty())
+                })
+                .collect();
+            let Some(&session) = ready.get(self.rng.below(ready.len().max(1))) else {
+                return;
+            };
+            let bytes = &mut self.streams.get_mut(&session).expect("a stream").0;
+            let n = 1 + self.rng.below(bytes.len());
+            let bytes: Vec<u8> = bytes.drain(..n).collect();
+            let mut piece = Piece {
+                bytes: &bytes,
+                eof: false,
+            };
+            while !self.clients[&session].closing {
+                let reader = &mut self.streams.get_mut(&session).expect("a stream").1;
+                match reader.read(&mut piece, DEFAULT_MAX_PAYLOAD) {
+                    Ok(Some((tag, id, payload))) => self.serve_bytes(session, tag, id, &payload),
+                    Ok(None) => break,
+                    Err(err) => self.framing_lost(session, err),
+                }
+                // Each frame's replies against the model as it stood then.
+                self.check();
+            }
+        }
+
+        /// A frame that came through whole, the model asked first: what it
+        /// decodes to, or the `BadRequest` its payload earns.
+        fn serve_bytes(&mut self, session: u64, tag: u8, id: u64, payload: &[u8]) {
+            let want = match Request::decode(tag, payload) {
+                Ok(request) => {
+                    self.fuzzed[0] += 1;
+                    let scene = match &request {
+                        Request::Render(s) | Request::Submit(s) | Request::Prewarm(_, s) => {
+                            scenes().iter().position(|(known, _)| **s == *known)
+                        }
+                        _ => Some(0),
+                    };
+                    let scene = scene.expect("a scene's payload is never corrupted");
+                    self.note(format_args!("  served {}", describe(&request, scene)));
+                    self.expect(session, id, scene, &request)
+                }
+                Err(err) => {
+                    self.fuzzed[1] += 1;
+                    if matches!(err, WireError::UnknownOpcode(_)) {
+                        self.clients.get_mut(&session).expect("open").closing = true;
+                    }
+                    Some(Want::Is(Reply::BadRequest(err.to_string())))
+                }
+            };
+            if let Some(want) = want {
+                self.want.push((session, id, want));
+            }
+            self.clients
+                .get_mut(&session)
+                .expect("open")
+                .issued
+                .push(id);
+            self.h.node.frame(session, tag, id, payload, self.h.now);
+        }
+
+        /// Framing is lost: one typed verdict under id 0, then the session
+        /// closes.
+        fn framing_lost(&mut self, session: u64, err: WireError) {
+            self.fuzzed[2] += 1;
+            self.note(format_args!("  framing lost: {err}"));
+            let want = match &err {
+                WireError::UnsupportedVersion { got, want } => {
+                    Reply::UnsupportedVersion(UnsupportedVersion {
+                        got: *got,
+                        want: *want,
+                    })
+                }
+                other => Reply::BadRequest(other.to_string()),
+            };
+            self.h.node.unframable(session, err);
+            self.clients.get_mut(&session).expect("open").closing = true;
+            self.want.push((session, 0, Want::Is(want)));
+        }
+    }
+
+    /// Run `seed` with its requests as fuzzed bytes: 80 events, then a
+    /// shutdown. The counts of frames served whole, refused undecoded and
+    /// verdicts on lost framing come back.
+    fn fuzzed(seed: u64) -> [u64; 3] {
+        let mut sim = Sim::new(seed);
+        for _ in 0..80 {
+            sim.fuzz_step();
+        }
+        let counts = sim.fuzzed;
+        sim.finish();
+        counts
+    }
+
+    /// Valid framed requests, split, truncated, given over-long lengths
+    /// and bit-flipped, through `FrameReader` into `Node::frame` and
+    /// `Node::unframable`, 1000 seeds against the model: nothing panics,
+    /// every frame that comes through whole gets exactly its one reply (or
+    /// its `BadRequest`) under its id, lost framing gets one verdict under
+    /// id 0 before the session closes, and the other sessions' replies are
+    /// the model's throughout. A failing seed prints itself.
+    #[test]
+    fn a_thousand_fuzzed_byte_streams_keep_every_invariant() {
+        let mut counts = [0; 3];
+        for seed in 0..1000 {
+            match std::panic::catch_unwind(|| fuzzed(seed)) {
+                Ok(seen) => (0..3).for_each(|i| counts[i] += seen[i]),
+                Err(panic) => {
+                    eprintln!("seed {seed} fails; replay it alone with `fuzzed({seed})`");
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+        eprintln!("served whole, refused undecoded, verdicts: {counts:?}");
+        assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
     }
 }

@@ -2023,7 +2023,7 @@ mod cluster {
     use super::tests::{invariant, Rng};
     use super::*;
     use crate::client::{answer, file, unexpected, Mailbox};
-    use crate::node::tests::{config, direct, Harness};
+    use crate::node::tests::{config, direct, Harness, Piece};
     use crate::ratelimit::RateLimitConfig;
     use crate::server::ServerConfig;
     use crate::wire::{FrameReader, OutFrame, Reply, Request, DEFAULT_MAX_PAYLOAD, HEADER_BYTES};
@@ -2031,7 +2031,6 @@ mod cluster {
     use mgpu_volren::{Image, RenderConfig, TransferFunction};
     use std::borrow::Cow;
     use std::collections::VecDeque;
-    use std::io::Read;
     use std::sync::OnceLock;
     use std::time::Instant;
 
@@ -2136,26 +2135,6 @@ mod cluster {
         Control,
         NodeDrained,
         Redeem,
-    }
-
-    /// The bytes one delivery hands a `FrameReader`: a `Read` that would
-    /// block once they are taken, or reads end-of-stream if the sender
-    /// has closed.
-    struct Piece<'a> {
-        bytes: &'a [u8],
-        eof: bool,
-    }
-
-    impl Read for Piece<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.bytes.is_empty() && !self.eof {
-                return Err(std::io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.bytes.len());
-            buf[..n].copy_from_slice(&self.bytes[..n]);
-            self.bytes = &self.bytes[n..];
-            Ok(n)
-        }
     }
 
     /// A node of the cluster, with its renders counted: `pushed` admitted
