@@ -2018,7 +2018,7 @@ mod cluster {
     //! rate buckets read it.
     //!
     //! Every invariant is asserted by name. A failing seed prints itself;
-    //! replay it with `run(N)` in a test like `seed_3_replays`.
+    //! replay it with `run(N)` in a test like `seed_1_replays`.
 
     use super::tests::{invariant, Rng};
     use super::*;
@@ -3109,7 +3109,7 @@ mod cluster {
     }
 
     /// 1000 seeded runs. A failing seed prints itself; once its fault is
-    /// mended, check it in beside `seed_3_replays`. The tally, printed,
+    /// mended, check it in beside `seed_1_replays`. The tally, printed,
     /// shows that each kind of call met a protocol fault somewhere.
     #[test]
     fn a_thousand_seeded_cluster_runs_keep_every_invariant() {
@@ -3141,10 +3141,17 @@ mod cluster {
     }
 
     /// One seed checked in as its own test: the shape a failing seed takes
-    /// once its fault is mended.
+    /// once its fault is mended. Seed 1 meets a crash, a half-close, a
+    /// protocol fault and two hand-offs, and kills the mutants of
+    /// `ci/mutants.txt` that name it.
     #[test]
-    fn seed_3_replays() {
-        run(3);
+    fn seed_1_replays() {
+        let tally = run(1);
+        let met = [tally.crashes, tally.half_closes, tally.protocol_new_work];
+        assert!(
+            met.iter().all(|&n| n > 0) && tally.handoffs == 2,
+            "{tally:#?}"
+        );
     }
 
     /// The event orders of `drain.rs`'s
