@@ -2050,8 +2050,10 @@ mod cluster {
                 .into_iter()
                 .flat_map(|d| (0..4).map(move |v| scene(d, v)));
             requests
-                .map(|request| (direct(&request), request))
-                .map(|(image, request)| (request, image))
+                .map(|request| {
+                    let image = direct(&request);
+                    (request, image)
+                })
                 .collect()
         })
     }
