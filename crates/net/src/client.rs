@@ -1,7 +1,7 @@
-//! The client side of the wire: the [`ClientError`] every call fails
-//! with, the [`ClientConfig`] that bounds its transport, and the
-//! crate-private `RenderClient` — one **pipelined** TCP connection, which
-//! [`crate::NodePool`] keeps one of per node and is the only caller of.
+//! The client side of the wire: the [`ClientConfig`] that bounds its
+//! transport, and the crate-private `RenderClient` — one **pipelined** TCP
+//! connection, which [`crate::NodePool`] keeps one of per node and is the
+//! only caller of — with the `ClientError` its calls fail with.
 //! Every request carries a fresh `request_id` and the server replies in
 //! *completion* order, so one connection carries many in-flight requests
 //! at once:
@@ -14,11 +14,12 @@
 //! - `stats`, `traces`, `drain`, `resume` and `prewarm` are the pool's
 //!   observability and control calls.
 //!
-//! Every in-process error type still crosses the socket intact: admission
-//! shedding comes back as the same [`AdmissionError`], a caught render
-//! panic as the same [`FrameError`] message. Each `Reply` becomes a
-//! result in one exhaustive `match` (`answer`), so a reply this client does
-//! not handle fails to compile here.
+//! Every in-process error type still crosses the socket intact: a refusal
+//! is the [`BackendError`] the caller receives, admission shedding the
+//! same `AdmissionError`, a caught render panic the same `FrameError`
+//! message. Each `Reply` becomes a result in one exhaustive `match`
+//! (`answer`), so a reply this client does not handle fails to compile
+//! here.
 //!
 //! Internally the client is a mailbox: all methods take `&self` and are
 //! safe to call from many threads. Writers serialize whole frames through
@@ -38,7 +39,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use mgpu_obs::CompletedTrace;
-use mgpu_serve::{AdmissionError, FrameError};
+use mgpu_serve::{BackendError, FrameError};
 
 use crate::heat::NetStats;
 use crate::wire::{
@@ -46,24 +47,20 @@ use crate::wire::{
     UnsupportedVersion, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
-/// Why a client call failed, with the server-side error types restored.
+/// Why a call on one connection failed, in the four classes the pool's
+/// core sorts on (`pool::outcome`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ClientError {
-    /// Transport or framing problem, or a reply whose payload did not
-    /// decode.
-    Wire(WireError),
-    /// The server's admission control shed this render or submission; the
-    /// server answers at once instead of parking it (the pool's blocking
-    /// calls wait the shed out).
-    Admission(AdmissionError),
-    /// The per-session rate limiter refused the request; retry no sooner
-    /// than `retry_after`.
-    Throttled { retry_after: Duration },
-    /// The session holds too many outstanding requests (in-flight renders
-    /// plus un-redeemed tickets); consume some replies, then retry.
-    TicketsFull { outstanding: u64, limit: u64 },
-    /// The render itself failed server-side (e.g. a caught render panic).
-    Render(FrameError),
+pub(crate) enum ClientError {
+    /// The node answered and refused this one request: its admission
+    /// shed, its rate limit, its ticket bound, a failed render, or a
+    /// malformed request (`BadRequest` under the request's own id, which
+    /// any node would refuse: [`BackendError::Unsupported`]). The
+    /// connection carries on.
+    Refused(BackendError),
+    /// The connection failed, closed or timed out, or the node answered
+    /// something this client cannot read or refused the connection
+    /// itself. Carries the message the caller sees.
+    Lost(String),
     /// The node is draining (wire v4): it refuses new work but still
     /// answers in-flight renders and parked redeems. `epoch` is the
     /// directory epoch the drain was announced under — a client routing
@@ -72,54 +69,11 @@ pub enum ClientError {
     /// The node finished draining and said `GOODBYE` — every outstanding
     /// request was answered and the connection is done for good.
     Goodbye,
-    /// The server refused this request as malformed: its echo of the
-    /// [`WireError`] the request caused (a payload that did not decode, a
-    /// door check, a duplicate or unknown id). Only this request failed;
-    /// the connection carries on.
-    BadRequest(String),
-    /// The server answered something this client cannot interpret, or
-    /// refused the connection itself.
-    Protocol(String),
 }
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Wire(err) => write!(f, "wire error: {err}"),
-            ClientError::Admission(err) => write!(f, "admission rejected: {err}"),
-            ClientError::Throttled { retry_after } => {
-                write!(
-                    f,
-                    "rate limited: retry in {:.3} s",
-                    retry_after.as_secs_f64()
-                )
-            }
-            ClientError::TicketsFull { outstanding, limit } => {
-                write!(
-                    f,
-                    "session holds {outstanding} outstanding requests (limit {limit}): \
-                     consume replies before submitting more"
-                )
-            }
-            ClientError::Render(err) => write!(f, "render failed: {err}"),
-            ClientError::Draining { epoch } => {
-                write!(
-                    f,
-                    "node is draining (directory epoch {epoch}): route elsewhere"
-                )
-            }
-            ClientError::Goodbye => write!(f, "node drained and said goodbye"),
-            ClientError::BadRequest(echo) => write!(f, "server rejected request: {echo}"),
-            ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
 
 impl From<WireError> for ClientError {
     fn from(err: WireError) -> ClientError {
-        ClientError::Wire(err)
+        ClientError::Lost(err.to_string())
     }
 }
 
@@ -191,9 +145,9 @@ pub(crate) struct RenderClient {
 impl RenderClient {
     /// Connect to `addr` within `config`'s transport bounds, and handshake
     /// (a `PING` round-trip that also verifies the protocol version). A
-    /// read timeout surfaces as a [`ClientError::Wire`] I/O error on the
-    /// call that hit it and poisons the connection (a late reply would
-    /// desynchronize the frame stream).
+    /// read timeout surfaces as a lost connection on the call that hit it
+    /// and poisons the connection (a late reply would desynchronize the
+    /// frame stream).
     pub(crate) fn connect_with(
         addr: SocketAddr,
         config: ClientConfig,
@@ -231,7 +185,7 @@ impl RenderClient {
             return Err(unexpected());
         };
         if pong.token != token {
-            return Err(ClientError::Protocol(format!(
+            return Err(ClientError::Lost(format!(
                 "pong echoed {:#x}, expected {token:#x}",
                 pong.token
             )));
@@ -241,9 +195,9 @@ impl RenderClient {
 
     /// Render one frame, blocking until it is delivered. Concurrent
     /// `render` calls (from many threads sharing this client) all proceed
-    /// at once; replies are matched by `request_id`. Admission shedding surfaces as a typed
-    /// [`ClientError::Admission`] — the server answers inline instead of
-    /// parking the request (the one retry loop is `NodePool`'s).
+    /// at once; replies are matched by `request_id`. Admission shedding surfaces as a
+    /// typed refusal — the server answers inline instead of parking the
+    /// request (the one retry loop is `NodePool`'s).
     pub(crate) fn render(&self, request: &NetSceneRequest) -> Result<NetFrame, ClientError> {
         let id = self.fresh_id();
         self.send(id, &Request::Render(Cow::Borrowed(request)))?;
@@ -252,8 +206,7 @@ impl RenderClient {
 
     /// Fire-and-forget submit — the wire analogue of `try_submit`: waits
     /// only for the server's admission verdict (a fast ack sent before the
-    /// render runs), shedding with [`ClientError::Admission`] under
-    /// overload, and returns a ticket while the server renders. Redeem
+    /// render runs), shedding with a refusal under overload, and returns a ticket while the server renders. Redeem
     /// with [`RenderClient::redeem`], or drop the ticket (the frame still
     /// lands in the server's cache).
     pub(crate) fn submit(&self, request: &NetSceneRequest) -> Result<NetTicket, ClientError> {
@@ -317,7 +270,7 @@ impl RenderClient {
     /// empty brick store), and announce directory `epoch` while at it.
     /// Returns the shard routed to and whether a plan was actually built
     /// (`false` = already warm); a draining node answers
-    /// [`ClientError::Draining`].
+    /// `ClientError::Draining`.
     pub(crate) fn prewarm(
         &self,
         epoch: u64,
@@ -332,7 +285,7 @@ impl RenderClient {
 
     /// One request/reply exchange: send `request` under a fresh id and
     /// wait for the success reply tagged with the same id (a refusal is
-    /// its [`ClientError`]).
+    /// its `ClientError`).
     fn call(&self, request: &Request) -> Result<Reply, ClientError> {
         let id = self.fresh_id();
         self.send(id, request)?;
@@ -405,7 +358,7 @@ impl RenderClient {
                 // just the drained node closing, not a new failure.
                 Err(err) => {
                     if mail.dead.is_none() {
-                        mail.dead = Some(ClientError::Wire(err));
+                        mail.dead = Some(err.into());
                     }
                 }
             }
@@ -428,18 +381,19 @@ pub(crate) fn file(mail: &mut Mailbox, reply_id: u64, reply: Result<Reply, WireE
         return; // the first verdict wins
     }
     mail.dead = Some(match reply.map(|reply| answer(0, reply)) {
-        Err(err) => ClientError::Wire(err),
+        Err(err) => err.into(),
         Ok(Err(verdict)) => verdict,
-        Ok(Ok(reply)) => ClientError::Protocol(format!("unsolicited {reply:?}")),
+        Ok(Ok(reply)) => ClientError::Lost(format!("unsolicited {reply:?}")),
     });
 }
 
-/// The one place a reply becomes a result: every refusal is its typed
-/// [`ClientError`], every success comes back for the call that asked for it
-/// to unpack. `id` is the request id the reply came under: a `BadRequest`
-/// under 0 is the server's verdict on the connection, under any other id
-/// its refusal of that one request.
+/// The one place a reply becomes a result: every refusal is its class of
+/// [`ClientError`], every success comes back for the call that asked for
+/// it to unpack. `id` is the request id the reply came under: a
+/// `BadRequest` under 0 is the server's verdict on the connection, under
+/// any other id its refusal of that one request.
 pub(crate) fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
+    let refused = |err| Err(ClientError::Refused(err));
     match reply {
         Reply::Pong(_)
         | Reply::Frame(_)
@@ -448,27 +402,27 @@ pub(crate) fn answer(id: u64, reply: Reply) -> Result<Reply, ClientError> {
         | Reply::Traces(_)
         | Reply::DrainState(_)
         | Reply::Prewarmed(_) => Ok(reply),
-        Reply::Rejected(err) => Err(ClientError::Admission(err)),
-        Reply::Throttled(retry_after) => Err(ClientError::Throttled { retry_after }),
-        Reply::Failed(message) => Err(ClientError::Render(FrameError::new(message))),
+        Reply::Rejected(err) => refused(BackendError::Admission(err)),
+        Reply::Throttled(retry_after) => refused(BackendError::Throttled { retry_after }),
+        Reply::Failed(message) => refused(BackendError::Render(FrameError::new(message))),
         Reply::TicketsFull(TicketsFull { outstanding, limit }) => {
-            Err(ClientError::TicketsFull { outstanding, limit })
+            refused(BackendError::TicketsFull { outstanding, limit })
         }
-        Reply::UnsupportedVersion(UnsupportedVersion { got, want }) => Err(ClientError::Protocol(
+        Reply::UnsupportedVersion(UnsupportedVersion { got, want }) => Err(ClientError::Lost(
             format!("server speaks wire protocol v{want}, this client sent v{got}"),
         )),
         Reply::Goodbye => Err(ClientError::Goodbye),
         Reply::Draining(epoch) => Err(ClientError::Draining { epoch }),
-        Reply::BadRequest(echo) if id == 0 => Err(ClientError::Protocol(format!(
+        Reply::BadRequest(echo) if id == 0 => Err(ClientError::Lost(format!(
             "server rejected request: {echo}"
         ))),
-        Reply::BadRequest(echo) => Err(ClientError::BadRequest(echo)),
+        Reply::BadRequest(echo) => refused(BackendError::Unsupported(echo)),
     }
 }
 
 /// A success reply of another kind than the request asked for.
 pub(crate) fn unexpected() -> ClientError {
-    ClientError::Protocol("the server answered with a reply of another kind".into())
+    ClientError::Lost("the server answered with a reply of another kind".into())
 }
 
 #[cfg(test)]
@@ -633,7 +587,7 @@ pub(crate) mod tests {
         assert_eq!(frame.image.width(), 16);
 
         match client.redeem(ticket) {
-            Err(ClientError::BadRequest(what)) => {
+            Err(ClientError::Refused(BackendError::Unsupported(what))) => {
                 assert!(what.contains("unknown ticket"), "unexpected: {what}")
             }
             other => panic!("double redeem must be a typed error, got {other:?}"),
@@ -650,7 +604,7 @@ pub(crate) mod tests {
         let server = server(1, 1);
         let client = connect(server.addr());
         match client.redeem(NetTicket { id: 0xDEAD }) {
-            Err(ClientError::BadRequest(msg)) => {
+            Err(ClientError::Refused(BackendError::Unsupported(msg))) => {
                 assert!(msg.contains("unknown ticket"), "{msg}")
             }
             other => panic!("unknown ticket must fail typed, got {other:?}"),

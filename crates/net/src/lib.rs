@@ -47,10 +47,12 @@
 //! * **Client** — [`NodePool`] (below) is the one client door. Under it,
 //!   [`client`] holds one crate-private pipelined connection per node:
 //!   every caller's renders, submits and redeems share it from any number
-//!   of threads, replies matched by request id in any order, with typed
-//!   errors ([`ClientError`]) that round-trip
-//!   [`mgpu_serve::AdmissionError`] / [`mgpu_serve::FrameError`] across
-//!   the socket, and transport bounds in [`ClientConfig`].
+//!   of threads, replies matched by request id in any order, and
+//!   transport bounds in [`ClientConfig`]. Every refusal reaches the
+//!   caller as the [`mgpu_serve::BackendError`] an in-process service
+//!   gives — [`mgpu_serve::AdmissionError`] and
+//!   [`mgpu_serve::FrameError`] round-trip the socket — and every lost
+//!   connection as `BackendError::Transport`.
 //! * **Rate limiting** — [`ratelimit`]: a per-session token bucket at the
 //!   server door, ahead of admission control; throttled requests carry an
 //!   exact retry-after.
@@ -109,7 +111,7 @@ pub mod remote;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError};
+pub use client::ClientConfig;
 pub use heat::NetStats;
 pub use pool::{
     Directory, DirectoryError, NodeError, NodePool, NodePoolConfig, PoolConfigError, PoolTicket,

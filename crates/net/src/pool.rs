@@ -36,7 +36,7 @@
 //! from the original.
 //!
 //! **Core and shell.** Every decision sits in a private core with no
-//! socket, clock or sleep: `outcome` sorts a call's [`ClientError`] (the
+//! socket, clock or sleep: `outcome` sorts a call's `ClientError` (the
 //! only place one is matched), a `Route` turns each outcome into the next
 //! step, and a `Slot` keeps the generation rule. The shell (`on_node`,
 //! `drive`, `redeem`) dials, calls the node's `RenderClient`, sleeps and counts.
@@ -57,7 +57,7 @@
 //!     protocol)
 //!   Draining          next node, 1 attempt        return          return
 //!   Goodbye           next node, 1 attempt        dial, retry     hand off
-//!   BadRequest, Render, TicketsFull: return the caller's error, everywhere
+//!   Refused (a bad request, a failed render, tickets full): return, everywhere
 //! ```
 //!
 //! "return" hands the call's result to the caller, and a route out of
@@ -446,25 +446,25 @@ enum Outcome {
     Ok,
     Throttled(Duration),
     Admission,
-    /// `Wire` or `Protocol`: the connection failed, closed or timed out,
-    /// or answered something this client cannot read.
+    /// The connection failed, closed or timed out, or answered something
+    /// this client cannot read.
     Lost,
     Draining,
     Goodbye,
-    Refused, // the caller's own: `BadRequest`, `Render`, `TicketsFull`
+    Refused, // the caller's own: a bad request, a failed render, tickets full
 }
 
 fn outcome<T>(result: &Result<T, ClientError>) -> Outcome {
     match result {
         Ok(_) => Outcome::Ok,
-        Err(ClientError::Throttled { retry_after }) => Outcome::Throttled(*retry_after),
-        Err(ClientError::Admission(_)) => Outcome::Admission,
-        Err(ClientError::Wire(_) | ClientError::Protocol(_)) => Outcome::Lost,
+        Err(ClientError::Refused(BackendError::Throttled { retry_after })) => {
+            Outcome::Throttled(*retry_after)
+        }
+        Err(ClientError::Refused(BackendError::Admission(_))) => Outcome::Admission,
+        Err(ClientError::Refused(_)) => Outcome::Refused,
+        Err(ClientError::Lost(_)) => Outcome::Lost,
         Err(ClientError::Draining { .. }) => Outcome::Draining,
         Err(ClientError::Goodbye) => Outcome::Goodbye,
-        Err(
-            ClientError::BadRequest(_) | ClientError::Render(_) | ClientError::TicketsFull { .. },
-        ) => Outcome::Refused,
     }
 }
 
@@ -666,7 +666,7 @@ impl NodePool {
 
     /// One server as a pool of one, with default transport settings (no
     /// timeouts) — see [`NodePool::connect_with`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<NodePool, ClientError> {
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<NodePool, BackendError> {
         NodePool::connect_with(addr, ClientConfig::default())
     }
 
@@ -680,19 +680,20 @@ impl NodePool {
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         client: ClientConfig,
-    ) -> Result<NodePool, ClientError> {
+    ) -> Result<NodePool, BackendError> {
         let config = NodePoolConfig {
             attempts: 1,
             client,
         };
-        let mut last = WireError::Io(std::io::ErrorKind::AddrNotAvailable).into();
-        for candidate in addr.to_socket_addrs().map_err(WireError::from)? {
+        let lost = |err: WireError| backend_error(err.into());
+        let mut last = lost(WireError::Io(std::io::ErrorKind::AddrNotAvailable));
+        for candidate in addr.to_socket_addrs().map_err(|err| lost(err.into()))? {
             let directory = Directory::new(vec![candidate]).expect("one address, no duplicate");
             let mut pool = NodePool::new(directory, config);
             pool.waits = WaitBudget::UNBOUNDED;
             match pool.on_node(0, |_| Ok(())) {
                 Ok(_) => return Ok(pool),
-                Err(err) => last = err,
+                Err(err) => last = backend_error(err),
             }
         }
         Err(last)
@@ -747,7 +748,7 @@ impl NodePool {
         op: impl FnOnce(&RenderClient) -> Result<T, ClientError>,
     ) -> Ran<T> {
         let Some((addr, slot)) = self.slot_for(node) else {
-            return Err(ClientError::Protocol(format!(
+            return Err(ClientError::Lost(format!(
                 "node {node} is not in the directory"
             )));
         };
@@ -912,7 +913,7 @@ impl NodePool {
             let Some(&addr) = state.directory.addrs().get(node) else {
                 let nodes = state.directory.len();
                 let unknown = DirectoryError::UnknownNode { node, nodes }.to_string();
-                return Err(node_error(node, None, ClientError::Protocol(unknown)));
+                return Err(node_error(node, None, ClientError::Lost(unknown)));
             };
             if state.draining[node] != draining {
                 state.draining[node] = draining;
@@ -1520,25 +1521,27 @@ mod tests {
         };
         Err(match rng.below(20) {
             0..=6 => return Ok(()),
-            7 | 8 => ClientError::Throttled {
+            7 | 8 => ClientError::Refused(BackendError::Throttled {
                 retry_after: Duration::from_millis(throttles[rng.below(throttles.len())]),
-            },
-            9 | 10 => ClientError::Admission(admission),
-            11 | 12 => ClientError::Wire(WireError::ConnectionClosed),
-            13 => ClientError::Protocol("an answer of another kind".into()),
+            }),
+            9 | 10 => ClientError::Refused(BackendError::Admission(admission)),
+            11 | 12 => WireError::ConnectionClosed.into(),
+            13 => ClientError::Lost("an answer of another kind".into()),
             14 | 15 => ClientError::Draining { epoch: 3 },
             16 => ClientError::Goodbye,
-            17 => ClientError::BadRequest("a 0×8 image".into()),
-            18 => ClientError::Render(FrameError::new("the render panicked")),
-            _ => ClientError::TicketsFull {
+            17 => ClientError::Refused(BackendError::Unsupported("a 0×8 image".into())),
+            18 => {
+                ClientError::Refused(BackendError::Render(FrameError::new("the render panicked")))
+            }
+            _ => ClientError::Refused(BackendError::TicketsFull {
                 outstanding: 4,
                 limit: 4,
-            },
+            }),
         })
     }
 
     fn refused() -> ClientError {
-        ClientError::Wire(WireError::Io(std::io::ErrorKind::ConnectionRefused))
+        WireError::Io(std::io::ErrorKind::ConnectionRefused).into()
     }
 
     /// A ticket the pool holds: the slot and generation it was issued on,
@@ -1633,7 +1636,10 @@ mod tests {
                 let step = route.next(seen);
                 let context = (&result, step, &self.events);
                 invariant("attempts ≤ attempts", tries <= limit, &context);
-                if matches!(result, Err(ClientError::BadRequest(_))) {
+                if matches!(
+                    result,
+                    Err(ClientError::Refused(BackendError::Unsupported(_)))
+                ) {
                     invariant(
                         "a BadRequest never fails over",
                         step == Step::Return,
@@ -1759,12 +1765,8 @@ mod tests {
             let (conn, generation) = (slot.0.unwrap(), slot.1);
             self.events.push(Event::Call { node, conn });
             let result = answer(&mut self.answers);
-            if matches!(
-                result,
-                Err(ClientError::Wire(_))
-                    | Err(ClientError::Protocol(_))
-                    | Err(ClientError::Goodbye)
-            ) && self.slots[node].1 == generation
+            if matches!(result, Err(ClientError::Lost(_) | ClientError::Goodbye))
+                && self.slots[node].1 == generation
             {
                 self.slots[node].0 = None;
             }
@@ -1796,7 +1798,9 @@ mod tests {
                 let result = self.on_node(node);
                 match &result {
                     Ok(_) => {}
-                    Err(ClientError::Throttled { retry_after }) if blocking => {
+                    Err(ClientError::Refused(BackendError::Throttled { retry_after }))
+                        if blocking =>
+                    {
                         if *retry_after <= budget.throttle && waited + *retry_after <= budget.total
                         {
                             self.events.push(Event::Sleep(*retry_after));
@@ -1804,7 +1808,7 @@ mod tests {
                             continue;
                         }
                     }
-                    Err(ClientError::Admission(_)) if blocking => {
+                    Err(ClientError::Refused(BackendError::Admission(_))) if blocking => {
                         if waited + ADMISSION_RETRY <= budget.total {
                             self.events.push(Event::Sleep(ADMISSION_RETRY));
                             waited += ADMISSION_RETRY;
@@ -1812,8 +1816,7 @@ mod tests {
                         }
                     }
                     Err(
-                        err @ (ClientError::Wire(_)
-                        | ClientError::Protocol(_)
+                        err @ (ClientError::Lost(_)
                         | ClientError::Draining { .. }
                         | ClientError::Goodbye),
                     ) => {
@@ -1855,12 +1858,7 @@ mod tests {
                     // what this client cannot read — is dialed once more,
                     // and then reads as drained.
                     let gone = |answer: &Result<_, ClientError>| {
-                        matches!(
-                            answer,
-                            Err(ClientError::Goodbye)
-                                | Err(ClientError::Wire(_))
-                                | Err(ClientError::Protocol(_))
-                        )
+                        matches!(answer, Err(ClientError::Goodbye | ClientError::Lost(_)))
                     };
                     let mut answer = self.on_node(node);
                     if gone(&answer) {
@@ -1882,11 +1880,7 @@ mod tests {
                         });
                         let result = answer(&mut self.answers);
                         match result {
-                            Err(
-                                ClientError::Wire(_)
-                                | ClientError::Protocol(_)
-                                | ClientError::Goodbye,
-                            ) => {
+                            Err(ClientError::Lost(_) | ClientError::Goodbye) => {
                                 if self.slots[ticket.node].1 == ticket.generation {
                                     self.slots[ticket.node].0 = None;
                                 }
@@ -2188,6 +2182,9 @@ mod cluster {
         dropped: bool,
         /// The node has closed the session (or crashed).
         closed: bool,
+        /// A verdict under id 0 poisoned the mailbox (not a `GOODBYE`): a
+        /// protocol fault, which every later call on it meets again.
+        verdict: bool,
     }
 
     /// One call of the pool's, as `RenderClient` makes it.
@@ -2225,6 +2222,11 @@ mod cluster {
         /// The highest epoch each node has echoed (a reply can outlive its
         /// node: it may be read after a crash).
         echoed: Vec<u64>,
+        /// The error the last dial or call returned is a protocol fault: a
+        /// reply of another kind, or a verdict under id 0. A lost
+        /// connection reads the same to the pool, so the fault is marked
+        /// where it surfaces, for `Cluster::note` to tally.
+        protocol: bool,
         tally: Tally,
     }
 
@@ -2255,10 +2257,11 @@ mod cluster {
         /// `RenderClient::connect_with`: open a session, then the `PING`
         /// handshake; a connection that fails it is dropped.
         fn dial(&mut self, to: SocketAddr) -> Result<usize, ClientError> {
+            self.protocol = false;
             let server = usize::from(to.port() - 7000);
             let Some(live) = self.servers[server].as_mut() else {
                 let refused = std::io::ErrorKind::ConnectionRefused;
-                return Err(ClientError::Wire(WireError::Io(refused)));
+                return Err(WireError::Io(refused).into());
             };
             let session = live.h.node.open((), self.clock);
             let conn = self.conns.len();
@@ -2280,14 +2283,19 @@ mod cluster {
                 next_id: 1,
                 dropped: false,
                 closed: false,
+                verdict: false,
             });
             let token = 0x6D67_7075;
             let handshake = match self.call(conn, &Request::Ping(token)) {
                 Ok(Reply::Pong(pong)) if pong.token == token => Ok(conn),
                 Ok(Reply::Pong(_)) => {
-                    Err(ClientError::Protocol("pong echoed another token".into()))
+                    self.protocol = true;
+                    Err(ClientError::Lost("pong echoed another token".into()))
                 }
-                Ok(_) => Err(unexpected()),
+                Ok(_) => {
+                    self.protocol = true;
+                    Err(unexpected())
+                }
                 Err(err) => Err(err),
             };
             if handshake.is_err() {
@@ -2306,16 +2314,16 @@ mod cluster {
 
         /// `RenderClient::call`: send under a fresh id, await the reply.
         fn call(&mut self, conn: usize, request: &Request) -> Result<Reply, ClientError> {
+            self.protocol = false;
             let c = &mut self.conns[conn];
             let id = c.next_id;
             c.next_id += 1;
             if let Some(dead) = &c.mail.dead {
+                self.protocol = c.verdict;
                 return Err(dead.clone());
             }
             if c.up_closed {
-                return Err(ClientError::Wire(WireError::Io(
-                    std::io::ErrorKind::BrokenPipe,
-                )));
+                return Err(WireError::Io(std::io::ErrorKind::BrokenPipe).into());
             }
             c.up.extend(request.framed(id));
             loop {
@@ -2324,6 +2332,7 @@ mod cluster {
                     return answer(id, reply?);
                 }
                 if let Some(dead) = &c.mail.dead {
+                    self.protocol = c.verdict;
                     return Err(dead.clone());
                 }
                 invariant(
@@ -2354,7 +2363,10 @@ mod cluster {
                     Ok(Answer::State(state))
                 }
                 (Call::Prewarm(..), Reply::Prewarmed(_)) => Ok(Answer::Warmed),
-                _ => Err(unexpected()),
+                _ => {
+                    self.protocol = true;
+                    Err(unexpected())
+                }
             }
         }
 
@@ -2562,9 +2574,14 @@ mod cluster {
                     .client_reader
                     .read_reply(&mut piece, DEFAULT_MAX_PAYLOAD)
                 {
-                    Ok(Some((id, reply))) => file(&mut conn.mail, id, reply),
+                    Ok(Some((id, reply))) => {
+                        let verdict = id == 0 && reply.is_ok();
+                        file(&mut conn.mail, id, reply);
+                        conn.verdict =
+                            verdict && matches!(conn.mail.dead, Some(ClientError::Lost(_)));
+                    }
                     Ok(None) => break,
-                    Err(err) => conn.mail.dead = Some(ClientError::Wire(err)),
+                    Err(err) => conn.mail.dead = Some(err.into()),
                 }
             }
         }
@@ -2689,6 +2706,7 @@ mod cluster {
                 sessions: HashMap::new(),
                 routed: Vec::new(),
                 echoed: Vec::new(),
+                protocol: false,
                 tally: Tally::default(),
             };
             let servers: Vec<usize> = (0..nodes).map(|_| net.start()).collect();
@@ -2735,9 +2753,10 @@ mod cluster {
         /// Tally a protocol fault under the kind of call that met it, and
         /// check the epoch a `DRAINING` refusal echoes.
         fn note<T>(&mut self, node: Option<usize>, result: &Result<T, ClientError>) {
+            let protocol = std::mem::take(&mut self.net.protocol);
             let tally = &mut self.net.tally;
             match (result, node) {
-                (Err(ClientError::Protocol(_)), _) => {
+                (Err(_), _) if protocol => {
                     *match self.kind {
                         Kind::NewWork => &mut tally.protocol_new_work,
                         Kind::Control => &mut tally.protocol_control,
@@ -2783,7 +2802,7 @@ mod cluster {
         /// `NodePool::on_node`.
         fn on_node(&mut self, node: usize, call: Call) -> Ran {
             let Some(&slot) = self.nodes.get(node) else {
-                return Err(ClientError::Protocol(format!(
+                return Err(ClientError::Lost(format!(
                     "node {node} is not in the directory"
                 )));
             };

@@ -2,13 +2,13 @@
 //! the name [`RemoteBackend`] for the one-server case.
 //!
 //! The pool's crate-private connections speak the wire protocol (its own
-//! [`ClientError`], [`NetSceneRequest`]); the three conversions here
+//! `ClientError`, [`NetSceneRequest`]); the three conversions here
 //! restore the service contract for [`NodePool`]:
 //! [`mgpu_serve::SceneRequest`] in, [`BackendFrame`] out, and every
-//! failure folded into the shared [`BackendError`] vocabulary —
-//! [`ClientError::Throttled`] keeps its exact `retry_after`,
-//! [`ClientError::Admission`] restores the same `AdmissionError` the
-//! server's queue produced.
+//! failure folded into the shared [`BackendError`] vocabulary — a node's
+//! refusal crosses as the very `BackendError` it names (a throttle with
+//! its exact `retry_after`, a shed with the `AdmissionError` the server's
+//! queue produced).
 //!
 //! There is no separate one-server backend: a [`RemoteBackend`] *is* a
 //! one-node [`NodePool`] ([`NodePool::connect`]), so the N = 1 case shares
@@ -23,29 +23,20 @@ use crate::client::ClientError;
 use crate::pool::NodePool;
 use crate::wire::{NetFrame, NetSceneRequest};
 
-/// Fold a wire-level failure into the shared backend vocabulary. Semantic
-/// errors cross losslessly, a request the server refused as malformed is
-/// [`BackendError::Unsupported`]; transport and protocol failures collapse into
-/// [`BackendError::Transport`] (the caller can't do anything more specific
-/// with them than retry elsewhere).
+/// Fold a connection's failure into the shared backend vocabulary. A
+/// refusal is already the caller's [`BackendError`]; a lost connection,
+/// a drain and a `GOODBYE` are [`BackendError::Transport`] (the caller
+/// can't do anything more specific with them than retry elsewhere).
 pub(crate) fn backend_error(err: ClientError) -> BackendError {
     match err {
-        ClientError::Admission(err) => BackendError::Admission(err),
-        ClientError::Throttled { retry_after } => BackendError::Throttled { retry_after },
-        ClientError::TicketsFull { outstanding, limit } => {
-            BackendError::TicketsFull { outstanding, limit }
-        }
-        ClientError::Render(err) => BackendError::Render(err),
-        ClientError::Wire(err) => BackendError::Transport(err.to_string()),
+        ClientError::Refused(err) => err,
+        ClientError::Lost(what) => BackendError::Transport(what),
         ClientError::Draining { epoch } => BackendError::Transport(format!(
             "node is draining (directory epoch {epoch}): route elsewhere"
         )),
         ClientError::Goodbye => {
             BackendError::Transport("node drained and said goodbye".to_string())
         }
-        // The server refused the request itself; any node would.
-        ClientError::BadRequest(what) => BackendError::Unsupported(what),
-        ClientError::Protocol(what) => BackendError::Transport(what),
     }
 }
 

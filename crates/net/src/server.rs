@@ -993,7 +993,7 @@ mod tests {
         let t0 = client.submit(&tiny_request(0.0)).expect("submit 1");
         let _t1 = client.submit(&tiny_request(10.0)).expect("submit 2");
         match client.submit(&tiny_request(20.0)) {
-            Err(ClientError::TicketsFull { outstanding, limit }) => {
+            Err(ClientError::Refused(BackendError::TicketsFull { outstanding, limit })) => {
                 assert_eq!((outstanding, limit), (2, 2));
             }
             other => panic!("expected typed ticket-bound refusal, got {other:?}"),

@@ -60,8 +60,8 @@ pub use mgpu_volren as volren;
 pub mod prelude {
     pub use mgpu_cluster::topology::ClusterSpec;
     pub use mgpu_net::{
-        ClientConfig, ClientError, Directory, NetSceneRequest, NodePool, NodePoolConfig,
-        PoolTicket, RateLimitConfig, RemoteBackend, RenderServer, ServerConfig,
+        ClientConfig, Directory, NetSceneRequest, NodePool, NodePoolConfig, PoolTicket,
+        RateLimitConfig, RemoteBackend, RenderServer, ServerConfig,
     };
     pub use mgpu_serve::{
         AdmissionError, BackendError, FrameError, Priority, QueueBounds, RenderBackend,

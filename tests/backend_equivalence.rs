@@ -474,8 +474,8 @@ fn connect_dials_eagerly_and_blocking_submit_waits_out_admission() {
         .and_then(|listener| listener.local_addr())
         .expect("ephemeral port");
     match NodePool::connect(dead) {
-        Err(ClientError::Wire(_)) => {}
-        Err(other) => panic!("expected a wire error at construction, got {other:?}"),
+        Err(BackendError::Transport(_)) => {}
+        Err(other) => panic!("expected a transport error at construction, got {other:?}"),
         Ok(_) => panic!("connected to a closed port"),
     }
 
