@@ -29,13 +29,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mgpu_cluster::ClusterSpec;
-use mgpu_voldata::Volume;
-use mgpu_volren::config::RenderConfig;
 use mgpu_volren::{Image, RenderReport};
 
 use crate::queue::AdmissionError;
-use crate::session::SceneSession;
 use crate::{FrameError, FrameTicket, RenderService, SceneRequest, ServiceReport, ShardedService};
 
 /// Every way a backend can refuse or fail a request — the union of the
@@ -136,8 +132,7 @@ impl BackendFrame {
 
 /// The unified render-service contract: everything a caller needs to drive
 /// a renderer, independent of where it runs. See the module docs for the
-/// backends; see [`SceneSession`] for the per-scene convenience layer that
-/// works over any backend.
+/// backends.
 ///
 /// Semantics every implementation upholds:
 ///
@@ -183,25 +178,11 @@ pub trait RenderBackend {
     /// admitted before the call completes and its hook fires, but their
     /// tickets cannot be redeemed (redeeming takes the backend this
     /// consumes). Remote backends disconnect — the server keeps running
-    /// for its other clients.
+    /// for its other clients. Taking `self` makes a submit after shutdown
+    /// a compile error, not a runtime one.
     fn shutdown(self) -> ServiceReport
     where
         Self: Sized;
-
-    /// Open a session bound to one (cluster, volume, config) — the
-    /// ergonomic way to request many frames of one dataset, over any
-    /// backend.
-    fn session(
-        &self,
-        spec: ClusterSpec,
-        volume: Volume,
-        config: RenderConfig,
-    ) -> SceneSession<'_, Self>
-    where
-        Self: Sized,
-    {
-        SceneSession::over(self, spec, volume, config)
-    }
 }
 
 impl RenderBackend for RenderService {
@@ -258,8 +239,10 @@ impl RenderBackend for ShardedService {
 mod tests {
     use super::*;
     use crate::{Priority, QueueBounds, ServiceConfig};
-    use mgpu_voldata::Dataset;
+    use mgpu_cluster::ClusterSpec;
+    use mgpu_voldata::{Dataset, Volume};
     use mgpu_volren::camera::Scene;
+    use mgpu_volren::config::RenderConfig;
     use mgpu_volren::TransferFunction;
 
     fn request(volume: &Volume, az: f32, priority: Priority) -> SceneRequest {

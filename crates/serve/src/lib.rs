@@ -82,7 +82,6 @@ mod cache;
 mod plancache;
 mod queue;
 pub mod report;
-pub mod session;
 pub mod shard;
 mod worker;
 
@@ -90,7 +89,6 @@ pub use backend::{BackendError, BackendFrame, RenderBackend};
 pub use cache::CacheSnapshot;
 pub use queue::{AdmissionError, Priority, QueueBounds};
 pub use report::ServiceReport;
-pub use session::{SceneSession, SessionTicket};
 pub use shard::ShardedService;
 
 use cache::{CacheMeters, FrameCache};
@@ -238,9 +236,9 @@ impl ServiceInner {
     /// coalesce once the first render lands.) The cache counts the hit; a
     /// miss hands back the frame key for the queued job to carry.
     fn cached_hit(&self, key: &RequestKey, scene: &Scene) -> Result<BackendFrame, RequestKey> {
-        // Defensive: no public path submits after shutdown (sessions borrow
-        // the service, shutdown consumes it), but an internal caller that
-        // raced teardown should fail loudly, cached or not.
+        // Defensive: no public path submits after shutdown (shutdown
+        // consumes the service), but an internal caller that raced
+        // teardown should fail loudly, cached or not.
         assert!(
             !self.queue.is_closed(),
             "cannot submit to a shut-down render service"

@@ -249,6 +249,7 @@ mod tests {
     #[test]
     fn heat_reflects_per_shard_load() {
         use crate::backend::RenderBackend;
+        use crate::Priority;
         use mgpu_cluster::ClusterSpec;
         use mgpu_voldata::Dataset;
         use mgpu_volren::camera::Scene;
@@ -259,13 +260,17 @@ mod tests {
         let volume = Dataset::Skull.volume(8);
         let spec = ClusterSpec::accelerator_cluster(1);
         let cfg = RenderConfig::test_size(8);
-        let session = sharded.session(spec.clone(), volume.clone(), cfg.clone());
         let owner = sharded.shard_for(&RequestKey::plan(&spec, &volume.meta, &cfg));
         for _ in 0..2 {
             // Same scene twice: the second resolves from the frame cache.
-            session
-                .request(Scene::orbit(&volume, 0.0, 0.0, TransferFunction::bone()))
-                .wait();
+            let request = SceneRequest {
+                spec: spec.clone(),
+                volume: volume.clone(),
+                scene: Scene::orbit(&volume, 0.0, 0.0, TransferFunction::bone()),
+                config: cfg.clone(),
+                priority: Priority::Normal,
+            };
+            sharded.render(request).expect("render");
         }
         let uptime = sharded.uptime();
         let heat: Vec<ServiceReport> = (sharded.shard_snapshots().iter())

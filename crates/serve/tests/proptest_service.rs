@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use mgpu_cluster::ClusterSpec;
-use mgpu_serve::{Priority, QueueBounds, RenderBackend, RenderService, ServiceConfig};
+use mgpu_serve::{
+    Priority, QueueBounds, RenderBackend, RenderService, SceneRequest, ServiceConfig,
+};
 use mgpu_voldata::Dataset;
 use mgpu_volren::camera::Scene;
 use mgpu_volren::renderer::render;
@@ -53,7 +55,6 @@ proptest! {
             },
             start_paused: false,
         });
-        let session = service.session(spec.clone(), volume.clone(), cfg.clone());
         let tickets: Vec<_> = azimuth_steps
             .iter()
             .zip(priority_bits.iter().cycle())
@@ -63,12 +64,19 @@ proptest! {
                     1 => Priority::Normal,
                     _ => Priority::Interactive,
                 };
-                session.request_with_priority(scene_of(*s), priority)
+                let request = SceneRequest {
+                    spec: spec.clone(),
+                    volume: volume.clone(),
+                    scene: scene_of(*s),
+                    config: cfg.clone(),
+                    priority,
+                };
+                service.submit(request).expect("blocking submit")
             })
             .collect();
 
         for (i, ticket) in tickets.into_iter().enumerate() {
-            let frame = ticket.wait();
+            let frame = service.redeem(ticket).expect("redeem");
             prop_assert_eq!(
                 &*frame.image,
                 &direct[i],

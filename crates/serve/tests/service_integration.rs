@@ -7,16 +7,27 @@ use mgpu_serve::{
     BackendError, Priority, QueueBounds, RenderBackend, RenderService, SceneRequest, ServiceConfig,
     ShardedService,
 };
-use mgpu_voldata::Dataset;
+use mgpu_voldata::{Dataset, Volume};
 use mgpu_volren::camera::Scene;
 use mgpu_volren::renderer::render;
 use mgpu_volren::{RenderConfig, TransferFunction};
 
-fn scene_for(volume: &mgpu_voldata::Volume, azimuth: f32) -> Scene {
+fn scene_for(volume: &Volume, azimuth: f32) -> Scene {
     Scene::orbit(volume, azimuth, 20.0, TransferFunction::bone())
 }
 
-/// The acceptance scenario: two concurrent sessions, ≥8 queued frames each,
+/// One `Normal`-priority frame of `volume` under `scene`.
+fn request(spec: &ClusterSpec, volume: &Volume, cfg: &RenderConfig, scene: Scene) -> SceneRequest {
+    SceneRequest {
+        spec: spec.clone(),
+        volume: volume.clone(),
+        scene,
+        config: cfg.clone(),
+        priority: Priority::Normal,
+    }
+}
+
+/// The acceptance scenario: two concurrent clients, ≥8 queued frames each,
 /// every service frame bit-identical to a direct `render` call.
 #[test]
 fn two_sessions_eight_frames_each_match_direct_renders() {
@@ -30,28 +41,29 @@ fn two_sessions_eight_frames_each_match_direct_renders() {
     let skull = Dataset::Skull.volume(16);
     let supernova = Dataset::Supernova.volume(16);
 
-    let s1 = service.session(spec.clone(), skull.clone(), cfg.clone());
-    let s2 = service.session(spec.clone(), supernova.clone(), cfg.clone());
-
+    // Frames each client submitted, counted as the caller sees them.
+    let mut submitted = [0u64; 2];
+    let mut submit = |client: usize, volume: &Volume, az: f32| {
+        let frame = request(&spec, volume, &cfg, scene_for(volume, az));
+        let ticket = service.submit(frame).expect("blocking submit");
+        submitted[client] += 1;
+        ticket
+    };
     let azimuths: Vec<f32> = (0..8).map(|i| i as f32 * 36.0).collect();
-    let t1: Vec<_> = azimuths
-        .iter()
-        .map(|az| s1.request(scene_for(&skull, *az)))
-        .collect();
+    let t1: Vec<_> = azimuths.iter().map(|az| submit(0, &skull, *az)).collect();
     let t2: Vec<_> = azimuths
         .iter()
-        .map(|az| s2.request(scene_for(&supernova, *az)))
+        .map(|az| submit(1, &supernova, *az))
         .collect();
-    assert_eq!(s1.frames_submitted(), 8);
-    assert_eq!(s2.frames_submitted(), 8);
+    assert_eq!(submitted, [8, 8]);
 
     for (az, ticket) in azimuths.iter().zip(t1) {
-        let frame = ticket.wait();
+        let frame = service.redeem(ticket).expect("redeem");
         let direct = render(&spec, &skull, &scene_for(&skull, *az), &cfg);
         assert_eq!(*frame.image, direct.image, "skull az {az}");
     }
     for (az, ticket) in azimuths.iter().zip(t2) {
-        let frame = ticket.wait();
+        let frame = service.redeem(ticket).expect("redeem");
         let direct = render(&spec, &supernova, &scene_for(&supernova, *az), &cfg);
         assert_eq!(*frame.image, direct.image, "supernova az {az}");
     }
@@ -80,15 +92,19 @@ fn plan_cache_stages_each_brick_once_per_burst() {
         let spec = ClusterSpec::accelerator_cluster(2);
         let cfg = RenderConfig::test_size(32);
         let volume = Dataset::Skull.volume(16);
-        let session = service.session(spec, volume.clone(), cfg);
         let tickets: Vec<_> = (0..frames)
-            .map(|i| session.request(scene_for(&volume, i as f32 * 30.0)))
+            .map(|i| {
+                let frame = request(&spec, &volume, &cfg, scene_for(&volume, i as f32 * 30.0));
+                service.submit(frame).expect("blocking submit")
+            })
             .collect();
         service.resume();
         let bricks = tickets
             .into_iter()
             .map(|t| {
-                t.wait()
+                service
+                    .redeem(t)
+                    .expect("redeem")
                     .report
                     .expect("local frame carries the report")
                     .bricks as u64
@@ -132,7 +148,6 @@ fn plan_cache_reuses_staging_across_batches() {
         let spec = ClusterSpec::accelerator_cluster(2);
         let cfg = RenderConfig::test_size(32);
         let volume = Dataset::Skull.volume(16);
-        let session = service.session(spec.clone(), volume.clone(), cfg.clone());
         let mut bricks = 0u64;
         let mut az = 0.0f32;
         // Waiting out each wave empties the queue before the next starts.
@@ -140,11 +155,12 @@ fn plan_cache_reuses_staging_across_batches() {
             let tickets: Vec<_> = (0..frames_per_wave)
                 .map(|_| {
                     az += 25.0;
-                    session.request(scene_for(&volume, az))
+                    let frame = request(&spec, &volume, &cfg, scene_for(&volume, az));
+                    service.submit(frame).expect("blocking submit")
                 })
                 .collect();
             for (t, a) in tickets.into_iter().zip([az - 50.0, az - 25.0]) {
-                let frame = t.wait();
+                let frame = service.redeem(t).expect("redeem");
                 bricks = bricks.max(frame.report.as_ref().expect("local report").bricks as u64);
                 let direct = render(&spec, &volume, &scene_for(&volume, a + 25.0), &cfg);
                 assert_eq!(
@@ -204,19 +220,22 @@ fn repeated_view_hits_the_cache() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let cfg = RenderConfig::test_size(24);
     let volume = Dataset::Plume.volume(8);
-    let session = service.session(spec, volume.clone(), cfg);
+    let frame = |scene: Scene| {
+        let ticket = service.submit(request(&spec, &volume, &cfg, scene));
+        service
+            .redeem(ticket.expect("blocking submit"))
+            .expect("redeem")
+    };
 
     let scene = Scene::orbit(&volume, 45.0, 10.0, TransferFunction::smoke());
-    let first = session.request(scene.clone()).wait();
+    let first = frame(scene.clone());
     assert!(!first.from_cache);
-    let second = session.request(scene.clone()).wait();
+    let second = frame(scene.clone());
     assert!(second.from_cache, "identical request must hit the cache");
     assert_eq!(first.image, second.image);
 
     // A different view renders fresh.
-    let third = session
-        .request(Scene::orbit(&volume, 46.0, 10.0, TransferFunction::smoke()))
-        .wait();
+    let third = frame(Scene::orbit(&volume, 46.0, 10.0, TransferFunction::smoke()));
     assert!(!third.from_cache);
 
     let report = service.shutdown();
@@ -241,15 +260,20 @@ fn interactive_requests_overtake_batch_work() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let cfg = RenderConfig::test_size(16);
     let volume = Dataset::Skull.volume(8);
-    let session = service.session(spec, volume.clone(), cfg);
+    let submit = |priority| {
+        let frame = SceneRequest {
+            priority,
+            ..request(&spec, &volume, &cfg, scene_for(&volume, 10.0))
+        };
+        service.submit(frame).expect("blocking submit")
+    };
 
-    let scene = scene_for(&volume, 10.0);
-    let batch_ticket = session.request_with_priority(scene.clone(), Priority::Batch);
-    let interactive_ticket = session.request_with_priority(scene, Priority::Interactive);
+    let batch_ticket = submit(Priority::Batch);
+    let interactive_ticket = submit(Priority::Interactive);
     service.resume();
 
-    let b = batch_ticket.wait();
-    let i = interactive_ticket.wait();
+    let b = service.redeem(batch_ticket).expect("redeem");
+    let i = service.redeem(interactive_ticket).expect("redeem");
     assert!(
         !i.from_cache,
         "the interactive job must have been popped (and rendered) first"
@@ -378,12 +402,14 @@ fn admission_control_sheds_lowest_priority_first() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let cfg = RenderConfig::test_size(16);
     let volume = Dataset::Skull.volume(8);
-    let session = service.session(spec, volume.clone(), cfg);
-
     let mut az = 0.0f32;
     let mut req = |priority| {
         az += 20.0;
-        session.try_request_with_priority(scene_for(&volume, az), priority)
+        let frame = SceneRequest {
+            priority,
+            ..request(&spec, &volume, &cfg, scene_for(&volume, az))
+        };
+        service.try_submit(frame)
     };
 
     let t_batch = req(Priority::Batch).expect("first batch job admitted");
@@ -404,7 +430,7 @@ fn admission_control_sheds_lowest_priority_first() {
     assert_eq!(service.queue_depths(), [1, 1, 1]);
     service.resume();
     for t in [t_batch, t_normal, t_inter] {
-        t.wait();
+        service.redeem(t).expect("redeem");
     }
     let report = service.shutdown();
     assert_eq!(report.admission_rejected, 3);
@@ -415,9 +441,8 @@ fn admission_control_sheds_lowest_priority_first() {
     );
 }
 
-// (A session can no longer outlive its service at all: `SceneSession`
-// borrows the backend, so submitting through a session after `shutdown`
-// consumed the service is now a compile error rather than the runtime
+// (Nothing can submit to a service after `shutdown`: it consumes the
+// service, so a submit after it is a compile error rather than the runtime
 // panic the pre-`RenderBackend` API produced.)
 
 /// Shutdown drains every queued job. The tickets cannot be redeemed
@@ -434,7 +459,7 @@ fn shutdown_resolves_all_pending_tickets() {
     let spec = ClusterSpec::accelerator_cluster(1);
     let cfg = RenderConfig::test_size(16);
     let volume = Dataset::Skull.volume(8);
-    // Raw (non-borrowing) tickets, still held while the service shuts down.
+    // Tickets still held while the service shuts down.
     let tickets: Vec<_> = (0..5)
         .map(|i| {
             service
@@ -455,7 +480,7 @@ fn shutdown_resolves_all_pending_tickets() {
     drop(tickets);
 }
 
-/// Direct submit (no session) with an explicit request.
+/// One blocking render of an explicit request.
 #[test]
 fn raw_submit_roundtrip() {
     let service = RenderService::start(ServiceConfig::default());
@@ -478,7 +503,7 @@ fn raw_submit_roundtrip() {
     assert_eq!(report.job, direct.report.job);
 }
 
-/// The shard router: sessions for distinct volumes land on their rendezvous
+/// The shard router: requests for distinct volumes land on their rendezvous
 /// shard, frames stay bit-identical to direct renders, and one volume's
 /// frames never spread across shards (its plan cache stays warm).
 #[test]
@@ -506,11 +531,11 @@ fn sharded_service_routes_by_volume_and_stays_bit_identical() {
 
     let mut tickets = Vec::new();
     for volume in &volumes {
-        let session = sharded.session(spec.clone(), volume.clone(), cfg.clone());
-        tickets.push((volume, session.request(scene_for(volume, 40.0))));
+        let frame = request(&spec, volume, &cfg, scene_for(volume, 40.0));
+        tickets.push((volume, sharded.submit(frame).expect("blocking submit")));
     }
     for (volume, ticket) in tickets {
-        let frame = ticket.wait();
+        let frame = sharded.redeem(ticket).expect("redeem");
         let direct = render(&spec, volume, &scene_for(volume, 40.0), &cfg);
         assert_eq!(*frame.image, direct.image, "{}", volume.meta.name);
     }

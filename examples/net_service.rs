@@ -13,6 +13,7 @@
 //!     cargo run --release --example net_service
 
 use gpumr::prelude::*;
+use gpumr::voldata::Volume;
 
 fn main() {
     let server = RenderServer::start(ServerConfig {
@@ -32,8 +33,8 @@ fn main() {
     let frames_per_client = 8;
 
     // Two backends = two connections (sessions), each a one-node NodePool;
-    // the SAME session code would run over a local RenderService — that is
-    // the point of the trait. Explicit timeouts: a dead node fails the call
+    // the SAME calls would run over a local RenderService — that is the
+    // point of the trait. Explicit timeouts: a dead node fails the call
     // instead of hanging it.
     let client_cfg = ClientConfig {
         connect_timeout: Some(std::time::Duration::from_secs(5)),
@@ -55,27 +56,24 @@ fn main() {
     let nova = Dataset::Supernova.volume(32);
     // Distinct (volume, cluster) keys that rendezvous-route to distinct
     // shards (routing is deterministic, so this split is stable).
-    let skull_session = skull_backend.session(
-        ClusterSpec::accelerator_cluster(4),
-        skull.clone(),
-        cfg.clone(),
-    );
-    let nova_session = nova_backend.session(
-        ClusterSpec::accelerator_cluster(1),
-        nova.clone(),
-        cfg.clone(),
-    );
+    let orbit = |gpus: u32, volume: &Volume, az: f32, transfer: TransferFunction| SceneRequest {
+        spec: ClusterSpec::accelerator_cluster(gpus),
+        volume: volume.clone(),
+        scene: Scene::orbit(volume, az, 20.0, transfer),
+        config: cfg.clone(),
+        priority: Priority::Normal,
+    };
 
     let mut rendered = 0u32;
     let mut cache_hits = 0u32;
     for i in 0..frames_per_client {
         let az = i as f32 * (360.0 / frames_per_client as f32);
-        for (session, volume, gpus, transfer) in [
-            (&skull_session, &skull, 4, TransferFunction::bone()),
-            (&nova_session, &nova, 1, TransferFunction::fire()),
+        for (backend, volume, gpus, transfer) in [
+            (&skull_backend, &skull, 4, TransferFunction::bone()),
+            (&nova_backend, &nova, 1, TransferFunction::fire()),
         ] {
-            let frame = session
-                .render(Scene::orbit(volume, az, 20.0, transfer.clone()))
+            let frame = backend
+                .render(orbit(gpus, volume, az, transfer.clone()))
                 .expect("render over the socket");
 
             // The ground truth, built locally without the wire types.
@@ -93,8 +91,8 @@ fn main() {
     println!("{rendered} frames fetched over TCP, all bit-identical to direct renders");
 
     // The same view again: answered from the frame cache, no render.
-    let frame = skull_session
-        .render(Scene::orbit(&skull, 0.0, 20.0, TransferFunction::bone()))
+    let frame = skull_backend
+        .render(orbit(4, &skull, 0.0, TransferFunction::bone()))
         .expect("repeat view");
     assert!(frame.from_cache, "repeated view must hit the frame cache");
     assert_eq!(frame.sim_frame, std::time::Duration::ZERO);
@@ -113,8 +111,6 @@ fn main() {
         "both shards served traffic"
     );
 
-    drop(skull_session);
-    drop(nova_session);
     let last_seen = RenderBackend::shutdown(skull_backend);
     assert_eq!(last_seen.frames_completed, (rendered + 1) as u64);
     let report = server.shutdown();

@@ -49,26 +49,24 @@ fn main() {
         (Dataset::Plume, 16, 2, TransferFunction::smoke()),
     ];
 
-    // One session per dataset, all over the same pool; the directory pins
-    // each (cluster, volume, config) to its owning node, so a dataset's
-    // frames keep hitting the node whose plan cache is warm.
+    // Every dataset's frames over the same pool; the directory pins each
+    // (cluster, volume, config) to its owning node, so a dataset's frames
+    // keep hitting the node whose plan cache is warm.
     let mut rendered = 0u32;
     for (dataset, base, gpus, transfer) in &datasets {
         let volume = dataset.volume(*base);
         let spec = ClusterSpec::accelerator_cluster(*gpus);
-        let session = pool.session(spec.clone(), volume.clone(), cfg.clone());
-        let owner = pool.node_for(&SceneRequest {
+        let orbit = |az: f32| SceneRequest {
             spec: spec.clone(),
             volume: volume.clone(),
-            scene: Scene::orbit(&volume, 0.0, 15.0, transfer.clone()),
+            scene: Scene::orbit(&volume, az, 15.0, transfer.clone()),
             config: cfg.clone(),
             priority: Priority::Normal,
-        });
+        };
+        let owner = pool.node_for(&orbit(0.0));
         for i in 0..4 {
             let az = i as f32 * 85.0;
-            let frame = session
-                .render(Scene::orbit(&volume, az, 15.0, transfer.clone()))
-                .expect("pooled render");
+            let frame = pool.render(orbit(az)).expect("pooled render");
             let scene = Scene::orbit(&volume, az, 15.0, transfer.clone());
             let direct = gpumr::volren::render(&spec, &volume, &scene, &cfg);
             assert_eq!(

@@ -8,6 +8,25 @@
 //!     cargo run --release --example render_service
 
 use gpumr::prelude::*;
+use gpumr::voldata::Volume;
+
+/// One frame of `volume`, orbited at (`azimuth`, `elevation`) degrees.
+fn orbit(
+    spec: &ClusterSpec,
+    volume: &Volume,
+    config: &RenderConfig,
+    (azimuth, elevation): (f32, f32),
+    transfer: TransferFunction,
+    priority: Priority,
+) -> SceneRequest {
+    SceneRequest {
+        spec: spec.clone(),
+        volume: volume.clone(),
+        scene: Scene::orbit(volume, azimuth, elevation, transfer),
+        config: config.clone(),
+        priority,
+    }
+}
 
 fn main() {
     let spec = ClusterSpec::accelerator_cluster(4);
@@ -22,28 +41,27 @@ fn main() {
         start_paused: true, // queue everything first, then release the workers
         ..ServiceConfig::default()
     });
-    let skull_client = service.session(spec.clone(), skull.clone(), cfg.clone());
-    let nova_client = service
-        .session(spec.clone(), supernova.clone(), cfg.clone())
-        .with_priority(Priority::Batch);
+    // The skull client's frames at `Normal` priority; the supernova
+    // client's are a `Batch` sweep.
+    let skull_at = |az: f32| {
+        let bone = TransferFunction::bone();
+        orbit(&spec, &skull, &cfg, (az, 20.0), bone, Priority::Normal)
+    };
+    let nova_at = |az: f32| {
+        let fire = TransferFunction::fire();
+        orbit(&spec, &supernova, &cfg, (az, -15.0), fire, Priority::Batch)
+    };
+    let submit = |request| service.submit(request).expect("blocking submit");
 
     // Two concurrent scenes, ≥8 queued frames each, interleaved arrivals.
     let mut tickets = Vec::new();
     for i in 0..frames_per_client {
         let az = i as f32 * (360.0 / frames_per_client as f32);
-        tickets.push((
-            "skull",
-            az,
-            skull_client.request_orbit(az, 20.0, TransferFunction::bone()),
-        ));
-        tickets.push((
-            "supernova",
-            az,
-            nova_client.request_orbit(az, -15.0, TransferFunction::fire()),
-        ));
+        tickets.push(("skull", az, submit(skull_at(az))));
+        tickets.push(("supernova", az, submit(nova_at(az))));
     }
     println!(
-        "queued {} frames across 2 sessions ({} each); releasing workers…\n",
+        "queued {} frames across 2 clients ({} each); releasing workers…\n",
         tickets.len(),
         frames_per_client
     );
@@ -52,7 +70,7 @@ fn main() {
     // Redeem every ticket and verify against the blocking single-frame path.
     let mut verified = 0;
     for (label, az, ticket) in tickets {
-        let frame = ticket.wait();
+        let frame = service.redeem(ticket).expect("redeem");
         let (volume, transfer, elevation) = match label {
             "skull" => (&skull, TransferFunction::bone(), 20.0),
             _ => (&supernova, TransferFunction::fire(), -15.0),
@@ -68,19 +86,18 @@ fn main() {
     println!("verified {verified}/{verified} frames bit-identical to direct renders");
 
     // Repeat a view: the frame cache answers without rendering.
-    let replay = skull_client
-        .request_orbit(0.0, 20.0, TransferFunction::bone())
-        .wait();
+    let replay = service.render(skull_at(0.0)).expect("replay");
     assert!(replay.from_cache, "repeated view must come from the cache");
     println!("replayed skull az 0 from the frame cache (no render)");
 
     // A NEW wave of skull views: the plan cache already holds the skull's
     // plan — its warm brick store answers every staging.
     let wave: Vec<_> = (0..3)
-        .map(|i| skull_client.request_orbit(7.0 + i as f32 * 11.0, 20.0, TransferFunction::bone()))
+        .map(|i| submit(skull_at(7.0 + i as f32 * 11.0)))
         .collect();
     for t in wave {
-        assert!(!t.wait().from_cache, "new views render fresh");
+        let frame = service.redeem(t).expect("redeem");
+        assert!(!frame.from_cache, "new views render fresh");
     }
     let plans = service.plan_snapshot();
     assert!(plans.hits > 0, "the new wave must reuse a cached plan");
@@ -115,23 +132,15 @@ fn main() {
         ..ServiceConfig::default()
     });
     let tiny = Dataset::Skull.volume(8);
-    let sweep = bounded
-        .session(
-            ClusterSpec::accelerator_cluster(1),
-            tiny,
-            RenderConfig::test_size(16),
-        )
-        .with_priority(Priority::Batch);
+    let tiny_spec = ClusterSpec::accelerator_cluster(1);
+    let tiny_cfg = RenderConfig::test_size(16);
     let mut admitted = Vec::new();
     let mut shed = 0;
     for i in 0..5 {
-        let scene = Scene::orbit(
-            sweep.volume(),
-            i as f32 * 30.0,
-            15.0,
-            TransferFunction::bone(),
-        );
-        match sweep.try_request(scene) {
+        let view = (i as f32 * 30.0, 15.0);
+        let bone = TransferFunction::bone();
+        let request = orbit(&tiny_spec, &tiny, &tiny_cfg, view, bone, Priority::Batch);
+        match bounded.try_submit(request) {
             Ok(t) => admitted.push(t),
             Err(err) => {
                 shed += 1;
@@ -144,7 +153,7 @@ fn main() {
     assert_eq!((admitted.len(), shed), (2, 3), "batch bound is 2");
     bounded.resume();
     for t in admitted {
-        t.wait();
+        bounded.redeem(t).expect("redeem");
     }
     let bounded_report = bounded.shutdown();
     println!(

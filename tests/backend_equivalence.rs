@@ -174,24 +174,33 @@ fn prove_frames_bit_identical<B: RenderBackend>(backend: &B, label: &str) -> u64
         completed += 1;
     }
 
-    // Session layer: the same generic session code runs over any backend.
+    // A caller's own request, counted by the caller: the same generic
+    // submit-then-redeem code runs over any backend.
     let skull = Dataset::Skull.volume(16);
-    let session = backend.session(
-        ClusterSpec::accelerator_cluster(2),
-        skull.clone(),
-        RenderConfig::test_size(16),
-    );
-    let ticket = session.request_orbit(33.0, 12.0, TransferFunction::bone());
-    let frame = ticket.wait();
     let spec = ClusterSpec::accelerator_cluster(2);
     let scene = Scene::orbit(&skull, 33.0, 12.0, TransferFunction::bone());
+    let request = SceneRequest {
+        spec: spec.clone(),
+        volume: skull.clone(),
+        scene: scene.clone(),
+        config: RenderConfig::test_size(16),
+        priority: Priority::Normal,
+    };
+    let mut submitted = 0u64;
+    let ticket = backend
+        .submit(request)
+        .unwrap_or_else(|err| panic!("{label}: submit failed: {err}"));
+    submitted += 1;
+    let frame = backend
+        .redeem(ticket)
+        .unwrap_or_else(|err| panic!("{label}: redeem failed: {err}"));
     let direct = render(&spec, &skull, &scene, &RenderConfig::test_size(16));
     assert_eq!(
         *frame.image, direct.image,
-        "{label}: session frame diverged"
+        "{label}: caller-built frame diverged"
     );
     assert_sim_frame(&frame, &direct, label);
-    assert_eq!(session.frames_submitted(), 1);
+    assert_eq!(submitted, 1);
     completed += 1;
 
     // The backend's own accounting saw every frame.

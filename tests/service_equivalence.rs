@@ -1,7 +1,7 @@
 //! Facade-level checks of the in-process service that go beyond the
 //! four-backend harness in `backend_equivalence.rs`: cross-wave plan-cache
 //! reuse under sharding must not change a single pixel. Everything here is
-//! written against the `RenderBackend` trait (sessions included).
+//! written against the `RenderBackend` trait.
 
 use gpumr::prelude::*;
 
@@ -20,9 +20,6 @@ fn sharded_and_plan_cached_frames_equal_direct_renders() {
     let cfg = RenderConfig::test_size(24);
     let skull = Dataset::Skull.volume(16);
     let plume = Dataset::Plume.volume(8);
-
-    let s1 = sharded.session(spec.clone(), skull.clone(), cfg.clone());
-    let s2 = sharded.session(spec.clone(), plume.clone(), cfg.clone());
 
     // Two waves: the second reuses whatever plans the first warmed.
     for wave in 0..2 {
@@ -44,15 +41,18 @@ fn sharded_and_plan_cached_frames_equal_direct_renders() {
         let tickets: Vec<_> = scenes
             .iter()
             .map(|(scene, volume)| {
-                if std::ptr::eq(*volume, &skull) {
-                    s1.request(scene.clone())
-                } else {
-                    s2.request(scene.clone())
-                }
+                let request = SceneRequest {
+                    spec: spec.clone(),
+                    volume: (*volume).clone(),
+                    scene: scene.clone(),
+                    config: cfg.clone(),
+                    priority: Priority::Normal,
+                };
+                sharded.submit(request).expect("blocking submit")
             })
             .collect();
         for ((scene, volume), ticket) in scenes.iter().zip(tickets) {
-            let frame = ticket.wait();
+            let frame = sharded.redeem(ticket).expect("redeem");
             let direct = render(&spec, volume, scene, &cfg);
             assert_eq!(
                 *frame.image, direct.image,
@@ -75,18 +75,17 @@ fn trait_render_matches_ticketed_session_requests() {
     let volume = Dataset::Supernova.volume(16);
 
     let scene = Scene::orbit(&volume, 85.0, -10.0, TransferFunction::fire());
-    let via_render = service
-        .render(SceneRequest {
-            spec: spec.clone(),
-            volume: volume.clone(),
-            scene: scene.clone(),
-            config: cfg.clone(),
-            priority: Priority::Normal,
-        })
-        .expect("trait render");
+    let request = SceneRequest {
+        spec: spec.clone(),
+        volume: volume.clone(),
+        scene: scene.clone(),
+        config: cfg.clone(),
+        priority: Priority::Normal,
+    };
+    let via_render = service.render(request.clone()).expect("trait render");
 
-    let session = service.session(spec.clone(), volume.clone(), cfg.clone());
-    let via_ticket = session.request(scene.clone()).wait();
+    let ticket = service.submit(request).expect("blocking submit");
+    let via_ticket = service.redeem(ticket).expect("redeem");
     assert_eq!(via_ticket.image, via_render.image, "same allocation reused");
     assert!(
         via_ticket.from_cache,
