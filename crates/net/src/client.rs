@@ -471,15 +471,7 @@ pub(crate) mod tests {
     }
 
     fn sized_request(azimuth: f32, size: u32) -> NetSceneRequest {
-        NetSceneRequest::orbit_dataset(
-            Dataset::Skull,
-            8,
-            1,
-            azimuth,
-            0.0,
-            &TransferFunction::bone(),
-        )
-        .with_config(RenderConfig::test_size(size))
+        crate::node::tests::scene(azimuth, size)
     }
 
     /// The headline v3 property: a single connection carries 10 concurrent

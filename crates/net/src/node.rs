@@ -555,17 +555,23 @@ pub(crate) mod tests {
         }
     }
 
-    /// An 8³ Skull orbit at `azimuth`, rendered `size`² pixels.
+    /// An 8³ Skull orbit at `azimuth`, rendered `size`² pixels, as an
+    /// in-process caller describes it for the wire.
     pub(crate) fn scene(azimuth: f32, size: u32) -> NetSceneRequest {
-        NetSceneRequest::orbit_dataset(
-            Dataset::Skull,
-            8,
-            1,
-            azimuth,
-            0.0,
-            &TransferFunction::bone(),
-        )
-        .with_config(RenderConfig::test_size(size))
+        let volume = Dataset::Skull.volume(8);
+        let request = mgpu_serve::SceneRequest {
+            spec: mgpu_cluster::ClusterSpec::accelerator_cluster(1),
+            scene: mgpu_volren::camera::Scene::orbit(
+                &volume,
+                azimuth,
+                0.0,
+                TransferFunction::bone(),
+            ),
+            volume,
+            config: RenderConfig::test_size(size),
+            priority: mgpu_serve::Priority::Normal,
+        };
+        NetSceneRequest::from_request(&request).expect("portable")
     }
 
     /// `request` rendered directly: every `FRAME` must equal it bit for bit.

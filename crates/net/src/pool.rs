@@ -1197,14 +1197,7 @@ mod tests {
     /// of 64 keys by chance in all of them with odds of 64⁻¹⁶.
     #[test]
     fn key_heat_at_the_cap_evicts_the_smallest_of_equally_cold_keys() {
-        let net = Arc::new(NetSceneRequest::orbit_dataset(
-            mgpu_voldata::Dataset::Skull,
-            8,
-            1,
-            0.0,
-            0.0,
-            &mgpu_volren::TransferFunction::bone(),
-        ));
+        let net = Arc::new(crate::node::tests::scene(0.0, 8));
         let mut keys: Vec<RequestKey> = (0..=KEY_HEAT_CAP as u64).map(test_key).collect();
         let newcomer = keys.pop().unwrap();
         let smallest = keys.iter().min().unwrap();
@@ -2020,6 +2013,7 @@ mod cluster {
     use crate::node::tests::{config, direct, Harness, Piece};
     use crate::ratelimit::RateLimitConfig;
     use crate::server::ServerConfig;
+    use crate::wire::tests::orbit;
     use crate::wire::{FrameReader, OutFrame, Reply, Request, DEFAULT_MAX_PAYLOAD, HEADER_BYTES};
     use mgpu_voldata::Dataset;
     use mgpu_volren::{Image, RenderConfig, TransferFunction};
@@ -2037,8 +2031,13 @@ mod cluster {
             let scene = |dataset: Dataset, view: u32| {
                 let transfer = TransferFunction::for_dataset(dataset.name());
                 let azimuth = view as f32 * 37.0;
-                NetSceneRequest::orbit_dataset(dataset, 8, 1, azimuth, 10.0, &transfer)
-                    .with_config(RenderConfig::test_size(8))
+                orbit(
+                    dataset,
+                    (8, 1),
+                    (azimuth, 10.0),
+                    &transfer,
+                    RenderConfig::test_size(8),
+                )
             };
             let requests = datasets
                 .into_iter()

@@ -873,15 +873,7 @@ mod tests {
     }
 
     fn tiny_request(azimuth: f32) -> NetSceneRequest {
-        NetSceneRequest::orbit_dataset(
-            Dataset::Skull,
-            8,
-            1,
-            azimuth,
-            0.0,
-            &TransferFunction::bone(),
-        )
-        .with_config(RenderConfig::test_size(8))
+        crate::node::tests::scene(azimuth, 8)
     }
 
     /// The tag a `RENDER` frame carries.

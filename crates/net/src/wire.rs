@@ -1224,30 +1224,6 @@ wire_struct! {
 }
 
 impl NetSceneRequest {
-    /// Orbit a procedural dataset (the common case).
-    pub fn orbit_dataset(
-        dataset: Dataset,
-        base: u32,
-        gpus: u32,
-        azimuth_deg: f32,
-        elevation_deg: f32,
-        transfer: &TransferFunction,
-    ) -> NetSceneRequest {
-        NetSceneRequest {
-            gpus,
-            gpus_per_node: 4,
-            volume: VolumeSpec::Dataset { dataset, base },
-            camera: CameraSpec::Orbit {
-                azimuth_deg,
-                elevation_deg,
-            },
-            transfer: TransferSpec::of(transfer),
-            background: [0.0; 4],
-            config: RenderConfig::default(),
-            priority: Priority::Normal,
-        }
-    }
-
     /// Describe an arbitrary in-process [`mgpu_serve::SceneRequest`] for
     /// the wire — the bridge every remote [`mgpu_serve::RenderBackend`]
     /// uses. Fails (with a human-readable reason) only when the request is
@@ -1275,21 +1251,6 @@ impl NetSceneRequest {
             config: request.config.clone(),
             priority: request.priority,
         })
-    }
-
-    pub fn with_config(mut self, config: RenderConfig) -> NetSceneRequest {
-        self.config = config;
-        self
-    }
-
-    pub fn with_priority(mut self, priority: Priority) -> NetSceneRequest {
-        self.priority = priority;
-        self
-    }
-
-    pub fn with_background(mut self, background: [f32; 4]) -> NetSceneRequest {
-        self.background = background;
-        self
     }
 
     /// The in-process request on the receiving side — the inverse of
@@ -1795,10 +1756,44 @@ pub(crate) mod tests {
         wire_contract(&value);
     }
 
+    /// A dataset orbit in the wire's `Orbit` camera form, which
+    /// `from_request` never sends (it sends the exact `Look` basis) but the
+    /// door accepts: the golden bytes, the codec's arbitrary requests and
+    /// the seeded cluster's pinned tally are written in it.
+    pub(crate) fn orbit(
+        dataset: Dataset,
+        (base, gpus): (u32, u32),
+        (azimuth_deg, elevation_deg): (f32, f32),
+        transfer: &TransferFunction,
+        config: RenderConfig,
+    ) -> NetSceneRequest {
+        NetSceneRequest {
+            gpus,
+            gpus_per_node: 4,
+            volume: VolumeSpec::Dataset { dataset, base },
+            camera: CameraSpec::Orbit {
+                azimuth_deg,
+                elevation_deg,
+            },
+            transfer: TransferSpec::of(transfer),
+            background: [0.0; 4],
+            config,
+            priority: Priority::Normal,
+        }
+    }
+
     fn sample_request() -> NetSceneRequest {
-        NetSceneRequest::orbit_dataset(Dataset::Skull, 16, 2, 33.0, 20.0, &TransferFunction::bone())
-            .with_config(RenderConfig::test_size(24))
-            .with_priority(Priority::Batch)
+        let bone = TransferFunction::bone();
+        NetSceneRequest {
+            priority: Priority::Batch,
+            ..orbit(
+                Dataset::Skull,
+                (16, 2),
+                (33.0, 20.0),
+                &bone,
+                RenderConfig::test_size(24),
+            )
+        }
     }
 
     #[test]
@@ -2689,15 +2684,14 @@ pub(crate) mod tests {
     fn arbitrary_request(pick: usize, seed: u64) -> Request<'static> {
         let mut next = numbers(seed);
         let dataset = Dataset::ALL[next() as usize % Dataset::ALL.len()];
-        let scene = NetSceneRequest::orbit_dataset(
-            dataset,
-            1 + next() as u32 % 64,
-            1 + next() as u32 % 8,
+        let size = (1 + next() as u32 % 64, 1 + next() as u32 % 8);
+        let view = (
             (next() % 3600) as f32 / 10.0,
             (next() % 1800) as f32 / 10.0 - 90.0,
-            &TransferFunction::for_dataset(dataset.name()),
-        )
-        .with_config(RenderConfig::test_size(1 + next() as u32 % 512));
+        );
+        let transfer = TransferFunction::for_dataset(dataset.name());
+        let config = RenderConfig::test_size(1 + next() as u32 % 512);
+        let scene = orbit(dataset, size, view, &transfer, config);
         match pick % 9 {
             0 => Request::Ping(next()),
             1 => Request::Render(Cow::Owned(scene)),
@@ -3056,9 +3050,10 @@ pub(crate) mod tests {
         ) {
             let dataset = Dataset::ALL[dataset_idx];
             let transfer = TransferFunction::for_dataset(dataset.name());
-            let request = NetSceneRequest::orbit_dataset(dataset, 8, gpus, azimuth, 15.0, &transfer)
-                .with_config(RenderConfig::test_size(image))
-                .with_priority([Priority::Batch, Priority::Normal, Priority::Interactive][priority]);
+            let request = NetSceneRequest {
+                priority: [Priority::Batch, Priority::Normal, Priority::Interactive][priority],
+                ..orbit(dataset, (8, gpus), (azimuth, 15.0), &transfer, RenderConfig::test_size(image))
+            };
             wire_contract(&request);
 
             let mut shard = Snapshot::new();
