@@ -187,7 +187,7 @@ mod tests {
         let rows = [
             (
                 "admission shed",
-                Script::Reply(Reply::Rejected(shed.clone())),
+                Script::Reply(Reply::Rejected(shed)),
                 BackendError::Admission(shed),
             ),
             (
