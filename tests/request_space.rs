@@ -188,9 +188,9 @@ fn flip(config: &RenderConfig, arm: usize, pick: u32) -> RenderConfig {
     next
 }
 
-/// A request and its neighbour: the same request but for one flipped arm.
-/// The cluster has 1, 2 or 4 GPUs, so binary swap is always valid.
-fn case() -> impl Strategy<Value = (SceneRequest, SceneRequest)> {
+/// A request, its neighbour (the same request but for one flipped arm) and
+/// the arm. The cluster has 1, 2 or 4 GPUs, so binary swap is always valid.
+fn case() -> impl Strategy<Value = (SceneRequest, SceneRequest, usize)> {
     let request = (volume().prop_flat_map(scene), config(), 0u32..3, 0usize..3);
     (request, 0..ARMS, 0u32..64).prop_map(
         |(((volume, scene), config, gpus, priority), arm, pick)| {
@@ -206,7 +206,7 @@ fn case() -> impl Strategy<Value = (SceneRequest, SceneRequest)> {
                 config: neighbour,
                 ..request.clone()
             };
-            (request, neighbour)
+            (request, neighbour, arm)
         },
     )
 }
@@ -283,10 +283,11 @@ fn shuffled(rng: &mut TestRng, n: usize) -> Vec<usize> {
 
 /// One seed: generate its case, check the codec, send both requests
 /// through both backends in a seeded order, and hold every frame to its
-/// direct render.
-fn check(services: &mut Services, seed: u32) {
+/// direct render. Returns the arm it flipped, and whether a `Disk` frame
+/// of the case evicted from its host cache.
+fn check(services: &mut Services, seed: u32) -> (usize, bool) {
     let mut rng = TestRng::for_case(seed);
-    let (request, neighbour) = case().sample(&mut rng);
+    let (request, neighbour, arm) = case().sample(&mut rng);
     let requests = [&request, &neighbour];
     assert_ne!(
         identity(&request),
@@ -325,17 +326,33 @@ fn check(services: &mut Services, seed: u32) {
         };
         assert_eq!(frame.sim_frame, sim, "{label}: simulated runtime");
     }
+    let evicted = (requests.iter().zip(&direct))
+        .any(|(r, d)| r.config.residency == Residency::Disk && d.report.store.evictions > 0);
+    (arm, evicted)
 }
 
 #[test]
 fn generated_requests_and_their_neighbours_match_direct_renders_through_both_services() {
     let mut services = Services::start();
+    let (mut flipped, mut evicting) = ([0u32; ARMS], 0u32);
     for seed in 0..CASES {
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&mut services, seed))) {
-            eprintln!("seed {seed} fails; replay it with `check(&mut Services::start(), {seed})`");
-            resume_unwind(panic);
+        match catch_unwind(AssertUnwindSafe(|| check(&mut services, seed))) {
+            Ok((arm, evicted)) => {
+                flipped[arm] += 1;
+                evicting += u32::from(evicted);
+            }
+            Err(panic) => {
+                eprintln!(
+                    "seed {seed} fails; replay it with `check(&mut Services::start(), {seed})`"
+                );
+                resume_unwind(panic);
+            }
         }
     }
+    // The sweep covers what it claims: every arm flipped, and `Disk`
+    // frames that evict.
+    assert!(flipped.iter().all(|&n| n > 0), "arms flipped: {flipped:?}");
+    assert!(evicting > 0, "no Disk frame evicted from its host cache");
     let Services { local, sharded, .. } = services;
     for report in [local.shutdown(), sharded.shutdown()] {
         assert_eq!(report.frames_failed, 0);
